@@ -328,14 +328,7 @@ pub fn rebalance_wave_scaling(cfg: &ExperimentConfig, max_moves: &[usize]) -> Ve
         let mut job = RebalanceJob::plan(&mut cluster, tables.lineitem, &target, moves_per_wave)
             .expect("plan job");
         let waves = job.num_waves();
-        job.init(&mut cluster).expect("init");
-        while job.has_remaining_waves() {
-            job.run_wave(&mut cluster).expect("wave");
-        }
-        job.prepare(&mut cluster).expect("prepare");
-        job.decide(&mut cluster).expect("decide");
-        job.commit(&mut cluster).expect("commit");
-        let report = job.finalize(&mut cluster).expect("finalize");
+        let report = job.drive(&mut cluster).expect("drive job");
         rows.push(WaveRow {
             max_concurrent_moves: moves_per_wave,
             minutes: report.elapsed.as_minutes_f64(),
@@ -645,10 +638,7 @@ pub fn session_routing_study(cfg: &ExperimentConfig) -> Vec<RoutingRow> {
             acc
         },
     );
-    job.prepare(&mut cluster).expect("prepare");
-    job.decide(&mut cluster).expect("decide");
-    job.commit(&mut cluster).expect("commit");
-    let report = job.finalize(&mut cluster).expect("finalize");
+    let report = job.drive(&mut cluster).expect("finish job");
     cluster
         .check_rebalance_integrity(ds, report.rebalance_id)
         .expect("post-rebalance integrity");
@@ -2153,27 +2143,15 @@ pub fn recovery_study(cfg: &ExperimentConfig) -> Vec<RecoveryRow> {
             .expect("slow node of first move");
         cluster.set_fault_plane(FaultSchedule::seeded(0x5bec_2026).with_slow_node(slow, 50));
         job.set_speculation(policy);
-        job.init(&mut cluster).expect("init recovery rebalance");
-        while job.has_remaining_waves() {
-            job.run_wave(&mut cluster).expect("recovery wave");
-        }
-        job.prepare(&mut cluster)
-            .expect("prepare recovery rebalance");
-        job.decide(&mut cluster).expect("decide recovery rebalance");
-        job.commit(&mut cluster).expect("commit recovery rebalance");
-        let speculated = job.speculated();
-        let wins = job.speculation_wins();
-        let report = job
-            .finalize(&mut cluster)
-            .expect("finalize recovery rebalance");
+        let report = job.drive(&mut cluster).expect("drive recovery rebalance");
         cluster.clear_fault_plane();
         let (live, checksum) = dataset_contents_checksum(&cluster, ds);
         rows.push(RecoveryRow {
             label,
             committed: report.outcome == dynahash_core::RebalanceOutcome::Committed,
             makespan: report.elapsed,
-            speculated,
-            speculation_wins: wins,
+            speculated: job.speculated(),
+            speculation_wins: job.speculation_wins(),
             repaired_buckets: 0,
             records: live,
             checksum,
@@ -2202,7 +2180,8 @@ pub fn recovery_study(cfg: &ExperimentConfig) -> Vec<RecoveryRow> {
     let report = cluster
         .admin()
         .repair_dataset(ds, &feed)
-        .expect("repair the degraded dataset");
+        .expect("repair the degraded dataset")
+        .expect("losing an established node degrades the dataset");
     cluster
         .remove_lost_node(victim)
         .expect("remove the lost node");
@@ -2213,7 +2192,7 @@ pub fn recovery_study(cfg: &ExperimentConfig) -> Vec<RecoveryRow> {
         makespan: report.elapsed,
         speculated: 0,
         speculation_wins: 0,
-        repaired_buckets: report.buckets.len() as u64,
+        repaired_buckets: report.buckets_moved as u64,
         records: live,
         checksum,
     });

@@ -1090,7 +1090,7 @@ impl<'a> Runner<'a> {
                         .admin()
                         .repair_dataset(id, &feed)
                         .map_err(|e| format!("{when}: repair of dataset {id}: {e}"))?;
-                    if report.is_noop() {
+                    if report.is_none() {
                         return Err(format!(
                             "{when}: repair of degraded dataset {id} was a no-op"
                         ));
@@ -1247,21 +1247,12 @@ impl<'a> Runner<'a> {
         let mut finished = Vec::new();
         for mut job in jobs {
             let ds = job.dataset();
-            job.prepare(&mut self.cluster)
-                .map_err(|e| format!("prepare dataset {ds}: {e}"))?;
-            let outcome = job
-                .decide(&mut self.cluster)
-                .map_err(|e| format!("decide dataset {ds}: {e}"))?;
-            if outcome != RebalanceOutcome::Committed {
-                return Err(format!(
-                    "dataset {ds} rebalance did not commit: {outcome:?}"
-                ));
-            }
-            job.commit(&mut self.cluster)
-                .map_err(|e| format!("commit dataset {ds}: {e}"))?;
             let report = job
-                .finalize(&mut self.cluster)
-                .map_err(|e| format!("finalize dataset {ds}: {e}"))?;
+                .drive(&mut self.cluster)
+                .map_err(|e| format!("finish rebalance of dataset {ds}: {e}"))?;
+            if report.outcome != RebalanceOutcome::Committed {
+                return Err(format!("dataset {ds} rebalance did not commit"));
+            }
             buckets_moved += report.buckets_moved;
             finished.push((ds, report.rebalance_id));
             self.rebalances += 1;
@@ -1279,15 +1270,18 @@ impl<'a> Runner<'a> {
                 .check_rebalance_integrity(ds, rebalance_id)
                 .map_err(|e| format!("integrity after rebalance of dataset {ds}: {e}"))?;
         }
-        // If the loss took established buckets down with it, repair every
-        // degraded dataset before the event ends: the soak's contract is
-        // that degraded windows are transient.
-        let repaired = self.repair_degraded("after churn event")?;
+        // The emptied node leaves before the armed plane ticks again: a
+        // settle tick that still saw it in the topology would read its zero
+        // load as imbalance and migrate buckets straight back onto it.
         if let Some(victim) = victim {
             self.cluster
                 .decommission_node(victim)
                 .map_err(|e| format!("decommission {victim}: {e}"))?;
         }
+        // If the loss took established buckets down with it, repair every
+        // degraded dataset before the event ends: the soak's contract is
+        // that degraded windows are transient.
+        let repaired = self.repair_degraded("after churn event")?;
         self.churn += 1;
 
         // Convergence: the stale sessions must absorb the move within the

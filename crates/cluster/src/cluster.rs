@@ -8,9 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use dynahash_core::{
-    BucketHeat, ClusterTopology, GlobalDirectory, NodeId, PartitionId, RebalanceOutcome, Scheme,
-};
+use dynahash_core::{BucketHeat, ClusterTopology, GlobalDirectory, NodeId, PartitionId, Scheme};
 use dynahash_lsm::bucket::BucketId;
 use dynahash_lsm::entry::{Key, StorageFootprint, Value};
 use dynahash_lsm::metrics::MetricsSnapshot;
@@ -21,8 +19,10 @@ use crate::controller::ClusterController;
 use crate::dataset::{DatasetId, DatasetSpec};
 use crate::fault::{ClusterHealth, FaultSchedule, FaultStats, WaveFault};
 use crate::feed::IngestReport;
+use crate::job::RebalanceJob;
 use crate::node::NodeController;
 use crate::partition::Partition;
+use crate::rebalance::RebalanceReport;
 use crate::sim::{CostModel, NodeTimeline, SimDuration};
 use crate::ClusterError;
 
@@ -44,9 +44,10 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Replication state of one in-flight step-driven rebalance, registered by
-/// the [`crate::job::RebalanceJob`] so the *normal* ingestion path stays
-/// online during data movement: writes routed to a bucket whose wave has
+/// Replication state of one in-flight job (rebalance or repair), registered
+/// when the [`crate::job::RebalanceJob`] is planned — so no second job can be
+/// planned over it — and consulted by the *normal* ingestion path, which
+/// stays online during data movement: writes routed to a bucket whose wave has
 /// already shipped it are transparently replicated to the destination's
 /// pending copy (Section V-C), and writes are briefly blocked once the
 /// prepare phase has flushed the pending components.
@@ -917,6 +918,16 @@ impl Cluster {
     }
 }
 
+#[cfg(test)]
+impl Cluster {
+    /// Live records of `dataset` stored on `node`'s partitions.
+    pub(crate) fn live_on_node(&self, dataset: DatasetId, node: NodeId) -> usize {
+        let live = self.dataset_distribution(dataset).unwrap_or_default();
+        let partitions = self.topology.partitions_of_node(node);
+        partitions.iter().filter_map(|p| live.get(p)).sum()
+    }
+}
+
 /// White-box access to a cluster, handed out by [`Cluster::admin`].
 ///
 /// This is the clearly named escape hatch around the [`Cluster::session`]
@@ -1009,51 +1020,28 @@ impl Admin<'_> {
     }
 
     /// One-shot degraded-dataset repair: restores every currently-lost
-    /// bucket of the dataset from the operator-supplied feed by driving a
-    /// [`crate::repair::RepairJob`] end to end — plan, load, prepare,
-    /// commit, finalize — re-planning around nodes lost mid-repair. Returns
-    /// a no-op report (no log records forced) when nothing is degraded, so
-    /// repeating a repair is free and idempotent.
+    /// bucket of the dataset from the operator-supplied feed by planning a
+    /// repair ([`RebalanceJob::plan_repair`]) and driving it to completion
+    /// like any other job ([`RebalanceJob::drive`]). Returns `None` — and
+    /// forces no log records — when nothing is degraded, so repeating a
+    /// repair is free and idempotent. Buckets of a node lost *during* the
+    /// repair stay degraded (the job re-plans around the node and commits
+    /// the rest); repairing again restores them.
     pub fn repair_dataset(
         &mut self,
         dataset: DatasetId,
         feed: &[(Key, Value)],
-    ) -> Result<crate::repair::RepairReport, ClusterError> {
+    ) -> Result<Option<RebalanceReport>, ClusterError> {
         if self
             .cluster
             .fault_stats()
             .degraded_buckets(dataset)
             .is_empty()
         {
-            return Ok(crate::repair::RepairReport::noop(dataset));
+            return Ok(None);
         }
-        let mut job = crate::repair::RepairJob::plan(self.cluster, dataset)?;
-        // Each replan removes at least one dead participant, so the loop is
-        // bounded by the cluster size.
-        let max_replans = self.cluster.topology().nodes().len() + 1;
-        let mut replans = 0usize;
-        loop {
-            match job.load(self.cluster, feed) {
-                Ok(()) => break,
-                Err(ClusterError::NodeLost(_) | ClusterError::NodeDown(_))
-                    if replans < max_replans =>
-                {
-                    job.replan(self.cluster)?;
-                    replans += 1;
-                }
-                Err(e) => {
-                    job.abort(self.cluster)?;
-                    job.finalize(self.cluster)?;
-                    return Err(e);
-                }
-            }
-        }
-        job.prepare(self.cluster)?;
-        match job.decide(self.cluster)? {
-            RebalanceOutcome::Committed => job.commit(self.cluster)?,
-            RebalanceOutcome::Aborted => {}
-        }
-        job.finalize(self.cluster)
+        let mut job = RebalanceJob::plan_repair(self.cluster, dataset, feed)?;
+        job.drive(self.cluster).map(Some)
     }
 
     /// The merged heat snapshot of a dataset: the decayed per-bucket op

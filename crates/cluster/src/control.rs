@@ -841,7 +841,7 @@ impl ControlPlane {
 
     /// Registers (or replaces) a repair feed for a dataset: the records a
     /// health tick re-ingests the dataset's lost buckets from when it finds
-    /// the dataset degraded (see [`crate::repair::RepairJob`]). Register the
+    /// the dataset degraded (see [`RebalanceJob::plan_repair`]). Register the
     /// feed *after* the loss (or keep it current): a lost bucket's content
     /// cannot drift while degraded — writes to it are rejected — so a
     /// post-loss snapshot stays exact until the repair commits.
@@ -962,47 +962,98 @@ impl ControlPlane {
     /// driving [`crate::cluster::Admin::repair_dataset`]; each committed
     /// repair is logged as [`ControlDecision::Repaired`].
     fn auto_repair(&mut self, cluster: &mut Cluster, report: &mut TickReport) -> Result<()> {
-        for dataset in self.repair_feed_datasets() {
-            if cluster.fault_stats().degraded_buckets(dataset).is_empty() {
-                continue;
-            }
-            let Some(feed) = self.repair_feeds.get(&dataset).cloned() else {
-                continue;
+        // The feeds step aside so logging can borrow the plane; cloning a
+        // snapshot-sized feed per tick would dwarf the repair itself.
+        let feeds = std::mem::take(&mut self.repair_feeds);
+        let result = feeds.iter().try_for_each(|(&dataset, feed)| {
+            let Some(repair) = cluster.admin().repair_dataset(dataset, feed)? else {
+                return Ok(());
             };
-            let repair = cluster.admin().repair_dataset(dataset, &feed)?;
-            if let Some(rebalance) = repair.rebalance {
+            if repair.outcome == RebalanceOutcome::Committed {
                 self.repairs += 1;
                 self.log(
                     report,
                     ControlDecision::Repaired {
                         tick: self.tick,
                         dataset,
-                        rebalance,
-                        buckets: repair.buckets.len(),
-                        records: repair.records_restored,
+                        rebalance: repair.rebalance_id,
+                        buckets: repair.buckets_moved,
+                        records: repair.records_moved,
                     },
                 );
             }
-        }
-        Ok(())
+            Ok(())
+        });
+        self.repair_feeds = feeds;
+        result
     }
 
-    /// Drives the in-flight job one tick's worth: health check → re-plan if
-    /// a participant is lost, run waves while the window budget admits
-    /// them, and complete prepare/decide/commit/finalize once every wave
-    /// ran.
+    /// Drives the in-flight job one tick's worth: before every wave, re-plan
+    /// around any participant lost since the last one (so no wave trips over
+    /// it) and stop for this tick once the window budget refuses the next
+    /// wave; when every wave ran, finish the three-phase protocol through
+    /// [`RebalanceJob::drive`].
     fn drive_job(&mut self, cluster: &mut Cluster, report: &mut TickReport) -> Result<()> {
         let Some(mut job) = self.job.take() else {
             return Ok(());
         };
         let dataset = job.dataset();
+        let rebalance = job.rebalance_id();
+        let moved = self.run_admitted_waves(cluster, &mut job, report);
+        let outcome = match moved {
+            Ok(false) => {
+                self.job = Some(job);
+                return Ok(());
+            }
+            Ok(true) => job.drive(cluster).map(|done| done.outcome),
+            Err(e) => {
+                job.settle(cluster);
+                Err(e)
+            }
+        };
+        if outcome.is_ok() {
+            self.cooldown_until
+                .insert(dataset, self.tick + self.config.cooldown_ticks);
+        }
+        if matches!(outcome, Ok(RebalanceOutcome::Committed)) {
+            self.committed_jobs += 1;
+            self.streaks.insert(dataset, 0);
+            let bytes = job.bytes_shipped();
+            self.log(
+                report,
+                ControlDecision::Committed {
+                    tick: self.tick,
+                    dataset,
+                    rebalance,
+                    bytes,
+                },
+            );
+            report.committed = Some((dataset, rebalance));
+        } else {
+            self.aborted_jobs += 1;
+            self.log(
+                report,
+                ControlDecision::Aborted {
+                    tick: self.tick,
+                    dataset,
+                    rebalance,
+                },
+            );
+        }
+        outcome.map(|_| ())
+    }
 
-        // Health monitoring: a permanently lost participant is re-planned
-        // around *before* a wave trips over it (PR 8 follow-on). Allowed in
-        // any Moving state, including after the last wave.
-        if matches!(job.state(), crate::job::JobState::Moving { .. })
-            && job.participants().iter().any(|n| cluster.node_is_lost(*n))
-        {
+    /// Runs the job's waves while the window budget admits them. Returns
+    /// whether every wave has run (false: the budget deferred the next one).
+    fn run_admitted_waves(
+        &mut self,
+        cluster: &mut Cluster,
+        job: &mut RebalanceJob,
+        report: &mut TickReport,
+    ) -> Result<bool> {
+        let dataset = job.dataset();
+        loop {
+            // Health monitoring: a no-op unless a participant was lost.
             let replan = job.replan_wave(cluster)?;
             if !replan.is_noop() {
                 self.replans += 1;
@@ -1011,18 +1062,15 @@ impl ControlPlane {
                     ControlDecision::Replanned {
                         tick: self.tick,
                         dataset,
-                        lost_nodes: replan.lost_nodes.clone(),
+                        lost_nodes: replan.lost_nodes,
                         rerouted: replan.rerouted,
                     },
                 );
             }
-        }
-
-        while job.has_remaining_waves() {
-            let (wave_buckets, wave_bytes) = match job.waves().get(job.completed_waves()) {
-                Some(wave) => (wave.len(), wave.iter().map(|m| m.bytes).sum::<u64>()),
-                None => break,
+            let Some(next) = job.waves().get(job.completed_waves()) else {
+                return Ok(true);
             };
+            let (wave_buckets, wave_bytes) = (next.len(), next.iter().map(|m| m.bytes).sum());
             if !self.config.budget.admits(
                 self.window_buckets,
                 self.window_bytes,
@@ -1039,85 +1087,12 @@ impl ControlPlane {
                         wave_bytes,
                     },
                 );
-                self.job = Some(job);
-                return Ok(());
+                return Ok(false);
             }
-            match job.run_wave(cluster) {
-                Ok(wave) => {
-                    self.window_buckets += wave.moves;
-                    self.window_bytes += wave.bytes;
-                }
-                Err(ClusterError::NodeLost(_)) => {
-                    // A node died between the health check and the wave:
-                    // re-plan and keep going this tick.
-                    let replan = job.replan_wave(cluster)?;
-                    self.replans += 1;
-                    self.log(
-                        report,
-                        ControlDecision::Replanned {
-                            tick: self.tick,
-                            dataset,
-                            lost_nodes: replan.lost_nodes.clone(),
-                            rerouted: replan.rerouted,
-                        },
-                    );
-                }
-                Err(e) => {
-                    job.abort(cluster)?;
-                    job.finalize(cluster)?;
-                    self.aborted_jobs += 1;
-                    self.log(
-                        report,
-                        ControlDecision::Aborted {
-                            tick: self.tick,
-                            dataset,
-                            rebalance: job.rebalance_id(),
-                        },
-                    );
-                    return Err(e);
-                }
-            }
+            let wave = job.run_wave(cluster)?;
+            self.window_buckets += wave.moves;
+            self.window_bytes += wave.bytes;
         }
-
-        // All waves ran: finish the three-phase protocol this tick.
-        job.prepare(cluster)?;
-        match job.decide(cluster)? {
-            RebalanceOutcome::Committed => {
-                job.commit(cluster)?;
-                let bytes = job.bytes_shipped();
-                let rebalance = job.rebalance_id();
-                job.finalize(cluster)?;
-                self.committed_jobs += 1;
-                self.cooldown_until
-                    .insert(dataset, self.tick + self.config.cooldown_ticks);
-                self.streaks.insert(dataset, 0);
-                self.log(
-                    report,
-                    ControlDecision::Committed {
-                        tick: self.tick,
-                        dataset,
-                        rebalance,
-                        bytes,
-                    },
-                );
-                report.committed = Some((dataset, rebalance));
-            }
-            RebalanceOutcome::Aborted => {
-                job.finalize(cluster)?;
-                self.aborted_jobs += 1;
-                self.cooldown_until
-                    .insert(dataset, self.tick + self.config.cooldown_ticks);
-                self.log(
-                    report,
-                    ControlDecision::Aborted {
-                        tick: self.tick,
-                        dataset,
-                        rebalance: job.rebalance_id(),
-                    },
-                );
-            }
-        }
-        Ok(())
     }
 
     /// Splits the dataset's hottest buckets (those above the hot-bucket op

@@ -14,11 +14,11 @@
 //!
 //! * [`RebalanceJob::run_wave`](crate::job::RebalanceJob::run_wave) — each
 //!   bucket transfer consults [`FaultSchedule::transient_failure`] per
-//!   attempt and retries under the job's [`RetryPolicy`], charging capped
-//!   exponential backoff to the wave's [`NodeTimeline`](crate::sim::NodeTimeline)
+//!   attempt and retries up to [`MAX_TRANSFER_RETRIES`] times, charging the
+//!   capped exponential [`backoff`] to the wave's [`NodeTimeline`](crate::sim::NodeTimeline)
 //!   so retries cost simulated makespan; slow nodes scale their charged
 //!   durations by [`FaultSchedule::slow_factor`];
-//! * the drivers (`rebalance::drive_job`, the soak runner) — between waves
+//! * the drivers (`Cluster::rebalance`, the soak runner) — between waves
 //!   they take the scheduled [`WaveFault`] for the wave index just run and
 //!   crash (+ recover) or permanently lose the named node, after which
 //!   [`RebalanceJob::replan_wave`](crate::job::RebalanceJob::replan_wave)
@@ -40,53 +40,18 @@ use crate::sim::SimDuration;
 
 // ---------------------------------------------------------------- retries
 
-/// Bounded retries with capped exponential backoff for one bucket transfer.
-///
-/// Attempt `k` (zero-based) that fails transiently charges
-/// `min(base_backoff << k, max_backoff)` of simulated wait to both endpoint
-/// nodes before the next attempt, so absorbed faults still cost makespan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (so a transfer gets
-    /// `max_retries + 1` attempts total).
-    pub max_retries: u32,
-    /// Backoff charged after the first transient failure.
-    pub base_backoff: SimDuration,
-    /// Ceiling on the per-attempt backoff.
-    pub max_backoff: SimDuration,
-}
+/// Retries one bucket transfer gets after its first attempt (so
+/// `MAX_TRANSFER_RETRIES + 1` attempts in total) before the wave fails.
+pub const MAX_TRANSFER_RETRIES: u32 = 4;
+const BASE_BACKOFF_NS: u64 = 1_000_000;
+const MAX_BACKOFF_NS: u64 = 8_000_000;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 4,
-            base_backoff: SimDuration::from_nanos(1_000_000),
-            max_backoff: SimDuration::from_nanos(8_000_000),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The backoff charged after failed attempt `attempt` (zero-based):
-    /// `base_backoff * 2^attempt`, capped at `max_backoff`.
-    pub fn backoff(&self, attempt: u32) -> SimDuration {
-        let shifted = self
-            .base_backoff
-            .as_nanos()
-            .saturating_shl(attempt.min(32))
-            .max(self.base_backoff.as_nanos());
-        SimDuration(shifted.min(self.max_backoff.as_nanos()))
-    }
-}
-
-/// `u64::checked_shl` that saturates instead of wrapping.
-trait SaturatingShl {
-    fn saturating_shl(self, rhs: u32) -> u64;
-}
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, rhs: u32) -> u64 {
-        self.checked_shl(rhs).unwrap_or(u64::MAX)
-    }
+/// The simulated wait charged to both endpoint nodes after failed attempt
+/// `attempt` (zero-based) of a transfer: 1 ms doubled per attempt, capped at
+/// 8 ms, so absorbed faults still cost makespan.
+pub fn backoff(attempt: u32) -> SimDuration {
+    // A 20-bit base shifted by at most 32 bits cannot overflow a u64.
+    SimDuration((BASE_BACKOFF_NS << attempt.min(32)).min(MAX_BACKOFF_NS))
 }
 
 // ------------------------------------------------------------ wave faults
@@ -142,7 +107,7 @@ impl FaultSchedule {
 
     /// Enables transient ship failures: each transfer attempt fails with
     /// probability `per_mille`/1000, at most `max_per_transfer` times per
-    /// transfer. Keep `max_per_transfer <= RetryPolicy::max_retries` so
+    /// transfer. Keep `max_per_transfer <= MAX_TRANSFER_RETRIES` so
     /// every transient fault is absorbed by retry instead of failing the
     /// wave.
     pub fn with_transient(mut self, per_mille: u16, max_per_transfer: u32) -> Self {
@@ -264,6 +229,33 @@ impl FaultStats {
         buckets.sort();
         buckets
     }
+
+    /// Records `bucket` as lost (losing it twice records it once).
+    pub(crate) fn mark_lost(&mut self, dataset: DatasetId, bucket: BucketId) {
+        let lost = self.lost_buckets.entry(dataset).or_default();
+        if !lost.contains(&bucket) {
+            lost.push(bucket);
+        }
+    }
+
+    /// True while `bucket` is lost and awaits repair.
+    pub(crate) fn is_lost(&self, dataset: DatasetId, bucket: &BucketId) -> bool {
+        self.lost_buckets
+            .get(&dataset)
+            .is_some_and(|lost| lost.contains(bucket))
+    }
+
+    /// A committed repair installed the restored `bucket`: it leaves the
+    /// degraded set and counts as repaired.
+    pub(crate) fn mark_repaired(&mut self, dataset: DatasetId, bucket: BucketId) {
+        if let Some(lost) = self.lost_buckets.get_mut(&dataset) {
+            lost.retain(|b| *b != bucket);
+            if lost.is_empty() {
+                self.lost_buckets.remove(&dataset);
+            }
+        }
+        self.repaired_buckets += 1;
+    }
 }
 
 // ---------------------------------------------------------------- health
@@ -347,13 +339,12 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_caps() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff(0), SimDuration::from_nanos(1_000_000));
-        assert_eq!(p.backoff(1), SimDuration::from_nanos(2_000_000));
-        assert_eq!(p.backoff(2), SimDuration::from_nanos(4_000_000));
-        assert_eq!(p.backoff(3), SimDuration::from_nanos(8_000_000));
-        assert_eq!(p.backoff(10), p.max_backoff, "capped");
-        assert_eq!(p.backoff(63), p.max_backoff, "shift overflow saturates");
+        assert_eq!(backoff(0), SimDuration::from_nanos(1_000_000));
+        assert_eq!(backoff(1), SimDuration::from_nanos(2_000_000));
+        assert_eq!(backoff(2), SimDuration::from_nanos(4_000_000));
+        assert_eq!(backoff(3), SimDuration::from_nanos(8_000_000));
+        assert_eq!(backoff(10).as_nanos(), MAX_BACKOFF_NS, "capped");
+        assert_eq!(backoff(63), backoff(10), "no shift overflow");
     }
 
     #[test]

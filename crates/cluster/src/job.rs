@@ -1,15 +1,26 @@
-//! The step-driven rebalance executor (the resumable form of Section V).
+//! The staged-transaction engine (the resumable form of Section V).
 //!
-//! [`RebalanceJob`] decomposes the three-phase rebalance protocol into an
-//! explicit state machine with one method per step:
+//! [`RebalanceJob`] is the one implementation of the protocol — BEGIN, stage
+//! invisible pending buckets, a brief write-blocked 2PC, install, DONE — as
+//! an explicit state machine with one method per step:
 //!
 //! ```text
-//! plan -> init -> run_wave(0) .. run_wave(n-1) -> prepare -> decide
-//!                                                      |        |
-//!                                                    abort      +-> commit
-//!                                                      |        |
-//!                                                      +--------+-> finalize
+//! plan -------+
+//!             +-> init -> run_wave(0) .. run_wave(n-1) -> prepare -> decide
+//! plan_repair-+                |                               |        |
+//!                         replan_wave (node lost)            abort      +-> commit
+//!                                                              |        |
+//!                                                              +--------+-> finalize
 //! ```
+//!
+//! Two planners feed it. [`RebalanceJob::plan`] runs Algorithm 2 and stages
+//! each moving bucket from its *live source partition* (sealed components
+//! shipped whole); [`RebalanceJob::plan_repair`] (in [`crate::repair`])
+//! scopes a degraded dataset's lost buckets and stages each from an
+//! *operator feed* filtered to that bucket. Everything after staging — the
+//! pending flush, the write block, vote collection, the forced
+//! COMMIT/ABORT/DONE records, the install, replan-on-loss, and re-staging
+//! after a destination crash — is the same code for both.
 //!
 //! The job holds **no borrow of the cluster** between steps, so the cluster
 //! stays fully usable mid-rebalance: queries can run, feed batches can be
@@ -20,12 +31,15 @@
 //! is its slowest participating node — so wider waves finish measurably
 //! earlier than the serial one-bucket-at-a-time schedule.
 //!
-//! The one-shot [`crate::cluster::Cluster::rebalance`] entry point is a thin
-//! driver loop over this job (see [`crate::rebalance`]); driving the job
-//! directly is how scenario tests observe and perturb a rebalance between
-//! any two steps. A job must always be driven to [`RebalanceJob::finalize`]
-//! (via commit or abort) — abandoning one mid-flight leaves bucket splits
-//! disabled and the dataset's write-replication state registered.
+//! [`RebalanceJob::drive`] steps a job from wherever it stands to its
+//! terminal state; [`crate::cluster::Cluster::rebalance`],
+//! [`crate::cluster::Admin::repair_dataset`], the control tick and the soak
+//! all finish their jobs through it. Driving the steps directly is how
+//! scenario tests observe and perturb a job between any two of them. A
+//! planned job must always reach [`RebalanceJob::finalize`] (via commit or
+//! abort) — abandoning one leaves the dataset's in-flight state registered
+//! (no second job can be planned over it) and, after `init`, bucket splits
+//! disabled.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -36,17 +50,18 @@ use dynahash_core::{
 };
 use dynahash_lsm::entry::{Key, Value};
 use dynahash_lsm::wal::{LogRecordBody, RebalanceId, ShippedMove};
+use dynahash_lsm::Entry;
 
-use crate::cluster::Cluster;
+use crate::cluster::{ActiveRebalance, Cluster};
 use crate::dataset::DatasetId;
-use crate::fault::RetryPolicy;
+use crate::fault::{backoff, MAX_TRANSFER_RETRIES};
 use crate::rebalance::{PhaseTimes, RebalanceReport};
 use crate::sim::{NodeTimeline, SimDuration, WaveClock};
 use crate::{ClusterError, Result};
 
-/// A step boundary of the one-shot driver loop, where scenario hooks
-/// ([`crate::rebalance::StepHook`]) fire. Between any two steps the cluster
-/// is fully usable.
+/// A step boundary of [`RebalanceJob::drive`], where scenario hooks
+/// ([`crate::rebalance::StepHook`]) fire and failures are injected. Between
+/// any two steps the cluster is fully usable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepPoint {
     /// After the plan is computed (BEGIN forced, waves scheduled).
@@ -65,6 +80,8 @@ pub enum StepPoint {
     AfterCommitLog,
     /// Before finalization (commit tasks ran; DONE not yet forced).
     BeforeFinalize,
+    /// After finalization (DONE forced; the job is terminal).
+    AfterFinalize,
 }
 
 /// The observable state of a [`RebalanceJob`].
@@ -170,18 +187,16 @@ impl ReplanReport {
 pub struct RebalanceJob {
     dataset: DatasetId,
     rebalance_id: RebalanceId,
-    target: ClusterTopology,
     plan: RebalancePlan,
-    waves: Vec<Vec<dynahash_core::BucketMove>>,
-    /// The refreshed pre-rebalance directory: the routing every write uses
-    /// until the commit installs the new directory at the CC.
-    routing: GlobalDirectory,
+    waves: Vec<Vec<BucketMove>>,
     participants: Vec<NodeId>,
     coordinator: RebalanceCoordinator,
     move_policy: MovePolicy,
     secondary_rebuild: SecondaryRebuild,
-    retry: RetryPolicy,
     speculation: SpeculationPolicy,
+    /// Buckets staged from an operator feed instead of a live source
+    /// partition, with their records in feed order (empty for a rebalance).
+    feed: BTreeMap<BucketId, Vec<Entry>>,
     state: JobState,
     init_tl: NodeTimeline,
     move_tl: NodeTimeline,
@@ -216,8 +231,10 @@ impl RebalanceJob {
     /// record, refreshes the global directory from the partitions' local
     /// directories, runs Algorithm 2, and schedules the resulting moves into
     /// waves of at most `max_concurrent_moves`. Only bucketed schemes can be
-    /// driven step-by-step; the Hashing baseline rebuilds the dataset in one
-    /// shot and goes through [`Cluster::rebalance`].
+    /// driven step-by-step (the Hashing baseline rebuilds the dataset in one
+    /// shot and goes through [`Cluster::rebalance`]), and a dataset carries
+    /// one in-flight job at a time: planning over another fails before
+    /// anything is logged.
     pub fn plan(
         cluster: &mut Cluster,
         dataset: DatasetId,
@@ -257,20 +274,7 @@ impl RebalanceJob {
         if target.is_empty() {
             return Err(ClusterError::Core(dynahash_core::CoreError::EmptyTopology));
         }
-        if !cluster.scheme_of(dataset)?.is_bucketed() {
-            return Err(ClusterError::RebalanceAborted(
-                "the step-driven RebalanceJob requires a bucketed scheme".to_string(),
-            ));
-        }
-        let rebalance_id = cluster.controller.next_rebalance_id();
-        // The CC forces BEGIN before anything else (Section V-D).
-        cluster
-            .controller
-            .metadata_log
-            .append_forced(LogRecordBody::RebalanceBegin {
-                rebalance: rebalance_id,
-                dataset,
-            });
+        let rebalance_id = Self::begin(cluster, dataset)?;
 
         let locals = cluster.local_directories(dataset)?;
         let routing = GlobalDirectory::refresh_from_locals(locals).map_err(ClusterError::Core)?;
@@ -317,21 +321,78 @@ impl RebalanceJob {
 
         let topology = cluster.topology().clone();
         let waves = plan.schedule_waves(max_concurrent_moves, |p| topology.node_of(p));
-        let coordinator = RebalanceCoordinator::new(rebalance_id, participants.clone());
-
-        Ok(RebalanceJob {
+        Ok(Self::planned(
+            cluster,
             dataset,
-            rebalance_id,
-            target: target.clone(),
             plan,
             waves,
-            routing,
             participants,
-            coordinator,
+            total_bytes,
+            BTreeMap::new(),
+        ))
+    }
+
+    /// The admission check and BEGIN record shared by both planners: only a
+    /// bucketed dataset with no job in flight can start one, and a refused
+    /// plan leaves nothing in the metadata log.
+    pub(crate) fn begin(cluster: &mut Cluster, dataset: DatasetId) -> Result<RebalanceId> {
+        if !cluster.scheme_of(dataset)?.is_bucketed() {
+            return Err(ClusterError::RebalanceAborted(
+                "the step-driven RebalanceJob requires a bucketed scheme".to_string(),
+            ));
+        }
+        if cluster.active_rebalances.contains_key(&dataset) {
+            return Err(ClusterError::RebalanceAborted(format!(
+                "dataset {dataset} already has a rebalance or repair in flight; finalize it first"
+            )));
+        }
+        let rebalance_id = cluster.controller.next_rebalance_id();
+        // The CC forces BEGIN before anything else (Section V-D).
+        cluster
+            .controller
+            .metadata_log
+            .append_forced(LogRecordBody::RebalanceBegin {
+                rebalance: rebalance_id,
+                dataset,
+            });
+        Ok(rebalance_id)
+    }
+
+    /// Wraps a planner's output into a `Planned` job and registers the
+    /// dataset's in-flight state, so the normal ingestion path replicates
+    /// writes to shipped buckets for the duration of data movement. `feed`
+    /// holds the buckets staged from an operator feed (none for a
+    /// rebalance). Until the commit installs `plan.new_directory` at the CC,
+    /// every write keeps routing through `plan.old_directory`.
+    pub(crate) fn planned(
+        cluster: &mut Cluster,
+        dataset: DatasetId,
+        plan: RebalancePlan,
+        waves: Vec<Vec<BucketMove>>,
+        participants: Vec<NodeId>,
+        total_bytes: u64,
+        feed: BTreeMap<BucketId, Vec<Entry>>,
+    ) -> Self {
+        cluster.active_rebalances.insert(
+            dataset,
+            ActiveRebalance {
+                routing: plan.old_directory.clone(),
+                target: plan.target.clone(),
+                shipped: BTreeMap::new(),
+                write_blocked: false,
+            },
+        );
+        RebalanceJob {
+            dataset,
+            rebalance_id: plan.rebalance_id,
+            coordinator: RebalanceCoordinator::new(plan.rebalance_id, participants.clone()),
+            plan,
+            waves,
+            participants,
             move_policy: MovePolicy::default(),
             secondary_rebuild: SecondaryRebuild::default(),
-            retry: RetryPolicy::default(),
             speculation: SpeculationPolicy::default(),
+            feed,
             state: JobState::Planned,
             init_tl: NodeTimeline::new(),
             move_tl: NodeTimeline::new(),
@@ -345,7 +406,7 @@ impl RebalanceJob {
             reroutes: 0,
             speculated: 0,
             speculation_wins: 0,
-        })
+        }
     }
 
     /// Initialization: disables bucket splits for the duration of the
@@ -366,16 +427,18 @@ impl RebalanceJob {
             .charge_coordinator(SimDuration::from_nanos(cost.job_overhead_ns));
 
         for m in &self.plan.moves {
+            if self.feed_staged(m) {
+                continue; // no source copy to snapshot
+            }
             let node = cluster.node_of_partition(m.from)?;
-            let before = cluster.partition(m.from)?.metrics().snapshot();
-            cluster
-                .partition_mut(m.from)?
+            let source = cluster.partition_mut(m.from)?;
+            let before = source.metrics().snapshot();
+            source
                 .dataset_mut(self.dataset)?
                 .primary
                 .snapshot_bucket(m.bucket)
                 .map_err(ClusterError::Storage)?;
-            let after = cluster.partition(m.from)?.metrics().snapshot();
-            let delta = after.delta_since(&before);
+            let delta = source.metrics().snapshot().delta_since(&before);
             self.init_tl
                 .charge(node, cost.disk_write(delta.bytes_flushed));
         }
@@ -383,24 +446,15 @@ impl RebalanceJob {
         self.coordinator
             .start_data_movement()
             .map_err(ClusterError::Core)?;
-        // Register with the cluster so the normal ingestion path replicates
-        // writes to shipped buckets for the duration of data movement.
-        cluster.active_rebalances.insert(
-            self.dataset,
-            crate::cluster::ActiveRebalance {
-                routing: self.routing.clone(),
-                target: self.target.clone(),
-                shipped: BTreeMap::new(),
-                write_blocked: false,
-            },
-        );
         self.state = JobState::Moving { completed_waves: 0 };
         self.publish_progress(cluster);
         Ok(())
     }
 
-    /// Runs the next wave, moving each of the wave's buckets under the job's
-    /// [`MovePolicy`]:
+    /// Runs the next wave, staging each of the wave's buckets as a pending
+    /// (invisible) copy on its destination. A bucket of a repair is
+    /// bulk-loaded from the job's feed records; a moving bucket is shipped
+    /// from its live source under the job's [`MovePolicy`]:
     ///
     /// * **Components** (the default): the source flushes the bucket's
     ///   memory component and ships its sealed components whole — cheap
@@ -422,9 +476,9 @@ impl RebalanceJob {
     ///
     /// With a [`FaultSchedule`](crate::fault::FaultSchedule) installed on
     /// the cluster, each transfer consults it per attempt and retries
-    /// transient failures under the job's [`RetryPolicy`], charging capped
-    /// exponential backoff into the wave's makespan; slow nodes scale their
-    /// charged durations.
+    /// transient failures up to [`MAX_TRANSFER_RETRIES`] times, charging
+    /// capped exponential [`backoff`] into the wave's makespan; slow nodes
+    /// scale their charged durations.
     pub fn run_wave(&mut self, cluster: &mut Cluster) -> Result<WaveReport> {
         let wave_index = match self.state {
             JobState::Moving { completed_waves } if completed_waves < self.waves.len() => {
@@ -437,11 +491,7 @@ impl RebalanceJob {
         // Data movement needs both ends of every move up.
         let mut endpoints: Vec<(NodeId, NodeId)> = Vec::with_capacity(wave.len());
         for m in &wave {
-            let src_node = cluster.node_of_partition(m.from)?;
-            let dst_node = self
-                .target
-                .node_of(m.to)
-                .ok_or(ClusterError::UnknownPartition(m.to))?;
+            let (src_node, dst_node) = self.endpoints(cluster, m)?;
             for node in [src_node, dst_node] {
                 if cluster.node_is_lost(node) {
                     return Err(ClusterError::NodeLost(node));
@@ -586,17 +636,39 @@ impl RebalanceJob {
         }
     }
 
-    /// Executes one bucket move under the job's policy, charging the
-    /// participating nodes on `tl`. Empty buckets only need a directory
-    /// update, which travels with the commit message, so they incur no
-    /// per-move transfer cost.
+    /// True when `m`'s bucket is staged from the job's feed, not shipped
+    /// from `m.from`.
+    fn feed_staged(&self, m: &BucketMove) -> bool {
+        self.feed.contains_key(&m.bucket)
+    }
+
+    /// The nodes staging `m` keeps busy: its source and destination — or the
+    /// destination alone for a feed-staged bucket, whose previous owner
+    /// `m.from` may be long dead.
+    fn endpoints(&self, cluster: &Cluster, m: &BucketMove) -> Result<(NodeId, NodeId)> {
+        let dst_node = self
+            .plan
+            .target
+            .node_of(m.to)
+            .ok_or(ClusterError::UnknownPartition(m.to))?;
+        let src_node = if self.feed_staged(m) {
+            dst_node
+        } else {
+            cluster.node_of_partition(m.from)?
+        };
+        Ok((src_node, dst_node))
+    }
+
+    /// Stages one bucket on its destination, charging the participating
+    /// nodes on `tl`. Empty buckets only need a directory update, which
+    /// travels with the commit message, so they incur no per-move transfer
+    /// cost.
     ///
     /// When a fault schedule is installed, transient failures burn attempts
-    /// under the job's [`RetryPolicy`] first — each failed attempt charges
-    /// a round-trip plus capped exponential backoff to both endpoints — and
-    /// slow nodes scale every duration charged to them. With no schedule
-    /// (or an empty one) the charges below are byte-identical to the
-    /// fault-free path.
+    /// first — each failed attempt charges a round-trip plus capped
+    /// exponential [`backoff`] to both endpoints — and slow nodes scale every
+    /// duration charged to them. With no schedule (or an empty one) the
+    /// charges below are byte-identical to the fault-free path.
     fn ship_move(
         &mut self,
         cluster: &mut Cluster,
@@ -604,16 +676,12 @@ impl RebalanceJob {
         tl: &mut NodeTimeline,
     ) -> Result<ShipStats> {
         let cost = cluster.cost_model();
-        let src_node = cluster.node_of_partition(m.from)?;
-        let dst_node = self
-            .target
-            .node_of(m.to)
-            .ok_or(ClusterError::UnknownPartition(m.to))?;
+        let (src_node, dst_node) = self.endpoints(cluster, m)?;
         let plane = cluster.fault_plane().filter(|s| !s.is_empty()).cloned();
         if let Some(plane) = &plane {
             let mut attempt = 0u32;
             while plane.transient_failure(m.bucket, m.from, m.to, attempt) {
-                if attempt >= self.retry.max_retries {
+                if attempt >= MAX_TRANSFER_RETRIES {
                     return Err(ClusterError::RebalanceAborted(format!(
                         "transfer of bucket {} from {} to {} failed transiently {} times, \
                          exhausting its retry budget",
@@ -623,13 +691,13 @@ impl RebalanceJob {
                         attempt + 1
                     )));
                 }
-                let backoff = self.retry.backoff(attempt);
+                let wait = backoff(attempt);
                 let round_trip = SimDuration::from_nanos(cost.network_latency_ns);
-                tl.charge(src_node, plane.scaled(src_node, round_trip) + backoff);
-                tl.charge(dst_node, plane.scaled(dst_node, round_trip) + backoff);
+                tl.charge(src_node, plane.scaled(src_node, round_trip) + wait);
+                tl.charge(dst_node, plane.scaled(dst_node, round_trip) + wait);
                 cluster.faults.stats.transient_faults += 1;
                 cluster.faults.stats.retries += 1;
-                cluster.faults.stats.backoff += backoff;
+                cluster.faults.stats.backoff += wait;
                 self.retries += 1;
                 attempt += 1;
             }
@@ -638,6 +706,24 @@ impl RebalanceJob {
             Some(p) => p.scaled(node, d),
             None => d,
         };
+        if let Some(entries) = self.feed.get(&m.bucket) {
+            // The feed's records for this bucket cross the network once and
+            // go through a bulk load on the new owner; a later re-stage
+            // (after a crash wiped the pending copy) loads them again.
+            let entries = entries.clone();
+            let (bytes, records) = (m.bytes, entries.len() as u64);
+            let dst = cluster.partition_mut(m.to)?.dataset_mut(self.dataset)?;
+            dst.ensure_pending_bucket(m.bucket)?;
+            dst.load_pending(m.bucket, entries)?;
+            let nominal = cost.network(bytes) + cost.ingest_cpu(records) + cost.disk_write(bytes);
+            tl.charge(dst_node, scaled(dst_node, nominal));
+            return Ok(ShipStats {
+                bytes,
+                records,
+                component_ids: Vec::new(),
+                nominal,
+            });
+        }
         // An index rebuild is only charged when there is something to
         // rebuild: a dataset without secondary indexes pays none under
         // either policy or rebuild mode.
@@ -720,7 +806,7 @@ impl RebalanceJob {
         }
     }
 
-    /// Re-plans the in-flight rebalance around permanently lost participants
+    /// Re-plans the in-flight job around permanently lost participants
     /// instead of aborting. Allowed whenever the job is in data movement
     /// (between any two waves, including before the first and after the
     /// last). For each lost node the job:
@@ -731,8 +817,9 @@ impl RebalanceJob {
     ///   directory;
     /// * schedules already-shipped redirected moves for a fresh transfer
     ///   from their (still live) sources — the WAL's `ShippedMove` records
-    ///   and the sources' kept copies make this safe — and unregisters their
-    ///   write replication to the dead destination;
+    ///   and the sources' kept copies make this safe; a feed-staged bucket's
+    ///   source is the job's own feed, which no node loss can take — and
+    ///   unregisters their write replication to the dead destination;
     /// * declares buckets whose *only* copy died with the node (an unshipped
     ///   move's source, or a non-moving bucket resident on the node) lost:
     ///   the commit installs them empty on a survivor so the directory keeps
@@ -762,7 +849,7 @@ impl RebalanceJob {
         }
         let cost = cluster.cost_model();
 
-        let mut new_target = self.target.clone();
+        let mut new_target = self.plan.target.clone();
         for n in &lost {
             new_target = new_target.without_node(*n);
         }
@@ -778,13 +865,13 @@ impl RebalanceJob {
             .plan
             .moves
             .iter()
-            .map(|m| node_is_lost(cluster.topology().node_of(m.from)))
+            .map(|m| !self.feed_staged(m) && node_is_lost(cluster.topology().node_of(m.from)))
             .collect();
         let dst_lost: Vec<bool> = self
             .plan
             .moves
             .iter()
-            .map(|m| node_is_lost(self.target.node_of(m.to)))
+            .map(|m| node_is_lost(self.plan.target.node_of(m.to)))
             .collect();
         let shipped_buckets: BTreeSet<BucketId> = self.waves[..completed]
             .iter()
@@ -834,11 +921,7 @@ impl RebalanceJob {
                     self.plan.new_directory.reassign(m.bucket, m.from);
                     canceled.push(i);
                 } else {
-                    let new_to = pick_least_loaded(&mut inbound, m.bytes).ok_or_else(|| {
-                        ClusterError::RebalanceAborted(
-                            "no surviving destination partition to re-plan onto".to_string(),
-                        )
-                    })?;
+                    let new_to = pick_least_loaded(&mut inbound, m.bytes)?;
                     self.plan.moves[i].to = new_to;
                     self.plan.new_directory.reassign(m.bucket, new_to);
                     if already_shipped && !src_lost[i] {
@@ -870,11 +953,7 @@ impl RebalanceJob {
         for n in &lost {
             for p in cluster.topology().partitions_of_node(*n) {
                 for bucket in self.plan.new_directory.buckets_of_partition(p) {
-                    let new_to = pick_least_loaded(&mut inbound, 0).ok_or_else(|| {
-                        ClusterError::RebalanceAborted(
-                            "no surviving destination partition to re-plan onto".to_string(),
-                        )
-                    })?;
+                    let new_to = pick_least_loaded(&mut inbound, 0)?;
                     self.plan.new_directory.reassign(bucket, new_to);
                     self.plan.moves.push(BucketMove {
                         bucket,
@@ -893,10 +972,9 @@ impl RebalanceJob {
             self.coordinator.remove_participant(*n);
         }
         self.participants.retain(|n| !lost.contains(n));
-        self.target = new_target;
-        self.plan.target = self.target.clone();
+        self.plan.target = new_target;
         if let Some(active) = cluster.active_rebalances.get_mut(&self.dataset) {
-            active.target = self.target.clone();
+            active.target = self.plan.target.clone();
         }
 
         // Reschedule what still has to move: unshipped moves with a live
@@ -911,15 +989,16 @@ impl RebalanceJob {
             .iter()
             .copied()
             .filter(|m| {
-                let src_live = topology
-                    .node_of(m.from)
-                    .is_some_and(|n| !cluster.node_is_lost(n));
+                let src_live = self.feed_staged(m)
+                    || topology
+                        .node_of(m.from)
+                        .is_some_and(|n| !cluster.node_is_lost(n));
                 let needs_ship = !shipped_buckets.contains(&m.bucket) || reship.contains(&m.bucket);
                 src_live && needs_ship
             })
             .collect();
         let new_waves =
-            RebalancePlan::schedule_moves(&pending, &self.target, max_concurrent, |p| {
+            RebalancePlan::schedule_moves(&pending, &self.plan.target, max_concurrent, |p| {
                 topology.node_of(p)
             });
         report.waves_appended = new_waves.len();
@@ -938,18 +1017,8 @@ impl RebalanceJob {
         self.reroutes += report.rerouted;
         cluster.faults.stats.reroutes += report.rerouted;
         cluster.faults.stats.reshipped += report.reshipped;
-        if !lost_buckets.is_empty() {
-            let entry = cluster
-                .faults
-                .stats
-                .lost_buckets
-                .entry(self.dataset)
-                .or_default();
-            for b in lost_buckets {
-                if !entry.contains(&b) {
-                    entry.push(b);
-                }
-            }
+        for b in lost_buckets {
+            cluster.faults.stats.mark_lost(self.dataset, b);
         }
         Ok(report)
     }
@@ -998,19 +1067,14 @@ impl RebalanceJob {
             .map_err(ClusterError::Core)?;
         for m in &self.plan.moves {
             let dst_node = self
+                .plan
                 .target
                 .node_of(m.to)
                 .ok_or(ClusterError::UnknownPartition(m.to))?;
             if cluster.node_is_alive(dst_node) {
-                let pending_bytes = cluster
-                    .partition(m.to)?
-                    .dataset(self.dataset)?
-                    .primary
-                    .pending_storage_bytes() as u64;
-                cluster
-                    .partition_mut(m.to)?
-                    .dataset_mut(self.dataset)?
-                    .flush_pending();
+                let dst = cluster.partition_mut(m.to)?.dataset_mut(self.dataset)?;
+                let pending_bytes = dst.primary.pending_storage_bytes() as u64;
+                dst.flush_pending();
                 self.fin_tl
                     .charge(dst_node, cost.disk_write(pending_bytes / 8));
             }
@@ -1051,15 +1115,13 @@ impl RebalanceJob {
                 .append_forced(LogRecordBody::RebalanceCommit {
                     rebalance: self.rebalance_id,
                 });
-            self.coordinator.decide().map_err(ClusterError::Core)?;
-            self.state = JobState::Decided(RebalanceOutcome::Committed);
-            Ok(RebalanceOutcome::Committed)
-        } else {
-            self.coordinator.decide().map_err(ClusterError::Core)?;
-            self.abort_cleanup(cluster)?;
-            self.state = JobState::Decided(RebalanceOutcome::Aborted);
-            Ok(RebalanceOutcome::Aborted)
         }
+        let outcome = self.coordinator.decide().map_err(ClusterError::Core)?;
+        if outcome == RebalanceOutcome::Aborted {
+            self.abort_cleanup(cluster)?;
+        }
+        self.state = JobState::Decided(outcome);
+        Ok(outcome)
     }
 
     /// Aborts the job from any step before the commit decision (operator
@@ -1088,13 +1150,6 @@ impl RebalanceJob {
             "commit",
         )?;
         self.run_commit_tasks(cluster)?;
-        for n in &self.participants.clone() {
-            if cluster.node_is_alive(*n) {
-                self.coordinator
-                    .record_committed(*n)
-                    .map_err(ClusterError::Core)?;
-            }
-        }
         let meta = cluster.controller.dataset_mut(self.dataset)?;
         // Install the planned directory *into* the CC's versioned copy: the
         // per-bucket differences land in the change log under one version
@@ -1104,8 +1159,8 @@ impl RebalanceJob {
             Some(dir) => dir.install(&self.plan.new_directory),
             None => meta.directory = Some(self.plan.new_directory.clone()),
         }
-        if meta.partitions != self.target.partitions() {
-            meta.partitions = self.target.partitions();
+        if meta.partitions != self.plan.target.partitions() {
+            meta.partitions = self.plan.target.partitions();
             meta.bump_partitions_version();
         }
         // The new directory is live: ingestion resumes through it.
@@ -1136,13 +1191,6 @@ impl RebalanceJob {
             JobState::CommitTasksDone => {
                 cluster.recover_all_nodes();
                 self.run_commit_tasks(cluster)?;
-                for n in &self.participants.clone() {
-                    if cluster.node_is_alive(*n) {
-                        self.coordinator
-                            .record_committed(*n)
-                            .map_err(ClusterError::Core)?;
-                    }
-                }
                 RebalanceOutcome::Committed
             }
             _ => return Err(self.invalid_step("finalize")),
@@ -1154,14 +1202,104 @@ impl RebalanceJob {
                 rebalance: self.rebalance_id,
             });
         self.coordinator.finish().map_err(ClusterError::Core)?;
-        // Splits resume after the rebalance completes, whatever the outcome,
-        // and any leftover replication state is dropped (normally already
-        // removed by commit/abort; kept idempotent for crashed drivers).
-        cluster.active_rebalances.remove(&self.dataset);
+        // Splits resume whatever the outcome. (Commit and abort already
+        // dropped the in-flight registration; by now it may be the next job's.)
         cluster.set_splits_enabled(self.dataset, true)?;
         self.state = JobState::Finalized(outcome);
         cluster.clear_job_progress(self.dataset);
         Ok(self.report(outcome))
+    }
+
+    // -------------------------------------------------------------- driving
+
+    /// Steps the job from wherever it stands to [`JobState::Finalized`]:
+    /// `init` if still only planned, the remaining waves — a wave that trips
+    /// over a permanently lost node re-plans around it with
+    /// [`RebalanceJob::replan_wave`] and continues — then prepare, decide,
+    /// commit (if the vote carried) and finalize. A step that fails never
+    /// leaves the job half-done: before the decision it is aborted and
+    /// finalized, after a durable COMMIT the commit is finished, and the
+    /// step's error is returned either way. Every caller finishes its jobs
+    /// here (see the module docs).
+    pub fn drive(&mut self, cluster: &mut Cluster) -> Result<RebalanceReport> {
+        self.drive_with(cluster, |_, _, _| Ok(()))
+    }
+
+    /// [`RebalanceJob::drive`] with `at` called at every [`StepPoint`] the
+    /// job passes (the cluster is fully usable there: scenario hooks, feed
+    /// batches and failure injection all live in `at`). An `at` that aborts
+    /// the job is honoured — the remaining steps skip to finalize.
+    pub fn drive_with(
+        &mut self,
+        cluster: &mut Cluster,
+        mut at: impl FnMut(&mut Cluster, &mut RebalanceJob, StepPoint) -> Result<()>,
+    ) -> Result<RebalanceReport> {
+        let result = self.step_to_completion(cluster, &mut at);
+        if result.is_err() {
+            self.settle(cluster);
+        }
+        result
+    }
+
+    fn step_to_completion(
+        &mut self,
+        cluster: &mut Cluster,
+        at: &mut impl FnMut(&mut Cluster, &mut RebalanceJob, StepPoint) -> Result<()>,
+    ) -> Result<RebalanceReport> {
+        if self.state == JobState::Planned {
+            at(cluster, self, StepPoint::AfterPlan)?;
+            self.init(cluster)?;
+            at(cluster, self, StepPoint::AfterInit)?;
+        }
+        while self.has_remaining_waves() {
+            let wave = self.completed_waves();
+            match self.run_wave(cluster) {
+                Ok(_) => at(cluster, self, StepPoint::AfterWave(wave))?,
+                // A permanent loss surfaced mid-movement: reroute the dead
+                // node's moves to survivors and retry the same wave index
+                // (a loss outside the participant set is surfaced instead).
+                Err(ClusterError::NodeLost(n)) => {
+                    if self.replan_wave(cluster)?.is_noop() {
+                        return Err(ClusterError::NodeLost(n));
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        if matches!(self.state, JobState::Moving { .. }) {
+            at(cluster, self, StepPoint::BeforePrepare)?;
+            self.prepare(cluster)?;
+            at(cluster, self, StepPoint::AfterPrepare)?;
+        }
+        if self.state == JobState::Prepared {
+            self.decide(cluster)?;
+        }
+        if self.state == JobState::Decided(RebalanceOutcome::Committed) {
+            at(cluster, self, StepPoint::AfterCommitLog)?;
+            self.commit(cluster)?;
+        }
+        at(cluster, self, StepPoint::BeforeFinalize)?;
+        let report = self.finalize(cluster)?;
+        at(cluster, self, StepPoint::AfterFinalize)?;
+        Ok(report)
+    }
+
+    /// Best-effort cleanup after a failed step, so an error never leaves the
+    /// dataset with splits disabled, buckets pending, or its in-flight state
+    /// registered: before the decision the job can still abort; once COMMIT
+    /// is durable the only way forward is to finish the commit.
+    pub(crate) fn settle(&mut self, cluster: &mut Cluster) {
+        if self.is_terminal() {
+            return;
+        }
+        if self.outcome() == Some(RebalanceOutcome::Committed) {
+            if matches!(self.state, JobState::Decided(_)) {
+                let _ = self.commit(cluster);
+            }
+        } else {
+            let _ = self.abort(cluster);
+        }
+        let _ = self.finalize(cluster);
     }
 
     // ------------------------------------------------------------ accessors
@@ -1202,32 +1340,11 @@ impl RebalanceJob {
         self.move_policy = policy;
     }
 
-    /// The retry policy bucket transfers run under when a fault schedule is
-    /// installed (default: [`RetryPolicy::default`]).
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// Sets the transfer retry policy. Call before the first wave runs.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    /// The straggler-speculation policy waves run under (default:
-    /// [`SpeculationPolicy::default`], enabled at 2x the median leg).
-    pub fn speculation(&self) -> SpeculationPolicy {
-        self.speculation
-    }
-
-    /// Sets the straggler-speculation policy. Call before the first wave
-    /// runs.
+    /// Sets the straggler-speculation policy (default:
+    /// [`SpeculationPolicy::default`], enabled at 2x the median leg). Call
+    /// before the first wave runs.
     pub fn set_speculation(&mut self, speculation: SpeculationPolicy) {
         self.speculation = speculation;
-    }
-
-    /// Transfer attempts retried after a transient fault, so far.
-    pub fn retries(&self) -> u64 {
-        self.retries
     }
 
     /// Straggling transfers speculatively re-executed by this job, so far.
@@ -1238,11 +1355,6 @@ impl RebalanceJob {
     /// Speculative backups that beat their original attempt, so far.
     pub fn speculation_wins(&self) -> u64 {
         self.speculation_wins
-    }
-
-    /// Moves rerouted to survivors by [`RebalanceJob::replan_wave`], so far.
-    pub fn reroutes(&self) -> u64 {
-        self.reroutes
     }
 
     /// When destinations rebuild secondary entries for received buckets
@@ -1294,12 +1406,6 @@ impl RebalanceJob {
     /// True once the job is finalized.
     pub fn is_terminal(&self) -> bool {
         matches!(self.state, JobState::Finalized(_))
-    }
-
-    /// The nodes participating in the two-phase commit (targets plus
-    /// sources), after any replans removed lost ones.
-    pub fn participants(&self) -> &[NodeId] {
-        &self.participants
     }
 
     /// Bytes shipped across the network so far.
@@ -1391,7 +1497,8 @@ impl RebalanceJob {
         // One commit message per participating node covers all of its bucket
         // installs and cleanups.
         for n in self.plan.participating_partitions().iter().filter_map(|p| {
-            self.target
+            self.plan
+                .target
                 .node_of(*p)
                 .or_else(|| cluster.topology().node_of(*p))
         }) {
@@ -1403,14 +1510,24 @@ impl RebalanceJob {
         // records in the metadata log).
         let moves = self.plan.moves.clone();
         for m in &moves {
-            let Some(dst_node) = self.target.node_of(m.to) else {
+            let Some(dst_node) = self.plan.target.node_of(m.to) else {
                 continue;
             };
-            if cluster.node_is_alive(dst_node) && self.ensure_shipped(cluster, m)? {
-                cluster
-                    .partition_mut(m.to)?
-                    .dataset_mut(self.dataset)?
-                    .install_pending(m.bucket)?;
+            if !cluster.node_is_alive(dst_node) || !self.ensure_shipped(cluster, m)? {
+                continue;
+            }
+            let ds = cluster.partition_mut(m.to)?.dataset_mut(self.dataset)?;
+            if self.feed_staged(m) {
+                // The restored copy replaces the *empty* bucket an earlier
+                // re-plan installed on the survivor to keep the hash space
+                // covered, and the bucket stops being degraded.
+                ds.primary
+                    .drop_bucket(m.bucket)
+                    .map_err(ClusterError::Storage)?;
+                ds.install_pending(m.bucket)?;
+                cluster.faults.stats.mark_repaired(self.dataset, m.bucket);
+            } else {
+                ds.install_pending(m.bucket)?;
             }
         }
         // Second pass: a source drops its moved bucket (and marks secondary
@@ -1418,6 +1535,9 @@ impl RebalanceJob {
         // dropping earlier would make a destination-side crash unrecoverable,
         // since re-shipping needs the source copy.
         for m in &moves {
+            if self.feed_staged(m) {
+                continue; // nothing moved away: there is no source copy to drop
+            }
             let installed = cluster
                 .partition(m.to)
                 .ok()
@@ -1443,24 +1563,46 @@ impl RebalanceJob {
                 }
             }
         }
+        // Every alive participant acks; a dead one acks when finalize
+        // recovers it and runs these (idempotent) tasks again.
+        for n in &self.participants {
+            if cluster.node_is_alive(*n) {
+                self.coordinator
+                    .record_committed(*n)
+                    .map_err(ClusterError::Core)?;
+            }
+        }
         Ok(())
     }
 
-    /// Makes sure the destination of `m` holds the transferred bucket data,
-    /// re-shipping it from the source when an uncommitted transfer was lost
-    /// to a crash. Returns false if the move cannot be completed yet (the
-    /// source is down); [`RebalanceJob::finalize`] recovers every node and
-    /// retries. A *permanently lost* source cannot re-ship: whatever reached
-    /// the destination (possibly nothing) is installed as the degraded copy
-    /// and the bucket is recorded as lost.
+    /// Makes sure the destination of `m` holds the staged bucket data,
+    /// staging it again when an uncommitted pending copy was lost to a
+    /// crash. Returns false when there is nothing to install: the move
+    /// cannot be completed yet (the source is down;
+    /// [`RebalanceJob::finalize`] recovers every node and retries), or a
+    /// feed-staged bucket was already installed by an earlier pass. A
+    /// *permanently lost* source cannot re-ship: whatever reached the
+    /// destination (possibly nothing) is installed as the degraded copy and
+    /// the bucket is recorded as lost.
     fn ensure_shipped(&mut self, cluster: &mut Cluster, m: &BucketMove) -> Result<bool> {
-        {
-            let ds = cluster.partition(m.to)?.dataset(self.dataset)?;
-            if ds.primary.directory().contains(&m.bucket)
-                || ds.primary.pending_has_base_data(&m.bucket)
-            {
-                return Ok(true);
+        let ds = cluster.partition(m.to)?.dataset(self.dataset)?;
+        let staged = ds.primary.pending_has_base_data(&m.bucket);
+        if self.feed_staged(m) {
+            // A restored bucket leaves the degraded set the moment it is
+            // installed; the destination's directory cannot tell, because it
+            // may already list the bucket as an empty replacement.
+            if !cluster.faults.stats.is_lost(self.dataset, &m.bucket) {
+                return Ok(false);
             }
+            if !staged {
+                let mut tl = NodeTimeline::new();
+                self.ship_move(cluster, m, &mut tl)?;
+                self.fin_tl.extend(&tl);
+            }
+            return Ok(true);
+        }
+        if staged || ds.primary.directory().contains(&m.bucket) {
+            return Ok(true);
         }
         let src_node = cluster.node_of_partition(m.from)?;
         if cluster.node_is_lost(src_node) {
@@ -1473,15 +1615,7 @@ impl RebalanceJob {
                 .partition_mut(m.to)?
                 .dataset_mut(self.dataset)?
                 .ensure_pending_bucket(m.bucket)?;
-            let entry = cluster
-                .faults
-                .stats
-                .lost_buckets
-                .entry(self.dataset)
-                .or_default();
-            if !entry.contains(&m.bucket) {
-                entry.push(m.bucket);
-            }
+            cluster.faults.stats.mark_lost(self.dataset, m.bucket);
             return Ok(true);
         }
         // The transfer must have been recorded durable before it can be
@@ -1548,15 +1682,17 @@ impl RebalanceJob {
 /// Picks the surviving destination partition with the least planned inbound
 /// bytes (lowest partition id breaks ties) and charges `bytes` to it, so
 /// successive reroutes spread across the survivors deterministically.
-fn pick_least_loaded(inbound: &mut BTreeMap<PartitionId, u64>, bytes: u64) -> Option<PartitionId> {
-    let p = inbound
-        .iter()
-        .min_by_key(|&(p, b)| (*b, *p))
-        .map(|(p, _)| *p)?;
-    if let Some(b) = inbound.get_mut(&p) {
-        *b += bytes;
-    }
-    Some(p)
+fn pick_least_loaded(inbound: &mut BTreeMap<PartitionId, u64>, bytes: u64) -> Result<PartitionId> {
+    let (p, load) = inbound
+        .iter_mut()
+        .min_by_key(|(p, b)| (**b, **p))
+        .ok_or_else(|| {
+            ClusterError::RebalanceAborted(
+                "no surviving destination partition to re-plan onto".to_string(),
+            )
+        })?;
+    *load += bytes;
+    Ok(*p)
 }
 
 #[cfg(test)]
@@ -1663,16 +1799,8 @@ mod tests {
         // recover and the same wave runs
         cluster.recover_node(victim).unwrap();
         job.run_wave(&mut cluster).unwrap();
-        while job.has_remaining_waves() {
-            job.run_wave(&mut cluster).unwrap();
-        }
-        job.prepare(&mut cluster).unwrap();
-        assert_eq!(
-            job.decide(&mut cluster).unwrap(),
-            RebalanceOutcome::Committed
-        );
-        job.commit(&mut cluster).unwrap();
-        let report = job.finalize(&mut cluster).unwrap();
+        let report = job.drive(&mut cluster).unwrap();
+        assert_eq!(report.outcome, RebalanceOutcome::Committed);
         assert_eq!(cluster.dataset_len(ds).unwrap(), 2000);
         cluster
             .check_rebalance_integrity(ds, report.rebalance_id)
@@ -1698,10 +1826,7 @@ mod tests {
             .shipped_moves(job.rebalance_id());
         assert_eq!(shipped.len(), job.plan_ref().num_moves());
         assert!(shipped.iter().any(|m| !m.component_ids.is_empty()));
-        job.prepare(&mut cluster).unwrap();
-        job.decide(&mut cluster).unwrap();
-        job.commit(&mut cluster).unwrap();
-        let report = job.finalize(&mut cluster).unwrap();
+        let report = job.drive(&mut cluster).unwrap();
         assert_eq!(cluster.dataset_len(ds).unwrap(), 2000);
         cluster
             .check_rebalance_integrity(ds, report.rebalance_id)
@@ -1722,31 +1847,14 @@ mod tests {
         // The new node received buckets and voted; its crash now wipes the
         // uncommitted pending state (the transfer metadata was never forced).
         cluster.crash_node(new_node).unwrap();
-        assert_eq!(
-            job.decide(&mut cluster).unwrap(),
-            RebalanceOutcome::Committed
-        );
-        job.commit(&mut cluster).unwrap();
-        let report = job.finalize(&mut cluster).unwrap();
+        let report = job.drive(&mut cluster).unwrap();
         assert_eq!(report.outcome, RebalanceOutcome::Committed);
         assert_eq!(cluster.dataset_len(ds).unwrap(), 2000);
         cluster
             .check_rebalance_integrity(ds, report.rebalance_id)
             .unwrap();
         // the recovered node serves its re-shipped buckets
-        let on_new: usize = cluster
-            .topology()
-            .partitions_of_node(new_node)
-            .iter()
-            .map(|p| {
-                cluster
-                    .partition(*p)
-                    .unwrap()
-                    .dataset(ds)
-                    .unwrap()
-                    .live_len()
-            })
-            .sum();
+        let on_new = cluster.live_on_node(ds, new_node);
         assert!(on_new > 0, "lost transfers must be re-shipped");
     }
 
@@ -1760,16 +1868,7 @@ mod tests {
         let target = cluster.topology().clone();
         let mut job = RebalanceJob::plan(&mut cluster, ds, &target, 4).unwrap();
         job.init(&mut cluster).unwrap();
-        while job.has_remaining_waves() {
-            job.run_wave(&mut cluster).unwrap();
-        }
-        job.prepare(&mut cluster).unwrap();
-        assert_eq!(
-            job.decide(&mut cluster).unwrap(),
-            RebalanceOutcome::Committed
-        );
-        job.commit(&mut cluster).unwrap();
-        let report = job.finalize(&mut cluster).unwrap();
+        let report = job.drive(&mut cluster).unwrap();
         assert_eq!(report.outcome, RebalanceOutcome::Committed);
         assert!(report.retries > 0, "60 % per-mille must trip some retries");
         let stats = cluster.fault_stats();
@@ -1806,13 +1905,7 @@ mod tests {
         // nothing is left to ship
         assert_eq!(replan.waves_appended, 0);
         assert!(!job.has_remaining_waves());
-        job.prepare(&mut cluster).unwrap();
-        assert_eq!(
-            job.decide(&mut cluster).unwrap(),
-            RebalanceOutcome::Committed
-        );
-        job.commit(&mut cluster).unwrap();
-        let report = job.finalize(&mut cluster).unwrap();
+        let report = job.drive(&mut cluster).unwrap();
         assert_eq!(report.outcome, RebalanceOutcome::Committed);
         assert!(report.reroutes > 0);
         assert_eq!(cluster.dataset_len(ds).unwrap(), 3000);
@@ -1860,16 +1953,7 @@ mod tests {
             "the victim's resident buckets die with it"
         );
         assert!(replan.waves_appended > 0);
-        while job.has_remaining_waves() {
-            job.run_wave(&mut cluster).unwrap();
-        }
-        job.prepare(&mut cluster).unwrap();
-        assert_eq!(
-            job.decide(&mut cluster).unwrap(),
-            RebalanceOutcome::Committed
-        );
-        job.commit(&mut cluster).unwrap();
-        let report = job.finalize(&mut cluster).unwrap();
+        let report = job.drive(&mut cluster).unwrap();
         assert_eq!(report.outcome, RebalanceOutcome::Committed);
         // the evacuee is empty and decommissionable; the victim is removable
         cluster.decommission_node(evacuee).unwrap();
@@ -1907,16 +1991,7 @@ mod tests {
             replan.lost_buckets > 0,
             "unshipped buckets die with their source"
         );
-        while job.has_remaining_waves() {
-            job.run_wave(&mut cluster).unwrap();
-        }
-        job.prepare(&mut cluster).unwrap();
-        assert_eq!(
-            job.decide(&mut cluster).unwrap(),
-            RebalanceOutcome::Committed
-        );
-        job.commit(&mut cluster).unwrap();
-        let report = job.finalize(&mut cluster).unwrap();
+        let report = job.drive(&mut cluster).unwrap();
         assert_eq!(report.outcome, RebalanceOutcome::Committed);
         cluster.remove_lost_node(victim).unwrap();
         // the shipped buckets survived, the unshipped ones are gone

@@ -16,11 +16,12 @@
 //! * data feeds for ingestion with cost accounting ([`feed`],
 //!   [`session::Session::ingest`]);
 //! * query execution primitives with a per-node cost model ([`query`]);
-//! * the step-driven rebalance executor — the resumable
+//! * the staged-transaction engine — the resumable
 //!   [`job::RebalanceJob`] state machine implementing the paper's
-//!   three-phase, two-phase-commit protocol wave by wave ([`job`]) — plus
-//!   the one-shot driver loop over it and the global rebalancing baseline
-//!   ([`rebalance`]);
+//!   three-phase, two-phase-commit protocol wave by wave, and
+//!   [`job::RebalanceJob::drive`], the one routine every caller finishes a
+//!   job through ([`job`]) — plus the one-shot rebalance entry point over
+//!   it and the global rebalancing baseline ([`rebalance`]);
 //! * fault injection and recovery for the six failure cases ([`recovery`]),
 //!   plus the deterministic fault plane — seeded, replayable
 //!   [`fault::FaultSchedule`]s of transient ship failures, slow nodes, and
@@ -29,9 +30,9 @@
 //!   node's moves to survivors ([`fault`]);
 //! * the recovery plane — speculative re-execution of straggling transfers
 //!   under a [`dynahash_core::SpeculationPolicy`] (the wave takes the first
-//!   finisher), and [`repair::RepairJob`]s that restore a degraded dataset's
-//!   lost buckets from an operator-supplied feed under the same 2PC
-//!   machinery ([`repair`]);
+//!   finisher), and the repair planner, which restores a degraded dataset's
+//!   lost buckets by running the same engine with the buckets staged from
+//!   an operator-supplied feed ([`repair`]);
 //! * the hardware cost model and simulated-time accounting ([`sim`]).
 
 pub mod cluster;
@@ -57,7 +58,7 @@ pub use control::{
 };
 pub use controller::ClusterController;
 pub use dataset::{DatasetId, DatasetMeta, DatasetSpec, SecondaryIndexDef};
-pub use fault::{ClusterHealth, FaultSchedule, FaultStats, NodeState, RetryPolicy, WaveFault};
+pub use fault::{ClusterHealth, FaultSchedule, FaultStats, NodeState, WaveFault};
 pub use feed::{split_into_batches, ControlledRateFeed, IngestReport};
 pub use job::{JobState, RebalanceJob, ReplanReport, StepPoint, WaveReport};
 pub use node::NodeController;
@@ -65,7 +66,6 @@ pub use partition::{Partition, PartitionDataset, SecondaryState};
 pub use query::{QueryExecutor, QueryReport};
 pub use rebalance::{PhaseTimes, RebalanceOptions, RebalanceReport, StepHook};
 pub use recovery::RecoveryReport;
-pub use repair::{RepairJob, RepairReport, RepairState};
 pub use session::{RouteError, Session, SessionMetrics};
 pub use sim::{CostModel, NodeTimeline, SimDuration, WaveClock};
 

@@ -1,15 +1,16 @@
 //! The one-shot rebalance entry point (Section V).
 //!
 //! [`Cluster::rebalance`] moves a dataset onto a target topology. For
-//! bucketed schemes (StaticHash / DynaHash) it is a thin driver loop over the
-//! step-driven [`RebalanceJob`] state machine in [`crate::job`]: it plans the
-//! job, runs its waves (applying any scenario-supplied concurrent writes
-//! between them), collects votes, decides, and finalizes — firing the
-//! scenario's [`StepHook`]s at every boundary and re-expressing the six
-//! failure cases of Section V-D as crashes injected *between* job steps. For
-//! the Hashing baseline it performs AsterixDB's original global rebalancing:
-//! a brand-new hash-partitioned copy of the dataset is built on the target
-//! partitions and swapped in, which moves nearly every record.
+//! bucketed schemes (StaticHash / DynaHash) it plans a [`RebalanceJob`] and
+//! hands it to the engine's own driver, [`RebalanceJob::drive`] in
+//! [`crate::job`]; all this module adds is what a *scenario* wants to happen
+//! at the [`StepPoint`] boundaries the driver passes: concurrent writes and
+//! scheduled wave faults after each wave, one of the six failures of
+//! Section V-D injected as a crash between two steps, and the scenario's
+//! [`StepHook`]s. For the Hashing baseline it performs AsterixDB's original
+//! global rebalancing: a brand-new hash-partitioned copy of the dataset is
+//! built on the target partitions and swapped in, which moves nearly every
+//! record.
 
 use std::collections::BTreeMap;
 
@@ -21,8 +22,9 @@ use dynahash_lsm::wal::{LogRecordBody, RebalanceId, RebalanceLogStatus};
 
 use crate::cluster::Cluster;
 use crate::dataset::DatasetId;
+use crate::fault::WaveFault;
 use crate::feed::split_into_batches;
-use crate::job::{JobState, RebalanceJob, StepPoint};
+use crate::job::{RebalanceJob, StepPoint};
 use crate::sim::{NodeTimeline, SimDuration};
 use crate::{ClusterError, Result};
 
@@ -193,6 +195,45 @@ fn fire_hooks(
     Ok(())
 }
 
+/// Injects `failure` if `point` is the boundary it is scheduled at — the
+/// six cases of Section V-D, each a crash *between* two job steps.
+fn inject_failure(
+    cluster: &mut Cluster,
+    job: &mut RebalanceJob,
+    failure: FailurePoint,
+    point: StepPoint,
+) -> Result<()> {
+    use FailurePoint::*;
+    match (failure, point) {
+        // Cases 1, 2 and 4: an NC dies before it can vote "prepared", right
+        // after voting, or after COMMIT was forced but before acking its
+        // commit tasks.
+        (NcBeforePrepared(victim), StepPoint::BeforePrepare)
+        | (NcAfterPrepared(victim), StepPoint::AfterPrepare)
+        | (NcBeforeCommitted(victim), StepPoint::AfterCommitLog) => {
+            let _ = cluster.crash_node(victim);
+        }
+        // Cases 3, 5 and 6: the CC dies before forcing COMMIT, between
+        // COMMIT and DONE, or after DONE. What the recovered CC does is
+        // decided by its durable log alone: BEGIN without COMMIT aborts;
+        // COMMIT without DONE re-drives the (idempotent) commit tasks,
+        // which finalize does for every recovered node anyway; DONE needs
+        // nothing.
+        (CcBeforeCommitLog, StepPoint::AfterPrepare)
+        | (CcAfterCommitBeforeDone, StepPoint::BeforeFinalize)
+        | (CcAfterDone, StepPoint::AfterFinalize) => {
+            cluster.controller.crash();
+            cluster.controller.recover();
+            let log = &cluster.controller.metadata_log;
+            if log.rebalance_status(job.rebalance_id()) == RebalanceLogStatus::InFlight {
+                job.abort(cluster)?;
+            }
+        }
+        _ => {}
+    }
+    Ok(())
+}
+
 impl Cluster {
     /// Rebalances a dataset onto the target topology.
     pub fn rebalance(
@@ -214,7 +255,8 @@ impl Cluster {
 
     // =================================================== bucketed schemes ===
 
-    /// The one-shot driver: a loop over the [`RebalanceJob`] step machine.
+    /// The one-shot entry point: plan, then [`RebalanceJob::drive`] with
+    /// the scenario's writes, faults and hooks applied at the boundaries.
     fn rebalance_bucketed(
         &mut self,
         dataset: DatasetId,
@@ -232,159 +274,40 @@ impl Cluster {
         let mut job = RebalanceJob::plan(self, dataset, target, max_concurrent_moves)?;
         job.set_move_policy(move_policy);
         job.set_secondary_rebuild(secondary_rebuild);
-        match self.drive_job(&mut job, concurrent_writes, failure, &mut hooks) {
-            Ok(report) => Ok(report),
-            Err(e) => {
-                // Best-effort cleanup so a failed scenario hook does not
-                // leave the dataset with splits disabled or buckets pending.
-                // Before the decision the job can still abort; once COMMIT
-                // is durable the only way forward is to finish the commit.
-                if !job.is_terminal() {
-                    if job.outcome() == Some(RebalanceOutcome::Committed) {
-                        if matches!(job.state(), JobState::Decided(_)) {
-                            let _ = job.commit(self);
-                        }
-                        let _ = job.finalize(self);
-                    } else {
-                        let _ = job.abort(self);
-                        let _ = job.finalize(self);
-                    }
-                }
-                Err(e)
-            }
-        }
-    }
-
-    fn drive_job(
-        &mut self,
-        job: &mut RebalanceJob,
-        concurrent_writes: Vec<(Key, Value)>,
-        failure: Option<FailurePoint>,
-        hooks: &mut [(StepPoint, StepHook)],
-    ) -> Result<RebalanceReport> {
-        fire_hooks(hooks, StepPoint::AfterPlan, self, job)?;
-        job.init(self)?;
-        fire_hooks(hooks, StepPoint::AfterInit, self, job)?;
-
         // Spread the scenario's concurrent writes across the waves; the
         // remainder (or everything, for a no-op plan) lands before prepare.
         let mut batches = split_into_batches(concurrent_writes, job.num_waves().max(1)).into_iter();
-        while job.has_remaining_waves() {
-            let wave = job.completed_waves();
-            match job.run_wave(self) {
-                Ok(_) => {}
-                Err(ClusterError::NodeLost(_)) => {
-                    // A permanent loss surfaced mid-movement (injected by a
-                    // hook or a prior wave fault): reroute the dead node's
-                    // moves to survivors and retry from the same wave index.
-                    let replan = job.replan_wave(self)?;
-                    if replan.is_noop() {
-                        // Nothing to re-plan around — the loss hit a node
-                        // outside the participant set; surface it.
-                        job.run_wave(self)?;
+        job.drive_with(self, |cluster, job, point| {
+            match point {
+                StepPoint::AfterWave(wave) => {
+                    if let Some(batch) = batches.next().filter(|b| !b.is_empty()) {
+                        job.apply_feed_batch(cluster, batch)?;
                     }
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-            if let Some(batch) = batches.next() {
-                if !batch.is_empty() {
-                    job.apply_feed_batch(self, batch)?;
-                }
-            }
-            // Consume the fault scheduled to fire after this wave, if any.
-            if let Some(fault) = self.take_wave_fault(wave as u64) {
-                match fault {
-                    crate::fault::WaveFault::Crash(n) => {
-                        let _ = self.crash_node(n);
-                        self.recover_all_nodes();
-                    }
-                    crate::fault::WaveFault::Lose(n) => {
-                        self.lose_node(n)?;
-                        job.replan_wave(self)?;
+                    // Consume the fault scheduled to fire after this wave.
+                    match cluster.take_wave_fault(wave as u64) {
+                        Some(WaveFault::Crash(n)) => {
+                            let _ = cluster.crash_node(n);
+                            cluster.recover_all_nodes();
+                        }
+                        Some(WaveFault::Lose(n)) => {
+                            cluster.lose_node(n)?;
+                            job.replan_wave(cluster)?;
+                        }
+                        None => {}
                     }
                 }
+                StepPoint::BeforePrepare => {
+                    for batch in batches.by_ref().filter(|b| !b.is_empty()) {
+                        job.apply_feed_batch(cluster, batch)?;
+                    }
+                }
+                _ => {}
             }
-            fire_hooks(hooks, StepPoint::AfterWave(wave), self, job)?;
-        }
-        for batch in batches {
-            if !batch.is_empty() {
-                job.apply_feed_batch(self, batch)?;
+            if let Some(failure) = failure {
+                inject_failure(cluster, job, failure, point)?;
             }
-        }
-
-        // Failure Case 1: an NC dies before it can vote "prepared".
-        if let Some(FailurePoint::NcBeforePrepared(victim)) = failure {
-            let _ = self.crash_node(victim);
-        }
-        fire_hooks(hooks, StepPoint::BeforePrepare, self, job)?;
-        job.prepare(self)?;
-
-        // Failure Case 2: an NC dies right after voting.
-        if let Some(FailurePoint::NcAfterPrepared(victim)) = failure {
-            let _ = self.crash_node(victim);
-        }
-        fire_hooks(hooks, StepPoint::AfterPrepare, self, job)?;
-
-        // Failure Case 3: the CC dies before forcing COMMIT. On recovery it
-        // sees BEGIN without COMMIT and aborts.
-        let force_abort = if matches!(failure, Some(FailurePoint::CcBeforeCommitLog)) {
-            self.controller.crash();
-            self.controller.recover();
-            let status = self
-                .controller
-                .metadata_log
-                .rebalance_status(job.rebalance_id());
-            debug_assert_eq!(status, RebalanceLogStatus::InFlight);
-            status != RebalanceLogStatus::CommittedNotDone && status != RebalanceLogStatus::Done
-        } else {
-            false
-        };
-
-        let outcome = if force_abort {
-            job.abort(self)?;
-            RebalanceOutcome::Aborted
-        } else {
-            job.decide(self)?
-        };
-
-        if outcome == RebalanceOutcome::Committed {
-            // Failure Case 4: an NC dies after COMMIT was forced but before
-            // acking its commit tasks.
-            if let Some(FailurePoint::NcBeforeCommitted(victim)) = failure {
-                let _ = self.crash_node(victim);
-            }
-            fire_hooks(hooks, StepPoint::AfterCommitLog, self, job)?;
-            job.commit(self)?;
-
-            // Failure Case 5: the CC dies after COMMIT but before DONE. On
-            // recovery it re-drives the (idempotent) commit tasks — which
-            // finalize does for every recovered node anyway.
-            if matches!(failure, Some(FailurePoint::CcAfterCommitBeforeDone)) {
-                self.controller.crash();
-                self.controller.recover();
-                let status = self
-                    .controller
-                    .metadata_log
-                    .rebalance_status(job.rebalance_id());
-                debug_assert_eq!(status, RebalanceLogStatus::CommittedNotDone);
-            }
-        }
-
-        fire_hooks(hooks, StepPoint::BeforeFinalize, self, job)?;
-        let report = job.finalize(self)?;
-
-        // Failure Case 6: the CC dies after DONE — nothing to do.
-        if matches!(failure, Some(FailurePoint::CcAfterDone)) {
-            self.controller.crash();
-            self.controller.recover();
-            let status = self
-                .controller
-                .metadata_log
-                .rebalance_status(job.rebalance_id());
-            debug_assert_eq!(status, RebalanceLogStatus::Done);
-        }
-        Ok(report)
+            fire_hooks(&mut hooks, point, cluster, job)
+        })
     }
 
     // ================================================= Hashing (global) ====
@@ -456,6 +379,30 @@ impl Cluster {
         for (node, bytes) in &inbound_bytes {
             tl.charge(*node, cost.network(*bytes));
         }
+        // The baseline has no phases, buckets, retries or re-plans to report:
+        // everything it does is one data-movement pass.
+        let report =
+            |tl: &NodeTimeline, outcome, bytes_moved: u64, records_moved| RebalanceReport {
+                rebalance_id,
+                outcome,
+                elapsed: tl.elapsed(),
+                phases: PhaseTimes {
+                    data_movement: tl.elapsed(),
+                    ..Default::default()
+                },
+                bytes_moved,
+                records_moved,
+                buckets_moved: 0,
+                moved_fraction: if total_bytes == 0 {
+                    0.0
+                } else {
+                    (bytes_moved as f64 / total_bytes as f64).min(1.0)
+                },
+                per_node: tl.breakdown(),
+                concurrent_writes_applied: 0,
+                retries: 0,
+                reroutes: 0,
+            };
 
         // Injected failure: discard the half-built copy and abort; the
         // original dataset is left unchanged.
@@ -470,23 +417,7 @@ impl Cluster {
                 .append_forced(LogRecordBody::RebalanceDone {
                     rebalance: rebalance_id,
                 });
-            return Ok(RebalanceReport {
-                rebalance_id,
-                outcome: RebalanceOutcome::Aborted,
-                elapsed: tl.elapsed(),
-                phases: PhaseTimes {
-                    data_movement: tl.elapsed(),
-                    ..Default::default()
-                },
-                bytes_moved: 0,
-                records_moved: 0,
-                buckets_moved: 0,
-                moved_fraction: 0.0,
-                per_node: tl.breakdown(),
-                concurrent_writes_applied: 0,
-                retries: 0,
-                reroutes: 0,
-            });
+            return Ok(report(&tl, RebalanceOutcome::Aborted, 0, 0));
         }
 
         // Drop the old storage and build the new hash-partitioned dataset.
@@ -542,27 +473,12 @@ impl Cluster {
                 rebalance: rebalance_id,
             });
 
-        Ok(RebalanceReport {
-            rebalance_id,
-            outcome: RebalanceOutcome::Committed,
-            elapsed: tl.elapsed(),
-            phases: PhaseTimes {
-                data_movement: tl.elapsed(),
-                ..Default::default()
-            },
+        Ok(report(
+            &tl,
+            RebalanceOutcome::Committed,
             bytes_moved,
             records_moved,
-            buckets_moved: 0,
-            moved_fraction: if total_bytes == 0 {
-                0.0
-            } else {
-                (bytes_moved as f64 / total_bytes as f64).min(1.0)
-            },
-            per_node: tl.breakdown(),
-            concurrent_writes_applied: 0,
-            retries: 0,
-            reroutes: 0,
-        })
+        ))
     }
 }
 
@@ -632,19 +548,7 @@ mod tests {
         assert_eq!(cluster.dataset_len(ds).unwrap(), before);
         cluster.check_dataset_consistency(ds).unwrap();
         // the new node now holds data
-        let new_node_parts = cluster.topology().partitions_of_node(NodeId(2));
-        let on_new: usize = new_node_parts
-            .iter()
-            .map(|p| {
-                cluster
-                    .partition(*p)
-                    .unwrap()
-                    .dataset(ds)
-                    .unwrap()
-                    .live_len()
-            })
-            .sum();
-        assert!(on_new > 0);
+        assert!(cluster.live_on_node(ds, NodeId(2)) > 0);
     }
 
     #[test]
@@ -818,19 +722,7 @@ mod tests {
         // pending state, terminal WAL status
         assert_eq!(cluster.dataset_len(ds).unwrap(), 1200);
         cluster.check_rebalance_integrity(ds, 1).unwrap();
-        let on_new: usize = cluster
-            .topology()
-            .partitions_of_node(NodeId(2))
-            .iter()
-            .map(|p| {
-                cluster
-                    .partition(*p)
-                    .unwrap()
-                    .dataset(ds)
-                    .unwrap()
-                    .live_len()
-            })
-            .sum();
+        let on_new = cluster.live_on_node(ds, NodeId(2));
         assert!(on_new > 0, "the durable commit decision must be applied");
         // and the dataset remains fully rebalance-able
         let report = cluster

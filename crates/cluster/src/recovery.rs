@@ -8,8 +8,10 @@
 //! crash/recover entry points and a recovery report, and hosts the tests
 //! that walk through the paper's six failure cases.
 
+use std::collections::BTreeSet;
+
 use dynahash_core::NodeId;
-use dynahash_lsm::wal::{RebalanceId, RebalanceLogStatus};
+use dynahash_lsm::wal::{LogRecordBody, RebalanceId, RebalanceLogStatus};
 
 use crate::cluster::Cluster;
 use crate::{ClusterError, Result};
@@ -84,10 +86,7 @@ impl Cluster {
             }
         }
         for (dataset, bucket) in newly_lost {
-            let lost = self.faults.stats.lost_buckets.entry(dataset).or_default();
-            if !lost.contains(&bucket) {
-                lost.push(bucket);
-            }
+            self.faults.stats.mark_lost(dataset, bucket);
         }
         Ok(())
     }
@@ -127,9 +126,19 @@ impl Cluster {
         self.controller.recover();
         let mut aborted = Vec::new();
         let mut redriven = Vec::new();
-        // Rebalance ids are dense and small; scan the ones we may have issued.
-        for id in 1..=64u64 {
-            match self.controller.metadata_log.rebalance_status(id) {
+        // Every operation the CC ever started left a BEGIN record, and the
+        // crash kept exactly the durable ones.
+        let log = &self.controller.metadata_log;
+        let begun: BTreeSet<RebalanceId> = log
+            .records()
+            .iter()
+            .filter_map(|r| match r.body {
+                LogRecordBody::RebalanceBegin { rebalance, .. } => Some(rebalance),
+                _ => None,
+            })
+            .collect();
+        for id in begun {
+            match log.rebalance_status(id) {
                 RebalanceLogStatus::InFlight => aborted.push(id),
                 RebalanceLogStatus::CommittedNotDone => redriven.push(id),
                 _ => {}
@@ -209,19 +218,7 @@ mod tests {
         assert_eq!(cluster.dataset_len(ds).unwrap(), 1200);
         cluster.check_dataset_consistency(ds).unwrap();
         // nothing landed on the new node
-        let on_new: usize = cluster
-            .topology()
-            .partitions_of_node(NodeId(2))
-            .iter()
-            .map(|p| {
-                cluster
-                    .partition(*p)
-                    .unwrap()
-                    .dataset(ds)
-                    .unwrap()
-                    .live_len()
-            })
-            .sum();
+        let on_new = cluster.live_on_node(ds, NodeId(2));
         assert_eq!(on_new, 0);
     }
 
@@ -266,6 +263,22 @@ mod tests {
         assert_eq!(outcome, RebalanceOutcome::Committed);
         assert_eq!(cluster.dataset_len(ds).unwrap(), 1200);
         cluster.check_dataset_consistency(ds).unwrap();
+    }
+
+    #[test]
+    fn controller_recovery_classifies_operations_beyond_the_first_64() {
+        let (mut cluster, ds) = loaded(2);
+        let target = cluster.topology().clone();
+        for _ in 0..70 {
+            cluster
+                .rebalance(ds, &target, RebalanceOptions::none())
+                .unwrap();
+        }
+        let in_flight = crate::RebalanceJob::plan(&mut cluster, ds, &target, 1).unwrap();
+        assert!(in_flight.rebalance_id() > 64);
+        let report = cluster.restart_controller();
+        assert_eq!(report.aborted_rebalances, vec![in_flight.rebalance_id()]);
+        assert!(report.redriven_rebalances.is_empty());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Degraded-dataset repair: restoring buckets lost with a dead node.
+//! Degraded-dataset repair: the second planner over the staged-transaction
+//! engine, restoring buckets lost with a dead node.
 //!
 //! A permanently lost node takes the only copy of its resident buckets with
 //! it. The rebalance replan path keeps the *cluster* converging — routing is
@@ -8,186 +9,60 @@
 //! instead of silently-empty data, and
 //! [`crate::fault::ClusterHealth::degraded_datasets`] names the damage.
 //!
-//! [`RepairJob`] closes the loop. It is a rebalance-job variant running under
-//! the same machinery as [`crate::job::RebalanceJob`] — a forced BEGIN record,
-//! the pure [`RebalanceCoordinator`] 2PC state machine, pending buckets that
-//! stay invisible until commit, a brief write-blocked prepare window — but
-//! instead of shipping buckets between partitions it **re-ingests the lost
-//! buckets from an operator-supplied feed** (a backup, an upstream source, or
-//! a scenario's model snapshot):
+//! A repair closes the loop, and it is not a second protocol: it is a
+//! [`RebalanceJob`] whose buckets are staged from an **operator-supplied
+//! feed** (a backup, an upstream source, or a scenario's model snapshot)
+//! instead of a live source partition. [`RebalanceJob::plan_repair`] only
+//! *plans*:
 //!
-//! ```text
-//! plan -> load(feed) -> prepare -> decide -> commit -> finalize
-//!            |                        |
-//!            +-- replan (node lost) --+-> abort ------> finalize
-//! ```
+//! * the scope is the dataset's currently-degraded buckets;
+//! * a bucket whose owner is itself dead is reassigned to the least-loaded
+//!   surviving partition, the others stay where the earlier re-plan put
+//!   their empty replacement;
+//! * the feed is routed **once** and each in-scope bucket keeps its records
+//!   in feed order.
 //!
-//! * **plan** fixes the repair scope (the dataset's currently-degraded
-//!   buckets), reassigns any bucket whose owner itself is dead to the
-//!   least-loaded surviving partition, and forces BEGIN.
-//! * **load** routes the feed through the repair's directory snapshot and
-//!   bulk-loads each lost bucket's records into a pending bucket on its
-//!   owner. A pending copy that already holds base data — left by an
-//!   interrupted earlier repair attempt — is *re-used* instead of re-loaded,
-//!   so resuming never double-applies records.
-//! * **replan** absorbs a node lost *during* the repair: its in-scope
-//!   pending copies are re-assigned (and re-loaded), and its resident
-//!   buckets join the repair scope as newly-degraded.
-//! * **commit** installs every pending bucket, clears the repaired buckets
-//!   from the degraded set, installs the (possibly reassigned) directory,
-//!   and pushes the routing update to subscribed sessions.
+//! From there the engine in [`crate::job`] does what it does for every job:
+//! one wave bulk-loads the pending (invisible) copies, the prepare phase
+//! flushes them and blocks writes, the 2PC decides, the commit installs each
+//! restored bucket over its empty replacement — taking it out of the
+//! degraded set — and installs the (possibly reassigned) directory with a
+//! routing push to subscribed sessions. A node lost *mid-repair* is
+//! re-planned around like in any job: its pending copies are staged again on
+//! survivors, and its own resident buckets — newly degraded — are installed
+//! empty for the *next* repair to restore.
 //!
 //! The one-shot driver is [`crate::cluster::Admin::repair_dataset`]; the
 //! control plane auto-triggers it on a health tick when an operator has
 //! registered a repair feed (see [`crate::control::ControlPlane`]).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use dynahash_core::{
-    BucketId, GlobalDirectory, NodeId, NodeVote, PartitionId, RebalanceCoordinator,
-    RebalanceOutcome,
-};
+use dynahash_core::{BucketId, BucketMove, GlobalDirectory, NodeId, PartitionId, RebalancePlan};
 use dynahash_lsm::entry::{Key, Value};
-use dynahash_lsm::wal::{LogRecordBody, RebalanceId};
 use dynahash_lsm::Entry;
 
 use crate::cluster::Cluster;
 use crate::dataset::DatasetId;
-use crate::sim::{NodeTimeline, SimDuration};
+use crate::job::RebalanceJob;
 use crate::{ClusterError, Result};
 
-/// The observable state of a [`RepairJob`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RepairState {
-    /// The scope is fixed and BEGIN is forced; nothing is loaded yet.
-    Planned,
-    /// Every in-scope bucket has a loaded (or re-used) pending copy.
-    Loaded,
-    /// Pending state is flushed and every alive participant voted.
-    Prepared,
-    /// The commit/abort decision is durable.
-    Decided(RebalanceOutcome),
-    /// The job is finished (DONE is forced) with the recorded outcome.
-    Finalized(RebalanceOutcome),
-}
-
-impl RepairState {
-    fn name(&self) -> &'static str {
-        match self {
-            RepairState::Planned => "Planned",
-            RepairState::Loaded => "Loaded",
-            RepairState::Prepared => "Prepared",
-            RepairState::Decided(RebalanceOutcome::Committed) => "Decided(Committed)",
-            RepairState::Decided(RebalanceOutcome::Aborted) => "Decided(Aborted)",
-            RepairState::Finalized(_) => "Finalized",
-        }
-    }
-}
-
-/// Outcome summary of a repair, produced by [`RepairJob::finalize`] (or
-/// directly by [`crate::cluster::Admin::repair_dataset`] when there was
-/// nothing to repair).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RepairReport {
-    /// The repaired dataset.
-    pub dataset: DatasetId,
-    /// The rebalance-operation id the repair ran under (`None` for the
-    /// nothing-to-repair no-op, which forces no log records).
-    pub rebalance: Option<RebalanceId>,
-    /// Committed or aborted.
-    pub outcome: RebalanceOutcome,
-    /// The buckets the repair restored (sorted).
-    pub buckets: Vec<BucketId>,
-    /// In-scope buckets whose surviving pending copy was re-used instead of
-    /// re-loaded from the feed (resumed repairs).
-    pub reused: Vec<BucketId>,
-    /// Records restored from the feed.
-    pub records_restored: u64,
-    /// Primary bytes restored from the feed.
-    pub bytes_restored: u64,
-    /// Times the repair re-planned around a node lost mid-repair.
-    pub replans: u64,
-    /// Simulated time the repair took.
-    pub elapsed: SimDuration,
-}
-
-impl RepairReport {
-    /// The report for a dataset with nothing to repair.
-    pub fn noop(dataset: DatasetId) -> Self {
-        RepairReport {
-            dataset,
-            rebalance: None,
-            outcome: RebalanceOutcome::Committed,
-            buckets: Vec::new(),
-            reused: Vec::new(),
-            records_restored: 0,
-            bytes_restored: 0,
-            replans: 0,
-            elapsed: SimDuration::ZERO,
-        }
-    }
-
-    /// True when the repair had nothing to do.
-    pub fn is_noop(&self) -> bool {
-        self.rebalance.is_none()
-    }
-}
-
-/// The step-driven degraded-dataset repair job (see the module docs).
-///
-/// Like [`crate::job::RebalanceJob`], the job holds no borrow of the cluster
-/// between steps, and a planned job must always be driven to
-/// [`RepairJob::finalize`] (via commit or abort) — abandoning one mid-flight
-/// leaves bucket splits disabled and the write-blocking state registered.
-pub struct RepairJob {
-    dataset: DatasetId,
-    rebalance_id: RebalanceId,
-    /// Lost bucket -> the partition that will serve it after the repair.
-    scope: BTreeMap<BucketId, PartitionId>,
-    /// The routing the repair loads and commits under: the CC directory at
-    /// plan time with dead owners reassigned to survivors.
-    routing: GlobalDirectory,
-    participants: Vec<NodeId>,
-    coordinator: RebalanceCoordinator,
-    loaded: BTreeSet<BucketId>,
-    reused: BTreeSet<BucketId>,
-    state: RepairState,
-    tl: NodeTimeline,
-    records_restored: u64,
-    bytes_restored: u64,
-    replans: u64,
-}
-
-impl RepairJob {
-    /// Plans a repair of the dataset's currently-degraded buckets: fixes the
-    /// scope, reassigns buckets owned by dead nodes to the least-loaded
-    /// surviving partition, forces BEGIN, disables bucket splits, and
-    /// registers the write-blocking state. The scope may be empty (the
-    /// resulting job commits trivially); callers that want a cheap no-op
-    /// should check [`crate::fault::FaultStats::degraded_buckets`] first,
-    /// as [`crate::cluster::Admin::repair_dataset`] does.
-    pub fn plan(cluster: &mut Cluster, dataset: DatasetId) -> Result<Self> {
-        if !cluster.scheme_of(dataset)?.is_bucketed() {
-            return Err(ClusterError::RebalanceAborted(
-                "repair requires a bucketed scheme".to_string(),
-            ));
-        }
-        if cluster.active_rebalances.contains_key(&dataset) {
-            return Err(ClusterError::RebalanceAborted(
-                "dataset has an in-flight rebalance; finalize it before repairing".to_string(),
-            ));
-        }
-        let buckets = cluster.faults.stats.degraded_buckets(dataset);
-        let rebalance_id = cluster.controller.next_rebalance_id();
-        cluster
-            .controller
-            .metadata_log
-            .append_forced(LogRecordBody::RebalanceBegin {
-                rebalance: rebalance_id,
-                dataset,
-            });
-
-        let mut routing = cluster
+impl RebalanceJob {
+    /// Plans a repair of the dataset's currently-degraded buckets from
+    /// `feed`: forces BEGIN, fixes the scope, reassigns buckets owned by dead
+    /// nodes to the least-loaded surviving partition, and groups the feed's
+    /// records by in-scope bucket. All buckets load in one wave. The scope
+    /// may be empty (the resulting job commits trivially); callers that want
+    /// a cheap no-op should check
+    /// [`crate::fault::FaultStats::degraded_buckets`] first, as
+    /// [`crate::cluster::Admin::repair_dataset`] does.
+    pub fn plan_repair(
+        cluster: &mut Cluster,
+        dataset: DatasetId,
+        feed: &[(Key, Value)],
+    ) -> Result<Self> {
+        let rebalance_id = Self::begin(cluster, dataset)?;
+        let old_directory = cluster
             .controller
             .dataset(dataset)?
             .directory
@@ -195,399 +70,74 @@ impl RepairJob {
             .ok_or_else(|| {
                 ClusterError::RebalanceAborted("bucketed dataset has no directory".to_string())
             })?;
-        let mut scope = BTreeMap::new();
-        for bucket in buckets {
-            let owner = assign_owner(cluster, &mut routing, bucket)?;
-            scope.insert(bucket, owner);
+
+        // Route every feed record once; only in-scope buckets keep theirs.
+        let mut staged: BTreeMap<BucketId, Vec<Entry>> = cluster
+            .fault_stats()
+            .degraded_buckets(dataset)
+            .into_iter()
+            .map(|b| (b, Vec::new()))
+            .collect();
+        let mut bytes: BTreeMap<BucketId, u64> = BTreeMap::new();
+        for (key, value) in feed {
+            let Some((bucket, _)) = old_directory.lookup_key(key) else {
+                continue;
+            };
+            if let Some(entries) = staged.get_mut(&bucket) {
+                entries.push(Entry::put(key.clone(), value.clone()));
+                *bytes.entry(bucket).or_default() += (key.len() + value.len()) as u64;
+            }
         }
 
-        // Every alive node participates: owners must ack their installs and
-        // the rest must ack the (possibly reassigned) directory.
-        let participants: Vec<NodeId> = cluster
-            .topology()
+        let mut new_directory = old_directory.clone();
+        let mut moves = Vec::with_capacity(staged.len());
+        for &bucket in staged.keys() {
+            let to = assign_owner(cluster, &mut new_directory, bucket)?;
+            moves.push(BucketMove {
+                bucket,
+                // The previous owner, for the record only: nothing ships from it.
+                from: old_directory.partition_of_bucket(&bucket).unwrap_or(to),
+                to,
+                bytes: bytes.get(&bucket).copied().unwrap_or(0),
+            });
+        }
+
+        // The repair commits onto every node that can still serve; the alive
+        // ones vote (owners ack their installs, the rest ack the — possibly
+        // reassigned — directory).
+        let mut target = cluster.topology().clone();
+        for n in target.nodes() {
+            if cluster.node_is_lost(n) {
+                target = target.without_node(n);
+            }
+        }
+        let participants: Vec<NodeId> = target
             .nodes()
             .into_iter()
             .filter(|n| cluster.node_is_alive(*n))
             .collect();
-        let mut coordinator = RebalanceCoordinator::new(rebalance_id, participants.clone());
-        coordinator
-            .start_data_movement()
-            .map_err(ClusterError::Core)?;
-
-        cluster.set_splits_enabled(dataset, false)?;
-        cluster.active_rebalances.insert(
-            dataset,
-            crate::cluster::ActiveRebalance {
-                routing: routing.clone(),
-                target: cluster.topology().clone(),
-                shipped: BTreeMap::new(),
-                write_blocked: false,
-            },
-        );
-
-        let cost = cluster.cost_model();
-        let mut tl = NodeTimeline::new();
-        for n in &participants {
-            tl.charge(*n, SimDuration::from_nanos(cost.network_latency_ns));
-        }
-        tl.charge_coordinator(SimDuration::from_nanos(cost.job_overhead_ns));
-
-        Ok(RepairJob {
-            dataset,
-            rebalance_id,
-            scope,
-            routing,
-            participants,
-            coordinator,
-            loaded: BTreeSet::new(),
-            reused: BTreeSet::new(),
-            state: RepairState::Planned,
-            tl,
-            records_restored: 0,
-            bytes_restored: 0,
-            replans: 0,
-        })
-    }
-
-    /// Loads every not-yet-loaded in-scope bucket from the operator feed:
-    /// the feed is routed through the repair's directory snapshot, and each
-    /// bucket's records are bulk-loaded into a pending bucket on its owner.
-    /// An owner partition that already holds a pending copy with base data —
-    /// a surviving copy from an interrupted earlier attempt — is re-used
-    /// as-is, so resuming a repair never double-applies records.
-    ///
-    /// Fails with [`ClusterError::NodeLost`] when an owner died since the
-    /// plan; call [`RepairJob::replan`] and load again.
-    pub fn load(&mut self, cluster: &mut Cluster, feed: &[(Key, Value)]) -> Result<()> {
-        self.require(matches!(self.state, RepairState::Planned), "load")?;
-        let cost = cluster.cost_model();
-        for (&bucket, &owner) in self.scope.clone().iter() {
-            if self.loaded.contains(&bucket) {
-                continue;
-            }
-            let node = cluster
-                .topology()
-                .node_of(owner)
-                .ok_or(ClusterError::UnknownPartition(owner))?;
-            if cluster.node_is_lost(node) {
-                return Err(ClusterError::NodeLost(node));
-            }
-            if !cluster.node_is_alive(node) {
-                return Err(ClusterError::NodeDown(node));
-            }
-            let ds = cluster.partition_mut(owner)?.dataset_mut(self.dataset)?;
-            if ds.primary.pending_has_base_data(&bucket) {
-                self.reused.insert(bucket);
-                self.loaded.insert(bucket);
-                continue;
-            }
-            let mut entries = Vec::new();
-            let mut bytes = 0u64;
-            for (key, value) in feed {
-                if self.routing.lookup_key(key).map(|(b, _)| b) == Some(bucket) {
-                    bytes += (key.len() + value.len()) as u64;
-                    entries.push(Entry::put(key.clone(), value.clone()));
-                }
-            }
-            let records = entries.len() as u64;
-            ds.ensure_pending_bucket(bucket)?;
-            ds.load_pending(bucket, entries)?;
-            self.tl.charge(
-                node,
-                cost.network(bytes) + cost.ingest_cpu(records) + cost.disk_write(bytes),
-            );
-            self.records_restored += records;
-            self.bytes_restored += bytes;
-            self.loaded.insert(bucket);
-        }
-        self.tl
-            .charge_coordinator(SimDuration::from_nanos(cost.job_overhead_ns));
-        self.state = RepairState::Loaded;
-        Ok(())
-    }
-
-    /// Absorbs nodes permanently lost since the plan (or mid-load): dead
-    /// participants leave the 2PC vote set, their in-scope pending copies
-    /// are reassigned to survivors (and marked for re-loading), and their
-    /// resident buckets join the repair scope as newly-degraded — exactly
-    /// what [`crate::cluster::Cluster::lose_node`] recorded. Returns the
-    /// number of buckets whose owner changed.
-    pub fn replan(&mut self, cluster: &mut Cluster) -> Result<usize> {
-        self.require(
-            matches!(self.state, RepairState::Planned | RepairState::Loaded),
-            "replan",
-        )?;
-        let dead: Vec<NodeId> = self
-            .participants
-            .iter()
-            .copied()
-            .filter(|n| !cluster.node_is_alive(*n))
-            .collect();
-        let mut moved = 0usize;
-        for n in &dead {
-            self.coordinator.remove_participant(*n);
-        }
-        self.participants.retain(|n| !dead.contains(n));
-        // Newly-degraded buckets recorded by lose_node join the scope; the
-        // set also covers in-scope buckets whose owner died (their routing
-        // entry still names the dead partition).
-        for bucket in cluster.faults.stats.degraded_buckets(self.dataset) {
-            let owner_alive = self
-                .scope
-                .get(&bucket)
-                .and_then(|p| cluster.topology().node_of(*p))
-                .is_some_and(|n| cluster.node_is_alive(n));
-            if owner_alive {
-                continue;
-            }
-            let owner = assign_owner(cluster, &mut self.routing, bucket)?;
-            self.scope.insert(bucket, owner);
-            // The previous pending copy (if any) died with its node; load
-            // again on the new owner.
-            self.loaded.remove(&bucket);
-            self.reused.remove(&bucket);
-            moved += 1;
-        }
-        if let Some(active) = cluster.active_rebalances.get_mut(&self.dataset) {
-            active.routing = self.routing.clone();
-        }
-        self.replans += 1;
-        if !self.scope.keys().all(|b| self.loaded.contains(b)) {
-            self.state = RepairState::Planned;
-        }
-        Ok(moved)
-    }
-
-    /// Prepare phase: flushes every owner's pending state, blocks writes
-    /// until the decision, and collects the alive participants' yes votes.
-    pub fn prepare(&mut self, cluster: &mut Cluster) -> Result<()> {
-        self.require(matches!(self.state, RepairState::Loaded), "prepare")?;
-        let cost = cluster.cost_model();
-        self.coordinator
-            .start_prepare()
-            .map_err(ClusterError::Core)?;
-        let owners: BTreeSet<PartitionId> = self.scope.values().copied().collect();
-        for owner in owners {
-            let Some(node) = cluster.topology().node_of(owner) else {
-                continue;
-            };
-            if !cluster.node_is_alive(node) {
-                continue;
-            }
-            let pending_bytes = cluster
-                .partition(owner)?
-                .dataset(self.dataset)?
-                .primary
-                .pending_storage_bytes() as u64;
-            cluster
-                .partition_mut(owner)?
-                .dataset_mut(self.dataset)?
-                .flush_pending();
-            self.tl.charge(node, cost.disk_write(pending_bytes / 8));
-        }
-        if let Some(active) = cluster.active_rebalances.get_mut(&self.dataset) {
-            active.write_blocked = true;
-        }
-        for n in &self.participants {
-            if cluster.node_is_alive(*n) {
-                self.coordinator
-                    .record_vote(*n, NodeVote::Yes)
-                    .map_err(ClusterError::Core)?;
-            }
-        }
-        self.tl.charge_coordinator(SimDuration::from_nanos(
-            cost.network_latency_ns * self.participants.len() as u64,
-        ));
-        self.state = RepairState::Prepared;
-        Ok(())
-    }
-
-    /// Decides the outcome from the collected votes: a unanimous yes forces
-    /// the COMMIT record; any missing vote aborts and discards all pending
-    /// copies.
-    pub fn decide(&mut self, cluster: &mut Cluster) -> Result<RebalanceOutcome> {
-        self.require(matches!(self.state, RepairState::Prepared), "decide")?;
-        if self.coordinator.unanimous_yes() {
-            cluster
-                .controller
-                .metadata_log
-                .append_forced(LogRecordBody::RebalanceCommit {
-                    rebalance: self.rebalance_id,
-                });
-            self.coordinator.decide().map_err(ClusterError::Core)?;
-            self.state = RepairState::Decided(RebalanceOutcome::Committed);
-            Ok(RebalanceOutcome::Committed)
+        let waves = if moves.is_empty() {
+            Vec::new()
         } else {
-            self.coordinator.decide().map_err(ClusterError::Core)?;
-            self.abort_cleanup(cluster)?;
-            self.state = RepairState::Decided(RebalanceOutcome::Aborted);
-            Ok(RebalanceOutcome::Aborted)
-        }
-    }
-
-    /// Aborts the repair from any step before the commit decision; the
-    /// pending copies are discarded and the dataset stays degraded.
-    /// Idempotent once already aborted.
-    pub fn abort(&mut self, cluster: &mut Cluster) -> Result<()> {
-        match self.state {
-            RepairState::Planned | RepairState::Loaded | RepairState::Prepared => {}
-            RepairState::Decided(RebalanceOutcome::Aborted) => return Ok(()),
-            _ => return Err(self.invalid_step("abort")),
-        }
-        self.coordinator.abort().map_err(ClusterError::Core)?;
-        self.abort_cleanup(cluster)?;
-        self.state = RepairState::Decided(RebalanceOutcome::Aborted);
-        Ok(())
-    }
-
-    /// Commit tasks: every owner installs its pending bucket (an empty
-    /// replacement bucket installed by an earlier replan is dropped first),
-    /// the repaired buckets leave the degraded set, the CC installs the
-    /// (possibly reassigned) directory, and subscribed sessions get the
-    /// routing push.
-    pub fn commit(&mut self, cluster: &mut Cluster) -> Result<()> {
-        self.require(
-            matches!(
-                self.state,
-                RepairState::Decided(RebalanceOutcome::Committed)
-            ),
-            "commit",
-        )?;
-        let cost = cluster.cost_model();
-        for (&bucket, &owner) in &self.scope {
-            let node = cluster
-                .topology()
-                .node_of(owner)
-                .ok_or(ClusterError::UnknownPartition(owner))?;
-            if !cluster.node_is_alive(node) {
-                continue;
-            }
-            let ds = cluster.partition_mut(owner)?.dataset_mut(self.dataset)?;
-            // A rebalance replan that routed around the loss installed an
-            // *empty* replacement bucket on the survivor; the restored copy
-            // replaces it.
-            ds.primary
-                .drop_bucket(bucket)
-                .map_err(ClusterError::Storage)?;
-            ds.install_pending(bucket)?;
-            self.tl
-                .charge(node, SimDuration::from_nanos(cost.network_latency_ns));
-        }
-        for n in &self.participants.clone() {
-            if cluster.node_is_alive(*n) {
-                self.coordinator
-                    .record_committed(*n)
-                    .map_err(ClusterError::Core)?;
-            }
-        }
-        let repaired: Vec<BucketId> = self.scope.keys().copied().collect();
-        if let Some(lost) = cluster.faults.stats.lost_buckets.get_mut(&self.dataset) {
-            lost.retain(|b| !repaired.contains(b));
-            if lost.is_empty() {
-                cluster.faults.stats.lost_buckets.remove(&self.dataset);
-            }
-        }
-        cluster.faults.stats.repaired_buckets += repaired.len() as u64;
-        let meta = cluster.controller.dataset_mut(self.dataset)?;
-        match meta.directory.as_mut() {
-            Some(dir) => dir.install(&self.routing),
-            None => meta.directory = Some(self.routing.clone()),
-        }
-        cluster.active_rebalances.remove(&self.dataset);
-        cluster.push_routing_update(self.dataset);
-        Ok(())
-    }
-
-    /// Finalization: forces DONE, re-enables bucket splits, drops any
-    /// leftover write-blocking state, and produces the report.
-    pub fn finalize(&mut self, cluster: &mut Cluster) -> Result<RepairReport> {
-        let outcome = match self.state {
-            RepairState::Decided(outcome) => outcome,
-            _ => return Err(self.invalid_step("finalize")),
+            vec![moves.clone()]
         };
-        cluster
-            .controller
-            .metadata_log
-            .append_forced(LogRecordBody::RebalanceDone {
-                rebalance: self.rebalance_id,
-            });
-        self.coordinator.finish().map_err(ClusterError::Core)?;
-        cluster.active_rebalances.remove(&self.dataset);
-        cluster.set_splits_enabled(self.dataset, true)?;
-        self.state = RepairState::Finalized(outcome);
-        Ok(RepairReport {
-            dataset: self.dataset,
-            rebalance: Some(self.rebalance_id),
-            outcome,
-            buckets: match outcome {
-                RebalanceOutcome::Committed => self.scope.keys().copied().collect(),
-                RebalanceOutcome::Aborted => Vec::new(),
-            },
-            reused: self.reused.iter().copied().collect(),
-            records_restored: self.records_restored,
-            bytes_restored: self.bytes_restored,
-            replans: self.replans,
-            elapsed: self.tl.elapsed(),
-        })
-    }
-
-    // ------------------------------------------------------------ accessors
-
-    /// The rebalance-operation id the repair runs under.
-    pub fn rebalance_id(&self) -> RebalanceId {
-        self.rebalance_id
-    }
-
-    /// The dataset being repaired.
-    pub fn dataset(&self) -> DatasetId {
-        self.dataset
-    }
-
-    /// The current job state.
-    pub fn state(&self) -> RepairState {
-        self.state
-    }
-
-    /// The in-scope buckets and their post-repair owners.
-    pub fn scope(&self) -> &BTreeMap<BucketId, PartitionId> {
-        &self.scope
-    }
-
-    // ------------------------------------------------------------- internal
-
-    fn abort_cleanup(&mut self, cluster: &mut Cluster) -> Result<()> {
-        cluster
-            .controller
-            .metadata_log
-            .append_forced(LogRecordBody::RebalanceAbort {
-                rebalance: self.rebalance_id,
-            });
-        for (&bucket, &owner) in &self.scope {
-            if let Ok(p) = cluster.partition_mut(owner) {
-                if let Ok(ds) = p.dataset_mut(self.dataset) {
-                    ds.drop_pending(bucket);
-                }
-            }
-        }
-        if let Some(active) = cluster.active_rebalances.get_mut(&self.dataset) {
-            active.write_blocked = false;
-        }
-        Ok(())
-    }
-
-    fn require(&self, ok: bool, action: &'static str) -> Result<()> {
-        if ok {
-            Ok(())
-        } else {
-            Err(self.invalid_step(action))
-        }
-    }
-
-    fn invalid_step(&self, action: &'static str) -> ClusterError {
-        ClusterError::InvalidJobStep {
-            action,
-            state: self.state.name(),
-        }
+        let total_bytes = cluster.dataset_primary_bytes(dataset)?;
+        let plan = RebalancePlan {
+            rebalance_id,
+            old_directory,
+            new_directory,
+            moves,
+            target,
+        };
+        Ok(Self::planned(
+            cluster,
+            dataset,
+            plan,
+            waves,
+            participants,
+            total_bytes,
+            staged,
+        ))
     }
 }
 
@@ -600,31 +150,24 @@ fn assign_owner(
     routing: &mut GlobalDirectory,
     bucket: BucketId,
 ) -> Result<PartitionId> {
-    if let Some(owner) = routing.partition_of_bucket(&bucket) {
-        let alive = cluster
+    let alive = |p: PartitionId| {
+        cluster
             .topology()
-            .node_of(owner)
-            .is_some_and(|n| cluster.node_is_alive(n));
-        if alive {
-            return Ok(owner);
-        }
+            .node_of(p)
+            .is_some_and(|n| cluster.node_is_alive(n))
+    };
+    if let Some(owner) = routing.partition_of_bucket(&bucket).filter(|p| alive(*p)) {
+        return Ok(owner);
     }
-    let mut best: Option<(u64, PartitionId)> = None;
-    for p in cluster.topology().partitions() {
-        let Some(n) = cluster.topology().node_of(p) else {
-            continue;
-        };
-        if !cluster.node_is_alive(n) {
-            continue;
-        }
-        let load = routing.partition_load(p);
-        if best.map(|b| (load, p) < b).unwrap_or(true) {
-            best = Some((load, p));
-        }
-    }
-    let (_, to) = best.ok_or_else(|| {
-        ClusterError::RebalanceAborted("no surviving partition to repair onto".to_string())
-    })?;
+    let to = cluster
+        .topology()
+        .partitions()
+        .into_iter()
+        .filter(|p| alive(*p))
+        .min_by_key(|p| (routing.partition_load(*p), *p))
+        .ok_or_else(|| {
+            ClusterError::RebalanceAborted("no surviving partition to repair onto".to_string())
+        })?;
     routing.reassign(bucket, to);
     Ok(to)
 }
@@ -632,9 +175,8 @@ fn assign_owner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::Cluster;
     use crate::dataset::DatasetSpec;
-    use dynahash_core::Scheme;
+    use dynahash_core::{RebalanceOutcome, Scheme};
     use dynahash_lsm::Bytes;
 
     fn key(i: u64) -> Key {
@@ -682,10 +224,14 @@ mod tests {
             Err(ClusterError::BucketDegraded { .. })
         ));
 
-        let report = cluster.admin().repair_dataset(ds, &records).unwrap();
+        let report = cluster
+            .admin()
+            .repair_dataset(ds, &records)
+            .unwrap()
+            .expect("a degraded dataset is repaired");
         assert_eq!(report.outcome, RebalanceOutcome::Committed);
-        assert_eq!(report.buckets, degraded);
-        assert!(report.records_restored > 0);
+        assert_eq!(report.buckets_moved, degraded.len());
+        assert!(report.records_moved > 0);
         assert!(cluster.fault_stats().degraded_datasets().is_empty());
         assert_eq!(
             cluster.fault_stats().repaired_buckets,
@@ -699,26 +245,9 @@ mod tests {
             assert_eq!(session.get(&cluster, k).unwrap().as_ref(), Some(v));
         }
         cluster.remove_lost_node(victim).unwrap();
-        cluster.check_dataset_consistency(ds).unwrap();
-    }
-
-    #[test]
-    fn double_repair_is_a_noop() {
-        let (mut cluster, ds, records) = seeded_cluster();
-        let victim = cluster.topology().nodes()[2];
-        cluster.lose_node(victim).unwrap();
-        let first = cluster.admin().repair_dataset(ds, &records).unwrap();
-        assert!(!first.is_noop());
-        let wal_len = cluster.controller.metadata_log.len();
-        let second = cluster.admin().repair_dataset(ds, &records).unwrap();
-        assert!(second.is_noop());
-        assert_eq!(second.records_restored, 0);
-        // The no-op forces no log records and bumps no counters.
-        assert_eq!(cluster.controller.metadata_log.len(), wal_len);
-        assert_eq!(
-            cluster.fault_stats().repaired_buckets,
-            first.buckets.len() as u64
-        );
+        cluster
+            .check_rebalance_integrity(ds, report.rebalance_id)
+            .unwrap();
     }
 
     #[test]
@@ -727,12 +256,13 @@ mod tests {
         let victim = cluster.topology().nodes()[0];
         let victim_partitions = cluster.topology().partitions_of_node(victim);
         cluster.lose_node(victim).unwrap();
+        let degraded = cluster.fault_stats().degraded_buckets(ds);
         let report = cluster.admin().repair_dataset(ds, &records).unwrap();
-        assert_eq!(report.outcome, RebalanceOutcome::Committed);
+        assert_eq!(report.unwrap().outcome, RebalanceOutcome::Committed);
         // No repaired bucket may still route to the dead node's partitions.
         let meta = cluster.controller.dataset(ds).unwrap();
         let dir = meta.directory.as_ref().unwrap();
-        for b in &report.buckets {
+        for b in &degraded {
             let owner = dir.partition_of_bucket(b).unwrap();
             assert!(!victim_partitions.contains(&owner));
         }
@@ -746,7 +276,6 @@ mod tests {
     fn repair_noop_when_nothing_lost() {
         let (mut cluster, ds, records) = seeded_cluster();
         let report = cluster.admin().repair_dataset(ds, &records).unwrap();
-        assert!(report.is_noop());
-        assert_eq!(report.outcome, RebalanceOutcome::Committed);
+        assert!(report.is_none());
     }
 }

@@ -1,10 +1,12 @@
-//! Repeated-crash storms over the step-driven rebalance executor.
+//! Repeated-crash storms over the staged-transaction engine.
 //!
 //! The recovery unit tests walk the paper's six failure cases one at a
 //! time; this harness is the blunt version: at *every* step boundary of the
-//! driver loop it crashes a seeded-randomly chosen node **twice in a row**
-//! (crash, recover, crash, recover), and separately injects a permanent
-//! node loss after every wave boundary, asserting that
+//! driver it crashes a seeded-randomly chosen node **twice in a row**
+//! (crash, recover, crash, recover) — for a job staged from live sources (a
+//! scale-out rebalance) and for one staged from a feed (a repair) alike —
+//! and separately injects a permanent node loss after every wave boundary,
+//! asserting that
 //!
 //! * the job always reaches a terminal outcome (commit or abort — never a
 //!   wedged state),
@@ -15,8 +17,7 @@
 
 use dynahash_cluster::{
     Cluster, ClusterConfig, ClusterError, CostModel, DatasetId, DatasetSpec, FaultSchedule,
-    RebalanceJob, RebalanceOptions, RebalanceReport, RepairJob, SpeculationPolicy, StepPoint,
-    WaveFault,
+    RebalanceJob, RebalanceOptions, RebalanceReport, SpeculationPolicy, StepPoint, WaveFault,
 };
 use dynahash_core::{NodeId, RebalanceOutcome, Scheme};
 use dynahash_lsm::entry::Key;
@@ -57,42 +58,119 @@ const POINTS: &[StepPoint] = &[
     StepPoint::AfterPrepare,
     StepPoint::AfterCommitLog,
     StepPoint::BeforeFinalize,
+    StepPoint::AfterFinalize,
 ];
+
+/// Where a storm's job stages its pending buckets from.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// A 3 -> 4 scale-out: buckets ship from their live source partitions.
+    Live,
+    /// A repair of the buckets lost with node 0: buckets load from a feed.
+    Feed,
+}
+
+/// A 4-node cluster ready for a job of the given kind, plus the node the
+/// scenario lost for good (retire it before integrity checks).
+fn staged(source: Source) -> (Cluster, DatasetId, Option<NodeId>) {
+    match source {
+        Source::Live => {
+            let (mut cluster, ds) = loaded(3, 1500);
+            cluster.add_node().unwrap();
+            (cluster, ds, None)
+        }
+        Source::Feed => {
+            let (mut cluster, ds) = loaded(4, 1500);
+            cluster.lose_node(NodeId(0)).unwrap();
+            (cluster, ds, Some(NodeId(0)))
+        }
+    }
+}
+
+/// Plans the job [`staged`] prepared the cluster for.
+fn plan(source: Source, cluster: &mut Cluster, ds: DatasetId) -> RebalanceJob {
+    let job = match source {
+        Source::Live => {
+            let target = cluster.topology().clone();
+            RebalanceJob::plan(cluster, ds, &target, 2)
+        }
+        Source::Feed => {
+            let feed: Vec<(Key, Bytes)> = (0..1500).map(record).collect();
+            RebalanceJob::plan_repair(cluster, ds, &feed)
+        }
+    }
+    .unwrap();
+    assert!(
+        job.plan_ref().num_moves() > 0,
+        "{source:?}: nothing to stage"
+    );
+    job
+}
 
 #[test]
 fn double_crash_storm_at_every_step_point_commits_with_integrity() {
     let mut rng = SplitMix64::seed_from_u64(SEED);
-    for &point in POINTS {
-        for trial in 0..2u32 {
-            let (mut cluster, ds) = loaded(3, 1500);
-            cluster.add_node().unwrap();
-            let target = cluster.topology().clone();
-            let victim = NodeId(rng.gen_range(0..4) as u32);
-            let ctx = format!("point {point:?}, trial {trial}, victim {victim}");
-            let report = cluster
-                .rebalance(
-                    ds,
-                    &target,
-                    RebalanceOptions::none()
-                        .with_max_concurrent_moves(2)
-                        .with_hook(point, move |cluster, _job| {
-                            // The same node dies twice in a row; the driver
-                            // must absorb both (commit tasks and cleanups
-                            // are idempotent; lost transfers re-ship from
-                            // the metadata log).
-                            for _ in 0..2 {
-                                let _ = cluster.crash_node(victim);
-                                cluster.recover_all_nodes();
+    for source in [Source::Live, Source::Feed] {
+        for &point in POINTS {
+            for trial in 0..2u32 {
+                let victim = NodeId(rng.gen_range(0..4) as u32);
+                // Once the votes are in, a participant may also stay down
+                // through the commit (Cases 2 and 4): finalize recovers it
+                // and re-drives its tasks.
+                let stays_down = trial == 1
+                    && matches!(point, StepPoint::AfterPrepare | StepPoint::AfterCommitLog);
+                let ctx = format!("{source:?}, point {point:?}, trial {trial}, victim {victim}");
+                // The same node dies twice in a row; the driver must absorb
+                // both (commit tasks and cleanups are idempotent; a wiped
+                // pending copy is staged again — re-shipped per the metadata
+                // log, or re-loaded from the feed).
+                let storm = move |cluster: &mut Cluster| {
+                    let _ = cluster.crash_node(victim);
+                    cluster.recover_all_nodes();
+                    let _ = cluster.crash_node(victim);
+                    if !stays_down {
+                        cluster.recover_all_nodes();
+                    }
+                };
+                let (mut cluster, ds, lost) = staged(source);
+                let report = match source {
+                    // The rebalance goes through the one-shot entry point
+                    // and its registered hooks, the repair through the
+                    // driver's boundary callback they are built on.
+                    Source::Live => {
+                        let target = cluster.topology().clone();
+                        let options = RebalanceOptions::none()
+                            .with_max_concurrent_moves(2)
+                            .with_hook(point, move |cluster, _job| {
+                                storm(cluster);
+                                Ok(())
+                            });
+                        cluster.rebalance(ds, &target, options)
+                    }
+                    Source::Feed => plan(source, &mut cluster, ds).drive_with(
+                        &mut cluster,
+                        |cluster, _job, at| {
+                            if at == point
+                                || (point == StepPoint::AfterEveryWave
+                                    && matches!(at, StepPoint::AfterWave(_)))
+                            {
+                                storm(cluster);
                             }
                             Ok(())
-                        }),
-                )
+                        },
+                    ),
+                }
                 .unwrap_or_else(|e| panic!("storm must not wedge the job ({ctx}): {e}"));
-            assert_eq!(report.outcome, RebalanceOutcome::Committed, "{ctx}");
-            assert_eq!(cluster.dataset_len(ds).unwrap(), 1500, "{ctx}");
-            cluster
-                .check_rebalance_integrity(ds, report.rebalance_id)
-                .unwrap_or_else(|e| panic!("integrity violation ({ctx}): {e}"));
+                assert_eq!(report.outcome, RebalanceOutcome::Committed, "{ctx}");
+                assert_all_records_served(&cluster, ds, 1500);
+                if let Some(lost) = lost {
+                    assert!(cluster.fault_stats().degraded_buckets(ds).is_empty());
+                    cluster.remove_lost_node(lost).unwrap();
+                }
+                cluster
+                    .check_rebalance_integrity(ds, report.rebalance_id)
+                    .unwrap_or_else(|e| panic!("integrity violation ({ctx}): {e}"));
+            }
         }
     }
 }
@@ -343,16 +421,16 @@ fn established_node_loss_mid_rebalance_degrades_reads_until_repair_is_done_once(
 
     let feed: Vec<(Key, Bytes)> = (0..1500).map(record).collect();
     let first = cluster.admin().repair_dataset(ds, &feed).unwrap();
+    let first = first.expect("a degraded dataset has something to repair");
     assert_eq!(first.outcome, RebalanceOutcome::Committed);
-    assert_eq!(first.buckets, degraded);
+    assert_eq!(first.buckets_moved, degraded.len());
     assert!(cluster.fault_stats().degraded_buckets(ds).is_empty());
 
     // Idempotence: repairing a healthy dataset forces no log records,
     // restores nothing, and bumps no counters.
     let wal_len = cluster.controller.metadata_log.len();
     let second = cluster.admin().repair_dataset(ds, &feed).unwrap();
-    assert!(second.is_noop());
-    assert_eq!(second.records_restored, 0);
+    assert!(second.is_none());
     assert_eq!(cluster.controller.metadata_log.len(), wal_len);
     assert_eq!(
         cluster.fault_stats().repaired_buckets,
@@ -361,7 +439,9 @@ fn established_node_loss_mid_rebalance_degrades_reads_until_repair_is_done_once(
 
     assert_all_records_served(&cluster, ds, 1500);
     cluster.remove_lost_node(victim).unwrap();
-    cluster.check_dataset_consistency(ds).unwrap();
+    cluster
+        .check_rebalance_integrity(ds, first.rebalance_id)
+        .unwrap();
 }
 
 #[test]
@@ -373,36 +453,145 @@ fn losing_a_second_node_mid_repair_replans_and_still_restores_everything() {
     assert!(initially_degraded > 0);
     let feed: Vec<(Key, Bytes)> = (0..1500).map(record).collect();
 
-    let mut job = RepairJob::plan(&mut cluster, ds).unwrap();
-    // A survivor that the plan repaired onto dies mid-repair, taking its
-    // freshly loaded pending copies *and* its own resident buckets with it.
+    let mut job = RebalanceJob::plan_repair(&mut cluster, ds, &feed).unwrap();
+    let scope = job.plan_ref().num_moves();
+    assert_eq!(scope, initially_degraded);
+    job.init(&mut cluster).unwrap();
+    // A survivor that the plan repaired onto dies mid-repair, taking the
+    // pending copies it was about to receive *and* its own resident buckets
+    // with it.
     cluster.lose_node(nodes[1]).unwrap();
-    match job.load(&mut cluster, &feed) {
+    match job.run_wave(&mut cluster) {
         Err(ClusterError::NodeLost(n)) => assert_eq!(n, nodes[1]),
-        other => panic!("load must fail typed on a lost owner, got {other:?}"),
+        other => panic!("staging must fail typed on a lost owner, got {other:?}"),
     }
-    let moved = job.replan(&mut cluster).unwrap();
-    assert!(moved > 0, "the replan must reassign dead owners");
-    job.load(&mut cluster, &feed).unwrap();
-    let scope = job.scope().len();
-    assert!(
-        scope > initially_degraded,
-        "the second node's resident buckets join the repair scope"
-    );
-    job.prepare(&mut cluster).unwrap();
-    assert_eq!(
-        job.decide(&mut cluster).unwrap(),
-        RebalanceOutcome::Committed
-    );
-    job.commit(&mut cluster).unwrap();
-    let report = job.finalize(&mut cluster).unwrap();
+    // The driver re-plans around the loss exactly as it does for a
+    // rebalance: dead owners are reassigned and loaded again, and the second
+    // node's own buckets are installed empty — newly degraded.
+    let report = job.drive(&mut cluster).unwrap();
     assert_eq!(report.outcome, RebalanceOutcome::Committed);
-    assert_eq!(report.replans, 1);
-    assert_eq!(report.buckets.len(), scope);
+    assert!(report.reroutes > 0, "the replan must reassign dead owners");
+    assert!(report.buckets_moved > scope);
+    let newly_degraded = cluster.fault_stats().degraded_buckets(ds);
+    assert!(!newly_degraded.is_empty());
+    assert_eq!(
+        cluster.fault_stats().repaired_buckets,
+        initially_degraded as u64,
+        "every bucket of the original scope was restored"
+    );
+
+    // A second repair restores the second node's buckets.
+    let second = cluster.admin().repair_dataset(ds, &feed).unwrap().unwrap();
+    assert_eq!(second.buckets_moved, newly_degraded.len());
     assert!(cluster.fault_stats().degraded_buckets(ds).is_empty());
 
     assert_all_records_served(&cluster, ds, 1500);
     cluster.remove_lost_node(nodes[0]).unwrap();
     cluster.remove_lost_node(nodes[1]).unwrap();
-    cluster.check_dataset_consistency(ds).unwrap();
+    for id in [report.rebalance_id, second.rebalance_id] {
+        cluster.check_rebalance_integrity(ds, id).unwrap();
+    }
+}
+
+#[test]
+fn an_aborted_repair_releases_the_dataset_at_once() {
+    let (mut cluster, ds) = loaded(4, 1500);
+    cluster.lose_node(NodeId(0)).unwrap();
+    let degraded = cluster.fault_stats().degraded_buckets(ds);
+    let feed: Vec<(Key, Bytes)> = (0..1500).map(record).collect();
+    let healthy = (0..1500)
+        .map(record)
+        .find(|(k, _)| {
+            let mut session = cluster.session(ds).unwrap();
+            session.get(&cluster, k).is_ok()
+        })
+        .expect("some key routes to a surviving bucket");
+
+    let mut job = RebalanceJob::plan_repair(&mut cluster, ds, &feed).unwrap();
+    job.init(&mut cluster).unwrap();
+    while job.has_remaining_waves() {
+        job.run_wave(&mut cluster).unwrap();
+    }
+    job.prepare(&mut cluster).unwrap();
+    let mut session = cluster.session(ds).unwrap();
+    assert!(matches!(
+        session.put(&mut cluster, healthy.0.clone(), healthy.1.clone()),
+        Err(ClusterError::DatasetWriteBlocked(_))
+    ));
+    job.abort(&mut cluster).unwrap();
+
+    // Right after the abort — before finalize — nothing of the job is left
+    // registered: writes flow again and the dataset accepts a new job.
+    session
+        .put(&mut cluster, healthy.0.clone(), healthy.1.clone())
+        .expect("an aborted repair no longer blocks writes");
+    let mut retry = RebalanceJob::plan_repair(&mut cluster, ds, &feed)
+        .expect("an aborted repair no longer holds the dataset");
+    let aborted = job.finalize(&mut cluster).unwrap();
+    assert_eq!(aborted.outcome, RebalanceOutcome::Aborted);
+    assert_eq!(cluster.fault_stats().degraded_buckets(ds), degraded);
+
+    // Finalizing the aborted job must not release the retry's registration.
+    assert!(RebalanceJob::plan_repair(&mut cluster, ds, &feed).is_err());
+    let report = retry.drive(&mut cluster).unwrap();
+    assert_eq!(report.outcome, RebalanceOutcome::Committed);
+    assert_all_records_served(&cluster, ds, 1500);
+    cluster.remove_lost_node(NodeId(0)).unwrap();
+    for id in [aborted.rebalance_id, report.rebalance_id] {
+        cluster.check_rebalance_integrity(ds, id).unwrap();
+    }
+}
+
+#[test]
+fn a_second_job_cannot_be_planned_over_an_in_flight_one() {
+    let feed: Vec<(Key, Bytes)> = (0..1500).map(record).collect();
+    let refused = |attempt: Result<RebalanceJob, ClusterError>, what: &str| match attempt {
+        Err(ClusterError::RebalanceAborted(_)) => {}
+        other => panic!("{what} must be refused typed, got {other:?}"),
+    };
+    for source in [Source::Live, Source::Feed] {
+        let (mut cluster, ds, lost) = staged(source);
+        let mut job = plan(source, &mut cluster, ds);
+        let target = cluster.topology().clone();
+        // Planned is already in flight; so is every later step.
+        for step in 0..2 {
+            let wal_len = cluster.controller.metadata_log.len();
+            refused(
+                RebalanceJob::plan(&mut cluster, ds, &target, 2),
+                "a rebalance over an in-flight job",
+            );
+            refused(
+                RebalanceJob::plan_repair(&mut cluster, ds, &feed),
+                "a repair over an in-flight job",
+            );
+            assert!(cluster
+                .rebalance(ds, &target, RebalanceOptions::none())
+                .is_err());
+            assert_eq!(
+                cluster.controller.metadata_log.len(),
+                wal_len,
+                "{source:?}: a refused plan must not leave a dangling BEGIN"
+            );
+            if step == 0 {
+                job.init(&mut cluster).unwrap();
+                job.run_wave(&mut cluster).unwrap();
+            }
+        }
+        // The first job was not disturbed: it finishes, and then the
+        // dataset takes the next job.
+        let report = job.drive(&mut cluster).unwrap();
+        assert_eq!(report.outcome, RebalanceOutcome::Committed, "{source:?}");
+        assert_all_records_served(&cluster, ds, 1500);
+        if let Some(lost) = lost {
+            cluster.remove_lost_node(lost).unwrap();
+        }
+        cluster
+            .check_rebalance_integrity(ds, report.rebalance_id)
+            .unwrap();
+        let target = cluster.topology().clone();
+        let next = cluster
+            .rebalance(ds, &target, RebalanceOptions::none())
+            .unwrap();
+        assert_eq!(next.outcome, RebalanceOutcome::Committed);
+    }
 }
