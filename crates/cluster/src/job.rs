@@ -22,6 +22,29 @@
 //! COMMIT/ABORT/DONE records, the install, replan-on-loss, and re-staging
 //! after a destination crash — is the same code for both.
 //!
+//! **What runs while writes are refused.** `prepare` blocks the dataset's
+//! writes and `commit` lifts the block, so everything in between is kept
+//! independent of how many records moved — O(moves + components):
+//!
+//! * `prepare` flushes the pending memory components (the writes replicated
+//!   since the waves) and collects votes; `decide` forces one log record.
+//! * `commit` installs each received bucket by appending component handles:
+//!   the pending primary bucket, the pending secondary lists, and the
+//!   bucket's keys-only components for the primary-key index — staged
+//!   *during the waves*, in the same merge pass that counts the shipped
+//!   records, and fed the same replicated writes as the primary copy.
+//! * `commit` then cleans up once per *source partition*, not per bucket:
+//!   one streaming pass over each secondary index counting the entries
+//!   that become obsolete, and one pass per disk component stamping all
+//!   moved buckets into its lazy-cleanup metadata. Memory components are
+//!   marked the same way (their dead entries are dropped by the next
+//!   flush), so nothing is flushed. That index pass is the one cost inside
+//!   the block that still grows with a partition's data; it reads, hashes
+//!   and counts, and copies or writes nothing.
+//! * `finalize` re-drives commit tasks only for participants that missed
+//!   the commit — it found a crashed node to recover, or an ack is
+//!   outstanding. Fault-free, it forces DONE and returns.
+//!
 //! The job holds **no borrow of the cluster** between steps, so the cluster
 //! stays fully usable mid-rebalance: queries can run, feed batches can be
 //! applied through [`RebalanceJob::apply_feed_batch`] (with replication to
@@ -1178,7 +1201,9 @@ impl RebalanceJob {
     /// bucket splits, and produces the report. This is the step that makes
     /// failure Cases 2, 4, and 5 converge — however many participants died,
     /// finalize re-drives their tasks until the cluster agrees with the
-    /// durable decision.
+    /// durable decision. When nobody died — no node to bring back, every
+    /// commit ack already in — there is nothing to re-drive and the tasks
+    /// are skipped (the CC's message round is still charged).
     pub fn finalize(&mut self, cluster: &mut Cluster) -> Result<RebalanceReport> {
         let outcome = match self.state {
             JobState::Decided(RebalanceOutcome::Aborted) => {
@@ -1189,8 +1214,15 @@ impl RebalanceJob {
                 RebalanceOutcome::Aborted
             }
             JobState::CommitTasksDone => {
-                cluster.recover_all_nodes();
-                self.run_commit_tasks(cluster)?;
+                // Only a participant that missed the commit has tasks left.
+                // With nobody brought back and every ack in, nothing is
+                // re-driven; the CC's message round is still charged, so
+                // simulated time does not depend on which branch ran.
+                if cluster.recover_all_nodes().is_empty() && self.coordinator.all_committed() {
+                    self.charge_commit_messages(cluster);
+                } else {
+                    self.run_commit_tasks(cluster)?;
+                }
                 RebalanceOutcome::Committed
             }
             _ => return Err(self.invalid_step("finalize")),
@@ -1492,19 +1524,26 @@ impl RebalanceJob {
         Ok(())
     }
 
-    fn run_commit_tasks(&mut self, cluster: &mut Cluster) -> Result<()> {
-        let cost = cluster.cost_model();
-        // One commit message per participating node covers all of its bucket
-        // installs and cleanups.
+    /// One commit message per participating node covers all of its bucket
+    /// installs and cleanups.
+    fn charge_commit_messages(&mut self, cluster: &Cluster) {
+        let latency = SimDuration::from_nanos(cluster.cost_model().network_latency_ns);
         for n in self.plan.participating_partitions().iter().filter_map(|p| {
             self.plan
                 .target
                 .node_of(*p)
                 .or_else(|| cluster.topology().node_of(*p))
         }) {
-            self.fin_tl
-                .charge(n, SimDuration::from_nanos(cost.network_latency_ns));
+            self.fin_tl.charge(n, latency);
         }
+    }
+
+    /// The per-node commit tasks. Inside the write block, so none of it may
+    /// depend on how many records moved: installs append component handles,
+    /// cleanups are one call per source partition.
+    fn run_commit_tasks(&mut self, cluster: &mut Cluster) -> Result<()> {
+        let cost = cluster.cost_model();
+        self.charge_commit_messages(cluster);
         // First pass: every alive destination installs its received buckets,
         // re-shipping transfers that a crash wiped (replayed from the ship
         // records in the metadata log).
@@ -1530,10 +1569,11 @@ impl RebalanceJob {
                 ds.install_pending(m.bucket)?;
             }
         }
-        // Second pass: a source drops its moved bucket (and marks secondary
-        // indexes for lazy cleanup) only once the destination serves it —
+        // Second pass: a source drops its moved buckets (and marks its
+        // indexes for lazy cleanup) only once the destinations serve them —
         // dropping earlier would make a destination-side crash unrecoverable,
         // since re-shipping needs the source copy.
+        let mut moved_away: BTreeMap<PartitionId, Vec<BucketId>> = BTreeMap::new();
         for m in &moves {
             if self.feed_staged(m) {
                 continue; // nothing moved away: there is no source copy to drop
@@ -1542,25 +1582,27 @@ impl RebalanceJob {
                 .partition(m.to)
                 .ok()
                 .and_then(|p| p.dataset(self.dataset).ok())
-                .map(|ds| ds.primary.directory().contains(&m.bucket))
-                .unwrap_or(false);
-            if !installed {
+                .is_some_and(|ds| ds.primary.directory().contains(&m.bucket));
+            if installed {
+                moved_away.entry(m.from).or_default().push(m.bucket);
+            }
+        }
+        for (from, buckets) in moved_away {
+            let Some(src_node) = cluster.topology().node_of(from) else {
+                continue;
+            };
+            if !cluster.node_is_alive(src_node) {
                 continue;
             }
-            if let Some(src_node) = cluster.topology().node_of(m.from) {
-                if cluster.node_is_alive(src_node) {
-                    let warmed = cluster
-                        .partition_mut(m.from)?
-                        .dataset_mut(self.dataset)?
-                        .cleanup_moved_bucket(m.bucket)?;
-                    // A stash partially covered by the moved bucket had to
-                    // materialize before the lazy-cleanup mark: that rebuild
-                    // runs here, so it is charged here (finalization), not
-                    // hidden.
-                    if warmed > 0 {
-                        self.fin_tl.charge(src_node, cost.index_rebuild_cpu(warmed));
-                    }
-                }
+            let warmed = cluster
+                .partition_mut(from)?
+                .dataset_mut(self.dataset)?
+                .cleanup_moved_buckets(&buckets)?;
+            // A stash partially covered by a moved bucket had to materialize
+            // before the lazy-cleanup mark: that rebuild runs here, so it is
+            // charged here (finalization), not hidden.
+            if warmed > 0 {
+                self.fin_tl.charge(src_node, cost.index_rebuild_cpu(warmed));
             }
         }
         // Every alive participant acks; a dead one acks when finalize

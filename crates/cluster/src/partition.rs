@@ -11,8 +11,9 @@ use std::sync::Arc;
 
 use dynahash_core::{PartitionId, SecondaryRebuild};
 use dynahash_lsm::{
-    BucketId, BucketedConfig, BucketedLsmTree, Component, Entry, Key, LazyMergeIter, LsmConfig,
-    LsmTree, RefSource, ScanOrder, SecondaryEntry, SecondaryIndex, StorageMetrics, Value,
+    BucketId, BucketedConfig, BucketedLsmTree, Bytes, Component, ComponentSource, Entry, Key,
+    KeyLayout, LazyMergeIter, LsmConfig, LsmTree, RefSource, ScanOrder, SecondaryEntry,
+    SecondaryIndex, StorageError, StorageMetrics, Value,
 };
 
 use crate::dataset::{DatasetId, DatasetSpec, SecondaryIndexDef};
@@ -51,12 +52,43 @@ pub enum SecondaryState {
     Deferred,
 }
 
+/// The primary-key-index side of one pending bucket: sealed keys-only
+/// components (newest first) plus the replicated writes since the last seal.
+/// A replicated write costs one `Vec` push here — a client put that is being
+/// replicated already pays for two index updates at the source and one in
+/// the pending primary bucket.
+#[derive(Default)]
+struct PendingKeys {
+    components: Vec<Component>,
+    /// In arrival order; sealing keeps the last write of each key.
+    log: Vec<Entry>,
+}
+
+impl PendingKeys {
+    /// Flushes the logged writes into the newest component.
+    fn seal(&mut self, metrics: &StorageMetrics) {
+        if self.log.is_empty() {
+            return;
+        }
+        let log = std::mem::take(&mut self.log);
+        let comp = Component::from_unsorted(log, ComponentSource::Replicated);
+        StorageMetrics::add(&metrics.bytes_flushed, comp.size_bytes() as u64);
+        StorageMetrics::add(&metrics.flush_count, 1);
+        self.components.insert(0, comp);
+    }
+}
+
 /// Per-dataset storage inside one partition.
 pub struct PartitionDataset {
     /// The bucketed primary index (Option 3 storage).
     pub primary: BucketedLsmTree,
     /// The primary-key index (keys only, all buckets together).
     pub primary_key_index: LsmTree,
+    /// The keys of every *pending* bucket, staged while the bucket is:
+    /// created, fed replicated writes, flushed, dropped and wiped with the
+    /// pending primary bucket, and appended to `primary_key_index` by
+    /// component handle when the bucket is installed.
+    pending_keys: BTreeMap<BucketId, PendingKeys>,
     /// Local secondary indexes (Option 1 storage, lazy cleanup).
     pub secondaries: Vec<SecondaryIndex>,
     defs: Vec<SecondaryIndexDef>,
@@ -100,6 +132,7 @@ impl PartitionDataset {
         PartitionDataset {
             primary: BucketedLsmTree::new(bucketed_cfg, initial_buckets, Arc::clone(&metrics)),
             primary_key_index: LsmTree::new(lsm, metrics),
+            pending_keys: BTreeMap::new(),
             secondaries,
             defs: spec.secondary_indexes.clone(),
             deferred_pending: BTreeMap::new(),
@@ -115,8 +148,7 @@ impl PartitionDataset {
                 idx.insert(secondary, key.clone());
             }
         }
-        self.primary_key_index
-            .put(key.clone(), dynahash_lsm::Bytes::new());
+        self.primary_key_index.put(key.clone(), Bytes::new());
         self.primary
             .insert(key, value)
             .map_err(ClusterError::Storage)?;
@@ -245,36 +277,34 @@ impl PartitionDataset {
             .map_err(ClusterError::Storage)
     }
 
-    /// After a committed rebalance: drops the moved bucket from the primary
-    /// index, removes its keys from the primary-key index, and marks the
-    /// bucket for lazy cleanup in every secondary index.
+    /// After a committed rebalance: drops the moved buckets from the primary
+    /// index and marks them for lazy cleanup in the primary-key index and in
+    /// every secondary index — one pass per index for the whole set,
+    /// whatever the number of buckets or records that moved. Index entries
+    /// still in a memory component are covered by the same mark (dead at
+    /// once, dropped by the next flush), so nothing this partition ever
+    /// wrote about the buckets — no key, no tombstone — can resurface under
+    /// a bucket that is later received back and installed as oldest data.
     ///
-    /// Deferred stashes are reconciled first: a stash the moved bucket fully
+    /// Deferred stashes are reconciled first: a stash a moved bucket fully
     /// covers is simply dropped (all of its entries would be hidden by the
-    /// lazy-cleanup mark anyway), while a stash that covers *more* than the
+    /// lazy-cleanup mark anyway), while a stash that covers *more* than a
     /// moved bucket (the received bucket split locally and only one child
     /// moves away) is materialized now — its component lands in the tree
     /// before the mark, so the mark's per-component filter hides exactly the
     /// moved child's entries and keeps the sibling's, just as an eager
-    /// install would have. Only the covering stash is materialized;
+    /// install would have. Only covering stashes are materialized;
     /// unrelated deferred buckets keep waiting for their first query.
     ///
     /// Returns the number of records whose deferred entries had to be
     /// materialized here, so callers can charge the rebuild they triggered.
-    pub fn cleanup_moved_bucket(&mut self, bucket: BucketId) -> Result<u64, ClusterError> {
-        let covered: Vec<BucketId> = self
-            .deferred_installed
-            .keys()
-            .filter(|b| bucket.covers(b))
-            .copied()
-            .collect();
-        for b in covered {
-            self.deferred_installed.remove(&b);
-        }
+    pub fn cleanup_moved_buckets(&mut self, buckets: &[BucketId]) -> Result<u64, ClusterError> {
+        self.deferred_installed
+            .retain(|stash, _| !buckets.iter().any(|b| b.covers(stash)));
         let covering: Vec<BucketId> = self
             .deferred_installed
             .keys()
-            .filter(|b| b.covers(&bucket))
+            .filter(|stash| buckets.iter().any(|b| stash.covers(b)))
             .copied()
             .collect();
         let stashes: Vec<Vec<Component>> = covering
@@ -282,23 +312,52 @@ impl PartitionDataset {
             .filter_map(|b| self.deferred_installed.remove(b))
             .collect();
         let warmed = self.materialize_deferred(stashes);
-        self.primary
-            .drop_bucket(bucket)
-            .map_err(ClusterError::Storage)?;
-        self.primary_key_index.mark_bucket_invalid(bucket);
+        for b in buckets {
+            self.primary
+                .drop_bucket(*b)
+                .map_err(ClusterError::Storage)?;
+        }
+        self.primary_key_index
+            .mark_buckets_invalid(buckets, KeyLayout::PrimaryKey);
         for s in self.secondaries.iter_mut() {
-            s.mark_bucket_moved(bucket);
+            s.mark_buckets_moved(buckets);
         }
         Ok(warmed)
     }
 
     // ---------------------------------------------- rebalance destination side
 
-    /// Creates the pending bucket that will receive moved records.
+    /// Creates the pending bucket that will receive moved records, and the
+    /// pending keys that travel with it.
     pub fn create_pending_bucket(&mut self, bucket: BucketId) -> Result<(), ClusterError> {
         self.primary
             .create_pending_bucket(bucket)
-            .map_err(ClusterError::Storage)
+            .map_err(ClusterError::Storage)?;
+        self.pending_keys.insert(bucket, PendingKeys::default());
+        Ok(())
+    }
+
+    fn pending_keys_mut(&mut self, bucket: BucketId) -> Result<&mut PendingKeys, ClusterError> {
+        self.pending_keys
+            .get_mut(&bucket)
+            .ok_or(ClusterError::Storage(StorageError::UnknownPendingBucket(
+                bucket,
+            )))
+    }
+
+    /// Stages the keys of a pending bucket's base data: `keys`, one put per
+    /// live record received, become a sealed keys-only component — the
+    /// oldest data of the bucket's pending keys, under any replicated writes.
+    fn stage_pending_keys(
+        &mut self,
+        bucket: BucketId,
+        keys: Vec<Entry>,
+    ) -> Result<(), ClusterError> {
+        if !keys.is_empty() {
+            let comp = Component::from_unsorted(keys, ComponentSource::Loaded);
+            self.pending_keys_mut(bucket)?.components.push(comp);
+        }
+        Ok(())
     }
 
     /// Creates the pending bucket unless it already exists (the replication
@@ -318,11 +377,14 @@ impl PartitionDataset {
         bucket: BucketId,
         entries: Vec<Entry>,
     ) -> Result<(), ClusterError> {
-        // Rebuild secondary entries on the fly from the record payloads.
+        // Rebuild secondary entries on the fly from the record payloads, and
+        // collect the live keys for the pending keys-only component.
         let mut rebuilt: Vec<Vec<SecondaryEntry>> = self.defs.iter().map(|_| Vec::new()).collect();
+        let mut keys = Vec::with_capacity(entries.len());
         for e in &entries {
             if let Some(v) = e.op.value() {
                 collect_secondary_entries(&self.defs, &e.key, v, &mut rebuilt);
+                keys.push(Entry::put(e.key.clone(), Bytes::new()));
             }
         }
         for (idx, rebuilt) in self.secondaries.iter_mut().zip(rebuilt) {
@@ -330,17 +392,10 @@ impl PartitionDataset {
                 idx.load_into_pending(rebuilt);
             }
         }
-        // Primary-key index entries for the received records are loaded too.
-        for e in &entries {
-            if !e.op.is_delete() {
-                // pk-index entries for received records stay invisible until
-                // commit in a full system; the simulation adds them at install
-                // time instead, so nothing to do here.
-            }
-        }
         self.primary
             .load_into_pending(bucket, entries)
-            .map_err(ClusterError::Storage)
+            .map_err(ClusterError::Storage)?;
+        self.stage_pending_keys(bucket, keys)
     }
 
     /// Installs components shipped whole from a source partition into the
@@ -359,8 +414,9 @@ impl PartitionDataset {
     /// Returns the number of records covered (identical under both modes),
     /// for cost accounting and the ship log. Producing that count is one
     /// merge pass over the shipped components and stays on the install path
-    /// even under `Deferred` — it is metadata the ship log and wave report
-    /// need either way; what the deferral removes is the per-record
+    /// even under `Deferred` — the same pass collects the bucket's live keys
+    /// for the pending keys-only component, which the primary-key index
+    /// needs either way; what the deferral removes is the per-record
     /// extractor work and index loading (and, in the cost model, the
     /// `index_rebuild` CPU charge).
     pub fn install_shipped_components(
@@ -369,23 +425,25 @@ impl PartitionDataset {
         comps: Vec<Component>,
         rebuild: SecondaryRebuild,
     ) -> Result<u64, ClusterError> {
-        let mut live_records = 0u64;
         let eager = rebuild == SecondaryRebuild::Eager || self.defs.is_empty();
         let mut rebuilt: Vec<Vec<SecondaryEntry>> = self.defs.iter().map(|_| Vec::new()).collect();
+        let mut keys = Vec::new();
         {
             let sources: Vec<RefSource<'_>> = comps
                 .iter()
                 .map(|c| Box::new(c.iter().map(|e| (&e.key, &e.op))) as RefSource<'_>)
                 .collect();
-            for e in LazyMergeIter::new(sources, false) {
-                live_records += 1;
+            let mut merge = LazyMergeIter::new(sources, false);
+            while let Some((key, op)) = merge.next_ref() {
+                keys.push(Entry::put(key.clone(), Bytes::new()));
                 if eager {
-                    if let Some(v) = e.op.value() {
-                        collect_secondary_entries(&self.defs, &e.key, v, &mut rebuilt);
+                    if let Some(v) = op.value() {
+                        collect_secondary_entries(&self.defs, key, v, &mut rebuilt);
                     }
                 }
             }
         }
+        let live_records = keys.len() as u64;
         if eager {
             for (idx, rebuilt) in self.secondaries.iter_mut().zip(rebuilt) {
                 if !rebuilt.is_empty() {
@@ -401,6 +459,7 @@ impl PartitionDataset {
         self.primary
             .install_shipped(bucket, comps)
             .map_err(ClusterError::Storage)?;
+        self.stage_pending_keys(bucket, keys)?;
         Ok(live_records)
     }
 
@@ -483,8 +542,10 @@ impl PartitionDataset {
             }
         }
         self.primary
-            .apply_replicated(bucket, Entry::delete(key))
-            .map_err(ClusterError::Storage)
+            .apply_replicated(bucket, Entry::delete(key.clone()))
+            .map_err(ClusterError::Storage)?;
+        self.pending_keys_mut(bucket)?.log.push(Entry::delete(key));
+        Ok(())
     }
 
     /// Applies a replicated concurrent write to the pending bucket (and the
@@ -497,23 +558,33 @@ impl PartitionDataset {
                 }
             }
         }
+        let key = entry.key.clone();
         self.primary
             .apply_replicated(bucket, entry)
-            .map_err(ClusterError::Storage)
+            .map_err(ClusterError::Storage)?;
+        self.pending_keys_mut(bucket)?
+            .log
+            .push(Entry::put(key, Bytes::new()));
+        Ok(())
     }
 
     /// Flushes pending memory components (prepare phase).
     pub fn flush_pending(&mut self) {
         self.primary.flush_pending();
+        for keys in self.pending_keys.values_mut() {
+            keys.seal(self.primary_key_index.metrics());
+        }
         for s in self.secondaries.iter_mut() {
             s.flush_pending();
         }
     }
 
-    /// Installs a received bucket (commit phase), making it visible, and adds
-    /// its keys to the primary-key index. A deferred secondary stash travels
-    /// with the bucket: it is promoted from pending to installed state and
-    /// the rebuild keeps waiting for the first index query.
+    /// Installs a received bucket (commit phase), making it visible: the
+    /// pending primary bucket, the pending secondary lists and the bucket's
+    /// pending keys-only components are all appended by handle — no record
+    /// is read or written. A deferred secondary stash travels with the
+    /// bucket: it is promoted from pending to installed state and the
+    /// rebuild keeps waiting for the first index query.
     pub fn install_pending(&mut self, bucket: BucketId) -> Result<(), ClusterError> {
         self.primary
             .install_pending(bucket)
@@ -524,12 +595,12 @@ impl PartitionDataset {
         for s in self.secondaries.iter_mut() {
             s.install_pending();
         }
-        // Register the received keys in the primary-key index.
-        if let Ok(entries) = self.primary.bucket_entries(&bucket) {
-            for e in entries {
-                self.primary_key_index
-                    .put(e.key, dynahash_lsm::Bytes::new());
-            }
+        if let Some(mut keys) = self.pending_keys.remove(&bucket) {
+            keys.seal(self.primary_key_index.metrics());
+            // Oldest, like the secondary lists: whatever this partition once
+            // held of the bucket was hidden when the bucket left.
+            self.primary_key_index
+                .append_oldest_components(keys.components);
         }
         Ok(())
     }
@@ -537,6 +608,7 @@ impl PartitionDataset {
     /// Discards all pending state for this dataset (abort path). Idempotent.
     pub fn drop_pending(&mut self, bucket: BucketId) {
         self.primary.drop_pending(bucket);
+        self.pending_keys.remove(&bucket);
         self.deferred_pending.remove(&bucket);
         for s in self.secondaries.iter_mut() {
             s.drop_pending();
@@ -549,6 +621,7 @@ impl PartitionDataset {
     /// are dropped on restart and the rebalance recovery path re-ships them).
     pub fn drop_all_pending(&mut self) {
         self.primary.drop_all_pending();
+        self.pending_keys.clear();
         self.deferred_pending.clear();
         for s in self.secondaries.iter_mut() {
             s.drop_pending();
@@ -744,7 +817,7 @@ mod tests {
 
         let src_ds = src.dataset_mut(1).unwrap();
         let before = src_ds.live_len();
-        src_ds.cleanup_moved_bucket(moved_bucket).unwrap();
+        src_ds.cleanup_moved_buckets(&[moved_bucket]).unwrap();
         assert_eq!(src_ds.live_len(), before - moved_count);
         // lazy cleanup: secondary queries no longer return moved records
         let stale = src_ds
@@ -895,7 +968,7 @@ mod tests {
         let keep = dst_ds.primary.bucket_entries(&lo).unwrap().len();
         assert!(keep > 0);
         // `hi` moves away before any index scan warmed the stash
-        dst_ds.cleanup_moved_bucket(hi).unwrap();
+        dst_ds.cleanup_moved_buckets(&[hi]).unwrap();
         assert!(!dst_ds.has_deferred_secondary());
         let hits = dst_ds
             .secondary_mut("idx_first8")
@@ -909,7 +982,7 @@ mod tests {
         ship_into(&mut src, &mut dst2, moved, SecondaryRebuild::Deferred);
         let ds2 = dst2.dataset_mut(1).unwrap();
         ds2.install_pending(moved).unwrap();
-        ds2.cleanup_moved_bucket(moved).unwrap();
+        ds2.cleanup_moved_buckets(&[moved]).unwrap();
         assert!(!ds2.has_deferred_secondary());
         assert_eq!(ds2.warm_secondary_indexes(), 0);
     }

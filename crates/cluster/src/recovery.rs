@@ -101,19 +101,21 @@ impl Cluster {
         self.node(node).map(|n| n.is_lost()).unwrap_or(false)
     }
 
-    /// Recovers every crashed node (permanently lost nodes stay down). Used
-    /// by the rebalance finalization step (recovered NCs re-run their
-    /// idempotent commit or cleanup tasks) and available to scenarios
-    /// driving a job step-by-step.
-    pub fn recover_all_nodes(&mut self) {
-        let nodes: Vec<NodeId> = self.topology().nodes();
-        for n in nodes {
+    /// Recovers every crashed node (permanently lost nodes stay down) and
+    /// returns the nodes it brought back. Used by the rebalance finalization
+    /// step (recovered NCs re-run their idempotent commit or cleanup tasks)
+    /// and available to scenarios driving a job step-by-step.
+    pub fn recover_all_nodes(&mut self) -> Vec<NodeId> {
+        let mut recovered = Vec::new();
+        for n in self.topology().nodes() {
             if let Ok(nc) = self.node_mut(n) {
                 if !nc.is_alive() && !nc.is_lost() {
                     nc.recover();
+                    recovered.push(n);
                 }
             }
         }
+        recovered
     }
 
     /// Crashes and immediately recovers the Cluster Controller, then scans
@@ -144,17 +146,8 @@ impl Cluster {
                 _ => {}
             }
         }
-        let recovered: Vec<NodeId> = self
-            .topology()
-            .nodes()
-            .into_iter()
-            .filter(|n| !self.node_is_alive(*n) && !self.node_is_lost(*n))
-            .collect();
-        for n in &recovered {
-            let _ = self.recover_node(*n);
-        }
         RecoveryReport {
-            recovered_nodes: recovered,
+            recovered_nodes: self.recover_all_nodes(),
             aborted_rebalances: aborted,
             redriven_rebalances: redriven,
         }

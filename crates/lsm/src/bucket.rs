@@ -19,8 +19,14 @@ pub const MAX_DEPTH: u8 = 32;
 /// (splitmix64). It is deterministic across runs and platforms, which the
 /// experiments rely on.
 pub fn hash_key(key: &Key) -> u64 {
+    hash_bytes(key.as_slice())
+}
+
+/// [`hash_key`] over raw key bytes, so the primary part of a composite
+/// secondary-index key can be hashed in place.
+pub(crate) fn hash_bytes(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in key.as_slice() {
+    for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -86,6 +92,11 @@ impl BucketId {
             (1u64 << self.depth) - 1
         };
         (hash & mask) == self.bits as u64
+    }
+
+    /// True if the given hash value belongs to any of `buckets`.
+    pub fn any_contains_hash(buckets: &[BucketId], hash: u64) -> bool {
+        buckets.iter().any(|b| b.contains_hash(hash))
     }
 
     /// True if the given key belongs to this bucket.

@@ -587,21 +587,13 @@ impl BucketedLsmTree {
         hash_key(key)
     }
 
-    /// Returns live entries of a bucket grouped for tests (bucket must exist).
+    /// Materialises the live entries of a bucket. Test-only: no production
+    /// path calls it (the bucket must exist).
     pub fn bucket_entries(&self, bucket: &BucketId) -> Result<Vec<Entry>> {
         self.buckets
             .get(bucket)
             .map(|t| t.scan_all())
             .ok_or(StorageError::UnknownBucket(*bucket))
-    }
-
-    /// Applies lazy-cleanup metadata to a bucket's components; used by
-    /// secondary indexes through [`crate::secondary::SecondaryIndex`], and
-    /// exposed here for ablation experiments on primary indexes.
-    pub fn mark_bucket_invalid_everywhere(&mut self, moved: BucketId) {
-        for tree in self.buckets.values_mut() {
-            tree.mark_bucket_invalid(moved);
-        }
     }
 
     /// Returns the latest operation for a key searching **only** the given

@@ -18,8 +18,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::bloom::BloomFilter;
-use crate::bucket::BucketId;
+use crate::bucket::{hash_bytes, BucketId};
 use crate::entry::{Entry, Key, Op, StorageFootprint};
+use crate::secondary::SecondaryEntry;
 
 /// Monotonically increasing identifier for disk components.
 pub type ComponentId = u64;
@@ -65,14 +66,16 @@ pub enum KeyLayout {
 }
 
 impl KeyLayout {
-    /// True if `key` belongs to `bucket` under this layout.
-    pub fn key_in_bucket(&self, key: &Key, bucket: &crate::bucket::BucketId) -> bool {
+    /// The hash that assigns `key`'s record to a bucket: the hash of the key
+    /// itself, or — for a composite — of its primary part, hashed in place
+    /// (a malformed composite hashes whole).
+    pub(crate) fn bucket_hash(&self, key: &Key) -> u64 {
+        let raw = key.as_slice();
         match self {
-            KeyLayout::PrimaryKey => bucket.contains_key(key),
-            KeyLayout::SecondaryComposite => match crate::secondary::SecondaryEntry::decode(key) {
-                Some(se) => bucket.contains_key(&se.primary),
-                None => bucket.contains_key(key),
-            },
+            KeyLayout::PrimaryKey => hash_bytes(raw),
+            KeyLayout::SecondaryComposite => {
+                hash_bytes(SecondaryEntry::split(raw).map_or(raw, |(_, primary)| primary))
+            }
         }
     }
 }
@@ -219,29 +222,26 @@ impl Component {
         self.visible_bytes = bytes;
     }
 
-    /// Returns a copy of this component with `bucket` marked invalid (lazy
-    /// cleanup of a moved bucket). Reads through the returned handle skip
-    /// entries belonging to that bucket.
-    pub fn mark_bucket_invalid(&self, bucket: BucketId) -> Component {
-        self.mark_bucket_invalid_as(bucket, self.layout)
-    }
-
-    /// Like [`Component::mark_bucket_invalid`], but also sets how keys should
-    /// be interpreted when checking bucket membership (secondary-index
-    /// components store composite keys and must hash the primary part).
-    pub fn mark_bucket_invalid_as(&self, bucket: BucketId, layout: KeyLayout) -> Component {
+    /// Returns a handle to the same data with `buckets` added to the
+    /// lazy-cleanup metadata: reads through it skip every entry whose record
+    /// belongs to a moved bucket. `layout` says how this component's keys map
+    /// to records (secondary-index components store composite keys and hash
+    /// the primary part). All buckets are applied in one pass over the
+    /// entries; marking buckets that are already recorded changes nothing.
+    pub fn mark_buckets_invalid(&self, buckets: &[BucketId], layout: KeyLayout) -> Component {
         let mut inv = (*self.invalid_buckets).clone();
-        if !inv.contains(&bucket) {
-            inv.push(bucket);
+        for b in buckets {
+            if !inv.contains(b) {
+                inv.push(*b);
+            }
+        }
+        if inv.len() == self.invalid_buckets.len() && layout == self.layout {
+            return self.clone();
         }
         let mut c = Component {
-            data: Arc::clone(&self.data),
-            visible_bucket: self.visible_bucket,
             invalid_buckets: Arc::new(inv),
             layout,
-            visible_bytes: 0,
-            visible_count: 0,
-            shipped: self.shipped,
+            ..self.clone()
         };
         c.recompute_visibility();
         c
@@ -285,20 +285,13 @@ impl Component {
     }
 
     fn entry_visible(&self, key: &Key) -> bool {
-        if let Some(b) = &self.visible_bucket {
-            if !self.layout.key_in_bucket(key, b) {
-                return false;
-            }
-        }
-        // The common case: no lazy-cleanup metadata, so there is nothing to
-        // scan (and no hash to recompute) per entry.
-        if self.invalid_buckets.is_empty() {
+        // The common case: no filter at all, so there is no hash to compute.
+        if self.visible_bucket.is_none() && self.invalid_buckets.is_empty() {
             return true;
         }
-        !self
-            .invalid_buckets
-            .iter()
-            .any(|b| self.layout.key_in_bucket(key, b))
+        let hash = self.layout.bucket_hash(key);
+        self.visible_bucket.is_none_or(|b| b.contains_hash(hash))
+            && !BucketId::any_contains_hash(&self.invalid_buckets, hash)
     }
 
     /// Point lookup. Consults the Bloom filter first; applies the bucket
@@ -452,7 +445,7 @@ mod tests {
     fn invalid_bucket_hides_entries() {
         let c = comp(&(0..50).collect::<Vec<_>>());
         let moved = BucketId::new(1, 1);
-        let cleaned = c.mark_bucket_invalid(moved);
+        let cleaned = c.mark_buckets_invalid(&[moved], KeyLayout::PrimaryKey);
         for k in 0..50u64 {
             let key = Key::from_u64(k);
             if moved.contains_key(&key) {
@@ -505,7 +498,7 @@ mod tests {
             r.visible_size_bytes(),
             r.iter().map(|e| e.size_bytes()).sum::<usize>()
         );
-        let cleaned = c.mark_bucket_invalid(BucketId::new(1, 1));
+        let cleaned = c.mark_buckets_invalid(&[BucketId::new(1, 1)], KeyLayout::PrimaryKey);
         assert_eq!(cleaned.visible_len(), cleaned.iter().count());
         assert_eq!(cleaned.visible_len() + r.visible_len(), c.visible_len());
     }

@@ -199,10 +199,11 @@ impl<'a> LazyMergeIter<'a> {
     }
 }
 
-impl Iterator for LazyMergeIter<'_> {
-    type Item = Entry;
-
-    fn next(&mut self) -> Option<Entry> {
+impl<'a> LazyMergeIter<'a> {
+    /// The next reconciled entry, borrowed from its source: what
+    /// [`Iterator::next`] clones. Callers that only count, or need only the
+    /// key, use this and copy nothing else.
+    pub fn next_ref(&mut self) -> Option<(&'a Key, &'a Op)> {
         loop {
             let top = self.heap.pop()?;
             // dhlint: allow(panic) — heap invariant: a popped entry always has a live head
@@ -217,11 +218,20 @@ impl Iterator for LazyMergeIter<'_> {
             if op.is_delete() && !self.include_tombstones {
                 continue;
             }
-            return Some(Entry {
-                key: key.clone(),
-                op: op.clone(),
-            });
+            return Some((key, op));
         }
+    }
+}
+
+impl Iterator for LazyMergeIter<'_> {
+    type Item = Entry;
+
+    fn next(&mut self) -> Option<Entry> {
+        let (key, op) = self.next_ref()?;
+        Some(Entry {
+            key: key.clone(),
+            op: op.clone(),
+        })
     }
 }
 

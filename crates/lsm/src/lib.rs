@@ -42,7 +42,7 @@ pub use crate::bytes::Bytes;
 pub use bloom::BloomFilter;
 pub use bucket::{hash_key, BucketId};
 pub use bucketed::{BucketedConfig, BucketedLsmTree, ScanOrder};
-pub use component::{Component, ComponentId, ComponentSource};
+pub use component::{Component, ComponentId, ComponentSource, KeyLayout};
 pub use directory::LocalDirectory;
 pub use entry::{Entry, Key, Op, StorageFootprint, Value, KEY_INLINE_CAP, OP_TAG_BYTES};
 pub use iterator::{kmerge_disjoint, LazyMergeIter, RefSource};

@@ -107,6 +107,18 @@ impl MemTable {
         self.map.range((lo_bound, hi_bound))
     }
 
+    /// Drops every buffered entry whose key `keep` rejects.
+    pub fn retain(&mut self, mut keep: impl FnMut(&Key) -> bool) {
+        let size = &mut self.size_bytes;
+        self.map.retain(|key, op| {
+            let kept = keep(key);
+            if !kept {
+                *size -= Entry::size_of_parts(key, op);
+            }
+            kept
+        });
+    }
+
     /// Drains the memtable into a sorted entry vector (used by flushes),
     /// leaving it empty.
     pub fn drain_sorted(&mut self) -> Vec<Entry> {

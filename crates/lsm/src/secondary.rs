@@ -12,10 +12,11 @@
 //! results against this list (skipping entries whose *primary key* belongs to
 //! a moved bucket), and the physical cleanup happens at the next compaction.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::bucket::BucketId;
-use crate::component::{Component, ComponentSource};
+use crate::component::{Component, ComponentSource, KeyLayout};
 use crate::entry::{Entry, Key};
 use crate::metrics::StorageMetrics;
 use crate::tree::{LsmConfig, LsmTree};
@@ -41,21 +42,22 @@ impl SecondaryEntry {
         Key::from_bytes(v)
     }
 
+    /// Splits the bytes of a composite index key into its `(secondary,
+    /// primary)` parts without copying. Returns `None` for malformed keys.
+    pub(crate) fn split(raw: &[u8]) -> Option<(&[u8], &[u8])> {
+        let body = raw.len().checked_sub(2)?;
+        let plen = u16::from_be_bytes([raw[body], raw[body + 1]]) as usize;
+        let split = body.checked_sub(plen)?;
+        Some((&raw[..split], &raw[split..body]))
+    }
+
     /// Decodes a composite index key produced by [`SecondaryEntry::encode`].
     /// Returns `None` for malformed keys.
     pub fn decode(key: &Key) -> Option<SecondaryEntry> {
-        let raw = key.as_slice();
-        if raw.len() < 2 {
-            return None;
-        }
-        let plen = u16::from_be_bytes([raw[raw.len() - 2], raw[raw.len() - 1]]) as usize;
-        if raw.len() < plen + 2 {
-            return None;
-        }
-        let split = raw.len() - 2 - plen;
+        let (secondary, primary) = Self::split(key.as_slice())?;
         Some(SecondaryEntry {
-            secondary: Key::from_bytes(raw[..split].to_vec()),
-            primary: Key::from_bytes(raw[split..raw.len() - 2].to_vec()),
+            secondary: Key::from_bytes(secondary.to_vec()),
+            primary: Key::from_bytes(primary.to_vec()),
         })
     }
 }
@@ -66,10 +68,10 @@ pub struct SecondaryIndex {
     /// Human-readable index name (e.g. `idx_lineitem_shipdate`).
     pub name: String,
     tree: LsmTree,
-    /// Buckets whose entries are obsolete; the actual filtering lives in the
-    /// per-component metadata (so that a bucket received back later is not
-    /// affected), this list is kept for reporting and compaction.
-    invalid_buckets: Vec<BucketId>,
+    /// Buckets whose entries are obsolete, for reporting only: the filtering
+    /// lives in the per-component metadata (so that a bucket received back
+    /// later is not affected).
+    invalid_buckets: BTreeSet<BucketId>,
     /// Pending component list receiving rebalanced data, invisible to queries.
     pending: Option<LsmTree>,
     lsm_config: LsmConfig,
@@ -88,7 +90,7 @@ impl SecondaryIndex {
         SecondaryIndex {
             name: name.into(),
             tree: LsmTree::new(config.clone(), Arc::clone(&metrics)),
-            invalid_buckets: Vec::new(),
+            invalid_buckets: BTreeSet::new(),
             pending: None,
             lsm_config: config,
             metrics,
@@ -158,26 +160,28 @@ impl SecondaryIndex {
 
     // ------------------------------------------------------------ rebalancing
 
-    /// Records a moved bucket for lazy cleanup: the bucket's `(hash, depth)`
-    /// is added to the metadata of every **current** component, so its
-    /// entries disappear from queries immediately while the physical removal
-    /// waits for the next merge or [`SecondaryIndex::compact`]. Components
-    /// added later (e.g. the same bucket received back by a future rebalance)
-    /// are unaffected.
-    pub fn mark_bucket_moved(&mut self, bucket: BucketId) {
-        if self.invalid_buckets.contains(&bucket) {
-            return;
-        }
-        // Flush first so all current entries live in (markable) components.
-        self.tree.flush();
-        let newly_obsolete = self.entries_in_bucket(bucket).len() as u64;
-        self.tree.mark_bucket_invalid_secondary(bucket);
-        self.invalid_buckets.push(bucket);
-        self.obsolete_remaining += newly_obsolete;
+    /// Records moved buckets for lazy cleanup: each bucket's `(hash, depth)`
+    /// is added to the metadata of every **current** component (and of the
+    /// memory component), so its entries disappear from queries immediately
+    /// while the physical removal waits for the next merge, flush or
+    /// [`SecondaryIndex::compact`]. Data added later (e.g. the same bucket
+    /// received back by a future rebalance) is unaffected — which is why
+    /// every call stamps the current components afresh, whatever an earlier
+    /// call recorded. One streaming count of the newly obsolete entries and
+    /// one pass per component serve the whole set, and nothing is flushed;
+    /// the count sees only currently visible entries, so marking again adds
+    /// nothing.
+    pub fn mark_buckets_moved(&mut self, buckets: &[BucketId]) {
+        self.obsolete_remaining += self
+            .tree
+            .count_live_in_buckets(buckets, KeyLayout::SecondaryComposite);
+        self.tree
+            .mark_buckets_invalid(buckets, KeyLayout::SecondaryComposite);
+        self.invalid_buckets.extend(buckets);
     }
 
-    /// The buckets currently marked for lazy cleanup.
-    pub fn invalid_buckets(&self) -> &[BucketId] {
+    /// The buckets marked for lazy cleanup since the last compaction.
+    pub fn invalid_buckets(&self) -> &BTreeSet<BucketId> {
         &self.invalid_buckets
     }
 
@@ -325,19 +329,6 @@ impl SecondaryIndex {
     pub fn all_valid_entries(&mut self) -> Vec<SecondaryEntry> {
         self.search_range(None, None)
     }
-
-    /// Scans entries that belong to a set of moved buckets — the source side
-    /// of a rebalance uses the *primary* index for this instead (secondary
-    /// indexes are rebuilt from the moved records), but tests use it to
-    /// verify lazy cleanup.
-    pub fn entries_in_bucket(&mut self, bucket: BucketId) -> Vec<SecondaryEntry> {
-        self.tree
-            .scan_all()
-            .into_iter()
-            .filter_map(|e| SecondaryEntry::decode(&e.key))
-            .filter(|se| bucket.contains_key(&se.primary))
-            .collect()
-    }
 }
 
 /// Builds the secondary-index entries for a record given an extractor from
@@ -401,12 +392,15 @@ mod tests {
             i.insert(Key::from_u64(pk % 13), Key::from_u64(pk));
         }
         let moved = BucketId::new(1, 1);
-        let moved_count = i.entries_in_bucket(moved).len();
+        let before = i.all_valid_entries();
+        assert_eq!(before.len(), 200);
+        let moved_count = before
+            .iter()
+            .filter(|se| moved.contains_key(&se.primary))
+            .count();
         assert!(moved_count > 0);
-        let total_before = i.all_valid_entries().len();
-        assert_eq!(total_before, 200);
 
-        i.mark_bucket_moved(moved);
+        i.mark_buckets_moved(&[moved]);
         let valid = i.all_valid_entries();
         assert_eq!(valid.len(), 200 - moved_count);
         assert!(valid.iter().all(|se| !moved.contains_key(&se.primary)));
@@ -451,6 +445,175 @@ mod tests {
         i.drop_pending();
         i.install_pending(); // nothing to install
         assert_eq!(i.all_valid_entries().len(), 0);
+    }
+
+    /// The pre-change membership test: decode the composite (two `Vec`s per
+    /// call) and hash the primary key, once per bucket.
+    fn old_key_in_bucket(layout: KeyLayout, key: &Key, bucket: &BucketId) -> bool {
+        match layout {
+            KeyLayout::PrimaryKey => bucket.contains_key(key),
+            KeyLayout::SecondaryComposite => match SecondaryEntry::decode(key) {
+                Some(se) => bucket.contains_key(&se.primary),
+                None => bucket.contains_key(key),
+            },
+        }
+    }
+
+    /// Batch ≡ sequential: marking `&[b1..bk]` at once yields the visible
+    /// entries, `visible_len`, `visible_size_bytes` and obsolete count that
+    /// marking one bucket at a time did under the pre-change algorithm (kept
+    /// here as the oracle: per bucket a materialised reconciling merge,
+    /// filtered through `decode`, then one more filter on every component),
+    /// for random component sets, bucket sets and both key layouts — and
+    /// marking twice changes nothing. The old code flushed before marking;
+    /// the new code leaves the memory component in place and must hide the
+    /// same entries there (the oracle sees it as the newest component).
+    #[test]
+    fn prop_batch_mark_matches_the_sequential_oracle() {
+        use crate::iterator::merge_live;
+        use crate::merge_policy::NoMergePolicy;
+        use crate::rng::SplitMix64;
+
+        for seed in 0..48u64 {
+            let mut rng = SplitMix64::seed_from_u64(0xba7c_0000 + seed);
+            let layout = if seed % 2 == 0 {
+                KeyLayout::PrimaryKey
+            } else {
+                KeyLayout::SecondaryComposite
+            };
+            let key_of = |k: u64| match layout {
+                KeyLayout::PrimaryKey => Key::from_u64(k),
+                KeyLayout::SecondaryComposite => SecondaryEntry {
+                    secondary: Key::from_u64(k % 7),
+                    primary: Key::from_u64(k),
+                }
+                .encode(),
+            };
+            let config = LsmConfig {
+                merge_policy: Arc::new(NoMergePolicy),
+                auto_flush: false,
+                auto_merge: false,
+                ..LsmConfig::default()
+            };
+            // Primary-key trees may hold reference components of a split
+            // (which flushes); otherwise the last round may stay buffered.
+            let split = (layout == KeyLayout::PrimaryKey && rng.gen_ratio(1, 2))
+                .then(|| BucketId::new(rng.gen_range(0..2) as u32, 1));
+            let buffered = split.is_none() && rng.gen_ratio(1, 2);
+            let mut tree = LsmTree::new(config.clone(), StorageMetrics::new_shared());
+            let rounds = rng.gen_range(1..6);
+            for round in 0..rounds {
+                for _ in 0..rng.gen_range(1..80) {
+                    let key = key_of(rng.gen_range(0..150));
+                    if rng.gen_ratio(1, 4) {
+                        tree.delete(key);
+                    } else {
+                        tree.put(key, crate::Bytes::from(vec![1u8; rng.gen_index(9)]));
+                    }
+                }
+                if !(buffered && round + 1 == rounds) {
+                    tree.flush();
+                }
+            }
+            let in_memory = tree.memtable().snapshot_sorted();
+            let mut raw = tree.components().to_vec();
+            if let Some(b) = split {
+                tree.set_components(raw.iter().map(|c| c.restrict_to_bucket(b)).collect());
+            }
+            if buffered {
+                let flushed = Component::from_sorted(in_memory.clone(), ComponentSource::Flush);
+                raw.insert(0, flushed);
+            }
+            // Disjoint buckets: a strict, non-empty subset of one depth.
+            let depth = rng.gen_range(1..4) as u8;
+            let mut buckets: Vec<BucketId> = (0..1u32 << depth)
+                .filter(|_| rng.gen_ratio(1, 2))
+                .map(|bits| BucketId::new(bits, depth))
+                .collect();
+            if buckets.is_empty() || buckets.len() == 1 << depth {
+                buckets = vec![BucketId::new(0, depth)];
+            }
+            let ctx = format!(
+                "seed {seed}: {layout:?}, split {split:?}, buffered {buffered}, marking {buckets:?}"
+            );
+
+            // Oracle: the old loop, one bucket at a time.
+            let visible = |c: &Component, invalid: &[BucketId]| -> Vec<Entry> {
+                c.iter()
+                    .filter(|e| split.is_none_or(|b| old_key_in_bucket(layout, &e.key, &b)))
+                    .filter(|e| !invalid.iter().any(|b| old_key_in_bucket(layout, &e.key, b)))
+                    .cloned()
+                    .collect()
+            };
+            let mut marked: Vec<BucketId> = Vec::new();
+            let mut obsolete = 0u64;
+            for b in &buckets {
+                let live = merge_live(raw.iter().map(|c| visible(c, &marked)).collect());
+                obsolete += live
+                    .iter()
+                    .filter(|e| old_key_in_bucket(layout, &e.key, b))
+                    .count() as u64;
+                marked.push(*b);
+            }
+
+            // One at a time through the new code, on a second handle set.
+            let mut stepwise = LsmTree::new(config.clone(), StorageMetrics::new_shared());
+            stepwise.set_components(tree.components().to_vec());
+            for e in in_memory {
+                stepwise.apply(e);
+            }
+            let mut stepwise_obsolete = 0;
+            for b in &buckets {
+                stepwise_obsolete += stepwise.count_live_in_buckets(&[*b], layout);
+                stepwise.mark_buckets_invalid(&[*b], layout);
+            }
+            // The batch, then the batch again.
+            let mut index = SecondaryIndex {
+                tree,
+                ..SecondaryIndex::new("prop", config, StorageMetrics::new_shared())
+            };
+            assert_eq!(index.tree.count_live_in_buckets(&buckets, layout), obsolete);
+            assert_eq!(stepwise_obsolete, obsolete, "{ctx}");
+            if layout == KeyLayout::SecondaryComposite {
+                index.mark_buckets_moved(&buckets);
+                index.mark_buckets_moved(&buckets);
+                assert_eq!(index.obsolete_remaining, obsolete, "{ctx}");
+            } else {
+                index.tree.mark_buckets_invalid(&buckets, layout);
+                index.tree.mark_buckets_invalid(&buckets, layout);
+            }
+            assert_eq!(index.tree.count_live_in_buckets(&buckets, layout), 0);
+            for ((c, s), r) in index
+                .tree
+                .components()
+                .iter()
+                .zip(stepwise.components())
+                .zip(&raw[usize::from(buffered)..])
+            {
+                let expected = visible(r, &marked);
+                for got in [c, s] {
+                    assert_eq!(got.iter().cloned().collect::<Vec<_>>(), expected, "{ctx}");
+                    assert_eq!(got.visible_len(), expected.len(), "{ctx}");
+                    assert_eq!(
+                        got.visible_size_bytes(),
+                        expected.iter().map(|e| e.size_bytes()).sum::<usize>(),
+                        "{ctx}"
+                    );
+                }
+            }
+            let live = merge_live(raw.iter().map(|c| visible(c, &marked)).collect());
+            assert_eq!(index.tree.scan_all(), live, "{ctx}");
+            assert_eq!(stepwise.scan_all(), live, "{ctx}");
+            // ...and the flush that follows drops what the mark hid.
+            if let Some(flushed) = index.tree.flush() {
+                assert_eq!(
+                    flushed.iter().cloned().collect::<Vec<_>>(),
+                    visible(&raw[0], &marked),
+                    "{ctx}"
+                );
+            }
+            assert_eq!(index.tree.scan_all(), live, "{ctx}");
+        }
     }
 
     #[test]

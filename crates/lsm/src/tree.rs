@@ -9,8 +9,9 @@
 
 use std::sync::Arc;
 
-use crate::component::{Component, ComponentSource};
-use crate::entry::{Entry, Key, Value};
+use crate::bucket::BucketId;
+use crate::component::{Component, ComponentSource, KeyLayout};
+use crate::entry::{Entry, Key, Op, Value};
 use crate::iterator::{reconcile_point, LazyMergeIter, RefSource};
 use crate::memtable::MemTable;
 use crate::merge_policy::{MergePolicy, SizeTieredPolicy};
@@ -73,6 +74,13 @@ pub struct LsmTree {
     /// When true, new merges are not scheduled (used while a bucket is being
     /// split or moved).
     merges_paused: bool,
+    /// Lazy cleanup of the memory component: moved buckets whose buffered
+    /// entries are dead — hidden from reads now, dropped by the next flush
+    /// (or by the first write to one of the buckets, should it come back
+    /// sooner); until then they still count in the size accessors — and how
+    /// the tree's keys map to records. Empty almost always.
+    memtable_invalid: Vec<BucketId>,
+    layout: KeyLayout,
 }
 
 impl LsmTree {
@@ -84,6 +92,8 @@ impl LsmTree {
             components: Vec::new(),
             metrics,
             merges_paused: false,
+            memtable_invalid: Vec::new(),
+            layout: KeyLayout::default(),
         }
     }
 
@@ -117,6 +127,11 @@ impl LsmTree {
     /// Applies an entry (used by log replay and replication).
     pub fn apply(&mut self, entry: Entry) {
         StorageMetrics::add(&self.metrics.records_written, 1);
+        // A write to a bucket marked moved means the bucket is back: the dead
+        // entries must go before a live one can sit among them.
+        if self.buffered_dead(&entry.key) {
+            self.purge_memtable();
+        }
         self.memtable.apply(entry);
         if self.config.auto_flush && self.memtable.size_bytes() >= self.config.memtable_budget_bytes
         {
@@ -132,7 +147,7 @@ impl LsmTree {
     /// Point lookup: searches the memory component, then disk components from
     /// newest to oldest, stopping at the first match.
     pub fn get(&self, key: &Key) -> Option<Value> {
-        let mem = self.memtable.get(key);
+        let mem = self.memtable.get(key).filter(|_| !self.buffered_dead(key));
         let disk = self.components.iter().map(|c| c.get(key));
         let op = reconcile_point(std::iter::once(mem).chain(disk))?;
         StorageMetrics::add(
@@ -148,11 +163,36 @@ impl LsmTree {
     /// caller consumes the iterator.
     pub fn iter_live<'a>(&'a self, lo: Option<&'a Key>, hi: Option<&'a Key>) -> LazyMergeIter<'a> {
         let mut sources: Vec<RefSource<'a>> = Vec::with_capacity(self.components.len() + 1);
-        sources.push(Box::new(self.memtable.range(lo, hi)));
+        sources.push(Box::new(self.buffered(lo, hi)));
         for c in &self.components {
             sources.push(Box::new(c.range(lo, hi).map(|e| (&e.key, &e.op))));
         }
         LazyMergeIter::new(sources, false)
+    }
+
+    /// The live entries of the memory component within `[lo, hi)`.
+    fn buffered<'a>(
+        &'a self,
+        lo: Option<&Key>,
+        hi: Option<&Key>,
+    ) -> impl Iterator<Item = (&'a Key, &'a Op)> + 'a {
+        self.memtable
+            .range(lo, hi)
+            .filter(|(key, _)| !self.buffered_dead(key))
+    }
+
+    /// True if `key`, were it buffered, belongs to a bucket marked moved
+    /// since the last flush.
+    fn buffered_dead(&self, key: &Key) -> bool {
+        !self.memtable_invalid.is_empty()
+            && BucketId::any_contains_hash(&self.memtable_invalid, self.layout.bucket_hash(key))
+    }
+
+    /// Drops the dead entries from the memory component.
+    fn purge_memtable(&mut self) {
+        let (dead, layout) = (std::mem::take(&mut self.memtable_invalid), self.layout);
+        self.memtable
+            .retain(|key| !BucketId::any_contains_hash(&dead, layout.bucket_hash(key)));
     }
 
     /// Range scan over `[lo, hi)` returning live entries in key order. The
@@ -180,6 +220,9 @@ impl LsmTree {
     /// Flushes the memory component into a new disk component (no-op when the
     /// memory component is empty). Returns the new component if one was made.
     pub fn flush(&mut self) -> Option<Component> {
+        if !self.memtable_invalid.is_empty() {
+            self.purge_memtable();
+        }
         if self.memtable.is_empty() {
             return None;
         }
@@ -285,24 +328,49 @@ impl LsmTree {
         self.components = new_list;
     }
 
-    /// Marks a bucket invalid in every disk component (lazy cleanup of a
-    /// moved bucket). Entries of that bucket disappear from reads immediately
-    /// and are physically dropped by the next merge.
-    pub fn mark_bucket_invalid(&mut self, bucket: crate::bucket::BucketId) {
+    /// Lazy cleanup of moved buckets: every entry the tree holds *now* for a
+    /// record of `buckets` disappears from reads immediately and is dropped
+    /// physically later — disk components carry the buckets in their
+    /// metadata until the next merge, the memory component until the next
+    /// flush. Nothing is read, written or flushed here beyond one pass per
+    /// component refreshing its visible size. Data added later (e.g. a
+    /// bucket received back by a future rebalance, installed as components)
+    /// is not affected, exactly as the paper's per-component metadata
+    /// behaves. `layout` says how the tree's keys map to records.
+    pub fn mark_buckets_invalid(&mut self, buckets: &[BucketId], layout: KeyLayout) {
+        self.layout = layout;
+        if !self.memtable.is_empty() {
+            for b in buckets {
+                if !self.memtable_invalid.contains(b) {
+                    self.memtable_invalid.push(*b);
+                }
+            }
+        }
         for c in self.components.iter_mut() {
-            *c = c.mark_bucket_invalid(bucket);
+            *c = c.mark_buckets_invalid(buckets, layout);
         }
     }
 
-    /// Marks a bucket invalid in every **current** disk component of a
-    /// secondary index: keys are composite (secondary, primary) and the
-    /// bucket of an entry is the bucket of its primary part. Components added
-    /// later (e.g. buckets received back by a future rebalance) are not
-    /// affected, exactly as the paper's per-component metadata behaves.
-    pub fn mark_bucket_invalid_secondary(&mut self, bucket: crate::bucket::BucketId) {
-        for c in self.components.iter_mut() {
-            *c = c.mark_bucket_invalid_as(bucket, crate::component::KeyLayout::SecondaryComposite);
+    /// Number of live (reconciled) entries whose record belongs to any of
+    /// `buckets`. Membership is a function of the key alone, so every source
+    /// is filtered *before* the merge: one streaming pass, nothing
+    /// materialised, no read charged.
+    pub(crate) fn count_live_in_buckets(&self, buckets: &[BucketId], layout: KeyLayout) -> u64 {
+        let member = |key: &Key| BucketId::any_contains_hash(buckets, layout.bucket_hash(key));
+        let mut sources: Vec<RefSource<'_>> = Vec::with_capacity(self.components.len() + 1);
+        sources.push(Box::new(
+            self.buffered(None, None).filter(|(k, _)| member(k)),
+        ));
+        for c in &self.components {
+            let entries = c.iter().filter(|e| member(&e.key));
+            sources.push(Box::new(entries.map(|e| (&e.key, &e.op))));
         }
+        let mut merge = LazyMergeIter::new(sources, false);
+        let mut live = 0;
+        while merge.next_ref().is_some() {
+            live += 1;
+        }
+        live
     }
 
     /// Direct read access to the memory component.
@@ -600,6 +668,53 @@ mod tests {
         assert_eq!(t.get(&Key::from_u64(1)).unwrap(), val("replicated"));
     }
 
+    /// Lazy cleanup reaches the memory component too: buffered entries of a
+    /// moved bucket — tombstones included — vanish from reads at once and
+    /// never reach a disk component, so the bucket's data shows through
+    /// when it is received back as the oldest components; a later write to
+    /// the returned bucket survives the purge of the dead ones.
+    #[test]
+    fn marking_hides_buffered_entries_and_the_flush_drops_them() {
+        let moved = BucketId::new(0, 1);
+        let in_moved = |k: &u64| moved.contains_key(&Key::from_u64(*k));
+        let inside: Vec<u64> = (0..40).filter(in_moved).collect();
+        let outside: Vec<u64> = (0..40).filter(|k| !in_moved(k)).collect();
+        let mut t = small_tree(1 << 20);
+        for &k in &outside {
+            t.put(k, val("stays"));
+        }
+        for &k in &inside[1..] {
+            t.put(k, val("old"));
+        }
+        t.delete(inside[0]);
+        t.mark_buckets_invalid(&[moved], KeyLayout::PrimaryKey);
+        assert!(inside.iter().all(|k| t.get(&Key::from_u64(*k)).is_none()));
+        assert_eq!(t.live_len(), outside.len());
+        assert_eq!(t.count_live_in_buckets(&[moved], KeyLayout::PrimaryKey), 0);
+
+        // the bucket comes back: its data is installed as the oldest
+        // components, and the old tombstone must not shadow it
+        let back: Vec<Entry> = inside
+            .iter()
+            .map(|k| Entry::put(Key::from_u64(*k), val("back")))
+            .collect();
+        t.append_oldest_components(vec![Component::from_unsorted(
+            back,
+            ComponentSource::Loaded,
+        )]);
+        for k in &inside {
+            assert_eq!(t.get(&Key::from_u64(*k)).unwrap(), val("back"));
+        }
+        t.put(inside[1], val("new"));
+        assert_eq!(t.get(&Key::from_u64(inside[1])).unwrap(), val("new"));
+        assert_eq!(t.get(&Key::from_u64(inside[2])).unwrap(), val("back"));
+        assert_eq!(t.memtable().len(), outside.len() + 1, "dead entries purged");
+
+        let flushed = t.flush().unwrap();
+        assert_eq!(flushed.raw_len(), outside.len() + 1);
+        assert_eq!(t.live_len(), 40);
+    }
+
     #[test]
     fn mark_bucket_invalid_hides_and_merge_removes() {
         let mut t = small_tree(1 << 20);
@@ -607,8 +722,8 @@ mod tests {
             t.put(i, val("x"));
         }
         t.flush();
-        let moved = crate::bucket::BucketId::new(0, 1);
-        t.mark_bucket_invalid(moved);
+        let moved = BucketId::new(0, 1);
+        t.mark_buckets_invalid(&[moved], KeyLayout::PrimaryKey);
         let visible_before_merge = t.live_len();
         assert!(visible_before_merge < 64);
         t.force_merge_all();

@@ -17,10 +17,13 @@ use std::collections::BTreeSet;
 use common::{
     assert_committed_set, check_seeded_cases, cluster_with_dataset, record, test_cluster, CASES,
 };
-use dynahash::cluster::{Cluster, DatasetSpec, RebalanceJob, RebalanceOptions};
+use dynahash::cluster::{
+    Cluster, DatasetSpec, RebalanceJob, RebalanceOptions, SecondaryIndexDef, StepPoint,
+};
 use dynahash::core::{NodeId, RebalanceOutcome, Scheme};
 use dynahash::lsm::entry::Key;
 use dynahash::lsm::rng::SplitMix64;
+use dynahash::lsm::{Entry, ScanOrder, SecondaryEntry};
 
 /// The acceptance scenario: a rebalance driven step-by-step with a scan
 /// query and a feed batch applied between every pair of waves and a node
@@ -229,6 +232,129 @@ fn normal_ingest_between_waves_loses_nothing() {
     session.put(&mut cluster, k, v).unwrap();
     assert_eq!(cluster.dataset_len(ds).unwrap(), expected.len() + 1);
     cluster.check_dataset_consistency(ds).unwrap();
+}
+
+/// A 3-node cluster whose dataset carries a secondary index on the first
+/// payload byte, with a fourth node added and ready to receive buckets.
+fn indexed_cluster_before_scale_out() -> (Cluster, u32) {
+    let mut cluster = test_cluster(3);
+    let spec = DatasetSpec::new("events", Scheme::StaticHash { num_buckets: 32 })
+        .with_secondary_index(SecondaryIndexDef::new("idx_first", |payload| {
+            payload.first().map(|b| Key::from_u64(u64::from(*b)))
+        }));
+    let ds = cluster.create_dataset(spec).unwrap();
+    cluster
+        .session(ds)
+        .unwrap()
+        .ingest(&mut cluster, (0..3000).map(record))
+        .unwrap();
+    cluster.add_node().unwrap();
+    (cluster, ds)
+}
+
+/// The write-blocked window is independent of record counts — checked as a
+/// count, not a timing: between the call of `prepare` and the return of a
+/// fault-free `finalize`, no partition writes a record into any index
+/// (`records_written`) or reads one back through a scan
+/// (`bytes_query_read`). Received primary-key and secondary entries are
+/// staged during the waves and installed by component handle; moved buckets
+/// are marked in component metadata.
+#[test]
+fn the_write_blocked_window_reads_and_writes_no_record() {
+    let (mut cluster, ds) = indexed_cluster_before_scale_out();
+    let target = cluster.topology().clone();
+    let mut job = RebalanceJob::plan(&mut cluster, ds, &target, 4).unwrap();
+    job.init(&mut cluster).unwrap();
+    let mut next = 50_000u64;
+    while job.has_remaining_waves() {
+        job.run_wave(&mut cluster).unwrap();
+        // replicated writes feed the pending structures, outside the window
+        let batch: Vec<_> = (next..next + 60).chain(0..20).map(record).collect();
+        job.apply_feed_batch(&mut cluster, batch).unwrap();
+        next += 60;
+    }
+    let record_work = |cluster: &mut Cluster| -> (u64, u64) {
+        let partitions = cluster.topology().partitions();
+        let admin = cluster.admin();
+        partitions.iter().fold((0, 0), |(written, read), p| {
+            let m = admin.partition(*p).unwrap().metrics().snapshot();
+            (written + m.records_written, read + m.bytes_query_read)
+        })
+    };
+    let before = record_work(&mut cluster);
+    job.prepare(&mut cluster).unwrap();
+    assert_eq!(
+        job.decide(&mut cluster).unwrap(),
+        RebalanceOutcome::Committed
+    );
+    job.commit(&mut cluster).unwrap();
+    let report = job.finalize(&mut cluster).unwrap();
+    assert_eq!(
+        record_work(&mut cluster),
+        before,
+        "(records_written, bytes_query_read) grew inside the write-blocked window"
+    );
+    assert!(report.records_moved > 0 && job.writes_applied() > 0);
+    cluster
+        .check_rebalance_integrity(ds, report.rebalance_id)
+        .unwrap();
+}
+
+/// Everything a partition stores for the dataset: the live entries of the
+/// primary, primary-key and (warmed) secondary indexes.
+type StoredIndexes = (Vec<Entry>, Vec<Entry>, Vec<SecondaryEntry>);
+
+fn stored_indexes(cluster: &mut Cluster, ds: u32) -> Vec<StoredIndexes> {
+    let partitions = cluster.topology().partitions();
+    let mut admin = cluster.admin();
+    partitions
+        .iter()
+        .map(|p| {
+            let part = admin.partition_mut(*p).unwrap().dataset_mut(ds).unwrap();
+            part.warm_secondary_indexes();
+            (
+                part.scan(ScanOrder::Ordered),
+                part.primary_key_index.scan_all(),
+                part.secondary_mut("idx_first").unwrap().all_valid_entries(),
+            )
+        })
+        .collect()
+}
+
+/// A destination that dies after COMMIT is forced, or after its commit
+/// tasks ran, misses nothing: finalize recovers it and re-drives exactly
+/// its tasks (re-shipping what the crash wiped), and all three index
+/// families end up equal to the fault-free run's.
+#[test]
+fn a_destination_crash_around_commit_ends_equal_to_the_fault_free_run() {
+    let run = |crash_at: Option<StepPoint>| {
+        let (mut cluster, ds) = indexed_cluster_before_scale_out();
+        let target = cluster.topology().clone();
+        let writes: Vec<_> = (50_000..50_300).chain(0..100).map(record).collect();
+        let mut options = RebalanceOptions::none().with_concurrent_writes(writes);
+        if let Some(point) = crash_at {
+            options = options.with_hook(point, |cluster, _| cluster.crash_node(NodeId(3)));
+        }
+        let report = cluster.rebalance(ds, &target, options).unwrap();
+        assert_eq!(report.outcome, RebalanceOutcome::Committed);
+        assert!(cluster.node_is_alive(NodeId(3)));
+        cluster
+            .check_rebalance_integrity(ds, report.rebalance_id)
+            .unwrap();
+        stored_indexes(&mut cluster, ds)
+    };
+    let fault_free = run(None);
+    assert!(
+        fault_free[6].0.len() + fault_free[7].0.len() > 0,
+        "the added node's partitions (6 and 7) must have received records"
+    );
+    for point in [StepPoint::AfterCommitLog, StepPoint::BeforeFinalize] {
+        assert_eq!(
+            run(Some(point)),
+            fault_free,
+            "destination crashed {point:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------- property
