@@ -9,14 +9,14 @@
 use std::collections::BTreeMap;
 
 use dynahash_core::{BucketHeat, ClusterTopology, GlobalDirectory, NodeId, PartitionId, Scheme};
-use dynahash_lsm::bucket::BucketId;
+use dynahash_lsm::bucket::{hash_key, BucketId};
 use dynahash_lsm::entry::{Key, StorageFootprint, Value};
 use dynahash_lsm::metrics::MetricsSnapshot;
 use dynahash_lsm::wal::{LogRecordBody, RebalanceId, RebalanceLogStatus};
 
 use crate::control::{HeatCell, HeatReport, JobProgress, PushedUpdate, SessionRegistry};
 use crate::controller::ClusterController;
-use crate::dataset::{DatasetId, DatasetSpec};
+use crate::dataset::{DatasetId, DatasetMeta, DatasetSpec};
 use crate::fault::{ClusterHealth, FaultSchedule, FaultStats, WaveFault};
 use crate::feed::IngestReport;
 use crate::job::RebalanceJob;
@@ -403,7 +403,7 @@ impl Cluster {
         // whole batch is validated before any record applies, so a feed never
         // half-applies against a bucket awaiting repair. Healthy datasets pay
         // only the (empty) lost-bucket map probe.
-        let batch: Vec<(Key, Value)> = records.into_iter().collect();
+        let mut batch: Vec<(Key, Value)> = records.into_iter().collect();
         if self
             .faults
             .stats
@@ -419,6 +419,7 @@ impl Cluster {
         }
         let routing = self.controller.routing_snapshot(dataset)?;
         let cost_model = self.config.cost_model;
+        self.pack_batch(&routing, &mut batch);
 
         // Per-partition metric snapshots to charge IO costs ex post.
         let before: BTreeMap<PartitionId, MetricsSnapshot> = self
@@ -521,6 +522,48 @@ impl Cluster {
             elapsed: timeline.elapsed(),
             per_node: timeline.breakdown(),
         })
+    }
+
+    /// Packs a feed batch's payloads at the door: the records bound for one
+    /// bucket share one allocation, so what the memory components hold — and
+    /// the flushes hand on — are slices of a few slabs that die whole when a
+    /// merge rewrites the run, instead of one small allocation per record for
+    /// the allocator to take back piecemeal. Records are grouped by as many
+    /// low-order hash bits as the deepest local directory uses, so a group
+    /// never straddles two buckets; under the Hashing scheme, by partition.
+    fn pack_batch(&self, routing: &DatasetMeta, batch: &mut [(Key, Value)]) {
+        let depth = routing
+            .partitions
+            .iter()
+            .filter_map(|p| self.partition(*p).ok()?.dataset(routing.id).ok())
+            .map(|ds| ds.primary.directory().local_depth())
+            .max()
+            .unwrap_or(0);
+        let mask = (1u64 << depth.min(32)) - 1;
+        let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        for (at, (key, _)) in batch.iter().enumerate() {
+            let group = match &routing.directory {
+                Some(_) => hash_key(key) & mask,
+                None => routing.route_key(key).map_or(0, |p| u64::from(p.0)),
+            };
+            groups.entry(group).or_default().push(at);
+        }
+        // Every slab is built before any old payload is let go, and those go
+        // in batch order — the order their writer made them in — so the
+        // allocator gets one region back whole, not small chunks between
+        // live ones.
+        let mut packed: Vec<Option<Value>> = vec![None; batch.len()];
+        for members in groups.values().filter(|m| m.len() > 1) {
+            let mut slab = Value::concat(members.iter().map(|&at| &batch[at].1));
+            for &at in members {
+                packed[at] = Some(slab.split_to(batch[at].1.len()));
+            }
+        }
+        for ((_, value), packed) in batch.iter_mut().zip(packed) {
+            if let Some(packed) = packed {
+                *value = packed;
+            }
+        }
     }
 
     /// Inserts one record through the routed write path — the slim
@@ -1118,6 +1161,51 @@ mod tests {
         let dist = cluster.dataset_distribution(ds).unwrap();
         assert_eq!(dist.len(), 8);
         assert!(dist.values().all(|&n| n > 100));
+    }
+
+    /// A feed batch is packed at the door: what one bucket buffers of it is
+    /// slices of one allocation, which no other bucket shares (so the slab
+    /// dies whole with that bucket's run), under either routing scheme;
+    /// a point write keeps the allocation its writer made.
+    #[test]
+    fn a_feed_batch_is_packed_per_bucket_and_a_point_write_is_not() {
+        for scheme in [Scheme::static_hash_256(), Scheme::Hashing] {
+            let mut cluster = Cluster::new(2);
+            let ds = cluster
+                .create_dataset(DatasetSpec::new("orders", scheme))
+                .unwrap();
+            cluster.ingest(ds, records(4000)).unwrap();
+            let own = Bytes::from(vec![9u8; 64]);
+            cluster
+                .put_routed(ds, Key::from_u64(4000), own.clone())
+                .unwrap();
+            let mut slabs: Vec<Value> = Vec::new();
+            for p in cluster.topology().partitions() {
+                let primary = &cluster.partition(p).unwrap().dataset(ds).unwrap().primary;
+                for b in primary.bucket_ids() {
+                    let buffered: Vec<&Value> = primary
+                        .bucket_tree(&b)
+                        .unwrap()
+                        .memtable()
+                        .iter()
+                        .filter_map(|(k, op)| op.value().filter(|_| k.as_u64() < 4000))
+                        .collect();
+                    assert!(buffered.len() > 1, "4000 records over at most 256 buckets");
+                    assert!(buffered.iter().all(|v| v.shares_allocation(buffered[0])));
+                    assert!(slabs.iter().all(|s| !s.shares_allocation(buffered[0])));
+                    slabs.push(buffered[0].clone());
+                }
+            }
+            let mut session = cluster.session(ds).unwrap();
+            let got = session
+                .get(&cluster, &Key::from_u64(4000))
+                .unwrap()
+                .unwrap();
+            assert!(got.shares_allocation(&own));
+            for (key, value) in records(4000).into_iter().step_by(97) {
+                assert_eq!(session.get(&cluster, &key).unwrap(), Some(value));
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 
 use dynahash_core::{NodeId, PartitionId};
-use dynahash_lsm::entry::{Entry, Key, Value};
+use dynahash_lsm::entry::{Entry, Key, Op, Value};
 use dynahash_lsm::{ScanOrder, SecondaryEntry};
 
 use crate::cluster::Cluster;
@@ -104,6 +104,19 @@ impl<'a> QueryExecutor<'a> {
         dataset: DatasetId,
         ordered: bool,
     ) -> Result<Vec<(PartitionId, Vec<Entry>)>> {
+        self.scan_map(dataset, ordered, |key, op| Some(Entry::from_parts(key, op)))
+    }
+
+    /// [`QueryExecutor::scan_table`] without the copy: every live record is
+    /// handed to `map` still borrowed from its component, and what `map`
+    /// keeps is the partition's output. Each record is touched once — the
+    /// same pass counts the records and bytes the nodes are charged for.
+    pub fn scan_map<T>(
+        &mut self,
+        dataset: DatasetId,
+        ordered: bool,
+        mut map: impl FnMut(&Key, &Op) -> Option<T>,
+    ) -> Result<Vec<(PartitionId, Vec<T>)>> {
         let cost_model = self.cluster.cost_model();
         let mut out = Vec::new();
         for p in self.partitions_of(dataset)? {
@@ -111,16 +124,19 @@ impl<'a> QueryExecutor<'a> {
             if !part.dataset_ids().contains(&dataset) {
                 continue;
             }
-            let ds = part.dataset(dataset)?;
-            let num_buckets = ds.primary.num_buckets().max(1);
+            let primary = &part.dataset(dataset)?.primary;
+            let num_buckets = primary.num_buckets().max(1);
             let order = if ordered {
                 ScanOrder::Ordered
             } else {
                 ScanOrder::Unordered
             };
-            let entries = ds.scan(order);
-            let records = entries.len() as u64;
-            let bytes: u64 = entries.iter().map(|e| e.size_bytes() as u64).sum();
+            let mut rows = Vec::with_capacity(primary.visible_len());
+            let mut records = 0u64;
+            let bytes = primary.scan_with(None, None, order, |key, op| {
+                records += 1;
+                rows.extend(map(key, op));
+            });
             let node = self.node_of(p)?;
             let mut cost = cost_model.disk_read(bytes) + cost_model.query_cpu(records, 1.0);
             if ordered {
@@ -130,7 +146,7 @@ impl<'a> QueryExecutor<'a> {
                 cost += cost_model.merge_sort_cpu(records * ways);
             }
             self.timeline.charge(node, cost);
-            out.push((p, entries));
+            out.push((p, rows));
         }
         Ok(out)
     }

@@ -29,21 +29,9 @@ impl BloomFilter {
         }
     }
 
-    fn positions(&self, key: &Key) -> impl Iterator<Item = usize> + '_ {
-        // Double hashing: derive k positions from two 32-bit halves of the
-        // 64-bit key hash.
-        let h = hash_key(key);
-        let h1 = h & 0xffff_ffff;
-        let h2 = h >> 32;
-        let n = self.num_bits as u64;
-        (0..self.num_hashes as u64)
-            .map(move |i| ((h1.wrapping_add(i.wrapping_mul(h2))) % n) as usize)
-    }
-
     /// Inserts a key into the filter.
     pub fn insert(&mut self, key: &Key) {
-        let positions: Vec<usize> = self.positions(key).collect();
-        for p in positions {
+        for p in positions(self.num_bits, self.num_hashes, key) {
             self.bits[p / 64] |= 1u64 << (p % 64);
         }
         self.num_items += 1;
@@ -52,7 +40,7 @@ impl BloomFilter {
     /// Returns `false` if the key is definitely absent, `true` if it may be
     /// present.
     pub fn may_contain(&self, key: &Key) -> bool {
-        self.positions(key)
+        positions(self.num_bits, self.num_hashes, key)
             .all(|p| self.bits[p / 64] & (1u64 << (p % 64)) != 0)
     }
 
@@ -70,6 +58,25 @@ impl BloomFilter {
     pub fn size_bytes(&self) -> usize {
         self.bits.len() * 8
     }
+}
+
+/// Double hashing: the `i`-th of a key's `num_hashes` bit positions is
+/// `(h1 + i·h2) % num_bits`, with `h1` and `h2` the 32-bit halves of the
+/// 64-bit key hash. Stepped instead of multiplied — both halves are reduced
+/// once and every further position is one add and one conditional subtract
+/// — which yields the same positions (`h1 + i·h2` cannot overflow 64 bits).
+fn positions(num_bits: usize, num_hashes: u32, key: &Key) -> impl Iterator<Item = usize> {
+    let h = hash_key(key);
+    let n = num_bits as u64;
+    let (mut at, step) = ((h & 0xffff_ffff) % n, (h >> 32) % n);
+    (0..num_hashes).map(move |_| {
+        let p = at;
+        at += step;
+        if at >= n {
+            at -= n;
+        }
+        p as usize
+    })
 }
 
 #[cfg(test)]
@@ -114,6 +121,27 @@ mod tests {
         let f = BloomFilter::with_capacity(0);
         assert!(f.is_empty());
         assert!(!f.may_contain(&Key::from_u64(42)));
+    }
+
+    /// The stepped positions are the multiplied ones, so every filter is
+    /// bit-identical to what `(h1 + i·h2) % n` built.
+    #[test]
+    fn stepped_positions_equal_the_multiplied_form() {
+        let mut rng = SplitMix64::seed_from_u64(0xb100_5eed);
+        for items in [0usize, 1, 7, 100, 2_300, 4_600, 100_000, 1 << 22] {
+            let f = BloomFilter::with_capacity(items);
+            let n = f.num_bits as u64;
+            for _ in 0..10_000 {
+                let key = Key::from_u64(rng.next_u64());
+                let h = hash_key(&key);
+                let (h1, h2) = (h & 0xffff_ffff, h >> 32);
+                let multiplied: Vec<usize> = (0..f.num_hashes as u64)
+                    .map(|i| ((h1 + i * h2) % n) as usize)
+                    .collect();
+                let stepped: Vec<usize> = positions(f.num_bits, f.num_hashes, &key).collect();
+                assert_eq!(stepped, multiplied, "key {key:?}, {n} bits");
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::bucket::{hash_key, BucketId};
 use crate::component::{Component, ComponentSource};
 use crate::directory::LocalDirectory;
 use crate::entry::{Entry, Key, Op, Value};
-use crate::iterator::kmerge_disjoint;
+use crate::iterator::{LazyMergeIter, RefSource};
 use crate::metrics::StorageMetrics;
 use crate::tree::{LsmConfig, LsmTree};
 use crate::{Result, StorageError};
@@ -169,28 +169,54 @@ impl BucketedLsmTree {
         self.scan_range(None, None, order)
     }
 
-    /// Range scan over `[lo, hi)` with the requested output order. The
-    /// ordered path is a k-way merge over the buckets' lazy component
-    /// iterators (bucket key sets are disjoint), so the globally ordered
-    /// output is materialised exactly once instead of collecting a
-    /// `Vec<Entry>` per bucket and merging the copies.
-    pub fn scan_range(&self, lo: Option<&Key>, hi: Option<&Key>, order: ScanOrder) -> Vec<Entry> {
-        match order {
-            ScanOrder::Unordered => {
-                let mut out = Vec::new();
-                for tree in self.buckets.values() {
-                    out.extend(tree.scan(lo, hi));
-                }
-                out
-            }
+    /// Range scan over `[lo, hi)` in the requested order handing every live
+    /// entry, still borrowed from its component, to `visit`: one pass, nothing
+    /// materialised here. Bucket key sets are disjoint, so the ordered path is
+    /// one more lazy merge, over the buckets' own merges. Charges the bytes
+    /// visited to the query-read metric and returns them.
+    pub fn scan_with(
+        &self,
+        lo: Option<&Key>,
+        hi: Option<&Key>,
+        order: ScanOrder,
+        mut visit: impl FnMut(&Key, &Op),
+    ) -> u64 {
+        let live = self.buckets.values().map(|tree| tree.iter_live(lo, hi));
+        let bytes = match order {
+            ScanOrder::Unordered => live.map(|bucket| bucket.visit_all(&mut visit)).sum(),
             ScanOrder::Ordered => {
-                let iters: Vec<_> = self.buckets.values().map(|t| t.iter_live(lo, hi)).collect();
-                let out = kmerge_disjoint(iters);
-                let bytes: usize = out.iter().map(|e| e.size_bytes()).sum();
-                StorageMetrics::add(&self.metrics.bytes_query_read, bytes as u64);
-                out
+                let sources = live.map(|mut bucket| {
+                    Box::new(std::iter::from_fn(move || bucket.next_ref())) as RefSource<'_>
+                });
+                LazyMergeIter::new(sources.collect(), false).visit_all(visit)
             }
-        }
+        };
+        StorageMetrics::add(&self.metrics.bytes_query_read, bytes);
+        bytes
+    }
+
+    /// Range scan over `[lo, hi)` with the requested output order, the
+    /// output materialised exactly once (a full scan reserves it up front).
+    pub fn scan_range(&self, lo: Option<&Key>, hi: Option<&Key>, order: ScanOrder) -> Vec<Entry> {
+        let full = lo.is_none() && hi.is_none();
+        let mut out = Vec::with_capacity(if full { self.visible_len() } else { 0 });
+        self.scan_with(lo, hi, order, |key, op| {
+            out.push(Entry::from_parts(key, op))
+        });
+        out
+    }
+
+    /// Entries a full scan has to look at — everything buffered plus every
+    /// component's visible entries: an O(components) upper bound on the live
+    /// records (each version of a key counts, tombstones too).
+    pub fn visible_len(&self) -> usize {
+        let trees = || self.buckets.values();
+        let buffered: usize = trees().map(|t| t.memtable().len()).sum();
+        let on_disk: usize = trees()
+            .flat_map(|t| t.components())
+            .map(|c| c.visible_len())
+            .sum();
+        buffered + on_disk
     }
 
     /// Total number of live records across all visible buckets.
@@ -759,6 +785,81 @@ mod tests {
         let mut un_keys: Vec<u64> = unordered.iter().map(|e| e.key.as_u64()).collect();
         un_keys.sort_unstable();
         assert_eq!(un_keys, expected);
+    }
+
+    /// Both scan orders walk every record once: one multiset of entries, one
+    /// charge to the query-read metric — the live records' key + value + op
+    /// tag, the number the two-pass scans charged before them — over
+    /// reference components, shadowed versions, tombstones and memtables.
+    #[test]
+    fn both_scan_orders_return_one_multiset_and_charge_the_same_bytes() {
+        let mut t = tree_with_depth(1, None);
+        for k in 0..600u64 {
+            t.insert(k, val(16)).unwrap();
+        }
+        t.flush_all();
+        for k in (0..300u64).step_by(3) {
+            t.insert(k, val(40)).unwrap(); // 100 newer versions
+        }
+        for k in (1..250u64).step_by(5) {
+            t.delete(k).unwrap(); // 50 tombstones, 17 of them over a 40-byte version
+        }
+        t.flush_all();
+        t.split_bucket(BucketId::new(0, 1)).unwrap();
+        for k in 600..650u64 {
+            t.insert(k, val(8)).unwrap(); // buffered only
+        }
+        let read = |t: &BucketedLsmTree| t.metrics().snapshot().bytes_query_read;
+        let before = read(&t);
+        let mut unordered = t.scan(ScanOrder::Unordered);
+        let after_unordered = read(&t);
+        let ordered = t.scan(ScanOrder::Ordered);
+        let after_ordered = read(&t);
+
+        // 467 records of 16 bytes, 83 of 40, 50 of 8: 8-byte keys, 1-byte tag
+        assert_eq!(after_unordered - before, 467 * 25 + 83 * 49 + 50 * 17);
+        assert_eq!(after_ordered - after_unordered, 16_592);
+        assert_eq!(ordered.len(), 600);
+        assert!(ordered.windows(2).all(|w| w[0].key < w[1].key));
+        unordered.sort_by(|a, b| a.key.cmp(&b.key));
+        assert_eq!(unordered, ordered);
+        let mut visited = 0;
+        let bytes = t.scan_with(None, None, ScanOrder::Ordered, |_, _| visited += 1);
+        assert_eq!((visited, bytes), (600, 16_592));
+        assert!(
+            t.visible_len() >= 600,
+            "an upper bound on what a scan returns"
+        );
+    }
+
+    /// Reference counting keeps what a reader holds alive and nothing else
+    /// does: a component handle pins its run, a value read earlier pins the
+    /// run's payload slab, and the dropped bucket has no other owner.
+    #[test]
+    fn a_dropped_bucket_lives_on_only_in_what_its_readers_hold() {
+        let mut t = tree_with_depth(1, None);
+        let b = BucketId::new(0, 1);
+        for round in 0..2u64 {
+            for k in (round * 150)..(round * 150 + 150) {
+                t.insert(k, Bytes::from(vec![k as u8; 16])).unwrap();
+            }
+            t.flush_all();
+        }
+        // merged, so the bucket's one run owns its payloads in one slab
+        t.buckets.get_mut(&b).unwrap().force_merge_all();
+        let key = t.bucket_entries(&b).unwrap()[0].key.clone();
+        let held = t.get(&key).unwrap();
+        let reader = t.bucket_tree(&b).unwrap().components()[0].clone();
+        assert_eq!(reader.ref_count(), 2, "the bucket's tree and the reader");
+
+        t.drop_bucket(b).unwrap();
+        assert_eq!(reader.ref_count(), 1, "nothing else pins a dropped bucket");
+        assert!(t.get(&key).is_none());
+        let neighbour = reader.iter().last().unwrap().op.value().unwrap().clone();
+        assert!(held.shares_allocation(&neighbour), "one slab for the run");
+        drop((reader, neighbour));
+        // the run is gone; the value still holds the slab it is a slice of
+        assert_eq!(held.as_ref(), &[key.as_u64() as u8; 16]);
     }
 
     #[test]

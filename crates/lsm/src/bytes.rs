@@ -4,7 +4,8 @@
 //! the repository must build fully offline, so the subset of the `bytes` API
 //! that the codebase uses is provided here on top of `Arc<[u8]>`. Cloning is
 //! O(1) (a reference-count bump), and [`Bytes::slice`] shares the underlying
-//! allocation instead of copying.
+//! allocation instead of copying — which also means a slice, however small,
+//! keeps the whole allocation alive for as long as it is held.
 
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
@@ -40,7 +41,10 @@ impl Bytes {
     }
 
     /// Returns a new `Bytes` viewing the given sub-range of this buffer.
-    /// The underlying allocation is shared, not copied.
+    /// The underlying allocation is shared, not copied, and lives as long as
+    /// any slice of it does — a value read from a component pins that
+    /// component's whole payload slab (see [`crate::component`]); copy with
+    /// [`Bytes::to_vec`] to keep a value without its neighbours.
     ///
     /// # Panics
     ///
@@ -68,9 +72,47 @@ impl Bytes {
         }
     }
 
+    /// Splits off and returns the first `at` bytes; `self` keeps the rest.
+    /// Both share the allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` exceeds the length.
+    pub fn split_to(&mut self, at: usize) -> Self {
+        let head = self.slice(..at);
+        self.start += at;
+        head
+    }
+
     /// Copies the buffer's contents into a fresh `Vec<u8>`.
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_ref().to_vec()
+    }
+
+    /// Copies the contents of `parts`, back to back and in order, into one
+    /// fresh allocation: one allocation, one copy (none at all when the parts
+    /// hold no bytes). The caller hands the result back out as the parts'
+    /// replacements ([`Bytes::split_to`]).
+    pub fn concat<'a>(parts: impl Iterator<Item = &'a Bytes> + Clone) -> Bytes {
+        let total = parts.clone().map(Bytes::len).sum();
+        if total == 0 {
+            return Bytes::new();
+        }
+        let mut slab: Arc<[u8]> = std::iter::repeat_n(0u8, total).collect();
+        // Not shared yet, so `make_mut` hands the slab out as it is.
+        let buf = Arc::make_mut(&mut slab);
+        let mut at = 0;
+        for part in parts {
+            buf[at..at + part.len()].copy_from_slice(part);
+            at += part.len();
+        }
+        Bytes::from(slab)
+    }
+
+    /// True if both buffers are views of one allocation (slices of the same
+    /// slab, or clones of each other).
+    pub fn shares_allocation(&self, other: &Bytes) -> bool {
+        Arc::ptr_eq(&self.data, &other.data)
     }
 }
 
@@ -88,15 +130,21 @@ impl Deref for Bytes {
     }
 }
 
-impl From<Vec<u8>> for Bytes {
-    fn from(v: Vec<u8>) -> Self {
-        let data: Arc<[u8]> = v.into();
+impl From<Arc<[u8]>> for Bytes {
+    /// Adopts the allocation as it is: nothing is copied.
+    fn from(data: Arc<[u8]>) -> Self {
         let end = data.len();
         Bytes {
             data,
             start: 0,
             end,
         }
+    }
+}
+
+impl From<Vec<u8>> for Bytes {
+    fn from(v: Vec<u8>) -> Self {
+        Bytes::from(Arc::<[u8]>::from(v))
     }
 }
 
@@ -170,6 +218,25 @@ mod tests {
         let ss = s.slice(1..=2);
         assert_eq!(ss.as_ref(), &[3, 4]);
         assert_eq!(a.slice(..).len(), 10);
+    }
+
+    #[test]
+    fn adopting_an_arc_copies_nothing_and_slices_share_it() {
+        let slab: Arc<[u8]> = (0u8..8).collect();
+        let whole = Bytes::from(Arc::clone(&slab));
+        let mut b = whole.clone();
+        let a = b.split_to(3);
+        assert_eq!((a.as_ref(), b.as_ref()), (&slab[..3], &slab[3..]));
+        assert_eq!(
+            Bytes::concat([&b, &a, &b].into_iter()).as_ref(),
+            [3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7]
+        );
+        assert!(a.shares_allocation(&b) && a.shares_allocation(&whole));
+        assert!(!a.shares_allocation(&Bytes::from(slab.to_vec())));
+        // three views and the original: the slab lives until the last is gone
+        assert_eq!(Arc::strong_count(&slab), 4);
+        drop((whole, a));
+        assert_eq!(Arc::strong_count(&slab), 2);
     }
 
     #[test]

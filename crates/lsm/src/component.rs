@@ -13,12 +13,28 @@
 //! * **Invalid buckets** (lazy secondary-index cleanup, Section V-C): the
 //!   wrapper records buckets that were moved away; entries belonging to them
 //!   are filtered out of reads and physically dropped at the next merge.
+//!
+//! Either filter is applied once, when the handle is made: the pass that
+//! sizes the filtered view also records which entries it shows (one bit per
+//! entry of the run), and reads consult that — a scan of a reference
+//! component hashes nothing and costs what it returns, not what the shared
+//! run holds.
+//!
+//! A run that a merge or a load wrote **owns its bytes**: its put payloads
+//! are [`Bytes::slice`]s of one allocation laid out in key order, so a scan
+//! clones them by bumping one hot reference count and reads them
+//! sequentially. The flip side: a value handed to a reader by `get` or a scan
+//! keeps that whole slab alive while it is held, exactly as a reader's handle
+//! keeps a replaced component alive. Nothing in the system holds values
+//! beyond a call (sessions cache routing state, the WAL copies its payloads);
+//! a caller that does should copy them ([`Bytes::to_vec`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::bloom::BloomFilter;
 use crate::bucket::{hash_bytes, BucketId};
+use crate::bytes::Bytes;
 use crate::entry::{Entry, Key, Op, StorageFootprint};
 use crate::secondary::SecondaryEntry;
 
@@ -95,10 +111,34 @@ pub struct DiskComponentData {
     pub source: ComponentSource,
 }
 
+/// Moves every put payload of `entries` into one allocation, in entry order;
+/// each old payload is released as its entry is repointed.
+fn pack_payloads(entries: &mut [Entry]) {
+    let mut slab = Bytes::concat(entries.iter().filter_map(|e| e.op.value()));
+    if slab.is_empty() {
+        return; // keys only: nothing to own
+    }
+    for e in entries.iter_mut() {
+        if let Op::Put(v) = &mut e.op {
+            *v = slab.split_to(v.len());
+        }
+    }
+}
+
 impl DiskComponentData {
-    /// Builds a component from pre-sorted entries.
-    pub fn from_sorted(entries: Vec<Entry>, source: ComponentSource) -> Self {
+    /// Builds a component from pre-sorted entries. Every source but a flush
+    /// is rewriting the bytes already and packs them into the run's own slab.
+    /// A flush hands its payloads over where they lie: what a feed wrote is
+    /// slices of per-bucket slabs already (the cluster packs a batch at the
+    /// door), and gathering the rest — point writes, one allocation each —
+    /// would hand those small allocations back to the allocator in the middle
+    /// of an ingest, which costs the writes that follow more than it saves
+    /// the reads (size-tiered merging rewrites a flushed run soon anyway).
+    pub fn from_sorted(mut entries: Vec<Entry>, source: ComponentSource) -> Self {
         debug_assert!(entries.windows(2).all(|w| w[0].key < w[1].key));
+        if source != ComponentSource::Flush {
+            pack_payloads(&mut entries);
+        }
         let mut bloom = BloomFilter::with_capacity(entries.len());
         let mut size = 0usize;
         for e in &entries {
@@ -112,14 +152,6 @@ impl DiskComponentData {
             size_bytes: size,
             source,
         }
-    }
-
-    /// Binary-searches for a key.
-    pub fn find(&self, key: &Key) -> Option<&Entry> {
-        self.entries
-            .binary_search_by(|e| e.key.cmp(key))
-            .ok()
-            .map(|i| &self.entries[i])
     }
 }
 
@@ -143,6 +175,12 @@ pub struct Component {
     /// Entries visible through this handle, cached alongside
     /// `visible_bytes` so that `visible_len` is O(1) too.
     visible_count: usize,
+    /// Which entries are visible through this handle — bit `i` of the map
+    /// (64 entries a word) stands for `data.entries[i]` — recorded by the
+    /// same pass; `None` while no filter applies and every entry is visible.
+    /// Reads test and walk these bits and never hash a key against the
+    /// filters again.
+    visible: Option<Arc<[u64]>>,
     /// True if this handle was transferred whole from another partition by a
     /// component-shipping rebalance (provenance; the underlying data keeps
     /// its original flush/merge source).
@@ -162,6 +200,7 @@ impl Component {
             layout: KeyLayout::PrimaryKey,
             visible_bytes,
             visible_count,
+            visible: None,
             shipped: false,
         }
     }
@@ -192,6 +231,7 @@ impl Component {
             layout: self.layout,
             visible_bytes: 0,
             visible_count: 0,
+            visible: None,
             shipped: self.shipped,
         };
         c.recompute_visibility();
@@ -213,13 +253,22 @@ impl Component {
         self.shipped
     }
 
-    /// One pass over the visible entries refreshing both cached counters.
+    /// One pass over the whole run applying the handle's filters: marks the
+    /// visible entries and refreshes both cached counters.
     fn recompute_visibility(&mut self) {
-        let (count, bytes) = self
-            .iter()
-            .fold((0usize, 0usize), |(n, b), e| (n + 1, b + e.size_bytes()));
+        let entries = &self.data.entries;
+        let mut bits = vec![0u64; entries.len().div_ceil(64)];
+        let (mut count, mut bytes) = (0, 0);
+        for (at, e) in entries.iter().enumerate() {
+            if self.entry_visible(&e.key) {
+                bits[at / 64] |= 1 << (at % 64);
+                count += 1;
+                bytes += e.size_bytes();
+            }
+        }
         self.visible_count = count;
         self.visible_bytes = bytes;
+        self.visible = Some(bits.into());
     }
 
     /// Returns a handle to the same data with `buckets` added to the
@@ -284,11 +333,9 @@ impl Component {
         Arc::strong_count(&self.data)
     }
 
+    /// Applies the handle's filters to one key (one hash): what
+    /// [`Component::recompute_visibility`] records per entry.
     fn entry_visible(&self, key: &Key) -> bool {
-        // The common case: no filter at all, so there is no hash to compute.
-        if self.visible_bucket.is_none() && self.invalid_buckets.is_empty() {
-            return true;
-        }
         let hash = self.layout.bucket_hash(key);
         self.visible_bucket.is_none_or(|b| b.contains_hash(hash))
             && !BucketId::any_contains_hash(&self.invalid_buckets, hash)
@@ -301,31 +348,42 @@ impl Component {
         if !self.data.bloom.may_contain(key) {
             return None;
         }
-        let entry = self.data.find(key)?;
-        if self.entry_visible(key) {
-            Some(&entry.op)
-        } else {
-            None
-        }
+        let entries = &self.data.entries;
+        let at = entries.binary_search_by(|e| e.key.cmp(key)).ok()?;
+        let visible = self
+            .visible
+            .as_ref()
+            .is_none_or(|bits| bits[at / 64] >> (at % 64) & 1 == 1);
+        visible.then(|| &entries[at].op)
     }
 
-    /// Iterates visible entries within `[lo, hi)` in key order.
+    /// Iterates visible entries within `[lo, hi)` in key order: two binary
+    /// searches, then a walk over the set bits between them.
     pub fn range<'a>(
         &'a self,
-        lo: Option<&'a Key>,
-        hi: Option<&'a Key>,
+        lo: Option<&Key>,
+        hi: Option<&Key>,
     ) -> impl Iterator<Item = &'a Entry> + 'a {
-        let start = match lo {
-            Some(k) => self.data.entries.partition_point(|e| e.key < *k),
-            None => 0,
-        };
-        self.data.entries[start..]
-            .iter()
-            .take_while(move |e| match hi {
-                Some(h) => e.key < *h,
-                None => true,
-            })
-            .filter(move |e| self.entry_visible(&e.key))
+        let entries = &self.data.entries;
+        let first_at_or_after = |key: &Key| entries.partition_point(|e| e.key < *key);
+        let mut at = lo.map_or(0, first_at_or_after);
+        let end = hi.map_or(entries.len(), first_at_or_after);
+        let visible = self.visible.as_deref();
+        std::iter::from_fn(move || {
+            if let Some(bits) = visible {
+                while at < end {
+                    let rest_of_word = bits[at / 64] >> (at % 64);
+                    if rest_of_word != 0 {
+                        at += rest_of_word.trailing_zeros() as usize;
+                        break;
+                    }
+                    at = (at / 64 + 1) * 64;
+                }
+            }
+            let entry = entries[..end].get(at)?;
+            at += 1;
+            Some(entry)
+        })
     }
 
     /// Iterates all visible entries in key order.
@@ -378,7 +436,10 @@ impl Component {
 
     /// Memory accounting over *all* entries of the underlying run, ignoring
     /// bucket filters — reference handles report the full shared allocation
-    /// (dedupe on [`Component::data_token`] when aggregating).
+    /// (dedupe on [`Component::data_token`] when aggregating). The value
+    /// bytes are summed per entry; a packed run's slab is exactly that long,
+    /// so the sum is what the run holds whether its payloads are one
+    /// allocation or one each.
     pub fn raw_footprint(&self) -> StorageFootprint {
         let mut fp = StorageFootprint::default();
         for e in &self.data.entries {
@@ -501,6 +562,101 @@ mod tests {
         let cleaned = c.mark_buckets_invalid(&[BucketId::new(1, 1)], KeyLayout::PrimaryKey);
         assert_eq!(cleaned.visible_len(), cleaned.iter().count());
         assert_eq!(cleaned.visible_len() + r.visible_len(), c.visible_len());
+    }
+
+    /// Reads through the recorded visibility bits equal the oracle that
+    /// hashes and filters every entry — the pre-bitmap algorithm, kept here —
+    /// after split → split → lazy cleanup, under both key layouts: `iter`,
+    /// bounded `range`s, `get`, and the cached count and size.
+    #[test]
+    fn prop_reads_through_visibility_bits_match_the_filtering_oracle() {
+        use crate::rng::SplitMix64;
+
+        for seed in 0..64u64 {
+            let mut rng = SplitMix64::seed_from_u64(0xb175_0000 + seed);
+            let layout = if seed % 2 == 0 {
+                KeyLayout::PrimaryKey
+            } else {
+                KeyLayout::SecondaryComposite
+            };
+            let key_of = |k: u64| match layout {
+                KeyLayout::PrimaryKey => Key::from_u64(k),
+                KeyLayout::SecondaryComposite => SecondaryEntry {
+                    secondary: Key::from_u64(k % 11),
+                    primary: Key::from_u64(k),
+                }
+                .encode(),
+            };
+            let primary_of = |key: &Key| match layout {
+                KeyLayout::PrimaryKey => key.clone(),
+                KeyLayout::SecondaryComposite => SecondaryEntry::decode(key).unwrap().primary,
+            };
+            let entries: Vec<Entry> = (0..rng.gen_range(1..400))
+                .map(|_| {
+                    let key = key_of(rng.gen_range(0..600));
+                    if rng.gen_ratio(1, 5) {
+                        Entry::delete(key)
+                    } else {
+                        Entry::put(key, Bytes::from(vec![7u8; rng.gen_index(24)]))
+                    }
+                })
+                .collect();
+            let whole = Component::from_unsorted(entries, ComponentSource::Merge)
+                .mark_buckets_invalid(&[], layout);
+            // split -> split: a child of a child, then lazy cleanup of some
+            // grandchildren (possibly none, possibly all of them).
+            let child = BucketId::new(rng.gen_range(0..2) as u32, 1);
+            let grandchild = if rng.gen_ratio(1, 2) {
+                child.split().0
+            } else {
+                child.split().1
+            };
+            let moved: Vec<BucketId> = (0..8u32)
+                .filter(|_| rng.gen_ratio(1, 3))
+                .map(|bits| BucketId::new(bits, 3))
+                .collect();
+            let c = whole
+                .restrict_to_bucket(child)
+                .restrict_to_bucket(grandchild)
+                .mark_buckets_invalid(&moved, layout);
+
+            let oracle = |lo: Option<&Key>, hi: Option<&Key>| -> Vec<&Entry> {
+                whole
+                    .data
+                    .entries
+                    .iter()
+                    .filter(|e| lo.is_none_or(|lo| e.key >= *lo) && hi.is_none_or(|hi| e.key < *hi))
+                    .filter(|e| {
+                        let primary = primary_of(&e.key);
+                        grandchild.contains_key(&primary)
+                            && !moved.iter().any(|b| b.contains_key(&primary))
+                    })
+                    .collect()
+            };
+            let all = oracle(None, None);
+            assert_eq!(c.iter().collect::<Vec<_>>(), all, "seed {seed}");
+            assert_eq!(c.visible_len(), all.len(), "seed {seed}");
+            assert_eq!(
+                c.visible_size_bytes(),
+                all.iter().map(|e| e.size_bytes()).sum::<usize>(),
+                "seed {seed}"
+            );
+            for e in &whole.data.entries {
+                let expected = all.iter().find(|v| v.key == e.key).map(|v| &v.op);
+                assert_eq!(c.get(&e.key), expected, "seed {seed}, key {:?}", e.key);
+            }
+            for _ in 0..24 {
+                // bounds on, between and beyond stored keys, in either order
+                let (a, b) = (key_of(rng.gen_range(0..640)), key_of(rng.gen_range(0..640)));
+                let lo = rng.gen_ratio(3, 4).then_some(&a);
+                let hi = rng.gen_ratio(3, 4).then_some(&b);
+                assert_eq!(
+                    c.range(lo, hi).collect::<Vec<_>>(),
+                    oracle(lo, hi),
+                    "seed {seed}, range {lo:?}..{hi:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -269,6 +269,15 @@ impl Entry {
         }
     }
 
+    /// An owned copy of a borrowed key/op pair, as the merge iterators hand
+    /// them out. The key copies inline; a put's payload is shared, not copied.
+    pub fn from_parts(key: &Key, op: &Op) -> Self {
+        Entry {
+            key: key.clone(),
+            op: op.clone(),
+        }
+    }
+
     /// Approximate on-disk size of the entry in bytes.
     ///
     /// Every size, budget and cost-model charge in the system must use this

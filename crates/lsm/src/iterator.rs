@@ -221,6 +221,17 @@ impl<'a> LazyMergeIter<'a> {
             return Some((key, op));
         }
     }
+
+    /// Hands every remaining entry, still borrowed, to `visit` and returns
+    /// the bytes they weigh ([`Entry::size_of_parts`]): a scan's one pass.
+    pub fn visit_all(mut self, mut visit: impl FnMut(&'a Key, &'a Op)) -> u64 {
+        let mut bytes = 0;
+        while let Some((key, op)) = self.next_ref() {
+            bytes += Entry::size_of_parts(key, op) as u64;
+            visit(key, op);
+        }
+        bytes
+    }
 }
 
 impl Iterator for LazyMergeIter<'_> {
@@ -228,10 +239,7 @@ impl Iterator for LazyMergeIter<'_> {
 
     fn next(&mut self) -> Option<Entry> {
         let (key, op) = self.next_ref()?;
-        Some(Entry {
-            key: key.clone(),
-            op: op.clone(),
-        })
+        Some(Entry::from_parts(key, op))
     }
 }
 

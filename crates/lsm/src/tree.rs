@@ -195,13 +195,25 @@ impl LsmTree {
             .retain(|key| !BucketId::any_contains_hash(&dead, layout.bucket_hash(key)));
     }
 
-    /// Range scan over `[lo, hi)` returning live entries in key order. The
-    /// merge pulls lazily from the component iterators and materialises the
-    /// reconciled output exactly once.
+    /// Range scan over `[lo, hi)` handing every live entry, in key order and
+    /// still borrowed from its component, to `visit`. Charges the bytes
+    /// visited to the query-read metric and returns them.
+    pub fn scan_with(
+        &self,
+        lo: Option<&Key>,
+        hi: Option<&Key>,
+        visit: impl FnMut(&Key, &Op),
+    ) -> u64 {
+        let bytes = self.iter_live(lo, hi).visit_all(visit);
+        StorageMetrics::add(&self.metrics.bytes_query_read, bytes);
+        bytes
+    }
+
+    /// Range scan over `[lo, hi)` returning live entries in key order: one
+    /// pass that materialises the reconciled output exactly once.
     pub fn scan(&self, lo: Option<&Key>, hi: Option<&Key>) -> Vec<Entry> {
-        let out: Vec<Entry> = self.iter_live(lo, hi).collect();
-        let bytes: usize = out.iter().map(|e| e.size_bytes()).sum();
-        StorageMetrics::add(&self.metrics.bytes_query_read, bytes as u64);
+        let mut out = Vec::new();
+        self.scan_with(lo, hi, |key, op| out.push(Entry::from_parts(key, op)));
         out
     }
 
@@ -212,7 +224,9 @@ impl LsmTree {
 
     /// Number of live records (reconciled). Linear in the data size.
     pub fn live_len(&self) -> usize {
-        self.scan_all().len()
+        let mut live = 0;
+        self.scan_with(None, None, |_, _| live += 1);
+        live
     }
 
     // ------------------------------------------------------- flush and merge
@@ -582,6 +596,55 @@ mod tests {
         assert!(t.num_components() < 6);
         assert_eq!(t.live_len(), 300);
         assert!(t.metrics().snapshot().bytes_merged > 0);
+    }
+
+    /// A flush hands the writers' payloads over as they are; a merge moves
+    /// them into the new run's own slab, in key order, without changing a
+    /// byte any reader sees; a load does the same.
+    #[test]
+    fn merged_and_loaded_runs_own_their_payloads_in_one_slab() {
+        let mut t = small_tree(1 << 20);
+        // 240 keys, each written once (7 is coprime to 240) with a payload
+        // whose first byte names its key
+        let written: Vec<Bytes> = (0..240u64)
+            .map(|k| Bytes::from(vec![k as u8; 1 + (k % 13) as usize]))
+            .collect();
+        for round in 0..3u64 {
+            for i in (round * 80)..(round * 80 + 80) {
+                t.put(i * 7 % 240, written[(i * 7 % 240) as usize].clone());
+            }
+            t.delete(round); // tombstones carry no payload
+            t.flush();
+        }
+        let payloads = |c: &Component| -> Vec<Bytes> {
+            c.iter().filter_map(|e| e.op.value().cloned()).collect()
+        };
+        for c in t.components() {
+            for v in payloads(c) {
+                let original = &written[v[0] as usize];
+                assert!(v.shares_allocation(original), "a flush copies nothing");
+            }
+        }
+        let gets_before: Vec<Option<Bytes>> =
+            (0..240u64).map(|k| t.get(&Key::from_u64(k))).collect();
+        let scan_before = t.scan_all();
+
+        t.force_merge_all();
+        assert_eq!(t.num_components(), 1);
+        let merged = payloads(&t.components()[0]);
+        assert_eq!(merged.len(), 237);
+        assert!(merged.iter().all(|v| v.shares_allocation(&merged[0])));
+        assert!(!merged[0].shares_allocation(&written[merged[0][0] as usize]));
+        let gets_after: Vec<Option<Bytes>> =
+            (0..240u64).map(|k| t.get(&Key::from_u64(k))).collect();
+        assert_eq!(gets_after, gets_before);
+        assert_eq!(t.scan_all(), scan_before);
+
+        let loaded = Component::from_unsorted(scan_before.clone(), ComponentSource::Loaded);
+        let copies = payloads(&loaded);
+        assert!(copies.iter().all(|v| v.shares_allocation(&copies[0])));
+        assert!(!copies[0].shares_allocation(&merged[0]), "a load copies");
+        assert_eq!(loaded.iter().cloned().collect::<Vec<_>>(), scan_before);
     }
 
     #[test]

@@ -85,17 +85,7 @@ fn scan_decoded<T>(
     ordered: bool,
     decode: impl Fn(&[u8]) -> Option<T>,
 ) -> Result<Vec<(PartitionId, Vec<T>)>, ClusterError> {
-    let scans = exec.scan_table(dataset, ordered)?;
-    Ok(scans
-        .into_iter()
-        .map(|(p, entries)| {
-            let decoded = entries
-                .iter()
-                .filter_map(|e| e.op.value().and_then(|v| decode(v)))
-                .collect();
-            (p, decoded)
-        })
-        .collect())
+    exec.scan_map(dataset, ordered, |_, op| op.value().and_then(|v| decode(v)))
 }
 
 fn scan_lineitem(

@@ -231,6 +231,66 @@ fn destinations_serve_the_shipped_components_directly() {
     );
 }
 
+/// Readers keep what they hold alive and nothing else does: no session
+/// cache and no log record holds a component or a payload (sessions cache
+/// routing state, the logs copy what they record). Once a committed
+/// rebalance has dropped a source's buckets — under the Records policy, where
+/// the destination loads its own copy — the handles taken before it are the
+/// last owners of those runs, while a value read before it stays intact.
+#[test]
+fn a_dropped_source_bucket_is_owned_only_by_its_readers() {
+    let (mut cluster, ds) = cluster_with(3, Scheme::StaticHash { num_buckets: 16 }, 1500);
+    let mut session = cluster.session(ds).unwrap();
+    let leaving = cluster.topology().partitions_of_node(NodeId(2));
+    let mut readers = Vec::new();
+    let mut held = Vec::new();
+    for p in &leaving {
+        let mut admin = cluster.admin();
+        admin
+            .partition_mut(*p)
+            .unwrap()
+            .dataset_mut(ds)
+            .unwrap()
+            .flush_all();
+        let primary = &admin.partition(*p).unwrap().dataset(ds).unwrap().primary;
+        for b in primary.bucket_ids() {
+            let tree = primary.bucket_tree(&b).unwrap();
+            readers.extend(tree.components().iter().cloned());
+            held.extend(tree.scan_all().into_iter().take(1));
+        }
+    }
+    assert!(!readers.is_empty() && readers.iter().all(|c| c.ref_count() == 2));
+    for e in &held {
+        assert_eq!(
+            session.get(&cluster, &e.key).unwrap().as_ref(),
+            e.op.value()
+        );
+    }
+
+    let target = cluster.topology_without(NodeId(2));
+    let report = cluster
+        .rebalance(
+            ds,
+            &target,
+            RebalanceOptions::none().with_move_policy(MovePolicy::Records),
+        )
+        .unwrap();
+    assert_eq!(report.outcome, RebalanceOutcome::Committed);
+    assert!(
+        readers.iter().all(|c| c.ref_count() == 1),
+        "a session, a log or a destination still pins a dropped bucket's run"
+    );
+    // the stale session redirects to the new owners and reads the same bytes
+    // as the entries held from before the move
+    for e in &held {
+        assert_eq!(
+            session.get(&cluster, &e.key).unwrap().as_ref(),
+            e.op.value()
+        );
+        assert_eq!(e.op.value().unwrap(), &payload(e.key.as_u64()));
+    }
+}
+
 /// A destination crash *between the ship and the install* wipes the
 /// uncommitted pending state. The commit re-ships the lost buckets by
 /// replaying the ship records from the metadata log, and the rebalance
