@@ -1,36 +1,15 @@
-//! A minimal wall-clock benchmark harness.
+//! The one wall-clock read of the workspace.
 //!
-//! The repository builds with zero external dependencies, so the bench
-//! targets under `benches/` cannot use `criterion`. Each bench is a plain
-//! `harness = false` binary whose `main` calls [`bench_case`] for every
-//! measured case: a short warm-up, then `iters` timed iterations, reporting
-//! min / mean / max wall-clock time per iteration.
+//! The repository builds with zero external dependencies and the simulation
+//! runs on the sim clock alone; what is measured on the wall clock — the two
+//! timing arms of the `routing` and `lookup` figures, and every span of the
+//! stand-alone benchmark under `examples/benchmark` — goes through
+//! [`ns_per_op`].
 //!
-//! Absolute numbers depend on the host; like the criterion setup this
-//! replaces, only relative comparisons are meaningful.
+//! Absolute numbers depend on the host; only relative comparisons are
+//! meaningful.
 
 use std::time::Instant;
-
-/// Default number of timed iterations per case.
-pub const DEFAULT_ITERS: u32 = 10;
-
-/// Runs `f` once as warm-up and then `iters` timed times, printing a
-/// one-line summary. Returns the mean seconds per iteration.
-pub fn bench_case<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) -> f64 {
-    assert!(iters > 0);
-    std::hint::black_box(f());
-    let mut times = Vec::with_capacity(iters as usize);
-    for _ in 0..iters {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        times.push(start.elapsed().as_secs_f64());
-    }
-    let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = times.iter().cloned().fold(0.0f64, f64::max);
-    let mean = times.iter().sum::<f64>() / times.len() as f64;
-    println!("{name:<48} {iters:>3} iters  min {min:>9.4}s  mean {mean:>9.4}s  max {max:>9.4}s");
-    mean
-}
 
 /// Times one execution of `f` and returns nanoseconds per operation,
 /// dividing the elapsed wall-clock time by `ops`.
@@ -42,9 +21,4 @@ pub fn ns_per_op(ops: u64, f: &mut impl FnMut()) -> f64 {
     let start = Instant::now();
     f();
     start.elapsed().as_nanos() as f64 / ops.max(1) as f64
-}
-
-/// Prints the standard header for a bench group.
-pub fn bench_group(title: &str) {
-    println!("=== {title} ===");
 }

@@ -1089,26 +1089,19 @@ impl Admin<'_> {
 
     /// The merged heat snapshot of a dataset: the decayed per-bucket op
     /// counters (zero while heat tracking is disarmed) joined with current
-    /// storage residency — record counts and resident bytes per bucket —
-    /// aggregated per partition. This is the monitor half of the control
-    /// plane's monitor→decide→act loop, and an operator's view of where a
-    /// dataset's traffic concentrates.
+    /// storage residency — resident bytes per bucket — aggregated per
+    /// partition. This is the monitor half of the control plane's
+    /// monitor→decide→act loop, and an operator's view of where a dataset's
+    /// traffic concentrates.
     pub fn heat(&self, dataset: DatasetId) -> Result<HeatReport, ClusterError> {
         let ops = self.cluster.heat.ops_snapshot(dataset);
         let mut report = HeatReport::default();
         for (p, buckets) in self.cluster.local_directories(dataset)? {
             let ds = self.cluster.partition(p)?.dataset(dataset)?;
             let sizes: BTreeMap<BucketId, u64> = ds.bucket_sizes().into_iter().collect();
-            let records: BTreeMap<BucketId, u64> = ds
-                .primary
-                .bucket_record_counts()
-                .into_iter()
-                .map(|(b, n)| (b, n as u64))
-                .collect();
             let mut agg = BucketHeat::default();
             for b in buckets {
                 let mut h = ops.get(&b).copied().unwrap_or_default();
-                h.records = records.get(&b).copied().unwrap_or(0);
                 h.resident_bytes = sizes.get(&b).copied().unwrap_or(0);
                 report.per_bucket.entry(b).or_default().absorb(&h);
                 agg.absorb(&h);

@@ -69,8 +69,8 @@ const MAX_PENDING_PUSHES: usize = 8;
 
 /// Per-bucket decayed operation counters for every dataset, armed on the
 /// cluster with [`Cluster::set_heat_tracking`]. Only the op counters live
-/// here; residency (records, bytes) is read from storage when a snapshot is
-/// taken, so the map stays a few words per active bucket.
+/// here; residency (bytes) is read from storage when a snapshot is taken,
+/// so the map stays a few words per active bucket.
 #[derive(Debug, Clone, Default)]
 pub struct HeatMap {
     ops: BTreeMap<DatasetId, BTreeMap<BucketId, BucketHeat>>,
@@ -834,11 +834,6 @@ impl ControlPlane {
         &self.config
     }
 
-    /// The dataset of the in-flight auto-planned job, if any.
-    pub fn in_flight_dataset(&self) -> Option<DatasetId> {
-        self.job.as_ref().map(|j| j.dataset())
-    }
-
     /// Registers (or replaces) a repair feed for a dataset: the records a
     /// health tick re-ingests the dataset's lost buckets from when it finds
     /// the dataset degraded (see [`RebalanceJob::plan_repair`]). Register the
@@ -852,11 +847,6 @@ impl ControlPlane {
     /// Removes a registered repair feed.
     pub fn clear_repair_feed(&mut self, dataset: DatasetId) {
         self.repair_feeds.remove(&dataset);
-    }
-
-    /// Datasets with a registered repair feed.
-    pub fn repair_feed_datasets(&self) -> Vec<DatasetId> {
-        self.repair_feeds.keys().copied().collect()
     }
 
     /// A snapshot of counters, recent decisions, and budget windows.
@@ -929,24 +919,6 @@ impl ControlPlane {
         }
         report.job_in_flight = self.job.is_some();
         Ok(report)
-    }
-
-    /// Ticks until the in-flight job (if any) reaches a terminal state, at
-    /// most `max_ticks` times. Returns the ticks used. Drivers call this
-    /// before starting an operator rebalance of their own, since a dataset
-    /// supports only one in-flight rebalance at a time.
-    pub fn drain_job(&mut self, cluster: &mut Cluster, max_ticks: u64) -> Result<u64> {
-        let mut used = 0;
-        while self.job.is_some() && used < max_ticks {
-            self.tick(cluster)?;
-            used += 1;
-        }
-        if self.job.is_some() {
-            return Err(ClusterError::RebalanceAborted(format!(
-                "auto-planned job still in flight after {max_ticks} drain ticks"
-            )));
-        }
-        Ok(used)
     }
 
     fn log(&mut self, report: &mut TickReport, decision: ControlDecision) {
@@ -1352,8 +1324,6 @@ mod tests {
         }
         let report = cluster.admin().heat(ds).unwrap();
         assert_eq!(report.per_partition.len(), 4);
-        let total_records: u64 = report.per_partition.values().map(|h| h.records).sum();
-        assert_eq!(total_records, 400);
         let total_reads: u64 = report.per_bucket.values().map(|h| h.reads).sum();
         assert_eq!(total_reads, 100);
         assert!(report.per_bucket.values().all(|h| h.resident_bytes > 0));

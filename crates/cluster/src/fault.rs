@@ -173,12 +173,6 @@ impl FaultSchedule {
     pub fn take_wave_fault(&mut self, wave: u64) -> Option<WaveFault> {
         self.wave_faults.remove(&wave)
     }
-
-    /// The scheduled-but-not-yet-fired wave faults (for drivers that want
-    /// to know whether a loss is still coming).
-    pub fn pending_wave_faults(&self) -> impl Iterator<Item = (&u64, &WaveFault)> {
-        self.wave_faults.iter()
-    }
 }
 
 // ----------------------------------------------------------------- stats

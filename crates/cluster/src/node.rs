@@ -76,11 +76,6 @@ impl NodeController {
         self.partitions.values()
     }
 
-    /// Iterates the node's partitions mutably.
-    pub fn partitions_mut(&mut self) -> impl Iterator<Item = &mut Partition> {
-        self.partitions.values_mut()
-    }
-
     /// True if the node is up.
     pub fn is_alive(&self) -> bool {
         self.alive

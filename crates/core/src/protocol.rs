@@ -370,8 +370,6 @@ pub struct BucketHeat {
     pub reads: u64,
     /// Decayed write operations (inserts and deletes) that hit the bucket.
     pub writes: u64,
-    /// Live records resident in the bucket at snapshot time.
-    pub records: u64,
     /// Logical bytes resident in the bucket at snapshot time.
     pub resident_bytes: u64,
 }
@@ -393,7 +391,6 @@ impl BucketHeat {
     pub fn absorb(&mut self, other: &BucketHeat) {
         self.reads += other.reads;
         self.writes += other.writes;
-        self.records += other.records;
         self.resident_bytes += other.resident_bytes;
     }
 }
@@ -573,12 +570,11 @@ mod tests {
         let mut h = BucketHeat {
             reads: 8,
             writes: 5,
-            records: 10,
             resident_bytes: 100,
         };
         h.decay();
         assert_eq!((h.reads, h.writes), (4, 2));
-        assert_eq!((h.records, h.resident_bytes), (10, 100), "decay is op-only");
+        assert_eq!(h.resident_bytes, 100, "decay is op-only");
         let mut total = BucketHeat::default();
         total.absorb(&h);
         total.absorb(&h);

@@ -60,13 +60,6 @@ impl ClusterTopology {
         }
     }
 
-    /// Builds a topology from explicit (partition, node) pairs.
-    pub fn from_pairs(pairs: impl IntoIterator<Item = (PartitionId, NodeId)>) -> Self {
-        ClusterTopology {
-            partition_to_node: pairs.into_iter().collect(),
-        }
-    }
-
     /// The node hosting a partition.
     pub fn node_of(&self, partition: PartitionId) -> Option<NodeId> {
         self.partition_to_node.get(&partition).copied()

@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::bucket::{hash_key, BucketId};
+use crate::bucket::BucketId;
 use crate::component::{Component, ComponentSource};
 use crate::directory::LocalDirectory;
 use crate::entry::{Entry, Key, Op, Value};
@@ -236,15 +236,6 @@ impl BucketedLsmTree {
         self.buckets
             .iter()
             .map(|(b, t)| (*b, t.logical_size_bytes()))
-            .collect()
-    }
-
-    /// Live record count of every visible bucket (the residency half of the
-    /// control plane's heat reports).
-    pub fn bucket_record_counts(&self) -> Vec<(BucketId, usize)> {
-        self.buckets
-            .iter()
-            .map(|(b, t)| (*b, t.live_len()))
             .collect()
     }
 
@@ -607,12 +598,6 @@ impl BucketedLsmTree {
         self.directory.lookup_hash(hash)
     }
 
-    /// Convenience: the hash of a key (re-exported for callers that need to
-    /// route without a directory).
-    pub fn hash_of(key: &Key) -> u64 {
-        hash_key(key)
-    }
-
     /// Materialises the live entries of a bucket. Test-only: no production
     /// path calls it (the bucket must exist).
     pub fn bucket_entries(&self, bucket: &BucketId) -> Result<Vec<Entry>> {
@@ -620,14 +605,6 @@ impl BucketedLsmTree {
             .get(bucket)
             .map(|t| t.scan_all())
             .ok_or(StorageError::UnknownBucket(*bucket))
-    }
-
-    /// Returns the latest operation for a key searching **only** the given
-    /// bucket (used to validate routing in tests).
-    pub fn get_in_bucket(&self, bucket: &BucketId, key: &Key) -> Option<Op> {
-        let tree = self.buckets.get(bucket)?;
-        let found = tree.scan_all().into_iter().find(|e| &e.key == key)?;
-        Some(found.op)
     }
 
     // -------------------------------------------------------- bucket merging

@@ -63,19 +63,6 @@ impl LocalDirectory {
         }
     }
 
-    /// Creates a directory holding the given buckets.
-    ///
-    /// # Panics
-    /// Panics if two of the buckets overlap.
-    pub fn with_buckets(buckets: impl IntoIterator<Item = BucketId>) -> Self {
-        let mut dir = LocalDirectory::new();
-        for b in buckets {
-            // dhlint: allow(panic) — documented constructor contract: input buckets are disjoint
-            dir.add(b).expect("overlapping buckets in local directory");
-        }
-        dir
-    }
-
     /// Adds a bucket, rejecting overlaps with existing buckets.
     ///
     /// The overlap check probes the new bucket's slot lattice instead of

@@ -47,7 +47,7 @@ pub use directory::LocalDirectory;
 pub use entry::{Entry, Key, Op, StorageFootprint, Value, KEY_INLINE_CAP, OP_TAG_BYTES};
 pub use iterator::{kmerge_disjoint, LazyMergeIter, RefSource};
 pub use memtable::MemTable;
-pub use merge_policy::{MergePolicy, SizeTieredPolicy};
+pub use merge_policy::SizeTieredPolicy;
 pub use metrics::StorageMetrics;
 pub use rng::{scramble, SplitMix64, Zipfian};
 pub use secondary::{SecondaryEntry, SecondaryIndex};

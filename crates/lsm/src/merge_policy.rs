@@ -9,17 +9,6 @@
 
 use crate::component::Component;
 
-/// A merge policy decides which suffix/range of the component list to merge.
-pub trait MergePolicy: Send + Sync {
-    /// Given the component list ordered **newest first**, returns the index
-    /// range `[start, end)` of components that should be merged together,
-    /// or `None` if no merge is needed.
-    fn select_merge(&self, components: &[Component]) -> Option<(usize, usize)>;
-
-    /// Human-readable name used in logs and experiment output.
-    fn name(&self) -> &'static str;
-}
-
 /// The size-tiered merge policy with a configurable size ratio.
 #[derive(Clone, Debug)]
 pub struct SizeTieredPolicy {
@@ -49,10 +38,11 @@ impl SizeTieredPolicy {
             ..Default::default()
         }
     }
-}
 
-impl MergePolicy for SizeTieredPolicy {
-    fn select_merge(&self, components: &[Component]) -> Option<(usize, usize)> {
+    /// Given the component list ordered **newest first**, returns the index
+    /// range `[start, end)` of components that should be merged together,
+    /// or `None` if no merge is needed.
+    pub fn select_merge(&self, components: &[Component]) -> Option<(usize, usize)> {
         let n = components.len();
         if n < self.min_merge_width {
             return None;
@@ -73,24 +63,6 @@ impl MergePolicy for SizeTieredPolicy {
             younger_sum += oldest;
         }
         None
-    }
-
-    fn name(&self) -> &'static str {
-        "size-tiered"
-    }
-}
-
-/// A policy that never merges; useful for tests and for isolating merge
-/// costs in ablation benchmarks.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoMergePolicy;
-
-impl MergePolicy for NoMergePolicy {
-    fn select_merge(&self, _components: &[Component]) -> Option<(usize, usize)> {
-        None
-    }
-    fn name(&self) -> &'static str {
-        "no-merge"
     }
 }
 
@@ -154,11 +126,5 @@ mod tests {
         let (s, e) = p.select_merge(&comps).unwrap();
         assert_eq!(s, 0);
         assert!(e <= 3);
-    }
-
-    #[test]
-    fn no_merge_policy_never_merges() {
-        let comps: Vec<Component> = (0..6).map(|i| comp_of_size(10, i)).collect();
-        assert_eq!(NoMergePolicy.select_merge(&comps), None);
     }
 }

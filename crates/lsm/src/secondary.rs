@@ -471,7 +471,6 @@ mod tests {
     #[test]
     fn prop_batch_mark_matches_the_sequential_oracle() {
         use crate::iterator::merge_live;
-        use crate::merge_policy::NoMergePolicy;
         use crate::rng::SplitMix64;
 
         for seed in 0..48u64 {
@@ -490,7 +489,6 @@ mod tests {
                 .encode(),
             };
             let config = LsmConfig {
-                merge_policy: Arc::new(NoMergePolicy),
                 auto_flush: false,
                 auto_merge: false,
                 ..LsmConfig::default()

@@ -14,39 +14,28 @@ use crate::component::{Component, ComponentSource, KeyLayout};
 use crate::entry::{Entry, Key, Op, Value};
 use crate::iterator::{reconcile_point, LazyMergeIter, RefSource};
 use crate::memtable::MemTable;
-use crate::merge_policy::{MergePolicy, SizeTieredPolicy};
+use crate::merge_policy::SizeTieredPolicy;
 use crate::metrics::StorageMetrics;
 
 /// Configuration of a single LSM-tree.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct LsmConfig {
     /// Memory-component budget in bytes; exceeding it triggers a flush when
     /// `auto_flush` is set.
     pub memtable_budget_bytes: usize,
     /// The merge policy (AsterixDB default: size-tiered with ratio 1.2).
-    pub merge_policy: Arc<dyn MergePolicy>,
+    pub merge_policy: SizeTieredPolicy,
     /// Automatically flush when the memory component exceeds its budget.
     pub auto_flush: bool,
     /// Automatically run merges after each flush.
     pub auto_merge: bool,
 }
 
-impl std::fmt::Debug for LsmConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LsmConfig")
-            .field("memtable_budget_bytes", &self.memtable_budget_bytes)
-            .field("merge_policy", &self.merge_policy.name())
-            .field("auto_flush", &self.auto_flush)
-            .field("auto_merge", &self.auto_merge)
-            .finish()
-    }
-}
-
 impl Default for LsmConfig {
     fn default() -> Self {
         LsmConfig {
             memtable_budget_bytes: 4 * 1024 * 1024,
-            merge_policy: Arc::new(SizeTieredPolicy::default()),
+            merge_policy: SizeTieredPolicy::default(),
             auto_flush: true,
             auto_merge: true,
         }
@@ -95,11 +84,6 @@ impl LsmTree {
             memtable_invalid: Vec::new(),
             layout: KeyLayout::default(),
         }
-    }
-
-    /// Creates an empty tree with default configuration and private metrics.
-    pub fn new_default() -> Self {
-        Self::new(LsmConfig::default(), StorageMetrics::new_shared())
     }
 
     /// The tree's configuration.
@@ -434,7 +418,6 @@ impl LsmTree {
 mod tests {
     use super::*;
     use crate::bytes::Bytes;
-    use crate::merge_policy::NoMergePolicy;
 
     fn small_tree(budget: usize) -> LsmTree {
         LsmTree::new(
@@ -578,7 +561,7 @@ mod tests {
         let mut t = LsmTree::new(
             LsmConfig {
                 memtable_budget_bytes: 1 << 20,
-                merge_policy: Arc::new(SizeTieredPolicy::new(1.2)),
+                merge_policy: SizeTieredPolicy::new(1.2),
                 auto_flush: false,
                 auto_merge: false,
             },
@@ -664,7 +647,7 @@ mod tests {
         let mut t = LsmTree::new(
             LsmConfig {
                 memtable_budget_bytes: 64,
-                merge_policy: Arc::new(SizeTieredPolicy::new(0.1)),
+                merge_policy: SizeTieredPolicy::new(0.1),
                 auto_flush: true,
                 auto_merge: true,
             },
@@ -686,9 +669,9 @@ mod tests {
         let mut t = LsmTree::new(
             LsmConfig {
                 memtable_budget_bytes: 1 << 20,
-                merge_policy: Arc::new(NoMergePolicy),
                 auto_flush: false,
                 auto_merge: false,
+                ..LsmConfig::default()
             },
             StorageMetrics::new_shared(),
         );
