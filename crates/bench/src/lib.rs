@@ -31,9 +31,9 @@ pub mod timing;
 use std::collections::BTreeMap;
 
 use dynahash_cluster::{
-    Cluster, ClusterConfig, ControlConfig, ControlPlane, CostModel, DatasetId, DatasetSpec,
+    Cluster, ClusterConfig, ControlConfig, ControlPlane, CostModel, DatasetId, DatasetSpec, Fault,
     FaultSchedule, RebalanceJob, RebalanceOptions, SecondaryIndexDef, Session, SessionMetrics,
-    SimDuration, SpeculationPolicy, WaveFault,
+    SimDuration, SpeculationPolicy, StepPoint,
 };
 use dynahash_core::balance::{balance_assignment, load_balance_factor, BalanceInput, BucketLoad};
 use dynahash_core::{
@@ -1462,7 +1462,8 @@ pub fn fault_study(cfg: &ExperimentConfig) -> Vec<FaultRow> {
             1 => cluster.set_fault_plane(FaultSchedule::none()),
             2 => cluster.set_fault_plane(FaultSchedule::seeded(0xfa_2026).with_transient(600, 2)),
             3 => cluster.set_fault_plane(
-                FaultSchedule::seeded(0xfa_2026).with_wave_fault(0, WaveFault::Lose(new_node)),
+                FaultSchedule::seeded(0xfa_2026)
+                    .with_fault(StepPoint::AfterWave(0), Fault::LoseNode(new_node)),
             ),
             _ => {}
         }

@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 
 use dynahash_cluster::{
     Cluster, ClusterConfig, ClusterError, ControlConfig, ControlDecision, ControlPlane, CostModel,
-    DatasetSpec, FaultSchedule, RebalanceJob, SecondaryIndexDef, Session, WaveFault,
+    DatasetSpec, Fault, FaultSchedule, RebalanceJob, SecondaryIndexDef, Session, StepPoint,
 };
 use dynahash_core::{NodeId, RebalanceOutcome, Scheme};
 use dynahash_lsm::entry::{Key, StorageFootprint};
@@ -1154,6 +1154,7 @@ impl<'a> Runner<'a> {
         // copies of its resident buckets with it and opening the degraded
         // window the repair plane exists for.
         let mut schedule = FaultSchedule::seeded(self.rng.next_u64());
+        let mut to_lose: Option<NodeId> = None;
         let mut lost: Option<NodeId> = None;
         if self.cfg.chaos {
             schedule = schedule.with_transient(150, 2);
@@ -1178,24 +1179,27 @@ impl<'a> Runner<'a> {
                     n
                 };
                 self.chaos_grows += 1;
-                schedule = schedule.with_wave_fault(0, WaveFault::Lose(victim));
+                schedule = schedule.with_fault(StepPoint::AfterWave(0), Fault::LoseNode(victim));
+                to_lose = Some(victim);
             }
             _ => {
                 if self.rng.gen_range(0..2) == 0 {
                     let nodes = self.cluster.topology().nodes();
                     let n = nodes[self.rng.gen_range(0..nodes.len() as u64) as usize];
+                    let round = self.rng.gen_range(0..2) as usize;
                     schedule =
-                        schedule.with_wave_fault(self.rng.gen_range(0..2), WaveFault::Crash(n));
+                        schedule.with_fault(StepPoint::AfterWave(round), Fault::RestartNode(n));
                 }
             }
         }
         self.cluster.set_fault_plane(schedule);
 
-        // Interleave the jobs' waves round-robin; after each round, consume
-        // the fault scheduled for it (re-planning every job immediately on a
-        // loss, before any feed can replicate into the dead node), then keep
-        // the session-driven feeds flowing.
-        let mut round = 0u64;
+        // Interleave the jobs' waves round-robin; after each round, fire
+        // the fault scheduled for it (a loss re-plans every job at once,
+        // before any feed can replicate into the dead node), then keep the
+        // session-driven feeds flowing. The event schedules at most one
+        // fault: a loss of `to_lose`, or else a node restart.
+        let mut round = 0usize;
         loop {
             let mut progressed = false;
             for (i, job) in jobs.iter_mut().enumerate() {
@@ -1209,29 +1213,16 @@ impl<'a> Runner<'a> {
             if !progressed {
                 break;
             }
-            if let Some(fault) = self.cluster.take_wave_fault(round) {
-                match fault {
-                    WaveFault::Crash(n) => {
-                        self.cluster
-                            .crash_node(n)
-                            .map_err(|e| format!("mid-rebalance crash {n}: {e}"))?;
-                        self.cluster.recover_all_nodes();
-                        self.crashes += 1;
-                    }
-                    WaveFault::Lose(n) => {
-                        self.cluster
-                            .lose_node(n)
-                            .map_err(|e| format!("mid-rebalance loss of {n}: {e}"))?;
-                        for job in jobs.iter_mut() {
-                            let ds = job.dataset();
-                            job.replan_wave(&mut self.cluster)
-                                .map_err(|e| format!("replan dataset {ds} after {n}: {e}"))?;
-                        }
-                        if Some(n) != new_node {
-                            self.established_losses += 1;
-                        }
-                        lost = Some(n);
-                    }
+            let fired = self
+                .cluster
+                .fire_faults(StepPoint::AfterWave(round), &mut jobs)
+                .map_err(|e| format!("mid-rebalance fault after round {round}: {e}"))?;
+            if fired > 0 {
+                lost = to_lose;
+                match to_lose {
+                    Some(n) if Some(n) != new_node => self.established_losses += 1,
+                    Some(_) => {}
+                    None => self.crashes += 1,
                 }
             }
             if feed > 0 {

@@ -14,10 +14,10 @@ use dynahash_lsm::entry::{Key, StorageFootprint, Value};
 use dynahash_lsm::metrics::MetricsSnapshot;
 use dynahash_lsm::wal::{LogRecordBody, RebalanceId, RebalanceLogStatus};
 
-use crate::control::{HeatCell, HeatReport, JobProgress, PushedUpdate, SessionRegistry};
+use crate::control::{HeatCell, HeatReport, JobProgress, SessionRegistry};
 use crate::controller::ClusterController;
 use crate::dataset::{DatasetId, DatasetMeta, DatasetSpec};
-use crate::fault::{ClusterHealth, FaultSchedule, FaultStats, WaveFault};
+use crate::fault::{ClusterHealth, FaultSchedule, FaultStats};
 use crate::feed::IngestReport;
 use crate::job::RebalanceJob;
 use crate::node::NodeController;
@@ -60,6 +60,17 @@ pub(crate) struct ActiveRebalance {
     pub shipped: BTreeMap<BucketId, PartitionId>,
     /// True from the prepare phase until commit/abort: writes are blocked.
     pub write_blocked: bool,
+}
+
+/// What one applied write touched (see `Cluster::write_record`).
+struct Written {
+    /// The node owning the record.
+    node: NodeId,
+    /// The destination node the write was replicated to, and the payload
+    /// bytes sent there.
+    replica: Option<(NodeId, u64)>,
+    /// Whether a delete found the key live (never true for a put).
+    was_live: bool,
 }
 
 /// The cluster's fault-plane state: the (optional) installed schedule and
@@ -159,22 +170,6 @@ impl Cluster {
         self.heat.ops_snapshot(dataset)
     }
 
-    /// One heat decay step (the control plane calls this every tick).
-    pub(crate) fn decay_heat(&self) {
-        self.heat.decay();
-    }
-
-    /// Folds a bucket split into the heat counters.
-    pub(crate) fn on_heat_split(
-        &self,
-        dataset: DatasetId,
-        parent: BucketId,
-        lo: BucketId,
-        hi: BucketId,
-    ) {
-        self.heat.on_split(dataset, parent, lo, hi);
-    }
-
     /// The local bucket a key lives in on `partition`, probed only while
     /// heat tracking is armed (`None` otherwise, and for non-bucketed
     /// datasets). Keying heat by the *local* directory keeps read heat,
@@ -193,22 +188,6 @@ impl Cluster {
         ds.primary.directory().lookup_key(key)
     }
 
-    /// Records one read against the bucket's heat (no-op while disarmed).
-    pub(crate) fn note_read_heat(&self, dataset: DatasetId, bucket: BucketId) {
-        self.heat.note_read(dataset, bucket);
-    }
-
-    /// Registers a session for commit-time directory pushes; returns its
-    /// subscription id.
-    pub(crate) fn register_subscriber(&self, dataset: DatasetId, directory_version: u64) -> u64 {
-        self.subscribers.register(dataset, directory_version)
-    }
-
-    /// Drains the pushed updates buffered for a subscription.
-    pub(crate) fn take_pushed(&self, subscription: u64) -> Vec<PushedUpdate> {
-        self.subscribers.take(subscription)
-    }
-
     /// Pushes the dataset's current routing state (as a
     /// [`dynahash_core::DirectoryDelta`] where possible) to every subscribed
     /// session. Called by the rebalance commit path and by control-plane
@@ -219,21 +198,12 @@ impl Cluster {
         }
     }
 
-    /// Publishes (or updates) a job's progress in the health surface.
-    pub(crate) fn publish_job_progress(&mut self, progress: JobProgress) {
-        self.job_progress.insert(progress.dataset, progress);
-    }
-
-    /// Clears a finalized job's progress from the health surface.
-    pub(crate) fn clear_job_progress(&mut self, dataset: DatasetId) {
-        self.job_progress.remove(&dataset);
-    }
-
     // ---------------------------------------------------------- fault plane
 
     /// Installs a seeded fault schedule. Transfers consult it per attempt;
-    /// drivers consume its wave faults between waves. Replaces any schedule
-    /// already installed (counters are kept).
+    /// drivers fire its step faults at the boundaries they pass
+    /// ([`Cluster::fire_faults`]). Replaces any schedule already installed
+    /// (counters are kept).
     pub fn set_fault_plane(&mut self, schedule: FaultSchedule) {
         self.faults.plane = Some(schedule);
     }
@@ -266,13 +236,6 @@ impl Cluster {
         let meta = self.controller.dataset(dataset).ok()?;
         let (bucket, _) = meta.directory.as_ref()?.lookup_key(key)?;
         lost.contains(&bucket).then_some(bucket)
-    }
-
-    /// Removes and returns the fault scheduled after wave `wave` (one-shot;
-    /// `None` with no schedule installed or nothing scheduled there).
-    /// Drivers call this between rebalance waves.
-    pub fn take_wave_fault(&mut self, wave: u64) -> Option<WaveFault> {
-        self.faults.plane.as_mut()?.take_wave_fault(wave)
     }
 
     /// The cluster configuration.
@@ -373,6 +336,125 @@ impl Cluster {
 
     // ------------------------------------------------------------ ingestion
 
+    /// What every write path checks before it touches a record. A
+    /// step-driven rebalance keeps writes online during data movement by
+    /// replicating them to already-shipped buckets; only the brief
+    /// prepare-to-commit window refuses them (Section V-C). A degraded
+    /// dataset refuses writes to its lost buckets *atomically*: every key is
+    /// validated before any record applies, so a feed never half-applies
+    /// against a bucket awaiting repair (a healthy dataset pays one probe of
+    /// the empty lost-bucket map per key).
+    fn check_writable<'a>(
+        &self,
+        dataset: DatasetId,
+        keys: impl IntoIterator<Item = &'a Key>,
+    ) -> Result<(), ClusterError> {
+        if (self.active_rebalances.get(&dataset)).is_some_and(|active| active.write_blocked) {
+            return Err(ClusterError::DatasetWriteBlocked(dataset));
+        }
+        for key in keys {
+            if let Some(bucket) = self.lost_bucket_of(dataset, key) {
+                return Err(ClusterError::BucketDegraded { dataset, bucket });
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies one write on the `partition` its key routes to — `Some(value)`
+    /// inserts or updates the record, `None` deletes the key — and is the
+    /// one place a record changes. The bucket's heat is noted (an attempted
+    /// write is load, served or not), the owner must be alive, and the write
+    /// goes to its transaction log and then into the primary, primary-key
+    /// and secondary indexes (a delete's old payload drives the secondary
+    /// extractors, so index scans never return phantom hits). While a job is
+    /// in flight, a write to a bucket whose wave has *already shipped it*
+    /// must also reach the destination's pending copy — tombstones and their
+    /// secondary deletions included — or the commit-time cleanup of the
+    /// source bucket would drop it (Section V-C); a dead destination fails
+    /// the write loudly, exactly like a dead owner.
+    fn write_record(
+        &mut self,
+        dataset: DatasetId,
+        partition: PartitionId,
+        key: Key,
+        value: Option<Value>,
+    ) -> Result<Written, ClusterError> {
+        if let Some(bucket) = self.heat_bucket_of(dataset, partition, &key) {
+            self.heat.note_write(dataset, bucket);
+        }
+        let node_id = self.node_of_partition(partition)?;
+        let replica = self.active_rebalances.get(&dataset).and_then(|active| {
+            let (bucket, _) = active.routing.lookup_key(&key)?;
+            let dst_partition = *active.shipped.get(&bucket)?;
+            let dst_node = active.target.node_of(dst_partition);
+            Some((bucket, dst_partition, dst_node, key.clone(), value.clone()))
+        });
+        let node = self.node_mut(node_id)?;
+        if !node.is_alive() {
+            return Err(ClusterError::NodeDown(node_id));
+        }
+        let old_value = match value {
+            Some(value) => {
+                node.log.append(LogRecordBody::Insert {
+                    dataset,
+                    key: key.as_slice().to_vec(),
+                    value: value.to_vec(),
+                });
+                let ds = node.partition_mut(partition)?.dataset_mut(dataset)?;
+                ds.ingest(key, value)?;
+                None
+            }
+            None => {
+                node.log.append(LogRecordBody::Delete {
+                    dataset,
+                    key: key.as_slice().to_vec(),
+                });
+                let ds = node.partition_mut(partition)?.dataset_mut(dataset)?;
+                ds.delete(&key)?
+            }
+        };
+        let mut written = Written {
+            node: node_id,
+            replica: None,
+            was_live: old_value.is_some(),
+        };
+        if let Some((bucket, dst_partition, dst_node, key, value)) = replica {
+            let dst_node = dst_node.ok_or(ClusterError::UnknownPartition(dst_partition))?;
+            if !self.node_is_alive(dst_node) {
+                return Err(ClusterError::NodeDown(dst_node));
+            }
+            let bytes = key.len() + value.as_ref().map_or(0, |v| v.len());
+            written.replica = Some((dst_node, bytes as u64));
+            let ds = self.partition_mut(dst_partition)?.dataset_mut(dataset)?;
+            // The bucket is in the active job's shipped set, so a missing
+            // pending copy means a destination crash wiped the uncommitted
+            // transfer: re-create it here so replication keeps flowing, and
+            // the commit re-ships the lost base data from the metadata log.
+            ds.ensure_pending_bucket(bucket)?;
+            match value {
+                Some(value) => ds.apply_replicated(bucket, dynahash_lsm::Entry::put(key, value))?,
+                None => ds.apply_replicated_delete(bucket, key, old_value.as_ref())?,
+            }
+        }
+        Ok(written)
+    }
+
+    /// One routed point write, backing [`crate::session::Session::put`]
+    /// (`Some(value)`) and [`crate::session::Session::delete`] (`None`):
+    /// [`Cluster::ingest`]'s per-record routine without the batch path's
+    /// cluster-wide metrics sweeps (a point write's cost report is discarded
+    /// anyway). Returns whether a delete found the key live.
+    pub(crate) fn write_routed(
+        &mut self,
+        dataset: DatasetId,
+        key: Key,
+        value: Option<Value>,
+    ) -> Result<bool, ClusterError> {
+        self.check_writable(dataset, [&key])?;
+        let partition = self.route_key(dataset, &key)?;
+        Ok(self.write_record(dataset, partition, key, value)?.was_live)
+    }
+
     /// Ingests a batch of records through a data feed: each record is routed
     /// with an immutable copy of the routing state taken at feed start,
     /// appended to the owning node's transaction log, and inserted into the
@@ -391,32 +473,8 @@ impl Cluster {
         dataset: DatasetId,
         records: impl IntoIterator<Item = (Key, Value)>,
     ) -> Result<IngestReport, ClusterError> {
-        // A step-driven rebalance keeps the feed online during data movement
-        // by replicating writes to already-shipped buckets; only the brief
-        // prepare-to-commit window blocks writes (Section V-C).
-        if let Some(active) = self.active_rebalances.get(&dataset) {
-            if active.write_blocked {
-                return Err(ClusterError::DatasetWriteBlocked(dataset));
-            }
-        }
-        // Degraded datasets reject writes to lost buckets *atomically*: the
-        // whole batch is validated before any record applies, so a feed never
-        // half-applies against a bucket awaiting repair. Healthy datasets pay
-        // only the (empty) lost-bucket map probe.
         let mut batch: Vec<(Key, Value)> = records.into_iter().collect();
-        if self
-            .faults
-            .stats
-            .lost_buckets
-            .get(&dataset)
-            .is_some_and(|b| !b.is_empty())
-        {
-            for (key, _) in &batch {
-                if let Some(bucket) = self.lost_bucket_of(dataset, key) {
-                    return Err(ClusterError::BucketDegraded { dataset, bucket });
-                }
-            }
-        }
+        self.check_writable(dataset, batch.iter().map(|(key, _)| key))?;
         let routing = self.controller.routing_snapshot(dataset)?;
         let cost_model = self.config.cost_model;
         self.pack_batch(&routing, &mut batch);
@@ -444,54 +502,13 @@ impl Cluster {
             let partition = routing
                 .route_key(&key)
                 .ok_or(ClusterError::RoutingFailed(dataset))?;
-            let heat_bucket = self.heat_bucket_of(dataset, partition, &key);
-            let node_id = self.node_of_partition(partition)?;
-            // Writes hitting a bucket whose wave already shipped it must
-            // also reach the destination's pending copy, or the commit-time
-            // cleanup of the source bucket would drop them.
-            let replica = self.active_rebalances.get(&dataset).and_then(|active| {
-                let (bucket, _) = active.routing.lookup_key(&key)?;
-                let dst_partition = *active.shipped.get(&bucket)?;
-                let dst_node = active.target.node_of(dst_partition);
-                Some((bucket, dst_partition, dst_node, key.clone(), value.clone()))
-            });
-            let node = self.node_mut(node_id)?;
-            if !node.is_alive() {
-                return Err(ClusterError::NodeDown(node_id));
-            }
-            node.log.append(LogRecordBody::Insert {
-                dataset,
-                key: key.as_slice().to_vec(),
-                value: value.to_vec(),
-            });
-            node.partition_mut(partition)?
-                .dataset_mut(dataset)?
-                .ingest(key, value)?;
-            *per_node_records.entry(node_id).or_default() += 1;
+            let written = self.write_record(dataset, partition, key, Some(value))?;
+            *per_node_records.entry(written.node).or_default() += 1;
             total += 1;
-            if let Some(bucket) = heat_bucket {
-                self.heat.note_write(dataset, bucket);
-            }
-            if let Some((bucket, dst_partition, dst_node, key, value)) = replica {
-                let dst_node = dst_node.ok_or(ClusterError::UnknownPartition(dst_partition))?;
-                // A write to an already-shipped bucket must reach the
-                // destination's pending copy or be lost by the commit-time
-                // source cleanup — a dead destination fails the feed loudly,
-                // exactly like a dead source partition.
-                if !self.node_is_alive(dst_node) {
-                    return Err(ClusterError::NodeDown(dst_node));
-                }
+            if let Some((dst_node, bytes)) = written.replica {
                 let entry = replicated.entry(dst_node).or_default();
                 entry.0 += 1;
-                entry.1 += (key.len() + value.len()) as u64;
-                let ds = self.partition_mut(dst_partition)?.dataset_mut(dataset)?;
-                // The bucket is in the active rebalance's shipped set, so a
-                // missing pending copy means a destination crash wiped the
-                // uncommitted transfer: re-create it here so replication
-                // keeps flowing, and the commit re-ships the lost base data
-                // from the metadata log.
-                ds.ensure_pending_bucket(bucket)?;
-                ds.apply_replicated(bucket, dynahash_lsm::Entry::put(key, value))?;
+                entry.1 += bytes;
             }
         }
 
@@ -564,115 +581,6 @@ impl Cluster {
                 *value = packed;
             }
         }
-    }
-
-    /// Inserts one record through the routed write path — the slim
-    /// single-record form of [`Cluster::ingest`] backing
-    /// [`crate::session::Session::put`]: WAL append, index maintenance, and
-    /// replication to an already-shipped bucket, without the batch path's
-    /// cluster-wide metrics sweeps (a point write's cost report is discarded
-    /// anyway).
-    pub(crate) fn put_routed(
-        &mut self,
-        dataset: DatasetId,
-        key: Key,
-        value: Value,
-    ) -> Result<(), ClusterError> {
-        if let Some(active) = self.active_rebalances.get(&dataset) {
-            if active.write_blocked {
-                return Err(ClusterError::DatasetWriteBlocked(dataset));
-            }
-        }
-        if let Some(bucket) = self.lost_bucket_of(dataset, &key) {
-            return Err(ClusterError::BucketDegraded { dataset, bucket });
-        }
-        let partition = self.route_key(dataset, &key)?;
-        if let Some(bucket) = self.heat_bucket_of(dataset, partition, &key) {
-            self.heat.note_write(dataset, bucket);
-        }
-        let node_id = self.node_of_partition(partition)?;
-        let replica = self.active_rebalances.get(&dataset).and_then(|active| {
-            let (bucket, _) = active.routing.lookup_key(&key)?;
-            let dst_partition = *active.shipped.get(&bucket)?;
-            let dst_node = active.target.node_of(dst_partition);
-            Some((bucket, dst_partition, dst_node, key.clone(), value.clone()))
-        });
-        let node = self.node_mut(node_id)?;
-        if !node.is_alive() {
-            return Err(ClusterError::NodeDown(node_id));
-        }
-        node.log.append(LogRecordBody::Insert {
-            dataset,
-            key: key.as_slice().to_vec(),
-            value: value.to_vec(),
-        });
-        node.partition_mut(partition)?
-            .dataset_mut(dataset)?
-            .ingest(key, value)?;
-        if let Some((bucket, dst_partition, dst_node, key, value)) = replica {
-            let dst_node = dst_node.ok_or(ClusterError::UnknownPartition(dst_partition))?;
-            if !self.node_is_alive(dst_node) {
-                return Err(ClusterError::NodeDown(dst_node));
-            }
-            let ds = self.partition_mut(dst_partition)?.dataset_mut(dataset)?;
-            ds.ensure_pending_bucket(bucket)?;
-            ds.apply_replicated(bucket, dynahash_lsm::Entry::put(key, value))?;
-        }
-        Ok(())
-    }
-
-    /// Deletes one record through the routed write path: a tombstone is
-    /// appended to the owning node's log and applied to the primary,
-    /// primary-key, and secondary indexes (the old payload drives the
-    /// secondary extractors, so index scans never return phantom hits for
-    /// deleted records). While a rebalance is mid-flight the tombstone —
-    /// secondary deletions included — is replicated to the destination's
-    /// pending bucket, exactly like an insert. Returns whether the key was
-    /// live.
-    pub(crate) fn delete_routed(
-        &mut self,
-        dataset: DatasetId,
-        key: &Key,
-    ) -> Result<bool, ClusterError> {
-        if let Some(active) = self.active_rebalances.get(&dataset) {
-            if active.write_blocked {
-                return Err(ClusterError::DatasetWriteBlocked(dataset));
-            }
-        }
-        if let Some(bucket) = self.lost_bucket_of(dataset, key) {
-            return Err(ClusterError::BucketDegraded { dataset, bucket });
-        }
-        let partition = self.route_key(dataset, key)?;
-        if let Some(bucket) = self.heat_bucket_of(dataset, partition, key) {
-            self.heat.note_write(dataset, bucket);
-        }
-        let node_id = self.node_of_partition(partition)?;
-        let replica = self.active_rebalances.get(&dataset).and_then(|active| {
-            let (bucket, _) = active.routing.lookup_key(key)?;
-            let dst_partition = *active.shipped.get(&bucket)?;
-            let dst_node = active.target.node_of(dst_partition);
-            Some((bucket, dst_partition, dst_node))
-        });
-        let node = self.node_mut(node_id)?;
-        if !node.is_alive() {
-            return Err(ClusterError::NodeDown(node_id));
-        }
-        node.log.append(LogRecordBody::Delete {
-            dataset,
-            key: key.as_slice().to_vec(),
-        });
-        let ds = node.partition_mut(partition)?.dataset_mut(dataset)?;
-        let old_value = ds.delete(key)?;
-        if let Some((bucket, dst_partition, dst_node)) = replica {
-            let dst_node = dst_node.ok_or(ClusterError::UnknownPartition(dst_partition))?;
-            if !self.node_is_alive(dst_node) {
-                return Err(ClusterError::NodeDown(dst_node));
-            }
-            let ds = self.partition_mut(dst_partition)?.dataset_mut(dataset)?;
-            ds.ensure_pending_bucket(bucket)?;
-            ds.apply_replicated_delete(bucket, key.clone(), old_value.as_ref())?;
-        }
-        Ok(old_value.is_some())
     }
 
     // -------------------------------------------------------------- scaling
@@ -1170,7 +1078,7 @@ mod tests {
             cluster.ingest(ds, records(4000)).unwrap();
             let own = Bytes::from(vec![9u8; 64]);
             cluster
-                .put_routed(ds, Key::from_u64(4000), own.clone())
+                .write_routed(ds, Key::from_u64(4000), Some(own.clone()))
                 .unwrap();
             let mut slabs: Vec<Value> = Vec::new();
             for p in cluster.topology().partitions() {

@@ -424,6 +424,9 @@ impl SessionRegistry {
 
 // ------------------------------------------------------------ decision loop
 
+/// Hot-bucket splits performed per dataset per tick, at most.
+const MAX_HOT_SPLITS_PER_TICK: usize = 4;
+
 /// Tuning knobs of the [`ControlPlane`]. The defaults follow the reference
 /// shard rebalancer (SNIPPETS.md Snippet 3): trigger at 15% max-deviation
 /// imbalance, sustained over `hysteresis_ticks` consecutive ticks, with a
@@ -442,16 +445,12 @@ pub struct ControlConfig {
     /// Decayed op count above which a single bucket is split so its heat
     /// can spread across partitions.
     pub hot_bucket_ops: u64,
-    /// Hot-bucket splits performed per dataset per tick, at most.
-    pub max_hot_splits_per_tick: usize,
     /// Load contributed by one decayed op, in byte units (how heavily query
     /// heat weighs against resident bytes).
     pub op_weight_bytes: u64,
     /// Wave width of auto-planned jobs (clamped to the budget's per-window
     /// bucket cap so a single wave can always be admitted).
     pub max_concurrent_moves: usize,
-    /// Drain deferred secondary-index stashes on idle ticks.
-    pub warm_on_idle: bool,
 }
 
 impl Default for ControlConfig {
@@ -462,10 +461,8 @@ impl Default for ControlConfig {
             cooldown_ticks: 8,
             budget: MigrationBudget::default(),
             hot_bucket_ops: 512,
-            max_hot_splits_per_tick: 4,
             op_weight_bytes: 1024,
             max_concurrent_moves: 4,
-            warm_on_idle: true,
         }
     }
 }
@@ -894,7 +891,7 @@ impl ControlPlane {
             self.window_buckets = 0;
             self.window_bytes = 0;
         }
-        cluster.decay_heat();
+        cluster.heat.decay();
 
         let mut report = TickReport {
             tick: self.tick,
@@ -910,7 +907,7 @@ impl ControlPlane {
             self.evaluate(cluster, &mut report)?;
         }
         let idle = self.job.is_none() && report.decisions.is_empty();
-        if idle && self.config.warm_on_idle {
+        if idle {
             for ds in cluster.controller.dataset_ids() {
                 let warmed = cluster.admin().warm_indexes(ds)?;
                 report.warmed_records += warmed;
@@ -1085,7 +1082,7 @@ impl ControlPlane {
             .collect();
         // Hottest first; bucket id breaks ties deterministically.
         hot.sort_by(|a, b| (b.0, a.1).cmp(&(a.0, b.1)));
-        hot.truncate(self.config.max_hot_splits_per_tick);
+        hot.truncate(MAX_HOT_SPLITS_PER_TICK);
         let mut splits = 0;
         for (ops, bucket) in hot {
             // The owner according to the partitions' local directories.
@@ -1102,7 +1099,7 @@ impl ControlPlane {
                 .split_bucket(bucket);
             match split {
                 Ok((lo, hi)) => {
-                    cluster.on_heat_split(dataset, bucket, lo, hi);
+                    cluster.heat.on_split(dataset, bucket, lo, hi);
                     splits += 1;
                     self.hot_splits += 1;
                     self.log(

@@ -8,8 +8,8 @@
 
 use std::collections::BTreeMap;
 
-use dynahash_core::{CoreError, GlobalDirectory, PartitionId, Scheme};
-use dynahash_lsm::wal::{RebalanceId, TransactionLog};
+use dynahash_core::{CoreError, GlobalDirectory, PartitionId, RebalanceOutcome, Scheme};
+use dynahash_lsm::wal::{LogRecordBody, RebalanceId, TransactionLog};
 
 use crate::dataset::{DatasetId, DatasetMeta, DatasetSpec};
 use crate::ClusterError;
@@ -112,11 +112,29 @@ impl ClusterController {
         self.dataset(id).cloned()
     }
 
-    /// Allocates the id of a new rebalance operation.
-    pub fn next_rebalance_id(&mut self) -> RebalanceId {
-        let id = self.next_rebalance_id;
+    /// Starts a rebalance operation of `dataset`: allocates its id and forces
+    /// BEGIN, which the CC does before anything else (Section V-D).
+    pub fn log_begin(&mut self, dataset: DatasetId) -> RebalanceId {
+        let rebalance = self.next_rebalance_id;
         self.next_rebalance_id += 1;
-        id
+        self.metadata_log
+            .append_forced(LogRecordBody::RebalanceBegin { rebalance, dataset });
+        rebalance
+    }
+
+    /// Forces the record that decides the operation: whichever of COMMIT and
+    /// ABORT is durable *is* its outcome, whatever crashes afterwards.
+    pub fn log_outcome(&mut self, rebalance: RebalanceId, outcome: RebalanceOutcome) {
+        self.metadata_log.append_forced(match outcome {
+            RebalanceOutcome::Committed => LogRecordBody::RebalanceCommit { rebalance },
+            RebalanceOutcome::Aborted => LogRecordBody::RebalanceAbort { rebalance },
+        });
+    }
+
+    /// Forces DONE: every task of the operation ran and it can be forgotten.
+    pub fn log_done(&mut self, rebalance: RebalanceId) {
+        self.metadata_log
+            .append_forced(LogRecordBody::RebalanceDone { rebalance });
     }
 
     /// True if the CC is up.
@@ -186,8 +204,8 @@ mod tests {
     #[test]
     fn rebalance_ids_are_unique_and_increasing() {
         let mut cc = ClusterController::new();
-        let a = cc.next_rebalance_id();
-        let b = cc.next_rebalance_id();
+        let a = cc.log_begin(1);
+        let b = cc.log_begin(1);
         assert!(b > a);
     }
 

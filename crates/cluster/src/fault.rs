@@ -2,13 +2,28 @@
 //! injected at the node/partition boundary.
 //!
 //! DynaHash's Section V-D enumerates the rebalance failure points; this
-//! module turns them from terminal errors into *expected inputs*. A
-//! [`FaultSchedule`] describes, as a pure function of a seed, which bucket
-//! transfers fail transiently (and how often), which nodes run slow, and at
-//! which wave a node crashes or is permanently lost. Because every decision
-//! is derived from the seed — never from wall-clock time or ambient
-//! randomness — a failing run replays exactly from its seed, the same
-//! guarantee the soak fleet already gives for workload generation.
+//! module turns them from terminal errors into *expected inputs*, and it is
+//! the one vocabulary for them. A fault is a pair: a [`Fault`] — crash a
+//! node, crash and restart it, lose it for good, restart the Cluster
+//! Controller — and the [`StepPoint`] of the job driver it fires at. The six
+//! cases of Section V-D are six such rows:
+//!
+//! | Section V-D | [`StepPoint`] | [`Fault`] | outcome |
+//! |---|---|---|---|
+//! | 1: NC fails before voting "prepared" | `BeforePrepare` | `CrashNode(n)` | abort |
+//! | 2: NC fails after voting "prepared" | `AfterPrepare` | `CrashNode(n)` | commit |
+//! | 3: CC fails before forcing COMMIT | `AfterPrepare` | `RestartController` | abort |
+//! | 4: NC fails before acking "committed" | `AfterCommitLog` | `CrashNode(n)` | commit |
+//! | 5: CC fails between COMMIT and DONE | `BeforeFinalize` | `RestartController` | commit |
+//! | 6: CC fails after DONE | `AfterFinalize` | `RestartController` | commit |
+//!
+//! A [`FaultSchedule`] holds such rows next to what it derives, as a pure
+//! function of a seed, for every bucket transfer: which attempts fail
+//! transiently (and how often) and which nodes run slow. Because every
+//! decision is derived from the seed or scheduled up front — never taken from
+//! wall-clock time or ambient randomness — a failing run replays exactly
+//! from its seed, the same guarantee the soak fleet already gives for
+//! workload generation.
 //!
 //! The consumers are:
 //!
@@ -18,25 +33,33 @@
 //!   capped exponential [`backoff`] to the wave's [`NodeTimeline`](crate::sim::NodeTimeline)
 //!   so retries cost simulated makespan; slow nodes scale their charged
 //!   durations by [`FaultSchedule::slow_factor`];
-//! * the drivers (`Cluster::rebalance`, the soak runner) — between waves
-//!   they take the scheduled [`WaveFault`] for the wave index just run and
-//!   crash (+ recover) or permanently lose the named node, after which
-//!   [`RebalanceJob::replan_wave`](crate::job::RebalanceJob::replan_wave)
-//!   reroutes the dead node's moves to survivors;
+//! * [`Cluster::fire_faults`] — the one function that applies a [`Fault`].
+//!   `Cluster::rebalance` calls it at every boundary its driver passes, and
+//!   the soak's churn loop after every round of waves, each handing over the
+//!   in-flight job(s) a loss must re-plan and a controller restart may abort;
 //! * [`Admin::health`](crate::cluster::Admin::health) — surfaces the
 //!   accumulated [`FaultStats`] plus per-node state and degraded datasets.
 //!
+//! Anything a scenario wants at a boundary that is not a fault — a query, a
+//! feed batch, an assertion — is the callback of
+//! [`RebalanceJob::drive_with`](crate::job::RebalanceJob::drive_with).
+//!
 //! With no schedule installed (or an empty one) every consumer takes the
 //! exact code path it took before this module existed: the fault-free path
-//! is byte-identical, which the `faults` experiments figure gates in CI.
+//! is byte-identical, which the `faults` experiments figure gates in CI. A
+//! schedule holding only step faults leaves every transfer's charges
+//! byte-identical too.
 
 use std::collections::BTreeMap;
 
 use dynahash_core::{BucketId, NodeId, PartitionId};
 use dynahash_lsm::rng::SplitMix64;
 
+use crate::cluster::Cluster;
 use crate::dataset::DatasetId;
+use crate::job::{RebalanceJob, StepPoint};
 use crate::sim::SimDuration;
+use crate::Result;
 
 // ---------------------------------------------------------------- retries
 
@@ -54,17 +77,29 @@ pub fn backoff(attempt: u32) -> SimDuration {
     SimDuration((BASE_BACKOFF_NS << attempt.min(32)).min(MAX_BACKOFF_NS))
 }
 
-// ------------------------------------------------------------ wave faults
+// ----------------------------------------------------------------- faults
 
-/// A fault scheduled to fire after a specific rebalance wave.
+/// What a scheduled fault does to the cluster when its [`StepPoint`] comes
+/// (see the module docs for the Section V-D cases as rows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WaveFault {
-    /// Crash the node (it recovers: WAL replay, pending copies dropped).
-    Crash(NodeId),
-    /// Permanently lose the node: it never comes back, and
-    /// [`RebalanceJob::replan_wave`](crate::job::RebalanceJob::replan_wave)
-    /// must reroute its pending moves to survivors.
-    Lose(NodeId),
+pub enum Fault {
+    /// Crash the node. It stays down — its unforced log tail and pending
+    /// copies gone — until something recovers it; a job's `finalize` does.
+    CrashNode(NodeId),
+    /// Crash the node and bring every crashed node back at once (WAL replay,
+    /// pending copies dropped): a restart between two steps.
+    RestartNode(NodeId),
+    /// Permanently lose the node: it never comes back, and every in-flight
+    /// job re-plans around it
+    /// ([`RebalanceJob::replan_wave`](crate::job::RebalanceJob::replan_wave))
+    /// before anything else runs.
+    LoseNode(NodeId),
+    /// Crash and recover the Cluster Controller. What the recovered CC does
+    /// is decided by its durable log alone
+    /// ([`Cluster::restart_controller`]): a job with BEGIN but no COMMIT is
+    /// aborted; COMMIT without DONE means re-driving the (idempotent) commit
+    /// tasks, which `finalize` does anyway; DONE needs nothing.
+    RestartController,
 }
 
 // -------------------------------------------------------------- schedule
@@ -74,8 +109,8 @@ pub enum WaveFault {
 /// Transient-failure decisions are a *pure function* of
 /// `(seed, bucket, from, to, attempt)` — the schedule keeps no mutable
 /// state for them — so two runs with the same schedule see the same faults
-/// regardless of interleaving. Wave faults are one-shot: drivers consume
-/// them with [`FaultSchedule::take_wave_fault`] via the cluster.
+/// regardless of interleaving. Step faults are one-shot: they leave the
+/// schedule when [`Cluster::fire_faults`] applies them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultSchedule {
     seed: u64,
@@ -86,8 +121,9 @@ pub struct FaultSchedule {
     max_transient_per_transfer: u32,
     /// Nodes whose charged durations are scaled by the factor (> 1 = slow).
     slow_nodes: BTreeMap<NodeId, u32>,
-    /// Wave index → fault fired (once) after that wave completes.
-    wave_faults: BTreeMap<u64, WaveFault>,
+    /// Faults fired (once) when a driver passes the step point, in the
+    /// order they were scheduled.
+    step_faults: Vec<(StepPoint, Fault)>,
 }
 
 impl FaultSchedule {
@@ -123,15 +159,16 @@ impl FaultSchedule {
         self
     }
 
-    /// Schedules `fault` to fire once, after wave `wave` completes.
-    pub fn with_wave_fault(mut self, wave: u64, fault: WaveFault) -> Self {
-        self.wave_faults.insert(wave, fault);
+    /// Schedules `fault` to fire once, when a driver passes `point`. Several
+    /// faults at one point fire in the order they were scheduled.
+    pub fn with_fault(mut self, point: StepPoint, fault: Fault) -> Self {
+        self.step_faults.push((point, fault));
         self
     }
 
     /// True when the schedule injects nothing at all.
     pub fn is_empty(&self) -> bool {
-        self.transient_per_mille == 0 && self.slow_nodes.is_empty() && self.wave_faults.is_empty()
+        self.transient_per_mille == 0 && self.slow_nodes.is_empty() && self.step_faults.is_empty()
     }
 
     /// Pure transient-failure decision for attempt `attempt` (zero-based)
@@ -168,10 +205,52 @@ impl FaultSchedule {
         SimDuration(d.as_nanos().saturating_mul(self.slow_factor(node) as u64))
     }
 
-    /// Removes and returns the fault scheduled after wave `wave`, if any
-    /// (one-shot: a second take for the same wave returns `None`).
-    pub fn take_wave_fault(&mut self, wave: u64) -> Option<WaveFault> {
-        self.wave_faults.remove(&wave)
+    /// Removes and returns the faults scheduled at `point`, in scheduling
+    /// order (one-shot: a second take for the same point returns nothing).
+    fn take_faults(&mut self, point: StepPoint) -> Vec<Fault> {
+        let due = self.step_faults.extract_if(.., |(at, _)| *at == point);
+        due.map(|(_, fault)| fault).collect()
+    }
+}
+
+impl Cluster {
+    /// Applies every fault the installed schedule holds for `point`, in the
+    /// order they were scheduled, and returns how many fired (none without a
+    /// schedule). `jobs` are the jobs in flight: a lost node is re-planned
+    /// around by each of them — which a job accepts only during data
+    /// movement — and a restarted controller aborts those its log shows
+    /// begun but undecided. This is the only place a [`Fault`] is
+    /// interpreted; `Cluster::rebalance` and the soak's churn loop both come
+    /// here.
+    pub fn fire_faults(&mut self, point: StepPoint, jobs: &mut [RebalanceJob]) -> Result<usize> {
+        let Some(plane) = self.faults.plane.as_mut() else {
+            return Ok(0);
+        };
+        let due = plane.take_faults(point);
+        for fault in &due {
+            match *fault {
+                Fault::CrashNode(node) => self.crash_node(node)?,
+                Fault::RestartNode(node) => {
+                    self.crash_node(node)?;
+                    self.recover_all_nodes();
+                }
+                Fault::LoseNode(node) => {
+                    self.lose_node(node)?;
+                    for job in jobs.iter_mut() {
+                        job.replan_wave(self)?;
+                    }
+                }
+                Fault::RestartController => {
+                    let undecided = self.restart_controller().aborted_rebalances;
+                    for job in jobs.iter_mut() {
+                        if undecided.contains(&job.rebalance_id()) {
+                            job.abort(self)?;
+                        }
+                    }
+                }
+            }
+        }
+        Ok(due.len())
     }
 }
 
@@ -342,13 +421,24 @@ mod tests {
     }
 
     #[test]
-    fn wave_faults_are_one_shot() {
-        let n = NodeId(3);
-        let mut s = FaultSchedule::seeded(1).with_wave_fault(2, WaveFault::Lose(n));
+    fn step_faults_are_one_shot_and_keep_their_order() {
+        let at = StepPoint::AfterWave(2);
+        let mut s = FaultSchedule::seeded(1)
+            .with_fault(at, Fault::LoseNode(NodeId(3)))
+            .with_fault(StepPoint::AfterPrepare, Fault::RestartController)
+            .with_fault(at, Fault::CrashNode(NodeId(1)));
         assert!(!s.is_empty());
-        assert_eq!(s.take_wave_fault(0), None);
-        assert_eq!(s.take_wave_fault(2), Some(WaveFault::Lose(n)));
-        assert_eq!(s.take_wave_fault(2), None, "one-shot");
+        assert_eq!(s.take_faults(StepPoint::AfterWave(0)), vec![]);
+        assert_eq!(
+            s.take_faults(at),
+            vec![Fault::LoseNode(NodeId(3)), Fault::CrashNode(NodeId(1))]
+        );
+        assert_eq!(s.take_faults(at), vec![], "one-shot");
+        assert_eq!(
+            s.take_faults(StepPoint::AfterPrepare),
+            vec![Fault::RestartController]
+        );
+        assert!(s.is_empty());
     }
 
     #[test]

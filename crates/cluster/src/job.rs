@@ -57,12 +57,16 @@
 //! [`RebalanceJob::drive`] steps a job from wherever it stands to its
 //! terminal state; [`crate::cluster::Cluster::rebalance`],
 //! [`crate::cluster::Admin::repair_dataset`], the control tick and the soak
-//! all finish their jobs through it. Driving the steps directly is how
-//! scenario tests observe and perturb a job between any two of them. A
-//! planned job must always reach [`RebalanceJob::finalize`] (via commit or
-//! abort) — abandoning one leaves the dataset's in-flight state registered
-//! (no second job can be planned over it) and, after `init`, bucket splits
-//! disabled.
+//! all finish their jobs through it. There is one door per concern into a
+//! job in flight: a *fault* is a `(StepPoint, Fault)` row of the cluster's
+//! [`FaultSchedule`](crate::fault::FaultSchedule), applied by
+//! [`Cluster::fire_faults`]; anything else a scenario wants between two
+//! steps — a query, a feed batch, an assertion, a refusal — is the callback
+//! of [`RebalanceJob::drive_with`], or plain code between steps driven by
+//! hand. A planned job must always reach [`RebalanceJob::finalize`] (via
+//! commit or abort) — abandoning one leaves the dataset's in-flight state
+//! registered (no second job can be planned over it) and, after `init`,
+//! bucket splits disabled.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -82,9 +86,10 @@ use crate::rebalance::{PhaseTimes, RebalanceReport};
 use crate::sim::{NodeTimeline, SimDuration, WaveClock};
 use crate::{ClusterError, Result};
 
-/// A step boundary of [`RebalanceJob::drive`], where scenario hooks
-/// ([`crate::rebalance::StepHook`]) fire and failures are injected. Between
-/// any two steps the cluster is fully usable.
+/// A step boundary of [`RebalanceJob::drive`]: where a scheduled
+/// [`Fault`](crate::fault::Fault) fires and where the callback of
+/// [`RebalanceJob::drive_with`] runs. Between any two steps the cluster is
+/// fully usable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepPoint {
     /// After the plan is computed (BEGIN forced, waves scheduled).
@@ -93,8 +98,6 @@ pub enum StepPoint {
     AfterInit,
     /// After the given wave (0-based) completed.
     AfterWave(usize),
-    /// After every wave (matches each `AfterWave(_)` boundary).
-    AfterEveryWave,
     /// After all waves, before the prepare phase blocks the dataset.
     BeforePrepare,
     /// After every alive participant voted "prepared".
@@ -369,16 +372,7 @@ impl RebalanceJob {
                 "dataset {dataset} already has a rebalance or repair in flight; finalize it first"
             )));
         }
-        let rebalance_id = cluster.controller.next_rebalance_id();
-        // The CC forces BEGIN before anything else (Section V-D).
-        cluster
-            .controller
-            .metadata_log
-            .append_forced(LogRecordBody::RebalanceBegin {
-                rebalance: rebalance_id,
-                dataset,
-            });
-        Ok(rebalance_id)
+        Ok(cluster.controller.log_begin(dataset))
     }
 
     /// Wraps a planner's output into a `Planned` job and registers the
@@ -613,11 +607,11 @@ impl RebalanceJob {
     /// The data already shipped exactly once (the first attempt's loads and
     /// installs stand, so contents are byte-identical either way); the race
     /// is a timing one. The backup launches once the leg has run
-    /// `straggler_multiple` medians and runs at nominal speed — the slow
-    /// factor models a transient environmental stall pinned to the first
-    /// attempt. If the backup finishes strictly first, the original is
-    /// cancelled at that instant and both endpoints are charged the
-    /// winner's occupancy window (the attempts overlap in wall-clock, so
+    /// [`SpeculationPolicy::STRAGGLER_MULTIPLE`] medians and runs at nominal
+    /// speed — the slow factor models a transient environmental stall pinned
+    /// to the first attempt. If the backup finishes strictly first, the
+    /// original is cancelled at that instant and both endpoints are charged
+    /// the winner's occupancy window (the attempts overlap in wall-clock, so
     /// charging their sum would double-count); otherwise the original's
     /// charges stand unchanged. Either way the launch is counted in
     /// [`FaultStats`](crate::fault::FaultStats).
@@ -633,14 +627,13 @@ impl RebalanceJob {
         // Lower median, so a lone straggler in a small wave cannot drag the
         // reference leg up to itself and mask the detection.
         let median = durations[(durations.len() - 1) / 2];
-        let multiple = u64::from(self.speculation.straggler_multiple.max(1));
         for leg in legs.iter_mut() {
             let slowed = plane.slow_factor(leg.src) > 1 || plane.slow_factor(leg.dst) > 1;
             let leg_ns = leg.tl.elapsed().as_nanos();
             if !slowed || !self.speculation.is_straggler(leg_ns, median) {
                 continue;
             }
-            let detect_at = median.saturating_mul(multiple);
+            let detect_at = median.saturating_mul(SpeculationPolicy::STRAGGLER_MULTIPLE);
             let backup_finish = detect_at.saturating_add(leg.nominal.as_nanos());
             self.speculated += 1;
             cluster.faults.stats.speculated += 1;
@@ -663,6 +656,11 @@ impl RebalanceJob {
     /// from `m.from`.
     fn feed_staged(&self, m: &BucketMove) -> bool {
         self.feed.contains_key(&m.bucket)
+    }
+
+    /// True when the node `m` is planned to land on is permanently lost.
+    fn dst_lost(&self, cluster: &Cluster, m: &BucketMove) -> bool {
+        (self.plan.target.node_of(m.to)).is_some_and(|n| cluster.node_is_lost(n))
     }
 
     /// The nodes staging `m` keeps busy: its source and destination — or the
@@ -882,20 +880,6 @@ impl RebalanceJob {
             ));
         }
 
-        // Endpoint liveness per move, resolved before any mutation.
-        let node_is_lost = |n: Option<NodeId>| n.is_some_and(|n| cluster.node_is_lost(n));
-        let src_lost: Vec<bool> = self
-            .plan
-            .moves
-            .iter()
-            .map(|m| !self.feed_staged(m) && node_is_lost(cluster.topology().node_of(m.from)))
-            .collect();
-        let dst_lost: Vec<bool> = self
-            .plan
-            .moves
-            .iter()
-            .map(|m| node_is_lost(self.plan.target.node_of(m.to)))
-            .collect();
         let shipped_buckets: BTreeSet<BucketId> = self.waves[..completed]
             .iter()
             .flat_map(|w| w.iter().map(|m| m.bucket))
@@ -908,8 +892,8 @@ impl RebalanceJob {
             .into_iter()
             .map(|p| (p, 0))
             .collect();
-        for (i, m) in self.plan.moves.iter().enumerate() {
-            if !dst_lost[i] {
+        for m in &self.plan.moves {
+            if !self.dst_lost(cluster, m) {
                 *inbound.entry(m.to).or_default() += m.bytes;
             }
         }
@@ -927,7 +911,10 @@ impl RebalanceJob {
         for i in 0..self.plan.moves.len() {
             let m = self.plan.moves[i];
             let already_shipped = shipped_buckets.contains(&m.bucket);
-            if dst_lost[i] {
+            let dst_lost = self.dst_lost(cluster, &m);
+            let src_lost = !self.feed_staged(&m)
+                && (cluster.topology().node_of(m.from)).is_some_and(|n| cluster.node_is_lost(n));
+            if dst_lost {
                 // A dead destination orphans whatever was shipped to it; stop
                 // replicating writes there either way.
                 if already_shipped {
@@ -935,7 +922,7 @@ impl RebalanceJob {
                         active.shipped.remove(&m.bucket);
                     }
                 }
-                let src_in_target = !src_lost[i] && new_target.node_of(m.from).is_some();
+                let src_in_target = !src_lost && new_target.node_of(m.from).is_some();
                 if src_in_target {
                     // The cheapest reroute: cancel the move and let the
                     // bucket stay on its live source (which keeps its copy
@@ -947,7 +934,7 @@ impl RebalanceJob {
                     let new_to = pick_least_loaded(&mut inbound, m.bytes)?;
                     self.plan.moves[i].to = new_to;
                     self.plan.new_directory.reassign(m.bucket, new_to);
-                    if already_shipped && !src_lost[i] {
+                    if already_shipped && !src_lost {
                         reship.insert(m.bucket);
                         report.reshipped += 1;
                     }
@@ -956,12 +943,7 @@ impl RebalanceJob {
             }
             // The data survives if the destination holds a shipped copy or
             // the source still lives; otherwise the bucket is lost.
-            let survives = if already_shipped && !dst_lost[i] {
-                true
-            } else {
-                !src_lost[i]
-            };
-            if !survives {
+            if src_lost && (dst_lost || !already_shipped) {
                 lost_buckets.push(m.bucket);
             }
         }
@@ -1134,10 +1116,7 @@ impl RebalanceJob {
             // The outcome is determined by forcing the COMMIT record.
             cluster
                 .controller
-                .metadata_log
-                .append_forced(LogRecordBody::RebalanceCommit {
-                    rebalance: self.rebalance_id,
-                });
+                .log_outcome(self.rebalance_id, RebalanceOutcome::Committed);
         }
         let outcome = self.coordinator.decide().map_err(ClusterError::Core)?;
         if outcome == RebalanceOutcome::Aborted {
@@ -1227,18 +1206,13 @@ impl RebalanceJob {
             }
             _ => return Err(self.invalid_step("finalize")),
         };
-        cluster
-            .controller
-            .metadata_log
-            .append_forced(LogRecordBody::RebalanceDone {
-                rebalance: self.rebalance_id,
-            });
+        cluster.controller.log_done(self.rebalance_id);
         self.coordinator.finish().map_err(ClusterError::Core)?;
         // Splits resume whatever the outcome. (Commit and abort already
         // dropped the in-flight registration; by now it may be the next job's.)
         cluster.set_splits_enabled(self.dataset, true)?;
         self.state = JobState::Finalized(outcome);
-        cluster.clear_job_progress(self.dataset);
+        cluster.job_progress.remove(&self.dataset);
         Ok(self.report(outcome))
     }
 
@@ -1258,9 +1232,12 @@ impl RebalanceJob {
     }
 
     /// [`RebalanceJob::drive`] with `at` called at every [`StepPoint`] the
-    /// job passes (the cluster is fully usable there: scenario hooks, feed
-    /// batches and failure injection all live in `at`). An `at` that aborts
-    /// the job is honoured — the remaining steps skip to finalize.
+    /// job passes. The cluster is fully usable there, and this callback is
+    /// the one way a scenario runs code of its own between two steps:
+    /// queries, feed batches, assertions, firing the scheduled faults
+    /// ([`Cluster::fire_faults`]), or returning an error to refuse the step.
+    /// An `at` that aborts the job is honoured at every boundary — the
+    /// remaining steps skip to finalize.
     pub fn drive_with(
         &mut self,
         cluster: &mut Cluster,
@@ -1280,6 +1257,8 @@ impl RebalanceJob {
     ) -> Result<RebalanceReport> {
         if self.state == JobState::Planned {
             at(cluster, self, StepPoint::AfterPlan)?;
+        }
+        if self.state == JobState::Planned {
             self.init(cluster)?;
             at(cluster, self, StepPoint::AfterInit)?;
         }
@@ -1300,6 +1279,8 @@ impl RebalanceJob {
         }
         if matches!(self.state, JobState::Moving { .. }) {
             at(cluster, self, StepPoint::BeforePrepare)?;
+        }
+        if matches!(self.state, JobState::Moving { .. }) {
             self.prepare(cluster)?;
             at(cluster, self, StepPoint::AfterPrepare)?;
         }
@@ -1373,8 +1354,8 @@ impl RebalanceJob {
     }
 
     /// Sets the straggler-speculation policy (default:
-    /// [`SpeculationPolicy::default`], enabled at 2x the median leg). Call
-    /// before the first wave runs.
+    /// [`SpeculationPolicy::default`], enabled). Call before the first wave
+    /// runs.
     pub fn set_speculation(&mut self, speculation: SpeculationPolicy) {
         self.speculation = speculation;
     }
@@ -1480,7 +1461,7 @@ impl RebalanceJob {
     }
 
     fn publish_progress(&self, cluster: &mut Cluster) {
-        cluster.publish_job_progress(self.progress());
+        cluster.job_progress.insert(self.dataset, self.progress());
     }
 
     // ------------------------------------------------------------- internals
@@ -1505,20 +1486,22 @@ impl RebalanceJob {
         cluster.active_rebalances.remove(&self.dataset);
         cluster
             .controller
-            .metadata_log
-            .append_forced(LogRecordBody::RebalanceAbort {
-                rebalance: self.rebalance_id,
-            });
+            .log_outcome(self.rebalance_id, RebalanceOutcome::Aborted);
         self.drop_all_pending(cluster)
     }
 
+    /// Discards what the job staged. A dataset carries one job at a time, so
+    /// a destination partition's pending state is this job's (a successor
+    /// that staged before this job finalized stages again at its commit, as
+    /// after a destination crash).
     fn drop_all_pending(&mut self, cluster: &mut Cluster) -> Result<()> {
-        for m in &self.plan.moves {
-            if cluster.topology().node_of(m.to).is_some() {
+        let destinations: BTreeSet<PartitionId> = self.plan.moves.iter().map(|m| m.to).collect();
+        for to in destinations {
+            if cluster.topology().node_of(to).is_some() {
                 cluster
-                    .partition_mut(m.to)?
+                    .partition_mut(to)?
                     .dataset_mut(self.dataset)?
-                    .drop_pending(m.bucket);
+                    .drop_all_pending();
             }
         }
         Ok(())
@@ -1696,27 +1679,25 @@ impl RebalanceJob {
         total_tl.extend(&self.init_tl);
         total_tl.extend(&self.move_tl);
         total_tl.extend(&self.fin_tl);
+        let phases = PhaseTimes {
+            initialization: self.init_tl.elapsed(),
+            data_movement: self.clock.elapsed(),
+            finalization: self.fin_tl.elapsed(),
+        };
         RebalanceReport {
-            rebalance_id: self.rebalance_id,
-            outcome,
-            elapsed: self.init_tl.elapsed() + self.clock.elapsed() + self.fin_tl.elapsed(),
-            phases: PhaseTimes {
-                initialization: self.init_tl.elapsed(),
-                data_movement: self.clock.elapsed(),
-                finalization: self.fin_tl.elapsed(),
-            },
-            bytes_moved: self.bytes_moved,
-            records_moved: self.records_moved,
             buckets_moved: self.plan.num_moves(),
-            moved_fraction: if self.total_bytes == 0 {
-                0.0
-            } else {
-                self.bytes_moved as f64 / self.total_bytes as f64
-            },
-            per_node: total_tl.breakdown(),
             concurrent_writes_applied: self.writes_applied,
             retries: self.retries,
             reroutes: self.reroutes,
+            ..RebalanceReport::new(
+                self.rebalance_id,
+                outcome,
+                phases,
+                &total_tl,
+                self.bytes_moved,
+                self.records_moved,
+                self.total_bytes,
+            )
         }
     }
 }
@@ -1873,31 +1854,6 @@ mod tests {
         cluster
             .check_rebalance_integrity(ds, report.rebalance_id)
             .unwrap();
-    }
-
-    #[test]
-    fn destination_crash_after_shipping_is_reshipped_from_the_log() {
-        let (mut cluster, ds) = loaded(2, 2000);
-        let new_node = cluster.add_node().unwrap();
-        let target = cluster.topology().clone();
-        let mut job = RebalanceJob::plan(&mut cluster, ds, &target, 4).unwrap();
-        job.init(&mut cluster).unwrap();
-        while job.has_remaining_waves() {
-            job.run_wave(&mut cluster).unwrap();
-        }
-        job.prepare(&mut cluster).unwrap();
-        // The new node received buckets and voted; its crash now wipes the
-        // uncommitted pending state (the transfer metadata was never forced).
-        cluster.crash_node(new_node).unwrap();
-        let report = job.drive(&mut cluster).unwrap();
-        assert_eq!(report.outcome, RebalanceOutcome::Committed);
-        assert_eq!(cluster.dataset_len(ds).unwrap(), 2000);
-        cluster
-            .check_rebalance_integrity(ds, report.rebalance_id)
-            .unwrap();
-        // the recovered node serves its re-shipped buckets
-        let on_new = cluster.live_on_node(ds, new_node);
-        assert!(on_new > 0, "lost transfers must be re-shipped");
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //!   [`job::RebalanceJob::drive`], the one routine every caller finishes a
 //!   job through ([`job`]) — plus the one-shot rebalance entry point over
 //!   it and the global rebalancing baseline ([`rebalance`]);
-//! * fault injection and recovery for the six failure cases ([`recovery`]),
-//!   plus the deterministic fault plane — seeded, replayable
-//!   [`fault::FaultSchedule`]s of transient ship failures, slow nodes, and
-//!   crash/permanent-loss wave faults that
+//! * the crash/recover primitives ([`recovery`]) and the deterministic fault
+//!   plane over them — seeded, replayable [`fault::FaultSchedule`]s of
+//!   transient ship failures, slow nodes, and [`fault::Fault`]s scheduled at
+//!   a job's step boundaries: the six failure cases of Section V-D, node
+//!   restarts, and permanent losses that
 //!   [`job::RebalanceJob::replan_wave`] survives by rerouting the dead
 //!   node's moves to survivors ([`fault`]);
 //! * the recovery plane — speculative re-execution of straggling transfers
@@ -58,13 +59,13 @@ pub use control::{
 };
 pub use controller::ClusterController;
 pub use dataset::{DatasetId, DatasetMeta, DatasetSpec, SecondaryIndexDef};
-pub use fault::{ClusterHealth, FaultSchedule, FaultStats, NodeState, WaveFault};
+pub use fault::{ClusterHealth, Fault, FaultSchedule, FaultStats, NodeState};
 pub use feed::{split_into_batches, ControlledRateFeed, IngestReport};
 pub use job::{JobState, RebalanceJob, ReplanReport, StepPoint, WaveReport};
 pub use node::NodeController;
 pub use partition::{Partition, PartitionDataset, SecondaryState};
 pub use query::{QueryExecutor, QueryReport};
-pub use rebalance::{PhaseTimes, RebalanceOptions, RebalanceReport, StepHook};
+pub use rebalance::{PhaseTimes, RebalanceOptions, RebalanceReport};
 pub use recovery::RecoveryReport;
 pub use session::{RouteError, Session, SessionMetrics};
 pub use sim::{CostModel, NodeTimeline, SimDuration, WaveClock};

@@ -605,18 +605,10 @@ impl PartitionDataset {
         Ok(())
     }
 
-    /// Discards all pending state for this dataset (abort path). Idempotent.
-    pub fn drop_pending(&mut self, bucket: BucketId) {
-        self.primary.drop_pending(bucket);
-        self.pending_keys.remove(&bucket);
-        self.deferred_pending.remove(&bucket);
-        for s in self.secondaries.iter_mut() {
-            s.drop_pending();
-        }
-    }
-
-    /// Discards every pending bucket and pending secondary list (crash
-    /// recovery: the metadata registering an uncommitted transfer was never
+    /// Discards every pending bucket and pending secondary list — the
+    /// secondary lists are not kept per bucket, so pending state goes as a
+    /// whole. Idempotent. Two callers: an aborted job's cleanup, and crash
+    /// recovery (the metadata registering an uncommitted transfer was never
     /// forced, so orphan received components — deferred stashes included —
     /// are dropped on restart and the rebalance recovery path re-ships them).
     pub fn drop_all_pending(&mut self) {
@@ -997,7 +989,7 @@ mod tests {
         ds.create_pending_bucket(b).unwrap();
         ds.load_pending(b, vec![Entry::put(Key::from_u64(1), payload(1))])
             .unwrap();
-        ds.drop_pending(b);
+        ds.drop_all_pending();
         // installing after a drop fails gracefully, data stays invisible
         assert!(ds.install_pending(b).is_err());
         assert_eq!(ds.get(&Key::from_u64(1)), None);

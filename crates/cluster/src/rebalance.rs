@@ -2,37 +2,30 @@
 //!
 //! [`Cluster::rebalance`] moves a dataset onto a target topology. For
 //! bucketed schemes (StaticHash / DynaHash) it plans a [`RebalanceJob`] and
-//! hands it to the engine's own driver, [`RebalanceJob::drive`] in
-//! [`crate::job`]; all this module adds is what a *scenario* wants to happen
-//! at the [`StepPoint`] boundaries the driver passes: concurrent writes and
-//! scheduled wave faults after each wave, one of the six failures of
-//! Section V-D injected as a crash between two steps, and the scenario's
-//! [`StepHook`]s. For the Hashing baseline it performs AsterixDB's original
-//! global rebalancing: a brand-new hash-partitioned copy of the dataset is
-//! built on the target partitions and swapped in, which moves nearly every
-//! record.
+//! hands it to the engine's own driver, [`RebalanceJob::drive_with`] in
+//! [`crate::job`]. All this module adds at the [`StepPoint`] boundaries the
+//! driver passes is what [`RebalanceOptions`] and the cluster's
+//! [`FaultSchedule`](crate::fault::FaultSchedule) ask for: the scenario's
+//! concurrent writes spread over the waves, and whatever faults are
+//! scheduled at the boundary ([`Cluster::fire_faults`]). A scenario that
+//! wants more at a boundary plans the job itself and passes its own callback
+//! to `drive_with`. For the Hashing baseline it performs AsterixDB's
+//! original global rebalancing: a brand-new hash-partitioned copy of the
+//! dataset is built on the target partitions and swapped in, which moves
+//! nearly every record.
 
 use std::collections::BTreeMap;
 
-use dynahash_core::{
-    ClusterTopology, FailurePoint, MovePolicy, NodeId, RebalanceOutcome, SecondaryRebuild,
-};
+use dynahash_core::{ClusterTopology, MovePolicy, NodeId, RebalanceOutcome, SecondaryRebuild};
 use dynahash_lsm::entry::{Key, Value};
-use dynahash_lsm::wal::{LogRecordBody, RebalanceId, RebalanceLogStatus};
+use dynahash_lsm::wal::RebalanceId;
 
 use crate::cluster::Cluster;
 use crate::dataset::DatasetId;
-use crate::fault::WaveFault;
 use crate::feed::split_into_batches;
 use crate::job::{RebalanceJob, StepPoint};
 use crate::sim::{NodeTimeline, SimDuration};
 use crate::{ClusterError, Result};
-
-/// A scenario callback fired by the one-shot driver at a [`StepPoint`]. The
-/// hook gets the cluster (free for queries, ingestion, crash/recovery of
-/// nodes or the controller) and the in-flight job (for
-/// [`RebalanceJob::apply_feed_batch`] and step introspection).
-pub type StepHook = Box<dyn FnMut(&mut Cluster, &mut RebalanceJob) -> Result<()>>;
 
 /// Options controlling a rebalance operation, built fluently:
 ///
@@ -40,17 +33,14 @@ pub type StepHook = Box<dyn FnMut(&mut Cluster, &mut RebalanceJob) -> Result<()>
 /// RebalanceOptions::none()
 ///     .with_max_concurrent_moves(4)
 ///     .with_concurrent_writes(writes)
-///     .with_failure(FailurePoint::CcBeforeCommitLog)
 /// ```
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct RebalanceOptions {
     /// Records that arrive (through a data feed) while the rebalance is
     /// running. The driver spreads them across the job's waves; records
     /// hitting an already-shipped bucket are replicated to its destination.
     /// Only supported by bucketed schemes.
     pub concurrent_writes: Vec<(Key, Value)>,
-    /// Inject a failure at one of the protocol points (Section V-D).
-    pub failure: Option<FailurePoint>,
     /// How many bucket moves each wave runs in parallel (clamped to >= 1).
     /// 1 — the default — is the most conservative cost model: buckets move
     /// strictly one at a time and every wave is charged its slowest node.
@@ -59,8 +49,6 @@ pub struct RebalanceOptions {
     /// job shipping from all partitions concurrently). Ignored by the
     /// Hashing scheme.
     pub max_concurrent_moves: usize,
-    /// Scenario hooks fired between job steps (bucketed schemes only).
-    pub hooks: Vec<(StepPoint, StepHook)>,
     /// How buckets move during the data-movement phase. The default,
     /// [`MovePolicy::Components`], ships sealed LSM components whole; the
     /// [`MovePolicy::Records`] baseline re-materialises every record and is
@@ -76,21 +64,8 @@ pub struct RebalanceOptions {
     pub secondary_rebuild: SecondaryRebuild,
 }
 
-impl std::fmt::Debug for RebalanceOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RebalanceOptions")
-            .field("concurrent_writes", &self.concurrent_writes.len())
-            .field("failure", &self.failure)
-            .field("max_concurrent_moves", &self.max_concurrent_moves.max(1))
-            .field("hooks", &self.hooks.len())
-            .field("move_policy", &self.move_policy)
-            .field("secondary_rebuild", &self.secondary_rebuild)
-            .finish()
-    }
-}
-
 impl RebalanceOptions {
-    /// No concurrent writes, no failures, serial bucket movement.
+    /// No concurrent writes, serial bucket movement.
     pub fn none() -> Self {
         Self::default()
     }
@@ -98,12 +73,6 @@ impl RebalanceOptions {
     /// Adds concurrent writes to the scenario.
     pub fn with_concurrent_writes(mut self, writes: Vec<(Key, Value)>) -> Self {
         self.concurrent_writes = writes;
-        self
-    }
-
-    /// Injects a failure at the given protocol point.
-    pub fn with_failure(mut self, failure: FailurePoint) -> Self {
-        self.failure = Some(failure);
         self
     }
 
@@ -122,17 +91,6 @@ impl RebalanceOptions {
     /// Sets when destinations rebuild secondary entries for received buckets.
     pub fn with_secondary_rebuild(mut self, rebuild: SecondaryRebuild) -> Self {
         self.secondary_rebuild = rebuild;
-        self
-    }
-
-    /// Registers a scenario hook at a step boundary. Hooks run in
-    /// registration order; a hook error aborts the rebalance cleanly.
-    pub fn with_hook(
-        mut self,
-        point: StepPoint,
-        hook: impl FnMut(&mut Cluster, &mut RebalanceJob) -> Result<()> + 'static,
-    ) -> Self {
-        self.hooks.push((point, Box::new(hook)));
         self
     }
 }
@@ -179,59 +137,40 @@ pub struct RebalanceReport {
     pub reroutes: u64,
 }
 
-fn fire_hooks(
-    hooks: &mut [(StepPoint, StepHook)],
-    point: StepPoint,
-    cluster: &mut Cluster,
-    job: &mut RebalanceJob,
-) -> Result<()> {
-    for (at, hook) in hooks.iter_mut() {
-        let matches = *at == point
-            || (*at == StepPoint::AfterEveryWave && matches!(point, StepPoint::AfterWave(_)));
-        if matches {
-            hook(cluster, job)?;
+impl RebalanceReport {
+    /// The report of an operation that moved `bytes_moved` in `records_moved`
+    /// of a dataset holding `total_bytes`: elapsed time is the three phases
+    /// back to back, per-node busy time is `busy`'s. The fields only a
+    /// bucketed job has — buckets, concurrent writes, retries, reroutes —
+    /// start at zero.
+    pub(crate) fn new(
+        rebalance_id: RebalanceId,
+        outcome: RebalanceOutcome,
+        phases: PhaseTimes,
+        busy: &NodeTimeline,
+        bytes_moved: u64,
+        records_moved: u64,
+        total_bytes: u64,
+    ) -> Self {
+        RebalanceReport {
+            rebalance_id,
+            outcome,
+            elapsed: phases.initialization + phases.data_movement + phases.finalization,
+            phases,
+            bytes_moved,
+            records_moved,
+            buckets_moved: 0,
+            moved_fraction: if total_bytes == 0 {
+                0.0
+            } else {
+                bytes_moved as f64 / total_bytes as f64
+            },
+            per_node: busy.breakdown(),
+            concurrent_writes_applied: 0,
+            retries: 0,
+            reroutes: 0,
         }
     }
-    Ok(())
-}
-
-/// Injects `failure` if `point` is the boundary it is scheduled at — the
-/// six cases of Section V-D, each a crash *between* two job steps.
-fn inject_failure(
-    cluster: &mut Cluster,
-    job: &mut RebalanceJob,
-    failure: FailurePoint,
-    point: StepPoint,
-) -> Result<()> {
-    use FailurePoint::*;
-    match (failure, point) {
-        // Cases 1, 2 and 4: an NC dies before it can vote "prepared", right
-        // after voting, or after COMMIT was forced but before acking its
-        // commit tasks.
-        (NcBeforePrepared(victim), StepPoint::BeforePrepare)
-        | (NcAfterPrepared(victim), StepPoint::AfterPrepare)
-        | (NcBeforeCommitted(victim), StepPoint::AfterCommitLog) => {
-            let _ = cluster.crash_node(victim);
-        }
-        // Cases 3, 5 and 6: the CC dies before forcing COMMIT, between
-        // COMMIT and DONE, or after DONE. What the recovered CC does is
-        // decided by its durable log alone: BEGIN without COMMIT aborts;
-        // COMMIT without DONE re-drives the (idempotent) commit tasks,
-        // which finalize does for every recovered node anyway; DONE needs
-        // nothing.
-        (CcBeforeCommitLog, StepPoint::AfterPrepare)
-        | (CcAfterCommitBeforeDone, StepPoint::BeforeFinalize)
-        | (CcAfterDone, StepPoint::AfterFinalize) => {
-            cluster.controller.crash();
-            cluster.controller.recover();
-            let log = &cluster.controller.metadata_log;
-            if log.rebalance_status(job.rebalance_id()) == RebalanceLogStatus::InFlight {
-                job.abort(cluster)?;
-            }
-        }
-        _ => {}
-    }
-    Ok(())
 }
 
 impl Cluster {
@@ -255,45 +194,26 @@ impl Cluster {
 
     // =================================================== bucketed schemes ===
 
-    /// The one-shot entry point: plan, then [`RebalanceJob::drive`] with
-    /// the scenario's writes, faults and hooks applied at the boundaries.
+    /// The one-shot entry point: plan, then [`RebalanceJob::drive_with`] the
+    /// scenario's writes and the scheduled faults applied at the boundaries.
     fn rebalance_bucketed(
         &mut self,
         dataset: DatasetId,
         target: &ClusterTopology,
         options: RebalanceOptions,
     ) -> Result<RebalanceReport> {
-        let RebalanceOptions {
-            concurrent_writes,
-            failure,
-            max_concurrent_moves,
-            mut hooks,
-            move_policy,
-            secondary_rebuild,
-        } = options;
-        let mut job = RebalanceJob::plan(self, dataset, target, max_concurrent_moves)?;
-        job.set_move_policy(move_policy);
-        job.set_secondary_rebuild(secondary_rebuild);
+        let mut job = RebalanceJob::plan(self, dataset, target, options.max_concurrent_moves)?;
+        job.set_move_policy(options.move_policy);
+        job.set_secondary_rebuild(options.secondary_rebuild);
         // Spread the scenario's concurrent writes across the waves; the
         // remainder (or everything, for a no-op plan) lands before prepare.
-        let mut batches = split_into_batches(concurrent_writes, job.num_waves().max(1)).into_iter();
+        let waves = job.num_waves().max(1);
+        let mut batches = split_into_batches(options.concurrent_writes, waves).into_iter();
         job.drive_with(self, |cluster, job, point| {
             match point {
-                StepPoint::AfterWave(wave) => {
+                StepPoint::AfterWave(_) => {
                     if let Some(batch) = batches.next().filter(|b| !b.is_empty()) {
                         job.apply_feed_batch(cluster, batch)?;
-                    }
-                    // Consume the fault scheduled to fire after this wave.
-                    match cluster.take_wave_fault(wave as u64) {
-                        Some(WaveFault::Crash(n)) => {
-                            let _ = cluster.crash_node(n);
-                            cluster.recover_all_nodes();
-                        }
-                        Some(WaveFault::Lose(n)) => {
-                            cluster.lose_node(n)?;
-                            job.replan_wave(cluster)?;
-                        }
-                        None => {}
                     }
                 }
                 StepPoint::BeforePrepare => {
@@ -303,15 +223,16 @@ impl Cluster {
                 }
                 _ => {}
             }
-            if let Some(failure) = failure {
-                inject_failure(cluster, job, failure, point)?;
-            }
-            fire_hooks(&mut hooks, point, cluster, job)
+            cluster.fire_faults(point, std::slice::from_mut(job))?;
+            Ok(())
         })
     }
 
     // ================================================= Hashing (global) ====
 
+    /// Global rebalancing, all in one call: there is no step boundary for a
+    /// scheduled fault to fire at, so the baseline ignores step faults
+    /// exactly as it ignores transient and slow-node ones.
     fn rebalance_hashing(
         &mut self,
         dataset: DatasetId,
@@ -325,14 +246,8 @@ impl Cluster {
             ));
         }
         let cost = self.cost_model();
-        let rebalance_id = self.controller.next_rebalance_id();
+        let rebalance_id = self.controller.log_begin(dataset);
         let mut tl = NodeTimeline::new();
-        self.controller
-            .metadata_log
-            .append_forced(LogRecordBody::RebalanceBegin {
-                rebalance: rebalance_id,
-                dataset,
-            });
         tl.charge_coordinator(SimDuration::from_nanos(cost.job_overhead_ns));
 
         let spec = self.controller.dataset(dataset)?.spec.clone();
@@ -379,46 +294,6 @@ impl Cluster {
         for (node, bytes) in &inbound_bytes {
             tl.charge(*node, cost.network(*bytes));
         }
-        // The baseline has no phases, buckets, retries or re-plans to report:
-        // everything it does is one data-movement pass.
-        let report =
-            |tl: &NodeTimeline, outcome, bytes_moved: u64, records_moved| RebalanceReport {
-                rebalance_id,
-                outcome,
-                elapsed: tl.elapsed(),
-                phases: PhaseTimes {
-                    data_movement: tl.elapsed(),
-                    ..Default::default()
-                },
-                bytes_moved,
-                records_moved,
-                buckets_moved: 0,
-                moved_fraction: if total_bytes == 0 {
-                    0.0
-                } else {
-                    (bytes_moved as f64 / total_bytes as f64).min(1.0)
-                },
-                per_node: tl.breakdown(),
-                concurrent_writes_applied: 0,
-                retries: 0,
-                reroutes: 0,
-            };
-
-        // Injected failure: discard the half-built copy and abort; the
-        // original dataset is left unchanged.
-        if options.failure.is_some() {
-            self.controller
-                .metadata_log
-                .append_forced(LogRecordBody::RebalanceAbort {
-                    rebalance: rebalance_id,
-                });
-            self.controller
-                .metadata_log
-                .append_forced(LogRecordBody::RebalanceDone {
-                    rebalance: rebalance_id,
-                });
-            return Ok(report(&tl, RebalanceOutcome::Aborted, 0, 0));
-        }
 
         // Drop the old storage and build the new hash-partitioned dataset.
         for p in self.topology().partitions() {
@@ -463,22 +338,26 @@ impl Cluster {
             meta.bump_partitions_version();
         }
         self.controller
-            .metadata_log
-            .append_forced(LogRecordBody::RebalanceCommit {
-                rebalance: rebalance_id,
-            });
-        self.controller
-            .metadata_log
-            .append_forced(LogRecordBody::RebalanceDone {
-                rebalance: rebalance_id,
-            });
+            .log_outcome(rebalance_id, RebalanceOutcome::Committed);
+        self.controller.log_done(rebalance_id);
 
-        Ok(report(
-            &tl,
+        // The baseline has no phases, buckets, retries or re-plans to report:
+        // everything it does is one data-movement pass.
+        let phases = PhaseTimes {
+            data_movement: tl.elapsed(),
+            ..Default::default()
+        };
+        let mut report = RebalanceReport::new(
+            rebalance_id,
             RebalanceOutcome::Committed,
+            phases,
+            &tl,
             bytes_moved,
             records_moved,
-        ))
+            total_bytes,
+        );
+        report.moved_fraction = report.moved_fraction.min(1.0);
+        Ok(report)
     }
 }
 
@@ -549,22 +428,6 @@ mod tests {
         cluster.check_dataset_consistency(ds).unwrap();
         // the new node now holds data
         assert!(cluster.live_on_node(ds, NodeId(2)) > 0);
-    }
-
-    #[test]
-    fn bucketed_scale_in_empties_the_removed_node() {
-        let (mut cluster, ds) = loaded_cluster(3, Scheme::StaticHash { num_buckets: 32 }, 3000);
-        let before = cluster.dataset_len(ds).unwrap();
-        let victim = NodeId(2);
-        let target = cluster.topology_without(victim);
-        let report = cluster
-            .rebalance(ds, &target, RebalanceOptions::none())
-            .unwrap();
-        assert_eq!(report.outcome, RebalanceOutcome::Committed);
-        assert_eq!(cluster.dataset_len(ds).unwrap(), before);
-        cluster.decommission_node(victim).unwrap();
-        cluster.check_dataset_consistency(ds).unwrap();
-        assert_eq!(cluster.topology().num_nodes(), 2);
     }
 
     #[test]
@@ -685,38 +548,45 @@ mod tests {
         let opts = RebalanceOptions::none()
             .with_max_concurrent_moves(8)
             .with_concurrent_writes(vec![(Key::from_u64(1), payload(1))])
-            .with_failure(FailurePoint::CcAfterDone)
-            .with_move_policy(MovePolicy::Records)
-            .with_hook(StepPoint::AfterInit, |_, _| Ok(()));
+            .with_move_policy(MovePolicy::Records);
         assert_eq!(opts.max_concurrent_moves, 8);
         assert_eq!(opts.concurrent_writes.len(), 1);
-        assert_eq!(opts.failure, Some(FailurePoint::CcAfterDone));
         assert_eq!(opts.move_policy, MovePolicy::Records);
         assert_eq!(
             RebalanceOptions::none().move_policy,
             MovePolicy::Components,
             "component shipping is the default"
         );
-        assert_eq!(opts.hooks.len(), 1);
         let dbg = format!("{opts:?}");
         assert!(dbg.contains("max_concurrent_moves"));
     }
 
+    /// A scale-out of a loaded 2-node cluster, planned and ready to drive.
+    fn planned_scale_out(n_records: u64) -> (Cluster, DatasetId, ClusterTopology, RebalanceJob) {
+        let (mut cluster, ds) =
+            loaded_cluster(2, Scheme::StaticHash { num_buckets: 16 }, n_records);
+        cluster.add_node().unwrap();
+        let target = cluster.topology().clone();
+        let job = RebalanceJob::plan(&mut cluster, ds, &target, 1).unwrap();
+        (cluster, ds, target, job)
+    }
+
+    fn refuse_at(
+        at: StepPoint,
+    ) -> impl FnMut(&mut Cluster, &mut RebalanceJob, StepPoint) -> Result<()> {
+        move |_, _, point| match point == at {
+            true => Err(ClusterError::RebalanceAborted("scenario failure".into())),
+            false => Ok(()),
+        }
+    }
+
     #[test]
-    fn hook_failure_after_commit_log_still_finishes_the_commit() {
+    fn callback_failure_after_commit_log_still_finishes_the_commit() {
         // Once COMMIT is durable the outcome is decided: a scenario failure
         // after that point must not leave pending buckets or disabled
         // splits behind — the cleanup path finishes the commit instead.
-        let (mut cluster, ds) = loaded_cluster(2, Scheme::StaticHash { num_buckets: 16 }, 1200);
-        cluster.add_node().unwrap();
-        let target = cluster.topology().clone();
-        let err = cluster.rebalance(
-            ds,
-            &target,
-            RebalanceOptions::none().with_hook(StepPoint::AfterCommitLog, |_, _| {
-                Err(ClusterError::RebalanceAborted("scenario failure".into()))
-            }),
-        );
+        let (mut cluster, ds, target, mut job) = planned_scale_out(1200);
+        let err = job.drive_with(&mut cluster, refuse_at(StepPoint::AfterCommitLog));
         assert!(err.is_err());
         // the commit was completed by the cleanup path: data moved, no
         // pending state, terminal WAL status
@@ -732,52 +602,29 @@ mod tests {
     }
 
     #[test]
-    fn hooks_fire_between_steps_and_errors_abort_cleanly() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let fired = Rc::new(RefCell::new(Vec::new()));
-        let (mut cluster, ds) = loaded_cluster(2, Scheme::StaticHash { num_buckets: 16 }, 1000);
-        cluster.add_node().unwrap();
-        let target = cluster.topology().clone();
-        let log = Rc::clone(&fired);
-        let report = cluster
-            .rebalance(
-                ds,
-                &target,
-                RebalanceOptions::none()
-                    .with_hook(StepPoint::AfterInit, {
-                        let log = Rc::clone(&fired);
-                        move |_, job| {
-                            log.borrow_mut().push(format!("init:{}", job.num_waves()));
-                            Ok(())
-                        }
-                    })
-                    .with_hook(StepPoint::AfterEveryWave, move |cluster, job| {
-                        log.borrow_mut().push(format!(
-                            "wave:{}:{}",
-                            job.completed_waves(),
-                            cluster.dataset_len(job.dataset()).unwrap()
-                        ));
-                        Ok(())
-                    }),
-            )
+    fn callbacks_run_between_steps_and_errors_abort_cleanly() {
+        let (mut cluster, _, _, mut job) = planned_scale_out(1000);
+        let mut events = Vec::new();
+        let report = job
+            .drive_with(&mut cluster, |cluster, job, point| {
+                match point {
+                    StepPoint::AfterInit => events.push(format!("init:{}", job.num_waves())),
+                    StepPoint::AfterWave(wave) => events.push(format!(
+                        "wave:{wave}:{}",
+                        cluster.dataset_len(job.dataset()).unwrap()
+                    )),
+                    _ => {}
+                }
+                Ok(())
+            })
             .unwrap();
         assert_eq!(report.outcome, RebalanceOutcome::Committed);
-        let events = fired.borrow();
         assert!(events[0].starts_with("init:"));
-        assert!(events.len() > 1, "wave hooks must fire: {events:?}");
+        assert!(events.len() > 1, "wave callbacks must run: {events:?}");
 
-        // a failing hook aborts the rebalance and leaves the dataset usable
-        let (mut cluster, ds) = loaded_cluster(2, Scheme::StaticHash { num_buckets: 16 }, 1000);
-        cluster.add_node().unwrap();
-        let target = cluster.topology().clone();
-        let err = cluster.rebalance(
-            ds,
-            &target,
-            RebalanceOptions::none().with_hook(StepPoint::AfterWave(0), |_, _| {
-                Err(ClusterError::RebalanceAborted("scenario abort".into()))
-            }),
-        );
+        // a failing callback aborts the rebalance and leaves the dataset usable
+        let (mut cluster, ds, target, mut job) = planned_scale_out(1000);
+        let err = job.drive_with(&mut cluster, refuse_at(StepPoint::AfterWave(0)));
         assert!(err.is_err());
         assert_eq!(cluster.dataset_len(ds).unwrap(), 1000);
         cluster.check_dataset_consistency(ds).unwrap();

@@ -1,12 +1,13 @@
 //! Fault tolerance and recovery (Section V-D).
 //!
-//! Node and Cluster Controller failures during a rebalance are injected
-//! through [`crate::rebalance::RebalanceOptions::with_failure`] (which the
-//! one-shot driver translates into crashes between the steps of the
-//! [`crate::job::RebalanceJob`] state machine), or directly by scenario code
-//! driving a job step-by-step. This module adds the cluster-level
-//! crash/recover entry points and a recovery report, and hosts the tests
-//! that walk through the paper's six failure cases.
+//! The cluster-level crash/recover entry points — crash, recover or
+//! permanently lose a Node Controller, restart the Cluster Controller and
+//! classify what its durable log shows — and the report of the latter. These
+//! are the primitives a [`Fault`](crate::fault::Fault) is made of:
+//! [`Cluster::fire_faults`] applies them at a step boundary of a job in
+//! flight, and scenario code driving a job step by step may call them
+//! directly. The paper's six failure cases are rows of
+//! `tests/failure_matrix.rs`.
 
 use std::collections::BTreeSet;
 
@@ -16,14 +17,12 @@ use dynahash_lsm::wal::{LogRecordBody, RebalanceId, RebalanceLogStatus};
 use crate::cluster::Cluster;
 use crate::{ClusterError, Result};
 
-/// What recovery found and did.
+/// What the recovered Cluster Controller found in its metadata log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Nodes that were down and have been brought back.
-    pub recovered_nodes: Vec<NodeId>,
-    /// Rebalance operations found in-flight in the metadata log and aborted.
+    /// Operations with BEGIN but neither COMMIT nor ABORT: to be aborted.
     pub aborted_rebalances: Vec<RebalanceId>,
-    /// Rebalance operations found committed-but-not-done and re-driven.
+    /// Operations with COMMIT but no DONE: their commit tasks are re-driven.
     pub redriven_rebalances: Vec<RebalanceId>,
 }
 
@@ -120,9 +119,9 @@ impl Cluster {
 
     /// Crashes and immediately recovers the Cluster Controller, then scans
     /// the metadata log to classify every rebalance operation, mirroring the
-    /// recovery rules of Section V-D. (The rebalance executor performs the
-    /// same classification inline when a failure is injected; this entry
-    /// point lets tests and operators run it explicitly.)
+    /// recovery rules of Section V-D. Node Controllers are not touched: a
+    /// crashed one stays down. Acting on the classification is the caller's
+    /// job ([`Cluster::fire_faults`] aborts the undecided jobs it was handed).
     pub fn restart_controller(&mut self) -> RecoveryReport {
         self.controller.crash();
         self.controller.recover();
@@ -147,7 +146,6 @@ impl Cluster {
             }
         }
         RecoveryReport {
-            recovered_nodes: self.recover_all_nodes(),
             aborted_rebalances: aborted,
             redriven_rebalances: redriven,
         }
@@ -165,7 +163,7 @@ mod tests {
     use super::*;
     use crate::dataset::DatasetSpec;
     use crate::rebalance::RebalanceOptions;
-    use dynahash_core::{FailurePoint, RebalanceOutcome, Scheme};
+    use dynahash_core::Scheme;
     use dynahash_lsm::entry::Key;
     use dynahash_lsm::Bytes;
 
@@ -190,74 +188,6 @@ mod tests {
         (cluster, ds)
     }
 
-    fn scale_out_with_failure(
-        failure: FailurePoint,
-    ) -> (Cluster, crate::DatasetId, RebalanceOutcome) {
-        let (mut cluster, ds) = loaded(2);
-        cluster.add_node().unwrap();
-        let target = cluster.topology().clone();
-        let report = cluster
-            .rebalance(ds, &target, RebalanceOptions::none().with_failure(failure))
-            .unwrap();
-        let outcome = report.outcome;
-        (cluster, ds, outcome)
-    }
-
-    #[test]
-    fn case1_nc_fails_before_prepared_aborts_and_leaves_dataset_intact() {
-        let (cluster, ds, outcome) =
-            scale_out_with_failure(FailurePoint::NcBeforePrepared(NodeId(2)));
-        assert_eq!(outcome, RebalanceOutcome::Aborted);
-        assert_eq!(cluster.dataset_len(ds).unwrap(), 1200);
-        cluster.check_dataset_consistency(ds).unwrap();
-        // nothing landed on the new node
-        let on_new = cluster.live_on_node(ds, NodeId(2));
-        assert_eq!(on_new, 0);
-    }
-
-    #[test]
-    fn case2_nc_fails_after_prepared_still_commits() {
-        let (cluster, ds, outcome) =
-            scale_out_with_failure(FailurePoint::NcAfterPrepared(NodeId(2)));
-        assert_eq!(outcome, RebalanceOutcome::Committed);
-        assert_eq!(cluster.dataset_len(ds).unwrap(), 1200);
-        cluster.check_dataset_consistency(ds).unwrap();
-    }
-
-    #[test]
-    fn case3_cc_fails_before_commit_log_aborts() {
-        let (cluster, ds, outcome) = scale_out_with_failure(FailurePoint::CcBeforeCommitLog);
-        assert_eq!(outcome, RebalanceOutcome::Aborted);
-        assert_eq!(cluster.dataset_len(ds).unwrap(), 1200);
-        cluster.check_dataset_consistency(ds).unwrap();
-    }
-
-    #[test]
-    fn case4_nc_fails_before_committed_ack_commits_after_recovery() {
-        let (cluster, ds, outcome) =
-            scale_out_with_failure(FailurePoint::NcBeforeCommitted(NodeId(0)));
-        assert_eq!(outcome, RebalanceOutcome::Committed);
-        assert_eq!(cluster.dataset_len(ds).unwrap(), 1200);
-        cluster.check_dataset_consistency(ds).unwrap();
-        assert!(cluster.node_is_alive(NodeId(0)));
-    }
-
-    #[test]
-    fn case5_cc_fails_after_commit_before_done_commits() {
-        let (cluster, ds, outcome) = scale_out_with_failure(FailurePoint::CcAfterCommitBeforeDone);
-        assert_eq!(outcome, RebalanceOutcome::Committed);
-        assert_eq!(cluster.dataset_len(ds).unwrap(), 1200);
-        cluster.check_dataset_consistency(ds).unwrap();
-    }
-
-    #[test]
-    fn case6_cc_fails_after_done_is_a_noop() {
-        let (cluster, ds, outcome) = scale_out_with_failure(FailurePoint::CcAfterDone);
-        assert_eq!(outcome, RebalanceOutcome::Committed);
-        assert_eq!(cluster.dataset_len(ds).unwrap(), 1200);
-        cluster.check_dataset_consistency(ds).unwrap();
-    }
-
     #[test]
     fn controller_recovery_classifies_operations_beyond_the_first_64() {
         let (mut cluster, ds) = loaded(2);
@@ -280,9 +210,13 @@ mod tests {
         cluster.crash_node(NodeId(1)).unwrap();
         assert!(!cluster.node_is_alive(NodeId(1)));
         let report = cluster.restart_controller();
-        assert_eq!(report.recovered_nodes, vec![NodeId(1)]);
-        assert!(cluster.node_is_alive(NodeId(1)));
         assert!(report.aborted_rebalances.is_empty());
+        assert!(
+            !cluster.node_is_alive(NodeId(1)),
+            "a CC restart restarts no NC"
+        );
+        assert_eq!(cluster.recover_all_nodes(), vec![NodeId(1)]);
+        assert!(cluster.node_is_alive(NodeId(1)));
     }
 
     #[test]

@@ -205,7 +205,7 @@ impl Cluster {
                         // The local probe already named the bucket, so the
                         // armed heat path costs nothing extra (and the
                         // disarmed one a single flag check).
-                        self.note_read_heat(dataset, bucket);
+                        self.heat.note_read(dataset, bucket);
                         return Ok(ds.get(key));
                     }
                 }
@@ -290,7 +290,7 @@ impl Session {
                 .as_ref()
                 .map(|d| d.version())
                 .unwrap_or(0);
-            self.subscription = Some(cluster.register_subscriber(self.dataset, version));
+            self.subscription = Some(cluster.subscribers.register(self.dataset, version));
         }
     }
 
@@ -302,7 +302,7 @@ impl Session {
         let Some(subscription) = self.subscription else {
             return Ok(());
         };
-        for update in cluster.take_pushed(subscription) {
+        for update in cluster.subscribers.take(subscription) {
             match update {
                 crate::control::PushedUpdate::Delta {
                     delta,
@@ -400,7 +400,11 @@ impl Session {
         loop {
             let partition = self.route(&key)?;
             match cluster.validate_route(self.dataset, &key, partition) {
-                Ok(()) => return cluster.put_routed(self.dataset, key, value),
+                Ok(()) => {
+                    return cluster
+                        .write_routed(self.dataset, key, Some(value))
+                        .map(drop)
+                }
                 Err(e) => self.handle_rejection(cluster, e, &mut attempts)?,
             }
         }
@@ -415,7 +419,7 @@ impl Session {
         loop {
             let partition = self.route(key)?;
             match cluster.validate_route(self.dataset, key, partition) {
-                Ok(()) => return cluster.delete_routed(self.dataset, key),
+                Ok(()) => return cluster.write_routed(self.dataset, key.clone(), None),
                 Err(e) => self.handle_rejection(cluster, e, &mut attempts)?,
             }
         }

@@ -1,7 +1,7 @@
 //! Repeated-crash storms over the staged-transaction engine.
 //!
-//! The recovery unit tests walk the paper's six failure cases one at a
-//! time; this harness is the blunt version: at *every* step boundary of the
+//! The failure matrix walks the paper's six failure cases one at a time;
+//! this harness is the blunt version: at *every* step boundary of the
 //! driver it crashes a seeded-randomly chosen node **twice in a row**
 //! (crash, recover, crash, recover) — for a job staged from live sources (a
 //! scale-out rebalance) and for one staged from a feed (a repair) alike —
@@ -16,8 +16,8 @@
 //! Everything is seeded: a failure replays exactly from the printed seed.
 
 use dynahash_cluster::{
-    Cluster, ClusterConfig, ClusterError, CostModel, DatasetId, DatasetSpec, FaultSchedule,
-    RebalanceJob, RebalanceOptions, RebalanceReport, SpeculationPolicy, StepPoint, WaveFault,
+    Cluster, ClusterConfig, ClusterError, CostModel, DatasetId, DatasetSpec, Fault, FaultSchedule,
+    RebalanceJob, RebalanceOptions, RebalanceReport, SpeculationPolicy, StepPoint,
 };
 use dynahash_core::{NodeId, RebalanceOutcome, Scheme};
 use dynahash_lsm::entry::Key;
@@ -50,15 +50,16 @@ fn loaded(nodes: u32, n: u64) -> (Cluster, DatasetId) {
     (cluster, ds)
 }
 
-const POINTS: &[StepPoint] = &[
-    StepPoint::AfterPlan,
-    StepPoint::AfterInit,
-    StepPoint::AfterEveryWave,
-    StepPoint::BeforePrepare,
-    StepPoint::AfterPrepare,
-    StepPoint::AfterCommitLog,
-    StepPoint::BeforeFinalize,
-    StepPoint::AfterFinalize,
+/// Every boundary the driver passes; `None` stands for after every wave.
+const POINTS: &[Option<StepPoint>] = &[
+    Some(StepPoint::AfterPlan),
+    Some(StepPoint::AfterInit),
+    None,
+    Some(StepPoint::BeforePrepare),
+    Some(StepPoint::AfterPrepare),
+    Some(StepPoint::AfterCommitLog),
+    Some(StepPoint::BeforeFinalize),
+    Some(StepPoint::AfterFinalize),
 ];
 
 /// Where a storm's job stages its pending buckets from.
@@ -118,49 +119,30 @@ fn double_crash_storm_at_every_step_point_commits_with_integrity() {
                 // through the commit (Cases 2 and 4): finalize recovers it
                 // and re-drives its tasks.
                 let stays_down = trial == 1
-                    && matches!(point, StepPoint::AfterPrepare | StepPoint::AfterCommitLog);
+                    && matches!(
+                        point,
+                        Some(StepPoint::AfterPrepare | StepPoint::AfterCommitLog)
+                    );
                 let ctx = format!("{source:?}, point {point:?}, trial {trial}, victim {victim}");
                 // The same node dies twice in a row; the driver must absorb
                 // both (commit tasks and cleanups are idempotent; a wiped
                 // pending copy is staged again — re-shipped per the metadata
                 // log, or re-loaded from the feed).
-                let storm = move |cluster: &mut Cluster| {
-                    let _ = cluster.crash_node(victim);
-                    cluster.recover_all_nodes();
-                    let _ = cluster.crash_node(victim);
-                    if !stays_down {
-                        cluster.recover_all_nodes();
-                    }
-                };
                 let (mut cluster, ds, lost) = staged(source);
-                let report = match source {
-                    // The rebalance goes through the one-shot entry point
-                    // and its registered hooks, the repair through the
-                    // driver's boundary callback they are built on.
-                    Source::Live => {
-                        let target = cluster.topology().clone();
-                        let options = RebalanceOptions::none()
-                            .with_max_concurrent_moves(2)
-                            .with_hook(point, move |cluster, _job| {
-                                storm(cluster);
-                                Ok(())
-                            });
-                        cluster.rebalance(ds, &target, options)
-                    }
-                    Source::Feed => plan(source, &mut cluster, ds).drive_with(
-                        &mut cluster,
-                        |cluster, _job, at| {
-                            if at == point
-                                || (point == StepPoint::AfterEveryWave
-                                    && matches!(at, StepPoint::AfterWave(_)))
-                            {
-                                storm(cluster);
+                let report = plan(source, &mut cluster, ds)
+                    .drive_with(&mut cluster, |cluster, _job, at| {
+                        let after_a_wave = matches!(at, StepPoint::AfterWave(_));
+                        if point.map_or(after_a_wave, |point| at == point) {
+                            let _ = cluster.crash_node(victim);
+                            cluster.recover_all_nodes();
+                            let _ = cluster.crash_node(victim);
+                            if !stays_down {
+                                cluster.recover_all_nodes();
                             }
-                            Ok(())
-                        },
-                    ),
-                }
-                .unwrap_or_else(|e| panic!("storm must not wedge the job ({ctx}): {e}"));
+                        }
+                        Ok(())
+                    })
+                    .unwrap_or_else(|e| panic!("storm must not wedge the job ({ctx}): {e}"));
                 assert_eq!(report.outcome, RebalanceOutcome::Committed, "{ctx}");
                 assert_all_records_served(&cluster, ds, 1500);
                 if let Some(lost) = lost {
@@ -180,11 +162,12 @@ fn losing_the_new_node_after_every_wave_boundary_commits_without_abort() {
     // Serial waves so every wave boundary exists for every trial; the loss
     // hits the newly added node (a pure destination), so re-planning cancels
     // its moves and the job commits with zero data loss.
-    for wave in 0..3u64 {
+    for wave in 0..3usize {
         let (mut cluster, ds) = loaded(3, 1500);
         let new_node = cluster.add_node().unwrap();
         cluster.set_fault_plane(
-            FaultSchedule::seeded(SEED ^ wave).with_wave_fault(wave, WaveFault::Lose(new_node)),
+            FaultSchedule::seeded(SEED ^ wave as u64)
+                .with_fault(StepPoint::AfterWave(wave), Fault::LoseNode(new_node)),
         );
         let target = cluster.topology().clone();
         let report = cluster
@@ -251,8 +234,8 @@ fn double_loss_of_two_destinations_still_commits() {
     let n3 = cluster.add_node().unwrap();
     cluster.set_fault_plane(
         FaultSchedule::seeded(SEED)
-            .with_wave_fault(0, WaveFault::Lose(n2))
-            .with_wave_fault(1, WaveFault::Lose(n3)),
+            .with_fault(StepPoint::AfterWave(0), Fault::LoseNode(n2))
+            .with_fault(StepPoint::AfterWave(1), Fault::LoseNode(n3)),
     );
     let target = cluster.topology().clone();
     let report = cluster
@@ -346,23 +329,19 @@ fn speculative_backup_beats_a_crippled_straggler_and_shortens_the_rebalance() {
 
 #[test]
 fn speculation_launched_on_a_mild_straggler_loses_the_race_and_costs_nothing() {
-    // A 2x stall with an eager straggler multiple of 1 launches backups, but
-    // the original finishes before a backup that only started a full median
-    // in: zero wins, and — since a lost race leaves every leg's charges
-    // untouched — a makespan byte-identical to the speculation-off twin.
-    let eager = SpeculationPolicy {
-        enabled: true,
-        straggler_multiple: 1,
-    };
-    let (_, _, off, ..) = scale_out_with_slow_source(2, SpeculationPolicy::disabled());
-    let (cluster, ds, on, spec_on, wins_on) = scale_out_with_slow_source(2, eager);
-    assert!(
-        spec_on > 0,
-        "an eager multiple of 1 must launch at least one backup"
-    );
+    // A source's read is a small share of a leg, so it takes a 13x stall on
+    // it to stretch its legs just past twice the wave median. That launches
+    // backups, but the originals finish before backups that only started two
+    // medians in: zero wins, and — since a lost race leaves every leg's
+    // charges untouched — a makespan byte-identical to the speculation-off
+    // twin.
+    let (_, _, off, ..) = scale_out_with_slow_source(13, SpeculationPolicy::disabled());
+    let (cluster, ds, on, spec_on, wins_on) =
+        scale_out_with_slow_source(13, SpeculationPolicy::default());
+    assert!(spec_on > 0, "a leg past two medians must launch a backup");
     assert_eq!(
         wins_on, 0,
-        "a 2x stall finishes before a backup launched a median in"
+        "a leg barely past two medians finishes before its backup"
     );
     assert_eq!(
         on.elapsed, off.elapsed,
@@ -384,8 +363,9 @@ fn established_node_loss_mid_rebalance_degrades_reads_until_repair_is_done_once(
     let (mut cluster, ds) = loaded(3, 1500);
     cluster.add_node().unwrap();
     let victim = NodeId(0);
-    cluster
-        .set_fault_plane(FaultSchedule::seeded(SEED).with_wave_fault(0, WaveFault::Lose(victim)));
+    cluster.set_fault_plane(
+        FaultSchedule::seeded(SEED).with_fault(StepPoint::AfterWave(0), Fault::LoseNode(victim)),
+    );
     let target = cluster.topology().clone();
     let report = cluster
         .rebalance(

@@ -32,7 +32,7 @@ pub use directory::{DirectoryDelta, GlobalDirectory};
 pub use dynahash_lsm::{hash_key, BucketId};
 pub use plan::{BucketMove, RebalancePlan};
 pub use protocol::{
-    max_deviation_imbalance, BucketHeat, FailurePoint, MigrationBudget, MovePolicy, NodeVote,
+    max_deviation_imbalance, BucketHeat, MigrationBudget, MovePolicy, NodeVote,
     RebalanceCoordinator, RebalanceOutcome, RebalancePhase, SecondaryRebuild, SpeculationPolicy,
 };
 pub use scheme::Scheme;

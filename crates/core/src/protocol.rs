@@ -125,36 +125,29 @@ impl SecondaryRebuild {
 pub struct SpeculationPolicy {
     /// Whether stragglers are speculatively re-executed at all.
     pub enabled: bool,
-    /// A transfer qualifies as a straggler when its leg exceeds this multiple
-    /// of the wave's median leg. Single-move waves never qualify (the only
-    /// leg *is* the median).
-    pub straggler_multiple: u32,
 }
 
 impl Default for SpeculationPolicy {
     fn default() -> Self {
-        SpeculationPolicy {
-            enabled: true,
-            straggler_multiple: 2,
-        }
+        SpeculationPolicy { enabled: true }
     }
 }
 
 impl SpeculationPolicy {
+    /// A transfer qualifies as a straggler when its leg exceeds this multiple
+    /// of the wave's median leg, and its backup launches at that point.
+    /// Single-move waves never qualify (the only leg *is* the median).
+    pub const STRAGGLER_MULTIPLE: u64 = 2;
+
     /// Speculation switched off: stragglers run to completion unchallenged.
     pub fn disabled() -> Self {
-        SpeculationPolicy {
-            enabled: false,
-            ..SpeculationPolicy::default()
-        }
+        SpeculationPolicy { enabled: false }
     }
 
     /// True when a transfer leg of `leg_ns` against a wave median of
     /// `median_ns` qualifies as a straggler worth re-executing.
     pub fn is_straggler(&self, leg_ns: u64, median_ns: u64) -> bool {
-        self.enabled
-            && median_ns > 0
-            && leg_ns > median_ns.saturating_mul(u64::from(self.straggler_multiple.max(1)))
+        self.enabled && median_ns > 0 && leg_ns > median_ns.saturating_mul(Self::STRAGGLER_MULTIPLE)
     }
 }
 
@@ -165,23 +158,6 @@ pub enum RebalanceOutcome {
     Committed,
     /// The rebalance aborted: the dataset is left unchanged.
     Aborted,
-}
-
-/// Failure-injection points corresponding to the six cases of Section V-D.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailurePoint {
-    /// Case 1: an NC fails before voting "prepared".
-    NcBeforePrepared(NodeId),
-    /// Case 2: an NC fails after voting "prepared".
-    NcAfterPrepared(NodeId),
-    /// Case 3: the CC fails before forcing the COMMIT log record.
-    CcBeforeCommitLog,
-    /// Case 4: an NC fails before responding "committed".
-    NcBeforeCommitted(NodeId),
-    /// Case 5: the CC fails after forcing COMMIT but before DONE.
-    CcAfterCommitBeforeDone,
-    /// Case 6: the CC fails after DONE is persisted.
-    CcAfterDone,
 }
 
 /// The CC-side coordinator of one rebalance operation.
@@ -556,13 +532,6 @@ mod tests {
         // a zero median (empty wave) never qualifies
         assert!(!p.is_straggler(100, 0));
         assert!(!SpeculationPolicy::disabled().is_straggler(1_000_000, 1));
-        // a zero multiple is clamped to 1 rather than flagging everything
-        let eager = SpeculationPolicy {
-            enabled: true,
-            straggler_multiple: 0,
-        };
-        assert!(!eager.is_straggler(100, 100));
-        assert!(eager.is_straggler(101, 100));
     }
 
     #[test]

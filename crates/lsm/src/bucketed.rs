@@ -555,13 +555,8 @@ impl BucketedLsmTree {
         Ok(())
     }
 
-    /// Discards a pending bucket (abort path). Idempotent: discarding an
-    /// unknown bucket is a no-op, as required by failure Case 1.
-    pub fn drop_pending(&mut self, bucket: BucketId) {
-        self.pending.remove(&bucket);
-    }
-
-    /// Discards all pending buckets (abort path).
+    /// Discards all pending buckets (abort and crash paths). Idempotent, as
+    /// required by failure Case 1.
     pub fn drop_all_pending(&mut self) {
         self.pending.clear();
     }
@@ -966,7 +961,7 @@ mod tests {
         t.drop_bucket(b).unwrap();
         t.drop_bucket(b).unwrap(); // no-op
         assert!(t.bucket_of_hash(0).is_none());
-        t.drop_pending(b); // never existed: no-op
+        t.drop_all_pending(); // nothing pending: no-op
         assert!(t.is_consistent());
     }
 
@@ -1056,7 +1051,7 @@ mod tests {
         let mut dst = tree_with_depth(1, None);
         let b = BucketId::new(0, 2);
         dst.create_pending_bucket(b).unwrap();
-        dst.drop_pending(b); // crash wiped the uncommitted transfer
+        dst.drop_all_pending(); // crash wiped the uncommitted transfer
         assert!(!dst.has_pending_bucket(&b));
         // a misrouted replicated write surfaces as an error, not a silent
         // fresh pending tree

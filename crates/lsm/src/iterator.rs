@@ -2,131 +2,30 @@
 //!
 //! A range query over an LSM-tree must reconcile entries with identical keys
 //! coming from several components: entries from newer components override
-//! those from older components. [`MergingIter`] performs a k-way merge using
-//! a priority queue, exactly as described in Section II-B of the paper.
-//! Sources are ordered newest first; for duplicate keys the entry from the
-//! source with the smallest index wins.
+//! those from older components (Section II-B of the paper). The merge the
+//! tree runs — for scans, component merges and installing a moved bucket
+//! alike — is [`LazyMergeIter`]: a k-way merge over a priority queue that
+//! pulls lazily from *borrowed* sources, ordered newest first, and clones
+//! only the entries that win. For duplicate keys the entry from the source
+//! with the smallest index wins; reconciled tombstones are dropped or kept
+//! as the caller asks. [`kmerge_disjoint`] is the cheaper merge for inputs that are
+//! already reconciled and share no key (per-bucket scans), and
+//! [`reconcile_point`] the point-lookup form of the same newest-wins rule.
+//!
+//! The materialising merge the lazy one replaced survives as the test-only
+//! `oracle` module, the reference the lazy merge and the secondary index's
+//! property test are compared against.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::entry::{Entry, Key, Op};
 
-/// One sorted input to the merge: an already-materialised, key-ordered list
-/// of entries (memtable snapshot or visible component entries).
-pub type SortedSource = Vec<Entry>;
-
-struct HeapItem {
-    key: Key,
-    source: usize,
-    pos: usize,
-}
-
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.source == other.source
-    }
-}
-impl Eq for HeapItem {}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse to get the smallest key first,
-        // breaking ties in favour of the newest (lowest-index) source.
-        other
-            .key
-            .cmp(&self.key)
-            .then_with(|| other.source.cmp(&self.source))
-    }
-}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A reconciling k-way merge iterator.
-pub struct MergingIter {
-    sources: Vec<SortedSource>,
-    heap: BinaryHeap<HeapItem>,
-    include_tombstones: bool,
-}
-
-impl MergingIter {
-    /// Creates a merge over the given sources, **newest source first**.
-    ///
-    /// If `include_tombstones` is false, reconciled deletes are skipped
-    /// (normal query behaviour); if true they are emitted (used by merges
-    /// that must retain tombstones).
-    pub fn new(sources: Vec<SortedSource>, include_tombstones: bool) -> Self {
-        let mut heap = BinaryHeap::new();
-        for (i, s) in sources.iter().enumerate() {
-            if let Some(e) = s.first() {
-                heap.push(HeapItem {
-                    key: e.key.clone(),
-                    source: i,
-                    pos: 0,
-                });
-            }
-        }
-        MergingIter {
-            sources,
-            heap,
-            include_tombstones,
-        }
-    }
-
-    fn advance(&mut self, source: usize, pos: usize) {
-        let next = pos + 1;
-        if let Some(e) = self.sources[source].get(next) {
-            self.heap.push(HeapItem {
-                key: e.key.clone(),
-                source,
-                pos: next,
-            });
-        }
-    }
-}
-
-impl Iterator for MergingIter {
-    type Item = Entry;
-
-    fn next(&mut self) -> Option<Entry> {
-        loop {
-            let top = self.heap.pop()?;
-            let winner = self.sources[top.source][top.pos].clone();
-            self.advance(top.source, top.pos);
-            // Drop all other occurrences of the same key (they are older).
-            while self.heap.peek().is_some_and(|peek| peek.key == winner.key) {
-                let Some(dup) = self.heap.pop() else { break };
-                self.advance(dup.source, dup.pos);
-            }
-            if winner.op.is_delete() && !self.include_tombstones {
-                continue;
-            }
-            return Some(winner);
-        }
-    }
-}
-
-/// Merges the sources and returns only live (non-tombstone) entries.
-pub fn merge_live(sources: Vec<SortedSource>) -> Vec<Entry> {
-    MergingIter::new(sources, false).collect()
-}
-
-/// Merges the sources keeping reconciled tombstones (used when the merge
-/// result does not include the oldest component, so deletes must survive).
-pub fn merge_keep_tombstones(sources: Vec<SortedSource>) -> Vec<Entry> {
-    MergingIter::new(sources, true).collect()
-}
-
 /// Reconciles a point-lookup result across sources ordered newest first:
 /// the first source containing the key decides.
 pub fn reconcile_point<'a>(mut lookups: impl Iterator<Item = Option<&'a Op>>) -> Option<&'a Op> {
     lookups.find_map(|op| op)
 }
-
-// --------------------------------------------------------- lazy k-way merge
 
 /// A lazily-consumed sorted input to [`LazyMergeIter`]: key-ordered
 /// `(key, op)` pairs borrowed from a memtable or a component's `range()`
@@ -303,8 +202,125 @@ where
     out
 }
 
+/// The materialising reference merge: every source is collected into its own
+/// `Vec<Entry>` first and the heap clones keys. Nothing in the tree calls it;
+/// it is what tests check [`LazyMergeIter`] against.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    /// One sorted input to the merge: an already-materialised, key-ordered list
+    /// of entries (memtable snapshot or visible component entries).
+    pub type SortedSource = Vec<Entry>;
+
+    struct HeapItem {
+        key: Key,
+        source: usize,
+        pos: usize,
+    }
+
+    impl PartialEq for HeapItem {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key && self.source == other.source
+        }
+    }
+    impl Eq for HeapItem {}
+
+    impl Ord for HeapItem {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // BinaryHeap is a max-heap; reverse to get the smallest key first,
+            // breaking ties in favour of the newest (lowest-index) source.
+            other
+                .key
+                .cmp(&self.key)
+                .then_with(|| other.source.cmp(&self.source))
+        }
+    }
+    impl PartialOrd for HeapItem {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// A reconciling k-way merge iterator.
+    pub struct MergingIter {
+        sources: Vec<SortedSource>,
+        heap: BinaryHeap<HeapItem>,
+        include_tombstones: bool,
+    }
+
+    impl MergingIter {
+        /// Creates a merge over the given sources, **newest source first**.
+        ///
+        /// If `include_tombstones` is false, reconciled deletes are skipped
+        /// (normal query behaviour); if true they are emitted (used by merges
+        /// that must retain tombstones).
+        pub fn new(sources: Vec<SortedSource>, include_tombstones: bool) -> Self {
+            let mut heap = BinaryHeap::new();
+            for (i, s) in sources.iter().enumerate() {
+                if let Some(e) = s.first() {
+                    heap.push(HeapItem {
+                        key: e.key.clone(),
+                        source: i,
+                        pos: 0,
+                    });
+                }
+            }
+            MergingIter {
+                sources,
+                heap,
+                include_tombstones,
+            }
+        }
+
+        fn advance(&mut self, source: usize, pos: usize) {
+            let next = pos + 1;
+            if let Some(e) = self.sources[source].get(next) {
+                self.heap.push(HeapItem {
+                    key: e.key.clone(),
+                    source,
+                    pos: next,
+                });
+            }
+        }
+    }
+
+    impl Iterator for MergingIter {
+        type Item = Entry;
+
+        fn next(&mut self) -> Option<Entry> {
+            loop {
+                let top = self.heap.pop()?;
+                let winner = self.sources[top.source][top.pos].clone();
+                self.advance(top.source, top.pos);
+                // Drop all other occurrences of the same key (they are older).
+                while self.heap.peek().is_some_and(|peek| peek.key == winner.key) {
+                    let Some(dup) = self.heap.pop() else { break };
+                    self.advance(dup.source, dup.pos);
+                }
+                if winner.op.is_delete() && !self.include_tombstones {
+                    continue;
+                }
+                return Some(winner);
+            }
+        }
+    }
+
+    /// Merges the sources and returns only live (non-tombstone) entries.
+    pub fn merge_live(sources: Vec<SortedSource>) -> Vec<Entry> {
+        MergingIter::new(sources, false).collect()
+    }
+
+    /// Merges the sources keeping reconciled tombstones (used when the merge
+    /// result does not include the oldest component, so deletes must survive).
+    pub fn merge_keep_tombstones(sources: Vec<SortedSource>) -> Vec<Entry> {
+        MergingIter::new(sources, true).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::{merge_keep_tombstones, merge_live};
     use super::*;
     use crate::bytes::Bytes;
 

@@ -470,7 +470,7 @@ mod tests {
     /// same entries there (the oracle sees it as the newest component).
     #[test]
     fn prop_batch_mark_matches_the_sequential_oracle() {
-        use crate::iterator::merge_live;
+        use crate::iterator::oracle::merge_live;
         use crate::rng::SplitMix64;
 
         for seed in 0..48u64 {

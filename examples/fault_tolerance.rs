@@ -1,12 +1,13 @@
 //! Fault-tolerance scenario: inject every failure case of Section V-D into a
 //! rebalance operation and show that the dataset always ends up consistent —
 //! either the rebalance commits everywhere or it aborts and leaves the data
-//! untouched.
+//! untouched. A failure is a row: the `Fault`, and the `StepPoint` of the
+//! rebalance it is scheduled at.
 //!
 //! Run with `cargo run --example fault_tolerance`.
 
-use dynahash::cluster::{Cluster, DatasetSpec, RebalanceOptions};
-use dynahash::core::{FailurePoint, NodeId, RebalanceOutcome, Scheme};
+use dynahash::cluster::{Cluster, DatasetSpec, Fault, FaultSchedule, RebalanceOptions, StepPoint};
+use dynahash::core::{NodeId, RebalanceOutcome, Scheme};
 use dynahash::lsm::entry::Key;
 use dynahash::lsm::Bytes;
 
@@ -26,37 +27,50 @@ fn build_cluster() -> (Cluster, dynahash::cluster::DatasetId) {
 }
 
 fn main() {
-    let cases: [(&str, FailurePoint); 6] = [
+    use Fault::{CrashNode, RestartController};
+    use StepPoint::{AfterCommitLog, AfterFinalize, AfterPrepare, BeforeFinalize, BeforePrepare};
+    let (new_node, old_node) = (NodeId(3), NodeId(0));
+    let cases: [(&str, StepPoint, Fault); 6] = [
         (
             "case 1: NC fails before voting prepared",
-            FailurePoint::NcBeforePrepared(NodeId(3)),
+            BeforePrepare,
+            CrashNode(new_node),
         ),
         (
             "case 2: NC fails after voting prepared",
-            FailurePoint::NcAfterPrepared(NodeId(3)),
+            AfterPrepare,
+            CrashNode(new_node),
         ),
         (
             "case 3: CC fails before forcing COMMIT",
-            FailurePoint::CcBeforeCommitLog,
+            AfterPrepare,
+            RestartController,
         ),
         (
             "case 4: NC fails before acking commit",
-            FailurePoint::NcBeforeCommitted(NodeId(0)),
+            AfterCommitLog,
+            CrashNode(old_node),
         ),
         (
             "case 5: CC fails after COMMIT, before DONE",
-            FailurePoint::CcAfterCommitBeforeDone,
+            BeforeFinalize,
+            RestartController,
         ),
-        ("case 6: CC fails after DONE", FailurePoint::CcAfterDone),
+        (
+            "case 6: CC fails after DONE",
+            AfterFinalize,
+            RestartController,
+        ),
     ];
 
     println!("injecting failures into a scale-out rebalance (3 -> 4 nodes, 10k records)\n");
-    for (label, failure) in cases {
+    for (label, point, fault) in cases {
         let (mut cluster, ds) = build_cluster();
         cluster.add_node().expect("add node");
         let target = cluster.topology().clone();
+        cluster.set_fault_plane(FaultSchedule::none().with_fault(point, fault));
         let report = cluster
-            .rebalance(ds, &target, RebalanceOptions::none().with_failure(failure))
+            .rebalance(ds, &target, RebalanceOptions::none())
             .expect("rebalance executes");
         cluster
             .check_dataset_consistency(ds)

@@ -170,7 +170,7 @@ fn repeated_scale_out_keeps_load_balanced() {
 
 #[test]
 fn aborted_rebalance_leaves_everything_untouched() {
-    use dynahash::core::FailurePoint;
+    use dynahash::cluster::{Fault, FaultSchedule, StepPoint};
     let mut cluster = Cluster::new(2);
     let ds = cluster
         .create_dataset(DatasetSpec::new(
@@ -187,12 +187,12 @@ fn aborted_rebalance_leaves_everything_untouched() {
 
     cluster.add_node().unwrap();
     let target = cluster.topology().clone();
+    // Case 1: the new node dies before it can vote "prepared"
+    cluster.set_fault_plane(
+        FaultSchedule::none().with_fault(StepPoint::BeforePrepare, Fault::CrashNode(NodeId(2))),
+    );
     let report = cluster
-        .rebalance(
-            ds,
-            &target,
-            RebalanceOptions::none().with_failure(FailurePoint::NcBeforePrepared(NodeId(2))),
-        )
+        .rebalance(ds, &target, RebalanceOptions::none())
         .unwrap();
     assert_eq!(report.outcome, RebalanceOutcome::Aborted);
     // distribution identical to before the attempt

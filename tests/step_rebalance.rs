@@ -18,7 +18,8 @@ use common::{
     assert_committed_set, check_seeded_cases, cluster_with_dataset, record, test_cluster, CASES,
 };
 use dynahash::cluster::{
-    Cluster, DatasetSpec, RebalanceJob, RebalanceOptions, SecondaryIndexDef, StepPoint,
+    Cluster, DatasetSpec, Fault, FaultSchedule, RebalanceJob, RebalanceOptions, SecondaryIndexDef,
+    StepPoint,
 };
 use dynahash::core::{NodeId, RebalanceOutcome, Scheme};
 use dynahash::lsm::entry::Key;
@@ -331,9 +332,10 @@ fn a_destination_crash_around_commit_ends_equal_to_the_fault_free_run() {
         let (mut cluster, ds) = indexed_cluster_before_scale_out();
         let target = cluster.topology().clone();
         let writes: Vec<_> = (50_000..50_300).chain(0..100).map(record).collect();
-        let mut options = RebalanceOptions::none().with_concurrent_writes(writes);
+        let options = RebalanceOptions::none().with_concurrent_writes(writes);
         if let Some(point) = crash_at {
-            options = options.with_hook(point, |cluster, _| cluster.crash_node(NodeId(3)));
+            let crash = Fault::CrashNode(NodeId(3));
+            cluster.set_fault_plane(FaultSchedule::none().with_fault(point, crash));
         }
         let report = cluster.rebalance(ds, &target, options).unwrap();
         assert_eq!(report.outcome, RebalanceOutcome::Committed);
