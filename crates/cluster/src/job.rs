@@ -1522,8 +1522,8 @@ impl RebalanceJob {
     }
 
     /// The per-node commit tasks. Inside the write block, so none of it may
-    /// depend on how many records moved: installs append component handles,
-    /// cleanups are one call per source partition.
+    /// depend on how many records moved or stayed: installs append component
+    /// handles, a cleanup marks a source's index components and reads no entry.
     fn run_commit_tasks(&mut self, cluster: &mut Cluster) -> Result<()> {
         let cost = cluster.cost_model();
         self.charge_commit_messages(cluster);

@@ -279,12 +279,14 @@ impl PartitionDataset {
 
     /// After a committed rebalance: drops the moved buckets from the primary
     /// index and marks them for lazy cleanup in the primary-key index and in
-    /// every secondary index — one pass per index for the whole set,
-    /// whatever the number of buckets or records that moved. Index entries
-    /// still in a memory component are covered by the same mark (dead at
-    /// once, dropped by the next flush), so nothing this partition ever
-    /// wrote about the buckets — no key, no tombstone — can resurface under
-    /// a bucket that is later received back and installed as oldest data.
+    /// every secondary index — a metadata write per index component and no
+    /// pass over any entry: the first query to reach a component applies the
+    /// mark there ([`PartitionDataset::warm_secondary_indexes`] pre-pays it).
+    /// Index entries still in a memory component are covered by the same
+    /// mark (dead at once, dropped by the next flush), so nothing this
+    /// partition ever wrote about the buckets — no key, no tombstone — can
+    /// resurface under a bucket that is later received back and installed as
+    /// oldest data.
     ///
     /// Deferred stashes are reconciled first: a stash a moved bucket fully
     /// covers is simply dropped (all of its entries would be hidden by the
@@ -480,21 +482,24 @@ impl PartitionDataset {
         !self.deferred_installed.is_empty()
     }
 
-    /// Materializes the secondary entries of every committed
-    /// [`SecondaryState::Deferred`] bucket: the stashed shipped components
-    /// are merge-iterated once and the extracted entries land as the oldest
-    /// data of each visible secondary index, so replicated writes installed
-    /// at commit time keep superseding them. Returns the number of records
-    /// processed (0 when nothing was deferred), which callers charge as the
-    /// off-commit-path rebuild cost.
+    /// The index work a rebalance left for the first query. Materializes the
+    /// secondary entries of every committed [`SecondaryState::Deferred`]
+    /// bucket: the stashed shipped components are merge-iterated once and
+    /// the extracted entries land as the oldest data of each visible
+    /// secondary index, so replicated writes installed at commit time keep
+    /// superseding them. Returns the number of records processed (0 when
+    /// nothing was deferred), which callers charge as the off-commit-path
+    /// rebuild cost. Then applies the lazy-cleanup marks still unapplied on
+    /// the secondary-index components (O(components) when there is none).
     pub fn warm_secondary_indexes(&mut self) -> u64 {
-        if self.deferred_installed.is_empty() {
-            return 0;
-        }
         let stashes: Vec<Vec<Component>> = std::mem::take(&mut self.deferred_installed)
             .into_values()
             .collect();
-        self.materialize_deferred(stashes)
+        let warmed = self.materialize_deferred(stashes);
+        for s in self.secondaries.iter_mut() {
+            s.obsolete_entries();
+        }
+        warmed
     }
 
     /// Merge-iterates the given stashes once and loads the extracted entries

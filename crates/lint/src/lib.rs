@@ -18,9 +18,10 @@
 //!   confined to `dynahash_bench::timing`, and the files feeding the
 //!   deterministic wave scheduler must not iterate `HashMap`/`HashSet`;
 //! * **lock-order readiness** — every `Mutex`/`RwLock`/`RefCell` must be
-//!   registered with an acquisition rank in `LOCK_ORDER.md`, so the
-//!   upcoming real-thread runtime inherits a machine-checked lock
-//!   hierarchy from day one.
+//!   registered with an acquisition rank in `LOCK_ORDER.md`, and every
+//!   write-once cell (`OnceLock`/`OnceCell`) listed there with the rule its
+//!   init closure keeps, so the upcoming real-thread runtime inherits a
+//!   machine-checked lock hierarchy from day one.
 //!
 //! Findings are waived inline with
 //! `// dhlint: allow(<rule>) — <reason>` and the number of used waivers per

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use crate::report::{Finding, Rule};
-use crate::rules::{allowed_deps, LockUse};
+use crate::rules::{allowed_deps, LockUse, WRITE_ONCE_CELLS};
 
 /// A parsed (enough) TOML document: section name → key → raw value.
 #[derive(Debug, Default)]
@@ -229,15 +229,18 @@ pub fn check_workspace_manifest(text: &str) -> Vec<Finding> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LockEntry {
     /// Acquisition rank — locks may only be taken in increasing rank order.
-    pub rank: u32,
+    /// `None` for a row of the write-once table, which has no rank column.
+    pub rank: Option<u32>,
     /// Relative path of the file declaring the primitive.
     pub file: String,
-    /// Primitive name (`Mutex`, `RwLock`, `RefCell`).
+    /// Primitive name (`Mutex`, `RwLock`, `RefCell`, `OnceLock`, `OnceCell`).
     pub primitive: String,
 }
 
-/// Parses the `LOCK_ORDER.md` manifest table. Rows look like
-/// `| 10 | crates/cluster/src/node.rs | Mutex | guards node state |`.
+/// Parses the `LOCK_ORDER.md` manifest tables. Ranked rows look like
+/// `| 10 | crates/cluster/src/node.rs | Mutex | guards node state |`,
+/// write-once rows like
+/// `| crates/lsm/src/component.rs | OnceLock | what it caches | init rule |`.
 pub fn parse_lock_order(text: &str) -> (Vec<LockEntry>, Vec<Finding>) {
     let mut entries = Vec::new();
     let mut findings = Vec::new();
@@ -251,23 +254,28 @@ pub fn parse_lock_order(text: &str) -> (Vec<LockEntry>, Vec<Finding>) {
             continue;
         }
         // Skip the header and separator rows.
-        if cells[0].eq_ignore_ascii_case("rank") || cells[0].chars().all(|c| c == '-' || c == ':') {
+        let header = matches!(cells[0].to_ascii_lowercase().as_str(), "rank" | "file");
+        if header || cells[0].chars().all(|c| c == '-' || c == ':') {
             continue;
         }
-        let Ok(rank) = cells[0].parse::<u32>() else {
-            findings.push(Finding {
-                rule: Rule::LockOrder,
-                file: "LOCK_ORDER.md".to_string(),
-                line: idx + 1,
-                message: format!("rank `{}` is not an integer", cells[0]),
-                waived: false,
-            });
-            continue;
+        let (rank, file, primitive) = match cells[0].parse::<u32>() {
+            Ok(rank) => (Some(rank), cells[1], cells[2]),
+            Err(_) if WRITE_ONCE_CELLS.contains(&cells[1]) => (None, cells[0], cells[1]),
+            Err(_) => {
+                findings.push(Finding {
+                    rule: Rule::LockOrder,
+                    file: "LOCK_ORDER.md".to_string(),
+                    line: idx + 1,
+                    message: format!("rank `{}` is not an integer", cells[0]),
+                    waived: false,
+                });
+                continue;
+            }
         };
         entries.push(LockEntry {
             rank,
-            file: cells[1].to_string(),
-            primitive: cells[2].to_string(),
+            file: file.to_string(),
+            primitive: primitive.to_string(),
         });
     }
     findings.extend(duplicate_rank_findings(&entries));
@@ -277,11 +285,12 @@ pub fn parse_lock_order(text: &str) -> (Vec<LockEntry>, Vec<Finding>) {
 fn duplicate_rank_findings(entries: &[LockEntry]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (i, a) in entries.iter().enumerate() {
+        let Some(rank) = a.rank else { continue };
         if entries[..i].iter().any(|b| b.rank == a.rank) {
             findings.push(Finding::file_level(
                 Rule::LockOrder,
                 "LOCK_ORDER.md",
-                format!("duplicate acquisition rank {} (`{}`)", a.rank, a.file),
+                format!("duplicate acquisition rank {rank} (`{}`)", a.file),
             ));
         }
     }
@@ -323,7 +332,8 @@ pub fn check_lock_order(manifest: Option<&str>, uses: &[LockUse]) -> Vec<Finding
                 line: u.line,
                 message: format!(
                     "`{}` is not registered in LOCK_ORDER.md — every lock/interior-mutability \
-                     primitive needs an acquisition rank before the threaded runtime lands",
+                     primitive needs an acquisition rank (a write-once cell: a row in the \
+                     write-once table) before the threaded runtime lands",
                     u.primitive
                 ),
                 waived: false,
@@ -487,6 +497,21 @@ mod tests {
         assert!(findings.iter().any(|f| f.file == "b.rs"));
         // Stale entry.
         assert!(check_lock_order(Some(manifest), &[])
+            .iter()
+            .any(|f| f.message.contains("stale")));
+        // Write-once cells: listed without a rank, checked both ways.
+        let cells = "| file | cell | caches | init rule |\n|---|---|---|---|\n| c.rs | OnceLock | a view | takes no lock |\n";
+        let both = format!("{manifest}\n{cells}");
+        let cell_use = LockUse {
+            file: "c.rs".into(),
+            primitive: "OnceLock".into(),
+            line: 5,
+        };
+        let all = [uses[0].clone(), cell_use];
+        assert!(check_lock_order(Some(&both), &all).is_empty());
+        let unlisted = check_lock_order(Some(manifest), &all);
+        assert!(unlisted.iter().any(|f| f.file == "c.rs"));
+        assert!(check_lock_order(Some(&both), &uses)
             .iter()
             .any(|f| f.message.contains("stale")));
         // No manifest at all.

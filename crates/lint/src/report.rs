@@ -20,7 +20,8 @@ pub enum Rule {
     /// `HashMap`/`HashSet` in ordering-sensitive scheduler files.
     Determinism,
     /// Every `Mutex`/`RwLock`/`RefCell` must be registered with an
-    /// acquisition rank in `LOCK_ORDER.md`.
+    /// acquisition rank in `LOCK_ORDER.md`, every `OnceLock`/`OnceCell`
+    /// listed in its write-once table.
     LockOrder,
     /// Workspace-package metadata consistency across crate manifests.
     Metadata,

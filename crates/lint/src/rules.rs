@@ -336,25 +336,31 @@ pub fn determinism(path: &str, lexed: &LexedFile) -> Vec<Finding> {
     findings
 }
 
-/// The interior-mutability / lock primitives the lock-order manifest tracks.
+/// The interior-mutability / lock primitives the lock-order manifest ranks.
 pub const LOCK_PRIMITIVES: [&str; 3] = ["Mutex", "RwLock", "RefCell"];
+
+/// Write-once cells take no rank (nothing is held across a call); the
+/// manifest lists each use, with the rule its init closure keeps (no ranked
+/// primitive acquired, no way back into the cell), in a table of its own.
+pub const WRITE_ONCE_CELLS: [&str; 2] = ["OnceLock", "OnceCell"];
 
 /// One use of a lock primitive in a file.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct LockUse {
     /// Relative path of the file.
     pub file: String,
-    /// Primitive name (`Mutex`, `RwLock`, `RefCell`).
+    /// Primitive name (`Mutex`, `RwLock`, `RefCell`, `OnceLock`, `OnceCell`).
     pub primitive: String,
     /// First line the primitive appears on.
     pub line: usize,
 }
 
-/// Rule family 5 (collection half): every lock primitive a file mentions.
-/// The engine cross-checks the collected set against `LOCK_ORDER.md`.
+/// Rule family 5 (collection half): every lock primitive and write-once
+/// cell a file mentions. The engine cross-checks the collected set against
+/// `LOCK_ORDER.md`.
 pub fn collect_lock_uses(path: &str, lexed: &LexedFile) -> Vec<LockUse> {
     let mut out = Vec::new();
-    for primitive in LOCK_PRIMITIVES {
+    for primitive in LOCK_PRIMITIVES.into_iter().chain(WRITE_ONCE_CELLS) {
         if let Some(&pos) = word_occurrences(&lexed.masked, primitive).first() {
             out.push(LockUse {
                 file: path.to_string(),
@@ -469,5 +475,8 @@ mod tests {
         assert_eq!(uses.len(), 1);
         assert_eq!(uses[0].primitive, "Mutex");
         assert_eq!(uses[0].line, 1);
+        let src = lex("struct S {\n    view: std::sync::OnceLock<u8>,\n}\n");
+        let uses = collect_lock_uses("crates/lsm/src/x.rs", &src);
+        assert_eq!((uses[0].primitive.as_str(), uses[0].line), ("OnceLock", 2));
     }
 }

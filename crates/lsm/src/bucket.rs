@@ -39,6 +39,15 @@ pub(crate) fn hash_bytes(bytes: &[u8]) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The low-order `depth` bits of a hash value.
+fn hash_mask(depth: u8) -> u64 {
+    if depth >= 32 {
+        u32::MAX as u64
+    } else {
+        (1u64 << depth) - 1
+    }
+}
+
 /// A bucket of the extendible-hash key space: the `depth` low-order bits of
 /// the hash equal `bits`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -53,13 +62,8 @@ impl BucketId {
     /// Creates a bucket id, masking `bits` to the given depth.
     pub fn new(bits: u32, depth: u8) -> Self {
         assert!(depth <= MAX_DEPTH, "bucket depth {depth} exceeds maximum");
-        let mask = if depth == 32 {
-            u32::MAX
-        } else {
-            (1u32 << depth) - 1
-        };
         BucketId {
-            bits: bits & mask,
+            bits: bits & hash_mask(depth) as u32,
             depth,
         }
     }
@@ -71,12 +75,7 @@ impl BucketId {
 
     /// Returns the bucket of depth `depth` that a hash value falls into.
     pub fn of_hash(hash: u64, depth: u8) -> Self {
-        let mask = if depth >= 32 {
-            u32::MAX as u64
-        } else {
-            (1u64 << depth) - 1
-        };
-        BucketId::new((hash & mask) as u32, depth)
+        BucketId::new((hash & hash_mask(depth)) as u32, depth)
     }
 
     /// Returns the bucket of depth `depth` that `key` falls into.
@@ -86,17 +85,7 @@ impl BucketId {
 
     /// True if the given hash value belongs to this bucket.
     pub fn contains_hash(&self, hash: u64) -> bool {
-        let mask = if self.depth >= 32 {
-            u32::MAX as u64
-        } else {
-            (1u64 << self.depth) - 1
-        };
-        (hash & mask) == self.bits as u64
-    }
-
-    /// True if the given hash value belongs to any of `buckets`.
-    pub fn any_contains_hash(buckets: &[BucketId], hash: u64) -> bool {
-        buckets.iter().any(|b| b.contains_hash(hash))
+        (hash & hash_mask(self.depth)) == self.bits as u64
     }
 
     /// True if the given key belongs to this bucket.
@@ -127,15 +116,7 @@ impl BucketId {
     /// True if `self` covers `other`, i.e. `other` is `self` or one of its
     /// descendants in the split tree.
     pub fn covers(&self, other: &BucketId) -> bool {
-        if other.depth < self.depth {
-            return false;
-        }
-        let mask = if self.depth >= 32 {
-            u32::MAX
-        } else {
-            (1u32 << self.depth) - 1
-        };
-        (other.bits & mask) == self.bits
+        other.depth >= self.depth && self.contains_hash(other.bits as u64)
     }
 
     /// The normalized size of the bucket relative to a directory of global
@@ -160,6 +141,49 @@ impl BucketId {
         (0..n)
             .map(|i| self.bits | ((i as u32) << self.depth))
             .collect()
+    }
+}
+
+/// A set of buckets arranged for membership tests: one group per distinct
+/// depth holding that depth's hash mask and the sorted `bits` of its
+/// buckets, so a test costs one binary search per depth in use however many
+/// buckets moved. `contains_hash` is by definition
+/// `buckets.iter().any(|b| b.contains_hash(hash))`.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct BucketSet {
+    by_depth: Vec<(u64, Vec<u32>)>,
+}
+
+impl BucketSet {
+    /// True if the set holds no bucket.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.by_depth.is_empty()
+    }
+
+    /// Adds `buckets`; returns true if any of them was not in the set yet.
+    pub(crate) fn extend(&mut self, buckets: &[BucketId]) -> bool {
+        let mut grew = false;
+        for b in buckets {
+            let mask = hash_mask(b.depth);
+            let known = self.by_depth.iter().position(|(m, _)| *m == mask);
+            let at = known.unwrap_or_else(|| {
+                self.by_depth.push((mask, Vec::new()));
+                self.by_depth.len() - 1
+            });
+            let bits = &mut self.by_depth[at].1;
+            if let Err(slot) = bits.binary_search(&b.bits) {
+                bits.insert(slot, b.bits);
+                grew = true;
+            }
+        }
+        grew
+    }
+
+    /// True if the given hash value belongs to any bucket of the set.
+    pub(crate) fn contains_hash(&self, hash: u64) -> bool {
+        self.by_depth
+            .iter()
+            .any(|(mask, bits)| bits.binary_search(&((hash & mask) as u32)).is_ok())
     }
 }
 
@@ -258,6 +282,33 @@ mod tests {
                 !(lo.contains_hash(hash) && hi.contains_hash(hash)),
                 "seed {seed}: children overlap on hash {hash:#x}"
             );
+        }
+    }
+
+    /// The grouped set answers exactly what testing every bucket in turn
+    /// answers, for mixed depths, duplicates and sets grown in several steps.
+    #[test]
+    fn prop_bucket_set_matches_the_linear_definition() {
+        for case in 0..64u64 {
+            let seed = 0xbcc2_0000 + case;
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            let buckets: Vec<BucketId> = (0..rng.gen_range(0..40))
+                .map(|_| BucketId::new(rng.next_u64() as u32, rng.gen_range(0..7) as u8))
+                .collect();
+            let mut set = BucketSet::default();
+            let half = buckets.len() / 2;
+            assert_eq!(set.extend(&buckets[..half]), half > 0, "seed {seed}");
+            set.extend(&buckets[half..]);
+            assert!(!set.extend(&buckets), "seed {seed}: nothing left to add");
+            assert_eq!(set.is_empty(), buckets.is_empty(), "seed {seed}");
+            for _ in 0..200 {
+                let hash = rng.next_u64();
+                assert_eq!(
+                    set.contains_hash(hash),
+                    buckets.iter().any(|b| b.contains_hash(hash)),
+                    "seed {seed}: hash {hash:#x} against {buckets:?}"
+                );
+            }
         }
     }
 

@@ -14,11 +14,13 @@
 //!   wrapper records buckets that were moved away; entries belonging to them
 //!   are filtered out of reads and physically dropped at the next merge.
 //!
-//! Either filter is applied once, when the handle is made: the pass that
-//! sizes the filtered view also records which entries it shows (one bit per
-//! entry of the run), and reads consult that — a scan of a reference
-//! component hashes nothing and costs what it returns, not what the shared
-//! run holds.
+//! Making a filtered handle records the filter and reads nothing. Either
+//! filter is applied once, when the handle (or a clone of it) is first read:
+//! the pass that sizes the filtered view also records which entries it shows
+//! (one bit per entry of the run), and reads consult that — a scan of a
+//! reference component hashes nothing and costs what it returns, not what
+//! the shared run holds. A handle nobody reads before it is replaced or
+//! dropped (a partition emptied by a scale-in) never pays the pass.
 //!
 //! A run that a merge or a load wrote **owns its bytes**: its put payloads
 //! are [`Bytes::slice`]s of one allocation laid out in key order, so a scan
@@ -30,10 +32,10 @@
 //! a caller that does should copy them ([`Bytes::to_vec`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::bloom::BloomFilter;
-use crate::bucket::{hash_bytes, BucketId};
+use crate::bucket::{hash_bytes, BucketId, BucketSet};
 use crate::bytes::Bytes;
 use crate::entry::{Entry, Key, Op, StorageFootprint};
 use crate::secondary::SecondaryEntry;
@@ -166,41 +168,41 @@ pub struct Component {
     visible_bucket: Option<BucketId>,
     /// Buckets whose entries have been moved away and must be ignored
     /// (lazy cleanup). Applied on top of `visible_bucket`.
-    invalid_buckets: Arc<Vec<BucketId>>,
+    invalid_buckets: Arc<BucketSet>,
     /// How keys are interpreted when checking bucket membership.
     layout: KeyLayout,
-    /// Bytes of data visible through this handle, computed eagerly when the
-    /// filters change so that size queries stay O(1).
-    visible_bytes: usize,
-    /// Entries visible through this handle, cached alongside
-    /// `visible_bytes` so that `visible_len` is O(1) too.
-    visible_count: usize,
-    /// Which entries are visible through this handle — bit `i` of the map
-    /// (64 entries a word) stands for `data.entries[i]` — recorded by the
-    /// same pass; `None` while no filter applies and every entry is visible.
-    /// Reads test and walk these bits and never hash a key against the
-    /// filters again.
-    visible: Option<Arc<[u64]>>,
+    /// What the filters leave visible; `None` while no filter applies and
+    /// every entry is visible. Unbuilt when the handle is made, built by the
+    /// first read through it or through any clone of it.
+    view: Option<Arc<OnceLock<View>>>,
     /// True if this handle was transferred whole from another partition by a
     /// component-shipping rebalance (provenance; the underlying data keeps
     /// its original flush/merge source).
     shipped: bool,
 }
 
+/// The entries a filtered handle shows, recorded by one pass over the run.
+#[derive(Debug)]
+struct View {
+    /// Bit `i` of the map (64 entries a word) stands for `data.entries[i]`.
+    /// Reads test and walk these bits and never hash a key against the
+    /// filters again.
+    bits: Box<[u64]>,
+    /// Number of visible entries.
+    count: usize,
+    /// Bytes of the visible entries.
+    bytes: usize,
+}
+
 impl Component {
     /// Builds a brand-new component from sorted entries.
     pub fn from_sorted(entries: Vec<Entry>, source: ComponentSource) -> Self {
-        let data = Arc::new(DiskComponentData::from_sorted(entries, source));
-        let visible_bytes = data.size_bytes;
-        let visible_count = data.entries.len();
         Component {
-            data,
+            data: Arc::new(DiskComponentData::from_sorted(entries, source)),
             visible_bucket: None,
-            invalid_buckets: Arc::new(Vec::new()),
+            invalid_buckets: Arc::default(),
             layout: KeyLayout::PrimaryKey,
-            visible_bytes,
-            visible_count,
-            visible: None,
+            view: None,
             shipped: false,
         }
     }
@@ -223,19 +225,14 @@ impl Component {
 
     /// Creates a *reference component* that exposes only the entries of
     /// `bucket` from the same underlying data (Algorithm 1: bucket split).
+    /// Reads nothing: the first read through the new handle applies the
+    /// filter.
     pub fn restrict_to_bucket(&self, bucket: BucketId) -> Component {
-        let mut c = Component {
-            data: Arc::clone(&self.data),
+        Component {
             visible_bucket: Some(bucket),
-            invalid_buckets: Arc::clone(&self.invalid_buckets),
-            layout: self.layout,
-            visible_bytes: 0,
-            visible_count: 0,
-            visible: None,
-            shipped: self.shipped,
-        };
-        c.recompute_visibility();
-        c
+            view: Some(Arc::default()),
+            ..self.clone()
+        }
     }
 
     /// Returns a handle to the same sealed data marked as shipped from
@@ -253,47 +250,54 @@ impl Component {
         self.shipped
     }
 
-    /// One pass over the whole run applying the handle's filters: marks the
-    /// visible entries and refreshes both cached counters.
-    fn recompute_visibility(&mut self) {
-        let entries = &self.data.entries;
-        let mut bits = vec![0u64; entries.len().div_ceil(64)];
-        let (mut count, mut bytes) = (0, 0);
-        for (at, e) in entries.iter().enumerate() {
-            if self.entry_visible(&e.key) {
-                bits[at / 64] |= 1 << (at % 64);
-                count += 1;
-                bytes += e.size_bytes();
+    /// The filtered view, built on first use by one pass over the whole run
+    /// applying the handle's filters; `None` when the handle has no filter.
+    fn view(&self) -> Option<&View> {
+        let view = self.view.as_ref()?;
+        Some(view.get_or_init(|| {
+            let entries = &self.data.entries;
+            let mut bits = vec![0u64; entries.len().div_ceil(64)];
+            let (mut count, mut bytes) = (0, 0);
+            for (at, e) in entries.iter().enumerate() {
+                if self.entry_visible(&e.key) {
+                    bits[at / 64] |= 1 << (at % 64);
+                    count += 1;
+                    bytes += e.size_bytes();
+                }
             }
-        }
-        self.visible_count = count;
-        self.visible_bytes = bytes;
-        self.visible = Some(bits.into());
+            View {
+                bits: bits.into(),
+                count,
+                bytes,
+            }
+        }))
+    }
+
+    /// True if this handle carries a filter whose view a read has built.
+    #[doc(hidden)]
+    pub fn view_is_built(&self) -> bool {
+        self.view.as_ref().is_some_and(|v| v.get().is_some())
     }
 
     /// Returns a handle to the same data with `buckets` added to the
     /// lazy-cleanup metadata: reads through it skip every entry whose record
     /// belongs to a moved bucket. `layout` says how this component's keys map
     /// to records (secondary-index components store composite keys and hash
-    /// the primary part). All buckets are applied in one pass over the
-    /// entries; marking buckets that are already recorded changes nothing.
+    /// the primary part). Reads nothing — the new handle carries the extended
+    /// bucket list and its first read applies all of it in one pass, however
+    /// many marks came before; marking buckets that are already recorded
+    /// changes nothing.
     pub fn mark_buckets_invalid(&self, buckets: &[BucketId], layout: KeyLayout) -> Component {
-        let mut inv = (*self.invalid_buckets).clone();
-        for b in buckets {
-            if !inv.contains(b) {
-                inv.push(*b);
-            }
-        }
-        if inv.len() == self.invalid_buckets.len() && layout == self.layout {
+        let mut invalid = (*self.invalid_buckets).clone();
+        if !invalid.extend(buckets) && layout == self.layout {
             return self.clone();
         }
-        let mut c = Component {
-            invalid_buckets: Arc::new(inv),
+        Component {
+            invalid_buckets: Arc::new(invalid),
             layout,
+            view: Some(Arc::default()),
             ..self.clone()
-        };
-        c.recompute_visibility();
-        c
+        }
     }
 
     /// Identifier of the underlying data.
@@ -316,11 +320,6 @@ impl Component {
         self.visible_bucket
     }
 
-    /// The buckets marked invalid for lazy cleanup.
-    pub fn invalid_buckets(&self) -> &[BucketId] {
-        &self.invalid_buckets
-    }
-
     /// True if the component carries lazy-cleanup metadata or a bucket
     /// filter, i.e. a merge would physically drop some entries.
     pub fn needs_compaction(&self) -> bool {
@@ -334,11 +333,11 @@ impl Component {
     }
 
     /// Applies the handle's filters to one key (one hash): what
-    /// [`Component::recompute_visibility`] records per entry.
+    /// [`Component::view`] records per entry.
     fn entry_visible(&self, key: &Key) -> bool {
         let hash = self.layout.bucket_hash(key);
         self.visible_bucket.is_none_or(|b| b.contains_hash(hash))
-            && !BucketId::any_contains_hash(&self.invalid_buckets, hash)
+            && !self.invalid_buckets.contains_hash(hash)
     }
 
     /// Point lookup. Consults the Bloom filter first; applies the bucket
@@ -351,9 +350,8 @@ impl Component {
         let entries = &self.data.entries;
         let at = entries.binary_search_by(|e| e.key.cmp(key)).ok()?;
         let visible = self
-            .visible
-            .as_ref()
-            .is_none_or(|bits| bits[at / 64] >> (at % 64) & 1 == 1);
+            .view()
+            .is_none_or(|v| v.bits[at / 64] >> (at % 64) & 1 == 1);
         visible.then(|| &entries[at].op)
     }
 
@@ -368,7 +366,7 @@ impl Component {
         let first_at_or_after = |key: &Key| entries.partition_point(|e| e.key < *key);
         let mut at = lo.map_or(0, first_at_or_after);
         let end = hi.map_or(entries.len(), first_at_or_after);
-        let visible = self.visible.as_deref();
+        let visible = self.view().map(|v| &*v.bits);
         std::iter::from_fn(move || {
             if let Some(bits) = visible {
                 while at < end {
@@ -396,10 +394,10 @@ impl Component {
         self.data.entries.len()
     }
 
-    /// Number of entries visible through this handle (applies filters). O(1):
-    /// the count is cached whenever the handle's filters change.
+    /// Number of entries visible through this handle (applies filters). O(1)
+    /// once the view is built.
     pub fn visible_len(&self) -> usize {
-        self.visible_count
+        self.view().map_or(self.data.entries.len(), |v| v.count)
     }
 
     /// Bytes of the underlying data. Reference components share the data and
@@ -409,10 +407,9 @@ impl Component {
     }
 
     /// Bytes of *visible* data: what a rebalance scan of this component would
-    /// ship, or what a merge would rewrite. O(1): the value is computed when
-    /// the component (or its filtered view) is created.
+    /// ship, or what a merge would rewrite. O(1) once the view is built.
     pub fn visible_size_bytes(&self) -> usize {
-        self.visible_bytes
+        self.view().map_or(self.data.size_bytes, |v| v.bytes)
     }
 
     /// Bytes of storage newly occupied by this component. Reference
@@ -503,23 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn invalid_bucket_hides_entries() {
-        let c = comp(&(0..50).collect::<Vec<_>>());
-        let moved = BucketId::new(1, 1);
-        let cleaned = c.mark_buckets_invalid(&[moved], KeyLayout::PrimaryKey);
-        for k in 0..50u64 {
-            let key = Key::from_u64(k);
-            if moved.contains_key(&key) {
-                assert!(cleaned.get(&key).is_none());
-            } else {
-                assert!(cleaned.get(&key).is_some());
-            }
-        }
-        assert!(cleaned.visible_len() < c.raw_len());
-        assert!(cleaned.needs_compaction());
-    }
-
-    #[test]
     fn range_scan_respects_bounds_and_order() {
         let c = comp(&[1, 3, 5, 7, 9]);
         let lo = Key::from_u64(3);
@@ -548,28 +528,17 @@ mod tests {
         assert_ne!(a.id(), b.id());
     }
 
+    /// Laziness changes nothing a reader can see. Random chains of
+    /// `restrict_to_bucket` / `mark_buckets_invalid` / `clone_shipped` /
+    /// `clone` over one run, under both key layouts — split → split → lazy
+    /// cleanup, handles marked twice before anyone reads them, clones taken
+    /// before and after a view is built — are read in random order, each
+    /// through a random accessor first, and `get`, bounded `range`s, `iter`,
+    /// `visible_len` and `visible_size_bytes` must all agree with the oracle
+    /// that decodes, hashes and filters every entry (the pre-bitmap
+    /// algorithm, kept here). No view is built before a read asks for it.
     #[test]
-    fn visible_len_and_bytes_stay_cached_through_filter_changes() {
-        let c = comp(&(0..80).collect::<Vec<_>>());
-        assert_eq!(c.visible_len(), 80);
-        assert_eq!(c.visible_size_bytes(), c.size_bytes());
-        let r = c.restrict_to_bucket(BucketId::new(0, 1));
-        assert_eq!(r.visible_len(), r.iter().count());
-        assert_eq!(
-            r.visible_size_bytes(),
-            r.iter().map(|e| e.size_bytes()).sum::<usize>()
-        );
-        let cleaned = c.mark_buckets_invalid(&[BucketId::new(1, 1)], KeyLayout::PrimaryKey);
-        assert_eq!(cleaned.visible_len(), cleaned.iter().count());
-        assert_eq!(cleaned.visible_len() + r.visible_len(), c.visible_len());
-    }
-
-    /// Reads through the recorded visibility bits equal the oracle that
-    /// hashes and filters every entry — the pre-bitmap algorithm, kept here —
-    /// after split → split → lazy cleanup, under both key layouts: `iter`,
-    /// bounded `range`s, `get`, and the cached count and size.
-    #[test]
-    fn prop_reads_through_visibility_bits_match_the_filtering_oracle() {
+    fn prop_lazy_views_match_the_filtering_oracle_in_any_read_order() {
         use crate::rng::SplitMix64;
 
         for seed in 0..64u64 {
@@ -603,58 +572,98 @@ mod tests {
                 .collect();
             let whole = Component::from_unsorted(entries, ComponentSource::Merge)
                 .mark_buckets_invalid(&[], layout);
-            // split -> split: a child of a child, then lazy cleanup of some
-            // grandchildren (possibly none, possibly all of them).
-            let child = BucketId::new(rng.gen_range(0..2) as u32, 1);
-            let grandchild = if rng.gen_ratio(1, 2) {
-                child.split().0
-            } else {
-                child.split().1
-            };
-            let moved: Vec<BucketId> = (0..8u32)
-                .filter(|_| rng.gen_ratio(1, 3))
-                .map(|bits| BucketId::new(bits, 3))
-                .collect();
-            let c = whole
-                .restrict_to_bucket(child)
-                .restrict_to_bucket(grandchild)
-                .mark_buckets_invalid(&moved, layout);
-
-            let oracle = |lo: Option<&Key>, hi: Option<&Key>| -> Vec<&Entry> {
-                whole
-                    .data
-                    .entries
-                    .iter()
-                    .filter(|e| lo.is_none_or(|lo| e.key >= *lo) && hi.is_none_or(|hi| e.key < *hi))
-                    .filter(|e| {
-                        let primary = primary_of(&e.key);
-                        grandchild.contains_key(&primary)
-                            && !moved.iter().any(|b| b.contains_key(&primary))
-                    })
-                    .collect()
-            };
-            let all = oracle(None, None);
-            assert_eq!(c.iter().collect::<Vec<_>>(), all, "seed {seed}");
-            assert_eq!(c.visible_len(), all.len(), "seed {seed}");
-            assert_eq!(
-                c.visible_size_bytes(),
-                all.iter().map(|e| e.size_bytes()).sum::<usize>(),
-                "seed {seed}"
-            );
-            for e in &whole.data.entries {
-                let expected = all.iter().find(|v| v.key == e.key).map(|v| &v.op);
-                assert_eq!(c.get(&e.key), expected, "seed {seed}, key {:?}", e.key);
-            }
-            for _ in 0..24 {
-                // bounds on, between and beyond stored keys, in either order
-                let (a, b) = (key_of(rng.gen_range(0..640)), key_of(rng.gen_range(0..640)));
-                let lo = rng.gen_ratio(3, 4).then_some(&a);
-                let hi = rng.gen_ratio(3, 4).then_some(&b);
-                assert_eq!(
-                    c.range(lo, hi).collect::<Vec<_>>(),
-                    oracle(lo, hi),
-                    "seed {seed}, range {lo:?}..{hi:?}"
+            // Each handle with the filter it must apply: the bucket it is
+            // restricted to and the buckets marked moved.
+            let mut handles = vec![(whole, None::<BucketId>, Vec::<BucketId>::new())];
+            for _ in 0..rng.gen_range(1..12) {
+                let (from, bucket, mut moved) = handles[rng.gen_index(handles.len())].clone();
+                let link = rng.gen_range(0..6);
+                let next = match link {
+                    0 => {
+                        let (lo, hi) = bucket.unwrap_or(BucketId::root()).split();
+                        let child = if rng.gen_ratio(1, 2) { lo } else { hi };
+                        (from.restrict_to_bucket(child), Some(child), moved)
+                    }
+                    1..=3 => {
+                        let mut marked = from.clone();
+                        // link 3: marked twice before anyone reads it
+                        for _ in 0..1 + link / 3 {
+                            let depth = rng.gen_range(1..5) as u8;
+                            let more: Vec<BucketId> = (0..rng.gen_range(0..4))
+                                .map(|_| BucketId::new(rng.next_u64() as u32, depth))
+                                .collect();
+                            marked = marked.mark_buckets_invalid(&more, layout);
+                            moved.extend(more);
+                        }
+                        (marked, bucket, moved)
+                    }
+                    4 => (from.clone_shipped(), bucket, moved),
+                    _ => (from.clone(), bucket, moved),
+                };
+                assert!(
+                    !next.0.view_is_built() || from.view_is_built(),
+                    "seed {seed}"
                 );
+                if rng.gen_ratio(1, 3) {
+                    next.0.visible_len(); // later links start from a built view
+                }
+                if link >= 4 {
+                    // a clone and its origin share one view, whoever builds it
+                    assert_eq!(from.view_is_built(), next.0.view_is_built(), "seed {seed}");
+                }
+                handles.push(next);
+            }
+
+            let mut order: Vec<usize> = (0..handles.len()).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_index(i + 1));
+            }
+            for at in order {
+                let (h, bucket, moved) = &handles[at];
+                let oracle = |lo: Option<&Key>, hi: Option<&Key>| -> Vec<&Entry> {
+                    (h.data.entries.iter())
+                        .filter(|e| {
+                            lo.is_none_or(|lo| e.key >= *lo) && hi.is_none_or(|hi| e.key < *hi)
+                        })
+                        .filter(|e| {
+                            let primary = primary_of(&e.key);
+                            bucket.is_none_or(|b| b.contains_key(&primary))
+                                && !moved.iter().any(|b| b.contains_key(&primary))
+                        })
+                        .collect()
+                };
+                let all = oracle(None, None);
+                let first = rng.gen_index(5);
+                for accessor in (first..5).chain(0..first) {
+                    let ctx = format!("seed {seed}, handle {at}, accessor {accessor}");
+                    match accessor {
+                        0 => assert_eq!(h.visible_len(), all.len(), "{ctx}"),
+                        1 => assert_eq!(
+                            h.visible_size_bytes(),
+                            all.iter().map(|e| e.size_bytes()).sum::<usize>(),
+                            "{ctx}"
+                        ),
+                        2 => assert_eq!(h.iter().collect::<Vec<_>>(), all, "{ctx}"),
+                        3 => {
+                            for _ in 0..8 {
+                                // bounds on, between and beyond stored keys, in either order
+                                let (a, b) =
+                                    (key_of(rng.gen_range(0..640)), key_of(rng.gen_range(0..640)));
+                                let lo = rng.gen_ratio(3, 4).then_some(&a);
+                                let hi = rng.gen_ratio(3, 4).then_some(&b);
+                                let got: Vec<_> = h.range(lo, hi).collect();
+                                assert_eq!(got, oracle(lo, hi), "{ctx}, range {lo:?}..{hi:?}");
+                            }
+                        }
+                        _ => {
+                            for e in &h.data.entries {
+                                let expected = all.iter().find(|v| v.key == e.key).map(|v| &v.op);
+                                assert_eq!(h.get(&e.key), expected, "{ctx}, key {:?}", e.key);
+                            }
+                        }
+                    }
+                    assert!(h.view.is_none() || h.view_is_built(), "{ctx}");
+                }
             }
         }
     }

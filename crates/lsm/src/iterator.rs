@@ -13,8 +13,7 @@
 //! [`reconcile_point`] the point-lookup form of the same newest-wins rule.
 //!
 //! The materialising merge the lazy one replaced survives as the test-only
-//! `oracle` module, the reference the lazy merge and the secondary index's
-//! property test are compared against.
+//! `oracle` module, the reference the lazy merge is compared against.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -128,17 +128,6 @@ impl MemTable {
             .map(|(key, op)| Entry { key, op })
             .collect()
     }
-
-    /// Returns the sorted entries without clearing the memtable.
-    pub fn snapshot_sorted(&self) -> Vec<Entry> {
-        self.map
-            .iter()
-            .map(|(k, op)| Entry {
-                key: k.clone(),
-                op: op.clone(),
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -8,11 +8,12 @@
 //!
 //! After a committed rebalance the entries of moved buckets become obsolete.
 //! They are removed with **lazy cleanup** (Section V-C): the moved bucket's
-//! `(hash, depth)` is recorded in the index metadata, queries validate
-//! results against this list (skipping entries whose *primary key* belongs to
-//! a moved bucket), and the physical cleanup happens at the next compaction.
+//! `(hash, depth)` is recorded in the index metadata — a write that reads no
+//! entry — queries validate results against this list (the first query to
+//! reach a component applies it there once, skipping entries whose *primary
+//! key* belongs to a moved bucket), and the physical cleanup happens at the
+//! next merge or flush.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::bucket::BucketId;
@@ -68,19 +69,12 @@ pub struct SecondaryIndex {
     /// Human-readable index name (e.g. `idx_lineitem_shipdate`).
     pub name: String,
     tree: LsmTree,
-    /// Buckets whose entries are obsolete, for reporting only: the filtering
-    /// lives in the per-component metadata (so that a bucket received back
-    /// later is not affected).
-    invalid_buckets: BTreeSet<BucketId>,
     /// Pending component list receiving rebalanced data, invisible to queries.
     pending: Option<LsmTree>,
     lsm_config: LsmConfig,
     metrics: Arc<StorageMetrics>,
-    /// Number of obsolete entries still physically present (estimated at
-    /// mark time, cleared by compaction).
-    obsolete_remaining: u64,
-    /// Cumulative obsolete-entry validation work performed by queries since
-    /// the last compaction (quantifies the lazy-cleanup overhead).
+    /// Cumulative obsolete-entry validation work performed by queries
+    /// (quantifies the lazy-cleanup overhead).
     obsolete_skipped: u64,
 }
 
@@ -90,11 +84,9 @@ impl SecondaryIndex {
         SecondaryIndex {
             name: name.into(),
             tree: LsmTree::new(config.clone(), Arc::clone(&metrics)),
-            invalid_buckets: BTreeSet::new(),
             pending: None,
             lsm_config: config,
             metrics,
-            obsolete_remaining: 0,
             obsolete_skipped: 0,
         }
     }
@@ -139,8 +131,9 @@ impl SecondaryIndex {
             }
         }
         // Every query over an index with pending lazy cleanup has to validate
-        // (and discard) the still-present obsolete entries; account that work.
-        self.obsolete_skipped += self.obsolete_remaining;
+        // (and discard) the obsolete entries still physically present; account
+        // that work.
+        self.obsolete_skipped += self.obsolete_entries();
         out
     }
 
@@ -163,30 +156,31 @@ impl SecondaryIndex {
     /// Records moved buckets for lazy cleanup: each bucket's `(hash, depth)`
     /// is added to the metadata of every **current** component (and of the
     /// memory component), so its entries disappear from queries immediately
-    /// while the physical removal waits for the next merge, flush or
-    /// [`SecondaryIndex::compact`]. Data added later (e.g. the same bucket
-    /// received back by a future rebalance) is unaffected — which is why
-    /// every call stamps the current components afresh, whatever an earlier
-    /// call recorded. One streaming count of the newly obsolete entries and
-    /// one pass per component serve the whole set, and nothing is flushed;
-    /// the count sees only currently visible entries, so marking again adds
-    /// nothing.
+    /// while the physical removal waits for the next merge or flush. Data
+    /// added later (e.g. the same bucket received back by a future
+    /// rebalance) is unaffected — which is why every call stamps the current
+    /// components afresh, whatever an earlier call recorded. No entry is read
+    /// and nothing is flushed; the first [`SecondaryIndex::search_range`]
+    /// afterwards pays one pass per component it reaches.
     pub fn mark_buckets_moved(&mut self, buckets: &[BucketId]) {
-        self.obsolete_remaining += self
-            .tree
-            .count_live_in_buckets(buckets, KeyLayout::SecondaryComposite);
         self.tree
             .mark_buckets_invalid(buckets, KeyLayout::SecondaryComposite);
-        self.invalid_buckets.extend(buckets);
     }
 
-    /// The buckets marked for lazy cleanup since the last compaction.
-    pub fn invalid_buckets(&self) -> &BTreeSet<BucketId> {
-        &self.invalid_buckets
+    /// The obsolete entries still physically present — what the next query
+    /// will have to validate and skip. Applies every mark still unapplied, so
+    /// calling it ahead of the first query pre-pays that query's passes.
+    pub fn obsolete_entries(&mut self) -> u64 {
+        self.tree.hidden_entries()
     }
 
-    /// Number of obsolete entries that queries had to skip since the last
-    /// compaction (the lazy-cleanup overhead reported in the experiments).
+    /// The disk components of the visible tree, newest first.
+    pub fn components(&self) -> &[Component] {
+        self.tree.components()
+    }
+
+    /// Number of obsolete entries that queries have had to skip (the
+    /// lazy-cleanup overhead reported in the experiments).
     pub fn obsolete_entries_skipped(&self) -> u64 {
         self.obsolete_skipped
     }
@@ -286,33 +280,9 @@ impl SecondaryIndex {
         self.tree.flush();
     }
 
-    /// Compacts the index, physically removing obsolete entries of moved
-    /// buckets and clearing the lazy-cleanup metadata.
-    pub fn compact(&mut self) {
-        self.tree.flush();
-        // The scan already applies the per-component lazy-cleanup filters, so
-        // rewriting its output is exactly the physical cleanup.
-        let retained = self.tree.scan_all();
-        let read_bytes = self.tree.disk_size_bytes();
-        StorageMetrics::add(&self.metrics.bytes_merge_read, read_bytes as u64);
-        let comp = Component::from_unsorted(retained, ComponentSource::Merge);
-        StorageMetrics::add(&self.metrics.bytes_merged, comp.size_bytes() as u64);
-        StorageMetrics::add(&self.metrics.merge_count, 1);
-        self.tree.set_components(vec![comp]);
-        self.invalid_buckets.clear();
-        self.obsolete_remaining = 0;
-        self.obsolete_skipped = 0;
-    }
-
     /// Runs the regular merge policy.
     pub fn run_merges(&mut self) -> usize {
         self.tree.run_merges()
-    }
-
-    /// Number of live index entries **including** obsolete ones that lazy
-    /// cleanup has not yet removed.
-    pub fn raw_len(&self) -> usize {
-        self.tree.live_len()
     }
 
     /// Storage bytes used by the index (visible plus pending).
@@ -386,33 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_cleanup_hides_moved_bucket_entries() {
-        let mut i = idx();
-        for pk in 0..200u64 {
-            i.insert(Key::from_u64(pk % 13), Key::from_u64(pk));
-        }
-        let moved = BucketId::new(1, 1);
-        let before = i.all_valid_entries();
-        assert_eq!(before.len(), 200);
-        let moved_count = before
-            .iter()
-            .filter(|se| moved.contains_key(&se.primary))
-            .count();
-        assert!(moved_count > 0);
-
-        i.mark_buckets_moved(&[moved]);
-        let valid = i.all_valid_entries();
-        assert_eq!(valid.len(), 200 - moved_count);
-        assert!(valid.iter().all(|se| !moved.contains_key(&se.primary)));
-        assert!(i.obsolete_entries_skipped() > 0);
-
-        // physical cleanup
-        i.compact();
-        assert!(i.invalid_buckets().is_empty());
-        assert_eq!(i.raw_len(), 200 - moved_count);
-    }
-
-    #[test]
     fn pending_entries_invisible_until_installed() {
         let mut i = idx();
         i.insert(Key::from_u64(1), Key::from_u64(100));
@@ -447,80 +390,78 @@ mod tests {
         assert_eq!(i.all_valid_entries().len(), 0);
     }
 
-    /// The pre-change membership test: decode the composite (two `Vec`s per
-    /// call) and hash the primary key, once per bucket.
-    fn old_key_in_bucket(layout: KeyLayout, key: &Key, bucket: &BucketId) -> bool {
-        match layout {
-            KeyLayout::PrimaryKey => bucket.contains_key(key),
-            KeyLayout::SecondaryComposite => match SecondaryEntry::decode(key) {
-                Some(se) => bucket.contains_key(&se.primary),
-                None => bucket.contains_key(key),
-            },
-        }
+    fn manual_idx(name: &str) -> SecondaryIndex {
+        let config = LsmConfig {
+            auto_flush: false,
+            auto_merge: false,
+            ..LsmConfig::default()
+        };
+        SecondaryIndex::new(name, config, StorageMetrics::new_shared())
     }
 
-    /// Batch ≡ sequential: marking `&[b1..bk]` at once yields the visible
-    /// entries, `visible_len`, `visible_size_bytes` and obsolete count that
-    /// marking one bucket at a time did under the pre-change algorithm (kept
-    /// here as the oracle: per bucket a materialised reconciling merge,
-    /// filtered through `decode`, then one more filter on every component),
-    /// for random component sets, bucket sets and both key layouts — and
-    /// marking twice changes nothing. The old code flushed before marking;
-    /// the new code leaves the memory component in place and must hide the
-    /// same entries there (the oracle sees it as the newest component).
+    /// What one `search_range(None, None)` returns and what it adds to
+    /// `obsolete_entries_skipped`.
+    fn query(idx: &mut SecondaryIndex) -> (Vec<SecondaryEntry>, u64) {
+        let before = idx.obsolete_entries_skipped();
+        let hits = idx.search_range(None, None);
+        (hits, idx.obsolete_entries_skipped() - before)
+    }
+
+    /// Batch ≡ stepwise, through the public door: marking `&[b1..bk]` at
+    /// once (twice over), marking one bucket at a time on handles nobody has
+    /// read, and marking one bucket at a time with a query after every mark
+    /// (so each mark lands on a built view) give the same `search_range`
+    /// output — every live entry of no moved bucket — and charge every query
+    /// the same `obsolete_entries_skipped`: the entries of the moved buckets
+    /// physically present, tombstones and shadowed versions included, one
+    /// per run that holds them. The last round may stay buffered; the flush
+    /// that follows drops its share of the charge and nothing else.
     #[test]
-    fn prop_batch_mark_matches_the_sequential_oracle() {
-        use crate::iterator::oracle::merge_live;
+    fn prop_batch_mark_matches_stepwise_marks() {
         use crate::rng::SplitMix64;
+        use std::collections::BTreeSet;
 
         for seed in 0..48u64 {
             let mut rng = SplitMix64::seed_from_u64(0xba7c_0000 + seed);
-            let layout = if seed % 2 == 0 {
-                KeyLayout::PrimaryKey
-            } else {
-                KeyLayout::SecondaryComposite
+            let entry_of = |k: u64| SecondaryEntry {
+                secondary: Key::from_u64(k % 7),
+                primary: Key::from_u64(k),
             };
-            let key_of = |k: u64| match layout {
-                KeyLayout::PrimaryKey => Key::from_u64(k),
-                KeyLayout::SecondaryComposite => SecondaryEntry {
-                    secondary: Key::from_u64(k % 7),
-                    primary: Key::from_u64(k),
-                }
-                .encode(),
-            };
-            let config = LsmConfig {
-                auto_flush: false,
-                auto_merge: false,
-                ..LsmConfig::default()
-            };
-            // Primary-key trees may hold reference components of a split
-            // (which flushes); otherwise the last round may stay buffered.
-            let split = (layout == KeyLayout::PrimaryKey && rng.gen_ratio(1, 2))
-                .then(|| BucketId::new(rng.gen_range(0..2) as u32, 1));
-            let buffered = split.is_none() && rng.gen_ratio(1, 2);
-            let mut tree = LsmTree::new(config.clone(), StorageMetrics::new_shared());
+            let mut indexes = [
+                manual_idx("batch"),
+                manual_idx("stepwise"),
+                manual_idx("queried"),
+            ];
             let rounds = rng.gen_range(1..6);
+            let buffered = rng.gen_ratio(1, 2);
+            let mut live = BTreeSet::new();
+            // primary keys written, once per run that holds an entry for them
+            let (mut sealed, mut in_memory) = (Vec::new(), Vec::new());
             for round in 0..rounds {
+                let mut run = BTreeSet::new();
                 for _ in 0..rng.gen_range(1..80) {
-                    let key = key_of(rng.gen_range(0..150));
-                    if rng.gen_ratio(1, 4) {
-                        tree.delete(key);
-                    } else {
-                        tree.put(key, crate::Bytes::from(vec![1u8; rng.gen_index(9)]));
+                    let (k, delete) = (rng.gen_range(0..150), rng.gen_ratio(1, 4));
+                    for idx in &mut indexes {
+                        let SecondaryEntry { secondary, primary } = entry_of(k);
+                        if delete {
+                            idx.delete(secondary, primary);
+                        } else {
+                            idx.insert(secondary, primary);
+                        }
                     }
+                    if delete {
+                        live.remove(&k);
+                    } else {
+                        live.insert(k);
+                    }
+                    run.insert(k);
                 }
-                if !(buffered && round + 1 == rounds) {
-                    tree.flush();
+                if buffered && round + 1 == rounds {
+                    in_memory.extend(run);
+                } else {
+                    sealed.extend(run);
+                    indexes.iter_mut().for_each(SecondaryIndex::flush);
                 }
-            }
-            let in_memory = tree.memtable().snapshot_sorted();
-            let mut raw = tree.components().to_vec();
-            if let Some(b) = split {
-                tree.set_components(raw.iter().map(|c| c.restrict_to_bucket(b)).collect());
-            }
-            if buffered {
-                let flushed = Component::from_sorted(in_memory.clone(), ComponentSource::Flush);
-                raw.insert(0, flushed);
             }
             // Disjoint buckets: a strict, non-empty subset of one depth.
             let depth = rng.gen_range(1..4) as u8;
@@ -531,87 +472,65 @@ mod tests {
             if buckets.is_empty() || buckets.len() == 1 << depth {
                 buckets = vec![BucketId::new(0, depth)];
             }
-            let ctx = format!(
-                "seed {seed}: {layout:?}, split {split:?}, buffered {buffered}, marking {buckets:?}"
-            );
-
-            // Oracle: the old loop, one bucket at a time.
-            let visible = |c: &Component, invalid: &[BucketId]| -> Vec<Entry> {
-                c.iter()
-                    .filter(|e| split.is_none_or(|b| old_key_in_bucket(layout, &e.key, &b)))
-                    .filter(|e| !invalid.iter().any(|b| old_key_in_bucket(layout, &e.key, b)))
-                    .cloned()
-                    .collect()
+            let ctx = format!("seed {seed}: buffered {buffered}, marking {buckets:?}");
+            let moved_by = |marked: &[BucketId], k: &u64| {
+                let key = Key::from_u64(*k);
+                marked.iter().any(|b| b.contains_key(&key))
             };
-            let mut marked: Vec<BucketId> = Vec::new();
-            let mut obsolete = 0u64;
-            for b in &buckets {
-                let live = merge_live(raw.iter().map(|c| visible(c, &marked)).collect());
-                obsolete += live
-                    .iter()
-                    .filter(|e| old_key_in_bucket(layout, &e.key, b))
-                    .count() as u64;
-                marked.push(*b);
-            }
-
-            // One at a time through the new code, on a second handle set.
-            let mut stepwise = LsmTree::new(config.clone(), StorageMetrics::new_shared());
-            stepwise.set_components(tree.components().to_vec());
-            for e in in_memory {
-                stepwise.apply(e);
-            }
-            let mut stepwise_obsolete = 0;
-            for b in &buckets {
-                stepwise_obsolete += stepwise.count_live_in_buckets(&[*b], layout);
-                stepwise.mark_buckets_invalid(&[*b], layout);
-            }
-            // The batch, then the batch again.
-            let mut index = SecondaryIndex {
-                tree,
-                ..SecondaryIndex::new("prop", config, StorageMetrics::new_shared())
+            let obsolete_in = |runs: &[u64], marked: &[BucketId]| {
+                runs.iter().filter(|k| moved_by(marked, k)).count() as u64
             };
-            assert_eq!(index.tree.count_live_in_buckets(&buckets, layout), obsolete);
-            assert_eq!(stepwise_obsolete, obsolete, "{ctx}");
-            if layout == KeyLayout::SecondaryComposite {
-                index.mark_buckets_moved(&buckets);
-                index.mark_buckets_moved(&buckets);
-                assert_eq!(index.obsolete_remaining, obsolete, "{ctx}");
-            } else {
-                index.tree.mark_buckets_invalid(&buckets, layout);
-                index.tree.mark_buckets_invalid(&buckets, layout);
-            }
-            assert_eq!(index.tree.count_live_in_buckets(&buckets, layout), 0);
-            for ((c, s), r) in index
-                .tree
-                .components()
+            let mut expected: Vec<SecondaryEntry> = live
                 .iter()
-                .zip(stepwise.components())
-                .zip(&raw[usize::from(buffered)..])
-            {
-                let expected = visible(r, &marked);
-                for got in [c, s] {
-                    assert_eq!(got.iter().cloned().collect::<Vec<_>>(), expected, "{ctx}");
-                    assert_eq!(got.visible_len(), expected.len(), "{ctx}");
-                    assert_eq!(
-                        got.visible_size_bytes(),
-                        expected.iter().map(|e| e.size_bytes()).sum::<usize>(),
-                        "{ctx}"
-                    );
-                }
+                .filter(|k| !moved_by(&buckets, k))
+                .map(|k| entry_of(*k))
+                .collect();
+            expected.sort();
+
+            let [batch, stepwise, queried] = &mut indexes;
+            batch.mark_buckets_moved(&buckets);
+            batch.mark_buckets_moved(&buckets);
+            for (n, b) in buckets.iter().enumerate() {
+                stepwise.mark_buckets_moved(&[*b]);
+                queried.mark_buckets_moved(&[*b]);
+                let so_far = &buckets[..=n];
+                let charge = obsolete_in(&sealed, so_far) + obsolete_in(&in_memory, so_far);
+                assert_eq!(query(queried).1, charge, "{ctx}: after {so_far:?}");
             }
-            let live = merge_live(raw.iter().map(|c| visible(c, &marked)).collect());
-            assert_eq!(index.tree.scan_all(), live, "{ctx}");
-            assert_eq!(stepwise.scan_all(), live, "{ctx}");
-            // ...and the flush that follows drops what the mark hid.
-            if let Some(flushed) = index.tree.flush() {
+            let on_disk = obsolete_in(&sealed, &buckets);
+            let charge = on_disk + obsolete_in(&in_memory, &buckets);
+            for idx in &mut indexes {
                 assert_eq!(
-                    flushed.iter().cloned().collect::<Vec<_>>(),
-                    visible(&raw[0], &marked),
-                    "{ctx}"
+                    query(idx),
+                    (expected.clone(), charge),
+                    "{ctx}: {}",
+                    idx.name
                 );
+                assert_eq!(query(idx).1, charge, "{ctx}: every query pays again");
+                idx.flush();
+                assert_eq!(query(idx), (expected.clone(), on_disk), "{ctx}: flushed");
             }
-            assert_eq!(index.tree.scan_all(), live, "{ctx}");
         }
+    }
+
+    /// The obsolete count is what is still physically there: once a merge has
+    /// rewritten the marked components, the next query skips nothing.
+    #[test]
+    fn merged_away_obsolete_entries_cost_queries_nothing() {
+        let mut i = manual_idx("merged");
+        for run in 0..3u64 {
+            for pk in run * 50..(run + 1) * 50 {
+                i.insert(Key::from_u64(pk % 13), Key::from_u64(pk));
+            }
+            i.flush();
+        }
+        i.mark_buckets_moved(&[BucketId::new(1, 1)]);
+        let (hits, skipped) = query(&mut i);
+        assert!(skipped > 0);
+        assert_eq!(skipped as usize, 150 - hits.len());
+        assert_eq!(i.run_merges(), 1);
+        assert_eq!(i.components().len(), 1, "all three marked runs merged");
+        assert_eq!(query(&mut i), (hits, 0));
     }
 
     #[test]

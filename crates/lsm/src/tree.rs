@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use crate::bucket::BucketId;
+use crate::bucket::{BucketId, BucketSet};
 use crate::component::{Component, ComponentSource, KeyLayout};
 use crate::entry::{Entry, Key, Op, Value};
 use crate::iterator::{reconcile_point, LazyMergeIter, RefSource};
@@ -66,9 +66,12 @@ pub struct LsmTree {
     /// Lazy cleanup of the memory component: moved buckets whose buffered
     /// entries are dead — hidden from reads now, dropped by the next flush
     /// (or by the first write to one of the buckets, should it come back
-    /// sooner); until then they still count in the size accessors — and how
-    /// the tree's keys map to records. Empty almost always.
-    memtable_invalid: Vec<BucketId>,
+    /// sooner); until then they still count in the size accessors — how many
+    /// entries that is (`None` from a mark until [`LsmTree::hidden_entries`]
+    /// next counts them), and how the tree's keys map to records. Empty
+    /// almost always.
+    memtable_invalid: BucketSet,
+    memtable_dead: Option<u64>,
     layout: KeyLayout,
 }
 
@@ -81,7 +84,8 @@ impl LsmTree {
             components: Vec::new(),
             metrics,
             merges_paused: false,
-            memtable_invalid: Vec::new(),
+            memtable_invalid: BucketSet::default(),
+            memtable_dead: Some(0),
             layout: KeyLayout::default(),
         }
     }
@@ -169,14 +173,17 @@ impl LsmTree {
     /// since the last flush.
     fn buffered_dead(&self, key: &Key) -> bool {
         !self.memtable_invalid.is_empty()
-            && BucketId::any_contains_hash(&self.memtable_invalid, self.layout.bucket_hash(key))
+            && self
+                .memtable_invalid
+                .contains_hash(self.layout.bucket_hash(key))
     }
 
     /// Drops the dead entries from the memory component.
     fn purge_memtable(&mut self) {
         let (dead, layout) = (std::mem::take(&mut self.memtable_invalid), self.layout);
+        self.memtable_dead = Some(0);
         self.memtable
-            .retain(|key| !BucketId::any_contains_hash(&dead, layout.bucket_hash(key)));
+            .retain(|key| !dead.contains_hash(layout.bucket_hash(key)));
     }
 
     /// Range scan over `[lo, hi)` handing every live entry, in key order and
@@ -319,56 +326,45 @@ impl LsmTree {
         self.components.extend(comps);
     }
 
-    /// Registers already-built components as the **newest** data of this tree.
-    pub fn prepend_newest_components(&mut self, comps: Vec<Component>) {
-        let mut new_list = comps;
-        new_list.append(&mut self.components);
-        self.components = new_list;
-    }
-
     /// Lazy cleanup of moved buckets: every entry the tree holds *now* for a
     /// record of `buckets` disappears from reads immediately and is dropped
     /// physically later — disk components carry the buckets in their
     /// metadata until the next merge, the memory component until the next
-    /// flush. Nothing is read, written or flushed here beyond one pass per
-    /// component refreshing its visible size. Data added later (e.g. a
-    /// bucket received back by a future rebalance, installed as components)
-    /// is not affected, exactly as the paper's per-component metadata
-    /// behaves. `layout` says how the tree's keys map to records.
+    /// flush. A metadata write: nothing is read, written or flushed here, and
+    /// the cost is the number of components times the number of buckets —
+    /// each component's first read afterwards applies the filter, in one
+    /// pass. Data added later (e.g. a bucket received back by a future
+    /// rebalance, installed as components) is not affected, exactly as the
+    /// paper's per-component metadata behaves. `layout` says how the tree's
+    /// keys map to records.
     pub fn mark_buckets_invalid(&mut self, buckets: &[BucketId], layout: KeyLayout) {
         self.layout = layout;
-        if !self.memtable.is_empty() {
-            for b in buckets {
-                if !self.memtable_invalid.contains(b) {
-                    self.memtable_invalid.push(*b);
-                }
-            }
+        if !self.memtable.is_empty() && self.memtable_invalid.extend(buckets) {
+            self.memtable_dead = None;
         }
         for c in self.components.iter_mut() {
             *c = c.mark_buckets_invalid(buckets, layout);
         }
     }
 
-    /// Number of live (reconciled) entries whose record belongs to any of
-    /// `buckets`. Membership is a function of the key alone, so every source
-    /// is filtered *before* the merge: one streaming pass, nothing
-    /// materialised, no read charged.
-    pub(crate) fn count_live_in_buckets(&self, buckets: &[BucketId], layout: KeyLayout) -> u64 {
-        let member = |key: &Key| BucketId::any_contains_hash(buckets, layout.bucket_hash(key));
-        let mut sources: Vec<RefSource<'_>> = Vec::with_capacity(self.components.len() + 1);
-        sources.push(Box::new(
-            self.buffered(None, None).filter(|(k, _)| member(k)),
-        ));
-        for c in &self.components {
-            let entries = c.iter().filter(|e| member(&e.key));
-            sources.push(Box::new(entries.map(|e| (&e.key, &e.op))));
-        }
-        let mut merge = LazyMergeIter::new(sources, false);
-        let mut live = 0;
-        while merge.next_ref().is_some() {
-            live += 1;
-        }
-        live
+    /// Entries still physically present that a filter hides from reads: what
+    /// every disk component holds beyond what it shows, plus the dead entries
+    /// of the memory component. Builds whatever view is still unbuilt and
+    /// counts the memory component once per mark; O(components) after that.
+    /// Merges and flushes drop hidden entries, so the number shrinks as the
+    /// physical cleanup proceeds.
+    pub fn hidden_entries(&mut self) -> u64 {
+        let (memtable, dead, layout) = (&self.memtable, &self.memtable_invalid, self.layout);
+        let buffered = *self.memtable_dead.get_or_insert_with(|| {
+            let keys = memtable.range(None, None).map(|(key, _)| key);
+            keys.filter(|key| dead.contains_hash(layout.bucket_hash(key)))
+                .count() as u64
+        });
+        let on_disk = self
+            .components
+            .iter()
+            .map(|c| c.raw_len() - c.visible_len());
+        buffered + on_disk.sum::<usize>() as u64
     }
 
     /// Direct read access to the memory component.
@@ -379,12 +375,6 @@ impl LsmTree {
     /// Number of disk components.
     pub fn num_components(&self) -> usize {
         self.components.len()
-    }
-
-    /// Total bytes of all disk data reachable from this tree (reference
-    /// components report their base size).
-    pub fn disk_size_bytes(&self) -> usize {
-        self.components.iter().map(|c| c.size_bytes()).sum()
     }
 
     /// Bytes of storage actually occupied (reference components count as 0).
@@ -709,8 +699,7 @@ mod tests {
             vec![Entry::put(Key::from_u64(1), val("replicated"))],
             ComponentSource::Replicated,
         );
-        t.prepend_newest_components(vec![replicated]);
-        t.append_oldest_components(vec![loaded]);
+        t.append_oldest_components(vec![replicated, loaded]);
         assert_eq!(t.get(&Key::from_u64(1)).unwrap(), val("replicated"));
     }
 
@@ -736,7 +725,7 @@ mod tests {
         t.mark_buckets_invalid(&[moved], KeyLayout::PrimaryKey);
         assert!(inside.iter().all(|k| t.get(&Key::from_u64(*k)).is_none()));
         assert_eq!(t.live_len(), outside.len());
-        assert_eq!(t.count_live_in_buckets(&[moved], KeyLayout::PrimaryKey), 0);
+        assert_eq!(t.hidden_entries(), inside.len() as u64);
 
         // the bucket comes back: its data is installed as the oldest
         // components, and the old tombstone must not shadow it
@@ -755,6 +744,7 @@ mod tests {
         assert_eq!(t.get(&Key::from_u64(inside[1])).unwrap(), val("new"));
         assert_eq!(t.get(&Key::from_u64(inside[2])).unwrap(), val("back"));
         assert_eq!(t.memtable().len(), outside.len() + 1, "dead entries purged");
+        assert_eq!(t.hidden_entries(), 0);
 
         let flushed = t.flush().unwrap();
         assert_eq!(flushed.raw_len(), outside.len() + 1);
