@@ -615,7 +615,7 @@ fn value_for(key: u64, version: u64, len: usize) -> Bytes {
 }
 
 fn version_key(version: u64) -> Key {
-    Key::from_bytes(version.to_be_bytes().to_vec())
+    Key::from_slice(&version.to_be_bytes())
 }
 
 type StepResult = Result<(), String>;
@@ -639,7 +639,7 @@ impl<'a> Runner<'a> {
             );
             if d == 0 {
                 spec = spec.with_secondary_index(SecondaryIndexDef::new(VERSION_INDEX, |v| {
-                    v.get(8..16).map(|b| Key::from_bytes(b.to_vec()))
+                    v.get(8..16).map(Key::from_slice)
                 }));
             }
             let id = cluster

@@ -698,7 +698,7 @@ impl Cluster {
         let mut out = BTreeMap::new();
         for p in self.topology.partitions() {
             let part = self.partition(p)?;
-            if part.dataset_ids().contains(&dataset) {
+            if part.has_dataset(dataset) {
                 out.insert(p, part.dataset(dataset)?.live_len());
             }
         }
@@ -716,7 +716,7 @@ impl Cluster {
         let mut total = 0u64;
         for p in self.topology.partitions() {
             let part = self.partition(p)?;
-            if part.dataset_ids().contains(&dataset) {
+            if part.has_dataset(dataset) {
                 total += part.dataset(dataset)?.primary_storage_bytes() as u64;
             }
         }
@@ -732,7 +732,7 @@ impl Cluster {
         let mut out = BTreeMap::new();
         for p in self.topology.partitions() {
             let part = self.partition(p)?;
-            if part.dataset_ids().contains(&dataset) {
+            if part.has_dataset(dataset) {
                 for (b, s) in part.dataset(dataset)?.bucket_sizes() {
                     *out.entry(b).or_default() += s;
                 }
@@ -750,7 +750,7 @@ impl Cluster {
         let mut out = Vec::new();
         for p in self.topology.partitions() {
             let part = self.partition(p)?;
-            if part.dataset_ids().contains(&dataset) {
+            if part.has_dataset(dataset) {
                 let buckets = part.dataset(dataset)?.primary.bucket_ids();
                 out.push((p, buckets));
             }
@@ -772,7 +772,7 @@ impl Cluster {
     ) -> Result<(), ClusterError> {
         for p in self.topology().partitions() {
             let part = self.partition_mut(p)?;
-            if part.dataset_ids().contains(&dataset) {
+            if part.has_dataset(dataset) {
                 part.dataset_mut(dataset)?
                     .primary
                     .set_splits_enabled(enabled);
@@ -788,7 +788,7 @@ impl Cluster {
         let meta = self.controller.dataset(dataset)?;
         for p in self.topology.partitions() {
             let part = self.partition(p)?;
-            if !part.dataset_ids().contains(&dataset) {
+            if !part.has_dataset(dataset) {
                 continue;
             }
             let ds = part.dataset(dataset)?;
@@ -849,7 +849,7 @@ impl Cluster {
         }
         for p in self.topology.partitions() {
             let part = self.partition(p)?;
-            if !part.dataset_ids().contains(&dataset) {
+            if !part.has_dataset(dataset) {
                 continue;
             }
             let ds = part.dataset(dataset)?;
@@ -927,7 +927,7 @@ impl Admin<'_> {
         let mut acc = StorageFootprint::default();
         for p in self.cluster.topology().partitions() {
             let part = self.cluster.partition(p)?;
-            if part.dataset_ids().contains(&dataset) {
+            if part.has_dataset(dataset) {
                 acc.absorb(&part.dataset(dataset)?.primary.storage_footprint());
             }
         }
@@ -1027,7 +1027,7 @@ impl Admin<'_> {
         let mut records = 0u64;
         for p in self.cluster.topology().partitions() {
             let part = self.cluster.partition_mut(p)?;
-            if !part.dataset_ids().contains(&dataset) {
+            if !part.has_dataset(dataset) {
                 continue;
             }
             records += part.dataset_mut(dataset)?.warm_secondary_indexes();

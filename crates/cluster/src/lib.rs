@@ -64,7 +64,7 @@ pub use feed::{split_into_batches, ControlledRateFeed, IngestReport};
 pub use job::{JobState, RebalanceJob, ReplanReport, StepPoint, WaveReport};
 pub use node::NodeController;
 pub use partition::{Partition, PartitionDataset, SecondaryState};
-pub use query::{QueryExecutor, QueryReport};
+pub use query::{in_key_order, KeyTable, QueryExecutor, QueryReport};
 pub use rebalance::{PhaseTimes, RebalanceOptions, RebalanceReport};
 pub use recovery::RecoveryReport;
 pub use session::{RouteError, Session, SessionMetrics};

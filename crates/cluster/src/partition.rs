@@ -690,6 +690,11 @@ impl Partition {
             .ok_or(ClusterError::UnknownDataset(id))
     }
 
+    /// True if this partition stores `id`.
+    pub fn has_dataset(&self, id: DatasetId) -> bool {
+        self.datasets.contains_key(&id)
+    }
+
     /// The datasets stored on this partition.
     pub fn dataset_ids(&self) -> Vec<DatasetId> {
         self.datasets.keys().copied().collect()

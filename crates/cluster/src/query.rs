@@ -8,6 +8,14 @@
 //! serial coordinator work for final aggregation. TPC-H query programs in
 //! `dynahash-tpch` are written against this API.
 //!
+//! The operators are push-based: [`QueryExecutor::scan_fold`] and
+//! [`QueryExecutor::index_fetch_fold`] hand every record, still borrowed from
+//! the component that holds it, to the caller's fold, partition after
+//! partition; [`KeyTable`] is the build/probe table joins and group-bys on
+//! integer keys use. Each operator charges the nodes for what it read;
+//! [`QueryExecutor::scan_table`], [`QueryExecutor::index_scan`] and
+//! [`QueryExecutor::fetch`] are the materialising forms of the same passes.
+//!
 //! Like a [`crate::session::Session`], the executor is a *client* of the
 //! routing state: the first touch of each dataset caches an immutable copy
 //! of its routing snapshot (Section III — a query job takes the directory
@@ -17,11 +25,13 @@
 //! stale use [`crate::cluster::Cluster::session`] and its redirect protocol
 //! instead. Open an executor with [`crate::cluster::Cluster::query`].
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{self, BTreeMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use dynahash_core::{NodeId, PartitionId};
 use dynahash_lsm::entry::{Entry, Key, Op, Value};
-use dynahash_lsm::{ScanOrder, SecondaryEntry};
+use dynahash_lsm::{scramble, BucketedLsmTree, ScanOrder, SecondaryEntry};
 
 use crate::cluster::Cluster;
 use crate::dataset::{DatasetId, DatasetMeta};
@@ -37,6 +47,42 @@ pub struct QueryReport {
     pub per_node: Vec<(NodeId, SimDuration)>,
     /// Serial coordinator time.
     pub coordinator: SimDuration,
+}
+
+/// The build/probe table of joins and group-bys whose key is an integer (a
+/// TPC-H surrogate key, or two of them packed): a hash map that mixes the key
+/// with [`scramble`] instead of running SipHash over its bytes. The keys come
+/// from the datasets, never from outside the program. Iteration order is a
+/// function of the insertion history alone, so it repeats run to run — but it
+/// is not key order: sort before folding floats out of one.
+pub type KeyTable<V> = HashMap<u64, V, BuildHasherDefault<KeyMixer>>;
+
+/// A table's entries in key order: what a float reduction iterates, so that
+/// its result does not depend on where the rows were stored.
+pub fn in_key_order<V>(table: KeyTable<V>) -> Vec<(u64, V)> {
+    let mut entries: Vec<(u64, V)> = table.into_iter().collect();
+    entries.sort_unstable_by_key(|e| e.0);
+    entries
+}
+
+/// The [`Hasher`] of a [`KeyTable`]: one `u64` in, its [`scramble`] out.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct KeyMixer(u64);
+
+impl Hasher for KeyMixer {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = scramble(key);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = scramble(self.0 ^ b as u64);
+        }
+    }
 }
 
 /// Executes one query against the cluster, accumulating simulated cost.
@@ -77,21 +123,21 @@ impl<'a> QueryExecutor<'a> {
         self.cluster
     }
 
-    /// The partitions a dataset's work is dispatched to, from the cached
-    /// routing snapshot (taken on this executor's first touch of the
+    /// The partitions a dataset's work is dispatched to, lent from the
+    /// cached routing snapshot (taken on this executor's first touch of the
     /// dataset).
-    fn partitions_of(&mut self, dataset: DatasetId) -> Result<Vec<PartitionId>> {
-        if let Some(meta) = self.snapshots.get(&dataset) {
-            return Ok(meta.partitions.clone());
-        }
-        let meta = self.cluster.controller.routing_snapshot(dataset)?;
-        let partitions = meta.partitions.clone();
-        self.snapshots.insert(dataset, meta);
-        Ok(partitions)
-    }
-
-    fn node_of(&self, partition: PartitionId) -> Result<NodeId> {
-        self.cluster.node_of_partition(partition)
+    fn partitions_of<'s>(
+        snapshots: &'s mut BTreeMap<DatasetId, DatasetMeta>,
+        cluster: &Cluster,
+        dataset: DatasetId,
+    ) -> Result<&'s [PartitionId]> {
+        let meta = match snapshots.entry(dataset) {
+            btree_map::Entry::Occupied(cached) => cached.into_mut(),
+            btree_map::Entry::Vacant(first) => {
+                first.insert(cluster.controller.routing_snapshot(dataset)?)
+            }
+        };
+        Ok(&meta.partitions)
     }
 
     /// Scans an entire dataset on every partition in parallel.
@@ -109,19 +155,55 @@ impl<'a> QueryExecutor<'a> {
 
     /// [`QueryExecutor::scan_table`] without the copy: every live record is
     /// handed to `map` still borrowed from its component, and what `map`
-    /// keeps is the partition's output. Each record is touched once — the
-    /// same pass counts the records and bytes the nodes are charged for.
+    /// keeps is the partition's output.
     pub fn scan_map<T>(
         &mut self,
         dataset: DatasetId,
         ordered: bool,
         mut map: impl FnMut(&Key, &Op) -> Option<T>,
     ) -> Result<Vec<(PartitionId, Vec<T>)>> {
+        self.scan_partitions(dataset, ordered, Vec::with_capacity, |rows, key, op| {
+            rows.extend(map(key, op))
+        })
+    }
+
+    /// The streaming scan: every live record of the dataset is handed to
+    /// `fold`, still borrowed from its component, partition after partition
+    /// in partition order and in scan order within each. Reads and charges
+    /// exactly what [`QueryExecutor::scan_table`] does and materialises
+    /// nothing.
+    pub fn scan_fold(
+        &mut self,
+        dataset: DatasetId,
+        ordered: bool,
+        mut fold: impl FnMut(&Key, &[u8]),
+    ) -> Result<()> {
+        let visit = |_: &mut (), key: &Key, op: &Op| {
+            if let Op::Put(payload) = op {
+                fold(key, payload);
+            }
+        };
+        self.scan_partitions(dataset, ordered, |_| (), visit)?;
+        Ok(())
+    }
+
+    /// One pass over every partition's primary index: each record is touched
+    /// once, by `visit`, and the same pass counts the records and bytes the
+    /// partition's node is charged for. `init` is told how many entries the
+    /// partition's scan looks at (an upper bound on what it visits).
+    fn scan_partitions<A>(
+        &mut self,
+        dataset: DatasetId,
+        ordered: bool,
+        mut init: impl FnMut(usize) -> A,
+        mut visit: impl FnMut(&mut A, &Key, &Op),
+    ) -> Result<Vec<(PartitionId, A)>> {
         let cost_model = self.cluster.cost_model();
-        let mut out = Vec::new();
-        for p in self.partitions_of(dataset)? {
+        let partitions = Self::partitions_of(&mut self.snapshots, self.cluster, dataset)?;
+        let mut out = Vec::with_capacity(partitions.len());
+        for &p in partitions {
             let part = self.cluster.partition(p)?;
-            if !part.dataset_ids().contains(&dataset) {
+            if !part.has_dataset(dataset) {
                 continue;
             }
             let primary = &part.dataset(dataset)?.primary;
@@ -131,13 +213,12 @@ impl<'a> QueryExecutor<'a> {
             } else {
                 ScanOrder::Unordered
             };
-            let mut rows = Vec::with_capacity(primary.visible_len());
+            let mut acc = init(primary.visible_len());
             let mut records = 0u64;
             let bytes = primary.scan_with(None, None, order, |key, op| {
                 records += 1;
-                rows.extend(map(key, op));
+                visit(&mut acc, key, op);
             });
-            let node = self.node_of(p)?;
             let mut cost = cost_model.disk_read(bytes) + cost_model.query_cpu(records, 1.0);
             if ordered {
                 // Merge-sort across the partition's bucket scans: cost grows
@@ -145,8 +226,9 @@ impl<'a> QueryExecutor<'a> {
                 let ways = (num_buckets as f64).log2().ceil().max(1.0) as u64;
                 cost += cost_model.merge_sort_cpu(records * ways);
             }
+            let node = self.cluster.node_of_partition(p)?;
             self.timeline.charge(node, cost);
-            out.push((p, rows));
+            out.push((p, acc));
         }
         Ok(out)
     }
@@ -190,36 +272,103 @@ impl<'a> QueryExecutor<'a> {
         lo: Option<&Key>,
         hi: Option<&Key>,
     ) -> Result<Vec<(PartitionId, Vec<SecondaryEntry>)>> {
+        self.index_partitions(
+            dataset,
+            index,
+            lo,
+            hi,
+            Vec::new,
+            |hits, _, secondary, primary| {
+                hits.push(SecondaryEntry::from_slices(secondary, primary))
+            },
+        )
+    }
+
+    /// The index-then-fetch plan as one operator: every entry of `index` in
+    /// `[lo, hi)` is looked up in the primary index of the partition that
+    /// listed it, and each record found is handed to `fold`, key and payload
+    /// still borrowed, partition after partition. An entry is a candidate:
+    /// one whose record the partition no longer holds folds nothing. Reads
+    /// and charges exactly what [`QueryExecutor::index_scan`] followed by a
+    /// [`QueryExecutor::fetch`] per partition does, with no key, entry or
+    /// record vector in between.
+    pub fn index_fetch_fold(
+        &mut self,
+        dataset: DatasetId,
+        index: &str,
+        lo: Option<&Key>,
+        hi: Option<&Key>,
+        mut fold: impl FnMut(&Key, &[u8]),
+    ) -> Result<()> {
+        let fetched = self.index_partitions(
+            dataset,
+            index,
+            lo,
+            hi,
+            || (0u64, 0u64),
+            |(candidates, bytes), primary_index, _, primary| {
+                *candidates += 1;
+                let key = Key::from_slice(primary);
+                if let Some(payload) = primary_index.get_ref(&key) {
+                    *bytes += (key.len() + payload.len()) as u64;
+                    fold(&key, payload);
+                }
+            },
+        )?;
+        for (p, (candidates, bytes)) in fetched {
+            self.charge_fetch(p, candidates, bytes)?;
+        }
+        Ok(())
+    }
+
+    /// One pass over `index` in `[lo, hi)` on every partition: each live,
+    /// valid entry is handed to `visit` as `(secondary, primary)` key bytes
+    /// borrowed from the index, together with the partition's primary index,
+    /// and the partition's node is charged for the entries read (hits plus
+    /// the obsolete ones validated away) and for any deferred rebuild the
+    /// scan had to warm first.
+    fn index_partitions<A>(
+        &mut self,
+        dataset: DatasetId,
+        index: &str,
+        lo: Option<&Key>,
+        hi: Option<&Key>,
+        mut init: impl FnMut() -> A,
+        mut visit: impl FnMut(&mut A, &BucketedLsmTree, &[u8], &[u8]),
+    ) -> Result<Vec<(PartitionId, A)>> {
         let cost_model = self.cluster.cost_model();
-        let mut out = Vec::new();
-        for p in self.partitions_of(dataset)? {
-            let node = self.node_of(p)?;
+        let partitions = Self::partitions_of(&mut self.snapshots, self.cluster, dataset)?;
+        let mut out = Vec::with_capacity(partitions.len());
+        for &p in partitions {
+            let node = self.cluster.node_of_partition(p)?;
             let part = self.cluster.partition_mut(p)?;
-            if !part.dataset_ids().contains(&dataset) {
+            if !part.has_dataset(dataset) {
                 continue;
             }
             let ds = part.dataset_mut(dataset)?;
             // Validate the index name before paying for a warm: a typo'd
             // query must not consume the one-shot deferred stashes.
-            if !ds.has_secondary_index(index) {
+            let Some(at) = ds.secondaries.iter().position(|s| s.name == index) else {
                 return Err(ClusterError::UnknownIndex(index.to_string()));
-            }
+            };
             let warmed = ds.warm_secondary_indexes();
             if warmed > 0 {
                 self.timeline
                     .charge(node, cost_model.index_rebuild_cpu(warmed));
             }
-            let idx = ds
-                .secondary_mut(index)
-                .ok_or_else(|| ClusterError::UnknownIndex(index.to_string()))?;
+            let (primary, idx) = (&ds.primary, &mut ds.secondaries[at]);
             let skipped_before = idx.obsolete_entries_skipped();
-            let hits = idx.search_range(lo, hi);
-            let skipped = idx.obsolete_entries_skipped() - skipped_before;
-            let records = hits.len() as u64 + skipped;
+            let mut acc = init();
+            let mut hits = 0u64;
+            idx.visit_range(lo, hi, |secondary, primary_key| {
+                hits += 1;
+                visit(&mut acc, primary, secondary, primary_key);
+            });
+            let records = hits + idx.obsolete_entries_skipped() - skipped_before;
             let bytes = records * 24;
             let cost = cost_model.disk_read(bytes) + cost_model.query_cpu(records, 0.5);
             self.timeline.charge(node, cost);
-            out.push((p, hits));
+            out.push((p, acc));
         }
         Ok(out)
     }
@@ -233,34 +382,43 @@ impl<'a> QueryExecutor<'a> {
         partition: PartitionId,
         keys: &[Key],
     ) -> Result<Vec<Entry>> {
-        let cost_model = self.cluster.cost_model();
-        let node = self.node_of(partition)?;
-        let part = self.cluster.partition(partition)?;
-        let ds = part.dataset(dataset)?;
+        let primary = &self.cluster.partition(partition)?.dataset(dataset)?.primary;
         let mut out = Vec::with_capacity(keys.len());
         let mut bytes = 0u64;
         for k in keys {
-            if let Some(v) = ds.get(k) {
+            if let Some(v) = primary.get_ref(k) {
                 bytes += (k.len() + v.len()) as u64;
-                out.push(Entry::put(k.clone(), v));
+                out.push(Entry::put(k.clone(), v.clone()));
             }
         }
-        let cost = cost_model.disk_read(bytes) + cost_model.query_cpu(keys.len() as u64, 0.3);
-        self.timeline.charge(node, cost);
+        self.charge_fetch(partition, keys.len() as u64, bytes)?;
         Ok(out)
     }
 
-    /// Charges extra per-partition compute (joins, grouping, expensive
-    /// expressions) for work over `records` records with a relative `weight`.
-    pub fn charge_compute(
-        &mut self,
-        partition: PartitionId,
-        records: u64,
-        weight: f64,
-    ) -> Result<()> {
-        let node = self.node_of(partition)?;
-        let cost = self.cluster.cost_model().query_cpu(records, weight);
-        self.timeline.charge(node, cost);
+    /// Charges `partition`'s node for the fetch half of an index-then-fetch
+    /// plan: a primary lookup per candidate key, and a read of the key and
+    /// payload bytes of the records found.
+    fn charge_fetch(&mut self, partition: PartitionId, candidates: u64, bytes: u64) -> Result<()> {
+        let cost_model = self.cluster.cost_model();
+        let cost = cost_model.disk_read(bytes) + cost_model.query_cpu(candidates, 0.3);
+        self.timeline
+            .charge(self.cluster.node_of_partition(partition)?, cost);
+        Ok(())
+    }
+
+    /// Charges per-partition compute (joins, grouping, expensive expressions)
+    /// over `records` records with a relative `weight`, spread evenly across
+    /// all partitions: after the scan the engine re-partitions the data for
+    /// joins and group-bys, so this work does not inherit the scan-side
+    /// imbalance.
+    pub fn charge_balanced(&mut self, records: u64, weight: f64) -> Result<()> {
+        let partitions = self.cluster.topology().partitions();
+        let per = records / partitions.len().max(1) as u64;
+        let cost = self.cluster.cost_model().query_cpu(per, weight);
+        for p in partitions {
+            self.timeline
+                .charge(self.cluster.node_of_partition(p)?, cost);
+        }
         Ok(())
     }
 
@@ -268,15 +426,6 @@ impl<'a> QueryExecutor<'a> {
     pub fn charge_coordinator(&mut self, records: u64, weight: f64) {
         let cost = self.cluster.cost_model().query_cpu(records, weight);
         self.timeline.charge_coordinator(cost);
-    }
-
-    /// Charges a network exchange of `bytes` received by `partition`'s node
-    /// (broadcast/partitioned joins between datasets).
-    pub fn charge_exchange(&mut self, partition: PartitionId, bytes: u64) -> Result<()> {
-        let node = self.node_of(partition)?;
-        let cost = self.cluster.cost_model().network(bytes);
-        self.timeline.charge(node, cost);
-        Ok(())
     }
 
     /// Finishes the query and returns its cost report.
@@ -391,14 +540,12 @@ mod tests {
     }
 
     #[test]
-    fn compute_and_exchange_charges_accumulate() {
+    fn scan_and_compute_charges_accumulate() {
         let (mut cluster, ds) = setup();
-        let p0 = cluster.topology().partitions()[0];
         let mut q = QueryExecutor::new(&mut cluster);
         q.scan_table(ds, false).unwrap();
         let before = q.timeline.elapsed();
-        q.charge_compute(p0, 10_000, 2.0).unwrap();
-        q.charge_exchange(p0, 1 << 20).unwrap();
+        q.charge_balanced(10_000, 2.0).unwrap();
         q.charge_coordinator(1000, 1.0);
         let report = q.finish();
         assert!(report.elapsed > before);

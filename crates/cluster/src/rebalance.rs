@@ -266,7 +266,7 @@ impl Cluster {
         for p in &old_partitions {
             let src_node = self.node_of_partition(*p)?;
             let part = self.partition(*p)?;
-            if !part.dataset_ids().contains(&dataset) {
+            if !part.has_dataset(dataset) {
                 continue;
             }
             let entries = part

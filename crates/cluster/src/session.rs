@@ -480,9 +480,9 @@ impl Session {
         self.metrics.requests += 1;
         self.ensure_current(cluster)?;
         let mut out = Vec::new();
-        for p in self.cache.partitions.clone() {
+        for &p in &self.cache.partitions {
             let part = cluster.partition(p)?;
-            if !part.dataset_ids().contains(&self.dataset) {
+            if !part.has_dataset(self.dataset) {
                 continue;
             }
             out.push((p, part.dataset(self.dataset)?.scan(order)));
@@ -522,9 +522,9 @@ impl Session {
         self.metrics.requests += 1;
         self.ensure_current(cluster)?;
         let mut out = Vec::new();
-        for p in self.cache.partitions.clone() {
+        for &p in &self.cache.partitions {
             let part = cluster.partition_mut(p)?;
-            if !part.dataset_ids().contains(&self.dataset) {
+            if !part.has_dataset(self.dataset) {
                 continue;
             }
             let ds = part.dataset_mut(self.dataset)?;

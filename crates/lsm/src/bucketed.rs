@@ -156,8 +156,13 @@ impl BucketedLsmTree {
     /// Point lookup: only the target bucket (located via the local directory)
     /// is searched.
     pub fn get(&self, key: &Key) -> Option<Value> {
+        self.get_ref(key).cloned()
+    }
+
+    /// [`BucketedLsmTree::get`] that lends the payload instead of sharing it.
+    pub fn get_ref(&self, key: &Key) -> Option<&Value> {
         let bucket = self.directory.lookup_key(key)?;
-        self.buckets.get(&bucket)?.get(key)
+        self.buckets.get(&bucket)?.get_ref(key)
     }
 
     /// Full scan of all buckets.

@@ -40,7 +40,8 @@ enum KeyRepr {
 pub struct Key(KeyRepr);
 
 impl Key {
-    fn from_slice(bytes: &[u8]) -> Self {
+    /// Builds a key from borrowed bytes: no allocation when they fit inline.
+    pub fn from_slice(bytes: &[u8]) -> Self {
         if bytes.len() <= KEY_INLINE_CAP {
             let mut buf = [0u8; KEY_INLINE_CAP];
             buf[..bytes.len()].copy_from_slice(bytes);
@@ -53,7 +54,26 @@ impl Key {
         }
     }
 
-    /// Builds a key from raw bytes.
+    /// Builds the key `parts[0] || parts[1] || …` in place: a composite that
+    /// fits inline is assembled without touching the heap.
+    pub fn from_parts(parts: &[&[u8]]) -> Self {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        if len > KEY_INLINE_CAP {
+            return Key(KeyRepr::Heap(parts.concat().into_boxed_slice()));
+        }
+        let mut buf = [0u8; KEY_INLINE_CAP];
+        let mut at = 0;
+        for p in parts {
+            buf[at..at + p.len()].copy_from_slice(p);
+            at += p.len();
+        }
+        Key(KeyRepr::Inline {
+            len: len as u8,
+            buf,
+        })
+    }
+
+    /// Builds a key from owned bytes (a long key keeps the allocation).
     pub fn from_bytes(bytes: impl Into<Vec<u8>>) -> Self {
         let v = bytes.into();
         if v.len() <= KEY_INLINE_CAP {
@@ -432,6 +452,14 @@ mod tests {
         assert!(!long.is_inline());
         assert_eq!(long.heap_bytes(), KEY_INLINE_CAP + 1);
         assert_eq!(long.len(), KEY_INLINE_CAP + 1);
+        // a composite is the concatenation of its parts, on either side of the cap
+        for tail in [KEY_INLINE_CAP - 8, KEY_INLINE_CAP - 7] {
+            let (a, b) = (7u64.to_be_bytes(), vec![9u8; tail]);
+            let whole = Key::from_parts(&[&a, &b, &[]]);
+            assert_eq!(whole, Key::from_bytes([&a[..], &b[..]].concat()));
+            assert_eq!(whole.is_inline(), tail + 8 <= KEY_INLINE_CAP);
+            assert_eq!(Key::from_slice(whole.as_slice()), whole);
+        }
     }
 
     #[test]

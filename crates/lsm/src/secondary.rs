@@ -36,11 +36,11 @@ impl SecondaryEntry {
     /// Encodes the entry as a single composite index key:
     /// `secondary || primary || len(primary) as u16 BE`.
     pub fn encode(&self) -> Key {
-        let mut v = Vec::with_capacity(self.secondary.len() + self.primary.len() + 2);
-        v.extend_from_slice(self.secondary.as_slice());
-        v.extend_from_slice(self.primary.as_slice());
-        v.extend_from_slice(&(self.primary.len() as u16).to_be_bytes());
-        Key::from_bytes(v)
+        Key::from_parts(&[
+            self.secondary.as_slice(),
+            self.primary.as_slice(),
+            &(self.primary.len() as u16).to_be_bytes(),
+        ])
     }
 
     /// Splits the bytes of a composite index key into its `(secondary,
@@ -56,10 +56,15 @@ impl SecondaryEntry {
     /// Returns `None` for malformed keys.
     pub fn decode(key: &Key) -> Option<SecondaryEntry> {
         let (secondary, primary) = Self::split(key.as_slice())?;
-        Some(SecondaryEntry {
-            secondary: Key::from_bytes(secondary.to_vec()),
-            primary: Key::from_bytes(primary.to_vec()),
-        })
+        Some(Self::from_slices(secondary, primary))
+    }
+
+    /// An owned entry of the two key parts a range visitor lends.
+    pub fn from_slices(secondary: &[u8], primary: &[u8]) -> SecondaryEntry {
+        SecondaryEntry {
+            secondary: Key::from_slice(secondary),
+            primary: Key::from_slice(primary),
+        }
     }
 }
 
@@ -109,41 +114,45 @@ impl SecondaryIndex {
     /// validation work they cause is accounted in
     /// [`SecondaryIndex::obsolete_entries_skipped`].
     pub fn search_range(&mut self, lo: Option<&Key>, hi: Option<&Key>) -> Vec<SecondaryEntry> {
+        let mut out = Vec::new();
+        self.visit_range(lo, hi, |secondary, primary| {
+            out.push(SecondaryEntry::from_slices(secondary, primary))
+        });
+        out
+    }
+
+    /// [`SecondaryIndex::search_range`] without the copies: every match is
+    /// handed to `visit` as `(secondary, primary)` key bytes still borrowed
+    /// from the component that holds them, in index order.
+    pub fn visit_range(
+        &mut self,
+        lo: Option<&Key>,
+        hi: Option<&Key>,
+        mut visit: impl FnMut(&[u8], &[u8]),
+    ) {
         // The composite keys are ordered by secondary key first, so prefix
         // bounds on the secondary key translate directly.
-        let entries = self.tree.scan(lo, hi);
-        let mut out = Vec::with_capacity(entries.len());
-        for e in entries {
-            if let Some(se) = SecondaryEntry::decode(&e.key) {
-                // An encoded composite >= hi can slip in when hi is a bare
-                // secondary-key prefix; filter exactly on the decoded key.
-                if let Some(h) = hi {
-                    if &se.secondary >= h {
-                        continue;
-                    }
-                }
-                if let Some(l) = lo {
-                    if &se.secondary < l {
-                        continue;
-                    }
-                }
-                out.push(se);
+        self.tree.scan_with(lo, hi, |key, _| {
+            let Some((secondary, primary)) = SecondaryEntry::split(key.as_slice()) else {
+                return;
+            };
+            // An encoded composite >= hi can slip in when hi is a bare
+            // secondary-key prefix; filter exactly on the secondary part.
+            if hi.is_none_or(|h| secondary < h.as_slice())
+                && lo.is_none_or(|l| secondary >= l.as_slice())
+            {
+                visit(secondary, primary);
             }
-        }
+        });
         // Every query over an index with pending lazy cleanup has to validate
         // (and discard) the obsolete entries still physically present; account
         // that work.
         self.obsolete_skipped += self.obsolete_entries();
-        out
     }
 
     /// Searches for the primary keys with exactly this secondary key.
     pub fn search_exact(&mut self, secondary: &Key) -> Vec<Key> {
-        let mut hi = secondary.as_slice().to_vec();
-        hi.push(0xff);
-        hi.push(0xff);
-        hi.push(0xff);
-        let hi = Key::from_bytes(hi);
+        let hi = Key::from_parts(&[secondary.as_slice(), &[0xff; 3]]);
         self.search_range(Some(secondary), Some(&hi))
             .into_iter()
             .filter(|se| &se.secondary == secondary)

@@ -135,6 +135,12 @@ impl LsmTree {
     /// Point lookup: searches the memory component, then disk components from
     /// newest to oldest, stopping at the first match.
     pub fn get(&self, key: &Key) -> Option<Value> {
+        self.get_ref(key).cloned()
+    }
+
+    /// [`LsmTree::get`] that lends: the payload is read where it lies, in the
+    /// memory component or the run that holds it, and nothing is cloned.
+    pub fn get_ref(&self, key: &Key) -> Option<&Value> {
         let mem = self.memtable.get(key).filter(|_| !self.buffered_dead(key));
         let disk = self.components.iter().map(|c| c.get(key));
         let op = reconcile_point(std::iter::once(mem).chain(disk))?;
@@ -142,7 +148,7 @@ impl LsmTree {
             &self.metrics.bytes_query_read,
             Entry::size_of_parts(key, op) as u64,
         );
-        op.value().cloned()
+        op.value()
     }
 
     /// A lazy, reconciling k-way merge over `[lo, hi)` of the memory

@@ -129,11 +129,11 @@ impl LogRecord {
     pub fn to_entry(&self) -> Option<Entry> {
         match &self.body {
             LogRecordBody::Insert { key, value, .. } => Some(Entry {
-                key: Key::from_bytes(key.clone()),
+                key: Key::from_slice(key),
                 op: Op::Put(Value::from(value.clone())),
             }),
             LogRecordBody::Delete { key, .. } => Some(Entry {
-                key: Key::from_bytes(key.clone()),
+                key: Key::from_slice(key),
                 op: Op::Delete,
             }),
             _ => None,

@@ -16,11 +16,17 @@
 //! Every query returns a deterministic `f64` aggregate computed from the
 //! scanned data, so integration tests can assert that all rebalancing
 //! schemes — before and after rebalancing — return identical answers.
+//!
+//! A query is a sequence of folds over zero-copy row views
+//! ([`crate::schema::Table::Row`]): the build side of a join is projected
+//! into a [`KeyTable`], the probe side folds into the aggregate the query
+//! returns. No program holds a table's rows; each keeps the columns it
+//! projects. Every fold walks the partitions in partition order, so each
+//! float sum adds up in the sequence the figure golden pinned to the bit.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
-use dynahash_cluster::{ClusterError, QueryExecutor};
-use dynahash_core::PartitionId;
+use dynahash_cluster::{in_key_order, ClusterError, DatasetId, KeyTable, QueryExecutor};
 use dynahash_lsm::entry::Key;
 
 use crate::loader::{TpchTables, LINEITEM_INDEX, ORDERS_INDEX};
@@ -60,108 +66,71 @@ fn money(cents: u64) -> f64 {
     cents as f64 / 100.0
 }
 
-/// Charges join/aggregation compute spread evenly across all partitions:
-/// after the scan, the engine re-partitions the data for joins and group-bys,
-/// so this work does not inherit the scan-side imbalance.
-fn charge_balanced_compute(
+/// The discounted price of a line.
+fn revenue(l: LineItemRow<'_>) -> f64 {
+    money(l.l_extendedprice()) * (1.0 - l.l_discount() as f64 / 100.0)
+}
+
+/// Two keys as one [`KeyTable`] key, ordered like the pair.
+fn pair(a: u64, b: u64) -> u64 {
+    debug_assert!(a >> 32 == 0 && b >> 32 == 0);
+    a << 32 | b
+}
+
+/// How a query reaches the rows of a table.
+#[derive(Clone, Copy)]
+enum Access {
+    /// A full scan, each partition in hash order.
+    Scan(DatasetId),
+    /// A full scan in primary-key order per partition.
+    KeyOrder(DatasetId),
+    /// The index-then-fetch plan over `[lo, hi)` of a date index.
+    ByDate(DatasetId, &'static str, u64, u64),
+}
+use Access::{ByDate, KeyOrder, Scan};
+
+/// Folds every row of table `T` reached through `access` into one
+/// accumulator, partition after partition in partition order — so a float
+/// sum adds up in the same sequence on every run of one layout. Returns the
+/// number of rows folded next to the accumulator.
+fn fold<T: Table, A: Default>(
     exec: &mut QueryExecutor<'_>,
-    records: u64,
-    weight: f64,
-) -> Result<(), ClusterError> {
-    let partitions = exec.cluster().topology().partitions();
-    if partitions.is_empty() {
-        return Ok(());
+    access: Access,
+    mut step: impl FnMut(&mut A, T::Row<'_>),
+) -> Result<(u64, A), ClusterError> {
+    let (mut rows, mut acc) = (0, A::default());
+    let step = |_: &Key, payload: &[u8]| {
+        if let Some(row) = T::row(payload) {
+            rows += 1;
+            step(&mut acc, row);
+        }
+    };
+    match access {
+        Scan(table) => exec.scan_fold(table, false, step)?,
+        KeyOrder(table) => exec.scan_fold(table, true, step)?,
+        ByDate(table, index, lo, hi) => {
+            let (lo, hi) = (Key::from_u64(lo), Key::from_u64(hi));
+            exec.index_fetch_fold(table, index, Some(&lo), Some(&hi), step)?
+        }
     }
-    let per = records / partitions.len() as u64;
-    for p in partitions {
-        exec.charge_compute(p, per, weight)?;
-    }
-    Ok(())
+    Ok((rows, acc))
 }
 
-fn scan_decoded<T>(
+/// The build side of a join: the `(key, columns)` tuples `project` keeps of
+/// table `T`, as one table. Returns the number of rows read next to it.
+fn build<T: Table, V>(
     exec: &mut QueryExecutor<'_>,
-    dataset: dynahash_cluster::DatasetId,
-    ordered: bool,
-    decode: impl Fn(&[u8]) -> Option<T>,
-) -> Result<Vec<(PartitionId, Vec<T>)>, ClusterError> {
-    exec.scan_map(dataset, ordered, |_, op| op.value().and_then(|v| decode(v)))
+    access: Access,
+    mut project: impl FnMut(T::Row<'_>) -> Option<(u64, V)>,
+) -> Result<(u64, KeyTable<V>), ClusterError> {
+    fold::<T, KeyTable<V>>(exec, access, |table, row| table.extend(project(row)))
 }
 
-fn scan_lineitem(
-    exec: &mut QueryExecutor<'_>,
-    t: &TpchTables,
-    ordered: bool,
-) -> Result<Vec<(PartitionId, Vec<LineItem>)>, ClusterError> {
-    scan_decoded(exec, t.lineitem, ordered, LineItem::decode)
-}
-
-fn scan_orders(
-    exec: &mut QueryExecutor<'_>,
-    t: &TpchTables,
-) -> Result<Vec<(PartitionId, Vec<Orders>)>, ClusterError> {
-    scan_decoded(exec, t.orders, false, Orders::decode)
-}
-
-fn all<T>(scans: Vec<(PartitionId, Vec<T>)>) -> Vec<T> {
-    scans.into_iter().flat_map(|(_, v)| v).collect()
-}
-
-/// Index-scan LineItem by shipdate range, then fetch the matching records
-/// from the bucketed primary index (the index-then-fetch plan).
-fn lineitems_by_shipdate(
-    exec: &mut QueryExecutor<'_>,
-    t: &TpchTables,
-    lo: u64,
-    hi: u64,
-) -> Result<Vec<LineItem>, ClusterError> {
-    let lo_k = Key::from_u64(lo);
-    let hi_k = Key::from_u64(hi);
-    let hits = exec.index_scan(t.lineitem, LINEITEM_INDEX, Some(&lo_k), Some(&hi_k))?;
-    let mut out = Vec::new();
-    for (p, entries) in hits {
-        let keys: Vec<Key> = entries.into_iter().map(|se| se.primary).collect();
-        let fetched = exec.fetch(t.lineitem, p, &keys)?;
-        out.extend(
-            fetched
-                .iter()
-                .filter_map(|e| e.op.value().and_then(|v| LineItem::decode(v))),
-        );
-    }
-    Ok(out)
-}
-
-/// Index-scan Orders by orderdate range, then fetch the matching records.
-fn orders_by_orderdate(
-    exec: &mut QueryExecutor<'_>,
-    t: &TpchTables,
-    lo: u64,
-    hi: u64,
-) -> Result<Vec<Orders>, ClusterError> {
-    let lo_k = Key::from_u64(lo);
-    let hi_k = Key::from_u64(hi);
-    let hits = exec.index_scan(t.orders, ORDERS_INDEX, Some(&lo_k), Some(&hi_k))?;
-    let mut out = Vec::new();
-    for (p, entries) in hits {
-        let keys: Vec<Key> = entries.into_iter().map(|se| se.primary).collect();
-        let fetched = exec.fetch(t.orders, p, &keys)?;
-        out.extend(
-            fetched
-                .iter()
-                .filter_map(|e| e.op.value().and_then(|v| Orders::decode(v))),
-        );
-    }
-    Ok(out)
-}
-
-fn customers_by_key(
-    exec: &mut QueryExecutor<'_>,
-    t: &TpchTables,
-) -> Result<HashMap<u64, Customer>, ClusterError> {
-    let customers = all(scan_decoded(exec, t.customer, false, |v| {
-        Customer::decode(v)
-    })?);
-    Ok(customers.into_iter().map(|c| (c.c_custkey, c)).collect())
+/// The sum of the `k` largest values.
+fn top(values: KeyTable<f64>, k: usize) -> f64 {
+    let mut values: Vec<f64> = values.into_values().collect();
+    values.sort_unstable_by(|a, b| b.total_cmp(a));
+    values.iter().take(k).sum()
 }
 
 // --------------------------------------------------------------------- q1-q22
@@ -169,118 +138,86 @@ fn customers_by_key(
 /// q1: pricing summary report — full LineItem scan, 8-way group-by.
 fn q1(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
     let cutoff = DATE_RANGE_DAYS - 90;
-    let scans = scan_lineitem(exec, t, false)?;
-    let total: u64 = scans.iter().map(|(_, v)| v.len() as u64).sum();
-    charge_balanced_compute(exec, total, 1.5)?;
-    let mut groups: BTreeMap<(u64, u64), (u64, u64, f64)> = BTreeMap::new();
-    for l in all(scans) {
-        if l.l_shipdate <= cutoff {
-            let g = groups.entry((l.l_returnflag, l.l_linestatus)).or_default();
-            g.0 += l.l_quantity;
-            g.1 += 1;
-            g.2 += money(l.l_extendedprice) * (1.0 - l.l_discount as f64 / 100.0);
-        }
-    }
+    let (lines, groups) =
+        fold::<LineItem, KeyTable<(u64, u64, f64)>>(exec, Scan(t.lineitem), |groups, l| {
+            if l.l_shipdate() <= cutoff {
+                let g = groups
+                    .entry(pair(l.l_returnflag(), l.l_linestatus()))
+                    .or_default();
+                g.0 += l.l_quantity();
+                g.1 += 1;
+                g.2 += revenue(l);
+            }
+        })?;
+    exec.charge_balanced(lines, 1.5)?;
     exec.charge_coordinator(groups.len() as u64, 1.0);
-    Ok(groups.values().map(|g| g.2 + g.0 as f64).sum())
+    let groups = in_key_order(groups);
+    Ok(groups.iter().map(|(_, g)| g.2 + g.0 as f64).sum())
 }
 
 /// q2: minimum-cost supplier — small-table joins over part/partsupp/supplier.
 fn q2(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
-    let parts = all(scan_decoded(exec, t.part, false, Part::decode)?);
-    let partsupp = all(scan_decoded(exec, t.partsupp, false, |v| {
-        PartSupp::decode(v)
-    })?);
-    let suppliers = all(scan_decoded(exec, t.supplier, false, |v| {
-        Supplier::decode(v)
-    })?);
-    let nations = all(scan_decoded(exec, t.nation, false, Nation::decode)?);
-    charge_balanced_compute(exec, (parts.len() + partsupp.len()) as u64, 1.0)?;
-
-    let europe: BTreeSet<u64> = nations
-        .iter()
-        .filter(|n| n.n_regionkey == 3)
-        .map(|n| n.n_nationkey)
-        .collect();
-    let supp_by_key: HashMap<u64, &Supplier> = suppliers.iter().map(|s| (s.s_suppkey, s)).collect();
-    let wanted: BTreeSet<u64> = parts
-        .iter()
-        .filter(|p| p.p_size == 15 && p.p_type % 5 == 0)
-        .map(|p| p.p_partkey)
-        .collect();
-    let mut min_cost: BTreeMap<u64, u64> = BTreeMap::new();
-    for ps in &partsupp {
-        if !wanted.contains(&ps.ps_partkey) {
-            continue;
-        }
-        let Some(s) = supp_by_key.get(&ps.ps_suppkey) else {
-            continue;
-        };
-        if !europe.contains(&s.s_nationkey) {
-            continue;
-        }
-        let e = min_cost.entry(ps.ps_partkey).or_insert(u64::MAX);
-        *e = (*e).min(ps.ps_supplycost);
-    }
+    let (_, europe) = build::<Nation, _>(exec, Scan(t.nation), |n| {
+        (n.n_regionkey() == 3).then_some((n.n_nationkey(), ()))
+    })?;
+    let (_, european) = build::<Supplier, _>(exec, Scan(t.supplier), |s| {
+        europe
+            .contains_key(&s.s_nationkey())
+            .then_some((s.s_suppkey(), ()))
+    })?;
+    let (parts, wanted) = build::<Part, _>(exec, Scan(t.part), |p| {
+        (p.p_size() == 15 && p.p_type() % 5 == 0).then_some((p.p_partkey(), ()))
+    })?;
+    let (partsupps, min_cost) =
+        fold::<PartSupp, KeyTable<u64>>(exec, Scan(t.partsupp), |min_cost, ps| {
+            if wanted.contains_key(&ps.ps_partkey()) && european.contains_key(&ps.ps_suppkey()) {
+                let cost = min_cost.entry(ps.ps_partkey()).or_insert(u64::MAX);
+                *cost = (*cost).min(ps.ps_supplycost());
+            }
+        })?;
+    exec.charge_balanced(parts + partsupps, 1.0)?;
     exec.charge_coordinator(min_cost.len() as u64, 0.5);
-    Ok(min_cost
-        .values()
-        .filter(|&&c| c != u64::MAX)
-        .map(|&c| money(c))
-        .sum())
+    let min_cost = in_key_order(min_cost);
+    Ok(min_cost.iter().map(|(_, cost)| money(*cost)).sum())
 }
 
 /// q3: shipping priority — customer ⋈ orders ⋈ lineitem with date filters.
 fn q3(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
     let cutoff = date(1995, 74);
-    let customers = customers_by_key(exec, t)?;
-    let orders = all(scan_orders(exec, t)?);
-    let scans = scan_lineitem(exec, t, false)?;
-    let total: u64 = scans.iter().map(|(_, v)| v.len() as u64).sum();
-    charge_balanced_compute(exec, total + orders.len() as u64, 2.0)?;
-
-    let building_orders: HashMap<u64, &Orders> = orders
-        .iter()
-        .filter(|o| o.o_orderdate < cutoff)
-        .filter(|o| {
-            customers
-                .get(&o.o_custkey)
-                .map(|c| c.c_mktsegment == 1)
-                .unwrap_or(false)
-        })
-        .map(|o| (o.o_orderkey, o))
-        .collect();
-    let mut revenue: BTreeMap<u64, f64> = BTreeMap::new();
-    for l in all(scans) {
-        if l.l_shipdate > cutoff && building_orders.contains_key(&l.l_orderkey) {
-            *revenue.entry(l.l_orderkey).or_default() +=
-                money(l.l_extendedprice) * (1.0 - l.l_discount as f64 / 100.0);
-        }
-    }
-    let mut top: Vec<f64> = revenue.values().copied().collect();
-    top.sort_by(|a, b| b.partial_cmp(a).unwrap());
-    exec.charge_coordinator(revenue.len() as u64, 0.5);
-    Ok(top.iter().take(10).sum())
+    let (_, building) = build::<Customer, _>(exec, Scan(t.customer), |c| {
+        (c.c_mktsegment() == 1).then_some((c.c_custkey(), ()))
+    })?;
+    let (orders, open_orders) = build::<Orders, _>(exec, Scan(t.orders), |o| {
+        (o.o_orderdate() < cutoff && building.contains_key(&o.o_custkey()))
+            .then_some((o.o_orderkey(), ()))
+    })?;
+    let (lines, by_order) =
+        fold::<LineItem, KeyTable<f64>>(exec, Scan(t.lineitem), |by_order, l| {
+            if l.l_shipdate() > cutoff && open_orders.contains_key(&l.l_orderkey()) {
+                *by_order.entry(l.l_orderkey()).or_default() += revenue(l);
+            }
+        })?;
+    exec.charge_balanced(lines + orders, 2.0)?;
+    exec.charge_coordinator(by_order.len() as u64, 0.5);
+    Ok(top(by_order, 10))
 }
 
 /// q4: order priority checking — Orders index on orderdate, semi-join LineItem.
 fn q4(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
     let lo = date(1993, 180);
-    let hi = lo + 92;
-    let orders = orders_by_orderdate(exec, t, lo, hi)?;
-    let scans = scan_lineitem(exec, t, false)?;
-    let total: u64 = scans.iter().map(|(_, v)| v.len() as u64).sum();
-    charge_balanced_compute(exec, total, 0.8)?;
-    let late: BTreeSet<u64> = all(scans)
-        .iter()
-        .filter(|l| l.l_commitdate < l.l_receiptdate)
-        .map(|l| l.l_orderkey)
-        .collect();
-    let mut counts = [0u64; 5];
-    for o in &orders {
-        if late.contains(&o.o_orderkey) {
-            counts[(o.o_orderpriority % 5) as usize] += 1;
+    let in_quarter = ByDate(t.orders, ORDERS_INDEX, lo, lo + 92);
+    let (_, priority_of) = build::<Orders, _>(exec, in_quarter, |o| {
+        Some((o.o_orderkey(), o.o_orderpriority()))
+    })?;
+    let (lines, late) = fold::<LineItem, KeyTable<()>>(exec, Scan(t.lineitem), |late, l| {
+        if l.l_commitdate() < l.l_receiptdate() && priority_of.contains_key(&l.l_orderkey()) {
+            late.insert(l.l_orderkey(), ());
         }
+    })?;
+    exec.charge_balanced(lines, 0.8)?;
+    let mut counts = [0u64; 5];
+    for order in late.keys() {
+        counts[(priority_of[order] % 5) as usize] += 1;
     }
     exec.charge_coordinator(5, 0.1);
     Ok(counts.iter().map(|&c| c as f64).sum())
@@ -288,317 +225,232 @@ fn q4(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
 
 /// q5: local supplier volume — 6-way join restricted to one region and year.
 fn q5(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
-    let lo = date(1994, 0);
-    let hi = date(1995, 0);
-    let customers = customers_by_key(exec, t)?;
-    let suppliers = all(scan_decoded(exec, t.supplier, false, |v| {
-        Supplier::decode(v)
-    })?);
-    let nations = all(scan_decoded(exec, t.nation, false, Nation::decode)?);
-    let orders = orders_by_orderdate(exec, t, lo, hi)?;
-    let scans = scan_lineitem(exec, t, false)?;
-    let total: u64 = scans.iter().map(|(_, v)| v.len() as u64).sum();
-    charge_balanced_compute(exec, total + orders.len() as u64, 2.5)?;
-
-    let asia: BTreeSet<u64> = nations
-        .iter()
-        .filter(|n| n.n_regionkey == 2)
-        .map(|n| n.n_nationkey)
-        .collect();
-    let supp_nation: HashMap<u64, u64> = suppliers
-        .iter()
-        .map(|s| (s.s_suppkey, s.s_nationkey))
-        .collect();
-    let order_cust_nation: HashMap<u64, u64> = orders
-        .iter()
-        .filter_map(|o| {
-            customers
-                .get(&o.o_custkey)
-                .map(|c| (o.o_orderkey, c.c_nationkey))
-        })
-        .collect();
-    let mut per_nation: BTreeMap<u64, f64> = BTreeMap::new();
-    for l in all(scans) {
-        let Some(&cust_nation) = order_cust_nation.get(&l.l_orderkey) else {
-            continue;
-        };
-        let Some(&supp_nation_key) = supp_nation.get(&l.l_suppkey) else {
-            continue;
-        };
-        if cust_nation == supp_nation_key && asia.contains(&cust_nation) {
-            *per_nation.entry(cust_nation).or_default() +=
-                money(l.l_extendedprice) * (1.0 - l.l_discount as f64 / 100.0);
-        }
-    }
+    let (_, asia) = build::<Nation, _>(exec, Scan(t.nation), |n| {
+        (n.n_regionkey() == 2).then_some((n.n_nationkey(), ()))
+    })?;
+    let (_, cust_nation) = build::<Customer, _>(exec, Scan(t.customer), |c| {
+        asia.contains_key(&c.c_nationkey())
+            .then_some((c.c_custkey(), c.c_nationkey()))
+    })?;
+    let (_, supp_nation) = build::<Supplier, _>(exec, Scan(t.supplier), |s| {
+        Some((s.s_suppkey(), s.s_nationkey()))
+    })?;
+    let in_year = ByDate(t.orders, ORDERS_INDEX, date(1994, 0), date(1995, 0));
+    let (orders, order_nation) = build::<Orders, _>(exec, in_year, |o| {
+        let nation = cust_nation.get(&o.o_custkey())?;
+        Some((o.o_orderkey(), *nation))
+    })?;
+    let (lines, per_nation) =
+        fold::<LineItem, KeyTable<f64>>(exec, Scan(t.lineitem), |per_nation, l| {
+            if let Some(nation) = order_nation.get(&l.l_orderkey()) {
+                if supp_nation.get(&l.l_suppkey()) == Some(nation) {
+                    *per_nation.entry(*nation).or_default() += revenue(l);
+                }
+            }
+        })?;
+    exec.charge_balanced(lines + orders, 2.5)?;
     exec.charge_coordinator(per_nation.len() as u64, 0.3);
-    Ok(per_nation.values().sum())
+    Ok(in_key_order(per_nation).iter().map(|(_, v)| v).sum())
 }
 
 /// q6: revenue forecast — LineItem index range on shipdate (index-only style).
 fn q6(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
-    let lo = date(1994, 0);
-    let hi = date(1995, 0);
-    let lines = lineitems_by_shipdate(exec, t, lo, hi)?;
-    charge_balanced_compute(exec, lines.len() as u64, 0.3)?;
-    let revenue: f64 = lines
-        .iter()
-        .filter(|l| (5..=7).contains(&l.l_discount) && l.l_quantity < 24)
-        .map(|l| money(l.l_extendedprice) * l.l_discount as f64 / 100.0)
-        .sum();
+    let in_year = ByDate(t.lineitem, LINEITEM_INDEX, date(1994, 0), date(1995, 0));
+    let (lines, forecast) = fold::<LineItem, Vec<f64>>(exec, in_year, |forecast, l| {
+        if (5..=7).contains(&l.l_discount()) && l.l_quantity() < 24 {
+            forecast.push(money(l.l_extendedprice()) * l.l_discount() as f64 / 100.0);
+        }
+    })?;
+    exec.charge_balanced(lines, 0.3)?;
     exec.charge_coordinator(1, 0.1);
-    Ok(revenue)
+    Ok(forecast.iter().sum())
 }
 
 /// q7: volume shipping between two nations over two years.
 fn q7(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
-    let customers = customers_by_key(exec, t)?;
-    let suppliers = all(scan_decoded(exec, t.supplier, false, |v| {
-        Supplier::decode(v)
-    })?);
-    let orders = all(scan_orders(exec, t)?);
-    let scans = scan_lineitem(exec, t, false)?;
-    let total: u64 = scans.iter().map(|(_, v)| v.len() as u64).sum();
-    charge_balanced_compute(exec, total + orders.len() as u64, 2.0)?;
-
-    let supp_nation: HashMap<u64, u64> = suppliers
-        .iter()
-        .map(|s| (s.s_suppkey, s.s_nationkey))
-        .collect();
-    let order_cust: HashMap<u64, u64> =
-        orders.iter().map(|o| (o.o_orderkey, o.o_custkey)).collect();
+    let either = |nation: u64| nation == 6 || nation == 7;
+    let (_, cust_nation) = build::<Customer, _>(exec, Scan(t.customer), |c| {
+        either(c.c_nationkey()).then_some((c.c_custkey(), c.c_nationkey()))
+    })?;
+    let (_, supp_nation) = build::<Supplier, _>(exec, Scan(t.supplier), |s| {
+        either(s.s_nationkey()).then_some((s.s_suppkey(), s.s_nationkey()))
+    })?;
+    let (orders, order_nation) = build::<Orders, _>(exec, Scan(t.orders), |o| {
+        let nation = cust_nation.get(&o.o_custkey())?;
+        Some((o.o_orderkey(), *nation))
+    })?;
     let lo = date(1995, 0);
-    let mut volume = 0.0;
-    for l in all(scans) {
-        if l.l_shipdate < lo {
-            continue;
+    let (lines, volume) = fold::<LineItem, f64>(exec, Scan(t.lineitem), |volume, l| {
+        if l.l_shipdate() < lo {
+            return;
         }
-        let Some(&sn) = supp_nation.get(&l.l_suppkey) else {
-            continue;
-        };
-        let Some(custkey) = order_cust.get(&l.l_orderkey) else {
-            continue;
-        };
-        let Some(c) = customers.get(custkey) else {
-            continue;
-        };
-        if (sn == 6 && c.c_nationkey == 7) || (sn == 7 && c.c_nationkey == 6) {
-            volume += money(l.l_extendedprice) * (1.0 - l.l_discount as f64 / 100.0);
+        let supplier = supp_nation.get(&l.l_suppkey());
+        let customer = order_nation.get(&l.l_orderkey());
+        // both are one of the two nations: the trade crosses iff they differ
+        if supplier.is_some() && customer.is_some() && supplier != customer {
+            *volume += revenue(l);
         }
-    }
+    })?;
+    exec.charge_balanced(lines + orders, 2.0)?;
     exec.charge_coordinator(4, 0.1);
     Ok(volume)
 }
 
 /// q8: national market share within a region for a part type.
 fn q8(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
-    let customers = customers_by_key(exec, t)?;
-    let suppliers = all(scan_decoded(exec, t.supplier, false, |v| {
-        Supplier::decode(v)
-    })?);
-    let nations = all(scan_decoded(exec, t.nation, false, Nation::decode)?);
-    let parts = all(scan_decoded(exec, t.part, false, Part::decode)?);
-    let orders = orders_by_orderdate(exec, t, date(1995, 0), date(1997, 0))?;
-    let scans = scan_lineitem(exec, t, false)?;
-    let total: u64 = scans.iter().map(|(_, v)| v.len() as u64).sum();
-    charge_balanced_compute(exec, total + orders.len() as u64, 2.5)?;
-
-    let america: BTreeSet<u64> = nations
-        .iter()
-        .filter(|n| n.n_regionkey == 1)
-        .map(|n| n.n_nationkey)
-        .collect();
-    let wanted_parts: BTreeSet<u64> = parts
-        .iter()
-        .filter(|p| p.p_type % 10 == 3)
-        .map(|p| p.p_partkey)
-        .collect();
-    let supp_nation: HashMap<u64, u64> = suppliers
-        .iter()
-        .map(|s| (s.s_suppkey, s.s_nationkey))
-        .collect();
-    let order_in_scope: HashMap<u64, bool> = orders
-        .iter()
-        .map(|o| {
-            let in_region = customers
-                .get(&o.o_custkey)
-                .map(|c| america.contains(&c.c_nationkey))
-                .unwrap_or(false);
-            (o.o_orderkey, in_region)
-        })
-        .collect();
-    let mut national = 0.0;
-    let mut total_volume = 0.0;
-    for l in all(scans) {
-        if !wanted_parts.contains(&l.l_partkey) {
-            continue;
-        }
-        if order_in_scope.get(&l.l_orderkey).copied() != Some(true) {
-            continue;
-        }
-        let v = money(l.l_extendedprice) * (1.0 - l.l_discount as f64 / 100.0);
-        total_volume += v;
-        if supp_nation.get(&l.l_suppkey) == Some(&5) {
-            national += v;
-        }
-    }
+    let (_, america) = build::<Nation, _>(exec, Scan(t.nation), |n| {
+        (n.n_regionkey() == 1).then_some((n.n_nationkey(), ()))
+    })?;
+    let (_, american) = build::<Customer, _>(exec, Scan(t.customer), |c| {
+        america
+            .contains_key(&c.c_nationkey())
+            .then_some((c.c_custkey(), ()))
+    })?;
+    let (_, national) = build::<Supplier, _>(exec, Scan(t.supplier), |s| {
+        (s.s_nationkey() == 5).then_some((s.s_suppkey(), ()))
+    })?;
+    let (_, wanted) = build::<Part, _>(exec, Scan(t.part), |p| {
+        (p.p_type() % 10 == 3).then_some((p.p_partkey(), ()))
+    })?;
+    let in_years = ByDate(t.orders, ORDERS_INDEX, date(1995, 0), date(1997, 0));
+    let (orders, in_scope) = build::<Orders, _>(exec, in_years, |o| {
+        american
+            .contains_key(&o.o_custkey())
+            .then_some((o.o_orderkey(), ()))
+    })?;
+    let (lines, (share, volume)) =
+        fold::<LineItem, (f64, f64)>(exec, Scan(t.lineitem), |(share, volume), l| {
+            if wanted.contains_key(&l.l_partkey()) && in_scope.contains_key(&l.l_orderkey()) {
+                let v = revenue(l);
+                *volume += v;
+                if national.contains_key(&l.l_suppkey()) {
+                    *share += v;
+                }
+            }
+        })?;
+    exec.charge_balanced(lines + orders, 2.5)?;
     exec.charge_coordinator(2, 0.1);
-    Ok(if total_volume == 0.0 {
-        0.0
-    } else {
-        national / total_volume
-    })
+    Ok(if volume == 0.0 { 0.0 } else { share / volume })
 }
 
 /// q9: product type profit measure — scans LineItem and joins part/partsupp.
 fn q9(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
-    let parts = all(scan_decoded(exec, t.part, false, Part::decode)?);
-    let partsupp = all(scan_decoded(exec, t.partsupp, false, |v| {
-        PartSupp::decode(v)
-    })?);
-    let suppliers = all(scan_decoded(exec, t.supplier, false, |v| {
-        Supplier::decode(v)
-    })?);
-    let orders = all(scan_orders(exec, t)?);
-    let scans = scan_lineitem(exec, t, false)?;
-    let total: u64 = scans.iter().map(|(_, v)| v.len() as u64).sum();
-    charge_balanced_compute(exec, total + partsupp.len() as u64, 3.0)?;
-
-    let green_parts: BTreeSet<u64> = parts
-        .iter()
-        .filter(|p| p.p_type % 7 == 0)
-        .map(|p| p.p_partkey)
-        .collect();
-    let supply_cost: HashMap<(u64, u64), u64> = partsupp
-        .iter()
-        .map(|ps| ((ps.ps_partkey, ps.ps_suppkey), ps.ps_supplycost))
-        .collect();
-    let supp_nation: HashMap<u64, u64> = suppliers
-        .iter()
-        .map(|s| (s.s_suppkey, s.s_nationkey))
-        .collect();
-    let order_year: HashMap<u64, u64> = orders
-        .iter()
-        .map(|o| (o.o_orderkey, o.o_orderdate / 365))
-        .collect();
-    let mut profit: BTreeMap<(u64, u64), f64> = BTreeMap::new();
-    for l in all(scans) {
-        if !green_parts.contains(&l.l_partkey) {
-            continue;
+    let (_, green) = build::<Part, _>(exec, Scan(t.part), |p| {
+        (p.p_type() % 7 == 0).then_some((p.p_partkey(), ()))
+    })?;
+    let (partsupps, supply_cost) = build::<PartSupp, _>(exec, Scan(t.partsupp), |ps| {
+        green
+            .contains_key(&ps.ps_partkey())
+            .then_some((pair(ps.ps_partkey(), ps.ps_suppkey()), ps.ps_supplycost()))
+    })?;
+    let (_, supp_nation) = build::<Supplier, _>(exec, Scan(t.supplier), |s| {
+        Some((s.s_suppkey(), s.s_nationkey()))
+    })?;
+    let (_, order_year) = build::<Orders, _>(exec, Scan(t.orders), |o| {
+        Some((o.o_orderkey(), o.o_orderdate() / 365))
+    })?;
+    let (lines, profit) = fold::<LineItem, KeyTable<f64>>(exec, Scan(t.lineitem), |profit, l| {
+        if !green.contains_key(&l.l_partkey()) {
+            return;
         }
-        let nation = supp_nation.get(&l.l_suppkey).copied().unwrap_or(0);
-        let year = order_year.get(&l.l_orderkey).copied().unwrap_or(0);
+        let nation = supp_nation.get(&l.l_suppkey()).copied().unwrap_or(0);
+        let year = order_year.get(&l.l_orderkey()).copied().unwrap_or(0);
         let cost = supply_cost
-            .get(&(l.l_partkey, l.l_suppkey))
+            .get(&pair(l.l_partkey(), l.l_suppkey()))
             .copied()
             .unwrap_or(0);
-        let amount = money(l.l_extendedprice) * (1.0 - l.l_discount as f64 / 100.0)
-            - money(cost) * l.l_quantity as f64;
-        *profit.entry((nation, year)).or_default() += amount;
-    }
+        *profit.entry(pair(nation, year)).or_default() +=
+            revenue(l) - money(cost) * l.l_quantity() as f64;
+    })?;
+    exec.charge_balanced(lines + partsupps, 3.0)?;
     exec.charge_coordinator(profit.len() as u64, 0.3);
-    Ok(profit.values().sum())
+    Ok(in_key_order(profit).iter().map(|(_, v)| v).sum())
 }
 
 /// q10: returned item reporting — customers who returned items in a quarter.
 fn q10(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
-    let customers = customers_by_key(exec, t)?;
-    let orders = orders_by_orderdate(exec, t, date(1993, 270), date(1994, 0))?;
-    let scans = scan_lineitem(exec, t, false)?;
-    let total: u64 = scans.iter().map(|(_, v)| v.len() as u64).sum();
-    charge_balanced_compute(exec, total + orders.len() as u64, 1.5)?;
-
-    let order_cust: HashMap<u64, u64> =
-        orders.iter().map(|o| (o.o_orderkey, o.o_custkey)).collect();
-    let mut revenue: BTreeMap<u64, f64> = BTreeMap::new();
-    for l in all(scans) {
-        if l.l_returnflag != 1 {
-            continue;
-        }
-        if let Some(&cust) = order_cust.get(&l.l_orderkey) {
-            if customers.contains_key(&cust) {
-                *revenue.entry(cust).or_default() +=
-                    money(l.l_extendedprice) * (1.0 - l.l_discount as f64 / 100.0);
+    let (_, customers) =
+        build::<Customer, _>(exec, Scan(t.customer), |c| Some((c.c_custkey(), ())))?;
+    let in_quarter = ByDate(t.orders, ORDERS_INDEX, date(1993, 270), date(1994, 0));
+    let (orders, order_cust) = build::<Orders, _>(exec, in_quarter, |o| {
+        customers
+            .contains_key(&o.o_custkey())
+            .then_some((o.o_orderkey(), o.o_custkey()))
+    })?;
+    let (lines, by_customer) =
+        fold::<LineItem, KeyTable<f64>>(exec, Scan(t.lineitem), |by_customer, l| {
+            if l.l_returnflag() == 1 {
+                if let Some(customer) = order_cust.get(&l.l_orderkey()) {
+                    *by_customer.entry(*customer).or_default() += revenue(l);
+                }
             }
-        }
-    }
-    let mut top: Vec<f64> = revenue.values().copied().collect();
-    top.sort_by(|a, b| b.partial_cmp(a).unwrap());
-    exec.charge_coordinator(revenue.len() as u64, 0.3);
-    Ok(top.iter().take(20).sum())
+        })?;
+    exec.charge_balanced(lines + orders, 1.5)?;
+    exec.charge_coordinator(by_customer.len() as u64, 0.3);
+    Ok(top(by_customer, 20))
 }
 
 /// q11: important stock identification — partsupp value grouped by part.
 fn q11(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
-    let partsupp = all(scan_decoded(exec, t.partsupp, false, |v| {
-        PartSupp::decode(v)
-    })?);
-    let suppliers = all(scan_decoded(exec, t.supplier, false, |v| {
-        Supplier::decode(v)
-    })?);
-    charge_balanced_compute(exec, partsupp.len() as u64, 1.0)?;
-    let german: BTreeSet<u64> = suppliers
-        .iter()
-        .filter(|s| s.s_nationkey == 7)
-        .map(|s| s.s_suppkey)
-        .collect();
-    let mut value: BTreeMap<u64, f64> = BTreeMap::new();
-    let mut total_value = 0.0;
-    for ps in &partsupp {
-        if german.contains(&ps.ps_suppkey) {
-            let v = money(ps.ps_supplycost) * ps.ps_availqty as f64;
-            *value.entry(ps.ps_partkey).or_default() += v;
-            total_value += v;
-        }
-    }
-    let threshold = total_value * 0.001;
+    let (_, german) = build::<Supplier, _>(exec, Scan(t.supplier), |s| {
+        (s.s_nationkey() == 7).then_some((s.s_suppkey(), ()))
+    })?;
+    let (partsupps, (value, total)) =
+        fold::<PartSupp, (KeyTable<f64>, f64)>(exec, Scan(t.partsupp), |(value, total), ps| {
+            if german.contains_key(&ps.ps_suppkey()) {
+                let v = money(ps.ps_supplycost()) * ps.ps_availqty() as f64;
+                *value.entry(ps.ps_partkey()).or_default() += v;
+                *total += v;
+            }
+        })?;
+    exec.charge_balanced(partsupps, 1.0)?;
+    let threshold = total * 0.001;
     exec.charge_coordinator(value.len() as u64, 0.3);
-    Ok(value.values().filter(|&&v| v > threshold).sum())
+    let value = in_key_order(value);
+    Ok(value
+        .iter()
+        .map(|(_, v)| *v)
+        .filter(|&v| v > threshold)
+        .sum())
 }
 
 /// q12: shipping modes and order priority — LineItem scan joined to Orders.
 fn q12(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
-    let orders = all(scan_orders(exec, t)?);
-    let scans = scan_lineitem(exec, t, false)?;
-    let total: u64 = scans.iter().map(|(_, v)| v.len() as u64).sum();
-    charge_balanced_compute(exec, total + orders.len() as u64, 1.0)?;
-    let order_priority: HashMap<u64, u64> = orders
-        .iter()
-        .map(|o| (o.o_orderkey, o.o_orderpriority))
-        .collect();
-    let lo = date(1994, 0);
-    let hi = date(1995, 0);
-    let mut high = 0u64;
-    let mut low = 0u64;
-    for l in all(scans) {
-        if (l.l_shipmode == 3 || l.l_shipmode == 5)
-            && l.l_commitdate < l.l_receiptdate
-            && l.l_shipdate < l.l_commitdate
-            && (lo..hi).contains(&l.l_receiptdate)
-        {
-            match order_priority.get(&l.l_orderkey) {
-                Some(0) | Some(1) => high += 1,
-                Some(_) => low += 1,
-                None => {}
+    let (orders, priority_of) = build::<Orders, _>(exec, Scan(t.orders), |o| {
+        Some((o.o_orderkey(), o.o_orderpriority()))
+    })?;
+    let (lo, hi) = (date(1994, 0), date(1995, 0));
+    let (lines, (high, low)) =
+        fold::<LineItem, (u64, u64)>(exec, Scan(t.lineitem), |(high, low), l| {
+            if (l.l_shipmode() == 3 || l.l_shipmode() == 5)
+                && l.l_commitdate() < l.l_receiptdate()
+                && l.l_shipdate() < l.l_commitdate()
+                && (lo..hi).contains(&l.l_receiptdate())
+            {
+                match priority_of.get(&l.l_orderkey()) {
+                    Some(0) | Some(1) => *high += 1,
+                    Some(_) => *low += 1,
+                    None => {}
+                }
             }
-        }
-    }
+        })?;
+    exec.charge_balanced(lines + orders, 1.0)?;
     exec.charge_coordinator(2, 0.1);
     Ok((high + low) as f64)
 }
 
 /// q13: customer distribution — orders per customer histogram.
 fn q13(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
-    let customers = customers_by_key(exec, t)?;
-    let orders = all(scan_orders(exec, t)?);
-    charge_balanced_compute(exec, (orders.len() + customers.len()) as u64, 1.5)?;
-    let mut per_customer: BTreeMap<u64, u64> = customers.keys().map(|k| (*k, 0)).collect();
-    for o in &orders {
-        if o.o_clerk % 100 != 13 {
-            if let Some(c) = per_customer.get_mut(&o.o_custkey) {
-                *c += 1;
+    let (customers, mut per_customer) =
+        build::<Customer, _>(exec, Scan(t.customer), |c| Some((c.c_custkey(), 0u64)))?;
+    let (orders, ()) = fold::<Orders, ()>(exec, Scan(t.orders), |(), o| {
+        if o.o_clerk() % 100 != 13 {
+            if let Some(count) = per_customer.get_mut(&o.o_custkey()) {
+                *count += 1;
             }
         }
-    }
+    })?;
+    exec.charge_balanced(orders + customers, 1.5)?;
     let mut histogram: BTreeMap<u64, u64> = BTreeMap::new();
     for count in per_customer.values() {
         *histogram.entry(*count).or_default() += 1;
@@ -609,23 +461,19 @@ fn q13(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
 
 /// q14: promotion effect — LineItem shipdate month via the index, join Part.
 fn q14(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
-    let parts = all(scan_decoded(exec, t.part, false, Part::decode)?);
-    let lines = lineitems_by_shipdate(exec, t, date(1995, 240), date(1995, 270))?;
-    charge_balanced_compute(exec, (lines.len() + parts.len()) as u64, 0.8)?;
-    let promo_parts: BTreeSet<u64> = parts
-        .iter()
-        .filter(|p| p.p_type / 30 == 4)
-        .map(|p| p.p_partkey)
-        .collect();
-    let mut promo = 0.0;
-    let mut total = 0.0;
-    for l in &lines {
-        let v = money(l.l_extendedprice) * (1.0 - l.l_discount as f64 / 100.0);
-        total += v;
-        if promo_parts.contains(&l.l_partkey) {
-            promo += v;
-        }
-    }
+    let (parts, promo_parts) = build::<Part, _>(exec, Scan(t.part), |p| {
+        (p.p_type() / 30 == 4).then_some((p.p_partkey(), ()))
+    })?;
+    let in_month = ByDate(t.lineitem, LINEITEM_INDEX, date(1995, 240), date(1995, 270));
+    let (lines, (promo, total)) =
+        fold::<LineItem, (f64, f64)>(exec, in_month, |(promo, total), l| {
+            let v = revenue(l);
+            *total += v;
+            if promo_parts.contains_key(&l.l_partkey()) {
+                *promo += v;
+            }
+        })?;
+    exec.charge_balanced(lines + parts, 0.8)?;
     exec.charge_coordinator(1, 0.1);
     Ok(if total == 0.0 {
         0.0
@@ -636,83 +484,75 @@ fn q14(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
 
 /// q15: top supplier — revenue per supplier over one quarter (index range).
 fn q15(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
-    let lines = lineitems_by_shipdate(exec, t, date(1996, 0), date(1996, 90))?;
-    charge_balanced_compute(exec, lines.len() as u64, 0.5)?;
-    let mut revenue: BTreeMap<u64, f64> = BTreeMap::new();
-    for l in &lines {
-        *revenue.entry(l.l_suppkey).or_default() +=
-            money(l.l_extendedprice) * (1.0 - l.l_discount as f64 / 100.0);
-    }
-    exec.charge_coordinator(revenue.len() as u64, 0.2);
-    Ok(revenue.values().fold(0.0_f64, |a, &b| a.max(b)))
+    let in_quarter = ByDate(t.lineitem, LINEITEM_INDEX, date(1996, 0), date(1996, 90));
+    let (lines, by_supplier) =
+        fold::<LineItem, KeyTable<f64>>(exec, in_quarter, |by_supplier, l| {
+            *by_supplier.entry(l.l_suppkey()).or_default() += revenue(l)
+        })?;
+    exec.charge_balanced(lines, 0.5)?;
+    exec.charge_coordinator(by_supplier.len() as u64, 0.2);
+    Ok(by_supplier.values().fold(0.0_f64, |a, &b| a.max(b)))
 }
 
 /// q16: parts/supplier relationship — partsupp ⋈ part with exclusions.
 fn q16(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
-    let parts = all(scan_decoded(exec, t.part, false, Part::decode)?);
-    let partsupp = all(scan_decoded(exec, t.partsupp, false, |v| {
-        PartSupp::decode(v)
-    })?);
-    let suppliers = all(scan_decoded(exec, t.supplier, false, |v| {
-        Supplier::decode(v)
-    })?);
-    charge_balanced_compute(exec, partsupp.len() as u64, 1.0)?;
-    let complaints: BTreeSet<u64> = suppliers
-        .iter()
-        .filter(|s| s.s_complaint == 1)
-        .map(|s| s.s_suppkey)
+    let (_, complaints) = build::<Supplier, _>(exec, Scan(t.supplier), |s| {
+        (s.s_complaint() == 1).then_some((s.s_suppkey(), ()))
+    })?;
+    // a wanted part's group: (brand, type, size), packed
+    let (_, group_of) = build::<Part, _>(exec, Scan(t.part), |p| {
+        (p.p_brand() != 12
+            && p.p_type() % 15 != 0
+            && [1, 9, 14, 19, 23, 36, 45, 49].contains(&p.p_size()))
+        .then_some((
+            p.p_partkey(),
+            pair(p.p_brand() << 16 | p.p_type(), p.p_size()),
+        ))
+    })?;
+    let (partsupps, mut offers) =
+        fold::<PartSupp, Vec<(u64, u64)>>(exec, Scan(t.partsupp), |offers, ps| {
+            if !complaints.contains_key(&ps.ps_suppkey()) {
+                if let Some(group) = group_of.get(&ps.ps_partkey()) {
+                    offers.push((*group, ps.ps_suppkey()));
+                }
+            }
+        })?;
+    exec.charge_balanced(partsupps, 1.0)?;
+    // count(distinct supplier) per group: the distinct (group, supplier) pairs
+    offers.sort_unstable();
+    offers.dedup();
+    let suppliers_of: Vec<f64> = (offers.chunk_by(|a, b| a.0 == b.0))
+        .map(|group| group.len() as f64)
         .collect();
-    let wanted: HashMap<u64, (u64, u64, u64)> = parts
-        .iter()
-        .filter(|p| {
-            p.p_brand != 12
-                && p.p_type % 15 != 0
-                && [1, 9, 14, 19, 23, 36, 45, 49].contains(&p.p_size)
-        })
-        .map(|p| (p.p_partkey, (p.p_brand, p.p_type, p.p_size)))
-        .collect();
-    let mut supplier_cnt: BTreeMap<(u64, u64, u64), BTreeSet<u64>> = BTreeMap::new();
-    for ps in &partsupp {
-        if complaints.contains(&ps.ps_suppkey) {
-            continue;
-        }
-        if let Some(&group) = wanted.get(&ps.ps_partkey) {
-            supplier_cnt.entry(group).or_default().insert(ps.ps_suppkey);
-        }
-    }
-    exec.charge_coordinator(supplier_cnt.len() as u64, 0.3);
-    Ok(supplier_cnt.values().map(|s| s.len() as f64).sum())
+    exec.charge_coordinator(suppliers_of.len() as u64, 0.3);
+    Ok(suppliers_of.iter().sum())
 }
 
 /// q17: small-quantity-order revenue — full LineItem scan, per-part averages.
 fn q17(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
-    let parts = all(scan_decoded(exec, t.part, false, Part::decode)?);
-    let scans = scan_lineitem(exec, t, false)?;
-    let total: u64 = scans.iter().map(|(_, v)| v.len() as u64).sum();
+    let (_, wanted) = build::<Part, _>(exec, Scan(t.part), |p| {
+        (p.p_brand() == 23 && p.p_container() == 17).then_some((p.p_partkey(), ()))
+    })?;
+    // One scan feeds both passes: the per-part (quantity, lines) aggregate,
+    // and the three fields of each wanted line the second pass compares.
+    type Passes = (KeyTable<(u64, u64)>, Vec<(u64, u64, u64)>);
+    let (lines, (per_part, kept)) =
+        fold::<LineItem, Passes>(exec, Scan(t.lineitem), |(per_part, kept), l| {
+            if wanted.contains_key(&l.l_partkey()) {
+                let part = per_part.entry(l.l_partkey()).or_default();
+                part.0 += l.l_quantity();
+                part.1 += 1;
+                kept.push((l.l_partkey(), l.l_quantity(), l.l_extendedprice()));
+            }
+        })?;
     // q17 re-aggregates LineItem per part: relatively light compute compared
     // to its scan, which is why it is sensitive to scan imbalance.
-    charge_balanced_compute(exec, total, 0.5)?;
-    let wanted: BTreeSet<u64> = parts
-        .iter()
-        .filter(|p| p.p_brand == 23 && p.p_container == 17)
-        .map(|p| p.p_partkey)
-        .collect();
-    let lines = all(scans);
-    let mut per_part: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-    for l in &lines {
-        let e = per_part.entry(l.l_partkey).or_default();
-        e.0 += l.l_quantity;
-        e.1 += 1;
-    }
+    exec.charge_balanced(lines, 0.5)?;
     let mut revenue = 0.0;
-    for l in &lines {
-        if !wanted.contains(&l.l_partkey) {
-            continue;
-        }
-        let (sum, cnt) = per_part[&l.l_partkey];
-        let avg = sum as f64 / cnt as f64;
-        if (l.l_quantity as f64) < 0.2 * avg {
-            revenue += money(l.l_extendedprice);
+    for (part, quantity, price) in kept {
+        let (sum, lines) = per_part[&part];
+        if (quantity as f64) < 0.2 * (sum as f64 / lines as f64) {
+            revenue += money(price);
         }
     }
     exec.charge_coordinator(1, 0.1);
@@ -722,141 +562,139 @@ fn q17(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
 /// q18: large-volume customers — group LineItem by the primary-key prefix
 /// (`l_orderkey`), which requires primary-key-ordered scans.
 fn q18(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
-    let customers = customers_by_key(exec, t)?;
-    let orders = all(scan_orders(exec, t)?);
+    let (_, customers) =
+        build::<Customer, _>(exec, Scan(t.customer), |c| Some((c.c_custkey(), ())))?;
+    let (_, price_of) = build::<Orders, _>(exec, Scan(t.orders), |o| {
+        customers
+            .contains_key(&o.o_custkey())
+            .then_some((o.o_orderkey(), o.o_totalprice()))
+    })?;
     // The group-by on the primary-key prefix requires ordered scans: the
-    // bucketed LSM-tree must merge-sort its buckets here (Section IV).
-    let scans = scan_lineitem(exec, t, true)?;
-    let total: u64 = scans.iter().map(|(_, v)| v.len() as u64).sum();
-    charge_balanced_compute(exec, total, 0.6)?;
-    let mut qty_per_order: BTreeMap<u64, u64> = BTreeMap::new();
-    for l in all(scans) {
-        *qty_per_order.entry(l.l_orderkey).or_default() += l.l_quantity;
-    }
-    let threshold = 150;
-    let order_by_key: HashMap<u64, &Orders> = orders.iter().map(|o| (o.o_orderkey, o)).collect();
-    let mut result = 0.0;
-    for (orderkey, qty) in &qty_per_order {
-        if *qty > threshold {
-            if let Some(o) = order_by_key.get(orderkey) {
-                if customers.contains_key(&o.o_custkey) {
-                    result += money(o.o_totalprice);
+    // bucketed LSM-tree must merge-sort its buckets here (Section IV). In
+    // key order an order's lines on one partition are adjacent, so each run
+    // of them is summed before it touches the table.
+    type Runs = (KeyTable<u64>, Option<(u64, u64)>);
+    let (lines, (mut quantity_of, last)) = fold::<LineItem, Runs>(
+        exec,
+        KeyOrder(t.lineitem),
+        |(quantity_of, run), l| match run {
+            Some((order, quantity)) if *order == l.l_orderkey() => *quantity += l.l_quantity(),
+            _ => {
+                if let Some((order, quantity)) = run.replace((l.l_orderkey(), l.l_quantity())) {
+                    *quantity_of.entry(order).or_default() += quantity;
                 }
             }
-        }
+        },
+    )?;
+    if let Some((order, quantity)) = last {
+        *quantity_of.entry(order).or_default() += quantity;
     }
-    exec.charge_coordinator(qty_per_order.len() as u64, 0.2);
-    Ok(result)
+    exec.charge_balanced(lines, 0.6)?;
+    exec.charge_coordinator(quantity_of.len() as u64, 0.2);
+    let threshold = 150;
+    let mut large: Vec<(u64, u64)> = (quantity_of.iter())
+        .filter(|(_, quantity)| **quantity > threshold)
+        .filter_map(|(order, _)| Some((*order, *price_of.get(order)?)))
+        .collect();
+    large.sort_unstable();
+    Ok(large
+        .iter()
+        .fold(0.0, |sum, (_, price)| sum + money(*price)))
 }
 
 /// q19: discounted revenue — LineItem ⋈ Part with OR-ed predicates.
 fn q19(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
-    let parts = all(scan_decoded(exec, t.part, false, Part::decode)?);
-    let scans = scan_lineitem(exec, t, false)?;
-    let total: u64 = scans.iter().map(|(_, v)| v.len() as u64).sum();
-    charge_balanced_compute(exec, total, 0.7)?;
-    let part_by_key: HashMap<u64, &Part> = parts.iter().map(|p| (p.p_partkey, p)).collect();
-    let mut revenue = 0.0;
-    for l in all(scans) {
-        let Some(p) = part_by_key.get(&l.l_partkey) else {
-            continue;
-        };
-        let matched = (p.p_brand == 12 && l.l_quantity <= 11 && p.p_container < 10)
-            || (p.p_brand == 23 && (10..=20).contains(&l.l_quantity) && p.p_container < 20)
-            || (p.p_brand == 34 % 25 && (20..=30).contains(&l.l_quantity));
-        if matched && l.l_shipinstruct == 0 && l.l_shipmode <= 1 {
-            revenue += money(l.l_extendedprice) * (1.0 - l.l_discount as f64 / 100.0);
+    let (_, part_of) = build::<Part, _>(exec, Scan(t.part), |p| {
+        Some((p.p_partkey(), (p.p_brand(), p.p_container())))
+    })?;
+    let (lines, discounted) = fold::<LineItem, f64>(exec, Scan(t.lineitem), |sum, l| {
+        if l.l_shipinstruct() != 0 || l.l_shipmode() > 1 {
+            return;
         }
-    }
+        let Some(&(brand, container)) = part_of.get(&l.l_partkey()) else {
+            return;
+        };
+        let quantity = l.l_quantity();
+        if (brand == 12 && quantity <= 11 && container < 10)
+            || (brand == 23 && (10..=20).contains(&quantity) && container < 20)
+            || (brand == 34 % 25 && (20..=30).contains(&quantity))
+        {
+            *sum += revenue(l);
+        }
+    })?;
+    exec.charge_balanced(lines, 0.7)?;
     exec.charge_coordinator(1, 0.1);
-    Ok(revenue)
+    Ok(discounted)
 }
 
 /// q20: potential part promotion — suppliers with excess stock of a part.
 fn q20(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
-    let parts = all(scan_decoded(exec, t.part, false, Part::decode)?);
-    let partsupp = all(scan_decoded(exec, t.partsupp, false, |v| {
-        PartSupp::decode(v)
-    })?);
-    let suppliers = all(scan_decoded(exec, t.supplier, false, |v| {
-        Supplier::decode(v)
-    })?);
-    let lines = lineitems_by_shipdate(exec, t, date(1994, 0), date(1995, 0))?;
-    charge_balanced_compute(exec, (lines.len() + partsupp.len()) as u64, 1.2)?;
-    let forest_parts: BTreeSet<u64> = parts
-        .iter()
-        .filter(|p| p.p_type % 11 == 2)
-        .map(|p| p.p_partkey)
-        .collect();
-    let mut shipped: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-    for l in &lines {
-        *shipped.entry((l.l_partkey, l.l_suppkey)).or_default() += l.l_quantity;
-    }
-    let mut qualified: BTreeSet<u64> = BTreeSet::new();
-    for ps in &partsupp {
-        if !forest_parts.contains(&ps.ps_partkey) {
-            continue;
+    let (_, forest) = build::<Part, _>(exec, Scan(t.part), |p| {
+        (p.p_type() % 11 == 2).then_some((p.p_partkey(), ()))
+    })?;
+    let in_year = ByDate(t.lineitem, LINEITEM_INDEX, date(1994, 0), date(1995, 0));
+    let (lines, shipped) = fold::<LineItem, KeyTable<u64>>(exec, in_year, |shipped, l| {
+        if forest.contains_key(&l.l_partkey()) {
+            *shipped
+                .entry(pair(l.l_partkey(), l.l_suppkey()))
+                .or_default() += l.l_quantity();
         }
-        let half_shipped = shipped
-            .get(&(ps.ps_partkey, ps.ps_suppkey))
-            .copied()
-            .unwrap_or(0) as f64
-            * 0.5;
-        if ps.ps_availqty as f64 > half_shipped && half_shipped > 0.0 {
-            qualified.insert(ps.ps_suppkey);
+    })?;
+    // only forest parts have a shipped quantity, so the lookup is the filter
+    let (partsupps, qualified) =
+        fold::<PartSupp, KeyTable<()>>(exec, Scan(t.partsupp), |qualified, ps| {
+            if let Some(shipped) = shipped.get(&pair(ps.ps_partkey(), ps.ps_suppkey())) {
+                let half_shipped = *shipped as f64 * 0.5;
+                if ps.ps_availqty() as f64 > half_shipped && half_shipped > 0.0 {
+                    qualified.insert(ps.ps_suppkey(), ());
+                }
+            }
+        })?;
+    exec.charge_balanced(lines + partsupps, 1.2)?;
+    let (_, canadian) = fold::<Supplier, usize>(exec, Scan(t.supplier), |count, s| {
+        if s.s_nationkey() == 3 && qualified.contains_key(&s.s_suppkey()) {
+            *count += 1;
         }
-    }
-    let canada: usize = suppliers
-        .iter()
-        .filter(|s| s.s_nationkey == 3 && qualified.contains(&s.s_suppkey))
-        .count();
+    })?;
     exec.charge_coordinator(qualified.len() as u64, 0.2);
-    Ok(canada as f64)
+    Ok(canadian as f64)
 }
 
 /// q21: suppliers who kept orders waiting — LineItem is effectively scanned
 /// multiple times (self-joins per order), making it the most scan-heavy query.
 fn q21(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
-    let suppliers = all(scan_decoded(exec, t.supplier, false, |v| {
-        Supplier::decode(v)
-    })?);
-    let orders = all(scan_orders(exec, t)?);
-    // First pass over LineItem.
-    let first = scan_lineitem(exec, t, false)?;
-    // Second pass (the self-join side), scanned again as the paper notes.
-    let second = scan_lineitem(exec, t, false)?;
-    let total: u64 = first.iter().map(|(_, v)| v.len() as u64).sum();
-    charge_balanced_compute(exec, total, 1.0)?;
-
-    let f_orders: BTreeSet<u64> = orders
-        .iter()
-        .filter(|o| o.o_orderstatus == 1)
-        .map(|o| o.o_orderkey)
+    let (_, saudi) = build::<Supplier, _>(exec, Scan(t.supplier), |s| {
+        (s.s_nationkey() == 20).then_some((s.s_suppkey(), ()))
+    })?;
+    let (_, f_orders) = build::<Orders, _>(exec, Scan(t.orders), |o| {
+        (o.o_orderstatus() == 1).then_some((o.o_orderkey(), ()))
+    })?;
+    // First pass: the (order, supplier) of every line that kept an 'F' order
+    // waiting on a Saudi supplier — a hundredth of the table.
+    let (lines, waiting_lines) =
+        fold::<LineItem, Vec<(u64, u64)>>(exec, Scan(t.lineitem), |kept, l| {
+            if l.l_receiptdate() > l.l_commitdate()
+                && saudi.contains_key(&l.l_suppkey())
+                && f_orders.contains_key(&l.l_orderkey())
+            {
+                kept.push((l.l_orderkey(), l.l_suppkey()));
+            }
+        })?;
+    // Second pass (the self-join side, scanned again as the paper notes):
+    // whether those orders name any supplier besides the one seen first.
+    let mut suppliers_of: KeyTable<(u64, bool)> = (waiting_lines.iter())
+        .map(|(order, supplier)| (*order, (*supplier, false)))
         .collect();
-    let saudi: BTreeSet<u64> = suppliers
-        .iter()
-        .filter(|s| s.s_nationkey == 20)
-        .map(|s| s.s_suppkey)
-        .collect();
-    // suppliers per order, and late suppliers per order
-    let mut suppliers_per_order: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
-    for l in all(second) {
-        suppliers_per_order
-            .entry(l.l_orderkey)
-            .or_default()
-            .insert(l.l_suppkey);
-    }
-    let mut waiting: BTreeMap<u64, u64> = BTreeMap::new();
-    for l in all(first) {
-        if !f_orders.contains(&l.l_orderkey) || l.l_receiptdate <= l.l_commitdate {
-            continue;
+    fold::<LineItem, ()>(exec, Scan(t.lineitem), |(), l| {
+        if let Some((first, several)) = suppliers_of.get_mut(&l.l_orderkey()) {
+            *several |= *first != l.l_suppkey();
         }
-        let multi = suppliers_per_order
-            .get(&l.l_orderkey)
-            .map(|s| s.len() > 1)
-            .unwrap_or(false);
-        if multi && saudi.contains(&l.l_suppkey) {
-            *waiting.entry(l.l_suppkey).or_default() += 1;
+    })?;
+    exec.charge_balanced(lines, 1.0)?;
+    let mut waiting = KeyTable::<u64>::default();
+    for (order, supplier) in waiting_lines {
+        if suppliers_of[&order].1 {
+            *waiting.entry(supplier).or_default() += 1;
         }
     }
     exec.charge_coordinator(waiting.len() as u64, 0.2);
@@ -865,30 +703,34 @@ fn q21(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
 
 /// q22: global sales opportunity — customers with no orders and good balance.
 fn q22(exec: &mut QueryExecutor<'_>, t: &TpchTables) -> QResult {
-    let customers = all(scan_decoded(exec, t.customer, false, |v| {
-        Customer::decode(v)
-    })?);
-    let orders = all(scan_orders(exec, t)?);
-    charge_balanced_compute(exec, (customers.len() + orders.len()) as u64, 1.0)?;
-    let with_orders: BTreeSet<u64> = orders.iter().map(|o| o.o_custkey).collect();
-    let wanted_cc: BTreeSet<u64> = [13, 31, 23, 29, 30, 18, 17].into_iter().collect();
-    let in_scope: Vec<&Customer> = customers
-        .iter()
-        .filter(|c| wanted_cc.contains(&c.c_phone_cc))
+    let wanted_cc = [13, 31, 23, 29, 30, 18, 17];
+    let (customers, in_scope) =
+        fold::<Customer, Vec<(u64, u64)>>(exec, Scan(t.customer), |in_scope, c| {
+            if wanted_cc.contains(&c.c_phone_cc()) {
+                in_scope.push((c.c_custkey(), c.c_acctbal()));
+            }
+        })?;
+    let mut has_orders: KeyTable<bool> = in_scope.iter().map(|(c, _)| (*c, false)).collect();
+    let (orders, ()) = fold::<Orders, ()>(exec, Scan(t.orders), |(), o| {
+        if let Some(has_orders) = has_orders.get_mut(&o.o_custkey()) {
+            *has_orders = true;
+        }
+    })?;
+    exec.charge_balanced(customers + orders, 1.0)?;
+    let positive: Vec<u64> = (in_scope.iter().map(|(_, balance)| *balance))
+        .filter(|&balance| balance > 0)
         .collect();
-    let positive: Vec<&&Customer> = in_scope.iter().filter(|c| c.c_acctbal > 0).collect();
     let avg = if positive.is_empty() {
         0.0
     } else {
-        positive.iter().map(|c| c.c_acctbal as f64).sum::<f64>() / positive.len() as f64
+        positive.iter().map(|&b| b as f64).sum::<f64>() / positive.len() as f64
     };
-    let result: f64 = in_scope
-        .iter()
-        .filter(|c| c.c_acctbal as f64 > avg && !with_orders.contains(&c.c_custkey))
-        .map(|c| money(c.c_acctbal))
-        .sum();
     exec.charge_coordinator(in_scope.len() as u64, 0.2);
-    Ok(result)
+    Ok(in_scope
+        .iter()
+        .filter(|(customer, balance)| *balance as f64 > avg && !has_orders[customer])
+        .map(|(_, balance)| money(*balance))
+        .sum())
 }
 
 /// Runs TPC-H query `n` (1-based) and returns its scalar result.

@@ -10,14 +10,8 @@ use dynahash_lsm::Bytes;
 
 /// Reads field `idx` (a big-endian u64) from an encoded payload.
 pub fn field_u64(payload: &[u8], idx: usize) -> Option<u64> {
-    let start = idx * 8;
-    let end = start + 8;
-    if payload.len() < end {
-        return None;
-    }
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&payload[start..end]);
-    Some(u64::from_be_bytes(b))
+    let field = payload.get(idx * 8..idx * 8 + 8)?;
+    Some(u64::from_be_bytes(field.try_into().ok()?))
 }
 
 fn encode_fields(fields: &[u64]) -> Bytes {
@@ -33,10 +27,20 @@ pub fn field_extractor(idx: usize) -> impl Fn(&[u8]) -> Option<Key> + Send + Syn
     move |payload: &[u8]| field_u64(payload, idx).map(Key::from_u64)
 }
 
+/// A TPC-H table: ties a record type to the zero-copy view of its payloads,
+/// so a query program can be generic over the table it folds.
+pub trait Table {
+    /// The view of one encoded row, borrowed from the payload.
+    type Row<'a>: Copy;
+
+    /// Views `payload` as a row; `None` if it is too short to be one.
+    fn row(payload: &[u8]) -> Option<Self::Row<'_>>;
+}
+
 macro_rules! table_record {
     (
         $(#[$meta:meta])*
-        $name:ident {
+        $name:ident / $row:ident {
             $( $(#[$fmeta:meta])* $field:ident : $fidx:expr ),+ $(,)?
         }
         key = |$slf:ident| $key:expr;
@@ -45,6 +49,36 @@ macro_rules! table_record {
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
         pub struct $name {
             $( $(#[$fmeta])* pub $field: u64, )+
+        }
+
+        #[doc = concat!("A row of [`", stringify!($name), "`] read in place: a view of the encoded")]
+        /// payload with one accessor per field, each a load from a fixed offset.
+        #[derive(Debug, Clone, Copy)]
+        pub struct $row<'a>(&'a [u8; $name::NUM_FIELDS * 8]);
+
+        impl<'a> $row<'a> {
+            /// Views a payload produced by the record's `encode`; `None` if
+            /// it is too short.
+            pub fn new(payload: &'a [u8]) -> Option<Self> {
+                Some($row(payload.get(..$name::NUM_FIELDS * 8)?.try_into().ok()?))
+            }
+
+            $(
+                $(#[$fmeta])*
+                pub fn $field(&self) -> u64 {
+                    let mut b = [0u8; 8];
+                    b.copy_from_slice(&self.0[$fidx * 8..$fidx * 8 + 8]);
+                    u64::from_be_bytes(b)
+                }
+            )+
+        }
+
+        impl Table for $name {
+            type Row<'a> = $row<'a>;
+
+            fn row(payload: &[u8]) -> Option<$row<'_>> {
+                $row::new(payload)
+            }
         }
 
         impl $name {
@@ -57,8 +91,9 @@ macro_rules! table_record {
 
             /// Decodes a payload produced by [`Self::encode`].
             pub fn decode(payload: &[u8]) -> Option<Self> {
+                let row = $row::new(payload)?;
                 Some(Self {
-                    $( $field: field_u64(payload, $fidx)?, )+
+                    $( $field: row.$field(), )+
                 })
             }
 
@@ -80,7 +115,7 @@ macro_rules! table_record {
 
 table_record! {
     /// The LINEITEM table (one row per order line).
-    LineItem {
+    LineItem / LineItemRow {
         /// Order this line belongs to (FK to Orders).
         l_orderkey: 0,
         /// Line number within the order (1..=7).
@@ -120,7 +155,7 @@ pub const L_SHIPDATE_FIELD: usize = 10;
 
 table_record! {
     /// The ORDERS table.
-    Orders {
+    Orders / OrdersRow {
         /// Primary key.
         o_orderkey: 0,
         /// Customer (FK to Customer).
@@ -146,7 +181,7 @@ pub const O_ORDERDATE_FIELD: usize = 4;
 
 table_record! {
     /// The CUSTOMER table.
-    Customer {
+    Customer / CustomerRow {
         /// Primary key.
         c_custkey: 0,
         /// Nation (FK to Nation).
@@ -163,7 +198,7 @@ table_record! {
 
 table_record! {
     /// The PART table.
-    Part {
+    Part / PartRow {
         /// Primary key.
         p_partkey: 0,
         /// Brand (0..=24).
@@ -184,7 +219,7 @@ table_record! {
 
 table_record! {
     /// The SUPPLIER table.
-    Supplier {
+    Supplier / SupplierRow {
         /// Primary key.
         s_suppkey: 0,
         /// Nation (FK to Nation).
@@ -199,7 +234,7 @@ table_record! {
 
 table_record! {
     /// The PARTSUPP table.
-    PartSupp {
+    PartSupp / PartSuppRow {
         /// Part (FK, part of the primary key).
         ps_partkey: 0,
         /// Supplier (FK, part of the primary key).
@@ -214,7 +249,7 @@ table_record! {
 
 table_record! {
     /// The NATION table (25 rows).
-    Nation {
+    Nation / NationRow {
         /// Primary key (0..=24).
         n_nationkey: 0,
         /// Region (FK to Region).
@@ -225,7 +260,7 @@ table_record! {
 
 table_record! {
     /// The REGION table (5 rows).
-    Region {
+    Region / RegionRow {
         /// Primary key (0..=4).
         r_regionkey: 0,
     }
@@ -271,6 +306,10 @@ mod tests {
         let enc = li.encode();
         assert_eq!(enc.len(), LineItem::NUM_FIELDS * 8);
         assert_eq!(LineItem::decode(&enc).unwrap(), li);
+        let row = LineItem::row(&enc).unwrap();
+        assert_eq!((row.l_orderkey(), row.l_shipinstruct()), (42, 1));
+        assert_eq!(row.l_shipdate(), li.l_shipdate);
+        assert!(LineItemRow::new(&enc[..enc.len() - 1]).is_none());
         assert_eq!(li.primary_key(), Key::from_pair(42, 3));
         assert_eq!(field_u64(&enc, L_SHIPDATE_FIELD).unwrap(), date(1995, 100));
     }
