@@ -40,15 +40,6 @@ impl Json {
         )
     }
 
-    /// Appends a field to an object value. Panics on non-objects (programmer
-    /// error in the experiments bin).
-    pub fn push_field(&mut self, name: &str, value: Json) {
-        match self {
-            Json::Obj(fields) => fields.push((name.to_string(), value)),
-            _ => panic!("push_field on a non-object JSON value"),
-        }
-    }
-
     /// Renders the value as compact JSON.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -137,12 +128,5 @@ mod tests {
             Json::Num(f64::NAN),
         ]);
         assert_eq!(v.render(), format!(r#"["a\"b\\c\nd",{},null]"#, u64::MAX));
-    }
-
-    #[test]
-    fn push_field_appends_in_order() {
-        let mut v = Json::obj([("a", Json::Int(1))]);
-        v.push_field("b", Json::Int(2));
-        assert_eq!(v.render(), r#"{"a":1,"b":2}"#);
     }
 }

@@ -14,7 +14,7 @@ use dynahash_lsm::entry::{Key, StorageFootprint, Value};
 use dynahash_lsm::metrics::MetricsSnapshot;
 use dynahash_lsm::wal::{LogRecordBody, RebalanceId, RebalanceLogStatus};
 
-use crate::control::{HeatCell, HeatReport, JobProgress, SessionRegistry};
+use crate::control::{HeatCell, HeatReport, JobProgress};
 use crate::controller::ClusterController;
 use crate::dataset::{DatasetId, DatasetMeta, DatasetSpec};
 use crate::fault::{ClusterHealth, FaultSchedule, FaultStats};
@@ -99,8 +99,6 @@ pub struct Cluster {
     /// Disarmed (`None` inside), every data path takes its pre-control-plane
     /// code path — the same arming shape as the fault plane.
     pub(crate) heat: HeatCell,
-    /// Sessions subscribed to commit-time directory pushes.
-    pub(crate) subscribers: SessionRegistry,
     /// Progress of in-flight rebalance jobs, published by the job steps and
     /// surfaced through [`Admin::health`].
     pub(crate) job_progress: BTreeMap<DatasetId, JobProgress>,
@@ -137,7 +135,6 @@ impl Cluster {
             active_rebalances: BTreeMap::new(),
             faults: FaultState::default(),
             heat: HeatCell::default(),
-            subscribers: SessionRegistry::default(),
             job_progress: BTreeMap::new(),
         }
     }
@@ -186,16 +183,6 @@ impl Cluster {
         }
         let ds = self.partition(partition).ok()?.dataset(dataset).ok()?;
         ds.primary.directory().lookup_key(key)
-    }
-
-    /// Pushes the dataset's current routing state (as a
-    /// [`dynahash_core::DirectoryDelta`] where possible) to every subscribed
-    /// session. Called by the rebalance commit path and by control-plane
-    /// hot-bucket splits.
-    pub(crate) fn push_routing_update(&self, dataset: DatasetId) {
-        if let Ok(meta) = self.controller.dataset(dataset) {
-            self.subscribers.push(dataset, meta);
-        }
     }
 
     // ---------------------------------------------------------- fault plane
@@ -1080,7 +1067,7 @@ mod tests {
             cluster
                 .write_routed(ds, Key::from_u64(4000), Some(own.clone()))
                 .unwrap();
-            let mut slabs: Vec<Value> = Vec::new();
+            let mut slabs: Vec<std::ops::Range<*const u8>> = Vec::new();
             for p in cluster.topology().partitions() {
                 let primary = &cluster.partition(p).unwrap().dataset(ds).unwrap().primary;
                 for b in primary.bucket_ids() {
@@ -1092,9 +1079,18 @@ mod tests {
                         .filter_map(|(k, op)| op.value().filter(|_| k.as_u64() < 4000))
                         .collect();
                     assert!(buffered.len() > 1, "4000 records over at most 256 buckets");
-                    assert!(buffered.iter().all(|v| v.shares_allocation(buffered[0])));
-                    assert!(slabs.iter().all(|s| !s.shares_allocation(buffered[0])));
-                    slabs.push(buffered[0].clone());
+                    // One slab: the values lie back to back in memory. Nobody
+                    // else's: no other bucket's run of values touches this one
+                    // (two allocations never abut — an `Arc<[u8]>` starts with
+                    // its counts).
+                    let mut spans: Vec<_> = buffered.iter().map(|v| v.as_ptr_range()).collect();
+                    spans.sort_by_key(|s| s.start);
+                    assert!(spans.windows(2).all(|w| w[0].end == w[1].start));
+                    let slab = spans[0].start..spans[spans.len() - 1].end;
+                    assert!(slabs
+                        .iter()
+                        .all(|s| s.end != slab.start && s.start != slab.end));
+                    slabs.push(slab);
                 }
             }
             let mut session = cluster.session(ds).unwrap();
@@ -1102,7 +1098,7 @@ mod tests {
                 .get(&cluster, &Key::from_u64(4000))
                 .unwrap()
                 .unwrap();
-            assert!(got.shares_allocation(&own));
+            assert!(std::ptr::eq(got.as_ptr(), own.as_ptr()));
             for (key, value) in records(4000).into_iter().step_by(97) {
                 assert_eq!(session.get(&cluster, &key).unwrap(), Some(value));
             }

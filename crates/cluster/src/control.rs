@@ -38,32 +38,28 @@
 //!
 //! Idle ticks are not wasted: with no job in flight and nothing triggered,
 //! the loop drains deferred secondary-index stashes (the background
-//! warm-indexes task) and the commit path pushes
-//! [`dynahash_core::DirectoryDelta`]s to subscribed sessions, so clients
-//! learn about auto-rebalances without paying a stale-route redirect.
+//! warm-indexes task). Sessions learn about an auto-rebalance the way they
+//! learn about any other: the first stale route is rejected and the session
+//! pulls a [`dynahash_core::DirectoryDelta`] (see [`crate::session`]).
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use dynahash_core::{
-    max_deviation_imbalance, BucketHeat, BucketId, DirectoryDelta, GlobalDirectory,
-    MigrationBudget, NodeId, PartitionId, RebalanceOutcome,
+    max_deviation_imbalance, BucketHeat, BucketId, GlobalDirectory, MigrationBudget, NodeId,
+    PartitionId, RebalanceOutcome,
 };
 use dynahash_lsm::entry::{Key, Value};
 use dynahash_lsm::wal::RebalanceId;
 
 use crate::cluster::Cluster;
-use crate::dataset::{DatasetId, DatasetMeta};
+use crate::dataset::DatasetId;
 use crate::job::RebalanceJob;
 use crate::sim::SimDuration;
 use crate::{ClusterError, Result};
 
 /// Decision-log entries kept by the control plane (older ones are dropped).
 const MAX_DECISIONS: usize = 64;
-
-/// Pushed updates buffered per subscribed session before the outbox
-/// collapses into a single full-resync marker.
-const MAX_PENDING_PUSHES: usize = 8;
 
 // ------------------------------------------------------------ heat tracking
 
@@ -316,109 +312,6 @@ impl std::fmt::Display for JobProgress {
             self.waves_total,
             self.eta.as_nanos() as f64 / 1e6,
         )
-    }
-}
-
-// ------------------------------------------------------- session delta push
-
-/// One update pushed to a subscribed session at rebalance commit time.
-#[derive(Debug, Clone)]
-pub(crate) enum PushedUpdate {
-    /// The directory change as a delta, plus the current partition list.
-    Delta {
-        delta: DirectoryDelta,
-        partitions: Vec<PartitionId>,
-        partitions_version: u64,
-    },
-    /// The change log no longer reaches back to the subscriber's version
-    /// (or the outbox overflowed): the session must do a full refresh.
-    Resync,
-}
-
-#[derive(Debug, Default)]
-struct Subscriber {
-    dataset: DatasetId,
-    /// The directory version the subscriber is known to hold (advanced by
-    /// every push, so successive deltas chain).
-    directory_version: u64,
-    pending: Vec<PushedUpdate>,
-}
-
-/// The registry of sessions subscribed to commit-time directory pushes.
-/// Interior mutability for the same reason as [`HeatCell`]: sessions drain
-/// their outbox through `&Cluster` (see LOCK_ORDER.md, rank 20; the borrow
-/// never outlives a method call).
-#[derive(Debug, Default)]
-pub(crate) struct SessionRegistry {
-    inner: RefCell<RegistryState>,
-}
-
-#[derive(Debug, Default)]
-struct RegistryState {
-    next_id: u64,
-    subscribers: BTreeMap<u64, Subscriber>,
-}
-
-impl SessionRegistry {
-    /// Registers a subscriber currently holding `directory_version` of
-    /// `dataset`'s directory; returns its subscription id.
-    pub(crate) fn register(&self, dataset: DatasetId, directory_version: u64) -> u64 {
-        let mut state = self.inner.borrow_mut();
-        let id = state.next_id;
-        state.next_id += 1;
-        state.subscribers.insert(
-            id,
-            Subscriber {
-                dataset,
-                directory_version,
-                pending: Vec::new(),
-            },
-        );
-        id
-    }
-
-    /// Pushes the dataset's current routing state to every subscriber: a
-    /// chained delta when the change log reaches back to the subscriber's
-    /// version, a resync marker otherwise.
-    pub(crate) fn push(&self, dataset: DatasetId, meta: &DatasetMeta) {
-        let mut state = self.inner.borrow_mut();
-        for sub in state.subscribers.values_mut() {
-            if sub.dataset != dataset {
-                continue;
-            }
-            let update = match &meta.directory {
-                Some(dir) if dir.version() == sub.directory_version => continue,
-                Some(dir) => match dir.delta_since(sub.directory_version) {
-                    Some(delta) => {
-                        sub.directory_version = dir.version();
-                        PushedUpdate::Delta {
-                            delta,
-                            partitions: meta.partitions.clone(),
-                            partitions_version: meta.partitions_version,
-                        }
-                    }
-                    None => {
-                        sub.directory_version = dir.version();
-                        PushedUpdate::Resync
-                    }
-                },
-                None => PushedUpdate::Resync,
-            };
-            sub.pending.push(update);
-            if sub.pending.len() > MAX_PENDING_PUSHES {
-                sub.pending.clear();
-                sub.pending.push(PushedUpdate::Resync);
-            }
-        }
-    }
-
-    /// Drains a subscriber's outbox (empty for unknown ids).
-    pub(crate) fn take(&self, id: u64) -> Vec<PushedUpdate> {
-        let mut state = self.inner.borrow_mut();
-        match state.subscribers.get_mut(&id) {
-            Some(sub) => std::mem::take(&mut sub.pending),
-            None => Vec::new(),
-        }
     }
 }
 
@@ -786,7 +679,6 @@ pub struct TickReport {
 #[derive(Debug, Default)]
 pub struct ControlPlane {
     config: ControlConfig,
-    tick: u64,
     /// Consecutive imbalanced ticks per dataset.
     streaks: BTreeMap<DatasetId, u32>,
     /// First tick at which a dataset may trigger again.
@@ -802,18 +694,9 @@ pub struct ControlPlane {
     window_start: u64,
     window_buckets: usize,
     window_bytes: u64,
-    closed_windows: Vec<WindowUsage>,
-    decisions: Vec<ControlDecision>,
-    triggers: u64,
-    suppressed_hysteresis: u64,
-    suppressed_cooldown: u64,
-    deferred: u64,
-    committed_jobs: u64,
-    aborted_jobs: u64,
-    replans: u64,
-    repairs: u64,
-    hot_splits: u64,
-    warmed_records: u64,
+    /// Every counter, the bounded decision log and the closed budget
+    /// windows; [`ControlPlane::status`] adds the open window.
+    status: ControlStatus,
 }
 
 impl ControlPlane {
@@ -848,29 +731,15 @@ impl ControlPlane {
 
     /// A snapshot of counters, recent decisions, and budget windows.
     pub fn status(&self) -> ControlStatus {
-        let mut windows = self.closed_windows.clone();
+        let mut status = self.status.clone();
         if self.window_buckets > 0 || self.window_bytes > 0 {
-            windows.push(WindowUsage {
+            status.windows.push(WindowUsage {
                 start_tick: self.window_start,
                 buckets: self.window_buckets,
                 bytes: self.window_bytes,
             });
         }
-        ControlStatus {
-            ticks: self.tick,
-            triggers: self.triggers,
-            suppressed_hysteresis: self.suppressed_hysteresis,
-            suppressed_cooldown: self.suppressed_cooldown,
-            deferred: self.deferred,
-            committed_jobs: self.committed_jobs,
-            aborted_jobs: self.aborted_jobs,
-            replans: self.replans,
-            repairs: self.repairs,
-            hot_splits: self.hot_splits,
-            warmed_records: self.warmed_records,
-            decisions: self.decisions.clone(),
-            windows,
-        }
+        status
     }
 
     /// One control tick: decay heat, roll the budget window, drive the
@@ -880,21 +749,21 @@ impl ControlPlane {
     /// buckets and sustained imbalance, and warm deferred indexes when the
     /// tick ends up idle.
     pub fn tick(&mut self, cluster: &mut Cluster) -> Result<TickReport> {
-        self.tick += 1;
-        if self.tick - self.window_start >= self.config.budget.window_ticks.max(1) {
-            self.closed_windows.push(WindowUsage {
+        self.status.ticks += 1;
+        if self.status.ticks - self.window_start >= self.config.budget.window_ticks.max(1) {
+            self.status.windows.push(WindowUsage {
                 start_tick: self.window_start,
                 buckets: self.window_buckets,
                 bytes: self.window_bytes,
             });
-            self.window_start = self.tick;
+            self.window_start = self.status.ticks;
             self.window_buckets = 0;
             self.window_bytes = 0;
         }
         cluster.heat.decay();
 
         let mut report = TickReport {
-            tick: self.tick,
+            tick: self.status.ticks,
             ..TickReport::default()
         };
         if self.job.is_some() {
@@ -911,19 +780,34 @@ impl ControlPlane {
             for ds in cluster.controller.dataset_ids() {
                 let warmed = cluster.admin().warm_indexes(ds)?;
                 report.warmed_records += warmed;
-                self.warmed_records += warmed;
+                self.status.warmed_records += warmed;
             }
         }
         report.job_in_flight = self.job.is_some();
         Ok(report)
     }
 
+    /// Records a decision in the tick report and the bounded log, and
+    /// counts it.
     fn log(&mut self, report: &mut TickReport, decision: ControlDecision) {
+        let status = &mut self.status;
+        match decision {
+            ControlDecision::Triggered { .. } => status.triggers += 1,
+            ControlDecision::SuppressedByHysteresis { .. } => status.suppressed_hysteresis += 1,
+            ControlDecision::SuppressedByCooldown { .. } => status.suppressed_cooldown += 1,
+            ControlDecision::DeferredByBudget { .. } => status.deferred += 1,
+            ControlDecision::NoImprovement { .. } => {}
+            ControlDecision::HotSplit { .. } => status.hot_splits += 1,
+            ControlDecision::Replanned { .. } => status.replans += 1,
+            ControlDecision::Committed { .. } => status.committed_jobs += 1,
+            ControlDecision::Aborted { .. } => status.aborted_jobs += 1,
+            ControlDecision::Repaired { .. } => status.repairs += 1,
+        }
         report.decisions.push(decision.clone());
-        self.decisions.push(decision);
-        if self.decisions.len() > MAX_DECISIONS {
-            let excess = self.decisions.len() - MAX_DECISIONS;
-            self.decisions.drain(..excess);
+        status.decisions.push(decision);
+        if status.decisions.len() > MAX_DECISIONS {
+            let excess = status.decisions.len() - MAX_DECISIONS;
+            status.decisions.drain(..excess);
         }
     }
 
@@ -939,11 +823,10 @@ impl ControlPlane {
                 return Ok(());
             };
             if repair.outcome == RebalanceOutcome::Committed {
-                self.repairs += 1;
                 self.log(
                     report,
                     ControlDecision::Repaired {
-                        tick: self.tick,
+                        tick: self.status.ticks,
                         dataset,
                         rebalance: repair.rebalance_id,
                         buckets: repair.buckets_moved,
@@ -982,16 +865,15 @@ impl ControlPlane {
         };
         if outcome.is_ok() {
             self.cooldown_until
-                .insert(dataset, self.tick + self.config.cooldown_ticks);
+                .insert(dataset, self.status.ticks + self.config.cooldown_ticks);
         }
         if matches!(outcome, Ok(RebalanceOutcome::Committed)) {
-            self.committed_jobs += 1;
             self.streaks.insert(dataset, 0);
             let bytes = job.bytes_shipped();
             self.log(
                 report,
                 ControlDecision::Committed {
-                    tick: self.tick,
+                    tick: self.status.ticks,
                     dataset,
                     rebalance,
                     bytes,
@@ -999,11 +881,10 @@ impl ControlPlane {
             );
             report.committed = Some((dataset, rebalance));
         } else {
-            self.aborted_jobs += 1;
             self.log(
                 report,
                 ControlDecision::Aborted {
-                    tick: self.tick,
+                    tick: self.status.ticks,
                     dataset,
                     rebalance,
                 },
@@ -1025,11 +906,10 @@ impl ControlPlane {
             // Health monitoring: a no-op unless a participant was lost.
             let replan = job.replan_wave(cluster)?;
             if !replan.is_noop() {
-                self.replans += 1;
                 self.log(
                     report,
                     ControlDecision::Replanned {
-                        tick: self.tick,
+                        tick: self.status.ticks,
                         dataset,
                         lost_nodes: replan.lost_nodes,
                         rerouted: replan.rerouted,
@@ -1046,11 +926,10 @@ impl ControlPlane {
                 wave_buckets,
                 wave_bytes,
             ) {
-                self.deferred += 1;
                 self.log(
                     report,
                     ControlDecision::DeferredByBudget {
-                        tick: self.tick,
+                        tick: self.status.ticks,
                         dataset,
                         wave_buckets,
                         wave_bytes,
@@ -1101,11 +980,10 @@ impl ControlPlane {
                 Ok((lo, hi)) => {
                     cluster.heat.on_split(dataset, bucket, lo, hi);
                     splits += 1;
-                    self.hot_splits += 1;
                     self.log(
                         report,
                         ControlDecision::HotSplit {
-                            tick: self.tick,
+                            tick: self.status.ticks,
                             dataset,
                             bucket,
                             ops,
@@ -1124,7 +1002,6 @@ impl ControlPlane {
             if let Some(dir) = cluster.controller.dataset_mut(dataset)?.directory.as_mut() {
                 dir.install(&refreshed);
             }
-            cluster.push_routing_update(dataset);
         }
         Ok(splits)
     }
@@ -1147,13 +1024,12 @@ impl ControlPlane {
                 continue;
             }
             if let Some(&until) = self.cooldown_until.get(&dataset) {
-                if self.tick < until {
-                    self.suppressed_cooldown += 1;
+                if self.status.ticks < until {
                     self.streaks.insert(dataset, 0);
                     self.log(
                         report,
                         ControlDecision::SuppressedByCooldown {
-                            tick: self.tick,
+                            tick: self.status.ticks,
                             dataset,
                             imbalance,
                             until,
@@ -1166,11 +1042,10 @@ impl ControlPlane {
             *streak += 1;
             let streak = *streak;
             if streak < self.config.hysteresis_ticks.max(1) {
-                self.suppressed_hysteresis += 1;
                 self.log(
                     report,
                     ControlDecision::SuppressedByHysteresis {
-                        tick: self.tick,
+                        tick: self.status.ticks,
                         dataset,
                         imbalance,
                         streak,
@@ -1195,12 +1070,12 @@ impl ControlPlane {
                 job.abort(cluster)?;
                 job.finalize(cluster)?;
                 self.cooldown_until
-                    .insert(dataset, self.tick + self.config.cooldown_ticks);
+                    .insert(dataset, self.status.ticks + self.config.cooldown_ticks);
                 self.streaks.insert(dataset, 0);
                 self.log(
                     report,
                     ControlDecision::NoImprovement {
-                        tick: self.tick,
+                        tick: self.status.ticks,
                         dataset,
                         imbalance,
                     },
@@ -1208,12 +1083,11 @@ impl ControlPlane {
                 continue;
             }
             job.init(cluster)?;
-            self.triggers += 1;
             self.streaks.insert(dataset, 0);
             self.log(
                 report,
                 ControlDecision::Triggered {
-                    tick: self.tick,
+                    tick: self.status.ticks,
                     dataset,
                     imbalance,
                     moves: job.plan_ref().num_moves(),
@@ -1470,36 +1344,6 @@ mod tests {
             let (k, v) = record(i);
             assert_eq!(session.get(&cluster, &k).unwrap(), Some(v));
         }
-    }
-
-    #[test]
-    fn subscribed_session_gets_the_commit_delta_pushed() {
-        let (mut cluster, ds) = loaded(2, 1500);
-        let mut subscribed = cluster.session(ds).unwrap();
-        subscribed.subscribe(&cluster);
-        let mut unsubscribed = cluster.session(ds).unwrap();
-        cluster.add_node().unwrap();
-        let target = cluster.topology().clone();
-        let report = cluster
-            .rebalance(ds, &target, crate::rebalance::RebalanceOptions::none())
-            .unwrap();
-        assert!(report.buckets_moved > 0);
-        for i in 0..1500u64 {
-            let (k, v) = record(i);
-            assert_eq!(subscribed.get(&cluster, &k).unwrap(), Some(v.clone()));
-            assert_eq!(unsubscribed.get(&cluster, &k).unwrap(), Some(v));
-        }
-        assert_eq!(
-            subscribed.metrics().redirects,
-            0,
-            "the pushed delta must arrive before any stale route"
-        );
-        assert!(subscribed.metrics().pushed_refreshes >= 1);
-        assert_eq!(
-            unsubscribed.metrics().redirects,
-            1,
-            "the unsubscribed session still pays the pull-based redirect"
-        );
     }
 
     #[test]

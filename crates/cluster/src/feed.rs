@@ -75,11 +75,6 @@ impl ControlledRateFeed {
     pub fn records_for(&self, elapsed: SimDuration) -> u64 {
         (self.records_per_sec * elapsed.as_secs_f64()) as u64
     }
-
-    /// True if the feed produces no records.
-    pub fn is_idle(&self) -> bool {
-        self.records_per_sec <= 0.0
-    }
 }
 
 /// Splits a batch of feed records into exactly `n` sub-batches of near-equal
@@ -162,7 +157,7 @@ mod tests {
     fn controlled_rate_feed_scales_with_time() {
         let feed = ControlledRateFeed::krecords_per_sec(10.0);
         assert_eq!(feed.records_for(SimDuration::from_secs(2)), 20_000);
-        assert!(!feed.is_idle());
-        assert!(ControlledRateFeed::krecords_per_sec(0.0).is_idle());
+        let idle = ControlledRateFeed::krecords_per_sec(0.0);
+        assert_eq!(idle.records_for(SimDuration::from_secs(2)), 0);
     }
 }

@@ -71,9 +71,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dynahash_core::{
-    BucketId, BucketMove, ClusterTopology, GlobalDirectory, MovePolicy, NodeId, NodeVote,
-    PartitionId, RebalanceCoordinator, RebalanceOutcome, RebalancePlan, SecondaryRebuild,
-    SpeculationPolicy,
+    BucketId, BucketMove, ClusterTopology, GlobalDirectory, MovePolicy, NodeId, PartitionId,
+    RebalanceOutcome, RebalancePlan, SecondaryRebuild, SpeculationPolicy,
 };
 use dynahash_lsm::entry::{Key, Value};
 use dynahash_lsm::wal::{LogRecordBody, RebalanceId, ShippedMove};
@@ -216,7 +215,10 @@ pub struct RebalanceJob {
     plan: RebalancePlan,
     waves: Vec<Vec<BucketMove>>,
     participants: Vec<NodeId>,
-    coordinator: RebalanceCoordinator,
+    /// Participants that voted "prepared" (a dead node casts no vote).
+    votes: BTreeSet<NodeId>,
+    /// Participants that ran their commit tasks.
+    commit_acks: BTreeSet<NodeId>,
     move_policy: MovePolicy,
     secondary_rebuild: SecondaryRebuild,
     speculation: SpeculationPolicy,
@@ -402,10 +404,11 @@ impl RebalanceJob {
         RebalanceJob {
             dataset,
             rebalance_id: plan.rebalance_id,
-            coordinator: RebalanceCoordinator::new(plan.rebalance_id, participants.clone()),
             plan,
             waves,
             participants,
+            votes: BTreeSet::new(),
+            commit_acks: BTreeSet::new(),
             move_policy: MovePolicy::default(),
             secondary_rebuild: SecondaryRebuild::default(),
             speculation: SpeculationPolicy::default(),
@@ -429,7 +432,7 @@ impl RebalanceJob {
     /// Initialization: disables bucket splits for the duration of the
     /// rebalance, snapshot-flushes every moving bucket (its flush time is the
     /// rebalance start time for the concurrency-control split), and moves the
-    /// coordinator into the data-movement phase.
+    /// job into the data-movement phase.
     pub fn init(&mut self, cluster: &mut Cluster) -> Result<()> {
         self.require(matches!(self.state, JobState::Planned), "init")?;
         let cost = cluster.cost_model();
@@ -460,9 +463,6 @@ impl RebalanceJob {
                 .charge(node, cost.disk_write(delta.bytes_flushed));
         }
 
-        self.coordinator
-            .start_data_movement()
-            .map_err(ClusterError::Core)?;
         self.state = JobState::Moving { completed_waves: 0 };
         self.publish_progress(cluster);
         Ok(())
@@ -846,9 +846,9 @@ impl RebalanceJob {
     ///   the commit installs them empty on a survivor so the directory keeps
     ///   covering the hash space, and the dataset serves every other bucket
     ///   (degraded mode, surfaced by [`Admin::health`]);
-    /// * drops the node from the participant set, the 2PC coordinator, and
-    ///   the target topology, then reschedules the still-pending moves into
-    ///   fresh waves.
+    /// * drops the node from the participant set (its vote and commit ack
+    ///   with it) and the target topology, then reschedules the
+    ///   still-pending moves into fresh waves.
     ///
     /// Sessions keep serving reads from still-live sources throughout: the
     /// routing directory only changes at commit.
@@ -974,7 +974,8 @@ impl RebalanceJob {
 
         // Shrink the 2PC to the survivors and adopt the amended target.
         for n in &lost {
-            self.coordinator.remove_participant(*n);
+            self.votes.remove(n);
+            self.commit_acks.remove(n);
         }
         self.participants.retain(|n| !lost.contains(n));
         self.plan.target = new_target;
@@ -1067,9 +1068,6 @@ impl RebalanceJob {
             "prepare",
         )?;
         let cost = cluster.cost_model();
-        self.coordinator
-            .start_prepare()
-            .map_err(ClusterError::Core)?;
         for m in &self.plan.moves {
             let dst_node = self
                 .plan
@@ -1093,9 +1091,7 @@ impl RebalanceJob {
         // Alive participants vote yes; dead ones cannot vote.
         for n in &self.participants {
             if cluster.node_is_alive(*n) {
-                self.coordinator
-                    .record_vote(*n, NodeVote::Yes)
-                    .map_err(ClusterError::Core)?;
+                self.votes.insert(*n);
             }
         }
         self.fin_tl.charge_coordinator(SimDuration::from_nanos(
@@ -1112,18 +1108,23 @@ impl RebalanceJob {
     /// all pending buckets).
     pub fn decide(&mut self, cluster: &mut Cluster) -> Result<RebalanceOutcome> {
         self.require(matches!(self.state, JobState::Prepared), "decide")?;
-        if self.coordinator.unanimous_yes() {
+        let outcome = if self.every_participant_in(&self.votes) {
             // The outcome is determined by forcing the COMMIT record.
             cluster
                 .controller
                 .log_outcome(self.rebalance_id, RebalanceOutcome::Committed);
-        }
-        let outcome = self.coordinator.decide().map_err(ClusterError::Core)?;
-        if outcome == RebalanceOutcome::Aborted {
+            RebalanceOutcome::Committed
+        } else {
             self.abort_cleanup(cluster)?;
-        }
+            RebalanceOutcome::Aborted
+        };
         self.state = JobState::Decided(outcome);
         Ok(outcome)
+    }
+
+    /// True when `set` (the votes, or the commit acks) holds every participant.
+    fn every_participant_in(&self, set: &BTreeSet<NodeId>) -> bool {
+        self.participants.iter().all(|n| set.contains(n))
     }
 
     /// Aborts the job from any step before the commit decision (operator
@@ -1136,7 +1137,6 @@ impl RebalanceJob {
             JobState::Decided(RebalanceOutcome::Aborted) => return Ok(()),
             _ => return Err(self.invalid_step("abort")),
         }
-        self.coordinator.abort().map_err(ClusterError::Core)?;
         self.abort_cleanup(cluster)?;
         self.state = JobState::Decided(RebalanceOutcome::Aborted);
         self.publish_progress(cluster);
@@ -1168,9 +1168,6 @@ impl RebalanceJob {
         // The new directory is live: ingestion resumes through it.
         cluster.active_rebalances.remove(&self.dataset);
         self.state = JobState::CommitTasksDone;
-        // Subscribed sessions learn about the new directory by push instead
-        // of waiting to trip over a routing validation failure.
-        cluster.push_routing_update(self.dataset);
         self.publish_progress(cluster);
         Ok(())
     }
@@ -1197,7 +1194,9 @@ impl RebalanceJob {
                 // With nobody brought back and every ack in, nothing is
                 // re-driven; the CC's message round is still charged, so
                 // simulated time does not depend on which branch ran.
-                if cluster.recover_all_nodes().is_empty() && self.coordinator.all_committed() {
+                if cluster.recover_all_nodes().is_empty()
+                    && self.every_participant_in(&self.commit_acks)
+                {
                     self.charge_commit_messages(cluster);
                 } else {
                     self.run_commit_tasks(cluster)?;
@@ -1207,7 +1206,6 @@ impl RebalanceJob {
             _ => return Err(self.invalid_step("finalize")),
         };
         cluster.controller.log_done(self.rebalance_id);
-        self.coordinator.finish().map_err(ClusterError::Core)?;
         // Splits resume whatever the outcome. (Commit and abort already
         // dropped the in-flight registration; by now it may be the next job's.)
         cluster.set_splits_enabled(self.dataset, true)?;
@@ -1592,9 +1590,7 @@ impl RebalanceJob {
         // recovers it and runs these (idempotent) tasks again.
         for n in &self.participants {
             if cluster.node_is_alive(*n) {
-                self.coordinator
-                    .record_committed(*n)
-                    .map_err(ClusterError::Core)?;
+                self.commit_acks.insert(*n);
             }
         }
         Ok(())
@@ -1723,6 +1719,7 @@ mod tests {
     use super::*;
     use crate::dataset::DatasetSpec;
     use dynahash_core::Scheme;
+    use dynahash_lsm::wal::RebalanceLogStatus;
     use dynahash_lsm::Bytes;
 
     fn loaded(nodes: u32, n: u64) -> (Cluster, DatasetId) {
@@ -1768,6 +1765,16 @@ mod tests {
             job.decide(&mut cluster).unwrap(),
             RebalanceOutcome::Committed
         );
+        // COMMIT is forced: the outcome can no longer be taken back, and
+        // DONE cannot be forced before the commit tasks ran
+        assert!(matches!(
+            job.abort(&mut cluster),
+            Err(ClusterError::InvalidJobStep { .. })
+        ));
+        assert!(matches!(
+            job.finalize(&mut cluster),
+            Err(ClusterError::InvalidJobStep { .. })
+        ));
         job.commit(&mut cluster).unwrap();
         let report = job.finalize(&mut cluster).unwrap();
         assert_eq!(report.outcome, RebalanceOutcome::Committed);
@@ -1793,13 +1800,48 @@ mod tests {
         assert!(job.commit(&mut cluster).is_err());
         assert!(job.finalize(&mut cluster).is_err());
         job.init(&mut cluster).unwrap();
-        // cannot prepare with waves remaining
+        // cannot start data movement twice, or prepare with waves remaining
+        assert!(job.init(&mut cluster).is_err());
         assert!(job.prepare(&mut cluster).is_err());
         // abort works mid-movement and is idempotent
         job.abort(&mut cluster).unwrap();
         job.abort(&mut cluster).unwrap();
         let report = job.finalize(&mut cluster).unwrap();
         assert_eq!(report.outcome, RebalanceOutcome::Aborted);
+        assert_eq!(cluster.dataset_len(ds).unwrap(), 500);
+        cluster
+            .check_rebalance_integrity(ds, report.rebalance_id)
+            .unwrap();
+
+        // a participant that is down at prepare casts no vote, and a
+        // missing vote aborts: ABORT is forced and nothing stays pending
+        let mut job = RebalanceJob::plan(&mut cluster, ds, &target, 4).unwrap();
+        job.init(&mut cluster).unwrap();
+        while job.has_remaining_waves() {
+            job.run_wave(&mut cluster).unwrap();
+        }
+        cluster.crash_node(NodeId(2)).unwrap();
+        job.prepare(&mut cluster).unwrap();
+        assert_eq!(job.votes.len() + 1, job.participants.len());
+        assert_eq!(job.decide(&mut cluster).unwrap(), RebalanceOutcome::Aborted);
+        // once aborted, the commit tasks can no longer run
+        assert!(matches!(
+            job.commit(&mut cluster),
+            Err(ClusterError::InvalidJobStep { .. })
+        ));
+        assert_eq!(
+            cluster
+                .controller
+                .metadata_log
+                .rebalance_status(job.rebalance_id()),
+            RebalanceLogStatus::Aborted
+        );
+        let report = job.finalize(&mut cluster).unwrap();
+        assert_eq!(report.outcome, RebalanceOutcome::Aborted);
+        for p in cluster.topology().partitions() {
+            let ds = cluster.partition(p).unwrap().dataset(ds).unwrap();
+            assert!(ds.primary.pending_bucket_ids().is_empty(), "{p:?}");
+        }
         assert_eq!(cluster.dataset_len(ds).unwrap(), 500);
         cluster
             .check_rebalance_integrity(ds, report.rebalance_id)

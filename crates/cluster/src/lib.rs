@@ -63,7 +63,7 @@ pub use fault::{ClusterHealth, Fault, FaultSchedule, FaultStats, NodeState};
 pub use feed::{split_into_batches, ControlledRateFeed, IngestReport};
 pub use job::{JobState, RebalanceJob, ReplanReport, StepPoint, WaveReport};
 pub use node::NodeController;
-pub use partition::{Partition, PartitionDataset, SecondaryState};
+pub use partition::{Partition, PartitionDataset};
 pub use query::{in_key_order, KeyTable, QueryExecutor, QueryReport};
 pub use rebalance::{PhaseTimes, RebalanceOptions, RebalanceReport};
 pub use recovery::RecoveryReport;

@@ -52,11 +52,6 @@ impl NodeController {
         }
     }
 
-    /// The partitions hosted by this node.
-    pub fn partition_ids(&self) -> Vec<PartitionId> {
-        self.partitions.keys().copied().collect()
-    }
-
     /// Access to a partition.
     pub fn partition(&self, id: PartitionId) -> Result<&Partition, ClusterError> {
         self.partitions
@@ -149,7 +144,7 @@ mod tests {
     #[test]
     fn node_hosts_its_partitions() {
         let n = NodeController::new(NodeId(2), vec![PartitionId(8), PartitionId(9)]);
-        assert_eq!(n.partition_ids(), vec![PartitionId(8), PartitionId(9)]);
+        assert!(n.partitions.keys().eq(&[PartitionId(8), PartitionId(9)]));
         assert!(n.partition(PartitionId(8)).is_ok());
         assert!(n.partition(PartitionId(7)).is_err());
         assert!(n.is_alive());

@@ -39,19 +39,6 @@ fn collect_secondary_entries(
     }
 }
 
-/// Whether a received bucket's secondary-index entries have been
-/// materialized at this partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SecondaryState {
-    /// The bucket's secondary entries are fully materialized (eager install,
-    /// record-level load, or an already-warmed deferred install).
-    Ready,
-    /// The bucket was installed from shipped components without rebuilding
-    /// its secondary entries; the rebuild runs on the first `index_scan`
-    /// touching the dataset or an explicit `warm_indexes` call.
-    Deferred,
-}
-
 /// The primary-key-index side of one pending bucket: sealed keys-only
 /// components (newest first) plus the replicated writes since the last seal.
 /// A replicated write costs one `Vec` push here — a client put that is being
@@ -409,9 +396,9 @@ impl PartitionDataset {
     ///   shipped components and bulk-loads the extracted entries into the
     ///   pending secondary lists right here, on the commit path.
     /// * [`SecondaryRebuild::Deferred`] (the default) only stashes `Arc`
-    ///   clones of the shipped handles: the bucket is recorded as
-    ///   [`SecondaryState::Deferred`] and the extraction runs on the first
-    ///   `index_scan` touching the dataset (or `warm_indexes`).
+    ///   clones of the shipped handles: the bucket is recorded as deferred
+    ///   and the extraction runs on the first `index_scan` touching the
+    ///   dataset (or `warm_indexes`).
     ///
     /// Returns the number of records covered (identical under both modes),
     /// for cost accounting and the ship log. Producing that count is one
@@ -465,17 +452,6 @@ impl PartitionDataset {
         Ok(live_records)
     }
 
-    /// Whether a received bucket's secondary entries are materialized.
-    pub fn secondary_state(&self, bucket: &BucketId) -> SecondaryState {
-        if self.deferred_pending.contains_key(bucket)
-            || self.deferred_installed.contains_key(bucket)
-        {
-            SecondaryState::Deferred
-        } else {
-            SecondaryState::Ready
-        }
-    }
-
     /// True if any committed bucket still awaits its deferred secondary
     /// rebuild.
     pub fn has_deferred_secondary(&self) -> bool {
@@ -483,8 +459,7 @@ impl PartitionDataset {
     }
 
     /// The index work a rebalance left for the first query. Materializes the
-    /// secondary entries of every committed [`SecondaryState::Deferred`]
-    /// bucket: the stashed shipped components are merge-iterated once and
+    /// secondary entries of every committed deferred bucket: the stashed shipped components are merge-iterated once and
     /// the extracted entries land as the oldest data of each visible
     /// secondary index, so replicated writes installed at commit time keep
     /// superseding them. Returns the number of records processed (0 when
@@ -742,6 +717,11 @@ mod tests {
             .collect()
     }
 
+    /// Whether the bucket's secondary entries still await their rebuild.
+    fn is_deferred(ds: &PartitionDataset, bucket: &BucketId) -> bool {
+        ds.deferred_pending.contains_key(bucket) || ds.deferred_installed.contains_key(bucket)
+    }
+
     fn payload(secondary: u64) -> dynahash_lsm::Bytes {
         let mut v = secondary.to_be_bytes().to_vec();
         v.extend_from_slice(&[0u8; 56]);
@@ -762,7 +742,7 @@ mod tests {
         let hits = ds
             .secondary_mut("idx_first8")
             .unwrap()
-            .search_exact(&Key::from_u64(3));
+            .search_range(Some(&Key::from_u64(3)), Some(&Key::from_u64(4)));
         assert_eq!(hits.len(), 30);
         assert!(ds.total_storage_bytes() > 0);
         assert_eq!(p.dataset_ids(), vec![1]);
@@ -814,7 +794,7 @@ mod tests {
         let sec_hits = dst_ds
             .secondary_mut("idx_first8")
             .unwrap()
-            .search_exact(&Key::from_u64(99));
+            .search_range(Some(&Key::from_u64(99)), Some(&Key::from_u64(100)));
         assert_eq!(sec_hits.len(), 1);
 
         let src_ds = src.dataset_mut(1).unwrap();
@@ -875,8 +855,9 @@ mod tests {
                 .dataset(1)
                 .unwrap()
                 .primary
-                .bucket_entries(&moved)
-                .unwrap()[0]
+                .bucket_tree(&moved)
+                .unwrap()
+                .scan_all()[0]
                 .key
                 .clone();
             let old = src.dataset(1).unwrap().get(&victim);
@@ -886,10 +867,10 @@ mod tests {
             dst_ds.flush_pending();
             dst_ds.install_pending(moved).unwrap();
             if rebuild == SecondaryRebuild::Deferred {
-                assert_eq!(dst_ds.secondary_state(&moved), SecondaryState::Deferred);
+                assert!(is_deferred(dst_ds, &moved));
                 assert!(dst_ds.has_deferred_secondary());
             } else {
-                assert_eq!(dst_ds.secondary_state(&moved), SecondaryState::Ready);
+                assert!(!is_deferred(dst_ds, &moved));
             }
             // warming is what an index scan does on first touch; afterwards
             // the bucket is Ready and a second warm is free
@@ -899,7 +880,7 @@ mod tests {
             } else {
                 assert_eq!(warmed, 0);
             }
-            assert_eq!(dst_ds.secondary_state(&moved), SecondaryState::Ready);
+            assert!(!is_deferred(dst_ds, &moved));
             assert_eq!(dst_ds.warm_secondary_indexes(), 0);
             let mut hits = dst_ds
                 .secondary_mut("idx_first8")
@@ -934,10 +915,10 @@ mod tests {
         }
         ship_into(&mut src, &mut dst, moved, SecondaryRebuild::Deferred);
         let dst_ds = dst.dataset_mut(1).unwrap();
-        assert_eq!(dst_ds.secondary_state(&moved), SecondaryState::Deferred);
+        assert!(is_deferred(dst_ds, &moved));
         // crash/abort wipes the pending bucket AND its stash: nothing to warm
         dst_ds.drop_all_pending();
-        assert_eq!(dst_ds.secondary_state(&moved), SecondaryState::Ready);
+        assert!(!is_deferred(dst_ds, &moved));
         assert_eq!(dst_ds.warm_secondary_indexes(), 0);
         assert!(dst_ds
             .secondary_mut("idx_first8")
@@ -967,7 +948,7 @@ mod tests {
         let dst_ds = dst.dataset_mut(1).unwrap();
         dst_ds.install_pending(moved).unwrap();
         let (lo, hi) = dst_ds.primary.split_bucket(moved).unwrap();
-        let keep = dst_ds.primary.bucket_entries(&lo).unwrap().len();
+        let keep = dst_ds.primary.bucket_tree(&lo).unwrap().scan_all().len();
         assert!(keep > 0);
         // `hi` moves away before any index scan warmed the stash
         dst_ds.cleanup_moved_buckets(&[hi]).unwrap();

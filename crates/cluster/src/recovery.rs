@@ -223,7 +223,7 @@ mod tests {
     fn ingest_into_downed_node_fails() {
         let (mut cluster, ds) = loaded(2);
         cluster.crash_node(NodeId(0)).unwrap();
-        let err = cluster.ingest(ds, vec![(Key::from_u64(50_000), Bytes::from_static(b"x"))]);
+        let err = cluster.ingest(ds, vec![(Key::from_u64(50_000), Bytes::from("x"))]);
         // the record may route to node 0 (down) or node 1 (up); if it routes
         // to the downed node the feed fails with NodeDown
         if let Err(e) = err {

@@ -26,11 +26,11 @@
 //! one wave bulk-loads the pending (invisible) copies, the prepare phase
 //! flushes them and blocks writes, the 2PC decides, the commit installs each
 //! restored bucket over its empty replacement — taking it out of the
-//! degraded set — and installs the (possibly reassigned) directory with a
-//! routing push to subscribed sessions. A node lost *mid-repair* is
-//! re-planned around like in any job: its pending copies are staged again on
-//! survivors, and its own resident buckets — newly degraded — are installed
-//! empty for the *next* repair to restore.
+//! degraded set — and installs the (possibly reassigned) directory, which
+//! sessions pull as a delta on their next stale route. A node lost
+//! *mid-repair* is re-planned around like in any job: its pending copies are
+//! staged again on survivors, and its own resident buckets — newly degraded
+//! — are installed empty for the *next* repair to restore.
 //!
 //! The one-shot driver is [`crate::cluster::Admin::repair_dataset`]; the
 //! control plane auto-triggers it on a health tick when an operator has

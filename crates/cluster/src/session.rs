@@ -105,10 +105,6 @@ pub struct SessionMetrics {
     pub full_refreshes: u64,
     /// Requests re-sent after a refresh.
     pub retries: u64,
-    /// Routing updates applied from commit-time pushes (a subscribed session
-    /// learns about a rebalance *before* any stale route, so these refreshes
-    /// cost no redirect round-trip). See [`Session::subscribe`].
-    pub pushed_refreshes: u64,
 }
 
 impl SessionMetrics {
@@ -126,10 +122,6 @@ pub struct Session {
     cache: DatasetMeta,
     max_redirects: usize,
     metrics: SessionMetrics,
-    /// The commit-push subscription id, once [`Session::subscribe`]d. A
-    /// clone shares the id and would race its original for the same outbox;
-    /// cloned sessions should subscribe themselves.
-    subscription: Option<u64>,
 }
 
 impl Cluster {
@@ -141,7 +133,6 @@ impl Cluster {
             cache: self.controller.routing_snapshot(dataset)?,
             max_redirects: DEFAULT_MAX_REDIRECTS,
             metrics: SessionMetrics::default(),
-            subscription: None,
         })
     }
 
@@ -236,13 +227,6 @@ impl Session {
         self.metrics
     }
 
-    /// Overrides the redirect bound (mainly for tests that want a session to
-    /// fail fast instead of converging).
-    pub fn with_max_redirects(mut self, max: usize) -> Self {
-        self.max_redirects = max;
-        self
-    }
-
     /// Routes a key through the cached snapshot.
     fn route(&self, key: &Key) -> Result<PartitionId> {
         self.cache
@@ -272,70 +256,6 @@ impl Session {
         }
         self.refresh(cluster)?;
         self.metrics.retries += 1;
-        Ok(())
-    }
-
-    /// Registers this session for commit-time routing pushes: whenever a
-    /// rebalance commits (or the control plane absorbs hot-bucket splits
-    /// into the CC directory), the new routing state is buffered for the
-    /// session as a [`dynahash_core::DirectoryDelta`] and applied at its
-    /// next operation — *before* any request is routed — so a subscribed
-    /// session skips the stale-route redirect the pull-based protocol pays.
-    /// Idempotent; the redirect protocol stays in place as the fallback.
-    pub fn subscribe(&mut self, cluster: &Cluster) {
-        if self.subscription.is_none() {
-            let version = self
-                .cache
-                .directory
-                .as_ref()
-                .map(|d| d.version())
-                .unwrap_or(0);
-            self.subscription = Some(cluster.subscribers.register(self.dataset, version));
-        }
-    }
-
-    /// Applies any routing updates pushed since the last operation. Deltas
-    /// that chain onto the cached directory apply directly; anything else
-    /// (an overflowed outbox, a non-chaining delta after an out-of-band
-    /// refresh, a dataset without a directory) falls back to a full refresh.
-    fn drain_pushed(&mut self, cluster: &Cluster) -> Result<()> {
-        let Some(subscription) = self.subscription else {
-            return Ok(());
-        };
-        for update in cluster.subscribers.take(subscription) {
-            match update {
-                crate::control::PushedUpdate::Delta {
-                    delta,
-                    partitions,
-                    partitions_version,
-                } => {
-                    let cached_dir_version = self
-                        .cache
-                        .directory
-                        .as_ref()
-                        .map(|d| d.version())
-                        .unwrap_or(0);
-                    let applied = match self.cache.directory.as_mut() {
-                        Some(cached) => cached.apply_delta(&delta).is_ok(),
-                        None => false,
-                    };
-                    if applied {
-                        self.cache.partitions = partitions;
-                        self.cache.partitions_version = partitions_version;
-                    } else if cached_dir_version < delta.to_version {
-                        self.refresh(cluster)?;
-                    } else {
-                        // An out-of-band refresh already covered this push.
-                        continue;
-                    }
-                    self.metrics.pushed_refreshes += 1;
-                }
-                crate::control::PushedUpdate::Resync => {
-                    self.refresh(cluster)?;
-                    self.metrics.pushed_refreshes += 1;
-                }
-            }
-        }
         Ok(())
     }
 
@@ -375,7 +295,6 @@ impl Session {
     /// Point lookup: routes from the cache, lets the partition validate the
     /// route, and transparently refreshes and retries on a stale rejection.
     pub fn get(&mut self, cluster: &Cluster, key: &Key) -> Result<Option<Value>> {
-        self.drain_pushed(cluster)?;
         self.metrics.requests += 1;
         let bucketed = self.cache.is_bucketed();
         let mut attempts = 0usize;
@@ -394,7 +313,6 @@ impl Session {
     /// [`ClusterError::DatasetWriteBlocked`] only during the brief
     /// prepare-to-decision window.
     pub fn put(&mut self, cluster: &mut Cluster, key: Key, value: Value) -> Result<()> {
-        self.drain_pushed(cluster)?;
         self.metrics.requests += 1;
         let mut attempts = 0usize;
         loop {
@@ -413,7 +331,6 @@ impl Session {
     /// Deletes a record (a tombstone through the same routed write path).
     /// Returns whether the key was live before the delete.
     pub fn delete(&mut self, cluster: &mut Cluster, key: &Key) -> Result<bool> {
-        self.drain_pushed(cluster)?;
         self.metrics.requests += 1;
         let mut attempts = 0usize;
         loop {
@@ -436,7 +353,6 @@ impl Session {
         cluster: &mut Cluster,
         records: impl IntoIterator<Item = (Key, Value)>,
     ) -> Result<IngestReport> {
-        self.drain_pushed(cluster)?;
         let records: Vec<(Key, Value)> = records.into_iter().collect();
         self.metrics.requests += records.len() as u64;
         let mut attempts = 0usize;
@@ -460,7 +376,6 @@ impl Session {
     /// protocol: per-bucket validation cannot cover a scan's full key range,
     /// so version equality stands in for it).
     fn ensure_current(&mut self, cluster: &Cluster) -> Result<()> {
-        self.drain_pushed(cluster)?;
         let server = cluster.controller.routing_version(self.dataset)?;
         if self.cached_version() != server {
             self.metrics.redirects += 1;
@@ -687,7 +602,8 @@ mod tests {
         let (mut cluster, ds) = loaded(2, Scheme::StaticHash { num_buckets: 16 }, 200);
         cluster.add_node().unwrap();
         let target = cluster.topology().clone();
-        let mut stale = cluster.session(ds).unwrap().with_max_redirects(0);
+        let mut stale = cluster.session(ds).unwrap();
+        stale.max_redirects = 0;
         cluster
             .rebalance(ds, &target, RebalanceOptions::none())
             .unwrap();

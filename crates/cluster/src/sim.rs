@@ -224,11 +224,6 @@ impl NodeTimeline {
         self.coordinator += cost;
     }
 
-    /// The work charged to a node so far.
-    pub fn node_time(&self, node: NodeId) -> SimDuration {
-        self.per_node.get(&node).copied().unwrap_or_default()
-    }
-
     /// The coordinator-side time.
     pub fn coordinator_time(&self) -> SimDuration {
         self.coordinator
@@ -334,7 +329,7 @@ mod tests {
         t.charge(NodeId(1), SimDuration::from_secs(30));
         t.charge(NodeId(1), SimDuration::from_secs(5));
         t.charge_coordinator(SimDuration::from_secs(1));
-        assert_eq!(t.node_time(NodeId(1)), SimDuration::from_secs(35));
+        assert_eq!(t.per_node[&NodeId(1)], SimDuration::from_secs(35));
         assert_eq!(t.max_node_time(), SimDuration::from_secs(35));
         assert_eq!(t.elapsed(), SimDuration::from_secs(36));
         assert_eq!(t.breakdown().len(), 2);
@@ -374,7 +369,7 @@ mod tests {
         b.charge(NodeId(1), SimDuration::from_secs(20));
         b.charge_coordinator(SimDuration::from_secs(3));
         a.extend(&b);
-        assert_eq!(a.node_time(NodeId(0)), SimDuration::from_secs(12));
+        assert_eq!(a.per_node[&NodeId(0)], SimDuration::from_secs(12));
         assert_eq!(a.elapsed(), SimDuration::from_secs(23));
     }
 }

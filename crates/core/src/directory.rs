@@ -251,14 +251,6 @@ impl GlobalDirectory {
         self.lookup_hash(hash_key(key))
     }
 
-    /// The partition owning a key; errors if the directory does not cover the
-    /// key's hash (which means the directory was built incorrectly).
-    pub fn partition_of_key(&self, key: &Key) -> Result<PartitionId> {
-        self.lookup_key(key)
-            .map(|(_, p)| p)
-            .ok_or_else(|| CoreError::UnassignedBucket(BucketId::of_key(key, 0)))
-    }
-
     /// The partition a bucket is assigned to.
     ///
     /// Exact match first; otherwise the covering ancestor is resolved through
@@ -585,7 +577,7 @@ mod tests {
             let k = Key::from_u64(i);
             let (b, p) = dir.lookup_key(&k).unwrap();
             assert!(b.contains_key(&k));
-            assert_eq!(dir.partition_of_key(&k).unwrap(), p);
+            assert_eq!(dir.partition_of_bucket(&b), Some(p));
         }
     }
 

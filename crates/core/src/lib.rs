@@ -12,9 +12,9 @@
 //!   `Hashing`, `StaticHash`, and `DynaHash` ([`scheme`]);
 //! * rebalance **planning** (which buckets move where, and what it costs)
 //!   ([`plan`]);
-//! * the online rebalance **protocol** state machine: three phases, the
-//!   two-phase commit, and the six failure cases of Section V-D
-//!   ([`protocol`]).
+//! * the online rebalance **protocol**'s policies and outcomes, and the
+//!   control plane's load vocabulary ([`protocol`]); the protocol's state
+//!   machine itself is `dynahash-cluster`'s `RebalanceJob`.
 //!
 //! The actual execution against storage partitions lives in
 //! `dynahash-cluster`; everything here is deterministic, pure logic that can
@@ -32,8 +32,8 @@ pub use directory::{DirectoryDelta, GlobalDirectory};
 pub use dynahash_lsm::{hash_key, BucketId};
 pub use plan::{BucketMove, RebalancePlan};
 pub use protocol::{
-    max_deviation_imbalance, BucketHeat, MigrationBudget, MovePolicy, NodeVote,
-    RebalanceCoordinator, RebalanceOutcome, RebalancePhase, SecondaryRebuild, SpeculationPolicy,
+    max_deviation_imbalance, BucketHeat, MigrationBudget, MovePolicy, RebalanceOutcome,
+    SecondaryRebuild, SpeculationPolicy,
 };
 pub use scheme::Scheme;
 pub use topology::{ClusterTopology, NodeId, PartitionId};
@@ -47,13 +47,6 @@ pub enum CoreError {
     UnknownPartition(PartitionId),
     /// The directory would become inconsistent (overlapping buckets).
     InconsistentDirectory(String),
-    /// An invalid protocol transition was attempted.
-    InvalidTransition {
-        /// The phase the coordinator was in.
-        from: RebalancePhase,
-        /// A description of the attempted action.
-        action: &'static str,
-    },
     /// The target topology is empty.
     EmptyTopology,
 }
@@ -64,12 +57,6 @@ impl std::fmt::Display for CoreError {
             CoreError::UnassignedBucket(b) => write!(f, "bucket {b} is not assigned"),
             CoreError::UnknownPartition(p) => write!(f, "unknown partition {p:?}"),
             CoreError::InconsistentDirectory(msg) => write!(f, "inconsistent directory: {msg}"),
-            CoreError::InvalidTransition { from, action } => {
-                write!(
-                    f,
-                    "invalid protocol transition from {from:?} during {action}"
-                )
-            }
             CoreError::EmptyTopology => write!(f, "target topology has no partitions"),
         }
     }

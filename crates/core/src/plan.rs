@@ -130,16 +130,6 @@ impl RebalancePlan {
         self.moves.is_empty()
     }
 
-    /// The moves whose source is the given partition.
-    pub fn moves_from(&self, partition: PartitionId) -> Vec<&BucketMove> {
-        self.moves.iter().filter(|m| m.from == partition).collect()
-    }
-
-    /// The moves whose destination is the given partition.
-    pub fn moves_to(&self, partition: PartitionId) -> Vec<&BucketMove> {
-        self.moves.iter().filter(|m| m.to == partition).collect()
-    }
-
     /// The partitions that participate in the rebalance (as source or
     /// destination of at least one move).
     pub fn participating_partitions(&self) -> Vec<PartitionId> {
@@ -337,26 +327,5 @@ mod tests {
         let plan = RebalancePlan::compute(9, &dir, &sizes, &target).unwrap();
         let waves = plan.schedule_waves(0, |p| topo.node_of(p));
         assert_eq!(waves.len(), plan.num_moves());
-    }
-
-    #[test]
-    fn moves_from_and_to_are_consistent() {
-        let topo = ClusterTopology::uniform(3, 2);
-        let dir = GlobalDirectory::initial(5, &topo.partitions()).unwrap();
-        let sizes = sizes_uniform(&dir, 7);
-        let target = topo.without_node(NodeId(0));
-        let plan = RebalancePlan::compute(4, &dir, &sizes, &target).unwrap();
-        let total_from: usize = topo
-            .partitions()
-            .iter()
-            .map(|p| plan.moves_from(*p).len())
-            .sum();
-        let total_to: usize = target
-            .partitions()
-            .iter()
-            .map(|p| plan.moves_to(*p).len())
-            .sum();
-        assert_eq!(total_from, plan.num_moves());
-        assert_eq!(total_to, plan.num_moves());
     }
 }

@@ -1,53 +1,13 @@
-//! The online rebalance protocol state machine (Section V).
+//! The vocabulary of the online rebalance protocol (Section V).
 //!
 //! A rebalance operation has three phases — initialization, data movement,
 //! and finalization — and the finalization uses a two-phase commit so that
 //! all Node Controllers reach a unanimous decision even though log
-//! replication may still be active when data movement "finishes".
-//!
-//! The coordinator here is a pure state machine: it validates transitions and
-//! records votes, while the actual work (forcing log records, scanning
-//! buckets, shipping data) is driven by `dynahash-cluster`. Keeping the
-//! protocol pure makes the six failure cases of Section V-D directly
-//! testable.
-
-use std::collections::BTreeMap;
-
-use dynahash_lsm::wal::RebalanceId;
-
-use crate::topology::NodeId;
-use crate::{CoreError, Result};
-
-/// The phases of a rebalance operation, in order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum RebalancePhase {
-    /// BEGIN has been forced; the CC is refreshing directories, computing the
-    /// plan, and the NCs are flushing the moving buckets' memory components.
-    Initialization,
-    /// Buckets are being scanned, shipped, and loaded; concurrent writes are
-    /// replicated as log records.
-    DataMovement,
-    /// The CC is waiting for every NC to finish log replication and flush the
-    /// rebalance memory components (the "prepare" half of 2PC). Reads and
-    /// writes on the dataset are briefly blocked.
-    Prepare,
-    /// COMMIT has been forced; NCs install received buckets and clean up
-    /// moved buckets.
-    Commit,
-    /// DONE has been produced; the rebalance can be forgotten.
-    Done,
-    /// The rebalance aborted; intermediate results must be cleaned up.
-    Aborted,
-}
-
-/// A participant's vote in the prepare phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeVote {
-    /// The NC completed log replication and flushed rebalance writes.
-    Yes,
-    /// The NC failed to prepare; the rebalance must abort.
-    No,
-}
+//! replication may still be active when data movement "finishes". The one
+//! coordinator that steps through those phases, collects the votes and does
+//! the work (forcing log records, shipping buckets) is `RebalanceJob` in
+//! `dynahash-cluster`; this module holds the policies and outcomes it is
+//! parameterised by, and the control plane's load vocabulary.
 
 /// How the data-movement phase transfers a bucket between partitions
 /// (Section IV of the paper argues for component-level movement: sealed LSM
@@ -92,7 +52,7 @@ pub enum SecondaryRebuild {
     /// Rebuild secondary entries while installing the shipped components
     /// (the PR 3/PR 4 behaviour; kept as the makespan baseline).
     Eager,
-    /// Record the received bucket as `SecondaryState::Deferred` and build
+    /// Record the received bucket as deferred and build
     /// its secondary entries on the first `index_scan` touching the dataset
     /// (or an explicit `warm_indexes` admin call). The default: the rebuild
     /// cost moves off the wave-commit path.
@@ -158,177 +118,6 @@ pub enum RebalanceOutcome {
     Committed,
     /// The rebalance aborted: the dataset is left unchanged.
     Aborted,
-}
-
-/// The CC-side coordinator of one rebalance operation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RebalanceCoordinator {
-    /// The rebalance operation id.
-    pub rebalance_id: RebalanceId,
-    phase: RebalancePhase,
-    participants: Vec<NodeId>,
-    votes: BTreeMap<NodeId, NodeVote>,
-    committed_acks: BTreeMap<NodeId, bool>,
-    outcome: Option<RebalanceOutcome>,
-}
-
-impl RebalanceCoordinator {
-    /// Starts a rebalance: the caller must already have forced the BEGIN log
-    /// record (the coordinator starts in the initialization phase).
-    pub fn new(rebalance_id: RebalanceId, participants: Vec<NodeId>) -> Self {
-        RebalanceCoordinator {
-            rebalance_id,
-            phase: RebalancePhase::Initialization,
-            participants,
-            votes: BTreeMap::new(),
-            committed_acks: BTreeMap::new(),
-            outcome: None,
-        }
-    }
-
-    /// The current phase.
-    pub fn phase(&self) -> RebalancePhase {
-        self.phase
-    }
-
-    /// The participating node controllers.
-    pub fn participants(&self) -> &[NodeId] {
-        &self.participants
-    }
-
-    /// The final outcome, once decided.
-    pub fn outcome(&self) -> Option<RebalanceOutcome> {
-        self.outcome
-    }
-
-    /// Removes a participant that was permanently lost mid-rebalance: its
-    /// vote and ack (if any) are discarded, and it no longer counts toward
-    /// `all_voted` / `unanimous_yes` / `all_committed`. Only meaningful
-    /// before the decision — re-planning around a loss happens during data
-    /// movement; after the commit decision the outcome already stands.
-    pub fn remove_participant(&mut self, node: NodeId) {
-        self.participants.retain(|n| *n != node);
-        self.votes.remove(&node);
-        self.committed_acks.remove(&node);
-    }
-
-    fn expect_phase(&self, expected: RebalancePhase, action: &'static str) -> Result<()> {
-        if self.phase == expected {
-            Ok(())
-        } else {
-            Err(CoreError::InvalidTransition {
-                from: self.phase,
-                action,
-            })
-        }
-    }
-
-    /// Initialization complete: the CC requests data movement from all NCs.
-    pub fn start_data_movement(&mut self) -> Result<()> {
-        self.expect_phase(RebalancePhase::Initialization, "start_data_movement")?;
-        self.phase = RebalancePhase::DataMovement;
-        Ok(())
-    }
-
-    /// All data movement finished: the CC enters the prepare phase, which
-    /// blocks incoming reads and writes on the rebalancing dataset while NCs
-    /// finish log replication.
-    pub fn start_prepare(&mut self) -> Result<()> {
-        self.expect_phase(RebalancePhase::DataMovement, "start_prepare")?;
-        self.phase = RebalancePhase::Prepare;
-        Ok(())
-    }
-
-    /// Records an NC's prepare vote.
-    pub fn record_vote(&mut self, node: NodeId, vote: NodeVote) -> Result<()> {
-        self.expect_phase(RebalancePhase::Prepare, "record_vote")?;
-        self.votes.insert(node, vote);
-        Ok(())
-    }
-
-    /// True once every participant has voted.
-    pub fn all_voted(&self) -> bool {
-        self.participants.iter().all(|n| self.votes.contains_key(n))
-    }
-
-    /// True if every participant voted yes.
-    pub fn unanimous_yes(&self) -> bool {
-        self.all_voted() && self.votes.values().all(|v| *v == NodeVote::Yes)
-    }
-
-    /// Decides the outcome. If all votes are yes the coordinator moves to the
-    /// commit phase (the caller must force the COMMIT log record *before*
-    /// calling this); otherwise it aborts.
-    pub fn decide(&mut self) -> Result<RebalanceOutcome> {
-        self.expect_phase(RebalancePhase::Prepare, "decide")?;
-        if self.unanimous_yes() {
-            self.phase = RebalancePhase::Commit;
-            self.outcome = Some(RebalanceOutcome::Committed);
-            Ok(RebalanceOutcome::Committed)
-        } else {
-            self.phase = RebalancePhase::Aborted;
-            self.outcome = Some(RebalanceOutcome::Aborted);
-            Ok(RebalanceOutcome::Aborted)
-        }
-    }
-
-    /// Aborts the rebalance from any phase before commit (node failure,
-    /// operator cancellation, CC recovery seeing BEGIN without COMMIT).
-    /// Aborting after the commit decision is invalid — the outcome of a
-    /// rebalance is determined solely by whether COMMIT was forced.
-    pub fn abort(&mut self) -> Result<()> {
-        match self.phase {
-            RebalancePhase::Commit | RebalancePhase::Done => Err(CoreError::InvalidTransition {
-                from: self.phase,
-                action: "abort",
-            }),
-            RebalancePhase::Aborted => Ok(()),
-            _ => {
-                self.phase = RebalancePhase::Aborted;
-                self.outcome = Some(RebalanceOutcome::Aborted);
-                Ok(())
-            }
-        }
-    }
-
-    /// Records that an NC finished its commit tasks (installing received
-    /// buckets and cleaning up moved buckets).
-    pub fn record_committed(&mut self, node: NodeId) -> Result<()> {
-        self.expect_phase(RebalancePhase::Commit, "record_committed")?;
-        self.committed_acks.insert(node, true);
-        Ok(())
-    }
-
-    /// True once every participant acknowledged the commit.
-    pub fn all_committed(&self) -> bool {
-        self.participants
-            .iter()
-            .all(|n| self.committed_acks.get(n).copied().unwrap_or(false))
-    }
-
-    /// Finishes the rebalance (the caller produces the DONE log record).
-    pub fn finish(&mut self) -> Result<()> {
-        match self.phase {
-            RebalancePhase::Commit => {
-                self.phase = RebalancePhase::Done;
-                Ok(())
-            }
-            RebalancePhase::Aborted => {
-                // An aborted rebalance is also "done" once cleanup finished;
-                // keep the Aborted phase but accept the call (idempotent).
-                Ok(())
-            }
-            _ => Err(CoreError::InvalidTransition {
-                from: self.phase,
-                action: "finish",
-            }),
-        }
-    }
-
-    /// True if the rebalance reached a terminal state.
-    pub fn is_terminal(&self) -> bool {
-        matches!(self.phase, RebalancePhase::Done | RebalancePhase::Aborted)
-    }
 }
 
 // -------------------------------------------------- control-plane protocol
@@ -430,95 +219,6 @@ impl MigrationBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn nodes(n: u32) -> Vec<NodeId> {
-        (0..n).map(NodeId).collect()
-    }
-
-    #[test]
-    fn happy_path_commits() {
-        let mut c = RebalanceCoordinator::new(1, nodes(3));
-        assert_eq!(c.phase(), RebalancePhase::Initialization);
-        c.start_data_movement().unwrap();
-        c.start_prepare().unwrap();
-        for n in nodes(3) {
-            c.record_vote(n, NodeVote::Yes).unwrap();
-        }
-        assert!(c.unanimous_yes());
-        assert_eq!(c.decide().unwrap(), RebalanceOutcome::Committed);
-        for n in nodes(3) {
-            c.record_committed(n).unwrap();
-        }
-        assert!(c.all_committed());
-        c.finish().unwrap();
-        assert_eq!(c.phase(), RebalancePhase::Done);
-        assert!(c.is_terminal());
-    }
-
-    #[test]
-    fn a_single_no_vote_aborts() {
-        let mut c = RebalanceCoordinator::new(2, nodes(3));
-        c.start_data_movement().unwrap();
-        c.start_prepare().unwrap();
-        c.record_vote(NodeId(0), NodeVote::Yes).unwrap();
-        c.record_vote(NodeId(1), NodeVote::No).unwrap();
-        c.record_vote(NodeId(2), NodeVote::Yes).unwrap();
-        assert!(!c.unanimous_yes());
-        assert_eq!(c.decide().unwrap(), RebalanceOutcome::Aborted);
-        assert_eq!(c.phase(), RebalancePhase::Aborted);
-        assert!(c.is_terminal());
-    }
-
-    #[test]
-    fn missing_votes_prevent_commit_decision() {
-        let mut c = RebalanceCoordinator::new(3, nodes(2));
-        c.start_data_movement().unwrap();
-        c.start_prepare().unwrap();
-        c.record_vote(NodeId(0), NodeVote::Yes).unwrap();
-        assert!(!c.all_voted());
-        // deciding with a missing vote aborts (it is not unanimous)
-        assert_eq!(c.decide().unwrap(), RebalanceOutcome::Aborted);
-    }
-
-    #[test]
-    fn out_of_order_transitions_are_rejected() {
-        let mut c = RebalanceCoordinator::new(4, nodes(2));
-        assert!(c.start_prepare().is_err());
-        assert!(c.record_vote(NodeId(0), NodeVote::Yes).is_err());
-        assert!(c.record_committed(NodeId(0)).is_err());
-        assert!(c.finish().is_err());
-        c.start_data_movement().unwrap();
-        assert!(c.start_data_movement().is_err());
-    }
-
-    #[test]
-    fn abort_is_allowed_before_commit_but_not_after() {
-        let mut c = RebalanceCoordinator::new(5, nodes(2));
-        c.start_data_movement().unwrap();
-        c.abort().unwrap();
-        assert_eq!(c.outcome(), Some(RebalanceOutcome::Aborted));
-        // idempotent
-        c.abort().unwrap();
-
-        let mut c2 = RebalanceCoordinator::new(6, nodes(1));
-        c2.start_data_movement().unwrap();
-        c2.start_prepare().unwrap();
-        c2.record_vote(NodeId(0), NodeVote::Yes).unwrap();
-        c2.decide().unwrap();
-        assert!(c2.abort().is_err(), "cannot abort after COMMIT decision");
-    }
-
-    #[test]
-    fn finish_requires_commit_or_abort() {
-        let mut c = RebalanceCoordinator::new(7, nodes(1));
-        c.start_data_movement().unwrap();
-        c.start_prepare().unwrap();
-        c.record_vote(NodeId(0), NodeVote::No).unwrap();
-        c.decide().unwrap();
-        // aborted rebalance accepts finish (cleanup done)
-        c.finish().unwrap();
-        assert_eq!(c.phase(), RebalancePhase::Aborted);
-    }
 
     #[test]
     fn speculation_policy_straggler_threshold() {

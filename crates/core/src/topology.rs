@@ -127,15 +127,6 @@ impl ClusterTopology {
             partition_to_node: map,
         }
     }
-
-    /// Partitions present in `self` but not in `other` (e.g. partitions being
-    /// decommissioned when scaling in).
-    pub fn partitions_removed_in(&self, other: &ClusterTopology) -> Vec<PartitionId> {
-        self.partitions()
-            .into_iter()
-            .filter(|p| other.node_of(*p).is_none())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -161,11 +152,9 @@ mod tests {
         assert_eq!(bigger.num_partitions(), 12);
         let smaller = bigger.without_node(NodeId(2));
         assert_eq!(smaller, t);
-        let removed = bigger.partitions_removed_in(&smaller);
+        let removed = bigger.partitions_of_node(NodeId(2));
         assert_eq!(removed.len(), 4);
-        assert!(removed
-            .iter()
-            .all(|p| bigger.node_of(*p) == Some(NodeId(2))));
+        assert!(removed.iter().all(|p| smaller.node_of(*p).is_none()));
     }
 
     #[test]

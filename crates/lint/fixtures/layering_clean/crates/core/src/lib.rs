@@ -1,5 +1,5 @@
 use dynahash_lsm::BucketId;
 
-pub fn f(b: BucketId) -> BucketId {
+fn f(b: BucketId) -> BucketId {
     b
 }

@@ -1,5 +1,5 @@
 use std::sync::Mutex;
 
-pub struct S {
+struct S {
     inner: Mutex<u32>,
 }

@@ -7,8 +7,8 @@ use std::path::{Path, PathBuf};
 use crate::lexer::LexedFile;
 use crate::manifest;
 use crate::report::{Finding, Report, Rule};
-use crate::rules::{self, FileScope, LockUse};
-use crate::waivers;
+use crate::rules::{self, FileScope, LockUse, PubItems};
+use crate::waivers::{self, Waiver};
 
 /// Directory names the walker never descends into. `fixtures` holds the
 /// lint's own negative test inputs — intentionally dirty files that must
@@ -25,6 +25,8 @@ pub fn check_root(root: &Path) -> std::io::Result<Report> {
     let mut report = Report::default();
     let mut lock_uses: Vec<LockUse> = Vec::new();
     let mut used_waivers: Vec<(Rule, usize)> = Vec::new();
+    let mut pub_items = PubItems::default();
+    let mut dead_pub_waivers: Vec<(String, Vec<Waiver>)> = Vec::new();
 
     let mut rs_files = Vec::new();
     let mut manifests = Vec::new();
@@ -35,11 +37,16 @@ pub fn check_root(root: &Path) -> std::io::Result<Report> {
     for rel in &rs_files {
         let text = fs::read_to_string(root.join(rel))?;
         let rel_str = rel.to_string_lossy().replace('\\', "/");
-        let (mut findings, uses, used) = check_source(&rel_str, &text);
+        let mut file = check_source(&rel_str, &text);
         report.files_scanned += 1;
-        lock_uses.extend(uses);
-        merge_counts(&mut used_waivers, used);
-        report.findings.append(&mut findings);
+        lock_uses.extend(file.lock_uses);
+        merge_counts(&mut used_waivers, file.used_waivers);
+        report.findings.append(&mut file.findings);
+        pub_items.defs.append(&mut file.pub_items.defs);
+        pub_items.uses.append(&mut file.pub_items.uses);
+        if !file.dead_pub_waivers.is_empty() {
+            dead_pub_waivers.push((rel_str, file.dead_pub_waivers));
+        }
     }
 
     for rel in &manifests {
@@ -63,6 +70,14 @@ pub fn check_root(root: &Path) -> std::io::Result<Report> {
         &lock_uses,
     ));
 
+    let mut dead = rules::dead_pub(&pub_items.defs, &pub_items.uses);
+    for (file, file_waivers) in &dead_pub_waivers {
+        let (unused, used) = waivers::apply_waivers(file, file_waivers, &mut dead);
+        report.findings.extend(unused);
+        merge_counts(&mut used_waivers, used);
+    }
+    report.findings.append(&mut dead);
+
     let budget = manifest::read_optional(&root.join(BUDGET_FILE));
     report
         .findings
@@ -75,13 +90,26 @@ pub fn check_root(root: &Path) -> std::io::Result<Report> {
     Ok(report)
 }
 
-/// Runs every source-level rule family on one file, applies its waivers,
-/// and returns `(findings, lock uses, used waiver counts)`. Exposed so
-/// fixture tests can drive single files without a filesystem tree.
-pub fn check_source(
-    rel_path: &str,
-    text: &str,
-) -> (Vec<Finding>, Vec<LockUse>, Vec<(Rule, usize)>) {
+/// What [`check_source`] found in one file.
+#[derive(Debug, Default)]
+pub struct SourceCheck {
+    /// The per-file findings, waivers applied.
+    pub findings: Vec<Finding>,
+    /// Lock primitives the file mentions, for the `LOCK_ORDER.md` cross-check.
+    pub lock_uses: Vec<LockUse>,
+    /// Used-waiver counts of the per-file rules.
+    pub used_waivers: Vec<(Rule, usize)>,
+    /// `pub` definitions and identifier uses, for the `dead-pub` cross-check.
+    pub pub_items: PubItems,
+    /// The file's `dead-pub` waivers, applied by [`check_root`] once the
+    /// cross-check has decided which definitions are findings.
+    pub dead_pub_waivers: Vec<Waiver>,
+}
+
+/// Runs every source-level rule family on one file and applies its
+/// waivers; the two cross-file rules (lock order, `dead-pub`) only collect
+/// here. Exposed so tests can drive single files without a filesystem tree.
+pub fn check_source(rel_path: &str, text: &str) -> SourceCheck {
     let lexed = LexedFile::lex(text);
     let scope = FileScope::of(rel_path);
 
@@ -90,13 +118,22 @@ pub fn check_source(
     findings.extend(rules::session_discipline(rel_path, &scope, &lexed));
     findings.extend(rules::panic_audit(rel_path, &scope, &lexed));
     findings.extend(rules::determinism(rel_path, &lexed));
-    let lock_uses = rules::collect_lock_uses(rel_path, &lexed);
 
-    let file_waivers = waivers::collect_waivers(rel_path, &lexed);
-    let (unused, used) = waivers::apply_waivers(rel_path, &file_waivers, &mut findings);
+    let mut file_waivers = waivers::collect_waivers(rel_path, &lexed);
+    let mut dead_pub_waivers = file_waivers.waivers.clone();
+    dead_pub_waivers.retain(|w| w.rule == Rule::DeadPub);
+    file_waivers.waivers.retain(|w| w.rule != Rule::DeadPub);
+    let (unused, used_waivers) =
+        waivers::apply_waivers(rel_path, &file_waivers.waivers, &mut findings);
     findings.extend(unused);
     findings.extend(file_waivers.malformed);
-    (findings, lock_uses, used)
+    SourceCheck {
+        findings,
+        lock_uses: rules::collect_lock_uses(rel_path, &lexed),
+        used_waivers,
+        pub_items: rules::collect_pub_items(rel_path, &scope, &lexed),
+        dead_pub_waivers,
+    }
 }
 
 fn merge_counts(into: &mut Vec<(Rule, usize)>, from: Vec<(Rule, usize)>) {
@@ -147,18 +184,18 @@ mod tests {
     fn check_source_waives_and_counts() {
         let src =
             "fn f() {\n    x.unwrap() // dhlint: allow(panic) — key inserted two lines up\n}\n";
-        let (findings, _, used) = check_source("crates/core/src/x.rs", src);
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0].waived);
-        assert_eq!(used, vec![(Rule::Panic, 1)]);
+        let file = check_source("crates/core/src/x.rs", src);
+        assert_eq!(file.findings.len(), 1);
+        assert!(file.findings[0].waived);
+        assert_eq!(file.used_waivers, vec![(Rule::Panic, 1)]);
     }
 
     #[test]
     fn check_source_reports_unwaived() {
         let src = "fn f() { x.unwrap() }\n";
-        let (findings, _, used) = check_source("crates/lsm/src/x.rs", src);
-        assert_eq!(findings.len(), 1);
-        assert!(!findings[0].waived);
-        assert!(used.is_empty());
+        let file = check_source("crates/lsm/src/x.rs", src);
+        assert_eq!(file.findings.len(), 1);
+        assert!(!file.findings[0].waived);
+        assert!(file.used_waivers.is_empty());
     }
 }

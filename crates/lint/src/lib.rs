@@ -21,7 +21,15 @@
 //!   registered with an acquisition rank in `LOCK_ORDER.md`, and every
 //!   write-once cell (`OnceLock`/`OnceCell`) listed there with the rule its
 //!   init closure keeps, so the upcoming real-thread runtime inherits a
-//!   machine-checked lock hierarchy from day one.
+//!   machine-checked lock hierarchy from day one;
+//! * **dead-pub** — every `pub` / `pub(…)` `fn`, `struct`, `enum`, `type`,
+//!   `const` and `trait` of `crates/{lsm,core,cluster,tpch,bench}/src` must
+//!   be named by code somewhere in the tree other than its own definition,
+//!   other `fn` definitions of the same name, and `#[cfg(test)]` items of
+//!   `crates/*/src` files: what only an in-file unit test reaches, no figure,
+//!   soak, benchmark, example or integration test does. Name-based and
+//!   cross-file like the lock-order check, so it never flags a used item;
+//!   its blind spots are listed on [`rules::dead_pub`].
 //!
 //! Findings are waived inline with
 //! `// dhlint: allow(<rule>) — <reason>` and the number of used waivers per

@@ -23,6 +23,9 @@ pub enum Rule {
     /// acquisition rank in `LOCK_ORDER.md`, every `OnceLock`/`OnceCell`
     /// listed in its write-once table.
     LockOrder,
+    /// A `pub` item of a production crate that nothing outside its own
+    /// file's `#[cfg(test)]` code names (cross-file, name-based).
+    DeadPub,
     /// Workspace-package metadata consistency across crate manifests.
     Metadata,
     /// Waiver hygiene: unknown rules, unused waivers, budget drift.
@@ -38,6 +41,7 @@ impl Rule {
             Rule::Panic => "panic",
             Rule::Determinism => "determinism",
             Rule::LockOrder => "lock-order",
+            Rule::DeadPub => "dead-pub",
             Rule::Metadata => "metadata",
             Rule::Waiver => "waiver",
         }
@@ -51,6 +55,7 @@ impl Rule {
             "panic" => Rule::Panic,
             "determinism" => Rule::Determinism,
             "lock-order" => Rule::LockOrder,
+            "dead-pub" => Rule::DeadPub,
             "metadata" => Rule::Metadata,
             "waiver" => Rule::Waiver,
             _ => return None,
@@ -58,13 +63,14 @@ impl Rule {
     }
 
     /// Every rule family, in reporting order.
-    pub fn all() -> [Rule; 7] {
+    pub fn all() -> [Rule; 8] {
         [
             Rule::Layering,
             Rule::Session,
             Rule::Panic,
             Rule::Determinism,
             Rule::LockOrder,
+            Rule::DeadPub,
             Rule::Metadata,
             Rule::Waiver,
         ]

@@ -5,6 +5,8 @@
 //! returns raw findings; the engine in [`crate::engine`] applies waivers and
 //! the budget afterwards.
 
+use std::collections::BTreeSet;
+
 use crate::lexer::{find_from, LexedFile};
 use crate::report::{Finding, Rule};
 
@@ -372,6 +374,146 @@ pub fn collect_lock_uses(path: &str, lexed: &LexedFile) -> Vec<LockUse> {
     out
 }
 
+/// The crates whose public surface `dead-pub` holds to "some run reaches
+/// it". `lint` is left out: its `pub` items are this tool's own library API.
+pub const DEAD_PUB_CRATES: [&str; 5] = ["lsm", "core", "cluster", "tpch", "bench"];
+
+/// One `pub` / `pub(…)` item definition `dead-pub` collected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PubDef {
+    /// Relative path of the defining file.
+    pub file: String,
+    /// Line of the item's name.
+    pub line: usize,
+    /// `fn`, `struct`, `enum`, `type`, `const` or `trait`.
+    pub kind: &'static str,
+    /// The item's identifier.
+    pub name: String,
+}
+
+/// What one file contributes to the cross-file `dead-pub` check.
+#[derive(Debug, Default)]
+pub struct PubItems {
+    /// `pub` items defined outside `#[cfg(test)]` in a [`DEAD_PUB_CRATES`]
+    /// source file.
+    pub defs: Vec<PubDef>,
+    /// Every identifier the file's code names, other than at a definition.
+    pub uses: BTreeSet<String>,
+}
+
+const ITEM_KEYWORDS: [&str; 6] = ["fn", "struct", "enum", "type", "const", "trait"];
+const FN_QUALIFIERS: [&str; 4] = ["const", "unsafe", "async", "extern"];
+
+/// Rule family 6 (collection half): the file's `pub` item definitions and
+/// the identifiers it uses. A use is any identifier in the masked view
+/// (comments and strings never count) that is not the name of a `fn` or of
+/// a `pub` item being defined, and — in a `crates/*/src` file — not inside
+/// a `#[cfg(test)]` item: an in-file unit test keeps nothing alive, while
+/// integration tests, examples and the benchmark do.
+pub fn collect_pub_items(path: &str, scope: &FileScope, lexed: &LexedFile) -> PubItems {
+    let defines = matches!(scope, FileScope::CrateSrc(name)
+        if DEAD_PUB_CRATES.contains(&name.as_str()));
+    let skip_tests = matches!(scope, FileScope::CrateSrc(_));
+    let masked = lexed.masked.as_str();
+    let bytes = masked.as_bytes();
+    let mut items = PubItems::default();
+    // The identifier before the current one, when only whitespace separates them.
+    let mut prev: Option<(usize, &str)> = None;
+    let mut i = 0usize;
+    while i < bytes.len() {
+        if !is_ident(bytes[i]) {
+            if !bytes[i].is_ascii_whitespace() {
+                prev = None;
+            }
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < bytes.len() && is_ident(bytes[i]) {
+            i += 1;
+        }
+        let word = &masked[start..i];
+        let keyword = prev.take();
+        if bytes[start].is_ascii_digit() {
+            continue;
+        }
+        let line = lexed.line_of(start);
+        if skip_tests && lexed.is_test_line(line) {
+            continue;
+        }
+        prev = Some((start, word));
+        // `kind` is set when `word` is the name of an item being defined:
+        // any `fn`, or a `pub` item of another kind (`pub const fn` is a `fn`).
+        let kind = keyword.and_then(|(pos, kw)| {
+            let kind = ITEM_KEYWORDS.into_iter().find(|k| *k == kw)?;
+            let public = declared_pub(masked, pos);
+            let is_name = word != "fn" && !FN_QUALIFIERS.contains(&word);
+            (is_name && (public || kind == "fn")).then_some((kind, public))
+        });
+        match kind {
+            Some((kind, true)) if defines => items.defs.push(PubDef {
+                file: path.to_string(),
+                line,
+                kind,
+                name: word.to_string(),
+            }),
+            Some(_) => {}
+            None if items.uses.contains(word) => {}
+            None => {
+                items.uses.insert(word.to_string());
+            }
+        }
+    }
+    items
+}
+
+/// True when the item keyword at `pos` carries a `pub` / `pub(…)`
+/// visibility, looking back over `const` / `unsafe` / `async` / `extern`.
+fn declared_pub(masked: &str, pos: usize) -> bool {
+    let mut head = masked[..pos].trim_end();
+    while let Some(rest) = FN_QUALIFIERS
+        .iter()
+        .find_map(|q| head.strip_suffix(q).filter(|r| !ends_in_ident(r)))
+    {
+        head = rest.trim_end();
+    }
+    if head.ends_with(')') {
+        head = head[..head.rfind('(').unwrap_or(0)].trim_end();
+    }
+    head.strip_suffix("pub").is_some_and(|r| !ends_in_ident(r))
+}
+
+fn ends_in_ident(s: &str) -> bool {
+    s.as_bytes().last().is_some_and(|b| is_ident(*b))
+}
+
+/// Rule family 6 (cross-check half): a collected `pub` item whose name no
+/// file uses is a finding.
+///
+/// The rule is name-based, so it is conservative — it never flags an item
+/// some run reaches — and blind where names collide: a dead method that
+/// shares its name with a live one (or with any other identifier: a field,
+/// a local, a re-export in a `pub use`) is not seen, and neither are dead
+/// struct fields, enum variants, or items no `pub` marks. It says what it
+/// can prove and guesses at nothing else.
+pub fn dead_pub(defs: &[PubDef], uses: &BTreeSet<String>) -> Vec<Finding> {
+    defs.iter()
+        .filter(|def| !uses.contains(&def.name))
+        .map(|def| Finding {
+            rule: Rule::DeadPub,
+            file: def.file.clone(),
+            line: def.line,
+            message: format!(
+                "`pub {} {}` is named by no code outside `#[cfg(test)]` items of \
+                 `crates/*/src` — nothing a figure, soak, benchmark, example or \
+                 integration test runs reaches it; delete it or make it private",
+                def.kind, def.name
+            ),
+            waived: false,
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,6 +608,52 @@ mod tests {
         let src = lex("use std::collections::HashMap;\n");
         assert_eq!(determinism("crates/core/src/plan.rs", &src).len(), 1);
         assert!(determinism("crates/core/src/scheme.rs", &src).is_empty());
+    }
+
+    #[test]
+    fn pub_items_are_collected_and_definitions_are_not_uses() {
+        let src = lex(concat!(
+            "pub fn a() { helper(); }\n",
+            "pub(crate) const unsafe fn b() {}\n",
+            "pub const LIMIT: u32 = 1;\n",
+            "pub(in crate::x) struct S;\n",
+            "fn helper() {}\n",
+            "impl T for S { fn a(&self) {} }\n",
+            "pub use other::Thing;\n",
+            "#[cfg(test)]\nmod tests { pub fn t() { a(); LIMIT; } }\n",
+        ));
+        let scope = FileScope::CrateSrc("core".into());
+        let items = collect_pub_items("crates/core/src/x.rs", &scope, &src);
+        let defs: Vec<(&str, &str, usize)> = items
+            .defs
+            .iter()
+            .map(|d| (d.kind, d.name.as_str(), d.line))
+            .collect();
+        assert_eq!(
+            defs,
+            [
+                ("fn", "a", 1),
+                ("fn", "b", 2),
+                ("const", "LIMIT", 3),
+                ("struct", "S", 4)
+            ]
+        );
+        // `S` is used by the impl header, `Thing` by the re-export, `helper`
+        // by its call; no `fn` name, `pub` item name or test line is a use.
+        for used in ["helper", "S", "T", "Thing"] {
+            assert!(items.uses.contains(used), "{used}");
+        }
+        for unused in ["a", "b", "LIMIT", "t"] {
+            assert!(!items.uses.contains(unused), "{unused}");
+        }
+        let dead = dead_pub(&items.defs, &items.uses);
+        let lines: Vec<usize> = dead.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [1, 2, 3]);
+
+        // outside the five crates nothing is defined, and test lines count
+        let root = collect_pub_items("tests/t.rs", &FileScope::Root, &src);
+        assert!(root.defs.is_empty());
+        assert!(root.uses.contains("LIMIT"));
     }
 
     #[test]

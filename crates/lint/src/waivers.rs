@@ -152,15 +152,18 @@ fn next_code_line(lexed: &LexedFile, comment_line: usize) -> usize {
 /// findings for waivers that covered nothing.
 pub fn apply_waivers(
     path: &str,
-    waivers: &FileWaivers,
+    waivers: &[Waiver],
     findings: &mut [Finding],
 ) -> (Vec<Finding>, Vec<(Rule, usize)>) {
     let mut unused = Vec::new();
     let mut used_counts: Vec<(Rule, usize)> = Vec::new();
-    for waiver in &waivers.waivers {
+    for waiver in waivers {
         let mut used = false;
         for finding in findings.iter_mut() {
-            if finding.rule == waiver.rule && finding.line == waiver.target_line {
+            if finding.rule == waiver.rule
+                && finding.file == path
+                && finding.line == waiver.target_line
+            {
                 finding.waived = true;
                 used = true;
             }
@@ -226,7 +229,7 @@ mod tests {
         let lexed = lex("let a = 1; // dhlint: allow(panic) — nothing actually here\n");
         let w = collect_waivers("f.rs", &lexed);
         let mut findings = vec![];
-        let (unused, used) = apply_waivers("f.rs", &w, &mut findings);
+        let (unused, used) = apply_waivers("f.rs", &w.waivers, &mut findings);
         assert_eq!(unused.len(), 1);
         assert!(used.is_empty());
     }
@@ -242,7 +245,7 @@ mod tests {
             message: "unwrap".into(),
             waived: false,
         }];
-        let (unused, used) = apply_waivers("f.rs", &w, &mut findings);
+        let (unused, used) = apply_waivers("f.rs", &w.waivers, &mut findings);
         assert!(unused.is_empty());
         assert!(findings[0].waived);
         assert_eq!(used, vec![(Rule::Panic, 1)]);

@@ -113,6 +113,45 @@ fn budget_ratchets_in_both_directions() {
 }
 
 #[test]
+fn a_pub_item_only_its_own_unit_test_or_a_comment_or_a_string_names_is_dead() {
+    let r = check("dead_pub_bad");
+    let dead: Vec<(&str, usize)> = r
+        .errors()
+        .filter(|f| f.rule == Rule::DeadPub)
+        .map(|f| (f.file.as_str(), f.line))
+        .collect();
+    // `only_unit_tested` (called from its file's `#[cfg(test)] mod`, named in
+    // a string elsewhere) and `OnlyMentioned` (named in a `///` comment and a
+    // string) — and nothing else.
+    assert_eq!(
+        dead,
+        [("crates/core/src/lib.rs", 1), ("crates/core/src/lib.rs", 5)],
+        "{r:?}"
+    );
+}
+
+#[test]
+fn uses_from_other_crates_integration_tests_and_the_benchmark_keep_an_item_alive() {
+    // Also the documented blind spot: `Dead::touch` has no caller, but shares
+    // its name with `Live::touch`, which has one.
+    let r = check("dead_pub_clean");
+    assert!(r.findings.is_empty(), "{r:?}");
+}
+
+#[test]
+fn a_dead_pub_waiver_without_a_budget_entry_fails_the_budget_check() {
+    let r = check("dead_pub_waived");
+    assert!(
+        r.findings
+            .iter()
+            .any(|f| f.waived && f.rule == Rule::DeadPub),
+        "the waiver is honoured: {r:?}"
+    );
+    assert!(!has_error(&r, Rule::DeadPub), "{r:?}");
+    assert!(has_error(&r, Rule::Waiver), "and not budgeted: {r:?}");
+}
+
+#[test]
 fn placeholder_repository_is_flagged() {
     let r = check("metadata_bad");
     assert!(has_error(&r, Rule::Metadata), "{r:?}");
@@ -137,6 +176,8 @@ fn binary_exits_nonzero_on_negative_fixtures() {
         "determinism_bad",
         "lock_order_bad",
         "metadata_bad",
+        "dead_pub_bad",
+        "dead_pub_waived",
     ] {
         let status = Command::new(env!("CARGO_BIN_EXE_dhlint"))
             .args(["--check"])
@@ -150,7 +191,12 @@ fn binary_exits_nonzero_on_negative_fixtures() {
 
 #[test]
 fn binary_exits_zero_on_clean_fixtures() {
-    for name in ["layering_clean", "panic_waived", "lock_order_ok"] {
+    for name in [
+        "layering_clean",
+        "panic_waived",
+        "lock_order_ok",
+        "dead_pub_clean",
+    ] {
         let status = Command::new(env!("CARGO_BIN_EXE_dhlint"))
             .args(["--check"])
             .arg(fixture(name))

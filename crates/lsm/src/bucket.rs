@@ -132,16 +132,6 @@ impl BucketId {
         );
         1u64 << (global_depth - self.depth)
     }
-
-    /// All directory slots of a directory with `global_depth` bits that map
-    /// to this bucket, i.e. all `h < 2^D` with `h mod 2^d == bits`.
-    pub fn directory_slots(&self, global_depth: u8) -> Vec<u32> {
-        assert!(global_depth >= self.depth);
-        let n = 1u64 << (global_depth - self.depth);
-        (0..n)
-            .map(|i| self.bits | ((i as u32) << self.depth))
-            .collect()
-    }
 }
 
 /// A set of buckets arranged for membership tests: one group per distinct
@@ -236,15 +226,6 @@ mod tests {
         assert_eq!(b.normalized_size(2), 1);
         assert_eq!(b.normalized_size(3), 2);
         assert_eq!(b.normalized_size(5), 8);
-    }
-
-    #[test]
-    fn directory_slots_enumerate_matching_hashes() {
-        let b = BucketId::new(0b11, 2);
-        let slots = b.directory_slots(3);
-        assert_eq!(slots, vec![0b011, 0b111]);
-        let all = b.directory_slots(4);
-        assert_eq!(all, vec![0b0011, 0b0111, 0b1011, 0b1111]);
     }
 
     #[test]

@@ -587,110 +587,6 @@ impl BucketedLsmTree {
                 .buckets()
                 .all(|b| self.buckets.contains_key(&b))
     }
-
-    /// Looks up which visible bucket a key belongs to.
-    pub fn bucket_of_key(&self, key: &Key) -> Option<BucketId> {
-        self.directory.lookup_key(key)
-    }
-
-    /// Looks up which visible bucket a hash belongs to.
-    pub fn bucket_of_hash(&self, hash: u64) -> Option<BucketId> {
-        self.directory.lookup_hash(hash)
-    }
-
-    /// Materialises the live entries of a bucket. Test-only: no production
-    /// path calls it (the bucket must exist).
-    pub fn bucket_entries(&self, bucket: &BucketId) -> Result<Vec<Entry>> {
-        self.buckets
-            .get(bucket)
-            .map(|t| t.scan_all())
-            .ok_or(StorageError::UnknownBucket(*bucket))
-    }
-
-    // -------------------------------------------------------- bucket merging
-
-    /// Merges the two children of `parent` back into a single bucket — the
-    /// inverse of [`BucketedLsmTree::split_bucket`], used when deletions
-    /// shrink the dataset (dynamic bucketing adjusts the bucket count in both
-    /// directions, Section II-A).
-    ///
-    /// Both children must currently be owned by this partition. Their disk
-    /// components are simply re-attached to the merged bucket: their key sets
-    /// are disjoint by construction, so no data rewrite is needed.
-    pub fn merge_buckets(&mut self, parent: BucketId) -> Result<BucketId> {
-        if !self.splits_enabled {
-            return Err(StorageError::SplitsDisabled);
-        }
-        let (lo, hi) = parent.split();
-        if !self.directory.contains(&lo) || !self.directory.contains(&hi) {
-            return Err(StorageError::UnknownBucket(parent));
-        }
-        let mut lo_tree = self
-            .buckets
-            .remove(&lo)
-            .ok_or(StorageError::UnknownBucket(lo))?;
-        let Some(mut hi_tree) = self.buckets.remove(&hi) else {
-            // Undo the lo removal so a malformed call leaves state intact.
-            self.buckets.insert(lo, lo_tree);
-            return Err(StorageError::UnknownBucket(hi));
-        };
-        lo_tree.flush();
-        hi_tree.flush();
-        let mut merged = LsmTree::new(self.config.lsm.clone(), Arc::clone(&self.metrics));
-        let mut comps = lo_tree.components().to_vec();
-        comps.extend(hi_tree.components().iter().cloned());
-        merged.set_components(comps);
-        self.directory.remove(&lo);
-        self.directory.remove(&hi);
-        self.directory.add(parent)?;
-        self.buckets.insert(parent, merged);
-        Ok(parent)
-    }
-
-    /// Merges sibling buckets whose combined logical size has fallen below
-    /// `min_combined_bytes` (e.g. half the dynamic-split threshold). Returns
-    /// the number of merges performed. Splits/merges must be enabled.
-    pub fn shrink_buckets(&mut self, min_combined_bytes: usize) -> usize {
-        if !self.splits_enabled {
-            return 0;
-        }
-        let mut merges = 0;
-        loop {
-            let mut candidate = None;
-            for b in self.directory.buckets() {
-                let Some(parent) = b.parent() else { continue };
-                let (lo, hi) = parent.split();
-                if !self.directory.contains(&lo) || !self.directory.contains(&hi) {
-                    continue;
-                }
-                let combined = self
-                    .buckets
-                    .get(&lo)
-                    .map(|t| t.logical_size_bytes())
-                    .unwrap_or(0)
-                    + self
-                        .buckets
-                        .get(&hi)
-                        .map(|t| t.logical_size_bytes())
-                        .unwrap_or(0);
-                if combined < min_combined_bytes {
-                    candidate = Some(parent);
-                    break;
-                }
-            }
-            match candidate {
-                Some(parent) => {
-                    if self.merge_buckets(parent).is_ok() {
-                        merges += 1;
-                    } else {
-                        break;
-                    }
-                }
-                None => break,
-            }
-        }
-        merges
-    }
 }
 
 #[cfg(test)]
@@ -724,7 +620,7 @@ mod tests {
         assert_eq!(t.live_len(), 200);
         for i in 0..200u64 {
             let key = Key::from_u64(i);
-            let b = t.bucket_of_key(&key).unwrap();
+            let b = t.directory.lookup_key(&key).unwrap();
             assert!(b.contains_key(&key));
             assert!(t.get(&key).is_some());
         }
@@ -824,7 +720,7 @@ mod tests {
         }
         // merged, so the bucket's one run owns its payloads in one slab
         t.buckets.get_mut(&b).unwrap().force_merge_all();
-        let key = t.bucket_entries(&b).unwrap()[0].key.clone();
+        let key = t.bucket_tree(&b).unwrap().scan_all()[0].key.clone();
         let held = t.get(&key).unwrap();
         let reader = t.bucket_tree(&b).unwrap().components()[0].clone();
         assert_eq!(reader.ref_count(), 2, "the bucket's tree and the reader");
@@ -851,8 +747,8 @@ mod tests {
         assert!(t.is_consistent());
         assert_eq!(t.live_len(), before, "no records may be lost by a split");
         // children partition the parent's records
-        let lo_entries = t.bucket_entries(&lo).unwrap();
-        let hi_entries = t.bucket_entries(&hi).unwrap();
+        let lo_entries = t.bucket_tree(&lo).unwrap().scan_all();
+        let hi_entries = t.bucket_tree(&hi).unwrap().scan_all();
         assert!(lo_entries.iter().all(|e| lo.contains_key(&e.key)));
         assert!(hi_entries.iter().all(|e| hi.contains_key(&e.key)));
         assert!(!lo_entries.is_empty() && !hi_entries.is_empty());
@@ -928,18 +824,9 @@ mod tests {
         dest.create_pending_bucket(incoming).unwrap();
         dest.load_into_pending(incoming, moved_entries).unwrap();
         // a replicated concurrent write that updates a moved key
-        let some_key = t
-            .bucket_entries(&incoming)
-            .unwrap()
-            .first()
-            .unwrap()
-            .key
-            .clone();
-        dest.apply_replicated(
-            incoming,
-            Entry::put(some_key.clone(), Bytes::from_static(b"newer")),
-        )
-        .unwrap();
+        let some_key = t.bucket_tree(&incoming).unwrap().scan_all()[0].key.clone();
+        dest.apply_replicated(incoming, Entry::put(some_key.clone(), Bytes::from("newer")))
+            .unwrap();
 
         // still invisible
         assert_eq!(dest.get(&some_key), None);
@@ -950,7 +837,7 @@ mod tests {
         assert!(dest.is_consistent());
         assert_eq!(dest.live_len(), moved_count);
         // the replicated write must win over the bulk-loaded record
-        assert_eq!(dest.get(&some_key).unwrap(), Bytes::from_static(b"newer"));
+        assert_eq!(dest.get(&some_key).unwrap(), Bytes::from("newer"));
         // idempotent install (Case 4/5 retries)
         dest.install_pending(incoming).unwrap();
         assert_eq!(dest.live_len(), moved_count);
@@ -965,7 +852,7 @@ mod tests {
         let b = BucketId::new(0, 1);
         t.drop_bucket(b).unwrap();
         t.drop_bucket(b).unwrap(); // no-op
-        assert!(t.bucket_of_hash(0).is_none());
+        assert!(t.directory.lookup_hash(0).is_none());
         t.drop_all_pending(); // nothing pending: no-op
         assert!(t.is_consistent());
     }
@@ -982,7 +869,7 @@ mod tests {
             src.insert(i, val(16)).unwrap();
         }
         let moving = BucketId::new(0, 1);
-        let expected = src.bucket_entries(&moving).unwrap();
+        let expected = src.bucket_tree(&moving).unwrap().scan_all();
         let comps = src.ship_bucket(moving).unwrap();
         assert!(!comps.is_empty());
         assert!(comps.iter().all(|c| c.is_shipped()));
@@ -1048,7 +935,10 @@ mod tests {
         );
         dst.install_pending(moving).unwrap();
         assert!(!dst.bucket_tree(&moving).unwrap().merges_paused());
-        assert_eq!(dst.live_len(), dst.bucket_entries(&moving).unwrap().len());
+        assert_eq!(
+            dst.live_len(),
+            dst.bucket_tree(&moving).unwrap().scan_all().len()
+        );
     }
 
     #[test]
@@ -1086,83 +976,5 @@ mod tests {
         assert!(!comps.is_empty());
         // everything the bucket holds is now in immutable components
         assert!(t.bucket_tree(&b).unwrap().memtable().is_empty());
-    }
-}
-
-#[cfg(test)]
-mod merge_tests {
-    use super::*;
-    use crate::bytes::Bytes;
-
-    fn tree(max_bucket: Option<usize>) -> BucketedLsmTree {
-        BucketedLsmTree::new(
-            BucketedConfig {
-                lsm: LsmConfig::with_memtable_budget(4 * 1024),
-                max_bucket_size_bytes: max_bucket,
-                max_depth: 12,
-            },
-            [BucketId::new(0, 1), BucketId::new(1, 1)],
-            StorageMetrics::new_shared(),
-        )
-    }
-
-    #[test]
-    fn split_then_merge_roundtrips_data_and_directory() {
-        let mut t = tree(None);
-        for i in 0..400u64 {
-            t.insert(i, Bytes::from(vec![1u8; 32])).unwrap();
-        }
-        let before = t.live_len();
-        let parent = BucketId::new(0, 1);
-        t.split_bucket(parent).unwrap();
-        assert_eq!(t.num_buckets(), 3);
-        assert_eq!(t.live_len(), before);
-
-        let merged = t.merge_buckets(parent).unwrap();
-        assert_eq!(merged, parent);
-        assert_eq!(t.num_buckets(), 2);
-        assert!(t.is_consistent());
-        assert_eq!(t.live_len(), before);
-        for i in 0..400u64 {
-            assert!(t.get(&Key::from_u64(i)).is_some());
-        }
-        // merging again fails: the children no longer exist
-        assert!(t.merge_buckets(parent).is_err());
-    }
-
-    #[test]
-    fn shrink_buckets_merges_small_siblings_after_deletions() {
-        let mut t = tree(Some(2 * 1024));
-        for i in 0..2000u64 {
-            t.insert(i, Bytes::from(vec![2u8; 64])).unwrap();
-        }
-        let grown = t.num_buckets();
-        assert!(grown > 2, "ingestion should have split buckets");
-        // delete most of the data, then shrink
-        for i in 0..2000u64 {
-            if i % 10 != 0 {
-                t.delete(Key::from_u64(i)).unwrap();
-            }
-        }
-        let live = t.live_len();
-        let merges = t.shrink_buckets(64 * 1024);
-        assert!(merges > 0, "shrinking should merge some sibling buckets");
-        assert!(t.num_buckets() < grown);
-        assert!(t.is_consistent());
-        assert_eq!(t.live_len(), live, "merging must not change the data");
-    }
-
-    #[test]
-    fn merge_requires_both_children_and_enabled_splits() {
-        let mut t = tree(None);
-        // bucket (0,1) was never split, so its children do not exist and the
-        // merge is rejected
-        assert!(t.merge_buckets(BucketId::new(0, 1)).is_err());
-        t.set_splits_enabled(false);
-        assert!(matches!(
-            t.merge_buckets(BucketId::root()),
-            Err(StorageError::SplitsDisabled)
-        ));
-        assert_eq!(t.shrink_buckets(1 << 20), 0);
     }
 }

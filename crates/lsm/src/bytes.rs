@@ -25,11 +25,6 @@ impl Bytes {
         Bytes::default()
     }
 
-    /// Creates a buffer from a static byte slice.
-    pub fn from_static(bytes: &'static [u8]) -> Self {
-        Bytes::from(bytes.to_vec())
-    }
-
     /// Length of the buffer in bytes.
     pub fn len(&self) -> usize {
         self.end - self.start
@@ -110,8 +105,10 @@ impl Bytes {
     }
 
     /// True if both buffers are views of one allocation (slices of the same
-    /// slab, or clones of each other).
-    pub fn shares_allocation(&self, other: &Bytes) -> bool {
+    /// slab, or clones of each other). For this crate's unit tests, which
+    /// assert where a payload is copied and where it is not.
+    #[cfg(test)]
+    pub(crate) fn shares_allocation(&self, other: &Bytes) -> bool {
         Arc::ptr_eq(&self.data, &other.data)
     }
 }
@@ -246,22 +243,17 @@ mod tests {
     }
 
     #[test]
-    fn empty_and_static() {
+    fn empty_and_from_str() {
         assert!(Bytes::new().is_empty());
-        assert_eq!(Bytes::from_static(b"abc").as_ref(), b"abc");
         assert_eq!(Bytes::from("xy").to_vec(), vec![b'x', b'y']);
     }
 
     #[test]
     fn ordering_and_hash_follow_contents() {
         use std::collections::BTreeSet;
-        let set: BTreeSet<Bytes> = [
-            Bytes::from_static(b"b"),
-            Bytes::from_static(b"a"),
-            Bytes::from(vec![b'a']),
-        ]
-        .into_iter()
-        .collect();
+        let set: BTreeSet<Bytes> = [Bytes::from("b"), Bytes::from("a"), Bytes::from(vec![b'a'])]
+            .into_iter()
+            .collect();
         assert_eq!(set.len(), 2);
     }
 }

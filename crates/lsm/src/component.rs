@@ -469,8 +469,8 @@ mod tests {
     #[test]
     fn from_unsorted_dedups_keeping_newest() {
         let entries = vec![
-            Entry::put(Key::from_u64(1), Bytes::from_static(b"old")),
-            Entry::put(Key::from_u64(1), Bytes::from_static(b"new")),
+            Entry::put(Key::from_u64(1), Bytes::from("old")),
+            Entry::put(Key::from_u64(1), Bytes::from("new")),
         ];
         let c = Component::from_unsorted(entries, ComponentSource::Flush);
         assert_eq!(c.raw_len(), 1);

@@ -499,7 +499,7 @@ mod tests {
 
     #[test]
     fn op_helpers() {
-        let p = Op::Put(Bytes::from_static(b"x"));
+        let p = Op::Put(Bytes::from("x"));
         assert!(!p.is_delete());
         assert_eq!(p.value().unwrap().as_ref(), b"x");
         assert!(Op::Delete.is_delete());

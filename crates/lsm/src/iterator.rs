@@ -519,7 +519,7 @@ mod tests {
     #[test]
     fn reconcile_point_takes_first_hit() {
         let newer = Op::Delete;
-        let older = Op::Put(Bytes::from_static(b"x"));
+        let older = Op::Put(Bytes::from("x"));
         let got = reconcile_point([None, Some(&newer), Some(&older)].into_iter());
         assert!(matches!(got, Some(Op::Delete)));
         assert!(reconcile_point([None, None].into_iter()).is_none());

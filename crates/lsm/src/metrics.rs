@@ -70,22 +70,6 @@ impl StorageMetrics {
             split_count: Self::get(&self.split_count),
         }
     }
-
-    /// Resets every counter to zero.
-    pub fn reset(&self) {
-        self.bytes_flushed.store(0, Ordering::Relaxed);
-        self.bytes_merged.store(0, Ordering::Relaxed);
-        self.bytes_merge_read.store(0, Ordering::Relaxed);
-        self.bytes_query_read.store(0, Ordering::Relaxed);
-        self.bytes_rebalance_read.store(0, Ordering::Relaxed);
-        self.bytes_rebalance_loaded.store(0, Ordering::Relaxed);
-        self.bytes_rebalance_shipped.store(0, Ordering::Relaxed);
-        self.components_shipped.store(0, Ordering::Relaxed);
-        self.records_written.store(0, Ordering::Relaxed);
-        self.flush_count.store(0, Ordering::Relaxed);
-        self.merge_count.store(0, Ordering::Relaxed);
-        self.split_count.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A point-in-time copy of [`StorageMetrics`].
@@ -118,12 +102,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Total bytes written to "disk" (flush + merge), the write amplification
-    /// numerator.
-    pub fn total_bytes_written(&self) -> u64 {
-        self.bytes_flushed + self.bytes_merged
-    }
-
     /// Difference between two snapshots (self - earlier), saturating at zero.
     pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -160,7 +138,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_reset() {
+    fn counters_accumulate() {
         let m = StorageMetrics::new_shared();
         StorageMetrics::add(&m.bytes_flushed, 100);
         StorageMetrics::add(&m.bytes_flushed, 50);
@@ -168,8 +146,6 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.bytes_flushed, 150);
         assert_eq!(s.records_written, 3);
-        m.reset();
-        assert_eq!(m.snapshot(), MetricsSnapshot::default());
     }
 
     #[test]
@@ -183,6 +159,5 @@ mod tests {
         let d = after.delta_since(&before);
         assert_eq!(d.bytes_flushed, 40);
         assert_eq!(d.bytes_merged, 7);
-        assert_eq!(d.total_bytes_written(), 47);
     }
 }

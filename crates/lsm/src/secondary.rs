@@ -150,16 +150,6 @@ impl SecondaryIndex {
         self.obsolete_skipped += self.obsolete_entries();
     }
 
-    /// Searches for the primary keys with exactly this secondary key.
-    pub fn search_exact(&mut self, secondary: &Key) -> Vec<Key> {
-        let hi = Key::from_parts(&[secondary.as_slice(), &[0xff; 3]]);
-        self.search_range(Some(secondary), Some(&hi))
-            .into_iter()
-            .filter(|se| &se.secondary == secondary)
-            .map(|se| se.primary)
-            .collect()
-    }
-
     // ------------------------------------------------------------ rebalancing
 
     /// Records moved buckets for lazy cleanup: each bucket's `(hash, depth)`
@@ -277,11 +267,6 @@ impl SecondaryIndex {
         self.pending = None;
     }
 
-    /// True if a pending component list exists.
-    pub fn has_pending(&self) -> bool {
-        self.pending.is_some()
-    }
-
     // ------------------------------------------------------------ maintenance
 
     /// Flushes the in-memory component.
@@ -308,19 +293,6 @@ impl SecondaryIndex {
     pub fn all_valid_entries(&mut self) -> Vec<SecondaryEntry> {
         self.search_range(None, None)
     }
-}
-
-/// Builds the secondary-index entries for a record given an extractor from
-/// the record payload to the secondary key. Shared by ingestion and by the
-/// rebalance destination, which rebuilds secondary indexes on the fly.
-pub fn index_record<F>(primary: &Key, payload: &[u8], extract: F) -> Option<SecondaryEntry>
-where
-    F: Fn(&[u8]) -> Option<Key>,
-{
-    extract(payload).map(|secondary| SecondaryEntry {
-        secondary,
-        primary: primary.clone(),
-    })
 }
 
 #[cfg(test)]
@@ -359,9 +331,9 @@ mod tests {
         assert!(hits
             .iter()
             .all(|se| (3..5).contains(&se.secondary.as_u64())));
-        let exact = i.search_exact(&Key::from_u64(7));
+        let exact = i.search_range(Some(&Key::from_u64(7)), Some(&Key::from_u64(8)));
         assert_eq!(exact.len(), 10);
-        assert!(exact.iter().all(|pk| pk.as_u64() / 10 == 7));
+        assert!(exact.iter().all(|se| se.primary.as_u64() / 10 == 7));
     }
 
     #[test]
@@ -377,11 +349,11 @@ mod tests {
         i.load_into_pending(received);
         i.apply_replicated(Key::from_u64(2), Key::from_u64(2000), false);
         assert_eq!(i.all_valid_entries().len(), 1);
-        assert!(i.has_pending());
+        assert!(i.pending.is_some());
 
         i.flush_pending();
         i.install_pending();
-        assert!(!i.has_pending());
+        assert!(i.pending.is_none());
         assert_eq!(i.all_valid_entries().len(), 1 + 50 + 1);
         // abort path on a fresh index: dropping nothing is fine
         i.drop_pending();
@@ -540,18 +512,5 @@ mod tests {
         assert_eq!(i.run_merges(), 1);
         assert_eq!(i.components().len(), 1, "all three marked runs merged");
         assert_eq!(query(&mut i), (hits, 0));
-    }
-
-    #[test]
-    fn index_record_extracts_secondary_key() {
-        let payload = 42u64.to_be_bytes();
-        let se = index_record(&Key::from_u64(7), &payload, |p| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&p[..8]);
-            Some(Key::from_u64(u64::from_be_bytes(b)))
-        })
-        .unwrap();
-        assert_eq!(se.secondary.as_u64(), 42);
-        assert_eq!(se.primary.as_u64(), 7);
     }
 }

@@ -11,8 +11,6 @@
 //! lets the fault-injection tests model "the node failed before the record
 //! reached disk".
 
-use crate::entry::{Entry, Key, Op, Value};
-
 /// Log sequence number.
 pub type Lsn = u64;
 
@@ -124,22 +122,6 @@ impl LogRecord {
         }
     }
 
-    /// Converts a data log record back into an LSM entry (used when applying
-    /// replicated records at a rebalance destination).
-    pub fn to_entry(&self) -> Option<Entry> {
-        match &self.body {
-            LogRecordBody::Insert { key, value, .. } => Some(Entry {
-                key: Key::from_slice(key),
-                op: Op::Put(Value::from(value.clone())),
-            }),
-            LogRecordBody::Delete { key, .. } => Some(Entry {
-                key: Key::from_slice(key),
-                op: Op::Delete,
-            }),
-            _ => None,
-        }
-    }
-
     /// The dataset a data record belongs to, if it is a data record.
     pub fn dataset(&self) -> Option<u32> {
         match &self.body {
@@ -205,24 +187,6 @@ impl TransactionLog {
     /// All records currently in the log.
     pub fn records(&self) -> &[LogRecord] {
         &self.records
-    }
-
-    /// Records with `lsn >= from` (used for replication catch-up).
-    pub fn records_since(&self, from: Lsn) -> impl Iterator<Item = &LogRecord> {
-        self.records.iter().filter(move |r| r.lsn >= from)
-    }
-
-    /// Durable data records of a dataset with `lsn >= from` whose key
-    /// satisfies `filter` — the replication stream for a moving bucket.
-    pub fn replication_stream<'a, F>(&'a self, dataset: u32, from: Lsn, filter: F) -> Vec<LogRecord>
-    where
-        F: Fn(&Key) -> bool + 'a,
-    {
-        self.records_since(from)
-            .filter(|r| r.dataset() == Some(dataset))
-            .filter(|r| r.to_entry().map(|e| filter(&e.key)).unwrap_or(false))
-            .cloned()
-            .collect()
     }
 
     /// The next LSN that will be assigned.
@@ -383,26 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn replication_stream_filters_by_dataset_and_key() {
-        let mut log = TransactionLog::new();
-        for i in 0..20u64 {
-            log.append(LogRecordBody::Insert {
-                dataset: if i % 2 == 0 { 1 } else { 2 },
-                key: Key::from_u64(i).into_vec(),
-                value: vec![0u8; 4],
-            });
-        }
-        let start = 10;
-        let stream = log.replication_stream(1, start, |k| k.as_u64() >= 10);
-        assert!(!stream.is_empty());
-        for r in &stream {
-            assert!(r.lsn >= start);
-            assert_eq!(r.dataset(), Some(1));
-            assert!(r.to_entry().unwrap().key.as_u64() >= 10);
-        }
-    }
-
-    #[test]
     fn shipped_moves_survive_only_when_forced() {
         let mut log = TransactionLog::new();
         let mv = ShippedMove {
@@ -431,36 +375,5 @@ mod tests {
         assert_eq!(shipped.len(), 1, "unforced ship record lost in the crash");
         assert_eq!(shipped[0], &mv);
         assert!(log.shipped_moves(8).is_empty());
-    }
-
-    #[test]
-    fn to_entry_roundtrips_inserts_and_deletes() {
-        let ins = LogRecord {
-            lsn: 0,
-            body: LogRecordBody::Insert {
-                dataset: 1,
-                key: Key::from_u64(7).into_vec(),
-                value: b"abc".to_vec(),
-            },
-            durable: true,
-        };
-        let e = ins.to_entry().unwrap();
-        assert_eq!(e.key.as_u64(), 7);
-        assert!(!e.op.is_delete());
-        let del = LogRecord {
-            lsn: 1,
-            body: LogRecordBody::Delete {
-                dataset: 1,
-                key: Key::from_u64(7).into_vec(),
-            },
-            durable: true,
-        };
-        assert!(del.to_entry().unwrap().op.is_delete());
-        let meta = LogRecord {
-            lsn: 2,
-            body: LogRecordBody::RebalanceDone { rebalance: 1 },
-            durable: true,
-        };
-        assert!(meta.to_entry().is_none());
     }
 }

@@ -31,14 +31,6 @@ impl TpchScale {
         }
     }
 
-    /// A small scale suitable for integration tests and examples.
-    pub fn small() -> Self {
-        TpchScale {
-            orders: 1_000,
-            seed: 42,
-        }
-    }
-
     /// The scale used by the benchmark harness: `orders_per_node × nodes`
     /// orders, mirroring the paper's "scale factor proportional to the
     /// cluster size" setup.
@@ -252,9 +244,16 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
+    fn small() -> TpchScale {
+        TpchScale {
+            orders: 1_000,
+            seed: 42,
+        }
+    }
+
     #[test]
     fn cardinality_ratios_follow_tpch() {
-        let data = TpchData::generate(TpchScale::small());
+        let data = TpchData::generate(small());
         assert_eq!(data.orders.len(), 1000);
         assert_eq!(data.customer.len(), 100);
         assert_eq!(data.region.len(), 5);
@@ -267,8 +266,8 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a = TpchData::generate(TpchScale::small());
-        let b = TpchData::generate(TpchScale::small());
+        let a = TpchData::generate(small());
+        let b = TpchData::generate(small());
         assert_eq!(a.lineitem, b.lineitem);
         assert_eq!(a.orders, b.orders);
         let c = TpchData::generate(TpchScale {

@@ -267,11 +267,6 @@ table_record! {
     key = |s| Key::from_u64(s.r_regionkey);
 }
 
-/// Names of the eight TPC-H tables, in loading order.
-pub const TABLE_NAMES: [&str; 8] = [
-    "region", "nation", "supplier", "customer", "part", "partsupp", "orders", "lineitem",
-];
-
 /// Number of days in the TPC-H date range (1992-01-01 .. 1998-12-31).
 pub const DATE_RANGE_DAYS: u64 = 2556;
 
