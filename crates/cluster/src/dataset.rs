@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use dynahash_core::{GlobalDirectory, PartitionId, Scheme};
 use dynahash_lsm::entry::Key;
+use dynahash_lsm::hash_key;
 
 /// Identifier of a dataset, unique within the cluster.
 pub type DatasetId = u32;
@@ -108,15 +109,16 @@ pub struct DatasetMeta {
 impl DatasetMeta {
     /// The partition a key routes to under this dataset's scheme.
     pub fn route_key(&self, key: &Key) -> Option<PartitionId> {
+        self.route_hash(hash_key(key))
+    }
+
+    /// [`DatasetMeta::route_key`] for a caller that has hashed its key
+    /// already: `hash` must be the key's `hash_key`.
+    pub fn route_hash(&self, hash: u64) -> Option<PartitionId> {
         match &self.directory {
-            Some(dir) => dir.lookup_key(key).map(|(_, p)| p),
-            None => {
-                if self.partitions.is_empty() {
-                    None
-                } else {
-                    Some(Scheme::modulo_partition(key, &self.partitions))
-                }
-            }
+            Some(dir) => dir.lookup_hash(hash).map(|(_, p)| p),
+            None => (!self.partitions.is_empty())
+                .then(|| Scheme::modulo_partition(hash, &self.partitions)),
         }
     }
 
@@ -183,7 +185,7 @@ mod tests {
             let k = Key::from_u64(i);
             assert_eq!(
                 m.route_key(&k).unwrap(),
-                Scheme::modulo_partition(&k, &m.partitions)
+                Scheme::modulo_partition(hash_key(&k), &m.partitions)
             );
         }
     }

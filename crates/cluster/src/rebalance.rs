@@ -18,6 +18,7 @@ use std::collections::BTreeMap;
 
 use dynahash_core::{ClusterTopology, MovePolicy, NodeId, RebalanceOutcome, SecondaryRebuild};
 use dynahash_lsm::entry::{Key, Value};
+use dynahash_lsm::hash_key;
 use dynahash_lsm::wal::RebalanceId;
 
 use crate::cluster::Cluster;
@@ -278,7 +279,8 @@ impl Cluster {
                 let Some(value) = e.op.value().cloned() else {
                     continue;
                 };
-                let dst = dynahash_core::Scheme::modulo_partition(&e.key, &new_partitions);
+                let dst =
+                    dynahash_core::Scheme::modulo_partition(hash_key(&e.key), &new_partitions);
                 let dst_node = target
                     .node_of(dst)
                     .ok_or(ClusterError::UnknownPartition(dst))?;

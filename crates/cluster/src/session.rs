@@ -37,7 +37,7 @@
 //! with independently stale caches can interleave with rebalance job steps.
 
 use dynahash_lsm::entry::{Entry, Key, Value};
-use dynahash_lsm::{ScanOrder, SecondaryEntry};
+use dynahash_lsm::{hash_key, ScanOrder, SecondaryEntry};
 use std::collections::BTreeMap;
 
 use dynahash_core::PartitionId;
@@ -173,13 +173,14 @@ impl Cluster {
 
     /// Validated point read in one partition pass: the hot path of
     /// [`Session::get`]. `bucketed` comes from the session's cached spec (a
-    /// dataset never changes scheme), so the success path touches only the
-    /// partition — the same work a direct read does, plus one local
-    /// directory probe.
+    /// dataset never changes scheme) and `hash` is the session's one
+    /// `hash_key(key)`, so the success path touches only the partition — the
+    /// work a direct read does: one local directory probe, one tree read.
     pub(crate) fn validated_get(
         &self,
         dataset: DatasetId,
         key: &Key,
+        hash: u64,
         partition: PartitionId,
         bucketed: bool,
     ) -> Result<Option<Value>> {
@@ -192,12 +193,15 @@ impl Cluster {
             }
             if let Ok(part) = self.partition(partition) {
                 if let Ok(ds) = part.dataset(dataset) {
-                    if let Some(bucket) = ds.primary.directory().lookup_key(key) {
+                    if let Some(bucket) = ds.primary.directory().lookup_hash(hash) {
                         // The local probe already named the bucket, so the
                         // armed heat path costs nothing extra (and the
-                        // disarmed one a single flag check).
+                        // disarmed one a single flag check), and the read
+                        // goes to that bucket's tree without resolving it
+                        // again.
                         self.heat.note_read(dataset, bucket);
-                        return Ok(ds.get(key));
+                        let tree = ds.primary.bucket_tree(&bucket);
+                        return Ok(tree.and_then(|t| t.get_ref_hashed(key, hash)).cloned());
                     }
                 }
             }
@@ -229,8 +233,13 @@ impl Session {
 
     /// Routes a key through the cached snapshot.
     fn route(&self, key: &Key) -> Result<PartitionId> {
+        self.route_hash(hash_key(key))
+    }
+
+    /// [`Session::route`] given the key's `hash_key`.
+    fn route_hash(&self, hash: u64) -> Result<PartitionId> {
         self.cache
-            .route_key(key)
+            .route_hash(hash)
             .ok_or(ClusterError::RoutingFailed(self.dataset))
     }
 
@@ -298,9 +307,12 @@ impl Session {
         self.metrics.requests += 1;
         let bucketed = self.cache.is_bucketed();
         let mut attempts = 0usize;
+        // hashed once: for the cached directory, the partition's local
+        // directory, and every filter of the bucket's tree
+        let hash = hash_key(key);
         loop {
-            let partition = self.route(key)?;
-            match cluster.validated_get(self.dataset, key, partition, bucketed) {
+            let partition = self.route_hash(hash)?;
+            match cluster.validated_get(self.dataset, key, hash, partition, bucketed) {
                 Ok(v) => return Ok(v),
                 Err(e) => self.handle_rejection(cluster, e, &mut attempts)?,
             }

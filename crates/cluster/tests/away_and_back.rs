@@ -42,9 +42,12 @@ fn payload(key: u64, version: u64) -> Bytes {
     Bytes::from(v)
 }
 
+fn spec_of(scheme: Scheme) -> DatasetSpec {
+    DatasetSpec::new("events", scheme).with_secondary_index(SecondaryIndexDef::new(INDEX, group_of))
+}
+
 fn spec() -> DatasetSpec {
-    DatasetSpec::new("events", Scheme::StaticHash { num_buckets: 128 })
-        .with_secondary_index(SecondaryIndexDef::new(INDEX, group_of))
+    spec_of(Scheme::StaticHash { num_buckets: 128 })
 }
 
 /// The cluster plus the model of what it must hold: key -> version.
@@ -59,6 +62,10 @@ struct World {
 
 impl World {
     fn new(nodes: u32, records: u64) -> World {
+        World::with_spec(nodes, records, spec())
+    }
+
+    fn with_spec(nodes: u32, records: u64, spec: DatasetSpec) -> World {
         let mut cluster = Cluster::with_config(
             nodes,
             ClusterConfig {
@@ -66,7 +73,7 @@ impl World {
                 cost_model: CostModel::default(),
             },
         );
-        let ds = cluster.create_dataset(spec()).unwrap();
+        let ds = cluster.create_dataset(spec).unwrap();
         let mut session = cluster.session(ds).unwrap();
         session
             .ingest(
@@ -147,13 +154,18 @@ impl World {
 
     fn check(&mut self, when: &str) {
         let ds = self.ds;
-        // Primary: the model, exactly.
-        for (key, version) in &self.model {
-            let got = self
-                .session
-                .get(&self.cluster, &Key::from_u64(*key))
-                .unwrap();
-            assert_eq!(got, Some(payload(*key, *version)), "{when}: key {key}");
+        // Primary: the model, exactly — through the session and read straight
+        // off the tree of the partition the key routes to; every key ever
+        // written (the deleted ones are absent) and 1 000 nobody wrote.
+        for key in 0..self.next_key + 1_000 {
+            let expected = self.model.get(&key).map(|version| payload(key, *version));
+            let k = Key::from_u64(key);
+            let got = self.session.get(&self.cluster, &k).unwrap();
+            assert_eq!(got, expected, "{when}: key {key} through the session");
+            let admin = self.cluster.admin();
+            let home = admin.partition(admin.route_key(ds, &k).unwrap()).unwrap();
+            let tree = &home.dataset(ds).unwrap().primary;
+            assert_eq!(tree.get(&k), expected, "{when}: key {key} in the tree");
         }
         assert_eq!(
             self.cluster.dataset_len(ds).unwrap(),
@@ -217,6 +229,28 @@ fn scaling_out_and_in_twice_keeps_every_index_equal_to_the_model() {
         w.churn(300);
         w.check(&format!("round {round}: churned on 4 nodes"));
     }
+}
+
+/// The same cycle over a store whose buckets split under the ingest (and
+/// keep splitting under the point writes): every read is of a reference
+/// component or of a run merged out of some, at whatever depth the bucket
+/// has reached.
+#[test]
+fn point_reads_equal_the_model_after_splits_a_cycle_and_point_writes() {
+    let mut w = World::with_spec(4, 2400, spec_of(Scheme::dynahash(6 * 1024, 8)));
+    w.check("loaded");
+    let node = w.cluster.add_node().unwrap();
+    w.rebalance(None);
+    w.churn(300);
+    w.check("scaled out and churned");
+    w.rebalance(Some(node));
+    w.churn(300);
+    w.check("scaled in and churned");
+    let partitions = w.cluster.topology().partitions();
+    let admin = w.cluster.admin();
+    let splits = |p| admin.partition(p).unwrap().metrics().snapshot().split_count;
+    let split: u64 = partitions.into_iter().map(splits).sum();
+    assert!(split > 0, "the store was to split its buckets");
 }
 
 /// The same history at bucket level, between two partitions: `b` goes

@@ -10,8 +10,7 @@
 //!   when they exceed a maximum size (10 GB in the paper), and rebalancing
 //!   moves whole buckets.
 
-use dynahash_lsm::bucket::{hash_key, BucketId};
-use dynahash_lsm::entry::Key;
+use dynahash_lsm::bucket::BucketId;
 
 use crate::topology::PartitionId;
 
@@ -90,12 +89,11 @@ impl Scheme {
         }
     }
 
-    /// Routes a key under the **Hashing** scheme: `hash(K) mod N` over the
-    /// given partition list (in order). Bucketed schemes route through the
-    /// global directory instead.
-    pub fn modulo_partition(key: &Key, partitions: &[PartitionId]) -> PartitionId {
-        let h = hash_key(key);
-        partitions[(h % partitions.len() as u64) as usize]
+    /// Routes a key, given its [`hash_key`], under the **Hashing** scheme:
+    /// `hash(K) mod N` over the given partition list (in order). Bucketed
+    /// schemes route through the global directory instead.
+    pub fn modulo_partition(hash: u64, partitions: &[PartitionId]) -> PartitionId {
+        partitions[(hash % partitions.len() as u64) as usize]
     }
 
     /// The initial buckets for a bucketed scheme given the partition count.
@@ -120,6 +118,8 @@ fn log2_ceil(v: u32) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynahash_lsm::entry::Key;
+    use dynahash_lsm::hash_key;
 
     #[test]
     fn names_match_paper_legends() {
@@ -154,8 +154,9 @@ mod tests {
         let parts: Vec<PartitionId> = (0..8).map(PartitionId).collect();
         let mut counts = vec![0usize; 8];
         for i in 0..8000u64 {
-            let p = Scheme::modulo_partition(&Key::from_u64(i), &parts);
-            assert_eq!(p, Scheme::modulo_partition(&Key::from_u64(i), &parts));
+            let hash = hash_key(&Key::from_u64(i));
+            let p = Scheme::modulo_partition(hash, &parts);
+            assert_eq!(p, Scheme::modulo_partition(hash, &parts));
             counts[p.0 as usize] += 1;
         }
         // roughly uniform: each partition gets 1000 +/- 30%

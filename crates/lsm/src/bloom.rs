@@ -1,38 +1,70 @@
-//! A standard Bloom filter over keys, used to skip disk components during
-//! point lookups (Section II-B of the paper).
+//! A cache-line-blocked Bloom filter over keys, used to skip disk components
+//! during point lookups (Section II-B of the paper).
+//!
+//! The filter is an array of 64-byte-aligned 512-bit blocks. A key sets (and
+//! a probe tests) seven bits of **one** block, so a probe costs one cache
+//! line however large the filter is — a point read probes one filter per
+//! disk component, and most of those probes are misses that touch nothing
+//! else of the component.
+//!
+//! Both the block and the bits inside it are cut from a *remix* of the 64-bit
+//! key hash ([`hash_key`]), never from the hash as it comes: a bucket's
+//! components hold only keys that share their low-order hash bits (that is
+//! what makes them one bucket, up to 32 bits of it), so a filter that indexed
+//! with those bits raw would crowd a bucket's keys into a fraction of its
+//! blocks, or onto a fraction of a block's bits.
+//!
+//! The filter consumes the hash, not the key: a reader hashes its key once
+//! and hands the hash to the directory and to every filter it probes
+//! ([`BloomFilter::may_contain_hash`]).
 
 use crate::bucket::hash_key;
 use crate::entry::Key;
 
+/// Bits per key used when sizing filters. A blocked filter pays for its
+/// locality with a slightly higher false-positive rate than a flat one of the
+/// same size (blocks fill unevenly): about 1% at 10 bits per key.
+pub const BITS_PER_KEY: usize = 10;
+
+/// Bits of one block: one cache line.
+const BLOCK_BITS: usize = 512;
+
+/// Bits set per key, all in one block.
+const BITS_PER_PROBE: u32 = 7;
+
+/// One cache line of filter bits.
+#[derive(Clone, Copy, Debug, Default)]
+#[repr(align(64))]
+struct Block([u64; BLOCK_BITS / 64]);
+
 /// A Bloom filter sized for a target false-positive rate of roughly 1%.
 #[derive(Clone, Debug)]
 pub struct BloomFilter {
-    bits: Vec<u64>,
-    num_bits: usize,
-    num_hashes: u32,
+    blocks: Vec<Block>,
     num_items: usize,
 }
-
-/// Bits per key used when sizing filters (10 bits/key ≈ 1% false positives).
-pub const BITS_PER_KEY: usize = 10;
 
 impl BloomFilter {
     /// Creates a filter sized for `expected_items` keys.
     pub fn with_capacity(expected_items: usize) -> Self {
-        let num_bits = (expected_items.max(1) * BITS_PER_KEY).max(64);
-        let words = num_bits.div_ceil(64);
+        let blocks = (expected_items * BITS_PER_KEY).div_ceil(BLOCK_BITS).max(1);
         BloomFilter {
-            bits: vec![0u64; words],
-            num_bits: words * 64,
-            num_hashes: 7,
+            blocks: vec![Block::default(); blocks],
             num_items: 0,
         }
     }
 
     /// Inserts a key into the filter.
     pub fn insert(&mut self, key: &Key) {
-        for p in positions(self.num_bits, self.num_hashes, key) {
-            self.bits[p / 64] |= 1u64 << (p % 64);
+        self.insert_hash(hash_key(key));
+    }
+
+    /// Inserts the key whose [`hash_key`] is `hash`.
+    pub fn insert_hash(&mut self, hash: u64) {
+        let (block, bits) = self.locate(hash);
+        let words = &mut self.blocks[block].0;
+        for p in bit_positions(bits) {
+            words[p / 64] |= 1 << (p % 64);
         }
         self.num_items += 1;
     }
@@ -40,8 +72,24 @@ impl BloomFilter {
     /// Returns `false` if the key is definitely absent, `true` if it may be
     /// present.
     pub fn may_contain(&self, key: &Key) -> bool {
-        positions(self.num_bits, self.num_hashes, key)
-            .all(|p| self.bits[p / 64] & (1u64 << (p % 64)) != 0)
+        self.may_contain_hash(hash_key(key))
+    }
+
+    /// [`BloomFilter::may_contain`] for the key whose [`hash_key`] is `hash`.
+    pub fn may_contain_hash(&self, hash: u64) -> bool {
+        let (block, bits) = self.locate(hash);
+        let words = &self.blocks[block].0;
+        bit_positions(bits).all(|p| (words[p / 64] >> (p % 64)) & 1 == 1)
+    }
+
+    /// The block a hash falls into and the 63 bits its in-block positions are
+    /// cut from, each taken from its own round of mixing. The block index is
+    /// the high half of `mixed × blocks` (multiply-shift): no division.
+    fn locate(&self, hash: u64) -> (usize, u64) {
+        let mixed = (hash ^ (hash >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let block = ((mixed as u128 * self.blocks.len() as u128) >> 64) as usize;
+        let bits = (mixed ^ (mixed >> 29)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        (block, bits >> 1)
     }
 
     /// Number of keys inserted.
@@ -54,29 +102,15 @@ impl BloomFilter {
         self.num_items == 0
     }
 
-    /// Size of the filter in bytes (used by the storage cost accounting).
+    /// Size of the filter in bytes: whole cache lines.
     pub fn size_bytes(&self) -> usize {
-        self.bits.len() * 8
+        self.blocks.len() * std::mem::size_of::<Block>()
     }
 }
 
-/// Double hashing: the `i`-th of a key's `num_hashes` bit positions is
-/// `(h1 + i·h2) % num_bits`, with `h1` and `h2` the 32-bit halves of the
-/// 64-bit key hash. Stepped instead of multiplied — both halves are reduced
-/// once and every further position is one add and one conditional subtract
-/// — which yields the same positions (`h1 + i·h2` cannot overflow 64 bits).
-fn positions(num_bits: usize, num_hashes: u32, key: &Key) -> impl Iterator<Item = usize> {
-    let h = hash_key(key);
-    let n = num_bits as u64;
-    let (mut at, step) = ((h & 0xffff_ffff) % n, (h >> 32) % n);
-    (0..num_hashes).map(move |_| {
-        let p = at;
-        at += step;
-        if at >= n {
-            at -= n;
-        }
-        p as usize
-    })
+/// The in-block bit positions of a key: nine bits of `bits` each.
+fn bit_positions(bits: u64) -> impl Iterator<Item = usize> {
+    (0..BITS_PER_PROBE).map(move |i| (bits >> (9 * i)) as usize % BLOCK_BITS)
 }
 
 #[cfg(test)]
@@ -96,24 +130,56 @@ mod tests {
         assert_eq!(f.len(), 1000);
     }
 
+    /// Share of `probes` (none of them inserted) the filter lets through.
+    fn false_positive_rate(f: &BloomFilter, probes: impl Iterator<Item = u64>) -> f64 {
+        let (mut n, mut fp) = (0u32, 0u32);
+        for h in probes {
+            n += 1;
+            fp += u32::from(f.may_contain_hash(h));
+        }
+        f64::from(fp) / f64::from(n)
+    }
+
     #[test]
-    fn false_positive_rate_is_low() {
+    fn false_positive_rate_is_low_for_random_keys() {
         let mut f = BloomFilter::with_capacity(10_000);
         for i in 0..10_000u64 {
             f.insert(&Key::from_u64(i));
         }
-        let mut fp = 0usize;
-        let probes = 10_000usize;
-        for i in 0..probes as u64 {
-            if f.may_contain(&Key::from_u64(1_000_000 + i)) {
-                fp += 1;
+        let absent = (0..50_000u64).map(|i| hash_key(&Key::from_u64(1_000_000 + i)));
+        let rate = false_positive_rate(&f, absent);
+        assert!(rate <= 0.02, "false positive rate too high: {rate}");
+    }
+
+    /// What a bucket's component holds and what its readers ask for: only
+    /// keys whose hash has one fixed value in its low 12 bits. A filter that
+    /// took its block index (or its bit positions) from those bits raw would
+    /// use one block in 4 096 and let nearly every probe through. The hashes
+    /// are drawn directly — `hash_key` is uniform, and finding 60 000 keys of
+    /// one depth-12 bucket would hash 250 million.
+    #[test]
+    fn false_positive_rate_is_low_for_the_keys_of_one_bucket() {
+        for fixed in [0u64, 0xfff, 0xa5a] {
+            let mut rng = SplitMix64::seed_from_u64(0xb100_b0c7 ^ fixed);
+            let mut in_bucket = move || (rng.next_u64() << 12) | fixed;
+            let mut f = BloomFilter::with_capacity(10_000);
+            for _ in 0..10_000 {
+                f.insert_hash(in_bucket());
             }
+            let rate = false_positive_rate(&f, (0..50_000).map(|_| in_bucket()));
+            assert!(rate <= 0.02, "low bits {fixed:#x}: rate {rate}");
         }
-        // 10 bits/key with 7 hashes should comfortably stay below 5%.
-        assert!(
-            fp < probes / 20,
-            "false positive rate too high: {fp}/{probes}"
-        );
+        // and with real keys, a shallower bucket
+        let bucket = crate::bucket::BucketId::new(0b101, 3);
+        let mut keys = (0..u64::MAX)
+            .map(Key::from_u64)
+            .filter(|k| bucket.contains_key(k));
+        let mut f = BloomFilter::with_capacity(10_000);
+        for k in keys.by_ref().take(10_000) {
+            f.insert(&k);
+        }
+        let rate = false_positive_rate(&f, keys.take(50_000).map(|k| hash_key(&k)));
+        assert!(rate <= 0.02, "bucket {bucket}: rate {rate}");
     }
 
     #[test]
@@ -121,25 +187,36 @@ mod tests {
         let f = BloomFilter::with_capacity(0);
         assert!(f.is_empty());
         assert!(!f.may_contain(&Key::from_u64(42)));
+        assert!(!f.may_contain_hash(0));
+        assert!(!f.may_contain_hash(u64::MAX));
     }
 
-    /// The stepped positions are the multiplied ones, so every filter is
-    /// bit-identical to what `(h1 + i·h2) % n` built.
+    /// No false negatives at any size, whichever door a key came in by and
+    /// whichever it is asked for by; the filter is whole cache lines.
     #[test]
-    fn stepped_positions_equal_the_multiplied_form() {
+    fn no_false_negatives_at_any_size_by_key_or_by_hash() {
         let mut rng = SplitMix64::seed_from_u64(0xb100_5eed);
-        for items in [0usize, 1, 7, 100, 2_300, 4_600, 100_000, 1 << 22] {
-            let f = BloomFilter::with_capacity(items);
-            let n = f.num_bits as u64;
-            for _ in 0..10_000 {
-                let key = Key::from_u64(rng.next_u64());
-                let h = hash_key(&key);
-                let (h1, h2) = (h & 0xffff_ffff, h >> 32);
-                let multiplied: Vec<usize> = (0..f.num_hashes as u64)
-                    .map(|i| ((h1 + i * h2) % n) as usize)
-                    .collect();
-                let stepped: Vec<usize> = positions(f.num_bits, f.num_hashes, &key).collect();
-                assert_eq!(stepped, multiplied, "key {key:?}, {n} bits");
+        for items in [0usize, 1, 7, 100, 2_300, 100_000, 1 << 22] {
+            let mut f = BloomFilter::with_capacity(items);
+            assert_eq!(f.size_bytes() % 64, 0, "{items} items");
+            assert!(f.size_bytes() * 8 >= items * BITS_PER_KEY, "{items} items");
+            let keys: Vec<Key> = (0..items.clamp(1, 5_000))
+                .map(|_| Key::from_u64(rng.next_u64()))
+                .collect();
+            for (at, key) in keys.iter().enumerate() {
+                if at % 2 == 0 {
+                    f.insert(key);
+                } else {
+                    f.insert_hash(hash_key(key));
+                }
+            }
+            assert_eq!(f.len(), keys.len());
+            for key in &keys {
+                assert!(f.may_contain(key), "{items} items, key {key:?}");
+                assert!(
+                    f.may_contain_hash(hash_key(key)),
+                    "{items} items, key {key:?}"
+                );
             }
         }
     }

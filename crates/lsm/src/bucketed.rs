@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::bucket::BucketId;
+use crate::bucket::{hash_key, BucketId};
 use crate::component::{Component, ComponentSource};
 use crate::directory::LocalDirectory;
 use crate::entry::{Entry, Key, Op, Value};
@@ -160,9 +160,12 @@ impl BucketedLsmTree {
     }
 
     /// [`BucketedLsmTree::get`] that lends the payload instead of sharing it.
+    /// The key is hashed once, for the directory and for every filter of the
+    /// bucket's tree.
     pub fn get_ref(&self, key: &Key) -> Option<&Value> {
-        let bucket = self.directory.lookup_key(key)?;
-        self.buckets.get(&bucket)?.get_ref(key)
+        let hash = hash_key(key);
+        let bucket = self.directory.lookup_hash(hash)?;
+        self.buckets.get(&bucket)?.get_ref_hashed(key, hash)
     }
 
     /// Full scan of all buckets.

@@ -30,6 +30,22 @@
 //! keeps a replaced component alive. Nothing in the system holds values
 //! beyond a call (sessions cache routing state, the WAL copies its payloads);
 //! a caller that does should copy them ([`Bytes::to_vec`]).
+//!
+//! A run is **searched through a dense array of key prefixes**, not through
+//! its entries: beside the 56-byte entries (key, op tag, payload handle) the
+//! run keeps the first eight bytes of every key as one big-endian `u64`
+//! (shorter keys zero-padded), eight to a cache line. Prefix order is key
+//! order wherever two prefixes differ, so one routine —
+//! `DiskComponentData::first_at_or_after`, which serves point lookups and
+//! both bounds of a range — takes the partition point over the prefixes and
+//! compares whole keys only where a step lands on an entry that shares the
+//! sought key's prefix: never for an absent 8-byte key, once for a present
+//! one, a few times for an `(orderkey, linenumber)` pair, for the steps
+//! inside the run when a composite secondary key's leading column repeats.
+//! The loop branches on each comparison instead of selecting: the steps of a
+//! cold search miss the cache, and a predicted branch lets the next load
+//! start before this one has arrived (measured in PR 24: ×1.2–×1.4 point
+//! reads per second over `partition_point` on the same array).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -105,12 +121,25 @@ pub struct DiskComponentData {
     pub id: ComponentId,
     /// Entries sorted by key (unique keys).
     pub entries: Vec<Entry>,
+    /// [`key_prefix`] of every entry's key, in entry order: what a search
+    /// walks instead of the entries.
+    prefixes: Vec<u64>,
     /// Bloom filter over the keys.
     pub bloom: BloomFilter,
     /// Total entry bytes (key + value + header).
     pub size_bytes: usize,
     /// Provenance of the component.
     pub source: ComponentSource,
+}
+
+/// The first eight bytes of a key as a big-endian integer, a shorter key
+/// padded with zeros: `a < b` implies `key_prefix(a) <= key_prefix(b)`.
+fn key_prefix(key: &Key) -> u64 {
+    let raw = key.as_slice();
+    let mut head = [0u8; 8];
+    let len = raw.len().min(8);
+    head[..len].copy_from_slice(&raw[..len]);
+    u64::from_be_bytes(head)
 }
 
 /// Moves every put payload of `entries` into one allocation, in entry order;
@@ -142,18 +171,41 @@ impl DiskComponentData {
             pack_payloads(&mut entries);
         }
         let mut bloom = BloomFilter::with_capacity(entries.len());
+        let mut prefixes = Vec::with_capacity(entries.len());
         let mut size = 0usize;
         for e in &entries {
             bloom.insert(&e.key);
+            prefixes.push(key_prefix(&e.key));
             size += e.size_bytes();
         }
         DiskComponentData {
             id: next_component_id(),
             entries,
+            prefixes,
             bloom,
             size_bytes: size,
             source,
         }
+    }
+
+    /// Index of the first entry whose key is `>= key` (the run's length if
+    /// there is none): how the run is searched, by point lookups and by both
+    /// bounds of a range alike. A binary search over the prefix array that
+    /// looks at an entry's whole key only when its prefix equals the key's —
+    /// a smaller prefix means a smaller key, a greater one a greater key.
+    fn first_at_or_after(&self, key: &Key) -> usize {
+        let prefix = key_prefix(key);
+        let (mut lo, mut hi) = (0, self.prefixes.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let p = self.prefixes[mid];
+            if p < prefix || (p == prefix && self.entries[mid].key < *key) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 }
 
@@ -340,32 +392,33 @@ impl Component {
             && !self.invalid_buckets.contains_hash(hash)
     }
 
-    /// Point lookup. Consults the Bloom filter first; applies the bucket
-    /// filter and lazy-cleanup metadata. Returns the raw operation (which may
-    /// be a tombstone).
-    pub fn get(&self, key: &Key) -> Option<&Op> {
-        if !self.data.bloom.may_contain(key) {
+    /// Point lookup by a reader that has hashed its key already (the tree
+    /// hands one hash to every component): `hash` must be `hash_key(key)`.
+    /// Consults the Bloom filter first; applies the bucket filter and
+    /// lazy-cleanup metadata. Returns the raw operation (which may be a
+    /// tombstone).
+    pub fn get_hashed(&self, key: &Key, hash: u64) -> Option<&Op> {
+        if !self.data.bloom.may_contain_hash(hash) {
             return None;
         }
-        let entries = &self.data.entries;
-        let at = entries.binary_search_by(|e| e.key.cmp(key)).ok()?;
+        let at = self.data.first_at_or_after(key);
+        let entry = self.data.entries.get(at).filter(|e| e.key == *key)?;
         let visible = self
             .view()
             .is_none_or(|v| v.bits[at / 64] >> (at % 64) & 1 == 1);
-        visible.then(|| &entries[at].op)
+        visible.then_some(&entry.op)
     }
 
-    /// Iterates visible entries within `[lo, hi)` in key order: two binary
-    /// searches, then a walk over the set bits between them.
+    /// Iterates visible entries within `[lo, hi)` in key order: two searches,
+    /// then a walk over the set bits between them.
     pub fn range<'a>(
         &'a self,
         lo: Option<&Key>,
         hi: Option<&Key>,
     ) -> impl Iterator<Item = &'a Entry> + 'a {
         let entries = &self.data.entries;
-        let first_at_or_after = |key: &Key| entries.partition_point(|e| e.key < *key);
-        let mut at = lo.map_or(0, first_at_or_after);
-        let end = hi.map_or(entries.len(), first_at_or_after);
+        let mut at = lo.map_or(0, |key| self.data.first_at_or_after(key));
+        let end = hi.map_or(entries.len(), |key| self.data.first_at_or_after(key));
         let visible = self.view().map(|v| &*v.bits);
         std::iter::from_fn(move || {
             if let Some(bits) = visible {
@@ -449,7 +502,15 @@ impl Component {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bucket::hash_key;
     use crate::bytes::Bytes;
+
+    impl Component {
+        /// Point lookup by key alone.
+        fn get(&self, key: &Key) -> Option<&Op> {
+            self.get_hashed(key, hash_key(key))
+        }
+    }
 
     fn comp(keys: &[u64]) -> Component {
         let entries = keys
@@ -656,14 +717,109 @@ mod tests {
                             }
                         }
                         _ => {
-                            for e in &h.data.entries {
-                                let expected = all.iter().find(|v| v.key == e.key).map(|v| &v.op);
-                                assert_eq!(h.get(&e.key), expected, "{ctx}, key {:?}", e.key);
+                            // every key the run may hold, and 40 it cannot
+                            for key in (0..640).map(key_of) {
+                                let expected = all.iter().find(|v| v.key == key).map(|v| &v.op);
+                                assert_eq!(h.get(&key), expected, "{ctx}, key {key:?}");
                             }
                         }
                     }
                     assert!(h.view.is_none() || h.view_is_built(), "{ctx}");
                 }
+            }
+        }
+    }
+
+    /// Keys of every shape the prefix array has to place: shorter than a
+    /// prefix (zero-padded, so `"ab"`, `"ab\0"` and `"ab\0\0"` share one),
+    /// exactly one prefix long, 16-byte pairs in long runs under one leading
+    /// column, 22 bytes (the longest inline key) and longer (heap keys) behind
+    /// one shared head.
+    fn keys_of_every_shape() -> Vec<Key> {
+        let mut keys: Vec<Key> = [
+            &b""[..],
+            b"\0",
+            b"\0\0",
+            b"a",
+            b"ab",
+            b"ab\0",
+            b"ab\0\0",
+            b"ab\0\x01",
+            b"abc",
+            b"abcdefg",
+            b"abcdefg\0",
+            b"abcdefgh",
+            b"abcdefgh\0",
+            b"abcdefgi",
+            &[0xff; 7],
+            &[0xff; 8],
+            &[0xff; 9],
+        ]
+        .into_iter()
+        .map(Key::from_slice)
+        .collect();
+        keys.extend([0, 1, 2, 255, 256, 1 << 40, u64::MAX - 1, u64::MAX].map(Key::from_u64));
+        for order in [0u64, 7, 8, 1 << 33] {
+            keys.extend((0..150).map(|line| Key::from_pair(order, line * 3)));
+        }
+        for tail in 0..120u8 {
+            let long = [&b"sharedhd"[..], &[tail / 6; 13], &[tail]].concat();
+            assert_eq!(long.len(), 22);
+            keys.push(Key::from_slice(&long));
+            keys.push(Key::from_slice(&[&long[..], &[tail % 5; 9]].concat()));
+        }
+        assert!(keys.iter().any(|k| !k.is_inline()));
+        keys
+    }
+
+    /// The prefix-array search against the plain searches over the entries
+    /// it replaced, kept here as the oracle: `first_at_or_after` against
+    /// `partition_point`, `get` against `binary_search_by`, `range` against a
+    /// filter over every entry — for keys the run holds, keys that fall
+    /// between them, below the first and above the last, and bounds in
+    /// either order.
+    #[test]
+    fn the_prefix_search_matches_the_search_over_entries() {
+        use crate::rng::SplitMix64;
+
+        let universe = keys_of_every_shape();
+        for seed in 0..24u64 {
+            let mut rng = SplitMix64::seed_from_u64(0x5ea2_c400 + seed);
+            // seeds 0 and 1: nothing held, everything held
+            let mut entries = Vec::new();
+            for key in &universe {
+                if seed == 0 || (seed > 1 && rng.gen_ratio(1, 2)) {
+                    continue;
+                }
+                entries.push(if rng.gen_ratio(1, 6) {
+                    Entry::delete(key.clone())
+                } else {
+                    Entry::put(key.clone(), Bytes::from(vec![9u8; rng.gen_index(12)]))
+                });
+            }
+            let c = Component::from_unsorted(entries, ComponentSource::Flush);
+            let run = &c.data.entries;
+            assert_eq!(c.data.prefixes.len(), run.len());
+            for key in &universe {
+                let ctx = format!("seed {seed}, key {key:?}");
+                let at = run.partition_point(|e| e.key < *key);
+                assert_eq!(c.data.first_at_or_after(key), at, "{ctx}");
+                let found = run.binary_search_by(|e| e.key.cmp(key)).ok();
+                assert_eq!(c.get(key), found.map(|at| &run[at].op), "{ctx}");
+            }
+            for _ in 0..200 {
+                let (a, b) = (
+                    &universe[rng.gen_index(universe.len())],
+                    &universe[rng.gen_index(universe.len())],
+                );
+                let lo = rng.gen_ratio(4, 5).then_some(a);
+                let hi = rng.gen_ratio(4, 5).then_some(b);
+                let expected: Vec<&Entry> = run
+                    .iter()
+                    .filter(|e| lo.is_none_or(|lo| e.key >= *lo) && hi.is_none_or(|hi| e.key < *hi))
+                    .collect();
+                let got: Vec<&Entry> = c.range(lo, hi).collect();
+                assert_eq!(got, expected, "seed {seed}, range {lo:?}..{hi:?}");
             }
         }
     }

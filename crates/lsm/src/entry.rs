@@ -330,6 +330,13 @@ pub const OP_TAG_BYTES: usize = 1;
 /// bytes-per-record and compares them against what the pre-inline `Vec<u8>`
 /// key layout would have held, gating the memory-lean pass that makes
 /// million-record soak runs fit CI.
+///
+/// It counts *entries* — their structs, spilled keys and payloads — and
+/// nothing a run keeps beside them to be found by: not the Bloom filter
+/// (10 bits per key, in whole 64-byte blocks) and not the search array of
+/// key prefixes (8 bytes per entry). Both layouts the `scale` gate compares
+/// carry the same two, so the gate is about entries only; what they cost is
+/// checked where it is paid, by dynabench's `peak_rss_mb`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageFootprint {
     /// Entries counted (raw: includes tombstones and shadowed versions).

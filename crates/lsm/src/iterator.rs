@@ -104,8 +104,11 @@ impl<'a> LazyMergeIter<'a> {
     pub fn next_ref(&mut self) -> Option<(&'a Key, &'a Op)> {
         loop {
             let top = self.heap.pop()?;
-            // dhlint: allow(panic) — heap invariant: a popped entry always has a live head
-            let (key, op) = self.heads[top.source].take().expect("head in heap");
+            // A heap entry is pushed together with its source's head, so the
+            // head is there; an entry without one has nothing to yield.
+            let Some((key, op)) = self.heads[top.source].take() else {
+                continue;
+            };
             self.pull(top.source);
             // Drop all other occurrences of the same key (they are older).
             while self.heap.peek().is_some_and(|peek| peek.key == key) {

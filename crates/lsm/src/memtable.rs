@@ -96,15 +96,10 @@ impl MemTable {
         lo: Option<&Key>,
         hi: Option<&Key>,
     ) -> impl Iterator<Item = (&'a Key, &'a Op)> + 'a {
-        let lo_bound = match lo {
-            Some(k) => Bound::Included(k.clone()),
-            None => Bound::Unbounded,
-        };
-        let hi_bound = match hi {
-            Some(k) => Bound::Excluded(k.clone()),
-            None => Bound::Unbounded,
-        };
-        self.map.range((lo_bound, hi_bound))
+        self.map.range::<Key, _>((
+            lo.map_or(Bound::Unbounded, Bound::Included),
+            hi.map_or(Bound::Unbounded, Bound::Excluded),
+        ))
     }
 
     /// Drops every buffered entry whose key `keep` rejects.

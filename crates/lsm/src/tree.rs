@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use crate::bucket::{BucketId, BucketSet};
+use crate::bucket::{hash_key, BucketId, BucketSet};
 use crate::component::{Component, ComponentSource, KeyLayout};
 use crate::entry::{Entry, Key, Op, Value};
 use crate::iterator::{reconcile_point, LazyMergeIter, RefSource};
@@ -141,8 +141,15 @@ impl LsmTree {
     /// [`LsmTree::get`] that lends: the payload is read where it lies, in the
     /// memory component or the run that holds it, and nothing is cloned.
     pub fn get_ref(&self, key: &Key) -> Option<&Value> {
+        self.get_ref_hashed(key, hash_key(key))
+    }
+
+    /// [`LsmTree::get_ref`] for a reader that has hashed its key already (to
+    /// find this tree, say): `hash` must be `hash_key(key)`, and every
+    /// component's filter is probed with it.
+    pub fn get_ref_hashed(&self, key: &Key, hash: u64) -> Option<&Value> {
         let mem = self.memtable.get(key).filter(|_| !self.buffered_dead(key));
-        let disk = self.components.iter().map(|c| c.get(key));
+        let disk = self.components.iter().map(|c| c.get_hashed(key, hash));
         let op = reconcile_point(std::iter::once(mem).chain(disk))?;
         StorageMetrics::add(
             &self.metrics.bytes_query_read,
