@@ -12,8 +12,8 @@ use std::sync::Arc;
 use dynahash_core::{PartitionId, SecondaryRebuild};
 use dynahash_lsm::{
     BucketId, BucketedConfig, BucketedLsmTree, Bytes, Component, ComponentSource, Entry, Key,
-    KeyLayout, LazyMergeIter, LsmConfig, LsmTree, RefSource, ScanOrder, SecondaryEntry,
-    SecondaryIndex, StorageError, StorageMetrics, Value,
+    KeyLayout, LsmConfig, LsmTree, MergeIter, ScanOrder, SecondaryEntry, SecondaryIndex,
+    StorageError, StorageMetrics, Value,
 };
 
 use crate::dataset::{DatasetId, DatasetSpec, SecondaryIndexDef};
@@ -418,11 +418,7 @@ impl PartitionDataset {
         let mut rebuilt: Vec<Vec<SecondaryEntry>> = self.defs.iter().map(|_| Vec::new()).collect();
         let mut keys = Vec::new();
         {
-            let sources: Vec<RefSource<'_>> = comps
-                .iter()
-                .map(|c| Box::new(c.iter().map(|e| (&e.key, &e.op))) as RefSource<'_>)
-                .collect();
-            let mut merge = LazyMergeIter::new(sources, false);
+            let mut merge = MergeIter::over_components(&comps, false);
             while let Some((key, op)) = merge.next_ref() {
                 keys.push(Entry::put(key.clone(), Bytes::new()));
                 if eager {
@@ -487,14 +483,11 @@ impl PartitionDataset {
         let mut records = 0u64;
         let mut rebuilt: Vec<Vec<SecondaryEntry>> = self.defs.iter().map(|_| Vec::new()).collect();
         for comps in &stashes {
-            let sources: Vec<RefSource<'_>> = comps
-                .iter()
-                .map(|c| Box::new(c.iter().map(|e| (&e.key, &e.op))) as RefSource<'_>)
-                .collect();
-            for e in LazyMergeIter::new(sources, false) {
+            let mut merge = MergeIter::over_components(comps, false);
+            while let Some((key, op)) = merge.next_ref() {
                 records += 1;
-                if let Some(v) = e.op.value() {
-                    collect_secondary_entries(&self.defs, &e.key, v, &mut rebuilt);
+                if let Some(v) = op.value() {
+                    collect_secondary_entries(&self.defs, key, v, &mut rebuilt);
                 }
             }
         }

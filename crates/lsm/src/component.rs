@@ -46,6 +46,12 @@
 //! cold search miss the cache, and a predicted branch lets the next load
 //! start before this one has arrived (measured in PR 24: ×1.2–×1.4 point
 //! reads per second over `partition_point` on the same array).
+//!
+//! The same array **drives every merge**. A scan, a compaction and a
+//! `range` read a run through one cursor (`RunCursor`, the only walker of
+//! the visibility bits) that hands out each visible entry with its prefix,
+//! and the merge in [`crate::iterator`] orders its sources by that integer,
+//! reading whole keys only where two prefixes tie.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -121,8 +127,8 @@ pub struct DiskComponentData {
     pub id: ComponentId,
     /// Entries sorted by key (unique keys).
     pub entries: Vec<Entry>,
-    /// [`key_prefix`] of every entry's key, in entry order: what a search
-    /// walks instead of the entries.
+    /// [`Key::prefix`] of every entry's key, in entry order: what a search
+    /// walks instead of the entries, and what a merge compares.
     prefixes: Vec<u64>,
     /// Bloom filter over the keys.
     pub bloom: BloomFilter,
@@ -130,16 +136,6 @@ pub struct DiskComponentData {
     pub size_bytes: usize,
     /// Provenance of the component.
     pub source: ComponentSource,
-}
-
-/// The first eight bytes of a key as a big-endian integer, a shorter key
-/// padded with zeros: `a < b` implies `key_prefix(a) <= key_prefix(b)`.
-fn key_prefix(key: &Key) -> u64 {
-    let raw = key.as_slice();
-    let mut head = [0u8; 8];
-    let len = raw.len().min(8);
-    head[..len].copy_from_slice(&raw[..len]);
-    u64::from_be_bytes(head)
 }
 
 /// Moves every put payload of `entries` into one allocation, in entry order;
@@ -175,7 +171,7 @@ impl DiskComponentData {
         let mut size = 0usize;
         for e in &entries {
             bloom.insert(&e.key);
-            prefixes.push(key_prefix(&e.key));
+            prefixes.push(e.key.prefix());
             size += e.size_bytes();
         }
         DiskComponentData {
@@ -194,18 +190,56 @@ impl DiskComponentData {
     /// looks at an entry's whole key only when its prefix equals the key's —
     /// a smaller prefix means a smaller key, a greater one a greater key.
     fn first_at_or_after(&self, key: &Key) -> usize {
-        let prefix = key_prefix(key);
+        let (prefix, raw) = (key.prefix(), key.as_slice());
         let (mut lo, mut hi) = (0, self.prefixes.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             let p = self.prefixes[mid];
-            if p < prefix || (p == prefix && self.entries[mid].key < *key) {
+            // On a tie the bytes decide (`Key`'s order would compare the
+            // prefixes again).
+            if p < prefix || (p == prefix && self.entries[mid].key.as_slice() < raw) {
                 lo = mid + 1;
             } else {
                 hi = mid;
             }
         }
         lo
+    }
+}
+
+/// A walk over the entries one handle shows within a key range, in key
+/// order, each with its key's prefix: the one reader of a handle's
+/// visibility bits, behind [`Component::range`] and every merge.
+#[derive(Debug)]
+pub(crate) struct RunCursor<'a> {
+    /// The run's entries and their prefixes, cut at the range's upper bound.
+    entries: &'a [Entry],
+    prefixes: &'a [u64],
+    /// The handle's visibility bits; `None` when every entry is visible.
+    visible: Option<&'a [u64]>,
+    /// The next entry to look at.
+    at: usize,
+}
+
+impl<'a> Iterator for RunCursor<'a> {
+    type Item = (u64, &'a Entry);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u64, &'a Entry)> {
+        if let Some(bits) = self.visible {
+            while self.at < self.entries.len() {
+                let rest_of_word = bits[self.at / 64] >> (self.at % 64);
+                if rest_of_word != 0 {
+                    self.at += rest_of_word.trailing_zeros() as usize;
+                    break;
+                }
+                self.at = (self.at / 64 + 1) * 64;
+            }
+        }
+        let entry = self.entries.get(self.at)?;
+        let prefix = self.prefixes[self.at];
+        self.at += 1;
+        Some((prefix, entry))
     }
 }
 
@@ -409,32 +443,26 @@ impl Component {
         visible.then_some(&entry.op)
     }
 
-    /// Iterates visible entries within `[lo, hi)` in key order: two searches,
-    /// then a walk over the set bits between them.
+    /// The cursor over the visible entries within `[lo, hi)`: two searches,
+    /// nothing walked yet.
+    pub(crate) fn cursor(&self, lo: Option<&Key>, hi: Option<&Key>) -> RunCursor<'_> {
+        let data = &*self.data;
+        let end = hi.map_or(data.entries.len(), |key| data.first_at_or_after(key));
+        RunCursor {
+            entries: &data.entries[..end],
+            prefixes: &data.prefixes[..end],
+            visible: self.view().map(|v| &*v.bits),
+            at: lo.map_or(0, |key| data.first_at_or_after(key)),
+        }
+    }
+
+    /// Iterates visible entries within `[lo, hi)` in key order.
     pub fn range<'a>(
         &'a self,
         lo: Option<&Key>,
         hi: Option<&Key>,
     ) -> impl Iterator<Item = &'a Entry> + 'a {
-        let entries = &self.data.entries;
-        let mut at = lo.map_or(0, |key| self.data.first_at_or_after(key));
-        let end = hi.map_or(entries.len(), |key| self.data.first_at_or_after(key));
-        let visible = self.view().map(|v| &*v.bits);
-        std::iter::from_fn(move || {
-            if let Some(bits) = visible {
-                while at < end {
-                    let rest_of_word = bits[at / 64] >> (at % 64);
-                    if rest_of_word != 0 {
-                        at += rest_of_word.trailing_zeros() as usize;
-                        break;
-                    }
-                    at = (at / 64 + 1) * 64;
-                }
-            }
-            let entry = entries[..end].get(at)?;
-            at += 1;
-            Some(entry)
-        })
+        self.cursor(lo, hi).map(|(_, entry)| entry)
     }
 
     /// Iterates all visible entries in key order.
@@ -730,48 +758,6 @@ mod tests {
         }
     }
 
-    /// Keys of every shape the prefix array has to place: shorter than a
-    /// prefix (zero-padded, so `"ab"`, `"ab\0"` and `"ab\0\0"` share one),
-    /// exactly one prefix long, 16-byte pairs in long runs under one leading
-    /// column, 22 bytes (the longest inline key) and longer (heap keys) behind
-    /// one shared head.
-    fn keys_of_every_shape() -> Vec<Key> {
-        let mut keys: Vec<Key> = [
-            &b""[..],
-            b"\0",
-            b"\0\0",
-            b"a",
-            b"ab",
-            b"ab\0",
-            b"ab\0\0",
-            b"ab\0\x01",
-            b"abc",
-            b"abcdefg",
-            b"abcdefg\0",
-            b"abcdefgh",
-            b"abcdefgh\0",
-            b"abcdefgi",
-            &[0xff; 7],
-            &[0xff; 8],
-            &[0xff; 9],
-        ]
-        .into_iter()
-        .map(Key::from_slice)
-        .collect();
-        keys.extend([0, 1, 2, 255, 256, 1 << 40, u64::MAX - 1, u64::MAX].map(Key::from_u64));
-        for order in [0u64, 7, 8, 1 << 33] {
-            keys.extend((0..150).map(|line| Key::from_pair(order, line * 3)));
-        }
-        for tail in 0..120u8 {
-            let long = [&b"sharedhd"[..], &[tail / 6; 13], &[tail]].concat();
-            assert_eq!(long.len(), 22);
-            keys.push(Key::from_slice(&long));
-            keys.push(Key::from_slice(&[&long[..], &[tail % 5; 9]].concat()));
-        }
-        assert!(keys.iter().any(|k| !k.is_inline()));
-        keys
-    }
-
     /// The prefix-array search against the plain searches over the entries
     /// it replaced, kept here as the oracle: `first_at_or_after` against
     /// `partition_point`, `get` against `binary_search_by`, `range` against a
@@ -780,6 +766,7 @@ mod tests {
     /// either order.
     #[test]
     fn the_prefix_search_matches_the_search_over_entries() {
+        use crate::entry::keys_of_every_shape;
         use crate::rng::SplitMix64;
 
         let universe = keys_of_every_shape();

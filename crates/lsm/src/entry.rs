@@ -33,9 +33,9 @@ enum KeyRepr {
 /// big-endian so that byte-wise ordering equals numeric ordering.
 ///
 /// Keys of up to [`KEY_INLINE_CAP`] bytes are stored inline (no heap
-/// allocation); all comparison, hashing and ordering go through
-/// [`Key::as_slice`], so the representation is invisible to routing and the
-/// merge iterators.
+/// allocation); equality and hashing go through [`Key::as_slice`] and
+/// ordering through [`Key::prefix`] first, so the representation is
+/// invisible to routing and the merge iterators.
 #[derive(Clone)]
 pub struct Key(KeyRepr);
 
@@ -146,6 +146,21 @@ impl Key {
         }
     }
 
+    /// The first eight bytes as a big-endian integer, a shorter key padded
+    /// with zeros: `a < b` implies `a.prefix() <= b.prefix()`, so prefix
+    /// order is key order wherever two prefixes differ. An inline key reads
+    /// its buffer directly (every constructor zero-fills it past `len`); a
+    /// heap key is longer than the inline cap.
+    pub fn prefix(&self) -> u64 {
+        let head = match &self.0 {
+            KeyRepr::Inline { buf, .. } => &buf[..8],
+            KeyRepr::Heap(b) => &b[..8],
+        };
+        let mut bytes = [0u8; 8];
+        bytes.copy_from_slice(head);
+        u64::from_be_bytes(bytes)
+    }
+
     /// True if the key is stored inline (no heap allocation).
     pub fn is_inline(&self) -> bool {
         matches!(self.0, KeyRepr::Inline { .. })
@@ -190,9 +205,13 @@ impl PartialOrd for Key {
     }
 }
 
+/// Byte-lexicographic order, decided by the [`Key::prefix`]es — one integer
+/// comparison — unless they tie.
 impl Ord for Key {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
+        self.prefix()
+            .cmp(&other.prefix())
+            .then_with(|| self.as_slice().cmp(other.as_slice()))
     }
 }
 
@@ -410,9 +429,83 @@ impl StorageFootprint {
     }
 }
 
+/// Keys of every shape a prefix has to place: shorter than a prefix
+/// (zero-padded, so `"ab"`, `"ab\0"` and `"ab\0\0"` share one), exactly one
+/// prefix long, 16-byte pairs in long runs under one leading column, 22
+/// bytes (the longest inline key) and longer (heap keys) behind one shared
+/// head.
+#[cfg(test)]
+pub(crate) fn keys_of_every_shape() -> Vec<Key> {
+    let mut keys: Vec<Key> = [
+        &b""[..],
+        b"\0",
+        b"\0\0",
+        b"a",
+        b"ab",
+        b"ab\0",
+        b"ab\0\0",
+        b"ab\0\x01",
+        b"abc",
+        b"abcdefg",
+        b"abcdefg\0",
+        b"abcdefgh",
+        b"abcdefgh\0",
+        b"abcdefgi",
+        &[0xff; 7],
+        &[0xff; 8],
+        &[0xff; 9],
+    ]
+    .into_iter()
+    .map(Key::from_slice)
+    .collect();
+    keys.extend([0, 1, 2, 255, 256, 1 << 40, u64::MAX - 1, u64::MAX].map(Key::from_u64));
+    for order in [0u64, 7, 8, 1 << 33] {
+        keys.extend((0..150).map(|line| Key::from_pair(order, line * 3)));
+    }
+    for tail in 0..120u8 {
+        let long = [&b"sharedhd"[..], &[tail / 6; 13], &[tail]].concat();
+        assert_eq!(long.len(), 22);
+        keys.push(Key::from_slice(&long));
+        keys.push(Key::from_slice(&[&long[..], &[tail % 5; 9]].concat()));
+    }
+    assert!(keys.iter().any(|k| !k.is_inline()));
+    keys
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The prefix-first order is the byte order: `cmp` agrees with
+    /// `as_slice().cmp` on every pair of keys of every shape, built inline,
+    /// on the heap and through `from_parts`; and an inline key is zero past
+    /// its length, which `Key::prefix` reads without looking at `len`.
+    #[test]
+    fn the_prefix_first_order_is_the_byte_order_for_keys_of_every_shape() {
+        let mut keys = keys_of_every_shape();
+        let split: Vec<Key> = keys
+            .iter()
+            .map(|k| {
+                let (head, tail) = k.as_slice().split_at(k.len() / 2);
+                Key::from_parts(&[head, tail])
+            })
+            .collect();
+        keys.extend(split);
+        for a in &keys {
+            if let KeyRepr::Inline { len, buf } = &a.0 {
+                assert!(buf[*len as usize..].iter().all(|b| *b == 0), "{a:?}");
+            }
+            let mut head = [0u8; 8];
+            let n = a.len().min(8);
+            head[..n].copy_from_slice(&a.as_slice()[..n]);
+            assert_eq!(a.prefix(), u64::from_be_bytes(head), "{a:?}");
+            for b in &keys {
+                let bytes = a.as_slice().cmp(b.as_slice());
+                assert_eq!(a.cmp(b), bytes, "{a:?} vs {b:?}");
+                assert_eq!(a == b, bytes.is_eq(), "{a:?} vs {b:?}");
+            }
+        }
+    }
 
     #[test]
     fn u64_keys_order_like_integers() {

@@ -45,7 +45,7 @@ pub use bucketed::{BucketedConfig, BucketedLsmTree, ScanOrder};
 pub use component::{Component, ComponentId, ComponentSource, KeyLayout};
 pub use directory::LocalDirectory;
 pub use entry::{Entry, Key, Op, StorageFootprint, Value, KEY_INLINE_CAP, OP_TAG_BYTES};
-pub use iterator::{kmerge_disjoint, LazyMergeIter, RefSource};
+pub use iterator::{kmerge_disjoint, MergeIter};
 pub use memtable::MemTable;
 pub use merge_policy::SizeTieredPolicy;
 pub use metrics::StorageMetrics;

@@ -6,7 +6,7 @@
 //! simulation keeps the same structure: a sorted map from key to the latest
 //! operation applied to it.
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use std::ops::Bound;
 
 use crate::entry::{Entry, Key, Op};
@@ -95,7 +95,7 @@ impl MemTable {
         &'a self,
         lo: Option<&Key>,
         hi: Option<&Key>,
-    ) -> impl Iterator<Item = (&'a Key, &'a Op)> + 'a {
+    ) -> btree_map::Range<'a, Key, Op> {
         self.map.range::<Key, _>((
             lo.map_or(Bound::Unbounded, Bound::Included),
             hi.map_or(Bound::Unbounded, Bound::Excluded),

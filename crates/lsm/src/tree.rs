@@ -12,7 +12,7 @@ use std::sync::Arc;
 use crate::bucket::{hash_key, BucketId, BucketSet};
 use crate::component::{Component, ComponentSource, KeyLayout};
 use crate::entry::{Entry, Key, Op, Value};
-use crate::iterator::{reconcile_point, LazyMergeIter, RefSource};
+use crate::iterator::{reconcile_point, Cursor, MergeIter};
 use crate::memtable::MemTable;
 use crate::merge_policy::SizeTieredPolicy;
 use crate::metrics::StorageMetrics;
@@ -158,28 +158,34 @@ impl LsmTree {
         op.value()
     }
 
-    /// A lazy, reconciling k-way merge over `[lo, hi)` of the memory
-    /// component and every disk component's `range()` iterator, newest
-    /// first. Tombstoned keys are skipped; nothing is materialised until the
-    /// caller consumes the iterator.
-    pub fn iter_live<'a>(&'a self, lo: Option<&'a Key>, hi: Option<&'a Key>) -> LazyMergeIter<'a> {
-        let mut sources: Vec<RefSource<'a>> = Vec::with_capacity(self.components.len() + 1);
-        sources.push(Box::new(self.buffered(lo, hi)));
-        for c in &self.components {
-            sources.push(Box::new(c.range(lo, hi).map(|e| (&e.key, &e.op))));
-        }
-        LazyMergeIter::new(sources, false)
+    /// A lazy, reconciling merge over `[lo, hi)` of the memory component and
+    /// every disk component, newest first. Tombstoned keys are skipped;
+    /// nothing is materialised until the caller consumes the iterator.
+    pub(crate) fn iter_live(&self, lo: Option<&Key>, hi: Option<&Key>) -> MergeIter<'_> {
+        let mut cursors = Vec::with_capacity(self.components.len() + 1);
+        self.push_cursors(lo, hi, &mut cursors);
+        MergeIter::new(cursors, false)
     }
 
-    /// The live entries of the memory component within `[lo, hi)`.
-    fn buffered<'a>(
+    /// Appends the merge sources of `[lo, hi)`, newest first: the memory
+    /// component's live entries, then each disk component's visible ones.
+    pub(crate) fn push_cursors<'a>(
         &'a self,
         lo: Option<&Key>,
         hi: Option<&Key>,
-    ) -> impl Iterator<Item = (&'a Key, &'a Op)> + 'a {
-        self.memtable
-            .range(lo, hi)
-            .filter(|(key, _)| !self.buffered_dead(key))
+        cursors: &mut Vec<Cursor<'a>>,
+    ) {
+        let dead =
+            (!self.memtable_invalid.is_empty()).then_some((&self.memtable_invalid, self.layout));
+        cursors.push(Cursor::Buffered {
+            entries: self.memtable.range(lo, hi),
+            dead,
+        });
+        cursors.extend(
+            self.components
+                .iter()
+                .map(|c| Cursor::Run(c.cursor(lo, hi))),
+        );
     }
 
     /// True if `key`, were it buffered, belongs to a bucket marked moved
@@ -304,15 +310,13 @@ impl LsmTree {
         let merged_slice = &self.components[start..end];
         let includes_oldest = end == self.components.len();
         let read_bytes: usize = merged_slice.iter().map(|c| c.size_bytes()).sum();
-        let sources: Vec<RefSource<'_>> = merged_slice
-            .iter()
-            .map(|c| Box::new(c.iter().map(|e| (&e.key, &e.op))) as RefSource<'_>)
-            .collect();
         // A merge that does not include the oldest component must keep
         // tombstones so that deletes still shadow older data. Merges realise
         // reference-component filtering and lazy cleanup because they only
         // read *visible* entries.
-        let merged_entries: Vec<Entry> = LazyMergeIter::new(sources, !includes_oldest).collect();
+        let mut merged_entries: Vec<Entry> =
+            Vec::with_capacity(merged_slice.iter().map(Component::visible_len).sum());
+        merged_entries.extend(MergeIter::over_components(merged_slice, !includes_oldest));
         let new_comp = Component::from_sorted(merged_entries, ComponentSource::Merge);
         StorageMetrics::add(&self.metrics.bytes_merge_read, read_bytes as u64);
         StorageMetrics::add(&self.metrics.bytes_merged, new_comp.size_bytes() as u64);
