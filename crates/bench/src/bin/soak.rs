@@ -139,21 +139,6 @@ fn report_json(cfg: &SoakConfig, report: &SoakReport) -> Json {
         ("hot_splits", Json::Int(report.hot_splits)),
         ("suppressed", Json::Int(report.suppressed)),
         (
-            "footprint",
-            Json::obj([
-                ("records", Json::Int(report.footprint.records)),
-                (
-                    "resident_bytes",
-                    Json::Int(report.footprint.resident_bytes()),
-                ),
-                (
-                    "legacy_resident_bytes",
-                    Json::Int(report.footprint.legacy_resident_bytes()),
-                ),
-                ("inline_keys", Json::Int(report.footprint.inline_keys)),
-            ]),
-        ),
-        (
             "violations",
             Json::Arr(report.violations.iter().map(Json::str).collect()),
         ),
@@ -231,15 +216,6 @@ fn main() {
             report.auto_triggers, report.auto_commits, report.hot_splits, report.suppressed
         );
     }
-    println!(
-        "footprint: {} records resident in {} bytes ({:.1} B/record; legacy \
-         layout would hold {} bytes), {} keys inline",
-        report.footprint.records,
-        report.footprint.resident_bytes(),
-        report.footprint.bytes_per_record(),
-        report.footprint.legacy_resident_bytes(),
-        report.footprint.inline_keys
-    );
 
     if let Some(path) = &args.json {
         let doc = report_json(&cfg, &report);

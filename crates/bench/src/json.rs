@@ -109,14 +109,14 @@ mod tests {
     #[test]
     fn renders_nested_values_compactly() {
         let v = Json::obj([
-            ("name", Json::str("move_policy")),
+            ("name", Json::str("routing")),
             ("rows", Json::Arr(vec![Json::Int(3), Json::Num(1.5)])),
             ("ok", Json::Bool(true)),
             ("none", Json::Null),
         ]);
         assert_eq!(
             v.render(),
-            r#"{"name":"move_policy","rows":[3,1.5],"ok":true,"none":null}"#
+            r#"{"name":"routing","rows":[3,1.5],"ok":true,"none":null}"#
         );
     }
 

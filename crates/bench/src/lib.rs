@@ -32,19 +32,13 @@ use std::collections::BTreeMap;
 
 use dynahash_cluster::{
     Cluster, ClusterConfig, ControlConfig, ControlPlane, CostModel, DatasetId, DatasetSpec, Fault,
-    FaultSchedule, RebalanceJob, RebalanceOptions, SecondaryIndexDef, Session, SessionMetrics,
-    SimDuration, SpeculationPolicy, StepPoint,
+    FaultSchedule, RebalanceJob, RebalanceOptions, Session, SessionMetrics, SimDuration,
+    SpeculationPolicy, StepPoint,
 };
 use dynahash_core::balance::{balance_assignment, load_balance_factor, BalanceInput, BucketLoad};
-use dynahash_core::{
-    BucketId, ClusterTopology, GlobalDirectory, MovePolicy, NodeId, PartitionId, RebalanceOutcome,
-    Scheme, SecondaryRebuild,
-};
+use dynahash_core::{BucketId, ClusterTopology, NodeId, PartitionId, RebalanceOutcome, Scheme};
 use dynahash_lsm::entry::Key;
-use dynahash_lsm::rng::SplitMix64;
-use dynahash_lsm::{
-    BucketedConfig, BucketedLsmTree, Bytes, LsmConfig, LsmTree, SecondaryEntry, StorageMetrics,
-};
+use dynahash_lsm::{BucketedConfig, BucketedLsmTree, Bytes, LsmConfig, LsmTree, StorageMetrics};
 use dynahash_tpch::loader::lineitem_records;
 use dynahash_tpch::{
     generator, load_tpch, query_traits, run_query, TpchScale, TpchTables, NUM_QUERIES,
@@ -423,30 +417,6 @@ pub fn rebalance_wave_scaling(cfg: &ExperimentConfig, max_moves: &[usize]) -> Ve
     rows
 }
 
-// ------------------------------------------------- move policy (tentpole)
-
-table_row! {
-    /// One row of the move-policy study: the same DynaHash scale-in
-    /// rebalance executed once per [`MovePolicy`].
-    pub struct MovePolicyRow {
-        /// Policy label ("Records" / "Components").
-        pub policy: &'static str => col("policy", "policy"),
-        /// Simulated makespan of the data-movement phase alone, in seconds.
-        pub movement_seconds: f64 => col("movement_sim_seconds", "movement (sim s)", 3),
-        /// Total simulated rebalance makespan in seconds.
-        pub seconds: f64 => col("total_sim_seconds", "total (sim s)", 3),
-        /// Primary-index bytes moved.
-        pub bytes_moved: u64 => col("bytes_moved", "bytes"),
-        /// Records moved.
-        pub records_moved: u64 => col("records_moved", "records"),
-        /// Buckets moved (identical across rows — only the transfer differs).
-        pub buckets_moved: usize => col("buckets_moved", "buckets"),
-        /// Checksum of the post-rebalance record set; both policies must
-        /// produce the same value (byte-identical contents).
-        pub content_checksum: Hex => col("content_checksum", "checksum"),
-    }
-}
-
 /// The one checksum of the harness: FNV-1a, continued from `h`.
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for b in bytes {
@@ -469,82 +439,6 @@ fn contents_checksum(cluster: &Cluster, ds: DatasetId) -> (u64, Hex) {
         fnv1a(fnv1a(h, k.as_slice()), v.as_ref())
     });
     (contents.len() as u64, Hex(h))
-}
-
-/// Order-independent FNV-1a checksum over index-scan answers (an entry's
-/// partition seeds its hash; the per-entry hashes are summed).
-fn index_checksum(hits: &[(PartitionId, Vec<SecondaryEntry>)]) -> Hex {
-    let mut acc = 0u64;
-    let mut n = 0u64;
-    for (p, entries) in hits {
-        for se in entries {
-            let h = fnv1a(FNV_OFFSET ^ p.0 as u64, se.secondary.as_slice());
-            acc = acc.wrapping_add(fnv1a(h, se.primary.as_slice()));
-            n += 1;
-        }
-    }
-    Hex(acc ^ n)
-}
-
-/// Move-policy study: rebalance LineItem from 4 to 3 nodes under each
-/// policy. Component shipping moves the same buckets and leaves
-/// byte-identical contents, but skips the per-record re-materialisation CPU
-/// on both sides of the transfer — the paper's core efficiency claim — so
-/// its data-movement makespan must be strictly lower.
-pub fn move_policy_comparison(cfg: &ExperimentConfig) -> Vec<MovePolicyRow> {
-    let nodes = 4u32;
-    [MovePolicy::Records, MovePolicy::Components]
-        .into_iter()
-        .map(|policy| {
-            let mut cluster = cfg.cluster(nodes);
-            let scheme = cfg.dynahash_scheme(nodes);
-            let (tables, _, _) = load_tpch(&mut cluster, scheme, cfg.scale(nodes)).expect("load");
-            let target = cluster.topology_without(NodeId(nodes - 1));
-            let report = cluster
-                .rebalance(
-                    tables.lineitem,
-                    &target,
-                    figure_options().with_move_policy(policy),
-                )
-                .expect("rebalance");
-            cluster
-                .check_rebalance_integrity(tables.lineitem, report.rebalance_id)
-                .expect("post-rebalance integrity");
-            MovePolicyRow {
-                policy: policy.name(),
-                movement_seconds: report.phases.data_movement.as_secs_f64(),
-                seconds: report.elapsed.as_secs_f64(),
-                bytes_moved: report.bytes_moved,
-                records_moved: report.records_moved,
-                buckets_moved: report.buckets_moved,
-                content_checksum: contents_checksum(&cluster, tables.lineitem).1,
-            }
-        })
-        .collect()
-}
-
-/// Checks the `move_policy` gate — the paper's core rebalance-efficiency
-/// claim: component shipping must be strictly faster than record-level
-/// movement on the data-movement makespan while leaving byte-identical
-/// contents.
-pub fn move_policy_gate_violations(rows: &[MovePolicyRow]) -> Vec<Violation> {
-    let mut bad = Vec::new();
-    let records = find_row(rows, &mut bad, "Records", |r| r.policy);
-    let components = find_row(rows, &mut bad, "Components", |r| r.policy);
-    let (Some(rec), Some(comp)) = (records, components) else {
-        return bad;
-    };
-    if comp.content_checksum != rec.content_checksum {
-        bad.push(fail("move policies left different dataset contents"));
-    }
-    if comp.movement_seconds >= rec.movement_seconds {
-        bad.push(fail(format!(
-            "component shipping ({:.6} sim s) is not strictly faster than record movement \
-             ({:.6} sim s)",
-            comp.movement_seconds, rec.movement_seconds
-        )));
-    }
-    bad
 }
 
 // ------------------------------------------------- session routing study
@@ -825,240 +719,6 @@ pub fn routing_gate_violations(rows: &[RoutingRow]) -> Vec<Violation> {
     bad
 }
 
-// --------------------------------------------- directory lookup study (PR 5)
-
-table_row! {
-    /// One row of the directory-lookup study: per-lookup wall-clock cost of
-    /// the slot-array directory vs the pre-PR 5 linear scan, at one bucket
-    /// count.
-    pub struct LookupRow {
-        /// Number of buckets in the directory.
-        pub buckets: usize => col("buckets", "buckets"),
-        /// Nanoseconds per `lookup_hash` through the slot array (best rep).
-        pub slot_ns_per_lookup: f64 => wall("slot_ns_per_lookup", "slot array (ns/lookup)", 1),
-        /// Nanoseconds per lookup through a linear scan over the bucket list
-        /// (the old implementation, kept as the timing oracle; best rep).
-        pub scan_ns_per_lookup: f64 => wall("scan_ns_per_lookup", "linear scan (ns/lookup)", 1),
-        /// `scan / slot` — how much routing got cheaper.
-        pub speedup: f64 => wall("speedup", "speedup (x)", 1),
-    }
-}
-
-/// Measures slot-array vs linear-scan lookup cost at the given bucket
-/// counts (each rounded up to a power of two). Both arms resolve the same
-/// pseudo-random hash sequence and are interleaved per repetition, best rep
-/// kept, so scheduler noise cannot flip the comparison.
-pub fn directory_lookup_study(bucket_counts: &[usize]) -> Vec<LookupRow> {
-    const REPS: usize = 5;
-    let parts: Vec<PartitionId> = (0..8).map(PartitionId).collect();
-    bucket_counts
-        .iter()
-        .map(|&n| {
-            let depth = n.next_power_of_two().trailing_zeros() as u8;
-            let dir = GlobalDirectory::initial(depth, &parts).expect("initial directory");
-            let buckets: Vec<(BucketId, PartitionId)> = dir.iter().collect();
-            let mut rng = SplitMix64::seed_from_u64(0x100c_0000 + n as u64);
-            // Scale the scan arm's batch down with the bucket count so one
-            // rep stays fast; per-lookup costs are what the row reports.
-            let slot_lookups: usize = 200_000;
-            let scan_lookups: usize = (4_000_000 / n.max(1)).clamp(2_000, 200_000);
-            let slot_hashes: Vec<u64> = (0..slot_lookups).map(|_| rng.next_u64()).collect();
-            let scan_hashes: Vec<u64> = (0..scan_lookups).map(|_| rng.next_u64()).collect();
-            let (mut best_slot, mut best_scan) = (f64::INFINITY, f64::INFINITY);
-            for _ in 0..REPS {
-                best_slot = best_slot.min(timing::ns_per_op(slot_lookups as u64, &mut || {
-                    for &h in &slot_hashes {
-                        std::hint::black_box(dir.lookup_hash(h));
-                    }
-                }));
-                best_scan = best_scan.min(timing::ns_per_op(scan_lookups as u64, &mut || {
-                    for &h in &scan_hashes {
-                        std::hint::black_box(buckets.iter().find(|(b, _)| b.contains_hash(h)));
-                    }
-                }));
-            }
-            LookupRow {
-                buckets: 1usize << depth,
-                slot_ns_per_lookup: best_slot,
-                scan_ns_per_lookup: best_scan,
-                speedup: best_scan / best_slot,
-            }
-        })
-        .collect()
-}
-
-// --------------------------------------- deferred secondary rebuild (PR 5)
-
-table_row! {
-    /// One row of the deferred-install study: the same DynaHash scale-in
-    /// rebalance executed once per [`SecondaryRebuild`] mode.
-    ///
-    /// [`SecondaryRebuild`]: dynahash_core::SecondaryRebuild
-    pub struct DeferredInstallRow {
-        /// Rebuild-mode label ("Eager" / "Deferred").
-        pub mode: &'static str => col("rebuild", "rebuild"),
-        /// Simulated makespan of the data-movement phase alone, in seconds —
-        /// the quantity the deferral shrinks.
-        pub movement_seconds: f64 => col("movement_sim_seconds", "movement (sim s)", 3),
-        /// Total simulated rebalance makespan in seconds.
-        pub seconds: f64 => col("total_sim_seconds", "total (sim s)", 3),
-        /// Records moved.
-        pub records_moved: u64 => col("records_moved", "records"),
-        /// Buckets moved.
-        pub buckets_moved: usize => col("buckets_moved", "buckets"),
-        /// Records whose secondary entries `warm_indexes` had to materialize
-        /// after the commit (0 for the eager baseline).
-        pub warmed_records: u64 => col("warmed_records", "warmed"),
-        /// Order-independent checksum over every secondary-index answer
-        /// after warming; both modes must produce the same value.
-        pub index_checksum: Hex => col("index_checksum", "index checksum"),
-        /// Content/index/integrity violations vs the eager oracle (must be 0).
-        pub integrity_violations: u64 => col("integrity_violations", "violations"),
-    }
-}
-
-/// Deferred-install study: an events dataset with a secondary index is
-/// rebalanced from 4 to 3 nodes under each [`SecondaryRebuild`] mode, with
-/// a mid-flight feed. Deferring the secondary rebuild must strictly shrink
-/// the data-movement makespan (the rebuild CPU leaves the commit path)
-/// while `index_scan` — which warms deferred buckets on first touch —
-/// returns byte-identical answers and identical dataset contents.
-pub fn deferred_install_study(cfg: &ExperimentConfig) -> Vec<DeferredInstallRow> {
-    let nodes = 4u32;
-    let n = cfg.orders_per_node as u64 * 40;
-    let record = |i: u64| {
-        let mut v = (i % 53).to_be_bytes().to_vec();
-        v.extend_from_slice(&[(i % 251) as u8; 48]);
-        (Key::from_u64(i), Bytes::from(v))
-    };
-    let mut oracle: Option<(BTreeMap<Key, Bytes>, Hex)> = None;
-    [SecondaryRebuild::Eager, SecondaryRebuild::Deferred]
-        .into_iter()
-        .map(|mode| {
-            let mut cluster = cfg.cluster(nodes);
-            let scheme = cfg.dynahash_scheme(nodes);
-            let spec = DatasetSpec::new("events", scheme).with_secondary_index(
-                SecondaryIndexDef::new("idx_tag", |p: &[u8]| {
-                    if p.len() >= 8 {
-                        let mut b = [0u8; 8];
-                        b.copy_from_slice(&p[..8]);
-                        Some(Key::from_u64(u64::from_be_bytes(b)))
-                    } else {
-                        None
-                    }
-                }),
-            );
-            let ds = load_dataset(&mut cluster, spec, (0..n).map(record));
-            let target = cluster.topology_without(NodeId(nodes - 1));
-            let writes: Vec<_> = (500_000..500_000 + n / 10).map(record).collect();
-            let report = cluster
-                .rebalance(
-                    ds,
-                    &target,
-                    figure_options()
-                        .with_secondary_rebuild(mode)
-                        .with_concurrent_writes(writes),
-                )
-                .expect("rebalance");
-            let mut violations = 0u64;
-            if cluster
-                .check_rebalance_integrity(ds, report.rebalance_id)
-                .is_err()
-            {
-                violations += 1;
-            }
-            // Deferred mode must actually defer: some destination still
-            // holds unwarmed buckets until warm_indexes materializes them.
-            let warmed = cluster.admin().warm_indexes(ds).expect("warm");
-            if mode == SecondaryRebuild::Deferred && warmed == 0 {
-                violations += 1;
-            }
-            if mode == SecondaryRebuild::Eager && warmed != 0 {
-                violations += 1;
-            }
-            let hits = cluster
-                .query()
-                .index_scan(ds, "idx_tag", None, None)
-                .expect("index scan");
-            let checksum = index_checksum(&hits);
-            let (contents, raw) = cluster
-                .query()
-                .collect_records(ds)
-                .expect("collect records");
-            if raw != contents.len() {
-                violations += 1;
-            }
-            match &oracle {
-                None => oracle = Some((contents, checksum)),
-                Some((expected, expected_checksum)) => {
-                    if &contents != expected {
-                        violations += 1;
-                    }
-                    if checksum != *expected_checksum {
-                        violations += 1;
-                    }
-                }
-            }
-            DeferredInstallRow {
-                mode: mode.name(),
-                movement_seconds: report.phases.data_movement.as_secs_f64(),
-                seconds: report.elapsed.as_secs_f64(),
-                records_moved: report.records_moved,
-                buckets_moved: report.buckets_moved,
-                warmed_records: warmed,
-                index_checksum: checksum,
-                integrity_violations: violations,
-            }
-        })
-        .collect()
-}
-
-/// Checks the PR 5 `lookup` figure's gate. Returns the violations (empty =
-/// gate passes): the slot array must be strictly faster than the linear
-/// scan at every count of ≥ 256 buckets, and the deferred install must
-/// strictly beat the eager install on wave makespan with byte-identical
-/// index answers and zero integrity violations.
-pub fn lookup_gate_violations(
-    lookup: &[LookupRow],
-    deferred: &[DeferredInstallRow],
-) -> Vec<Violation> {
-    let mut bad = Vec::new();
-    for r in lookup {
-        // The lookup arm is wall-clock; the deferred-install conditions
-        // below are simulated time and therefore deterministic.
-        if r.buckets >= 256 && r.slot_ns_per_lookup >= r.scan_ns_per_lookup {
-            bad.push(fail_wall_clock(format!(
-                "slot array ({:.1} ns) not strictly faster than the scan ({:.1} ns) at {} buckets",
-                r.slot_ns_per_lookup, r.scan_ns_per_lookup, r.buckets
-            )));
-        }
-    }
-    let eager = find_row(deferred, &mut bad, "Eager", |r| r.mode);
-    let lazy = find_row(deferred, &mut bad, "Deferred", |r| r.mode);
-    let (Some(eager), Some(lazy)) = (eager, lazy) else {
-        return bad;
-    };
-    for r in [eager, lazy] {
-        if r.integrity_violations > 0 {
-            bad.push(fail(format!(
-                "{}: {} integrity violations",
-                r.mode, r.integrity_violations
-            )));
-        }
-    }
-    if lazy.index_checksum != eager.index_checksum {
-        bad.push(fail("deferred install answered index scans differently"));
-    }
-    if lazy.movement_seconds >= eager.movement_seconds {
-        bad.push(fail(format!(
-            "deferred install ({:.6} sim s) did not beat the eager install \
-             ({:.6} sim s) on wave makespan",
-            lazy.movement_seconds, eager.movement_seconds
-        )));
-    }
-    bad
-}
-
 // -------------------------------------------------------------- Figures 8 / 9
 
 table_row! {
@@ -1305,113 +965,6 @@ pub fn ablation_balance_quality(skews: &[u64]) -> Vec<BalanceQualityRow> {
         .collect()
 }
 
-// ------------------------------------------------------ scale study (PR 7)
-
-table_row! {
-    /// One row of the memory-scale study: resident bytes per record of the
-    /// inline-key `Entry` layout vs the legacy layout that kept every key on
-    /// the heap, measured with [`StorageFootprint`] accounting on a loaded
-    /// cluster (deterministic — no wall clock involved).
-    ///
-    /// [`StorageFootprint`]: dynahash_lsm::entry::StorageFootprint
-    pub struct ScaleRow {
-        /// Key shape of this row.
-        pub label: &'static str => col("keys", "keys"),
-        /// Live records measured.
-        pub records: u64 => col("records", "records"),
-        /// Resident bytes of the current layout (struct, key heap, values).
-        pub resident_bytes: u64 => col("resident_bytes", "resident bytes"),
-        /// Resident bytes the legacy layout (every key heap-allocated) would
-        /// hold for the same data.
-        pub legacy_bytes: u64 => col("legacy_bytes", "legacy bytes"),
-        /// `resident_bytes / records`.
-        pub bytes_per_record: f64 => col("bytes_per_record", "bytes/record", 1),
-        /// `legacy_bytes / records` — the pre-PR baseline the gate compares
-        /// against.
-        pub legacy_bytes_per_record: f64
-            => col("legacy_bytes_per_record", "legacy bytes/record", 1),
-        /// Fraction of keys stored inline (no heap allocation).
-        pub inline_fraction: f64 => col("inline_fraction", "inline keys (fraction)", 2),
-    }
-}
-
-/// Label of the `scale` row with the production key shape.
-const SHORT_KEYS: &str = "short keys (8 B, inline)";
-
-/// Loads one DynaHash dataset per key shape — 8-byte production-style keys
-/// (inline) and 40-byte keys (heap spill) — through sessions, then reads
-/// the cluster-wide [`Admin::storage_stats`] footprint for each.
-///
-/// [`Admin::storage_stats`]: dynahash_cluster::Admin::storage_stats
-pub fn scale_study(cfg: &ExperimentConfig) -> Vec<ScaleRow> {
-    let records = (cfg.orders_per_node as u64) * 50;
-    let nodes = 4;
-    let mut cluster = cfg.cluster(nodes);
-    type KeyShape = (&'static str, fn(u64) -> Key);
-    let shapes: [KeyShape; 2] = [
-        (SHORT_KEYS, Key::from_u64),
-        ("long keys (40 B, heap)", |i| {
-            let mut k = i.to_be_bytes().to_vec();
-            k.resize(40, 0xab);
-            Key::from_bytes(k)
-        }),
-    ];
-
-    let mut rows = Vec::new();
-    for (label, make_key) in shapes {
-        let spec = DatasetSpec::new(format!("scale_{}", rows.len()), cfg.dynahash_scheme(nodes));
-        let feed = (0..records).map(|i| (make_key(i), small_record(i).1));
-        let ds = load_dataset(&mut cluster, spec, feed);
-        let fp = cluster.admin().storage_stats(ds).expect("storage stats");
-        rows.push(ScaleRow {
-            label,
-            records: fp.records,
-            resident_bytes: fp.resident_bytes(),
-            legacy_bytes: fp.legacy_resident_bytes(),
-            bytes_per_record: fp.resident_bytes() as f64 / fp.records.max(1) as f64,
-            legacy_bytes_per_record: fp.legacy_resident_bytes() as f64 / fp.records.max(1) as f64,
-            inline_fraction: fp.inline_keys as f64 / fp.records.max(1) as f64,
-        });
-    }
-    rows
-}
-
-/// Checks the PR 7 `scale` figure's gate. Returns the violations (empty =
-/// gate passes). The accounting is deterministic, so the gate is exact: no
-/// row may exceed the legacy (pre-PR) bytes-per-record baseline, and the
-/// production 8-byte key shape must store every key inline and beat the
-/// baseline strictly.
-pub fn scale_gate_violations(rows: &[ScaleRow]) -> Vec<Violation> {
-    let mut bad = Vec::new();
-    for r in rows {
-        if r.records == 0 {
-            bad.push(fail(format!("{}: zero records measured", r.label)));
-        }
-        if r.resident_bytes > r.legacy_bytes {
-            bad.push(fail(format!(
-                "{}: resident {} bytes exceeds the legacy baseline {}",
-                r.label, r.resident_bytes, r.legacy_bytes
-            )));
-        }
-    }
-    if let Some(short) = find_row(rows, &mut bad, SHORT_KEYS, |r| r.label) {
-        if short.inline_fraction < 1.0 {
-            bad.push(fail(format!(
-                "short keys: only {:.1}% stored inline",
-                short.inline_fraction * 100.0
-            )));
-        }
-        if short.resident_bytes >= short.legacy_bytes {
-            bad.push(fail(format!(
-                "short keys: resident {} bytes did not strictly beat the legacy \
-                 baseline {}",
-                short.resident_bytes, short.legacy_bytes
-            )));
-        }
-    }
-    bad
-}
-
 // ------------------------------------------------------ fault study (PR 8)
 
 table_row! {
@@ -1587,7 +1140,8 @@ table_row! {
         pub budget_buckets: usize,
         /// The budget's per-window byte cap.
         pub budget_bytes: u64,
-        /// Resident storage bytes at the end.
+        /// Primary-index bytes at the end
+        /// ([`Cluster::dataset_primary_bytes`]).
         pub resident_bytes: u64,
     }
 }
@@ -1667,11 +1221,7 @@ pub fn control_study(cfg: &ExperimentConfig) -> Vec<ControlRow> {
         let status = plane.map(|p| p.status()).unwrap_or_default();
         let peak = status.max_window_usage();
         let (live, checksum) = contents_checksum(&cluster, ds);
-        let resident = cluster
-            .admin()
-            .storage_stats(ds)
-            .map(|fp| fp.logical_bytes)
-            .unwrap_or(0);
+        let resident = cluster.dataset_primary_bytes(ds).unwrap_or(0);
         rows.push(ControlRow {
             label,
             ticks,
@@ -1992,7 +1542,7 @@ pub struct Figure {
     pub gate_note: Option<&'static str>,
 }
 
-/// Every figure `experiments` can regenerate, in output order. Nine carry
+/// Every figure `experiments` can regenerate, in output order. Six carry
 /// a regression gate — any violation makes the run exit 1 — and what each
 /// gate demands is documented on its `*_gate_violations` function.
 pub const FIGURES: &[Figure] = &[
@@ -2039,15 +1589,6 @@ pub const FIGURES: &[Figure] = &[
         gate_note: None,
     },
     Figure {
-        name: "move_policy",
-        title: "Move policy — component shipping vs record movement (DynaHash, 4 -> 3 nodes)",
-        run: |cfg| {
-            let rows = move_policy_comparison(cfg);
-            Study::of("move_policy", &rows, move_policy_gate_violations)
-        },
-        gate_note: Some("Components strictly faster than Records, contents identical"),
-    },
-    Figure {
         name: "routing",
         title: "Session routing — redirect protocol and overhead (DynaHash, 4 -> 3 nodes)",
         run: |cfg| {
@@ -2057,33 +1598,6 @@ pub const FIGURES: &[Figure] = &[
         gate_note: Some(
             "stale sessions converged, redirects bounded by buckets moved, session overhead \
              within the bound on direct access",
-        ),
-    },
-    Figure {
-        name: "lookup",
-        title: "Directory lookup — slot array vs linear scan; deferred vs eager secondary rebuild",
-        run: |cfg| {
-            let lookup = directory_lookup_study(&[16, 256, 4096]);
-            let deferred = deferred_install_study(cfg);
-            Study {
-                violations: lookup_gate_violations(&lookup, &deferred),
-                tables: vec![
-                    Table::of("lookup", &lookup),
-                    Table::of("deferred_install", &deferred),
-                ],
-            }
-        },
-        gate_note: Some(
-            "slot-array lookups strictly faster than the scan at >= 256 buckets, deferred \
-             install strictly faster than eager on wave makespan, index answers byte-identical",
-        ),
-    },
-    Figure {
-        name: "scale",
-        title: "Memory scale — inline-key Entry layout vs the legacy heap-key layout",
-        run: |cfg| Study::of("scale", &scale_study(cfg), scale_gate_violations),
-        gate_note: Some(
-            "resident bytes/record at or below the legacy baseline, 8-byte keys fully inline",
         ),
     },
     Figure {
@@ -2310,21 +1824,6 @@ mod tests {
     }
 
     #[test]
-    fn component_shipping_beats_record_movement() {
-        let rows = move_policy_comparison(&tiny());
-        assert_eq!(rows.len(), 2);
-        let records = rows.iter().find(|r| r.policy == "Records").unwrap();
-        let components = rows.iter().find(|r| r.policy == "Components").unwrap();
-        assert_eq!(records.buckets_moved, components.buckets_moved);
-        assert_eq!(records.records_moved, components.records_moved);
-        assert!(components.seconds < records.seconds);
-        // contents identical and movement strictly faster: the gate itself
-        assert_eq!(move_policy_gate_violations(&rows), vec![]);
-        assert!(!move_policy_gate_violations(&rows[..1]).is_empty());
-        assert!(rendered(&rows).contains("| Components |"));
-    }
-
-    #[test]
     fn session_routing_study_passes_its_gate() {
         let rows = session_routing_study(&tiny());
         assert_eq!(rows.len(), 3);
@@ -2345,45 +1844,6 @@ mod tests {
     }
 
     #[test]
-    fn directory_lookup_slot_array_beats_the_scan_at_scale() {
-        let rows = directory_lookup_study(&[16, 256]);
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert!(r.slot_ns_per_lookup > 0.0);
-            assert!(r.scan_ns_per_lookup > 0.0);
-        }
-        let big = rows.iter().find(|r| r.buckets == 256).unwrap();
-        assert!(
-            big.slot_ns_per_lookup < big.scan_ns_per_lookup,
-            "slot array must beat the scan at 256 buckets: {:.1} !< {:.1}",
-            big.slot_ns_per_lookup,
-            big.scan_ns_per_lookup
-        );
-        assert!(rendered(&rows).contains("speedup"));
-    }
-
-    #[test]
-    fn deferred_install_study_passes_its_gate() {
-        let deferred = deferred_install_study(&tiny());
-        assert_eq!(deferred.len(), 2);
-        let eager = deferred.iter().find(|r| r.mode == "Eager").unwrap();
-        let lazy = deferred.iter().find(|r| r.mode == "Deferred").unwrap();
-        assert_eq!(eager.records_moved, lazy.records_moved);
-        assert_eq!(eager.index_checksum, lazy.index_checksum);
-        assert!(lazy.warmed_records > 0, "nothing was actually deferred");
-        assert_eq!(eager.warmed_records, 0);
-        assert!(
-            lazy.movement_seconds < eager.movement_seconds,
-            "deferred install must beat eager on wave makespan: {} !< {}",
-            lazy.movement_seconds,
-            eager.movement_seconds
-        );
-        // the full gate (timing arm excluded) holds on the tiny config
-        assert_eq!(lookup_gate_violations(&[], &deferred), vec![]);
-        assert!(rendered(&deferred).contains("| Deferred |"));
-    }
-
-    #[test]
     fn ablation_storage_option3_reads_less() {
         let rows = ablation_storage_options(2000);
         assert_eq!(rows.len(), 2);
@@ -2396,16 +1856,6 @@ mod tests {
         for r in &rows {
             assert!(r.algorithm2 <= r.round_robin + 1e-9, "skew {}", r.skew);
         }
-    }
-
-    #[test]
-    fn scale_study_gate_passes_and_inline_keys_save_memory() {
-        let rows = scale_study(&tiny());
-        assert_eq!(scale_gate_violations(&rows), vec![]);
-        let short = &rows[0];
-        // inline keys save exactly the key heap bytes: 8 per record
-        assert_eq!(short.legacy_bytes - short.resident_bytes, short.records * 8);
-        assert!(rendered(&rows).contains("inline"));
     }
 
     #[test]

@@ -32,7 +32,7 @@ use dynahash_cluster::{
     DatasetSpec, Fault, FaultSchedule, RebalanceJob, SecondaryIndexDef, Session, StepPoint,
 };
 use dynahash_core::{NodeId, RebalanceOutcome, Scheme};
-use dynahash_lsm::entry::{Key, StorageFootprint};
+use dynahash_lsm::entry::Key;
 use dynahash_lsm::rng::{scramble, SplitMix64, Zipfian};
 use dynahash_lsm::Bytes;
 
@@ -384,8 +384,6 @@ pub struct SoakReport {
     pub redirects: u64,
     /// Node count at the end of the run.
     pub final_nodes: u32,
-    /// Combined storage footprint of every dataset at the end of the run.
-    pub footprint: StorageFootprint,
     /// Rebalances auto-triggered by the armed control plane.
     pub auto_triggers: u64,
     /// Auto-triggered rebalances that committed.
@@ -1417,17 +1415,6 @@ impl<'a> Runner<'a> {
         }
         Ok(())
     }
-
-    fn footprint(&mut self) -> StorageFootprint {
-        let mut total = StorageFootprint::default();
-        for d in 0..self.datasets.len() {
-            let id = self.datasets[d].id;
-            if let Ok(fp) = self.cluster.admin().storage_stats(id) {
-                total.absorb(&fp);
-            }
-        }
-        total
-    }
 }
 
 // ------------------------------------------------------------------ entry
@@ -1469,7 +1456,6 @@ pub fn run_scenario(cfg: &SoakConfig, scenario: &Scenario) -> SoakReport {
                 degraded: Vec::new(),
                 redirects: 0,
                 final_nodes: 0,
-                footprint: StorageFootprint::default(),
                 auto_triggers: 0,
                 auto_commits: 0,
                 hot_splits: 0,
@@ -1559,7 +1545,6 @@ pub fn run_scenario(cfg: &SoakConfig, scenario: &Scenario) -> SoakReport {
             .collect(),
         redirects,
         final_nodes: runner.cluster.topology().num_nodes() as u32,
-        footprint: runner.footprint(),
         auto_triggers: control.as_ref().map_or(0, |s| s.triggers),
         auto_commits: control.as_ref().map_or(0, |s| s.committed_jobs),
         hot_splits: control.as_ref().map_or(0, |s| s.hot_splits),
@@ -1759,6 +1744,5 @@ mod tests {
         assert!(report.churn_events >= 2);
         assert!(report.rebalances >= report.churn_events * 2);
         assert!(report.live_records > 0);
-        assert!(report.footprint.records > 0);
     }
 }

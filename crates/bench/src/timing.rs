@@ -2,7 +2,7 @@
 //!
 //! The repository builds with zero external dependencies and the simulation
 //! runs on the sim clock alone; what is measured on the wall clock — the two
-//! timing arms of the `routing` and `lookup` figures, and every span of the
+//! timing arms of the `routing` figure, and every span of the
 //! stand-alone benchmark under `examples/benchmark` — goes through
 //! [`ns_per_op`].
 //!

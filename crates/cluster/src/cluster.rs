@@ -10,9 +10,9 @@ use std::collections::BTreeMap;
 
 use dynahash_core::{BucketHeat, ClusterTopology, GlobalDirectory, NodeId, PartitionId, Scheme};
 use dynahash_lsm::bucket::{hash_key, BucketId};
-use dynahash_lsm::entry::{Key, StorageFootprint, Value};
+use dynahash_lsm::entry::{Key, Value};
 use dynahash_lsm::metrics::MetricsSnapshot;
-use dynahash_lsm::wal::{LogRecordBody, RebalanceId, RebalanceLogStatus};
+use dynahash_lsm::wal::{RebalanceId, RebalanceLogStatus};
 
 use crate::control::{HeatCell, HeatReport, JobProgress};
 use crate::controller::ClusterController;
@@ -351,9 +351,9 @@ impl Cluster {
     /// inserts or updates the record, `None` deletes the key — and is the
     /// one place a record changes. The bucket's heat is noted (an attempted
     /// write is load, served or not), the owner must be alive, and the write
-    /// goes to its transaction log and then into the primary, primary-key
-    /// and secondary indexes (a delete's old payload drives the secondary
-    /// extractors, so index scans never return phantom hits). While a job is
+    /// goes into the primary, primary-key and secondary indexes (a delete's
+    /// old payload drives the secondary extractors, so index scans never
+    /// return phantom hits). While a job is
     /// in flight, a write to a bucket whose wave has *already shipped it*
     /// must also reach the destination's pending copy — tombstones and their
     /// secondary deletions included — or the commit-time cleanup of the
@@ -380,25 +380,13 @@ impl Cluster {
         if !node.is_alive() {
             return Err(ClusterError::NodeDown(node_id));
         }
+        let ds = node.partition_mut(partition)?.dataset_mut(dataset)?;
         let old_value = match value {
             Some(value) => {
-                node.log.append(LogRecordBody::Insert {
-                    dataset,
-                    key: key.as_slice().to_vec(),
-                    value: value.to_vec(),
-                });
-                let ds = node.partition_mut(partition)?.dataset_mut(dataset)?;
                 ds.ingest(key, value)?;
                 None
             }
-            None => {
-                node.log.append(LogRecordBody::Delete {
-                    dataset,
-                    key: key.as_slice().to_vec(),
-                });
-                let ds = node.partition_mut(partition)?.dataset_mut(dataset)?;
-                ds.delete(&key)?
-            }
+            None => ds.delete(&key)?,
         };
         let mut written = Written {
             node: node_id,
@@ -443,9 +431,8 @@ impl Cluster {
     }
 
     /// Ingests a batch of records through a data feed: each record is routed
-    /// with an immutable copy of the routing state taken at feed start,
-    /// appended to the owning node's transaction log, and inserted into the
-    /// primary, primary-key, and secondary indexes.
+    /// with an immutable copy of the routing state taken at feed start and
+    /// inserted into the primary, primary-key, and secondary indexes.
     ///
     /// Returns an [`IngestReport`] with the simulated elapsed time (the
     /// slowest node bounds the feed, as in the paper's ingestion experiment).
@@ -902,23 +889,6 @@ impl Admin<'_> {
         records: impl IntoIterator<Item = (Key, Value)>,
     ) -> Result<IngestReport, ClusterError> {
         self.cluster.ingest(dataset, records)
-    }
-
-    /// Memory accounting over every resident primary-index entry of a
-    /// dataset across the cluster: records, logical bytes, and the
-    /// inline/heap key split. Shared disk runs (reference components from
-    /// splits) are deduplicated per partition, so the totals reflect actual
-    /// residency. The `scale` experiments figure derives bytes-per-record
-    /// from this.
-    pub fn storage_stats(&self, dataset: DatasetId) -> Result<StorageFootprint, ClusterError> {
-        let mut acc = StorageFootprint::default();
-        for p in self.cluster.topology().partitions() {
-            let part = self.cluster.partition(p)?;
-            if part.has_dataset(dataset) {
-                acc.absorb(&part.dataset(dataset)?.primary.storage_footprint());
-            }
-        }
-        Ok(acc)
     }
 
     /// Cheap structural directory probe for continuous soak invariants:

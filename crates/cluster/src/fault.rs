@@ -83,11 +83,11 @@ pub fn backoff(attempt: u32) -> SimDuration {
 /// (see the module docs for the Section V-D cases as rows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// Crash the node. It stays down — its unforced log tail and pending
-    /// copies gone — until something recovers it; a job's `finalize` does.
+    /// Crash the node. It stays down — its uncommitted pending copies gone —
+    /// until something recovers it; a job's `finalize` does.
     CrashNode(NodeId),
-    /// Crash the node and bring every crashed node back at once (WAL replay,
-    /// pending copies dropped): a restart between two steps.
+    /// Crash the node and bring every crashed node back at once (pending
+    /// copies dropped): a restart between two steps.
     RestartNode(NodeId),
     /// Permanently lose the node: it never comes back, and every in-flight
     /// job re-plans around it
@@ -340,7 +340,7 @@ impl FaultStats {
 pub enum NodeState {
     /// Serving normally.
     Alive,
-    /// Crashed; recoverable via WAL replay.
+    /// Crashed; recoverable, with every written record intact.
     Crashed,
     /// Permanently lost; never returns.
     Lost,

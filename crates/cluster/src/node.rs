@@ -1,15 +1,15 @@
 //! Node Controllers.
 //!
-//! A Node Controller (NC) hosts several storage partitions, executes the data
-//! processing tasks the Cluster Controller dispatches to it, and keeps a
-//! transaction log for durability and for replicating concurrent writes
-//! during a rebalance. Nodes can be killed and recovered by the
-//! fault-injection tests.
+//! A Node Controller (NC) hosts several storage partitions and executes the
+//! data processing tasks the Cluster Controller dispatches to it. It keeps no
+//! log of its own: what a rebalance needs to survive a failure is in the
+//! Cluster Controller's metadata log (Section V), and concurrent writes to a
+//! moving bucket are applied to the destination's pending copy directly.
+//! Nodes can be killed and recovered by the fault-injection tests.
 
 use std::collections::BTreeMap;
 
 use dynahash_core::{NodeId, PartitionId};
-use dynahash_lsm::wal::TransactionLog;
 
 use crate::fault::NodeState;
 use crate::partition::Partition;
@@ -20,8 +20,6 @@ pub struct NodeController {
     /// The node id.
     pub id: NodeId,
     partitions: BTreeMap<PartitionId, Partition>,
-    /// The node's transaction log (data log records + replication source).
-    pub log: TransactionLog,
     alive: bool,
     lost: bool,
 }
@@ -46,7 +44,6 @@ impl NodeController {
                 .into_iter()
                 .map(|p| (p, Partition::new(p)))
                 .collect(),
-            log: TransactionLog::new(),
             alive: true,
             lost: false,
         }
@@ -92,18 +89,16 @@ impl NodeController {
         }
     }
 
-    /// Simulates a crash: the node stops responding and its non-durable log
-    /// records are lost. Data in "disk" components survives (it is durable by
-    /// construction); in-memory components survive too because AsterixDB
-    /// replays the durable log on recovery — the simulation keeps them
-    /// directly rather than replaying. Pending rebalance state does **not**
-    /// survive: the metadata registering an in-flight transfer is only
-    /// forced by the rebalance commit, so restart recovery discards the
-    /// orphan received components and the rebalance executor re-ships them
-    /// from the moves recorded in the CC's metadata log.
+    /// Simulates a crash: the node stops responding. Every written record
+    /// survives, in disk and memory components alike: the simulation models
+    /// no loss of written data, so there is nothing to replay.
+    /// Pending rebalance state does **not** survive: the metadata
+    /// registering an in-flight transfer is only forced by the rebalance
+    /// commit, so restart recovery discards the orphan received components
+    /// and the rebalance executor re-ships them from the moves recorded in
+    /// the CC's metadata log.
     pub fn crash(&mut self) {
         self.alive = false;
-        self.log.crash();
         for p in self.partitions.values_mut() {
             p.drop_all_pending();
         }
@@ -139,7 +134,9 @@ impl NodeController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynahash_lsm::wal::LogRecordBody;
+    use crate::dataset::DatasetSpec;
+    use dynahash_core::Scheme;
+    use dynahash_lsm::{BucketId, Bytes, Entry, Key};
 
     #[test]
     fn node_hosts_its_partitions() {
@@ -151,23 +148,45 @@ mod tests {
     }
 
     #[test]
-    fn crash_loses_unforced_log_records_and_recovery_restores_service() {
+    fn a_crash_drops_pending_buckets_and_recovery_restores_service() {
+        let received = BucketId::new(3, 2);
+        let resident: Vec<BucketId> = (0..3).map(|b| BucketId::new(b, 2)).collect();
+        let keys = (0..400u64).map(Key::from_u64);
+        let (incoming, own): (Vec<Key>, Vec<Key>) = keys.partition(|k| received.contains_key(k));
         let mut n = NodeController::new(NodeId(0), vec![PartitionId(0)]);
-        n.log.append_forced(LogRecordBody::Insert {
-            dataset: 1,
-            key: vec![1],
-            value: vec![1],
-        });
-        n.log.append(LogRecordBody::Insert {
-            dataset: 1,
-            key: vec![2],
-            value: vec![2],
-        });
-        assert_eq!(n.log.len(), 2);
+        let part = n.partition_mut(PartitionId(0)).unwrap();
+        part.create_dataset(
+            1,
+            &DatasetSpec::new("orders", Scheme::static_hash_256()),
+            resident,
+        );
+        let ds = part.dataset_mut(1).unwrap();
+        for k in &own {
+            ds.ingest(k.clone(), Bytes::from("v")).unwrap();
+        }
+        ds.create_pending_bucket(received).unwrap();
+        let shipped = incoming
+            .iter()
+            .map(|k| Entry::put(k.clone(), "v"))
+            .collect();
+        ds.load_pending(received, shipped).unwrap();
+
         n.crash();
         assert!(!n.is_alive());
-        assert_eq!(n.log.len(), 1, "unforced record lost in the crash");
+        let ds = n.partition(PartitionId(0)).unwrap().dataset(1).unwrap();
+        assert!(
+            !ds.primary.has_pending_bucket(&received),
+            "the uncommitted transfer is gone"
+        );
+        // Written records survive, the unflushed ones in memory included.
+        assert!(own.iter().all(|k| ds.get(k).is_some()));
         n.recover();
         assert!(n.is_alive());
+        let ds = n
+            .partition_mut(PartitionId(0))
+            .unwrap()
+            .dataset_mut(1)
+            .unwrap();
+        ds.create_pending_bucket(received).unwrap();
     }
 }

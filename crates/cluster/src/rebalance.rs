@@ -53,15 +53,15 @@ pub struct RebalanceOptions {
     /// How buckets move during the data-movement phase. The default,
     /// [`MovePolicy::Components`], ships sealed LSM components whole; the
     /// [`MovePolicy::Records`] baseline re-materialises every record and is
-    /// kept as a correctness oracle and benchmark reference. Ignored by the
-    /// Hashing scheme, which has no buckets to ship.
+    /// kept as the oracle `tests/move_policy.rs` compares against. Ignored by
+    /// the Hashing scheme, which has no buckets to ship.
     pub move_policy: MovePolicy,
     /// When destinations rebuild secondary-index entries for received
     /// buckets under [`MovePolicy::Components`]. The default,
     /// [`SecondaryRebuild::Deferred`], keeps the rebuild off the wave
     /// makespan and runs it on the first index query instead;
-    /// [`SecondaryRebuild::Eager`] is the PR 3 behaviour, kept as the
-    /// makespan baseline.
+    /// [`SecondaryRebuild::Eager`] rebuilds on install and is kept as the
+    /// oracle `tests/directory_slots.rs` compares against.
     pub secondary_rebuild: SecondaryRebuild,
 }
 

@@ -320,8 +320,8 @@ impl Session {
     }
 
     /// Inserts (or updates) one record through the normal feed pipeline —
-    /// WAL append, index maintenance, and replication to already-shipped
-    /// buckets while a rebalance is mid-flight. Writes are rejected with
+    /// index maintenance, and replication to already-shipped buckets while
+    /// a rebalance is mid-flight. Writes are rejected with
     /// [`ClusterError::DatasetWriteBlocked`] only during the brief
     /// prepare-to-decision window.
     pub fn put(&mut self, cluster: &mut Cluster, key: Key, value: Value) -> Result<()> {

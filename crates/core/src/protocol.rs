@@ -16,8 +16,8 @@
 pub enum MovePolicy {
     /// Scan the bucket into records at the source and re-materialise them at
     /// the destination (merge, re-sort, rebuild Bloom filters, rebuild every
-    /// index). The static-hash-era baseline; kept as a correctness oracle
-    /// and benchmark reference.
+    /// index). The static-hash-era baseline; kept as the oracle
+    /// `tests/move_policy.rs` compares component shipping against.
     Records,
     /// Ship the bucket's sealed components whole: Bloom filters and sorted
     /// runs travel with the component files, and the destination rebuilds
@@ -25,16 +25,6 @@ pub enum MovePolicy {
     /// paper's rebalance-efficiency claim.
     #[default]
     Components,
-}
-
-impl MovePolicy {
-    /// Stable label used by reports and benchmarks.
-    pub fn name(&self) -> &'static str {
-        match self {
-            MovePolicy::Records => "Records",
-            MovePolicy::Components => "Components",
-        }
-    }
 }
 
 /// When the destination of a component-level bucket move rebuilds its
@@ -49,8 +39,9 @@ impl MovePolicy {
 /// partition builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SecondaryRebuild {
-    /// Rebuild secondary entries while installing the shipped components
-    /// (the PR 3/PR 4 behaviour; kept as the makespan baseline).
+    /// Rebuild secondary entries while installing the shipped components;
+    /// kept as the oracle `tests/directory_slots.rs` compares the deferred
+    /// rebuild against.
     Eager,
     /// Record the received bucket as deferred and build
     /// its secondary entries on the first `index_scan` touching the dataset
@@ -58,16 +49,6 @@ pub enum SecondaryRebuild {
     /// cost moves off the wave-commit path.
     #[default]
     Deferred,
-}
-
-impl SecondaryRebuild {
-    /// Stable label used by reports and benchmarks.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SecondaryRebuild::Eager => "Eager",
-            SecondaryRebuild::Deferred => "Deferred",
-        }
-    }
 }
 
 /// When and whether a wave speculatively re-executes a straggling transfer.

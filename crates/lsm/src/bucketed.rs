@@ -7,7 +7,7 @@
 //!
 //! The type also implements the destination-side machinery of the rebalance
 //! data-movement phase: *pending* (received) buckets hold bulk-loaded
-//! components plus replicated log records and stay invisible to queries until
+//! components plus replicated writes and stay invisible to queries until
 //! the rebalance commits.
 
 use std::collections::BTreeMap;
@@ -276,25 +276,6 @@ impl BucketedLsmTree {
         self.buckets.values_mut().map(|t| t.run_merges()).sum()
     }
 
-    /// Memory accounting over every resident entry: all memtables plus each
-    /// distinct underlying disk run. Reference components created by bucket
-    /// splits share their parent's allocation, so runs are deduplicated on
-    /// [`Component::data_token`] — the totals reflect what is actually held
-    /// in memory, not the sum over handles.
-    pub fn storage_footprint(&self) -> crate::entry::StorageFootprint {
-        let mut seen = std::collections::BTreeSet::new();
-        let mut acc = crate::entry::StorageFootprint::default();
-        for tree in self.buckets.values() {
-            acc.absorb(&tree.memtable().footprint());
-            for c in tree.components() {
-                if seen.insert(c.data_token()) {
-                    acc.absorb(&c.raw_footprint());
-                }
-            }
-        }
-        acc
-    }
-
     /// Enables or disables dynamic bucket splits (splits are disabled for the
     /// duration of a rebalance, Section V-A).
     pub fn set_splits_enabled(&mut self, enabled: bool) {
@@ -473,7 +454,7 @@ impl BucketedLsmTree {
     }
 
     /// Bulk-loads scanned records into a pending bucket as disk components
-    /// that are strictly older than any replicated log records.
+    /// that are strictly older than any replicated write.
     pub fn load_into_pending(&mut self, bucket: BucketId, entries: Vec<Entry>) -> Result<()> {
         let tree = self
             .pending
@@ -490,7 +471,7 @@ impl BucketedLsmTree {
 
     /// Installs components shipped whole from a source partition into a
     /// pending bucket. The handles are appended as the **oldest** data of the
-    /// pending tree — replicated log records applied afterwards (or already
+    /// pending tree — replicated writes applied afterwards (or already
     /// sitting in the pending memory component) stay newer, exactly as the
     /// record-level `load_into_pending` path orders its bulk-loaded
     /// component. The components keep their internal newest-first order.
@@ -511,7 +492,7 @@ impl BucketedLsmTree {
     }
 
     /// True if the pending bucket holds its base data — shipped or
-    /// bulk-loaded components, as opposed to only replicated log records
+    /// bulk-loaded components, as opposed to only replicated writes
     /// accumulated after a crash wiped the uncommitted transfer. Recovery
     /// re-ships the bucket from its source when this is false.
     pub fn pending_has_base_data(&self, bucket: &BucketId) -> bool {
@@ -525,8 +506,8 @@ impl BucketedLsmTree {
             .unwrap_or(false)
     }
 
-    /// Applies a replicated log record (a concurrent write captured at the
-    /// source) to a pending bucket's memory component. The pending bucket
+    /// Applies a replicated write (a concurrent write routed to the source)
+    /// to a pending bucket's memory component. The pending bucket
     /// must exist — a replicated write to an unregistered bucket is a
     /// routing bug upstream. (After a destination crash wiped an uncommitted
     /// transfer, the cluster's replication path re-creates the pending

@@ -28,7 +28,7 @@
 //! sequentially. The flip side: a value handed to a reader by `get` or a scan
 //! keeps that whole slab alive while it is held, exactly as a reader's handle
 //! keeps a replaced component alive. Nothing in the system holds values
-//! beyond a call (sessions cache routing state, the WAL copies its payloads);
+//! beyond a call (sessions cache routing state);
 //! a caller that does should copy them ([`Bytes::to_vec`]).
 //!
 //! A run is **searched through a dense array of key prefixes**, not through
@@ -59,7 +59,7 @@ use std::sync::{Arc, OnceLock};
 use crate::bloom::BloomFilter;
 use crate::bucket::{hash_bytes, BucketId, BucketSet};
 use crate::bytes::Bytes;
-use crate::entry::{Entry, Key, Op, StorageFootprint};
+use crate::entry::{Entry, Key, Op};
 use crate::secondary::SecondaryEntry;
 
 /// Monotonically increasing identifier for disk components.
@@ -80,9 +80,9 @@ pub enum ComponentSource {
     /// Produced by merging older components.
     Merge,
     /// Bulk-loaded from records scanned at a source partition during a
-    /// rebalance (strictly older than any replicated log records).
+    /// rebalance (strictly older than any replicated write).
     Loaded,
-    /// Built from log records replicated from a source partition during a
+    /// Built from writes replicated from a source partition during a
     /// rebalance (concurrent writes).
     Replicated,
 }
@@ -502,28 +502,6 @@ impl Component {
         } else {
             self.data.size_bytes
         }
-    }
-
-    /// Stable identity of the underlying immutable run. Reference components
-    /// produced by splits and shipped clones share their parent's data, so
-    /// resident-memory accounting must dedupe handles on this token before
-    /// summing [`Component::raw_footprint`].
-    pub fn data_token(&self) -> usize {
-        Arc::as_ptr(&self.data) as usize
-    }
-
-    /// Memory accounting over *all* entries of the underlying run, ignoring
-    /// bucket filters — reference handles report the full shared allocation
-    /// (dedupe on [`Component::data_token`] when aggregating). The value
-    /// bytes are summed per entry; a packed run's slab is exactly that long,
-    /// so the sum is what the run holds whether its payloads are one
-    /// allocation or one each.
-    pub fn raw_footprint(&self) -> StorageFootprint {
-        let mut fp = StorageFootprint::default();
-        for e in &self.data.entries {
-            fp.add_entry(e);
-        }
-        fp
     }
 }
 

@@ -161,21 +161,6 @@ impl Key {
         u64::from_be_bytes(bytes)
     }
 
-    /// True if the key is stored inline (no heap allocation).
-    pub fn is_inline(&self) -> bool {
-        matches!(self.0, KeyRepr::Inline { .. })
-    }
-
-    /// Heap bytes owned by this key: 0 for inline keys, the key length for
-    /// spilled ones. The `scale` experiments figure sums this over every
-    /// resident entry to report true bytes-per-record.
-    pub fn heap_bytes(&self) -> usize {
-        match &self.0 {
-            KeyRepr::Inline { .. } => 0,
-            KeyRepr::Heap(b) => b.len(),
-        }
-    }
-
     /// Copies the key out as an owned byte vector.
     pub fn into_vec(self) -> Vec<u8> {
         match self.0 {
@@ -342,90 +327,11 @@ impl Entry {
 /// still has weight for splitting, budgets and movement costs.
 pub const OP_TAG_BYTES: usize = 1;
 
-/// Aggregate memory accounting over a set of entries.
-///
-/// Components, memtables and trees fold their resident entries into one of
-/// these; the `scale` experiments figure turns the totals into true
-/// bytes-per-record and compares them against what the pre-inline `Vec<u8>`
-/// key layout would have held, gating the memory-lean pass that makes
-/// million-record soak runs fit CI.
-///
-/// It counts *entries* — their structs, spilled keys and payloads — and
-/// nothing a run keeps beside them to be found by: not the Bloom filter
-/// (10 bits per key, in whole 64-byte blocks) and not the search array of
-/// key prefixes (8 bytes per entry). Both layouts the `scale` gate compares
-/// carry the same two, so the gate is about entries only; what they cost is
-/// checked where it is paid, by dynabench's `peak_rss_mb`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StorageFootprint {
-    /// Entries counted (raw: includes tombstones and shadowed versions).
-    pub records: u64,
-    /// Sum of [`Entry::size_bytes`] — the logical/cost-model size.
-    pub logical_bytes: u64,
-    /// Total encoded key bytes (inline or heap).
-    pub key_bytes: u64,
-    /// Key bytes that actually live on the heap (spilled keys only).
-    pub key_heap_bytes: u64,
-    /// Total value payload bytes.
-    pub value_bytes: u64,
-    /// Keys stored inline in the 24-byte `Key` struct.
-    pub inline_keys: u64,
-}
-
-impl StorageFootprint {
-    /// Folds one key/op pair into the totals.
-    pub fn add_key_op(&mut self, key: &Key, op: &Op) {
-        self.records += 1;
-        self.logical_bytes += Entry::size_of_parts(key, op) as u64;
-        self.key_bytes += key.len() as u64;
-        self.key_heap_bytes += key.heap_bytes() as u64;
-        self.value_bytes += op.value_len() as u64;
-        if key.is_inline() {
-            self.inline_keys += 1;
-        }
-    }
-
-    /// Folds one entry into the totals.
-    pub fn add_entry(&mut self, entry: &Entry) {
-        self.add_key_op(&entry.key, &entry.op);
-    }
-
-    /// Merges another footprint into this one.
-    pub fn absorb(&mut self, other: &StorageFootprint) {
-        self.records += other.records;
-        self.logical_bytes += other.logical_bytes;
-        self.key_bytes += other.key_bytes;
-        self.key_heap_bytes += other.key_heap_bytes;
-        self.value_bytes += other.value_bytes;
-        self.inline_keys += other.inline_keys;
-    }
-
-    /// Bytes held by the `Entry` structs themselves (`records × size_of`).
-    pub fn entry_struct_bytes(&self) -> u64 {
-        self.records * std::mem::size_of::<Entry>() as u64
-    }
-
-    /// Resident bytes under the current layout: entry structs plus the heap
-    /// allocations hanging off them (spilled keys and value payloads).
-    pub fn resident_bytes(&self) -> u64 {
-        self.entry_struct_bytes() + self.key_heap_bytes + self.value_bytes
-    }
-
-    /// Resident bytes the pre-inline `Key(Vec<u8>)` layout would have held
-    /// for the same entries: every key byte on the heap, same struct size
-    /// (the inline `Key` is deliberately no larger than a `Vec`). The
-    /// deterministic baseline the `scale` gate compares against.
-    pub fn legacy_resident_bytes(&self) -> u64 {
-        self.entry_struct_bytes() + self.key_bytes + self.value_bytes
-    }
-
-    /// Resident bytes per record; 0.0 when empty.
-    pub fn bytes_per_record(&self) -> f64 {
-        if self.records == 0 {
-            0.0
-        } else {
-            self.resident_bytes() as f64 / self.records as f64
-        }
+#[cfg(test)]
+impl Key {
+    /// True if the key is stored inline (no heap allocation).
+    fn is_inline(&self) -> bool {
+        matches!(self.0, KeyRepr::Inline { .. })
     }
 }
 
@@ -545,12 +451,10 @@ mod tests {
     #[test]
     fn short_keys_are_inline_and_long_keys_spill() {
         assert!(Key::from_u64(7).is_inline());
-        assert_eq!(Key::from_u64(7).heap_bytes(), 0);
         assert!(Key::from_pair(1, 2).is_inline());
         assert!(Key::from_bytes(vec![9u8; KEY_INLINE_CAP]).is_inline());
         let long = Key::from_bytes(vec![9u8; KEY_INLINE_CAP + 1]);
         assert!(!long.is_inline());
-        assert_eq!(long.heap_bytes(), KEY_INLINE_CAP + 1);
         assert_eq!(long.len(), KEY_INLINE_CAP + 1);
         // a composite is the concatenation of its parts, on either side of the cap
         for tail in [KEY_INLINE_CAP - 8, KEY_INLINE_CAP - 7] {

@@ -13,8 +13,8 @@
 //!   efficient bucket-split of Algorithm 1 based on *reference components*;
 //! * **secondary LSM indexes** ([`secondary::SecondaryIndex`]) that store all
 //!   buckets together (Option 1) and support lazy cleanup of moved buckets;
-//! * a simple **transaction log** ([`wal::TransactionLog`]) whose records can
-//!   be replicated to other partitions during a rebalance.
+//! * the Cluster Controller's **metadata log** ([`wal::TransactionLog`]),
+//!   whose forced rebalance records decide recovery (Section V).
 //!
 //! Everything is an in-process, deterministic simulation of the disk: "disk
 //! components" live in memory but their sizes are tracked byte-accurately so
@@ -44,7 +44,7 @@ pub use bucket::{hash_key, BucketId};
 pub use bucketed::{BucketedConfig, BucketedLsmTree, ScanOrder};
 pub use component::{Component, ComponentId, ComponentSource, KeyLayout};
 pub use directory::LocalDirectory;
-pub use entry::{Entry, Key, Op, StorageFootprint, Value, KEY_INLINE_CAP, OP_TAG_BYTES};
+pub use entry::{Entry, Key, Op, Value, KEY_INLINE_CAP, OP_TAG_BYTES};
 pub use iterator::{kmerge_disjoint, MergeIter};
 pub use memtable::MemTable;
 pub use merge_policy::SizeTieredPolicy;

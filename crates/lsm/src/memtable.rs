@@ -69,16 +69,6 @@ impl MemTable {
         self.map.is_empty()
     }
 
-    /// Full memory accounting over the buffered entries (records, logical
-    /// bytes, inline/heap key split) for the `scale` experiments figure.
-    pub fn footprint(&self) -> crate::entry::StorageFootprint {
-        let mut fp = crate::entry::StorageFootprint::default();
-        for (k, op) in &self.map {
-            fp.add_key_op(k, op);
-        }
-        fp
-    }
-
     /// Approximate memory footprint in bytes.
     pub fn size_bytes(&self) -> usize {
         self.size_bytes

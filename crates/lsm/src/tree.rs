@@ -338,7 +338,7 @@ impl LsmTree {
 
     /// Registers already-built components as the **oldest** data of this tree
     /// (used to install loaded disk components during a rebalance: scanned
-    /// records must be strictly older than replicated log records).
+    /// records must be strictly older than replicated writes).
     pub fn append_oldest_components(&mut self, comps: Vec<Component>) {
         self.components.extend(comps);
     }
@@ -505,30 +505,6 @@ mod tests {
         assert!(t.get(&Key::from_u64(3)).is_some());
         let after = t.metrics().snapshot().bytes_query_read;
         assert_eq!(after - before, (8 + 33 + crate::entry::OP_TAG_BYTES) as u64);
-    }
-
-    #[test]
-    fn footprint_agrees_with_size_accounting() {
-        let mut t = small_tree(1 << 20);
-        for i in 0..100u64 {
-            t.put(i, Bytes::from(vec![7u8; 24]));
-        }
-        t.delete(5u64);
-        let mem_fp = t.memtable().footprint();
-        assert_eq!(mem_fp.records, 100);
-        assert_eq!(mem_fp.logical_bytes as usize, t.memtable().size_bytes());
-        assert_eq!(mem_fp.inline_keys, 100, "u64 keys must stay inline");
-        assert_eq!(mem_fp.key_heap_bytes, 0);
-        let comp = t.flush().unwrap();
-        let fp = comp.raw_footprint();
-        assert_eq!(fp.records, 100);
-        assert_eq!(fp.logical_bytes as usize, comp.size_bytes());
-        assert!(fp.resident_bytes() < fp.legacy_resident_bytes());
-        assert_eq!(
-            fp.legacy_resident_bytes() - fp.resident_bytes(),
-            fp.key_bytes,
-            "inline keys save exactly their heap allocation"
-        );
     }
 
     #[test]

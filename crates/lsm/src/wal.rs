@@ -1,15 +1,15 @@
-//! Transaction log.
+//! The metadata log.
 //!
-//! AsterixDB persists every write to a transaction log for durability, and
-//! DynaHash's rebalance protocol reuses the log twice: concurrent writes to a
-//! moving bucket are captured as log records and **replicated** to the
-//! destination partition, and the Cluster Controller drives recovery from the
-//! metadata records `BEGIN` / `COMMIT` / `DONE` (Section V).
+//! The Cluster Controller drives rebalance recovery from its metadata
+//! records `BEGIN` / `SHIP` / `COMMIT` / `ABORT` / `DONE` alone (Section V),
+//! and this is the only log the system keeps. Concurrent writes to a moving
+//! bucket are not logged and replayed: the cluster applies each one to the
+//! destination's pending copy directly (Section V-C).
 //!
 //! The simulated log is an in-memory append-only vector with explicit
 //! `force()` points (records are only considered durable once forced), which
-//! lets the fault-injection tests model "the node failed before the record
-//! reached disk".
+//! lets the fault-injection tests model "the controller failed before the
+//! record reached disk".
 
 /// Log sequence number.
 pub type Lsn = u64;
@@ -43,7 +43,9 @@ pub struct ShippedMove {
 /// The payload of a log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogRecordBody {
-    /// A record-level insert/update on a dataset partition.
+    /// A record-level insert. Nothing in the cluster writes or reads it: it
+    /// exists only because the benchmark's `lsm.wal_append` span builds one
+    /// per record, and goes together with that span.
     Insert {
         /// Dataset identifier.
         dataset: u32,
@@ -51,13 +53,6 @@ pub enum LogRecordBody {
         key: Vec<u8>,
         /// Record payload.
         value: Vec<u8>,
-    },
-    /// A record-level delete.
-    Delete {
-        /// Dataset identifier.
-        dataset: u32,
-        /// Primary key.
-        key: Vec<u8>,
     },
     /// A rebalance operation has started (forced by the CC).
     RebalanceBegin {
@@ -108,40 +103,11 @@ pub struct LogRecord {
     pub durable: bool,
 }
 
-impl LogRecord {
-    /// Size in bytes charged by the cost model for writing this record.
-    pub fn size_bytes(&self) -> usize {
-        16 + match &self.body {
-            LogRecordBody::Insert { key, value, .. } => key.len() + value.len(),
-            LogRecordBody::Delete { key, .. } => key.len(),
-            LogRecordBody::RebalanceShip { moves, .. } => moves
-                .iter()
-                .map(|m| 32 + m.component_ids.len() * 8)
-                .sum::<usize>(),
-            _ => 8,
-        }
-    }
-
-    /// The dataset a data record belongs to, if it is a data record.
-    pub fn dataset(&self) -> Option<u32> {
-        match &self.body {
-            LogRecordBody::Insert { dataset, .. } | LogRecordBody::Delete { dataset, .. } => {
-                Some(*dataset)
-            }
-            LogRecordBody::RebalanceBegin { dataset, .. } => Some(*dataset),
-            LogRecordBody::RebalanceShip { dataset, .. } => Some(*dataset),
-            _ => None,
-        }
-    }
-}
-
 /// An append-only transaction log.
 #[derive(Debug, Default, Clone)]
 pub struct TransactionLog {
     records: Vec<LogRecord>,
     next_lsn: Lsn,
-    /// Total bytes appended (durable or not).
-    bytes_appended: u64,
 }
 
 impl TransactionLog {
@@ -154,13 +120,11 @@ impl TransactionLog {
     pub fn append(&mut self, body: LogRecordBody) -> Lsn {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
-        let rec = LogRecord {
+        self.records.push(LogRecord {
             lsn,
             body,
             durable: false,
-        };
-        self.bytes_appended += rec.size_bytes() as u64;
-        self.records.push(rec);
+        });
         lsn
     }
 
@@ -189,11 +153,6 @@ impl TransactionLog {
         &self.records
     }
 
-    /// The next LSN that will be assigned.
-    pub fn next_lsn(&self) -> Lsn {
-        self.next_lsn
-    }
-
     /// Number of records.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -202,11 +161,6 @@ impl TransactionLog {
     /// True if the log is empty.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// Total bytes ever appended.
-    pub fn bytes_appended(&self) -> u64 {
-        self.bytes_appended
     }
 
     /// Finds the status of a rebalance operation from the durable metadata
@@ -290,18 +244,18 @@ mod tests {
     #[test]
     fn append_assigns_increasing_lsns() {
         let mut log = TransactionLog::new();
-        let a = log.append(LogRecordBody::Insert {
+        let a = log.append(LogRecordBody::RebalanceBegin {
+            rebalance: 1,
             dataset: 1,
-            key: vec![1],
-            value: vec![2],
         });
-        let b = log.append(LogRecordBody::Delete {
-            dataset: 1,
-            key: vec![1],
-        });
-        assert!(b > a);
-        assert_eq!(log.len(), 2);
-        assert!(log.bytes_appended() > 0);
+        let b = log.append_forced(LogRecordBody::RebalanceCommit { rebalance: 1 });
+        let c = log.append(LogRecordBody::RebalanceDone { rebalance: 1 });
+        assert!(a < b && b < c);
+        assert_eq!(log.len(), 3);
+        assert_eq!(
+            log.records().iter().map(|r| r.lsn).collect::<Vec<_>>(),
+            [a, b, c]
+        );
     }
 
     #[test]

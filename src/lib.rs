@@ -5,7 +5,7 @@
 //! re-exports the workspace's public API:
 //!
 //! * [`lsm`] — the LSM-tree storage substrate (bucketed primary indexes,
-//!   secondary indexes with lazy cleanup, transaction log);
+//!   secondary indexes with lazy cleanup, the metadata log);
 //! * [`core`] — extendible hashing, the global directory, the greedy
 //!   balancing algorithm, rebalancing schemes, and the rebalance protocol;
 //! * [`cluster`] — the simulated shared-nothing cluster (Cluster Controller,
