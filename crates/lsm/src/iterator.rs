@@ -6,7 +6,7 @@
 //! tree runs — for scans, component merges and installing a moved bucket
 //! alike — is [`MergeIter`]: a loser tree (a tournament) over concrete
 //! cursors, ordered newest first, that pulls lazily from the memory
-//! component's map and from the runs where their entries lie and clones
+//! component's key order and from the runs where their entries lie and clones
 //! only what the caller keeps. For duplicate keys the entry from the source
 //! with the smallest index wins; reconciled tombstones are dropped or kept
 //! as the caller asks. [`kmerge_disjoint`] merges inputs that are already
@@ -25,11 +25,12 @@
 //! `oracle` module, the reference the loser tree is compared against.
 
 use std::cmp::Ordering;
-use std::collections::{btree_map, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use crate::bucket::BucketSet;
 use crate::component::{Component, KeyLayout, RunCursor};
 use crate::entry::{Entry, Key, Op};
+use crate::memtable;
 
 /// Reconciles a point-lookup result across sources ordered newest first:
 /// the first source containing the key decides.
@@ -46,7 +47,7 @@ pub(crate) enum Cursor<'a> {
     /// buckets its tree marked moved since its last flush (`dead`, set only
     /// while there are any).
     Buffered {
-        entries: btree_map::Range<'a, Key, Op>,
+        entries: memtable::Range<'a>,
         dead: Option<(&'a BucketSet, KeyLayout)>,
     },
 }
@@ -637,13 +638,7 @@ mod tests {
                 rng.gen_ratio(1, 2)
                     .then(|| universe[rng.gen_index(universe.len())].clone())
             };
-            // in order: a memory component's range refuses crossed bounds
-            let (mut lo, mut hi) = (bound(&mut rng), bound(&mut rng));
-            if let (Some(a), Some(b)) = (&lo, &hi) {
-                if a > b {
-                    std::mem::swap(&mut lo, &mut hi);
-                }
-            }
+            let (lo, hi) = (bound(&mut rng), bound(&mut rng));
             let in_range = |key: &Key| {
                 lo.as_ref().is_none_or(|lo| key >= lo) && hi.as_ref().is_none_or(|hi| key < hi)
             };

@@ -148,7 +148,10 @@ impl LsmTree {
     /// find this tree, say): `hash` must be `hash_key(key)`, and every
     /// component's filter is probed with it.
     pub fn get_ref_hashed(&self, key: &Key, hash: u64) -> Option<&Value> {
-        let mem = self.memtable.get(key).filter(|_| !self.buffered_dead(key));
+        let mem = self
+            .memtable
+            .get_hashed(key, hash)
+            .filter(|_| !self.buffered_dead(key));
         let disk = self.components.iter().map(|c| c.get_hashed(key, hash));
         let op = reconcile_point(std::iter::once(mem).chain(disk))?;
         StorageMetrics::add(
@@ -372,8 +375,9 @@ impl LsmTree {
     /// physical cleanup proceeds.
     pub fn hidden_entries(&mut self) -> u64 {
         let (memtable, dead, layout) = (&self.memtable, &self.memtable_invalid, self.layout);
+        // Counting needs no key order: the keys are walked as they arrived.
         let buffered = *self.memtable_dead.get_or_insert_with(|| {
-            let keys = memtable.range(None, None).map(|(key, _)| key);
+            let keys = memtable.keys();
             keys.filter(|key| dead.contains_hash(layout.bucket_hash(key)))
                 .count() as u64
         });
@@ -537,6 +541,58 @@ mod tests {
             let k = e.key.as_u64();
             (100..200).contains(&k)
         }));
+    }
+
+    /// Crossed bounds select nothing through every scan door — a tree's, a
+    /// bucketed tree's in either order and a secondary index's — while the
+    /// data is buffered as well as once it is flushed (a sorted-map memory
+    /// component used to panic on them).
+    #[test]
+    fn crossed_bounds_scan_nothing_while_data_is_buffered() {
+        use crate::bucketed::{BucketedConfig, BucketedLsmTree, ScanOrder};
+        use crate::secondary::SecondaryIndex;
+
+        let config = LsmConfig::with_memtable_budget(1 << 20);
+        let mut t = small_tree(1 << 20);
+        let mut b = BucketedLsmTree::new(
+            BucketedConfig {
+                lsm: config.clone(),
+                ..BucketedConfig::default()
+            },
+            (0..4).map(|bits| BucketId::new(bits, 2)),
+            StorageMetrics::new_shared(),
+        );
+        let mut s = SecondaryIndex::new("idx", config, StorageMetrics::new_shared());
+        for k in 0..10u64 {
+            t.put(k, val("x"));
+            b.insert(k, val("x")).unwrap();
+            s.insert(Key::from_u64(k), Key::from_u64(100 + k));
+        }
+        let (three, seven) = (Key::from_u64(3), Key::from_u64(7));
+        let (two, nine) = (Key::from_u64(2), Key::from_u64(9));
+        for flushed in [false, true] {
+            assert_eq!(t.memtable().is_empty(), flushed);
+            assert!(t.scan(Some(&seven), Some(&three)).is_empty(), "{flushed}");
+            assert_eq!(t.scan(Some(&three), Some(&seven)).len(), 4, "{flushed}");
+            for order in [ScanOrder::Ordered, ScanOrder::Unordered] {
+                let crossed = b.scan_range(Some(&seven), Some(&three), order);
+                assert!(crossed.is_empty(), "{flushed} {order:?}");
+                let straight = b.scan_range(Some(&three), Some(&seven), order);
+                assert_eq!(straight.len(), 4, "{flushed} {order:?}");
+            }
+            assert!(
+                s.search_range(Some(&nine), Some(&two)).is_empty(),
+                "{flushed}"
+            );
+            assert_eq!(
+                s.search_range(Some(&two), Some(&nine)).len(),
+                7,
+                "{flushed}"
+            );
+            t.flush();
+            b.flush_all();
+            s.flush();
+        }
     }
 
     #[test]
