@@ -31,9 +31,9 @@ pub mod timing;
 use std::collections::BTreeMap;
 
 use dynahash_cluster::{
-    Cluster, ClusterConfig, ControlConfig, ControlPlane, CostModel, DatasetId, DatasetSpec, Fault,
-    FaultSchedule, RebalanceJob, RebalanceOptions, Session, SessionMetrics, SimDuration,
-    SpeculationPolicy, StepPoint,
+    Cluster, ClusterConfig, ControlConfig, ControlDecision, ControlPlane, CostModel, DatasetId,
+    DatasetSpec, Event, Fault, FaultSchedule, RebalanceJob, RebalanceOptions, Session,
+    SessionMetrics, SimDuration, SpeculationPolicy, StepPoint,
 };
 use dynahash_core::balance::{balance_assignment, load_balance_factor, BalanceInput, BucketLoad};
 use dynahash_core::{BucketId, ClusterTopology, NodeId, PartitionId, RebalanceOutcome, Scheme};
@@ -1103,6 +1103,12 @@ pub fn fault_gate_violations(rows: &[FaultRow]) -> Vec<Violation> {
 /// the cooldown and hysteresis windows) settles it.
 pub const CONTROL_CONVERGENCE_TICKS: u64 = 120;
 
+/// How many control decisions in `cluster`'s event log `pred` accepts.
+pub(crate) fn count_decisions(cluster: &Cluster, pred: fn(&ControlDecision) -> bool) -> u64 {
+    let decisions = cluster.events(0).iter().filter_map(Event::decision);
+    decisions.filter(|d| pred(d)).count() as u64
+}
+
 table_row! {
     /// One row of the `control` figure: the identical seeded workload —
     /// skewed ingest, a two-key query hotspot, then two empty nodes joining —
@@ -1206,9 +1212,9 @@ pub fn control_study(cfg: &ExperimentConfig) -> Vec<ControlRow> {
         let mut plane = (regime == 2).then(|| ControlPlane::new(control_config));
         if let Some(plane) = plane.as_mut() {
             while ticks < CONTROL_CONVERGENCE_TICKS {
-                let report = plane.tick(&mut cluster).expect("control tick");
+                plane.tick(&mut cluster).expect("control tick");
                 ticks += 1;
-                if !report.job_in_flight
+                if !plane.job_in_flight()
                     && imbalance_of(&mut cluster) <= control_config.imbalance_threshold
                 {
                     break;
@@ -1217,23 +1223,29 @@ pub fn control_study(cfg: &ExperimentConfig) -> Vec<ControlRow> {
         }
 
         let imbalance_end = imbalance_of(&mut cluster);
-        // The disarmed regimes have no plane: every counter reads zero.
-        let status = plane.map(|p| p.status()).unwrap_or_default();
-        let peak = status.max_window_usage();
+        // The disarmed regimes have no plane: the log holds no decision.
+        let (max_window_buckets, max_window_bytes) = plane.map_or((0, 0), |p| p.peak_window());
         let (live, checksum) = contents_checksum(&cluster, ds);
         let resident = cluster.dataset_primary_bytes(ds).unwrap_or(0);
+        let count = |pred| count_decisions(&cluster, pred);
         rows.push(ControlRow {
             label,
             ticks,
-            triggers: status.triggers,
-            suppressed: status.suppressed_hysteresis + status.suppressed_cooldown,
-            committed: status.committed_jobs,
-            hot_splits: status.hot_splits,
+            triggers: count(|d| matches!(d, ControlDecision::Triggered { .. })),
+            suppressed: count(|d| {
+                matches!(
+                    d,
+                    ControlDecision::SuppressedByHysteresis { .. }
+                        | ControlDecision::SuppressedByCooldown { .. }
+                )
+            }),
+            committed: count(|d| matches!(d, ControlDecision::Committed { .. })),
+            hot_splits: count(|d| matches!(d, ControlDecision::HotSplit { .. })),
             imbalance_start,
             imbalance_end,
             threshold: control_config.imbalance_threshold,
-            max_window_buckets: peak.buckets,
-            max_window_bytes: peak.bytes,
+            max_window_buckets,
+            max_window_bytes,
             records: live,
             checksum,
             budget_buckets: control_config.budget.max_buckets_per_window,
@@ -1407,11 +1419,20 @@ pub fn recovery_study(cfg: &ExperimentConfig) -> Vec<RecoveryRow> {
         job.set_speculation(policy);
         let report = job.drive(&mut cluster).expect("drive recovery rebalance");
         cluster.clear_fault_plane();
+        // The races this job ran, read from its events.
+        let races: Vec<bool> = (cluster.events(0).iter())
+            .filter_map(|e| match *e {
+                Event::Speculated { rebalance, won } if rebalance == report.rebalance_id => {
+                    Some(won)
+                }
+                _ => None,
+            })
+            .collect();
         rows.push(RecoveryRow {
             committed: report.outcome == RebalanceOutcome::Committed,
             makespan: report.elapsed,
-            speculated: job.speculated(),
-            speculation_wins: job.speculation_wins(),
+            speculated: races.len() as u64,
+            speculation_wins: races.iter().filter(|won| **won).count() as u64,
             ..row(label, &cluster, ds)
         });
     }

@@ -29,12 +29,14 @@ use std::collections::BTreeMap;
 
 use dynahash_cluster::{
     Cluster, ClusterConfig, ClusterError, ControlConfig, ControlDecision, ControlPlane, CostModel,
-    DatasetSpec, Fault, FaultSchedule, RebalanceJob, SecondaryIndexDef, Session, StepPoint,
+    DatasetSpec, Event, Fault, FaultSchedule, RebalanceJob, SecondaryIndexDef, Session, StepPoint,
 };
 use dynahash_core::{NodeId, RebalanceOutcome, Scheme};
 use dynahash_lsm::entry::Key;
 use dynahash_lsm::rng::{scramble, SplitMix64, Zipfian};
 use dynahash_lsm::Bytes;
+
+use crate::count_decisions;
 
 // ------------------------------------------------------------ key shaping
 
@@ -326,7 +328,7 @@ impl SoakConfig {
 // ------------------------------------------------------------------ report
 
 /// Outcome of a soak run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SoakReport {
     /// The seed the run (and its generated script) derives from.
     pub seed: u64,
@@ -392,11 +394,12 @@ pub struct SoakReport {
     pub hot_splits: u64,
     /// Control-plane decisions suppressed by hysteresis or cooldown.
     pub suppressed: u64,
-    /// Recent control-plane decisions (empty when the plane is disarmed).
+    /// Every control-plane decision of the run, oldest first (empty when
+    /// the plane is disarmed).
     pub control_decisions: Vec<String>,
-    /// Per-job progress still registered at the end of the run (a clean run
-    /// drives every job to finalize, so this is normally empty; on failure
-    /// it shows exactly how far the interrupted job got).
+    /// The jobs still in flight at the end of the run (a clean run drives
+    /// every job to finalize, so this is normally empty; on failure it shows
+    /// exactly how far the interrupted job got).
     pub jobs: Vec<String>,
     /// Executed-op trace (one line per op), for failure replay.
     pub trace: Vec<String>,
@@ -939,29 +942,29 @@ impl<'a> Runner<'a> {
         let Some(mut plane) = self.plane.take() else {
             return Ok(());
         };
-        let committed_before = plane.status().committed_jobs;
-        let decisions_before = plane.status().decisions.len();
+        let since = self.cluster.events(0).len();
         let result = self.drive_hotspot(&mut plane, d, ops, rounds);
-        let status = plane.status();
         self.plane = Some(plane);
         result?;
-
-        // Every rebalance the plane committed during this event must pass
-        // the same integrity battery the churn events' hand-driven jobs do.
-        if status.committed_jobs > committed_before {
-            for dec in status.decisions.iter().skip(decisions_before) {
-                if let ControlDecision::Committed {
-                    dataset, rebalance, ..
-                } = dec
-                {
-                    self.cluster
-                        .check_rebalance_integrity(*dataset, *rebalance)
-                        .map_err(|e| format!("integrity of auto rebalance: {e}"))?;
-                }
-            }
-        }
+        self.check_auto_commits(since, "after hotspot")?;
         self.sampled_reads_on(d, "after hotspot")?;
         self.deep_checks("after hotspot event")
+    }
+
+    /// Runs the integrity battery the churn events' hand-driven jobs pass on
+    /// every rebalance the plane committed since event `since`.
+    fn check_auto_commits(&self, since: usize, when: &str) -> StepResult {
+        for event in self.cluster.events(since) {
+            if let Some(ControlDecision::Committed {
+                dataset, rebalance, ..
+            }) = event.decision()
+            {
+                self.cluster
+                    .check_rebalance_integrity(*dataset, *rebalance)
+                    .map_err(|e| format!("{when}: integrity of auto rebalance {rebalance}: {e}"))?;
+            }
+        }
+        Ok(())
     }
 
     fn drive_hotspot(
@@ -1008,20 +1011,22 @@ impl<'a> Runner<'a> {
     /// indefinitely by design, and does not block the script.
     fn settle_plane(&mut self, plane: &mut ControlPlane, when: &str) -> StepResult {
         for _ in 0..100 {
-            let report = plane
+            let since = self.cluster.events(0).len();
+            plane
                 .tick(&mut self.cluster)
                 .map_err(|e| format!("control tick settling {when}: {e}"))?;
-            let busy = report.job_in_flight
-                || report.decisions.iter().any(|dec| {
-                    matches!(
+            let mut decisions = self
+                .cluster
+                .events(since)
+                .iter()
+                .filter_map(Event::decision);
+            let busy = plane.job_in_flight()
+                || decisions.any(|dec| {
+                    !matches!(
                         dec,
-                        ControlDecision::Triggered { .. }
-                            | ControlDecision::DeferredByBudget { .. }
-                            | ControlDecision::HotSplit { .. }
-                            | ControlDecision::Replanned { .. }
-                            | ControlDecision::Committed { .. }
-                            | ControlDecision::Aborted { .. }
-                            | ControlDecision::Repaired { .. }
+                        ControlDecision::SuppressedByHysteresis { .. }
+                            | ControlDecision::SuppressedByCooldown { .. }
+                            | ControlDecision::NoImprovement { .. }
                     )
                 });
             if !busy {
@@ -1041,10 +1046,13 @@ impl<'a> Runner<'a> {
     /// admin one-shot runs directly. Returns the number of buckets
     /// restored.
     fn repair_degraded(&mut self, when: &str) -> Result<u64, String> {
+        let since = self.cluster.events(0).len();
         let mut plane = self.plane.take();
         let result = self.repair_degraded_inner(plane.as_mut(), when);
         self.plane = plane;
-        result
+        let repaired = result?;
+        self.check_auto_commits(since, when)?;
+        Ok(repaired)
     }
 
     fn repair_degraded_inner(
@@ -1433,37 +1441,9 @@ pub fn run_scenario(cfg: &SoakConfig, scenario: &Scenario) -> SoakReport {
         Err(v) => {
             return SoakReport {
                 seed: cfg.seed,
-                steps_run: 0,
-                records_ingested: 0,
-                live_records: 0,
-                queries_run: 0,
-                deletes: 0,
-                churn_events: 0,
-                rebalances: 0,
-                crashes: 0,
-                transient_faults: 0,
-                fault_retries: 0,
-                reroutes: 0,
-                reshipped: 0,
-                lost_nodes: 0,
-                established_losses: 0,
-                speculated: 0,
-                speculation_wins: 0,
-                repairs: 0,
-                repaired_buckets: 0,
-                degraded_reads: 0,
-                degraded_writes: 0,
-                degraded: Vec::new(),
-                redirects: 0,
-                final_nodes: 0,
-                auto_triggers: 0,
-                auto_commits: 0,
-                hot_splits: 0,
-                suppressed: 0,
-                control_decisions: Vec::new(),
-                jobs: Vec::new(),
                 trace,
                 violations: vec![v],
+                ..SoakReport::default()
             };
         }
     };
@@ -1505,16 +1485,10 @@ pub fn run_scenario(cfg: &SoakConfig, scenario: &Scenario) -> SoakReport {
 
     let live = runner.datasets.iter().map(|d| d.model.len() as u64).sum();
     let redirects = runner.sessions.iter().map(|s| s.metrics().redirects).sum();
-    let faults = runner.cluster.fault_stats().clone();
-    let control = runner.plane.as_ref().map(|p| p.status());
-    let jobs: Vec<String> = runner
-        .cluster
-        .admin()
-        .health()
-        .jobs
-        .iter()
-        .map(|j| j.to_string())
-        .collect();
+    let faults = runner.cluster.fault_stats();
+    let jobs = runner.cluster.admin().health().jobs;
+    let count = |pred| count_decisions(&runner.cluster, pred);
+    let decisions = runner.cluster.events(0).iter().filter_map(Event::decision);
     SoakReport {
         seed: cfg.seed,
         steps_run,
@@ -1545,16 +1519,18 @@ pub fn run_scenario(cfg: &SoakConfig, scenario: &Scenario) -> SoakReport {
             .collect(),
         redirects,
         final_nodes: runner.cluster.topology().num_nodes() as u32,
-        auto_triggers: control.as_ref().map_or(0, |s| s.triggers),
-        auto_commits: control.as_ref().map_or(0, |s| s.committed_jobs),
-        hot_splits: control.as_ref().map_or(0, |s| s.hot_splits),
-        suppressed: control
-            .as_ref()
-            .map_or(0, |s| s.suppressed_hysteresis + s.suppressed_cooldown),
-        control_decisions: control.as_ref().map_or_else(Vec::new, |s| {
-            s.decisions.iter().map(|d| d.to_string()).collect()
+        auto_triggers: count(|d| matches!(d, ControlDecision::Triggered { .. })),
+        auto_commits: count(|d| matches!(d, ControlDecision::Committed { .. })),
+        hot_splits: count(|d| matches!(d, ControlDecision::HotSplit { .. })),
+        suppressed: count(|d| {
+            matches!(
+                d,
+                ControlDecision::SuppressedByHysteresis { .. }
+                    | ControlDecision::SuppressedByCooldown { .. }
+            )
         }),
-        jobs,
+        control_decisions: decisions.map(|d| format!("{d:?}")).collect(),
+        jobs: jobs.iter().map(|j| format!("{j:?}")).collect(),
         trace,
         violations,
     }

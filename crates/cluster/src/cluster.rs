@@ -14,13 +14,14 @@ use dynahash_lsm::entry::{Key, Value};
 use dynahash_lsm::metrics::MetricsSnapshot;
 use dynahash_lsm::wal::{RebalanceId, RebalanceLogStatus};
 
-use crate::control::{HeatCell, HeatReport, JobProgress};
+use crate::control::{HeatCell, HeatReport};
 use crate::controller::ClusterController;
 use crate::dataset::{DatasetId, DatasetMeta, DatasetSpec};
-use crate::fault::{ClusterHealth, FaultSchedule, FaultStats};
+use crate::fault::{ClusterHealth, FaultSchedule, FaultState};
 use crate::feed::IngestReport;
 use crate::job::RebalanceJob;
 use crate::node::NodeController;
+use crate::obs::{jobs_in_flight, Event};
 use crate::partition::Partition;
 use crate::rebalance::RebalanceReport;
 use crate::sim::{CostModel, NodeTimeline, SimDuration};
@@ -73,17 +74,6 @@ struct Written {
     was_live: bool,
 }
 
-/// The cluster's fault-plane state: the (optional) installed schedule and
-/// the counters accumulated while consuming it.
-#[derive(Default)]
-pub(crate) struct FaultState {
-    /// The installed schedule; `None` (or an empty schedule) means the
-    /// fault-free path, byte-identical to pre-fault-plane behaviour.
-    pub(crate) plane: Option<FaultSchedule>,
-    /// Accumulated counters (retries, reroutes, lost nodes/buckets).
-    pub(crate) stats: FaultStats,
-}
-
 /// The simulated cluster.
 pub struct Cluster {
     config: ClusterConfig,
@@ -99,9 +89,9 @@ pub struct Cluster {
     /// Disarmed (`None` inside), every data path takes its pre-control-plane
     /// code path — the same arming shape as the fault plane.
     pub(crate) heat: HeatCell,
-    /// Progress of in-flight rebalance jobs, published by the job steps and
-    /// surfaced through [`Admin::health`].
-    pub(crate) job_progress: BTreeMap<DatasetId, JobProgress>,
+    /// The event log of the control, job and fault planes (see
+    /// [`crate::obs`]): appended to by [`Cluster::record`] alone.
+    events: Vec<Event>,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -135,7 +125,7 @@ impl Cluster {
             active_rebalances: BTreeMap::new(),
             faults: FaultState::default(),
             heat: HeatCell::default(),
-            job_progress: BTreeMap::new(),
+            events: Vec::new(),
         }
     }
 
@@ -185,17 +175,30 @@ impl Cluster {
         ds.primary.directory().lookup_key(key)
     }
 
+    // ------------------------------------------------------------ event log
+
+    /// The events logged from sequence number `since` on, oldest first (an
+    /// event's sequence number is its position; `since` past the end reads
+    /// nothing). The next read starts at `since` plus the slice's length.
+    pub fn events(&self, since: usize) -> &[Event] {
+        self.events.get(since..).unwrap_or_default()
+    }
+
+    /// Appends `event` to the log.
+    pub(crate) fn record(&mut self, event: Event) {
+        self.events.push(event);
+    }
+
     // ---------------------------------------------------------- fault plane
 
     /// Installs a seeded fault schedule. Transfers consult it per attempt;
     /// drivers fire its step faults at the boundaries they pass
-    /// ([`Cluster::fire_faults`]). Replaces any schedule already installed
-    /// (counters are kept).
+    /// ([`Cluster::fire_faults`]). Replaces any schedule already installed.
     pub fn set_fault_plane(&mut self, schedule: FaultSchedule) {
         self.faults.plane = Some(schedule);
     }
 
-    /// Removes the installed fault schedule (counters are kept).
+    /// Removes the installed fault schedule.
     pub fn clear_fault_plane(&mut self) {
         self.faults.plane = None;
     }
@@ -205,18 +208,13 @@ impl Cluster {
         self.faults.plane.as_ref()
     }
 
-    /// The fault-plane counters accumulated so far.
-    pub fn fault_stats(&self) -> &FaultStats {
-        &self.faults.stats
-    }
-
     /// The lost bucket `key` routes to, when the dataset is serving degraded
     /// and the key's bucket died with a lost node (`None` on the healthy
     /// path — the first map probe is the only cost then). Reads and writes
     /// touching such a bucket get the typed
     /// [`ClusterError::BucketDegraded`] instead of silently-empty data.
     pub(crate) fn lost_bucket_of(&self, dataset: DatasetId, key: &Key) -> Option<BucketId> {
-        let lost = self.faults.stats.lost_buckets.get(&dataset)?;
+        let lost = self.faults.lost_buckets.get(&dataset)?;
         if lost.is_empty() {
             return None;
         }
@@ -567,8 +565,10 @@ impl Cluster {
         let new_topology = self
             .topology
             .with_added_node(self.config.partitions_per_node);
-        // dhlint: allow(panic) — with_added_node always appends exactly one node
-        let new_node_id = *new_topology.nodes().last().expect("node added");
+        let new_node_id = *new_topology
+            .nodes()
+            .last()
+            .ok_or(ClusterError::Core(dynahash_core::CoreError::EmptyTopology))?;
         let new_partitions = new_topology.partitions_of_node(new_node_id);
         let mut node = NodeController::new(new_node_id, new_partitions.clone());
         for dataset in self.controller.dataset_ids() {
@@ -600,21 +600,7 @@ impl Cluster {
         if remaining > 0 {
             return Err(ClusterError::NodeNotEmpty(node, remaining));
         }
-        self.nodes.remove(&node);
-        self.topology = self.topology.without_node(node);
-        // Drop the removed partitions from every dataset's partition list,
-        // bumping the routing version so cached sessions stop dispatching
-        // scans to partitions that no longer exist.
-        for dataset in self.controller.dataset_ids() {
-            let topo = self.topology.clone();
-            let meta = self.controller.dataset_mut(dataset)?;
-            let before = meta.partitions.len();
-            meta.partitions.retain(|p| topo.node_of(*p).is_some());
-            if meta.partitions.len() != before {
-                meta.bump_partitions_version();
-            }
-        }
-        Ok(())
+        self.retire_node(node)
     }
 
     /// Removes a permanently lost node from the topology. Unlike
@@ -642,6 +628,13 @@ impl Cluster {
                 }
             }
         }
+        self.retire_node(node)
+    }
+
+    /// Drops `node` from the cluster and its partitions from every dataset's
+    /// partition list, bumping the routing version so cached sessions stop
+    /// dispatching scans to partitions that no longer exist.
+    fn retire_node(&mut self, node: NodeId) -> Result<(), ClusterError> {
         self.nodes.remove(&node);
         self.topology = self.topology.without_node(node);
         for dataset in self.controller.dataset_ids() {
@@ -908,11 +901,12 @@ impl Admin<'_> {
     }
 
     /// The cluster health surface: every node with its liveness state
-    /// (alive / crashed / permanently lost) plus the fault-plane counters —
+    /// (alive / crashed / permanently lost), the fault-plane counters —
     /// transient faults absorbed, retries, reroutes, and the datasets
     /// serving in degraded mode because a bucket's only copy died with a
-    /// lost node. This is how operators (and the chaos gates) observe
-    /// degraded serving without scraping partitions.
+    /// lost node — and the jobs in flight, all folded from the event log.
+    /// This is how operators (and the chaos gates) observe degraded serving
+    /// without scraping partitions.
     pub fn health(&self) -> ClusterHealth {
         ClusterHealth {
             nodes: self
@@ -922,8 +916,8 @@ impl Admin<'_> {
                 .into_iter()
                 .filter_map(|n| Some((n, self.cluster.node(n).ok()?.state())))
                 .collect(),
-            stats: self.cluster.fault_stats().clone(),
-            jobs: self.cluster.job_progress.values().cloned().collect(),
+            stats: self.cluster.fault_stats(),
+            jobs: jobs_in_flight(self.cluster.events(0)),
         }
     }
 
@@ -940,12 +934,7 @@ impl Admin<'_> {
         dataset: DatasetId,
         feed: &[(Key, Value)],
     ) -> Result<Option<RebalanceReport>, ClusterError> {
-        if self
-            .cluster
-            .fault_stats()
-            .degraded_buckets(dataset)
-            .is_empty()
-        {
+        if !self.cluster.faults.lost_buckets.contains_key(&dataset) {
             return Ok(None);
         }
         let mut job = RebalanceJob::plan_repair(self.cluster, dataset, feed)?;

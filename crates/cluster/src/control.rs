@@ -25,19 +25,21 @@
 //!   wave by wave across ticks under a [`MigrationBudget`]: a window of
 //!   `window_ticks` ticks admits at most `max_buckets_per_window` moves and
 //!   `max_bytes_per_window` shipped bytes; waves that do not fit are
-//!   deferred (and logged) until the window rolls. Health monitoring runs
-//!   before every wave: a permanently lost participant triggers
-//!   [`RebalanceJob::replan_wave`] from the control plane instead of
-//!   letting a wave trip over the dead node.
-//! * **Observable status** — every decision (triggered, suppressed by
-//!   hysteresis or cooldown, deferred by budget, re-planned, committed) is
-//!   logged as a [`ControlDecision`], surfaced through
-//!   [`ControlPlane::status`]; in-flight job progress is published to the
-//!   cluster's [`JobProgress`] registry and reported by
-//!   [`crate::cluster::Admin::health`].
+//!   deferred until the window rolls. The plane keeps only the open window
+//!   and the peak any window reached ([`ControlPlane::peak_window`]). Health
+//!   monitoring runs before every wave: a permanently lost participant
+//!   triggers [`RebalanceJob::replan_wave`] from the control plane instead
+//!   of letting a wave trip over the dead node.
+//! * **Decisions in the event log** — every decision (triggered,
+//!   suppressed by hysteresis or cooldown, deferred by budget, re-planned,
+//!   committed, …) is appended to the cluster's event log as a
+//!   [`ControlDecision`] stamped with its tick ([`crate::obs`]). The plane
+//!   keeps no counters and no decision list of its own: a count is a count
+//!   over [`Cluster::events`], and a tick's decisions are the events it
+//!   appended.
 //!
-//! Idle ticks are not wasted: with no job in flight and nothing triggered,
-//! the loop drains deferred secondary-index stashes (the background
+//! Idle ticks — no job in flight and no decision made — are not wasted:
+//! they drain deferred secondary-index stashes (the background
 //! warm-indexes task). Sessions learn about an auto-rebalance the way they
 //! learn about any other: the first stale route is rejected and the session
 //! pulls a [`dynahash_core::DirectoryDelta`] (see [`crate::session`]).
@@ -46,20 +48,16 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use dynahash_core::{
-    max_deviation_imbalance, BucketHeat, BucketId, GlobalDirectory, MigrationBudget, NodeId,
-    PartitionId, RebalanceOutcome,
+    max_deviation_imbalance, BucketHeat, BucketId, GlobalDirectory, MigrationBudget, PartitionId,
+    RebalanceOutcome,
 };
 use dynahash_lsm::entry::{Key, Value};
-use dynahash_lsm::wal::RebalanceId;
 
 use crate::cluster::Cluster;
 use crate::dataset::DatasetId;
 use crate::job::RebalanceJob;
-use crate::sim::SimDuration;
+use crate::obs::{ControlDecision, Event};
 use crate::{ClusterError, Result};
-
-/// Decision-log entries kept by the control plane (older ones are dropped).
-const MAX_DECISIONS: usize = 64;
 
 // ------------------------------------------------------------ heat tracking
 
@@ -247,74 +245,6 @@ impl HeatReport {
     }
 }
 
-// ------------------------------------------------------------ job progress
-
-/// Progress of one in-flight rebalance job, published to the cluster by the
-/// job's steps and surfaced through
-/// [`crate::fault::ClusterHealth`]/[`crate::cluster::Admin::health`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobProgress {
-    /// The dataset being rebalanced.
-    pub dataset: DatasetId,
-    /// The rebalance operation id.
-    pub rebalance: RebalanceId,
-    /// The job-state name at publication time.
-    pub state: &'static str,
-    /// Bucket moves in the plan.
-    pub buckets_total: usize,
-    /// Bucket moves whose wave has run.
-    pub buckets_moved: usize,
-    /// Bytes the plan intends to ship.
-    pub bytes_planned: u64,
-    /// Bytes shipped so far.
-    pub bytes_shipped: u64,
-    /// Scheduled waves.
-    pub waves_total: usize,
-    /// Completed waves.
-    pub waves_completed: usize,
-    /// Estimated sim-time to finish data movement: the mean makespan of the
-    /// completed waves times the waves remaining (zero before the first
-    /// wave and after the last).
-    pub eta: SimDuration,
-}
-
-impl JobProgress {
-    /// Fraction of the planned bucket moves that have shipped, in `[0, 1]`
-    /// (1 for a no-op plan).
-    pub fn fraction_done(&self) -> f64 {
-        if self.buckets_total == 0 {
-            1.0
-        } else {
-            self.buckets_moved as f64 / self.buckets_total as f64
-        }
-    }
-
-    /// [`JobProgress::fraction_done`] as a percentage.
-    pub fn percent_done(&self) -> f64 {
-        self.fraction_done() * 100.0
-    }
-}
-
-impl std::fmt::Display for JobProgress {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "rebalance {} of dataset {}: {} — {:.0}% ({}/{} buckets, {} B shipped, \
-             wave {}/{}, ETA {:.3} ms)",
-            self.rebalance,
-            self.dataset,
-            self.state,
-            self.percent_done(),
-            self.buckets_moved,
-            self.buckets_total,
-            self.bytes_shipped,
-            self.waves_completed,
-            self.waves_total,
-            self.eta.as_nanos() as f64 / 1e6,
-        )
-    }
-}
-
 // ------------------------------------------------------------ decision loop
 
 /// Hot-bucket splits performed per dataset per tick, at most.
@@ -360,319 +290,6 @@ impl Default for ControlConfig {
     }
 }
 
-/// One logged control-plane decision. The log is the audit trail the soak
-/// banner and the property tests read; see [`ControlStatus`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ControlDecision {
-    /// The dataset crossed the threshold and a rebalance was planned.
-    Triggered {
-        /// Tick of the decision.
-        tick: u64,
-        /// The imbalanced dataset.
-        dataset: DatasetId,
-        /// Measured imbalance at trigger time.
-        imbalance: f64,
-        /// Bucket moves in the auto-planned job.
-        moves: usize,
-        /// Bytes the plan intends to ship.
-        bytes: u64,
-    },
-    /// Imbalanced, but not yet for `hysteresis_ticks` consecutive ticks.
-    SuppressedByHysteresis {
-        /// Tick of the decision.
-        tick: u64,
-        /// The imbalanced dataset.
-        dataset: DatasetId,
-        /// Measured imbalance.
-        imbalance: f64,
-        /// Consecutive imbalanced ticks so far (including this one).
-        streak: u32,
-    },
-    /// Imbalanced, but a recent job put the dataset in cooldown.
-    SuppressedByCooldown {
-        /// Tick of the decision.
-        tick: u64,
-        /// The imbalanced dataset.
-        dataset: DatasetId,
-        /// Measured imbalance.
-        imbalance: f64,
-        /// First tick at which triggers are allowed again.
-        until: u64,
-    },
-    /// The next wave did not fit the window's remaining migration budget.
-    DeferredByBudget {
-        /// Tick of the decision.
-        tick: u64,
-        /// Dataset of the in-flight job.
-        dataset: DatasetId,
-        /// Moves in the deferred wave.
-        wave_buckets: usize,
-        /// Bytes the deferred wave would ship.
-        wave_bytes: u64,
-    },
-    /// Imbalanced and triggered, but the balancer found no improving move.
-    NoImprovement {
-        /// Tick of the decision.
-        tick: u64,
-        /// The imbalanced dataset.
-        dataset: DatasetId,
-        /// Measured imbalance.
-        imbalance: f64,
-    },
-    /// A bucket's decayed ops exceeded the heat budget and it was split.
-    HotSplit {
-        /// Tick of the decision.
-        tick: u64,
-        /// Dataset owning the bucket.
-        dataset: DatasetId,
-        /// The split bucket.
-        bucket: BucketId,
-        /// Its decayed op count at split time.
-        ops: u64,
-    },
-    /// Health monitoring found a lost participant and re-planned around it.
-    Replanned {
-        /// Tick of the decision.
-        tick: u64,
-        /// Dataset of the in-flight job.
-        dataset: DatasetId,
-        /// The lost nodes re-planned around.
-        lost_nodes: Vec<NodeId>,
-        /// Moves rerouted to survivors.
-        rerouted: u64,
-    },
-    /// The in-flight auto-planned job committed.
-    Committed {
-        /// Tick of the decision.
-        tick: u64,
-        /// The rebalanced dataset.
-        dataset: DatasetId,
-        /// The committed rebalance id.
-        rebalance: RebalanceId,
-        /// Bytes shipped in total.
-        bytes: u64,
-    },
-    /// The in-flight auto-planned job aborted.
-    Aborted {
-        /// Tick of the decision.
-        tick: u64,
-        /// The dataset whose job aborted.
-        dataset: DatasetId,
-        /// The aborted rebalance id.
-        rebalance: RebalanceId,
-    },
-    /// Health monitoring found a degraded dataset with a registered repair
-    /// feed and restored its lost buckets.
-    Repaired {
-        /// Tick of the decision.
-        tick: u64,
-        /// The repaired dataset.
-        dataset: DatasetId,
-        /// The rebalance-operation id the repair ran under.
-        rebalance: RebalanceId,
-        /// Buckets restored.
-        buckets: usize,
-        /// Records restored from the feed.
-        records: u64,
-    },
-}
-
-impl ControlDecision {
-    /// The tick the decision was made at.
-    pub fn tick(&self) -> u64 {
-        match self {
-            ControlDecision::Triggered { tick, .. }
-            | ControlDecision::SuppressedByHysteresis { tick, .. }
-            | ControlDecision::SuppressedByCooldown { tick, .. }
-            | ControlDecision::DeferredByBudget { tick, .. }
-            | ControlDecision::NoImprovement { tick, .. }
-            | ControlDecision::HotSplit { tick, .. }
-            | ControlDecision::Replanned { tick, .. }
-            | ControlDecision::Committed { tick, .. }
-            | ControlDecision::Aborted { tick, .. }
-            | ControlDecision::Repaired { tick, .. } => *tick,
-        }
-    }
-}
-
-impl std::fmt::Display for ControlDecision {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ControlDecision::Triggered {
-                tick,
-                dataset,
-                imbalance,
-                moves,
-                bytes,
-            } => write!(
-                f,
-                "t{tick}: dataset {dataset} imbalance {imbalance:.3} → triggered \
-                 ({moves} moves, {bytes} B)"
-            ),
-            ControlDecision::SuppressedByHysteresis {
-                tick,
-                dataset,
-                imbalance,
-                streak,
-            } => write!(
-                f,
-                "t{tick}: dataset {dataset} imbalance {imbalance:.3} → suppressed \
-                 (hysteresis streak {streak})"
-            ),
-            ControlDecision::SuppressedByCooldown {
-                tick,
-                dataset,
-                imbalance,
-                until,
-            } => write!(
-                f,
-                "t{tick}: dataset {dataset} imbalance {imbalance:.3} → suppressed \
-                 (cooldown until t{until})"
-            ),
-            ControlDecision::DeferredByBudget {
-                tick,
-                dataset,
-                wave_buckets,
-                wave_bytes,
-            } => write!(
-                f,
-                "t{tick}: dataset {dataset} wave of {wave_buckets} moves / {wave_bytes} B \
-                 deferred by the migration budget"
-            ),
-            ControlDecision::NoImprovement {
-                tick,
-                dataset,
-                imbalance,
-            } => write!(
-                f,
-                "t{tick}: dataset {dataset} imbalance {imbalance:.3} → no improving plan"
-            ),
-            ControlDecision::HotSplit {
-                tick,
-                dataset,
-                bucket,
-                ops,
-            } => write!(
-                f,
-                "t{tick}: dataset {dataset} bucket {bucket} split ({ops} decayed ops)"
-            ),
-            ControlDecision::Replanned {
-                tick,
-                dataset,
-                lost_nodes,
-                rerouted,
-            } => write!(
-                f,
-                "t{tick}: dataset {dataset} re-planned around lost nodes {lost_nodes:?} \
-                 ({rerouted} moves rerouted)"
-            ),
-            ControlDecision::Committed {
-                tick,
-                dataset,
-                rebalance,
-                bytes,
-            } => write!(
-                f,
-                "t{tick}: dataset {dataset} rebalance {rebalance} committed ({bytes} B shipped)"
-            ),
-            ControlDecision::Aborted {
-                tick,
-                dataset,
-                rebalance,
-            } => write!(
-                f,
-                "t{tick}: dataset {dataset} rebalance {rebalance} aborted"
-            ),
-            ControlDecision::Repaired {
-                tick,
-                dataset,
-                rebalance,
-                buckets,
-                records,
-            } => write!(
-                f,
-                "t{tick}: dataset {dataset} repair {rebalance} restored {buckets} lost \
-                 buckets ({records} records)"
-            ),
-        }
-    }
-}
-
-/// Migration-budget usage of one (closed or current) window.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WindowUsage {
-    /// First tick of the window.
-    pub start_tick: u64,
-    /// Bucket moves admitted in the window.
-    pub buckets: usize,
-    /// Bytes admitted in the window.
-    pub bytes: u64,
-}
-
-/// A snapshot of the control plane's counters, recent decisions, and budget
-/// windows ([`ControlPlane::status`]).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ControlStatus {
-    /// Ticks run so far.
-    pub ticks: u64,
-    /// Rebalances triggered.
-    pub triggers: u64,
-    /// Decisions suppressed by the hysteresis window.
-    pub suppressed_hysteresis: u64,
-    /// Decisions suppressed by a cooldown.
-    pub suppressed_cooldown: u64,
-    /// Waves deferred by the migration budget.
-    pub deferred: u64,
-    /// Auto-planned jobs committed.
-    pub committed_jobs: u64,
-    /// Auto-planned jobs aborted.
-    pub aborted_jobs: u64,
-    /// Control-plane-initiated re-plans around lost nodes.
-    pub replans: u64,
-    /// Degraded datasets auto-repaired from a registered feed.
-    pub repairs: u64,
-    /// Hot buckets split.
-    pub hot_splits: u64,
-    /// Records whose deferred secondary entries were warmed on idle ticks.
-    pub warmed_records: u64,
-    /// The most recent decisions, oldest first (bounded).
-    pub decisions: Vec<ControlDecision>,
-    /// Closed budget windows plus the current one, oldest first.
-    pub windows: Vec<WindowUsage>,
-}
-
-impl ControlStatus {
-    /// The heaviest window usage seen, for budget-compliance gates.
-    pub fn max_window_usage(&self) -> WindowUsage {
-        self.windows
-            .iter()
-            .fold(WindowUsage::default(), |acc, w| WindowUsage {
-                start_tick: if w.buckets > acc.buckets {
-                    w.start_tick
-                } else {
-                    acc.start_tick
-                },
-                buckets: acc.buckets.max(w.buckets),
-                bytes: acc.bytes.max(w.bytes),
-            })
-    }
-}
-
-/// What one [`ControlPlane::tick`] did.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TickReport {
-    /// The tick index (1-based).
-    pub tick: u64,
-    /// Decisions made this tick, in order.
-    pub decisions: Vec<ControlDecision>,
-    /// Set when an auto-planned job committed this tick.
-    pub committed: Option<(DatasetId, RebalanceId)>,
-    /// True when a job is still in flight after the tick.
-    pub job_in_flight: bool,
-    /// Records warmed by the idle-tick index drain.
-    pub warmed_records: u64,
-}
-
 /// The decision loop. Like [`RebalanceJob`] and [`crate::session::Session`]
 /// it holds no borrow of the cluster: the driver calls
 /// [`ControlPlane::tick`] with the cluster whenever sim-time advances.
@@ -691,12 +308,15 @@ pub struct ControlPlane {
     /// dataset is degraded — writes to lost buckets are rejected, so their
     /// content cannot drift from the snapshot.
     repair_feeds: BTreeMap<DatasetId, Vec<(Key, Value)>>,
+    /// Ticks run so far; the current tick's number.
+    ticks: u64,
+    /// The open budget window: its first tick, and the moves and bytes it
+    /// admitted so far.
     window_start: u64,
     window_buckets: usize,
     window_bytes: u64,
-    /// Every counter, the bounded decision log and the closed budget
-    /// windows; [`ControlPlane::status`] adds the open window.
-    status: ControlStatus,
+    /// The most buckets and the most bytes any window admitted.
+    peak_window: (usize, u64),
 }
 
 impl ControlPlane {
@@ -729,17 +349,15 @@ impl ControlPlane {
         self.repair_feeds.remove(&dataset);
     }
 
-    /// A snapshot of counters, recent decisions, and budget windows.
-    pub fn status(&self) -> ControlStatus {
-        let mut status = self.status.clone();
-        if self.window_buckets > 0 || self.window_bytes > 0 {
-            status.windows.push(WindowUsage {
-                start_tick: self.window_start,
-                buckets: self.window_buckets,
-                bytes: self.window_bytes,
-            });
-        }
-        status
+    /// True while an auto-planned job is in flight.
+    pub fn job_in_flight(&self) -> bool {
+        self.job.is_some()
+    }
+
+    /// The most buckets and the most bytes any migration window admitted so
+    /// far (each maximized on its own), for budget-compliance gates.
+    pub fn peak_window(&self) -> (usize, u64) {
+        self.peak_window
     }
 
     /// One control tick: decay heat, roll the budget window, drive the
@@ -747,97 +365,55 @@ impl ControlPlane {
     /// the budget admits them, finishing the 2PC once all waves ran) or —
     /// with no job in flight — evaluate every bucketed dataset for hot
     /// buckets and sustained imbalance, and warm deferred indexes when the
-    /// tick ends up idle.
-    pub fn tick(&mut self, cluster: &mut Cluster) -> Result<TickReport> {
-        self.status.ticks += 1;
-        if self.status.ticks - self.window_start >= self.config.budget.window_ticks.max(1) {
-            self.status.windows.push(WindowUsage {
-                start_tick: self.window_start,
-                buckets: self.window_buckets,
-                bytes: self.window_bytes,
-            });
-            self.window_start = self.status.ticks;
+    /// tick ends up idle. Every decision is appended to the cluster's event
+    /// log.
+    pub fn tick(&mut self, cluster: &mut Cluster) -> Result<()> {
+        self.ticks += 1;
+        if self.ticks - self.window_start >= self.config.budget.window_ticks.max(1) {
+            self.window_start = self.ticks;
             self.window_buckets = 0;
             self.window_bytes = 0;
         }
         cluster.heat.decay();
 
-        let mut report = TickReport {
-            tick: self.status.ticks,
-            ..TickReport::default()
-        };
+        let start = cluster.events(0).len();
         if self.job.is_some() {
-            self.drive_job(cluster, &mut report)?;
+            self.drive_job(cluster)?;
         } else {
             // Health monitoring: a degraded dataset with a registered repair
             // feed is restored before anything else — serving every bucket
             // again outranks rebalancing the healthy ones.
-            self.auto_repair(cluster, &mut report)?;
-            self.evaluate(cluster, &mut report)?;
+            self.auto_repair(cluster)?;
+            self.evaluate(cluster)?;
         }
-        let idle = self.job.is_none() && report.decisions.is_empty();
-        if idle {
+        let decided = cluster.events(start).iter().any(|e| e.decision().is_some());
+        if self.job.is_none() && !decided {
             for ds in cluster.controller.dataset_ids() {
-                let warmed = cluster.admin().warm_indexes(ds)?;
-                report.warmed_records += warmed;
-                self.status.warmed_records += warmed;
+                cluster.admin().warm_indexes(ds)?;
             }
         }
-        report.job_in_flight = self.job.is_some();
-        Ok(report)
-    }
-
-    /// Records a decision in the tick report and the bounded log, and
-    /// counts it.
-    fn log(&mut self, report: &mut TickReport, decision: ControlDecision) {
-        let status = &mut self.status;
-        match decision {
-            ControlDecision::Triggered { .. } => status.triggers += 1,
-            ControlDecision::SuppressedByHysteresis { .. } => status.suppressed_hysteresis += 1,
-            ControlDecision::SuppressedByCooldown { .. } => status.suppressed_cooldown += 1,
-            ControlDecision::DeferredByBudget { .. } => status.deferred += 1,
-            ControlDecision::NoImprovement { .. } => {}
-            ControlDecision::HotSplit { .. } => status.hot_splits += 1,
-            ControlDecision::Replanned { .. } => status.replans += 1,
-            ControlDecision::Committed { .. } => status.committed_jobs += 1,
-            ControlDecision::Aborted { .. } => status.aborted_jobs += 1,
-            ControlDecision::Repaired { .. } => status.repairs += 1,
-        }
-        report.decisions.push(decision.clone());
-        status.decisions.push(decision);
-        if status.decisions.len() > MAX_DECISIONS {
-            let excess = status.decisions.len() - MAX_DECISIONS;
-            status.decisions.drain(..excess);
-        }
+        Ok(())
     }
 
     /// Restores every degraded dataset that has a registered repair feed by
     /// driving [`crate::cluster::Admin::repair_dataset`]; each committed
     /// repair is logged as [`ControlDecision::Repaired`].
-    fn auto_repair(&mut self, cluster: &mut Cluster, report: &mut TickReport) -> Result<()> {
-        // The feeds step aside so logging can borrow the plane; cloning a
-        // snapshot-sized feed per tick would dwarf the repair itself.
-        let feeds = std::mem::take(&mut self.repair_feeds);
-        let result = feeds.iter().try_for_each(|(&dataset, feed)| {
+    fn auto_repair(&self, cluster: &mut Cluster) -> Result<()> {
+        for (&dataset, feed) in &self.repair_feeds {
             let Some(repair) = cluster.admin().repair_dataset(dataset, feed)? else {
-                return Ok(());
+                continue;
             };
             if repair.outcome == RebalanceOutcome::Committed {
-                self.log(
-                    report,
-                    ControlDecision::Repaired {
-                        tick: self.status.ticks,
-                        dataset,
-                        rebalance: repair.rebalance_id,
-                        buckets: repair.buckets_moved,
-                        records: repair.records_moved,
-                    },
-                );
+                cluster.record(Event::Control(ControlDecision::Repaired {
+                    tick: self.ticks,
+                    dataset,
+                    rebalance: repair.rebalance_id,
+                    buckets: repair.buckets_moved,
+                    records: repair.records_moved,
+                }));
             }
-            Ok(())
-        });
-        self.repair_feeds = feeds;
-        result
+        }
+        Ok(())
     }
 
     /// Drives the in-flight job one tick's worth: before every wave, re-plan
@@ -845,14 +421,12 @@ impl ControlPlane {
     /// it) and stop for this tick once the window budget refuses the next
     /// wave; when every wave ran, finish the three-phase protocol through
     /// [`RebalanceJob::drive`].
-    fn drive_job(&mut self, cluster: &mut Cluster, report: &mut TickReport) -> Result<()> {
+    fn drive_job(&mut self, cluster: &mut Cluster) -> Result<()> {
         let Some(mut job) = self.job.take() else {
             return Ok(());
         };
-        let dataset = job.dataset();
-        let rebalance = job.rebalance_id();
-        let moved = self.run_admitted_waves(cluster, &mut job, report);
-        let outcome = match moved {
+        let (tick, dataset, rebalance) = (self.ticks, job.dataset(), job.rebalance_id());
+        let outcome = match self.run_admitted_waves(cluster, &mut job) {
             Ok(false) => {
                 self.job = Some(job);
                 return Ok(());
@@ -865,31 +439,24 @@ impl ControlPlane {
         };
         if outcome.is_ok() {
             self.cooldown_until
-                .insert(dataset, self.status.ticks + self.config.cooldown_ticks);
+                .insert(dataset, tick + self.config.cooldown_ticks);
         }
-        if matches!(outcome, Ok(RebalanceOutcome::Committed)) {
+        let decision = if matches!(outcome, Ok(RebalanceOutcome::Committed)) {
             self.streaks.insert(dataset, 0);
-            let bytes = job.bytes_shipped();
-            self.log(
-                report,
-                ControlDecision::Committed {
-                    tick: self.status.ticks,
-                    dataset,
-                    rebalance,
-                    bytes,
-                },
-            );
-            report.committed = Some((dataset, rebalance));
+            ControlDecision::Committed {
+                tick,
+                dataset,
+                rebalance,
+                bytes: job.bytes_shipped(),
+            }
         } else {
-            self.log(
-                report,
-                ControlDecision::Aborted {
-                    tick: self.status.ticks,
-                    dataset,
-                    rebalance,
-                },
-            );
-        }
+            ControlDecision::Aborted {
+                tick,
+                dataset,
+                rebalance,
+            }
+        };
+        cluster.record(Event::Control(decision));
         outcome.map(|_| ())
     }
 
@@ -899,22 +466,18 @@ impl ControlPlane {
         &mut self,
         cluster: &mut Cluster,
         job: &mut RebalanceJob,
-        report: &mut TickReport,
     ) -> Result<bool> {
         let dataset = job.dataset();
         loop {
             // Health monitoring: a no-op unless a participant was lost.
             let replan = job.replan_wave(cluster)?;
             if !replan.is_noop() {
-                self.log(
-                    report,
-                    ControlDecision::Replanned {
-                        tick: self.status.ticks,
-                        dataset,
-                        lost_nodes: replan.lost_nodes,
-                        rerouted: replan.rerouted,
-                    },
-                );
+                cluster.record(Event::Control(ControlDecision::Replanned {
+                    tick: self.ticks,
+                    dataset,
+                    lost_nodes: replan.lost_nodes,
+                    rerouted: replan.rerouted,
+                }));
             }
             let Some(next) = job.waves().get(job.completed_waves()) else {
                 return Ok(true);
@@ -926,33 +489,29 @@ impl ControlPlane {
                 wave_buckets,
                 wave_bytes,
             ) {
-                self.log(
-                    report,
-                    ControlDecision::DeferredByBudget {
-                        tick: self.status.ticks,
-                        dataset,
-                        wave_buckets,
-                        wave_bytes,
-                    },
-                );
+                cluster.record(Event::Control(ControlDecision::DeferredByBudget {
+                    tick: self.ticks,
+                    dataset,
+                    wave_buckets,
+                    wave_bytes,
+                }));
                 return Ok(false);
             }
             let wave = job.run_wave(cluster)?;
             self.window_buckets += wave.moves;
             self.window_bytes += wave.bytes;
+            self.peak_window = (
+                self.peak_window.0.max(self.window_buckets),
+                self.peak_window.1.max(self.window_bytes),
+            );
         }
     }
 
     /// Splits the dataset's hottest buckets (those above the hot-bucket op
     /// budget), bounded per tick, then absorbs the finer-grained local
     /// directories into the CC's copy so routing and planning see the
-    /// children. Returns the number of splits performed.
-    fn split_hot_buckets(
-        &mut self,
-        cluster: &mut Cluster,
-        dataset: DatasetId,
-        report: &mut TickReport,
-    ) -> Result<usize> {
+    /// children.
+    fn split_hot_buckets(&self, cluster: &mut Cluster, dataset: DatasetId) -> Result<()> {
         let snapshot = cluster.heat_ops_snapshot(dataset);
         let mut hot: Vec<(u64, BucketId)> = snapshot
             .iter()
@@ -976,24 +535,17 @@ impl ControlPlane {
                 .dataset_mut(dataset)?
                 .primary
                 .split_bucket(bucket);
-            match split {
-                Ok((lo, hi)) => {
-                    cluster.heat.on_split(dataset, bucket, lo, hi);
-                    splits += 1;
-                    self.log(
-                        report,
-                        ControlDecision::HotSplit {
-                            tick: self.status.ticks,
-                            dataset,
-                            bucket,
-                            ops,
-                        },
-                    );
-                }
-                // A bucket at max depth (or with splits suspended) cannot
-                // spread further; the rebalance path still moves it whole.
-                Err(_) => continue,
-            }
+            // A bucket at max depth (or with splits suspended) cannot spread
+            // further; the rebalance path still moves it whole.
+            let Ok((lo, hi)) = split else { continue };
+            cluster.heat.on_split(dataset, bucket, lo, hi);
+            splits += 1;
+            cluster.record(Event::Control(ControlDecision::HotSplit {
+                tick: self.ticks,
+                dataset,
+                bucket,
+                ops,
+            }));
         }
         if splits > 0 {
             let locals = cluster.local_directories(dataset)?;
@@ -1003,19 +555,20 @@ impl ControlPlane {
                 dir.install(&refreshed);
             }
         }
-        Ok(splits)
+        Ok(())
     }
 
     /// Monitor/decide with no job in flight: hot-bucket splits first, then
     /// threshold + hysteresis + cooldown per dataset; the first dataset
     /// that qualifies gets the (single) auto-planned job.
-    fn evaluate(&mut self, cluster: &mut Cluster, report: &mut TickReport) -> Result<()> {
+    fn evaluate(&mut self, cluster: &mut Cluster) -> Result<()> {
+        let tick = self.ticks;
         for dataset in cluster.controller.dataset_ids() {
             if !cluster.scheme_of(dataset)?.is_bucketed() {
                 continue;
             }
             if cluster.heat_tracking_enabled() {
-                self.split_hot_buckets(cluster, dataset, report)?;
+                self.split_hot_buckets(cluster, dataset)?;
             }
             let heat = cluster.admin().heat(dataset)?;
             let imbalance = heat.imbalance(self.config.op_weight_bytes);
@@ -1024,17 +577,14 @@ impl ControlPlane {
                 continue;
             }
             if let Some(&until) = self.cooldown_until.get(&dataset) {
-                if self.status.ticks < until {
+                if tick < until {
                     self.streaks.insert(dataset, 0);
-                    self.log(
-                        report,
-                        ControlDecision::SuppressedByCooldown {
-                            tick: self.status.ticks,
-                            dataset,
-                            imbalance,
-                            until,
-                        },
-                    );
+                    cluster.record(Event::Control(ControlDecision::SuppressedByCooldown {
+                        tick,
+                        dataset,
+                        imbalance,
+                        until,
+                    }));
                     continue;
                 }
             }
@@ -1042,15 +592,12 @@ impl ControlPlane {
             *streak += 1;
             let streak = *streak;
             if streak < self.config.hysteresis_ticks.max(1) {
-                self.log(
-                    report,
-                    ControlDecision::SuppressedByHysteresis {
-                        tick: self.status.ticks,
-                        dataset,
-                        imbalance,
-                        streak,
-                    },
-                );
+                cluster.record(Event::Control(ControlDecision::SuppressedByHysteresis {
+                    tick,
+                    dataset,
+                    imbalance,
+                    streak,
+                }));
                 continue;
             }
             if self.job.is_some() {
@@ -1070,33 +617,27 @@ impl ControlPlane {
                 job.abort(cluster)?;
                 job.finalize(cluster)?;
                 self.cooldown_until
-                    .insert(dataset, self.status.ticks + self.config.cooldown_ticks);
+                    .insert(dataset, tick + self.config.cooldown_ticks);
                 self.streaks.insert(dataset, 0);
-                self.log(
-                    report,
-                    ControlDecision::NoImprovement {
-                        tick: self.status.ticks,
-                        dataset,
-                        imbalance,
-                    },
-                );
+                cluster.record(Event::Control(ControlDecision::NoImprovement {
+                    tick,
+                    dataset,
+                    imbalance,
+                }));
                 continue;
             }
             job.init(cluster)?;
             self.streaks.insert(dataset, 0);
-            self.log(
-                report,
-                ControlDecision::Triggered {
-                    tick: self.status.ticks,
-                    dataset,
-                    imbalance,
-                    moves: job.plan_ref().num_moves(),
-                    bytes: job.plan_ref().total_bytes_moved(),
-                },
-            );
+            cluster.record(Event::Control(ControlDecision::Triggered {
+                tick,
+                dataset,
+                imbalance,
+                moves: job.plan_ref().num_moves(),
+                bytes: job.plan_ref().total_bytes_moved(),
+            }));
             self.job = Some(job);
             // Start moving immediately, within this tick's budget share.
-            self.drive_job(cluster, report)?;
+            self.drive_job(cluster)?;
         }
         Ok(())
     }
@@ -1131,6 +672,14 @@ mod tests {
         let mut session = cluster.session(ds).unwrap();
         session.ingest(&mut cluster, (0..n).map(record)).unwrap();
         (cluster, ds)
+    }
+
+    /// The control decisions in the cluster's event log, oldest first.
+    fn decisions(cluster: &Cluster) -> Vec<ControlDecision> {
+        (cluster.events(0).iter())
+            .filter_map(Event::decision)
+            .cloned()
+            .collect()
     }
 
     #[test]
@@ -1216,41 +765,35 @@ mod tests {
             ..ControlConfig::default()
         });
         let mut session = cluster.session(ds).unwrap();
-        let mut committed_at = None;
-        for t in 0..20 {
+        for _ in 0..20 {
             // keep a handful of keys hot so the imbalance is sustained
             for i in 0..200u64 {
                 session.get(&cluster, &record(i % 8).0).unwrap();
             }
-            let report = plane.tick(&mut cluster).unwrap();
-            if let Some((d, _)) = report.committed {
-                assert_eq!(d, ds);
-                committed_at.get_or_insert(t);
-            }
+            plane.tick(&mut cluster).unwrap();
         }
-        let status = plane.status();
-        assert!(status.triggers >= 1, "no trigger: {status:?}");
-        assert!(
-            status.suppressed_hysteresis >= 1,
-            "hysteresis must suppress the first imbalanced tick"
-        );
-        assert!(status.committed_jobs >= 1);
-        let committed: Vec<u64> = status
-            .decisions
-            .iter()
+        let decisions = decisions(&cluster);
+        let committed: Vec<u64> = (decisions.iter())
             .filter_map(|d| match d {
-                ControlDecision::Committed { tick, .. } => Some(*tick),
+                ControlDecision::Committed { tick, dataset, .. } => {
+                    assert_eq!(*dataset, ds);
+                    Some(*tick)
+                }
                 _ => None,
             })
             .collect();
-        let triggers: Vec<u64> = status
-            .decisions
-            .iter()
+        let triggers: Vec<u64> = (decisions.iter())
             .filter_map(|d| match d {
                 ControlDecision::Triggered { tick, .. } => Some(*tick),
                 _ => None,
             })
             .collect();
+        assert!(!triggers.is_empty(), "no trigger: {decisions:?}");
+        assert!(
+            (decisions.iter()).any(|d| matches!(d, ControlDecision::SuppressedByHysteresis { .. })),
+            "hysteresis must suppress the first imbalanced tick"
+        );
+        assert!(!committed.is_empty());
         for c in &committed {
             for t in &triggers {
                 assert!(
@@ -1282,25 +825,22 @@ mod tests {
             ..ControlConfig::default()
         });
         let mut session = cluster.session(ds).unwrap();
-        let mut saw_deferral = false;
         for _ in 0..40 {
             for i in 0..200u64 {
                 session.get(&cluster, &record(i % 8).0).unwrap();
             }
-            let report = plane.tick(&mut cluster).unwrap();
-            saw_deferral |= report
-                .decisions
-                .iter()
-                .any(|d| matches!(d, ControlDecision::DeferredByBudget { .. }));
+            plane.tick(&mut cluster).unwrap();
         }
-        let status = plane.status();
-        assert!(status.triggers >= 1);
-        assert!(saw_deferral, "a 2-buckets-per-window budget must defer");
-        let max = status.max_window_usage();
+        let decisions = decisions(&cluster);
+        assert!((decisions.iter()).any(|d| matches!(d, ControlDecision::Triggered { .. })));
         assert!(
-            max.buckets <= budget.max_buckets_per_window,
-            "window admitted {} buckets over the budget {}",
-            max.buckets,
+            (decisions.iter()).any(|d| matches!(d, ControlDecision::DeferredByBudget { .. })),
+            "a 2-buckets-per-window budget must defer"
+        );
+        let (peak_buckets, _) = plane.peak_window();
+        assert!(
+            peak_buckets <= budget.max_buckets_per_window,
+            "window admitted {peak_buckets} buckets over the budget {}",
             budget.max_buckets_per_window
         );
         cluster.check_dataset_consistency(ds).unwrap();
@@ -1328,8 +868,11 @@ mod tests {
             }
             plane.tick(&mut cluster).unwrap();
         }
-        let status = plane.status();
-        assert!(status.hot_splits >= 1, "hot bucket never split: {status:?}");
+        let decisions = decisions(&cluster);
+        assert!(
+            (decisions.iter()).any(|d| matches!(d, ControlDecision::HotSplit { .. })),
+            "hot bucket never split: {decisions:?}"
+        );
         let buckets_after: usize = cluster
             .local_directories(ds)
             .unwrap()
@@ -1374,11 +917,25 @@ mod tests {
             imbalance_threshold: 100.0,
             ..ControlConfig::default()
         });
-        let mut warmed = 0;
+        let deferred = |cluster: &Cluster| {
+            (cluster.topology().partitions().into_iter()).any(|p| {
+                let part = cluster.partition(p).unwrap();
+                part.dataset(ds).unwrap().has_deferred_secondary()
+            })
+        };
+        assert!(deferred(&cluster), "the deferred rebuild left stashes");
+        let since = cluster.events(0).len();
         for _ in 0..3 {
-            warmed += plane.tick(&mut cluster).unwrap().warmed_records;
+            plane.tick(&mut cluster).unwrap();
         }
-        assert!(warmed > 0, "idle ticks must drain the deferred stashes");
-        assert_eq!(plane.status().warmed_records, warmed);
+        assert!(
+            cluster.events(since).iter().all(|e| e.decision().is_none()),
+            "every tick was idle"
+        );
+        assert!(
+            !deferred(&cluster),
+            "idle ticks must drain the deferred stashes"
+        );
+        assert_eq!(cluster.admin().warm_indexes(ds).unwrap(), 0);
     }
 }

@@ -38,7 +38,8 @@
 //!   the soak's churn loop after every round of waves, each handing over the
 //!   in-flight job(s) a loss must re-plan and a controller restart may abort;
 //! * [`Admin::health`](crate::cluster::Admin::health) — surfaces the
-//!   accumulated [`FaultStats`] plus per-node state and degraded datasets.
+//!   [`FaultStats`] folded from the event log ([`Cluster::fault_stats`])
+//!   plus per-node state and degraded datasets.
 //!
 //! Anything a scenario wants at a boundary that is not a fault — a query, a
 //! feed batch, an assertion — is the callback of
@@ -58,6 +59,7 @@ use dynahash_lsm::rng::SplitMix64;
 use crate::cluster::Cluster;
 use crate::dataset::DatasetId;
 use crate::job::{RebalanceJob, StepPoint};
+use crate::obs::{Event, JobProgress};
 use crate::sim::SimDuration;
 use crate::Result;
 
@@ -116,8 +118,7 @@ pub struct FaultSchedule {
     seed: u64,
     /// Per-mille probability that one transfer attempt fails transiently.
     transient_per_mille: u16,
-    /// Hard cap on transient failures injected into one transfer; kept
-    /// below the retry budget so every transient fault is absorbed.
+    /// Hard cap on transient failures injected into one transfer.
     max_transient_per_transfer: u32,
     /// Nodes whose charged durations are scaled by the factor (> 1 = slow).
     slow_nodes: BTreeMap<NodeId, u32>,
@@ -144,8 +145,8 @@ impl FaultSchedule {
     /// Enables transient ship failures: each transfer attempt fails with
     /// probability `per_mille`/1000, at most `max_per_transfer` times per
     /// transfer. Keep `max_per_transfer <= MAX_TRANSFER_RETRIES` so
-    /// every transient fault is absorbed by retry instead of failing the
-    /// wave.
+    /// every transient fault is absorbed by retry; a transfer that fails
+    /// more often exhausts its retries and fails the wave.
     pub fn with_transient(mut self, per_mille: u16, max_per_transfer: u32) -> Self {
         self.transient_per_mille = per_mille.min(1000);
         self.max_transient_per_transfer = max_per_transfer;
@@ -256,13 +257,57 @@ impl Cluster {
 
 // ----------------------------------------------------------------- stats
 
-/// Counters the fault plane accumulates across jobs; surfaced by
+/// The cluster's fault-plane state: the installed schedule and the losses
+/// the write path must know about. Everything counted is folded from the
+/// event log instead ([`Cluster::fault_stats`]).
+#[derive(Default)]
+pub(crate) struct FaultState {
+    /// The installed schedule; `None` (or an empty schedule) means the
+    /// fault-free path, byte-identical to pre-fault-plane behaviour.
+    pub(crate) plane: Option<FaultSchedule>,
+    /// Nodes permanently lost, in loss order.
+    pub(crate) lost_nodes: Vec<NodeId>,
+    /// Buckets whose only copy died with a lost node, per dataset.
+    pub(crate) lost_buckets: BTreeMap<DatasetId, Vec<BucketId>>,
+}
+
+impl FaultState {
+    /// Records `bucket` as lost (losing it twice records it once).
+    pub(crate) fn mark_lost(&mut self, dataset: DatasetId, bucket: BucketId) {
+        let lost = self.lost_buckets.entry(dataset).or_default();
+        if !lost.contains(&bucket) {
+            lost.push(bucket);
+        }
+    }
+
+    /// True while `bucket` is lost and awaits repair.
+    pub(crate) fn is_lost(&self, dataset: DatasetId, bucket: &BucketId) -> bool {
+        self.lost_buckets
+            .get(&dataset)
+            .is_some_and(|lost| lost.contains(bucket))
+    }
+
+    /// A committed repair installed the restored `bucket`: it leaves the
+    /// degraded set.
+    pub(crate) fn mark_repaired(&mut self, dataset: DatasetId, bucket: BucketId) {
+        if let Some(lost) = self.lost_buckets.get_mut(&dataset) {
+            lost.retain(|b| *b != bucket);
+            if lost.is_empty() {
+                self.lost_buckets.remove(&dataset);
+            }
+        }
+    }
+}
+
+/// The fault plane's counters, folded from the event log, beside the lost
+/// nodes and buckets; surfaced by
 /// [`Admin::health`](crate::cluster::Admin::health) and the soak report.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Transient ship failures injected (every one must be absorbed).
+    /// Transient ship failures injected.
     pub transient_faults: u64,
-    /// Transfer attempts re-tried after a transient failure.
+    /// Transfer attempts re-tried after a transient failure (one short of
+    /// `transient_faults` for every transfer that exhausted its retries).
     pub retries: u64,
     /// Total simulated backoff charged to retries.
     pub backoff: SimDuration,
@@ -302,32 +347,43 @@ impl FaultStats {
         buckets.sort();
         buckets
     }
+}
 
-    /// Records `bucket` as lost (losing it twice records it once).
-    pub(crate) fn mark_lost(&mut self, dataset: DatasetId, bucket: BucketId) {
-        let lost = self.lost_buckets.entry(dataset).or_default();
-        if !lost.contains(&bucket) {
-            lost.push(bucket);
-        }
-    }
-
-    /// True while `bucket` is lost and awaits repair.
-    pub(crate) fn is_lost(&self, dataset: DatasetId, bucket: &BucketId) -> bool {
-        self.lost_buckets
-            .get(&dataset)
-            .is_some_and(|lost| lost.contains(bucket))
-    }
-
-    /// A committed repair installed the restored `bucket`: it leaves the
-    /// degraded set and counts as repaired.
-    pub(crate) fn mark_repaired(&mut self, dataset: DatasetId, bucket: BucketId) {
-        if let Some(lost) = self.lost_buckets.get_mut(&dataset) {
-            lost.retain(|b| *b != bucket);
-            if lost.is_empty() {
-                self.lost_buckets.remove(&dataset);
+impl Cluster {
+    /// The fault-plane counters so far, folded from the event log, with the
+    /// lost nodes and buckets.
+    pub fn fault_stats(&self) -> FaultStats {
+        let mut stats = FaultStats {
+            lost_nodes: self.faults.lost_nodes.clone(),
+            lost_buckets: self.faults.lost_buckets.clone(),
+            ..FaultStats::default()
+        };
+        for event in self.events(0) {
+            match *event {
+                Event::TransientFault { backoff, .. } => {
+                    stats.transient_faults += 1;
+                    if let Some(wait) = backoff {
+                        stats.retries += 1;
+                        stats.backoff += wait;
+                    }
+                }
+                Event::Replanned {
+                    rerouted,
+                    reshipped,
+                    ..
+                } => {
+                    stats.reroutes += rerouted;
+                    stats.reshipped += reshipped;
+                }
+                Event::Speculated { won, .. } => {
+                    stats.speculated += 1;
+                    stats.speculation_wins += u64::from(won);
+                }
+                Event::Finalized { repaired, .. } => stats.repaired_buckets += repaired,
+                _ => {}
             }
         }
-        self.repaired_buckets += 1;
+        stats
     }
 }
 
@@ -346,19 +402,19 @@ pub enum NodeState {
     Lost,
 }
 
-/// The cluster health surface: per-node state plus the fault-plane
-/// counters, so operators (and the chaos gates) can see degraded serving.
+/// The cluster health surface: per-node state, the fault-plane counters and
+/// the jobs in flight, so operators (and the chaos gates) can see degraded
+/// serving.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterHealth {
     /// Every node currently in the topology, with its state (nodes already
     /// removed with `remove_lost_node` survive in `stats.lost_nodes`).
     pub nodes: Vec<(NodeId, NodeState)>,
-    /// Accumulated fault-plane counters.
+    /// The fault-plane counters.
     pub stats: FaultStats,
-    /// Progress of every in-flight rebalance job (% buckets moved, bytes
-    /// shipped, ETA in sim-time, waves remaining), published by the job's
-    /// steps and cleared at finalization.
-    pub jobs: Vec<crate::control::JobProgress>,
+    /// Every job planned and not yet finalized, with its waves and bytes
+    /// done and an ETA in simulated time.
+    pub jobs: Vec<JobProgress>,
 }
 
 impl ClusterHealth {

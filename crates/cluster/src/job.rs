@@ -81,6 +81,7 @@ use dynahash_lsm::Entry;
 use crate::cluster::{ActiveRebalance, Cluster};
 use crate::dataset::DatasetId;
 use crate::fault::{backoff, MAX_TRANSFER_RETRIES};
+use crate::obs::Event;
 use crate::rebalance::{PhaseTimes, RebalanceReport};
 use crate::sim::{NodeTimeline, SimDuration, WaveClock};
 use crate::{ClusterError, Result};
@@ -234,10 +235,11 @@ pub struct RebalanceJob {
     bytes_moved: u64,
     records_moved: u64,
     writes_applied: u64,
-    retries: u64,
-    reroutes: u64,
-    speculated: u64,
-    speculation_wins: u64,
+    /// Lost buckets the commit restored (a repair's scope).
+    repaired: u64,
+    /// The sequence number of the job's first event: everything the job
+    /// logged lies at or after it.
+    first_event: usize,
 }
 
 impl std::fmt::Debug for RebalanceJob {
@@ -392,6 +394,12 @@ impl RebalanceJob {
         total_bytes: u64,
         feed: BTreeMap<BucketId, Vec<Entry>>,
     ) -> Self {
+        let first_event = cluster.events(0).len();
+        cluster.record(Event::JobPlanned {
+            dataset,
+            rebalance: plan.rebalance_id,
+            waves: waves.len(),
+        });
         cluster.active_rebalances.insert(
             dataset,
             ActiveRebalance {
@@ -422,10 +430,8 @@ impl RebalanceJob {
             bytes_moved: 0,
             records_moved: 0,
             writes_applied: 0,
-            retries: 0,
-            reroutes: 0,
-            speculated: 0,
-            speculation_wins: 0,
+            repaired: 0,
+            first_event,
         }
     }
 
@@ -464,7 +470,6 @@ impl RebalanceJob {
         }
 
         self.state = JobState::Moving { completed_waves: 0 };
-        self.publish_progress(cluster);
         Ok(())
     }
 
@@ -586,7 +591,13 @@ impl RebalanceJob {
         self.state = JobState::Moving {
             completed_waves: wave_index + 1,
         };
-        self.publish_progress(cluster);
+        cluster.record(Event::WaveRun {
+            rebalance: self.rebalance_id,
+            wave: wave_index,
+            moves: wave.len(),
+            bytes,
+            makespan,
+        });
         Ok(WaveReport {
             wave: wave_index,
             moves: wave.len(),
@@ -613,9 +624,9 @@ impl RebalanceJob {
     /// original is cancelled at that instant and both endpoints are charged
     /// the winner's occupancy window (the attempts overlap in wall-clock, so
     /// charging their sum would double-count); otherwise the original's
-    /// charges stand unchanged. Either way the launch is counted in
-    /// [`FaultStats`](crate::fault::FaultStats).
-    fn speculate_stragglers(&mut self, cluster: &mut Cluster, legs: &mut [MoveLeg]) {
+    /// charges stand unchanged. Either way the launch is logged as an
+    /// [`Event::Speculated`].
+    fn speculate_stragglers(&self, cluster: &mut Cluster, legs: &mut [MoveLeg]) {
         if !self.speculation.enabled || legs.len() < 2 {
             return;
         }
@@ -635,9 +646,8 @@ impl RebalanceJob {
             }
             let detect_at = median.saturating_mul(SpeculationPolicy::STRAGGLER_MULTIPLE);
             let backup_finish = detect_at.saturating_add(leg.nominal.as_nanos());
-            self.speculated += 1;
-            cluster.faults.stats.speculated += 1;
-            if backup_finish < leg_ns {
+            let won = backup_finish < leg_ns;
+            if won {
                 // The backup won strictly: the original is cancelled at the
                 // backup's finish, so both endpoints were busy exactly that
                 // long.
@@ -646,9 +656,11 @@ impl RebalanceJob {
                 tl.charge(leg.src, window);
                 tl.charge(leg.dst, window);
                 leg.tl = tl;
-                self.speculation_wins += 1;
-                cluster.faults.stats.speculation_wins += 1;
             }
+            cluster.record(Event::Speculated {
+                rebalance: self.rebalance_id,
+                won,
+            });
         }
     }
 
@@ -686,10 +698,11 @@ impl RebalanceJob {
     /// cost.
     ///
     /// When a fault schedule is installed, transient failures burn attempts
-    /// first — each failed attempt charges a round-trip plus capped
-    /// exponential [`backoff`] to both endpoints — and slow nodes scale every
-    /// duration charged to them. With no schedule (or an empty one) the
-    /// charges below are byte-identical to the fault-free path.
+    /// first — each is logged as an [`Event::TransientFault`], and each
+    /// retried one charges a round-trip plus capped exponential [`backoff`]
+    /// to both endpoints — and slow nodes scale every duration charged to
+    /// them. With no schedule (or an empty one) the charges below are
+    /// byte-identical to the fault-free path.
     fn ship_move(
         &mut self,
         cluster: &mut Cluster,
@@ -702,7 +715,13 @@ impl RebalanceJob {
         if let Some(plane) = &plane {
             let mut attempt = 0u32;
             while plane.transient_failure(m.bucket, m.from, m.to, attempt) {
-                if attempt >= MAX_TRANSFER_RETRIES {
+                let retry = (attempt < MAX_TRANSFER_RETRIES).then(|| backoff(attempt));
+                cluster.record(Event::TransientFault {
+                    rebalance: self.rebalance_id,
+                    bucket: m.bucket,
+                    backoff: retry,
+                });
+                let Some(wait) = retry else {
                     return Err(ClusterError::RebalanceAborted(format!(
                         "transfer of bucket {} from {} to {} failed transiently {} times, \
                          exhausting its retry budget",
@@ -711,15 +730,10 @@ impl RebalanceJob {
                         m.to,
                         attempt + 1
                     )));
-                }
-                let wait = backoff(attempt);
+                };
                 let round_trip = SimDuration::from_nanos(cost.network_latency_ns);
                 tl.charge(src_node, plane.scaled(src_node, round_trip) + wait);
                 tl.charge(dst_node, plane.scaled(dst_node, round_trip) + wait);
-                cluster.faults.stats.transient_faults += 1;
-                cluster.faults.stats.retries += 1;
-                cluster.faults.stats.backoff += wait;
-                self.retries += 1;
                 attempt += 1;
             }
         }
@@ -1019,13 +1033,15 @@ impl RebalanceJob {
         self.move_tl.extend(&tl);
 
         report.lost_buckets = lost_buckets.len() as u64;
-        self.publish_progress(cluster);
-        self.reroutes += report.rerouted;
-        cluster.faults.stats.reroutes += report.rerouted;
-        cluster.faults.stats.reshipped += report.reshipped;
         for b in lost_buckets {
-            cluster.faults.stats.mark_lost(self.dataset, b);
+            cluster.faults.mark_lost(self.dataset, b);
         }
+        cluster.record(Event::Replanned {
+            rebalance: self.rebalance_id,
+            rerouted: report.rerouted,
+            reshipped: report.reshipped,
+            waves_appended: report.waves_appended,
+        });
         Ok(report)
     }
 
@@ -1098,7 +1114,6 @@ impl RebalanceJob {
             cost.network_latency_ns * self.participants.len() as u64,
         ));
         self.state = JobState::Prepared;
-        self.publish_progress(cluster);
         Ok(())
     }
 
@@ -1139,7 +1154,6 @@ impl RebalanceJob {
         }
         self.abort_cleanup(cluster)?;
         self.state = JobState::Decided(RebalanceOutcome::Aborted);
-        self.publish_progress(cluster);
         Ok(())
     }
 
@@ -1168,7 +1182,6 @@ impl RebalanceJob {
         // The new directory is live: ingestion resumes through it.
         cluster.active_rebalances.remove(&self.dataset);
         self.state = JobState::CommitTasksDone;
-        self.publish_progress(cluster);
         Ok(())
     }
 
@@ -1210,8 +1223,12 @@ impl RebalanceJob {
         // dropped the in-flight registration; by now it may be the next job's.)
         cluster.set_splits_enabled(self.dataset, true)?;
         self.state = JobState::Finalized(outcome);
-        cluster.job_progress.remove(&self.dataset);
-        Ok(self.report(outcome))
+        cluster.record(Event::Finalized {
+            rebalance: self.rebalance_id,
+            outcome,
+            repaired: self.repaired,
+        });
+        Ok(self.report(cluster, outcome))
     }
 
     // -------------------------------------------------------------- driving
@@ -1358,16 +1375,6 @@ impl RebalanceJob {
         self.speculation = speculation;
     }
 
-    /// Straggling transfers speculatively re-executed by this job, so far.
-    pub fn speculated(&self) -> u64 {
-        self.speculated
-    }
-
-    /// Speculative backups that beat their original attempt, so far.
-    pub fn speculation_wins(&self) -> u64 {
-        self.speculation_wins
-    }
-
     /// When destinations rebuild secondary entries for received buckets
     /// (default: [`SecondaryRebuild::Deferred`]). Only meaningful under
     /// [`MovePolicy::Components`]; the Records baseline always rebuilds
@@ -1422,44 +1429,6 @@ impl RebalanceJob {
     /// Bytes shipped across the network so far.
     pub fn bytes_shipped(&self) -> u64 {
         self.bytes_moved
-    }
-
-    /// A point-in-time progress snapshot for [`crate::ClusterHealth`]. The
-    /// ETA extrapolates the per-wave simulated makespan observed so far over
-    /// the remaining waves (zero before the first wave completes).
-    pub fn progress(&self) -> crate::control::JobProgress {
-        let waves_total = self.waves.len();
-        let waves_completed = self.completed_waves();
-        let buckets_total = self.plan.num_moves();
-        let buckets_moved: usize = self.waves[..waves_completed.min(waves_total)]
-            .iter()
-            .map(|w| w.len())
-            .sum();
-        let remaining = waves_total.saturating_sub(waves_completed);
-        let eta = if waves_completed == 0 || remaining == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_nanos(
-                (self.clock.elapsed().as_nanos() / waves_completed as u64)
-                    .saturating_mul(remaining as u64),
-            )
-        };
-        crate::control::JobProgress {
-            dataset: self.dataset,
-            rebalance: self.rebalance_id,
-            state: self.state.name(),
-            buckets_total,
-            buckets_moved,
-            bytes_planned: self.plan.total_bytes_moved(),
-            bytes_shipped: self.bytes_moved,
-            waves_total,
-            waves_completed,
-            eta,
-        }
-    }
-
-    fn publish_progress(&self, cluster: &mut Cluster) {
-        cluster.job_progress.insert(self.dataset, self.progress());
     }
 
     // ------------------------------------------------------------- internals
@@ -1545,7 +1514,8 @@ impl RebalanceJob {
                     .drop_bucket(m.bucket)
                     .map_err(ClusterError::Storage)?;
                 ds.install_pending(m.bucket)?;
-                cluster.faults.stats.mark_repaired(self.dataset, m.bucket);
+                cluster.faults.mark_repaired(self.dataset, m.bucket);
+                self.repaired += 1;
             } else {
                 ds.install_pending(m.bucket)?;
             }
@@ -1612,7 +1582,7 @@ impl RebalanceJob {
             // A restored bucket leaves the degraded set the moment it is
             // installed; the destination's directory cannot tell, because it
             // may already list the bucket as an empty replacement.
-            if !cluster.faults.stats.is_lost(self.dataset, &m.bucket) {
+            if !cluster.faults.is_lost(self.dataset, &m.bucket) {
                 return Ok(false);
             }
             if !staged {
@@ -1636,7 +1606,7 @@ impl RebalanceJob {
                 .partition_mut(m.to)?
                 .dataset_mut(self.dataset)?
                 .ensure_pending_bucket(m.bucket)?;
-            cluster.faults.stats.mark_lost(self.dataset, m.bucket);
+            cluster.faults.mark_lost(self.dataset, m.bucket);
             return Ok(true);
         }
         // The transfer must have been recorded durable before it can be
@@ -1670,7 +1640,25 @@ impl RebalanceJob {
         Ok(true)
     }
 
-    fn report(&self, outcome: RebalanceOutcome) -> RebalanceReport {
+    /// The job's report; its retries and reroutes are counted from the
+    /// job's own events.
+    fn report(&self, cluster: &Cluster, outcome: RebalanceOutcome) -> RebalanceReport {
+        let (mut retries, mut reroutes) = (0, 0);
+        for event in cluster.events(self.first_event) {
+            match *event {
+                Event::TransientFault {
+                    rebalance,
+                    backoff: Some(_),
+                    ..
+                } if rebalance == self.rebalance_id => retries += 1,
+                Event::Replanned {
+                    rebalance,
+                    rerouted,
+                    ..
+                } if rebalance == self.rebalance_id => reroutes += rerouted,
+                _ => {}
+            }
+        }
         let mut total_tl = NodeTimeline::new();
         total_tl.extend(&self.init_tl);
         total_tl.extend(&self.move_tl);
@@ -1683,8 +1671,8 @@ impl RebalanceJob {
         RebalanceReport {
             buckets_moved: self.plan.num_moves(),
             concurrent_writes_applied: self.writes_applied,
-            retries: self.retries,
-            reroutes: self.reroutes,
+            retries,
+            reroutes,
             ..RebalanceReport::new(
                 self.rebalance_id,
                 outcome,
@@ -1918,6 +1906,91 @@ mod tests {
         cluster
             .check_rebalance_integrity(ds, report.rebalance_id)
             .unwrap();
+    }
+
+    #[test]
+    fn a_transfer_past_its_retry_budget_aborts_the_job_cleanly() {
+        let (mut cluster, ds) = loaded(2, 2000);
+        cluster.add_node().unwrap();
+        // Every attempt under the cap fails, and the cap is one past the
+        // retry budget: the first transfer exhausts it.
+        cluster.set_fault_plane(
+            crate::fault::FaultSchedule::seeded(7).with_transient(1000, MAX_TRANSFER_RETRIES + 1),
+        );
+        let target = cluster.topology().clone();
+        let mut job = RebalanceJob::plan(&mut cluster, ds, &target, 4).unwrap();
+        job.init(&mut cluster).unwrap();
+        assert!(matches!(
+            job.run_wave(&mut cluster),
+            Err(ClusterError::RebalanceAborted(_))
+        ));
+        let stats = cluster.fault_stats();
+        assert_eq!(stats.retries, u64::from(MAX_TRANSFER_RETRIES));
+        assert_eq!(
+            stats.transient_faults,
+            stats.retries + 1,
+            "the transient that exhausted the budget is counted, and not retried"
+        );
+        assert!(job.drive(&mut cluster).is_err());
+        assert_eq!(job.state(), JobState::Finalized(RebalanceOutcome::Aborted));
+        for p in cluster.topology().partitions() {
+            let primary = &cluster.partition(p).unwrap().dataset(ds).unwrap().primary;
+            assert!(primary.pending_bucket_ids().is_empty(), "{p:?}");
+            assert!(primary.splits_enabled(), "{p:?}");
+        }
+        assert_eq!(cluster.dataset_len(ds).unwrap(), 2000);
+    }
+
+    #[test]
+    fn health_lists_a_job_from_plan_until_finalize() {
+        // The scale-in of the reship test below: evacuate node 3, then lose
+        // node 2, which received some of its buckets, after every wave ran.
+        let (mut cluster, ds) = loaded(4, 4000);
+        let target = cluster.topology_without(NodeId(3));
+        let mut job = RebalanceJob::plan(&mut cluster, ds, &target, 2).unwrap();
+        job.init(&mut cluster).unwrap();
+        let wave = job.run_wave(&mut cluster).unwrap();
+        let jobs = cluster.admin().health().jobs;
+        assert_eq!(jobs.len(), 1);
+        let progress = &jobs[0];
+        assert_eq!(
+            (progress.dataset, progress.rebalance),
+            (ds, job.rebalance_id())
+        );
+        assert_eq!(progress.waves_done, 1);
+        assert_eq!(progress.bytes_shipped, wave.bytes);
+        assert_eq!(progress.waves_total, job.num_waves());
+        assert!(progress.eta > SimDuration::ZERO, "waves remain");
+
+        while job.has_remaining_waves() {
+            job.run_wave(&mut cluster).unwrap();
+        }
+        let waves_run = job.num_waves();
+        cluster.lose_node(NodeId(2)).unwrap();
+        let replan = job.replan_wave(&mut cluster).unwrap();
+        assert!(replan.waves_appended > 0);
+        let progress = &cluster.admin().health().jobs[0];
+        assert_eq!(progress.waves_done, waves_run);
+        assert_eq!(progress.waves_total, waves_run + replan.waves_appended);
+        assert_eq!(progress.waves_total, job.num_waves());
+
+        job.drive(&mut cluster).unwrap();
+        assert!(cluster.admin().health().jobs.is_empty(), "finalized");
+
+        // A job that fails mid-flight is gone once `settle` finalizes it.
+        let (mut cluster, ds) = loaded(2, 2000);
+        cluster.add_node().unwrap();
+        let target = cluster.topology().clone();
+        let mut job = RebalanceJob::plan(&mut cluster, ds, &target, 1).unwrap();
+        let refused = job.drive_with(&mut cluster, |cluster, _, point| {
+            assert_eq!(cluster.admin().health().jobs.len(), 1, "{point:?}");
+            match point {
+                StepPoint::AfterWave(0) => Err(ClusterError::RebalanceAborted("refused".into())),
+                _ => Ok(()),
+            }
+        });
+        assert!(refused.is_err());
+        assert!(cluster.admin().health().jobs.is_empty(), "settled");
     }
 
     #[test]

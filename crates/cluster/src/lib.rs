@@ -34,6 +34,9 @@
 //!   finisher), and the repair planner, which restores a degraded dataset's
 //!   lost buckets by running the same engine with the buckets staged from
 //!   an operator-supplied feed ([`repair`]);
+//! * the event log — one ordered record of control decisions, job steps and
+//!   fault facts, read through [`cluster::Cluster::events`]; counters, job
+//!   progress and fault statistics are folds over it ([`obs`]);
 //! * the hardware cost model and simulated-time accounting ([`sim`]).
 
 pub mod cluster;
@@ -44,6 +47,7 @@ pub mod fault;
 pub mod feed;
 pub mod job;
 pub mod node;
+pub mod obs;
 pub mod partition;
 pub mod query;
 pub mod rebalance;
@@ -53,16 +57,14 @@ pub mod session;
 pub mod sim;
 
 pub use cluster::{Admin, Cluster, ClusterConfig};
-pub use control::{
-    ControlConfig, ControlDecision, ControlPlane, ControlStatus, HeatMap, HeatReport, JobProgress,
-    TickReport, WindowUsage,
-};
+pub use control::{ControlConfig, ControlPlane, HeatMap, HeatReport};
 pub use controller::ClusterController;
 pub use dataset::{DatasetId, DatasetMeta, DatasetSpec, SecondaryIndexDef};
 pub use fault::{ClusterHealth, Fault, FaultSchedule, FaultStats, NodeState};
 pub use feed::{split_into_batches, ControlledRateFeed, IngestReport};
 pub use job::{JobState, RebalanceJob, ReplanReport, StepPoint, WaveReport};
 pub use node::NodeController;
+pub use obs::{ControlDecision, Event, JobProgress};
 pub use partition::{Partition, PartitionDataset};
 pub use query::{in_key_order, KeyTable, QueryExecutor, QueryReport};
 pub use rebalance::{PhaseTimes, RebalanceOptions, RebalanceReport};

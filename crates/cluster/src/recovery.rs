@@ -52,7 +52,7 @@ impl Cluster {
     /// can be removed with [`Cluster::remove_lost_node`].
     pub fn lose_node(&mut self, node: NodeId) -> Result<()> {
         self.node_mut(node)?.mark_lost();
-        self.faults.stats.lost_nodes.push(node);
+        self.faults.lost_nodes.push(node);
         // Buckets whose only copy lived on this node are degraded from this
         // moment: every bucket the CC directory routes to its partitions,
         // minus buckets whose shipped pending copy survives on an alive
@@ -86,7 +86,7 @@ impl Cluster {
             }
         }
         for (dataset, bucket) in newly_lost {
-            self.faults.stats.mark_lost(dataset, bucket);
+            self.faults.mark_lost(dataset, bucket);
         }
         Ok(())
     }

@@ -16,8 +16,8 @@
 //! Everything is seeded: a failure replays exactly from the printed seed.
 
 use dynahash_cluster::{
-    Cluster, ClusterConfig, ClusterError, CostModel, DatasetId, DatasetSpec, Fault, FaultSchedule,
-    RebalanceJob, RebalanceOptions, RebalanceReport, SpeculationPolicy, StepPoint,
+    Cluster, ClusterConfig, ClusterError, CostModel, DatasetId, DatasetSpec, Event, Fault,
+    FaultSchedule, RebalanceJob, RebalanceOptions, RebalanceReport, SpeculationPolicy, StepPoint,
 };
 use dynahash_core::{NodeId, RebalanceOutcome, Scheme};
 use dynahash_lsm::entry::Key;
@@ -275,10 +275,16 @@ fn scale_out_with_slow_source(
         RebalanceOutcome::Committed
     );
     job.commit(&mut cluster).unwrap();
-    let speculated = job.speculated();
-    let wins = job.speculation_wins();
     let report = job.finalize(&mut cluster).unwrap();
-    (cluster, ds, report, speculated, wins)
+    // The job's speculation, read from its own events.
+    let races: Vec<bool> = (cluster.events(0).iter())
+        .filter_map(|e| match *e {
+            Event::Speculated { rebalance, won } if rebalance == report.rebalance_id => Some(won),
+            _ => None,
+        })
+        .collect();
+    let wins = races.iter().filter(|won| **won).count() as u64;
+    (cluster, ds, report, races.len() as u64, wins)
 }
 
 fn assert_all_records_served(cluster: &Cluster, ds: DatasetId, n: u64) {

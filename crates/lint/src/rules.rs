@@ -288,14 +288,16 @@ fn token_occurrences(masked: &str, token: &str) -> Vec<usize> {
 pub const TIMING_MODULE: &str = "crates/bench/src/timing.rs";
 
 /// Files where unordered iteration would feed the deterministic wave
-/// scheduler; `HashMap`/`HashSet` are banned there outright.
-pub const ORDERING_SENSITIVE_FILES: [&str; 6] = [
+/// scheduler or the event log's golden trace; `HashMap`/`HashSet` are
+/// banned there outright.
+pub const ORDERING_SENSITIVE_FILES: [&str; 7] = [
     "crates/core/src/plan.rs",
     "crates/core/src/directory.rs",
     "crates/cluster/src/job.rs",
     "crates/cluster/src/fault.rs",
     "crates/cluster/src/control.rs",
     "crates/cluster/src/repair.rs",
+    "crates/cluster/src/obs.rs",
 ];
 
 /// Rule family 4: sim-time determinism. `SystemTime`/`Instant` belong to

@@ -1,20 +1,23 @@
 //! Seeded property tests of the control plane's decision invariants.
 //!
 //! Whatever seeded workload the decision loop faces — skewed ingest, query
-//! hotspots, nodes joining, a node lost mid-wave — the logged decision
-//! stream must obey the protocol: every trigger earns its hysteresis streak,
-//! no trigger lands inside a cooldown, no migration window exceeds the
-//! budget, the status counters agree exactly with the decision stream, and
-//! every committed auto-job leaves the dataset routable with zero lost
-//! records.
+//! hotspots, nodes joining, a node lost mid-wave — the decision stream in
+//! the cluster's event log must obey the protocol: every trigger earns its
+//! hysteresis streak, no trigger lands inside a cooldown, no migration window
+//! exceeds the budget, the decision counts agree exactly with the job events
+//! they cause, and every committed auto-job leaves the dataset routable with
+//! zero lost records. One seeded run with control, chaos, a node loss and a
+//! repair must also log the same events, byte for byte, every time.
 
 mod common;
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use common::{assert_committed_set, check_seeded_cases, record, test_cluster, CASES};
-use dynahash::cluster::{ControlConfig, ControlDecision, ControlPlane, DatasetSpec};
-use dynahash::core::{MigrationBudget, Scheme};
+use dynahash::cluster::{
+    Cluster, ControlConfig, ControlDecision, ControlPlane, DatasetSpec, Event, FaultSchedule,
+};
+use dynahash::core::{MigrationBudget, NodeId, RebalanceOutcome, Scheme};
 use dynahash::lsm::entry::Key;
 use dynahash::lsm::rng::SplitMix64;
 
@@ -45,10 +48,14 @@ fn random_loop_params(rng: &mut SplitMix64) -> LoopParams {
     }
 }
 
+/// How many of `events` match `pred`.
+fn count(events: &[Event], pred: impl Fn(&Event) -> bool) -> u64 {
+    events.iter().filter(|e| pred(e)).count() as u64
+}
+
 /// Builds the workload, runs the decision loop for a fixed number of ticks,
-/// and checks every protocol invariant against the complete decision stream
-/// (collected from the per-tick reports, so nothing is lost to the bounded
-/// status log).
+/// and checks every protocol invariant against the complete event log, read
+/// tick by tick.
 fn run_decision_loop(seed: u64, p: &LoopParams) {
     let mut cluster = test_cluster(3);
     cluster.set_heat_tracking(true);
@@ -77,55 +84,83 @@ fn run_decision_loop(seed: u64, p: &LoopParams) {
         ..ControlConfig::default()
     };
     let mut plane = ControlPlane::new(config);
+    // The log read one tick at a time: each tick's slice is what it
+    // appended, and its waves count against the budget window it ran in
+    // (windows are `window_ticks` long from tick 1).
     let mut stream: Vec<ControlDecision> = Vec::new();
-    for _ in 0..p.ticks {
-        let report = plane.tick(&mut cluster).unwrap();
-        stream.extend(report.decisions);
+    let mut windows: BTreeMap<u64, (usize, u64)> = BTreeMap::new();
+    let mut seq = 0;
+    for tick in 1..=p.ticks {
+        plane.tick(&mut cluster).unwrap();
+        let appended = cluster.events(seq);
+        seq += appended.len();
+        stream.extend(appended.iter().filter_map(Event::decision).cloned());
+        let window = windows.entry((tick - 1) / p.window_ticks).or_default();
+        for event in appended {
+            if let Event::WaveRun { moves, bytes, .. } = event {
+                window.0 += moves;
+                window.1 += bytes;
+            }
+        }
     }
-    let status = plane.status();
+    let events = cluster.events(0);
+    let decision =
+        |pred: fn(&ControlDecision) -> bool| count(events, |e| e.decision().is_some_and(pred));
 
     // The empty joining nodes push the imbalance far over the threshold, so
     // the loop must actually have worked: a trigger, a commit, and the
     // hysteresis streak leading up to the first trigger.
-    assert!(status.triggers >= 1, "the plane never triggered");
-    assert!(status.committed_jobs >= 1, "no auto-job committed");
+    let triggers = decision(|d| matches!(d, ControlDecision::Triggered { .. }));
+    let committed = decision(|d| matches!(d, ControlDecision::Committed { .. }));
+    assert!(triggers >= 1, "the plane never triggered");
+    assert!(committed >= 1, "no auto-job committed");
 
-    // Counters agree exactly with the decision stream: every suppressed or
-    // acted-on decision is logged, none invented.
-    let count =
-        |pred: fn(&ControlDecision) -> bool| stream.iter().filter(|d| pred(d)).count() as u64;
+    // The decisions read tick by tick are exactly the log's, and the counts
+    // agree with the job events the decisions caused: every decision is
+    // logged, none invented. The plane is the only planner here, and it
+    // plans one job per trigger or no-improvement verdict.
+    let whole: Vec<ControlDecision> = events.iter().filter_map(Event::decision).cloned().collect();
+    assert_eq!(stream, whole);
+    let no_improvement = decision(|d| matches!(d, ControlDecision::NoImprovement { .. }));
+    let planned = count(events, |e| matches!(e, Event::JobPlanned { .. }));
+    assert_eq!(triggers + no_improvement, planned);
+    let finalized = |outcome| {
+        count(
+            events,
+            |e| matches!(e, Event::Finalized { outcome: o, .. } if *o == outcome),
+        )
+    };
+    assert_eq!(committed, finalized(RebalanceOutcome::Committed));
     assert_eq!(
-        status.triggers,
-        count(|d| matches!(d, ControlDecision::Triggered { .. }))
+        decision(|d| matches!(d, ControlDecision::Aborted { .. })) + no_improvement,
+        finalized(RebalanceOutcome::Aborted)
     );
     assert_eq!(
-        status.suppressed_hysteresis,
-        count(|d| matches!(d, ControlDecision::SuppressedByHysteresis { .. }))
+        planned - u64::from(plane.job_in_flight()),
+        committed + finalized(RebalanceOutcome::Aborted)
     );
     assert_eq!(
-        status.suppressed_cooldown,
-        count(|d| matches!(d, ControlDecision::SuppressedByCooldown { .. }))
+        decision(|d| matches!(d, ControlDecision::Replanned { .. })),
+        count(events, |e| matches!(e, Event::Replanned { .. }))
     );
-    assert_eq!(
-        status.deferred,
-        count(|d| matches!(d, ControlDecision::DeferredByBudget { .. }))
-    );
-    assert_eq!(
-        status.committed_jobs,
-        count(|d| matches!(d, ControlDecision::Committed { .. }))
-    );
-    assert_eq!(
-        status.aborted_jobs,
-        count(|d| matches!(d, ControlDecision::Aborted { .. }))
-    );
-    assert_eq!(
-        status.hot_splits,
-        count(|d| matches!(d, ControlDecision::HotSplit { .. }))
-    );
-    assert_eq!(
-        status.replans,
-        count(|d| matches!(d, ControlDecision::Replanned { .. }))
-    );
+    // A deferred wave is the wave that runs next, whole.
+    for (at, event) in events.iter().enumerate() {
+        let Some(ControlDecision::DeferredByBudget {
+            wave_buckets,
+            wave_bytes,
+            ..
+        }) = event.decision()
+        else {
+            continue;
+        };
+        let next = events[at..].iter().find_map(|e| match e {
+            Event::WaveRun { moves, bytes, .. } => Some((*moves, *bytes)),
+            _ => None,
+        });
+        if let Some(ran) = next {
+            assert_eq!(ran, (*wave_buckets, *wave_bytes), "deferral at seq {at}");
+        }
+    }
 
     // No trigger inside the cooldown that follows a committed or no-op job.
     let trigger_ticks: Vec<u64> = stream
@@ -177,16 +212,18 @@ fn run_decision_loop(seed: u64, p: &LoopParams) {
     }
 
     // No window ever exceeds the migration budget.
-    for w in &status.windows {
+    for (w, (buckets, bytes)) in &windows {
         assert!(
-            w.buckets <= config.budget.max_buckets_per_window
-                && w.bytes <= config.budget.max_bytes_per_window,
-            "window at tick {} shipped {} buckets / {} bytes over the budget",
-            w.start_tick,
-            w.buckets,
-            w.bytes
+            *buckets <= config.budget.max_buckets_per_window
+                && *bytes <= config.budget.max_bytes_per_window,
+            "window at tick {} shipped {buckets} buckets / {bytes} bytes over the budget",
+            w * p.window_ticks + 1,
         );
     }
+    let peak = windows
+        .values()
+        .fold((0, 0), |(b, y), (wb, wy)| (b.max(*wb), y.max(*wy)));
+    assert_eq!(plane.peak_window(), peak);
 
     // Every committed auto-job left the dataset routable and complete.
     if let Some(ControlDecision::Committed { rebalance, .. }) = stream
@@ -245,21 +282,18 @@ fn run_loss_mid_wave(_seed: u64, p: &LossParams) {
         ..ControlConfig::default()
     };
     let mut plane = ControlPlane::new(config);
-    let mut stream: Vec<ControlDecision> = Vec::new();
     let mut ticks = 0u64;
     loop {
-        let report = plane.tick(&mut cluster).unwrap();
+        plane.tick(&mut cluster).unwrap();
         ticks += 1;
-        stream.extend(report.decisions);
-        if report.job_in_flight {
+        if plane.job_in_flight() {
             break;
         }
         assert!(ticks < 20, "no auto-job started within 20 ticks");
     }
     for _ in 0..p.extra_ticks_before_loss {
-        let report = plane.tick(&mut cluster).unwrap();
+        plane.tick(&mut cluster).unwrap();
         ticks += 1;
-        stream.extend(report.decisions);
     }
 
     // Both joining nodes are destinations of the auto-planned moves; losing
@@ -268,17 +302,23 @@ fn run_loss_mid_wave(_seed: u64, p: &LossParams) {
     cluster.lose_node(lost).unwrap();
     let loss_tick = ticks;
 
+    let committed = |cluster: &Cluster| {
+        (cluster.events(0).iter())
+            .any(|e| matches!(e.decision(), Some(ControlDecision::Committed { .. })))
+    };
     for _ in 0..300 {
-        let report = plane.tick(&mut cluster).unwrap();
-        stream.extend(report.decisions);
-        if !report.job_in_flight && plane.status().committed_jobs >= 1 {
+        plane.tick(&mut cluster).unwrap();
+        if !plane.job_in_flight() && committed(&cluster) {
             break;
         }
     }
 
-    let status = plane.status();
+    let stream: Vec<ControlDecision> = (cluster.events(0).iter())
+        .filter_map(Event::decision)
+        .cloned()
+        .collect();
     assert!(
-        status.replans >= 1,
+        (stream.iter()).any(|d| matches!(d, ControlDecision::Replanned { .. })),
         "the control plane never re-planned around the lost node"
     );
     let committed_after_loss = stream
@@ -312,4 +352,101 @@ fn auto_job_interrupted_by_node_loss_replans_and_commits() {
         },
         run_loss_mid_wave,
     );
+}
+
+/// One seeded run with every plane at work: a hot dataset on a cluster that
+/// just grew by two empty nodes, an armed control plane under a tight
+/// migration budget, transient transfer faults and a slow node, an
+/// established node lost while the auto-job is in flight, and a repair from
+/// a registered feed. Returns the run's event log.
+fn traced_run() -> Vec<Event> {
+    let mut cluster = test_cluster(3);
+    cluster.set_heat_tracking(true);
+    let ds = cluster
+        .create_dataset(DatasetSpec::new("events", small_scheme()))
+        .unwrap();
+    let records: Vec<_> = (0..1500).map(record).collect();
+    let mut session = cluster.session(ds).unwrap();
+    session.ingest(&mut cluster, records.clone()).unwrap();
+    for _ in 0..600 {
+        for key in [1, 2, 3] {
+            session.get(&cluster, &Key::from_u64(key)).unwrap();
+        }
+    }
+    cluster.add_node().unwrap();
+    cluster.add_node().unwrap();
+    cluster.set_fault_plane(
+        FaultSchedule::seeded(0x0b5e_2026)
+            .with_transient(300, 2)
+            .with_slow_node(NodeId(0), 20),
+    );
+    let mut plane = ControlPlane::new(ControlConfig {
+        budget: MigrationBudget {
+            max_buckets_per_window: 2,
+            max_bytes_per_window: 1 << 30,
+            window_ticks: 3,
+        },
+        hot_bucket_ops: 200,
+        ..ControlConfig::default()
+    });
+    while !plane.job_in_flight() {
+        plane.tick(&mut cluster).unwrap();
+    }
+    for _ in 0..4 {
+        plane.tick(&mut cluster).unwrap();
+    }
+    // An established node dies mid-job; the plane re-plans around it, and
+    // once the job commits its health tick repairs what died with it.
+    cluster.lose_node(NodeId(1)).unwrap();
+    plane.set_repair_feed(ds, records);
+    for _ in 0..200 {
+        plane.tick(&mut cluster).unwrap();
+        let healthy = cluster.fault_stats().degraded_datasets().is_empty();
+        if !plane.job_in_flight() && healthy {
+            break;
+        }
+    }
+    assert!(cluster.fault_stats().degraded_datasets().is_empty());
+    cluster.events(0).to_vec()
+}
+
+/// The kind of `event`, as the golden-trace test asks for them.
+fn kind(event: &Event) -> &'static str {
+    match event {
+        Event::WaveRun { .. } => "wave",
+        Event::TransientFault {
+            backoff: Some(_), ..
+        } => "retry",
+        Event::Speculated { .. } => "speculation",
+        Event::Replanned { .. } => "replan",
+        Event::Control(ControlDecision::Triggered { .. }) => "trigger",
+        Event::Control(ControlDecision::SuppressedByHysteresis { .. }) => "hysteresis",
+        Event::Control(ControlDecision::DeferredByBudget { .. }) => "budget deferral",
+        Event::Control(ControlDecision::HotSplit { .. }) => "hot split",
+        Event::Control(ControlDecision::Committed { .. }) => "commit",
+        Event::Control(ControlDecision::Repaired { .. }) => "repair",
+        _ => "other",
+    }
+}
+
+#[test]
+fn one_seed_logs_the_same_events_twice() {
+    let first = traced_run();
+    let seen: BTreeSet<&str> = first.iter().map(kind).collect();
+    for wanted in [
+        "wave",
+        "retry",
+        "speculation",
+        "replan",
+        "trigger",
+        "hysteresis",
+        "budget deferral",
+        "hot split",
+        "commit",
+        "repair",
+    ] {
+        assert!(seen.contains(wanted), "the run logged no {wanted} event");
+    }
+    let second = traced_run();
+    assert_eq!(format!("{first:?}"), format!("{second:?}"));
 }
