@@ -349,7 +349,7 @@ impl Cluster {
     /// inserts or updates the record, `None` deletes the key — and is the
     /// one place a record changes. The bucket's heat is noted (an attempted
     /// write is load, served or not), the owner must be alive, and the write
-    /// goes into the primary, primary-key and secondary indexes (a delete's
+    /// goes into the primary and secondary indexes (a delete's
     /// old payload drives the secondary extractors, so index scans never
     /// return phantom hits). While a job is
     /// in flight, a write to a bucket whose wave has *already shipped it*
@@ -430,7 +430,7 @@ impl Cluster {
 
     /// Ingests a batch of records through a data feed: each record is routed
     /// with an immutable copy of the routing state taken at feed start and
-    /// inserted into the primary, primary-key, and secondary indexes.
+    /// inserted into the primary and secondary indexes.
     ///
     /// Returns an [`IngestReport`] with the simulated elapsed time (the
     /// slowest node bounds the feed, as in the paper's ingestion experiment).

@@ -2,8 +2,8 @@
 //!
 //! A dataset (a TPC-H table, say) is hash-partitioned across the cluster's
 //! storage partitions according to a [`Scheme`]. Each dataset has a primary
-//! index, a primary-key index, and any number of local secondary indexes
-//! whose keys are extracted from the record payload.
+//! index and any number of local secondary indexes whose keys are extracted
+//! from the record payload (no primary-key index: see [`crate::partition`]).
 
 use std::fmt;
 use std::sync::Arc;

@@ -29,10 +29,10 @@
 //! * `prepare` flushes the pending memory components (the writes replicated
 //!   since the waves) and collects votes; `decide` forces one log record.
 //! * `commit` installs each received bucket by appending component handles:
-//!   the pending primary bucket, the pending secondary lists, and the
-//!   bucket's keys-only components for the primary-key index — staged
-//!   *during the waves*, in the same merge pass that counts the shipped
-//!   records, and fed the same replicated writes as the primary copy.
+//!   the pending primary bucket and the pending secondary lists, both staged
+//!   *during the waves* — a wave installs the shipped handles and makes one
+//!   merge pass over them that only counts the records (and, under
+//!   `SecondaryRebuild::Eager`, extracts their secondary entries).
 //! * `commit` then cleans up once per *source partition*, not per bucket:
 //!   one streaming pass over each secondary index counting the entries
 //!   that become obsolete, and one pass per disk component stamping all

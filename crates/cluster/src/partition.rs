@@ -1,19 +1,20 @@
 //! Storage partitions.
 //!
 //! A partition is the unit of storage and parallelism inside a Node
-//! Controller. For each dataset it holds a **bucketed primary index**, a
-//! **primary-key index** (keys only, for COUNT(*) and uniqueness checks), and
-//! the dataset's **local secondary indexes** (Section II-C). The partition
-//! also implements both sides of the rebalance data-movement phase.
+//! Controller. For each dataset it holds a **bucketed primary index** and
+//! the dataset's **local secondary indexes** (Section II-C). AsterixDB also
+//! keeps a keys-only primary-key index, read by COUNT(*) and by
+//! insert-uniqueness checks; this repository implements neither, so it
+//! keeps no such index. The partition also implements both sides of the
+//! rebalance data-movement phase.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dynahash_core::{PartitionId, SecondaryRebuild};
 use dynahash_lsm::{
-    BucketId, BucketedConfig, BucketedLsmTree, Bytes, Component, ComponentSource, Entry, Key,
-    KeyLayout, LsmConfig, LsmTree, MergeIter, ScanOrder, SecondaryEntry, SecondaryIndex,
-    StorageError, StorageMetrics, Value,
+    BucketId, BucketedConfig, BucketedLsmTree, Component, Entry, Key, LsmConfig, MergeIter,
+    ScanOrder, SecondaryEntry, SecondaryIndex, StorageMetrics, Value,
 };
 
 use crate::dataset::{DatasetId, DatasetSpec, SecondaryIndexDef};
@@ -39,43 +40,10 @@ fn collect_secondary_entries(
     }
 }
 
-/// The primary-key-index side of one pending bucket: sealed keys-only
-/// components (newest first) plus the replicated writes since the last seal.
-/// A replicated write costs one `Vec` push here — a client put that is being
-/// replicated already pays for two index updates at the source and one in
-/// the pending primary bucket.
-#[derive(Default)]
-struct PendingKeys {
-    components: Vec<Component>,
-    /// In arrival order; sealing keeps the last write of each key.
-    log: Vec<Entry>,
-}
-
-impl PendingKeys {
-    /// Flushes the logged writes into the newest component.
-    fn seal(&mut self, metrics: &StorageMetrics) {
-        if self.log.is_empty() {
-            return;
-        }
-        let log = std::mem::take(&mut self.log);
-        let comp = Component::from_unsorted(log, ComponentSource::Replicated);
-        StorageMetrics::add(&metrics.bytes_flushed, comp.size_bytes() as u64);
-        StorageMetrics::add(&metrics.flush_count, 1);
-        self.components.insert(0, comp);
-    }
-}
-
 /// Per-dataset storage inside one partition.
 pub struct PartitionDataset {
     /// The bucketed primary index (Option 3 storage).
     pub primary: BucketedLsmTree,
-    /// The primary-key index (keys only, all buckets together).
-    pub primary_key_index: LsmTree,
-    /// The keys of every *pending* bucket, staged while the bucket is:
-    /// created, fed replicated writes, flushed, dropped and wiped with the
-    /// pending primary bucket, and appended to `primary_key_index` by
-    /// component handle when the bucket is installed.
-    pending_keys: BTreeMap<BucketId, PendingKeys>,
     /// Local secondary indexes (Option 1 storage, lazy cleanup).
     pub secondaries: Vec<SecondaryIndex>,
     defs: Vec<SecondaryIndexDef>,
@@ -106,20 +74,18 @@ impl PartitionDataset {
         metrics: Arc<StorageMetrics>,
     ) -> Self {
         let lsm = LsmConfig::with_memtable_budget(spec.memtable_budget_bytes);
-        let bucketed_cfg = BucketedConfig {
-            lsm: lsm.clone(),
-            max_bucket_size_bytes: spec.scheme.max_bucket_size_bytes().map(|b| b as usize),
-            max_depth: 20,
-        };
         let secondaries = spec
             .secondary_indexes
             .iter()
             .map(|d| SecondaryIndex::new(d.name.clone(), lsm.clone(), Arc::clone(&metrics)))
             .collect();
+        let bucketed_cfg = BucketedConfig {
+            lsm,
+            max_bucket_size_bytes: spec.scheme.max_bucket_size_bytes().map(|b| b as usize),
+            max_depth: 20,
+        };
         PartitionDataset {
-            primary: BucketedLsmTree::new(bucketed_cfg, initial_buckets, Arc::clone(&metrics)),
-            primary_key_index: LsmTree::new(lsm, metrics),
-            pending_keys: BTreeMap::new(),
+            primary: BucketedLsmTree::new(bucketed_cfg, initial_buckets, metrics),
             secondaries,
             defs: spec.secondary_indexes.clone(),
             deferred_pending: BTreeMap::new(),
@@ -127,15 +93,14 @@ impl PartitionDataset {
         }
     }
 
-    /// Ingests one record: primary index, primary-key index, and every
-    /// secondary index are updated.
+    /// Ingests one record: the primary index and every secondary index are
+    /// updated.
     pub fn ingest(&mut self, key: Key, value: Value) -> Result<(), ClusterError> {
         for (def, idx) in self.defs.iter().zip(self.secondaries.iter_mut()) {
             if let Some(secondary) = (def.extractor)(&value) {
                 idx.insert(secondary, key.clone());
             }
         }
-        self.primary_key_index.put(key.clone(), Bytes::new());
         self.primary
             .insert(key, value)
             .map_err(ClusterError::Storage)?;
@@ -147,11 +112,10 @@ impl PartitionDataset {
         self.primary.get(key)
     }
 
-    /// Deletes one record: a tombstone in the primary index, a delete in the
-    /// primary-key index, and — driven by the old payload — deletes of the
-    /// record's secondary entries, so index scans never return phantom hits
-    /// for deleted records. Returns the payload the record held, if it was
-    /// live.
+    /// Deletes one record: a tombstone in the primary index and — driven by
+    /// the old payload — deletes of the record's secondary entries, so index
+    /// scans never return phantom hits for deleted records. Returns the
+    /// payload the record held, if it was live.
     pub fn delete(&mut self, key: &Key) -> Result<Option<Value>, ClusterError> {
         let old = self.primary.get(key);
         if let Some(old) = &old {
@@ -161,7 +125,6 @@ impl PartitionDataset {
                 }
             }
         }
-        self.primary_key_index.delete(key.clone());
         self.primary
             .delete(key.clone())
             .map_err(ClusterError::Storage)?;
@@ -200,10 +163,9 @@ impl PartitionDataset {
         self.primary.logical_size_bytes()
     }
 
-    /// Total storage bytes including secondary indexes and the pk index.
+    /// Total storage bytes including secondary indexes.
     pub fn total_storage_bytes(&self) -> usize {
         self.primary.storage_bytes()
-            + self.primary_key_index.storage_bytes()
             + self
                 .secondaries
                 .iter()
@@ -220,10 +182,9 @@ impl PartitionDataset {
             .collect()
     }
 
-    /// Flushes all memory components (primary buckets, pk index, secondaries).
+    /// Flushes all memory components (primary buckets, secondaries).
     pub fn flush_all(&mut self) {
         self.primary.flush_all();
-        self.primary_key_index.flush();
         for s in self.secondaries.iter_mut() {
             s.flush();
         }
@@ -232,7 +193,6 @@ impl PartitionDataset {
     /// Runs merge policies everywhere. Returns the number of merges.
     pub fn run_merges(&mut self) -> usize {
         let mut n = self.primary.run_merges();
-        n += self.primary_key_index.run_merges();
         for s in self.secondaries.iter_mut() {
             n += s.run_merges();
         }
@@ -265,10 +225,9 @@ impl PartitionDataset {
     }
 
     /// After a committed rebalance: drops the moved buckets from the primary
-    /// index and marks them for lazy cleanup in the primary-key index and in
-    /// every secondary index — a metadata write per index component and no
-    /// pass over any entry: the first query to reach a component applies the
-    /// mark there ([`PartitionDataset::warm_secondary_indexes`] pre-pays it).
+    /// index and marks them for lazy cleanup in every secondary index — a
+    /// metadata write per index component and no pass over any entry: the
+    /// first query to reach a component applies the mark there ([`PartitionDataset::warm_secondary_indexes`] pre-pays it).
     /// Index entries still in a memory component are covered by the same
     /// mark (dead at once, dropped by the next flush), so nothing this
     /// partition ever wrote about the buckets — no key, no tombstone — can
@@ -306,8 +265,6 @@ impl PartitionDataset {
                 .drop_bucket(*b)
                 .map_err(ClusterError::Storage)?;
         }
-        self.primary_key_index
-            .mark_buckets_invalid(buckets, KeyLayout::PrimaryKey);
         for s in self.secondaries.iter_mut() {
             s.mark_buckets_moved(buckets);
         }
@@ -316,37 +273,11 @@ impl PartitionDataset {
 
     // ---------------------------------------------- rebalance destination side
 
-    /// Creates the pending bucket that will receive moved records, and the
-    /// pending keys that travel with it.
+    /// Creates the pending bucket that will receive moved records.
     pub fn create_pending_bucket(&mut self, bucket: BucketId) -> Result<(), ClusterError> {
         self.primary
             .create_pending_bucket(bucket)
-            .map_err(ClusterError::Storage)?;
-        self.pending_keys.insert(bucket, PendingKeys::default());
-        Ok(())
-    }
-
-    fn pending_keys_mut(&mut self, bucket: BucketId) -> Result<&mut PendingKeys, ClusterError> {
-        self.pending_keys
-            .get_mut(&bucket)
-            .ok_or(ClusterError::Storage(StorageError::UnknownPendingBucket(
-                bucket,
-            )))
-    }
-
-    /// Stages the keys of a pending bucket's base data: `keys`, one put per
-    /// live record received, become a sealed keys-only component — the
-    /// oldest data of the bucket's pending keys, under any replicated writes.
-    fn stage_pending_keys(
-        &mut self,
-        bucket: BucketId,
-        keys: Vec<Entry>,
-    ) -> Result<(), ClusterError> {
-        if !keys.is_empty() {
-            let comp = Component::from_unsorted(keys, ComponentSource::Loaded);
-            self.pending_keys_mut(bucket)?.components.push(comp);
-        }
-        Ok(())
+            .map_err(ClusterError::Storage)
     }
 
     /// Creates the pending bucket unless it already exists (the replication
@@ -366,14 +297,11 @@ impl PartitionDataset {
         bucket: BucketId,
         entries: Vec<Entry>,
     ) -> Result<(), ClusterError> {
-        // Rebuild secondary entries on the fly from the record payloads, and
-        // collect the live keys for the pending keys-only component.
+        // Rebuild secondary entries on the fly from the record payloads.
         let mut rebuilt: Vec<Vec<SecondaryEntry>> = self.defs.iter().map(|_| Vec::new()).collect();
-        let mut keys = Vec::with_capacity(entries.len());
         for e in &entries {
             if let Some(v) = e.op.value() {
                 collect_secondary_entries(&self.defs, &e.key, v, &mut rebuilt);
-                keys.push(Entry::put(e.key.clone(), Bytes::new()));
             }
         }
         for (idx, rebuilt) in self.secondaries.iter_mut().zip(rebuilt) {
@@ -383,8 +311,7 @@ impl PartitionDataset {
         }
         self.primary
             .load_into_pending(bucket, entries)
-            .map_err(ClusterError::Storage)?;
-        self.stage_pending_keys(bucket, keys)
+            .map_err(ClusterError::Storage)
     }
 
     /// Installs components shipped whole from a source partition into the
@@ -403,11 +330,9 @@ impl PartitionDataset {
     /// Returns the number of records covered (identical under both modes),
     /// for cost accounting and the ship log. Producing that count is one
     /// merge pass over the shipped components and stays on the install path
-    /// even under `Deferred` — the same pass collects the bucket's live keys
-    /// for the pending keys-only component, which the primary-key index
-    /// needs either way; what the deferral removes is the per-record
-    /// extractor work and index loading (and, in the cost model, the
-    /// `index_rebuild` CPU charge).
+    /// even under `Deferred`, where it only counts; what the deferral
+    /// removes is the per-record extractor work and index loading (and, in
+    /// the cost model, the `index_rebuild` CPU charge).
     pub fn install_shipped_components(
         &mut self,
         bucket: BucketId,
@@ -416,11 +341,11 @@ impl PartitionDataset {
     ) -> Result<u64, ClusterError> {
         let eager = rebuild == SecondaryRebuild::Eager || self.defs.is_empty();
         let mut rebuilt: Vec<Vec<SecondaryEntry>> = self.defs.iter().map(|_| Vec::new()).collect();
-        let mut keys = Vec::new();
+        let mut live_records = 0u64;
         {
             let mut merge = MergeIter::over_components(&comps, false);
             while let Some((key, op)) = merge.next_ref() {
-                keys.push(Entry::put(key.clone(), Bytes::new()));
+                live_records += 1;
                 if eager {
                     if let Some(v) = op.value() {
                         collect_secondary_entries(&self.defs, key, v, &mut rebuilt);
@@ -428,7 +353,6 @@ impl PartitionDataset {
                 }
             }
         }
-        let live_records = keys.len() as u64;
         if eager {
             for (idx, rebuilt) in self.secondaries.iter_mut().zip(rebuilt) {
                 if !rebuilt.is_empty() {
@@ -444,7 +368,6 @@ impl PartitionDataset {
         self.primary
             .install_shipped(bucket, comps)
             .map_err(ClusterError::Storage)?;
-        self.stage_pending_keys(bucket, keys)?;
         Ok(live_records)
     }
 
@@ -515,10 +438,8 @@ impl PartitionDataset {
             }
         }
         self.primary
-            .apply_replicated(bucket, Entry::delete(key.clone()))
-            .map_err(ClusterError::Storage)?;
-        self.pending_keys_mut(bucket)?.log.push(Entry::delete(key));
-        Ok(())
+            .apply_replicated(bucket, Entry::delete(key))
+            .map_err(ClusterError::Storage)
     }
 
     /// Applies a replicated concurrent write to the pending bucket (and the
@@ -531,31 +452,23 @@ impl PartitionDataset {
                 }
             }
         }
-        let key = entry.key.clone();
         self.primary
             .apply_replicated(bucket, entry)
-            .map_err(ClusterError::Storage)?;
-        self.pending_keys_mut(bucket)?
-            .log
-            .push(Entry::put(key, Bytes::new()));
-        Ok(())
+            .map_err(ClusterError::Storage)
     }
 
     /// Flushes pending memory components (prepare phase).
     pub fn flush_pending(&mut self) {
         self.primary.flush_pending();
-        for keys in self.pending_keys.values_mut() {
-            keys.seal(self.primary_key_index.metrics());
-        }
         for s in self.secondaries.iter_mut() {
             s.flush_pending();
         }
     }
 
     /// Installs a received bucket (commit phase), making it visible: the
-    /// pending primary bucket, the pending secondary lists and the bucket's
-    /// pending keys-only components are all appended by handle — no record
-    /// is read or written. A deferred secondary stash travels with the
+    /// pending primary bucket and the pending secondary lists are appended
+    /// by handle — no record is read or written. A deferred secondary stash
+    /// travels with the
     /// bucket: it is promoted from pending to installed state and the
     /// rebuild keeps waiting for the first index query.
     pub fn install_pending(&mut self, bucket: BucketId) -> Result<(), ClusterError> {
@@ -568,13 +481,6 @@ impl PartitionDataset {
         for s in self.secondaries.iter_mut() {
             s.install_pending();
         }
-        if let Some(mut keys) = self.pending_keys.remove(&bucket) {
-            keys.seal(self.primary_key_index.metrics());
-            // Oldest, like the secondary lists: whatever this partition once
-            // held of the bucket was hidden when the bucket left.
-            self.primary_key_index
-                .append_oldest_components(keys.components);
-        }
         Ok(())
     }
 
@@ -586,7 +492,6 @@ impl PartitionDataset {
     /// are dropped on restart and the rebalance recovery path re-ships them).
     pub fn drop_all_pending(&mut self) {
         self.primary.drop_all_pending();
-        self.pending_keys.clear();
         self.deferred_pending.clear();
         for s in self.secondaries.iter_mut() {
             s.drop_pending();
@@ -822,6 +727,80 @@ mod tests {
         dst_ds
             .install_shipped_components(moved, comps, rebuild)
             .unwrap()
+    }
+
+    #[test]
+    fn a_component_install_counts_exactly_the_live_records() {
+        let moved = BucketId::new(0, 1);
+        let indexed = spec_with_index();
+        let plain =
+            DatasetSpec::new("orders", Scheme::static_hash_256()).with_memtable_budget(8 * 1024);
+        for (spec, rebuild) in [
+            (&indexed, SecondaryRebuild::Eager),
+            (&indexed, SecondaryRebuild::Deferred),
+            (&plain, SecondaryRebuild::Deferred),
+        ] {
+            let ctx = format!("{rebuild:?}, {} index(es)", spec.secondary_indexes.len());
+            let mut src = Partition::new(PartitionId(0));
+            let mut dst = Partition::new(PartitionId(1));
+            src.create_dataset(1, spec, all_buckets(1));
+            dst.create_dataset(1, spec, vec![]);
+            // Overwrites and tombstones land in newer components than the
+            // records they shadow.
+            let ds = src.dataset_mut(1).unwrap();
+            for i in 0..400u64 {
+                ds.ingest(Key::from_u64(i), payload(i % 7)).unwrap();
+            }
+            for i in 0..200u64 {
+                ds.ingest(Key::from_u64(i), payload(i % 5)).unwrap();
+            }
+            for i in 300..360u64 {
+                ds.delete(&Key::from_u64(i)).unwrap();
+            }
+            let comps = ds.ship_bucket_components(moved).unwrap();
+            let source_live = ds.primary.bucket_tree(&moved).unwrap().live_len();
+            let stored: usize = comps.iter().map(Component::visible_len).sum();
+            assert!(comps.len() >= 2, "{ctx}: one component shipped");
+            assert!(stored > source_live, "{ctx}: nothing shadowed");
+
+            let dst_ds = dst.dataset_mut(1).unwrap();
+            dst_ds.ensure_pending_bucket(moved).unwrap();
+            let counted = dst_ds
+                .install_shipped_components(moved, comps, rebuild)
+                .unwrap();
+            dst_ds.flush_pending();
+            dst_ds.install_pending(moved).unwrap();
+            let installed = dst_ds.primary.bucket_tree(&moved).unwrap().live_len();
+            assert_eq!(counted, installed as u64, "{ctx}");
+            assert_eq!(installed, source_live, "{ctx}");
+        }
+    }
+
+    /// A write reaches its bucket's tree and each secondary index once, and
+    /// so does a replicated write to a pending bucket.
+    #[test]
+    fn a_write_reaches_its_bucket_and_each_secondary_index_once() {
+        let plain = DatasetSpec::new("orders", Scheme::static_hash_256());
+        for spec in [spec_with_index(), plain] {
+            let fan_out = 1 + spec.secondary_indexes.len() as u64;
+            let mut p = Partition::new(PartitionId(0));
+            p.create_dataset(1, &spec, all_buckets(1));
+            let metrics = Arc::clone(p.metrics());
+            let written = || metrics.snapshot().records_written;
+            let ds = p.dataset_mut(1).unwrap();
+
+            let before = written();
+            ds.ingest(Key::from_u64(7), payload(3)).unwrap();
+            assert_eq!(written() - before, fan_out, "a client write");
+
+            let pending = BucketId::new(0, 2);
+            let key = (0..).map(Key::from_u64).find(|k| pending.contains_key(k));
+            ds.create_pending_bucket(pending).unwrap();
+            let before = written();
+            ds.apply_replicated(pending, Entry::put(key.unwrap(), payload(4)))
+                .unwrap();
+            assert_eq!(written() - before, fan_out, "a replicated write");
+        }
     }
 
     #[test]

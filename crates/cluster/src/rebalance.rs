@@ -316,7 +316,7 @@ impl Cluster {
                 .sum();
             let n_records = records.len() as u64;
             // The Hashing baseline re-inserts every record through the full
-            // ingestion pipeline of the new dataset (parse, primary-key and
+            // ingestion pipeline of the new dataset (parse, primary and
             // secondary index maintenance), which is what makes global
             // rebalancing so much more expensive than shipping sealed bucket
             // components.

@@ -80,18 +80,16 @@ pub enum ComponentSource {
     /// Produced by merging older components.
     Merge,
     /// Bulk-loaded from records scanned at a source partition during a
-    /// rebalance (strictly older than any replicated write).
+    /// rebalance (strictly older than any replicated write, which reaches
+    /// the pending bucket's memory component and is flushed from there).
     Loaded,
-    /// Built from writes replicated from a source partition during a
-    /// rebalance (concurrent writes).
-    Replicated,
 }
 
 /// How the keys of a component should be interpreted when checking bucket
 /// membership for lazy cleanup.
 ///
-/// Primary-index and primary-key-index components store the record's primary
-/// key directly; secondary-index components store a composite of the
+/// Primary-index components store the record's primary key directly;
+/// secondary-index components store a composite of the
 /// secondary key and the primary key, and the bucket of an entry is the
 /// bucket of the *primary* part (Section V-C: the validation check uses the
 /// primary key embedded in the index entry).

@@ -95,11 +95,6 @@ impl LsmTree {
         &self.config
     }
 
-    /// The shared metrics instance.
-    pub fn metrics(&self) -> &Arc<StorageMetrics> {
-        &self.metrics
-    }
-
     // ----------------------------------------------------------------- writes
 
     /// Inserts or updates a record.
@@ -505,9 +500,9 @@ mod tests {
         let tomb = Entry::delete(Key::from_u64(40));
         assert_eq!(tomb.size_bytes(), 8 + crate::entry::OP_TAG_BYTES);
         // Point reads charge exactly size_of_parts: key + value + op tag.
-        let before = t.metrics().snapshot().bytes_query_read;
+        let before = t.metrics.snapshot().bytes_query_read;
         assert!(t.get(&Key::from_u64(3)).is_some());
-        let after = t.metrics().snapshot().bytes_query_read;
+        let after = t.metrics.snapshot().bytes_query_read;
         assert_eq!(after - before, (8 + 33 + crate::entry::OP_TAG_BYTES) as u64);
     }
 
@@ -518,7 +513,7 @@ mod tests {
             t.put(i, Bytes::from(vec![0u8; 16]));
         }
         assert!(t.num_components() > 0, "expected at least one auto flush");
-        let snap = t.metrics().snapshot();
+        let snap = t.metrics.snapshot();
         assert!(snap.flush_count > 0);
         assert_eq!(snap.records_written, 100);
     }
@@ -617,7 +612,7 @@ mod tests {
         assert!(merges > 0);
         assert!(t.num_components() < 6);
         assert_eq!(t.live_len(), 300);
-        assert!(t.metrics().snapshot().bytes_merged > 0);
+        assert!(t.metrics.snapshot().bytes_merged > 0);
     }
 
     /// A flush hands the writers' payloads over as they are; a merge moves
@@ -696,10 +691,10 @@ mod tests {
         for i in 0..200u64 {
             t.put(i, Bytes::from(vec![0u8; 32]));
         }
-        assert_eq!(t.metrics().snapshot().merge_count, 0);
+        assert_eq!(t.metrics.snapshot().merge_count, 0);
         t.resume_merges();
         t.run_merges();
-        assert!(t.metrics().snapshot().merge_count > 0);
+        assert!(t.metrics.snapshot().merge_count > 0);
     }
 
     #[test]
@@ -746,7 +741,7 @@ mod tests {
         );
         let replicated = Component::from_unsorted(
             vec![Entry::put(Key::from_u64(1), val("replicated"))],
-            ComponentSource::Replicated,
+            ComponentSource::Flush,
         );
         t.append_oldest_components(vec![replicated, loaded]);
         assert_eq!(t.get(&Key::from_u64(1)).unwrap(), val("replicated"));

@@ -257,9 +257,9 @@ fn indexed_cluster_before_scale_out() -> (Cluster, u32) {
 /// count, not a timing: between the call of `prepare` and the return of a
 /// fault-free `finalize`, no partition writes a record into any index
 /// (`records_written`) or reads one back through a scan
-/// (`bytes_query_read`). Received primary-key and secondary entries are
-/// staged during the waves and installed by component handle; moved buckets
-/// are marked in component metadata.
+/// (`bytes_query_read`). Received primary and secondary entries are staged
+/// during the waves and installed by component handle; moved buckets are
+/// marked in component metadata.
 #[test]
 fn the_write_blocked_window_reads_and_writes_no_record() {
     let (mut cluster, ds) = indexed_cluster_before_scale_out();
@@ -302,8 +302,8 @@ fn the_write_blocked_window_reads_and_writes_no_record() {
 }
 
 /// Everything a partition stores for the dataset: the live entries of the
-/// primary, primary-key and (warmed) secondary indexes.
-type StoredIndexes = (Vec<Entry>, Vec<Entry>, Vec<SecondaryEntry>);
+/// primary and (warmed) secondary indexes.
+type StoredIndexes = (Vec<Entry>, Vec<SecondaryEntry>);
 
 fn stored_indexes(cluster: &mut Cluster, ds: u32) -> Vec<StoredIndexes> {
     let partitions = cluster.topology().partitions();
@@ -315,7 +315,6 @@ fn stored_indexes(cluster: &mut Cluster, ds: u32) -> Vec<StoredIndexes> {
             part.warm_secondary_indexes();
             (
                 part.scan(ScanOrder::Ordered),
-                part.primary_key_index.scan_all(),
                 part.secondary_mut("idx_first").unwrap().all_valid_entries(),
             )
         })
@@ -324,8 +323,8 @@ fn stored_indexes(cluster: &mut Cluster, ds: u32) -> Vec<StoredIndexes> {
 
 /// A destination that dies after COMMIT is forced, or after its commit
 /// tasks ran, misses nothing: finalize recovers it and re-drives exactly
-/// its tasks (re-shipping what the crash wiped), and all three index
-/// families end up equal to the fault-free run's.
+/// its tasks (re-shipping what the crash wiped), and both index families
+/// end up equal to the fault-free run's.
 #[test]
 fn a_destination_crash_around_commit_ends_equal_to_the_fault_free_run() {
     let run = |crash_at: Option<StepPoint>| {
