@@ -60,7 +60,7 @@ fn main() {
         std::process::exit(2);
     }
     if let Some(path) = &json {
-        let doc = json_document(&cfg, quick, &study.tables, true);
+        let doc = json_document(&cfg, quick, &study.tables);
         if let Err(e) = std::fs::write(path, doc.render() + "\n") {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);

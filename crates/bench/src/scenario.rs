@@ -36,8 +36,6 @@ use dynahash_lsm::entry::Key;
 use dynahash_lsm::rng::{scramble, SplitMix64, Zipfian};
 use dynahash_lsm::Bytes;
 
-use crate::count_decisions;
-
 // ------------------------------------------------------------ key shaping
 
 /// Distribution of key *ranks* over the key universe.
@@ -1426,6 +1424,12 @@ impl<'a> Runner<'a> {
 }
 
 // ------------------------------------------------------------------ entry
+
+/// How many control decisions in `cluster`'s event log `pred` accepts.
+fn count_decisions(cluster: &Cluster, pred: fn(&ControlDecision) -> bool) -> u64 {
+    let decisions = cluster.events(0).iter().filter_map(Event::decision);
+    decisions.filter(|d| pred(d)).count() as u64
+}
 
 /// Executes a scenario script under `cfg`, checking the continuous
 /// invariants between every pair of ops and the deep battery at the end.

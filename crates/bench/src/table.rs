@@ -1,14 +1,12 @@
 //! The one report type of the harness: a [`Table`] of named, typed cells.
 //!
-//! A row type declares its columns once — JSON key, markdown header,
-//! precision, and whether the value is a wall-clock measurement — with the
-//! [`table_row!`](crate::table_row) macro, which yields the struct, its
-//! [`Column`]s and its [`Row::cells`] together. Markdown and JSON are both
-//! rendered from those cells, so the two can never disagree, and a gate
-//! still reads the typed struct fields.
+//! A row type declares its columns once — JSON key, markdown header and
+//! precision — with the [`table_row!`](crate::table_row) macro, which yields
+//! the struct, its [`Column`]s and its [`Row::cells`] together. Markdown and
+//! JSON are both rendered from those cells, so the two can never disagree,
+//! and a gate still reads the typed struct fields.
 
 use crate::json::Json;
-use dynahash_cluster::SimDuration;
 
 /// One typed value of a table.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,21 +20,6 @@ pub enum Cell {
     Str(String),
     /// A boolean.
     Bool(bool),
-    /// A checksum, rendered as 16 hex digits in both outputs.
-    Hex(Hex),
-    /// Simulated nanoseconds: an exact integer in JSON, milliseconds in
-    /// markdown.
-    Nanos(u64),
-}
-
-/// A 64-bit checksum held by a row (its cell renders as hex, not decimal).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Hex(pub u64);
-
-impl std::fmt::Display for Hex {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:016x}", self.0)
-    }
 }
 
 macro_rules! cell_from {
@@ -56,8 +39,6 @@ cell_from! {
     f64 => |v| Cell::Num(v);
     &'static str => |v| Cell::Str(v.to_string());
     bool => |v| Cell::Bool(v);
-    Hex => |v| Cell::Hex(v);
-    SimDuration => |v| Cell::Nanos(v.as_nanos());
 }
 
 /// One column of a table, declared once per row type.
@@ -69,31 +50,6 @@ pub struct Column {
     pub header: &'static str,
     /// Decimals a [`Cell::Num`] is rounded to in markdown.
     pub precision: usize,
-    /// True when the value is measured on the wall clock: it differs from
-    /// run to run, so byte-identity comparisons leave the column out.
-    pub wall_clock: bool,
-}
-
-impl Column {
-    /// A deterministic column.
-    pub const fn col(key: &'static str, header: &'static str, precision: usize) -> Column {
-        Column {
-            key,
-            header,
-            precision,
-            wall_clock: false,
-        }
-    }
-
-    /// A wall-clock column.
-    pub const fn wall(key: &'static str, header: &'static str, precision: usize) -> Column {
-        Column {
-            key,
-            header,
-            precision,
-            wall_clock: true,
-        }
-    }
 }
 
 /// A row type whose columns and cells were declared by
@@ -105,9 +61,9 @@ pub trait Row {
     fn cells(&self) -> Vec<Cell>;
 }
 
-/// Declares a row struct whose `=> col(key, header[, precision])` /
-/// `=> wall(..)` fields are its table columns, in declaration order; fields
-/// without one are read by the figure's gate only.
+/// Declares a row struct whose fields, each marked
+/// `=> col(key, header[, precision])`, are its table columns in declaration
+/// order.
 #[macro_export]
 macro_rules! table_row {
     (
@@ -116,7 +72,7 @@ macro_rules! table_row {
             $(
                 $(#[$fmeta:meta])*
                 pub $field:ident: $ty:ty
-                    $(=> $ctor:ident($key:literal, $header:literal $(, $precision:literal)?))?,
+                    => col($key:literal, $header:literal $(, $precision:literal)?),
             )*
         }
     ) => {
@@ -128,15 +84,15 @@ macro_rules! table_row {
 
         impl $crate::table::Row for $name {
             const COLUMNS: &'static [$crate::table::Column] = &[
-                $($($crate::table::Column::$ctor($key, $header, 0 $(+ $precision)?),)?)*
+                $($crate::table::Column {
+                    key: $key,
+                    header: $header,
+                    precision: 0 $(+ $precision)?,
+                },)*
             ];
 
             fn cells(&self) -> Vec<$crate::table::Cell> {
-                // `$key` only ties a cell to the fields that declared a column.
-                vec![$($({
-                    let _ = $key;
-                    $crate::table::Cell::from(self.$field)
-                },)?)*]
+                vec![$($crate::table::Cell::from(self.$field),)*]
             }
         }
     };
@@ -179,8 +135,6 @@ impl Table {
                     Cell::Num(f) => format!("{:.*}", col.precision, f),
                     Cell::Str(t) => t.clone(),
                     Cell::Bool(b) => b.to_string(),
-                    Cell::Hex(h) => h.to_string(),
-                    Cell::Nanos(ns) => format!("{:.3}", *ns as f64 / 1e6),
                 };
                 s.push_str(&format!("| {text} "));
             }
@@ -189,21 +143,18 @@ impl Table {
         s
     }
 
-    /// Renders the rows as a JSON array of objects keyed by column;
-    /// wall-clock columns are left out unless `wall_clock` is set.
-    pub fn json(&self, wall_clock: bool) -> Json {
+    /// Renders the rows as a JSON array of objects keyed by column.
+    pub fn json(&self) -> Json {
         let row_json = |row: &Vec<Cell>| {
             Json::Obj(
                 row.iter()
                     .zip(self.columns)
-                    .filter(|(_, col)| wall_clock || !col.wall_clock)
                     .map(|(cell, col)| {
                         let value = match cell {
-                            Cell::Int(n) | Cell::Nanos(n) => Json::Int(*n),
+                            Cell::Int(n) => Json::Int(*n),
                             Cell::Num(f) => Json::Num(*f),
                             Cell::Str(t) => Json::str(t.clone()),
                             Cell::Bool(b) => Json::Bool(*b),
-                            Cell::Hex(h) => Json::str(h.to_string()),
                         };
                         (col.key.to_string(), value)
                     })

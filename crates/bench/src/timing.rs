@@ -1,10 +1,9 @@
 //! The one wall-clock read of the workspace.
 //!
 //! The repository builds with zero external dependencies and the simulation
-//! runs on the sim clock alone; what is measured on the wall clock — the two
-//! timing arms of the `routing` figure, and every span of the
-//! stand-alone benchmark under `examples/benchmark` — goes through
-//! [`ns_per_op`].
+//! runs on the sim clock alone; what is measured on the wall clock — every
+//! span of the stand-alone benchmark under `examples/benchmark` — goes
+//! through [`ns_per_op`].
 //!
 //! Absolute numbers depend on the host; only relative comparisons are
 //! meaningful.

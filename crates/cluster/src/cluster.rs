@@ -135,8 +135,7 @@ impl Cluster {
     /// and routed write feeds the heat counters the control plane's
     /// decisions run on (one local-directory probe per operation); disarmed
     /// — the default — the data paths are byte-identical to a cluster
-    /// without the control plane, which the `control` experiments figure
-    /// gates. Disarming drops all counters.
+    /// without the control plane. Disarming drops all counters.
     pub fn set_heat_tracking(&mut self, enabled: bool) {
         if enabled {
             self.heat.arm();

@@ -3,14 +3,14 @@
 //!
 //! The subsystem has four parts:
 //!
-//! * **Heat tracking** — an opt-in [`HeatMap`] on the cluster accumulates
+//! * **Heat tracking** — opt-in per-bucket heat on the cluster accumulates
 //!   per-bucket read/write counters, fed from the session data paths
 //!   (`get`/`put`/`delete`/`ingest`) at the cost of one local-directory
 //!   probe per armed operation. Counters decay exponentially on control
 //!   ticks, so heat reflects *recent* traffic. Snapshots merge the op
 //!   counters with storage residency ([`crate::cluster::Admin::heat`]).
 //!   With heat tracking disarmed every data path takes its pre-control-plane
-//!   code path, which the `control` experiments figure gates in CI.
+//!   code path (`disarmed_heat_records_nothing_and_costs_one_check`).
 //! * **Decision loop** — a [`ControlPlane`] driven by an explicit
 //!   [`ControlPlane::tick`]. Each tick computes the max-deviation imbalance
 //!   of every bucketed dataset from heat-weighted partition loads
@@ -65,49 +65,76 @@ use crate::{ClusterError, Result};
 /// cluster with [`Cluster::set_heat_tracking`]. Only the op counters live
 /// here; residency (bytes) is read from storage when a snapshot is taken,
 /// so the map stays a few words per active bucket.
-#[derive(Debug, Clone, Default)]
-pub struct HeatMap {
-    ops: BTreeMap<DatasetId, BTreeMap<BucketId, BucketHeat>>,
+///
+/// Interior mutability lets the *read* path (`&Cluster`) feed counters; the
+/// borrow is taken and released inside each method, never held across other
+/// cluster calls (see LOCK_ORDER.md, rank 20).
+#[derive(Debug, Default)]
+pub(crate) struct HeatCell {
+    /// `None` while disarmed.
+    ops: RefCell<Option<BTreeMap<DatasetId, BTreeMap<BucketId, BucketHeat>>>>,
 }
 
-impl HeatMap {
+impl HeatCell {
+    /// True when heat tracking is armed. The disarmed check is the only
+    /// cost the data paths pay when the control plane is not in use.
+    pub(crate) fn armed(&self) -> bool {
+        self.ops.borrow().is_some()
+    }
+
+    /// Arms heat tracking (keeps existing counters when already armed).
+    pub(crate) fn arm(&self) {
+        self.ops.borrow_mut().get_or_insert_with(BTreeMap::new);
+    }
+
+    /// Disarms heat tracking and drops all counters.
+    pub(crate) fn disarm(&self) {
+        *self.ops.borrow_mut() = None;
+    }
+
+    /// The counters of `bucket`, passed to `f` while armed.
+    fn with_bucket(&self, dataset: DatasetId, bucket: BucketId, f: impl FnOnce(&mut BucketHeat)) {
+        if let Some(ops) = self.ops.borrow_mut().as_mut() {
+            f(ops.entry(dataset).or_default().entry(bucket).or_default());
+        }
+    }
+
     /// Records one point read against a bucket.
-    pub fn note_read(&mut self, dataset: DatasetId, bucket: BucketId) {
-        self.ops
-            .entry(dataset)
-            .or_default()
-            .entry(bucket)
-            .or_default()
-            .reads += 1;
+    pub(crate) fn note_read(&self, dataset: DatasetId, bucket: BucketId) {
+        self.with_bucket(dataset, bucket, |h| h.reads += 1);
     }
 
     /// Records one write (insert or delete) against a bucket.
-    pub fn note_write(&mut self, dataset: DatasetId, bucket: BucketId) {
-        self.ops
-            .entry(dataset)
-            .or_default()
-            .entry(bucket)
-            .or_default()
-            .writes += 1;
+    pub(crate) fn note_write(&self, dataset: DatasetId, bucket: BucketId) {
+        self.with_bucket(dataset, bucket, |h| h.writes += 1);
     }
 
     /// One decay step: every op counter is halved, and buckets whose heat
     /// reached zero are forgotten so the map tracks only active buckets.
-    pub fn decay(&mut self) {
-        for buckets in self.ops.values_mut() {
-            buckets.retain(|_, h| {
-                h.decay();
-                h.ops() > 0
-            });
+    pub(crate) fn decay(&self) {
+        if let Some(ops) = self.ops.borrow_mut().as_mut() {
+            for buckets in ops.values_mut() {
+                buckets.retain(|_, h| {
+                    h.decay();
+                    h.ops() > 0
+                });
+            }
+            ops.retain(|_, buckets| !buckets.is_empty());
         }
-        self.ops.retain(|_, buckets| !buckets.is_empty());
     }
 
     /// Splits a bucket's heat along with the bucket: each child inherits
     /// half of the parent's counters (the key split is a hash bit, so an
     /// even split is the best stateless estimate).
-    pub fn on_split(&mut self, dataset: DatasetId, parent: BucketId, lo: BucketId, hi: BucketId) {
-        let Some(buckets) = self.ops.get_mut(&dataset) else {
+    pub(crate) fn on_split(
+        &self,
+        dataset: DatasetId,
+        parent: BucketId,
+        lo: BucketId,
+        hi: BucketId,
+    ) {
+        let mut ops = self.ops.borrow_mut();
+        let Some(buckets) = ops.as_mut().and_then(|ops| ops.get_mut(&dataset)) else {
             return;
         };
         let Some(heat) = buckets.remove(&parent) else {
@@ -124,76 +151,9 @@ impl HeatMap {
 
     /// A copy of the dataset's op counters (reads/writes only; residency
     /// fields are zero — [`crate::cluster::Admin::heat`] fills them in).
-    pub fn ops_snapshot(&self, dataset: DatasetId) -> BTreeMap<BucketId, BucketHeat> {
-        self.ops.get(&dataset).cloned().unwrap_or_default()
-    }
-}
-
-/// The cluster-resident cell holding the (optional) armed [`HeatMap`].
-///
-/// Interior mutability lets the *read* path (`&Cluster`) feed counters; the
-/// borrow is taken and released inside each method, never held across other
-/// cluster calls (see LOCK_ORDER.md, rank 20).
-#[derive(Debug, Default)]
-pub(crate) struct HeatCell {
-    inner: RefCell<Option<HeatMap>>,
-}
-
-impl HeatCell {
-    /// True when heat tracking is armed. The disarmed check is the only
-    /// cost the data paths pay when the control plane is not in use.
-    pub(crate) fn armed(&self) -> bool {
-        self.inner.borrow().is_some()
-    }
-
-    /// Arms heat tracking (keeps existing counters when already armed).
-    pub(crate) fn arm(&self) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.is_none() {
-            *inner = Some(HeatMap::default());
-        }
-    }
-
-    /// Disarms heat tracking and drops all counters.
-    pub(crate) fn disarm(&self) {
-        *self.inner.borrow_mut() = None;
-    }
-
-    pub(crate) fn note_read(&self, dataset: DatasetId, bucket: BucketId) {
-        if let Some(map) = self.inner.borrow_mut().as_mut() {
-            map.note_read(dataset, bucket);
-        }
-    }
-
-    pub(crate) fn note_write(&self, dataset: DatasetId, bucket: BucketId) {
-        if let Some(map) = self.inner.borrow_mut().as_mut() {
-            map.note_write(dataset, bucket);
-        }
-    }
-
-    pub(crate) fn decay(&self) {
-        if let Some(map) = self.inner.borrow_mut().as_mut() {
-            map.decay();
-        }
-    }
-
-    pub(crate) fn on_split(
-        &self,
-        dataset: DatasetId,
-        parent: BucketId,
-        lo: BucketId,
-        hi: BucketId,
-    ) {
-        if let Some(map) = self.inner.borrow_mut().as_mut() {
-            map.on_split(dataset, parent, lo, hi);
-        }
-    }
-
     pub(crate) fn ops_snapshot(&self, dataset: DatasetId) -> BTreeMap<BucketId, BucketHeat> {
-        self.inner
-            .borrow()
-            .as_ref()
-            .map(|m| m.ops_snapshot(dataset))
+        (self.ops.borrow().as_ref())
+            .and_then(|ops| ops.get(&dataset).cloned())
             .unwrap_or_default()
     }
 }
@@ -684,8 +644,11 @@ mod tests {
 
     #[test]
     fn heat_map_counts_decays_and_splits() {
-        let mut map = HeatMap::default();
+        let map = HeatCell::default();
         let b = BucketId { bits: 1, depth: 2 };
+        map.note_read(0, b);
+        assert!(map.ops_snapshot(0).is_empty(), "disarmed: nothing counted");
+        map.arm();
         for _ in 0..8 {
             map.note_read(0, b);
         }
@@ -712,11 +675,28 @@ mod tests {
     fn disarmed_heat_records_nothing_and_costs_one_check() {
         let (mut cluster, ds) = loaded(2, 200);
         assert!(!cluster.heat_tracking_enabled());
-        let mut session = cluster.session(ds).unwrap();
-        for i in 0..50u64 {
-            session.get(&cluster, &record(i).0).unwrap();
+        // A twin armed and disarmed before the same reads leaves no trace.
+        let (mut twin, twin_ds) = loaded(2, 200);
+        twin.set_heat_tracking(true);
+        twin.set_heat_tracking(false);
+        for (c, d) in [(&cluster, ds), (&twin, twin_ds)] {
+            let mut session = c.session(d).unwrap();
+            for i in 0..50u64 {
+                session.get(c, &record(i).0).unwrap();
+            }
+            assert!(c.heat_ops_snapshot(d).is_empty());
         }
-        assert!(cluster.heat_ops_snapshot(ds).is_empty());
+        let contents = |c: &mut Cluster, d| c.query().collect_records(d).unwrap();
+        assert_eq!(contents(&mut cluster, ds), contents(&mut twin, twin_ds));
+        assert_eq!(
+            cluster.dataset_primary_bytes(ds).unwrap(),
+            twin.dataset_primary_bytes(twin_ds).unwrap()
+        );
+        let imbalance = |c: &mut Cluster, d| c.admin().heat(d).unwrap().imbalance(1024);
+        assert_eq!(imbalance(&mut cluster, ds), imbalance(&mut twin, twin_ds));
+        assert!(decisions(&twin).is_empty());
+
+        let mut session = cluster.session(ds).unwrap();
         cluster.set_heat_tracking(true);
         for i in 0..50u64 {
             session.get(&cluster, &record(i).0).unwrap();
@@ -756,21 +736,38 @@ mod tests {
     fn sustained_imbalance_triggers_after_hysteresis_and_respects_cooldown() {
         let (mut cluster, ds) = loaded(2, 2000);
         cluster.add_node().unwrap();
+        cluster.add_node().unwrap();
         cluster.set_heat_tracking(true);
-        let mut plane = ControlPlane::new(ControlConfig {
+        let config = ControlConfig {
             imbalance_threshold: 0.2,
             hysteresis_ticks: 2,
             cooldown_ticks: 4,
             hot_bucket_ops: u64::MAX, // isolate the rebalance path
             ..ControlConfig::default()
-        });
+        };
+        let mut plane = ControlPlane::new(config);
         let mut session = cluster.session(ds).unwrap();
+        let mut ticks = 0;
         for _ in 0..20 {
-            // keep a handful of keys hot so the imbalance is sustained
+            // keep a two-key hotspot hot so the imbalance is sustained
             for i in 0..200u64 {
-                session.get(&cluster, &record(i % 8).0).unwrap();
+                session.get(&cluster, &record(i % 2).0).unwrap();
             }
             plane.tick(&mut cluster).unwrap();
+            ticks += 1;
+        }
+        // The hotspot cools off: within 120 ticks the plane is idle and the
+        // dataset below the threshold.
+        let imbalance = |c: &mut Cluster| {
+            c.admin()
+                .heat(ds)
+                .unwrap()
+                .imbalance(config.op_weight_bytes)
+        };
+        while plane.job_in_flight() || imbalance(&mut cluster) > config.imbalance_threshold {
+            assert!(ticks < 120, "not converged within 120 ticks");
+            plane.tick(&mut cluster).unwrap();
+            ticks += 1;
         }
         let decisions = decisions(&cluster);
         let committed: Vec<u64> = (decisions.iter())
@@ -803,6 +800,11 @@ mod tests {
             }
         }
         cluster.check_dataset_consistency(ds).unwrap();
+        // auto-rebalancing moved records, never changed one
+        for i in 0..2000u64 {
+            let (k, v) = record(i);
+            assert_eq!(session.get(&cluster, &k).unwrap(), Some(v), "key {i}");
+        }
     }
 
     #[test]

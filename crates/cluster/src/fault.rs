@@ -47,7 +47,8 @@
 //!
 //! With no schedule installed (or an empty one) every consumer takes the
 //! exact code path it took before this module existed: the fault-free path
-//! is byte-identical, which the `faults` experiments figure gates in CI. A
+//! is byte-identical, which `job.rs`'s `transient_faults_are_retried_and_absorbed`
+//! asserts. A
 //! schedule holding only step faults leaves every transfer's charges
 //! byte-identical too.
 
@@ -265,8 +266,6 @@ pub(crate) struct FaultState {
     /// The installed schedule; `None` (or an empty schedule) means the
     /// fault-free path, byte-identical to pre-fault-plane behaviour.
     pub(crate) plane: Option<FaultSchedule>,
-    /// Nodes permanently lost, in loss order.
-    pub(crate) lost_nodes: Vec<NodeId>,
     /// Buckets whose only copy died with a lost node, per dataset.
     pub(crate) lost_buckets: BTreeMap<DatasetId, Vec<BucketId>>,
 }
@@ -299,8 +298,8 @@ impl FaultState {
     }
 }
 
-/// The fault plane's counters, folded from the event log, beside the lost
-/// nodes and buckets; surfaced by
+/// The fault plane's counters and lost nodes, folded from the event log,
+/// beside the lost buckets; surfaced by
 /// [`Admin::health`](crate::cluster::Admin::health) and the soak report.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultStats {
@@ -350,11 +349,10 @@ impl FaultStats {
 }
 
 impl Cluster {
-    /// The fault-plane counters so far, folded from the event log, with the
-    /// lost nodes and buckets.
+    /// The fault-plane counters and the lost nodes so far, folded from the
+    /// event log, with the lost buckets.
     pub fn fault_stats(&self) -> FaultStats {
         let mut stats = FaultStats {
-            lost_nodes: self.faults.lost_nodes.clone(),
             lost_buckets: self.faults.lost_buckets.clone(),
             ..FaultStats::default()
         };
@@ -380,6 +378,7 @@ impl Cluster {
                     stats.speculation_wins += u64::from(won);
                 }
                 Event::Finalized { repaired, .. } => stats.repaired_buckets += repaired,
+                Event::NodeLost { node } => stats.lost_nodes.push(node),
                 _ => {}
             }
         }

@@ -1888,24 +1888,42 @@ mod tests {
 
     #[test]
     fn transient_faults_are_retried_and_absorbed() {
-        let (mut cluster, ds) = loaded(2, 2000);
-        cluster.add_node().unwrap();
+        use crate::fault::FaultSchedule;
+        // The same 2 -> 3 rebalance with no schedule, an empty one, and
+        // transients; each run's report, fault counters and contents.
+        let run = |schedule: Option<FaultSchedule>| {
+            let (mut cluster, ds) = loaded(2, 2000);
+            cluster.add_node().unwrap();
+            if let Some(schedule) = schedule {
+                cluster.set_fault_plane(schedule);
+            }
+            let target = cluster.topology().clone();
+            let mut job = RebalanceJob::plan(&mut cluster, ds, &target, 4).unwrap();
+            job.init(&mut cluster).unwrap();
+            let report = job.drive(&mut cluster).unwrap();
+            assert_eq!(report.outcome, RebalanceOutcome::Committed);
+            cluster
+                .check_rebalance_integrity(ds, report.rebalance_id)
+                .unwrap();
+            let (contents, _) = cluster.query().collect_records(ds).unwrap();
+            assert_eq!(contents.len(), 2000);
+            (report, cluster.fault_stats(), contents)
+        };
+        let (free, _, free_contents) = run(None);
+        let (empty, _, empty_contents) = run(Some(FaultSchedule::none()));
         // Fail often (60 %), but cap the injections per transfer below the
         // default retry budget so every fault is absorbed.
-        cluster.set_fault_plane(crate::fault::FaultSchedule::seeded(7).with_transient(600, 2));
-        let target = cluster.topology().clone();
-        let mut job = RebalanceJob::plan(&mut cluster, ds, &target, 4).unwrap();
-        job.init(&mut cluster).unwrap();
-        let report = job.drive(&mut cluster).unwrap();
-        assert_eq!(report.outcome, RebalanceOutcome::Committed);
+        let (report, stats, contents) = run(Some(FaultSchedule::seeded(7).with_transient(600, 2)));
+
+        // An installed but empty schedule is the fault-free run.
+        assert_eq!(empty, free);
+        assert_eq!((free.retries, free.reroutes), (0, 0));
         assert!(report.retries > 0, "60 % per-mille must trip some retries");
-        let stats = cluster.fault_stats();
         assert_eq!(stats.transient_faults, report.retries);
         assert!(stats.backoff > SimDuration::from_nanos(0));
-        assert_eq!(cluster.dataset_len(ds).unwrap(), 2000);
-        cluster
-            .check_rebalance_integrity(ds, report.rebalance_id)
-            .unwrap();
+        assert!(report.elapsed >= free.elapsed, "retries cost backoff");
+        assert_eq!(empty_contents, free_contents);
+        assert_eq!(contents, free_contents);
     }
 
     #[test]

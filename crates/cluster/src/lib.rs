@@ -57,7 +57,7 @@ pub mod session;
 pub mod sim;
 
 pub use cluster::{Admin, Cluster, ClusterConfig};
-pub use control::{ControlConfig, ControlPlane, HeatMap, HeatReport};
+pub use control::{ControlConfig, ControlPlane, HeatReport};
 pub use controller::ClusterController;
 pub use dataset::{DatasetId, DatasetMeta, DatasetSpec, SecondaryIndexDef};
 pub use fault::{ClusterHealth, Fault, FaultSchedule, FaultStats, NodeState};

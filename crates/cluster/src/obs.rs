@@ -3,8 +3,9 @@
 //!
 //! Section V's protocol runs off one durable, ordered log of BEGIN / COMMIT /
 //! DONE records. The planes around it report the same way: every control
-//! decision, every job step that something reads and every transient fault
-//! or speculated straggler is appended as an [`Event`] to one append-only
+//! decision, every job step that something reads, every transient fault or
+//! speculated straggler and every lost node is appended as an [`Event`] to
+//! one append-only
 //! log on the cluster. An event's sequence number is its position,
 //! [`Cluster::events`] is the one way to read it, and nothing but an append
 //! changes it. There are no other copies; every figure is a fold over the
@@ -13,8 +14,8 @@
 //! * the control plane's counters are counts of its [`ControlDecision`]s,
 //!   and a tick's decisions are the events the tick appended;
 //! * [`FaultStats`](crate::fault::FaultStats)'s counters are folded by
-//!   [`Cluster::fault_stats`] (only the lost nodes and buckets are stored
-//!   state, because the write path reads them);
+//!   [`Cluster::fault_stats`] (only the lost buckets are stored state,
+//!   because the write path reads them);
 //! * a [`RebalanceReport`](crate::rebalance::RebalanceReport)'s retries and
 //!   reroutes count the job's own events;
 //! * the jobs in flight of [`Admin::health`](crate::cluster::Admin::health)
@@ -100,6 +101,12 @@ pub enum Event {
         rebalance: RebalanceId,
         /// True when the backup finished strictly before the original.
         won: bool,
+    },
+    /// A node was lost for good
+    /// ([`Cluster::lose_node`](crate::cluster::Cluster::lose_node)).
+    NodeLost {
+        /// The lost node.
+        node: NodeId,
     },
 }
 

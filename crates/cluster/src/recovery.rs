@@ -15,6 +15,7 @@ use dynahash_core::NodeId;
 use dynahash_lsm::wal::{LogRecordBody, RebalanceId, RebalanceLogStatus};
 
 use crate::cluster::Cluster;
+use crate::obs::Event;
 use crate::{ClusterError, Result};
 
 /// What the recovered Cluster Controller found in its metadata log.
@@ -52,7 +53,7 @@ impl Cluster {
     /// can be removed with [`Cluster::remove_lost_node`].
     pub fn lose_node(&mut self, node: NodeId) -> Result<()> {
         self.node_mut(node)?.mark_lost();
-        self.faults.lost_nodes.push(node);
+        self.record(Event::NodeLost { node });
         // Buckets whose only copy lived on this node are degraded from this
         // moment: every bucket the CC directory routes to its partitions,
         // minus buckets whose shipped pending copy survives on an alive

@@ -29,7 +29,7 @@
 //! directory. A session left stale across a whole rebalance therefore pays
 //! at most one redirect-plus-refresh when it next touches a moved bucket —
 //! redirect counts are bounded by the number of buckets that actually moved,
-//! which the `routing` experiment figure gates in CI.
+//! which `tests/session_routing.rs` asserts.
 //!
 //! Like [`crate::job::RebalanceJob`], a `Session` holds **no borrow of the
 //! cluster**: each operation takes the cluster as an argument (standing in

@@ -180,6 +180,7 @@ fn losing_the_new_node_after_every_wave_boundary_commits_without_abort() {
             "wave {wave}: a pure destination holds no sole copies"
         );
         assert_eq!(cluster.dataset_len(ds).unwrap(), 1500, "wave {wave}");
+        assert_all_records_served(&cluster, ds, 1500);
         cluster.remove_lost_node(new_node).unwrap();
         cluster
             .check_rebalance_integrity(ds, report.rebalance_id)

@@ -386,16 +386,13 @@ impl BucketedLsmTree {
     }
 
     /// Scans all live records of a bucket (the source-side data movement
-    /// read). Charges the bytes to the rebalance-read metric.
+    /// read).
     pub fn scan_bucket(&self, bucket: BucketId) -> Result<Vec<Entry>> {
         let tree = self
             .buckets
             .get(&bucket)
             .ok_or(StorageError::UnknownBucket(bucket))?;
-        let entries = tree.scan_all();
-        let bytes: usize = entries.iter().map(|e| e.size_bytes()).sum();
-        StorageMetrics::add(&self.metrics.bytes_rebalance_read, bytes as u64);
-        Ok(entries)
+        Ok(tree.scan_all())
     }
 
     /// Ships a bucket as sealed components (Section IV: disk components are
@@ -461,10 +458,6 @@ impl BucketedLsmTree {
             .get_mut(&bucket)
             .ok_or(StorageError::UnknownPendingBucket(bucket))?;
         let comp = Component::from_unsorted(entries, ComponentSource::Loaded);
-        StorageMetrics::add(
-            &self.metrics.bytes_rebalance_loaded,
-            comp.size_bytes() as u64,
-        );
         tree.append_oldest_components(vec![comp]);
         Ok(())
     }
@@ -480,8 +473,6 @@ impl BucketedLsmTree {
             .pending
             .get_mut(&bucket)
             .ok_or(StorageError::UnknownPendingBucket(bucket))?;
-        let bytes: usize = comps.iter().map(|c| c.visible_size_bytes()).sum();
-        StorageMetrics::add(&self.metrics.bytes_rebalance_loaded, bytes as u64);
         tree.append_oldest_components(comps);
         Ok(())
     }

@@ -19,10 +19,6 @@ pub struct StorageMetrics {
     pub bytes_merge_read: AtomicU64,
     /// Bytes read by queries (point lookups and scans).
     pub bytes_query_read: AtomicU64,
-    /// Bytes read by rebalance bucket scans.
-    pub bytes_rebalance_read: AtomicU64,
-    /// Bytes bulk-loaded from rebalance transfers.
-    pub bytes_rebalance_loaded: AtomicU64,
     /// Bytes shipped as whole sealed components during a rebalance.
     pub bytes_rebalance_shipped: AtomicU64,
     /// Sealed components shipped whole during a rebalance.
@@ -60,8 +56,6 @@ impl StorageMetrics {
             bytes_merged: Self::get(&self.bytes_merged),
             bytes_merge_read: Self::get(&self.bytes_merge_read),
             bytes_query_read: Self::get(&self.bytes_query_read),
-            bytes_rebalance_read: Self::get(&self.bytes_rebalance_read),
-            bytes_rebalance_loaded: Self::get(&self.bytes_rebalance_loaded),
             bytes_rebalance_shipped: Self::get(&self.bytes_rebalance_shipped),
             components_shipped: Self::get(&self.components_shipped),
             records_written: Self::get(&self.records_written),
@@ -83,10 +77,6 @@ pub struct MetricsSnapshot {
     pub bytes_merge_read: u64,
     /// Bytes read by queries.
     pub bytes_query_read: u64,
-    /// Bytes read by rebalance scans.
-    pub bytes_rebalance_read: u64,
-    /// Bytes loaded from rebalance transfers.
-    pub bytes_rebalance_loaded: u64,
     /// Bytes shipped as whole sealed components.
     pub bytes_rebalance_shipped: u64,
     /// Sealed components shipped whole.
@@ -113,12 +103,6 @@ impl MetricsSnapshot {
             bytes_query_read: self
                 .bytes_query_read
                 .saturating_sub(earlier.bytes_query_read),
-            bytes_rebalance_read: self
-                .bytes_rebalance_read
-                .saturating_sub(earlier.bytes_rebalance_read),
-            bytes_rebalance_loaded: self
-                .bytes_rebalance_loaded
-                .saturating_sub(earlier.bytes_rebalance_loaded),
             bytes_rebalance_shipped: self
                 .bytes_rebalance_shipped
                 .saturating_sub(earlier.bytes_rebalance_shipped),

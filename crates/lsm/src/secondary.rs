@@ -200,10 +200,6 @@ impl SecondaryIndex {
             .map(|se| Entry::put(se.encode(), crate::Bytes::new()))
             .collect();
         let comp = Component::from_unsorted(raw, ComponentSource::Loaded);
-        StorageMetrics::add(
-            &self.metrics.bytes_rebalance_loaded,
-            comp.size_bytes() as u64,
-        );
         self.pending_tree().append_oldest_components(vec![comp]);
     }
 
@@ -223,10 +219,6 @@ impl SecondaryIndex {
             .map(|se| Entry::put(se.encode(), crate::Bytes::new()))
             .collect();
         let comp = Component::from_unsorted(raw, ComponentSource::Loaded);
-        StorageMetrics::add(
-            &self.metrics.bytes_rebalance_loaded,
-            comp.size_bytes() as u64,
-        );
         self.tree.append_oldest_components(vec![comp]);
     }
 

@@ -12,7 +12,7 @@
 //!   Node Controllers, partitions, feeds, queries, the step-driven
 //!   [`cluster::RebalanceJob`] executor, fault injection);
 //! * [`tpch`] — the TPC-H-like workload used by the paper's evaluation;
-//! * [`bench`] — the experiment harness (paper figures, regression gates)
+//! * [`bench`] — the experiment harness (paper figures, their answer gate)
 //!   and the scenario fleet: declarative workload scripts plus the seeded
 //!   soak driver ([`bench::scenario`]).
 //!

@@ -447,6 +447,10 @@ fn one_seed_logs_the_same_events_twice() {
     ] {
         assert!(seen.contains(wanted), "the run logged no {wanted} event");
     }
+    assert!(
+        first.contains(&Event::NodeLost { node: NodeId(1) }),
+        "the run logged no loss of node 1"
+    );
     let second = traced_run();
     assert_eq!(format!("{first:?}"), format!("{second:?}"));
 }

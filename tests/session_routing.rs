@@ -165,6 +165,15 @@ fn run_case(seed: u64, params: &CaseParams) {
             "seed {seed}: oracle misread base key {k}"
         );
     }
+    // Sources serve moving buckets until the commit: no stale session was
+    // redirected while the waves ran.
+    for (s, session) in sessions.iter().enumerate() {
+        assert_eq!(
+            session.metrics().redirects,
+            0,
+            "seed {seed}: session {s} redirected mid-rebalance"
+        );
+    }
 
     job.prepare(&mut cluster).unwrap();
     assert_eq!(
@@ -211,6 +220,12 @@ fn run_case(seed: u64, params: &CaseParams) {
             redirects <= bound,
             "seed {seed}: session {s} took {redirects} redirects (bound {bound}, \
              {} buckets moved)",
+            report.buckets_moved
+        );
+        // Reading every key touches a moved bucket, so the protocol ran.
+        assert!(
+            report.buckets_moved == 0 || redirects >= 1,
+            "seed {seed}: session {s} was never redirected although {} buckets moved",
             report.buckets_moved
         );
     }
