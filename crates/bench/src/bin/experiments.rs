@@ -2,16 +2,16 @@
 //! markdown tables.
 //!
 //! ```text
-//! experiments                     # every figure, every gate, default scale
+//! experiments                     # every figure, default scale
 //! experiments --quick             # smaller scale, fewer cluster sizes
 //! experiments --figure 7a         # run a single figure
 //! experiments --json results.json # also emit machine-readable results
 //! ```
 //!
-//! The figures and their gates are the `dynahash_bench::FIGURES` registry
-//! (`--help` lists the names). Exit status: 0 when every gate passed, 1 on
-//! any gate violation, 2 on a usage error — an unknown figure included, so a
-//! misspelt CI step cannot pass by running nothing.
+//! The figures are the `dynahash_bench::FIGURES` registry (`--help` lists
+//! the names). Exit status: 0 when the figures ran, 2 on a usage error — an
+//! unknown figure included, so a misspelt CI step cannot pass by running
+//! nothing — and 1 only when the `--json` file cannot be written.
 
 use dynahash_bench::{figure_names, json_document, run_figures, ExperimentConfig, FIGURES};
 
@@ -55,17 +55,15 @@ fn main() {
         ExperimentConfig::default()
     };
 
-    let (status, study) = run_figures(FIGURES, figure.as_deref(), &cfg);
-    if status == 2 {
+    let Some(tables) = run_figures(FIGURES, figure.as_deref(), &cfg) else {
         std::process::exit(2);
-    }
+    };
     if let Some(path) = &json {
-        let doc = json_document(&cfg, quick, &study.tables);
+        let doc = json_document(&cfg, quick, &tables);
         if let Err(e) = std::fs::write(path, doc.render() + "\n") {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);
         }
         println!("machine-readable results written to {path}");
     }
-    std::process::exit(status);
 }

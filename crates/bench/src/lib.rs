@@ -16,11 +16,12 @@
 //! * the storage-option and balance-quality ablations.
 //!
 //! Every row type declares its columns once ([`table_row!`]), every study is
-//! one entry of the [`FIGURES`] registry, and [`run_figures`] is the one
-//! driver: it runs the selected figures, evaluates the answer check of
-//! Figures 8 and 9 on their typed rows, and hands back the [`Table`]s that
-//! markdown and JSON are rendered from. The routing, fault, control and
-//! recovery properties are checked by the integration tests, not here.
+//! one entry of the [`FIGURES`] registry, and [`run_figures`] runs the
+//! selected figures and hands back the [`Table`]s that markdown and JSON
+//! are rendered from. It checks nothing: properties —
+//! that every scheme answers every query alike (`dynahash-tpch`'s
+//! `answers_pinned` test), routing, faults, control and recovery — are
+//! integration-test assertions.
 //!
 //! Absolute numbers are simulated time produced by the cost model of
 //! `dynahash-cluster`; only the relative comparisons are meaningful.
@@ -127,13 +128,6 @@ fn all_datasets(t: &TpchTables) -> [DatasetId; 8] {
     [
         t.lineitem, t.orders, t.customer, t.part, t.supplier, t.partsupp, t.nation, t.region,
     ]
-}
-
-/// One way a figure's gate was violated.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
-    /// What went wrong, for the `GATE FAILED` line.
-    pub message: String,
 }
 
 // ------------------------------------------------------------------ Figure 6
@@ -467,31 +461,6 @@ pub fn fig9_queries(cfg: &ExperimentConfig) -> Vec<QueryRow> {
     rows
 }
 
-/// The gate of Figures 8 and 9: on every cluster size, every query must
-/// produce the same answer under every scheme (a rebalancing scheme may
-/// change where records live, never what a query returns).
-pub fn answer_mismatches(rows: &[QueryRow]) -> Vec<Violation> {
-    let mut bad = Vec::new();
-    let mut seen: Vec<(u32, usize, f64)> = Vec::new();
-    for r in rows {
-        match seen.iter().find(|s| (s.0, s.1) == (r.nodes, r.query)) {
-            None => seen.push((r.nodes, r.query, r.answer)),
-            Some(&(_, _, first)) => {
-                if (first - r.answer).abs() > 1e-6 * first.abs().max(1.0) {
-                    bad.push(Violation {
-                        message: format!(
-                            "q{} on {} nodes: {} answered {} where the first scheme answered \
-                             {first}",
-                            r.query, r.nodes, r.scheme, r.answer
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    bad
-}
-
 // ----------------------------------------------------------------- Ablations
 
 table_row! {
@@ -612,31 +581,6 @@ pub fn ablation_balance_quality(skews: &[u64]) -> Vec<BalanceQualityRow> {
 
 // ------------------------------------------------------- registry and driver
 
-/// What one run of a figure produced: its tables, and what its gate found on
-/// the typed rows behind them.
-#[derive(Debug, Clone, Default)]
-pub struct Study {
-    /// The figure's tables, in output order.
-    pub tables: Vec<Table>,
-    /// The gate's violations (empty = the gate passes, or there is none).
-    pub violations: Vec<Violation>,
-}
-
-impl Study {
-    /// A figure of one table, with what `gate` finds on its typed rows.
-    fn of<R: table::Row>(key: &'static str, rows: &[R], gate: fn(&[R]) -> Vec<Violation>) -> Study {
-        Study {
-            tables: vec![Table::of(key, rows)],
-            violations: gate(rows),
-        }
-    }
-}
-
-/// The gate of a figure without one.
-fn no_gate<R>(_: &[R]) -> Vec<Violation> {
-    Vec::new()
-}
-
 /// One entry of the figure registry.
 #[derive(Debug, Clone, Copy)]
 pub struct Figure {
@@ -644,84 +588,72 @@ pub struct Figure {
     pub name: &'static str,
     /// The markdown heading.
     pub title: &'static str,
-    /// Runs the study at the given scale and evaluates its gate.
-    pub run: fn(&ExperimentConfig) -> Study,
-    /// What a passing gate established; `None` for a figure without a gate.
-    pub gate_note: Option<&'static str>,
+    /// Runs the study at the given scale and returns its tables, in output
+    /// order.
+    pub run: fn(&ExperimentConfig) -> Vec<Table>,
 }
 
-/// Every figure `experiments` can regenerate, in output order. Figures 8
-/// and 9 carry a regression gate, [`answer_mismatches`]: any violation makes
-/// the run exit 1.
+/// Every figure `experiments` can regenerate, in output order.
 pub const FIGURES: &[Figure] = &[
     Figure {
         name: "6",
         title: "Figure 6 — Ingestion time",
-        run: |cfg| Study::of("fig6_ingestion", &fig6_ingestion(cfg), no_gate),
-        gate_note: None,
+        run: |cfg| vec![Table::of("fig6_ingestion", &fig6_ingestion(cfg))],
     },
     Figure {
         name: "7a",
         title: "Figure 7a — Rebalance time, removing one node",
         run: |cfg| {
             let rows = fig7_rebalance(cfg, RebalanceDirection::RemoveNode);
-            Study::of("fig7a_remove_node", &rows, no_gate)
+            vec![Table::of("fig7a_remove_node", &rows)]
         },
-        gate_note: None,
     },
     Figure {
         name: "7b",
         title: "Figure 7b — Rebalance time, adding one node",
         run: |cfg| {
             let rows = fig7_rebalance(cfg, RebalanceDirection::AddNode);
-            Study::of("fig7b_add_node", &rows, no_gate)
+            vec![Table::of("fig7b_add_node", &rows)]
         },
-        gate_note: None,
     },
     Figure {
         name: "7c",
         title: "Figure 7c — Rebalance time under concurrent ingestion (DynaHash, 4 -> 3 nodes)",
         run: |cfg| {
             let rows = fig7c_concurrent_writes(cfg, &[0.0, 10.0, 20.0, 30.0, 40.0]);
-            Study::of("fig7c_concurrent_writes", &rows, no_gate)
+            vec![Table::of("fig7c_concurrent_writes", &rows)]
         },
-        gate_note: None,
     },
     Figure {
         name: "waves",
         title: "Wave parallelism — step-driven rebalance (DynaHash, 4 -> 3 nodes)",
         run: |cfg| {
             let rows = rebalance_wave_scaling(cfg, &[1, 2, 4, 8]);
-            Study::of("waves", &rows, no_gate)
+            vec![Table::of("waves", &rows)]
         },
-        gate_note: None,
     },
     Figure {
         name: "8",
         title: "Figure 8 — TPC-H query time on the original cluster",
-        run: |cfg| Study::of("fig8_queries", &fig8_queries(cfg), answer_mismatches),
-        gate_note: Some("all schemes returned identical query answers"),
+        run: |cfg| vec![Table::of("fig8_queries", &fig8_queries(cfg))],
     },
     Figure {
         name: "9",
         title: "Figure 9 — TPC-H query time on the downsized cluster (N -> N-1 nodes)",
-        run: |cfg| Study::of("fig9_queries", &fig9_queries(cfg), answer_mismatches),
-        gate_note: Some("all schemes returned identical query answers"),
+        run: |cfg| vec![Table::of("fig9_queries", &fig9_queries(cfg))],
     },
     Figure {
         name: "ablations",
         title: "Ablations — primary-index storage options; Algorithm 2 vs round-robin balance",
-        run: |_| Study {
-            tables: vec![
+        run: |_| {
+            vec![
                 Table::of("ablation_storage_options", &ablation_storage_options(5000)),
                 Table::of(
                     "ablation_balance_quality",
                     &ablation_balance_quality(&[1, 2, 4, 8, 16]),
                 ),
-            ],
-            violations: Vec::new(),
+            ]
         },
-        gate_note: None,
     },
 ];
 
@@ -733,16 +665,14 @@ pub fn figure_names(registry: &[Figure]) -> String {
 }
 
 /// The one driver: runs every figure of `registry` — or the one `select`
-/// names — prints each as markdown, and returns the process exit status
-/// with everything that was produced: 0 when every gate passed, 1 on any
-/// violation, 2 when `select` names no figure (nothing runs; the valid
-/// names go to stderr).
+/// names — prints each as markdown, and returns every table produced.
+/// `None` when `select` names no figure: nothing runs, and the valid names
+/// go to stderr.
 pub fn run_figures(
     registry: &[Figure],
     select: Option<&str>,
     cfg: &ExperimentConfig,
-) -> (i32, Study) {
-    let mut all = Study::default();
+) -> Option<Vec<Table>> {
     let selected: Vec<&Figure> = registry
         .iter()
         .filter(|f| select.is_none_or(|name| name.eq_ignore_ascii_case(f.name)))
@@ -753,32 +683,23 @@ pub fn run_figures(
             select.unwrap_or_default(),
             figure_names(registry)
         );
-        return (2, all);
+        return None;
     }
     println!("# DynaHash experiment results\n");
     println!(
         "configuration: {} orders/node, {} partitions/node, node counts {:?} (simulated time)\n",
         cfg.orders_per_node, cfg.partitions_per_node, cfg.node_counts
     );
+    let mut all = Vec::new();
     for figure in selected {
         println!("## {}\n", figure.title);
-        let mut study = (figure.run)(cfg);
-        for table in &study.tables {
+        let tables = (figure.run)(cfg);
+        for table in &tables {
             println!("`{}`\n\n{}", table.key, table.markdown());
         }
-        match (study.violations.is_empty(), figure.gate_note) {
-            (true, Some(note)) => println!("(gate: {note})\n"),
-            (true, None) => {}
-            (false, _) => {
-                for v in &study.violations {
-                    eprintln!("GATE FAILED: {}: {}", figure.name, v.message);
-                }
-            }
-        }
-        all.tables.append(&mut study.tables);
-        all.violations.append(&mut study.violations);
+        all.extend(tables);
     }
-    (if all.violations.is_empty() { 0 } else { 1 }, all)
+    Some(all)
 }
 
 /// The machine-readable document of a run: the configuration and every

@@ -4,7 +4,7 @@
 //! precision — with the [`table_row!`](crate::table_row) macro, which yields
 //! the struct, its [`Column`]s and its [`Row::cells`] together. Markdown and
 //! JSON are both rendered from those cells, so the two can never disagree,
-//! and a gate still reads the typed struct fields.
+//! and a test still reads the typed struct fields.
 
 use crate::json::Json;
 

@@ -1,13 +1,12 @@
 //! The figure harness from outside the crate: the `Table` contract, the
-//! driver's exit statuses, and the byte-identity of every simulated cell.
+//! figure selection of `run_figures`, and the byte-identity of every
+//! simulated cell.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dynahash_bench::json::Json;
 use dynahash_bench::table::Table;
-use dynahash_bench::{
-    json_document, run_figures, table_row, ExperimentConfig, Figure, Study, Violation, FIGURES,
-};
+use dynahash_bench::{json_document, run_figures, table_row, ExperimentConfig, Figure, FIGURES};
 
 table_row! {
     /// A row exercising every cell kind.
@@ -50,59 +49,25 @@ fn markdown_and_json_render_the_same_cells() {
 
 // ------------------------------------------------------------ the driver
 
-fn violation(message: &str) -> Violation {
-    Violation {
-        message: message.to_string(),
-    }
-}
-
-fn stub(name: &'static str, run: fn(&ExperimentConfig) -> Study) -> Figure {
-    Figure {
-        name,
-        title: "a stub figure",
-        run,
-        gate_note: Some("stub gate"),
-    }
-}
-
-fn study(violations: Vec<Violation>) -> Study {
-    Study {
-        tables: vec![sample()],
-        violations,
-    }
-}
-
+/// `experiments` exits 2 when `run_figures` returns `None`.
 #[test]
 fn an_unknown_figure_runs_nothing_and_exits_2() {
     static RUNS: AtomicUsize = AtomicUsize::new(0);
-    let registry = [stub("ok", |_| {
-        RUNS.fetch_add(1, Ordering::SeqCst);
-        study(vec![])
-    })];
-    let cfg = ExperimentConfig::quick();
-    let (status, out) = run_figures(&registry, Some("nosuch"), &cfg);
-    assert_eq!((status, out.tables.len()), (2, 0));
-    assert_eq!(RUNS.load(Ordering::SeqCst), 0);
-    // a known name is matched case-insensitively, runs once and exits 0
-    let (status, out) = run_figures(&registry, Some("OK"), &cfg);
-    assert_eq!((status, out.tables.len()), (0, 1));
-    assert_eq!(RUNS.load(Ordering::SeqCst), 1);
-}
-
-#[test]
-fn a_deterministic_violation_exits_1_without_a_second_run() {
-    static RUNS: AtomicUsize = AtomicUsize::new(0);
-    let registry = [
-        stub("passes", |_| study(vec![])),
-        stub("fails", |_| {
+    let registry = [Figure {
+        name: "ok",
+        title: "a stub figure",
+        run: |_| {
             RUNS.fetch_add(1, Ordering::SeqCst);
-            study(vec![violation("wrong answer"), violation("wrong contents")])
-        }),
-    ];
-    let (status, out) = run_figures(&registry, None, &ExperimentConfig::quick());
-    assert_eq!(status, 1);
-    assert_eq!(RUNS.load(Ordering::SeqCst), 1, "a failure is final");
-    assert_eq!((out.tables.len(), out.violations.len()), (2, 2));
+            vec![sample()]
+        },
+    }];
+    let cfg = ExperimentConfig::quick();
+    assert!(run_figures(&registry, Some("nosuch"), &cfg).is_none());
+    assert_eq!(RUNS.load(Ordering::SeqCst), 0);
+    // a known name is matched case-insensitively and runs once
+    let tables = run_figures(&registry, Some("OK"), &cfg).expect("a known figure");
+    assert_eq!(tables.len(), 1);
+    assert_eq!(RUNS.load(Ordering::SeqCst), 1);
 }
 
 // ------------------------------------------------------------- the golden
@@ -114,14 +79,8 @@ fn a_deterministic_violation_exits_1_without_a_second_run() {
 #[test]
 fn the_quick_figures_match_the_golden_document() {
     let cfg = ExperimentConfig::quick();
-    let (_, out) = run_figures(FIGURES, None, &cfg);
-    assert!(
-        out.violations.is_empty(),
-        "gate violations: {:?}",
-        out.violations
-    );
-
-    let doc: Json = json_document(&cfg, true, &out.tables);
+    let tables = run_figures(FIGURES, None, &cfg).expect("every figure");
+    let doc: Json = json_document(&cfg, true, &tables);
     let actual = doc.render() + "\n";
     let golden = concat!(
         env!("CARGO_MANIFEST_DIR"),

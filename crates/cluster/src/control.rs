@@ -904,14 +904,9 @@ mod tests {
         session.ingest(&mut cluster, (0..1200).map(record)).unwrap();
         cluster.add_node().unwrap();
         let target = cluster.topology().clone();
-        // deferred secondary rebuild leaves stashes behind for the drain
+        // the deferred secondary rebuild leaves stashes behind for the drain
         cluster
-            .rebalance(
-                ds,
-                &target,
-                crate::rebalance::RebalanceOptions::none()
-                    .with_secondary_rebuild(dynahash_core::SecondaryRebuild::Deferred),
-            )
+            .rebalance(ds, &target, crate::rebalance::RebalanceOptions::none())
             .unwrap();
         // A threshold the post-rebalance residual imbalance cannot cross, so
         // every tick is idle and the warm task is the only thing happening.

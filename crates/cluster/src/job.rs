@@ -31,8 +31,8 @@
 //! * `commit` installs each received bucket by appending component handles:
 //!   the pending primary bucket and the pending secondary lists, both staged
 //!   *during the waves* — a wave installs the shipped handles and makes one
-//!   merge pass over them that only counts the records (and, under
-//!   `SecondaryRebuild::Eager`, extracts their secondary entries).
+//!   merge pass over them that only counts the records; their secondary
+//!   entries wait for the first index query.
 //! * `commit` then cleans up once per *source partition*, not per bucket:
 //!   one streaming pass over each secondary index counting the entries
 //!   that become obsolete, and one pass per disk component stamping all
@@ -71,8 +71,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dynahash_core::{
-    BucketId, BucketMove, ClusterTopology, GlobalDirectory, MovePolicy, NodeId, PartitionId,
-    RebalanceOutcome, RebalancePlan, SecondaryRebuild, SpeculationPolicy,
+    BucketId, BucketMove, ClusterTopology, GlobalDirectory, NodeId, PartitionId, RebalanceOutcome,
+    RebalancePlan, SpeculationPolicy,
 };
 use dynahash_lsm::entry::{Key, Value};
 use dynahash_lsm::wal::{LogRecordBody, RebalanceId, ShippedMove};
@@ -155,8 +155,8 @@ pub struct WaveReport {
     pub bytes: u64,
     /// Records shipped by this wave.
     pub records: u64,
-    /// Sealed components shipped whole by this wave (0 under the Records
-    /// policy, which re-materialises the data instead).
+    /// Sealed components shipped whole by this wave (0 for a wave that only
+    /// stages feed records or empty buckets).
     pub components: usize,
     /// The wave's simulated makespan (slowest participating node).
     pub makespan: SimDuration,
@@ -220,8 +220,6 @@ pub struct RebalanceJob {
     votes: BTreeSet<NodeId>,
     /// Participants that ran their commit tasks.
     commit_acks: BTreeSet<NodeId>,
-    move_policy: MovePolicy,
-    secondary_rebuild: SecondaryRebuild,
     speculation: SpeculationPolicy,
     /// Buckets staged from an operator feed instead of a live source
     /// partition, with their records in feed order (empty for a rebalance).
@@ -417,8 +415,6 @@ impl RebalanceJob {
             participants,
             votes: BTreeSet::new(),
             commit_acks: BTreeSet::new(),
-            move_policy: MovePolicy::default(),
-            secondary_rebuild: SecondaryRebuild::default(),
             speculation: SpeculationPolicy::default(),
             feed,
             state: JobState::Planned,
@@ -476,16 +472,11 @@ impl RebalanceJob {
     /// Runs the next wave, staging each of the wave's buckets as a pending
     /// (invisible) copy on its destination. A bucket of a repair is
     /// bulk-loaded from the job's feed records; a moving bucket is shipped
-    /// from its live source under the job's [`MovePolicy`]:
-    ///
-    /// * **Components** (the default): the source flushes the bucket's
-    ///   memory component and ships its sealed components whole — cheap
-    ///   handle clones carrying their Bloom filters and sorted runs — and
-    ///   the destination installs them into the pending bucket directly,
-    ///   rebuilding only the secondary-index entries.
-    /// * **Records**: the source merges the bucket into a record stream and
-    ///   the destination re-materialises it (re-sort, Bloom rebuild, every
-    ///   index rebuilt) — the baseline this PR's cost model charges for.
+    /// from its live source: the source flushes the bucket's memory
+    /// component and ships its sealed components whole — cheap handle clones
+    /// carrying their Bloom filters and sorted runs — and the destination
+    /// installs them into the pending bucket directly, deferring the
+    /// bucket's secondary-index entries to the first index query.
     ///
     /// All moves of a wave run in parallel, so the wave is charged its
     /// makespan — the slowest participating node. The CC forces a
@@ -759,86 +750,35 @@ impl RebalanceJob {
                 nominal,
             });
         }
-        // An index rebuild is only charged when there is something to
-        // rebuild: a dataset without secondary indexes pays none under
-        // either policy or rebuild mode.
-        let dst_has_indexes = cluster
-            .partition(m.to)?
-            .dataset(self.dataset)?
-            .has_secondary_indexes();
-        match self.move_policy {
-            MovePolicy::Records => {
-                let entries = cluster
-                    .partition_mut(m.from)?
-                    .dataset_mut(self.dataset)?
-                    .scan_bucket_for_move(m.bucket)?;
-                let bytes: u64 = entries.iter().map(|e| e.size_bytes() as u64).sum();
-                let records = entries.len() as u64;
-                // The source merges the bucket's components into a record
-                // stream; the network ships records; the destination
-                // re-materialises them — re-sort, Bloom rebuild, primary
-                // component build — and rebuilds the secondary entries.
-                let mut nominal = SimDuration::ZERO;
-                if bytes > 0 {
-                    let src_cost = cost.disk_read(bytes) + cost.rematerialize_cpu(records);
-                    tl.charge(src_node, scaled(src_node, src_cost));
-                    let mut dst_cost = cost.network(bytes)
-                        + cost.disk_write(bytes)
-                        + cost.rematerialize_cpu(records);
-                    if dst_has_indexes {
-                        dst_cost += cost.index_rebuild_cpu(records);
-                    }
-                    tl.charge(dst_node, scaled(dst_node, dst_cost));
-                    nominal = src_cost.max(dst_cost);
-                }
-                let dst = cluster.partition_mut(m.to)?.dataset_mut(self.dataset)?;
-                dst.ensure_pending_bucket(m.bucket)?;
-                dst.load_pending(m.bucket, entries)?;
-                Ok(ShipStats {
-                    bytes,
-                    records,
-                    component_ids: Vec::new(),
-                    nominal,
-                })
-            }
-            MovePolicy::Components => {
-                let comps = cluster
-                    .partition_mut(m.from)?
-                    .dataset_mut(self.dataset)?
-                    .ship_bucket_components(m.bucket)?;
-                let bytes: u64 = comps.iter().map(|c| c.visible_size_bytes() as u64).sum();
-                let component_ids: Vec<u64> = comps.iter().map(|c| c.id()).collect();
-                let dst = cluster.partition_mut(m.to)?.dataset_mut(self.dataset)?;
-                dst.ensure_pending_bucket(m.bucket)?;
-                let records =
-                    dst.install_shipped_components(m.bucket, comps, self.secondary_rebuild)?;
-                // Sealed components travel as whole files: one sequential
-                // read, one transfer, one sequential write. Bloom filters and
-                // sorted runs arrive ready to serve; an eager secondary
-                // rebuild is the only CPU left on the destination's commit
-                // path, and the default deferred mode moves even that to the
-                // first index query (charged by the query executor instead).
-                let mut nominal = SimDuration::ZERO;
-                if bytes > 0 {
-                    let src_cost = cost.disk_read(bytes);
-                    tl.charge(src_node, scaled(src_node, src_cost));
-                    let mut dst_cost = cost.network(bytes)
-                        + cost.component_ship_overhead(component_ids.len() as u64)
-                        + cost.disk_write(bytes);
-                    if dst_has_indexes && self.secondary_rebuild == SecondaryRebuild::Eager {
-                        dst_cost += cost.index_rebuild_cpu(records);
-                    }
-                    tl.charge(dst_node, scaled(dst_node, dst_cost));
-                    nominal = src_cost.max(dst_cost);
-                }
-                Ok(ShipStats {
-                    bytes,
-                    records,
-                    component_ids,
-                    nominal,
-                })
-            }
+        let comps = cluster
+            .partition_mut(m.from)?
+            .dataset_mut(self.dataset)?
+            .ship_bucket_components(m.bucket)?;
+        let bytes: u64 = comps.iter().map(|c| c.visible_size_bytes() as u64).sum();
+        let component_ids: Vec<u64> = comps.iter().map(|c| c.id()).collect();
+        let dst = cluster.partition_mut(m.to)?.dataset_mut(self.dataset)?;
+        dst.ensure_pending_bucket(m.bucket)?;
+        let records = dst.install_shipped_components(m.bucket, comps)?;
+        // Sealed components travel as whole files: one sequential read, one
+        // transfer, one sequential write. Bloom filters and sorted runs
+        // arrive ready to serve, and the secondary rebuild is charged by
+        // whoever runs it later (the first index query, or a commit cleanup).
+        let mut nominal = SimDuration::ZERO;
+        if bytes > 0 {
+            let src_cost = cost.disk_read(bytes);
+            tl.charge(src_node, scaled(src_node, src_cost));
+            let dst_cost = cost.network(bytes)
+                + cost.component_ship_overhead(component_ids.len() as u64)
+                + cost.disk_write(bytes);
+            tl.charge(dst_node, scaled(dst_node, dst_cost));
+            nominal = src_cost.max(dst_cost);
         }
+        Ok(ShipStats {
+            bytes,
+            records,
+            component_ids,
+            nominal,
+        })
     }
 
     /// Re-plans the in-flight job around permanently lost participants
@@ -1357,35 +1297,11 @@ impl RebalanceJob {
         &self.waves
     }
 
-    /// How this job moves buckets (default: [`MovePolicy::Components`]).
-    pub fn move_policy(&self) -> MovePolicy {
-        self.move_policy
-    }
-
-    /// Sets how buckets move. Call before the first wave runs; switching
-    /// mid-job would charge the remaining waves under the new policy.
-    pub fn set_move_policy(&mut self, policy: MovePolicy) {
-        self.move_policy = policy;
-    }
-
     /// Sets the straggler-speculation policy (default:
     /// [`SpeculationPolicy::default`], enabled). Call before the first wave
     /// runs.
     pub fn set_speculation(&mut self, speculation: SpeculationPolicy) {
         self.speculation = speculation;
-    }
-
-    /// When destinations rebuild secondary entries for received buckets
-    /// (default: [`SecondaryRebuild::Deferred`]). Only meaningful under
-    /// [`MovePolicy::Components`]; the Records baseline always rebuilds
-    /// eagerly while re-materialising.
-    pub fn secondary_rebuild(&self) -> SecondaryRebuild {
-        self.secondary_rebuild
-    }
-
-    /// Sets the secondary-rebuild mode. Call before the first wave runs.
-    pub fn set_secondary_rebuild(&mut self, rebuild: SecondaryRebuild) {
-        self.secondary_rebuild = rebuild;
     }
 
     /// Total number of scheduled waves.
@@ -1866,7 +1782,6 @@ mod tests {
         cluster.add_node().unwrap();
         let target = cluster.topology().clone();
         let mut job = RebalanceJob::plan(&mut cluster, ds, &target, 2).unwrap();
-        assert_eq!(job.move_policy(), dynahash_core::MovePolicy::Components);
         job.init(&mut cluster).unwrap();
         let mut components = 0usize;
         while job.has_remaining_waves() {

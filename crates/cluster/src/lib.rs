@@ -72,7 +72,7 @@ pub use recovery::RecoveryReport;
 pub use session::{RouteError, Session, SessionMetrics};
 pub use sim::{CostModel, NodeTimeline, SimDuration, WaveClock};
 
-pub use dynahash_core::{MovePolicy, SecondaryRebuild, SpeculationPolicy};
+pub use dynahash_core::SpeculationPolicy;
 
 use dynahash_core::{BucketId, CoreError, NodeId, PartitionId};
 use dynahash_lsm::StorageError;

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dynahash_core::{PartitionId, SecondaryRebuild};
+use dynahash_core::PartitionId;
 use dynahash_lsm::{
     BucketId, BucketedConfig, BucketedLsmTree, Component, Entry, Key, LsmConfig, MergeIter,
     ScanOrder, SecondaryEntry, SecondaryIndex, StorageMetrics, Value,
@@ -22,8 +22,9 @@ use crate::ClusterError;
 
 /// Appends the secondary-index entries `value` yields for `key` under every
 /// index definition into the per-index accumulators (`out[i]` belongs to
-/// `defs[i]`). Shared by both rebalance transfer paths so the Records and
-/// Components policies can never diverge in how they rebuild indexes.
+/// `defs[i]`). Shared by the two places a received bucket's index entries
+/// are built — a feed-staged bucket's bulk load and a shipped bucket's
+/// deferred rebuild — so they can never diverge.
 fn collect_secondary_entries(
     defs: &[SecondaryIndexDef],
     key: &Key,
@@ -47,10 +48,10 @@ pub struct PartitionDataset {
     /// Local secondary indexes (Option 1 storage, lazy cleanup).
     pub secondaries: Vec<SecondaryIndex>,
     defs: Vec<SecondaryIndexDef>,
-    /// Shipped-component handles of *pending* buckets installed under
-    /// [`SecondaryRebuild::Deferred`]: the base secondary entries of these
-    /// buckets have not been built. Dropped with the pending bucket on
-    /// abort/crash; promoted to `deferred_installed` at commit.
+    /// Shipped-component handles of *pending* buckets: the base secondary
+    /// entries of these buckets have not been built. Dropped with the
+    /// pending bucket on abort/crash; promoted to `deferred_installed` at
+    /// commit.
     deferred_pending: BTreeMap<BucketId, Vec<Component>>,
     /// Committed buckets still awaiting their deferred secondary rebuild.
     /// The stashed handles are `Arc` clones of the shipped components, so
@@ -152,12 +153,6 @@ impl PartitionDataset {
         self.secondaries.iter().any(|s| s.name == name)
     }
 
-    /// True if the dataset has any secondary indexes at all (cost accounting
-    /// charges an index rebuild only when there is something to rebuild).
-    pub fn has_secondary_indexes(&self) -> bool {
-        !self.defs.is_empty()
-    }
-
     /// Logical bytes of the primary index (what a rebalance would move).
     pub fn primary_storage_bytes(&self) -> usize {
         self.primary.logical_size_bytes()
@@ -201,17 +196,6 @@ impl PartitionDataset {
 
     // --------------------------------------------------- rebalance source side
 
-    /// Snapshot + scan of a moving bucket (flushes its memory component so
-    /// the snapshot covers all writes before the rebalance start time).
-    pub fn scan_bucket_for_move(&mut self, bucket: BucketId) -> Result<Vec<Entry>, ClusterError> {
-        self.primary
-            .snapshot_bucket(bucket)
-            .map_err(ClusterError::Storage)?;
-        self.primary
-            .scan_bucket(bucket)
-            .map_err(ClusterError::Storage)
-    }
-
     /// Snapshot + component-level ship of a moving bucket: flushes the
     /// bucket's memory component, then hands out its sealed components as
     /// cheap shipped handles (no per-record merge, no Bloom rebuild).
@@ -240,9 +224,9 @@ impl PartitionDataset {
     /// moved bucket (the received bucket split locally and only one child
     /// moves away) is materialized now — its component lands in the tree
     /// before the mark, so the mark's per-component filter hides exactly the
-    /// moved child's entries and keeps the sibling's, just as an eager
-    /// install would have. Only covering stashes are materialized;
-    /// unrelated deferred buckets keep waiting for their first query.
+    /// moved child's entries and keeps the sibling's. Only covering stashes
+    /// are materialized; unrelated deferred buckets keep waiting for their
+    /// first query.
     ///
     /// Returns the number of records whose deferred entries had to be
     /// materialized here, so callers can charge the rebuild they triggered.
@@ -290,8 +274,9 @@ impl PartitionDataset {
         self.create_pending_bucket(bucket)
     }
 
-    /// Bulk-loads scanned records into the pending bucket and rebuilds the
-    /// corresponding secondary-index entries into the pending component lists.
+    /// Bulk-loads records (a repair's feed records for the bucket) into the
+    /// pending bucket and builds the corresponding secondary-index entries
+    /// into the pending component lists.
     pub fn load_pending(
         &mut self,
         bucket: BucketId,
@@ -317,52 +302,29 @@ impl PartitionDataset {
     /// Installs components shipped whole from a source partition into the
     /// pending bucket; the primary data — sorted runs and Bloom filters
     /// included — arrives ready to serve. Secondary-index entries never
-    /// travel with a bucket; how they are derived depends on `rebuild`:
+    /// travel with a bucket, and none are built here: the install stashes
+    /// `Arc` clones of the shipped handles, and the extraction runs on the
+    /// first `index_scan` touching the dataset (or `warm_indexes`). A
+    /// dataset without secondary indexes keeps no stash, since it has
+    /// nothing to defer.
     ///
-    /// * [`SecondaryRebuild::Eager`] runs a lazy reconciling merge over the
-    ///   shipped components and bulk-loads the extracted entries into the
-    ///   pending secondary lists right here, on the commit path.
-    /// * [`SecondaryRebuild::Deferred`] (the default) only stashes `Arc`
-    ///   clones of the shipped handles: the bucket is recorded as deferred
-    ///   and the extraction runs on the first `index_scan` touching the
-    ///   dataset (or `warm_indexes`).
-    ///
-    /// Returns the number of records covered (identical under both modes),
-    /// for cost accounting and the ship log. Producing that count is one
-    /// merge pass over the shipped components and stays on the install path
-    /// even under `Deferred`, where it only counts; what the deferral
-    /// removes is the per-record extractor work and index loading (and, in
-    /// the cost model, the `index_rebuild` CPU charge).
+    /// Returns the number of records covered, for cost accounting and the
+    /// ship log. Producing that count is one merge pass over the shipped
+    /// components that only counts.
     pub fn install_shipped_components(
         &mut self,
         bucket: BucketId,
         comps: Vec<Component>,
-        rebuild: SecondaryRebuild,
     ) -> Result<u64, ClusterError> {
-        let eager = rebuild == SecondaryRebuild::Eager || self.defs.is_empty();
-        let mut rebuilt: Vec<Vec<SecondaryEntry>> = self.defs.iter().map(|_| Vec::new()).collect();
         let mut live_records = 0u64;
-        {
-            let mut merge = MergeIter::over_components(&comps, false);
-            while let Some((key, op)) = merge.next_ref() {
-                live_records += 1;
-                if eager {
-                    if let Some(v) = op.value() {
-                        collect_secondary_entries(&self.defs, key, v, &mut rebuilt);
-                    }
-                }
-            }
+        let mut merge = MergeIter::over_components(&comps, false);
+        while merge.next_ref().is_some() {
+            live_records += 1;
         }
-        if eager {
-            for (idx, rebuilt) in self.secondaries.iter_mut().zip(rebuilt) {
-                if !rebuilt.is_empty() {
-                    idx.load_into_pending(rebuilt);
-                }
-            }
-        } else {
+        if !self.defs.is_empty() {
             // Cheap Arc clones: the stash pins the shipped base data so the
-            // deferred extraction reads exactly what an eager install would
-            // have read, whatever merges run on the primary in between.
+            // deferred extraction reads exactly what was shipped, whatever
+            // merges run on the primary in between.
             self.deferred_pending.insert(bucket, comps.clone());
         }
         self.primary
@@ -661,11 +623,12 @@ mod tests {
                 ds.ingest(Key::from_u64(i), payload(i % 7)).unwrap();
             }
         }
-        // source: snapshot + scan
+        // source: the bucket's records, as a repair feed would supply them
         let entries = src
-            .dataset_mut(1)
+            .dataset(1)
             .unwrap()
-            .scan_bucket_for_move(moved_bucket)
+            .primary
+            .scan_bucket(moved_bucket)
             .unwrap();
         let moved_count = entries.len();
         assert!(moved_count > 0);
@@ -709,14 +672,9 @@ mod tests {
             .all(|se| !moved_bucket.contains_key(&se.primary)));
     }
 
-    /// Ships bucket `moved` from `src` into `dst` under the given rebuild
-    /// mode and returns the number of records installed.
-    fn ship_into(
-        src: &mut Partition,
-        dst: &mut Partition,
-        moved: BucketId,
-        rebuild: SecondaryRebuild,
-    ) -> u64 {
+    /// Ships bucket `moved` from `src` into `dst` and returns the number of
+    /// records installed.
+    fn ship_into(src: &mut Partition, dst: &mut Partition, moved: BucketId) -> u64 {
         let comps = src
             .dataset_mut(1)
             .unwrap()
@@ -724,9 +682,7 @@ mod tests {
             .unwrap();
         let dst_ds = dst.dataset_mut(1).unwrap();
         dst_ds.ensure_pending_bucket(moved).unwrap();
-        dst_ds
-            .install_shipped_components(moved, comps, rebuild)
-            .unwrap()
+        dst_ds.install_shipped_components(moved, comps).unwrap()
     }
 
     #[test]
@@ -735,12 +691,8 @@ mod tests {
         let indexed = spec_with_index();
         let plain =
             DatasetSpec::new("orders", Scheme::static_hash_256()).with_memtable_budget(8 * 1024);
-        for (spec, rebuild) in [
-            (&indexed, SecondaryRebuild::Eager),
-            (&indexed, SecondaryRebuild::Deferred),
-            (&plain, SecondaryRebuild::Deferred),
-        ] {
-            let ctx = format!("{rebuild:?}, {} index(es)", spec.secondary_indexes.len());
+        for spec in [&indexed, &plain] {
+            let ctx = format!("{} index(es)", spec.secondary_indexes.len());
             let mut src = Partition::new(PartitionId(0));
             let mut dst = Partition::new(PartitionId(1));
             src.create_dataset(1, spec, all_buckets(1));
@@ -765,9 +717,13 @@ mod tests {
 
             let dst_ds = dst.dataset_mut(1).unwrap();
             dst_ds.ensure_pending_bucket(moved).unwrap();
-            let counted = dst_ds
-                .install_shipped_components(moved, comps, rebuild)
-                .unwrap();
+            let counted = dst_ds.install_shipped_components(moved, comps).unwrap();
+            // only an indexed dataset has index entries to defer
+            assert_eq!(
+                is_deferred(dst_ds, &moved),
+                !spec.secondary_indexes.is_empty(),
+                "{ctx}"
+            );
             dst_ds.flush_pending();
             dst_ds.install_pending(moved).unwrap();
             let installed = dst_ds.primary.bucket_tree(&moved).unwrap().live_len();
@@ -807,67 +763,69 @@ mod tests {
     fn deferred_install_answers_index_scans_like_eager() {
         let spec = spec_with_index();
         let moved = BucketId::new(0, 1);
-        let mut results = Vec::new();
-        for rebuild in [SecondaryRebuild::Eager, SecondaryRebuild::Deferred] {
-            let mut src = Partition::new(PartitionId(0));
-            let mut dst = Partition::new(PartitionId(1));
-            src.create_dataset(1, &spec, all_buckets(1));
-            dst.create_dataset(1, &spec, vec![]);
-            for i in 0..400u64 {
-                src.dataset_mut(1)
-                    .unwrap()
-                    .ingest(Key::from_u64(i), payload(i % 7))
-                    .unwrap();
-            }
-            let records = ship_into(&mut src, &mut dst, moved, rebuild);
-            assert!(records > 0);
-            let dst_ds = dst.dataset_mut(1).unwrap();
-            // a replicated concurrent delete must supersede the deferred base
-            let victim = src
-                .dataset(1)
+        let mut src = Partition::new(PartitionId(0));
+        let mut dst = Partition::new(PartitionId(1));
+        src.create_dataset(1, &spec, all_buckets(1));
+        dst.create_dataset(1, &spec, vec![]);
+        for i in 0..400u64 {
+            src.dataset_mut(1)
                 .unwrap()
-                .primary
-                .bucket_tree(&moved)
-                .unwrap()
-                .scan_all()[0]
-                .key
-                .clone();
-            let old = src.dataset(1).unwrap().get(&victim);
-            dst_ds
-                .apply_replicated_delete(moved, victim.clone(), old.as_ref())
+                .ingest(Key::from_u64(i), payload(i % 7))
                 .unwrap();
-            dst_ds.flush_pending();
-            dst_ds.install_pending(moved).unwrap();
-            if rebuild == SecondaryRebuild::Deferred {
-                assert!(is_deferred(dst_ds, &moved));
-                assert!(dst_ds.has_deferred_secondary());
-            } else {
-                assert!(!is_deferred(dst_ds, &moved));
-            }
-            // warming is what an index scan does on first touch; afterwards
-            // the bucket is Ready and a second warm is free
-            let warmed = dst_ds.warm_secondary_indexes();
-            if rebuild == SecondaryRebuild::Deferred {
-                assert_eq!(warmed, records);
-            } else {
-                assert_eq!(warmed, 0);
-            }
-            assert!(!is_deferred(dst_ds, &moved));
-            assert_eq!(dst_ds.warm_secondary_indexes(), 0);
-            let mut hits = dst_ds
-                .secondary_mut("idx_first8")
-                .unwrap()
-                .all_valid_entries();
-            hits.sort();
-            assert!(
-                hits.iter().all(|se| se.primary != victim),
-                "replicated delete must hide the victim's index entry"
-            );
-            results.push(hits);
         }
+        let records = ship_into(&mut src, &mut dst, moved);
+        assert!(records > 0);
+        let dst_ds = dst.dataset_mut(1).unwrap();
+        // a replicated concurrent delete must supersede the deferred base
+        let victim = src
+            .dataset(1)
+            .unwrap()
+            .primary
+            .bucket_tree(&moved)
+            .unwrap()
+            .scan_all()[0]
+            .key
+            .clone();
+        let old = src.dataset(1).unwrap().get(&victim);
+        dst_ds
+            .apply_replicated_delete(moved, victim.clone(), old.as_ref())
+            .unwrap();
+        dst_ds.flush_pending();
+        dst_ds.install_pending(moved).unwrap();
+        assert!(is_deferred(dst_ds, &moved));
+        assert!(dst_ds.has_deferred_secondary());
+        // warming is what an index scan does on first touch; afterwards
+        // the bucket is Ready and a second warm is free
+        assert_eq!(dst_ds.warm_secondary_indexes(), records);
+        assert!(!is_deferred(dst_ds, &moved));
+        assert_eq!(dst_ds.warm_secondary_indexes(), 0);
+        let mut hits = dst_ds
+            .secondary_mut("idx_first8")
+            .unwrap()
+            .all_valid_entries();
+        hits.sort();
+        assert!(
+            hits.iter().all(|se| se.primary != victim),
+            "replicated delete must hide the victim's index entry"
+        );
+        // the index an eager build would hold: one entry per live record of
+        // the installed bucket, its secondary key read off the payload
+        let installed = dst_ds.primary.bucket_tree(&moved).unwrap().scan_all();
+        let mut built: Vec<SecondaryEntry> = installed
+            .into_iter()
+            .filter_map(|e| {
+                let v = e.op.value()?;
+                let secondary = u64::from_be_bytes(v[..8].try_into().unwrap());
+                Some(SecondaryEntry {
+                    secondary: Key::from_u64(secondary),
+                    primary: e.key,
+                })
+            })
+            .collect();
+        built.sort();
         assert_eq!(
-            results[0], results[1],
-            "deferred rebuild must answer index scans exactly like eager"
+            hits, built,
+            "deferred rebuild must answer index scans like an index built from the records"
         );
     }
 
@@ -885,7 +843,7 @@ mod tests {
                 .ingest(Key::from_u64(i), payload(i % 5))
                 .unwrap();
         }
-        ship_into(&mut src, &mut dst, moved, SecondaryRebuild::Deferred);
+        ship_into(&mut src, &mut dst, moved);
         let dst_ds = dst.dataset_mut(1).unwrap();
         assert!(is_deferred(dst_ds, &moved));
         // crash/abort wipes the pending bucket AND its stash: nothing to warm
@@ -916,7 +874,7 @@ mod tests {
                 .ingest(Key::from_u64(i), payload(i))
                 .unwrap();
         }
-        ship_into(&mut src, &mut dst, moved, SecondaryRebuild::Deferred);
+        ship_into(&mut src, &mut dst, moved);
         let dst_ds = dst.dataset_mut(1).unwrap();
         dst_ds.install_pending(moved).unwrap();
         let (lo, hi) = dst_ds.primary.split_bucket(moved).unwrap();
@@ -934,7 +892,7 @@ mod tests {
         // ...and cleaning up a bucket that covers the whole stash drops it
         let mut dst2 = Partition::new(PartitionId(2));
         dst2.create_dataset(1, &spec, vec![]);
-        ship_into(&mut src, &mut dst2, moved, SecondaryRebuild::Deferred);
+        ship_into(&mut src, &mut dst2, moved);
         let ds2 = dst2.dataset_mut(1).unwrap();
         ds2.install_pending(moved).unwrap();
         ds2.cleanup_moved_buckets(&[moved]).unwrap();

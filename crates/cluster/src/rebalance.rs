@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use dynahash_core::{ClusterTopology, MovePolicy, NodeId, RebalanceOutcome, SecondaryRebuild};
+use dynahash_core::{ClusterTopology, NodeId, RebalanceOutcome};
 use dynahash_lsm::entry::{Key, Value};
 use dynahash_lsm::hash_key;
 use dynahash_lsm::wal::RebalanceId;
@@ -50,19 +50,6 @@ pub struct RebalanceOptions {
     /// job shipping from all partitions concurrently). Ignored by the
     /// Hashing scheme.
     pub max_concurrent_moves: usize,
-    /// How buckets move during the data-movement phase. The default,
-    /// [`MovePolicy::Components`], ships sealed LSM components whole; the
-    /// [`MovePolicy::Records`] baseline re-materialises every record and is
-    /// kept as the oracle `tests/move_policy.rs` compares against. Ignored by
-    /// the Hashing scheme, which has no buckets to ship.
-    pub move_policy: MovePolicy,
-    /// When destinations rebuild secondary-index entries for received
-    /// buckets under [`MovePolicy::Components`]. The default,
-    /// [`SecondaryRebuild::Deferred`], keeps the rebuild off the wave
-    /// makespan and runs it on the first index query instead;
-    /// [`SecondaryRebuild::Eager`] rebuilds on install and is kept as the
-    /// oracle `tests/directory_slots.rs` compares against.
-    pub secondary_rebuild: SecondaryRebuild,
 }
 
 impl RebalanceOptions {
@@ -80,18 +67,6 @@ impl RebalanceOptions {
     /// Sets how many bucket moves each wave runs in parallel.
     pub fn with_max_concurrent_moves(mut self, moves: usize) -> Self {
         self.max_concurrent_moves = moves;
-        self
-    }
-
-    /// Sets how buckets move (component shipping vs record re-materialisation).
-    pub fn with_move_policy(mut self, policy: MovePolicy) -> Self {
-        self.move_policy = policy;
-        self
-    }
-
-    /// Sets when destinations rebuild secondary entries for received buckets.
-    pub fn with_secondary_rebuild(mut self, rebuild: SecondaryRebuild) -> Self {
-        self.secondary_rebuild = rebuild;
         self
     }
 }
@@ -204,8 +179,6 @@ impl Cluster {
         options: RebalanceOptions,
     ) -> Result<RebalanceReport> {
         let mut job = RebalanceJob::plan(self, dataset, target, options.max_concurrent_moves)?;
-        job.set_move_policy(options.move_policy);
-        job.set_secondary_rebuild(options.secondary_rebuild);
         // Spread the scenario's concurrent writes across the waves; the
         // remainder (or everything, for a no-op plan) lands before prepare.
         let waves = job.num_waves().max(1);
@@ -549,16 +522,9 @@ mod tests {
     fn options_builder_chains() {
         let opts = RebalanceOptions::none()
             .with_max_concurrent_moves(8)
-            .with_concurrent_writes(vec![(Key::from_u64(1), payload(1))])
-            .with_move_policy(MovePolicy::Records);
+            .with_concurrent_writes(vec![(Key::from_u64(1), payload(1))]);
         assert_eq!(opts.max_concurrent_moves, 8);
         assert_eq!(opts.concurrent_writes.len(), 1);
-        assert_eq!(opts.move_policy, MovePolicy::Records);
-        assert_eq!(
-            RebalanceOptions::none().move_policy,
-            MovePolicy::Components,
-            "component shipping is the default"
-        );
         let dbg = format!("{opts:?}");
         assert!(dbg.contains("max_concurrent_moves"));
     }

@@ -92,18 +92,15 @@ pub struct CostModel {
     /// Extra CPU per record for merge-sorting bucketed scan results when
     /// primary-key order is required (priority-queue overhead), ns.
     pub cpu_ns_per_merge_sorted_record: u64,
-    /// CPU per record for building secondary-index entries at a rebalance
-    /// destination (on-the-fly rebuild), ns.
+    /// CPU per record for building the secondary-index entries of a bucket
+    /// a rebalance moved, ns. Charged where the deferred rebuild runs: the
+    /// first index query after the move, or a commit whose cleanup must
+    /// materialize a stash.
     pub cpu_ns_per_index_rebuild_record: u64,
-    /// CPU per record for *re-materialising* records during a record-level
-    /// bucket move: merging components at the source, then re-sorting,
-    /// re-inserting into Bloom filters, and rebuilding the primary component
-    /// at the destination. Component-level shipping skips this entirely —
-    /// sealed components move as whole files (Section IV) — which is what
-    /// makes the `MovePolicy::Components` path measurably faster.
-    pub cpu_ns_per_rematerialized_record: u64,
     /// Fixed per-component overhead of shipping a sealed component whole
-    /// (open/close, manifest update at the destination), ns.
+    /// (open/close, manifest update at the destination), ns. Sealed
+    /// components move as whole files (Section IV), so a shipped bucket pays
+    /// no per-record CPU.
     pub component_ship_overhead_ns: u64,
     /// Sequential disk read cost, ns per byte (~2 GB/s → 0.5 ns/byte).
     pub disk_read_ns_per_byte: u64,
@@ -131,7 +128,6 @@ impl Default for CostModel {
             cpu_ns_per_query_record: 1_000,
             cpu_ns_per_merge_sorted_record: 400,
             cpu_ns_per_index_rebuild_record: 4_000,
-            cpu_ns_per_rematerialized_record: 4_000,
             component_ship_overhead_ns: 2_000,
             disk_read_ns_per_byte: 10,
             disk_write_ns_per_byte: 20,
@@ -178,13 +174,6 @@ impl CostModel {
     /// CPU cost of rebuilding secondary-index entries for `records` records.
     pub fn index_rebuild_cpu(&self, records: u64) -> SimDuration {
         SimDuration(records * self.cpu_ns_per_index_rebuild_record)
-    }
-
-    /// CPU cost of re-materialising `records` records during a record-level
-    /// bucket move (merge at the source, or sort + Bloom + component build
-    /// at the destination — charged once per side).
-    pub fn rematerialize_cpu(&self, records: u64) -> SimDuration {
-        SimDuration(records * self.cpu_ns_per_rematerialized_record)
     }
 
     /// Fixed cost of shipping `components` sealed components whole.

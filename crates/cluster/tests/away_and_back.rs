@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use dynahash_cluster::{
     Cluster, ClusterConfig, CostModel, DatasetId, DatasetSpec, Partition, RebalanceJob,
-    SecondaryIndexDef, SecondaryRebuild, Session,
+    SecondaryIndexDef, Session,
 };
 use dynahash_core::{NodeId, PartitionId, RebalanceOutcome, Scheme};
 use dynahash_lsm::entry::Key;
@@ -244,104 +244,102 @@ fn point_reads_equal_the_model_after_splits_a_cycle_and_point_writes() {
 
 /// The same history at bucket level, between two partitions: `b` goes
 /// home -> away -> home -> away, each hop a component ship with replicated
-/// writes landing while the bucket is pending. Under the deferred rebuild
-/// the returning bucket's base entries are loaded unmarked (on first query,
-/// or — never queried — dropped with the stash); either way none of them may
+/// writes landing while the bucket is pending. The returning bucket's base
+/// entries are loaded unmarked by the deferred rebuild (on first query, or —
+/// never queried — dropped with the stash); either way none of them may
 /// outlive the next departure.
 #[test]
 fn a_bucket_that_returns_and_leaves_again_takes_its_index_entries_along() {
-    for rebuild in [SecondaryRebuild::Eager, SecondaryRebuild::Deferred] {
-        for query_between_hops in [false, true] {
-            let ctx = format!("{rebuild:?}, query between hops: {query_between_hops}");
-            let b = BucketId::new(1, 1);
-            let mut home = Partition::new(PartitionId(0));
-            let mut away = Partition::new(PartitionId(1));
-            home.create_dataset(1, &spec(), vec![BucketId::new(0, 1), b]);
-            away.create_dataset(1, &spec(), vec![]);
-            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-            for k in 0..600u64 {
-                home.dataset_mut(1)
-                    .unwrap()
-                    .ingest(Key::from_u64(k), payload(k, 0))
-                    .unwrap();
-                model.insert(k, 0);
+    for query_between_hops in [false, true] {
+        let ctx = format!("query between hops: {query_between_hops}");
+        let b = BucketId::new(1, 1);
+        let mut home = Partition::new(PartitionId(0));
+        let mut away = Partition::new(PartitionId(1));
+        home.create_dataset(1, &spec(), vec![BucketId::new(0, 1), b]);
+        away.create_dataset(1, &spec(), vec![]);
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        for k in 0..600u64 {
+            home.dataset_mut(1)
+                .unwrap()
+                .ingest(Key::from_u64(k), payload(k, 0))
+                .unwrap();
+            model.insert(k, 0);
+        }
+        let mut next_key = 600u64;
+        for hop in 0..3 {
+            let (src, dst) = if hop % 2 == 0 {
+                (&mut home, &mut away)
+            } else {
+                (&mut away, &mut home)
+            };
+            // Ship, then a concurrent insert, update and delete of `b`'s
+            // records reach both the source and the pending copy.
+            let comps = src
+                .dataset_mut(1)
+                .unwrap()
+                .ship_bucket_components(b)
+                .unwrap();
+            let to = dst.dataset_mut(1).unwrap();
+            to.ensure_pending_bucket(b).unwrap();
+            to.install_shipped_components(b, comps).unwrap();
+            let from = src.dataset_mut(1).unwrap();
+            let in_b = |k: &u64| b.contains_key(&Key::from_u64(*k));
+            let fresh = (next_key..).find(in_b).unwrap();
+            next_key = fresh + 1;
+            let updated = *model.keys().find(|k| in_b(k)).unwrap();
+            let deleted = *model.keys().rev().find(|k| in_b(k)).unwrap();
+            for (k, version) in [(fresh, 0), (updated, model[&updated] + 1)] {
+                let entry = dynahash_lsm::Entry::put(Key::from_u64(k), payload(k, version));
+                from.ingest(entry.key.clone(), payload(k, version)).unwrap();
+                to.apply_replicated(b, entry).unwrap();
+                model.insert(k, version);
             }
-            let mut next_key = 600u64;
-            for hop in 0..3 {
-                let (src, dst) = if hop % 2 == 0 {
-                    (&mut home, &mut away)
-                } else {
-                    (&mut away, &mut home)
-                };
-                // Ship, then a concurrent insert, update and delete of `b`'s
-                // records reach both the source and the pending copy.
-                let comps = src
-                    .dataset_mut(1)
-                    .unwrap()
-                    .ship_bucket_components(b)
-                    .unwrap();
-                let to = dst.dataset_mut(1).unwrap();
-                to.ensure_pending_bucket(b).unwrap();
-                to.install_shipped_components(b, comps, rebuild).unwrap();
-                let from = src.dataset_mut(1).unwrap();
-                let in_b = |k: &u64| b.contains_key(&Key::from_u64(*k));
-                let fresh = (next_key..).find(in_b).unwrap();
-                next_key = fresh + 1;
-                let updated = *model.keys().find(|k| in_b(k)).unwrap();
-                let deleted = *model.keys().rev().find(|k| in_b(k)).unwrap();
-                for (k, version) in [(fresh, 0), (updated, model[&updated] + 1)] {
-                    let entry = dynahash_lsm::Entry::put(Key::from_u64(k), payload(k, version));
-                    from.ingest(entry.key.clone(), payload(k, version)).unwrap();
-                    to.apply_replicated(b, entry).unwrap();
-                    model.insert(k, version);
-                }
-                let old = from.delete(&Key::from_u64(deleted)).unwrap();
-                to.apply_replicated_delete(b, Key::from_u64(deleted), old.as_ref())
-                    .unwrap();
-                model.remove(&deleted);
-                // Commit: install at the destination, clean up the source.
-                to.flush_pending();
-                to.install_pending(b).unwrap();
-                from.cleanup_moved_buckets(&[b]).unwrap();
+            let old = from.delete(&Key::from_u64(deleted)).unwrap();
+            to.apply_replicated_delete(b, Key::from_u64(deleted), old.as_ref())
+                .unwrap();
+            model.remove(&deleted);
+            // Commit: install at the destination, clean up the source.
+            to.flush_pending();
+            to.install_pending(b).unwrap();
+            from.cleanup_moved_buckets(&[b]).unwrap();
 
-                let dst_name = if hop % 2 == 0 { "away" } else { "home" };
-                for (name, part) in [("home", &mut home), ("away", &mut away)] {
-                    let ds = part.dataset_mut(1).unwrap();
-                    let owned = live_keys(ds.scan(ScanOrder::Unordered));
-                    // Reading a deferred destination's index is the query
-                    // that warms it; without one, only the last hop looks.
-                    if name == dst_name && !query_between_hops && hop < 2 {
-                        continue;
-                    }
-                    ds.warm_secondary_indexes();
-                    let hits: Vec<u64> = ds
-                        .secondary_mut(INDEX)
-                        .unwrap()
-                        .all_valid_entries()
-                        .iter()
-                        .map(|se| se.primary.as_u64())
-                        .collect();
-                    assert_eq!(
-                        hits.len(),
-                        owned.len(),
-                        "{ctx}, hop {hop}: {name} index holds stale or duplicate hits"
-                    );
-                    assert_eq!(
-                        hits.into_iter().collect::<BTreeSet<_>>(),
-                        owned,
-                        "{ctx}, hop {hop}: {name}"
-                    );
+            let dst_name = if hop % 2 == 0 { "away" } else { "home" };
+            for (name, part) in [("home", &mut home), ("away", &mut away)] {
+                let ds = part.dataset_mut(1).unwrap();
+                let owned = live_keys(ds.scan(ScanOrder::Unordered));
+                // Reading a deferred destination's index is the query
+                // that warms it; without one, only the last hop looks.
+                if name == dst_name && !query_between_hops && hop < 2 {
+                    continue;
                 }
-                let everywhere: BTreeSet<u64> = [&home, &away]
+                ds.warm_secondary_indexes();
+                let hits: Vec<u64> = ds
+                    .secondary_mut(INDEX)
+                    .unwrap()
+                    .all_valid_entries()
                     .iter()
-                    .flat_map(|p| live_keys(p.dataset(1).unwrap().scan(ScanOrder::Unordered)))
+                    .map(|se| se.primary.as_u64())
                     .collect();
                 assert_eq!(
-                    everywhere,
-                    model.keys().copied().collect::<BTreeSet<_>>(),
-                    "{ctx}, hop {hop}"
+                    hits.len(),
+                    owned.len(),
+                    "{ctx}, hop {hop}: {name} index holds stale or duplicate hits"
+                );
+                assert_eq!(
+                    hits.into_iter().collect::<BTreeSet<_>>(),
+                    owned,
+                    "{ctx}, hop {hop}: {name}"
                 );
             }
+            let everywhere: BTreeSet<u64> = [&home, &away]
+                .iter()
+                .flat_map(|p| live_keys(p.dataset(1).unwrap().scan(ScanOrder::Unordered)))
+                .collect();
+            assert_eq!(
+                everywhere,
+                model.keys().copied().collect::<BTreeSet<_>>(),
+                "{ctx}, hop {hop}"
+            );
         }
     }
 }

@@ -32,8 +32,7 @@ pub use directory::{DirectoryDelta, GlobalDirectory};
 pub use dynahash_lsm::{hash_key, BucketId};
 pub use plan::{BucketMove, RebalancePlan};
 pub use protocol::{
-    max_deviation_imbalance, BucketHeat, MigrationBudget, MovePolicy, RebalanceOutcome,
-    SecondaryRebuild, SpeculationPolicy,
+    max_deviation_imbalance, BucketHeat, MigrationBudget, RebalanceOutcome, SpeculationPolicy,
 };
 pub use scheme::Scheme;
 pub use topology::{ClusterTopology, NodeId, PartitionId};

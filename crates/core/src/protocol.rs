@@ -8,48 +8,12 @@
 //! the work (forcing log records, shipping buckets) is `RebalanceJob` in
 //! `dynahash-cluster`; this module holds the policies and outcomes it is
 //! parameterised by, and the control plane's load vocabulary.
-
-/// How the data-movement phase transfers a bucket between partitions
-/// (Section IV of the paper argues for component-level movement: sealed LSM
-/// components are immutable, so a bucket can move as whole files).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MovePolicy {
-    /// Scan the bucket into records at the source and re-materialise them at
-    /// the destination (merge, re-sort, rebuild Bloom filters, rebuild every
-    /// index). The static-hash-era baseline; kept as the oracle
-    /// `tests/move_policy.rs` compares component shipping against.
-    Records,
-    /// Ship the bucket's sealed components whole: Bloom filters and sorted
-    /// runs travel with the component files, and the destination rebuilds
-    /// only its secondary indexes. The default, and the source of the
-    /// paper's rebalance-efficiency claim.
-    #[default]
-    Components,
-}
-
-/// When the destination of a component-level bucket move rebuilds its
-/// secondary-index entries for the received records.
-///
-/// Secondary indexes never travel with a moved bucket (they store all
-/// buckets together, Section IV); the destination derives their entries from
-/// the shipped primary data. Doing that on the commit path puts an
-/// O(records) CPU charge into every wave's makespan even though the workload
-/// may never query those indexes — the same pay-lazily argument the dynamic
-/// hybrid hash join work (Jahangiri et al., arXiv:2112.02480) makes for
-/// partition builds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SecondaryRebuild {
-    /// Rebuild secondary entries while installing the shipped components;
-    /// kept as the oracle `tests/directory_slots.rs` compares the deferred
-    /// rebuild against.
-    Eager,
-    /// Record the received bucket as deferred and build
-    /// its secondary entries on the first `index_scan` touching the dataset
-    /// (or an explicit `warm_indexes` admin call). The default: the rebuild
-    /// cost moves off the wave-commit path.
-    #[default]
-    Deferred,
-}
+//!
+//! How a bucket moves is not a policy: a wave ships the bucket's sealed LSM
+//! components whole (Section IV — components are immutable, so a bucket
+//! moves as whole files), and the destination defers the secondary-index
+//! entries of what it received to the first index query, the pay-lazily
+//! argument Jahangiri et al. (arXiv:2112.02480) make for partition builds.
 
 /// When and whether a wave speculatively re-executes a straggling transfer.
 ///

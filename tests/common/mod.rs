@@ -12,18 +12,25 @@
 //! in the message, and run its test with the same binary — the generation is
 //! fully deterministic, so the same seed reproduces the same parameters and
 //! the same step trace.
+//!
+//! The bucket-move tests (`move_policy.rs`, `directory_slots.rs`) also share
+//! a dataset with one secondary index and the oracles they judge a move by:
+//! a `BTreeMap` model of the contents, and [`index_from_primary`], the index
+//! built from scratch out of each partition's primary records.
 
 // Each integration-test binary compiles this module independently and uses
 // only a subset of it.
 #![allow(dead_code)]
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use dynahash::cluster::{Cluster, ClusterConfig, CostModel, DatasetSpec};
-use dynahash::core::Scheme;
-use dynahash::lsm::entry::Key;
+use dynahash::cluster::{
+    Cluster, ClusterConfig, CostModel, DatasetSpec, RebalanceOptions, SecondaryIndexDef,
+};
+use dynahash::core::{NodeId, PartitionId, RebalanceOutcome, Scheme};
+use dynahash::lsm::entry::{Key, Value};
 use dynahash::lsm::rng::SplitMix64;
-use dynahash::lsm::Bytes;
+use dynahash::lsm::{Bytes, SecondaryEntry};
 
 /// Number of randomized cases per property.
 pub const CASES: u64 = 12;
@@ -115,5 +122,186 @@ pub fn check_seeded_cases<P: std::fmt::Debug>(
                 panic_message(panic.as_ref())
             );
         }
+    }
+}
+
+// ============================================== the indexed bucket-move set
+
+/// The secondary index of [`tagged_spec`].
+pub const TAG_INDEX: &str = "idx_tag";
+
+/// The payload of tagged record `i`: its tag (`i % 37`, the indexed field)
+/// as 8 big-endian bytes, then 48 filler bytes.
+pub fn tagged_payload(i: u64) -> Bytes {
+    let mut v = (i % 37).to_be_bytes().to_vec();
+    v.extend_from_slice(&[(i % 251) as u8; 48]);
+    Bytes::from(v)
+}
+
+/// Tagged record `i`.
+pub fn tagged_record(i: u64) -> (Key, Value) {
+    (Key::from_u64(i), tagged_payload(i))
+}
+
+/// A dataset indexing the tag of every record under [`TAG_INDEX`].
+pub fn tagged_spec(scheme: Scheme) -> DatasetSpec {
+    DatasetSpec::new("events", scheme).with_secondary_index(SecondaryIndexDef::new(
+        TAG_INDEX,
+        |p: &[u8]| {
+            let tag: [u8; 8] = p.get(..8)?.try_into().ok()?;
+            Some(Key::from_u64(u64::from_be_bytes(tag)))
+        },
+    ))
+}
+
+/// A test cluster holding one dataset of `spec` loaded with tagged records
+/// `0..n` through a session, and the model of what it holds.
+pub fn tagged_cluster(
+    nodes: u32,
+    spec: DatasetSpec,
+    n: u64,
+) -> (Cluster, u32, BTreeMap<Key, Value>) {
+    let mut cluster = test_cluster(nodes);
+    let ds = cluster.create_dataset(spec).unwrap();
+    cluster
+        .session(ds)
+        .unwrap()
+        .ingest(&mut cluster, (0..n).map(tagged_record))
+        .unwrap();
+    (cluster, ds, (0..n).map(tagged_record).collect())
+}
+
+/// The answer `index_scan(ds, index, None, None)` owes: the index's
+/// extractor applied to every live record of each partition's primary
+/// index, one sorted entry list per partition. Nothing of the cluster's own
+/// secondary indexes is read, so a rebuild that lost, kept or resurrected an
+/// entry cannot agree with it by accident.
+pub fn index_from_primary(
+    cluster: &mut Cluster,
+    ds: u32,
+    index: &str,
+) -> Vec<(PartitionId, Vec<SecondaryEntry>)> {
+    let meta = cluster.controller.dataset(ds).unwrap();
+    let def = meta.spec.secondary_indexes.iter().find(|d| d.name == index);
+    let extract = def
+        .expect("the dataset defines the index")
+        .extractor
+        .clone();
+    let mut built = cluster
+        .query()
+        .scan_map(ds, false, |key, op| {
+            Some(SecondaryEntry {
+                secondary: extract(op.value()?)?,
+                primary: key.clone(),
+            })
+        })
+        .unwrap();
+    for (_, entries) in &mut built {
+        entries.sort();
+    }
+    built
+}
+
+/// Asserts a tagged dataset against the oracles: its records are exactly
+/// `model`, none visible twice, and [`TAG_INDEX`] answers exactly what
+/// [`index_from_primary`] builds.
+pub fn assert_matches_oracles(
+    cluster: &mut Cluster,
+    ds: u32,
+    model: &BTreeMap<Key, Value>,
+    when: &str,
+) {
+    let (contents, raw) = cluster.query().collect_records(ds).unwrap();
+    assert_eq!(raw, contents.len(), "{when}: a record is visible twice");
+    if contents != *model {
+        let lost = model.keys().find(|k| !contents.contains_key(k));
+        let wrong = contents.iter().find(|(k, v)| model.get(k) != Some(v));
+        panic!(
+            "{when}: contents differ from the model; first lost {lost:?}, first wrong {wrong:?}"
+        );
+    }
+    let answered = cluster
+        .query()
+        .index_scan(ds, TAG_INDEX, None, None)
+        .unwrap();
+    let built = index_from_primary(cluster, ds, TAG_INDEX);
+    let partitions = |v: &[(PartitionId, Vec<SecondaryEntry>)]| -> Vec<PartitionId> {
+        v.iter().map(|(p, _)| *p).collect()
+    };
+    assert_eq!(partitions(&answered), partitions(&built), "{when}");
+    for ((p, got), (_, want)) in answered.iter().zip(&built) {
+        if got != want {
+            let stale: Vec<_> = got.iter().filter(|e| !want.contains(e)).take(4).collect();
+            let missing: Vec<_> = want.iter().filter(|e| !got.contains(e)).take(4).collect();
+            panic!(
+                "{when}: {p}'s index differs from one built out of its primary records \
+                 ({} hits, {} built); stale {stale:?}, missing {missing:?}",
+                got.len(),
+                want.len()
+            );
+        }
+    }
+}
+
+/// One seeded bucket-move case over a tagged dataset on 3 nodes.
+#[derive(Debug)]
+pub struct MoveCase {
+    pub scheme: Scheme,
+    /// Add a node (true) or move everything off node 2 (false).
+    pub grow: bool,
+    pub n_records: u64,
+    /// Records fed while the buckets move.
+    pub n_writes: u64,
+    pub max_moves: usize,
+}
+
+impl MoveCase {
+    pub fn generate(rng: &mut SplitMix64) -> MoveCase {
+        let scheme = match rng.gen_range(0..3) {
+            0 => Scheme::StaticHash { num_buckets: 16 },
+            1 => Scheme::StaticHash { num_buckets: 32 },
+            _ => Scheme::dynahash(16 * 1024, 8),
+        };
+        MoveCase {
+            scheme,
+            grow: rng.gen_range(0..2) == 0,
+            n_records: rng.gen_range(400..1000),
+            n_writes: rng.gen_range(0..250),
+            max_moves: rng.gen_range(1..5) as usize,
+        }
+    }
+
+    /// Loads, scales out or in, rebalances with a mid-flight feed, and
+    /// checks placement (`check_rebalance_integrity`: every record on the
+    /// partition its key routes to). Returns the cluster, the dataset and
+    /// the model of its records, for the caller to hold against the oracles.
+    pub fn run(&self) -> (Cluster, u32, BTreeMap<Key, Value>) {
+        let (mut cluster, ds, mut model) =
+            tagged_cluster(3, tagged_spec(self.scheme), self.n_records);
+        let target = if self.grow {
+            cluster.add_node().unwrap();
+            cluster.topology().clone()
+        } else {
+            cluster.topology_without(NodeId(2))
+        };
+        let writes: Vec<(Key, Value)> = (500_000..500_000 + self.n_writes)
+            .map(tagged_record)
+            .collect();
+        model.extend(writes.iter().cloned());
+        let report = cluster
+            .rebalance(
+                ds,
+                &target,
+                RebalanceOptions::none()
+                    .with_max_concurrent_moves(self.max_moves)
+                    .with_concurrent_writes(writes),
+            )
+            .unwrap();
+        assert_eq!(report.outcome, RebalanceOutcome::Committed);
+        assert_eq!(report.concurrent_writes_applied, self.n_writes);
+        cluster
+            .check_rebalance_integrity(ds, report.rebalance_id)
+            .unwrap();
+        (cluster, ds, model)
     }
 }

@@ -1,4 +1,4 @@
-//! PR 5 gates: the slot-array directory and the deferred secondary rebuild.
+//! The slot-array directory and the deferred secondary rebuild.
 //!
 //! Two seeded property harnesses (same style as `rebalance_invariants.rs`:
 //! the failing seed is printed on panic):
@@ -8,22 +8,21 @@
 //!   arbitrary valid split/merge/reassign sequences, including delta
 //!   catch-up of a stale snapshot;
 //! * a rebalance whose destinations defer their secondary-index rebuild
-//!   must answer `index_scan` byte-identically to the eager baseline,
-//!   across mid-flight feeds and a destination crash between the ship and
-//!   the install.
+//!   must answer `index_scan` exactly like an index built from scratch out
+//!   of the primary records (`common::index_from_primary`), across
+//!   mid-flight feeds, deletes and a destination crash between the ship
+//!   and the install.
 
-use std::collections::BTreeMap;
+mod common;
 
-use dynahash::cluster::{
-    Cluster, ClusterConfig, CostModel, DatasetSpec, RebalanceJob, RebalanceOptions,
-    SecondaryIndexDef,
+use common::{
+    assert_matches_oracles, check_seeded_cases, tagged_cluster, tagged_record, tagged_spec,
+    MoveCase,
 };
-use dynahash::core::{
-    BucketId, GlobalDirectory, NodeId, PartitionId, RebalanceOutcome, Scheme, SecondaryRebuild,
-};
-use dynahash::lsm::entry::{Key, Value};
+use dynahash::cluster::{Cluster, DatasetSpec, RebalanceJob, RebalanceOptions};
+use dynahash::core::{BucketId, GlobalDirectory, NodeId, PartitionId, RebalanceOutcome, Scheme};
+use dynahash::lsm::entry::Key;
 use dynahash::lsm::rng::SplitMix64;
-use dynahash::lsm::{Bytes, SecondaryEntry};
 
 // ===================================================== slot-array directory
 
@@ -190,265 +189,132 @@ fn locally_split_buckets_resolve_through_their_cc_owned_ancestor() {
 
 // ================================================= deferred secondary rebuild
 
-fn payload(i: u64) -> Bytes {
-    let mut v = (i % 37).to_be_bytes().to_vec();
-    v.extend_from_slice(&[(i % 251) as u8; 48]);
-    Bytes::from(v)
-}
-
-fn record(i: u64) -> (Key, Value) {
-    (Key::from_u64(i), payload(i))
-}
-
-fn spec(scheme: Scheme) -> DatasetSpec {
-    DatasetSpec::new("events", scheme).with_secondary_index(SecondaryIndexDef::new(
-        "idx_tag",
-        |p: &[u8]| {
-            if p.len() >= 8 {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&p[..8]);
-                Some(Key::from_u64(u64::from_be_bytes(b)))
-            } else {
-                None
-            }
-        },
-    ))
-}
-
-fn cluster_with(nodes: u32, scheme: Scheme, n: u64) -> (Cluster, u32) {
-    let mut cluster = Cluster::with_config(
-        nodes,
-        ClusterConfig {
-            partitions_per_node: 2,
-            cost_model: CostModel::default(),
-        },
-    );
-    let ds = cluster.create_dataset(spec(scheme)).unwrap();
-    cluster
-        .session(ds)
-        .unwrap()
-        .ingest(&mut cluster, (0..n).map(record))
-        .unwrap();
-    (cluster, ds)
-}
-
-#[derive(Debug, PartialEq, Eq)]
-struct Observation {
-    contents: BTreeMap<Key, Value>,
-    distribution: BTreeMap<PartitionId, usize>,
-    index_hits: Vec<(PartitionId, Vec<SecondaryEntry>)>,
-}
-
-fn observe(cluster: &mut Cluster, ds: u32) -> Observation {
-    let (contents, raw) = cluster.query().collect_records(ds).unwrap();
-    assert_eq!(raw, contents.len(), "a record is visible on two partitions");
-    let distribution = cluster.dataset_distribution(ds).unwrap();
-    let index_hits = cluster
-        .query()
-        .index_scan(ds, "idx_tag", None, None)
-        .unwrap();
-    Observation {
-        contents,
-        distribution,
-        index_hits,
-    }
-}
-
-/// One scenario: load, scale out or in, rebalance under `rebuild` with a
-/// mid-flight feed, and return what the cluster then looks like.
-fn run_scenario(
-    rebuild: SecondaryRebuild,
-    scheme: Scheme,
-    grow: bool,
-    n_records: u64,
-    n_writes: u64,
-    max_moves: usize,
-) -> Observation {
-    let (mut cluster, ds) = cluster_with(3, scheme, n_records);
-    let target = if grow {
-        cluster.add_node().unwrap();
-        cluster.topology().clone()
-    } else {
-        cluster.topology_without(NodeId(2))
+/// Partitions of `ds` still holding a deferred secondary stash.
+fn deferred_partitions(cluster: &mut Cluster, ds: u32) -> usize {
+    let partitions = cluster.topology().partitions();
+    let admin = cluster.admin();
+    let deferred = |p: &PartitionId| {
+        let part = admin.partition(*p).unwrap();
+        part.dataset(ds).unwrap().has_deferred_secondary()
     };
-    let writes: Vec<(Key, Value)> = (500_000..500_000 + n_writes).map(record).collect();
-    let report = cluster
-        .rebalance(
-            ds,
-            &target,
-            RebalanceOptions::none()
-                .with_max_concurrent_moves(max_moves)
-                .with_secondary_rebuild(rebuild)
-                .with_concurrent_writes(writes),
-        )
-        .unwrap();
-    assert_eq!(report.outcome, RebalanceOutcome::Committed);
-    cluster
-        .check_rebalance_integrity(ds, report.rebalance_id)
-        .unwrap();
-    observe(&mut cluster, ds)
+    partitions.iter().filter(|p| deferred(p)).count()
 }
 
+/// A rebalance whose destinations defer their secondary-index rebuild
+/// answers `index_scan` exactly like an index built from scratch out of the
+/// primary records, across schemes, directions and mid-flight feeds. (The
+/// name is historical: the eager rebuild it was once compared against is
+/// gone, and the built index took its place.)
 #[test]
 fn prop_deferred_and_eager_secondary_rebuilds_are_byte_identical() {
-    for case in 0..8u64 {
-        let seed = 0x5107_1000 + case;
-        let mut rng = SplitMix64::seed_from_u64(seed);
-        let scheme = match rng.gen_range(0..3) {
-            0 => Scheme::StaticHash { num_buckets: 16 },
-            1 => Scheme::StaticHash { num_buckets: 32 },
-            _ => Scheme::dynahash(16 * 1024, 8),
-        };
-        let grow = rng.gen_range(0..2) == 0;
-        let n_records = rng.gen_range(400..1000);
-        let n_writes = rng.gen_range(0..250);
-        let max_moves = rng.gen_range(1..5) as usize;
-        let result = std::panic::catch_unwind(|| {
-            let eager = run_scenario(
-                SecondaryRebuild::Eager,
-                scheme,
-                grow,
-                n_records,
-                n_writes,
-                max_moves,
+    check_seeded_cases(
+        "deferred rebuild against the built index",
+        0x5107_1000,
+        8,
+        |_, rng| MoveCase::generate(rng),
+        |_, case| {
+            let (mut cluster, ds, model) = case.run();
+            assert!(
+                deferred_partitions(&mut cluster, ds) > 0,
+                "no destination deferred its rebuild"
             );
-            let deferred = run_scenario(
-                SecondaryRebuild::Deferred,
-                scheme,
-                grow,
-                n_records,
-                n_writes,
-                max_moves,
-            );
-            assert_eq!(
-                eager.contents, deferred.contents,
-                "post-rebalance contents differ between rebuild modes"
-            );
-            assert_eq!(
-                eager.distribution, deferred.distribution,
-                "record placement differs between rebuild modes"
-            );
-            assert_eq!(
-                eager.index_hits, deferred.index_hits,
-                "secondary-index answers differ between rebuild modes"
-            );
-        });
-        if let Err(panic) = result {
-            let msg = panic
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| panic.downcast_ref::<&str>().copied())
-                .unwrap_or("<non-string panic>");
-            panic!(
-                "rebuild equivalence failed\n  seed: {seed}\n  scheme: {scheme:?} grow: {grow} \
-                 records: {n_records} writes: {n_writes} max_moves: {max_moves}\n  cause: {msg}"
-            );
-        }
-    }
+            assert_matches_oracles(&mut cluster, ds, &model, "after the rebalance");
+        },
+    );
 }
 
-/// The deferral is real: after a committed Components rebalance no index
-/// scan has run, so some destination still holds `SecondaryState::Deferred`
-/// buckets; an explicit `warm_indexes` materializes them all, and the wave
-/// makespan is strictly smaller than the eager baseline's.
+/// The deferral is real: after a committed rebalance no index scan has run,
+/// so some destination still holds a deferred stash; an explicit
+/// `warm_indexes` materializes them all. The waves pay nothing for the
+/// index: moving the same records costs the same with or without one.
 #[test]
 fn deferred_install_defers_and_warm_indexes_materializes() {
-    let run = |rebuild: SecondaryRebuild| {
-        let (mut cluster, ds) = cluster_with(3, Scheme::StaticHash { num_buckets: 32 }, 2500);
+    let run = |spec: DatasetSpec| {
+        let (mut cluster, ds, model) = tagged_cluster(3, spec, 2500);
         let target = cluster.topology_without(NodeId(2));
         let report = cluster
             .rebalance(
                 ds,
                 &target,
-                RebalanceOptions::none()
-                    .with_max_concurrent_moves(4)
-                    .with_secondary_rebuild(rebuild),
+                RebalanceOptions::none().with_max_concurrent_moves(4),
             )
             .unwrap();
         assert_eq!(report.outcome, RebalanceOutcome::Committed);
-        (cluster, ds, report)
+        (cluster, ds, model, report)
     };
-
-    let (mut eager_cluster, eager_ds, eager_report) = run(SecondaryRebuild::Eager);
-    let (mut cluster, ds, report) = run(SecondaryRebuild::Deferred);
-    assert!(
-        report.phases.data_movement < eager_report.phases.data_movement,
-        "deferred rebuild must shrink the wave makespan: {:?} !< {:?}",
-        report.phases.data_movement,
-        eager_report.phases.data_movement
+    let scheme = Scheme::StaticHash { num_buckets: 32 };
+    let (_, _, _, plain) = run(DatasetSpec::new("events", scheme));
+    let (mut cluster, ds, model, report) = run(tagged_spec(scheme));
+    assert_eq!(
+        report.phases.data_movement, plain.phases.data_movement,
+        "a deferred rebuild must leave the index out of the wave makespan"
     );
 
     // the rebuild really was deferred...
-    let partitions = cluster.topology().partitions();
-    let deferred: usize = {
-        let admin = cluster.admin();
-        partitions
-            .iter()
-            .filter(|p| {
-                admin
-                    .partition(**p)
-                    .ok()
-                    .and_then(|part| part.dataset(ds).ok())
-                    .map(|d| d.has_deferred_secondary())
-                    .unwrap_or(false)
-            })
-            .count()
-    };
-    assert!(deferred > 0, "no partition holds deferred secondary state");
+    assert!(
+        deferred_partitions(&mut cluster, ds) > 0,
+        "no partition holds deferred secondary state"
+    );
 
     // ...until the admin warms it, after which a second warm is a no-op
     let warmed = cluster.admin().warm_indexes(ds).unwrap();
     assert!(warmed > 0, "warm_indexes must materialize deferred entries");
     assert_eq!(cluster.admin().warm_indexes(ds).unwrap(), 0);
+    assert_eq!(deferred_partitions(&mut cluster, ds), 0);
 
-    // and the answers match the eager cluster's, byte for byte
-    assert_eq!(
-        observe(&mut cluster, ds),
-        observe(&mut eager_cluster, eager_ds)
-    );
+    // and the answers are those of an index built from the records
+    assert_matches_oracles(&mut cluster, ds, &model, "after warming");
 }
 
 /// Crash/recovery: a destination crash between the ship and the install
 /// wipes the pending buckets *and* their deferred stashes; the commit
-/// re-ships from the metadata log and the deferred rebuild still answers
-/// index scans exactly like the eager baseline.
+/// re-ships from the metadata log. Client deletes of just-shipped records
+/// replicate into the pending copies before the deferred base is loaded, so
+/// the rebuild must order that base below them. The index still answers
+/// exactly like one built from the primary records.
 #[test]
 fn deferred_rebuild_survives_a_destination_crash_between_ship_and_install() {
-    let run = |rebuild: SecondaryRebuild| {
-        let (mut cluster, ds) = cluster_with(3, Scheme::StaticHash { num_buckets: 32 }, 2400);
-        let new_node = cluster.add_node().unwrap();
-        let target = cluster.topology().clone();
-        let mut job = RebalanceJob::plan(&mut cluster, ds, &target, 2).unwrap();
-        job.set_secondary_rebuild(rebuild);
-        assert_eq!(job.secondary_rebuild(), rebuild);
-        job.init(&mut cluster).unwrap();
-        let mut next_key = 700_000u64;
-        let mut crashed = false;
-        while job.has_remaining_waves() {
-            let wave = job.run_wave(&mut cluster).unwrap();
-            if !crashed && wave.components > 0 {
-                crashed = true;
-                cluster.crash_node(new_node).unwrap();
-                cluster.recover_node(new_node).unwrap();
-            }
-            let batch: Vec<_> = (next_key..next_key + 40).map(record).collect();
-            job.apply_feed_batch(&mut cluster, batch).unwrap();
-            next_key += 40;
+    let (mut cluster, ds, mut model) =
+        tagged_cluster(3, tagged_spec(Scheme::StaticHash { num_buckets: 32 }), 2400);
+    let mut session = cluster.session(ds).unwrap();
+    let new_node = cluster.add_node().unwrap();
+    let target = cluster.topology().clone();
+    let mut job = RebalanceJob::plan(&mut cluster, ds, &target, 2).unwrap();
+    job.init(&mut cluster).unwrap();
+    let mut next_key = 700_000u64;
+    let mut crashed = false;
+    let mut deleted = 0;
+    while job.has_remaining_waves() {
+        let wave = job.run_wave(&mut cluster).unwrap();
+        if !crashed && wave.components > 0 {
+            crashed = true;
+            cluster.crash_node(new_node).unwrap();
+            cluster.recover_node(new_node).unwrap();
         }
-        assert!(crashed, "scenario requires a post-ship crash");
-        job.prepare(&mut cluster).unwrap();
-        assert_eq!(
-            job.decide(&mut cluster).unwrap(),
-            RebalanceOutcome::Committed
-        );
-        job.commit(&mut cluster).unwrap();
-        let report = job.finalize(&mut cluster).unwrap();
-        cluster
-            .check_rebalance_integrity(ds, report.rebalance_id)
-            .unwrap();
-        observe(&mut cluster, ds)
-    };
-    let eager = run(SecondaryRebuild::Eager);
-    let deferred = run(SecondaryRebuild::Deferred);
-    assert_eq!(eager, deferred, "crash recovery broke rebuild equivalence");
+        let batch: Vec<_> = (next_key..next_key + 40).map(tagged_record).collect();
+        model.extend(batch.iter().cloned());
+        job.apply_feed_batch(&mut cluster, batch).unwrap();
+        next_key += 40;
+        let shipped = &job.waves()[wave.wave];
+        let in_wave = |k: &&Key| shipped.iter().any(|m| m.bucket.contains_key(k));
+        let victims: Vec<Key> = model.keys().filter(in_wave).step_by(7).cloned().collect();
+        for key in victims {
+            assert!(session.delete(&mut cluster, &key).unwrap());
+            model.remove(&key);
+            deleted += 1;
+        }
+    }
+    assert!(crashed, "scenario requires a post-ship crash");
+    assert!(deleted > 0, "scenario requires deletes of shipped records");
+    job.prepare(&mut cluster).unwrap();
+    assert_eq!(
+        job.decide(&mut cluster).unwrap(),
+        RebalanceOutcome::Committed
+    );
+    job.commit(&mut cluster).unwrap();
+    let report = job.finalize(&mut cluster).unwrap();
+    cluster
+        .check_rebalance_integrity(ds, report.rebalance_id)
+        .unwrap();
+    assert_matches_oracles(&mut cluster, ds, &model, "after the re-ship");
 }
