@@ -1,9 +1,9 @@
 //! Declarative scenario scripts and the seeded soak driver.
 //!
-//! A [`Scenario`] is a list of [`ScenarioOp`]s — Zipfian-skewed ingest
-//! bursts, mixed point/range/index query batches, node churn (add/remove
-//! under sustained session-driven feeds, with crash injection between
-//! rebalance waves), churn storms, and index warming — executed against a
+//! A script is a list of [`ScenarioOp`]s — Zipfian-skewed ingest bursts,
+//! mixed point/range/index query batches, node churn (add/remove under
+//! sustained session-driven feeds, with crash injection between rebalance
+//! waves), churn storms, and index warming — executed against a
 //! multi-dataset cluster by a deterministic, seeded runner. The runner keeps
 //! a `BTreeMap` model of every dataset and checks invariants *continuously*
 //! between ops:
@@ -23,70 +23,53 @@
 //! `run_soak` with the same [`SoakConfig`] regenerates the same script and
 //! the same interleaving.
 //!
+//! The report keeps what only the runner knows — its per-op tallies, the
+//! trace, the violations — beside the cluster's health and event log. Every
+//! counter it prints is one column of [`SoakCounters`], tallied by the
+//! runner or folded over the log by [`SoakReport::counters`], and
+//! [`SoakReport::gates`] holds the chaos and control gates.
+//!
 //! [`Admin::check_directory_invariants`]: dynahash_cluster::Admin::check_directory_invariants
 
 use std::collections::BTreeMap;
 
 use dynahash_cluster::{
-    Cluster, ClusterConfig, ClusterError, ControlConfig, ControlDecision, ControlPlane, CostModel,
-    DatasetSpec, Event, Fault, FaultSchedule, RebalanceJob, SecondaryIndexDef, Session, StepPoint,
+    Cluster, ClusterConfig, ClusterError, ClusterHealth, ControlConfig, ControlDecision,
+    ControlPlane, CostModel, DatasetSpec, Event, Fault, FaultSchedule, RebalanceJob,
+    SecondaryIndexDef, Session, StepPoint,
 };
 use dynahash_core::{NodeId, RebalanceOutcome, Scheme};
 use dynahash_lsm::entry::Key;
 use dynahash_lsm::rng::{scramble, SplitMix64, Zipfian};
 use dynahash_lsm::Bytes;
 
+use crate::json::Json;
+use crate::table::Table;
+
 // ------------------------------------------------------------ key shaping
 
-/// Distribution of key *ranks* over the key universe.
-#[derive(Debug, Clone, Copy)]
-pub enum KeyDist {
-    /// Every key equally likely.
-    Uniform,
-    /// Zipfian with exponent `s` (rank 1 is the hottest key).
-    Zipfian {
-        /// Skew exponent; the paper-style skewed workloads use ≈ 1.1.
-        s: f64,
-    },
-}
-
-/// Draws keys from a bounded universe under a configurable rank
-/// distribution, optionally scrambling ranks through the SplitMix64
-/// finalizer so hot keys spread over the whole hash space instead of
-/// clustering in low buckets.
+/// Draws keys from a bounded universe with Zipfian-skewed ranks (rank 1 is
+/// the hottest key), scrambling ranks through the SplitMix64 finalizer so
+/// hot keys spread over the whole hash space instead of clustering in low
+/// buckets.
 #[derive(Debug)]
 pub struct KeyGen {
-    universe: u64,
-    zipf: Option<Zipfian>,
-    scrambled: bool,
+    zipf: Zipfian,
 }
 
 impl KeyGen {
-    /// A generator over `universe` distinct keys.
-    pub fn new(universe: u64, dist: KeyDist, scrambled: bool) -> Self {
-        let zipf = match dist {
-            KeyDist::Uniform => None,
-            KeyDist::Zipfian { s } => Some(Zipfian::new(universe, s)),
-        };
+    /// A generator over `universe` distinct keys with skew exponent `s`
+    /// (the paper-style skewed workloads use ≈ 1.1).
+    pub fn new(universe: u64, s: f64) -> Self {
         KeyGen {
-            universe,
-            zipf,
-            scrambled,
+            zipf: Zipfian::new(universe, s),
         }
     }
 
     /// Draws one key. The mapping from rank to key is fixed, so the hot set
     /// is stable across the whole run.
     pub fn draw(&self, rng: &mut SplitMix64) -> u64 {
-        let rank = match &self.zipf {
-            Some(z) => z.sample(rng) - 1,
-            None => rng.gen_range(0..self.universe),
-        };
-        if self.scrambled {
-            scramble(rank)
-        } else {
-            rank
-        }
+        scramble(self.zipf.sample(rng) - 1)
     }
 }
 
@@ -165,26 +148,6 @@ pub enum ScenarioOp {
         /// Query rounds (each followed by a control tick).
         rounds: u64,
     },
-}
-
-/// A named, declarative scenario script.
-#[derive(Debug, Clone)]
-pub struct Scenario {
-    /// Name used in traces and reports.
-    pub name: String,
-    /// The ops, executed in order with continuous invariant checks between
-    /// them.
-    pub ops: Vec<ScenarioOp>,
-}
-
-impl Scenario {
-    /// Creates a named script.
-    pub fn new(name: impl Into<String>, ops: Vec<ScenarioOp>) -> Self {
-        Scenario {
-            name: name.into(),
-            ops,
-        }
-    }
 }
 
 // ------------------------------------------------------------------ config
@@ -273,23 +236,18 @@ impl SoakConfig {
     /// A bounded profile for integration tests (debug builds).
     pub fn smoke(seed: u64) -> Self {
         SoakConfig {
-            seed,
             nodes: 4,
             max_nodes: 6,
-            partitions_per_node: 2,
-            datasets: 2,
             key_universe: 1 << 14,
             target_ingest: 24_000,
-            zipf_s: 1.1,
             steps: 10,
             churn_events: 2,
-            value_bytes: 16,
             queries_per_step: 120,
             sample_reads: 8,
             max_moves: 4,
             max_bucket_bytes: 32 * 1024,
-            chaos: false,
             control: false,
+            ..SoakConfig::quick(seed)
         }
     }
 
@@ -298,14 +256,12 @@ impl SoakConfig {
     /// `cargo run --release --bin soak -- --full`.
     pub fn full(seed: u64) -> Self {
         SoakConfig {
-            seed,
             nodes: 16,
             max_nodes: 20,
             partitions_per_node: 4,
             datasets: 3,
             key_universe: 1 << 22,
             target_ingest: 4_000_000,
-            zipf_s: 1.1,
             steps: 80,
             churn_events: 10,
             value_bytes: 32,
@@ -313,8 +269,7 @@ impl SoakConfig {
             sample_reads: 32,
             max_moves: 12,
             max_bucket_bytes: 256 * 1024,
-            chaos: false,
-            control: true,
+            ..SoakConfig::quick(seed)
         }
     }
 
@@ -325,80 +280,86 @@ impl SoakConfig {
 
 // ------------------------------------------------------------------ report
 
-/// Outcome of a soak run.
-#[derive(Debug, Default)]
+crate::table_row! {
+    /// Every counter a soak run reports, declared once: the `soak` binary
+    /// prints them as one markdown row and writes them as one JSON row. The
+    /// runner tallies what only it knows as it runs; [`SoakReport::counters`]
+    /// folds the rest over the cluster's health and event log.
+    #[derive(Default)]
+    pub struct SoakCounters {
+        /// Records ingested by ingest ops, churn feeds and single puts.
+        pub records_ingested: u64 => col("records_ingested", "ingested"),
+        /// Live records at the end of the run, summed over datasets.
+        pub live_records: u64 => col("live_records", "live"),
+        /// Point/put/delete/index operations of query batches and hotspots.
+        pub queries_run: u64 => col("queries_run", "queries"),
+        /// Deletes applied (a subset of `queries_run`).
+        pub deletes: u64 => col("deletes", "deletes"),
+        /// Churn events executed (each rebalances every dataset concurrently).
+        pub churn_events: usize => col("churn_events", "churn events"),
+        /// Rebalance jobs the churn events committed (events × datasets).
+        pub rebalances: usize => col("rebalances", "rebalances"),
+        /// Node crashes injected, all recovered: the `NodeCrashed` events.
+        pub crashes: u64 => col("crashes", "crashes"),
+        /// Transient ship failures injected by the fault plane (chaos mode).
+        pub transient_faults: u64 => col("transient_faults", "transients"),
+        /// Transfer attempts retried after a transient failure.
+        pub fault_retries: u64 => col("fault_retries", "retries"),
+        /// Bucket moves rerouted or canceled by `replan_wave` after a loss.
+        pub reroutes: u64 => col("reroutes", "reroutes"),
+        /// Buckets re-shipped from a live source after their destination died.
+        pub reshipped: u64 => col("reshipped", "reshipped"),
+        /// Nodes permanently lost (and re-planned around).
+        pub lost_nodes: usize => col("lost_nodes", "lost nodes"),
+        /// Data-holding nodes among the losses, each degrading a dataset.
+        pub established_losses: usize => col("established_losses", "established losses"),
+        /// Transfers speculatively re-executed as stragglers.
+        pub speculated: u64 => col("speculated", "speculated"),
+        /// Speculative backups that beat their original attempt.
+        pub speculation_wins: u64 => col("speculation_wins", "backups won"),
+        /// Repair jobs: the `Finalized` events that restored a bucket.
+        pub repairs: u64 => col("repairs", "repairs"),
+        /// Lost buckets restored from model-snapshot repair feeds.
+        pub repaired_buckets: u64 => col("repaired_buckets", "repaired buckets"),
+        /// Reads of a lost bucket answered with the typed degraded error.
+        pub degraded_reads: u64 => col("degraded_reads", "degraded reads"),
+        /// Writes refused because they routed to a lost bucket.
+        pub degraded_writes: u64 => col("degraded_writes", "degraded writes"),
+        /// Redirects absorbed by the long-lived sessions.
+        pub redirects: u64 => col("redirects", "redirects"),
+        /// Node count at the end of the run.
+        pub final_nodes: usize => col("final_nodes", "final nodes"),
+        /// Rebalances auto-triggered by the armed control plane.
+        pub auto_triggers: u64 => col("auto_triggers", "auto triggers"),
+        /// Auto-triggered rebalances that committed.
+        pub auto_commits: u64 => col("auto_commits", "auto commits"),
+        /// Hot buckets split by the control plane's heat budget.
+        pub hot_splits: u64 => col("hot_splits", "hot splits"),
+        /// Control decisions suppressed by hysteresis or cooldown.
+        pub suppressed: u64 => col("suppressed", "suppressed"),
+    }
+}
+
+/// Outcome of a soak run: what only the runner knows, beside the cluster's
+/// end-of-run health and event log.
+#[derive(Debug)]
 pub struct SoakReport {
-    /// The seed the run (and its generated script) derives from.
-    pub seed: u64,
+    /// The configuration the run (and its generated script) derives from.
+    pub cfg: SoakConfig,
     /// Ops executed before the run ended (== script length on success).
     pub steps_run: usize,
-    /// Records ingested across all datasets (ingest ops + churn feeds).
-    pub records_ingested: u64,
-    /// Live records at the end of the run, summed over datasets.
-    pub live_records: u64,
-    /// Point/put/delete/index operations executed by query batches.
-    pub queries_run: u64,
-    /// Deletes applied (subset of `queries_run`).
-    pub deletes: u64,
-    /// Churn events executed (each rebalances every dataset concurrently).
-    pub churn_events: usize,
-    /// Rebalance jobs committed (churn events × datasets).
-    pub rebalances: usize,
-    /// Node crashes injected (all recovered).
-    pub crashes: usize,
-    /// Transient ship failures injected by the fault plane (chaos mode).
-    pub transient_faults: u64,
-    /// Transfer attempts retried after a transient failure (every injected
-    /// transient must be absorbed by a retry, never an abort).
-    pub fault_retries: u64,
-    /// Bucket moves rerouted or canceled by `replan_wave` after a loss.
-    pub reroutes: u64,
-    /// Buckets re-shipped from live sources after losing their first
-    /// destination.
-    pub reshipped: u64,
-    /// Nodes permanently lost (and re-planned around) during the run.
-    pub lost_nodes: usize,
-    /// Established (data-holding) nodes among the losses: each one degraded
-    /// a dataset until its repair.
-    pub established_losses: usize,
-    /// Transfers speculatively re-executed as stragglers under a slow-node
-    /// fault.
-    pub speculated: u64,
-    /// Speculative backups that beat their original attempt.
-    pub speculation_wins: u64,
-    /// Repair jobs committed (one per dataset degraded by an established
-    /// loss).
-    pub repairs: u64,
-    /// Lost buckets restored from model-snapshot repair feeds.
-    pub repaired_buckets: u64,
-    /// Reads that hit a lost bucket during a degraded window and got the
-    /// typed error (never silently-empty data).
-    pub degraded_reads: u64,
-    /// Writes refused because they routed to a lost bucket (kept out of the
-    /// model, so the repair feed stays byte-exact).
-    pub degraded_writes: u64,
-    /// Buckets still degraded at the end of the run, one line per dataset
-    /// (`dataset N: [ids]`). Empty on a clean run — every loss repaired.
-    pub degraded: Vec<String>,
-    /// Total redirects absorbed by the long-lived sessions.
-    pub redirects: u64,
-    /// Node count at the end of the run.
-    pub final_nodes: u32,
-    /// Rebalances auto-triggered by the armed control plane.
-    pub auto_triggers: u64,
-    /// Auto-triggered rebalances that committed.
-    pub auto_commits: u64,
-    /// Hot buckets split by the control plane's heat budget.
-    pub hot_splits: u64,
-    /// Control-plane decisions suppressed by hysteresis or cooldown.
-    pub suppressed: u64,
-    /// Every control-plane decision of the run, oldest first (empty when
-    /// the plane is disarmed).
-    pub control_decisions: Vec<String>,
-    /// The jobs still in flight at the end of the run (a clean run drives
-    /// every job to finalize, so this is normally empty; on failure it shows
-    /// exactly how far the interrupted job got).
-    pub jobs: Vec<String>,
+    /// The runner's tallies; the columns the cluster knows stay zero here
+    /// and are folded in by [`SoakReport::counters`].
+    tally: SoakCounters,
+    /// Rebalances the armed plane committed inside hotspot steps: the
+    /// control gate's evidence that the hotspots, not the settle ticks after
+    /// a churn event, drove a decision cycle.
+    hotspot_commits: u64,
+    /// The cluster's health at the end of the run: its nodes, fault stats
+    /// and the jobs still in flight (none on a clean run).
+    pub health: ClusterHealth,
+    /// The cluster's event log.
+    pub events: Vec<Event>,
     /// Executed-op trace (one line per op), for failure replay.
     pub trace: Vec<String>,
     /// Invariant violations; empty on a clean run. The first entry carries
@@ -412,35 +373,131 @@ impl SoakReport {
         self.violations.is_empty()
     }
 
-    /// A replay banner: the seed plus the executed op trace.
+    /// Every counter of the run: the runner's tallies, and the rest folded
+    /// over the cluster's health and event log.
+    pub fn counters(&self) -> SoakCounters {
+        let faults = &self.health.stats;
+        let count =
+            |pred: &dyn Fn(&Event) -> bool| self.events.iter().filter(|e| pred(e)).count() as u64;
+        let decisions =
+            |pred: fn(&ControlDecision) -> bool| count(&|e| e.decision().is_some_and(pred));
+        SoakCounters {
+            crashes: count(&|e| matches!(e, Event::NodeCrashed { .. })),
+            transient_faults: faults.transient_faults,
+            fault_retries: faults.retries,
+            reroutes: faults.reroutes,
+            reshipped: faults.reshipped,
+            lost_nodes: faults.lost_nodes.len(),
+            speculated: faults.speculated,
+            speculation_wins: faults.speculation_wins,
+            repairs: count(&|e| matches!(e, Event::Finalized { repaired, .. } if *repaired > 0)),
+            repaired_buckets: faults.repaired_buckets,
+            final_nodes: self.health.nodes.len(),
+            auto_triggers: decisions(|d| matches!(d, ControlDecision::Triggered { .. })),
+            auto_commits: decisions(|d| matches!(d, ControlDecision::Committed { .. })),
+            hot_splits: decisions(|d| matches!(d, ControlDecision::HotSplit { .. })),
+            suppressed: decisions(|d| {
+                matches!(
+                    d,
+                    ControlDecision::SuppressedByHysteresis { .. }
+                        | ControlDecision::SuppressedByCooldown { .. }
+                )
+            }),
+            ..self.tally.clone()
+        }
+    }
+
+    /// The counters as a one-row table.
+    pub fn table(&self) -> Table {
+        Table::of("counters", &[self.counters()])
+    }
+
+    /// Buckets still degraded at the end of the run, one line per dataset
+    /// (`dataset N: [ids]`). Empty on a clean run — every loss repaired.
+    pub fn degraded(&self) -> Vec<String> {
+        let lost = self.health.stats.lost_buckets.iter();
+        lost.map(|(ds, b)| format!("dataset {ds}: {b:?}")).collect()
+    }
+
+    /// The gates a run must pass beyond zero violations; `Err` names the
+    /// first that failed, with every counter. Under chaos, faults were
+    /// actually injected, every transient was absorbed by a retry (an abort
+    /// would be a violation), every loss was re-planned, an established node
+    /// was lost and its buckets repaired — chaos alternates its losses, so
+    /// any profile with two grow events loses one — and nothing is left
+    /// degraded. Under control, the spliced query hotspots pushed the armed
+    /// plane through at least one full decision cycle: a trigger, and a
+    /// commit inside a hotspot step (the settle ticks after a churn event
+    /// trigger and commit rebalances without any hotspot).
+    pub fn gates(&self) -> Result<(), String> {
+        let c = self.counters();
+        let injected = c.transient_faults > 0 && c.lost_nodes > 0;
+        let repaired = c.established_losses > 0 && c.repaired_buckets > 0;
+        let chaos = [
+            (injected, "inject transients and lose a node"),
+            (
+                c.transient_faults == c.fault_retries,
+                "absorb every transient by a retry",
+            ),
+            (c.reroutes > 0, "re-plan around its losses"),
+            (repaired, "lose and repair an established node"),
+            (self.degraded().is_empty(), "end with nothing degraded"),
+        ];
+        let cycled = c.auto_triggers > 0 && self.hotspot_commits > 0;
+        let control = [(cycled, "commit an auto-triggered rebalance in a hotspot")];
+        let armed = [
+            (self.cfg.chaos, "chaos", &chaos[..]),
+            (self.cfg.control, "control", &control[..]),
+        ];
+        for (_, plane, gates) in armed.iter().filter(|(on, ..)| *on) {
+            if let Some((_, gate)) = gates.iter().find(|(held, _)| !held) {
+                return Err(format!("a {plane} soak must {gate}: {c:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// The machine-readable report: the configuration, the verdict, the
+    /// counters as the one row of the `counters` table, what is still
+    /// degraded, and the violations.
+    pub fn json(&self) -> Json {
+        let cfg = &self.cfg;
+        let strings = |lines: &[String]| Json::Arr(lines.iter().map(Json::str).collect());
+        let config = Json::obj([
+            ("seed", Json::str(format!("{:#x}", cfg.seed))),
+            ("nodes", Json::Int(cfg.nodes as u64)),
+            ("datasets", Json::Int(cfg.datasets as u64)),
+            ("key_universe", Json::Int(cfg.key_universe)),
+            ("target_ingest", Json::Int(cfg.target_ingest)),
+            ("zipf_s", Json::Num(cfg.zipf_s)),
+            ("steps", Json::Int(cfg.steps as u64)),
+            ("churn_events", Json::Int(cfg.churn_events as u64)),
+        ]);
+        Json::obj([
+            ("config", config),
+            ("passed", Json::Bool(self.passed())),
+            ("steps_run", Json::Int(self.steps_run as u64)),
+            ("chaos", Json::Bool(cfg.chaos)),
+            ("control", Json::Bool(cfg.control)),
+            ("counters", self.table().json()),
+            ("degraded", strings(&self.degraded())),
+            ("violations", strings(&self.violations)),
+        ])
+    }
+
+    /// A replay banner: the seed, the executed op trace, and what the
+    /// cluster was doing — jobs in flight, every control decision, buckets
+    /// still degraded — followed by the violations.
     pub fn failure_banner(&self) -> String {
-        let mut out = format!("soak seed {:#x} — executed ops:\n", self.seed);
-        for line in &self.trace {
-            out.push_str("  ");
-            out.push_str(line);
-            out.push('\n');
-        }
-        for j in &self.jobs {
-            out.push_str("job in flight: ");
-            out.push_str(j);
-            out.push('\n');
-        }
-        for d in &self.control_decisions {
-            out.push_str("control: ");
-            out.push_str(d);
-            out.push('\n');
-        }
-        for d in &self.degraded {
-            out.push_str("still degraded: ");
-            out.push_str(d);
-            out.push('\n');
-        }
-        for v in &self.violations {
-            out.push_str("violation: ");
-            out.push_str(v);
-            out.push('\n');
-        }
-        out
+        let trace = self.trace.iter().map(|t| format!("  {t}"));
+        let jobs = (self.health.jobs.iter()).map(|j| format!("job in flight: {j:?}"));
+        let decisions = self.events.iter().filter_map(Event::decision);
+        let control = decisions.map(|d| format!("control: {d:?}"));
+        let degraded = (self.degraded().into_iter()).map(|d| format!("still degraded: {d}"));
+        let violations = self.violations.iter().map(|v| format!("violation: {v}"));
+        let lines = trace.chain(jobs).chain(control).chain(degraded);
+        let lines = lines.chain(violations).map(|line| line + "\n");
+        format!("soak seed {:#x} — executed ops:\n", self.cfg.seed) + &lines.collect::<String>()
     }
 }
 
@@ -451,7 +508,7 @@ impl SoakReport {
 /// and the remaining slots filled with ingest bursts, query batches, index
 /// warming, and crash/recover drills. The total ingest volume is spread so
 /// the run lands on `cfg.target_ingest`.
-pub fn generate_scenario(cfg: &SoakConfig) -> Scenario {
+pub fn generate_scenario(cfg: &SoakConfig) -> Vec<ScenarioOp> {
     let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0x5ce2_a210);
     let mut ops: Vec<ScenarioOp> = Vec::new();
     let steps = cfg.steps.max(cfg.datasets + cfg.churn_events + 2);
@@ -471,25 +528,23 @@ pub fn generate_scenario(cfg: &SoakConfig) -> Scenario {
             records: 0, // sized below
         });
     }
+    let (max_moves, feed) = (cfg.max_moves, cfg.target_ingest / (steps as u64 * 8).max(1));
     while ops.len() < steps {
         let i = ops.len();
         if let Some(j) = churn_at.iter().position(|&p| p == i) {
             // one event in the middle of the run is a storm
-            if j == cfg.churn_events / 2 && cfg.churn_events > 1 {
-                ops.push(ScenarioOp::ChurnStorm {
+            ops.push(if j == cfg.churn_events / 2 && cfg.churn_events > 1 {
+                ScenarioOp::ChurnStorm {
                     rounds: 2,
-                    max_moves: cfg.max_moves,
-                    feed: cfg.target_ingest / (steps as u64 * 8).max(1),
-                });
+                    max_moves,
+                    feed,
+                }
             } else {
-                ops.push(ScenarioOp::Churn {
-                    max_moves: cfg.max_moves,
-                    feed: cfg.target_ingest / (steps as u64 * 8).max(1),
-                });
-            }
+                ScenarioOp::Churn { max_moves, feed }
+            });
             continue;
         }
-        let d = rng.gen_range(0..cfg.datasets as u64) as usize;
+        let d = rng.gen_index(cfg.datasets);
         match rng.gen_range(0..10) {
             0..=4 => ops.push(ScenarioOp::Ingest {
                 dataset: d,
@@ -515,10 +570,7 @@ pub fn generate_scenario(cfg: &SoakConfig) -> Scenario {
         })
         .sum();
     for _ in scripted..cfg.churn_events {
-        ops.push(ScenarioOp::Churn {
-            max_moves: cfg.max_moves,
-            feed: 0,
-        });
+        ops.push(ScenarioOp::Churn { max_moves, feed: 0 });
     }
 
     // Spread the ingest target over the ingest slots (churn feeds are
@@ -542,23 +594,17 @@ pub fn generate_scenario(cfg: &SoakConfig) -> Scenario {
     // `cfg.control` never perturbs which ops the seed draws — the control
     // run is the base run plus hotspots, nothing reshuffled.
     if cfg.control {
-        let rounds = 8;
-        let per_round = (cfg.queries_per_step * 8).max(256);
+        let hotspot = ScenarioOp::Hotspot {
+            dataset: 0,
+            ops: (cfg.queries_per_step * 8).max(256),
+            rounds: 8,
+        };
         for (i, frac) in [(1usize, 3usize), (2, 3)].iter().enumerate() {
             let at = (ops.len() * frac.0 / frac.1).max(cfg.datasets + 1) + i;
-            let at = at.min(ops.len());
-            ops.insert(
-                at,
-                ScenarioOp::Hotspot {
-                    dataset: 0,
-                    ops: per_round,
-                    rounds,
-                },
-            );
+            ops.insert(at.min(ops.len()), hotspot.clone());
         }
     }
-
-    Scenario::new(format!("soak-{:#x}", cfg.seed), ops)
+    ops
 }
 
 // ---------------------------------------------------------------- runner
@@ -580,20 +626,15 @@ struct Runner<'a> {
     keygen: KeyGen,
     rng: SplitMix64,
     version: u64,
-    ingested: u64,
-    queries: u64,
-    deletes: u64,
-    churn: usize,
-    rebalances: usize,
-    crashes: usize,
     /// Chaos grow events seen so far; the loss alternates deterministically
     /// between the freshly added node (even counts) and an established
     /// data-holding node (odd counts).
     chaos_grows: usize,
-    established_losses: usize,
-    repairs: u64,
-    degraded_reads: u64,
-    degraded_writes: u64,
+    /// The per-op tallies only the runner knows (the columns the cluster
+    /// knows stay zero).
+    tally: SoakCounters,
+    /// Rebalances the plane committed inside hotspot steps.
+    hotspot_commits: u64,
     /// The armed control plane (None when `cfg.control` is off). Only
     /// ticked inside [`ScenarioOp::Hotspot`] and the post-loss repair
     /// drain, so auto-triggered jobs never overlap the churn events'
@@ -644,15 +685,13 @@ impl<'a> Runner<'a> {
             let id = cluster
                 .create_dataset(spec)
                 .map_err(|e| format!("create_dataset {d}: {e}"))?;
+            let model = BTreeMap::new();
+            datasets.push(DatasetState { id, model });
             sessions.push(
                 cluster
                     .session(id)
                     .map_err(|e| format!("session {d}: {e}"))?,
             );
-            datasets.push(DatasetState {
-                id,
-                model: BTreeMap::new(),
-            });
         }
         let plane = if cfg.control {
             cluster.set_heat_tracking(true);
@@ -668,24 +707,16 @@ impl<'a> Runner<'a> {
             None
         };
         Ok(Runner {
-            keygen: KeyGen::new(cfg.key_universe, KeyDist::Zipfian { s: cfg.zipf_s }, true),
+            keygen: KeyGen::new(cfg.key_universe, cfg.zipf_s),
             rng: SplitMix64::seed_from_u64(cfg.seed ^ 0x50a4_0001),
             cfg,
             cluster,
             datasets,
             sessions,
             version: 0,
-            ingested: 0,
-            queries: 0,
-            deletes: 0,
-            churn: 0,
-            rebalances: 0,
-            crashes: 0,
             chaos_grows: 0,
-            established_losses: 0,
-            repairs: 0,
-            degraded_reads: 0,
-            degraded_writes: 0,
+            tally: SoakCounters::default(),
+            hotspot_commits: 0,
             plane,
         })
     }
@@ -720,12 +751,8 @@ impl<'a> Runner<'a> {
                 self.churn_event(Some(false), *max_moves, 0)
             }
             ScenarioOp::WarmIndexes => {
-                let ds = self.datasets[0].id;
-                self.cluster
-                    .admin()
-                    .warm_indexes(ds)
-                    .map(|_| ())
-                    .map_err(|e| format!("warm_indexes: {e}"))
+                let warmed = self.cluster.admin().warm_indexes(self.datasets[0].id);
+                warmed.map(|_| ()).map_err(|e| format!("warm_indexes: {e}"))
             }
             ScenarioOp::CrashRecover => self.op_crash_recover(),
             ScenarioOp::Hotspot {
@@ -748,8 +775,7 @@ impl<'a> Runner<'a> {
         }
         match self.sessions[d].ingest(&mut self.cluster, batch) {
             Ok(_) => {
-                self.datasets[d].model.extend(staged);
-                self.ingested += n;
+                self.landed(d, staged);
                 Ok(())
             }
             Err(e) if self.write_unavailable(d, &e) => {
@@ -757,27 +783,46 @@ impl<'a> Runner<'a> {
                 // buckets a dead node took down — lost ones (typed degraded
                 // error) or ones still awaiting relocation off the corpse
                 // (NodeDown until the re-planned rebalance commits). Retry
-                // record by record so each put's own verdict decides, and
-                // keep every refused record out of the model — that
-                // exclusion is what keeps the model snapshot byte-exact as
-                // a repair feed.
+                // record by record so each put's own verdict decides.
                 for (key, version) in staged {
-                    let v = value_for(key, version, len);
-                    match self.sessions[d].put(&mut self.cluster, Key::from_u64(key), v) {
-                        Ok(_) => {
-                            self.datasets[d].model.insert(key, version);
-                            self.ingested += 1;
-                        }
-                        Err(e) if self.write_unavailable(d, &e) => self.degraded_writes += 1,
-                        Err(e) => {
-                            return Err(format!("degraded-window put {key} into dataset {d}: {e}"))
-                        }
-                    }
+                    self.put(d, key, version)?;
                 }
                 Ok(())
             }
             Err(e) => Err(format!("ingest of {n} into dataset {d}: {e}")),
         }
+    }
+
+    /// Records writes of `(key, version)` that landed on dataset `d`.
+    fn landed(&mut self, d: usize, writes: impl IntoIterator<Item = (u64, u64)>) {
+        for (key, version) in writes {
+            self.datasets[d].model.insert(key, version);
+            self.tally.records_ingested += 1;
+        }
+    }
+
+    /// Puts `key` at `version` through dataset `d`'s session: `Ok(true)`
+    /// once it landed, `Ok(false)` when it was [refused](Runner::refused).
+    /// A refused record stays out of the model, and that exclusion is what
+    /// keeps the model snapshot byte-exact as a repair feed.
+    fn put(&mut self, d: usize, key: u64, version: u64) -> Result<bool, String> {
+        let value = value_for(key, version, self.cfg.value_len());
+        match self.sessions[d].put(&mut self.cluster, Key::from_u64(key), value) {
+            Ok(_) => {
+                self.landed(d, [(key, version)]);
+                Ok(true)
+            }
+            Err(e) if self.refused(d, &e) => Ok(false),
+            Err(e) => Err(format!("put {key} into dataset {d}: {e}")),
+        }
+    }
+
+    /// True — and counted as a degraded write — when `e` refused a write
+    /// the way [`Runner::write_unavailable`] allows.
+    fn refused(&mut self, d: usize, e: &ClusterError) -> bool {
+        let refused = self.write_unavailable(d, e);
+        self.tally.degraded_writes += u64::from(refused);
+        refused
     }
 
     /// True when `e` is a refusal writes may legitimately hit while a dead
@@ -786,84 +831,60 @@ impl<'a> Runner<'a> {
     /// off the corpse — and only while some node genuinely is dead.
     /// Anything else stays a violation.
     fn write_unavailable(&self, d: usize, e: &ClusterError) -> bool {
-        if self.degraded_hit(d, e) {
-            return true;
-        }
-        let some_node_dead = self
-            .cluster
-            .topology()
-            .nodes()
-            .iter()
-            .any(|n| !self.cluster.node_is_alive(*n));
-        some_node_dead && matches!(e, ClusterError::NodeDown(_) | ClusterError::NodeLost(_))
+        let dead = |n: &NodeId| !self.cluster.node_is_alive(*n);
+        let relocating = matches!(e, ClusterError::NodeDown(_) | ClusterError::NodeLost(_));
+        self.degraded_hit(d, e) || (relocating && self.cluster.topology().nodes().iter().any(dead))
     }
 
     /// True when `e` is the typed degraded error for a bucket the fault
     /// stats actually track as lost on dataset `d` — anything else stays a
     /// violation.
     fn degraded_hit(&self, d: usize, e: &ClusterError) -> bool {
-        match e {
-            ClusterError::BucketDegraded { dataset, bucket } => {
-                *dataset == self.datasets[d].id
-                    && self
-                        .cluster
-                        .fault_stats()
-                        .degraded_buckets(*dataset)
-                        .contains(bucket)
+        let ClusterError::BucketDegraded { dataset, bucket } = e else {
+            return false;
+        };
+        let lost = || self.cluster.fault_stats().degraded_buckets(*dataset);
+        *dataset == self.datasets[d].id && lost().contains(bucket)
+    }
+
+    /// Reads `key` through dataset `d`'s session and compares it with the
+    /// model. A typed degraded answer for a genuinely lost bucket is correct
+    /// service — counted, not a violation. `when` names the read in a
+    /// violation.
+    fn checked_get(&mut self, d: usize, key: u64, when: &str) -> StepResult {
+        let got = match self.sessions[d].get(&self.cluster, &Key::from_u64(key)) {
+            Ok(got) => got,
+            Err(e) if self.degraded_hit(d, &e) => {
+                self.tally.degraded_reads += 1;
+                return Ok(());
             }
-            _ => false,
+            Err(e) => return Err(format!("{when}: get {key} on dataset {d}: {e}")),
+        };
+        let model = self.datasets[d].model.get(&key);
+        let want = model.map(|v| value_for(key, *v, self.cfg.value_len()));
+        if got != want {
+            return Err(format!(
+                "{when}: dataset {d} key {key}: read {got:?}, model says {want:?}"
+            ));
         }
+        Ok(())
     }
 
     fn op_queries(&mut self, d: usize, ops: u64) -> StepResult {
-        let len = self.cfg.value_len();
         for _ in 0..ops {
-            self.queries += 1;
+            self.tally.queries_run += 1;
             match self.rng.gen_range(0..8) {
-                // point read, present or absent, against the model; a typed
-                // degraded answer for a genuinely lost bucket is correct
-                // service, not a violation
+                // point read, present or absent, against the model
                 0..=4 => {
                     let key = self.keygen.draw(&mut self.rng);
-                    let got = match self.sessions[d].get(&self.cluster, &Key::from_u64(key)) {
-                        Ok(got) => got,
-                        Err(e) if self.degraded_hit(d, &e) => {
-                            self.degraded_reads += 1;
-                            continue;
-                        }
-                        Err(e) => return Err(format!("get {key} on dataset {d}: {e}")),
-                    };
-                    let want = self.datasets[d]
-                        .model
-                        .get(&key)
-                        .map(|v| value_for(key, *v, len));
-                    if got != want {
-                        return Err(format!(
-                            "dataset {d} key {key}: read {got:?}, model says {want:?}"
-                        ));
-                    }
+                    self.checked_get(d, key, "point read")?;
                 }
-                // single put with read-your-writes; a refused degraded write
-                // leaves the model untouched so the repair feed stays exact
+                // single put with read-your-writes
                 5 => {
                     let key = self.keygen.draw(&mut self.rng);
                     self.version += 1;
-                    let v = value_for(key, self.version, len);
-                    match self.sessions[d].put(&mut self.cluster, Key::from_u64(key), v.clone()) {
-                        Ok(_) => {}
-                        Err(e) if self.degraded_hit(d, &e) => {
-                            self.degraded_writes += 1;
-                            continue;
-                        }
-                        Err(e) => return Err(format!("put {key} on dataset {d}: {e}")),
-                    }
-                    self.datasets[d].model.insert(key, self.version);
-                    self.ingested += 1;
-                    let got = self.sessions[d]
-                        .get(&self.cluster, &Key::from_u64(key))
-                        .map_err(|e| format!("read-back {key} on dataset {d}: {e}"))?;
-                    if got.as_ref() != Some(&v) {
-                        return Err(format!("dataset {d} lost its own write of key {key}"));
+                    if self.put(d, key, self.version)? {
+                        self.checked_get(d, key, "read-your-writes")?;
                     }
                 }
                 // delete, checked against the model; the model entry only
@@ -874,10 +895,7 @@ impl<'a> Runner<'a> {
                     let hit = match self.sessions[d].delete(&mut self.cluster, &Key::from_u64(key))
                     {
                         Ok(hit) => hit,
-                        Err(e) if self.degraded_hit(d, &e) => {
-                            self.degraded_writes += 1;
-                            continue;
-                        }
+                        Err(e) if self.refused(d, &e) => continue,
                         Err(e) => return Err(format!("delete {key} on dataset {d}: {e}")),
                     };
                     if hit != was.is_some() {
@@ -887,7 +905,7 @@ impl<'a> Runner<'a> {
                     }
                     if was.is_some() {
                         self.datasets[d].model.remove(&key);
-                        self.deletes += 1;
+                        self.tally.deletes += 1;
                     }
                 }
                 // bounded secondary range scan on the indexed dataset
@@ -918,7 +936,7 @@ impl<'a> Runner<'a> {
 
     fn op_crash_recover(&mut self) -> StepResult {
         let nodes = self.cluster.topology().nodes();
-        let victim = nodes[self.rng.gen_range(0..nodes.len() as u64) as usize];
+        let victim = nodes[self.rng.gen_index(nodes.len())];
         self.cluster
             .crash_node(victim)
             .map_err(|e| format!("crash {victim}: {e}"))?;
@@ -926,7 +944,6 @@ impl<'a> Runner<'a> {
             return Err(format!("{victim} still alive after crash"));
         }
         self.cluster.recover_all_nodes();
-        self.crashes += 1;
         self.sampled_session_reads("after crash/recover")
     }
 
@@ -937,21 +954,38 @@ impl<'a> Runner<'a> {
     /// heat-aware migration. Afterwards the plane is ticked until idle and
     /// every auto-committed rebalance is integrity-checked.
     fn op_hotspot(&mut self, d: usize, ops: u64, rounds: u64) -> StepResult {
-        let Some(mut plane) = self.plane.take() else {
+        if self.plane.is_none() {
             return Ok(());
-        };
+        }
         let since = self.cluster.events(0).len();
-        let result = self.drive_hotspot(&mut plane, d, ops, rounds);
-        self.plane = Some(plane);
-        result?;
-        self.check_auto_commits(since, "after hotspot")?;
+        self.with_plane("after hotspot", |runner, plane| {
+            plane.map_or(Ok(()), |plane| runner.drive_hotspot(plane, d, ops, rounds))
+        })?;
+        let decisions = self
+            .cluster
+            .events(since)
+            .iter()
+            .filter_map(Event::decision);
+        let committed = decisions.filter(|d| matches!(d, ControlDecision::Committed { .. }));
+        self.hotspot_commits += committed.count() as u64;
         self.sampled_reads_on(d, "after hotspot")?;
         self.deep_checks("after hotspot event")
     }
 
-    /// Runs the integrity battery the churn events' hand-driven jobs pass on
-    /// every rebalance the plane committed since event `since`.
-    fn check_auto_commits(&self, since: usize, when: &str) -> StepResult {
+    /// Runs `step` with the control plane lent out (so `step` may borrow the
+    /// runner too), then runs the integrity battery the churn events'
+    /// hand-driven jobs pass on every rebalance the plane committed
+    /// meanwhile.
+    fn with_plane<T>(
+        &mut self,
+        when: &str,
+        step: impl FnOnce(&mut Self, Option<&mut ControlPlane>) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let since = self.cluster.events(0).len();
+        let mut plane = self.plane.take();
+        let result = step(self, plane.as_mut());
+        self.plane = plane;
+        let out = result?;
         for event in self.cluster.events(since) {
             if let Some(ControlDecision::Committed {
                 dataset, rebalance, ..
@@ -962,7 +996,7 @@ impl<'a> Runner<'a> {
                     .map_err(|e| format!("{when}: integrity of auto rebalance {rebalance}: {e}"))?;
             }
         }
-        Ok(())
+        Ok(out)
     }
 
     fn drive_hotspot(
@@ -972,27 +1006,14 @@ impl<'a> Runner<'a> {
         ops: u64,
         rounds: u64,
     ) -> StepResult {
-        let len = self.cfg.value_len();
         // Three fixed keys: hot enough to stand out, few enough that the
         // heat lands on at most three buckets.
         let hot: Vec<u64> = (0..3).map(|_| self.keygen.draw(&mut self.rng)).collect();
         for round in 0..rounds {
             for i in 0..ops {
-                self.queries += 1;
+                self.tally.queries_run += 1;
                 let key = hot[(i % hot.len() as u64) as usize];
-                let got = self.sessions[d]
-                    .get(&self.cluster, &Key::from_u64(key))
-                    .map_err(|e| format!("hot get {key} on dataset {d}: {e}"))?;
-                let want = self.datasets[d]
-                    .model
-                    .get(&key)
-                    .map(|v| value_for(key, *v, len));
-                if got != want {
-                    return Err(format!(
-                        "hotspot round {round}: dataset {d} key {key}: read {got:?}, \
-                         model says {want:?}"
-                    ));
-                }
+                self.checked_get(d, key, &format!("hotspot round {round}"))?;
             }
             plane
                 .tick(&mut self.cluster)
@@ -1013,11 +1034,7 @@ impl<'a> Runner<'a> {
             plane
                 .tick(&mut self.cluster)
                 .map_err(|e| format!("control tick settling {when}: {e}"))?;
-            let mut decisions = self
-                .cluster
-                .events(since)
-                .iter()
-                .filter_map(Event::decision);
+            let mut decisions = (self.cluster.events(since).iter()).filter_map(Event::decision);
             let busy = plane.job_in_flight()
                 || decisions.any(|dec| {
                     !matches!(
@@ -1043,17 +1060,7 @@ impl<'a> Runner<'a> {
     /// the plane's health tick auto-triggers the repair; without one the
     /// admin one-shot runs directly. Returns the number of buckets
     /// restored.
-    fn repair_degraded(&mut self, when: &str) -> Result<u64, String> {
-        let since = self.cluster.events(0).len();
-        let mut plane = self.plane.take();
-        let result = self.repair_degraded_inner(plane.as_mut(), when);
-        self.plane = plane;
-        let repaired = result?;
-        self.check_auto_commits(since, when)?;
-        Ok(repaired)
-    }
-
-    fn repair_degraded_inner(
+    fn repair_degraded(
         &mut self,
         mut plane: Option<&mut ControlPlane>,
         when: &str,
@@ -1101,7 +1108,6 @@ impl<'a> Runner<'a> {
                     }
                 }
             }
-            self.repairs += 1;
         }
         // The repair ticks may also have let the plane start a heat-driven
         // migration; drain it so the event ends with no job in flight.
@@ -1127,12 +1133,8 @@ impl<'a> Runner<'a> {
                 .map_err(|e| format!("add_node: {e}"))?;
             (self.cluster.topology().clone(), None, Some(n))
         } else {
-            let victim = *self
-                .cluster
-                .topology()
-                .nodes()
-                .last()
-                .ok_or("empty topology")?;
+            let nodes = self.cluster.topology().nodes();
+            let victim = *nodes.last().ok_or("empty topology")?;
             (self.cluster.topology_without(victim), Some(victim), None)
         };
 
@@ -1146,24 +1148,21 @@ impl<'a> Runner<'a> {
             jobs.push(job);
         }
 
-        // The fault schedule for this event. Every decision is drawn from
-        // the scenario rng, so the same seed replays the same faults at the
-        // same wave boundaries. Chaos mode layers transient ship failures
-        // (capped below the retry budget, so always absorbed) and one slow
-        // node (absorbed by straggler speculation) on top, and turns the
-        // grow-side crash into a permanent loss: even-numbered chaos grows
-        // lose the node just added — a pure destination, which re-planning
-        // cancels back to the live sources with zero data loss — while
-        // odd-numbered grows lose an established node, taking the sole
-        // copies of its resident buckets with it and opening the degraded
-        // window the repair plane exists for.
+        // The fault schedule for this event, drawn from the scenario rng so
+        // the same seed replays the same faults at the same wave boundaries.
+        // Chaos adds transient ship failures (capped below the retry budget,
+        // so always absorbed) and a slow node (absorbed by speculation), and
+        // makes the grow-side fault a permanent loss: even-numbered chaos
+        // grows lose the node just added — a pure destination, re-planned
+        // back to the live sources with zero data loss — and odd-numbered
+        // ones an established node, whose resident buckets die with it and
+        // open the degraded window the repair plane exists for.
         let mut schedule = FaultSchedule::seeded(self.rng.next_u64());
-        let mut to_lose: Option<NodeId> = None;
-        let mut lost: Option<NodeId> = None;
+        let (mut to_lose, mut lost) = (None, None);
         if self.cfg.chaos {
             schedule = schedule.with_transient(150, 2);
             let nodes = self.cluster.topology().nodes();
-            let slow = nodes[self.rng.gen_range(0..nodes.len() as u64) as usize];
+            let slow = nodes[self.rng.gen_index(nodes.len())];
             schedule = schedule.with_slow_node(slow, 8);
         }
         match new_node {
@@ -1171,14 +1170,9 @@ impl<'a> Runner<'a> {
                 // Always after the first round: every rebalance with moves
                 // runs at least one, so the loss is guaranteed to fire.
                 let victim = if self.chaos_grows % 2 == 1 {
-                    let established: Vec<NodeId> = self
-                        .cluster
-                        .topology()
-                        .nodes()
-                        .into_iter()
-                        .filter(|m| *m != n)
-                        .collect();
-                    established[self.rng.gen_range(0..established.len() as u64) as usize]
+                    let mut established = self.cluster.topology().nodes();
+                    established.retain(|m| *m != n);
+                    established[self.rng.gen_index(established.len())]
                 } else {
                     n
                 };
@@ -1189,8 +1183,8 @@ impl<'a> Runner<'a> {
             _ => {
                 if self.rng.gen_range(0..2) == 0 {
                     let nodes = self.cluster.topology().nodes();
-                    let n = nodes[self.rng.gen_range(0..nodes.len() as u64) as usize];
-                    let round = self.rng.gen_range(0..2) as usize;
+                    let n = nodes[self.rng.gen_index(nodes.len())];
+                    let round = self.rng.gen_index(2);
                     schedule =
                         schedule.with_fault(StepPoint::AfterWave(round), Fault::RestartNode(n));
                 }
@@ -1221,12 +1215,10 @@ impl<'a> Runner<'a> {
                 .cluster
                 .fire_faults(StepPoint::AfterWave(round), &mut jobs)
                 .map_err(|e| format!("mid-rebalance fault after round {round}: {e}"))?;
-            if fired > 0 {
+            if fired > 0 && to_lose.is_some() {
                 lost = to_lose;
-                match to_lose {
-                    Some(n) if Some(n) != new_node => self.established_losses += 1,
-                    Some(_) => {}
-                    None => self.crashes += 1,
+                if to_lose != new_node {
+                    self.tally.established_losses += 1;
                 }
             }
             if feed > 0 {
@@ -1236,7 +1228,7 @@ impl<'a> Runner<'a> {
             }
             round += 1;
         }
-        self.cluster.clear_fault_plane();
+        self.cluster.set_fault_plane(FaultSchedule::none());
 
         let mut buckets_moved = 0usize;
         let mut finished = Vec::new();
@@ -1250,7 +1242,7 @@ impl<'a> Runner<'a> {
             }
             buckets_moved += report.buckets_moved;
             finished.push((ds, report.rebalance_id));
-            self.rebalances += 1;
+            self.tally.rebalances += 1;
         }
         // A lost node must leave the topology before the integrity battery
         // runs: its orphaned partitions would otherwise double-count the
@@ -1276,8 +1268,10 @@ impl<'a> Runner<'a> {
         // If the loss took established buckets down with it, repair every
         // degraded dataset before the event ends: the soak's contract is
         // that degraded windows are transient.
-        let repaired = self.repair_degraded("after churn event")?;
-        self.churn += 1;
+        let when = "after churn event";
+        let repaired =
+            self.with_plane(when, |runner, plane| runner.repair_degraded(plane, when))?;
+        self.tally.churn_events += 1;
 
         // Convergence: the stale sessions must absorb the move within the
         // redirect bound while answering correctly. A repair installs its
@@ -1294,7 +1288,7 @@ impl<'a> Runner<'a> {
                 ));
             }
         }
-        self.deep_checks("after churn event")
+        self.deep_checks(when)
     }
 
     // ------------------------------------------------------ invariants
@@ -1336,26 +1330,9 @@ impl<'a> Runner<'a> {
     }
 
     fn sampled_reads_on(&mut self, d: usize, when: &str) -> StepResult {
-        let len = self.cfg.value_len();
         for _ in 0..self.cfg.sample_reads {
             let key = self.keygen.draw(&mut self.rng);
-            let got = match self.sessions[d].get(&self.cluster, &Key::from_u64(key)) {
-                Ok(got) => got,
-                Err(e) if self.degraded_hit(d, &e) => {
-                    self.degraded_reads += 1;
-                    continue;
-                }
-                Err(e) => return Err(format!("{when}: get {key} on dataset {d}: {e}")),
-            };
-            let want = self.datasets[d]
-                .model
-                .get(&key)
-                .map(|v| value_for(key, *v, len));
-            if got != want {
-                return Err(format!(
-                    "{when}: dataset {d} key {key}: read {got:?}, model says {want:?}"
-                ));
-            }
+            self.checked_get(d, key, when)?;
         }
         Ok(())
     }
@@ -1425,44 +1402,40 @@ impl<'a> Runner<'a> {
 
 // ------------------------------------------------------------------ entry
 
-/// How many control decisions in `cluster`'s event log `pred` accepts.
-fn count_decisions(cluster: &Cluster, pred: fn(&ControlDecision) -> bool) -> u64 {
-    let decisions = cluster.events(0).iter().filter_map(Event::decision);
-    decisions.filter(|d| pred(d)).count() as u64
-}
-
-/// Executes a scenario script under `cfg`, checking the continuous
+/// Executes the script `ops` under `cfg`, checking the continuous
 /// invariants between every pair of ops and the deep battery at the end.
 /// Never panics on an invariant violation — the report carries the trace
 /// and violations instead (a panic escaping the cluster is converted too).
-pub fn run_scenario(cfg: &SoakConfig, scenario: &Scenario) -> SoakReport {
-    let mut trace = Vec::new();
-    let mut violations = Vec::new();
-    let mut steps_run = 0usize;
-
+pub fn run_scenario(cfg: &SoakConfig, ops: &[ScenarioOp]) -> SoakReport {
+    let mut report = SoakReport {
+        cfg: *cfg,
+        steps_run: 0,
+        tally: SoakCounters::default(),
+        hotspot_commits: 0,
+        health: ClusterHealth::default(),
+        events: Vec::new(),
+        trace: Vec::new(),
+        violations: Vec::new(),
+    };
     let mut runner = match Runner::new(cfg) {
         Ok(r) => r,
         Err(v) => {
-            return SoakReport {
-                seed: cfg.seed,
-                trace,
-                violations: vec![v],
-                ..SoakReport::default()
-            };
+            report.violations.push(v);
+            return report;
         }
     };
 
-    for (i, op) in scenario.ops.iter().enumerate() {
-        trace.push(format!("step {i}: {op:?}"));
+    for (i, op) in ops.iter().enumerate() {
+        report.trace.push(format!("step {i}: {op:?}"));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             runner.exec(op).and_then(|()| {
                 runner.continuous_checks(&format!("continuous checks after step {i}"))
             })
         }));
         match outcome {
-            Ok(Ok(())) => steps_run += 1,
+            Ok(Ok(())) => report.steps_run += 1,
             Ok(Err(v)) => {
-                violations.push(format!("step {i} ({op:?}): {v}"));
+                report.violations.push(format!("step {i} ({op:?}): {v}"));
                 break;
             }
             Err(panic) => {
@@ -1471,73 +1444,29 @@ pub fn run_scenario(cfg: &SoakConfig, scenario: &Scenario) -> SoakReport {
                     .map(String::as_str)
                     .or_else(|| panic.downcast_ref::<&str>().copied())
                     .unwrap_or("<non-string panic>");
-                violations.push(format!("step {i} ({op:?}) panicked: {msg}"));
+                report
+                    .violations
+                    .push(format!("step {i} ({op:?}) panicked: {msg}"));
                 break;
             }
         }
     }
-    if violations.is_empty() {
-        if let Err(v) = runner.deep_checks("end of run") {
-            violations.push(v);
-        }
-    }
-    if violations.is_empty() {
-        if let Err(v) = runner.final_scan_check() {
-            violations.push(v);
+    if report.passed() {
+        let end = runner.deep_checks("end of run");
+        if let Err(v) = end.and_then(|()| runner.final_scan_check()) {
+            report.violations.push(v);
         }
     }
 
-    let live = runner.datasets.iter().map(|d| d.model.len() as u64).sum();
-    let redirects = runner.sessions.iter().map(|s| s.metrics().redirects).sum();
-    let faults = runner.cluster.fault_stats();
-    let jobs = runner.cluster.admin().health().jobs;
-    let count = |pred| count_decisions(&runner.cluster, pred);
-    let decisions = runner.cluster.events(0).iter().filter_map(Event::decision);
-    SoakReport {
-        seed: cfg.seed,
-        steps_run,
-        records_ingested: runner.ingested,
-        live_records: live,
-        queries_run: runner.queries,
-        deletes: runner.deletes,
-        churn_events: runner.churn,
-        rebalances: runner.rebalances,
-        crashes: runner.crashes,
-        transient_faults: faults.transient_faults,
-        fault_retries: faults.retries,
-        reroutes: faults.reroutes,
-        reshipped: faults.reshipped,
-        lost_nodes: faults.lost_nodes.len(),
-        established_losses: runner.established_losses,
-        speculated: faults.speculated,
-        speculation_wins: faults.speculation_wins,
-        repairs: runner.repairs,
-        repaired_buckets: faults.repaired_buckets,
-        degraded_reads: runner.degraded_reads,
-        degraded_writes: runner.degraded_writes,
-        degraded: faults
-            .lost_buckets
-            .iter()
-            .filter(|(_, b)| !b.is_empty())
-            .map(|(ds, b)| format!("dataset {ds}: {b:?}"))
-            .collect(),
-        redirects,
-        final_nodes: runner.cluster.topology().num_nodes() as u32,
-        auto_triggers: count(|d| matches!(d, ControlDecision::Triggered { .. })),
-        auto_commits: count(|d| matches!(d, ControlDecision::Committed { .. })),
-        hot_splits: count(|d| matches!(d, ControlDecision::HotSplit { .. })),
-        suppressed: count(|d| {
-            matches!(
-                d,
-                ControlDecision::SuppressedByHysteresis { .. }
-                    | ControlDecision::SuppressedByCooldown { .. }
-            )
-        }),
-        control_decisions: decisions.map(|d| format!("{d:?}")).collect(),
-        jobs: jobs.iter().map(|j| format!("{j:?}")).collect(),
-        trace,
-        violations,
-    }
+    report.tally = SoakCounters {
+        live_records: runner.datasets.iter().map(|d| d.model.len() as u64).sum(),
+        redirects: runner.sessions.iter().map(|s| s.metrics().redirects).sum(),
+        ..runner.tally
+    };
+    report.hotspot_commits = runner.hotspot_commits;
+    report.health = runner.cluster.admin().health();
+    report.events = runner.cluster.events(0).to_vec();
+    report
 }
 
 /// Generates the seeded script for `cfg` and runs it.
@@ -1551,7 +1480,7 @@ mod tests {
 
     #[test]
     fn zipfian_keygen_is_skewed_and_stable() {
-        let keygen = KeyGen::new(1 << 16, KeyDist::Zipfian { s: 1.1 }, true);
+        let keygen = KeyGen::new(1 << 16, 1.1);
         let mut rng = SplitMix64::seed_from_u64(7);
         let mut counts: BTreeMap<u64, u64> = BTreeMap::new();
         for _ in 0..20_000 {
@@ -1569,7 +1498,6 @@ mod tests {
         let cfg = SoakConfig::smoke(42);
         let s = generate_scenario(&cfg);
         let ingest: u64 = s
-            .ops
             .iter()
             .map(|op| match op {
                 ScenarioOp::Ingest { records, .. } => *records,
@@ -1578,7 +1506,6 @@ mod tests {
             .sum();
         assert_eq!(ingest, cfg.target_ingest);
         let churn: usize = s
-            .ops
             .iter()
             .map(|op| match op {
                 ScenarioOp::Churn { .. } => 1,
@@ -1589,127 +1516,104 @@ mod tests {
         assert!(churn >= cfg.churn_events, "{churn} churn events scripted");
         // the script is a pure function of the config
         let again = generate_scenario(&cfg);
-        assert_eq!(format!("{:?}", s.ops), format!("{:?}", again.ops));
+        assert_eq!(format!("{s:?}"), format!("{again:?}"));
+    }
+
+    /// The smoke chaos profile with buckets small enough to move.
+    fn chaos_smoke(seed: u64) -> SoakConfig {
+        SoakConfig {
+            chaos: true,
+            // The stock smoke profile is too small to split buckets, so
+            // churn plans no moves and the mid-movement faults have nothing
+            // to hit; shrink the bucket cap until rebalances transfer data.
+            max_bucket_bytes: 4 * 1024,
+            ..SoakConfig::smoke(seed)
+        }
     }
 
     #[test]
     fn chaos_smoke_soak_replans_losses_and_stays_clean() {
-        let mut cfg = SoakConfig::smoke(0x50a6_0002);
-        cfg.chaos = true;
-        // The stock smoke profile is too small to split buckets, so churn
-        // plans no moves and the mid-movement faults have nothing to hit;
-        // shrink the bucket cap until rebalances actually transfer data.
-        cfg.max_bucket_bytes = 4 * 1024;
+        let cfg = chaos_smoke(0x50a6_0002);
         let report = run_soak(&cfg);
         assert!(report.passed(), "{}", report.failure_banner());
-        assert!(report.lost_nodes >= 1, "chaos run must lose a node");
-        assert!(report.reroutes >= 1, "a loss must be re-planned");
-        assert_eq!(
-            report.transient_faults, report.fault_retries,
-            "every injected transient must be absorbed by a retry"
-        );
-        assert!(
-            report.degraded.is_empty(),
-            "no dataset may end the run degraded: {:?}",
-            report.degraded
-        );
-        if report.established_losses > 0 {
-            assert!(
-                report.repaired_buckets > 0,
-                "an established-node loss must force a repair"
-            );
-        }
+        assert_eq!(report.gates(), Ok(()), "{}", report.failure_banner());
         // identical seed without chaos: the fault counters stay zero
-        let mut quiet = cfg;
-        quiet.chaos = false;
-        let baseline = run_soak(&quiet);
-        assert!(baseline.passed(), "{}", baseline.failure_banner());
-        assert_eq!(baseline.transient_faults, 0);
-        assert_eq!(baseline.lost_nodes, 0);
+        let quiet = run_soak(&SoakConfig {
+            chaos: false,
+            ..cfg
+        });
+        assert!(quiet.passed(), "{}", quiet.failure_banner());
+        assert_eq!(quiet.counters().transient_faults, 0);
+        assert_eq!(quiet.counters().lost_nodes, 0);
     }
 
     #[test]
     fn chaos_soak_loses_established_nodes_and_auto_repairs() {
-        let mut cfg = SoakConfig::smoke(0x50a6_0004);
-        cfg.chaos = true;
-        cfg.control = true;
-        cfg.max_bucket_bytes = 4 * 1024;
+        let cfg = SoakConfig {
+            control: true,
+            ..chaos_smoke(0x50a6_0004)
+        };
         // A hand-written script with two explicit grows: chaos alternates
         // the mid-rebalance loss, so the first grow loses the node just
         // added (zero data loss) and the second loses an established
         // data-holding node — the degraded window the armed control plane
         // must auto-repair from the runner's registered model snapshot.
-        let script = Scenario {
-            name: "established-loss-auto-repair".into(),
-            ops: vec![
-                ScenarioOp::Ingest {
-                    dataset: 0,
-                    records: 6_000,
-                },
-                ScenarioOp::Ingest {
-                    dataset: 1,
-                    records: 6_000,
-                },
-                ScenarioOp::AddNode { max_moves: 4 },
-                ScenarioOp::Queries {
-                    dataset: 0,
-                    ops: 120,
-                },
-                ScenarioOp::AddNode { max_moves: 4 },
-                ScenarioOp::Queries {
-                    dataset: 1,
-                    ops: 120,
-                },
-            ],
-        };
+        let script = [
+            ScenarioOp::Ingest {
+                dataset: 0,
+                records: 6_000,
+            },
+            ScenarioOp::Ingest {
+                dataset: 1,
+                records: 6_000,
+            },
+            ScenarioOp::AddNode { max_moves: 4 },
+            ScenarioOp::Queries {
+                dataset: 0,
+                ops: 120,
+            },
+            ScenarioOp::AddNode { max_moves: 4 },
+            ScenarioOp::Queries {
+                dataset: 1,
+                ops: 120,
+            },
+        ];
         let report = run_scenario(&cfg, &script);
         assert!(report.passed(), "{}", report.failure_banner());
+        let c = report.counters();
         assert!(
-            report.established_losses >= 1,
-            "the second chaos grow must lose an established node"
+            c.established_losses >= 1,
+            "the second grow lost no established node"
         );
         assert!(
-            report.repaired_buckets > 0,
-            "losing an established node must degrade buckets that repair restores"
+            c.repaired_buckets > 0,
+            "the loss degraded nothing that repair restored"
         );
-        assert!(
-            report.repairs >= 1,
-            "the armed plane must have run at least one repair"
-        );
-        assert!(
-            report.degraded.is_empty(),
-            "no dataset may end the run degraded: {:?}",
-            report.degraded
+        assert!(c.repairs >= 1, "the armed plane ran no repair");
+        assert_eq!(
+            report.degraded(),
+            Vec::<String>::new(),
+            "a dataset ended degraded"
         );
         // a clean run leaves no job half-done
-        assert!(report.jobs.is_empty(), "{:?}", report.jobs);
+        assert!(report.health.jobs.is_empty(), "{:?}", report.health.jobs);
     }
 
     #[test]
     fn hotspot_soak_auto_triggers_and_converges() {
-        let mut cfg = SoakConfig::smoke(0x50a6_0003);
-        cfg.control = true;
-        // Small buckets so the auto-planned migration has real moves to make.
-        cfg.max_bucket_bytes = 4 * 1024;
+        let cfg = SoakConfig {
+            control: true,
+            // Small buckets so the auto-planned migration has real moves.
+            max_bucket_bytes: 4 * 1024,
+            ..SoakConfig::smoke(0x50a6_0003)
+        };
         let report = run_soak(&cfg);
         assert!(report.passed(), "{}", report.failure_banner());
-        assert!(
-            report.auto_triggers >= 1,
-            "the sustained hotspot must auto-trigger a rebalance\n{}",
-            report.failure_banner()
-        );
-        assert!(
-            report.auto_commits >= 1,
-            "an auto-triggered rebalance must commit\n{}",
-            report.failure_banner()
-        );
-        assert!(
-            report.suppressed >= 1,
-            "hysteresis must hold the first imbalanced ticks back\n{}",
-            report.failure_banner()
-        );
+        assert_eq!(report.gates(), Ok(()), "{}", report.failure_banner());
+        let suppressed = report.counters().suppressed;
+        assert!(suppressed >= 1, "hysteresis held back no imbalanced tick");
         // a clean run leaves no job half-done
-        assert!(report.jobs.is_empty(), "{:?}", report.jobs);
+        assert!(report.health.jobs.is_empty(), "{:?}", report.health.jobs);
     }
 
     #[test]
@@ -1718,11 +1622,22 @@ mod tests {
         assert!(report.passed(), "{}", report.failure_banner());
         assert_eq!(
             report.steps_run,
-            generate_scenario(&SoakConfig::smoke(0x50a6_0001)).ops.len()
+            generate_scenario(&SoakConfig::smoke(0x50a6_0001)).len()
         );
-        assert!(report.records_ingested >= 24_000);
-        assert!(report.churn_events >= 2);
-        assert!(report.rebalances >= report.churn_events * 2);
-        assert!(report.live_records > 0);
+        let counters = report.counters();
+        assert!(counters.records_ingested >= 24_000);
+        assert!(counters.churn_events >= 2);
+        assert!(counters.rebalances >= counters.churn_events * 2);
+        assert!(counters.live_records > 0);
+    }
+
+    /// A report is a pure function of its config: one smoke seed and one
+    /// chaos smoke seed, each run twice, render byte-identical JSON.
+    #[test]
+    fn the_rendered_report_replays_byte_for_byte() {
+        for cfg in [SoakConfig::smoke(0x50a6_0001), chaos_smoke(0x50a6_0002)] {
+            let first = run_soak(&cfg).json().render();
+            assert_eq!(first, run_soak(&cfg).json().render(), "{cfg:?}");
+        }
     }
 }

@@ -192,19 +192,15 @@ impl Cluster {
 
     /// Installs a seeded fault schedule. Transfers consult it per attempt;
     /// drivers fire its step faults at the boundaries they pass
-    /// ([`Cluster::fire_faults`]). Replaces any schedule already installed.
+    /// ([`Cluster::fire_faults`]). Replaces the schedule already installed;
+    /// [`FaultSchedule::none`] disarms the plane.
     pub fn set_fault_plane(&mut self, schedule: FaultSchedule) {
-        self.faults.plane = Some(schedule);
+        self.faults.plane = schedule;
     }
 
-    /// Removes the installed fault schedule.
-    pub fn clear_fault_plane(&mut self) {
-        self.faults.plane = None;
-    }
-
-    /// The installed fault schedule, if any.
-    pub fn fault_plane(&self) -> Option<&FaultSchedule> {
-        self.faults.plane.as_ref()
+    /// The installed fault schedule (empty when the plane is disarmed).
+    pub fn fault_plane(&self) -> &FaultSchedule {
+        &self.faults.plane
     }
 
     /// The lost bucket `key` routes to, when the dataset is serving degraded

@@ -45,12 +45,12 @@
 //! feed batch, an assertion — is the callback of
 //! [`RebalanceJob::drive_with`](crate::job::RebalanceJob::drive_with).
 //!
-//! With no schedule installed (or an empty one) every consumer takes the
-//! exact code path it took before this module existed: the fault-free path
-//! is byte-identical, which `job.rs`'s `transient_faults_are_retried_and_absorbed`
-//! asserts. A
-//! schedule holding only step faults leaves every transfer's charges
-//! byte-identical too.
+//! The cluster always holds a schedule; the empty one, which it starts with
+//! and [`FaultSchedule::none`] reinstalls, is the fault-free path, and every
+//! consumer takes the exact code path it took before this module existed —
+//! byte-identical, which `job.rs`'s `transient_faults_are_retried_and_absorbed`
+//! asserts. A schedule holding only step faults leaves every transfer's
+//! charges byte-identical too.
 
 use std::collections::BTreeMap;
 
@@ -129,8 +129,8 @@ pub struct FaultSchedule {
 }
 
 impl FaultSchedule {
-    /// An empty schedule: injects nothing, byte-identical behaviour to
-    /// running with no schedule installed at all.
+    /// An empty schedule: injects nothing. Installing it disarms the fault
+    /// plane.
     pub fn none() -> Self {
         FaultSchedule::default()
     }
@@ -217,18 +217,15 @@ impl FaultSchedule {
 
 impl Cluster {
     /// Applies every fault the installed schedule holds for `point`, in the
-    /// order they were scheduled, and returns how many fired (none without a
-    /// schedule). `jobs` are the jobs in flight: a lost node is re-planned
+    /// order they were scheduled, and returns how many fired. `jobs` are the
+    /// jobs in flight: a lost node is re-planned
     /// around by each of them — which a job accepts only during data
     /// movement — and a restarted controller aborts those its log shows
     /// begun but undecided. This is the only place a [`Fault`] is
     /// interpreted; `Cluster::rebalance` and the soak's churn loop both come
     /// here.
     pub fn fire_faults(&mut self, point: StepPoint, jobs: &mut [RebalanceJob]) -> Result<usize> {
-        let Some(plane) = self.faults.plane.as_mut() else {
-            return Ok(0);
-        };
-        let due = plane.take_faults(point);
+        let due = self.faults.plane.take_faults(point);
         for fault in &due {
             match *fault {
                 Fault::CrashNode(node) => self.crash_node(node)?,
@@ -263,9 +260,9 @@ impl Cluster {
 /// event log instead ([`Cluster::fault_stats`]).
 #[derive(Default)]
 pub(crate) struct FaultState {
-    /// The installed schedule; `None` (or an empty schedule) means the
+    /// The installed schedule; an empty one (the default) means the
     /// fault-free path, byte-identical to pre-fault-plane behaviour.
-    pub(crate) plane: Option<FaultSchedule>,
+    pub(crate) plane: FaultSchedule,
     /// Buckets whose only copy died with a lost node, per dataset.
     pub(crate) lost_buckets: BTreeMap<DatasetId, Vec<BucketId>>,
 }
@@ -404,7 +401,7 @@ pub enum NodeState {
 /// The cluster health surface: per-node state, the fault-plane counters and
 /// the jobs in flight, so operators (and the chaos gates) can see degraded
 /// serving.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClusterHealth {
     /// Every node currently in the topology, with its state (nodes already
     /// removed with `remove_lost_node` survive in `stats.lost_nodes`).

@@ -618,12 +618,10 @@ impl RebalanceJob {
     /// charges stand unchanged. Either way the launch is logged as an
     /// [`Event::Speculated`].
     fn speculate_stragglers(&self, cluster: &mut Cluster, legs: &mut [MoveLeg]) {
-        if !self.speculation.enabled || legs.len() < 2 {
+        if !self.speculation.enabled || legs.len() < 2 || cluster.fault_plane().is_empty() {
             return;
         }
-        let Some(plane) = cluster.fault_plane().filter(|s| !s.is_empty()).cloned() else {
-            return;
-        };
+        let plane = cluster.fault_plane().clone();
         let mut durations: Vec<u64> = legs.iter().map(|l| l.tl.elapsed().as_nanos()).collect();
         durations.sort_unstable();
         // Lower median, so a lone straggler in a small wave cannot drag the
@@ -688,12 +686,12 @@ impl RebalanceJob {
     /// travels with the commit message, so they incur no per-move transfer
     /// cost.
     ///
-    /// When a fault schedule is installed, transient failures burn attempts
+    /// Under an armed fault schedule, transient failures burn attempts
     /// first — each is logged as an [`Event::TransientFault`], and each
     /// retried one charges a round-trip plus capped exponential [`backoff`]
     /// to both endpoints — and slow nodes scale every duration charged to
-    /// them. With no schedule (or an empty one) the charges below are
-    /// byte-identical to the fault-free path.
+    /// them. Under the empty schedule the charges below are byte-identical
+    /// to the fault-free path.
     fn ship_move(
         &mut self,
         cluster: &mut Cluster,
@@ -702,36 +700,30 @@ impl RebalanceJob {
     ) -> Result<ShipStats> {
         let cost = cluster.cost_model();
         let (src_node, dst_node) = self.endpoints(cluster, m)?;
-        let plane = cluster.fault_plane().filter(|s| !s.is_empty()).cloned();
-        if let Some(plane) = &plane {
-            let mut attempt = 0u32;
-            while plane.transient_failure(m.bucket, m.from, m.to, attempt) {
-                let retry = (attempt < MAX_TRANSFER_RETRIES).then(|| backoff(attempt));
-                cluster.record(Event::TransientFault {
-                    rebalance: self.rebalance_id,
-                    bucket: m.bucket,
-                    backoff: retry,
-                });
-                let Some(wait) = retry else {
-                    return Err(ClusterError::RebalanceAborted(format!(
-                        "transfer of bucket {} from {} to {} failed transiently {} times, \
-                         exhausting its retry budget",
-                        m.bucket,
-                        m.from,
-                        m.to,
-                        attempt + 1
-                    )));
-                };
-                let round_trip = SimDuration::from_nanos(cost.network_latency_ns);
-                tl.charge(src_node, plane.scaled(src_node, round_trip) + wait);
-                tl.charge(dst_node, plane.scaled(dst_node, round_trip) + wait);
-                attempt += 1;
-            }
+        let plane = cluster.fault_plane().clone();
+        let mut attempt = 0u32;
+        while plane.transient_failure(m.bucket, m.from, m.to, attempt) {
+            let retry = (attempt < MAX_TRANSFER_RETRIES).then(|| backoff(attempt));
+            cluster.record(Event::TransientFault {
+                rebalance: self.rebalance_id,
+                bucket: m.bucket,
+                backoff: retry,
+            });
+            let Some(wait) = retry else {
+                return Err(ClusterError::RebalanceAborted(format!(
+                    "transfer of bucket {} from {} to {} failed transiently {} times, \
+                     exhausting its retry budget",
+                    m.bucket,
+                    m.from,
+                    m.to,
+                    attempt + 1
+                )));
+            };
+            let round_trip = SimDuration::from_nanos(cost.network_latency_ns);
+            tl.charge(src_node, plane.scaled(src_node, round_trip) + wait);
+            tl.charge(dst_node, plane.scaled(dst_node, round_trip) + wait);
+            attempt += 1;
         }
-        let scaled = |node: NodeId, d: SimDuration| match &plane {
-            Some(p) => p.scaled(node, d),
-            None => d,
-        };
         if let Some(entries) = self.feed.get(&m.bucket) {
             // The feed's records for this bucket cross the network once and
             // go through a bulk load on the new owner; a later re-stage
@@ -742,7 +734,7 @@ impl RebalanceJob {
             dst.ensure_pending_bucket(m.bucket)?;
             dst.load_pending(m.bucket, entries)?;
             let nominal = cost.network(bytes) + cost.ingest_cpu(records) + cost.disk_write(bytes);
-            tl.charge(dst_node, scaled(dst_node, nominal));
+            tl.charge(dst_node, plane.scaled(dst_node, nominal));
             return Ok(ShipStats {
                 bytes,
                 records,
@@ -766,11 +758,11 @@ impl RebalanceJob {
         let mut nominal = SimDuration::ZERO;
         if bytes > 0 {
             let src_cost = cost.disk_read(bytes);
-            tl.charge(src_node, scaled(src_node, src_cost));
+            tl.charge(src_node, plane.scaled(src_node, src_cost));
             let dst_cost = cost.network(bytes)
                 + cost.component_ship_overhead(component_ids.len() as u64)
                 + cost.disk_write(bytes);
-            tl.charge(dst_node, scaled(dst_node, dst_cost));
+            tl.charge(dst_node, plane.scaled(dst_node, dst_cost));
             nominal = src_cost.max(dst_cost);
         }
         Ok(ShipStats {
@@ -1804,8 +1796,9 @@ mod tests {
     #[test]
     fn transient_faults_are_retried_and_absorbed() {
         use crate::fault::FaultSchedule;
-        // The same 2 -> 3 rebalance with no schedule, an empty one, and
-        // transients; each run's report, fault counters and contents.
+        // The same 2 -> 3 rebalance with the schedule a cluster starts with,
+        // an empty one installed, and transients; each run's report, fault
+        // counters and contents.
         let run = |schedule: Option<FaultSchedule>| {
             let (mut cluster, ds) = loaded(2, 2000);
             cluster.add_node().unwrap();

@@ -4,9 +4,9 @@
 //! Section V's protocol runs off one durable, ordered log of BEGIN / COMMIT /
 //! DONE records. The planes around it report the same way: every control
 //! decision, every job step that something reads, every transient fault or
-//! speculated straggler and every lost node is appended as an [`Event`] to
-//! one append-only
-//! log on the cluster. An event's sequence number is its position,
+//! speculated straggler, every node crash, recovery and loss, and every
+//! controller restart is appended as an [`Event`] to one append-only log on
+//! the cluster. An event's sequence number is its position,
 //! [`Cluster::events`] is the one way to read it, and nothing but an append
 //! changes it. There are no other copies; every figure is a fold over the
 //! log:
@@ -108,6 +108,22 @@ pub enum Event {
         /// The lost node.
         node: NodeId,
     },
+    /// A node crashed
+    /// ([`Cluster::crash_node`](crate::cluster::Cluster::crash_node)).
+    NodeCrashed {
+        /// The crashed node.
+        node: NodeId,
+    },
+    /// A crashed node came back
+    /// ([`Cluster::recover_node`](crate::cluster::Cluster::recover_node),
+    /// [`Cluster::recover_all_nodes`](crate::cluster::Cluster::recover_all_nodes)).
+    NodeRecovered {
+        /// The recovered node.
+        node: NodeId,
+    },
+    /// The Cluster Controller crashed and recovered
+    /// ([`Cluster::restart_controller`](crate::cluster::Cluster::restart_controller)).
+    ControllerRestarted,
 }
 
 impl Event {

@@ -29,21 +29,24 @@ pub struct RecoveryReport {
 
 impl Cluster {
     /// Crashes a node: it stops serving and drops its uncommitted pending
-    /// buckets.
+    /// buckets. Logged as an [`Event::NodeCrashed`].
     pub fn crash_node(&mut self, node: NodeId) -> Result<()> {
         self.node_mut(node)?.crash();
+        self.record(Event::NodeCrashed { node });
         Ok(())
     }
 
     /// Recovers a node. Upon recovery the NC registers with the CC; any
     /// pending rebalance instructions are handled by the rebalance executor.
-    /// A permanently lost node is not recoverable.
+    /// A permanently lost node is not recoverable. Logged as an
+    /// [`Event::NodeRecovered`].
     pub fn recover_node(&mut self, node: NodeId) -> Result<()> {
         let nc = self.node_mut(node)?;
         if nc.is_lost() {
             return Err(ClusterError::NodeLost(node));
         }
         nc.recover();
+        self.record(Event::NodeRecovered { node });
         Ok(())
     }
 
@@ -103,9 +106,10 @@ impl Cluster {
     }
 
     /// Recovers every crashed node (permanently lost nodes stay down) and
-    /// returns the nodes it brought back. Used by the rebalance finalization
-    /// step (recovered NCs re-run their idempotent commit or cleanup tasks)
-    /// and available to scenarios driving a job step-by-step.
+    /// returns the nodes it brought back, each logged as an
+    /// [`Event::NodeRecovered`]. Used by the rebalance finalization step
+    /// (recovered NCs re-run their idempotent commit or cleanup tasks) and
+    /// available to scenarios driving a job step-by-step.
     pub fn recover_all_nodes(&mut self) -> Vec<NodeId> {
         let mut recovered = Vec::new();
         for n in self.topology().nodes() {
@@ -113,6 +117,7 @@ impl Cluster {
                 if !nc.is_alive() && !nc.is_lost() {
                     nc.recover();
                     recovered.push(n);
+                    self.record(Event::NodeRecovered { node: n });
                 }
             }
         }
@@ -124,9 +129,11 @@ impl Cluster {
     /// recovery rules of Section V-D. Node Controllers are not touched: a
     /// crashed one stays down. Acting on the classification is the caller's
     /// job ([`Cluster::fire_faults`] aborts the undecided jobs it was handed).
+    /// Logged as an [`Event::ControllerRestarted`].
     pub fn restart_controller(&mut self) -> RecoveryReport {
         self.controller.crash();
         self.controller.recover();
+        self.record(Event::ControllerRestarted);
         let mut aborted = Vec::new();
         let mut redriven = Vec::new();
         // Every operation the CC ever started left a BEGIN record, and the
@@ -246,6 +253,37 @@ mod tests {
             let expected = Bytes::from(vec![(i % 250) as u8; 48]);
             assert_eq!(contents.get(&Key::from_u64(i)), Some(&expected), "key {i}");
         }
+    }
+
+    /// Every crash, recovery and controller restart appends exactly one
+    /// event, in call order; the data path appends none.
+    #[test]
+    fn crashes_and_restarts_are_logged_and_the_data_path_is_not() {
+        let (mut cluster, ds) = loaded(2);
+        let mut session = cluster.session(ds).unwrap();
+        let start = cluster.events(0).len();
+        session.get(&cluster, &Key::from_u64(7)).unwrap();
+        let value = Bytes::from(vec![1u8; 48]);
+        session.put(&mut cluster, Key::from_u64(7), value).unwrap();
+        let batch = vec![(Key::from_u64(9_000), Bytes::from(vec![2u8; 48]))];
+        session.ingest(&mut cluster, batch).unwrap();
+        assert!(cluster.events(start).is_empty(), "the data path logged");
+
+        cluster.crash_node(NodeId(1)).unwrap();
+        cluster.recover_node(NodeId(1)).unwrap();
+        cluster.crash_node(NodeId(0)).unwrap();
+        assert_eq!(cluster.recover_all_nodes(), vec![NodeId(0)]);
+        cluster.restart_controller();
+        assert_eq!(
+            cluster.events(start),
+            [
+                Event::NodeCrashed { node: NodeId(1) },
+                Event::NodeRecovered { node: NodeId(1) },
+                Event::NodeCrashed { node: NodeId(0) },
+                Event::NodeRecovered { node: NodeId(0) },
+                Event::ControllerRestarted,
+            ]
+        );
     }
 
     #[test]
