@@ -348,10 +348,11 @@ impl Cluster {
     /// old payload drives the secondary extractors, so index scans never
     /// return phantom hits). While a job is
     /// in flight, a write to a bucket whose wave has *already shipped it*
-    /// must also reach the destination's pending copy — tombstones and their
-    /// secondary deletions included — or the commit-time cleanup of the
-    /// source bucket would drop it (Section V-C); a dead destination fails
-    /// the write loudly, exactly like a dead owner.
+    /// must also reach the destination's pending copy — tombstones included —
+    /// or the commit-time cleanup of the source bucket would drop it
+    /// (Section V-C); a dead destination fails the write loudly, exactly like
+    /// a dead owner. Only the primary write is replicated: the destination's
+    /// index learns the bucket from its installed components.
     fn write_record(
         &mut self,
         dataset: DatasetId,
@@ -374,17 +375,17 @@ impl Cluster {
             return Err(ClusterError::NodeDown(node_id));
         }
         let ds = node.partition_mut(partition)?.dataset_mut(dataset)?;
-        let old_value = match value {
+        let was_live = match value {
             Some(value) => {
                 ds.ingest(key, value)?;
-                None
+                false
             }
             None => ds.delete(&key)?,
         };
         let mut written = Written {
             node: node_id,
             replica: None,
-            was_live: old_value.is_some(),
+            was_live,
         };
         if let Some((bucket, dst_partition, dst_node, key, value)) = replica {
             let dst_node = dst_node.ok_or(ClusterError::UnknownPartition(dst_partition))?;
@@ -399,10 +400,11 @@ impl Cluster {
             // transfer: re-create it here so replication keeps flowing, and
             // the commit re-ships the lost base data from the metadata log.
             ds.ensure_pending_bucket(bucket)?;
-            match value {
-                Some(value) => ds.apply_replicated(bucket, dynahash_lsm::Entry::put(key, value))?,
-                None => ds.apply_replicated_delete(bucket, key, old_value.as_ref())?,
-            }
+            let entry = match value {
+                Some(value) => dynahash_lsm::Entry::put(key, value),
+                None => dynahash_lsm::Entry::delete(key),
+            };
+            ds.apply_replicated(bucket, entry)?;
         }
         Ok(written)
     }

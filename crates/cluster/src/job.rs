@@ -28,11 +28,12 @@
 //!
 //! * `prepare` flushes the pending memory components (the writes replicated
 //!   since the waves) and collects votes; `decide` forces one log record.
-//! * `commit` installs each received bucket by appending component handles:
-//!   the pending primary bucket and the pending secondary lists, both staged
-//!   *during the waves* — a wave installs the shipped handles and makes one
-//!   merge pass over them that only counts the records; their secondary
-//!   entries wait for the first index query.
+//! * `commit` installs each received bucket by appending the handles of its
+//!   pending bucket, staged *during the waves* — a wave stages the shipped
+//!   handles (or a repair's one feed component) and makes one merge pass
+//!   over them that only counts the records. The installed bucket's handles
+//!   are stashed: its secondary entries wait for the first index query,
+//!   which builds them from the bucket as installed.
 //! * `commit` then cleans up once per *source partition*, not per bucket:
 //!   one streaming pass over each secondary index counting the entries
 //!   that become obsolete, and one pass per disk component stamping all
@@ -76,7 +77,7 @@ use dynahash_core::{
 };
 use dynahash_lsm::entry::{Key, Value};
 use dynahash_lsm::wal::{LogRecordBody, RebalanceId, ShippedMove};
-use dynahash_lsm::Entry;
+use dynahash_lsm::Component;
 
 use crate::cluster::{ActiveRebalance, Cluster};
 use crate::dataset::DatasetId;
@@ -222,8 +223,9 @@ pub struct RebalanceJob {
     commit_acks: BTreeSet<NodeId>,
     speculation: SpeculationPolicy,
     /// Buckets staged from an operator feed instead of a live source
-    /// partition, with their records in feed order (empty for a rebalance).
-    feed: BTreeMap<BucketId, Vec<Entry>>,
+    /// partition, each with the one component built from its feed records
+    /// (empty for a rebalance).
+    feed: BTreeMap<BucketId, Component>,
     state: JobState,
     init_tl: NodeTimeline,
     move_tl: NodeTimeline,
@@ -380,9 +382,10 @@ impl RebalanceJob {
     /// Wraps a planner's output into a `Planned` job and registers the
     /// dataset's in-flight state, so the normal ingestion path replicates
     /// writes to shipped buckets for the duration of data movement. `feed`
-    /// holds the buckets staged from an operator feed (none for a
-    /// rebalance). Until the commit installs `plan.new_directory` at the CC,
-    /// every write keeps routing through `plan.old_directory`.
+    /// holds the buckets staged from an operator feed, each with its
+    /// component (none for a rebalance). Until the commit installs
+    /// `plan.new_directory` at the CC, every write keeps routing through
+    /// `plan.old_directory`.
     pub(crate) fn planned(
         cluster: &mut Cluster,
         dataset: DatasetId,
@@ -390,7 +393,7 @@ impl RebalanceJob {
         waves: Vec<Vec<BucketMove>>,
         participants: Vec<NodeId>,
         total_bytes: u64,
-        feed: BTreeMap<BucketId, Vec<Entry>>,
+        feed: BTreeMap<BucketId, Component>,
     ) -> Self {
         let first_event = cluster.events(0).len();
         cluster.record(Event::JobPlanned {
@@ -470,13 +473,14 @@ impl RebalanceJob {
     }
 
     /// Runs the next wave, staging each of the wave's buckets as a pending
-    /// (invisible) copy on its destination. A bucket of a repair is
-    /// bulk-loaded from the job's feed records; a moving bucket is shipped
-    /// from its live source: the source flushes the bucket's memory
-    /// component and ships its sealed components whole — cheap handle clones
-    /// carrying their Bloom filters and sorted runs — and the destination
-    /// installs them into the pending bucket directly, deferring the
-    /// bucket's secondary-index entries to the first index query.
+    /// (invisible) copy on its destination. A moving bucket is shipped from
+    /// its live source: the source flushes the bucket's memory component and
+    /// ships its sealed components whole — cheap handle clones carrying
+    /// their Bloom filters and sorted runs. A bucket of a repair is the one
+    /// component its plan built from the feed. Either way the destination
+    /// stages the components into the pending bucket directly; the bucket's
+    /// secondary-index entries wait for the first index query after the
+    /// commit.
     ///
     /// All moves of a wave run in parallel, so the wave is charged its
     /// makespan — the slowest participating node. The CC forces a
@@ -724,15 +728,15 @@ impl RebalanceJob {
             tl.charge(dst_node, plane.scaled(dst_node, round_trip) + wait);
             attempt += 1;
         }
-        if let Some(entries) = self.feed.get(&m.bucket) {
+        if let Some(feed) = self.feed.get(&m.bucket) {
             // The feed's records for this bucket cross the network once and
-            // go through a bulk load on the new owner; a later re-stage
-            // (after a crash wiped the pending copy) loads them again.
-            let entries = entries.clone();
-            let (bytes, records) = (m.bytes, entries.len() as u64);
+            // are written on the new owner as one component, staged like a
+            // shipped one; a later re-stage (after a crash wiped the pending
+            // copy) stages the same component again.
             let dst = cluster.partition_mut(m.to)?.dataset_mut(self.dataset)?;
             dst.ensure_pending_bucket(m.bucket)?;
-            dst.load_pending(m.bucket, entries)?;
+            let records = dst.install_shipped_components(m.bucket, vec![feed.clone()])?;
+            let bytes = m.bytes;
             let nominal = cost.network(bytes) + cost.ingest_cpu(records) + cost.disk_write(bytes);
             tl.charge(dst_node, plane.scaled(dst_node, nominal));
             return Ok(ShipStats {

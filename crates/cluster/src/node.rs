@@ -136,7 +136,7 @@ mod tests {
     use super::*;
     use crate::dataset::DatasetSpec;
     use dynahash_core::Scheme;
-    use dynahash_lsm::{BucketId, Bytes, Entry, Key};
+    use dynahash_lsm::{BucketId, Bytes, Component, ComponentSource, Entry, Key};
 
     #[test]
     fn node_hosts_its_partitions() {
@@ -164,12 +164,14 @@ mod tests {
         for k in &own {
             ds.ingest(k.clone(), Bytes::from("v")).unwrap();
         }
-        ds.create_pending_bucket(received).unwrap();
+        ds.ensure_pending_bucket(received).unwrap();
         let shipped = incoming
             .iter()
             .map(|k| Entry::put(k.clone(), "v"))
             .collect();
-        ds.load_pending(received, shipped).unwrap();
+        let shipped = Component::from_unsorted(shipped, ComponentSource::Loaded);
+        ds.install_shipped_components(received, vec![shipped])
+            .unwrap();
 
         n.crash();
         assert!(!n.is_alive());
@@ -187,6 +189,7 @@ mod tests {
             .unwrap()
             .dataset_mut(1)
             .unwrap();
-        ds.create_pending_bucket(received).unwrap();
+        ds.ensure_pending_bucket(received).unwrap();
+        assert!(ds.primary.pending_bucket_ids() == [received]);
     }
 }

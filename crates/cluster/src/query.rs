@@ -36,7 +36,7 @@ use dynahash_lsm::{scramble, BucketedLsmTree, ScanOrder, SecondaryEntry};
 use crate::cluster::Cluster;
 use crate::dataset::{DatasetId, DatasetMeta};
 use crate::sim::{NodeTimeline, SimDuration};
-use crate::{ClusterError, Result};
+use crate::Result;
 
 /// The cost summary of one query execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -346,12 +346,7 @@ impl<'a> QueryExecutor<'a> {
                 continue;
             }
             let ds = part.dataset_mut(dataset)?;
-            // Validate the index name before paying for a warm: a typo'd
-            // query must not consume the one-shot deferred stashes.
-            let Some(at) = ds.secondaries.iter().position(|s| s.name == index) else {
-                return Err(ClusterError::UnknownIndex(index.to_string()));
-            };
-            let warmed = ds.warm_secondary_indexes();
+            let (warmed, at) = ds.open_index(index)?;
             if warmed > 0 {
                 self.timeline
                     .charge(node, cost_model.index_rebuild_cpu(warmed));

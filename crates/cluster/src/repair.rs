@@ -19,16 +19,20 @@
 //! * a bucket whose owner is itself dead is reassigned to the least-loaded
 //!   surviving partition, the others stay where the earlier re-plan put
 //!   their empty replacement;
-//! * the feed is routed **once** and each in-scope bucket keeps its records
-//!   in feed order.
+//! * the feed is routed **once**, and each in-scope bucket's records (the
+//!   last one of a key wins) become one component, built here and never
+//!   again.
 //!
 //! From there the engine in [`crate::job`] does what it does for every job:
-//! one wave bulk-loads the pending (invisible) copies, the prepare phase
-//! flushes them and blocks writes, the 2PC decides, the commit installs each
-//! restored bucket over its empty replacement — taking it out of the
-//! degraded set — and installs the (possibly reassigned) directory, which
-//! sessions pull as a delta on their next stale route. A node lost
-//! *mid-repair* is re-planned around like in any job: its pending copies are
+//! one wave stages each component as the pending (invisible) copy of its
+//! bucket, exactly as a shipped bucket is staged; the prepare phase flushes
+//! the replicated writes and blocks writes, the 2PC decides, the commit
+//! installs each restored bucket over its empty replacement — taking it out
+//! of the degraded set — and installs the (possibly reassigned) directory,
+//! which sessions pull as a delta on their next stale route. The restored
+//! bucket's index entries are built from it on the first index query, as
+//! for any received bucket. A node lost *mid-repair* is re-planned around
+//! like in any job: its pending copies are
 //! staged again on survivors, and its own resident buckets — newly degraded
 //! — are installed empty for the *next* repair to restore.
 //!
@@ -40,7 +44,7 @@ use std::collections::BTreeMap;
 
 use dynahash_core::{BucketId, BucketMove, GlobalDirectory, NodeId, PartitionId, RebalancePlan};
 use dynahash_lsm::entry::{Key, Value};
-use dynahash_lsm::Entry;
+use dynahash_lsm::{Component, ComponentSource, Entry};
 
 use crate::cluster::Cluster;
 use crate::dataset::DatasetId;
@@ -50,9 +54,10 @@ use crate::{ClusterError, Result};
 impl RebalanceJob {
     /// Plans a repair of the dataset's currently-degraded buckets from
     /// `feed`: forces BEGIN, fixes the scope, reassigns buckets owned by dead
-    /// nodes to the least-loaded surviving partition, and groups the feed's
-    /// records by in-scope bucket. All buckets load in one wave. The scope
-    /// may be empty (the resulting job commits trivially); callers that want
+    /// nodes to the least-loaded surviving partition, and builds one
+    /// component per in-scope bucket from the feed's records. All buckets
+    /// stage in one wave. The scope may be empty (the resulting job commits
+    /// trivially); callers that want
     /// a cheap no-op should check
     /// [`crate::fault::FaultStats::degraded_buckets`] first, as
     /// [`crate::cluster::Admin::repair_dataset`] does.
@@ -72,7 +77,7 @@ impl RebalanceJob {
             })?;
 
         // Route every feed record once; only in-scope buckets keep theirs.
-        let mut staged: BTreeMap<BucketId, Vec<Entry>> = cluster
+        let mut routed: BTreeMap<BucketId, Vec<Entry>> = cluster
             .fault_stats()
             .degraded_buckets(dataset)
             .into_iter()
@@ -83,12 +88,23 @@ impl RebalanceJob {
             let Some((bucket, _)) = old_directory.lookup_key(key) else {
                 continue;
             };
-            if let Some(entries) = staged.get_mut(&bucket) {
+            if let Some(entries) = routed.get_mut(&bucket) {
                 entries.push(Entry::put(key.clone(), value.clone()));
                 *bytes.entry(bucket).or_default() += (key.len() + value.len()) as u64;
             }
         }
 
+        // Each bucket's records become one component, built once: every
+        // (re-)stage of the bucket installs a handle to it.
+        let staged: BTreeMap<BucketId, Component> = routed
+            .into_iter()
+            .map(|(b, entries)| {
+                (
+                    b,
+                    Component::from_unsorted(entries, ComponentSource::Loaded),
+                )
+            })
+            .collect();
         let mut new_directory = old_directory.clone();
         let mut moves = Vec::with_capacity(staged.len());
         for &bucket in staged.keys() {

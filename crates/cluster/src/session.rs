@@ -455,16 +455,8 @@ impl Session {
                 continue;
             }
             let ds = part.dataset_mut(self.dataset)?;
-            // Validate the name first so a typo'd scan does not consume the
-            // one-shot deferred stashes.
-            if !ds.has_secondary_index(index) {
-                return Err(ClusterError::UnknownIndex(index.to_string()));
-            }
-            ds.warm_secondary_indexes();
-            let idx = ds
-                .secondary_mut(index)
-                .ok_or_else(|| ClusterError::UnknownIndex(index.to_string()))?;
-            out.push((p, idx.search_range(lo, hi)));
+            let (_, at) = ds.open_index(index)?;
+            out.push((p, ds.secondaries[at].search_range(lo, hi)));
         }
         Ok(out)
     }

@@ -294,8 +294,8 @@ fn a_bucket_that_returns_and_leaves_again_takes_its_index_entries_along() {
                 to.apply_replicated(b, entry).unwrap();
                 model.insert(k, version);
             }
-            let old = from.delete(&Key::from_u64(deleted)).unwrap();
-            to.apply_replicated_delete(b, Key::from_u64(deleted), old.as_ref())
+            from.delete(&Key::from_u64(deleted)).unwrap();
+            to.apply_replicated(b, dynahash_lsm::Entry::delete(Key::from_u64(deleted)))
                 .unwrap();
             model.remove(&deleted);
             // Commit: install at the destination, clean up the source.

@@ -6,9 +6,9 @@
 //! buckets of a partition are coordinated by a [`LocalDirectory`].
 //!
 //! The type also implements the destination-side machinery of the rebalance
-//! data-movement phase: *pending* (received) buckets hold bulk-loaded
-//! components plus replicated writes and stay invisible to queries until
-//! the rebalance commits.
+//! data-movement phase: *pending* (received) buckets hold the shipped (or
+//! feed-built) components plus replicated writes and stay invisible to
+//! queries until the rebalance commits.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -436,8 +436,8 @@ impl BucketedLsmTree {
 
     /// Registers a new pending (received) bucket at a destination partition.
     /// Pending buckets are invisible to queries until installed. Merges are
-    /// paused on the pending tree until the install: the loaded/shipped base
-    /// components and the replicated-write flushes must survive as-is so
+    /// paused on the pending tree until the install: the base components and
+    /// the replicated-write flushes must survive as-is so
     /// recovery can tell a healthy pending bucket from one whose transfer a
     /// crash wiped ([`BucketedLsmTree::pending_has_base_data`]).
     pub fn create_pending_bucket(&mut self, bucket: BucketId) -> Result<()> {
@@ -450,24 +450,12 @@ impl BucketedLsmTree {
         Ok(())
     }
 
-    /// Bulk-loads scanned records into a pending bucket as disk components
-    /// that are strictly older than any replicated write.
-    pub fn load_into_pending(&mut self, bucket: BucketId, entries: Vec<Entry>) -> Result<()> {
-        let tree = self
-            .pending
-            .get_mut(&bucket)
-            .ok_or(StorageError::UnknownPendingBucket(bucket))?;
-        let comp = Component::from_unsorted(entries, ComponentSource::Loaded);
-        tree.append_oldest_components(vec![comp]);
-        Ok(())
-    }
-
-    /// Installs components shipped whole from a source partition into a
-    /// pending bucket. The handles are appended as the **oldest** data of the
-    /// pending tree — replicated writes applied afterwards (or already
-    /// sitting in the pending memory component) stay newer, exactly as the
-    /// record-level `load_into_pending` path orders its bulk-loaded
-    /// component. The components keep their internal newest-first order.
+    /// Installs a bucket's base data into its pending bucket: components
+    /// shipped whole from a source partition, or the one component a repair
+    /// builds from its feed. The handles are appended as the **oldest** data
+    /// of the pending tree — replicated writes applied afterwards (or already
+    /// sitting in the pending memory component) stay newer. The components
+    /// keep their internal newest-first order.
     pub fn install_shipped(&mut self, bucket: BucketId, comps: Vec<Component>) -> Result<()> {
         let tree = self
             .pending
@@ -483,7 +471,7 @@ impl BucketedLsmTree {
     }
 
     /// True if the pending bucket holds its base data — shipped or
-    /// bulk-loaded components, as opposed to only replicated writes
+    /// feed-built components, as opposed to only replicated writes
     /// accumulated after a crash wiped the uncommitted transfer. Recovery
     /// re-ships the bucket from its source when this is false.
     pub fn pending_has_base_data(&self, bucket: &BucketId) -> bool {
@@ -863,12 +851,15 @@ mod tests {
         for i in 0..200u64 {
             t.insert(i, val(8)).unwrap();
         }
-        let moved_entries = t.scan_bucket(incoming).unwrap();
-        let moved_count = moved_entries.len();
+        let moved_count = t.scan_bucket(incoming).unwrap().len();
         assert!(moved_count > 0);
 
         dest.create_pending_bucket(incoming).unwrap();
-        dest.load_into_pending(incoming, moved_entries).unwrap();
+        // a repair's feed arrives as one component built from its records
+        let feed =
+            Component::from_unsorted(t.scan_bucket(incoming).unwrap(), ComponentSource::Loaded);
+        dest.install_shipped(incoming, vec![feed]).unwrap();
+        assert!(dest.pending_has_base_data(&incoming));
         // a replicated concurrent write that updates a moved key
         let some_key = t.bucket_tree(&incoming).unwrap().scan_all()[0].key.clone();
         dest.apply_replicated(incoming, Entry::put(some_key.clone(), Bytes::from("newer")))
@@ -882,7 +873,7 @@ mod tests {
         dest.install_pending(incoming).unwrap();
         assert!(dest.is_consistent());
         assert_eq!(dest.live_len(), moved_count);
-        // the replicated write must win over the bulk-loaded record
+        // the replicated write must win over the feed-built record
         assert_eq!(dest.get(&some_key).unwrap(), Bytes::from("newer"));
         // idempotent install (Case 4/5 retries)
         dest.install_pending(incoming).unwrap();

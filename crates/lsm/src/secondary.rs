@@ -4,7 +4,11 @@
 //! primary key as their index keys (AsterixDB convention). Unlike the primary
 //! index, secondary indexes store **all buckets together** in one LSM-tree
 //! (storage Option 1, Section IV): they never have to be read during a
-//! rebalance because they are rebuilt on the fly at the destination.
+//! rebalance because they are rebuilt at the destination. A received bucket
+//! brings no index entries and the index keeps no pending state: the
+//! destination partition derives the bucket's entries from its installed
+//! primary components once, on the first query
+//! ([`SecondaryIndex::load_deferred_base`]).
 //!
 //! After a committed rebalance the entries of moved buckets become obsolete.
 //! They are removed with **lazy cleanup** (Section V-C): the moved bucket's
@@ -74,10 +78,6 @@ pub struct SecondaryIndex {
     /// Human-readable index name (e.g. `idx_lineitem_shipdate`).
     pub name: String,
     tree: LsmTree,
-    /// Pending component list receiving rebalanced data, invisible to queries.
-    pending: Option<LsmTree>,
-    lsm_config: LsmConfig,
-    metrics: Arc<StorageMetrics>,
     /// Cumulative obsolete-entry validation work performed by queries
     /// (quantifies the lazy-cleanup overhead).
     obsolete_skipped: u64,
@@ -88,10 +88,7 @@ impl SecondaryIndex {
     pub fn new(name: impl Into<String>, config: LsmConfig, metrics: Arc<StorageMetrics>) -> Self {
         SecondaryIndex {
             name: name.into(),
-            tree: LsmTree::new(config.clone(), Arc::clone(&metrics)),
-            pending: None,
-            lsm_config: config,
-            metrics,
+            tree: LsmTree::new(config, metrics),
             obsolete_skipped: 0,
         }
     }
@@ -173,7 +170,7 @@ impl SecondaryIndex {
         self.tree.hidden_entries()
     }
 
-    /// The disk components of the visible tree, newest first.
+    /// The disk components, newest first.
     pub fn components(&self) -> &[Component] {
         self.tree.components()
     }
@@ -184,32 +181,12 @@ impl SecondaryIndex {
         self.obsolete_skipped
     }
 
-    /// Ensures the pending component list exists (destination side of a
-    /// rebalance). Received entries go into a single list regardless of how
-    /// many buckets are being received (the paper's optimization to limit
-    /// the number of components).
-    fn pending_tree(&mut self) -> &mut LsmTree {
-        self.pending
-            .get_or_insert_with(|| LsmTree::new(self.lsm_config.clone(), Arc::clone(&self.metrics)))
-    }
-
-    /// Bulk-loads received secondary entries into the invisible pending list.
-    pub fn load_into_pending(&mut self, entries: Vec<SecondaryEntry>) {
-        let raw: Vec<Entry> = entries
-            .into_iter()
-            .map(|se| Entry::put(se.encode(), crate::Bytes::new()))
-            .collect();
-        let comp = Component::from_unsorted(raw, ComponentSource::Loaded);
-        self.pending_tree().append_oldest_components(vec![comp]);
-    }
-
-    /// Bulk-loads lazily rebuilt base entries of a received bucket as the
-    /// **oldest** data of the visible tree (deferred secondary rebuild: the
-    /// bucket was installed without its base entries, which are derived from
-    /// the shipped primary components on first query). Appending oldest
-    /// keeps replicated writes — installed at commit time, and therefore
-    /// already in the tree — newer than the base data they supersede,
-    /// exactly as the eager path orders its bulk-loaded pending component.
+    /// Bulk-loads the entries rebuilt from a received bucket as the
+    /// **oldest** data of the index. The bucket arrived without index
+    /// entries; they are derived from its installed primary components on
+    /// the first query. Writes to the bucket after its install reached the
+    /// index directly, so appending oldest keeps them newer than the entries
+    /// they supersede.
     pub fn load_deferred_base(&mut self, entries: Vec<SecondaryEntry>) {
         if entries.is_empty() {
             return;
@@ -220,43 +197,6 @@ impl SecondaryIndex {
             .collect();
         let comp = Component::from_unsorted(raw, ComponentSource::Loaded);
         self.tree.append_oldest_components(vec![comp]);
-    }
-
-    /// Applies a replicated concurrent write to the pending list.
-    pub fn apply_replicated(&mut self, secondary: Key, primary: Key, op_is_delete: bool) {
-        let composite = SecondaryEntry { secondary, primary }.encode();
-        let entry = if op_is_delete {
-            Entry::delete(composite)
-        } else {
-            Entry::put(composite, crate::Bytes::new())
-        };
-        self.pending_tree().apply(entry);
-    }
-
-    /// Flushes the pending list's memory component (prepare phase).
-    pub fn flush_pending(&mut self) {
-        if let Some(p) = self.pending.as_mut() {
-            p.flush();
-        }
-    }
-
-    /// Installs the pending component list, making received entries visible
-    /// (commit phase). Idempotent when there is nothing pending.
-    pub fn install_pending(&mut self) {
-        if let Some(mut p) = self.pending.take() {
-            p.flush();
-            let comps = p.components().to_vec();
-            // Received data is disjoint (by bucket) from local data, so the
-            // position in the list does not affect reconciliation with local
-            // writes; within the received list, replicated records are
-            // already newer than loaded ones.
-            self.tree.append_oldest_components(comps);
-        }
-    }
-
-    /// Discards the pending component list (abort path). Idempotent.
-    pub fn drop_pending(&mut self) {
-        self.pending = None;
     }
 
     // ------------------------------------------------------------ maintenance
@@ -271,14 +211,9 @@ impl SecondaryIndex {
         self.tree.run_merges()
     }
 
-    /// Storage bytes used by the index (visible plus pending).
+    /// Storage bytes used by the index.
     pub fn storage_bytes(&self) -> usize {
         self.tree.storage_bytes()
-            + self
-                .pending
-                .as_ref()
-                .map(|p| p.storage_bytes())
-                .unwrap_or(0)
     }
 
     /// Iterates every live, valid entry (used for rebuilding and tests).
@@ -326,41 +261,6 @@ mod tests {
         let exact = i.search_range(Some(&Key::from_u64(7)), Some(&Key::from_u64(8)));
         assert_eq!(exact.len(), 10);
         assert!(exact.iter().all(|se| se.primary.as_u64() / 10 == 7));
-    }
-
-    #[test]
-    fn pending_entries_invisible_until_installed() {
-        let mut i = idx();
-        i.insert(Key::from_u64(1), Key::from_u64(100));
-        let received: Vec<SecondaryEntry> = (0..50u64)
-            .map(|pk| SecondaryEntry {
-                secondary: Key::from_u64(pk % 5),
-                primary: Key::from_u64(1000 + pk),
-            })
-            .collect();
-        i.load_into_pending(received);
-        i.apply_replicated(Key::from_u64(2), Key::from_u64(2000), false);
-        assert_eq!(i.all_valid_entries().len(), 1);
-        assert!(i.pending.is_some());
-
-        i.flush_pending();
-        i.install_pending();
-        assert!(i.pending.is_none());
-        assert_eq!(i.all_valid_entries().len(), 1 + 50 + 1);
-        // abort path on a fresh index: dropping nothing is fine
-        i.drop_pending();
-    }
-
-    #[test]
-    fn drop_pending_discards_received_data() {
-        let mut i = idx();
-        i.load_into_pending(vec![SecondaryEntry {
-            secondary: Key::from_u64(1),
-            primary: Key::from_u64(2),
-        }]);
-        i.drop_pending();
-        i.install_pending(); // nothing to install
-        assert_eq!(i.all_valid_entries().len(), 0);
     }
 
     fn manual_idx(name: &str) -> SecondaryIndex {

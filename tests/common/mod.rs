@@ -25,12 +25,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dynahash::cluster::{
-    Cluster, ClusterConfig, CostModel, DatasetSpec, RebalanceOptions, SecondaryIndexDef,
+    split_into_batches, Cluster, ClusterConfig, CostModel, DatasetSpec, RebalanceJob,
+    SecondaryIndexDef, StepPoint,
 };
 use dynahash::core::{NodeId, PartitionId, RebalanceOutcome, Scheme};
 use dynahash::lsm::entry::{Key, Value};
 use dynahash::lsm::rng::SplitMix64;
-use dynahash::lsm::{Bytes, SecondaryEntry};
+use dynahash::lsm::{BucketId, Bytes, SecondaryEntry};
 
 /// Number of randomized cases per property.
 pub const CASES: u64 = 12;
@@ -143,6 +144,14 @@ pub fn tagged_record(i: u64) -> (Key, Value) {
     (Key::from_u64(i), tagged_payload(i))
 }
 
+/// An overwrite of tagged record `i` whose payload carries a different tag
+/// (`37 + i % 37`).
+pub fn retagged_record(i: u64) -> (Key, Value) {
+    let mut v = (37 + i % 37).to_be_bytes().to_vec();
+    v.extend_from_slice(&tagged_payload(i)[8..]);
+    (Key::from_u64(i), Bytes::from(v))
+}
+
 /// A dataset indexing the tag of every record under [`TAG_INDEX`].
 pub fn tagged_spec(scheme: Scheme) -> DatasetSpec {
     DatasetSpec::new("events", scheme).with_secondary_index(SecondaryIndexDef::new(
@@ -253,6 +262,11 @@ pub struct MoveCase {
     /// Records fed while the buckets move.
     pub n_writes: u64,
     pub max_moves: usize,
+    /// Once every bucket has shipped, overwrite a quarter of the moving
+    /// records with a payload under a different tag. Only moving records:
+    /// an update of a record that stays leaves a stale index entry on its
+    /// partition (`PartitionDataset::ingest` never deletes an old entry).
+    pub overwrite_shipped: bool,
 }
 
 impl MoveCase {
@@ -268,13 +282,16 @@ impl MoveCase {
             n_records: rng.gen_range(400..1000),
             n_writes: rng.gen_range(0..250),
             max_moves: rng.gen_range(1..5) as usize,
+            overwrite_shipped: rng.gen_range(0..2) == 0,
         }
     }
 
-    /// Loads, scales out or in, rebalances with a mid-flight feed, and
-    /// checks placement (`check_rebalance_integrity`: every record on the
-    /// partition its key routes to). Returns the cluster, the dataset and
-    /// the model of its records, for the caller to hold against the oracles.
+    /// Loads, scales out or in, rebalances with a mid-flight feed spread
+    /// over the waves as `Cluster::rebalance` spreads it, then the shipped
+    /// overwrites before the prepare, and checks placement
+    /// (`check_rebalance_integrity`: every record on the partition its key
+    /// routes to). Returns the cluster, the dataset and the model of its
+    /// records, for the caller to hold against the oracles.
     pub fn run(&self) -> (Cluster, u32, BTreeMap<Key, Value>) {
         let (mut cluster, ds, mut model) =
             tagged_cluster(3, tagged_spec(self.scheme), self.n_records);
@@ -288,17 +305,42 @@ impl MoveCase {
             .map(tagged_record)
             .collect();
         model.extend(writes.iter().cloned());
-        let report = cluster
-            .rebalance(
-                ds,
-                &target,
-                RebalanceOptions::none()
-                    .with_max_concurrent_moves(self.max_moves)
-                    .with_concurrent_writes(writes),
-            )
+        let mut job = RebalanceJob::plan(&mut cluster, ds, &target, self.max_moves).unwrap();
+        let moving: Vec<BucketId> = job.plan_ref().moves.iter().map(|m| m.bucket).collect();
+        let overwrites: Vec<(Key, Value)> = (0..self.n_records)
+            .filter(|i| self.overwrite_shipped && i % 4 == 0)
+            .filter(|i| moving.iter().any(|b| b.contains_key(&Key::from_u64(*i))))
+            .map(retagged_record)
+            .collect();
+        model.extend(overwrites.iter().cloned());
+        let n_overwrites = overwrites.len() as u64;
+        let mut batches = split_into_batches(writes, job.num_waves().max(1)).into_iter();
+        let mut overwrites = Some(overwrites);
+        let report = job
+            .drive_with(&mut cluster, |cluster, job, point| {
+                match point {
+                    StepPoint::AfterWave(_) => {
+                        if let Some(batch) = batches.next().filter(|b| !b.is_empty()) {
+                            job.apply_feed_batch(cluster, batch)?;
+                        }
+                    }
+                    StepPoint::BeforePrepare => {
+                        // every moving bucket has shipped by now
+                        let rest = batches.by_ref().chain(overwrites.take());
+                        for batch in rest.filter(|b| !b.is_empty()) {
+                            job.apply_feed_batch(cluster, batch)?;
+                        }
+                    }
+                    _ => {}
+                }
+                Ok(())
+            })
             .unwrap();
         assert_eq!(report.outcome, RebalanceOutcome::Committed);
-        assert_eq!(report.concurrent_writes_applied, self.n_writes);
+        assert_eq!(
+            report.concurrent_writes_applied,
+            self.n_writes + n_overwrites
+        );
         cluster
             .check_rebalance_integrity(ds, report.rebalance_id)
             .unwrap();

@@ -19,7 +19,7 @@ use common::{
     assert_matches_oracles, check_seeded_cases, tagged_cluster, tagged_record, tagged_spec,
     MoveCase,
 };
-use dynahash::cluster::{Cluster, DatasetSpec, RebalanceJob, RebalanceOptions};
+use dynahash::cluster::{Cluster, ClusterError, DatasetSpec, RebalanceJob, RebalanceOptions};
 use dynahash::core::{BucketId, GlobalDirectory, NodeId, PartitionId, RebalanceOutcome, Scheme};
 use dynahash::lsm::entry::Key;
 use dynahash::lsm::rng::SplitMix64;
@@ -264,6 +264,42 @@ fn deferred_install_defers_and_warm_indexes_materializes() {
 
     // and the answers are those of an index built from the records
     assert_matches_oracles(&mut cluster, ds, &model, "after warming");
+}
+
+/// `Err(UnknownIndex)` naming `index`.
+fn is_unknown_index<T>(result: Result<T, ClusterError>, index: &str) -> bool {
+    matches!(result, Err(ClusterError::UnknownIndex(name)) if name == index)
+}
+
+/// Every query path opens an index the one way: an unknown name is
+/// `UnknownIndex` through `index_scan`, `index_fetch_fold` and
+/// `Session::index_scan` alike, and it is refused before any warm, so the
+/// freshly installed buckets keep their deferred stashes.
+#[test]
+fn an_unknown_index_is_refused_before_the_deferred_rebuild() {
+    let (mut cluster, ds, _) =
+        tagged_cluster(3, tagged_spec(Scheme::StaticHash { num_buckets: 32 }), 1200);
+    let target = cluster.topology_without(NodeId(2));
+    let report = cluster
+        .rebalance(ds, &target, RebalanceOptions::none())
+        .unwrap();
+    assert_eq!(report.outcome, RebalanceOutcome::Committed);
+    let deferred = deferred_partitions(&mut cluster, ds);
+    assert!(deferred > 0, "no destination deferred its rebuild");
+
+    let typo = "idx_typo";
+    let scanned = cluster.query().index_scan(ds, typo, None, None);
+    assert!(is_unknown_index(scanned, typo), "query().index_scan");
+    let folded = (cluster.query()).index_fetch_fold(ds, typo, None, None, |_, _| {});
+    assert!(is_unknown_index(folded, typo), "query().index_fetch_fold");
+    let mut session = cluster.session(ds).unwrap();
+    let scanned = session.index_scan(&mut cluster, typo, None, None);
+    assert!(is_unknown_index(scanned, typo), "Session::index_scan");
+    assert_eq!(
+        deferred_partitions(&mut cluster, ds),
+        deferred,
+        "an unknown index name consumed a deferred stash"
+    );
 }
 
 /// Crash/recovery: a destination crash between the ship and the install

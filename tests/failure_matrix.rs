@@ -274,8 +274,8 @@ fn every_fault_at_every_step_point_is_safe() {
 }
 
 /// `drop_all_pending` is per destination partition, not per bucket: a job
-/// aborted with two buckets (and their shared secondary pending lists)
-/// staged on one destination leaves nothing behind, and its re-run commits.
+/// aborted with two buckets of an indexed dataset staged on one destination
+/// leaves nothing behind, and its re-run commits.
 #[test]
 fn an_abort_with_two_buckets_pending_on_one_destination_reruns_and_commits() {
     let spec = DatasetSpec::new("events", Scheme::StaticHash { num_buckets: 32 })

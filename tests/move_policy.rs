@@ -248,3 +248,25 @@ fn destination_crash_between_ship_and_install_recovers_for_records_policy() {
         .unwrap();
     assert_matches_oracles(&mut cluster, ds, &model, "after the recovery");
 }
+
+/// A repair stages each lost bucket as one component built from its feed,
+/// and the index learns a restored bucket from it as from any received
+/// bucket: after the repair, the index of a tagged dataset answers exactly
+/// like one built from the primary records.
+#[test]
+fn a_repair_of_an_indexed_dataset_leaves_the_index_its_records_build() {
+    let (mut cluster, ds, model) =
+        tagged_cluster(4, tagged_spec(Scheme::dynahash(1 << 30, 16)), 1200);
+    let victim = cluster.topology().nodes()[1];
+    cluster.lose_node(victim).unwrap();
+    let degraded = cluster.fault_stats().degraded_buckets(ds);
+    assert!(!degraded.is_empty(), "losing a data node degrades buckets");
+
+    let feed: Vec<_> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+    let report = (cluster.admin().repair_dataset(ds, &feed).unwrap()).expect("a repair runs");
+    assert_eq!(report.outcome, RebalanceOutcome::Committed);
+    assert_eq!(report.buckets_moved, degraded.len());
+    assert!(cluster.fault_stats().degraded_datasets().is_empty());
+    cluster.remove_lost_node(victim).unwrap();
+    assert_matches_oracles(&mut cluster, ds, &model, "after the repair");
+}
