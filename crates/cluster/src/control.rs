@@ -369,7 +369,7 @@ impl ControlPlane {
                     dataset,
                     rebalance: repair.rebalance_id,
                     buckets: repair.buckets_moved,
-                    records: repair.records_moved,
+                    records: repair.entries_moved,
                 }));
             }
         }

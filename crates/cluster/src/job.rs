@@ -30,10 +30,10 @@
 //!   since the waves) and collects votes; `decide` forces one log record.
 //! * `commit` installs each received bucket by appending the handles of its
 //!   pending bucket, staged *during the waves* — a wave stages the shipped
-//!   handles (or a repair's one feed component) and makes one merge pass
-//!   over them that only counts the records. The installed bucket's handles
-//!   are stashed: its secondary entries wait for the first index query,
-//!   which builds them from the bucket as installed.
+//!   handles (or a repair's one feed component) and reads no record: it
+//!   counts the entries it shipped from the handles. The installed
+//!   bucket's handles are stashed: its secondary entries wait for the first
+//!   index query, which builds them from the bucket as installed.
 //! * `commit` then cleans up once per *source partition*, not per bucket:
 //!   one streaming pass over each secondary index counting the entries
 //!   that become obsolete, and one pass per disk component stamping all
@@ -154,8 +154,12 @@ pub struct WaveReport {
     pub moves: usize,
     /// Primary-index bytes shipped by this wave.
     pub bytes: u64,
-    /// Records shipped by this wave.
-    pub records: u64,
+    /// Entries shipped by this wave: the entries visible through its shipped
+    /// components' handles, plus the records of its feed-staged buckets. For
+    /// a shipped bucket this is an upper bound on its live records, since
+    /// shadowed versions and tombstones in older components count too; a
+    /// feed-staged bucket holds one entry per key, so its count is exact.
+    pub entries: u64,
     /// Sealed components shipped whole by this wave (0 for a wave that only
     /// stages feed records or empty buckets).
     pub components: usize,
@@ -167,7 +171,7 @@ pub struct WaveReport {
 /// [`RebalanceJob::ship_move`]).
 struct ShipStats {
     bytes: u64,
-    records: u64,
+    entries: u64,
     component_ids: Vec<u64>,
     /// What the transfer would cost at nominal speed — no slow-node scaling,
     /// no transient-retry penalties. This is the duration a speculative
@@ -233,7 +237,7 @@ pub struct RebalanceJob {
     clock: WaveClock,
     total_bytes: u64,
     bytes_moved: u64,
-    records_moved: u64,
+    entries_moved: u64,
     writes_applied: u64,
     /// Lost buckets the commit restored (a repair's scope).
     repaired: u64,
@@ -427,7 +431,7 @@ impl RebalanceJob {
             clock: WaveClock::new(),
             total_bytes,
             bytes_moved: 0,
-            records_moved: 0,
+            entries_moved: 0,
             writes_applied: 0,
             repaired: 0,
             first_event,
@@ -526,7 +530,7 @@ impl RebalanceJob {
         // the speculation pass each transfer's individual leg to compare
         // against the wave's median.
         let mut bytes = 0u64;
-        let mut records = 0u64;
+        let mut entries = 0u64;
         let mut components = 0usize;
         let mut shipped: Vec<ShippedMove> = Vec::with_capacity(wave.len());
         let mut legs: Vec<MoveLeg> = Vec::with_capacity(wave.len());
@@ -534,7 +538,7 @@ impl RebalanceJob {
             let mut mv_tl = NodeTimeline::new();
             let stats = self.ship_move(cluster, m, &mut mv_tl)?;
             bytes += stats.bytes;
-            records += stats.records;
+            entries += stats.entries;
             components += stats.component_ids.len();
             shipped.push(ShippedMove {
                 bucket_bits: m.bucket.bits,
@@ -543,7 +547,7 @@ impl RebalanceJob {
                 to: m.to.0,
                 component_ids: stats.component_ids,
                 bytes: stats.bytes,
-                records: stats.records,
+                entries: stats.entries,
             });
             legs.push(MoveLeg {
                 tl: mv_tl,
@@ -582,7 +586,7 @@ impl RebalanceJob {
         self.clock.record_wave(&wave_tl);
         self.move_tl.extend(&wave_tl);
         self.bytes_moved += bytes;
-        self.records_moved += records;
+        self.entries_moved += entries;
         self.state = JobState::Moving {
             completed_waves: wave_index + 1,
         };
@@ -597,7 +601,7 @@ impl RebalanceJob {
             wave: wave_index,
             moves: wave.len(),
             bytes,
-            records,
+            entries,
             components,
             makespan,
         })
@@ -735,13 +739,15 @@ impl RebalanceJob {
             // copy) stages the same component again.
             let dst = cluster.partition_mut(m.to)?.dataset_mut(self.dataset)?;
             dst.ensure_pending_bucket(m.bucket)?;
-            let records = dst.install_shipped_components(m.bucket, vec![feed.clone()])?;
+            dst.install_shipped_components(m.bucket, vec![feed.clone()])?;
+            // The feed component holds one entry per key: its count is exact.
+            let entries = feed.visible_len() as u64;
             let bytes = m.bytes;
-            let nominal = cost.network(bytes) + cost.ingest_cpu(records) + cost.disk_write(bytes);
+            let nominal = cost.network(bytes) + cost.ingest_cpu(entries) + cost.disk_write(bytes);
             tl.charge(dst_node, plane.scaled(dst_node, nominal));
             return Ok(ShipStats {
                 bytes,
-                records,
+                entries,
                 component_ids: Vec::new(),
                 nominal,
             });
@@ -751,10 +757,12 @@ impl RebalanceJob {
             .dataset_mut(self.dataset)?
             .ship_bucket_components(m.bucket)?;
         let bytes: u64 = comps.iter().map(|c| c.visible_size_bytes() as u64).sum();
+        // O(1) per handle: the byte sum above has built every filtered view.
+        let entries: u64 = comps.iter().map(|c| c.visible_len() as u64).sum();
         let component_ids: Vec<u64> = comps.iter().map(|c| c.id()).collect();
         let dst = cluster.partition_mut(m.to)?.dataset_mut(self.dataset)?;
         dst.ensure_pending_bucket(m.bucket)?;
-        let records = dst.install_shipped_components(m.bucket, comps)?;
+        dst.install_shipped_components(m.bucket, comps)?;
         // Sealed components travel as whole files: one sequential read, one
         // transfer, one sequential write. Bloom filters and sorted runs
         // arrive ready to serve, and the secondary rebuild is charged by
@@ -771,7 +779,7 @@ impl RebalanceJob {
         }
         Ok(ShipStats {
             bytes,
-            records,
+            entries,
             component_ids,
             nominal,
         })
@@ -1591,7 +1599,7 @@ impl RebalanceJob {
                 phases,
                 &total_tl,
                 self.bytes_moved,
-                self.records_moved,
+                self.entries_moved,
                 self.total_bytes,
             )
         }
@@ -1792,6 +1800,66 @@ mod tests {
         assert!(shipped.iter().any(|m| !m.component_ids.is_empty()));
         let report = job.drive(&mut cluster).unwrap();
         assert_eq!(cluster.dataset_len(ds).unwrap(), 2000);
+        cluster
+            .check_rebalance_integrity(ds, report.rebalance_id)
+            .unwrap();
+    }
+
+    /// A wave counts what it shipped from the handles and reads no record:
+    /// every entry visible through them, shadowed versions and tombstones
+    /// included, and no entry a split child's filter hides.
+    #[test]
+    fn a_wave_reports_the_visible_entries_it_shipped() {
+        let mut cluster = Cluster::new(2);
+        let spec = DatasetSpec::new("events", Scheme::dynahash(24 * 1024, 2))
+            .with_memtable_budget(4 * 1024);
+        let ds = cluster.create_dataset(spec).unwrap();
+        let record = |i: u64, tag: u8| (Key::from_u64(i), Bytes::from(vec![tag; 48]));
+        cluster.ingest(ds, (0..2000).map(|i| record(i, 0))).unwrap();
+        // Overwrites and tombstones land in newer components than the
+        // records they shadow.
+        cluster
+            .ingest(ds, (0..2000).step_by(3).map(|i| record(i, 1)))
+            .unwrap();
+        let mut session = cluster.session(ds).unwrap();
+        for i in (1..2000).step_by(7) {
+            session.delete(&mut cluster, &Key::from_u64(i)).unwrap();
+        }
+        cluster.add_node().unwrap();
+        let target = cluster.topology().clone();
+        let mut job = RebalanceJob::plan(&mut cluster, ds, &target, 2).unwrap();
+        job.init(&mut cluster).unwrap();
+
+        let (mut visible, mut live, mut filtered, mut most_runs) = (0u64, 0u64, 0, 0);
+        while job.has_remaining_waves() {
+            let wave = job.waves()[job.completed_waves()].clone();
+            let mut wave_visible = 0u64;
+            for m in &wave {
+                let src = cluster.partition(m.from).unwrap().dataset(ds).unwrap();
+                let tree = src.primary.bucket_tree(&m.bucket).unwrap();
+                for c in tree.components() {
+                    wave_visible += c.visible_len() as u64;
+                    filtered += usize::from(c.visible_len() < c.raw_len());
+                }
+                live += tree.live_len() as u64;
+                most_runs = most_runs.max(tree.components().len());
+            }
+            let report = job.run_wave(&mut cluster).unwrap();
+            assert_eq!(report.entries, wave_visible, "wave {}", report.wave);
+            let log = &cluster.controller.metadata_log;
+            let logged = log.shipped_moves(job.rebalance_id());
+            let logged: u64 = logged[logged.len() - wave.len()..]
+                .iter()
+                .map(|m| m.entries)
+                .sum();
+            assert_eq!(logged, wave_visible, "wave {}", report.wave);
+            visible += wave_visible;
+        }
+        assert!(most_runs >= 2, "no bucket shipped two components");
+        assert!(filtered > 0, "no split child shipped a filtered handle");
+        assert!(visible > live, "nothing shadowed: {visible} vs {live}");
+        let report = job.drive(&mut cluster).unwrap();
+        assert_eq!(report.entries_moved, visible);
         cluster
             .check_rebalance_integrity(ds, report.rebalance_id)
             .unwrap();

@@ -247,7 +247,8 @@ pub enum ControlDecision {
         rebalance: RebalanceId,
         /// Buckets restored.
         buckets: usize,
-        /// Records restored from the feed.
+        /// Records restored from the feed. Exact: a repair stages each
+        /// bucket as one component with one entry per key.
         records: u64,
     },
 }

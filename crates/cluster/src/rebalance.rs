@@ -96,8 +96,12 @@ pub struct RebalanceReport {
     pub phases: PhaseTimes,
     /// Bytes of primary-index data scanned and shipped.
     pub bytes_moved: u64,
-    /// Records moved.
-    pub records_moved: u64,
+    /// Entries moved. Exact for the Hashing scheme, which moves records one
+    /// by one, and for a feed-staged bucket, which holds one entry per key.
+    /// A bucket shipped as components counts the entries visible through
+    /// its handles: an upper bound on its live records, since shadowed
+    /// versions and tombstones in older components count too.
+    pub entries_moved: u64,
     /// Buckets moved (0 for the Hashing scheme, which has no buckets).
     pub buckets_moved: usize,
     /// Fraction of the dataset's primary bytes that moved.
@@ -114,7 +118,7 @@ pub struct RebalanceReport {
 }
 
 impl RebalanceReport {
-    /// The report of an operation that moved `bytes_moved` in `records_moved`
+    /// The report of an operation that moved `bytes_moved` in `entries_moved`
     /// of a dataset holding `total_bytes`: elapsed time is the three phases
     /// back to back, per-node busy time is `busy`'s. The fields only a
     /// bucketed job has — buckets, concurrent writes, retries, reroutes —
@@ -125,7 +129,7 @@ impl RebalanceReport {
         phases: PhaseTimes,
         busy: &NodeTimeline,
         bytes_moved: u64,
-        records_moved: u64,
+        entries_moved: u64,
         total_bytes: u64,
     ) -> Self {
         RebalanceReport {
@@ -134,7 +138,7 @@ impl RebalanceReport {
             elapsed: phases.initialization + phases.data_movement + phases.finalization,
             phases,
             bytes_moved,
-            records_moved,
+            entries_moved,
             buckets_moved: 0,
             moved_fraction: if total_bytes == 0 {
                 0.0
@@ -233,7 +237,7 @@ impl Cluster {
         let mut routed: BTreeMap<_, Vec<(Key, Value)>> =
             new_partitions.iter().map(|p| (*p, Vec::new())).collect();
         let mut bytes_moved = 0u64;
-        let mut records_moved = 0u64;
+        let mut entries_moved = 0u64;
         // Cross-node traffic is shipped in batches (Hyracks frames); charge
         // the network per (source partition, destination node) batch.
         let mut inbound_bytes: BTreeMap<NodeId, u64> = BTreeMap::new();
@@ -259,7 +263,7 @@ impl Cluster {
                     .ok_or(ClusterError::UnknownPartition(dst))?;
                 let record_bytes = e.size_bytes() as u64;
                 bytes_moved += record_bytes;
-                records_moved += 1;
+                entries_moved += 1;
                 if dst_node != src_node {
                     *inbound_bytes.entry(dst_node).or_default() += record_bytes;
                 }
@@ -328,7 +332,7 @@ impl Cluster {
             phases,
             &tl,
             bytes_moved,
-            records_moved,
+            entries_moved,
             total_bytes,
         );
         report.moved_fraction = report.moved_fraction.min(1.0);

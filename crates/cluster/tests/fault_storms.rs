@@ -324,7 +324,7 @@ fn speculative_backup_beats_a_crippled_straggler_and_shortens_the_rebalance() {
         off.elapsed
     );
     assert_eq!(on.bytes_moved, off.bytes_moved);
-    assert_eq!(on.records_moved, off.records_moved);
+    assert_eq!(on.entries_moved, off.entries_moved);
     assert_eq!(fast_twin.fault_stats().speculation_wins, wins_on);
     for (cluster, ds, report) in [(&slow_twin, ds_off, &off), (&fast_twin, ds_on, &on)] {
         assert_all_records_served(cluster, ds, 1500);

@@ -36,8 +36,10 @@ pub struct ShippedMove {
     pub component_ids: Vec<u64>,
     /// Visible bytes transferred.
     pub bytes: u64,
-    /// Live records transferred.
-    pub records: u64,
+    /// Entries transferred: those visible through the shipped components'
+    /// handles (an upper bound on live records, since shadowed versions and
+    /// tombstones count too), or a feed-staged bucket's exact record count.
+    pub entries: u64,
 }
 
 /// The payload of a log record.
@@ -310,7 +312,7 @@ mod tests {
             to: 5,
             component_ids: vec![11, 12],
             bytes: 4096,
-            records: 32,
+            entries: 32,
         };
         log.append_forced(LogRecordBody::RebalanceShip {
             rebalance: 9,

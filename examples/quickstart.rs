@@ -70,10 +70,10 @@ fn main() {
         .rebalance(events, &target, RebalanceOptions::none())
         .expect("rebalance");
     println!(
-        "rebalance {:?}: moved {} buckets / {} records ({:.1}% of the data) in {:.2} simulated seconds",
+        "rebalance {:?}: moved {} buckets / {} entries ({:.1}% of the data) in {:.2} simulated seconds",
         report.outcome,
         report.buckets_moved,
-        report.records_moved,
+        report.entries_moved,
         report.moved_fraction * 100.0,
         report.elapsed.as_secs_f64()
     );

@@ -295,7 +295,7 @@ fn the_write_blocked_window_reads_and_writes_no_record() {
         before,
         "(records_written, bytes_query_read) grew inside the write-blocked window"
     );
-    assert!(report.records_moved > 0 && job.writes_applied() > 0);
+    assert!(report.entries_moved > 0 && job.writes_applied() > 0);
     cluster
         .check_rebalance_integrity(ds, report.rebalance_id)
         .unwrap();
