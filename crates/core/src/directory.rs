@@ -209,15 +209,19 @@ impl GlobalDirectory {
         Ok(dir)
     }
 
+    /// Checks that no bucket covers another, on a freshly rebuilt slot
+    /// array: two overlapping buckets wrote shared slots, and the one written
+    /// first finds the other in its lattice. One walk of about `2^D` slots.
     fn check_consistency(&self) -> Result<()> {
-        let buckets: Vec<BucketId> = self.assignment.keys().copied().collect();
-        for (i, a) in buckets.iter().enumerate() {
-            for b in buckets.iter().skip(i + 1) {
-                if a.covers(b) || b.covers(a) {
-                    return Err(CoreError::InconsistentDirectory(format!(
-                        "buckets {a} and {b} overlap"
-                    )));
-                }
+        for a in self.assignment.keys() {
+            let foreign = self
+                .slots
+                .lattice(a)
+                .find_map(|s| s.filter(|(b, _)| b != a));
+            if let Some((b, _)) = foreign {
+                return Err(CoreError::InconsistentDirectory(format!(
+                    "buckets {a} and {b} overlap"
+                )));
             }
         }
         Ok(())
@@ -603,6 +607,32 @@ mod tests {
             (PartitionId(1), vec![BucketId::new(0, 2)]),
         ]);
         assert!(err2.is_err(), "overlapping buckets must be rejected");
+        // 128 buckets of depth 7, plus a depth-9 bucket under bucket 0b1000101:
+        // the two are not neighbours in bucket order, and the error names both
+        let mut views: Vec<(PartitionId, Vec<BucketId>)> = (0..4u32)
+            .map(|p| {
+                let buckets = (0..128).filter(|b| b % 4 == p).map(|b| BucketId::new(b, 7));
+                (PartitionId(p), buckets.collect())
+            })
+            .collect();
+        let deep = BucketId::new(0b10_1000101, 9);
+        views[3].1.push(deep);
+        let assignment: Vec<(BucketId, PartitionId)> = views
+            .iter()
+            .flat_map(|(p, bs)| bs.iter().map(move |b| (*b, *p)))
+            .collect();
+        let shallow = BucketId::new(0b1000101, 7).to_string();
+        let refreshed = GlobalDirectory::refresh_from_locals(views).map(|_| ());
+        let built = GlobalDirectory::from_assignment(assignment).map(|_| ());
+        for err in [refreshed, built] {
+            match err {
+                Err(CoreError::InconsistentDirectory(msg)) => assert!(
+                    msg.contains(&shallow) && msg.contains(&deep.to_string()),
+                    "{msg}"
+                ),
+                other => panic!("overlap not rejected: {other:?}"),
+            }
+        }
     }
 
     #[test]

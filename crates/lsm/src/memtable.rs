@@ -22,10 +22,13 @@
 //! moves no key, so the order stays valid). After a write adds keys, the
 //! next ordered read sorts only the added positions and gallops each into
 //! the kept order: a scan that follows a put costs a search for the put's
-//! key and a copy of the order, not a sort of the table. A flush sorts the
-//! entries themselves in place and hands the vector, trimmed to its length,
-//! to the new run. A reader that needs no order (the count of a tree's dead
-//! entries) walks the arrival order.
+//! key and a copy of the order, not a sort of the table. A flush takes the
+//! kept order, when a read left one, and moves the entries into it in place
+//! along the permutation's cycles; only a table no read has ordered since
+//! its last added key (or its last purge) is sorted at the flush. Either way
+//! the vector, trimmed to its length, becomes the new run. A reader that
+//! needs no order (the count of a tree's dead entries) walks the arrival
+//! order.
 
 use std::sync::OnceLock;
 
@@ -230,9 +233,36 @@ impl MemTable {
 
     /// Drains the memtable into a sorted entry vector (used by flushes),
     /// leaving it empty. The vector carries no spare capacity into the run.
+    ///
+    /// A key order kept by an ordered read is consumed: the entries follow
+    /// the cycles of its permutation in place, and each slot of the order is
+    /// set to `EMPTY` once its entry is home, so nothing is compared and
+    /// nothing allocated. Without a kept order the entries are sorted.
     pub fn drain_sorted(&mut self) -> Vec<Entry> {
-        let mut entries = std::mem::take(self).entries;
-        entries.sort_unstable_by(|a, b| a.key.cmp(&b.key));
+        let MemTable {
+            mut entries,
+            sorted,
+            ..
+        } = std::mem::take(self);
+        match sorted.into_inner() {
+            Some(mut order) => {
+                for start in 0..order.len() {
+                    // `order[at]` is the position of the entry that belongs
+                    // at `at`; the entry displaced from `start` rides along
+                    // the cycle until the cycle closes on it.
+                    let mut at = start;
+                    while order[at] != EMPTY {
+                        let from = order[at] as usize;
+                        order[at] = EMPTY;
+                        if from != start {
+                            entries.swap(at, from);
+                        }
+                        at = from;
+                    }
+                }
+            }
+            None => entries.sort_unstable_by(|a, b| a.key.cmp(&b.key)),
+        }
         entries.shrink_to_fit();
         entries
     }
@@ -443,8 +473,13 @@ mod tests {
     /// every step `get` (held and absent keys), `len`,
     /// `size_bytes`, `iter` and `range` (held, absent and crossed bounds)
     /// agree with the oracle, and a drain returns exactly its sorted entries.
+    /// A drain that follows the step's ordered reads, or only overwrites and
+    /// deletes of held keys after them, finds the kept order; one after a
+    /// key-adding write or a purge sorts. Each path runs at least 50 times.
     #[test]
     fn prop_the_table_matches_the_sorted_map() {
+        // drains that sorted, and drains that found a kept order
+        let mut drains = [0usize; 2];
         for seed in 0..60u64 {
             let mut rng = SplitMix64::seed_from_u64(0x3e37_ab00 + seed);
             let universe: Vec<Key> = match seed % 3 {
@@ -502,9 +537,13 @@ mod tests {
                             o.apply(Entry::delete(key));
                         }
                         75..=92 if o.len() > 0 => {
-                            // overwrite a held key, with a payload of a new length
+                            // overwrite a held key, with a payload of a new
+                            // length or a tombstone: the kept order stays
                             let (held, _) = o.range(None, None)[rng.gen_index(o.len())];
-                            let e = Entry::put(held.clone(), val(40 + rng.gen_index(40)));
+                            let e = match rng.gen_range(0..4) {
+                                0 => Entry::delete(held.clone()),
+                                _ => Entry::put(held.clone(), val(40 + rng.gen_index(40))),
+                            };
                             m.apply(e.clone());
                             o.apply(e);
                         }
@@ -514,11 +553,14 @@ mod tests {
                             m.retain(keep);
                             o.retain(keep);
                         }
-                        _ => assert_eq!(
-                            m.drain_sorted(),
-                            o.drain_sorted(),
-                            "seed {seed}, step {step}"
-                        ),
+                        _ => {
+                            drains[usize::from(m.sorted.get().is_some())] += 1;
+                            assert_eq!(
+                                m.drain_sorted(),
+                                o.drain_sorted(),
+                                "seed {seed}, step {step}"
+                            );
+                        }
                     }
                 }
                 let ctx = format!("seed {seed}, step {step}, burst {burst}");
@@ -550,6 +592,7 @@ mod tests {
                     );
                 }
             }
+            drains[usize::from(m.sorted.get().is_some())] += 1;
             assert_eq!(
                 m.drain_sorted(),
                 o.drain_sorted(),
@@ -557,5 +600,10 @@ mod tests {
             );
             assert!(m.is_empty() && m.size_bytes() == 0, "seed {seed}");
         }
+        let [sorting, ordered] = drains;
+        assert!(
+            sorting >= 50 && ordered >= 50,
+            "{sorting} drains sorted, {ordered} found a kept order"
+        );
     }
 }

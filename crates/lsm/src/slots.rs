@@ -80,15 +80,16 @@ impl<T: Copy + PartialEq + std::fmt::Debug> SlotArray<T> {
         if bucket.depth >= self.depth {
             return self.probe_bits(bucket.bits).is_some();
         }
-        let stride = 1usize << bucket.depth;
-        let mut idx = bucket.bits as usize;
-        while idx < self.slots.len() {
-            if self.slots[idx].is_some() {
-                return true;
-            }
-            idx += stride;
-        }
-        false
+        self.lattice(bucket).any(Option::is_some)
+    }
+
+    /// The slots of a bucket's lattice, `bits + k·2^d`: `2^(D-d)` of them.
+    /// The bucket must be no deeper than the table.
+    pub fn lattice(&self, bucket: &BucketId) -> impl Iterator<Item = &Option<T>> {
+        self.slots
+            .iter()
+            .skip(bucket.bits as usize)
+            .step_by(1usize << bucket.depth)
     }
 
     /// Registers a **new** bucket: bumps its depth count, doubles the table

@@ -506,6 +506,38 @@ mod tests {
         assert_eq!(after - before, (8 + 33 + crate::entry::OP_TAG_BYTES) as u64);
     }
 
+    /// A flush that finds a key order kept by a scan moves the entries into
+    /// it; one that finds none sorts them. Both must build the same run.
+    #[test]
+    fn a_flush_after_an_ordered_read_builds_the_same_run() {
+        let (mut scanned, mut unscanned) = (small_tree(1 << 20), small_tree(1 << 20));
+        let held: Vec<u64> = (0..300).map(|i| (i * 7919) % 1000).collect();
+        for t in [&mut scanned, &mut unscanned] {
+            for &k in &held {
+                t.put(k, val(&format!("v{k}")));
+            }
+        }
+        assert_eq!(scanned.scan_all().len(), 300);
+        // an overwrite and a delete keep the order the scan left behind
+        for t in [&mut scanned, &mut unscanned] {
+            t.put(held[7], val("overwritten"));
+            t.delete(held[11]);
+        }
+        let (a, b) = (scanned.flush().unwrap(), unscanned.flush().unwrap());
+        assert_eq!(a.iter().collect::<Vec<_>>(), b.iter().collect::<Vec<_>>());
+        assert!(a.iter().map(|e| &e.key).is_sorted());
+        assert_eq!((a.raw_len(), a.size_bytes()), (b.raw_len(), b.size_bytes()));
+        for k in held.iter().copied().chain([1001, 5000]) {
+            let key = Key::from_u64(k);
+            assert_eq!(scanned.get(&key), unscanned.get(&key), "key {k}");
+        }
+        assert_eq!(
+            scanned.get(&Key::from_u64(held[7])),
+            Some(val("overwritten"))
+        );
+        assert_eq!(scanned.get(&Key::from_u64(held[11])), None);
+    }
+
     #[test]
     fn auto_flush_triggers_on_budget() {
         let mut t = small_tree(256);
