@@ -11,9 +11,8 @@
 //! soak --full                  # the nightly profile: 16 nodes, 4M records
 //! soak --chaos                 # layer the seeded fault plane on top:
 //!                              # transient ship failures absorbed by retry,
-//!                              # slow nodes absorbed by straggler
-//!                              # speculation, plus a permanent node loss per
-//!                              # grow event — alternating the fresh node
+//!                              # plus a permanent node loss per grow
+//!                              # event — alternating the fresh node
 //!                              # (re-planned, zero data loss) with an
 //!                              # established one whose lost buckets serve
 //!                              # typed degraded errors until repair

@@ -190,9 +190,8 @@ pub struct SoakConfig {
     /// DynaHash max bucket size in bytes.
     pub max_bucket_bytes: u64,
     /// Chaos mode: every churn event additionally injects seeded transient
-    /// ship failures (absorbed by retry) and a seeded slow node (absorbed by
-    /// straggler speculation), and grow events permanently lose a node
-    /// mid-movement — alternating between the node just added (a pure
+    /// ship failures (absorbed by retry), and grow events permanently lose a
+    /// node mid-movement — alternating between the node just added (a pure
     /// destination, re-planned with zero data loss) and an **established**
     /// data-holding node, whose sole bucket copies die with it: the dataset
     /// serves degraded (typed errors, never silent emptiness) until the
@@ -313,10 +312,6 @@ crate::table_row! {
         pub lost_nodes: usize => col("lost_nodes", "lost nodes"),
         /// Data-holding nodes among the losses, each degrading a dataset.
         pub established_losses: usize => col("established_losses", "established losses"),
-        /// Transfers speculatively re-executed as stragglers.
-        pub speculated: u64 => col("speculated", "speculated"),
-        /// Speculative backups that beat their original attempt.
-        pub speculation_wins: u64 => col("speculation_wins", "backups won"),
         /// Repair jobs: the `Finalized` events that restored a bucket.
         pub repairs: u64 => col("repairs", "repairs"),
         /// Lost buckets restored from model-snapshot repair feeds.
@@ -388,8 +383,6 @@ impl SoakReport {
             reroutes: faults.reroutes,
             reshipped: faults.reshipped,
             lost_nodes: faults.lost_nodes.len(),
-            speculated: faults.speculated,
-            speculation_wins: faults.speculation_wins,
             repairs: count(&|e| matches!(e, Event::Finalized { repaired, .. } if *repaired > 0)),
             repaired_buckets: faults.repaired_buckets,
             final_nodes: self.health.nodes.len(),
@@ -1151,8 +1144,7 @@ impl<'a> Runner<'a> {
         // The fault schedule for this event, drawn from the scenario rng so
         // the same seed replays the same faults at the same wave boundaries.
         // Chaos adds transient ship failures (capped below the retry budget,
-        // so always absorbed) and a slow node (absorbed by speculation), and
-        // makes the grow-side fault a permanent loss: even-numbered chaos
+        // so always absorbed) and makes the grow-side fault a permanent loss: even-numbered chaos
         // grows lose the node just added — a pure destination, re-planned
         // back to the live sources with zero data loss — and odd-numbered
         // ones an established node, whose resident buckets die with it and
@@ -1161,9 +1153,8 @@ impl<'a> Runner<'a> {
         let (mut to_lose, mut lost) = (None, None);
         if self.cfg.chaos {
             schedule = schedule.with_transient(150, 2);
-            let nodes = self.cluster.topology().nodes();
-            let slow = nodes[self.rng.gen_index(nodes.len())];
-            schedule = schedule.with_slow_node(slow, 8);
+            // Discarded: the draw that once picked a slow node keeps the seed's stream.
+            self.rng.gen_index(self.cluster.topology().nodes().len());
         }
         match new_node {
             Some(n) if self.cfg.chaos => {

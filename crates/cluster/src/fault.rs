@@ -19,7 +19,7 @@
 //!
 //! A [`FaultSchedule`] holds such rows next to what it derives, as a pure
 //! function of a seed, for every bucket transfer: which attempts fail
-//! transiently (and how often) and which nodes run slow. Because every
+//! transiently, and how often. Because every
 //! decision is derived from the seed or scheduled up front — never taken from
 //! wall-clock time or ambient randomness — a failing run replays exactly
 //! from its seed, the same guarantee the soak fleet already gives for
@@ -31,8 +31,7 @@
 //!   bucket transfer consults [`FaultSchedule::transient_failure`] per
 //!   attempt and retries up to [`MAX_TRANSFER_RETRIES`] times, charging the
 //!   capped exponential [`backoff`] to the wave's [`NodeTimeline`](crate::sim::NodeTimeline)
-//!   so retries cost simulated makespan; slow nodes scale their charged
-//!   durations by [`FaultSchedule::slow_factor`];
+//!   so retries cost simulated makespan;
 //! * [`Cluster::fire_faults`] — the one function that applies a [`Fault`].
 //!   `Cluster::rebalance` calls it at every boundary its driver passes, and
 //!   the soak's churn loop after every round of waves, each handing over the
@@ -121,8 +120,6 @@ pub struct FaultSchedule {
     transient_per_mille: u16,
     /// Hard cap on transient failures injected into one transfer.
     max_transient_per_transfer: u32,
-    /// Nodes whose charged durations are scaled by the factor (> 1 = slow).
-    slow_nodes: BTreeMap<NodeId, u32>,
     /// Faults fired (once) when a driver passes the step point, in the
     /// order they were scheduled.
     step_faults: Vec<(StepPoint, Fault)>,
@@ -154,13 +151,6 @@ impl FaultSchedule {
         self
     }
 
-    /// Marks `node` as slow: every duration charged to it during a transfer
-    /// is multiplied by `factor`.
-    pub fn with_slow_node(mut self, node: NodeId, factor: u32) -> Self {
-        self.slow_nodes.insert(node, factor.max(1));
-        self
-    }
-
     /// Schedules `fault` to fire once, when a driver passes `point`. Several
     /// faults at one point fire in the order they were scheduled.
     pub fn with_fault(mut self, point: StepPoint, fault: Fault) -> Self {
@@ -170,7 +160,7 @@ impl FaultSchedule {
 
     /// True when the schedule injects nothing at all.
     pub fn is_empty(&self) -> bool {
-        self.transient_per_mille == 0 && self.slow_nodes.is_empty() && self.step_faults.is_empty()
+        self.transient_per_mille == 0 && self.step_faults.is_empty()
     }
 
     /// Pure transient-failure decision for attempt `attempt` (zero-based)
@@ -195,16 +185,6 @@ impl FaultSchedule {
             ^ attempt as u64;
         let mut rng = SplitMix64::seed_from_u64(mix);
         rng.gen_range(0..1000) < self.transient_per_mille as u64
-    }
-
-    /// The slow-down factor for `node` (1 = full speed).
-    pub fn slow_factor(&self, node: NodeId) -> u32 {
-        self.slow_nodes.get(&node).copied().unwrap_or(1)
-    }
-
-    /// Scales a charged duration by the node's slow-down factor.
-    pub fn scaled(&self, node: NodeId, d: SimDuration) -> SimDuration {
-        SimDuration(d.as_nanos().saturating_mul(self.slow_factor(node) as u64))
     }
 
     /// Removes and returns the faults scheduled at `point`, in scheduling
@@ -312,13 +292,6 @@ pub struct FaultStats {
     /// Buckets re-shipped from a live source after their first destination
     /// was lost (the WAL's `ShippedMove` log names the components).
     pub reshipped: u64,
-    /// Straggling transfers speculatively re-executed (a backup copy of the
-    /// move was launched because the first attempt ran long past the wave's
-    /// median leg).
-    pub speculated: u64,
-    /// Speculative backups that finished before the original attempt (the
-    /// original's work was cancelled; the wave charged the winner's window).
-    pub speculation_wins: u64,
     /// Lost buckets restored by a committed repair job, cumulative.
     pub repaired_buckets: u64,
     /// Nodes permanently lost (never recovered).
@@ -369,10 +342,6 @@ impl Cluster {
                 } => {
                     stats.reroutes += rerouted;
                     stats.reshipped += reshipped;
-                }
-                Event::Speculated { won, .. } => {
-                    stats.speculated += 1;
-                    stats.speculation_wins += u64::from(won);
                 }
                 Event::Finalized { repaired, .. } => stats.repaired_buckets += repaired,
                 Event::NodeLost { node } => stats.lost_nodes.push(node),
@@ -499,23 +468,5 @@ mod tests {
         assert!(s.is_empty());
         let b = BucketId { bits: 0, depth: 0 };
         assert!(!s.transient_failure(b, PartitionId(0), PartitionId(1), 0));
-        assert_eq!(s.slow_factor(NodeId(0)), 1);
-        assert_eq!(
-            s.scaled(NodeId(0), SimDuration::from_nanos(10)),
-            SimDuration::from_nanos(10)
-        );
-    }
-
-    #[test]
-    fn slow_factor_scales_durations() {
-        let s = FaultSchedule::seeded(9).with_slow_node(NodeId(1), 3);
-        assert_eq!(
-            s.scaled(NodeId(1), SimDuration::from_nanos(100)),
-            SimDuration::from_nanos(300)
-        );
-        assert_eq!(
-            s.scaled(NodeId(2), SimDuration::from_nanos(100)),
-            SimDuration::from_nanos(100)
-        );
     }
 }

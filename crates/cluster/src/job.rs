@@ -73,7 +73,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use dynahash_core::{
     BucketId, BucketMove, ClusterTopology, GlobalDirectory, NodeId, PartitionId, RebalanceOutcome,
-    RebalancePlan, SpeculationPolicy,
+    RebalancePlan,
 };
 use dynahash_lsm::entry::{Key, Value};
 use dynahash_lsm::wal::{LogRecordBody, RebalanceId, ShippedMove};
@@ -173,20 +173,6 @@ struct ShipStats {
     bytes: u64,
     entries: u64,
     component_ids: Vec<u64>,
-    /// What the transfer would cost at nominal speed — no slow-node scaling,
-    /// no transient-retry penalties. This is the duration a speculative
-    /// backup launched from the live source runs for.
-    nominal: SimDuration,
-}
-
-/// One wave move's timeline and endpoints, kept per move so the speculation
-/// pass can compare each leg against the wave's median and replace a
-/// straggler's charges with the race winner's occupancy window.
-struct MoveLeg {
-    tl: NodeTimeline,
-    src: NodeId,
-    dst: NodeId,
-    nominal: SimDuration,
 }
 
 /// What [`RebalanceJob::replan_wave`] did to route a rebalance around one or
@@ -225,7 +211,6 @@ pub struct RebalanceJob {
     votes: BTreeSet<NodeId>,
     /// Participants that ran their commit tasks.
     commit_acks: BTreeSet<NodeId>,
-    speculation: SpeculationPolicy,
     /// Buckets staged from an operator feed instead of a live source
     /// partition, each with the one component built from its feed records
     /// (empty for a rebalance).
@@ -422,7 +407,6 @@ impl RebalanceJob {
             participants,
             votes: BTreeSet::new(),
             commit_acks: BTreeSet::new(),
-            speculation: SpeculationPolicy::default(),
             feed,
             state: JobState::Planned,
             init_tl: NodeTimeline::new(),
@@ -486,8 +470,9 @@ impl RebalanceJob {
     /// secondary-index entries wait for the first index query after the
     /// commit.
     ///
-    /// All moves of a wave run in parallel, so the wave is charged its
-    /// makespan — the slowest participating node. The CC forces a
+    /// All moves of a wave run in parallel and ship into one wave timeline,
+    /// where each node's charges add, so the wave is charged its makespan —
+    /// the slowest participating node. The CC forces a
     /// `RebalanceShip` metadata record after the wave so crash recovery can
     /// replay the component-level moves. Both ends of every move must be
     /// alive; crash a node mid-movement and the operator must either recover
@@ -498,8 +483,7 @@ impl RebalanceJob {
     /// With a [`FaultSchedule`](crate::fault::FaultSchedule) installed on
     /// the cluster, each transfer consults it per attempt and retries
     /// transient failures up to [`MAX_TRANSFER_RETRIES`] times, charging
-    /// capped exponential [`backoff`] into the wave's makespan; slow nodes
-    /// scale their charged durations.
+    /// capped exponential [`backoff`] into the wave's makespan.
     pub fn run_wave(&mut self, cluster: &mut Cluster) -> Result<WaveReport> {
         let wave_index = match self.state {
             JobState::Moving { completed_waves } if completed_waves < self.waves.len() => {
@@ -509,8 +493,7 @@ impl RebalanceJob {
         };
         let wave = self.waves[wave_index].clone();
 
-        // Data movement needs both ends of every move up.
-        let mut endpoints: Vec<(NodeId, NodeId)> = Vec::with_capacity(wave.len());
+        // Data movement needs both ends of every move up before any ships.
         for m in &wave {
             let (src_node, dst_node) = self.endpoints(cluster, m)?;
             for node in [src_node, dst_node] {
@@ -521,22 +504,15 @@ impl RebalanceJob {
                     return Err(ClusterError::NodeDown(node));
                 }
             }
-            endpoints.push((src_node, dst_node));
         }
 
-        // Each move ships into its own timeline. Per-node charges add, so
-        // extending the per-move timelines into the wave timeline below is
-        // charge-identical to the old shared-timeline path — and it gives
-        // the speculation pass each transfer's individual leg to compare
-        // against the wave's median.
         let mut bytes = 0u64;
         let mut entries = 0u64;
         let mut components = 0usize;
         let mut shipped: Vec<ShippedMove> = Vec::with_capacity(wave.len());
-        let mut legs: Vec<MoveLeg> = Vec::with_capacity(wave.len());
-        for (m, &(src, dst)) in wave.iter().zip(&endpoints) {
-            let mut mv_tl = NodeTimeline::new();
-            let stats = self.ship_move(cluster, m, &mut mv_tl)?;
+        let mut wave_tl = NodeTimeline::new();
+        for m in &wave {
+            let stats = self.ship_move(cluster, m, &mut wave_tl)?;
             bytes += stats.bytes;
             entries += stats.entries;
             components += stats.component_ids.len();
@@ -549,17 +525,6 @@ impl RebalanceJob {
                 bytes: stats.bytes,
                 entries: stats.entries,
             });
-            legs.push(MoveLeg {
-                tl: mv_tl,
-                src,
-                dst,
-                nominal: stats.nominal,
-            });
-        }
-        self.speculate_stragglers(cluster, &mut legs);
-        let mut wave_tl = NodeTimeline::new();
-        for leg in &legs {
-            wave_tl.extend(&leg.tl);
         }
         // The CC forces the wave's ship record: if a destination later loses
         // its uncommitted pending state in a crash, recovery replays these
@@ -607,60 +572,6 @@ impl RebalanceJob {
         })
     }
 
-    /// Speculatively re-executes straggling transfers (MapReduce-style
-    /// backup tasks): a move whose leg was stretched past the job's
-    /// [`SpeculationPolicy`] straggler multiple of the wave's median leg —
-    /// by a slow-node fault on one of its endpoints — is shipped *again*
-    /// from the live source to the same destination, and the wave takes the
-    /// first finisher.
-    ///
-    /// The data already shipped exactly once (the first attempt's loads and
-    /// installs stand, so contents are byte-identical either way); the race
-    /// is a timing one. The backup launches once the leg has run
-    /// [`SpeculationPolicy::STRAGGLER_MULTIPLE`] medians and runs at nominal
-    /// speed — the slow factor models a transient environmental stall pinned
-    /// to the first attempt. If the backup finishes strictly first, the
-    /// original is cancelled at that instant and both endpoints are charged
-    /// the winner's occupancy window (the attempts overlap in wall-clock, so
-    /// charging their sum would double-count); otherwise the original's
-    /// charges stand unchanged. Either way the launch is logged as an
-    /// [`Event::Speculated`].
-    fn speculate_stragglers(&self, cluster: &mut Cluster, legs: &mut [MoveLeg]) {
-        if !self.speculation.enabled || legs.len() < 2 || cluster.fault_plane().is_empty() {
-            return;
-        }
-        let plane = cluster.fault_plane().clone();
-        let mut durations: Vec<u64> = legs.iter().map(|l| l.tl.elapsed().as_nanos()).collect();
-        durations.sort_unstable();
-        // Lower median, so a lone straggler in a small wave cannot drag the
-        // reference leg up to itself and mask the detection.
-        let median = durations[(durations.len() - 1) / 2];
-        for leg in legs.iter_mut() {
-            let slowed = plane.slow_factor(leg.src) > 1 || plane.slow_factor(leg.dst) > 1;
-            let leg_ns = leg.tl.elapsed().as_nanos();
-            if !slowed || !self.speculation.is_straggler(leg_ns, median) {
-                continue;
-            }
-            let detect_at = median.saturating_mul(SpeculationPolicy::STRAGGLER_MULTIPLE);
-            let backup_finish = detect_at.saturating_add(leg.nominal.as_nanos());
-            let won = backup_finish < leg_ns;
-            if won {
-                // The backup won strictly: the original is cancelled at the
-                // backup's finish, so both endpoints were busy exactly that
-                // long.
-                let window = SimDuration::from_nanos(backup_finish);
-                let mut tl = NodeTimeline::new();
-                tl.charge(leg.src, window);
-                tl.charge(leg.dst, window);
-                leg.tl = tl;
-            }
-            cluster.record(Event::Speculated {
-                rebalance: self.rebalance_id,
-                won,
-            });
-        }
-    }
-
     /// True when `m`'s bucket is staged from the job's feed, not shipped
     /// from `m.from`.
     fn feed_staged(&self, m: &BucketMove) -> bool {
@@ -695,11 +606,10 @@ impl RebalanceJob {
     /// cost.
     ///
     /// Under an armed fault schedule, transient failures burn attempts
-    /// first — each is logged as an [`Event::TransientFault`], and each
+    /// first: each is logged as an [`Event::TransientFault`], and each
     /// retried one charges a round-trip plus capped exponential [`backoff`]
-    /// to both endpoints — and slow nodes scale every duration charged to
-    /// them. Under the empty schedule the charges below are byte-identical
-    /// to the fault-free path.
+    /// to both endpoints. Under the empty schedule the charges below are
+    /// byte-identical to the fault-free path.
     fn ship_move(
         &mut self,
         cluster: &mut Cluster,
@@ -708,9 +618,11 @@ impl RebalanceJob {
     ) -> Result<ShipStats> {
         let cost = cluster.cost_model();
         let (src_node, dst_node) = self.endpoints(cluster, m)?;
-        let plane = cluster.fault_plane().clone();
         let mut attempt = 0u32;
-        while plane.transient_failure(m.bucket, m.from, m.to, attempt) {
+        while cluster
+            .fault_plane()
+            .transient_failure(m.bucket, m.from, m.to, attempt)
+        {
             let retry = (attempt < MAX_TRANSFER_RETRIES).then(|| backoff(attempt));
             cluster.record(Event::TransientFault {
                 rebalance: self.rebalance_id,
@@ -728,8 +640,8 @@ impl RebalanceJob {
                 )));
             };
             let round_trip = SimDuration::from_nanos(cost.network_latency_ns);
-            tl.charge(src_node, plane.scaled(src_node, round_trip) + wait);
-            tl.charge(dst_node, plane.scaled(dst_node, round_trip) + wait);
+            tl.charge(src_node, round_trip + wait);
+            tl.charge(dst_node, round_trip + wait);
             attempt += 1;
         }
         if let Some(feed) = self.feed.get(&m.bucket) {
@@ -743,13 +655,14 @@ impl RebalanceJob {
             // The feed component holds one entry per key: its count is exact.
             let entries = feed.visible_len() as u64;
             let bytes = m.bytes;
-            let nominal = cost.network(bytes) + cost.ingest_cpu(entries) + cost.disk_write(bytes);
-            tl.charge(dst_node, plane.scaled(dst_node, nominal));
+            tl.charge(
+                dst_node,
+                cost.network(bytes) + cost.ingest_cpu(entries) + cost.disk_write(bytes),
+            );
             return Ok(ShipStats {
                 bytes,
                 entries,
                 component_ids: Vec::new(),
-                nominal,
             });
         }
         let comps = cluster
@@ -767,21 +680,19 @@ impl RebalanceJob {
         // transfer, one sequential write. Bloom filters and sorted runs
         // arrive ready to serve, and the secondary rebuild is charged by
         // whoever runs it later (the first index query, or a commit cleanup).
-        let mut nominal = SimDuration::ZERO;
         if bytes > 0 {
-            let src_cost = cost.disk_read(bytes);
-            tl.charge(src_node, plane.scaled(src_node, src_cost));
-            let dst_cost = cost.network(bytes)
-                + cost.component_ship_overhead(component_ids.len() as u64)
-                + cost.disk_write(bytes);
-            tl.charge(dst_node, plane.scaled(dst_node, dst_cost));
-            nominal = src_cost.max(dst_cost);
+            tl.charge(src_node, cost.disk_read(bytes));
+            tl.charge(
+                dst_node,
+                cost.network(bytes)
+                    + cost.component_ship_overhead(component_ids.len() as u64)
+                    + cost.disk_write(bytes),
+            );
         }
         Ok(ShipStats {
             bytes,
             entries,
             component_ids,
-            nominal,
         })
     }
 
@@ -1299,13 +1210,6 @@ impl RebalanceJob {
     /// The scheduled waves.
     pub fn waves(&self) -> &[Vec<dynahash_core::BucketMove>] {
         &self.waves
-    }
-
-    /// Sets the straggler-speculation policy (default:
-    /// [`SpeculationPolicy::default`], enabled). Call before the first wave
-    /// runs.
-    pub fn set_speculation(&mut self, speculation: SpeculationPolicy) {
-        self.speculation = speculation;
     }
 
     /// Total number of scheduled waves.

@@ -24,16 +24,14 @@
 //!   it and the global rebalancing baseline ([`rebalance`]);
 //! * the crash/recover primitives ([`recovery`]) and the deterministic fault
 //!   plane over them — seeded, replayable [`fault::FaultSchedule`]s of
-//!   transient ship failures, slow nodes, and [`fault::Fault`]s scheduled at
+//!   transient ship failures and [`fault::Fault`]s scheduled at
 //!   a job's step boundaries: the six failure cases of Section V-D, node
 //!   restarts, and permanent losses that
 //!   [`job::RebalanceJob::replan_wave`] survives by rerouting the dead
 //!   node's moves to survivors ([`fault`]);
-//! * the recovery plane — speculative re-execution of straggling transfers
-//!   under a [`dynahash_core::SpeculationPolicy`] (the wave takes the first
-//!   finisher), and the repair planner, which restores a degraded dataset's
-//!   lost buckets by running the same engine with the buckets staged from
-//!   an operator-supplied feed ([`repair`]);
+//! * the repair planner, which restores a degraded dataset's lost buckets by
+//!   running the same engine with the buckets staged from an
+//!   operator-supplied feed ([`repair`]);
 //! * the event log — one ordered record of control decisions, job steps and
 //!   fault facts, read through [`cluster::Cluster::events`]; counters, job
 //!   progress and fault statistics are folds over it ([`obs`]);
@@ -71,8 +69,6 @@ pub use rebalance::{PhaseTimes, RebalanceOptions, RebalanceReport};
 pub use recovery::RecoveryReport;
 pub use session::{RouteError, Session, SessionMetrics};
 pub use sim::{CostModel, NodeTimeline, SimDuration, WaveClock};
-
-pub use dynahash_core::SpeculationPolicy;
 
 use dynahash_core::{BucketId, CoreError, NodeId, PartitionId};
 use dynahash_lsm::StorageError;

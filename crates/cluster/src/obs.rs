@@ -3,13 +3,12 @@
 //!
 //! Section V's protocol runs off one durable, ordered log of BEGIN / COMMIT /
 //! DONE records. The planes around it report the same way: every control
-//! decision, every job step that something reads, every transient fault or
-//! speculated straggler, every node crash, recovery and loss, and every
-//! controller restart is appended as an [`Event`] to one append-only log on
-//! the cluster. An event's sequence number is its position,
-//! [`Cluster::events`] is the one way to read it, and nothing but an append
-//! changes it. There are no other copies; every figure is a fold over the
-//! log:
+//! decision, every job step that something reads, every transient fault,
+//! every node crash, recovery and loss, and every controller restart is
+//! appended as an [`Event`] to one append-only log on the cluster. An
+//! event's sequence number is its position, [`Cluster::events`] is the one
+//! way to read it, and nothing but an append changes it. There are no other
+//! copies; every figure is a fold over the log:
 //!
 //! * the control plane's counters are counts of its [`ControlDecision`]s,
 //!   and a tick's decisions are the events the tick appended;
@@ -94,13 +93,6 @@ pub enum Event {
         /// The backoff charged before the retry; `None` when the retry
         /// budget was exhausted and the wave failed instead.
         backoff: Option<SimDuration>,
-    },
-    /// A straggling transfer was shipped again speculatively.
-    Speculated {
-        /// The job's rebalance-operation id.
-        rebalance: RebalanceId,
-        /// True when the backup finished strictly before the original.
-        won: bool,
     },
     /// A node was lost for good
     /// ([`Cluster::lose_node`](crate::cluster::Cluster::lose_node)).

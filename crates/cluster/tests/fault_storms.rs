@@ -16,8 +16,8 @@
 //! Everything is seeded: a failure replays exactly from the printed seed.
 
 use dynahash_cluster::{
-    Cluster, ClusterConfig, ClusterError, CostModel, DatasetId, DatasetSpec, Event, Fault,
-    FaultSchedule, RebalanceJob, RebalanceOptions, RebalanceReport, SpeculationPolicy, StepPoint,
+    Cluster, ClusterConfig, ClusterError, CostModel, DatasetId, DatasetSpec, Fault, FaultSchedule,
+    RebalanceJob, RebalanceOptions, StepPoint,
 };
 use dynahash_core::{NodeId, RebalanceOutcome, Scheme};
 use dynahash_lsm::entry::Key;
@@ -252,42 +252,6 @@ fn double_loss_of_two_destinations_still_commits() {
     assert_eq!(cluster.fault_stats().lost_nodes, vec![n2, n3]);
 }
 
-/// Drives a 3 -> 4 scale-out step by step with a slow-node fault pinned to a
-/// node that actually sources a move of the first wave, so both twins of a
-/// speculation race stall on the same leg whatever the planner chose.
-fn scale_out_with_slow_source(
-    factor: u32,
-    policy: SpeculationPolicy,
-) -> (Cluster, DatasetId, RebalanceReport, u64, u64) {
-    let (mut cluster, ds) = loaded(3, 1500);
-    cluster.add_node().unwrap();
-    let target = cluster.topology().clone();
-    let mut job = RebalanceJob::plan(&mut cluster, ds, &target, 4).unwrap();
-    let slow = cluster.node_of_partition(job.waves()[0][0].from).unwrap();
-    cluster.set_fault_plane(FaultSchedule::seeded(SEED).with_slow_node(slow, factor));
-    job.set_speculation(policy);
-    job.init(&mut cluster).unwrap();
-    while job.has_remaining_waves() {
-        job.run_wave(&mut cluster).unwrap();
-    }
-    job.prepare(&mut cluster).unwrap();
-    assert_eq!(
-        job.decide(&mut cluster).unwrap(),
-        RebalanceOutcome::Committed
-    );
-    job.commit(&mut cluster).unwrap();
-    let report = job.finalize(&mut cluster).unwrap();
-    // The job's speculation, read from its own events.
-    let races: Vec<bool> = (cluster.events(0).iter())
-        .filter_map(|e| match *e {
-            Event::Speculated { rebalance, won } if rebalance == report.rebalance_id => Some(won),
-            _ => None,
-        })
-        .collect();
-    let wins = races.iter().filter(|won| **won).count() as u64;
-    (cluster, ds, report, races.len() as u64, wins)
-}
-
 fn assert_all_records_served(cluster: &Cluster, ds: DatasetId, n: u64) {
     let mut session = cluster.session(ds).unwrap();
     for i in 0..n {
@@ -298,66 +262,6 @@ fn assert_all_records_served(cluster: &Cluster, ds: DatasetId, n: u64) {
             "key {i}"
         );
     }
-}
-
-#[test]
-fn speculative_backup_beats_a_crippled_straggler_and_shortens_the_rebalance() {
-    // A 50x stall on a source node stretches its legs far past twice the
-    // wave median: the backup (launched two medians in, running at nominal
-    // speed) must win the race, and the won race must strictly shorten the
-    // rebalance relative to a twin with speculation switched off — with
-    // byte-identical contents, since the data ships exactly once either way.
-    let (slow_twin, ds_off, off, spec_off, wins_off) =
-        scale_out_with_slow_source(50, SpeculationPolicy::disabled());
-    let (fast_twin, ds_on, on, spec_on, wins_on) =
-        scale_out_with_slow_source(50, SpeculationPolicy::default());
-    assert_eq!((spec_off, wins_off), (0, 0));
-    assert!(spec_on > 0, "a 50x stall must trip straggler detection");
-    assert!(
-        wins_on > 0,
-        "a nominal-speed backup must beat a 50x straggler"
-    );
-    assert!(
-        on.elapsed < off.elapsed,
-        "a won race must strictly shorten the rebalance: {:?} vs {:?}",
-        on.elapsed,
-        off.elapsed
-    );
-    assert_eq!(on.bytes_moved, off.bytes_moved);
-    assert_eq!(on.entries_moved, off.entries_moved);
-    assert_eq!(fast_twin.fault_stats().speculation_wins, wins_on);
-    for (cluster, ds, report) in [(&slow_twin, ds_off, &off), (&fast_twin, ds_on, &on)] {
-        assert_all_records_served(cluster, ds, 1500);
-        cluster
-            .check_rebalance_integrity(ds, report.rebalance_id)
-            .unwrap();
-    }
-}
-
-#[test]
-fn speculation_launched_on_a_mild_straggler_loses_the_race_and_costs_nothing() {
-    // A source's read is a small share of a leg, so it takes a 13x stall on
-    // it to stretch its legs just past twice the wave median. That launches
-    // backups, but the originals finish before backups that only started two
-    // medians in: zero wins, and — since a lost race leaves every leg's
-    // charges untouched — a makespan byte-identical to the speculation-off
-    // twin.
-    let (_, _, off, ..) = scale_out_with_slow_source(13, SpeculationPolicy::disabled());
-    let (cluster, ds, on, spec_on, wins_on) =
-        scale_out_with_slow_source(13, SpeculationPolicy::default());
-    assert!(spec_on > 0, "a leg past two medians must launch a backup");
-    assert_eq!(
-        wins_on, 0,
-        "a leg barely past two medians finishes before its backup"
-    );
-    assert_eq!(
-        on.elapsed, off.elapsed,
-        "a lost race must leave the wave timeline untouched"
-    );
-    assert_all_records_served(&cluster, ds, 1500);
-    cluster
-        .check_rebalance_integrity(ds, on.rebalance_id)
-        .unwrap();
 }
 
 #[test]

@@ -31,9 +31,7 @@ pub use balance::{balance_assignment, BalanceInput, BucketLoad};
 pub use directory::{DirectoryDelta, GlobalDirectory};
 pub use dynahash_lsm::{hash_key, BucketId};
 pub use plan::{BucketMove, RebalancePlan};
-pub use protocol::{
-    max_deviation_imbalance, BucketHeat, MigrationBudget, RebalanceOutcome, SpeculationPolicy,
-};
+pub use protocol::{max_deviation_imbalance, BucketHeat, MigrationBudget, RebalanceOutcome};
 pub use scheme::Scheme;
 pub use topology::{ClusterTopology, NodeId, PartitionId};
 

@@ -6,55 +6,14 @@
 //! replication may still be active when data movement "finishes". The one
 //! coordinator that steps through those phases, collects the votes and does
 //! the work (forcing log records, shipping buckets) is `RebalanceJob` in
-//! `dynahash-cluster`; this module holds the policies and outcomes it is
-//! parameterised by, and the control plane's load vocabulary.
+//! `dynahash-cluster`; this module holds the outcome it decides, and the
+//! control plane's load vocabulary and migration budget.
 //!
 //! How a bucket moves is not a policy: a wave ships the bucket's sealed LSM
 //! components whole (Section IV — components are immutable, so a bucket
 //! moves as whole files), and the destination defers the secondary-index
 //! entries of what it received to the first index query, the pay-lazily
 //! argument Jahangiri et al. (arXiv:2112.02480) make for partition builds.
-
-/// When and whether a wave speculatively re-executes a straggling transfer.
-///
-/// A slow-node fault stretches a transfer without failing it, so the retry
-/// machinery never reacts and the whole wave makespan absorbs the stall. The
-/// classic answer (MapReduce-style speculative execution) is to ship the
-/// laggard's move *again* once it has run long past its peers and take the
-/// first finisher. The slow factor models a transient environmental stall
-/// (background compaction, a GC pause, a hot disk) pinned to the first
-/// attempt; the backup, launched later from the live source, runs at nominal
-/// speed and wins exactly when the stall is long enough to pay for the late
-/// start.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpeculationPolicy {
-    /// Whether stragglers are speculatively re-executed at all.
-    pub enabled: bool,
-}
-
-impl Default for SpeculationPolicy {
-    fn default() -> Self {
-        SpeculationPolicy { enabled: true }
-    }
-}
-
-impl SpeculationPolicy {
-    /// A transfer qualifies as a straggler when its leg exceeds this multiple
-    /// of the wave's median leg, and its backup launches at that point.
-    /// Single-move waves never qualify (the only leg *is* the median).
-    pub const STRAGGLER_MULTIPLE: u64 = 2;
-
-    /// Speculation switched off: stragglers run to completion unchallenged.
-    pub fn disabled() -> Self {
-        SpeculationPolicy { enabled: false }
-    }
-
-    /// True when a transfer leg of `leg_ns` against a wave median of
-    /// `median_ns` qualifies as a straggler worth re-executing.
-    pub fn is_straggler(&self, leg_ns: u64, median_ns: u64) -> bool {
-        self.enabled && median_ns > 0 && leg_ns > median_ns.saturating_mul(Self::STRAGGLER_MULTIPLE)
-    }
-}
 
 /// The final outcome of a rebalance operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,20 +123,6 @@ impl MigrationBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn speculation_policy_straggler_threshold() {
-        let p = SpeculationPolicy::default();
-        assert!(p.enabled);
-        // at or below the multiple: not a straggler (strictly greater wins)
-        assert!(!p.is_straggler(200, 100));
-        assert!(p.is_straggler(201, 100));
-        // a single-move wave (leg == median) never qualifies
-        assert!(!p.is_straggler(100, 100));
-        // a zero median (empty wave) never qualifies
-        assert!(!p.is_straggler(100, 0));
-        assert!(!SpeculationPolicy::disabled().is_straggler(1_000_000, 1));
-    }
 
     #[test]
     fn bucket_heat_decays_and_aggregates() {

@@ -356,9 +356,9 @@ fn auto_job_interrupted_by_node_loss_replans_and_commits() {
 
 /// One seeded run with every plane at work: a hot dataset on a cluster that
 /// just grew by two empty nodes, an armed control plane under a tight
-/// migration budget, transient transfer faults and a slow node, an
-/// established node lost while the auto-job is in flight, and a repair from
-/// a registered feed. Returns the run's event log.
+/// migration budget, transient transfer faults, an established node lost
+/// while the auto-job is in flight, and a repair from a registered feed.
+/// Returns the run's event log.
 fn traced_run() -> Vec<Event> {
     let mut cluster = test_cluster(3);
     cluster.set_heat_tracking(true);
@@ -375,11 +375,7 @@ fn traced_run() -> Vec<Event> {
     }
     cluster.add_node().unwrap();
     cluster.add_node().unwrap();
-    cluster.set_fault_plane(
-        FaultSchedule::seeded(0x0b5e_2026)
-            .with_transient(300, 2)
-            .with_slow_node(NodeId(0), 20),
-    );
+    cluster.set_fault_plane(FaultSchedule::seeded(0x0b5e_2026).with_transient(300, 2));
     let mut plane = ControlPlane::new(ControlConfig {
         budget: MigrationBudget {
             max_buckets_per_window: 2,
@@ -417,7 +413,6 @@ fn kind(event: &Event) -> &'static str {
         Event::TransientFault {
             backoff: Some(_), ..
         } => "retry",
-        Event::Speculated { .. } => "speculation",
         Event::Replanned { .. } => "replan",
         Event::Control(ControlDecision::Triggered { .. }) => "trigger",
         Event::Control(ControlDecision::SuppressedByHysteresis { .. }) => "hysteresis",
@@ -436,7 +431,6 @@ fn one_seed_logs_the_same_events_twice() {
     for wanted in [
         "wave",
         "retry",
-        "speculation",
         "replan",
         "trigger",
         "hysteresis",
