@@ -1,7 +1,9 @@
 //! The simulated shared-nothing cluster.
 //!
-//! [`Cluster`] wires together the Cluster Controller, the Node Controllers
-//! with their storage partitions, and the hardware cost model. It exposes the
+//! [`Cluster`] wires together the Cluster Controller, the storage partitions
+//! (one map, keyed by partition id; the topology says which node hosts
+//! each), every Node Controller's liveness state, and the hardware cost
+//! model. It exposes the
 //! operations the experiments need: creating datasets, ingesting records
 //! through data feeds, running queries (see [`crate::query`]), scaling the
 //! cluster in or out, and rebalancing datasets (see [`crate::rebalance`]).
@@ -17,12 +19,11 @@ use dynahash_lsm::wal::{RebalanceId, RebalanceLogStatus};
 use crate::control::{HeatCell, HeatReport};
 use crate::controller::ClusterController;
 use crate::dataset::{DatasetId, DatasetMeta, DatasetSpec};
-use crate::fault::{ClusterHealth, FaultSchedule, FaultState};
+use crate::fault::{ClusterHealth, FaultSchedule, FaultState, NodeState};
 use crate::feed::IngestReport;
 use crate::job::RebalanceJob;
-use crate::node::NodeController;
 use crate::obs::{jobs_in_flight, Event};
-use crate::partition::Partition;
+use crate::partition::{Partition, PartitionDataset};
 use crate::rebalance::RebalanceReport;
 use crate::sim::{CostModel, NodeTimeline, SimDuration};
 use crate::ClusterError;
@@ -78,7 +79,11 @@ struct Written {
 pub struct Cluster {
     config: ClusterConfig,
     topology: ClusterTopology,
-    nodes: BTreeMap<NodeId, NodeController>,
+    /// Every partition of the topology, whichever node hosts it.
+    partitions: BTreeMap<PartitionId, Partition>,
+    /// Every Node Controller of the topology: a node is its liveness state
+    /// (see [`crate::recovery`] for the rules that change it).
+    pub(crate) nodes: BTreeMap<NodeId, NodeState>,
     /// The Cluster Controller.
     pub controller: ClusterController,
     /// In-flight step-driven rebalances, by dataset (see [`ActiveRebalance`]).
@@ -112,14 +117,16 @@ impl Cluster {
     /// Creates a cluster with an explicit configuration.
     pub fn with_config(num_nodes: u32, config: ClusterConfig) -> Self {
         let topology = ClusterTopology::uniform(num_nodes, config.partitions_per_node);
-        let nodes = topology
-            .nodes()
-            .into_iter()
-            .map(|n| (n, NodeController::new(n, topology.partitions_of_node(n))))
+        let partitions = (topology.partitions().into_iter())
+            .map(|p| (p, Partition::new(p)))
+            .collect();
+        let nodes = (topology.nodes().into_iter())
+            .map(|n| (n, NodeState::Alive))
             .collect();
         Cluster {
             config,
             topology,
+            partitions,
             nodes,
             controller: ClusterController::new(),
             active_rebalances: BTreeMap::new(),
@@ -171,7 +178,7 @@ impl Cluster {
             return None;
         }
         let ds = self.partition(partition).ok()?.dataset(dataset).ok()?;
-        ds.primary.directory().lookup_key(key)
+        ds.primary.bucket_of(key)
     }
 
     // ------------------------------------------------------------ event log
@@ -240,22 +247,19 @@ impl Cluster {
             .ok_or(ClusterError::UnknownPartition(partition))
     }
 
-    /// Access a node.
-    pub fn node(&self, id: NodeId) -> Result<&NodeController, ClusterError> {
-        self.nodes.get(&id).ok_or(ClusterError::UnknownNode(id))
+    /// A node's liveness state.
+    pub(crate) fn node_state(&self, id: NodeId) -> Result<NodeState, ClusterError> {
+        self.nodes
+            .get(&id)
+            .copied()
+            .ok_or(ClusterError::UnknownNode(id))
     }
 
-    /// Mutable access to a node.
-    pub fn node_mut(&mut self, id: NodeId) -> Result<&mut NodeController, ClusterError> {
-        self.nodes.get_mut(&id).ok_or(ClusterError::UnknownNode(id))
-    }
-
-    /// Access a partition (through its node). Crate-internal: clients go
-    /// through [`crate::session::Session`]; tests and operators that need
-    /// white-box access use [`Cluster::admin`].
+    /// Access a partition. Crate-internal: clients go through
+    /// [`crate::session::Session`]; tests and operators that need white-box
+    /// access use [`Cluster::admin`].
     pub(crate) fn partition(&self, id: PartitionId) -> Result<&Partition, ClusterError> {
-        let node = self.node_of_partition(id)?;
-        self.node(node)?.partition(id)
+        (self.partitions.get(&id)).ok_or(ClusterError::UnknownPartition(id))
     }
 
     /// Mutable access to a partition (crate-internal, see
@@ -264,8 +268,26 @@ impl Cluster {
         &mut self,
         id: PartitionId,
     ) -> Result<&mut Partition, ClusterError> {
-        let node = self.node_of_partition(id)?;
-        self.node_mut(node)?.partition_mut(id)
+        (self.partitions.get_mut(&id)).ok_or(ClusterError::UnknownPartition(id))
+    }
+
+    /// The local storage of `dataset` on every partition that holds it, in
+    /// partition order.
+    pub(crate) fn stores(
+        &self,
+        dataset: DatasetId,
+    ) -> impl Iterator<Item = (PartitionId, &PartitionDataset)> {
+        (self.partitions.iter())
+            .filter_map(move |(p, part)| Some((*p, part.dataset(dataset).ok()?)))
+    }
+
+    /// Mutable form of [`Cluster::stores`].
+    pub(crate) fn stores_mut(
+        &mut self,
+        dataset: DatasetId,
+    ) -> impl Iterator<Item = (PartitionId, &mut PartitionDataset)> {
+        (self.partitions.iter_mut())
+            .filter_map(move |(p, part)| Some((*p, part.dataset_mut(dataset).ok()?)))
     }
 
     /// The white-box escape hatch around the session API: direct partition
@@ -370,11 +392,10 @@ impl Cluster {
             let dst_node = active.target.node_of(dst_partition);
             Some((bucket, dst_partition, dst_node, key.clone(), value.clone()))
         });
-        let node = self.node_mut(node_id)?;
-        if !node.is_alive() {
+        if self.node_state(node_id)? != NodeState::Alive {
             return Err(ClusterError::NodeDown(node_id));
         }
-        let ds = node.partition_mut(partition)?.dataset_mut(dataset)?;
+        let ds = self.partition_mut(partition)?.dataset_mut(dataset)?;
         let was_live = match value {
             Some(value) => {
                 ds.ingest(key, value)?;
@@ -404,7 +425,7 @@ impl Cluster {
                 Some(value) => dynahash_lsm::Entry::put(key, value),
                 None => dynahash_lsm::Entry::delete(key),
             };
-            ds.apply_replicated(bucket, entry)?;
+            ds.primary.apply_replicated(bucket, entry)?;
         }
         Ok(written)
     }
@@ -522,7 +543,7 @@ impl Cluster {
             .partitions
             .iter()
             .filter_map(|p| self.partition(*p).ok()?.dataset(routing.id).ok())
-            .map(|ds| ds.primary.directory().local_depth())
+            .map(|ds| ds.primary.local_depth())
             .max()
             .unwrap_or(0);
         let mask = (1u64 << depth.min(32)) - 1;
@@ -566,16 +587,15 @@ impl Cluster {
             .nodes()
             .last()
             .ok_or(ClusterError::Core(dynahash_core::CoreError::EmptyTopology))?;
-        let new_partitions = new_topology.partitions_of_node(new_node_id);
-        let mut node = NodeController::new(new_node_id, new_partitions.clone());
-        for dataset in self.controller.dataset_ids() {
-            let spec = self.controller.dataset(dataset)?.spec.clone();
-            for p in &new_partitions {
-                node.partition_mut(*p)?
-                    .create_dataset(dataset, &spec, vec![]);
+        for p in new_topology.partitions_of_node(new_node_id) {
+            let mut partition = Partition::new(p);
+            for dataset in self.controller.dataset_ids() {
+                let spec = &self.controller.dataset(dataset)?.spec;
+                partition.create_dataset(dataset, spec, vec![]);
             }
+            self.partitions.insert(p, partition);
         }
-        self.nodes.insert(new_node_id, node);
+        self.nodes.insert(new_node_id, NodeState::Alive);
         self.topology = new_topology;
         Ok(new_node_id)
     }
@@ -584,15 +604,15 @@ impl Cluster {
     /// rebalanced away from it first; the call fails if any partition on the
     /// node still holds data.
     pub fn decommission_node(&mut self, node: NodeId) -> Result<(), ClusterError> {
-        let nc = self.node(node)?;
-        let remaining: usize = nc
-            .partitions()
-            .map(|p| {
+        self.node_state(node)?;
+        let remaining: usize = (self.topology.partitions_of_node(node).iter())
+            .filter_map(|p| self.partitions.get(p))
+            .flat_map(|p| {
                 p.dataset_ids()
-                    .iter()
-                    .map(|d| p.dataset(*d).map(|ds| ds.live_len()).unwrap_or(0))
-                    .sum::<usize>()
+                    .into_iter()
+                    .filter_map(|d| p.dataset(d).ok())
             })
+            .map(|ds| ds.primary.live_len())
             .sum();
         if remaining > 0 {
             return Err(ClusterError::NodeNotEmpty(node, remaining));
@@ -607,7 +627,7 @@ impl Cluster {
     /// (i.e. every in-flight rebalance has re-planned around the loss and
     /// committed).
     pub fn remove_lost_node(&mut self, node: NodeId) -> Result<(), ClusterError> {
-        if !self.node(node)?.is_lost() {
+        if self.node_state(node)? != NodeState::Lost {
             return Err(ClusterError::Inconsistent(format!(
                 "node {node} is not lost; use decommission_node"
             )));
@@ -633,6 +653,9 @@ impl Cluster {
     /// dispatching scans to partitions that no longer exist.
     fn retire_node(&mut self, node: NodeId) -> Result<(), ClusterError> {
         self.nodes.remove(&node);
+        for p in self.topology.partitions_of_node(node) {
+            self.partitions.remove(&p);
+        }
         self.topology = self.topology.without_node(node);
         for dataset in self.controller.dataset_ids() {
             let topo = self.topology.clone();
@@ -659,14 +682,9 @@ impl Cluster {
         &self,
         dataset: DatasetId,
     ) -> Result<BTreeMap<PartitionId, usize>, ClusterError> {
-        let mut out = BTreeMap::new();
-        for p in self.topology.partitions() {
-            let part = self.partition(p)?;
-            if part.has_dataset(dataset) {
-                out.insert(p, part.dataset(dataset)?.live_len());
-            }
-        }
-        Ok(out)
+        Ok((self.stores(dataset))
+            .map(|(p, ds)| (p, ds.primary.live_len()))
+            .collect())
     }
 
     /// Total live records of a dataset.
@@ -677,14 +695,9 @@ impl Cluster {
     /// Total primary-index bytes of a dataset (what a global rebalance would
     /// have to move).
     pub fn dataset_primary_bytes(&self, dataset: DatasetId) -> Result<u64, ClusterError> {
-        let mut total = 0u64;
-        for p in self.topology.partitions() {
-            let part = self.partition(p)?;
-            if part.has_dataset(dataset) {
-                total += part.dataset(dataset)?.primary_storage_bytes() as u64;
-            }
-        }
-        Ok(total)
+        Ok((self.stores(dataset))
+            .map(|(_, ds)| ds.primary.logical_size_bytes() as u64)
+            .sum())
     }
 
     /// Per-bucket byte sizes of a bucketed dataset across the whole cluster
@@ -694,12 +707,9 @@ impl Cluster {
         dataset: DatasetId,
     ) -> Result<BTreeMap<BucketId, u64>, ClusterError> {
         let mut out = BTreeMap::new();
-        for p in self.topology.partitions() {
-            let part = self.partition(p)?;
-            if part.has_dataset(dataset) {
-                for (b, s) in part.dataset(dataset)?.bucket_sizes() {
-                    *out.entry(b).or_default() += s;
-                }
+        for (_, ds) in self.stores(dataset) {
+            for (b, s) in ds.primary.bucket_sizes() {
+                *out.entry(b).or_default() += s as u64;
             }
         }
         Ok(out)
@@ -711,15 +721,9 @@ impl Cluster {
         &self,
         dataset: DatasetId,
     ) -> Result<Vec<(PartitionId, Vec<BucketId>)>, ClusterError> {
-        let mut out = Vec::new();
-        for p in self.topology.partitions() {
-            let part = self.partition(p)?;
-            if part.has_dataset(dataset) {
-                let buckets = part.dataset(dataset)?.primary.bucket_ids();
-                out.push((p, buckets));
-            }
-        }
-        Ok(out)
+        Ok((self.stores(dataset))
+            .map(|(p, ds)| (p, ds.primary.bucket_ids()))
+            .collect())
     }
 
     /// Convenience: the scheme of a dataset.
@@ -734,13 +738,8 @@ impl Cluster {
         dataset: DatasetId,
         enabled: bool,
     ) -> Result<(), ClusterError> {
-        for p in self.topology().partitions() {
-            let part = self.partition_mut(p)?;
-            if part.has_dataset(dataset) {
-                part.dataset_mut(dataset)?
-                    .primary
-                    .set_splits_enabled(enabled);
-            }
+        for (_, ds) in self.stores_mut(dataset) {
+            ds.primary.set_splits_enabled(enabled);
         }
         Ok(())
     }
@@ -750,18 +749,13 @@ impl Cluster {
     /// internally consistent. Used by integration and property tests.
     pub fn check_dataset_consistency(&self, dataset: DatasetId) -> Result<(), ClusterError> {
         let meta = self.controller.dataset(dataset)?;
-        for p in self.topology.partitions() {
-            let part = self.partition(p)?;
-            if !part.has_dataset(dataset) {
-                continue;
-            }
-            let ds = part.dataset(dataset)?;
+        for (p, ds) in self.stores(dataset) {
             if !ds.primary.is_consistent() {
                 return Err(ClusterError::Inconsistent(format!(
                     "partition {p} local directory inconsistent"
                 )));
             }
-            for entry in ds.scan(dynahash_lsm::ScanOrder::Unordered) {
+            for entry in ds.primary.scan(dynahash_lsm::ScanOrder::Unordered) {
                 let expected = meta
                     .route_key(&entry.key)
                     .ok_or(ClusterError::RoutingFailed(dataset))?;
@@ -811,12 +805,7 @@ impl Cluster {
                 ));
             }
         }
-        for p in self.topology.partitions() {
-            let part = self.partition(p)?;
-            if !part.has_dataset(dataset) {
-                continue;
-            }
-            let ds = part.dataset(dataset)?;
+        for (p, ds) in self.stores(dataset) {
             if !ds.primary.pending_bucket_ids().is_empty() || ds.primary.pending_storage_bytes() > 0
             {
                 return Err(ClusterError::Inconsistent(format!(
@@ -911,7 +900,7 @@ impl Admin<'_> {
                 .topology()
                 .nodes()
                 .into_iter()
-                .filter_map(|n| Some((n, self.cluster.node(n).ok()?.state())))
+                .filter_map(|n| Some((n, self.cluster.node_state(n).ok()?)))
                 .collect(),
             stats: self.cluster.fault_stats(),
             jobs: jobs_in_flight(self.cluster.events(0)),
@@ -949,11 +938,11 @@ impl Admin<'_> {
         let mut report = HeatReport::default();
         for (p, buckets) in self.cluster.local_directories(dataset)? {
             let ds = self.cluster.partition(p)?.dataset(dataset)?;
-            let sizes: BTreeMap<BucketId, u64> = ds.bucket_sizes().into_iter().collect();
+            let sizes: BTreeMap<BucketId, usize> = ds.primary.bucket_sizes().into_iter().collect();
             let mut agg = BucketHeat::default();
             for b in buckets {
                 let mut h = ops.get(&b).copied().unwrap_or_default();
-                h.resident_bytes = sizes.get(&b).copied().unwrap_or(0);
+                h.resident_bytes = sizes.get(&b).map_or(0, |s| *s as u64);
                 report.per_bucket.entry(b).or_default().absorb(&h);
                 agg.absorb(&h);
             }
@@ -967,15 +956,9 @@ impl Admin<'_> {
     /// a query burst) instead of letting the first `index_scan` do it.
     /// Returns the number of records whose secondary entries were rebuilt.
     pub fn warm_indexes(&mut self, dataset: DatasetId) -> Result<u64, ClusterError> {
-        let mut records = 0u64;
-        for p in self.cluster.topology().partitions() {
-            let part = self.cluster.partition_mut(p)?;
-            if !part.has_dataset(dataset) {
-                continue;
-            }
-            records += part.dataset_mut(dataset)?.warm_secondary_indexes();
-        }
-        Ok(records)
+        Ok((self.cluster.stores_mut(dataset))
+            .map(|(_, ds)| ds.warm_secondary_indexes())
+            .sum())
     }
 }
 
@@ -1114,6 +1097,7 @@ mod tests {
                     .unwrap()
                     .dataset(ds)
                     .unwrap()
+                    .primary
                     .live_len(),
                 0
             );

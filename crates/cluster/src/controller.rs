@@ -21,14 +21,12 @@ pub struct ClusterController {
     next_rebalance_id: RebalanceId,
     /// The CC's metadata transaction log.
     pub metadata_log: TransactionLog,
-    alive: bool,
 }
 
 impl std::fmt::Debug for ClusterController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterController")
             .field("datasets", &self.datasets.len())
-            .field("alive", &self.alive)
             .finish()
     }
 }
@@ -47,7 +45,6 @@ impl ClusterController {
             next_dataset_id: 1,
             next_rebalance_id: 1,
             metadata_log: TransactionLog::new(),
-            alive: true,
         }
     }
 
@@ -137,21 +134,11 @@ impl ClusterController {
             .append_forced(LogRecordBody::RebalanceDone { rebalance });
     }
 
-    /// True if the CC is up.
-    pub fn is_alive(&self) -> bool {
-        self.alive
-    }
-
-    /// Simulates a CC crash: non-durable metadata log records are lost.
+    /// Simulates a CC crash and restart: non-durable metadata log records
+    /// are lost. Pending rebalance operations are resolved by the rebalance
+    /// recovery logic using [`TransactionLog::rebalance_status`].
     pub fn crash(&mut self) {
-        self.alive = false;
         self.metadata_log.crash();
-    }
-
-    /// Recovers the CC. Pending rebalance operations are resolved by the
-    /// rebalance recovery logic using [`TransactionLog::rebalance_status`].
-    pub fn recover(&mut self) {
-        self.alive = true;
     }
 
     /// Convenience check used before scheme-specific operations.

@@ -651,7 +651,7 @@ impl RebalanceJob {
             // copy) stages the same component again.
             let dst = cluster.partition_mut(m.to)?.dataset_mut(self.dataset)?;
             dst.ensure_pending_bucket(m.bucket)?;
-            dst.install_shipped_components(m.bucket, vec![feed.clone()])?;
+            dst.primary.install_shipped(m.bucket, vec![feed.clone()])?;
             // The feed component holds one entry per key: its count is exact.
             let entries = feed.visible_len() as u64;
             let bytes = m.bytes;
@@ -668,14 +668,15 @@ impl RebalanceJob {
         let comps = cluster
             .partition_mut(m.from)?
             .dataset_mut(self.dataset)?
-            .ship_bucket_components(m.bucket)?;
+            .primary
+            .ship_bucket(m.bucket)?;
         let bytes: u64 = comps.iter().map(|c| c.visible_size_bytes() as u64).sum();
         // O(1) per handle: the byte sum above has built every filtered view.
         let entries: u64 = comps.iter().map(|c| c.visible_len() as u64).sum();
         let component_ids: Vec<u64> = comps.iter().map(|c| c.id()).collect();
         let dst = cluster.partition_mut(m.to)?.dataset_mut(self.dataset)?;
         dst.ensure_pending_bucket(m.bucket)?;
-        dst.install_shipped_components(m.bucket, comps)?;
+        dst.primary.install_shipped(m.bucket, comps)?;
         // Sealed components travel as whole files: one sequential read, one
         // transfer, one sequential write. Bloom filters and sorted runs
         // arrive ready to serve, and the secondary rebuild is charged by
@@ -948,7 +949,7 @@ impl RebalanceJob {
             if cluster.node_is_alive(dst_node) {
                 let dst = cluster.partition_mut(m.to)?.dataset_mut(self.dataset)?;
                 let pending_bytes = dst.primary.pending_storage_bytes() as u64;
-                dst.flush_pending();
+                dst.primary.flush_pending();
                 self.fin_tl
                     .charge(dst_node, cost.disk_write(pending_bytes / 8));
             }
@@ -1292,6 +1293,7 @@ impl RebalanceJob {
                 cluster
                     .partition_mut(to)?
                     .dataset_mut(self.dataset)?
+                    .primary
                     .drop_all_pending();
             }
         }
@@ -1357,7 +1359,7 @@ impl RebalanceJob {
                 .partition(m.to)
                 .ok()
                 .and_then(|p| p.dataset(self.dataset).ok())
-                .is_some_and(|ds| ds.primary.directory().contains(&m.bucket));
+                .is_some_and(|ds| ds.primary.owns(&m.bucket));
             if installed {
                 moved_away.entry(m.from).or_default().push(m.bucket);
             }
@@ -1416,7 +1418,7 @@ impl RebalanceJob {
             }
             return Ok(true);
         }
-        if staged || ds.primary.directory().contains(&m.bucket) {
+        if staged || ds.primary.owns(&m.bucket) {
             return Ok(true);
         }
         let src_node = cluster.node_of_partition(m.from)?;
@@ -1453,8 +1455,7 @@ impl RebalanceJob {
             .partition(m.from)?
             .dataset(self.dataset)?
             .primary
-            .directory()
-            .contains(&m.bucket);
+            .owns(&m.bucket);
         if !src_owns || !cluster.node_is_alive(src_node) {
             return Ok(false);
         }

@@ -4,7 +4,11 @@
 //! single-process, deterministic simulation of an AsterixDB-style cluster
 //! consisting of one Cluster Controller and multiple Node Controllers, each
 //! hosting several storage partitions backed by the `dynahash-lsm` storage
-//! engine.
+//! engine. Each piece of routing state lives once: the
+//! [`cluster::Cluster`] keeps every partition in one map (the topology says
+//! which node hosts it), a Node Controller is only its
+//! [`fault::NodeState`], and a partition's local directory is its primary
+//! index's bucket map ([`dynahash_lsm::BucketedLsmTree`]).
 //!
 //! The main entry point is [`cluster::Cluster`]. The crate provides:
 //!
@@ -44,7 +48,6 @@ pub mod dataset;
 pub mod fault;
 pub mod feed;
 pub mod job;
-pub mod node;
 pub mod obs;
 pub mod partition;
 pub mod query;
@@ -61,7 +64,6 @@ pub use dataset::{DatasetId, DatasetMeta, DatasetSpec, SecondaryIndexDef};
 pub use fault::{ClusterHealth, Fault, FaultSchedule, FaultStats, NodeState};
 pub use feed::{split_into_batches, ControlledRateFeed, IngestReport};
 pub use job::{JobState, RebalanceJob, ReplanReport, StepPoint, WaveReport};
-pub use node::NodeController;
 pub use obs::{ControlDecision, Event, JobProgress};
 pub use partition::{Partition, PartitionDataset};
 pub use query::{in_key_order, KeyTable, QueryExecutor, QueryReport};

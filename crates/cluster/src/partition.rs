@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 use dynahash_core::PartitionId;
 use dynahash_lsm::{
-    BucketId, BucketedConfig, BucketedLsmTree, Component, Entry, Key, LsmConfig, MergeIter,
-    ScanOrder, SecondaryEntry, SecondaryIndex, StorageMetrics, Value,
+    BucketId, BucketedConfig, BucketedLsmTree, Component, Key, LsmConfig, MergeIter,
+    SecondaryEntry, SecondaryIndex, StorageMetrics, Value,
 };
 
 use crate::dataset::{DatasetId, DatasetSpec, SecondaryIndexDef};
@@ -109,16 +109,6 @@ impl PartitionDataset {
         Ok(old.is_some())
     }
 
-    /// Full scan of the primary index.
-    pub fn scan(&self, order: ScanOrder) -> Vec<Entry> {
-        self.primary.scan(order)
-    }
-
-    /// Number of live records.
-    pub fn live_len(&self) -> usize {
-        self.primary.live_len()
-    }
-
     /// Finds a secondary index by name.
     pub fn secondary_mut(&mut self, name: &str) -> Option<&mut SecondaryIndex> {
         self.secondaries.iter_mut().find(|s| s.name == name)
@@ -138,11 +128,6 @@ impl PartitionDataset {
         Ok((self.warm_secondary_indexes(), at))
     }
 
-    /// Logical bytes of the primary index (what a rebalance would move).
-    pub fn primary_storage_bytes(&self) -> usize {
-        self.primary.logical_size_bytes()
-    }
-
     /// Total storage bytes including secondary indexes.
     pub fn total_storage_bytes(&self) -> usize {
         self.primary.storage_bytes()
@@ -151,15 +136,6 @@ impl PartitionDataset {
                 .iter()
                 .map(|s| s.storage_bytes())
                 .sum::<usize>()
-    }
-
-    /// Per-bucket primary sizes (reported to the CC for Algorithm 2).
-    pub fn bucket_sizes(&self) -> Vec<(BucketId, u64)> {
-        self.primary
-            .bucket_sizes()
-            .into_iter()
-            .map(|(b, s)| (b, s as u64))
-            .collect()
     }
 
     /// Flushes all memory components (primary buckets, secondaries).
@@ -180,18 +156,6 @@ impl PartitionDataset {
     }
 
     // --------------------------------------------------- rebalance source side
-
-    /// Snapshot + component-level ship of a moving bucket: flushes the
-    /// bucket's memory component, then hands out its sealed components as
-    /// cheap shipped handles (no per-record merge, no Bloom rebuild).
-    pub fn ship_bucket_components(
-        &mut self,
-        bucket: BucketId,
-    ) -> Result<Vec<Component>, ClusterError> {
-        self.primary
-            .ship_bucket(bucket)
-            .map_err(ClusterError::Storage)
-    }
 
     /// After a committed rebalance: drops the moved buckets from the primary
     /// index and marks them for lazy cleanup in every secondary index — a
@@ -254,26 +218,6 @@ impl PartitionDataset {
             .map_err(ClusterError::Storage)
     }
 
-    /// Stages a bucket's base data in its pending bucket: the components
-    /// shipped whole from a source partition, or the one component a repair
-    /// builds from its feed. The primary data — sorted runs and Bloom
-    /// filters included — arrives ready to serve. Secondary-index entries
-    /// never travel with a bucket and none are built here: the install
-    /// stashes the bucket's components, and the index learns them on the
-    /// first query.
-    ///
-    /// Staging reads no record: its cost is per component, and the caller
-    /// counts what it shipped from the handles it holds.
-    pub fn install_shipped_components(
-        &mut self,
-        bucket: BucketId,
-        comps: Vec<Component>,
-    ) -> Result<(), ClusterError> {
-        self.primary
-            .install_shipped(bucket, comps)
-            .map_err(ClusterError::Storage)
-    }
-
     /// True if any installed bucket still awaits its deferred secondary
     /// rebuild.
     pub fn has_deferred_secondary(&self) -> bool {
@@ -329,20 +273,6 @@ impl PartitionDataset {
         records
     }
 
-    /// Applies a replicated concurrent write — a put or a tombstone — to the
-    /// pending bucket. The secondary indexes are not touched: they learn the
-    /// bucket from its installed components.
-    pub fn apply_replicated(&mut self, bucket: BucketId, entry: Entry) -> Result<(), ClusterError> {
-        self.primary
-            .apply_replicated(bucket, entry)
-            .map_err(ClusterError::Storage)
-    }
-
-    /// Flushes the pending buckets' memory components (prepare phase).
-    pub fn flush_pending(&mut self) {
-        self.primary.flush_pending();
-    }
-
     /// Installs a received bucket (commit phase), making it visible by
     /// appending its pending components — no record is read or written.
     /// The installed bucket's components, after a flush of its memory
@@ -360,14 +290,6 @@ impl PartitionDataset {
             self.deferred_installed.insert(bucket, comps);
         }
         Ok(())
-    }
-
-    /// Discards every pending bucket. Idempotent. Two callers: an aborted
-    /// job's cleanup, and crash recovery (the metadata registering an
-    /// uncommitted transfer was never forced, so orphan received components
-    /// are dropped on restart and the rebalance recovery path re-ships them).
-    pub fn drop_all_pending(&mut self) {
-        self.primary.drop_all_pending();
     }
 }
 
@@ -453,10 +375,13 @@ impl Partition {
             .sum()
     }
 
-    /// Discards the pending rebalance state of every dataset (crash path).
+    /// Discards the pending rebalance state of every dataset (crash path:
+    /// the metadata registering an uncommitted transfer was never forced, so
+    /// orphan received components are dropped on restart and the rebalance
+    /// recovery path re-ships them).
     pub fn drop_all_pending(&mut self) {
         for ds in self.datasets.values_mut() {
-            ds.drop_all_pending();
+            ds.primary.drop_all_pending();
         }
     }
 }
@@ -466,7 +391,7 @@ mod tests {
     use super::*;
     use crate::dataset::SecondaryIndexDef;
     use dynahash_core::Scheme;
-    use dynahash_lsm::ComponentSource;
+    use dynahash_lsm::{ComponentSource, Entry};
 
     fn spec_with_index() -> DatasetSpec {
         DatasetSpec::new("orders", Scheme::static_hash_256())
@@ -507,7 +432,7 @@ mod tests {
         for i in 0..300u64 {
             ds.ingest(Key::from_u64(i), payload(i % 10)).unwrap();
         }
-        assert_eq!(ds.live_len(), 300);
+        assert_eq!(ds.primary.live_len(), 300);
         assert!(ds.get(&Key::from_u64(5)).is_some());
         // secondary search finds all records with secondary key 3
         let hits = ds
@@ -551,20 +476,26 @@ mod tests {
         let dst_ds = dst.dataset_mut(1).unwrap();
         dst_ds.ensure_pending_bucket(moved_bucket).unwrap();
         dst_ds
-            .install_shipped_components(moved_bucket, vec![feed])
+            .primary
+            .install_shipped(moved_bucket, vec![feed])
             .unwrap();
         dst_ds
+            .primary
             .apply_replicated(
                 moved_bucket,
                 Entry::put(concurrent_key.clone(), payload(99)),
             )
             .unwrap();
-        assert_eq!(dst_ds.live_len(), 0, "pending data must stay invisible");
+        assert_eq!(
+            dst_ds.primary.live_len(),
+            0,
+            "pending data must stay invisible"
+        );
 
         // finalize: install at destination, cleanup at source
-        dst_ds.flush_pending();
+        dst_ds.primary.flush_pending();
         dst_ds.install_pending(moved_bucket).unwrap();
-        assert_eq!(dst_ds.live_len(), moved_count);
+        assert_eq!(dst_ds.primary.live_len(), moved_count);
         assert_eq!(dst_ds.get(&concurrent_key).unwrap(), payload(99));
         // the index learns the installed bucket on its first query: the
         // overwritten record has its current entry and nothing else
@@ -580,9 +511,9 @@ mod tests {
         assert_eq!(of_key[0].secondary, Key::from_u64(99));
 
         let src_ds = src.dataset_mut(1).unwrap();
-        let before = src_ds.live_len();
+        let before = src_ds.primary.live_len();
         src_ds.cleanup_moved_buckets(&[moved_bucket]).unwrap();
-        assert_eq!(src_ds.live_len(), before - moved_count);
+        assert_eq!(src_ds.primary.live_len(), before - moved_count);
         // lazy cleanup: secondary queries no longer return moved records
         let stale = src_ds
             .secondary_mut("idx_first8")
@@ -598,10 +529,10 @@ mod tests {
     fn ship_into(src: &mut Partition, dst: &mut Partition, moved: BucketId) -> u64 {
         let src_ds = src.dataset_mut(1).unwrap();
         let live = src_ds.primary.bucket_tree(&moved).unwrap().live_len();
-        let comps = src_ds.ship_bucket_components(moved).unwrap();
+        let comps = src_ds.primary.ship_bucket(moved).unwrap();
         let dst_ds = dst.dataset_mut(1).unwrap();
         dst_ds.ensure_pending_bucket(moved).unwrap();
-        dst_ds.install_shipped_components(moved, comps).unwrap();
+        dst_ds.primary.install_shipped(moved, comps).unwrap();
         live as u64
     }
 
@@ -629,7 +560,7 @@ mod tests {
             for i in 300..360u64 {
                 ds.delete(&Key::from_u64(i)).unwrap();
             }
-            let comps = ds.ship_bucket_components(moved).unwrap();
+            let comps = ds.primary.ship_bucket(moved).unwrap();
             let source_live = ds.primary.bucket_tree(&moved).unwrap().live_len();
             let stored: usize = comps.iter().map(Component::visible_len).sum();
             assert!(comps.len() >= 2, "{ctx}: one component shipped");
@@ -637,8 +568,8 @@ mod tests {
 
             let dst_ds = dst.dataset_mut(1).unwrap();
             dst_ds.ensure_pending_bucket(moved).unwrap();
-            dst_ds.install_shipped_components(moved, comps).unwrap();
-            dst_ds.flush_pending();
+            dst_ds.primary.install_shipped(moved, comps).unwrap();
+            dst_ds.primary.flush_pending();
             dst_ds.install_pending(moved).unwrap();
             // only an indexed dataset has index entries to defer
             assert_eq!(
@@ -672,7 +603,8 @@ mod tests {
             let key = (0..).map(Key::from_u64).find(|k| pending.contains_key(k));
             ds.ensure_pending_bucket(pending).unwrap();
             let before = written();
-            ds.apply_replicated(pending, Entry::put(key.unwrap(), payload(4)))
+            ds.primary
+                .apply_replicated(pending, Entry::put(key.unwrap(), payload(4)))
                 .unwrap();
             assert_eq!(written() - before, 1, "a replicated write");
         }
@@ -706,9 +638,10 @@ mod tests {
             .key
             .clone();
         dst_ds
+            .primary
             .apply_replicated(moved, Entry::delete(victim.clone()))
             .unwrap();
-        dst_ds.flush_pending();
+        dst_ds.primary.flush_pending();
         dst_ds.install_pending(moved).unwrap();
         assert!(is_deferred(dst_ds, &moved));
         assert!(dst_ds.has_deferred_secondary());
@@ -767,7 +700,7 @@ mod tests {
         // a pending bucket stashes nothing: the install takes the stash
         assert!(!is_deferred(dst_ds, &moved));
         // crash/abort wipes the pending bucket: nothing to install or warm
-        dst_ds.drop_all_pending();
+        dst_ds.primary.drop_all_pending();
         assert!(dst_ds.install_pending(moved).is_err());
         assert!(!is_deferred(dst_ds, &moved));
         assert_eq!(dst_ds.warm_secondary_indexes(), 0);
@@ -833,8 +766,8 @@ mod tests {
             vec![Entry::put(Key::from_u64(1), payload(1))],
             ComponentSource::Loaded,
         );
-        ds.install_shipped_components(b, vec![feed]).unwrap();
-        ds.drop_all_pending();
+        ds.primary.install_shipped(b, vec![feed]).unwrap();
+        ds.primary.drop_all_pending();
         // installing after a drop fails gracefully, data stays invisible
         assert!(ds.install_pending(b).is_err());
         assert_eq!(ds.get(&Key::from_u64(1)), None);

@@ -249,6 +249,7 @@ impl Cluster {
             }
             let entries = part
                 .dataset(dataset)?
+                .primary
                 .scan(dynahash_lsm::ScanOrder::Unordered);
             let scan_bytes: u64 = entries.iter().map(|e| e.size_bytes() as u64).sum();
             tl.charge(src_node, cost.disk_read(scan_bytes));

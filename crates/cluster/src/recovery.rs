@@ -2,7 +2,11 @@
 //!
 //! The cluster-level crash/recover entry points — crash, recover or
 //! permanently lose a Node Controller, restart the Cluster Controller and
-//! classify what its durable log shows — and the report of the latter. These
+//! classify what its durable log shows — and the report of the latter. A
+//! Node Controller keeps no log of its own and is nothing but its
+//! [`NodeState`]: what a rebalance needs to survive a failure is in the
+//! Cluster Controller's metadata log (Section V), and concurrent writes to a
+//! moving bucket are applied to the destination's pending copy directly. These
 //! are the primitives a [`Fault`](crate::fault::Fault) is made of:
 //! [`Cluster::fire_faults`] applies them at a step boundary of a job in
 //! flight, and scenario code driving a job step by step may call them
@@ -15,6 +19,7 @@ use dynahash_core::NodeId;
 use dynahash_lsm::wal::{LogRecordBody, RebalanceId, RebalanceLogStatus};
 
 use crate::cluster::Cluster;
+use crate::fault::NodeState;
 use crate::obs::Event;
 use crate::{ClusterError, Result};
 
@@ -28,34 +33,55 @@ pub struct RecoveryReport {
 }
 
 impl Cluster {
-    /// Crashes a node: it stops serving and drops its uncommitted pending
-    /// buckets. Logged as an [`Event::NodeCrashed`].
+    /// Crashes a node: it stops serving (a lost node stays lost). Every
+    /// written record survives, in disk and memory components alike: the
+    /// simulation models no loss of written data, so there is nothing to
+    /// replay. Pending rebalance state does **not** survive: the metadata
+    /// registering an in-flight transfer is only forced by the rebalance
+    /// commit, so restart recovery discards the orphan received components
+    /// and the rebalance executor re-ships them from the moves recorded in
+    /// the CC's metadata log. Logged as an [`Event::NodeCrashed`].
     pub fn crash_node(&mut self, node: NodeId) -> Result<()> {
-        self.node_mut(node)?.crash();
+        self.crash(node)?;
         self.record(Event::NodeCrashed { node });
         Ok(())
     }
 
-    /// Recovers a node. Upon recovery the NC registers with the CC; any
-    /// pending rebalance instructions are handled by the rebalance executor.
-    /// A permanently lost node is not recoverable. Logged as an
-    /// [`Event::NodeRecovered`].
+    fn crash(&mut self, node: NodeId) -> Result<()> {
+        let state = (self.nodes.get_mut(&node)).ok_or(ClusterError::UnknownNode(node))?;
+        if *state == NodeState::Alive {
+            *state = NodeState::Crashed;
+        }
+        for p in self.topology().partitions_of_node(node) {
+            self.partition_mut(p)?.drop_all_pending();
+        }
+        Ok(())
+    }
+
+    /// Recovers a node. Upon recovery the NC registers with the CC; the
+    /// caller (the CC) tells it how to finish any in-flight rebalance, as
+    /// described by failure Cases 1-5. A permanently lost node is not
+    /// recoverable. Logged as an [`Event::NodeRecovered`].
     pub fn recover_node(&mut self, node: NodeId) -> Result<()> {
-        let nc = self.node_mut(node)?;
-        if nc.is_lost() {
+        let state = (self.nodes.get_mut(&node)).ok_or(ClusterError::UnknownNode(node))?;
+        if *state == NodeState::Lost {
             return Err(ClusterError::NodeLost(node));
         }
-        nc.recover();
+        *state = NodeState::Alive;
         self.record(Event::NodeRecovered { node });
         Ok(())
     }
 
-    /// Permanently loses a node: it crashes and never comes back. In-flight
-    /// rebalance jobs must [`replan_wave`](crate::job::RebalanceJob::replan_wave)
-    /// around it; once no dataset's directory references its partitions it
-    /// can be removed with [`Cluster::remove_lost_node`].
+    /// Permanently loses a node: it crashes and never comes back. Its
+    /// durable data is gone with it — any bucket whose only copy lived here
+    /// must be rerouted (if already shipped elsewhere) or declared lost
+    /// (degraded mode). In-flight rebalance jobs must
+    /// [`replan_wave`](crate::job::RebalanceJob::replan_wave) around it; once
+    /// no dataset's directory references its partitions it can be removed
+    /// with [`Cluster::remove_lost_node`].
     pub fn lose_node(&mut self, node: NodeId) -> Result<()> {
-        self.node_mut(node)?.mark_lost();
+        self.crash(node)?;
+        self.nodes.insert(node, NodeState::Lost);
         self.record(Event::NodeLost { node });
         // Buckets whose only copy lived on this node are degraded from this
         // moment: every bucket the CC directory routes to its partitions,
@@ -97,12 +123,12 @@ impl Cluster {
 
     /// True if the node is currently up.
     pub fn node_is_alive(&self, node: NodeId) -> bool {
-        self.node(node).map(|n| n.is_alive()).unwrap_or(false)
+        self.nodes.get(&node) == Some(&NodeState::Alive)
     }
 
     /// True if the node is permanently lost.
     pub fn node_is_lost(&self, node: NodeId) -> bool {
-        self.node(node).map(|n| n.is_lost()).unwrap_or(false)
+        self.nodes.get(&node) == Some(&NodeState::Lost)
     }
 
     /// Recovers every crashed node (permanently lost nodes stay down) and
@@ -112,14 +138,14 @@ impl Cluster {
     /// available to scenarios driving a job step-by-step.
     pub fn recover_all_nodes(&mut self) -> Vec<NodeId> {
         let mut recovered = Vec::new();
-        for n in self.topology().nodes() {
-            if let Ok(nc) = self.node_mut(n) {
-                if !nc.is_alive() && !nc.is_lost() {
-                    nc.recover();
-                    recovered.push(n);
-                    self.record(Event::NodeRecovered { node: n });
-                }
+        for (n, state) in self.nodes.iter_mut() {
+            if *state == NodeState::Crashed {
+                *state = NodeState::Alive;
+                recovered.push(*n);
             }
+        }
+        for &node in &recovered {
+            self.record(Event::NodeRecovered { node });
         }
         recovered
     }
@@ -132,7 +158,6 @@ impl Cluster {
     /// Logged as an [`Event::ControllerRestarted`].
     pub fn restart_controller(&mut self) -> RecoveryReport {
         self.controller.crash();
-        self.controller.recover();
         self.record(Event::ControllerRestarted);
         let mut aborted = Vec::new();
         let mut redriven = Vec::new();
@@ -172,9 +197,9 @@ mod tests {
     use super::*;
     use crate::dataset::DatasetSpec;
     use crate::rebalance::RebalanceOptions;
-    use dynahash_core::Scheme;
+    use dynahash_core::{PartitionId, Scheme};
     use dynahash_lsm::entry::Key;
-    use dynahash_lsm::Bytes;
+    use dynahash_lsm::{BucketId, Bytes, Component, ComponentSource, Entry};
 
     fn loaded(nodes: u32) -> (Cluster, crate::DatasetId) {
         let mut cluster = Cluster::with_config(
@@ -224,11 +249,9 @@ mod tests {
             let value = Bytes::from(vec![(i % 250) as u8; 48]);
             session.put(&mut cluster, Key::from_u64(i), value).unwrap();
         }
-        let node = cluster.node(NodeId(1)).unwrap();
-        let buffered: usize = node
-            .partitions()
+        let buffered: usize = (cluster.topology().partitions_of_node(NodeId(1)).iter())
             .map(|p| {
-                let primary = &p.dataset(ds).unwrap().primary;
+                let primary = &cluster.partition(*p).unwrap().dataset(ds).unwrap().primary;
                 primary
                     .bucket_ids()
                     .iter()
@@ -284,6 +307,83 @@ mod tests {
                 Event::ControllerRestarted,
             ]
         );
+    }
+
+    /// A node hosts the partitions its topology gives it and starts alive;
+    /// an unknown node can be neither crashed nor recovered.
+    #[test]
+    fn a_node_hosts_its_partitions_and_starts_alive() {
+        let cluster = Cluster::new(3);
+        let hosted = cluster.topology().partitions_of_node(NodeId(2));
+        assert_eq!(hosted, (8..12).map(PartitionId).collect::<Vec<_>>());
+        assert!(hosted.iter().all(|p| cluster.partition(*p).is_ok()));
+        assert!(cluster.partition(PartitionId(12)).is_err());
+        assert!(cluster.node_is_alive(NodeId(2)));
+        let mut cluster = cluster;
+        assert!(matches!(
+            cluster.crash_node(NodeId(3)),
+            Err(ClusterError::UnknownNode(_))
+        ));
+        assert!(matches!(
+            cluster.recover_node(NodeId(3)),
+            Err(ClusterError::UnknownNode(_))
+        ));
+    }
+
+    /// A crash drops the node's uncommitted pending buckets and keeps every
+    /// written record, the unflushed ones in memory included; after
+    /// `recover_node` the node serves and receives again.
+    #[test]
+    fn a_crash_drops_pending_buckets_and_recovery_restores_service() {
+        let (mut cluster, ds) = loaded(2);
+        let home = PartitionId(0);
+        let store = cluster
+            .partition_mut(home)
+            .unwrap()
+            .dataset_mut(ds)
+            .unwrap();
+        let own: Vec<Key> = (store.primary.scan(dynahash_lsm::ScanOrder::Unordered))
+            .into_iter()
+            .map(|e| e.key)
+            .collect();
+        let buffered = (store.primary.bucket_ids().iter())
+            .map(|b| store.primary.bucket_tree(b).unwrap().memtable().len())
+            .sum::<usize>();
+        assert!(
+            !own.is_empty() && buffered == own.len(),
+            "nothing flushed yet"
+        );
+        let received = (0..16u32)
+            .map(|bits| BucketId::new(bits, 4))
+            .find(|b| !store.primary.owns(b))
+            .unwrap();
+        store.ensure_pending_bucket(received).unwrap();
+        let shipped = (0..400u64)
+            .map(Key::from_u64)
+            .filter(|k| received.contains_key(k))
+            .map(|k| Entry::put(k, "v"))
+            .collect();
+        let shipped = Component::from_unsorted(shipped, ComponentSource::Loaded);
+        (store.primary.install_shipped(received, vec![shipped])).unwrap();
+
+        cluster.crash_node(NodeId(0)).unwrap();
+        assert!(!cluster.node_is_alive(NodeId(0)));
+        let store = cluster.partition(home).unwrap().dataset(ds).unwrap();
+        assert!(
+            !store.primary.has_pending_bucket(&received),
+            "the uncommitted transfer is gone"
+        );
+        // Written records survive, the unflushed ones in memory included.
+        assert!(own.iter().all(|k| store.get(k).is_some()));
+        cluster.recover_node(NodeId(0)).unwrap();
+        assert!(cluster.node_is_alive(NodeId(0)));
+        let store = cluster
+            .partition_mut(home)
+            .unwrap()
+            .dataset_mut(ds)
+            .unwrap();
+        store.ensure_pending_bucket(received).unwrap();
+        assert!(store.primary.pending_bucket_ids() == [received]);
     }
 
     #[test]

@@ -162,7 +162,7 @@ impl Cluster {
             // The local directory is the partition's truth: it keeps serving
             // a moving bucket until the rebalance commits, and it covers
             // locally split children the CC may not have absorbed yet.
-            if ds.primary.directory().lookup_key(key).is_none() {
+            if ds.primary.bucket_of(key).is_none() {
                 return Err(stale);
             }
         } else if meta.route_key(key) != Some(partition) {
@@ -193,7 +193,7 @@ impl Cluster {
             }
             if let Ok(part) = self.partition(partition) {
                 if let Ok(ds) = part.dataset(dataset) {
-                    if let Some(bucket) = ds.primary.directory().lookup_hash(hash) {
+                    if let Some(bucket) = ds.primary.bucket_of_hash(hash) {
                         // The local probe already named the bucket, so the
                         // armed heat path costs nothing extra (and the
                         // disarmed one a single flag check), and the read
@@ -412,7 +412,7 @@ impl Session {
             if !part.has_dataset(self.dataset) {
                 continue;
             }
-            out.push((p, part.dataset(self.dataset)?.scan(order)));
+            out.push((p, part.dataset(self.dataset)?.primary.scan(order)));
         }
         Ok(out)
     }

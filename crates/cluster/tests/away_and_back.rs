@@ -274,14 +274,10 @@ fn a_bucket_that_returns_and_leaves_again_takes_its_index_entries_along() {
             };
             // Ship, then a concurrent insert, update and delete of `b`'s
             // records reach both the source and the pending copy.
-            let comps = src
-                .dataset_mut(1)
-                .unwrap()
-                .ship_bucket_components(b)
-                .unwrap();
+            let comps = src.dataset_mut(1).unwrap().primary.ship_bucket(b).unwrap();
             let to = dst.dataset_mut(1).unwrap();
             to.ensure_pending_bucket(b).unwrap();
-            to.install_shipped_components(b, comps).unwrap();
+            to.primary.install_shipped(b, comps).unwrap();
             let from = src.dataset_mut(1).unwrap();
             let in_b = |k: &u64| b.contains_key(&Key::from_u64(*k));
             let fresh = (next_key..).find(in_b).unwrap();
@@ -291,22 +287,23 @@ fn a_bucket_that_returns_and_leaves_again_takes_its_index_entries_along() {
             for (k, version) in [(fresh, 0), (updated, model[&updated] + 1)] {
                 let entry = dynahash_lsm::Entry::put(Key::from_u64(k), payload(k, version));
                 from.ingest(entry.key.clone(), payload(k, version)).unwrap();
-                to.apply_replicated(b, entry).unwrap();
+                to.primary.apply_replicated(b, entry).unwrap();
                 model.insert(k, version);
             }
             from.delete(&Key::from_u64(deleted)).unwrap();
-            to.apply_replicated(b, dynahash_lsm::Entry::delete(Key::from_u64(deleted)))
+            (to.primary)
+                .apply_replicated(b, dynahash_lsm::Entry::delete(Key::from_u64(deleted)))
                 .unwrap();
             model.remove(&deleted);
             // Commit: install at the destination, clean up the source.
-            to.flush_pending();
+            to.primary.flush_pending();
             to.install_pending(b).unwrap();
             from.cleanup_moved_buckets(&[b]).unwrap();
 
             let dst_name = if hop % 2 == 0 { "away" } else { "home" };
             for (name, part) in [("home", &mut home), ("away", &mut away)] {
                 let ds = part.dataset_mut(1).unwrap();
-                let owned = live_keys(ds.scan(ScanOrder::Unordered));
+                let owned = live_keys(ds.primary.scan(ScanOrder::Unordered));
                 // Reading a deferred destination's index is the query
                 // that warms it; without one, only the last hop looks.
                 if name == dst_name && !query_between_hops && hop < 2 {
@@ -333,7 +330,7 @@ fn a_bucket_that_returns_and_leaves_again_takes_its_index_entries_along() {
             }
             let everywhere: BTreeSet<u64> = [&home, &away]
                 .iter()
-                .flat_map(|p| live_keys(p.dataset(1).unwrap().scan(ScanOrder::Unordered)))
+                .flat_map(|p| live_keys(p.dataset(1).unwrap().primary.scan(ScanOrder::Unordered)))
                 .collect();
             assert_eq!(
                 everywhere,

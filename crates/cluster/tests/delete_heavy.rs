@@ -102,8 +102,11 @@ fn a_dataset_that_lost_nine_records_in_ten_still_scales_out_and_back() {
         .into_iter()
         .flat_map(|p| {
             let admin = cluster.admin();
-            let part = admin.partition(p).unwrap().dataset(ds).unwrap();
-            part.bucket_sizes().into_iter().map(|(_, bytes)| bytes)
+            let primary = &admin.partition(p).unwrap().dataset(ds).unwrap().primary;
+            primary
+                .bucket_sizes()
+                .into_iter()
+                .map(|(_, bytes)| bytes as u64)
         })
         .collect();
     let slack = (per_node as u64 * sizes.iter().max().unwrap()) as f64;

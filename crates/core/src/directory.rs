@@ -75,8 +75,8 @@ impl DirectoryDelta {
 #[derive(Clone)]
 pub struct GlobalDirectory {
     assignment: BTreeMap<BucketId, PartitionId>,
-    /// The extendible-hashing slot array (shared implementation with the
-    /// partitions' `LocalDirectory`): `2^D` entries indexed by the low-order
+    /// The extendible-hashing slot array (shared implementation with each
+    /// partition's bucket map, `BucketedLsmTree`): `2^D` entries indexed by the low-order
     /// `D` bits of a key's hash, `D` being the cached global depth. `None`
     /// marks a hash range no bucket currently covers (transient mid-delta
     /// state).
@@ -303,22 +303,6 @@ impl GlobalDirectory {
             .filter(|(_, p)| **p == partition)
             .map(|(b, _)| b.normalized_size(d))
             .sum()
-    }
-
-    /// The load-balance factor over the given partitions: the maximum
-    /// partition load divided by the average load. 1.0 is a perfect balance.
-    pub fn load_balance_factor(&self, partitions: &[PartitionId]) -> f64 {
-        if partitions.is_empty() {
-            return 1.0;
-        }
-        let loads: Vec<u64> = partitions.iter().map(|p| self.partition_load(*p)).collect();
-        let max = *loads.iter().max().unwrap_or(&0) as f64;
-        let avg = loads.iter().sum::<u64>() as f64 / loads.len() as f64;
-        if avg == 0.0 {
-            1.0
-        } else {
-            max / avg
-        }
     }
 
     /// Refreshes the directory from the partitions' local directories
@@ -563,7 +547,6 @@ mod tests {
             assert_eq!(dir.buckets_of_partition(p).len(), 4);
             assert_eq!(dir.partition_load(p), 4);
         }
-        assert!((dir.load_balance_factor(&parts(4)) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -667,8 +650,6 @@ mod tests {
         assert_eq!(dir.partition_load(PartitionId(1)), 3);
         assert_eq!(dir.partition_load(PartitionId(2)), 1);
         assert!(dir.covers_full_space());
-        let f = dir.load_balance_factor(&parts(3));
-        assert!(f > 1.0);
     }
 
     #[test]

@@ -2,8 +2,16 @@
 //!
 //! Each extendible-hashing bucket is stored as a separate LSM-tree (storage
 //! Option 3 of the paper): moving a bucket during a rebalance only touches
-//! that bucket's components, and splitting/dropping buckets is cheap. The
-//! buckets of a partition are coordinated by a [`LocalDirectory`].
+//! that bucket's components, and splitting/dropping buckets is cheap.
+//!
+//! The tree's bucket map is the partition's local directory (Section III):
+//! buckets may be split locally without notifying the Cluster Controller, so
+//! it is the source of truth for which buckets exist at a partition and which
+//! bucket a key belongs to. Like the CC's global directory, lookups go
+//! through a [`SlotArray`] indexed by the `D` low-order hash bits (`D` = the
+//! partition's local depth), so routing a write or validating a session
+//! route is one probe. A partition owns only part of the hash space, so
+//! slots outside its buckets are empty.
 //!
 //! The type also implements the destination-side machinery of the rebalance
 //! data-movement phase: *pending* (received) buckets hold the shipped (or
@@ -15,10 +23,10 @@ use std::sync::Arc;
 
 use crate::bucket::{hash_key, BucketId};
 use crate::component::{Component, ComponentSource};
-use crate::directory::LocalDirectory;
 use crate::entry::{Entry, Key, Op, Value};
 use crate::iterator::MergeIter;
 use crate::metrics::StorageMetrics;
+use crate::slots::SlotArray;
 use crate::tree::{LsmConfig, LsmTree};
 use crate::{Result, StorageError};
 
@@ -59,11 +67,16 @@ pub enum ScanOrder {
 }
 
 /// A primary index whose buckets are separate LSM-trees.
+///
+/// Invariant: no bucket covers another (buckets are disjoint regions of the
+/// hash space), and `slots` routes every hash a bucket covers to it.
 #[derive(Debug)]
 pub struct BucketedLsmTree {
     config: BucketedConfig,
-    directory: LocalDirectory,
     buckets: BTreeMap<BucketId, LsmTree>,
+    /// Slot array over the low-order local-depth hash bits; `None` marks
+    /// hash ranges this partition does not own.
+    slots: SlotArray<BucketId>,
     /// Received buckets (rebalance destination), invisible to queries.
     pending: BTreeMap<BucketId, LsmTree>,
     metrics: Arc<StorageMetrics>,
@@ -77,21 +90,24 @@ impl BucketedLsmTree {
         initial_buckets: impl IntoIterator<Item = BucketId>,
         metrics: Arc<StorageMetrics>,
     ) -> Self {
-        let mut directory = LocalDirectory::new();
-        let mut buckets = BTreeMap::new();
-        for b in initial_buckets {
-            // dhlint: allow(panic) — constructor contract: initial buckets are disjoint
-            directory.add(b).expect("initial buckets must not overlap");
-            buckets.insert(b, LsmTree::new(config.lsm.clone(), Arc::clone(&metrics)));
-        }
-        BucketedLsmTree {
+        let mut tree = BucketedLsmTree {
             config,
-            directory,
-            buckets,
+            buckets: BTreeMap::new(),
+            slots: SlotArray::new(),
             pending: BTreeMap::new(),
             metrics,
             splits_enabled: true,
+        };
+        for b in initial_buckets {
+            let added = tree.add_bucket(b, tree.new_tree());
+            // dhlint: allow(panic) — constructor contract: initial buckets are disjoint
+            added.expect("initial buckets must not overlap");
         }
+        tree
+    }
+
+    fn new_tree(&self) -> LsmTree {
+        LsmTree::new(self.config.lsm.clone(), Arc::clone(&self.metrics))
     }
 
     /// The shared metrics instance.
@@ -99,19 +115,66 @@ impl BucketedLsmTree {
         &self.metrics
     }
 
-    /// The local directory of owned buckets.
-    pub fn directory(&self) -> &LocalDirectory {
-        &self.directory
-    }
-
     /// The configuration.
     pub fn config(&self) -> &BucketedConfig {
         &self.config
     }
 
-    /// Buckets owned by this partition (visible to queries).
+    /// Buckets owned by this partition (visible to queries), in sorted order.
     pub fn bucket_ids(&self) -> Vec<BucketId> {
-        self.directory.buckets().collect()
+        self.buckets.keys().copied().collect()
+    }
+
+    /// True if the exact bucket is owned here (pending buckets are not).
+    pub fn owns(&self, bucket: &BucketId) -> bool {
+        self.buckets.contains_key(bucket)
+    }
+
+    /// The owned bucket (if any) a hash value falls into: one slot probe.
+    pub fn bucket_of_hash(&self, hash: u64) -> Option<BucketId> {
+        self.slots.lookup(hash)
+    }
+
+    /// The owned bucket (if any) a key falls into.
+    pub fn bucket_of(&self, key: &Key) -> Option<BucketId> {
+        self.bucket_of_hash(hash_key(key))
+    }
+
+    /// The maximum depth among the owned buckets (the partition's local
+    /// depth), cached by the slot array.
+    pub fn local_depth(&self) -> u8 {
+        self.slots.depth()
+    }
+
+    /// Registers a bucket and its tree, rejecting overlaps with owned
+    /// buckets. The check probes the new bucket's slot lattice instead of
+    /// scanning the bucket set: two buckets overlap exactly when one covers
+    /// the other, which surfaces as an occupied slot in the lattice.
+    fn add_bucket(&mut self, bucket: BucketId, tree: LsmTree) -> Result<()> {
+        if self.slots.lattice_occupied(&bucket) {
+            return Err(StorageError::BucketExists(bucket));
+        }
+        self.buckets.insert(bucket, tree);
+        self.slots.insert(bucket, bucket);
+        self.debug_validate_slots();
+        Ok(())
+    }
+
+    /// Unregisters a bucket, returning its tree if it was owned.
+    fn remove_bucket(&mut self, bucket: &BucketId) -> Option<LsmTree> {
+        let tree = self.buckets.remove(bucket)?;
+        self.slots.remove(*bucket, |b| b == bucket);
+        self.debug_validate_slots();
+        Some(tree)
+    }
+
+    #[inline]
+    fn debug_validate_slots(&self) {
+        #[cfg(debug_assertions)]
+        {
+            let recomputed = self.buckets.keys().map(|b| b.depth).max().unwrap_or(0);
+            self.slots.debug_validate(recomputed);
+        }
     }
 
     /// Number of visible buckets.
@@ -141,8 +204,7 @@ impl BucketedLsmTree {
     /// if it exceeded its maximum size.
     pub fn apply(&mut self, entry: Entry) -> Result<()> {
         let bucket = self
-            .directory
-            .lookup_key(&entry.key)
+            .bucket_of(&entry.key)
             .ok_or_else(|| StorageError::UnknownBucket(BucketId::of_key(&entry.key, 0)))?;
         self.buckets
             .get_mut(&bucket)
@@ -154,18 +216,18 @@ impl BucketedLsmTree {
 
     // ------------------------------------------------------------------ reads
 
-    /// Point lookup: only the target bucket (located via the local directory)
-    /// is searched.
+    /// Point lookup: only the target bucket (located by one slot probe) is
+    /// searched.
     pub fn get(&self, key: &Key) -> Option<Value> {
         self.get_ref(key).cloned()
     }
 
     /// [`BucketedLsmTree::get`] that lends the payload instead of sharing it.
-    /// The key is hashed once, for the directory and for every filter of the
-    /// bucket's tree.
+    /// The key is hashed once, for the slot probe and for every filter of
+    /// the bucket's tree.
     pub fn get_ref(&self, key: &Key) -> Option<&Value> {
         let hash = hash_key(key);
-        let bucket = self.directory.lookup_hash(hash)?;
+        let bucket = self.bucket_of_hash(hash)?;
         self.buckets.get(&bucket)?.get_ref_hashed(key, hash)
     }
 
@@ -327,8 +389,8 @@ impl BucketedLsmTree {
     /// 1. pause merges and flush the bucket's memory component,
     /// 2. create two child buckets whose disk components are *reference
     ///    components* pointing at the parent's components,
-    /// 3. update the local directory (the metadata force-to-disk of the
-    ///    paper) and drop the parent bucket.
+    /// 3. replace the parent by its children in the bucket map (the metadata
+    ///    force-to-disk of the paper).
     ///
     /// The data rewrite is postponed to the children's next merges.
     pub fn split_bucket(&mut self, bucket: BucketId) -> Result<(BucketId, BucketId)> {
@@ -339,16 +401,15 @@ impl BucketedLsmTree {
             return Err(StorageError::MaxDepthReached(bucket));
         }
         let mut parent = self
-            .buckets
-            .remove(&bucket)
+            .remove_bucket(&bucket)
             .ok_or(StorageError::UnknownBucket(bucket))?;
         // Algorithm 1, lines 3-7: stop merges, flush the memory component so
         // that all data lives in immutable disk components.
         parent.pause_merges();
         parent.flush();
         let (lo, hi) = bucket.split();
-        let mut lo_tree = LsmTree::new(self.config.lsm.clone(), Arc::clone(&self.metrics));
-        let mut hi_tree = LsmTree::new(self.config.lsm.clone(), Arc::clone(&self.metrics));
+        let mut lo_tree = self.new_tree();
+        let mut hi_tree = self.new_tree();
         let lo_comps: Vec<Component> = parent
             .components()
             .iter()
@@ -362,10 +423,12 @@ impl BucketedLsmTree {
         lo_tree.set_components(lo_comps);
         hi_tree.set_components(hi_comps);
         // Line 9: force the directory metadata; in the simulation this is the
-        // in-memory directory update, which is the recovery point.
-        self.directory.split(&bucket)?;
-        self.buckets.insert(lo, lo_tree);
-        self.buckets.insert(hi, hi_tree);
+        // in-memory directory update, which is the recovery point. The parent
+        // covered both children's hash ranges, so after its removal they
+        // cannot overlap anything; propagate rather than panic if that
+        // invariant is ever broken.
+        self.add_bucket(lo, lo_tree)?;
+        self.add_bucket(hi, hi_tree)?;
         StorageMetrics::add(&self.metrics.split_count, 1);
         Ok((lo, hi))
     }
@@ -421,14 +484,11 @@ impl BucketedLsmTree {
     }
 
     /// Drops a moved bucket after a committed rebalance: it is removed from
-    /// the local directory so new queries cannot see it. Reference counting
-    /// (Arc) keeps the components alive for readers that still hold them.
+    /// the bucket map so new queries cannot see it. Idempotent: dropping a
+    /// bucket not owned here is a no-op (Case 4). Reference counting (Arc)
+    /// keeps the components alive for readers that still hold them.
     pub fn drop_bucket(&mut self, bucket: BucketId) -> Result<()> {
-        if !self.directory.remove(&bucket) {
-            // Idempotent: dropping a non-existent bucket is a no-op (Case 4).
-            return Ok(());
-        }
-        self.buckets.remove(&bucket);
+        self.remove_bucket(&bucket);
         Ok(())
     }
 
@@ -444,7 +504,7 @@ impl BucketedLsmTree {
         if self.pending.contains_key(&bucket) {
             return Err(StorageError::PendingBucketExists(bucket));
         }
-        let mut tree = LsmTree::new(self.config.lsm.clone(), Arc::clone(&self.metrics));
+        let mut tree = self.new_tree();
         tree.pause_merges();
         self.pending.insert(bucket, tree);
         Ok(())
@@ -514,7 +574,7 @@ impl BucketedLsmTree {
     /// Idempotent if the bucket is already installed.
     pub fn install_pending(&mut self, bucket: BucketId) -> Result<()> {
         let Some(mut tree) = self.pending.remove(&bucket) else {
-            if self.directory.contains(&bucket) {
+            if self.owns(&bucket) {
                 return Ok(()); // already installed (recovery retries are idempotent)
             }
             return Err(StorageError::UnknownPendingBucket(bucket));
@@ -522,9 +582,7 @@ impl BucketedLsmTree {
         // Merges were paused while the bucket was pending; the installed
         // bucket compacts normally again.
         tree.resume_merges();
-        self.directory.add(bucket)?;
-        self.buckets.insert(bucket, tree);
-        Ok(())
+        self.add_bucket(bucket, tree)
     }
 
     /// Discards all pending buckets (abort and crash paths). Idempotent, as
@@ -544,15 +602,18 @@ impl BucketedLsmTree {
         self.buckets.get(bucket)
     }
 
-    /// Checks internal consistency: directory and bucket map agree and the
-    /// directory has no overlaps.
+    /// Checks the no-overlap invariant and that the slot array agrees with
+    /// the bucket map (used by property tests and integrity checks): the
+    /// table is as deep as the deepest bucket, each bucket's slot lattice
+    /// points at that bucket alone — two overlapping buckets would share a
+    /// slot — and no other slot is occupied. One walk per bucket lattice.
     pub fn is_consistent(&self) -> bool {
-        self.directory.is_consistent()
-            && self.directory.len() == self.buckets.len()
-            && self
-                .directory
-                .buckets()
-                .all(|b| self.buckets.contains_key(&b))
+        let depth = self.buckets.keys().map(|b| b.depth).max().unwrap_or(0);
+        let owned: usize = self.buckets.keys().map(|b| 1 << (depth - b.depth)).sum();
+        self.slots.depth() == depth
+            && self.slots.num_slots() == 1 << depth
+            && (self.buckets.keys()).all(|b| self.slots.lattice(b).all(|s| *s == Some(*b)))
+            && self.slots.slots().iter().flatten().count() == owned
     }
 }
 
@@ -587,7 +648,7 @@ mod tests {
         assert_eq!(t.live_len(), 200);
         for i in 0..200u64 {
             let key = Key::from_u64(i);
-            let b = t.directory.lookup_key(&key).unwrap();
+            let b = t.bucket_of(&key).unwrap();
             assert!(b.contains_key(&key));
             assert!(t.get(&key).is_some());
         }
@@ -889,7 +950,7 @@ mod tests {
         let b = BucketId::new(0, 1);
         t.drop_bucket(b).unwrap();
         t.drop_bucket(b).unwrap(); // no-op
-        assert!(t.directory.lookup_hash(0).is_none());
+        assert!(t.bucket_of_hash(0).is_none());
         t.drop_all_pending(); // nothing pending: no-op
         assert!(t.is_consistent());
     }
@@ -1013,5 +1074,182 @@ mod tests {
         assert!(!comps.is_empty());
         // everything the bucket holds is now in immutable components
         assert!(t.bucket_tree(&b).unwrap().memtable().is_empty());
+    }
+
+    // ------------------------------------------------ the bucket map's slots
+
+    fn empty_tree() -> BucketedLsmTree {
+        let config = BucketedConfig {
+            max_depth: 20,
+            ..cfg(None)
+        };
+        BucketedLsmTree::new(config, [], StorageMetrics::new_shared())
+    }
+
+    /// Adds an empty bucket the way a partition receives one: staged pending,
+    /// then installed, which rejects a bucket overlapping an owned one.
+    fn receive(t: &mut BucketedLsmTree, bucket: BucketId) -> Result<()> {
+        t.create_pending_bucket(bucket)?;
+        t.install_pending(bucket)
+    }
+
+    #[test]
+    fn add_and_lookup() {
+        let mut t = empty_tree();
+        receive(&mut t, BucketId::new(0b00, 2)).unwrap();
+        receive(&mut t, BucketId::new(0b10, 2)).unwrap();
+        assert_eq!(t.num_buckets(), 2);
+        assert_eq!(t.bucket_of_hash(0b100), Some(BucketId::new(0b00, 2)));
+        assert_eq!(t.bucket_of_hash(0b110), Some(BucketId::new(0b10, 2)));
+        assert_eq!(t.bucket_of_hash(0b01), None, "bucket 01 not owned here");
+    }
+
+    #[test]
+    fn overlapping_buckets_are_rejected() {
+        let mut t = empty_tree();
+        receive(&mut t, BucketId::new(0b0, 1)).unwrap();
+        assert!(receive(&mut t, BucketId::new(0b00, 2)).is_err());
+        assert!(receive(&mut t, BucketId::new(0, 0)).is_err());
+        assert!(t.is_consistent());
+    }
+
+    #[test]
+    fn split_replaces_bucket_with_children() {
+        let mut t = empty_tree();
+        let b = BucketId::new(0b1, 1);
+        receive(&mut t, b).unwrap();
+        let (lo, hi) = t.split_bucket(b).unwrap();
+        assert!(!t.owns(&b));
+        assert!(t.owns(&lo) && t.owns(&hi));
+        assert_eq!(t.local_depth(), 2);
+        assert!(t.is_consistent());
+        assert!(
+            t.split_bucket(b).is_err(),
+            "splitting a missing bucket fails"
+        );
+    }
+
+    #[test]
+    fn lookup_key_matches_bucket_membership() {
+        let mut t = empty_tree();
+        receive(&mut t, BucketId::new(0, 1)).unwrap();
+        receive(&mut t, BucketId::new(1, 2)).unwrap();
+        receive(&mut t, BucketId::new(3, 2)).unwrap();
+        for i in 0..1000u64 {
+            let k = Key::from_u64(i);
+            let b = t.bucket_of(&k).expect("full coverage");
+            assert!(b.contains_key(&k));
+        }
+    }
+
+    #[test]
+    fn remove_shrinks_the_slot_array_and_depth_cache() {
+        let mut t = empty_tree();
+        receive(&mut t, BucketId::new(0, 1)).unwrap();
+        receive(&mut t, BucketId::new(0b01, 2)).unwrap();
+        receive(&mut t, BucketId::new(0b11, 2)).unwrap();
+        assert_eq!(t.local_depth(), 2);
+        t.drop_bucket(BucketId::new(0b01, 2)).unwrap();
+        assert_eq!(t.local_depth(), 2, "a depth-2 bucket remains");
+        t.drop_bucket(BucketId::new(0b11, 2)).unwrap();
+        assert_eq!(t.local_depth(), 1, "depth cache must shrink");
+        assert!(t.is_consistent());
+        t.drop_bucket(BucketId::new(0b11, 2)).unwrap(); // double drop: no-op
+        assert_eq!(t.num_buckets(), 1);
+        assert_eq!(t.bucket_of_hash(0b11), None);
+        assert_eq!(t.bucket_of_hash(0b10), Some(BucketId::new(0, 1)));
+    }
+
+    /// The check sees what the public API cannot produce: a slot no owned
+    /// bucket covers, a slot routing to the wrong bucket, and two owned
+    /// buckets whose lattices overlap.
+    #[test]
+    fn is_consistent_rejects_stray_and_misrouted_slots_and_overlaps() {
+        let (lo, hi) = BucketId::root().split();
+        let mut stray = empty_tree();
+        receive(&mut stray, lo).unwrap();
+        assert!(stray.is_consistent());
+        stray.slots.insert(hi, hi);
+        assert!(!stray.is_consistent(), "a slot without a bucket");
+        let mut misrouted = empty_tree();
+        receive(&mut misrouted, lo).unwrap();
+        receive(&mut misrouted, hi).unwrap();
+        assert!(misrouted.is_consistent());
+        misrouted.slots.update(hi, lo);
+        assert!(!misrouted.is_consistent(), "{hi}'s slot routes to {lo}");
+        let mut overlap = empty_tree();
+        receive(&mut overlap, lo).unwrap();
+        let inner = BucketId::new(0b10, 2);
+        overlap.buckets.insert(inner, overlap.new_tree());
+        overlap.slots.insert(inner, inner);
+        assert!(!overlap.is_consistent(), "{lo} covers {inner}");
+    }
+
+    #[test]
+    fn prop_splits_preserve_consistency_and_coverage() {
+        // Start with the root bucket and repeatedly split the bucket
+        // containing an arbitrary hash; the tree must stay consistent and
+        // keep covering the full hash space.
+        for case in 0..16u64 {
+            let seed = 0xd1c0_0000 + case;
+            let mut rng = crate::rng::SplitMix64::seed_from_u64(seed);
+            let n = rng.gen_range(0..40) as usize;
+            let splits: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+            let mut t = empty_tree();
+            receive(&mut t, BucketId::root()).unwrap();
+            for &h in &splits {
+                let b = t.bucket_of_hash(h).expect("coverage");
+                if b.depth < 20 {
+                    t.split_bucket(b).unwrap();
+                }
+            }
+            assert!(t.is_consistent(), "seed {seed}, splits {splits:#x?}");
+            for h in [0u64, 1, 2, 3, 1 << 20, u64::MAX, 0xdead_beef] {
+                assert!(
+                    t.bucket_of_hash(h).is_some(),
+                    "seed {seed}: hash {h:#x} uncovered"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn prop_slot_lookup_matches_linear_scan() {
+        // Random receive/drop/split sequences over a partial hash space: the
+        // slot-array lookup must agree with a linear scan over the bucket
+        // map for every probed hash.
+        for case in 0..16u64 {
+            let seed = 0xd1c1_0000 + case;
+            let mut rng = crate::rng::SplitMix64::seed_from_u64(seed);
+            let mut t = empty_tree();
+            receive(&mut t, BucketId::new(0, 2)).unwrap();
+            receive(&mut t, BucketId::new(2, 2)).unwrap();
+            for _ in 0..rng.gen_range(5..60) {
+                let buckets = t.bucket_ids();
+                match rng.gen_range(0..3) {
+                    0 if !buckets.is_empty() => {
+                        let b = buckets[rng.gen_range(0..buckets.len() as u64) as usize];
+                        if b.depth < 12 {
+                            t.split_bucket(b).unwrap();
+                        }
+                    }
+                    1 if buckets.len() > 1 => {
+                        let b = buckets[rng.gen_range(0..buckets.len() as u64) as usize];
+                        t.drop_bucket(b).unwrap();
+                    }
+                    _ => {
+                        let bits = rng.next_u64() as u32;
+                        let depth = rng.gen_range(1..8) as u8;
+                        let _ = receive(&mut t, BucketId::new(bits, depth));
+                    }
+                }
+                for _ in 0..16 {
+                    let h = rng.next_u64();
+                    let scan = t.bucket_ids().into_iter().find(|b| b.contains_hash(h));
+                    assert_eq!(t.bucket_of_hash(h), scan, "seed {seed}: hash {h:#x}");
+                }
+                assert!(t.is_consistent(), "seed {seed}");
+            }
+        }
     }
 }

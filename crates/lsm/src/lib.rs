@@ -6,11 +6,12 @@
 //! * a classic **LSM-tree** ([`tree::LsmTree`]) with an in-memory component,
 //!   immutable disk components, Bloom filters, and a size-tiered merge
 //!   policy, mirroring AsterixDB's storage engine;
-//! * **extendible-hashing buckets** ([`bucket::BucketId`]) and a per-partition
-//!   **local directory** ([`directory::LocalDirectory`]);
+//! * **extendible-hashing buckets** ([`bucket::BucketId`]) and the
+//!   **slot array** both directories route through ([`slots::SlotArray`]);
 //! * the **bucketed LSM-tree** ([`bucketed::BucketedLsmTree`]) used for
-//!   primary indexes (Option 3 of Section IV of the paper), including the
-//!   efficient bucket-split of Algorithm 1 based on *reference components*;
+//!   primary indexes (Option 3 of Section IV of the paper), whose bucket map
+//!   is the partition's **local directory**, including the efficient
+//!   bucket-split of Algorithm 1 based on *reference components*;
 //! * **secondary LSM indexes** ([`secondary::SecondaryIndex`]) that store all
 //!   buckets together (Option 1) and support lazy cleanup of moved buckets;
 //! * the Cluster Controller's **metadata log** ([`wal::TransactionLog`]),
@@ -26,7 +27,6 @@ pub mod bucket;
 pub mod bucketed;
 pub mod bytes;
 pub mod component;
-pub mod directory;
 pub mod entry;
 pub mod iterator;
 pub mod memtable;
@@ -43,7 +43,6 @@ pub use bloom::BloomFilter;
 pub use bucket::{hash_key, BucketId};
 pub use bucketed::{BucketedConfig, BucketedLsmTree, ScanOrder};
 pub use component::{Component, ComponentId, ComponentSource, KeyLayout};
-pub use directory::LocalDirectory;
 pub use entry::{Entry, Key, Op, Value, KEY_INLINE_CAP, OP_TAG_BYTES};
 pub use iterator::{kmerge_disjoint, MergeIter};
 pub use memtable::MemTable;
@@ -58,7 +57,7 @@ pub use wal::{LogRecord, LogRecordBody, ShippedMove, TransactionLog};
 /// Errors produced by the storage layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
-    /// The requested bucket does not exist in the local directory.
+    /// The requested bucket is not owned by this partition.
     UnknownBucket(BucketId),
     /// A bucket with the same identifier already exists.
     BucketExists(BucketId),

@@ -1,7 +1,7 @@
 //! The extendible-hashing slot array shared by every directory.
 //!
-//! Both the per-partition [`crate::directory::LocalDirectory`] and the
-//! Cluster Controller's `GlobalDirectory` (in `dynahash-core`) route through
+//! Both a partition's bucket map ([`crate::bucketed::BucketedLsmTree`]) and
+//! the Cluster Controller's `GlobalDirectory` (in `dynahash-core`) route through
 //! the same structure: a `2^D`-entry table indexed by the `D` low-order bits
 //! of a key's hash, where a bucket of depth `d` owns the `2^(D-d)` slots of
 //! its lattice (`bits + k·2^d`). This module implements that table once,
@@ -20,7 +20,7 @@ use crate::bucket::{BucketId, MAX_DEPTH};
 ///
 /// Correctness relies on the caller keeping its bucket set disjoint (no
 /// bucket covers another) — the invariant both directories already enforce.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct SlotArray<T> {
     slots: Vec<Option<T>>,
     depth: u8,

@@ -101,7 +101,10 @@ fn live_on_new_node(cluster: &mut Cluster, ds: u32) -> usize {
     let admin = cluster.admin();
     parts
         .iter()
-        .map(|p| admin.partition(*p).unwrap().dataset(ds).unwrap().live_len())
+        .map(|p| {
+            let store = admin.partition(*p).unwrap().dataset(ds).unwrap();
+            store.primary.live_len()
+        })
         .sum()
 }
 

@@ -314,7 +314,7 @@ fn stored_indexes(cluster: &mut Cluster, ds: u32) -> Vec<StoredIndexes> {
             let part = admin.partition_mut(*p).unwrap().dataset_mut(ds).unwrap();
             part.warm_secondary_indexes();
             (
-                part.scan(ScanOrder::Ordered),
+                part.primary.scan(ScanOrder::Ordered),
                 part.secondary_mut("idx_first").unwrap().all_valid_entries(),
             )
         })
