@@ -3,10 +3,15 @@
 //! [`Cluster`] wires together the Cluster Controller, the storage partitions
 //! (one map, keyed by partition id; the topology says which node hosts
 //! each), every Node Controller's liveness state, and the hardware cost
-//! model. It exposes the
-//! operations the experiments need: creating datasets, ingesting records
-//! through data feeds, running queries (see [`crate::query`]), scaling the
-//! cluster in or out, and rebalancing datasets (see [`crate::rebalance`]).
+//! model. It exposes the operations the experiments need: creating
+//! datasets, ingesting records through data feeds, running queries (see
+//! [`crate::query`]), scaling the cluster in or out, and rebalancing
+//! datasets (see [`crate::rebalance`]).
+//!
+//! The routing state lives once, at the CC. Every operation here holds the
+//! cluster for its whole run, so the feed path routes each batch through
+//! the CC's directory and an in-flight job's write replication looks its
+//! buckets up there too: only a [`crate::session::Session`] keeps a copy.
 
 use std::collections::BTreeMap;
 
@@ -18,7 +23,7 @@ use dynahash_lsm::wal::{RebalanceId, RebalanceLogStatus};
 
 use crate::control::{HeatCell, HeatReport};
 use crate::controller::ClusterController;
-use crate::dataset::{DatasetId, DatasetMeta, DatasetSpec};
+use crate::dataset::{DatasetId, DatasetSpec};
 use crate::fault::{ClusterHealth, FaultSchedule, FaultState, NodeState};
 use crate::feed::IngestReport;
 use crate::job::RebalanceJob;
@@ -52,12 +57,10 @@ impl Default for ClusterConfig {
 /// stays online during data movement: writes routed to a bucket whose wave has
 /// already shipped it are transparently replicated to the destination's
 /// pending copy (Section V-C), and writes are briefly blocked once the
-/// prepare phase has flushed the pending components.
+/// prepare phase has flushed the pending components. A write finds its
+/// bucket in the CC's directory, which is the plan's old directory until the
+/// commit installs the new one, and its destination's node in the topology.
 pub(crate) struct ActiveRebalance {
-    /// The pre-rebalance directory every write routes through until commit.
-    pub routing: GlobalDirectory,
-    /// The rebalance target topology (destination partitions live here).
-    pub target: ClusterTopology,
     /// Shipped bucket -> destination partition (grows wave by wave).
     pub shipped: BTreeMap<BucketId, PartitionId>,
     /// True from the prepare phase until commit/abort: writes are blocked.
@@ -310,13 +313,12 @@ impl Cluster {
         let id = self
             .controller
             .register_dataset(spec.clone(), partitions.clone())?;
-        let meta = self.controller.dataset(id)?.clone();
-        for p in &partitions {
-            let initial_buckets: Vec<BucketId> = match &meta.directory {
-                Some(dir) => dir.buckets_of_partition(*p),
+        for p in partitions {
+            let initial_buckets: Vec<BucketId> = match &self.controller.dataset(id)?.directory {
+                Some(dir) => dir.buckets_of_partition(p),
                 None => vec![BucketId::root()],
             };
-            self.partition_mut(*p)?
+            self.partition_mut(p)?
                 .create_dataset(id, &spec, initial_buckets);
         }
         Ok(id)
@@ -387,10 +389,10 @@ impl Cluster {
         }
         let node_id = self.node_of_partition(partition)?;
         let replica = self.active_rebalances.get(&dataset).and_then(|active| {
-            let (bucket, _) = active.routing.lookup_key(&key)?;
+            let directory = self.controller.dataset(dataset).ok()?.directory.as_ref()?;
+            let (bucket, _) = directory.lookup_key(&key)?;
             let dst_partition = *active.shipped.get(&bucket)?;
-            let dst_node = active.target.node_of(dst_partition);
-            Some((bucket, dst_partition, dst_node, key.clone(), value.clone()))
+            Some((bucket, dst_partition, key.clone(), value.clone()))
         });
         if self.node_state(node_id)? != NodeState::Alive {
             return Err(ClusterError::NodeDown(node_id));
@@ -408,8 +410,8 @@ impl Cluster {
             replica: None,
             was_live,
         };
-        if let Some((bucket, dst_partition, dst_node, key, value)) = replica {
-            let dst_node = dst_node.ok_or(ClusterError::UnknownPartition(dst_partition))?;
+        if let Some((bucket, dst_partition, key, value)) = replica {
+            let dst_node = self.node_of_partition(dst_partition)?;
             if !self.node_is_alive(dst_node) {
                 return Err(ClusterError::NodeDown(dst_node));
             }
@@ -446,9 +448,10 @@ impl Cluster {
         Ok(self.write_record(dataset, partition, key, value)?.was_live)
     }
 
-    /// Ingests a batch of records through a data feed: each record is routed
-    /// with an immutable copy of the routing state taken at feed start and
-    /// inserted into the primary and secondary indexes.
+    /// Ingests a batch of records through a data feed: the batch is routed
+    /// through the CC's directory and packed, then each record is inserted
+    /// into the primary and secondary indexes. Nothing in between can change
+    /// the directory, so the feed copies none.
     ///
     /// Returns an [`IngestReport`] with the simulated elapsed time (the
     /// slowest node bounds the feed, as in the paper's ingestion experiment).
@@ -465,9 +468,8 @@ impl Cluster {
     ) -> Result<IngestReport, ClusterError> {
         let mut batch: Vec<(Key, Value)> = records.into_iter().collect();
         self.check_writable(dataset, batch.iter().map(|(key, _)| key))?;
-        let routing = self.controller.routing_snapshot(dataset)?;
         let cost_model = self.config.cost_model;
-        self.pack_batch(&routing, &mut batch);
+        let routes = self.route_and_pack(dataset, &mut batch)?;
 
         // Per-partition metric snapshots to charge IO costs ex post.
         let before: BTreeMap<PartitionId, MetricsSnapshot> = self
@@ -488,10 +490,7 @@ impl Cluster {
         // Per-node replication traffic (records, bytes) to pending buckets.
         let mut replicated: BTreeMap<NodeId, (u64, u64)> = BTreeMap::new();
         let mut total = 0u64;
-        for (key, value) in batch {
-            let partition = routing
-                .route_key(&key)
-                .ok_or(ClusterError::RoutingFailed(dataset))?;
+        for ((key, value), partition) in batch.into_iter().zip(routes) {
             let written = self.write_record(dataset, partition, key, Some(value))?;
             *per_node_records.entry(written.node).or_default() += 1;
             total += 1;
@@ -531,29 +530,38 @@ impl Cluster {
         })
     }
 
-    /// Packs a feed batch's payloads at the door: the records bound for one
-    /// bucket share one allocation, so what the memory components hold — and
-    /// the flushes hand on — are slices of a few slabs that die whole when a
-    /// merge rewrites the run, instead of one small allocation per record for
-    /// the allocator to take back piecemeal. Records are grouped by as many
-    /// low-order hash bits as the deepest local directory uses, so a group
-    /// never straddles two buckets; under the Hashing scheme, by partition.
-    fn pack_batch(&self, routing: &DatasetMeta, batch: &mut [(Key, Value)]) {
-        let depth = routing
-            .partitions
-            .iter()
-            .filter_map(|p| self.partition(*p).ok()?.dataset(routing.id).ok())
+    /// Routes a feed batch through the CC's directory and packs its payloads
+    /// at the door: the records bound for one bucket share one allocation,
+    /// so what the memory components hold — and the flushes hand on — are
+    /// slices of a few slabs that die whole when a merge rewrites the run,
+    /// instead of one small allocation per record for the allocator to take
+    /// back piecemeal. Records are grouped by as many low-order hash bits as
+    /// the deepest local directory uses, so a group never straddles two
+    /// buckets; under the Hashing scheme, by partition. Returns each
+    /// record's partition, in batch order.
+    fn route_and_pack(
+        &self,
+        dataset: DatasetId,
+        batch: &mut [(Key, Value)],
+    ) -> Result<Vec<PartitionId>, ClusterError> {
+        let meta = self.controller.dataset(dataset)?;
+        let depth = (meta.partitions.iter())
+            .filter_map(|p| self.partition(*p).ok()?.dataset(dataset).ok())
             .map(|ds| ds.primary.local_depth())
             .max()
             .unwrap_or(0);
         let mask = (1u64 << depth.min(32)) - 1;
+        let mut routes = Vec::with_capacity(batch.len());
         let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
         for (at, (key, _)) in batch.iter().enumerate() {
-            let group = match &routing.directory {
-                Some(_) => hash_key(key) & mask,
-                None => routing.route_key(key).map_or(0, |p| u64::from(p.0)),
+            let hash = hash_key(key);
+            let partition = (meta.route_hash(hash)).ok_or(ClusterError::RoutingFailed(dataset))?;
+            let group = match &meta.directory {
+                Some(_) => hash & mask,
+                None => u64::from(partition.0),
             };
             groups.entry(group).or_default().push(at);
+            routes.push(partition);
         }
         // Every slab is built before any old payload is let go, and those go
         // in batch order — the order their writer made them in — so the
@@ -571,6 +579,7 @@ impl Cluster {
                 *value = packed;
             }
         }
+        Ok(routes)
     }
 
     // -------------------------------------------------------------- scaling

@@ -527,7 +527,11 @@ impl ControlPlane {
             if !cluster.scheme_of(dataset)?.is_bucketed() {
                 continue;
             }
-            if cluster.heat_tracking_enabled() {
+            // A job in flight routes its writes through the CC's directory,
+            // which must stay the plan's old directory until the commit (a
+            // job suspends splits only from `init` on).
+            let job_in_flight = cluster.active_rebalances.contains_key(&dataset);
+            if cluster.heat_tracking_enabled() && !job_in_flight {
                 self.split_hot_buckets(cluster, dataset)?;
             }
             let heat = cluster.admin().heat(dataset)?;
@@ -686,7 +690,7 @@ mod tests {
             }
             assert!(c.heat_ops_snapshot(d).is_empty());
         }
-        let contents = |c: &mut Cluster, d| c.query().collect_records(d).unwrap();
+        let contents = |c: &mut Cluster, d| c.session(d).unwrap().collect_records(c).unwrap();
         assert_eq!(contents(&mut cluster, ds), contents(&mut twin, twin_ds));
         assert_eq!(
             cluster.dataset_primary_bytes(ds).unwrap(),
@@ -889,6 +893,45 @@ mod tests {
             let (k, v) = record(i);
             assert_eq!(session.get(&cluster, &k).unwrap(), Some(v));
         }
+    }
+
+    /// A job routes its writes through the CC's directory until the commit,
+    /// so the hot-split path leaves a dataset with a job in flight alone —
+    /// also before `init`, which is where the job suspends splits itself.
+    #[test]
+    fn a_dataset_with_a_job_in_flight_is_not_hot_split() {
+        let mut cluster = Cluster::new(2);
+        let ds = cluster
+            .create_dataset(DatasetSpec::new("hot", Scheme::dynahash(1 << 20, 4)))
+            .unwrap();
+        let mut session = cluster.session(ds).unwrap();
+        session.ingest(&mut cluster, (0..2000).map(record)).unwrap();
+        cluster.set_heat_tracking(true);
+        cluster.add_node().unwrap();
+        let target = cluster.topology().clone();
+        let mut job = crate::RebalanceJob::plan(&mut cluster, ds, &target, 4).unwrap();
+        let version = cluster.controller.routing_version(ds).unwrap();
+        let mut plane = ControlPlane::new(ControlConfig {
+            hot_bucket_ops: 100,
+            imbalance_threshold: f64::INFINITY,
+            ..ControlConfig::default()
+        });
+        for _ in 0..4 {
+            for i in 0..400u64 {
+                session.get(&cluster, &record(i % 3).0).unwrap();
+            }
+            plane.tick(&mut cluster).unwrap();
+        }
+        let decisions = decisions(&cluster);
+        assert!(
+            !(decisions.iter()).any(|d| matches!(d, ControlDecision::HotSplit { .. })),
+            "a planned dataset was split: {decisions:?}"
+        );
+        assert_eq!(cluster.controller.routing_version(ds).unwrap(), version);
+        job.init(&mut cluster).unwrap();
+        let report = job.drive(&mut cluster).unwrap();
+        assert_eq!(report.outcome, RebalanceOutcome::Committed);
+        cluster.check_dataset_consistency(ds).unwrap();
     }
 
     #[test]

@@ -3,8 +3,12 @@
 //! The CC is the coordinator of the cluster: it owns the dataset metadata
 //! (including each bucketed dataset's global directory), produces metadata
 //! log records (`BEGIN` / `COMMIT` / `DONE` of rebalance operations), and
-//! drives rebalance operations. Queries and data feeds take an immutable copy
-//! of the global directory from the CC when they start.
+//! drives rebalance operations. In AsterixDB queries and data feeds take an
+//! immutable copy of the global directory when they start (Section III);
+//! here the query executor, the feed path and an in-flight job all read the
+//! CC's directory, because nothing can change it while they hold the
+//! cluster, and a [`crate::session::Session`] — the one client that
+//! outlives the call that made it — is the one holder of a copy.
 
 use std::collections::BTreeMap;
 
@@ -103,12 +107,6 @@ impl ClusterController {
         self.datasets.keys().copied().collect()
     }
 
-    /// An immutable copy of a dataset's routing state, as taken by queries
-    /// and data feeds at job start (Section III).
-    pub fn routing_snapshot(&self, id: DatasetId) -> Result<DatasetMeta, ClusterError> {
-        self.dataset(id).cloned()
-    }
-
     /// Starts a rebalance operation of `dataset`: allocates its id and forces
     /// BEGIN, which the CC does before anything else (Section V-D).
     pub fn log_begin(&mut self, dataset: DatasetId) -> RebalanceId {
@@ -194,20 +192,5 @@ mod tests {
         let a = cc.log_begin(1);
         let b = cc.log_begin(1);
         assert!(b > a);
-    }
-
-    #[test]
-    fn routing_snapshot_is_a_copy() {
-        let mut cc = ClusterController::new();
-        let id = cc
-            .register_dataset(
-                DatasetSpec::new("o", Scheme::dynahash(1 << 20, 4)),
-                (0..4).map(PartitionId).collect(),
-            )
-            .unwrap();
-        let snap = cc.routing_snapshot(id).unwrap();
-        // mutate the CC's copy; the snapshot must be unaffected
-        cc.dataset_mut(id).unwrap().partitions.clear();
-        assert_eq!(snap.partitions.len(), 4);
     }
 }

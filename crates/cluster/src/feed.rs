@@ -3,7 +3,10 @@
 //! AsterixDB ingests external data through *data feeds* — long-running jobs
 //! that take an immutable copy of the routing state and continuously insert
 //! records (Section II-C). The simulation exposes batch ingestion through
-//! [`crate::cluster::Cluster::ingest`]; this module adds the report type and
+//! [`crate::session::Session::ingest`]: the session's cached directory is
+//! that copy, and the batch it validates is written through the CC's
+//! directory by the crate-private `Cluster::ingest`. This module adds the
+//! report type and
 //! the controlled-rate feed used by the concurrent-writes experiment
 //! (Figure 7c), where new records arrive at a fixed rate while a rebalance is
 //! running.

@@ -35,13 +35,14 @@
 //!   bucket's handles are stashed: its secondary entries wait for the first
 //!   index query, which builds them from the bucket as installed.
 //! * `commit` then cleans up once per *source partition*, not per bucket:
-//!   one streaming pass over each secondary index counting the entries
-//!   that become obsolete, and one pass per disk component stamping all
-//!   moved buckets into its lazy-cleanup metadata. Memory components are
-//!   marked the same way (their dead entries are dropped by the next
-//!   flush), so nothing is flushed. That index pass is the one cost inside
-//!   the block that still grows with a partition's data; it reads, hashes
-//!   and counts, and copies or writes nothing.
+//!   it drops the moved buckets from the primary index and stamps them into
+//!   the lazy-cleanup metadata of each secondary index's components, the
+//!   memory component included — a per-component mark that reads no entry
+//!   and flushes nothing. The first index query after the commit applies
+//!   the marks and counts the entries they hide. The one exception that
+//!   reads records is a deferred stash a moved bucket only partly covers
+//!   (a received bucket that split locally): it is materialized before the
+//!   mark, and that rebuild is charged to finalization.
 //! * `finalize` re-drives commit tasks only for participants that missed
 //!   the commit — it found a crashed node to recover, or an ack is
 //!   outstanding. Fault-free, it forces DONE and returns.
@@ -373,8 +374,8 @@ impl RebalanceJob {
     /// writes to shipped buckets for the duration of data movement. `feed`
     /// holds the buckets staged from an operator feed, each with its
     /// component (none for a rebalance). Until the commit installs
-    /// `plan.new_directory` at the CC, every write keeps routing through
-    /// `plan.old_directory`.
+    /// `plan.new_directory` at the CC, the CC's directory is
+    /// `plan.old_directory`, and every write routes through it.
     pub(crate) fn planned(
         cluster: &mut Cluster,
         dataset: DatasetId,
@@ -393,8 +394,6 @@ impl RebalanceJob {
         cluster.active_rebalances.insert(
             dataset,
             ActiveRebalance {
-                routing: plan.old_directory.clone(),
-                target: plan.target.clone(),
                 shipped: BTreeMap::new(),
                 write_blocked: false,
             },
@@ -849,9 +848,6 @@ impl RebalanceJob {
         }
         self.participants.retain(|n| !lost.contains(n));
         self.plan.target = new_target;
-        if let Some(active) = cluster.active_rebalances.get_mut(&self.dataset) {
-            active.target = self.plan.target.clone();
-        }
 
         // Reschedule what still has to move: unshipped moves with a live
         // source, plus the re-ships. Lost buckets are deliberately absent —
@@ -903,7 +899,7 @@ impl RebalanceJob {
 
     /// Applies a batch of concurrent writes while data movement is in
     /// progress (between any two waves, or before/after all of them). The
-    /// batch goes through the *normal* feed path — [`Cluster::ingest`] —
+    /// batch goes through the *normal* feed path — `Cluster::ingest` —
     /// which consults the registered rebalance state: records hitting a
     /// bucket whose wave has *already shipped it* are replicated to the
     /// destination's pending bucket, while writes to buckets that have not
@@ -1790,7 +1786,9 @@ mod tests {
             cluster
                 .check_rebalance_integrity(ds, report.rebalance_id)
                 .unwrap();
-            let (contents, _) = cluster.query().collect_records(ds).unwrap();
+            let (contents, _) = (cluster.session(ds).unwrap())
+                .collect_records(&cluster)
+                .unwrap();
             assert_eq!(contents.len(), 2000);
             (report, cluster.fault_stats(), contents)
         };

@@ -16,7 +16,8 @@
 //!   indexes ([`dataset`]);
 //! * the client-facing [`session::Session`] layer — the only sanctioned way
 //!   to read and write data: sessions cache a versioned directory snapshot
-//!   and handle stale-directory redirects transparently ([`session`]);
+//!   (the crate's one routing copy) and handle stale-directory redirects
+//!   transparently ([`session`]);
 //! * data feeds for ingestion with cost accounting ([`feed`],
 //!   [`session::Session::ingest`]);
 //! * query execution primitives with a per-node cost model ([`query`]);

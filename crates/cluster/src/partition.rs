@@ -29,7 +29,8 @@ pub struct PartitionDataset {
     pub primary: BucketedLsmTree,
     /// Local secondary indexes (Option 1 storage, lazy cleanup).
     pub secondaries: Vec<SecondaryIndex>,
-    defs: Vec<SecondaryIndexDef>,
+    /// The definition of each secondary index, in `secondaries` order.
+    pub(crate) defs: Vec<SecondaryIndexDef>,
     /// Installed buckets still awaiting their deferred secondary rebuild.
     /// The stashed handles are `Arc` clones of the bucket's components as
     /// installed, so later primary merges cannot disturb the data the
@@ -355,11 +356,6 @@ impl Partition {
         self.datasets
             .get_mut(&id)
             .ok_or(ClusterError::UnknownDataset(id))
-    }
-
-    /// True if this partition stores `id`.
-    pub fn has_dataset(&self, id: DatasetId) -> bool {
-        self.datasets.contains_key(&id)
     }
 
     /// The datasets stored on this partition.

@@ -16,25 +16,23 @@
 //! [`QueryExecutor::scan_table`], [`QueryExecutor::index_scan`] and
 //! [`QueryExecutor::fetch`] are the materialising forms of the same passes.
 //!
-//! Like a [`crate::session::Session`], the executor is a *client* of the
-//! routing state: the first touch of each dataset caches an immutable copy
-//! of its routing snapshot (Section III — a query job takes the directory
-//! copy at compile time) and every per-partition dispatch goes through that
-//! cache. Because the executor holds the cluster for the whole query, its
-//! snapshots cannot go stale mid-job; long-lived clients that *can* go
-//! stale use [`crate::cluster::Cluster::session`] and its redirect protocol
-//! instead. Open an executor with [`crate::cluster::Cluster::query`].
+//! The executor holds the cluster for the whole query, so nothing can change
+//! the routing state under it: it dispatches each pass to the partition list
+//! the CC holds and copies no routing state. The passes themselves (`scan_pass`
+//! and `index_pass`) run over any partition list; a
+//! [`crate::session::Session`] — the one client that outlives the call that
+//! made it, and so the one holder of a routing copy — runs them over its
+//! cached list. Open an executor with [`crate::cluster::Cluster::query`].
 
-use std::collections::btree_map::{self, BTreeMap};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use dynahash_core::{NodeId, PartitionId};
-use dynahash_lsm::entry::{Entry, Key, Op, Value};
+use dynahash_lsm::entry::{Entry, Key, Op};
 use dynahash_lsm::{scramble, BucketedLsmTree, ScanOrder, SecondaryEntry};
 
 use crate::cluster::Cluster;
-use crate::dataset::{DatasetId, DatasetMeta};
+use crate::dataset::{DatasetId, SecondaryIndexDef};
 use crate::sim::{NodeTimeline, SimDuration};
 use crate::Result;
 
@@ -85,19 +83,106 @@ impl Hasher for KeyMixer {
     }
 }
 
+/// What a partition pass read on one partition: the counts the executor
+/// charges the partition's node from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PassCounts {
+    /// Records a scan read, or entries an index pass read (hits plus the
+    /// obsolete ones validated away).
+    pub(crate) records: u64,
+    /// Bytes read.
+    pub(crate) bytes: u64,
+    /// Buckets a scan reconciles (at least one; none for an index pass).
+    pub(crate) buckets: u64,
+    /// Records a deferred rebuild warmed before an index pass.
+    pub(crate) warmed: u64,
+}
+
+/// One pass over `dataset`'s primary index on each of `partitions` that holds
+/// it: each record is touched once, by `visit`, and the same pass counts
+/// what the partition read. `init` is told how many entries the partition's
+/// scan looks at (an upper bound on what it visits).
+pub(crate) fn scan_pass<A>(
+    cluster: &Cluster,
+    dataset: DatasetId,
+    partitions: &[PartitionId],
+    order: ScanOrder,
+    mut init: impl FnMut(usize) -> A,
+    mut visit: impl FnMut(&mut A, &Key, &Op),
+) -> Result<Vec<(PartitionId, A, PassCounts)>> {
+    let mut out = Vec::with_capacity(partitions.len());
+    for &p in partitions {
+        let Ok(ds) = cluster.partition(p)?.dataset(dataset) else {
+            continue;
+        };
+        let primary = &ds.primary;
+        let mut acc = init(primary.visible_len());
+        let mut records = 0u64;
+        let bytes = primary.scan_with(None, None, order, |key, op| {
+            records += 1;
+            visit(&mut acc, key, op);
+        });
+        let counts = PassCounts {
+            records,
+            bytes,
+            buckets: primary.num_buckets().max(1) as u64,
+            warmed: 0,
+        };
+        out.push((p, acc, counts));
+    }
+    Ok(out)
+}
+
+/// One pass over `index` in `[lo, hi)` on each of `partitions` that holds
+/// `dataset`, after warming any deferred rebuild there: each live entry is
+/// handed to `visit` as `(secondary, primary)` key bytes borrowed from the
+/// index, together with the partition's primary index and the index's
+/// definition. Obsolete entries of moved buckets are validated away but
+/// still counted as read, at 24 bytes an entry.
+pub(crate) fn index_pass<A>(
+    cluster: &mut Cluster,
+    dataset: DatasetId,
+    partitions: &[PartitionId],
+    (index, lo, hi): (&str, Option<&Key>, Option<&Key>),
+    mut init: impl FnMut() -> A,
+    mut visit: impl FnMut(&mut A, &BucketedLsmTree, &SecondaryIndexDef, &[u8], &[u8]),
+) -> Result<Vec<(PartitionId, A, PassCounts)>> {
+    let mut out = Vec::with_capacity(partitions.len());
+    for &p in partitions {
+        let Ok(ds) = cluster.partition_mut(p)?.dataset_mut(dataset) else {
+            continue;
+        };
+        let (warmed, at) = ds.open_index(index)?;
+        let (primary, def, idx) = (&ds.primary, &ds.defs[at], &mut ds.secondaries[at]);
+        let skipped_before = idx.obsolete_entries_skipped();
+        let mut acc = init();
+        let mut hits = 0u64;
+        idx.visit_range(lo, hi, |secondary, primary_key| {
+            hits += 1;
+            visit(&mut acc, primary, def, secondary, primary_key);
+        });
+        let records = hits + idx.obsolete_entries_skipped() - skipped_before;
+        let counts = PassCounts {
+            records,
+            bytes: records * 24,
+            buckets: 0,
+            warmed,
+        };
+        out.push((p, acc, counts));
+    }
+    Ok(out)
+}
+
 /// Executes one query against the cluster, accumulating simulated cost.
 pub struct QueryExecutor<'a> {
     cluster: &'a mut Cluster,
     timeline: NodeTimeline,
-    /// Per-dataset routing snapshots, taken on first touch: the query-job
-    /// equivalent of a session cache.
-    snapshots: BTreeMap<DatasetId, DatasetMeta>,
 }
 
 impl Cluster {
     /// Opens a query coordinator: the sanctioned entry point for analytics.
-    /// The executor snapshots each dataset's routing state on first touch
-    /// and dispatches all per-partition work through those snapshots.
+    /// The executor dispatches all per-partition work to the partition list
+    /// the CC holds.
     pub fn query(&mut self) -> QueryExecutor<'_> {
         QueryExecutor::new(self)
     }
@@ -111,33 +196,12 @@ impl<'a> QueryExecutor<'a> {
         let overhead = cluster.cost_model().job_overhead_ns;
         let mut timeline = NodeTimeline::new();
         timeline.charge_coordinator(SimDuration::from_nanos(overhead));
-        QueryExecutor {
-            cluster,
-            timeline,
-            snapshots: BTreeMap::new(),
-        }
+        QueryExecutor { cluster, timeline }
     }
 
     /// Immutable access to the cluster (for routing metadata etc.).
     pub fn cluster(&self) -> &Cluster {
         self.cluster
-    }
-
-    /// The partitions a dataset's work is dispatched to, lent from the
-    /// cached routing snapshot (taken on this executor's first touch of the
-    /// dataset).
-    fn partitions_of<'s>(
-        snapshots: &'s mut BTreeMap<DatasetId, DatasetMeta>,
-        cluster: &Cluster,
-        dataset: DatasetId,
-    ) -> Result<&'s [PartitionId]> {
-        let meta = match snapshots.entry(dataset) {
-            btree_map::Entry::Occupied(cached) => cached.into_mut(),
-            btree_map::Entry::Vacant(first) => {
-                first.insert(cluster.controller.routing_snapshot(dataset)?)
-            }
-        };
-        Ok(&meta.partitions)
     }
 
     /// Scans an entire dataset on every partition in parallel.
@@ -187,78 +251,45 @@ impl<'a> QueryExecutor<'a> {
         Ok(())
     }
 
-    /// One pass over every partition's primary index: each record is touched
-    /// once, by `visit`, and the same pass counts the records and bytes the
-    /// partition's node is charged for. `init` is told how many entries the
-    /// partition's scan looks at (an upper bound on what it visits).
+    /// `scan_pass` over the dataset's partitions, charging each partition's
+    /// node for the records and bytes it read.
     fn scan_partitions<A>(
         &mut self,
         dataset: DatasetId,
         ordered: bool,
-        mut init: impl FnMut(usize) -> A,
-        mut visit: impl FnMut(&mut A, &Key, &Op),
+        init: impl FnMut(usize) -> A,
+        visit: impl FnMut(&mut A, &Key, &Op),
     ) -> Result<Vec<(PartitionId, A)>> {
         let cost_model = self.cluster.cost_model();
-        let partitions = Self::partitions_of(&mut self.snapshots, self.cluster, dataset)?;
-        let mut out = Vec::with_capacity(partitions.len());
-        for &p in partitions {
-            let part = self.cluster.partition(p)?;
-            if !part.has_dataset(dataset) {
-                continue;
-            }
-            let primary = &part.dataset(dataset)?.primary;
-            let num_buckets = primary.num_buckets().max(1);
-            let order = if ordered {
-                ScanOrder::Ordered
-            } else {
-                ScanOrder::Unordered
-            };
-            let mut acc = init(primary.visible_len());
-            let mut records = 0u64;
-            let bytes = primary.scan_with(None, None, order, |key, op| {
-                records += 1;
-                visit(&mut acc, key, op);
-            });
-            let mut cost = cost_model.disk_read(bytes) + cost_model.query_cpu(records, 1.0);
+        let order = if ordered {
+            ScanOrder::Ordered
+        } else {
+            ScanOrder::Unordered
+        };
+        let partitions = &self.cluster.controller.dataset(dataset)?.partitions;
+        let passes = scan_pass(self.cluster, dataset, partitions, order, init, visit)?;
+        let mut out = Vec::with_capacity(passes.len());
+        for (p, acc, read) in passes {
+            let mut cost =
+                cost_model.disk_read(read.bytes) + cost_model.query_cpu(read.records, 1.0);
             if ordered {
                 // Merge-sort across the partition's bucket scans: cost grows
                 // with the number of buckets that must be reconciled.
-                let ways = (num_buckets as f64).log2().ceil().max(1.0) as u64;
-                cost += cost_model.merge_sort_cpu(records * ways);
+                let ways = (read.buckets as f64).log2().ceil().max(1.0) as u64;
+                cost += cost_model.merge_sort_cpu(read.records * ways);
             }
-            let node = self.cluster.node_of_partition(p)?;
-            self.timeline.charge(node, cost);
+            self.timeline
+                .charge(self.cluster.node_of_partition(p)?, cost);
             out.push((p, acc));
         }
         Ok(out)
     }
 
-    /// Scans the whole dataset unordered and folds the result into one
-    /// key → value map, also returning the raw (pre-dedup) record count.
-    ///
-    /// A consistent cluster yields every key on exactly one partition, so
-    /// `raw_count == map.len()`; a mismatch means a record is visible twice
-    /// (e.g. both a source bucket and an installed copy). The
-    /// query-during-rebalance tests use this to assert that a scan between
-    /// any two waves returns exactly the committed record set, never a
-    /// partial or duplicated view of the moving buckets.
-    pub fn collect_records(&mut self, dataset: DatasetId) -> Result<(BTreeMap<Key, Value>, usize)> {
-        let scans = self.scan_table(dataset, false)?;
-        let mut out = BTreeMap::new();
-        let mut raw_count = 0usize;
-        for (_, entries) in scans {
-            for e in entries {
-                if let Some(v) = e.op.value() {
-                    raw_count += 1;
-                    out.insert(e.key, v.clone());
-                }
-            }
-        }
-        Ok((out, raw_count))
-    }
-
     /// Searches a secondary index on every partition in parallel, returning
-    /// the matching (secondary, primary) pairs. Obsolete entries of moved
+    /// the candidate (secondary, primary) pairs: an update that changed the
+    /// indexed field leaves its old entry behind, so a pair may name a
+    /// record whose field no longer matches (the fold validates; see
+    /// [`QueryExecutor::index_fetch_fold`]). Obsolete entries of moved
     /// buckets are validated away (lazy cleanup) but still cost read time.
     ///
     /// Buckets installed with a deferred secondary rebuild are warmed first:
@@ -274,11 +305,9 @@ impl<'a> QueryExecutor<'a> {
     ) -> Result<Vec<(PartitionId, Vec<SecondaryEntry>)>> {
         self.index_partitions(
             dataset,
-            index,
-            lo,
-            hi,
+            (index, lo, hi),
             Vec::new,
-            |hits, _, secondary, primary| {
+            |hits, _, _, secondary, primary| {
                 hits.push(SecondaryEntry::from_slices(secondary, primary))
             },
         )
@@ -287,11 +316,13 @@ impl<'a> QueryExecutor<'a> {
     /// The index-then-fetch plan as one operator: every entry of `index` in
     /// `[lo, hi)` is looked up in the primary index of the partition that
     /// listed it, and each record found is handed to `fold`, key and payload
-    /// still borrowed, partition after partition. An entry is a candidate:
-    /// one whose record the partition no longer holds folds nothing. Reads
-    /// and charges exactly what [`QueryExecutor::index_scan`] followed by a
-    /// [`QueryExecutor::fetch`] per partition does, with no key, entry or
-    /// record vector in between.
+    /// still borrowed, partition after partition. An entry is a candidate,
+    /// validated against the record it names (Luo & Carey, PVLDB 2019): one
+    /// whose record the partition no longer holds, or whose record's indexed
+    /// field no longer equals the entry's secondary key, folds nothing.
+    /// Reads and charges exactly what [`QueryExecutor::index_scan`] followed
+    /// by a [`QueryExecutor::fetch`] per partition does, with no key, entry
+    /// or record vector in between.
     pub fn index_fetch_fold(
         &mut self,
         dataset: DatasetId,
@@ -302,16 +333,16 @@ impl<'a> QueryExecutor<'a> {
     ) -> Result<()> {
         let fetched = self.index_partitions(
             dataset,
-            index,
-            lo,
-            hi,
+            (index, lo, hi),
             || (0u64, 0u64),
-            |(candidates, bytes), primary_index, _, primary| {
+            |(candidates, bytes), primary_index, def, secondary, primary| {
                 *candidates += 1;
                 let key = Key::from_slice(primary);
                 if let Some(payload) = primary_index.get_ref(&key) {
                     *bytes += (key.len() + payload.len()) as u64;
-                    fold(&key, payload);
+                    if (def.extractor)(payload).is_some_and(|k| k.as_slice() == secondary) {
+                        fold(&key, payload);
+                    }
                 }
             },
         )?;
@@ -321,47 +352,26 @@ impl<'a> QueryExecutor<'a> {
         Ok(())
     }
 
-    /// One pass over `index` in `[lo, hi)` on every partition: each live,
-    /// valid entry is handed to `visit` as `(secondary, primary)` key bytes
-    /// borrowed from the index, together with the partition's primary index,
-    /// and the partition's node is charged for the entries read (hits plus
-    /// the obsolete ones validated away) and for any deferred rebuild the
-    /// scan had to warm first.
+    /// `index_pass` over the dataset's partitions, charging each partition's
+    /// node for any deferred rebuild it warmed and for the entries it read.
     fn index_partitions<A>(
         &mut self,
         dataset: DatasetId,
-        index: &str,
-        lo: Option<&Key>,
-        hi: Option<&Key>,
-        mut init: impl FnMut() -> A,
-        mut visit: impl FnMut(&mut A, &BucketedLsmTree, &[u8], &[u8]),
+        range: (&str, Option<&Key>, Option<&Key>),
+        init: impl FnMut() -> A,
+        visit: impl FnMut(&mut A, &BucketedLsmTree, &SecondaryIndexDef, &[u8], &[u8]),
     ) -> Result<Vec<(PartitionId, A)>> {
         let cost_model = self.cluster.cost_model();
-        let partitions = Self::partitions_of(&mut self.snapshots, self.cluster, dataset)?;
-        let mut out = Vec::with_capacity(partitions.len());
-        for &p in partitions {
+        let partitions = self.cluster.controller.dataset(dataset)?.partitions.clone();
+        let passes = index_pass(self.cluster, dataset, &partitions, range, init, visit)?;
+        let mut out = Vec::with_capacity(passes.len());
+        for (p, acc, read) in passes {
             let node = self.cluster.node_of_partition(p)?;
-            let part = self.cluster.partition_mut(p)?;
-            if !part.has_dataset(dataset) {
-                continue;
-            }
-            let ds = part.dataset_mut(dataset)?;
-            let (warmed, at) = ds.open_index(index)?;
-            if warmed > 0 {
+            if read.warmed > 0 {
                 self.timeline
-                    .charge(node, cost_model.index_rebuild_cpu(warmed));
+                    .charge(node, cost_model.index_rebuild_cpu(read.warmed));
             }
-            let (primary, idx) = (&ds.primary, &mut ds.secondaries[at]);
-            let skipped_before = idx.obsolete_entries_skipped();
-            let mut acc = init();
-            let mut hits = 0u64;
-            idx.visit_range(lo, hi, |secondary, primary_key| {
-                hits += 1;
-                visit(&mut acc, primary, secondary, primary_key);
-            });
-            let records = hits + idx.obsolete_entries_skipped() - skipped_before;
-            let bytes = records * 24;
-            let cost = cost_model.disk_read(bytes) + cost_model.query_cpu(records, 0.5);
+            let cost = cost_model.disk_read(read.bytes) + cost_model.query_cpu(read.records, 0.5);
             self.timeline.charge(node, cost);
             out.push((p, acc));
         }
@@ -498,9 +508,9 @@ mod tests {
 
     #[test]
     fn collect_records_dedupes_nothing_on_a_consistent_cluster() {
-        let (mut cluster, ds) = setup();
-        let mut q = QueryExecutor::new(&mut cluster);
-        let (map, raw) = q.collect_records(ds).unwrap();
+        let (cluster, ds) = setup();
+        let mut session = cluster.session(ds).unwrap();
+        let (map, raw) = session.collect_records(&cluster).unwrap();
         assert_eq!(map.len(), 2000);
         assert_eq!(raw, 2000, "no key may be visible on two partitions");
         assert!(map.contains_key(&Key::from_u64(0)));

@@ -243,14 +243,10 @@ impl Cluster {
         let mut inbound_bytes: BTreeMap<NodeId, u64> = BTreeMap::new();
         for p in &old_partitions {
             let src_node = self.node_of_partition(*p)?;
-            let part = self.partition(*p)?;
-            if !part.has_dataset(dataset) {
+            let Ok(ds) = self.partition(*p)?.dataset(dataset) else {
                 continue;
-            }
-            let entries = part
-                .dataset(dataset)?
-                .primary
-                .scan(dynahash_lsm::ScanOrder::Unordered);
+            };
+            let entries = ds.primary.scan(dynahash_lsm::ScanOrder::Unordered);
             let scan_bytes: u64 = entries.iter().map(|e| e.size_bytes() as u64).sum();
             tl.charge(src_node, cost.disk_read(scan_bytes));
             for e in entries {

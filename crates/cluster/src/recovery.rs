@@ -104,9 +104,7 @@ impl Cluster {
                 }
                 let survives = self.active_rebalances.get(&dataset).is_some_and(|active| {
                     active.shipped.get(&bucket).is_some_and(|dst| {
-                        active
-                            .target
-                            .node_of(*dst)
+                        (self.topology().node_of(*dst))
                             .is_some_and(|n| n != node && self.node_is_alive(n))
                     })
                 });

@@ -1,13 +1,18 @@
 //! The client-facing session layer: versioned-directory routing with a
 //! stale-directory redirect protocol.
 //!
-//! Clients and query coordinators never talk to partitions through live CC
-//! state. Instead they open a [`Session`] ([`Cluster::session`]), which
-//! caches an immutable snapshot of the dataset's routing state — the
-//! versioned global directory plus the partition list — and routes every
-//! `put` / `delete` / `get` / `scan` / `index_scan` from that cache
-//! (Section III: queries and feeds take an immutable copy of the directory
-//! when they start).
+//! Clients never talk to partitions through live CC state. Instead they
+//! open a [`Session`] ([`Cluster::session`]), which caches an immutable
+//! snapshot of the dataset's routing state — the versioned global directory
+//! plus the partition list — and routes every `put` / `delete` / `get` /
+//! `scan` / `index_scan` from that cache (Section III: queries and feeds
+//! take an immutable copy of the directory when they start). The session is
+//! the one holder of such a copy: it is the one client that outlives the
+//! call that made it, so the one that can go stale. The query executor, the
+//! feed path behind [`Session::ingest`] and an in-flight job read the CC's
+//! directory, which nothing can change while they hold the cluster. A
+//! session's `scan` and `index_scan` run the executor's partition passes
+//! over the cached partition list, uncharged.
 //!
 //! Rebalancing stays transparent because stale routes are *detected and
 //! redirected*, never blocked:
@@ -45,6 +50,7 @@ use dynahash_core::PartitionId;
 use crate::cluster::Cluster;
 use crate::dataset::{DatasetId, DatasetMeta};
 use crate::feed::IngestReport;
+use crate::query::{index_pass, scan_pass};
 use crate::{ClusterError, Result};
 
 /// How many stale-directory redirects one logical request may absorb before
@@ -120,7 +126,6 @@ impl SessionMetrics {
 pub struct Session {
     dataset: DatasetId,
     cache: DatasetMeta,
-    max_redirects: usize,
     metrics: SessionMetrics,
 }
 
@@ -130,8 +135,7 @@ impl Cluster {
     pub fn session(&self, dataset: DatasetId) -> Result<Session> {
         Ok(Session {
             dataset,
-            cache: self.controller.routing_snapshot(dataset)?,
-            max_redirects: DEFAULT_MAX_REDIRECTS,
+            cache: self.controller.dataset(dataset)?.clone(),
             metrics: SessionMetrics::default(),
         })
     }
@@ -257,7 +261,7 @@ impl Session {
         };
         self.metrics.redirects += 1;
         *attempts += 1;
-        if *attempts > self.max_redirects {
+        if *attempts > DEFAULT_MAX_REDIRECTS {
             return Err(ClusterError::Route(RouteError::RedirectLoop {
                 attempts: *attempts,
                 server_version,
@@ -325,30 +329,26 @@ impl Session {
     /// [`ClusterError::DatasetWriteBlocked`] only during the brief
     /// prepare-to-decision window.
     pub fn put(&mut self, cluster: &mut Cluster, key: Key, value: Value) -> Result<()> {
-        self.metrics.requests += 1;
-        let mut attempts = 0usize;
-        loop {
-            let partition = self.route(&key)?;
-            match cluster.validate_route(self.dataset, &key, partition) {
-                Ok(()) => {
-                    return cluster
-                        .write_routed(self.dataset, key, Some(value))
-                        .map(drop)
-                }
-                Err(e) => self.handle_rejection(cluster, e, &mut attempts)?,
-            }
-        }
+        self.write(cluster, key, Some(value)).map(drop)
     }
 
     /// Deletes a record (a tombstone through the same routed write path).
     /// Returns whether the key was live before the delete.
     pub fn delete(&mut self, cluster: &mut Cluster, key: &Key) -> Result<bool> {
+        self.write(cluster, key.clone(), None)
+    }
+
+    /// One routed write — `Some(value)` puts, `None` deletes: routes from
+    /// the cache, lets the partition validate the route, and refreshes and
+    /// retries on a stale rejection. Returns whether a delete found the key
+    /// live.
+    fn write(&mut self, cluster: &mut Cluster, key: Key, value: Option<Value>) -> Result<bool> {
         self.metrics.requests += 1;
         let mut attempts = 0usize;
         loop {
-            let partition = self.route(key)?;
-            match cluster.validate_route(self.dataset, key, partition) {
-                Ok(()) => return cluster.write_routed(self.dataset, key.clone(), None),
+            let partition = self.route(&key)?;
+            match cluster.validate_route(self.dataset, &key, partition) {
+                Ok(()) => return cluster.write_routed(self.dataset, key, value),
                 Err(e) => self.handle_rejection(cluster, e, &mut attempts)?,
             }
         }
@@ -397,8 +397,9 @@ impl Session {
         Ok(())
     }
 
-    /// Scans the dataset on every cached partition. `ScanOrder::Ordered`
-    /// asks each partition for primary-key-ordered output.
+    /// Scans the dataset on every cached partition, through the executor's
+    /// scan pass. `ScanOrder::Ordered` asks each partition for
+    /// primary-key-ordered output.
     pub fn scan(
         &mut self,
         cluster: &Cluster,
@@ -406,15 +407,15 @@ impl Session {
     ) -> Result<Vec<(PartitionId, Vec<Entry>)>> {
         self.metrics.requests += 1;
         self.ensure_current(cluster)?;
-        let mut out = Vec::new();
-        for &p in &self.cache.partitions {
-            let part = cluster.partition(p)?;
-            if !part.has_dataset(self.dataset) {
-                continue;
-            }
-            out.push((p, part.dataset(self.dataset)?.primary.scan(order)));
-        }
-        Ok(out)
+        let passes = scan_pass(
+            cluster,
+            self.dataset,
+            &self.cache.partitions,
+            order,
+            Vec::with_capacity,
+            |rows, key, op| rows.push(Entry::from_parts(key, op)),
+        )?;
+        Ok(passes.into_iter().map(|(p, rows, _)| (p, rows)).collect())
     }
 
     /// Scans the whole dataset unordered and folds it into one key → value
@@ -436,9 +437,11 @@ impl Session {
         Ok((out, raw))
     }
 
-    /// Searches a secondary index on every cached partition, returning the
-    /// matching (secondary, primary) pairs. Buckets whose secondary entries
-    /// were deferred at rebalance-install time are warmed on first touch.
+    /// Searches a secondary index on every cached partition, through the
+    /// executor's index pass, returning the candidate (secondary, primary)
+    /// pairs: like [`crate::query::QueryExecutor::index_scan`], it does not
+    /// check a pair against its record. Buckets whose secondary entries were
+    /// deferred at rebalance-install time are warmed on first touch.
     pub fn index_scan(
         &mut self,
         cluster: &mut Cluster,
@@ -448,17 +451,17 @@ impl Session {
     ) -> Result<Vec<(PartitionId, Vec<SecondaryEntry>)>> {
         self.metrics.requests += 1;
         self.ensure_current(cluster)?;
-        let mut out = Vec::new();
-        for &p in &self.cache.partitions {
-            let part = cluster.partition_mut(p)?;
-            if !part.has_dataset(self.dataset) {
-                continue;
-            }
-            let ds = part.dataset_mut(self.dataset)?;
-            let (_, at) = ds.open_index(index)?;
-            out.push((p, ds.secondaries[at].search_range(lo, hi)));
-        }
-        Ok(out)
+        let passes = index_pass(
+            cluster,
+            self.dataset,
+            &self.cache.partitions,
+            (index, lo, hi),
+            Vec::new,
+            |hits, _, _, secondary, primary| {
+                hits.push(SecondaryEntry::from_slices(secondary, primary))
+            },
+        )?;
+        Ok(passes.into_iter().map(|(p, hits, _)| (p, hits)).collect())
     }
 }
 
@@ -488,6 +491,20 @@ mod tests {
         let mut session = cluster.session(ds).unwrap();
         session.ingest(&mut cluster, (0..n).map(record)).unwrap();
         (cluster, ds)
+    }
+
+    #[test]
+    fn a_session_caches_a_copy_of_the_routing_state() {
+        let (mut cluster, ds) = loaded(2, Scheme::dynahash(1 << 20, 4), 0);
+        let session = cluster.session(ds).unwrap();
+        // mutate the CC's copy; the session's cache must be unaffected
+        cluster
+            .controller
+            .dataset_mut(ds)
+            .unwrap()
+            .partitions
+            .clear();
+        assert_eq!(session.cache.partitions.len(), 4);
     }
 
     #[test]
@@ -604,29 +621,27 @@ mod tests {
     #[test]
     fn redirect_loop_is_bounded() {
         let (mut cluster, ds) = loaded(2, Scheme::StaticHash { num_buckets: 16 }, 200);
-        cluster.add_node().unwrap();
-        let target = cluster.topology().clone();
-        let mut stale = cluster.session(ds).unwrap();
-        stale.max_redirects = 0;
-        cluster
-            .rebalance(ds, &target, RebalanceOptions::none())
-            .unwrap();
-        // with a zero redirect budget, the first stale route must surface
-        // the protocol error instead of spinning
-        let mut saw_loop = false;
-        for i in 0..200u64 {
-            let (k, _) = record(i);
-            match stale.get(&cluster, &k) {
-                Ok(_) => {}
-                Err(ClusterError::Route(RouteError::RedirectLoop { attempts, .. })) => {
-                    assert_eq!(attempts, 1);
-                    saw_loop = true;
-                    break;
-                }
-                Err(e) => panic!("unexpected error: {e}"),
+        // A CC directory that routes a bucket to a partition not holding it:
+        // every refresh brings the same wrong route back, so the session
+        // must surface the protocol error once its redirect bound is spent
+        // instead of spinning.
+        let key = record(0).0;
+        let meta = cluster.controller.dataset_mut(ds).unwrap();
+        let dir = meta.directory.as_mut().unwrap();
+        let (bucket, owner) = dir.lookup_key(&key).unwrap();
+        let wrong = meta.partitions.iter().find(|p| **p != owner).unwrap();
+        dir.reassign(bucket, *wrong);
+        let mut session = cluster.session(ds).unwrap();
+        match session.get(&cluster, &key) {
+            Err(ClusterError::Route(RouteError::RedirectLoop { attempts, .. })) => {
+                assert_eq!(attempts, DEFAULT_MAX_REDIRECTS + 1);
             }
+            other => panic!("expected a redirect loop, got {other:?}"),
         }
-        assert!(saw_loop, "some bucket must have moved");
+        assert_eq!(
+            session.metrics().redirects,
+            DEFAULT_MAX_REDIRECTS as u64 + 1
+        );
     }
 
     #[test]

@@ -347,3 +347,28 @@ fn index_fetch_fold_is_index_scan_then_fetch() {
         );
     }
 }
+
+/// A put reads no old record, so an update that changes the indexed field
+/// leaves the old index entry behind: the index lists k1 under 10 and 11,
+/// and k2 under 20 though its field is now 500. The fold validates each
+/// candidate against the record it names (the indexed field must still
+/// equal the entry's key), so it folds each live record in range once.
+#[test]
+fn an_index_fold_skips_the_entries_an_update_left_behind() {
+    let mut cluster = Cluster::new(2);
+    let spec = DatasetSpec::new("fields", Scheme::StaticHash { num_buckets: 16 })
+        .with_secondary_index(SecondaryIndexDef::new(INDEX, group_of));
+    let ds = cluster.create_dataset(spec).unwrap();
+    let mut session = cluster.session(ds).unwrap();
+    let field = |v: u64| Bytes::from(v.to_be_bytes().to_vec());
+    let (k1, k2) = (Key::from_u64(1), Key::from_u64(2));
+    for (key, v) in [(&k1, 10), (&k1, 11), (&k2, 20), (&k2, 500)] {
+        session.put(&mut cluster, key.clone(), field(v)).unwrap();
+    }
+    let (lo, hi) = (Key::from_u64(0), Key::from_u64(100));
+    let mut folded = Vec::new();
+    (cluster.query())
+        .index_fetch_fold(ds, INDEX, Some(&lo), Some(&hi), keep(&mut folded))
+        .unwrap();
+    assert_eq!(folded, vec![Entry::put(k1, field(11))]);
+}

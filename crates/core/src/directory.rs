@@ -12,8 +12,9 @@
 //! a [`GlobalDirectory::remove`], or an [`GlobalDirectory::install`]/refresh
 //! absorbing local splits or a rebalance commit) bumps a monotonically
 //! increasing version and appends the changed buckets to a bounded change
-//! log. Clients (query coordinators and `Session` handles in the cluster
-//! crate) cache a snapshot of the directory together with its version; when
+//! log. Clients (`Session` handles in the cluster crate: the one holder of a
+//! routing copy) cache a snapshot of the directory together with its
+//! version; when
 //! a partition rejects a stale-routed request, the client catches up either
 //! with a cheap [`DirectoryDelta`] ([`GlobalDirectory::delta_since`]) or — if
 //! the log no longer reaches back far enough — a full snapshot.
@@ -24,8 +25,9 @@
 //! bucket covering that slot. A bucket of depth `d` owns the `2^(D-d)` slots
 //! of its lattice (`bits + k·2^d`). The array is maintained incrementally:
 //! it doubles when a mutation raises the global depth, halves when the last
-//! deepest bucket disappears, and split/merge/reassign rewrite only the
-//! affected slot lattices — delta catch-up never rebuilds the whole table.
+//! deepest bucket disappears, and a split, removal or reassignment rewrites
+//! only the affected slot lattices — delta catch-up never rebuilds the whole
+//! table.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -384,9 +386,9 @@ impl GlobalDirectory {
     /// Leaves the version untouched when nothing changed.
     ///
     /// Only the differing buckets' slot lattices are rewritten: removals are
-    /// applied first (a split's parent vanishes before its children land, a
-    /// merge's children before the parent), so the slot array transitions
-    /// through disjoint intermediate states and never needs a full rebuild.
+    /// applied first (a split's parent vanishes before its children land),
+    /// so the slot array transitions through disjoint intermediate states and
+    /// never needs a full rebuild.
     pub fn install(&mut self, new: &GlobalDirectory) {
         let mut changes: Vec<(BucketId, Option<PartitionId>)> = Vec::new();
         for bucket in self.assignment.keys() {
@@ -414,18 +416,6 @@ impl GlobalDirectory {
             }
             self.push_change(bucket, to);
         }
-    }
-
-    /// Refreshes this directory in place from the partitions' local
-    /// directories, bumping the version if any bucket changed (a split
-    /// replaced a parent with its children, a bucket moved, or one vanished).
-    pub fn refresh(
-        &mut self,
-        local_views: impl IntoIterator<Item = (PartitionId, Vec<BucketId>)>,
-    ) -> Result<()> {
-        let fresh = GlobalDirectory::refresh_from_locals(local_views)?;
-        self.install(&fresh);
-        Ok(())
     }
 
     /// The changes needed to bring a snapshot taken at `since` up to the
@@ -788,7 +778,7 @@ mod tests {
         let same: Vec<(PartitionId, Vec<BucketId>)> = (0..2)
             .map(|p| (PartitionId(p), dir.buckets_of_partition(PartitionId(p))))
             .collect();
-        dir.refresh(same).unwrap();
+        dir.install(&GlobalDirectory::refresh_from_locals(same).unwrap());
         assert_eq!(dir.version(), v0);
         // partition 0's bucket 00 split locally into 000/100
         let split: Vec<(PartitionId, Vec<BucketId>)> = vec![
@@ -805,7 +795,7 @@ mod tests {
                 vec![BucketId::new(0b01, 2), BucketId::new(0b11, 2)],
             ),
         ];
-        dir.refresh(split).unwrap();
+        dir.install(&GlobalDirectory::refresh_from_locals(split).unwrap());
         assert_eq!(dir.version(), v0 + 1);
         assert!(dir.covers_full_space());
         assert_eq!(dir.global_depth(), 3);

@@ -89,9 +89,10 @@ impl Scheme {
         }
     }
 
-    /// Routes a key, given its [`hash_key`], under the **Hashing** scheme:
-    /// `hash(K) mod N` over the given partition list (in order). Bucketed
-    /// schemes route through the global directory instead.
+    /// Routes a key, given its
+    /// [`hash_key`](dynahash_lsm::bucket::hash_key), under the **Hashing**
+    /// scheme: `hash(K) mod N` over the given partition list (in order).
+    /// Bucketed schemes route through the global directory instead.
     pub fn modulo_partition(hash: u64, partitions: &[PartitionId]) -> PartitionId {
         partitions[(hash % partitions.len() as u64) as usize]
     }

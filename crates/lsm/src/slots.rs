@@ -178,7 +178,9 @@ impl<T: Copy + PartialEq + std::fmt::Debug> SlotArray<T> {
     }
 
     /// Halves while no bucket of the current depth remains (the inverse of
-    /// [`SlotArray::grow_to`], triggered by removals and merges).
+    /// [`SlotArray::grow_to`], triggered by removals: a tree dropping a
+    /// bucket that moved away, or a directory removing one — storage never
+    /// merges buckets).
     fn maybe_shrink(&mut self) {
         let target = self.depth_counts.iter().rposition(|&c| c > 0).unwrap_or(0) as u8;
         while self.depth > target {

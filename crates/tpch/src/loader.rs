@@ -6,13 +6,15 @@
 //! led by `o_orderdate`, both enabling index-only plans for date-range
 //! queries. It then ingests the generated data through data feeds.
 
-use dynahash_cluster::{Cluster, DatasetId, DatasetSpec, IngestReport, SecondaryIndexDef};
+use dynahash_cluster::{
+    Cluster, ClusterError, DatasetId, DatasetSpec, IngestReport, SecondaryIndexDef,
+};
 use dynahash_core::Scheme;
 use dynahash_lsm::entry::Key;
 use dynahash_lsm::Bytes;
 
 use crate::generator::{TpchData, TpchScale};
-use crate::schema::{field_extractor, L_SHIPDATE_FIELD, O_ORDERDATE_FIELD};
+use crate::schema::{field_extractor, Table, L_SHIPDATE_FIELD, O_ORDERDATE_FIELD};
 
 /// The dataset ids of the loaded TPC-H tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,6 +42,20 @@ pub const LINEITEM_INDEX: &str = "idx_lineitem_shipdate";
 /// Name of the Orders covering index from the paper.
 pub const ORDERS_INDEX: &str = "idx_orders_orderdate";
 
+/// The eight tables in creation order (so lineitem is dataset 1 and region
+/// dataset 8), each with the paper's index on it, if any: its name and the
+/// field it is led by.
+const TABLES: [(&str, Option<(&str, usize)>); 8] = [
+    ("lineitem", Some((LINEITEM_INDEX, L_SHIPDATE_FIELD))),
+    ("orders", Some((ORDERS_INDEX, O_ORDERDATE_FIELD))),
+    ("customer", None),
+    ("part", None),
+    ("supplier", None),
+    ("partsupp", None),
+    ("nation", None),
+    ("region", None),
+];
+
 /// Creates the TPC-H datasets under the given scheme, generates data at the
 /// given scale, and ingests it. Returns the table handles, the generated
 /// data (for query verification), and the combined ingestion report.
@@ -47,141 +63,57 @@ pub fn load_tpch(
     cluster: &mut Cluster,
     scheme: Scheme,
     scale: TpchScale,
-) -> Result<(TpchTables, TpchData, IngestReport), dynahash_cluster::ClusterError> {
+) -> Result<(TpchTables, TpchData, IngestReport), ClusterError> {
     let data = TpchData::generate(scale);
-    let memtable_budget = 64 * 1024;
-
-    let lineitem = cluster.create_dataset(
-        DatasetSpec::new("lineitem", scheme)
-            .with_secondary_index(SecondaryIndexDef::new(
-                LINEITEM_INDEX,
-                field_extractor(L_SHIPDATE_FIELD),
-            ))
-            .with_memtable_budget(memtable_budget),
-    )?;
-    let orders = cluster.create_dataset(
-        DatasetSpec::new("orders", scheme)
-            .with_secondary_index(SecondaryIndexDef::new(
-                ORDERS_INDEX,
-                field_extractor(O_ORDERDATE_FIELD),
-            ))
-            .with_memtable_budget(memtable_budget),
-    )?;
-    let customer = cluster.create_dataset(
-        DatasetSpec::new("customer", scheme).with_memtable_budget(memtable_budget),
-    )?;
-    let part = cluster
-        .create_dataset(DatasetSpec::new("part", scheme).with_memtable_budget(memtable_budget))?;
-    let supplier = cluster.create_dataset(
-        DatasetSpec::new("supplier", scheme).with_memtable_budget(memtable_budget),
-    )?;
-    let partsupp = cluster.create_dataset(
-        DatasetSpec::new("partsupp", scheme).with_memtable_budget(memtable_budget),
-    )?;
-    let nation = cluster
-        .create_dataset(DatasetSpec::new("nation", scheme).with_memtable_budget(memtable_budget))?;
-    let region = cluster
-        .create_dataset(DatasetSpec::new("region", scheme).with_memtable_budget(memtable_budget))?;
+    let mut ids = [0; TABLES.len()];
+    for (id, (name, index)) in ids.iter_mut().zip(TABLES) {
+        let mut spec = DatasetSpec::new(name, scheme).with_memtable_budget(64 * 1024);
+        if let Some((index, field)) = index {
+            spec = spec.with_secondary_index(SecondaryIndexDef::new(index, field_extractor(field)));
+        }
+        *id = cluster.create_dataset(spec)?;
+    }
+    let [lineitem, orders, customer, part, supplier, partsupp, nation, region] = ids;
+    let tables = TpchTables {
+        lineitem,
+        orders,
+        customer,
+        part,
+        supplier,
+        partsupp,
+        nation,
+        region,
+    };
 
     // Each table is fed through its own client session — the sanctioned
     // data path: the feed routes from the session's cached directory
     // snapshot and participates in the stale-directory redirect protocol.
-    let feed = |cluster: &mut Cluster,
-                dataset: DatasetId,
-                records: Vec<(Key, Bytes)>|
-     -> Result<IngestReport, dynahash_cluster::ClusterError> {
-        let mut session = cluster.session(dataset)?;
-        session.ingest(cluster, records)
-    };
-    let mut report = feed(
-        cluster,
-        region,
-        data.region
-            .iter()
-            .map(|r| (r.primary_key(), r.encode()))
-            .collect(),
-    )?;
-    for r in [
-        feed(
-            cluster,
-            nation,
-            data.nation
-                .iter()
-                .map(|r| (r.primary_key(), r.encode()))
-                .collect(),
-        )?,
-        feed(
-            cluster,
-            supplier,
-            data.supplier
-                .iter()
-                .map(|r| (r.primary_key(), r.encode()))
-                .collect(),
-        )?,
-        feed(
-            cluster,
-            customer,
-            data.customer
-                .iter()
-                .map(|r| (r.primary_key(), r.encode()))
-                .collect(),
-        )?,
-        feed(
-            cluster,
-            part,
-            data.part
-                .iter()
-                .map(|r| (r.primary_key(), r.encode()))
-                .collect(),
-        )?,
-        feed(
-            cluster,
-            partsupp,
-            data.partsupp
-                .iter()
-                .map(|r| (r.primary_key(), r.encode()))
-                .collect(),
-        )?,
-        feed(
-            cluster,
-            orders,
-            data.orders
-                .iter()
-                .map(|r| (r.primary_key(), r.encode()))
-                .collect(),
-        )?,
-        feed(
-            cluster,
-            lineitem,
-            data.lineitem
-                .iter()
-                .map(|r| (r.primary_key(), r.encode()))
-                .collect(),
-        )?,
-    ] {
-        report = report.merge(&r);
-    }
+    let d = &data;
+    let mut report = feed(cluster, region, &d.region)?;
+    report = report.merge(&feed(cluster, nation, &d.nation)?);
+    report = report.merge(&feed(cluster, supplier, &d.supplier)?);
+    report = report.merge(&feed(cluster, customer, &d.customer)?);
+    report = report.merge(&feed(cluster, part, &d.part)?);
+    report = report.merge(&feed(cluster, partsupp, &d.partsupp)?);
+    report = report.merge(&feed(cluster, orders, &d.orders)?);
+    report = report.merge(&feed(cluster, lineitem, &d.lineitem)?);
+    Ok((tables, data, report))
+}
 
-    Ok((
-        TpchTables {
-            lineitem,
-            orders,
-            customer,
-            part,
-            supplier,
-            partsupp,
-            nation,
-            region,
-        },
-        data,
-        report,
-    ))
+/// Ingests one table's rows through a fresh session on `dataset`.
+fn feed<T: Table>(
+    cluster: &mut Cluster,
+    dataset: DatasetId,
+    rows: &[T],
+) -> Result<IngestReport, ClusterError> {
+    let mut session = cluster.session(dataset)?;
+    session.ingest(cluster, rows.iter().map(T::record))
 }
 
 /// Converts LineItem rows into (key, payload) pairs for ingestion (used for
 /// concurrent-write workloads during rebalancing).
 pub fn lineitem_records(rows: &[crate::schema::LineItem]) -> Vec<(Key, Bytes)> {
-    rows.iter().map(|l| (l.primary_key(), l.encode())).collect()
+    rows.iter().map(Table::record).collect()
 }
 
 #[cfg(test)]

@@ -35,6 +35,9 @@ pub trait Table {
 
     /// Views `payload` as a row; `None` if it is too short to be one.
     fn row(payload: &[u8]) -> Option<Self::Row<'_>>;
+
+    /// The record as a feed ingests it: its primary key and encoded payload.
+    fn record(&self) -> (Key, Bytes);
 }
 
 macro_rules! table_record {
@@ -78,6 +81,10 @@ macro_rules! table_record {
 
             fn row(payload: &[u8]) -> Option<$row<'_>> {
                 $row::new(payload)
+            }
+
+            fn record(&self) -> (Key, Bytes) {
+                (self.primary_key(), self.encode())
             }
         }
 

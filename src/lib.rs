@@ -12,7 +12,7 @@
 //!   Node Controllers, partitions, feeds, queries, the step-driven
 //!   [`cluster::RebalanceJob`] executor, fault injection);
 //! * [`tpch`] — the TPC-H-like workload used by the paper's evaluation;
-//! * [`bench`] — the experiment harness (the paper's figures) and the
+//! * [`mod@bench`] — the experiment harness (the paper's figures) and the
 //!   scenario fleet: declarative workload scripts plus the seeded
 //!   soak driver ([`bench::scenario`]).
 //!

@@ -73,8 +73,8 @@ pub fn cluster_with_dataset(nodes: u32, scheme: Scheme, n: u64) -> (Cluster, u32
 /// no key visible twice (the online-query guarantee: pending buckets stay
 /// invisible, source buckets stay visible until the commit).
 pub fn assert_committed_set(cluster: &mut Cluster, ds: u32, expected: &BTreeSet<u64>, when: &str) {
-    let mut q = cluster.query();
-    let (map, raw) = q.collect_records(ds).unwrap();
+    let mut session = cluster.session(ds).unwrap();
+    let (map, raw) = session.collect_records(cluster).unwrap();
     assert_eq!(
         raw,
         map.len(),
@@ -220,7 +220,8 @@ pub fn assert_matches_oracles(
     model: &BTreeMap<Key, Value>,
     when: &str,
 ) {
-    let (contents, raw) = cluster.query().collect_records(ds).unwrap();
+    let mut session = cluster.session(ds).unwrap();
+    let (contents, raw) = session.collect_records(cluster).unwrap();
     assert_eq!(raw, contents.len(), "{when}: a record is visible twice");
     if contents != *model {
         let lost = model.keys().find(|k| !contents.contains_key(k));
