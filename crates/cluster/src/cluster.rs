@@ -12,12 +12,22 @@
 //! cluster for its whole run, so the feed path routes each batch through
 //! the CC's directory and an in-flight job's write replication looks its
 //! buckets up there too: only a [`crate::session::Session`] keeps a copy.
+//!
+//! A record changes through one routine, `Cluster::write_group`: a feed
+//! batch is one write group and a point write a group of one. Each key is
+//! hashed once, by whoever routes it, and the hash travels with the
+//! `Write` down to the memory component. The group is routed in one pass
+//! and applied one partition at a time — the node, its liveness and the
+//! dataset's storage resolved once per partition, the secondary indexes fed
+//! in batch order and the primary bucket by bucket — so every tree sees the
+//! operations one-at-a-time writes would show it, and a group that fails
+//! stores exactly the writes before its first refused one.
 
 use std::collections::BTreeMap;
 
 use dynahash_core::{BucketHeat, ClusterTopology, GlobalDirectory, NodeId, PartitionId, Scheme};
 use dynahash_lsm::bucket::{hash_key, BucketId};
-use dynahash_lsm::entry::{Key, Value};
+use dynahash_lsm::entry::{Entry, Key, Op, Value};
 use dynahash_lsm::metrics::MetricsSnapshot;
 use dynahash_lsm::wal::{RebalanceId, RebalanceLogStatus};
 
@@ -67,15 +77,44 @@ pub(crate) struct ActiveRebalance {
     pub write_blocked: bool,
 }
 
-/// What one applied write touched (see `Cluster::write_record`).
-struct Written {
-    /// The node owning the record.
-    node: NodeId,
-    /// The destination node the write was replicated to, and the payload
-    /// bytes sent there.
-    replica: Option<(NodeId, u64)>,
-    /// Whether a delete found the key live (never true for a put).
-    was_live: bool,
+/// One record on its way into storage: the key, `Some(payload)` to put or
+/// `None` to delete, and the key's `hash_key`, computed once — by whoever
+/// routes the record — for every step after it: the CC's directory, the
+/// partition's local directory and the memory component. Routing stamps the
+/// rest (see [`Cluster::route_group`]).
+pub(crate) struct Write {
+    pub(crate) key: Key,
+    pub(crate) value: Option<Value>,
+    pub(crate) hash: u64,
+    /// The partition the write is routed to.
+    partition: PartitionId,
+    /// The shipped bucket, and the destination partition, an in-flight job
+    /// replicates the write to.
+    replica: Option<(BucketId, PartitionId)>,
+}
+
+impl Write {
+    /// A write of `key`, hashed here.
+    pub(crate) fn new(key: Key, value: Option<Value>) -> Write {
+        let hash = hash_key(&key);
+        Write {
+            key,
+            value,
+            hash,
+            partition: PartitionId(0),
+            replica: None,
+        }
+    }
+}
+
+/// The first write of a group that cannot be applied, and why (see
+/// [`Cluster::first_refusal`]).
+struct Refusal {
+    /// The write's position in its group.
+    at: usize,
+    error: ClusterError,
+    /// True when only the write's replication is refused: its owner takes it.
+    replica_only: bool,
 }
 
 /// The simulated cluster.
@@ -164,24 +203,6 @@ impl Cluster {
     /// residency — is [`Admin::heat`].
     pub fn heat_ops_snapshot(&self, dataset: DatasetId) -> BTreeMap<BucketId, BucketHeat> {
         self.heat.ops_snapshot(dataset)
-    }
-
-    /// The local bucket a key lives in on `partition`, probed only while
-    /// heat tracking is armed (`None` otherwise, and for non-bucketed
-    /// datasets). Keying heat by the *local* directory keeps read heat,
-    /// write heat, bucket sizes, and the planner's load map on the same
-    /// bucket granularity even before the CC absorbs local splits.
-    fn heat_bucket_of(
-        &self,
-        dataset: DatasetId,
-        partition: PartitionId,
-        key: &Key,
-    ) -> Option<BucketId> {
-        if !self.heat.armed() {
-            return None;
-        }
-        let ds = self.partition(partition).ok()?.dataset(dataset).ok()?;
-        ds.primary.bucket_of(key)
     }
 
     // ------------------------------------------------------------ event log
@@ -340,118 +361,240 @@ impl Cluster {
 
     // ------------------------------------------------------------ ingestion
 
-    /// What every write path checks before it touches a record. A
-    /// step-driven rebalance keeps writes online during data movement by
-    /// replicating them to already-shipped buckets; only the brief
-    /// prepare-to-commit window refuses them (Section V-C). A degraded
-    /// dataset refuses writes to its lost buckets *atomically*: every key is
-    /// validated before any record applies, so a feed never half-applies
-    /// against a bucket awaiting repair (a healthy dataset pays one probe of
-    /// the empty lost-bucket map per key).
-    fn check_writable<'a>(
-        &self,
+    /// The one routine a record changes through: a write group — a feed
+    /// batch, or a point write as a group of one — routed through the CC's
+    /// directory ([`Cluster::route_group`]) and applied one partition at a
+    /// time. A step-driven rebalance keeps writes online during data
+    /// movement by replicating them to already-shipped buckets
+    /// ([`Cluster::replicate`]); only the brief prepare-to-commit window
+    /// refuses them (Section V-C). A degraded dataset refuses a group
+    /// touching its lost buckets before any write applies, so a feed never
+    /// half-applies against a bucket awaiting repair.
+    ///
+    /// Each partition resolves its node, the node's liveness and its dataset
+    /// storage once; its writes go into the secondary indexes in group order
+    /// and into the primary bucket by bucket ([`PartitionDataset::write`]),
+    /// so every tree sees the operations applying the writes one at a time
+    /// would show it. A group that fails stores exactly the writes before
+    /// its first refused one ([`Cluster::first_refusal`]); a dead replica
+    /// destination refuses only the replication of its write, which the
+    /// owner has taken, as a one-at-a-time write would have. (A partition
+    /// that lacks the dataset, or a bucket for a key routed to it, is a
+    /// routing bug: the group stops there, that partition's share
+    /// unwritten.) Every write the
+    /// group reaches — the refused one too — is heat on its *local* bucket,
+    /// which keeps read heat, write heat, bucket sizes and the planner's
+    /// load map on one bucket granularity before the CC absorbs local
+    /// splits. `tally` hears how many writes each partition took as their
+    /// owner (`None`), and each write replicated to a destination partition
+    /// with its payload bytes (`Some`). Returns how many deletes found their
+    /// record live.
+    fn write_group(
+        &mut self,
         dataset: DatasetId,
-        keys: impl IntoIterator<Item = &'a Key>,
-    ) -> Result<(), ClusterError> {
-        if (self.active_rebalances.get(&dataset)).is_some_and(|active| active.write_blocked) {
+        writes: &mut [Write],
+        mut tally: impl FnMut(PartitionId, u64, Option<u64>),
+    ) -> Result<u64, ClusterError> {
+        self.route_group(dataset, writes)?;
+        // Each write's position, by partition and group order within each
+        // (a point write's is on the stack).
+        let (mut one, mut many) = ([(0, 0)], Vec::new());
+        let order = match writes {
+            [write] => {
+                one[0].0 = u64::from(write.partition.0);
+                &mut one[..]
+            }
+            _ => {
+                many.extend(
+                    (writes.iter().enumerate())
+                        .map(|(at, write)| (u64::from(write.partition.0), at as u32)),
+                );
+                many.sort_unstable();
+                &mut many[..]
+            }
+        };
+        let refusal = self.first_refusal(writes, order);
+        // Writes below `owned` reach their owner, writes below `replicated`
+        // their replica too.
+        let replicated = refusal.as_ref().map_or(writes.len(), |r| r.at);
+        let owned = refusal
+            .as_ref()
+            .map_or(writes.len(), |r| r.at + usize::from(r.replica_only));
+        self.replicate(dataset, &writes[..replicated], &mut tally)?;
+        let mut live = 0;
+        for share in order.chunk_by_mut(|a, b| a.0 == b.0) {
+            let partition = PartitionId(share[0].0 as u32);
+            let taken = share.partition_point(|&(_, at)| (at as usize) < owned);
+            let share = &mut share[..taken];
+            if share.is_empty() {
+                continue;
+            }
+            tally(partition, share.len() as u64, None);
+            let Cluster {
+                partitions, heat, ..
+            } = self;
+            let ds = (partitions.get_mut(&partition))
+                .ok_or(ClusterError::UnknownPartition(partition))?
+                .dataset_mut(dataset)?;
+            let armed = heat.armed();
+            live += ds.write(writes, share, |bucket| {
+                if armed {
+                    heat.note_write(dataset, bucket);
+                }
+            })?;
+        }
+        let Some(refusal) = refusal else {
+            return Ok(live);
+        };
+        if !refusal.replica_only && self.heat.armed() {
+            let write = &writes[refusal.at];
+            let ds = self.partition(write.partition).ok();
+            let local = ds.and_then(|p| p.dataset(dataset).ok());
+            if let Some(bucket) = local.and_then(|ds| ds.primary.bucket_of_hash(write.hash)) {
+                self.heat.note_write(dataset, bucket);
+            }
+        }
+        Err(refusal.error)
+    }
+
+    /// Routes a write group through the CC's directory, stamping each write
+    /// with its partition and — while a job is in flight — the shipped
+    /// bucket and destination it replicates to. A job's prepare-to-commit
+    /// window refuses the whole group, and so do a write to a lost bucket
+    /// (the first such write names its bucket) and a key the directory
+    /// cannot route.
+    fn route_group(&self, dataset: DatasetId, writes: &mut [Write]) -> Result<(), ClusterError> {
+        let active = self.active_rebalances.get(&dataset);
+        if active.is_some_and(|active| active.write_blocked) {
             return Err(ClusterError::DatasetWriteBlocked(dataset));
         }
-        for key in keys {
-            if let Some(bucket) = self.lost_bucket_of(dataset, key) {
+        let meta = self.controller.dataset(dataset)?;
+        let lost = (self.faults.lost_buckets.get(&dataset)).filter(|lost| !lost.is_empty());
+        let shipped = active.map(|active| &active.shipped);
+        let mut unroutable = false;
+        for write in writes.iter_mut() {
+            let (bucket, partition) = match &meta.directory {
+                Some(dir) => dir.lookup_hash(write.hash).unzip(),
+                None => (None, meta.route_hash(write.hash)),
+            };
+            if let Some(bucket) = bucket.filter(|b| lost.is_some_and(|lost| lost.contains(b))) {
                 return Err(ClusterError::BucketDegraded { dataset, bucket });
             }
+            unroutable |= partition.is_none();
+            write.partition = partition.unwrap_or(PartitionId(u32::MAX));
+            write.replica = bucket.and_then(|b| Some((b, *shipped?.get(&b)?)));
+        }
+        if unroutable {
+            return Err(ClusterError::RoutingFailed(dataset));
         }
         Ok(())
     }
 
-    /// Applies one write on the `partition` its key routes to — `Some(value)`
-    /// inserts or updates the record, `None` deletes the key — and is the
-    /// one place a record changes. The bucket's heat is noted (an attempted
-    /// write is load, served or not), the owner must be alive, and the write
-    /// goes into the primary and secondary indexes (a delete's
-    /// old payload drives the secondary extractors, so index scans never
-    /// return phantom hits). While a job is
-    /// in flight, a write to a bucket whose wave has *already shipped it*
-    /// must also reach the destination's pending copy — tombstones included —
-    /// or the commit-time cleanup of the source bucket would drop it
-    /// (Section V-C); a dead destination fails the write loudly, exactly like
-    /// a dead owner. Only the primary write is replicated: the destination's
-    /// index learns the bucket from its installed components.
-    fn write_record(
+    /// The first write of a routed group that cannot be applied: one whose
+    /// owner is down (or unknown), or one its job replicates to a
+    /// destination that is down — the owner still takes that one. `order`
+    /// holds the writes' positions by partition, group order within each.
+    /// Liveness cannot change while the group applies, so nothing is
+    /// refused later.
+    fn first_refusal(&self, writes: &[Write], order: &[(u64, u32)]) -> Option<Refusal> {
+        // The earliest refused position, and whether only its replica is.
+        let mut first: Option<(usize, bool)> = None;
+        let mut refuse = |at: u32, replica_only| {
+            if first.is_none_or(|(earliest, _)| (at as usize) < earliest) {
+                first = Some((at as usize, replica_only));
+            }
+        };
+        let alive = |partition| {
+            (self.topology.node_of(partition)).is_some_and(|node| self.node_is_alive(node))
+        };
+        for share in order.chunk_by(|a, b| a.0 == b.0) {
+            let (head, partition) = (share[0].1, PartitionId(share[0].0 as u32));
+            if !alive(partition) {
+                refuse(head, false);
+                continue;
+            }
+            // A share is in group order: its first refusal is its earliest.
+            let replica_down = |&(_, at): &(u64, u32)| {
+                (writes[at as usize].replica).is_some_and(|(_, dst)| !alive(dst))
+            };
+            if let Some(&(_, at)) = share.iter().find(|slot| replica_down(slot)) {
+                refuse(at, true);
+            }
+        }
+        let (at, replica_only) = first?;
+        let write = &writes[at];
+        let partition = match write.replica {
+            Some((_, dst)) if replica_only => dst,
+            _ => write.partition,
+        };
+        let error = match self.node_of_partition(partition) {
+            Ok(node) => self
+                .node_state(node)
+                .err()
+                .unwrap_or(ClusterError::NodeDown(node)),
+            Err(error) => error,
+        };
+        Some(Refusal {
+            at,
+            error,
+            replica_only,
+        })
+    }
+
+    /// Replicates writes to the pending copies of the buckets an in-flight
+    /// job has already shipped — tombstones included — or the commit-time
+    /// cleanup of the source bucket would drop them (Section V-C). Only the
+    /// primary write travels: the destination's indexes learn the bucket
+    /// from its installed components. `tally` hears each write replicated,
+    /// with the payload bytes sent.
+    fn replicate(
         &mut self,
         dataset: DatasetId,
-        partition: PartitionId,
-        key: Key,
-        value: Option<Value>,
-    ) -> Result<Written, ClusterError> {
-        if let Some(bucket) = self.heat_bucket_of(dataset, partition, &key) {
-            self.heat.note_write(dataset, bucket);
-        }
-        let node_id = self.node_of_partition(partition)?;
-        let replica = self.active_rebalances.get(&dataset).and_then(|active| {
-            let directory = self.controller.dataset(dataset).ok()?.directory.as_ref()?;
-            let (bucket, _) = directory.lookup_key(&key)?;
-            let dst_partition = *active.shipped.get(&bucket)?;
-            Some((bucket, dst_partition, key.clone(), value.clone()))
-        });
-        if self.node_state(node_id)? != NodeState::Alive {
-            return Err(ClusterError::NodeDown(node_id));
-        }
-        let ds = self.partition_mut(partition)?.dataset_mut(dataset)?;
-        let was_live = match value {
-            Some(value) => {
-                ds.ingest(key, value)?;
-                false
-            }
-            None => ds.delete(&key)?,
-        };
-        let mut written = Written {
-            node: node_id,
-            replica: None,
-            was_live,
-        };
-        if let Some((bucket, dst_partition, key, value)) = replica {
-            let dst_node = self.node_of_partition(dst_partition)?;
-            if !self.node_is_alive(dst_node) {
-                return Err(ClusterError::NodeDown(dst_node));
-            }
-            let bytes = key.len() + value.as_ref().map_or(0, |v| v.len());
-            written.replica = Some((dst_node, bytes as u64));
-            let ds = self.partition_mut(dst_partition)?.dataset_mut(dataset)?;
+        writes: &[Write],
+        tally: &mut impl FnMut(PartitionId, u64, Option<u64>),
+    ) -> Result<(), ClusterError> {
+        for write in writes {
+            let Some((bucket, dst)) = write.replica else {
+                continue;
+            };
+            let bytes = write.key.len() + write.value.as_ref().map_or(0, |v| v.len());
+            tally(dst, 1, Some(bytes as u64));
+            let ds = self.partition_mut(dst)?.dataset_mut(dataset)?;
             // The bucket is in the active job's shipped set, so a missing
             // pending copy means a destination crash wiped the uncommitted
             // transfer: re-create it here so replication keeps flowing, and
             // the commit re-ships the lost base data from the metadata log.
             ds.ensure_pending_bucket(bucket)?;
-            let entry = match value {
-                Some(value) => dynahash_lsm::Entry::put(key, value),
-                None => dynahash_lsm::Entry::delete(key),
+            let op = match &write.value {
+                Some(value) => Op::Put(value.clone()),
+                None => Op::Delete,
+            };
+            let entry = Entry {
+                key: write.key.clone(),
+                op,
             };
             ds.primary.apply_replicated(bucket, entry)?;
         }
-        Ok(written)
+        Ok(())
     }
 
     /// One routed point write, backing [`crate::session::Session::put`]
-    /// (`Some(value)`) and [`crate::session::Session::delete`] (`None`):
-    /// [`Cluster::ingest`]'s per-record routine without the batch path's
-    /// cluster-wide metrics sweeps (a point write's cost report is discarded
-    /// anyway). Returns whether a delete found the key live.
+    /// (`Some(value)`) and [`crate::session::Session::delete`] (`None`): a
+    /// write group of one, without the batch path's cluster-wide metrics
+    /// sweeps (a point write's cost report is discarded anyway). Returns
+    /// whether a delete found the key live.
     pub(crate) fn write_routed(
         &mut self,
         dataset: DatasetId,
-        key: Key,
-        value: Option<Value>,
+        write: Write,
     ) -> Result<bool, ClusterError> {
-        self.check_writable(dataset, [&key])?;
-        let partition = self.route_key(dataset, &key)?;
-        Ok(self.write_record(dataset, partition, key, value)?.was_live)
+        Ok(self.write_group(dataset, &mut [write], |_, _, _| {})? > 0)
     }
 
-    /// Ingests a batch of records through a data feed: the batch is routed
-    /// through the CC's directory and packed, then each record is inserted
-    /// into the primary and secondary indexes. Nothing in between can change
-    /// the directory, so the feed copies none.
+    /// Ingests a batch of records through a data feed: the batch is packed,
+    /// routed through the CC's directory and written
+    /// ([`Cluster::write_group`]). Nothing in between can change the
+    /// directory, so the feed copies none.
     ///
     /// Returns an [`IngestReport`] with the simulated elapsed time (the
     /// slowest node bounds the feed, as in the paper's ingestion experiment).
@@ -466,10 +609,20 @@ impl Cluster {
         dataset: DatasetId,
         records: impl IntoIterator<Item = (Key, Value)>,
     ) -> Result<IngestReport, ClusterError> {
-        let mut batch: Vec<(Key, Value)> = records.into_iter().collect();
-        self.check_writable(dataset, batch.iter().map(|(key, _)| key))?;
+        let writes = (records.into_iter())
+            .map(|(key, value)| Write::new(key, Some(value)))
+            .collect();
+        self.ingest_writes(dataset, writes)
+    }
+
+    /// [`Cluster::ingest`] of writes whose keys are hashed already.
+    pub(crate) fn ingest_writes(
+        &mut self,
+        dataset: DatasetId,
+        mut writes: Vec<Write>,
+    ) -> Result<IngestReport, ClusterError> {
         let cost_model = self.config.cost_model;
-        let routes = self.route_and_pack(dataset, &mut batch)?;
+        self.pack(dataset, &mut writes)?;
 
         // Per-partition metric snapshots to charge IO costs ex post.
         let before: BTreeMap<PartitionId, MetricsSnapshot> = self
@@ -486,18 +639,23 @@ impl Cluster {
             })
             .collect();
 
-        let mut per_node_records: BTreeMap<NodeId, u64> = BTreeMap::new();
-        // Per-node replication traffic (records, bytes) to pending buckets.
+        let mut tallied: Vec<(PartitionId, u64, Option<u64>)> = Vec::new();
+        self.write_group(dataset, &mut writes, |partition, records, bytes| {
+            tallied.push((partition, records, bytes));
+        })?;
+        // Records written per owner node, and records and payload bytes
+        // replicated per destination node.
+        let mut per_node: BTreeMap<NodeId, u64> = BTreeMap::new();
         let mut replicated: BTreeMap<NodeId, (u64, u64)> = BTreeMap::new();
-        let mut total = 0u64;
-        for ((key, value), partition) in batch.into_iter().zip(routes) {
-            let written = self.write_record(dataset, partition, key, Some(value))?;
-            *per_node_records.entry(written.node).or_default() += 1;
-            total += 1;
-            if let Some((dst_node, bytes)) = written.replica {
-                let entry = replicated.entry(dst_node).or_default();
-                entry.0 += 1;
-                entry.1 += bytes;
+        for (partition, records, bytes) in tallied {
+            let node = self.node_of_partition(partition)?;
+            match bytes {
+                None => *per_node.entry(node).or_default() += records,
+                Some(bytes) => {
+                    let sent = replicated.entry(node).or_default();
+                    sent.0 += records;
+                    sent.1 += bytes;
+                }
             }
         }
 
@@ -505,7 +663,7 @@ impl Cluster {
         // engine performed (flushes and merges), per node.
         let mut timeline = NodeTimeline::new();
         timeline.charge_coordinator(SimDuration::from_nanos(cost_model.job_overhead_ns));
-        for (node_id, records) in &per_node_records {
+        for (node_id, records) in &per_node {
             timeline.charge(*node_id, cost_model.ingest_cpu(*records));
         }
         for (node_id, (records, bytes)) in &replicated {
@@ -524,26 +682,21 @@ impl Cluster {
         }
 
         Ok(IngestReport {
-            records: total,
+            records: writes.len() as u64,
             elapsed: timeline.elapsed(),
             per_node: timeline.breakdown(),
         })
     }
 
-    /// Routes a feed batch through the CC's directory and packs its payloads
-    /// at the door: the records bound for one bucket share one allocation,
-    /// so what the memory components hold — and the flushes hand on — are
-    /// slices of a few slabs that die whole when a merge rewrites the run,
-    /// instead of one small allocation per record for the allocator to take
-    /// back piecemeal. Records are grouped by as many low-order hash bits as
-    /// the deepest local directory uses, so a group never straddles two
-    /// buckets; under the Hashing scheme, by partition. Returns each
-    /// record's partition, in batch order.
-    fn route_and_pack(
-        &self,
-        dataset: DatasetId,
-        batch: &mut [(Key, Value)],
-    ) -> Result<Vec<PartitionId>, ClusterError> {
+    /// Packs a feed batch's payloads at the door: the records bound for one
+    /// bucket share one allocation, so what the memory components hold —
+    /// and the flushes hand on — are slices of a few slabs that die whole
+    /// when a merge rewrites the run, instead of one small allocation per
+    /// record for the allocator to take back piecemeal. Records are grouped
+    /// by as many low-order hash bits as the deepest local directory uses,
+    /// so a group never straddles two buckets; under the Hashing scheme, by
+    /// partition.
+    fn pack(&self, dataset: DatasetId, writes: &mut [Write]) -> Result<(), ClusterError> {
         let meta = self.controller.dataset(dataset)?;
         let depth = (meta.partitions.iter())
             .filter_map(|p| self.partition(*p).ok()?.dataset(dataset).ok())
@@ -551,35 +704,36 @@ impl Cluster {
             .max()
             .unwrap_or(0);
         let mask = (1u64 << depth.min(32)) - 1;
-        let mut routes = Vec::with_capacity(batch.len());
-        let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        for (at, (key, _)) in batch.iter().enumerate() {
-            let hash = hash_key(key);
-            let partition = (meta.route_hash(hash)).ok_or(ClusterError::RoutingFailed(dataset))?;
-            let group = match &meta.directory {
-                Some(_) => hash & mask,
-                None => u64::from(partition.0),
-            };
-            groups.entry(group).or_default().push(at);
-            routes.push(partition);
-        }
+        let mut groups: Vec<(u64, u32)> = (writes.iter().enumerate())
+            .filter_map(|(at, write)| {
+                let group = match &meta.directory {
+                    Some(_) => write.hash & mask,
+                    None => u64::from(meta.route_hash(write.hash)?.0),
+                };
+                Some((group, at as u32))
+            })
+            .collect();
+        groups.sort_unstable();
         // Every slab is built before any old payload is let go, and those go
         // in batch order — the order their writer made them in — so the
         // allocator gets one region back whole, not small chunks between
         // live ones.
-        let mut packed: Vec<Option<Value>> = vec![None; batch.len()];
-        for members in groups.values().filter(|m| m.len() > 1) {
-            let mut slab = Value::concat(members.iter().map(|&at| &batch[at].1));
-            for &at in members {
-                packed[at] = Some(slab.split_to(batch[at].1.len()));
+        let mut packed: Vec<Option<Value>> = vec![None; writes.len()];
+        for members in groups.chunk_by(|a, b| a.0 == b.0).filter(|m| m.len() > 1) {
+            let payload = |&(_, at): &(u64, u32)| writes[at as usize].value.as_ref();
+            let mut slab = Value::concat(members.iter().filter_map(payload));
+            for member in members {
+                if let Some(value) = payload(member) {
+                    packed[member.1 as usize] = Some(slab.split_to(value.len()));
+                }
             }
         }
-        for ((_, value), packed) in batch.iter_mut().zip(packed) {
-            if let Some(packed) = packed {
-                *value = packed;
+        for (write, packed) in writes.iter_mut().zip(packed) {
+            if packed.is_some() {
+                write.value = packed;
             }
         }
-        Ok(routes)
+        Ok(())
     }
 
     // -------------------------------------------------------------- scaling
@@ -1013,7 +1167,7 @@ mod tests {
             cluster.ingest(ds, records(4000)).unwrap();
             let own = Bytes::from(vec![9u8; 64]);
             cluster
-                .write_routed(ds, Key::from_u64(4000), Some(own.clone()))
+                .write_routed(ds, Write::new(Key::from_u64(4000), Some(own.clone())))
                 .unwrap();
             let mut slabs: Vec<std::ops::Range<*const u8>> = Vec::new();
             for p in cluster.topology().partitions() {

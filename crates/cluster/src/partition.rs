@@ -16,10 +16,11 @@ use std::sync::Arc;
 
 use dynahash_core::PartitionId;
 use dynahash_lsm::{
-    BucketId, BucketedConfig, BucketedLsmTree, Component, Key, LsmConfig, MergeIter,
-    SecondaryEntry, SecondaryIndex, StorageMetrics, Value,
+    BucketId, BucketedConfig, BucketedLsmTree, Component, Entry, Key, LsmConfig, MergeIter, Op,
+    SecondaryEntry, SecondaryIndex, StorageError, StorageMetrics, Value,
 };
 
+use crate::cluster::Write;
 use crate::dataset::{DatasetId, DatasetSpec, SecondaryIndexDef};
 use crate::ClusterError;
 
@@ -73,17 +74,73 @@ impl PartitionDataset {
     }
 
     /// Ingests one record: the primary index and every secondary index are
-    /// updated.
+    /// updated (a write group of one, see `PartitionDataset::write`).
     pub fn ingest(&mut self, key: Key, value: Value) -> Result<(), ClusterError> {
-        for (def, idx) in self.defs.iter().zip(self.secondaries.iter_mut()) {
-            if let Some(secondary) = (def.extractor)(&value) {
-                idx.insert(secondary, key.clone());
+        let write = Write::new(key, Some(value));
+        self.write(&mut [write], &mut [(0, 0)], |_| {}).map(drop)
+    }
+
+    /// Writes this partition's share of a write group — the writes at the
+    /// positions `share` holds, in group order — and returns how many
+    /// deletes found their record live. Every secondary index takes the
+    /// writes in that order — a put's extracted keys, and a delete's keys
+    /// extracted from the payload it replaces, so index scans never return
+    /// phantom hits — then the primary takes them
+    /// grouped by bucket, group order kept within each bucket
+    /// ([`BucketedLsmTree::apply_hashed`]): every tree sees what applying the
+    /// writes one at a time would show it, and each bucket's tree is
+    /// resolved once. A delete reads the payload it replaces before the
+    /// primary takes any write of the group, so a group that deletes a key
+    /// writes nothing else to it (the feed only puts; a point delete is a
+    /// group of one). `noted` hears the bucket of each primary write. The
+    /// share's first halves are scratch, and its writes are left without
+    /// keys or payloads.
+    pub(crate) fn write(
+        &mut self,
+        writes: &mut [Write],
+        share: &mut [(u64, u32)],
+        noted: impl FnMut(BucketId),
+    ) -> Result<u64, ClusterError> {
+        // Each write's bucket, before anything is written: a key no bucket
+        // covers is a routing bug upstream, and refuses the whole share.
+        for (bucket, at) in share.iter_mut() {
+            let hash = writes[*at as usize].hash;
+            let owner = (self.primary.bucket_of_hash(hash))
+                .ok_or(StorageError::UnknownBucket(BucketId::of_hash(hash, 0)))?;
+            *bucket = u64::from(owner.bits) << 8 | u64::from(owner.depth);
+        }
+        let mut live = 0;
+        for write in share.iter().map(|&(_, at)| &writes[at as usize]) {
+            let old;
+            let (payload, put) = match &write.value {
+                Some(value) => (Some(value), true),
+                None => {
+                    old = self.primary.get(&write.key);
+                    live += u64::from(old.is_some());
+                    (old.as_ref(), false)
+                }
+            };
+            let Some(payload) = payload else {
+                continue;
+            };
+            for (def, idx) in self.defs.iter().zip(self.secondaries.iter_mut()) {
+                if let Some(secondary) = (def.extractor)(payload) {
+                    match put {
+                        true => idx.insert(secondary, write.key.clone()),
+                        false => idx.delete(secondary, write.key.clone()),
+                    }
+                }
             }
         }
-        self.primary
-            .insert(key, value)
-            .map_err(ClusterError::Storage)?;
-        Ok(())
+        share.sort_unstable();
+        let entries = share.iter().map(|&(_, at)| {
+            let write = &mut writes[at as usize];
+            let op = write.value.take().map_or(Op::Delete, Op::Put);
+            let key = std::mem::take(&mut write.key);
+            (Entry { key, op }, write.hash)
+        });
+        (self.primary.apply_hashed(entries, noted)).map_err(ClusterError::Storage)?;
+        Ok(live)
     }
 
     /// Point lookup in the primary index.
@@ -96,18 +153,8 @@ impl PartitionDataset {
     /// scans never return phantom hits for deleted records. Returns whether
     /// the record was live.
     pub fn delete(&mut self, key: &Key) -> Result<bool, ClusterError> {
-        let old = self.primary.get(key);
-        if let Some(old) = &old {
-            for (def, idx) in self.defs.iter().zip(self.secondaries.iter_mut()) {
-                if let Some(secondary) = (def.extractor)(old) {
-                    idx.delete(secondary, key.clone());
-                }
-            }
-        }
-        self.primary
-            .delete(key.clone())
-            .map_err(ClusterError::Storage)?;
-        Ok(old.is_some())
+        let write = Write::new(key.clone(), None);
+        Ok(self.write(&mut [write], &mut [(0, 0)], |_| {})? > 0)
     }
 
     /// Finds a secondary index by name.

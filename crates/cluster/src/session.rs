@@ -47,7 +47,7 @@ use std::collections::BTreeMap;
 
 use dynahash_core::PartitionId;
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, Write};
 use crate::dataset::{DatasetId, DatasetMeta};
 use crate::feed::IngestReport;
 use crate::query::{index_pass, scan_pass};
@@ -149,7 +149,7 @@ impl Cluster {
     pub(crate) fn validate_route(
         &self,
         dataset: DatasetId,
-        key: &Key,
+        hash: u64,
         partition: PartitionId,
     ) -> Result<()> {
         let meta = self.controller.dataset(dataset)?;
@@ -166,10 +166,10 @@ impl Cluster {
             // The local directory is the partition's truth: it keeps serving
             // a moving bucket until the rebalance commits, and it covers
             // locally split children the CC may not have absorbed yet.
-            if ds.primary.bucket_of(key).is_none() {
+            if ds.primary.bucket_of_hash(hash).is_none() {
                 return Err(stale);
             }
-        } else if meta.route_key(key) != Some(partition) {
+        } else if meta.route_hash(hash) != Some(partition) {
             return Err(stale);
         }
         Ok(())
@@ -213,7 +213,7 @@ impl Cluster {
                 server_version: self.controller.routing_version(dataset)?,
             }))
         } else {
-            self.validate_route(dataset, key, partition)?;
+            self.validate_route(dataset, hash, partition)?;
             Ok(self.partition(partition)?.dataset(dataset)?.get(key))
         }
     }
@@ -235,12 +235,7 @@ impl Session {
         self.metrics
     }
 
-    /// Routes a key through the cached snapshot.
-    fn route(&self, key: &Key) -> Result<PartitionId> {
-        self.route_hash(hash_key(key))
-    }
-
-    /// [`Session::route`] given the key's `hash_key`.
+    /// Routes a key, given its `hash_key`, through the cached snapshot.
     fn route_hash(&self, hash: u64) -> Result<PartitionId> {
         self.cache
             .route_hash(hash)
@@ -344,11 +339,12 @@ impl Session {
     /// live.
     fn write(&mut self, cluster: &mut Cluster, key: Key, value: Option<Value>) -> Result<bool> {
         self.metrics.requests += 1;
+        let write = Write::new(key, value);
         let mut attempts = 0usize;
         loop {
-            let partition = self.route(&key)?;
-            match cluster.validate_route(self.dataset, &key, partition) {
-                Ok(()) => return cluster.write_routed(self.dataset, key, value),
+            let partition = self.route_hash(write.hash)?;
+            match cluster.validate_route(self.dataset, write.hash, partition) {
+                Ok(()) => return cluster.write_routed(self.dataset, write),
                 Err(e) => self.handle_rejection(cluster, e, &mut attempts)?,
             }
         }
@@ -365,20 +361,22 @@ impl Session {
         cluster: &mut Cluster,
         records: impl IntoIterator<Item = (Key, Value)>,
     ) -> Result<IngestReport> {
-        let records: Vec<(Key, Value)> = records.into_iter().collect();
-        self.metrics.requests += records.len() as u64;
+        let writes: Vec<Write> = (records.into_iter())
+            .map(|(key, value)| Write::new(key, Some(value)))
+            .collect();
+        self.metrics.requests += writes.len() as u64;
         let mut attempts = 0usize;
         'validate: loop {
-            for (key, _) in &records {
-                let partition = self.route(key)?;
-                if let Err(e) = cluster.validate_route(self.dataset, key, partition) {
+            for write in &writes {
+                let partition = self.route_hash(write.hash)?;
+                if let Err(e) = cluster.validate_route(self.dataset, write.hash, partition) {
                     self.handle_rejection(cluster, e, &mut attempts)?;
                     continue 'validate;
                 }
             }
             break;
         }
-        cluster.ingest(self.dataset, records)
+        cluster.ingest_writes(self.dataset, writes)
     }
 
     // ------------------------------------------------------------ scan ops

@@ -78,11 +78,6 @@ impl BucketId {
         BucketId::new((hash & hash_mask(depth)) as u32, depth)
     }
 
-    /// Returns the bucket of depth `depth` that `key` falls into.
-    pub fn of_key(key: &Key, depth: u8) -> Self {
-        Self::of_hash(hash_key(key), depth)
-    }
-
     /// True if the given hash value belongs to this bucket.
     pub fn contains_hash(&self, hash: u64) -> bool {
         (hash & hash_mask(self.depth)) == self.bits as u64
@@ -238,8 +233,8 @@ mod tests {
     #[test]
     fn of_key_respects_depth_masking() {
         let k = Key::from_u64(99);
-        let d3 = BucketId::of_key(&k, 3);
-        let d5 = BucketId::of_key(&k, 5);
+        let d3 = BucketId::of_hash(hash_key(&k), 3);
+        let d5 = BucketId::of_hash(hash_key(&k), 5);
         assert!(d3.covers(&d5));
         assert!(d3.contains_key(&k));
         assert!(d5.contains_key(&k));

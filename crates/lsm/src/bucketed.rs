@@ -13,6 +13,13 @@
 //! route is one probe. A partition owns only part of the hash space, so
 //! slots outside its buckets are empty.
 //!
+//! Writes arrive with their keys' hashes ([`BucketedLsmTree::apply_hashed`]):
+//! a stretch of writes to one bucket resolves the bucket's tree once, and
+//! the split check after each write reads the tree's kept logical size
+//! instead of walking its components. A split builds both children's
+//! reference components in one pass over each parent component
+//! (`Component::split`).
+//!
 //! The type also implements the destination-side machinery of the rebalance
 //! data-movement phase: *pending* (received) buckets hold the shipped (or
 //! feed-built) components plus replicated writes and stay invisible to
@@ -135,11 +142,6 @@ impl BucketedLsmTree {
         self.slots.lookup(hash)
     }
 
-    /// The owned bucket (if any) a key falls into.
-    pub fn bucket_of(&self, key: &Key) -> Option<BucketId> {
-        self.bucket_of_hash(hash_key(key))
-    }
-
     /// The maximum depth among the owned buckets (the partition's local
     /// depth), cached by the slot array.
     pub fn local_depth(&self) -> u8 {
@@ -203,14 +205,44 @@ impl BucketedLsmTree {
     /// Applies an entry to the owning bucket and splits the bucket afterwards
     /// if it exceeded its maximum size.
     pub fn apply(&mut self, entry: Entry) -> Result<()> {
-        let bucket = self
-            .bucket_of(&entry.key)
-            .ok_or_else(|| StorageError::UnknownBucket(BucketId::of_key(&entry.key, 0)))?;
-        self.buckets
-            .get_mut(&bucket)
-            .ok_or(StorageError::UnknownBucket(bucket))?
-            .apply(entry);
-        self.maybe_split(bucket)?;
+        let hash = hash_key(&entry.key);
+        self.apply_hashed([(entry, hash)], |_| {})
+    }
+
+    /// Applies writes in order, each beside its key's `hash_key`, splitting
+    /// a bucket as soon as a write takes it past its maximum size: every
+    /// bucket's tree sees what applying the writes one by one would show it.
+    /// A stretch of writes to one bucket resolves the bucket's tree once,
+    /// and again only after a split, so a writer that groups its writes by
+    /// bucket (batch order kept within each) pays one lookup per bucket; the
+    /// split check after each write is O(1) ([`LsmTree::logical_size_bytes`]).
+    /// `noted` hears the bucket each write goes to. Stops at the first write
+    /// no owned bucket covers.
+    pub fn apply_hashed(
+        &mut self,
+        writes: impl IntoIterator<Item = (Entry, u64)>,
+        mut noted: impl FnMut(BucketId),
+    ) -> Result<()> {
+        let mut writes = writes.into_iter().peekable();
+        while let Some(&(_, hash)) = writes.peek() {
+            let bucket = (self.bucket_of_hash(hash))
+                .ok_or(StorageError::UnknownBucket(BucketId::of_hash(hash, 0)))?;
+            let limit = self.split_limit(bucket);
+            let tree =
+                (self.buckets.get_mut(&bucket)).ok_or(StorageError::UnknownBucket(bucket))?;
+            let mut due = false;
+            while let Some((entry, hash)) = writes.next_if(|(_, h)| bucket.contains_hash(*h)) {
+                noted(bucket);
+                tree.apply_hashed(entry, hash);
+                due = limit.is_some_and(|max| tree.logical_size_bytes() > max);
+                if due {
+                    break;
+                }
+            }
+            if due {
+                self.maybe_split(bucket)?;
+            }
+        }
         Ok(())
     }
 
@@ -349,23 +381,28 @@ impl BucketedLsmTree {
         self.splits_enabled
     }
 
+    /// The size past which `bucket` splits, while it may split: splits are
+    /// enabled, the dataset splits dynamically, and the bucket is above the
+    /// depth cap.
+    fn split_limit(&self, bucket: BucketId) -> Option<usize> {
+        let max = self.config.max_bucket_size_bytes?;
+        (self.splits_enabled && bucket.depth < self.config.max_depth).then_some(max)
+    }
+
     fn maybe_split(&mut self, bucket: BucketId) -> Result<()> {
-        let Some(max) = self.config.max_bucket_size_bytes else {
-            return Ok(());
-        };
-        if !self.splits_enabled {
-            return Ok(());
-        }
         // A single write can at most trigger one split of its own bucket, but
         // the children may immediately exceed the limit under heavy skew, so
         // loop until the owning bucket is within bounds or at max depth.
         let mut current = bucket;
         loop {
+            let Some(max) = self.split_limit(current) else {
+                return Ok(());
+            };
             let size = match self.buckets.get(&current) {
                 Some(t) => t.logical_size_bytes(),
                 None => return Ok(()),
             };
-            if size <= max || current.depth >= self.config.max_depth {
+            if size <= max {
                 return Ok(());
             }
             let (lo, hi) = self.split_bucket(current)?;
@@ -388,7 +425,8 @@ impl BucketedLsmTree {
     ///
     /// 1. pause merges and flush the bucket's memory component,
     /// 2. create two child buckets whose disk components are *reference
-    ///    components* pointing at the parent's components,
+    ///    components* pointing at the parent's components (one pass over
+    ///    each parent component records which entries each child shows),
     /// 3. replace the parent by its children in the bucket map (the metadata
     ///    force-to-disk of the paper).
     ///
@@ -410,16 +448,10 @@ impl BucketedLsmTree {
         let (lo, hi) = bucket.split();
         let mut lo_tree = self.new_tree();
         let mut hi_tree = self.new_tree();
-        let lo_comps: Vec<Component> = parent
-            .components()
-            .iter()
-            .map(|c| c.restrict_to_bucket(lo))
-            .collect();
-        let hi_comps: Vec<Component> = parent
-            .components()
-            .iter()
-            .map(|c| c.restrict_to_bucket(hi))
-            .collect();
+        // One pass per parent component builds both children's views.
+        let (lo_comps, hi_comps): (Vec<Component>, Vec<Component>) = (parent.components().iter())
+            .map(|c| c.split(lo, hi))
+            .unzip();
         lo_tree.set_components(lo_comps);
         hi_tree.set_components(hi_comps);
         // Line 9: force the directory metadata; in the simulation this is the
@@ -648,11 +680,46 @@ mod tests {
         assert_eq!(t.live_len(), 200);
         for i in 0..200u64 {
             let key = Key::from_u64(i);
-            let b = t.bucket_of(&key).unwrap();
+            let b = t.bucket_of_hash(hash_key(&key)).unwrap();
             assert!(b.contains_key(&key));
             assert!(t.get(&key).is_some());
         }
         assert!(t.is_consistent());
+    }
+
+    /// The size every write's split check reads is kept, not walked: while
+    /// writes flush, merge and split buckets, and after a mark of moved
+    /// buckets, every bucket tree's `logical_size_bytes` is the walk over
+    /// its components' visible bytes plus its memory component.
+    #[test]
+    fn the_kept_logical_size_is_the_walked_one() {
+        let walked = |tree: &LsmTree| -> usize {
+            let disk: usize = tree
+                .components()
+                .iter()
+                .map(|c| c.visible_size_bytes())
+                .sum();
+            disk + tree.memtable().size_bytes()
+        };
+        let mut t = tree_with_depth(1, Some(24 * 1024));
+        for i in 0..6000u64 {
+            t.insert(i * 7919 % 6000, val(8 + (i % 40) as usize))
+                .unwrap();
+            if i % 97 == 0 {
+                for b in t.bucket_ids() {
+                    let tree = t.bucket_tree(&b).unwrap();
+                    assert_eq!(tree.logical_size_bytes(), walked(tree), "write {i}, {b:?}");
+                }
+            }
+        }
+        assert!(t.num_buckets() > 2, "the writes must split buckets");
+        let b = t.bucket_ids()[0];
+        let tree = t.buckets.get_mut(&b).unwrap();
+        let (lo, _) = b.split();
+        tree.mark_buckets_invalid(&[lo], crate::component::KeyLayout::PrimaryKey);
+        assert_eq!(tree.logical_size_bytes(), walked(tree));
+        tree.flush();
+        assert_eq!(tree.logical_size_bytes(), walked(tree));
     }
 
     #[test]
@@ -1137,7 +1204,7 @@ mod tests {
         receive(&mut t, BucketId::new(3, 2)).unwrap();
         for i in 0..1000u64 {
             let k = Key::from_u64(i);
-            let b = t.bucket_of(&k).expect("full coverage");
+            let b = t.bucket_of_hash(hash_key(&k)).expect("full coverage");
             assert!(b.contains_key(&k));
         }
     }

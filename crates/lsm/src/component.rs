@@ -14,13 +14,22 @@
 //!   wrapper records buckets that were moved away; entries belonging to them
 //!   are filtered out of reads and physically dropped at the next merge.
 //!
-//! Making a filtered handle records the filter and reads nothing. Either
-//! filter is applied once, when the handle (or a clone of it) is first read:
-//! the pass that sizes the filtered view also records which entries it shows
-//! (one bit per entry of the run), and reads consult that — a scan of a
-//! reference component hashes nothing and costs what it returns, not what
-//! the shared run holds. A handle nobody reads before it is replaced or
-//! dropped (a partition emptied by a scale-in) never pays the pass.
+//! A filter is applied once per handle, by one pass that sizes the filtered
+//! view and records which entries it shows (one bit per entry of the run);
+//! reads consult that — a scan of a reference component hashes nothing and
+//! costs what it returns, not what the shared run holds. A bucket split
+//! builds both children's views when it makes them, in one pass over the
+//! entries the parent shows, one hash each (`Component::split`). A
+//! lazy-cleanup mark records the moved buckets and reads nothing: its view
+//! is built when the handle (or a clone of it) is first read, so a handle
+//! nobody reads before it is replaced or dropped (a partition emptied by a
+//! scale-in) never pays the pass.
+//!
+//! Every run built from unordered entries — a flush that finds no key order
+//! kept, a repair feed, recovery's reshipped records, the deferred index
+//! rebuild — is sorted by one routine: `(prefix, position)` integer pairs,
+//! whole keys compared only where prefixes tie, then each entry moved once
+//! into place.
 //!
 //! A run that a merge or a load wrote **owns its bytes**: its put payloads
 //! are [`Bytes::slice`]s of one allocation laid out in key order, so a scan
@@ -59,7 +68,7 @@ use std::sync::{Arc, OnceLock};
 use crate::bloom::BloomFilter;
 use crate::bucket::{hash_bytes, BucketId, BucketSet};
 use crate::bytes::Bytes;
-use crate::entry::{Entry, Key, Op};
+use crate::entry::{key_order, permute, Entry, Key, Op};
 use crate::secondary::SecondaryEntry;
 
 /// Monotonically increasing identifier for disk components.
@@ -278,6 +287,36 @@ struct View {
     bytes: usize,
 }
 
+impl View {
+    /// A view of a run of `len` entries that shows none of them.
+    fn empty(len: usize) -> View {
+        View {
+            bits: vec![0; len.div_ceil(64)].into(),
+            count: 0,
+            bytes: 0,
+        }
+    }
+
+    /// Shows entry `at`, of `bytes` bytes.
+    fn show(&mut self, at: usize, bytes: usize) {
+        self.bits[at / 64] |= 1 << (at % 64);
+        self.count += 1;
+        self.bytes += bytes;
+    }
+
+    /// The positions the view shows, in order.
+    fn shown(&self) -> impl Iterator<Item = usize> + '_ {
+        (self.bits.iter().enumerate()).flat_map(|(word, &bits)| {
+            let mut rest = bits;
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros() as usize)?;
+                rest &= rest - 1;
+                Some(word * 64 + bit)
+            })
+        })
+    }
+}
+
 impl Component {
     /// Builds a brand-new component from sorted entries.
     pub fn from_sorted(entries: Vec<Entry>, source: ComponentSource) -> Self {
@@ -292,9 +331,12 @@ impl Component {
     }
 
     /// Builds a component from possibly unsorted entries (sorts and
-    /// deduplicates keeping the last occurrence of each key).
+    /// deduplicates keeping the last occurrence of each key). The sort is a
+    /// flush's: [`crate::entry`]'s integer-pair `key_order`, then each entry
+    /// moves once into place.
     pub fn from_unsorted(mut entries: Vec<Entry>, source: ComponentSource) -> Self {
-        entries.sort_by(|a, b| a.key.cmp(&b.key));
+        let mut order = key_order(&entries, 0);
+        permute(&mut order, |at, from| entries.swap(at, from));
         entries.dedup_by(|newer, older| {
             if newer.key == older.key {
                 // keep the later element (newer): overwrite `older` in place.
@@ -319,6 +361,47 @@ impl Component {
         }
     }
 
+    /// The two children of a bucket split, `lo` and `hi` the two halves of
+    /// the bucket this handle serves: reference components with their views
+    /// built (Algorithm 1). One pass over the entries this handle shows —
+    /// one hash each — fills both views, where two lazy builds would hash
+    /// the whole shared run once per child (and a split of a split would
+    /// hash it again per grandchild). The views are what the children would
+    /// build lazily, bit for bit.
+    pub(crate) fn split(&self, lo: BucketId, hi: BucketId) -> (Component, Component) {
+        let entries = &self.data.entries;
+        let mut views = [View::empty(entries.len()), View::empty(entries.len())];
+        let mut place = |at: usize| {
+            let e = &entries[at];
+            let hash = self.layout.bucket_hash(&e.key);
+            if self.invalid_buckets.contains_hash(hash) {
+                return;
+            }
+            let side = if lo.contains_hash(hash) {
+                0
+            } else if hi.contains_hash(hash) {
+                1
+            } else {
+                return;
+            };
+            views[side].show(at, e.size_bytes());
+        };
+        // A child shows a subset of what this handle shows when this
+        // handle's bucket covers it (the children share its invalid
+        // buckets): walk this handle's built view then, every entry otherwise.
+        let narrows = (self.visible_bucket).is_none_or(|b| b.covers(&lo) && b.covers(&hi));
+        match self.view.as_ref().and_then(|v| v.get()).filter(|_| narrows) {
+            Some(view) => view.shown().for_each(&mut place),
+            None => (0..entries.len()).for_each(&mut place),
+        }
+        let [lo_view, hi_view] = views;
+        let child = |bucket, view| Component {
+            view: Some(Arc::new(OnceLock::from(view))),
+            ..self.restrict_to_bucket(bucket)
+        };
+        (child(lo, lo_view), child(hi, hi_view))
+    }
+
     /// Returns a handle to the same sealed data marked as shipped from
     /// another partition (component-level bucket movement). The filters,
     /// Bloom filter, and sorted run travel with the handle — nothing is
@@ -340,20 +423,13 @@ impl Component {
         let view = self.view.as_ref()?;
         Some(view.get_or_init(|| {
             let entries = &self.data.entries;
-            let mut bits = vec![0u64; entries.len().div_ceil(64)];
-            let (mut count, mut bytes) = (0, 0);
+            let mut view = View::empty(entries.len());
             for (at, e) in entries.iter().enumerate() {
                 if self.entry_visible(&e.key) {
-                    bits[at / 64] |= 1 << (at % 64);
-                    count += 1;
-                    bytes += e.size_bytes();
+                    view.show(at, e.size_bytes());
                 }
             }
-            View {
-                bits: bits.into(),
-                count,
-                bytes,
-            }
+            view
         }))
     }
 
@@ -491,6 +567,16 @@ impl Component {
         self.view().map_or(self.data.size_bytes, |v| v.bytes)
     }
 
+    /// [`Component::visible_size_bytes`] where it is known without a read:
+    /// always for an unfiltered handle, once its view is built for a
+    /// filtered one.
+    pub(crate) fn known_visible_size_bytes(&self) -> Option<usize> {
+        match &self.view {
+            None => Some(self.data.size_bytes),
+            Some(view) => view.get().map(|v| v.bytes),
+        }
+    }
+
     /// Bytes of storage newly occupied by this component. Reference
     /// components occupy no additional storage (they only point at existing
     /// data), which matches the paper's description.
@@ -591,6 +677,70 @@ mod tests {
         let a = comp(&[1]);
         let b = comp(&[1]);
         assert_ne!(a.id(), b.id());
+    }
+
+    /// A split builds both children's views in one pass over what the
+    /// parent shows, and each must be the view the child would build lazily
+    /// through `restrict_to_bucket` — the same bits, count and bytes — under
+    /// both key layouts: for a parent with no filter, for splits of splits
+    /// down four levels, for parents marked with moved buckets, and with the
+    /// parent's own view built first or not.
+    #[test]
+    fn one_pass_split_views_are_the_lazily_built_views() {
+        use crate::rng::SplitMix64;
+
+        for seed in 0..48u64 {
+            let mut rng = SplitMix64::seed_from_u64(0x5b11_7000 + seed);
+            let layout = if seed % 2 == 0 {
+                KeyLayout::PrimaryKey
+            } else {
+                KeyLayout::SecondaryComposite
+            };
+            let key_of = |k: u64| match layout {
+                KeyLayout::PrimaryKey => Key::from_u64(k),
+                KeyLayout::SecondaryComposite => SecondaryEntry {
+                    secondary: Key::from_u64(k % 11),
+                    primary: Key::from_u64(k),
+                }
+                .encode(),
+            };
+            let entries: Vec<Entry> = (0..rng.gen_range(1..700))
+                .map(|_| {
+                    let key = key_of(rng.gen_range(0..900));
+                    Entry::put(key, Bytes::from(vec![7u8; rng.gen_index(24)]))
+                })
+                .collect();
+            let mut parent = Component::from_unsorted(entries, ComponentSource::Merge)
+                .mark_buckets_invalid(&[], layout);
+            let mut bucket = BucketId::root();
+            for level in 0..4 {
+                if rng.gen_ratio(1, 3) {
+                    let depth = rng.gen_range(1..7) as u8;
+                    let moved = [BucketId::new(rng.next_u64() as u32, depth)];
+                    parent = parent.mark_buckets_invalid(&moved, layout);
+                }
+                if rng.gen_ratio(1, 2) {
+                    parent.visible_len();
+                }
+                let (lo, hi) = bucket.split();
+                let (lo_child, hi_child) = parent.split(lo, hi);
+                for (child, half) in [(&lo_child, lo), (&hi_child, hi)] {
+                    assert!(child.view_is_built(), "seed {seed}, level {level}");
+                    let lazy = parent.restrict_to_bucket(half);
+                    let (eager, lazy) = (child.view().unwrap(), lazy.view().unwrap());
+                    assert_eq!(
+                        (&eager.bits, eager.count, eager.bytes),
+                        (&lazy.bits, lazy.count, lazy.bytes),
+                        "seed {seed}, level {level}, {half:?}"
+                    );
+                    assert_eq!(child.known_visible_size_bytes(), Some(eager.bytes));
+                }
+                (parent, bucket) = match rng.gen_ratio(1, 2) {
+                    true => (lo_child, lo),
+                    false => (hi_child, hi),
+                };
+            }
+        }
     }
 
     /// Laziness changes nothing a reader can see. Random chains of

@@ -327,6 +327,49 @@ impl Entry {
 /// still has weight for splitting, budgets and movement costs.
 pub const OP_TAG_BYTES: usize = 1;
 
+/// A slot of a position array that holds no position.
+pub(crate) const NO_POSITION: u32 = u32::MAX;
+
+/// The positions `from..` of `entries` in key order, equal keys in position
+/// order: the one sort behind every run built from unordered entries. It
+/// sorts `(prefix, position)` integer pairs and reads whole keys only inside
+/// a stretch of tied [`Key::prefix`]es, so 8-byte keys are never compared
+/// as keys at all, and no entry moves until [`permute`] moves each once.
+pub(crate) fn key_order(entries: &[Entry], from: usize) -> Vec<u32> {
+    let mut pairs: Vec<(u64, u32)> = (from..entries.len())
+        .map(|at| (entries[at].key.prefix(), at as u32))
+        .collect();
+    pairs.sort_unstable();
+    let key = |at: u32| entries[at as usize].key.as_slice();
+    for tied in pairs.chunk_by_mut(|a, b| a.0 == b.0) {
+        if tied.len() > 1 {
+            // Stable: equal keys keep the position order the pairs sorted in.
+            tied.sort_by(|a, b| key(a.1).cmp(key(b.1)));
+        }
+    }
+    pairs.into_iter().map(|(_, at)| at).collect()
+}
+
+/// Moves items into the order `order` gives — `order[at]` is the position
+/// of the item that belongs at `at` — by calling `swap` along each cycle of
+/// the permutation once: every item moves once, and nothing is compared or
+/// allocated. Consumes `order` (every slot ends as [`NO_POSITION`]).
+pub(crate) fn permute(order: &mut [u32], mut swap: impl FnMut(usize, usize)) {
+    for start in 0..order.len() {
+        // The item displaced from `start` rides along the cycle until the
+        // cycle closes on it.
+        let mut at = start;
+        while order[at] != NO_POSITION {
+            let from = order[at] as usize;
+            order[at] = NO_POSITION;
+            if from != start {
+                swap(at, from);
+            }
+            at = from;
+        }
+    }
+}
+
 #[cfg(test)]
 impl Key {
     /// True if the key is stored inline (no heap allocation).
@@ -381,6 +424,38 @@ pub(crate) fn keys_of_every_shape() -> Vec<Key> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The integer-pair sort orders keys of every shape as the stable sort
+    /// by key it replaced — equal keys in position order — from any start,
+    /// and `permute` moves entries into that order.
+    #[test]
+    fn key_order_is_the_stable_sort_by_key() {
+        let keys = keys_of_every_shape();
+        let mut rng = crate::rng::SplitMix64::seed_from_u64(0x0bde_4000);
+        for round in 0..40 {
+            let entries: Vec<Entry> = (0..rng.gen_range(0..900))
+                .map(|at| {
+                    let key = keys[rng.gen_index(keys.len())].clone();
+                    Entry::put(key, Bytes::from(format!("{at}").into_bytes()))
+                })
+                .collect();
+            let from = rng.gen_index(entries.len() + 1);
+            let by_key = |a: &u32, b: &u32| {
+                let key = |at: &u32| entries[*at as usize].key.as_slice();
+                key(a).cmp(key(b))
+            };
+            let mut expected: Vec<u32> = (from as u32..entries.len() as u32).collect();
+            expected.sort_by(by_key);
+            assert_eq!(key_order(&entries, from), expected, "round {round}");
+            let mut order = key_order(&entries, 0);
+            let mut moved = entries.clone();
+            permute(&mut order, |at, from| moved.swap(at, from));
+            assert!(order.iter().all(|&at| at == NO_POSITION));
+            let mut sorted = entries.clone();
+            sorted.sort_by(|a, b| a.key.as_slice().cmp(b.key.as_slice()));
+            assert_eq!(moved, sorted, "round {round}");
+        }
+    }
 
     /// The prefix-first order is the byte order: `cmp` agrees with
     /// `as_slice().cmp` on every pair of keys of every shape, built inline,

@@ -7,14 +7,17 @@
 //! each key since the last flush.
 //!
 //! **A write is a push.** The entries sit in a vector in arrival order, one
-//! per distinct key, and an open-addressing table of their positions beside
-//! it (linear probing, at most half full) finds a key by its `hash_key`. A
-//! write hashes once, probes once and pushes the entry — or replaces the op
-//! in place when the key is buffered already; a point read is the same probe
-//! with the hash its tree already holds. The home slot is cut from the
-//! hash's **high** bits: every key of a bucket's tree shares the bucket's
-//! low bits, and a table indexed by them would send a whole bucket down one
-//! probe chain (the Bloom filter remixes the hash for the same reason).
+//! per distinct key, and an open-addressing table beside it (linear
+//! probing, at most half full) finds a key by its `hash_key`: each slot
+//! holds an entry's position and the top half of its key's hash. A write
+//! probes once and pushes the entry — or replaces the op in place when the
+//! key is buffered already; a point read is the same probe. The writer hands
+//! in the hash it routed the key with, a probe reads an entry only where the
+//! stored half matches, and growth re-indexes from the stored halves
+//! without reading a key. The home slot is cut from the hash's **high**
+//! bits: every key of a bucket's tree shares the bucket's low bits, and a
+//! table indexed by them would send a whole bucket down one probe chain
+//! (the Bloom filter remixes the hash for the same reason).
 //!
 //! **Key order is paid for where it is read.** The first ordered read —
 //! `range` or `iter`, behind scans, index scans and the merge's memory
@@ -23,9 +26,11 @@
 //! next ordered read sorts only the added positions and gallops each into
 //! the kept order: a scan that follows a put costs a search for the put's
 //! key and a copy of the order, not a sort of the table. A flush takes the
-//! kept order, when a read left one, and moves the entries into it in place
-//! along the permutation's cycles; only a table no read has ordered since
-//! its last added key (or its last purge) is sorted at the flush. Either way
+//! kept order, when a read left one; a table no read has ordered since its
+//! last added key (or its last purge) sorts `(prefix, position)` integer
+//! pairs instead (`entry::key_order`, the sort every run built from
+//! unordered entries goes through). Either way the entries then move into
+//! that order in place along the permutation's cycles, and
 //! the vector, trimmed to its length, becomes the new run. A reader that
 //! needs no order (the count of a tree's dead entries) walks the arrival
 //! order.
@@ -33,16 +38,24 @@
 use std::sync::OnceLock;
 
 use crate::bucket::hash_key;
-use crate::entry::{Entry, Key, Op, Value};
+use crate::entry::{key_order, permute, Entry, Key, Op, Value, NO_POSITION};
 
-/// A slot of the position table that holds no entry.
-const EMPTY: u32 = u32::MAX;
+/// A slot of the position table that holds no entry (no position is
+/// `NO_POSITION`, so no occupied slot reads as this).
+const EMPTY: u64 = u64::MAX;
+
+/// The slot of the entry at `at` whose key hashes to `hash`: the hash's top
+/// half over the position.
+fn slot_of(hash: u64, at: usize) -> u64 {
+    hash & !u64::from(u32::MAX) | at as u64
+}
 
 /// The size of the position table a first write allocates.
 const MIN_SLOTS: usize = 16;
 
-/// The slot of a table of `slots` (a power of two) where a key whose hash is
-/// `hash` starts probing: the hash's top bits.
+/// The slot of a table of `slots` (a power of two, at most `2^32`) where a
+/// key whose hash is `hash` — or a slot holding its top half — starts
+/// probing: the hash's top bits.
 fn home(hash: u64, slots: usize) -> usize {
     (hash >> (64 - slots.trailing_zeros())) as usize
 }
@@ -52,9 +65,10 @@ fn home(hash: u64, slots: usize) -> usize {
 pub struct MemTable {
     /// One entry per distinct key, in the order the keys first arrived.
     entries: Vec<Entry>,
-    /// Positions in `entries`, placed by [`home`] with linear probing; a
-    /// power of two long and at most half full (empty until the first write).
-    slots: Vec<u32>,
+    /// Positions in `entries`, each beside the top half of its key's hash
+    /// ([`slot_of`]) and placed by [`home`] with linear probing; a power of
+    /// two long and at most half full (empty until the first write).
+    slots: Vec<u64>,
     size_bytes: usize,
     /// The positions in key order, built by the first ordered read since
     /// the last write that added a key.
@@ -89,10 +103,18 @@ impl MemTable {
 
     /// Applies an arbitrary entry, replacing any previous operation on the key.
     pub fn apply(&mut self, entry: Entry) {
+        let hash = hash_key(&entry.key);
+        self.apply_hashed(entry, hash);
+    }
+
+    /// [`MemTable::apply`] by a writer that has hashed the key already (to
+    /// route it): `hash` must be `hash_key(&entry.key)`. The table keeps its
+    /// top half beside the entry's position.
+    pub fn apply_hashed(&mut self, entry: Entry, hash: u64) {
         if (self.entries.len() + 1) * 2 > self.slots.len() {
-            self.index_all((self.slots.len() * 2).max(MIN_SLOTS));
+            self.reindex((self.slots.len() * 2).max(MIN_SLOTS), Some);
         }
-        match self.find(&entry.key, hash_key(&entry.key)) {
+        match self.find(&entry.key, hash) {
             Ok(at) => {
                 let old = &mut self.entries[at];
                 self.size_bytes =
@@ -100,7 +122,7 @@ impl MemTable {
                 old.op = entry.op;
             }
             Err(slot) => {
-                self.slots[slot] = self.entries.len() as u32;
+                self.slots[slot] = slot_of(hash, self.entries.len());
                 self.size_bytes += entry.size_bytes();
                 self.entries.push(entry);
                 if let Some(order) = self.sorted.take() {
@@ -111,31 +133,45 @@ impl MemTable {
     }
 
     /// The position of `key` in `entries`, or the empty slot where it would
-    /// go. `hash` must be `hash_key(key)`; the table must not be empty.
+    /// go. `hash` must be `hash_key(key)`; the table must not be empty. An
+    /// entry is read only where the slot's half of the hash matches.
     fn find(&self, key: &Key, hash: u64) -> Result<usize, usize> {
         let mask = self.slots.len() - 1;
         let mut slot = home(hash, self.slots.len());
         loop {
             match self.slots[slot] {
                 EMPTY => return Err(slot),
-                at if self.entries[at as usize].key == *key => return Ok(at as usize),
+                held if (held ^ hash) >> 32 == 0
+                    && self.entries[held as u32 as usize].key == *key =>
+                {
+                    return Ok(held as u32 as usize)
+                }
                 _ => slot = (slot + 1) & mask,
             }
         }
     }
 
     /// Rebuilds the position table at `slots` slots (a power of two, more
-    /// than twice the entries): one hash per entry.
-    fn index_all(&mut self, slots: usize) {
-        // Fewer entries than half the slots: every position stays below EMPTY.
-        assert!(slots / 2 <= EMPTY as usize, "{slots} slots outgrow u32");
-        self.slots = vec![EMPTY; slots];
-        for (at, e) in self.entries.iter().enumerate() {
-            let mut slot = home(hash_key(&e.key), slots);
+    /// than twice the entries) from the one it replaces: each occupied slot
+    /// moves by the half of the hash it holds, its position mapped through
+    /// `moved` (`None` drops it). No key is read or hashed.
+    fn reindex(&mut self, slots: usize, moved: impl Fn(u32) -> Option<u32>) {
+        // Fewer entries than half the slots: every position stays below
+        // `NO_POSITION`, and the top half of a hash picks the home slot.
+        assert!(
+            slots / 2 <= NO_POSITION as usize,
+            "{slots} slots outgrow u32"
+        );
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; slots]);
+        for held in old.into_iter().filter(|&held| held != EMPTY) {
+            let Some(at) = moved(held as u32) else {
+                continue;
+            };
+            let mut slot = home(held, slots);
             while self.slots[slot] != EMPTY {
                 slot = (slot + 1) & (slots - 1);
             }
-            self.slots[slot] = at as u32;
+            self.slots[slot] = slot_of(held, at as usize);
         }
     }
 
@@ -196,8 +232,7 @@ impl MemTable {
     /// many new keys cost no more than a merge.
     fn key_order(&self) -> Box<[u32]> {
         let key = |at: &u32| &self.entries[*at as usize].key;
-        let mut added: Vec<u32> = (self.stale.len() as u32..self.entries.len() as u32).collect();
-        added.sort_unstable_by(|a, b| key(a).cmp(key(b)));
+        let added = key_order(&self.entries, self.stale.len());
         let mut order = Vec::with_capacity(self.entries.len());
         let mut rest = &self.stale[..];
         for at in added {
@@ -218,51 +253,42 @@ impl MemTable {
 
     /// Drops every buffered entry whose key `keep` rejects.
     pub fn retain(&mut self, mut keep: impl FnMut(&Key) -> bool) {
-        let size = &mut self.size_bytes;
-        self.entries.retain(|e| {
-            let kept = keep(&e.key);
-            if !kept {
-                *size -= e.size_bytes();
+        // Where each kept entry moves to; `NO_POSITION` for a dropped one.
+        let mut moved = vec![NO_POSITION; self.entries.len()];
+        let mut kept = 0;
+        for (at, to) in moved.iter_mut().enumerate() {
+            if keep(&self.entries[at].key) {
+                self.entries.swap(kept, at);
+                *to = kept as u32;
+                kept += 1;
+            } else {
+                self.size_bytes -= self.entries[at].size_bytes();
             }
-            kept
-        });
+        }
+        self.entries.truncate(kept);
         self.sorted.take();
         self.stale = Box::default();
-        self.index_all(self.slots.len());
+        let to = |at: u32| Some(moved[at as usize]).filter(|&to| to != NO_POSITION);
+        self.reindex(self.slots.len(), to);
     }
 
     /// Drains the memtable into a sorted entry vector (used by flushes),
     /// leaving it empty. The vector carries no spare capacity into the run.
     ///
-    /// A key order kept by an ordered read is consumed: the entries follow
-    /// the cycles of its permutation in place, and each slot of the order is
-    /// set to `EMPTY` once its entry is home, so nothing is compared and
-    /// nothing allocated. Without a kept order the entries are sorted.
+    /// A key order kept by an ordered read is consumed; without one the
+    /// positions are sorted (`entry::key_order`). Either way the entries
+    /// follow the cycles of the order's permutation in place: each moves
+    /// once, and nothing is compared or allocated on the way.
     pub fn drain_sorted(&mut self) -> Vec<Entry> {
         let MemTable {
             mut entries,
             sorted,
             ..
         } = std::mem::take(self);
-        match sorted.into_inner() {
-            Some(mut order) => {
-                for start in 0..order.len() {
-                    // `order[at]` is the position of the entry that belongs
-                    // at `at`; the entry displaced from `start` rides along
-                    // the cycle until the cycle closes on it.
-                    let mut at = start;
-                    while order[at] != EMPTY {
-                        let from = order[at] as usize;
-                        order[at] = EMPTY;
-                        if from != start {
-                            entries.swap(at, from);
-                        }
-                        at = from;
-                    }
-                }
-            }
-            None => entries.sort_unstable_by(|a, b| a.key.cmp(&b.key)),
-        }
+        let mut order = sorted
+            .into_inner()
+            .unwrap_or_else(|| key_order(&entries, 0).into());
+        permute(&mut order, |at, from| entries.swap(at, from));
         entries.shrink_to_fit();
         entries
     }
@@ -362,11 +388,22 @@ mod tests {
             self.get_hashed(key, hash_key(key))
         }
 
+        /// Drains the table, first checking that every slot holds the top
+        /// half of its entry's hash.
+        fn drain_checked(&mut self) -> Vec<Entry> {
+            for &held in self.slots.iter().filter(|&&held| held != EMPTY) {
+                let entry = &self.entries[held as u32 as usize];
+                assert_eq!(held >> 32, hash_key(&entry.key) >> 32, "{entry:?}");
+            }
+            self.drain_sorted()
+        }
+
         /// How many slots past its home slot the table keeps `key`.
         fn probe_distance(&self, key: &Key) -> usize {
             let slot = (0..self.slots.len())
                 .find(|&s| {
-                    self.slots[s] != EMPTY && self.entries[self.slots[s] as usize].key == *key
+                    self.slots[s] != EMPTY
+                        && self.entries[self.slots[s] as u32 as usize].key == *key
                 })
                 .expect("buffered");
             (slot + self.slots.len() - home(hash_key(key), self.slots.len()))
@@ -387,7 +424,7 @@ mod tests {
 
     fn one_bucket() -> Vec<Key> {
         let keys: Vec<Key> = ONE_DEPTH_20_BUCKET.map(Key::from_u64).to_vec();
-        let bucket = BucketId::of_key(&keys[0], 20);
+        let bucket = BucketId::of_hash(hash_key(&keys[0]), 20);
         assert!(keys.iter().all(|k| bucket.contains_key(k)));
         keys
     }
@@ -425,7 +462,7 @@ mod tests {
         for k in [5u64, 1, 3, 2, 4] {
             m.put(Key::from_u64(k), val(1));
         }
-        let drained = m.drain_sorted();
+        let drained = m.drain_checked();
         let keys: Vec<u64> = drained.iter().map(|e| e.key.as_u64()).collect();
         assert_eq!(keys, vec![1, 2, 3, 4, 5]);
         assert_eq!(drained.capacity(), drained.len());
@@ -468,21 +505,26 @@ mod tests {
     /// The table against the sorted map it replaced, over random sequences
     /// of puts, deletes, overwrites, purges and flushes; keys of one shape
     /// per seed — keys of one depth-20 bucket, composite secondary-index
-    /// keys under few secondary values, heap keys longer than 22 bytes behind
-    /// one shared head. A step is one operation or a burst of them. After
-    /// every step `get` (held and absent keys), `len`,
-    /// `size_bytes`, `iter` and `range` (held, absent and crossed bounds)
-    /// agree with the oracle, and a drain returns exactly its sorted entries.
-    /// A drain that follows the step's ordered reads, or only overwrites and
-    /// deletes of held keys after them, finds the kept order; one after a
-    /// key-adding write or a purge sorts. Each path runs at least 50 times.
+    /// keys under few secondary values, `(orderkey, linenumber)` pairs under
+    /// few orders, heap keys longer than 22 bytes behind one shared head: all
+    /// but the first tie on their prefixes, which the integer-pair sort has
+    /// to break by the whole keys. A step is one operation or a burst of
+    /// them. After every step `get` (held and absent keys, found through a
+    /// table that growth and purges re-indexed from its stored hash halves),
+    /// `len`, `size_bytes`, `iter` and `range` (held, absent and crossed
+    /// bounds) agree with the oracle, and a drain — after a check that every
+    /// slot holds its entry's hash half — returns exactly its sorted entries.
+    /// A drain that follows the step's ordered reads, or
+    /// only overwrites and deletes of held keys after them, finds the kept
+    /// order; one after a key-adding write or a purge sorts. Each path runs
+    /// at least 50 times.
     #[test]
     fn prop_the_table_matches_the_sorted_map() {
         // drains that sorted, and drains that found a kept order
         let mut drains = [0usize; 2];
-        for seed in 0..60u64 {
+        for seed in 0..80u64 {
             let mut rng = SplitMix64::seed_from_u64(0x3e37_ab00 + seed);
-            let universe: Vec<Key> = match seed % 3 {
+            let universe: Vec<Key> = match seed % 4 {
                 0 => one_bucket(),
                 1 => (0..rng.gen_range(1..200))
                     .map(|k| {
@@ -492,6 +534,9 @@ mod tests {
                         }
                         .encode()
                     })
+                    .collect(),
+                2 => (0..rng.gen_range(1..200u64))
+                    .map(|k| Key::from_pair(k / 7, k % 7 * 3))
                     .collect(),
                 _ => (0..rng.gen_range(1..200u64))
                     .map(|k| {
@@ -556,7 +601,7 @@ mod tests {
                         _ => {
                             drains[usize::from(m.sorted.get().is_some())] += 1;
                             assert_eq!(
-                                m.drain_sorted(),
+                                m.drain_checked(),
                                 o.drain_sorted(),
                                 "seed {seed}, step {step}"
                             );
@@ -594,7 +639,7 @@ mod tests {
             }
             drains[usize::from(m.sorted.get().is_some())] += 1;
             assert_eq!(
-                m.drain_sorted(),
+                m.drain_checked(),
                 o.drain_sorted(),
                 "seed {seed}, final drain"
             );

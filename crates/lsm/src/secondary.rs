@@ -175,6 +175,11 @@ impl SecondaryIndex {
         self.tree.components()
     }
 
+    /// Read access to the index's LSM-tree (for inspection in tests).
+    pub fn tree(&self) -> &LsmTree {
+        &self.tree
+    }
+
     /// Number of obsolete entries that queries have had to skip (the
     /// lazy-cleanup overhead reported in the experiments).
     pub fn obsolete_entries_skipped(&self) -> u64 {

@@ -73,6 +73,12 @@ pub struct LsmTree {
     memtable_invalid: BucketSet,
     memtable_dead: Option<u64>,
     layout: KeyLayout,
+    /// The visible bytes of every disk component, counted whenever the list
+    /// changes while each component's share is known without a read (`None`
+    /// while a filtered view is still unbuilt): what makes
+    /// [`LsmTree::logical_size_bytes`] — the split check of every write to a
+    /// bucket — O(1).
+    disk_bytes: Option<usize>,
 }
 
 impl LsmTree {
@@ -87,6 +93,7 @@ impl LsmTree {
             memtable_invalid: BucketSet::default(),
             memtable_dead: Some(0),
             layout: KeyLayout::default(),
+            disk_bytes: Some(0),
         }
     }
 
@@ -109,13 +116,21 @@ impl LsmTree {
 
     /// Applies an entry (used by log replay and replication).
     pub fn apply(&mut self, entry: Entry) {
+        let hash = hash_key(&entry.key);
+        self.apply_hashed(entry, hash);
+    }
+
+    /// [`LsmTree::apply`] by a writer that has hashed the key already (to
+    /// route it): `hash` must be `hash_key(&entry.key)`, and the memory
+    /// component keeps it.
+    pub fn apply_hashed(&mut self, entry: Entry, hash: u64) {
         StorageMetrics::add(&self.metrics.records_written, 1);
         // A write to a bucket marked moved means the bucket is back: the dead
         // entries must go before a live one can sit among them.
         if self.buffered_dead(&entry.key) {
             self.purge_memtable();
         }
-        self.memtable.apply(entry);
+        self.memtable.apply_hashed(entry, hash);
         if self.config.auto_flush && self.memtable.size_bytes() >= self.config.memtable_budget_bytes
         {
             self.flush();
@@ -253,6 +268,7 @@ impl LsmTree {
         StorageMetrics::add(&self.metrics.bytes_flushed, comp.size_bytes() as u64);
         StorageMetrics::add(&self.metrics.flush_count, 1);
         self.components.insert(0, comp.clone());
+        self.recount();
         Some(comp)
     }
 
@@ -320,6 +336,7 @@ impl LsmTree {
         StorageMetrics::add(&self.metrics.bytes_merged, new_comp.size_bytes() as u64);
         StorageMetrics::add(&self.metrics.merge_count, 1);
         self.components.splice(start..end, [new_comp]);
+        self.recount();
     }
 
     // ----------------------------------------------------- component plumbing
@@ -332,6 +349,7 @@ impl LsmTree {
     /// Replaces the component list (used by bucket splits and tests).
     pub fn set_components(&mut self, components: Vec<Component>) {
         self.components = components;
+        self.recount();
     }
 
     /// Registers already-built components as the **oldest** data of this tree
@@ -339,6 +357,15 @@ impl LsmTree {
     /// records must be strictly older than replicated writes).
     pub fn append_oldest_components(&mut self, comps: Vec<Component>) {
         self.components.extend(comps);
+        self.recount();
+    }
+
+    /// Counts the disk components' visible bytes again where each is known
+    /// without a read (`disk_bytes`); reads nothing.
+    fn recount(&mut self) {
+        self.disk_bytes = (self.components.iter())
+            .map(Component::known_visible_size_bytes)
+            .sum();
     }
 
     /// Lazy cleanup of moved buckets: every entry the tree holds *now* for a
@@ -360,6 +387,7 @@ impl LsmTree {
         for c in self.components.iter_mut() {
             *c = c.mark_buckets_invalid(buckets, layout);
         }
+        self.recount();
     }
 
     /// Entries still physically present that a filter hides from reads: what
@@ -405,13 +433,16 @@ impl LsmTree {
     /// Logical bytes of data reachable through this tree: visible bytes of
     /// every component (reference components count their filtered share) plus
     /// the memory component. This is the size the balancing algorithm and the
-    /// dynamic-split threshold reason about.
+    /// dynamic-split threshold reason about. O(1) while every component's
+    /// share is counted; otherwise the components are walked, building what
+    /// view is unbuilt.
     pub fn logical_size_bytes(&self) -> usize {
-        self.components
-            .iter()
-            .map(|c| c.visible_size_bytes())
-            .sum::<usize>()
-            + self.memtable.size_bytes()
+        let disk = self.disk_bytes.unwrap_or_else(|| {
+            (self.components.iter())
+                .map(|c| c.visible_size_bytes())
+                .sum()
+        });
+        disk + self.memtable.size_bytes()
     }
 
     /// True if the tree holds no data at all.
