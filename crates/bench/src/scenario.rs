@@ -772,11 +772,13 @@ impl<'a> Runner<'a> {
                 Ok(())
             }
             Err(e) if self.write_unavailable(d, &e) => {
-                // The atomic batch was refused because some records route to
-                // buckets a dead node took down — lost ones (typed degraded
-                // error) or ones still awaiting relocation off the corpse
-                // (NodeDown until the re-planned rebalance commits). Retry
-                // record by record so each put's own verdict decides.
+                // The batch was refused whole — none of it stored — because
+                // some records route to buckets a dead node took down: lost
+                // ones (typed degraded error), ones still awaiting
+                // relocation off the corpse, or shipped ones a job replicates
+                // to it (NodeDown or NodeLost until the re-planned rebalance
+                // commits). Retry record by record so each put's own verdict
+                // decides.
                 for (key, version) in staged {
                     self.put(d, key, version)?;
                 }
@@ -820,9 +822,10 @@ impl<'a> Runner<'a> {
 
     /// True when `e` is a refusal writes may legitimately hit while a dead
     /// node's buckets are in flight: the typed degraded error for a lost
-    /// bucket, or NodeDown/NodeLost for a bucket still awaiting relocation
-    /// off the corpse — and only while some node genuinely is dead.
-    /// Anything else stays a violation.
+    /// bucket, or NodeDown (a crashed node) / NodeLost (a lost one) for a
+    /// bucket still awaiting relocation off the corpse or replicated to it
+    /// — and only while some node genuinely is dead. A refused write stored
+    /// nothing. Anything else stays a violation.
     fn write_unavailable(&self, d: usize, e: &ClusterError) -> bool {
         let dead = |n: &NodeId| !self.cluster.node_is_alive(*n);
         let relocating = matches!(e, ClusterError::NodeDown(_) | ClusterError::NodeLost(_));

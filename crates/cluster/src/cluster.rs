@@ -16,12 +16,13 @@
 //! A record changes through one routine, `Cluster::write_group`: a feed
 //! batch is one write group and a point write a group of one. Each key is
 //! hashed once, by whoever routes it, and the hash travels with the
-//! `Write` down to the memory component. The group is routed in one pass
-//! and applied one partition at a time — the node, its liveness and the
-//! dataset's storage resolved once per partition, the secondary indexes fed
-//! in batch order and the primary bucket by bucket — so every tree sees the
-//! operations one-at-a-time writes would show it, and a group that fails
-//! stores exactly the writes before its first refused one.
+//! `Write` down to the memory component. Every refusal is decided before
+//! anything is stored, so a group is stored whole or refused whole: an
+//! `Err` means no tree, pending copy or heat counter changed. The group is
+//! then applied one partition at a time — the dataset's storage resolved
+//! once per partition, the secondary indexes fed in batch order and the
+//! primary bucket by bucket — so every tree sees the operations
+//! one-at-a-time writes would show it.
 
 use std::collections::BTreeMap;
 
@@ -105,16 +106,6 @@ impl Write {
             replica: None,
         }
     }
-}
-
-/// The first write of a group that cannot be applied, and why (see
-/// [`Cluster::first_refusal`]).
-struct Refusal {
-    /// The write's position in its group.
-    at: usize,
-    error: ClusterError,
-    /// True when only the write's replication is refused: its owner takes it.
-    replica_only: bool,
 }
 
 /// The simulated cluster.
@@ -367,28 +358,26 @@ impl Cluster {
     /// time. A step-driven rebalance keeps writes online during data
     /// movement by replicating them to already-shipped buckets
     /// ([`Cluster::replicate`]); only the brief prepare-to-commit window
-    /// refuses them (Section V-C). A degraded dataset refuses a group
-    /// touching its lost buckets before any write applies, so a feed never
-    /// half-applies against a bucket awaiting repair.
+    /// refuses them (Section V-C).
     ///
-    /// Each partition resolves its node, the node's liveness and its dataset
-    /// storage once; its writes go into the secondary indexes in group order
-    /// and into the primary bucket by bucket ([`PartitionDataset::write`]),
-    /// so every tree sees the operations applying the writes one at a time
-    /// would show it. A group that fails stores exactly the writes before
-    /// its first refused one ([`Cluster::first_refusal`]); a dead replica
-    /// destination refuses only the replication of its write, which the
-    /// owner has taken, as a one-at-a-time write would have. (A partition
-    /// that lacks the dataset, or a bucket for a key routed to it, is a
-    /// routing bug: the group stops there, that partition's share
-    /// unwritten.) Every write the
-    /// group reaches — the refused one too — is heat on its *local* bucket,
-    /// which keeps read heat, write heat, bucket sizes and the planner's
-    /// load map on one bucket granularity before the CC absorbs local
-    /// splits. `tally` hears how many writes each partition took as their
-    /// owner (`None`), and each write replicated to a destination partition
-    /// with its payload bytes (`Some`). Returns how many deletes found their
-    /// record live.
+    /// A group is refused whole. Routing refuses the write block, a lost
+    /// bucket, an unroutable key and a replica destination that is not up;
+    /// then the owner of every partition's share must be up. Only after
+    /// both does anything apply, so an `Err` means no tree, pending copy or
+    /// heat counter changed. (A partition that lacks the dataset, or a
+    /// bucket for a key routed to it, is a routing bug: the group stops
+    /// there, that partition's share unwritten.)
+    ///
+    /// Each partition resolves its dataset storage once; its writes go into
+    /// the secondary indexes in group order and into the primary bucket by
+    /// bucket ([`PartitionDataset::write`]), so every tree sees the
+    /// operations applying the writes one at a time would show it. Every
+    /// write is heat on its *local* bucket, which keeps read heat, write
+    /// heat, bucket sizes and the planner's load map on one bucket
+    /// granularity before the CC absorbs local splits. `tally` hears how
+    /// many writes each partition took as their owner (`None`), and each
+    /// write replicated to a destination partition with its payload bytes
+    /// (`Some`). Returns how many deletes found their record live.
     fn write_group(
         &mut self,
         dataset: DatasetId,
@@ -413,22 +402,13 @@ impl Cluster {
                 &mut many[..]
             }
         };
-        let refusal = self.first_refusal(writes, order);
-        // Writes below `owned` reach their owner, writes below `replicated`
-        // their replica too.
-        let replicated = refusal.as_ref().map_or(writes.len(), |r| r.at);
-        let owned = refusal
-            .as_ref()
-            .map_or(writes.len(), |r| r.at + usize::from(r.replica_only));
-        self.replicate(dataset, &writes[..replicated], &mut tally)?;
+        for share in order.chunk_by(|a, b| a.0 == b.0) {
+            self.require_up(self.node_of_partition(PartitionId(share[0].0 as u32))?)?;
+        }
+        self.replicate(dataset, writes, &mut tally)?;
         let mut live = 0;
         for share in order.chunk_by_mut(|a, b| a.0 == b.0) {
             let partition = PartitionId(share[0].0 as u32);
-            let taken = share.partition_point(|&(_, at)| (at as usize) < owned);
-            let share = &mut share[..taken];
-            if share.is_empty() {
-                continue;
-            }
             tally(partition, share.len() as u64, None);
             let Cluster {
                 partitions, heat, ..
@@ -443,26 +423,16 @@ impl Cluster {
                 }
             })?;
         }
-        let Some(refusal) = refusal else {
-            return Ok(live);
-        };
-        if !refusal.replica_only && self.heat.armed() {
-            let write = &writes[refusal.at];
-            let ds = self.partition(write.partition).ok();
-            let local = ds.and_then(|p| p.dataset(dataset).ok());
-            if let Some(bucket) = local.and_then(|ds| ds.primary.bucket_of_hash(write.hash)) {
-                self.heat.note_write(dataset, bucket);
-            }
-        }
-        Err(refusal.error)
+        Ok(live)
     }
 
     /// Routes a write group through the CC's directory, stamping each write
     /// with its partition and — while a job is in flight — the shipped
     /// bucket and destination it replicates to. A job's prepare-to-commit
     /// window refuses the whole group, and so do a write to a lost bucket
-    /// (the first such write names its bucket) and a key the directory
-    /// cannot route.
+    /// (the first such write names its bucket), a write whose replica
+    /// destination is not up ([`Cluster::require_up`]) and a key the
+    /// directory cannot route.
     fn route_group(&self, dataset: DatasetId, writes: &mut [Write]) -> Result<(), ClusterError> {
         let active = self.active_rebalances.get(&dataset);
         if active.is_some_and(|active| active.write_blocked) {
@@ -483,62 +453,14 @@ impl Cluster {
             unroutable |= partition.is_none();
             write.partition = partition.unwrap_or(PartitionId(u32::MAX));
             write.replica = bucket.and_then(|b| Some((b, *shipped?.get(&b)?)));
+            if let Some((_, destination)) = write.replica {
+                self.require_up(self.node_of_partition(destination)?)?;
+            }
         }
         if unroutable {
             return Err(ClusterError::RoutingFailed(dataset));
         }
         Ok(())
-    }
-
-    /// The first write of a routed group that cannot be applied: one whose
-    /// owner is down (or unknown), or one its job replicates to a
-    /// destination that is down — the owner still takes that one. `order`
-    /// holds the writes' positions by partition, group order within each.
-    /// Liveness cannot change while the group applies, so nothing is
-    /// refused later.
-    fn first_refusal(&self, writes: &[Write], order: &[(u64, u32)]) -> Option<Refusal> {
-        // The earliest refused position, and whether only its replica is.
-        let mut first: Option<(usize, bool)> = None;
-        let mut refuse = |at: u32, replica_only| {
-            if first.is_none_or(|(earliest, _)| (at as usize) < earliest) {
-                first = Some((at as usize, replica_only));
-            }
-        };
-        let alive = |partition| {
-            (self.topology.node_of(partition)).is_some_and(|node| self.node_is_alive(node))
-        };
-        for share in order.chunk_by(|a, b| a.0 == b.0) {
-            let (head, partition) = (share[0].1, PartitionId(share[0].0 as u32));
-            if !alive(partition) {
-                refuse(head, false);
-                continue;
-            }
-            // A share is in group order: its first refusal is its earliest.
-            let replica_down = |&(_, at): &(u64, u32)| {
-                (writes[at as usize].replica).is_some_and(|(_, dst)| !alive(dst))
-            };
-            if let Some(&(_, at)) = share.iter().find(|slot| replica_down(slot)) {
-                refuse(at, true);
-            }
-        }
-        let (at, replica_only) = first?;
-        let write = &writes[at];
-        let partition = match write.replica {
-            Some((_, dst)) if replica_only => dst,
-            _ => write.partition,
-        };
-        let error = match self.node_of_partition(partition) {
-            Ok(node) => self
-                .node_state(node)
-                .err()
-                .unwrap_or(ClusterError::NodeDown(node)),
-            Err(error) => error,
-        };
-        Some(Refusal {
-            at,
-            error,
-            replica_only,
-        })
     }
 
     /// Replicates writes to the pending copies of the buckets an in-flight
@@ -573,7 +495,7 @@ impl Cluster {
                 key: write.key.clone(),
                 op,
             };
-            ds.primary.apply_replicated(bucket, entry)?;
+            ds.primary.apply_replicated(bucket, entry, write.hash)?;
         }
         Ok(())
     }
@@ -1024,7 +946,8 @@ impl Admin<'_> {
 
     /// Unrouted batch ingestion with the CC's live routing state (test
     /// seeding; the sanctioned feed path is
-    /// [`crate::session::Session::ingest`]).
+    /// [`crate::session::Session::ingest`]). A refused batch stored none of
+    /// its records.
     pub fn ingest(
         &mut self,
         dataset: DatasetId,

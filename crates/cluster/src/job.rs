@@ -85,7 +85,7 @@ use crate::dataset::DatasetId;
 use crate::fault::{backoff, MAX_TRANSFER_RETRIES};
 use crate::obs::Event;
 use crate::rebalance::{PhaseTimes, RebalanceReport};
-use crate::sim::{NodeTimeline, SimDuration, WaveClock};
+use crate::sim::{NodeTimeline, SimDuration};
 use crate::{ClusterError, Result};
 
 /// A step boundary of [`RebalanceJob::drive`]: where a scheduled
@@ -220,7 +220,10 @@ pub struct RebalanceJob {
     init_tl: NodeTimeline,
     move_tl: NodeTimeline,
     fin_tl: NodeTimeline,
-    clock: WaveClock,
+    /// Data-movement time: the makespan of each wave, feed batch and replan,
+    /// added up — a phase starts only after the one before it has finished,
+    /// so a wider wave advances it less than the serial moves it replaces.
+    movement: SimDuration,
     total_bytes: u64,
     bytes_moved: u64,
     entries_moved: u64,
@@ -411,7 +414,7 @@ impl RebalanceJob {
             init_tl: NodeTimeline::new(),
             move_tl: NodeTimeline::new(),
             fin_tl: NodeTimeline::new(),
-            clock: WaveClock::new(),
+            movement: SimDuration::ZERO,
             total_bytes,
             bytes_moved: 0,
             entries_moved: 0,
@@ -495,14 +498,8 @@ impl RebalanceJob {
         // Data movement needs both ends of every move up before any ships.
         for m in &wave {
             let (src_node, dst_node) = self.endpoints(cluster, m)?;
-            for node in [src_node, dst_node] {
-                if cluster.node_is_lost(node) {
-                    return Err(ClusterError::NodeLost(node));
-                }
-                if !cluster.node_is_alive(node) {
-                    return Err(ClusterError::NodeDown(node));
-                }
-            }
+            cluster.require_up(src_node)?;
+            cluster.require_up(dst_node)?;
         }
 
         let mut bytes = 0u64;
@@ -547,7 +544,7 @@ impl RebalanceJob {
         }
 
         let makespan = wave_tl.elapsed();
-        self.clock.record_wave(&wave_tl);
+        self.movement += makespan;
         self.move_tl.extend(&wave_tl);
         self.bytes_moved += bytes;
         self.entries_moved += entries;
@@ -881,7 +878,7 @@ impl RebalanceJob {
         tl.charge_coordinator(SimDuration::from_nanos(
             cost.job_overhead_ns * lost.len() as u64,
         ));
-        self.clock.record_wave(&tl);
+        self.movement += tl.elapsed();
         self.move_tl.extend(&tl);
 
         report.lost_buckets = lost_buckets.len() as u64;
@@ -905,7 +902,8 @@ impl RebalanceJob {
     /// destination's pending bucket, while writes to buckets that have not
     /// shipped yet need no replication (the wave's snapshot scan picks them
     /// up). The only thing this wrapper adds is folding the batch into the
-    /// job's data-movement time accounting.
+    /// job's data-movement time accounting. A refused batch stored none of
+    /// its records.
     pub fn apply_feed_batch(
         &mut self,
         cluster: &mut Cluster,
@@ -921,7 +919,7 @@ impl RebalanceJob {
         for (node, busy) in &report.per_node {
             batch_tl.charge(*node, *busy);
         }
-        self.clock.record_wave(&batch_tl);
+        self.movement += batch_tl.elapsed();
         self.move_tl.extend(&batch_tl);
         self.writes_applied += report.records;
         Ok(report.records)
@@ -1486,7 +1484,7 @@ impl RebalanceJob {
         total_tl.extend(&self.fin_tl);
         let phases = PhaseTimes {
             initialization: self.init_tl.elapsed(),
-            data_movement: self.clock.elapsed(),
+            data_movement: self.movement,
             finalization: self.fin_tl.elapsed(),
         };
         RebalanceReport {

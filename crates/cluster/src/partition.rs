@@ -434,6 +434,7 @@ mod tests {
     use super::*;
     use crate::dataset::SecondaryIndexDef;
     use dynahash_core::Scheme;
+    use dynahash_lsm::bucket::hash_key;
     use dynahash_lsm::{ComponentSource, Entry};
 
     fn spec_with_index() -> DatasetSpec {
@@ -527,6 +528,7 @@ mod tests {
             .apply_replicated(
                 moved_bucket,
                 Entry::put(concurrent_key.clone(), payload(99)),
+                hash_key(&concurrent_key),
             )
             .unwrap();
         assert_eq!(
@@ -644,10 +646,12 @@ mod tests {
 
             let pending = BucketId::new(0, 2);
             let key = (0..).map(Key::from_u64).find(|k| pending.contains_key(k));
+            let key = key.unwrap();
+            let hash = hash_key(&key);
             ds.ensure_pending_bucket(pending).unwrap();
             let before = written();
             ds.primary
-                .apply_replicated(pending, Entry::put(key.unwrap(), payload(4)))
+                .apply_replicated(pending, Entry::put(key, payload(4)), hash)
                 .unwrap();
             assert_eq!(written() - before, 1, "a replicated write");
         }
@@ -682,7 +686,7 @@ mod tests {
             .clone();
         dst_ds
             .primary
-            .apply_replicated(moved, Entry::delete(victim.clone()))
+            .apply_replicated(moved, Entry::delete(victim.clone()), hash_key(&victim))
             .unwrap();
         dst_ds.primary.flush_pending();
         dst_ds.install_pending(moved).unwrap();

@@ -124,6 +124,17 @@ impl Cluster {
         self.nodes.get(&node) == Some(&NodeState::Alive)
     }
 
+    /// Refuses work on `node` unless it is up: a crashed node with
+    /// [`ClusterError::NodeDown`], a permanently lost one with
+    /// [`ClusterError::NodeLost`].
+    pub(crate) fn require_up(&self, node: NodeId) -> Result<()> {
+        match self.node_state(node)? {
+            NodeState::Alive => Ok(()),
+            NodeState::Crashed => Err(ClusterError::NodeDown(node)),
+            NodeState::Lost => Err(ClusterError::NodeLost(node)),
+        }
+    }
+
     /// True if the node is permanently lost.
     pub fn node_is_lost(&self, node: NodeId) -> bool {
         self.nodes.get(&node) == Some(&NodeState::Lost)

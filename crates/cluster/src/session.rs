@@ -322,7 +322,7 @@ impl Session {
     /// index maintenance, and replication to already-shipped buckets while
     /// a rebalance is mid-flight. Writes are rejected with
     /// [`ClusterError::DatasetWriteBlocked`] only during the brief
-    /// prepare-to-decision window.
+    /// prepare-to-decision window. A rejected write stored nothing.
     pub fn put(&mut self, cluster: &mut Cluster, key: Key, value: Value) -> Result<()> {
         self.write(cluster, key, Some(value)).map(drop)
     }
@@ -355,7 +355,8 @@ impl Session {
     /// Ingests a batch through the session (the data-feed path): every
     /// record is routed from the cached directory and validated by its
     /// target partition; a stale rejection refreshes the cache and re-routes
-    /// the batch. Returns the usual feed cost report.
+    /// the batch. Returns the usual feed cost report; a refused batch stored
+    /// none of its records.
     pub fn ingest(
         &mut self,
         cluster: &mut Cluster,

@@ -242,41 +242,6 @@ impl NodeTimeline {
     }
 }
 
-/// Accumulates the simulated elapsed time of a sequence of *parallel phases*
-/// (the step executor's waves). Each recorded phase contributes its makespan
-/// — the slowest node of that phase, via [`NodeTimeline::elapsed`] — rather
-/// than folding into one global per-node sum, because wave `k + 1` only
-/// starts after every move of wave `k` has finished. Wider waves therefore
-/// finish in fewer, barely-longer phases and the clock advances less.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WaveClock {
-    elapsed: SimDuration,
-    waves: usize,
-}
-
-impl WaveClock {
-    /// Creates a clock at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one completed phase: the clock advances by its makespan.
-    pub fn record_wave(&mut self, wave: &NodeTimeline) {
-        self.elapsed += wave.elapsed();
-        self.waves += 1;
-    }
-
-    /// Total simulated time across all recorded phases.
-    pub fn elapsed(&self) -> SimDuration {
-        self.elapsed
-    }
-
-    /// Number of phases recorded.
-    pub fn waves(&self) -> usize {
-        self.waves
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,31 +287,6 @@ mod tests {
         assert_eq!(t.max_node_time(), SimDuration::from_secs(35));
         assert_eq!(t.elapsed(), SimDuration::from_secs(36));
         assert_eq!(t.breakdown().len(), 2);
-    }
-
-    #[test]
-    fn wave_clock_sums_makespans_not_node_totals() {
-        // Two waves touching the same node: a single timeline would report
-        // max-over-nodes of the *sum* (20s); the clock reports 10s + 10s too.
-        // But two waves on DIFFERENT nodes still serialize (10s + 10s),
-        // whereas one wave containing both runs them in parallel (10s).
-        let mut clock = WaveClock::new();
-        let mut w1 = NodeTimeline::new();
-        w1.charge(NodeId(0), SimDuration::from_secs(10));
-        let mut w2 = NodeTimeline::new();
-        w2.charge(NodeId(1), SimDuration::from_secs(10));
-        clock.record_wave(&w1);
-        clock.record_wave(&w2);
-        assert_eq!(clock.elapsed(), SimDuration::from_secs(20));
-        assert_eq!(clock.waves(), 2);
-
-        let mut parallel = WaveClock::new();
-        let mut both = NodeTimeline::new();
-        both.charge(NodeId(0), SimDuration::from_secs(10));
-        both.charge(NodeId(1), SimDuration::from_secs(10));
-        parallel.record_wave(&both);
-        assert_eq!(parallel.elapsed(), SimDuration::from_secs(10));
-        assert!(parallel.elapsed() < clock.elapsed());
     }
 
     #[test]

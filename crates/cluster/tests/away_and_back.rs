@@ -21,6 +21,7 @@ use dynahash_cluster::{
     SecondaryIndexDef, Session,
 };
 use dynahash_core::{NodeId, PartitionId, RebalanceOutcome, Scheme};
+use dynahash_lsm::bucket::hash_key;
 use dynahash_lsm::entry::Key;
 use dynahash_lsm::rng::SplitMix64;
 use dynahash_lsm::{BucketId, Bytes, ScanOrder};
@@ -287,12 +288,15 @@ fn a_bucket_that_returns_and_leaves_again_takes_its_index_entries_along() {
             for (k, version) in [(fresh, 0), (updated, model[&updated] + 1)] {
                 let entry = dynahash_lsm::Entry::put(Key::from_u64(k), payload(k, version));
                 from.ingest(entry.key.clone(), payload(k, version)).unwrap();
-                to.primary.apply_replicated(b, entry).unwrap();
+                let hash = hash_key(&entry.key);
+                to.primary.apply_replicated(b, entry, hash).unwrap();
                 model.insert(k, version);
             }
             from.delete(&Key::from_u64(deleted)).unwrap();
+            let gone = Key::from_u64(deleted);
+            let hash = hash_key(&gone);
             (to.primary)
-                .apply_replicated(b, dynahash_lsm::Entry::delete(Key::from_u64(deleted)))
+                .apply_replicated(b, dynahash_lsm::Entry::delete(gone), hash)
                 .unwrap();
             model.remove(&deleted);
             // Commit: install at the destination, clean up the source.

@@ -1,26 +1,27 @@
-//! A feed batch that fails part of the way stores exactly the records
-//! before its first failure. With one node down, the first record routed
-//! to that node fails the batch with `NodeDown`: every record before it is
-//! stored (on the live nodes), and no record from it on is — whichever
-//! partition it routes to. A dead replica destination refuses only the
-//! replication of its record, which the owner has taken, as a record
-//! written on its own is applied before it is replicated.
+//! A write group is refused whole: every refusal is decided before anything
+//! is stored, so an `Err` from a feed batch or a point write means no tree,
+//! pending copy or heat counter changed. A batch with one record routed to
+//! a down node stores none of its records, whichever partitions the others
+//! route to; so does a batch with one record a job replicates to a down
+//! destination, and a point write refused that way leaves every tree, the
+//! storage metrics and the armed heat map as they were. A down node
+//! refuses with `NodeDown`, a permanently lost one with `NodeLost`.
 
-use dynahash_cluster::{Cluster, ClusterError, DatasetSpec, RebalanceJob};
-use dynahash_core::{NodeId, Scheme};
-use dynahash_lsm::entry::Key;
-use dynahash_lsm::{BucketId, Bytes};
+use dynahash_cluster::{
+    Cluster, ClusterError, DatasetId, DatasetSpec, RebalanceJob, SecondaryIndexDef,
+};
+use dynahash_core::{BucketHeat, NodeId, Scheme};
+use dynahash_lsm::entry::{Entry, Key};
+use dynahash_lsm::metrics::MetricsSnapshot;
+use dynahash_lsm::{BucketId, Bytes, LsmTree};
+use std::collections::BTreeMap;
 
 fn record(k: u64) -> (Key, Bytes) {
     (Key::from_u64(k), Bytes::from(vec![k as u8; 24]))
 }
 
 /// Whether each record is stored where the CC routes it, and with its value.
-fn stored(
-    cluster: &mut Cluster,
-    ds: dynahash_cluster::DatasetId,
-    records: &[(Key, Bytes)],
-) -> Vec<bool> {
+fn stored(cluster: &mut Cluster, ds: DatasetId, records: &[(Key, Bytes)]) -> Vec<bool> {
     let admin = cluster.admin();
     (records.iter())
         .map(|(key, value)| {
@@ -31,8 +32,102 @@ fn stored(
         .collect()
 }
 
+/// What one tree holds: its components' visible entries, then its memory
+/// component's entries.
+fn tree_state(tree: &LsmTree) -> (Vec<Vec<Entry>>, Vec<Entry>) {
+    let components = (tree.components().iter())
+        .map(|c| c.iter().cloned().collect())
+        .collect();
+    let buffered = (tree.memtable().iter())
+        .map(|(key, op)| Entry::from_parts(key, op))
+        .collect();
+    (components, buffered)
+}
+
+/// Everything a write could change on one partition: its storage metrics
+/// (every tree's writes, pending copies' included), every primary bucket's
+/// and secondary index's tree, and its pending buckets and their bytes.
+type PartitionState = (
+    MetricsSnapshot,
+    Vec<(Vec<Vec<Entry>>, Vec<Entry>)>,
+    Vec<BucketId>,
+    usize,
+);
+
+/// [`PartitionState`] of every partition, and the dataset's heat counters.
+fn state(
+    cluster: &mut Cluster,
+    ds: DatasetId,
+) -> (Vec<PartitionState>, BTreeMap<BucketId, BucketHeat>) {
+    let heat = cluster.heat_ops_snapshot(ds);
+    let partitions = cluster.topology().partitions();
+    let admin = cluster.admin();
+    let partitions = (partitions.into_iter())
+        .map(|p| {
+            let part = admin.partition(p).unwrap();
+            let local = part.dataset(ds).unwrap();
+            let primary = &local.primary;
+            let mut trees: Vec<_> = (primary.bucket_ids().iter())
+                .map(|b| tree_state(primary.bucket_tree(b).unwrap()))
+                .collect();
+            trees.extend(local.secondaries.iter().map(|s| tree_state(s.tree())));
+            (
+                part.metrics().snapshot(),
+                trees,
+                primary.pending_bucket_ids(),
+                primary.pending_storage_bytes(),
+            )
+        })
+        .collect();
+    (partitions, heat)
+}
+
+/// The secondary key of a payload: its first byte.
+fn first_byte(payload: &[u8]) -> Option<Key> {
+    Some(Key::from_slice(payload.get(..1)?))
+}
+
+/// A loaded 2-node StaticHash dataset with a secondary index, a node added,
+/// and a job towards it whose first wave has shipped: the job, the added
+/// node and the buckets the wave shipped to it.
+fn mid_job() -> (Cluster, DatasetId, RebalanceJob, NodeId, Vec<BucketId>) {
+    let mut cluster = Cluster::new(2);
+    let spec = DatasetSpec::new("kv", Scheme::StaticHash { num_buckets: 16 })
+        .with_secondary_index(SecondaryIndexDef::new("first", first_byte));
+    let ds = cluster.create_dataset(spec).unwrap();
+    cluster.admin().ingest(ds, (0..2000).map(record)).unwrap();
+    let added = cluster.add_node().unwrap();
+    let target = cluster.topology().clone();
+    let mut job = RebalanceJob::plan(&mut cluster, ds, &target, 2).unwrap();
+    job.init(&mut cluster).unwrap();
+    let shipped: Vec<BucketId> = (job.waves()[0].iter())
+        .filter(|m| target.node_of(m.to) == Some(added))
+        .map(|m| m.bucket)
+        .collect();
+    assert!(
+        !shipped.is_empty(),
+        "the first wave must ship to the new node"
+    );
+    job.run_wave(&mut cluster).unwrap();
+    (cluster, ds, job, added, shipped)
+}
+
+/// The first of `records` whose bucket is one of `shipped`.
+fn first_shipped(
+    cluster: &Cluster,
+    ds: DatasetId,
+    records: &[(Key, Bytes)],
+    shipped: &[BucketId],
+) -> usize {
+    let meta = cluster.controller.dataset(ds).unwrap();
+    let directory = meta.directory.as_ref().unwrap();
+    (records.iter())
+        .position(|(key, _)| shipped.contains(&directory.lookup_key(key).unwrap().0))
+        .unwrap()
+}
+
 #[test]
-fn a_batch_stores_exactly_the_records_before_the_first_one_routed_to_a_down_node() {
+fn a_batch_with_a_record_routed_to_a_down_node_stores_none_of_its_records() {
     for scheme in [Scheme::StaticHash { num_buckets: 16 }, Scheme::Hashing] {
         let mut cluster = Cluster::new(3);
         let ds = cluster
@@ -48,53 +143,131 @@ fn a_batch_stores_exactly_the_records_before_the_first_one_routed_to_a_down_node
             })
             .collect();
         let first = owners.iter().position(|n| *n == down).unwrap();
-        assert!(first > 0, "{scheme:?}: the scenario needs stored records");
+        assert!(
+            first > 0 && owners.iter().any(|n| *n != down),
+            "{scheme:?}: the batch needs records for the live nodes too"
+        );
         match cluster.admin().ingest(ds, records.clone()) {
             Err(ClusterError::NodeDown(node)) => assert_eq!(node, down, "{scheme:?}"),
             other => panic!("{scheme:?}: expected NodeDown, got {other:?}"),
         }
-        let expected: Vec<bool> = (0..records.len()).map(|at| at < first).collect();
-        assert_eq!(stored(&mut cluster, ds, &records), expected, "{scheme:?}");
+        assert_eq!(
+            stored(&mut cluster, ds, &records),
+            vec![false; records.len()],
+            "{scheme:?}"
+        );
+        assert_eq!(cluster.dataset_len(ds).unwrap(), 0, "{scheme:?}");
     }
 }
 
 #[test]
-fn a_batch_stores_the_record_its_dead_replica_destination_refuses_at_its_owner() {
-    let mut cluster = Cluster::new(2);
-    let scheme = Scheme::StaticHash { num_buckets: 16 };
-    let ds = cluster
-        .create_dataset(DatasetSpec::new("kv", scheme))
-        .unwrap();
-    cluster.admin().ingest(ds, (0..2000).map(record)).unwrap();
-    let added = cluster.add_node().unwrap();
-    let target = cluster.topology().clone();
-    let mut job = RebalanceJob::plan(&mut cluster, ds, &target, 2).unwrap();
-    job.init(&mut cluster).unwrap();
-    let shipped: Vec<BucketId> = (job.waves()[0].iter())
-        .filter(|m| target.node_of(m.to) == Some(added))
-        .map(|m| m.bucket)
-        .collect();
-    assert!(
-        !shipped.is_empty(),
-        "the first wave must ship to the new node"
-    );
-    job.run_wave(&mut cluster).unwrap();
+fn a_batch_with_a_record_its_down_replica_destination_refuses_stores_none_of_its_records() {
+    let (mut cluster, ds, _job, added, shipped) = mid_job();
     cluster.crash_node(added).unwrap();
-
     let records: Vec<(Key, Bytes)> = (10_000..10_400).map(record).collect();
-    let meta = cluster.controller.dataset(ds).unwrap();
-    let directory = meta.directory.as_ref().unwrap();
-    let first = (records.iter())
-        .position(|(key, _)| shipped.contains(&directory.lookup_key(key).unwrap().0))
-        .unwrap();
+    let first = first_shipped(&cluster, ds, &records, &shipped);
     assert!(
         first > 0,
         "the scenario needs records before the refused one"
     );
+    let before = state(&mut cluster, ds);
     match cluster.admin().ingest(ds, records.clone()) {
         Err(ClusterError::NodeDown(node)) => assert_eq!(node, added),
         other => panic!("expected NodeDown, got {other:?}"),
     }
-    let expected: Vec<bool> = (0..records.len()).map(|at| at <= first).collect();
-    assert_eq!(stored(&mut cluster, ds, &records), expected);
+    assert_eq!(
+        stored(&mut cluster, ds, &records),
+        vec![false; records.len()]
+    );
+    assert!(
+        state(&mut cluster, ds) == before,
+        "the refused batch stored"
+    );
+}
+
+#[test]
+fn a_put_its_crashed_replica_destination_refuses_changes_nothing() {
+    let (mut cluster, ds, _job, added, shipped) = mid_job();
+    cluster.set_heat_tracking(true);
+    let mut session = cluster.session(ds).unwrap();
+    // Warm the heat map, so an extra write would show in it.
+    for (key, value) in (20_000..20_100).map(record) {
+        session.put(&mut cluster, key, value).unwrap();
+    }
+    assert!(!cluster.heat_ops_snapshot(ds).is_empty());
+    cluster.crash_node(added).unwrap();
+    let records: Vec<(Key, Bytes)> = (10_000..10_400).map(record).collect();
+    let (key, value) = records[first_shipped(&cluster, ds, &records, &shipped)].clone();
+
+    let before = state(&mut cluster, ds);
+    match session.put(&mut cluster, key.clone(), value) {
+        Err(ClusterError::NodeDown(node)) => assert_eq!(node, added),
+        other => panic!("expected NodeDown, got {other:?}"),
+    }
+    let after = state(&mut cluster, ds);
+    for (p, (old, new)) in before.0.iter().zip(&after.0).enumerate() {
+        assert!(
+            old.1 == new.1,
+            "partition {p}: the refused put changed a tree"
+        );
+        assert!(
+            (&old.2, old.3) == (&new.2, new.3),
+            "partition {p}: the refused put changed a pending copy"
+        );
+        assert!(old.0 == new.0, "partition {p}: the refused put wrote");
+    }
+    assert!(after.1 == before.1, "the refused put changed the heat map");
+    assert_eq!(session.get(&cluster, &key).unwrap(), None);
+}
+
+#[test]
+fn a_write_a_lost_node_refuses_is_refused_with_node_lost() {
+    // Its owner is lost: a Hashing dataset marks no bucket lost, so the
+    // write reaches the owner's liveness check.
+    let mut cluster = Cluster::new(3);
+    let ds = cluster
+        .create_dataset(DatasetSpec::new("kv", Scheme::Hashing))
+        .unwrap();
+    cluster.admin().ingest(ds, (0..300).map(record)).unwrap();
+    let lost = NodeId(1);
+    cluster.lose_node(lost).unwrap();
+    let records: Vec<(Key, Bytes)> = (1000..1100).map(record).collect();
+    let on_lost = |cluster: &mut Cluster, key: &Key| {
+        let partition = cluster.admin().route_key(ds, key).unwrap();
+        cluster.node_of_partition(partition).unwrap() == lost
+    };
+    let (key, value) = (records.iter())
+        .find(|(key, _)| on_lost(&mut cluster, key))
+        .unwrap()
+        .clone();
+    let mut session = cluster.session(ds).unwrap();
+    match session.put(&mut cluster, key, value) {
+        Err(ClusterError::NodeLost(node)) => assert_eq!(node, lost),
+        other => panic!("expected NodeLost, got {other:?}"),
+    }
+    match session.ingest(&mut cluster, records.clone()) {
+        Err(ClusterError::NodeLost(node)) => assert_eq!(node, lost),
+        other => panic!("expected NodeLost, got {other:?}"),
+    }
+    assert_eq!(
+        stored(&mut cluster, ds, &records),
+        vec![false; records.len()]
+    );
+    let (key, value) = (records.iter())
+        .find(|(key, _)| !on_lost(&mut cluster, key))
+        .unwrap()
+        .clone();
+    session.put(&mut cluster, key, value).unwrap();
+
+    // Its replica destination is lost: the bucket still lives at its
+    // source, so it is not degraded, but the job cannot replicate to it.
+    let (mut cluster, ds, _job, added, shipped) = mid_job();
+    cluster.lose_node(added).unwrap();
+    let records: Vec<(Key, Bytes)> = (10_000..10_400).map(record).collect();
+    let (key, value) = records[first_shipped(&cluster, ds, &records, &shipped)].clone();
+    let mut session = cluster.session(ds).unwrap();
+    match session.put(&mut cluster, key, value) {
+        Err(ClusterError::NodeLost(node)) => assert_eq!(node, added),
+        other => panic!("expected NodeLost, got {other:?}"),
+    }
 }

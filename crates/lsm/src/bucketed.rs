@@ -578,18 +578,19 @@ impl BucketedLsmTree {
     }
 
     /// Applies a replicated write (a concurrent write routed to the source)
-    /// to a pending bucket's memory component. The pending bucket
-    /// must exist — a replicated write to an unregistered bucket is a
-    /// routing bug upstream. (After a destination crash wiped an uncommitted
-    /// transfer, the cluster's replication path re-creates the pending
-    /// bucket explicitly for buckets of the active rebalance before
-    /// applying; see `Cluster::ingest`.)
-    pub fn apply_replicated(&mut self, bucket: BucketId, entry: Entry) -> Result<()> {
+    /// to a pending bucket's memory component, beside the `hash_key` of its
+    /// key that routing computed. The pending bucket must exist — a
+    /// replicated write to an unregistered bucket is a routing bug upstream.
+    /// (After a destination crash wiped an uncommitted transfer, the
+    /// cluster's replication path re-creates the pending bucket explicitly
+    /// for buckets of the active rebalance before applying; see
+    /// `Cluster::replicate`.)
+    pub fn apply_replicated(&mut self, bucket: BucketId, entry: Entry, hash: u64) -> Result<()> {
         let tree = self
             .pending
             .get_mut(&bucket)
             .ok_or(StorageError::UnknownPendingBucket(bucket))?;
-        tree.apply(entry);
+        tree.apply_hashed(entry, hash);
         Ok(())
     }
 
@@ -990,7 +991,8 @@ mod tests {
         assert!(dest.pending_has_base_data(&incoming));
         // a replicated concurrent write that updates a moved key
         let some_key = t.bucket_tree(&incoming).unwrap().scan_all()[0].key.clone();
-        dest.apply_replicated(incoming, Entry::put(some_key.clone(), Bytes::from("newer")))
+        let newer = Entry::put(some_key.clone(), Bytes::from("newer"));
+        dest.apply_replicated(incoming, newer, hash_key(&some_key))
             .unwrap();
 
         // still invisible
@@ -1055,7 +1057,8 @@ mod tests {
         // a replicated concurrent write applied before the transfer lands
         // must stay newer than the shipped base data
         let overwritten = expected[0].key.clone();
-        dst.apply_replicated(moving, Entry::put(overwritten.clone(), val(1)))
+        let hash = hash_key(&overwritten);
+        dst.apply_replicated(moving, Entry::put(overwritten.clone(), val(1)), hash)
             .unwrap();
         dst.flush_pending();
         dst.install_shipped(moving, comps).unwrap();
@@ -1090,7 +1093,9 @@ mod tests {
         // that crash recovery checks) and force a spurious re-ship.
         for i in 0..600u64 {
             if moving.contains_key(&Key::from_u64(i)) {
-                dst.apply_replicated(moving, Entry::put(Key::from_u64(i), val(64)))
+                let key = Key::from_u64(i);
+                let hash = hash_key(&key);
+                dst.apply_replicated(moving, Entry::put(key, val(64)), hash)
                     .unwrap();
             }
         }
@@ -1110,19 +1115,21 @@ mod tests {
     fn apply_replicated_requires_a_registered_pending_bucket() {
         let mut dst = tree_with_depth(1, None);
         let b = BucketId::new(0, 2);
+        let key = Key::from_u64(8);
+        let hash = hash_key(&key);
         dst.create_pending_bucket(b).unwrap();
         dst.drop_all_pending(); // crash wiped the uncommitted transfer
         assert!(!dst.has_pending_bucket(&b));
         // a misrouted replicated write surfaces as an error, not a silent
         // fresh pending tree
         assert!(matches!(
-            dst.apply_replicated(b, Entry::put(Key::from_u64(8), val(4))),
+            dst.apply_replicated(b, Entry::put(key.clone(), val(4)), hash),
             Err(StorageError::UnknownPendingBucket(_))
         ));
         // the recovery path re-creates the pending bucket explicitly; the
         // re-created bucket holds only replicated records until re-shipped
         dst.create_pending_bucket(b).unwrap();
-        dst.apply_replicated(b, Entry::put(Key::from_u64(8), val(4)))
+        dst.apply_replicated(b, Entry::put(key, val(4)), hash)
             .unwrap();
         assert!(
             !dst.pending_has_base_data(&b),
