@@ -16,13 +16,20 @@
 //! A record changes through one routine, `Cluster::write_group`: a feed
 //! batch is one write group and a point write a group of one. Each key is
 //! hashed once, by whoever routes it, and the hash travels with the
-//! `Write` down to the memory component. Every refusal is decided before
-//! anything is stored, so a group is stored whole or refused whole: an
-//! `Err` means no tree, pending copy or heat counter changed. The group is
-//! then applied one partition at a time — the dataset's storage resolved
-//! once per partition, the secondary indexes fed in batch order and the
-//! primary bucket by bucket — so every tree sees the operations
-//! one-at-a-time writes would show it.
+//! `Write` down to the memory component. A group is
+//! - routed once: one pass stamps each write with its partition, the
+//!   owner's local bucket and the replica an in-flight job needs, and
+//!   decides every refusal before anything is stored, so a group is stored
+//!   whole or refused whole (an `Err` means no tree, pending copy or heat
+//!   counter changed);
+//! - sorted once: one stable radix sort puts it in (partition, local
+//!   bucket) order, batch order kept within a bucket (a group of one needs
+//!   none);
+//! - packed once: one payload slab per local bucket, cut along that order;
+//! - applied from that order one partition at a time: the dataset's storage
+//!   resolved once per partition, the secondary indexes fed in batch order
+//!   and the primary bucket by bucket, so every tree sees the operations
+//!   one-at-a-time writes would show it.
 
 use std::collections::BTreeMap;
 
@@ -31,16 +38,18 @@ use dynahash_lsm::bucket::{hash_key, BucketId};
 use dynahash_lsm::entry::{Entry, Key, Op, Value};
 use dynahash_lsm::metrics::MetricsSnapshot;
 use dynahash_lsm::wal::{RebalanceId, RebalanceLogStatus};
+use dynahash_lsm::StorageError;
 
 use crate::control::{HeatCell, HeatReport};
 use crate::controller::ClusterController;
-use crate::dataset::{DatasetId, DatasetSpec};
+use crate::dataset::{DatasetId, DatasetMeta, DatasetSpec};
 use crate::fault::{ClusterHealth, FaultSchedule, FaultState, NodeState};
 use crate::feed::IngestReport;
 use crate::job::RebalanceJob;
 use crate::obs::{jobs_in_flight, Event};
 use crate::partition::{Partition, PartitionDataset};
 use crate::rebalance::RebalanceReport;
+use crate::session::RouteError;
 use crate::sim::{CostModel, NodeTimeline, SimDuration};
 use crate::ClusterError;
 
@@ -89,9 +98,13 @@ pub(crate) struct Write {
     pub(crate) hash: u64,
     /// The partition the write is routed to.
     partition: PartitionId,
+    /// The bucket of the partition's local directory that covers the key.
+    pub(crate) bucket: BucketId,
     /// The shipped bucket, and the destination partition, an in-flight job
     /// replicates the write to.
     replica: Option<(BucketId, PartitionId)>,
+    /// The slab `Cluster::pack` cuts the payload's copy from.
+    slab: u32,
 }
 
 impl Write {
@@ -103,9 +116,126 @@ impl Write {
             value,
             hash,
             partition: PartitionId(0),
+            bucket: BucketId::root(),
             replica: None,
+            slab: u32::MAX,
         }
     }
+}
+
+/// One dataset's storage on each partition a write group reaches, looked up
+/// once per partition. A lookup is `None` where the partition or its
+/// storage of the dataset is missing.
+struct Stores<'a> {
+    cluster: &'a Cluster,
+    dataset: DatasetId,
+    /// The first partition reached and its lookup: a group of one, or of
+    /// one partition's writes, needs no table.
+    first: Option<(PartitionId, Option<&'a PartitionDataset>)>,
+    /// Once a second partition is reached, every lookup — the first's
+    /// too — indexed by partition id: `Some(lookup)` where reached.
+    seen: Vec<Option<Option<&'a PartitionDataset>>>,
+}
+
+impl<'a> Stores<'a> {
+    fn new(cluster: &'a Cluster, dataset: DatasetId) -> Self {
+        Stores {
+            cluster,
+            dataset,
+            first: None,
+            seen: Vec::new(),
+        }
+    }
+
+    /// The dataset's storage on `partition`, if it has any.
+    fn get(&mut self, partition: PartitionId) -> Option<&'a PartitionDataset> {
+        let (cluster, dataset) = (self.cluster, self.dataset);
+        let lookup = || cluster.partition(partition).ok()?.dataset(dataset).ok();
+        let Some((first, stored)) = self.first else {
+            let stored = lookup();
+            self.first = Some((partition, stored));
+            return stored;
+        };
+        if first == partition {
+            return stored;
+        }
+        let at = partition.0 as usize;
+        if self.seen.is_empty() {
+            self.seen.resize(at.max(first.0 as usize) + 1, None);
+            self.seen[first.0 as usize] = Some(stored);
+        } else if at >= self.seen.len() {
+            self.seen.resize(at + 1, None);
+        }
+        *self.seen[at].get_or_insert_with(lookup)
+    }
+
+    /// Every partition reached, in partition order.
+    fn reached(&self) -> impl Iterator<Item = PartitionId> + '_ {
+        let first = self.first.filter(|_| self.seen.is_empty());
+        let table = (self.seen.iter().enumerate())
+            .filter(|(_, seen)| seen.is_some())
+            .map(|(at, _)| PartitionId(at as u32));
+        first
+            .map(|(partition, _)| partition)
+            .into_iter()
+            .chain(table)
+    }
+}
+
+/// A write's sort key beside its position in its group.
+pub(crate) type Keyed = (u64, u32);
+
+/// Sorts `order` stably by `key >> from`: an LSD radix sort, eleven bits a
+/// pass, that skips every digit all keys share. Its scratch is one copy of
+/// `order` and one 2^11-entry histogram, whatever the keys' width.
+fn radix_sort(mut order: Vec<Keyed>, from: u32) -> Vec<Keyed> {
+    const DIGIT: u32 = 11;
+    const MASK: u64 = (1 << DIGIT) - 1;
+    let first = order.first().map_or(0, |&(key, _)| key);
+    let varying = order.iter().fold(0, |acc, &(key, _)| acc | (key ^ first));
+    let mut scratch = Vec::new();
+    let mut counts = [0u32; 1 << DIGIT];
+    let mut shift = from;
+    while shift < u64::BITS && varying >> shift != 0 {
+        if (varying >> shift) & MASK != 0 {
+            let digit = |key: u64| ((key >> shift) & MASK) as usize;
+            counts.fill(0);
+            for &(key, _) in &order {
+                counts[digit(key)] += 1;
+            }
+            let mut sum = 0;
+            for count in counts.iter_mut() {
+                (*count, sum) = (sum, sum + *count);
+            }
+            scratch.resize(order.len(), (0, 0));
+            for &(key, at) in &order {
+                let slot = &mut counts[digit(key)];
+                scratch[*slot as usize] = (key, at);
+                *slot += 1;
+            }
+            std::mem::swap(&mut order, &mut scratch);
+        }
+        shift += DIGIT;
+    }
+    order
+}
+
+/// Each routed write's sort key beside its position: the partition above
+/// the local bucket's bits (a partition's buckets are disjoint, so no two
+/// share their bits). Also returns how many bits the buckets take:
+/// `radix_sort(keys, 0)` is the (partition, local bucket) order,
+/// `radix_sort(keys, bits)` the partition order.
+fn bucket_keys(writes: &[Write]) -> (Vec<Keyed>, u32) {
+    let bits = u32::from(writes.iter().map(|w| w.bucket.depth).max().unwrap_or(0));
+    let keys = (writes.iter().zip(0..))
+        .map(|(w, at)| {
+            (
+                u64::from(w.partition.0) << bits | u64::from(w.bucket.bits),
+                at,
+            )
+        })
+        .collect();
+    (keys, bits)
 }
 
 /// The simulated cluster.
@@ -353,63 +483,67 @@ impl Cluster {
     // ------------------------------------------------------------ ingestion
 
     /// The one routine a record changes through: a write group — a feed
-    /// batch, or a point write as a group of one — routed through the CC's
-    /// directory ([`Cluster::route_group`]) and applied one partition at a
-    /// time. A step-driven rebalance keeps writes online during data
-    /// movement by replicating them to already-shipped buckets
-    /// ([`Cluster::replicate`]); only the brief prepare-to-commit window
-    /// refuses them (Section V-C).
+    /// batch, or a point write as a group of one — routed once, sorted once,
+    /// packed once and applied from that order. A step-driven rebalance
+    /// keeps writes online during data movement by replicating them to
+    /// already-shipped buckets ([`Cluster::replicate`]); only the brief
+    /// prepare-to-commit window refuses them (Section V-C).
     ///
-    /// A group is refused whole. Routing refuses the write block, a lost
-    /// bucket, an unroutable key and a replica destination that is not up;
-    /// then the owner of every partition's share must be up. Only after
-    /// both does anything apply, so an `Err` means no tree, pending copy or
-    /// heat counter changed. (A partition that lacks the dataset, or a
-    /// bucket for a key routed to it, is a routing bug: the group stops
-    /// there, that partition's share unwritten.)
+    /// A group is refused whole: [`Cluster::route_group`] decides every
+    /// refusal before anything applies — a route `claimed` from a session's
+    /// stale cache included — so an `Err` means no tree, pending copy or
+    /// heat counter changed, and the writes are as they came.
     ///
-    /// Each partition resolves its dataset storage once; its writes go into
-    /// the secondary indexes in group order and into the primary bucket by
-    /// bucket ([`PartitionDataset::write`]), so every tree sees the
-    /// operations applying the writes one at a time would show it. Every
-    /// write is heat on its *local* bucket, which keeps read heat, write
-    /// heat, bucket sizes and the planner's load map on one bucket
-    /// granularity before the CC absorbs local splits. `tally` hears how
-    /// many writes each partition took as their owner (`None`), and each
-    /// write replicated to a destination partition with its payload bytes
-    /// (`Some`). Returns how many deletes found their record live.
+    /// One stable radix sort (`radix_sort`) puts the routed writes in
+    /// (partition, local bucket) order, batch order kept within each
+    /// bucket; a group of one needs none. The payloads are packed along that
+    /// order ([`Cluster::pack`]), and each partition's share is applied from
+    /// it ([`PartitionDataset::write`]): the dataset's storage resolved once,
+    /// the secondary indexes fed in batch order and the primary bucket by
+    /// bucket, so every tree sees the operations applying the writes one at
+    /// a time would show it. Every write is heat on its *local* bucket,
+    /// which keeps read heat, write heat, bucket sizes and the planner's
+    /// load map on one bucket granularity before the CC absorbs local
+    /// splits. `tally` hears how many writes each partition took as their
+    /// owner (`None`), and each write replicated to a destination partition
+    /// with its payload bytes (`Some`). Returns how many deletes found their
+    /// record live.
     fn write_group(
         &mut self,
         dataset: DatasetId,
         writes: &mut [Write],
+        claimed: Option<&DatasetMeta>,
         mut tally: impl FnMut(PartitionId, u64, Option<u64>),
     ) -> Result<u64, ClusterError> {
-        self.route_group(dataset, writes)?;
-        // Each write's position, by partition and group order within each
-        // (a point write's is on the stack).
-        let (mut one, mut many) = ([(0, 0)], Vec::new());
-        let order = match writes {
-            [write] => {
-                one[0].0 = u64::from(write.partition.0);
-                &mut one[..]
-            }
+        self.route_group(dataset, writes, claimed)?;
+        // Each write's sort key and position in (partition, local bucket)
+        // order, and in partition order for the secondary indexes (a point
+        // write's are on the stack).
+        let one = [(0, 0)];
+        let (sorted, partitioned);
+        let (by_bucket, mut by_partition, bits): (&[Keyed], &[Keyed], u32) = match writes {
+            [_] => (&one, &one, 0),
             _ => {
-                many.extend(
-                    (writes.iter().enumerate())
-                        .map(|(at, write)| (u64::from(write.partition.0), at as u32)),
-                );
-                many.sort_unstable();
-                &mut many[..]
+                let meta = self.controller.dataset(dataset)?;
+                let (keys, bits) = bucket_keys(writes);
+                if meta.spec.secondary_indexes.is_empty() {
+                    sorted = radix_sort(keys, 0);
+                    (&sorted, &sorted, bits)
+                } else {
+                    partitioned = radix_sort(keys.clone(), bits);
+                    sorted = radix_sort(keys, 0);
+                    (&sorted, &partitioned, bits)
+                }
             }
         };
-        for share in order.chunk_by(|a, b| a.0 == b.0) {
-            self.require_up(self.node_of_partition(PartitionId(share[0].0 as u32))?)?;
-        }
+        Self::pack(writes, by_bucket);
         self.replicate(dataset, writes, &mut tally)?;
         let mut live = 0;
-        for share in order.chunk_by_mut(|a, b| a.0 == b.0) {
-            let partition = PartitionId(share[0].0 as u32);
-            tally(partition, share.len() as u64, None);
+        for in_bucket in by_bucket.chunk_by(|a, b| a.0 >> bits == b.0 >> bits) {
+            let in_batch;
+            (in_batch, by_partition) = by_partition.split_at(in_bucket.len());
+            let partition = writes[in_bucket[0].1 as usize].partition;
+            tally(partition, in_bucket.len() as u64, None);
             let Cluster {
                 partitions, heat, ..
             } = self;
@@ -417,7 +551,7 @@ impl Cluster {
                 .ok_or(ClusterError::UnknownPartition(partition))?
                 .dataset_mut(dataset)?;
             let armed = heat.armed();
-            live += ds.write(writes, share, |bucket| {
+            live += ds.write(writes, in_batch, in_bucket, |bucket| {
                 if armed {
                     heat.note_write(dataset, bucket);
                 }
@@ -426,41 +560,115 @@ impl Cluster {
         Ok(live)
     }
 
-    /// Routes a write group through the CC's directory, stamping each write
-    /// with its partition and — while a job is in flight — the shipped
-    /// bucket and destination it replicates to. A job's prepare-to-commit
-    /// window refuses the whole group, and so do a write to a lost bucket
-    /// (the first such write names its bucket), a write whose replica
-    /// destination is not up ([`Cluster::require_up`]) and a key the
-    /// directory cannot route.
-    fn route_group(&self, dataset: DatasetId, writes: &mut [Write]) -> Result<(), ClusterError> {
+    /// Routes a write group in one pass, stamping each write with its
+    /// partition, the bucket of that partition's local directory that covers
+    /// the key and — while a job is in flight — the shipped bucket and
+    /// destination it replicates to: one CC directory lookup and one local
+    /// directory lookup per write, each partition's storage resolved once
+    /// ([`Stores`]).
+    ///
+    /// `claimed` is a session's cached routing state, and the pass is also
+    /// the partition-side half of its redirect protocol: the partition the
+    /// session routed a key to serves it only if its local directory still
+    /// owns the bucket covering the key (for the Hashing scheme: if the
+    /// authoritative modulo route agrees). The local directory keeps
+    /// serving a moving bucket until the rebalance commits, and it covers
+    /// locally split children the CC may not have absorbed yet. Anything
+    /// else — the bucket moved away, the partition was decommissioned, the
+    /// dataset was rebuilt elsewhere — is [`RouteError::StaleDirectory`],
+    /// carrying the authoritative version. Where the session routes as the
+    /// CC does, the owner's lookup answers for it.
+    ///
+    /// Every refusal is decided here, before anything is stored, in this
+    /// order: a stale claim, or a key the session cannot route, whichever
+    /// comes first in the group; a job's prepare-to-commit window; a write
+    /// to a lost bucket or whose replica destination is not up
+    /// ([`Cluster::require_up`]), whichever comes first; a key the directory
+    /// cannot route; an owner of some partition's share that is not up;
+    /// and, a routing bug, a key whose partition holds no storage of the
+    /// dataset or no local bucket covering it.
+    fn route_group(
+        &self,
+        dataset: DatasetId,
+        writes: &mut [Write],
+        claimed: Option<&DatasetMeta>,
+    ) -> Result<(), ClusterError> {
+        let meta = self.controller.dataset(dataset)?;
+        let bucketed = meta.is_bucketed();
         let active = self.active_rebalances.get(&dataset);
+        let lost = (self.faults.lost_buckets.get(&dataset)).filter(|lost| !lost.is_empty());
+        let shipped = active.map(|active| &active.shipped);
+        let mut stores = Stores::new(self, dataset);
+        // The first refusal of each kind, in group order.
+        let (mut stale, mut refused, mut unroutable, mut unowned) = (None, None, false, None);
+        for write in writes.iter_mut() {
+            let hash = write.hash;
+            let (bucket, partition) = match &meta.directory {
+                Some(dir) => dir.lookup_hash(hash).unzip(),
+                None => (None, meta.route_hash(hash)),
+            };
+            let local = partition.and_then(|p| stores.get(p)?.primary.bucket_of_hash(hash));
+            if let Some(claimed) = claimed.filter(|_| stale.is_none()) {
+                let served = match claimed.route_hash(hash) {
+                    None => Err(ClusterError::RoutingFailed(dataset)),
+                    Some(claim) if Some(claim) == partition => Ok(match bucketed {
+                        true => local.is_some(),
+                        false => stores.get(claim).is_some(),
+                    }),
+                    Some(claim) => Ok(bucketed
+                        && (self.partition(claim).ok())
+                            .and_then(|part| part.dataset(dataset).ok())
+                            .is_some_and(|ds| ds.primary.bucket_of_hash(hash).is_some())),
+                };
+                stale = match served {
+                    Ok(true) => None,
+                    Ok(false) => Some(ClusterError::Route(RouteError::StaleDirectory {
+                        server_version: meta.routing_version(),
+                    })),
+                    Err(refusal) => Some(refusal),
+                };
+            }
+            if let Some(bucket) = bucket.filter(|b| lost.is_some_and(|lost| lost.contains(b))) {
+                refused = refused.or(Some(ClusterError::BucketDegraded { dataset, bucket }));
+            }
+            write.replica = bucket.and_then(|b| Some((b, *shipped?.get(&b)?)));
+            if let (None, Some((_, destination))) = (&refused, write.replica) {
+                let node = self.node_of_partition(destination);
+                refused = node.and_then(|node| self.require_up(node)).err();
+            }
+            let Some(partition) = partition else {
+                unroutable = true;
+                continue;
+            };
+            write.partition = partition;
+            match local {
+                Some(local) => write.bucket = local,
+                None => unowned = unowned.or(Some((partition, hash))),
+            }
+        }
+        if let Some(refusal) = stale {
+            return Err(refusal);
+        }
         if active.is_some_and(|active| active.write_blocked) {
             return Err(ClusterError::DatasetWriteBlocked(dataset));
         }
-        let meta = self.controller.dataset(dataset)?;
-        let lost = (self.faults.lost_buckets.get(&dataset)).filter(|lost| !lost.is_empty());
-        let shipped = active.map(|active| &active.shipped);
-        let mut unroutable = false;
-        for write in writes.iter_mut() {
-            let (bucket, partition) = match &meta.directory {
-                Some(dir) => dir.lookup_hash(write.hash).unzip(),
-                None => (None, meta.route_hash(write.hash)),
-            };
-            if let Some(bucket) = bucket.filter(|b| lost.is_some_and(|lost| lost.contains(b))) {
-                return Err(ClusterError::BucketDegraded { dataset, bucket });
-            }
-            unroutable |= partition.is_none();
-            write.partition = partition.unwrap_or(PartitionId(u32::MAX));
-            write.replica = bucket.and_then(|b| Some((b, *shipped?.get(&b)?)));
-            if let Some((_, destination)) = write.replica {
-                self.require_up(self.node_of_partition(destination)?)?;
-            }
+        if let Some(refusal) = refused {
+            return Err(refusal);
         }
         if unroutable {
             return Err(ClusterError::RoutingFailed(dataset));
         }
-        Ok(())
+        for partition in stores.reached() {
+            self.require_up(self.node_of_partition(partition)?)?;
+        }
+        match unowned {
+            None => Ok(()),
+            Some((partition, hash)) => {
+                self.partition(partition)?.dataset(dataset)?;
+                let bucket = BucketId::of_hash(hash, 0);
+                Err(ClusterError::Storage(StorageError::UnknownBucket(bucket)))
+            }
+        }
     }
 
     /// Replicates writes to the pending copies of the buckets an in-flight
@@ -500,21 +708,60 @@ impl Cluster {
         Ok(())
     }
 
+    /// Packs a write group's payloads: the writes of one local bucket share
+    /// one allocation, so what the memory components hold — and the flushes
+    /// hand on — are slices of a few slabs that die whole when a merge
+    /// rewrites the run, instead of one small allocation per record for the
+    /// allocator to take back piecemeal. `by_bucket` is the group in
+    /// (partition, local bucket) order, batch order kept within each bucket:
+    /// each bucket's writes are one stretch of it, and its slab holds their
+    /// payloads in batch order. A bucket that takes one write, and so a
+    /// point write, keeps the allocation its writer made.
+    fn pack(writes: &mut [Write], by_bucket: &[Keyed]) {
+        let mut slabs: Vec<Value> = Vec::new();
+        for members in by_bucket
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter(|m| m.len() > 1)
+        {
+            let payloads = members
+                .iter()
+                .filter_map(|&(_, at)| writes[at as usize].value.as_ref());
+            slabs.push(Value::concat(payloads));
+            for &(_, at) in members {
+                writes[at as usize].slab = (slabs.len() - 1) as u32;
+            }
+        }
+        // Every slab is built before any old payload is let go, and those go
+        // in batch order — the order their writer made them in — so the
+        // allocator gets one region back whole, not small chunks between
+        // live ones. Within a bucket batch order is slab order, so each
+        // write cuts its slice off the front of its slab.
+        for write in writes.iter_mut() {
+            let (Some(slab), Some(value)) = (slabs.get_mut(write.slab as usize), &mut write.value)
+            else {
+                continue;
+            };
+            *value = slab.split_to(value.len());
+        }
+    }
+
     /// One routed point write, backing [`crate::session::Session::put`]
     /// (`Some(value)`) and [`crate::session::Session::delete`] (`None`): a
-    /// write group of one, without the batch path's cluster-wide metrics
-    /// sweeps (a point write's cost report is discarded anyway). Returns
-    /// whether a delete found the key live.
+    /// write group of one, routed as the session `claimed`, without the
+    /// batch path's cluster-wide metrics sweeps (a point write's cost report
+    /// is discarded anyway). Returns whether a delete found the key live.
     pub(crate) fn write_routed(
         &mut self,
         dataset: DatasetId,
-        write: Write,
+        write: &mut Write,
+        claimed: &DatasetMeta,
     ) -> Result<bool, ClusterError> {
-        Ok(self.write_group(dataset, &mut [write], |_, _, _| {})? > 0)
+        let group = std::slice::from_mut(write);
+        Ok(self.write_group(dataset, group, Some(claimed), |_, _, _| {})? > 0)
     }
 
-    /// Ingests a batch of records through a data feed: the batch is packed,
-    /// routed through the CC's directory and written
+    /// Ingests a batch of records through a data feed: the batch is routed
+    /// through the CC's directory, sorted, packed and written
     /// ([`Cluster::write_group`]). Nothing in between can change the
     /// directory, so the feed copies none.
     ///
@@ -531,20 +778,22 @@ impl Cluster {
         dataset: DatasetId,
         records: impl IntoIterator<Item = (Key, Value)>,
     ) -> Result<IngestReport, ClusterError> {
-        let writes = (records.into_iter())
+        let mut writes: Vec<Write> = (records.into_iter())
             .map(|(key, value)| Write::new(key, Some(value)))
             .collect();
-        self.ingest_writes(dataset, writes)
+        self.ingest_writes(dataset, &mut writes, None)
     }
 
-    /// [`Cluster::ingest`] of writes whose keys are hashed already.
+    /// [`Cluster::ingest`] of writes whose keys are hashed already, routed
+    /// as a session `claimed` if one did. A refused batch leaves the writes
+    /// as they came.
     pub(crate) fn ingest_writes(
         &mut self,
         dataset: DatasetId,
-        mut writes: Vec<Write>,
+        writes: &mut [Write],
+        claimed: Option<&DatasetMeta>,
     ) -> Result<IngestReport, ClusterError> {
         let cost_model = self.config.cost_model;
-        self.pack(dataset, &mut writes)?;
 
         // Per-partition metric snapshots to charge IO costs ex post.
         let before: BTreeMap<PartitionId, MetricsSnapshot> = self
@@ -562,7 +811,7 @@ impl Cluster {
             .collect();
 
         let mut tallied: Vec<(PartitionId, u64, Option<u64>)> = Vec::new();
-        self.write_group(dataset, &mut writes, |partition, records, bytes| {
+        self.write_group(dataset, writes, claimed, |partition, records, bytes| {
             tallied.push((partition, records, bytes));
         })?;
         // Records written per owner node, and records and payload bytes
@@ -608,54 +857,6 @@ impl Cluster {
             elapsed: timeline.elapsed(),
             per_node: timeline.breakdown(),
         })
-    }
-
-    /// Packs a feed batch's payloads at the door: the records bound for one
-    /// bucket share one allocation, so what the memory components hold —
-    /// and the flushes hand on — are slices of a few slabs that die whole
-    /// when a merge rewrites the run, instead of one small allocation per
-    /// record for the allocator to take back piecemeal. Records are grouped
-    /// by as many low-order hash bits as the deepest local directory uses,
-    /// so a group never straddles two buckets; under the Hashing scheme, by
-    /// partition.
-    fn pack(&self, dataset: DatasetId, writes: &mut [Write]) -> Result<(), ClusterError> {
-        let meta = self.controller.dataset(dataset)?;
-        let depth = (meta.partitions.iter())
-            .filter_map(|p| self.partition(*p).ok()?.dataset(dataset).ok())
-            .map(|ds| ds.primary.local_depth())
-            .max()
-            .unwrap_or(0);
-        let mask = (1u64 << depth.min(32)) - 1;
-        let mut groups: Vec<(u64, u32)> = (writes.iter().enumerate())
-            .filter_map(|(at, write)| {
-                let group = match &meta.directory {
-                    Some(_) => write.hash & mask,
-                    None => u64::from(meta.route_hash(write.hash)?.0),
-                };
-                Some((group, at as u32))
-            })
-            .collect();
-        groups.sort_unstable();
-        // Every slab is built before any old payload is let go, and those go
-        // in batch order — the order their writer made them in — so the
-        // allocator gets one region back whole, not small chunks between
-        // live ones.
-        let mut packed: Vec<Option<Value>> = vec![None; writes.len()];
-        for members in groups.chunk_by(|a, b| a.0 == b.0).filter(|m| m.len() > 1) {
-            let payload = |&(_, at): &(u64, u32)| writes[at as usize].value.as_ref();
-            let mut slab = Value::concat(members.iter().filter_map(payload));
-            for member in members {
-                if let Some(value) = payload(member) {
-                    packed[member.1 as usize] = Some(slab.split_to(value.len()));
-                }
-            }
-        }
-        for (write, packed) in writes.iter_mut().zip(packed) {
-            if packed.is_some() {
-                write.value = packed;
-            }
-        }
-        Ok(())
     }
 
     // -------------------------------------------------------------- scaling
@@ -1051,7 +1252,8 @@ impl Admin<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynahash_lsm::Bytes;
+    use dynahash_lsm::{Bytes, SplitMix64};
+    use std::collections::BTreeSet;
 
     fn records(n: u64) -> Vec<(Key, Value)> {
         (0..n)
@@ -1089,8 +1291,9 @@ mod tests {
                 .unwrap();
             cluster.ingest(ds, records(4000)).unwrap();
             let own = Bytes::from(vec![9u8; 64]);
-            cluster
-                .write_routed(ds, Write::new(Key::from_u64(4000), Some(own.clone())))
+            let mut session = cluster.session(ds).unwrap();
+            session
+                .put(&mut cluster, Key::from_u64(4000), own.clone())
                 .unwrap();
             let mut slabs: Vec<std::ops::Range<*const u8>> = Vec::new();
             for p in cluster.topology().partitions() {
@@ -1118,7 +1321,6 @@ mod tests {
                     slabs.push(slab);
                 }
             }
-            let mut session = cluster.session(ds).unwrap();
             let got = session
                 .get(&cluster, &Key::from_u64(4000))
                 .unwrap()
@@ -1126,6 +1328,81 @@ mod tests {
             assert!(std::ptr::eq(got.as_ptr(), own.as_ptr()));
             for (key, value) in records(4000).into_iter().step_by(97) {
                 assert_eq!(session.get(&cluster, &key).unwrap(), Some(value));
+            }
+        }
+    }
+
+    /// A random local directory reaching `depth`: disjoint buckets covering
+    /// the hash space, split down one hash's path to `depth` and at random
+    /// beside it.
+    fn random_directory(rng: &mut SplitMix64, depth: u8) -> BTreeSet<BucketId> {
+        let mut buckets = BTreeSet::from([BucketId::root()]);
+        let path = rng.next_u64();
+        for _ in 0..depth {
+            for hash in [path, rng.next_u64()] {
+                let bucket = owner(&buckets, hash);
+                if bucket.depth < depth {
+                    let (lo, hi) = bucket.split();
+                    buckets.remove(&bucket);
+                    buckets.extend([lo, hi]);
+                }
+            }
+        }
+        assert_eq!(owner(&buckets, path).depth, depth);
+        buckets
+    }
+
+    /// The bucket of `buckets` that covers `hash`.
+    fn owner(buckets: &BTreeSet<BucketId>, hash: u64) -> BucketId {
+        (0..=32)
+            .map(|depth| BucketId::of_hash(hash, depth))
+            .find(|b| buckets.contains(b))
+            .unwrap()
+    }
+
+    /// The radix sort is a stable sort by (partition, local bucket), and by
+    /// partition alone, whatever the directories' depth: groups of 0, 1 and
+    /// 10 000 routed writes over up to 24 partitions (their ids up to
+    /// 23 000 apart), each with a random local directory of depth 0 to 20.
+    #[test]
+    fn prop_the_radix_sort_is_a_stable_sort_by_partition_and_local_bucket() {
+        let mut rng = SplitMix64::seed_from_u64(0x50f7);
+        for depth in 0..=20 {
+            for n in [0, 1, 10_000] {
+                let partitions = 1 + rng.gen_index(24);
+                let stride = [1, 7, 1000][rng.gen_index(3)];
+                let directories: Vec<_> = (0..partitions)
+                    .map(|_| random_directory(&mut rng, depth))
+                    .collect();
+                let writes: Vec<Write> = (0..n)
+                    .map(|i| {
+                        let mut write = Write::new(Key::from_u64(i), None);
+                        // Half the writes go to the first four partitions,
+                        // so that a bucket takes several.
+                        let reach = match rng.gen_ratio(1, 2) {
+                            true => partitions.min(4),
+                            false => partitions,
+                        };
+                        let p = rng.gen_index(reach);
+                        write.partition = PartitionId((p * stride) as u32);
+                        write.bucket = owner(&directories[p], write.hash);
+                        write
+                    })
+                    .collect();
+                let (keys, bits) = bucket_keys(&writes);
+                let ctx = format!("depth {depth}, {n} writes");
+                let positions = |order: Vec<Keyed>| -> Vec<u32> {
+                    order.into_iter().map(|(_, at)| at).collect()
+                };
+                let mut expected: Vec<u32> = (0..n as u32).collect();
+                expected.sort_by_key(|&at| {
+                    let write = &writes[at as usize];
+                    (write.partition, write.bucket)
+                });
+                assert_eq!(positions(radix_sort(keys.clone(), 0)), expected, "{ctx}");
+                expected.sort_by_key(|&at| at);
+                expected.sort_by_key(|&at| writes[at as usize].partition);
+                assert_eq!(positions(radix_sort(keys, bits)), expected, "{ctx}");
             }
         }
     }

@@ -10,6 +10,12 @@
 //! components: whatever staged it (a ship or a repair's feed) and whatever
 //! writes were replicated to it, the secondary indexes learn it once, from
 //! its components as installed, on the first index query.
+//!
+//! A partition applies its share of a routed write group
+//! (`PartitionDataset::write`): the secondary indexes take the writes in
+//! batch order, then the primary takes them in the group's sorted order,
+//! bucket by bucket. Each write arrives stamped with its local bucket, so
+//! nothing is looked up or sorted here again.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -20,7 +26,7 @@ use dynahash_lsm::{
     SecondaryEntry, SecondaryIndex, StorageError, StorageMetrics, Value,
 };
 
-use crate::cluster::Write;
+use crate::cluster::{Keyed, Write};
 use crate::dataset::{DatasetId, DatasetSpec, SecondaryIndexDef};
 use crate::ClusterError;
 
@@ -76,41 +82,41 @@ impl PartitionDataset {
     /// Ingests one record: the primary index and every secondary index are
     /// updated (a write group of one, see `PartitionDataset::write`).
     pub fn ingest(&mut self, key: Key, value: Value) -> Result<(), ClusterError> {
-        let write = Write::new(key, Some(value));
-        self.write(&mut [write], &mut [(0, 0)], |_| {}).map(drop)
+        self.write_one(Write::new(key, Some(value))).map(drop)
     }
 
-    /// Writes this partition's share of a write group — the writes at the
-    /// positions `share` holds, in group order — and returns how many
-    /// deletes found their record live. Every secondary index takes the
-    /// writes in that order — a put's extracted keys, and a delete's keys
-    /// extracted from the payload it replaces, so index scans never return
-    /// phantom hits — then the primary takes them
-    /// grouped by bucket, group order kept within each bucket
-    /// ([`BucketedLsmTree::apply_hashed`]): every tree sees what applying the
-    /// writes one at a time would show it, and each bucket's tree is
-    /// resolved once. A delete reads the payload it replaces before the
-    /// primary takes any write of the group, so a group that deletes a key
-    /// writes nothing else to it (the feed only puts; a point delete is a
-    /// group of one). `noted` hears the bucket of each primary write. The
-    /// share's first halves are scratch, and its writes are left without
-    /// keys or payloads.
+    /// Writes one write as a group of one, routed to its local bucket here.
+    fn write_one(&mut self, mut write: Write) -> Result<u64, ClusterError> {
+        let hash = write.hash;
+        write.bucket = (self.primary.bucket_of_hash(hash))
+            .ok_or(StorageError::UnknownBucket(BucketId::of_hash(hash, 0)))?;
+        self.write(&mut [write], &[(0, 0)], &[(0, 0)], |_| {})
+    }
+
+    /// Writes this partition's share of a routed write group and returns
+    /// how many deletes found their record live. The share's positions come
+    /// twice: `in_batch` in group order, `in_bucket` grouped by local bucket
+    /// (the bucket each write is stamped with), group order kept within
+    /// each bucket; without secondary indexes the two may be one order.
+    /// Every secondary index takes the writes in group order — a put's
+    /// extracted keys, and a delete's keys extracted from the payload it
+    /// replaces, so index scans never return phantom hits — then the primary
+    /// takes them in bucket order ([`BucketedLsmTree::apply_routed`]): every
+    /// tree sees what applying the writes one at a time would show it, and
+    /// each bucket's tree is resolved once. A delete reads the payload it
+    /// replaces before the primary takes any write of the group, so a group
+    /// that deletes a key writes nothing else to it (the feed only puts; a
+    /// point delete is a group of one). `noted` hears the bucket of each
+    /// primary write. The share's writes are left without keys or payloads.
     pub(crate) fn write(
         &mut self,
         writes: &mut [Write],
-        share: &mut [(u64, u32)],
+        in_batch: &[Keyed],
+        in_bucket: &[Keyed],
         noted: impl FnMut(BucketId),
     ) -> Result<u64, ClusterError> {
-        // Each write's bucket, before anything is written: a key no bucket
-        // covers is a routing bug upstream, and refuses the whole share.
-        for (bucket, at) in share.iter_mut() {
-            let hash = writes[*at as usize].hash;
-            let owner = (self.primary.bucket_of_hash(hash))
-                .ok_or(StorageError::UnknownBucket(BucketId::of_hash(hash, 0)))?;
-            *bucket = u64::from(owner.bits) << 8 | u64::from(owner.depth);
-        }
         let mut live = 0;
-        for write in share.iter().map(|&(_, at)| &writes[at as usize]) {
+        for write in in_batch.iter().map(|&(_, at)| &writes[at as usize]) {
             let old;
             let (payload, put) = match &write.value {
                 Some(value) => (Some(value), true),
@@ -132,14 +138,13 @@ impl PartitionDataset {
                 }
             }
         }
-        share.sort_unstable();
-        let entries = share.iter().map(|&(_, at)| {
+        let entries = in_bucket.iter().map(|&(_, at)| {
             let write = &mut writes[at as usize];
             let op = write.value.take().map_or(Op::Delete, Op::Put);
             let key = std::mem::take(&mut write.key);
-            (Entry { key, op }, write.hash)
+            (Entry { key, op }, write.hash, write.bucket)
         });
-        (self.primary.apply_hashed(entries, noted)).map_err(ClusterError::Storage)?;
+        (self.primary.apply_routed(entries, noted)).map_err(ClusterError::Storage)?;
         Ok(live)
     }
 
@@ -153,8 +158,7 @@ impl PartitionDataset {
     /// scans never return phantom hits for deleted records. Returns whether
     /// the record was live.
     pub fn delete(&mut self, key: &Key) -> Result<bool, ClusterError> {
-        let write = Write::new(key.clone(), None);
-        Ok(self.write(&mut [write], &mut [(0, 0)], |_| {})? > 0)
+        Ok(self.write_one(Write::new(key.clone(), None))? > 0)
     }
 
     /// Finds a secondary index by name.

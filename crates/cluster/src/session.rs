@@ -140,41 +140,6 @@ impl Cluster {
         })
     }
 
-    /// Partition-side validation of a routed request: the partition serves
-    /// it only if its local directory still owns the bucket covering the
-    /// key (for the Hashing scheme: if the authoritative modulo route agrees).
-    /// Anything else — the bucket moved away, the partition was
-    /// decommissioned, the dataset was rebuilt elsewhere — is rejected as
-    /// [`RouteError::StaleDirectory`] carrying the authoritative version.
-    pub(crate) fn validate_route(
-        &self,
-        dataset: DatasetId,
-        hash: u64,
-        partition: PartitionId,
-    ) -> Result<()> {
-        let meta = self.controller.dataset(dataset)?;
-        let stale = ClusterError::Route(RouteError::StaleDirectory {
-            server_version: meta.routing_version(),
-        });
-        let Ok(part) = self.partition(partition) else {
-            return Err(stale);
-        };
-        let Ok(ds) = part.dataset(dataset) else {
-            return Err(stale);
-        };
-        if meta.is_bucketed() {
-            // The local directory is the partition's truth: it keeps serving
-            // a moving bucket until the rebalance commits, and it covers
-            // locally split children the CC may not have absorbed yet.
-            if ds.primary.bucket_of_hash(hash).is_none() {
-                return Err(stale);
-            }
-        } else if meta.route_hash(hash) != Some(partition) {
-            return Err(stale);
-        }
-        Ok(())
-    }
-
     /// Validated point read in one partition pass: the hot path of
     /// [`Session::get`]. `bucketed` comes from the session's cached spec (a
     /// dataset never changes scheme) and `hash` is the session's one
@@ -213,8 +178,16 @@ impl Cluster {
                 server_version: self.controller.routing_version(dataset)?,
             }))
         } else {
-            self.validate_route(dataset, hash, partition)?;
-            Ok(self.partition(partition)?.dataset(dataset)?.get(key))
+            // The Hashing scheme serves a key where the authoritative
+            // modulo route sends it.
+            let meta = self.controller.dataset(dataset)?;
+            let ds = (self.partition(partition).ok()).and_then(|part| part.dataset(dataset).ok());
+            match ds.filter(|_| meta.route_hash(hash) == Some(partition)) {
+                Some(ds) => Ok(ds.get(key)),
+                None => Err(ClusterError::Route(RouteError::StaleDirectory {
+                    server_version: meta.routing_version(),
+                })),
+            }
         }
     }
 }
@@ -339,12 +312,11 @@ impl Session {
     /// live.
     fn write(&mut self, cluster: &mut Cluster, key: Key, value: Option<Value>) -> Result<bool> {
         self.metrics.requests += 1;
-        let write = Write::new(key, value);
+        let mut write = Write::new(key, value);
         let mut attempts = 0usize;
         loop {
-            let partition = self.route_hash(write.hash)?;
-            match cluster.validate_route(self.dataset, write.hash, partition) {
-                Ok(()) => return cluster.write_routed(self.dataset, write),
+            match cluster.write_routed(self.dataset, &mut write, &self.cache) {
+                Ok(live) => return Ok(live),
                 Err(e) => self.handle_rejection(cluster, e, &mut attempts)?,
             }
         }
@@ -362,22 +334,17 @@ impl Session {
         cluster: &mut Cluster,
         records: impl IntoIterator<Item = (Key, Value)>,
     ) -> Result<IngestReport> {
-        let writes: Vec<Write> = (records.into_iter())
+        let mut writes: Vec<Write> = (records.into_iter())
             .map(|(key, value)| Write::new(key, Some(value)))
             .collect();
         self.metrics.requests += writes.len() as u64;
         let mut attempts = 0usize;
-        'validate: loop {
-            for write in &writes {
-                let partition = self.route_hash(write.hash)?;
-                if let Err(e) = cluster.validate_route(self.dataset, write.hash, partition) {
-                    self.handle_rejection(cluster, e, &mut attempts)?;
-                    continue 'validate;
-                }
+        loop {
+            match cluster.ingest_writes(self.dataset, &mut writes, Some(&self.cache)) {
+                Ok(report) => return Ok(report),
+                Err(e) => self.handle_rejection(cluster, e, &mut attempts)?,
             }
-            break;
         }
-        cluster.ingest_writes(self.dataset, writes)
     }
 
     // ------------------------------------------------------------ scan ops
@@ -596,6 +563,42 @@ mod tests {
             stale.get(&cluster, &k).unwrap();
         }
         assert_eq!(stale.metrics().redirects, 1);
+    }
+
+    /// Writes take part in the redirect protocol too: a stale session's
+    /// first put to a moved bucket is refused, refreshes the cache and
+    /// lands on the retry, and so does a stale session's batch; both
+    /// sessions then route cleanly, and every record reads back.
+    #[test]
+    fn stale_session_writes_redirect_once_and_land() {
+        let (mut cluster, ds) = loaded(2, Scheme::StaticHash { num_buckets: 32 }, 0);
+        let (mut puts, mut batches) = (cluster.session(ds).unwrap(), cluster.session(ds).unwrap());
+        cluster.add_node().unwrap();
+        let target = cluster.topology().clone();
+        let report = cluster
+            .rebalance(ds, &target, RebalanceOptions::none())
+            .unwrap();
+        assert!(report.buckets_moved > 0);
+        for i in 0..1000u64 {
+            let (k, v) = record(i);
+            puts.put(&mut cluster, k, v).unwrap();
+        }
+        batches
+            .ingest(&mut cluster, (1000..2000).map(record))
+            .unwrap();
+        batches
+            .ingest(&mut cluster, (2000..3000).map(record))
+            .unwrap();
+        for session in [&puts, &batches] {
+            let m = session.metrics();
+            assert_eq!((m.redirects, m.delta_refreshes, m.retries), (1, 1, 1));
+        }
+        let mut reader = cluster.session(ds).unwrap();
+        for i in 0..3000u64 {
+            let (k, v) = record(i);
+            assert_eq!(reader.get(&cluster, &k).unwrap(), Some(v), "key {i}");
+        }
+        cluster.check_dataset_consistency(ds).unwrap();
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! route to; so does a batch with one record a job replicates to a down
 //! destination, and a point write refused that way leaves every tree, the
 //! storage metrics and the armed heat map as they were. A down node
-//! refuses with `NodeDown`, a permanently lost one with `NodeLost`.
+//! refuses with `NodeDown`, a permanently lost one with `NodeLost`. A
+//! record whose partition no longer holds a local bucket covering its key
+//! (a routing bug) refuses the batch whole as well.
 
 use dynahash_cluster::{
     Cluster, ClusterError, DatasetId, DatasetSpec, RebalanceJob, SecondaryIndexDef,
@@ -13,7 +15,7 @@ use dynahash_cluster::{
 use dynahash_core::{BucketHeat, NodeId, Scheme};
 use dynahash_lsm::entry::{Entry, Key};
 use dynahash_lsm::metrics::MetricsSnapshot;
-use dynahash_lsm::{BucketId, Bytes, LsmTree};
+use dynahash_lsm::{BucketId, Bytes, LsmTree, StorageError};
 use std::collections::BTreeMap;
 
 fn record(k: u64) -> (Key, Bytes) {
@@ -270,4 +272,51 @@ fn a_write_a_lost_node_refuses_is_refused_with_node_lost() {
         Err(ClusterError::NodeLost(node)) => assert_eq!(node, added),
         other => panic!("expected NodeLost, got {other:?}"),
     }
+}
+
+/// A routing bug refuses a batch whole too: a record routed to a partition
+/// whose local directory no longer covers its key. The routing pass finds
+/// every record's local bucket before anything is stored, so the shares of
+/// the partitions before the broken one are not stored either.
+#[test]
+fn a_batch_with_a_record_no_local_bucket_covers_stores_none_of_its_records() {
+    let mut cluster = Cluster::new(2);
+    let ds = cluster
+        .create_dataset(DatasetSpec::new(
+            "kv",
+            Scheme::StaticHash { num_buckets: 16 },
+        ))
+        .unwrap();
+    let records: Vec<(Key, Bytes)> = (0..400).map(record).collect();
+    let partitions = cluster.topology().partitions();
+    let (first, last) = (partitions[0], *partitions.last().unwrap());
+    let routes: Vec<_> = {
+        let meta = cluster.controller.dataset(ds).unwrap();
+        let directory = meta.directory.as_ref().unwrap();
+        (records.iter())
+            .map(|(key, _)| directory.lookup_key(key).unwrap())
+            .collect()
+    };
+    assert!(
+        routes.iter().any(|(_, p)| *p == first),
+        "the batch needs records for a partition before the broken one"
+    );
+    let (dropped, _) = *routes.iter().find(|(_, p)| *p == last).unwrap();
+    let mut admin = cluster.admin();
+    let local = admin.partition_mut(last).unwrap().dataset_mut(ds).unwrap();
+    local.primary.drop_bucket(dropped).unwrap();
+
+    let before = state(&mut cluster, ds);
+    match cluster.admin().ingest(ds, records.clone()) {
+        Err(ClusterError::Storage(StorageError::UnknownBucket(_))) => {}
+        other => panic!("expected UnknownBucket, got {other:?}"),
+    }
+    assert_eq!(
+        stored(&mut cluster, ds, &records),
+        vec![false; records.len()]
+    );
+    assert!(
+        state(&mut cluster, ds) == before,
+        "the refused batch stored"
+    );
 }

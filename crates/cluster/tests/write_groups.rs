@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use dynahash_cluster::{Cluster, DatasetId, DatasetSpec, RebalanceJob, SecondaryIndexDef};
-use dynahash_core::{RebalanceOutcome, Scheme};
+use dynahash_core::{PartitionId, RebalanceOutcome, Scheme};
 use dynahash_lsm::entry::{Entry, Key};
 use dynahash_lsm::metrics::MetricsSnapshot;
 use dynahash_lsm::{Bytes, LsmTree, SplitMix64};
@@ -119,8 +119,20 @@ fn batch(seed: u64, n: u64) -> Vec<(Key, Bytes)> {
 /// Writes `records` as one batch on one copy and one at a time through a
 /// session on the other, and compares the two.
 fn assert_batch_matches_puts(scheme: Scheme, seeds: std::ops::Range<u64>) {
+    assert_batch_matches_puts_after(scheme, seeds, |_, _| {});
+}
+
+/// [`assert_batch_matches_puts`] on two copies that `prepare` changed alike
+/// after the load.
+fn assert_batch_matches_puts_after(
+    scheme: Scheme,
+    seeds: std::ops::Range<u64>,
+    prepare: impl Fn(&mut Cluster, DatasetId),
+) {
     let (mut batched, ds) = loaded(scheme);
     let (mut single, _) = loaded(scheme);
+    prepare(&mut batched, ds);
+    prepare(&mut single, ds);
     assert_eq!(
         cluster_state(&mut batched, ds),
         cluster_state(&mut single, ds)
@@ -177,6 +189,44 @@ fn a_batch_that_splits_buckets_midway_matches_one_put_at_a_time() {
         "the batch must split buckets"
     );
     assert_batch_matches_puts(scheme, 1..5);
+}
+
+/// The depth of the CC's directory of `ds`.
+fn global_depth(cluster: &Cluster, ds: DatasetId) -> u8 {
+    let meta = cluster.controller.dataset(ds).unwrap();
+    meta.directory.as_ref().unwrap().global_depth()
+}
+
+/// A batch lands on a partition whose local directory is deeper than the
+/// CC's: one of its buckets split locally, one child split again, and the
+/// CC has not absorbed either split. The CC routes the children's keys to
+/// the partition by their ancestor; the partition's local directory names
+/// the child each write goes to.
+#[test]
+fn a_batch_onto_local_splits_the_cc_has_not_absorbed_matches_one_put_at_a_time() {
+    let scheme = Scheme::StaticHash { num_buckets: 16 };
+    assert_batch_matches_puts_after(scheme, 1..4, |cluster, ds| {
+        let mut admin = cluster.admin();
+        let local = admin.partition_mut(PartitionId(1)).unwrap();
+        let primary = &mut local.dataset_mut(ds).unwrap().primary;
+        let (lo, _) = primary.split_bucket(primary.bucket_ids()[0]).unwrap();
+        primary.split_bucket(lo).unwrap();
+        let depth = primary.local_depth();
+        assert!(depth > global_depth(cluster, ds), "local depth {depth}");
+    });
+}
+
+/// A batch into a dataset of depth 13: 8192 buckets over 12 partitions, so
+/// the sort's keys span more than one of its digits and most buckets take
+/// one write of a batch or none.
+#[test]
+fn a_batch_into_a_deep_directory_matches_one_put_at_a_time() {
+    let scheme = Scheme::StaticHash {
+        num_buckets: 1 << 13,
+    };
+    assert_batch_matches_puts_after(scheme, 1..3, |cluster, ds| {
+        assert_eq!(global_depth(cluster, ds), 13);
+    });
 }
 
 /// A batch lands after the job's first wave shipped its buckets: writes to

@@ -13,12 +13,12 @@
 //! route is one probe. A partition owns only part of the hash space, so
 //! slots outside its buckets are empty.
 //!
-//! Writes arrive with their keys' hashes ([`BucketedLsmTree::apply_hashed`]):
-//! a stretch of writes to one bucket resolves the bucket's tree once, and
-//! the split check after each write reads the tree's kept logical size
-//! instead of walking its components. A split builds both children's
-//! reference components in one pass over each parent component
-//! (`Component::split`).
+//! Writes arrive with their keys' hashes and the buckets the writer found
+//! them in ([`BucketedLsmTree::apply_routed`]): a stretch of writes to one
+//! bucket resolves the bucket's tree once, and the split check after each
+//! write reads the tree's kept logical size instead of walking its
+//! components. A split builds both children's reference components in one
+//! pass over each parent component (`Component::split`).
 //!
 //! The type also implements the destination-side machinery of the rebalance
 //! data-movement phase: *pending* (received) buckets hold the shipped (or
@@ -206,32 +206,40 @@ impl BucketedLsmTree {
     /// if it exceeded its maximum size.
     pub fn apply(&mut self, entry: Entry) -> Result<()> {
         let hash = hash_key(&entry.key);
-        self.apply_hashed([(entry, hash)], |_| {})
+        let bucket = (self.bucket_of_hash(hash))
+            .ok_or(StorageError::UnknownBucket(BucketId::of_hash(hash, 0)))?;
+        self.apply_routed([(entry, hash, bucket)], |_| {})
     }
 
-    /// Applies writes in order, each beside its key's `hash_key`, splitting
-    /// a bucket as soon as a write takes it past its maximum size: every
-    /// bucket's tree sees what applying the writes one by one would show it.
-    /// A stretch of writes to one bucket resolves the bucket's tree once,
-    /// and again only after a split, so a writer that groups its writes by
-    /// bucket (batch order kept within each) pays one lookup per bucket; the
-    /// split check after each write is O(1) ([`LsmTree::logical_size_bytes`]).
-    /// `noted` hears the bucket each write goes to. Stops at the first write
-    /// no owned bucket covers.
-    pub fn apply_hashed(
+    /// Applies writes in order, each beside its key's `hash_key` and the
+    /// owned bucket the caller found for it ([`BucketedLsmTree::bucket_of_hash`]),
+    /// splitting a bucket as soon as a write takes it past its maximum size:
+    /// every bucket's tree sees what applying the writes one by one would
+    /// show it. A stretch of writes to one bucket resolves the bucket's tree
+    /// once, so a writer that groups its writes by bucket (batch order kept
+    /// within each) pays one tree lookup per bucket; the split check after
+    /// each write is O(1) ([`LsmTree::logical_size_bytes`]). Once a split
+    /// has replaced a bucket, the rest of the writes find theirs again by
+    /// hash. `noted` hears the bucket each write goes to.
+    pub fn apply_routed(
         &mut self,
-        writes: impl IntoIterator<Item = (Entry, u64)>,
+        writes: impl IntoIterator<Item = (Entry, u64, BucketId)>,
         mut noted: impl FnMut(BucketId),
     ) -> Result<()> {
         let mut writes = writes.into_iter().peekable();
-        while let Some(&(_, hash)) = writes.peek() {
-            let bucket = (self.bucket_of_hash(hash))
-                .ok_or(StorageError::UnknownBucket(BucketId::of_hash(hash, 0)))?;
+        let mut split = false;
+        while let Some(&(_, hash, routed)) = writes.peek() {
+            let bucket = match split {
+                false => routed,
+                true => (self.bucket_of_hash(hash))
+                    .ok_or(StorageError::UnknownBucket(BucketId::of_hash(hash, 0)))?,
+            };
             let limit = self.split_limit(bucket);
             let tree =
                 (self.buckets.get_mut(&bucket)).ok_or(StorageError::UnknownBucket(bucket))?;
             let mut due = false;
-            while let Some((entry, hash)) = writes.next_if(|(_, h)| bucket.contains_hash(*h)) {
+            while let Some((entry, hash, _)) = writes.next_if(|(_, h, _)| bucket.contains_hash(*h))
+            {
                 noted(bucket);
                 tree.apply_hashed(entry, hash);
                 due = limit.is_some_and(|max| tree.logical_size_bytes() > max);
@@ -241,6 +249,7 @@ impl BucketedLsmTree {
             }
             if due {
                 self.maybe_split(bucket)?;
+                split = true;
             }
         }
         Ok(())
