@@ -1,7 +1,7 @@
 //! The simulated shared-nothing cluster.
 //!
 //! [`Cluster`] wires together the Cluster Controller, the storage partitions
-//! (one map, keyed by partition id; the topology says which node hosts
+//! (one table, indexed by partition id; the topology says which node hosts
 //! each), every Node Controller's liveness state, and the hardware cost
 //! model. It exposes the operations the experiments need: creating
 //! datasets, ingesting records through data feeds, running queries (see
@@ -27,8 +27,9 @@
 //!   none);
 //! - packed once: one payload slab per local bucket, cut along that order;
 //! - applied from that order one partition at a time: the dataset's storage
-//!   resolved once per partition, the secondary indexes fed in batch order
-//!   and the primary bucket by bucket, so every tree sees the operations
+//!   resolved once per partition (two table indexings,
+//!   `Cluster::store_mut`), the secondary indexes fed in batch order and
+//!   the primary bucket by bucket, so every tree sees the operations
 //!   one-at-a-time writes would show it.
 
 use std::collections::BTreeMap;
@@ -123,65 +124,6 @@ impl Write {
     }
 }
 
-/// One dataset's storage on each partition a write group reaches, looked up
-/// once per partition. A lookup is `None` where the partition or its
-/// storage of the dataset is missing.
-struct Stores<'a> {
-    cluster: &'a Cluster,
-    dataset: DatasetId,
-    /// The first partition reached and its lookup: a group of one, or of
-    /// one partition's writes, needs no table.
-    first: Option<(PartitionId, Option<&'a PartitionDataset>)>,
-    /// Once a second partition is reached, every lookup — the first's
-    /// too — indexed by partition id: `Some(lookup)` where reached.
-    seen: Vec<Option<Option<&'a PartitionDataset>>>,
-}
-
-impl<'a> Stores<'a> {
-    fn new(cluster: &'a Cluster, dataset: DatasetId) -> Self {
-        Stores {
-            cluster,
-            dataset,
-            first: None,
-            seen: Vec::new(),
-        }
-    }
-
-    /// The dataset's storage on `partition`, if it has any.
-    fn get(&mut self, partition: PartitionId) -> Option<&'a PartitionDataset> {
-        let (cluster, dataset) = (self.cluster, self.dataset);
-        let lookup = || cluster.partition(partition).ok()?.dataset(dataset).ok();
-        let Some((first, stored)) = self.first else {
-            let stored = lookup();
-            self.first = Some((partition, stored));
-            return stored;
-        };
-        if first == partition {
-            return stored;
-        }
-        let at = partition.0 as usize;
-        if self.seen.is_empty() {
-            self.seen.resize(at.max(first.0 as usize) + 1, None);
-            self.seen[first.0 as usize] = Some(stored);
-        } else if at >= self.seen.len() {
-            self.seen.resize(at + 1, None);
-        }
-        *self.seen[at].get_or_insert_with(lookup)
-    }
-
-    /// Every partition reached, in partition order.
-    fn reached(&self) -> impl Iterator<Item = PartitionId> + '_ {
-        let first = self.first.filter(|_| self.seen.is_empty());
-        let table = (self.seen.iter().enumerate())
-            .filter(|(_, seen)| seen.is_some())
-            .map(|(at, _)| PartitionId(at as u32));
-        first
-            .map(|(partition, _)| partition)
-            .into_iter()
-            .chain(table)
-    }
-}
-
 /// A write's sort key beside its position in its group.
 pub(crate) type Keyed = (u64, u32);
 
@@ -242,8 +184,11 @@ fn bucket_keys(writes: &[Write]) -> (Vec<Keyed>, u32) {
 pub struct Cluster {
     config: ClusterConfig,
     topology: ClusterTopology,
-    /// Every partition of the topology, whichever node hosts it.
-    partitions: BTreeMap<PartitionId, Partition>,
+    /// Every partition of the topology, whichever node hosts it, indexed
+    /// by partition id: `None` where a retired node's partition was, and
+    /// one past the largest id long (ids are dense, and a new node's
+    /// continue after the largest).
+    partitions: Vec<Option<Partition>>,
     /// Every Node Controller of the topology: a node is its liveness state
     /// (see [`crate::recovery`] for the rules that change it).
     pub(crate) nodes: BTreeMap<NodeId, NodeState>,
@@ -280,8 +225,9 @@ impl Cluster {
     /// Creates a cluster with an explicit configuration.
     pub fn with_config(num_nodes: u32, config: ClusterConfig) -> Self {
         let topology = ClusterTopology::uniform(num_nodes, config.partitions_per_node);
+        // A uniform topology numbers its partitions 0, 1, 2, ...
         let partitions = (topology.partitions().into_iter())
-            .map(|p| (p, Partition::new(p)))
+            .map(|p| Some(Partition::new(p)))
             .collect();
         let nodes = (topology.nodes().into_iter())
             .map(|n| (n, NodeState::Alive))
@@ -404,7 +350,9 @@ impl Cluster {
     /// [`crate::session::Session`]; tests and operators that need white-box
     /// access use [`Cluster::admin`].
     pub(crate) fn partition(&self, id: PartitionId) -> Result<&Partition, ClusterError> {
-        (self.partitions.get(&id)).ok_or(ClusterError::UnknownPartition(id))
+        (self.partitions.get(id.0 as usize))
+            .and_then(Option::as_ref)
+            .ok_or(ClusterError::UnknownPartition(id))
     }
 
     /// Mutable access to a partition (crate-internal, see
@@ -413,7 +361,29 @@ impl Cluster {
         &mut self,
         id: PartitionId,
     ) -> Result<&mut Partition, ClusterError> {
-        (self.partitions.get_mut(&id)).ok_or(ClusterError::UnknownPartition(id))
+        (self.partitions.get_mut(id.0 as usize))
+            .and_then(Option::as_mut)
+            .ok_or(ClusterError::UnknownPartition(id))
+    }
+
+    /// The local storage of `dataset` on `partition`: one index into the
+    /// partition table, one into the partition's dataset table. The one
+    /// way to look a (partition, dataset) pair up.
+    pub(crate) fn store(
+        &self,
+        partition: PartitionId,
+        dataset: DatasetId,
+    ) -> Result<&PartitionDataset, ClusterError> {
+        self.partition(partition)?.dataset(dataset)
+    }
+
+    /// Mutable form of [`Cluster::store`].
+    pub(crate) fn store_mut(
+        &mut self,
+        partition: PartitionId,
+        dataset: DatasetId,
+    ) -> Result<&mut PartitionDataset, ClusterError> {
+        self.partition_mut(partition)?.dataset_mut(dataset)
     }
 
     /// The local storage of `dataset` on every partition that holds it, in
@@ -422,8 +392,8 @@ impl Cluster {
         &self,
         dataset: DatasetId,
     ) -> impl Iterator<Item = (PartitionId, &PartitionDataset)> {
-        (self.partitions.iter())
-            .filter_map(move |(p, part)| Some((*p, part.dataset(dataset).ok()?)))
+        (self.partitions.iter().flatten())
+            .filter_map(move |part| Some((part.id, part.dataset(dataset).ok()?)))
     }
 
     /// Mutable form of [`Cluster::stores`].
@@ -431,8 +401,30 @@ impl Cluster {
         &mut self,
         dataset: DatasetId,
     ) -> impl Iterator<Item = (PartitionId, &mut PartitionDataset)> {
-        (self.partitions.iter_mut())
-            .filter_map(move |(p, part)| Some((*p, part.dataset_mut(dataset).ok()?)))
+        (self.partitions.iter_mut().flatten())
+            .filter_map(move |part| Some((part.id, part.dataset_mut(dataset).ok()?)))
+    }
+
+    /// The storage of `meta`'s dataset on `partition`, and the bucket of its
+    /// local directory covering the key of `hash`, if `partition` serves
+    /// that key: the partition-side half of the redirect protocol. A
+    /// partition of a bucketed dataset serves a key while its local
+    /// directory owns a bucket covering it — a moving bucket until the
+    /// rebalance commits, and locally split children the CC may not have
+    /// absorbed yet; under the Hashing scheme it serves the keys the
+    /// authoritative modulo route sends it. Anything else — the bucket moved
+    /// away, the partition was decommissioned, the dataset was rebuilt
+    /// elsewhere — is a stale route.
+    pub(crate) fn serving(
+        &self,
+        meta: &DatasetMeta,
+        partition: PartitionId,
+        hash: u64,
+    ) -> Option<(&PartitionDataset, BucketId)> {
+        let ds = self.store(partition, meta.id).ok()?;
+        let bucket = ds.primary.bucket_of_hash(hash)?;
+        let routed = meta.is_bucketed() || meta.route_hash(hash) == Some(partition);
+        routed.then_some((ds, bucket))
     }
 
     /// The white-box escape hatch around the session API: direct partition
@@ -489,10 +481,15 @@ impl Cluster {
     /// already-shipped buckets ([`Cluster::replicate`]); only the brief
     /// prepare-to-commit window refuses them (Section V-C).
     ///
-    /// A group is refused whole: [`Cluster::route_group`] decides every
-    /// refusal before anything applies — a route `claimed` from a session's
-    /// stale cache included — so an `Err` means no tree, pending copy or
-    /// heat counter changed, and the writes are as they came.
+    /// A group is refused whole, and every refusal is decided before
+    /// anything is packed, replicated or applied — a route `claimed` from a
+    /// session's stale cache included — so an `Err` means no tree, pending
+    /// copy or heat counter changed, and the writes are as they came. The
+    /// refusals come in this order: those [`Cluster::route_group`] decides;
+    /// an owner that is not up ([`Cluster::require_up`]), checked once per
+    /// partition run of the sorted order (once for a group of one); and,
+    /// a routing bug, a key whose owner holds no storage of the dataset or
+    /// no local bucket covering it.
     ///
     /// One stable radix sort (`radix_sort`) puts the routed writes in
     /// (partition, local bucket) order, batch order kept within each
@@ -508,14 +505,14 @@ impl Cluster {
     /// owner (`None`), and each write replicated to a destination partition
     /// with its payload bytes (`Some`). Returns how many deletes found their
     /// record live.
-    fn write_group(
+    pub(crate) fn write_group(
         &mut self,
         dataset: DatasetId,
         writes: &mut [Write],
         claimed: Option<&DatasetMeta>,
         mut tally: impl FnMut(PartitionId, u64, Option<u64>),
     ) -> Result<u64, ClusterError> {
-        self.route_group(dataset, writes, claimed)?;
+        let routing_bug = self.route_group(dataset, writes, claimed)?;
         // Each write's sort key and position in (partition, local bucket)
         // order, and in partition order for the secondary indexes (a point
         // write's are on the stack).
@@ -536,69 +533,73 @@ impl Cluster {
                 }
             }
         };
+        let runs = || by_bucket.chunk_by(|a, b| a.0 >> bits == b.0 >> bits);
+        for run in runs() {
+            self.require_up(self.node_of_partition(writes[run[0].1 as usize].partition)?)?;
+        }
+        if let Some(bug) = routing_bug {
+            return Err(bug);
+        }
         Self::pack(writes, by_bucket);
         self.replicate(dataset, writes, &mut tally)?;
+        // The buckets written are noted as heat once the writes are in:
+        // `store_mut` borrows the whole cluster while a partition writes.
+        let armed = self.heat.armed();
+        let mut heated = Vec::new();
         let mut live = 0;
-        for in_bucket in by_bucket.chunk_by(|a, b| a.0 >> bits == b.0 >> bits) {
+        for in_bucket in runs() {
             let in_batch;
             (in_batch, by_partition) = by_partition.split_at(in_bucket.len());
             let partition = writes[in_bucket[0].1 as usize].partition;
             tally(partition, in_bucket.len() as u64, None);
-            let Cluster {
-                partitions, heat, ..
-            } = self;
-            let ds = (partitions.get_mut(&partition))
-                .ok_or(ClusterError::UnknownPartition(partition))?
-                .dataset_mut(dataset)?;
-            let armed = heat.armed();
-            live += ds.write(writes, in_batch, in_bucket, |bucket| {
-                if armed {
-                    heat.note_write(dataset, bucket);
-                }
-            })?;
+            live += self.store_mut(partition, dataset)?.write(
+                writes,
+                in_batch,
+                in_bucket,
+                |bucket| {
+                    if armed {
+                        heated.push(bucket);
+                    }
+                },
+            )?;
+        }
+        for bucket in heated {
+            self.heat.note_write(dataset, bucket);
         }
         Ok(live)
     }
 
     /// Routes a write group in one pass, stamping each write with its
     /// partition, the bucket of that partition's local directory that covers
-    /// the key and — while a job is in flight — the shipped bucket and
-    /// destination it replicates to: one CC directory lookup and one local
-    /// directory lookup per write, each partition's storage resolved once
-    /// ([`Stores`]).
+    /// the key ([`Cluster::serving`]) and — while a job is in flight — the
+    /// shipped bucket and destination it replicates to: one CC directory
+    /// lookup and one local directory lookup per write.
     ///
-    /// `claimed` is a session's cached routing state, and the pass is also
-    /// the partition-side half of its redirect protocol: the partition the
-    /// session routed a key to serves it only if its local directory still
-    /// owns the bucket covering the key (for the Hashing scheme: if the
-    /// authoritative modulo route agrees). The local directory keeps
-    /// serving a moving bucket until the rebalance commits, and it covers
-    /// locally split children the CC may not have absorbed yet. Anything
-    /// else — the bucket moved away, the partition was decommissioned, the
-    /// dataset was rebuilt elsewhere — is [`RouteError::StaleDirectory`],
-    /// carrying the authoritative version. Where the session routes as the
-    /// CC does, the owner's lookup answers for it.
+    /// `claimed` is a session's cached routing state, and the pass also
+    /// validates its routes: a key the session routed to a partition that
+    /// does not serve it ([`Cluster::serving`]) is
+    /// [`RouteError::StaleDirectory`], carrying the authoritative version.
+    /// Where the session routes as the CC does, the owner's lookup answers
+    /// for it.
     ///
-    /// Every refusal is decided here, before anything is stored, in this
-    /// order: a stale claim, or a key the session cannot route, whichever
-    /// comes first in the group; a job's prepare-to-commit window; a write
-    /// to a lost bucket or whose replica destination is not up
-    /// ([`Cluster::require_up`]), whichever comes first; a key the directory
-    /// cannot route; an owner of some partition's share that is not up;
-    /// and, a routing bug, a key whose partition holds no storage of the
-    /// dataset or no local bucket covering it.
+    /// Refuses, in this order: a stale claim, or a key the session cannot
+    /// route, whichever comes first in the group; a job's prepare-to-commit
+    /// window; a write to a lost bucket or whose replica destination is not
+    /// up ([`Cluster::require_up`]), whichever comes first; a key the
+    /// directory cannot route. The owners' liveness is left to
+    /// [`Cluster::write_group`], and so is the refusal returned as
+    /// `Ok(Some(_))`: a routing bug, the first key whose owner holds no
+    /// storage of the dataset or no local bucket covering it.
     fn route_group(
         &self,
         dataset: DatasetId,
         writes: &mut [Write],
         claimed: Option<&DatasetMeta>,
-    ) -> Result<(), ClusterError> {
+    ) -> Result<Option<ClusterError>, ClusterError> {
         let meta = self.controller.dataset(dataset)?;
-        let bucketed = meta.is_bucketed();
         let active = self.active_rebalances.get(&dataset);
         let lost = (self.faults.lost_buckets.get(&dataset)).filter(|lost| !lost.is_empty());
         let shipped = active.map(|active| &active.shipped);
-        let mut stores = Stores::new(self, dataset);
         // The first refusal of each kind, in group order.
         let (mut stale, mut refused, mut unroutable, mut unowned) = (None, None, false, None);
         for write in writes.iter_mut() {
@@ -607,25 +608,18 @@ impl Cluster {
                 Some(dir) => dir.lookup_hash(hash).unzip(),
                 None => (None, meta.route_hash(hash)),
             };
-            let local = partition.and_then(|p| stores.get(p)?.primary.bucket_of_hash(hash));
+            let local = partition.and_then(|p| Some(self.serving(meta, p, hash)?.1));
             if let Some(claimed) = claimed.filter(|_| stale.is_none()) {
-                let served = match claimed.route_hash(hash) {
-                    None => Err(ClusterError::RoutingFailed(dataset)),
-                    Some(claim) if Some(claim) == partition => Ok(match bucketed {
-                        true => local.is_some(),
-                        false => stores.get(claim).is_some(),
-                    }),
-                    Some(claim) => Ok(bucketed
-                        && (self.partition(claim).ok())
-                            .and_then(|part| part.dataset(dataset).ok())
-                            .is_some_and(|ds| ds.primary.bucket_of_hash(hash).is_some())),
+                let served = |claim| match Some(claim) == partition {
+                    true => local.is_some(),
+                    false => self.serving(meta, claim, hash).is_some(),
                 };
-                stale = match served {
-                    Ok(true) => None,
-                    Ok(false) => Some(ClusterError::Route(RouteError::StaleDirectory {
+                stale = match claimed.route_hash(hash) {
+                    None => Some(ClusterError::RoutingFailed(dataset)),
+                    Some(claim) if served(claim) => None,
+                    Some(_) => Some(ClusterError::Route(RouteError::StaleDirectory {
                         server_version: meta.routing_version(),
                     })),
-                    Err(refusal) => Some(refusal),
                 };
             }
             if let Some(bucket) = bucket.filter(|b| lost.is_some_and(|lost| lost.contains(b))) {
@@ -658,17 +652,11 @@ impl Cluster {
         if unroutable {
             return Err(ClusterError::RoutingFailed(dataset));
         }
-        for partition in stores.reached() {
-            self.require_up(self.node_of_partition(partition)?)?;
-        }
-        match unowned {
-            None => Ok(()),
-            Some((partition, hash)) => {
-                self.partition(partition)?.dataset(dataset)?;
-                let bucket = BucketId::of_hash(hash, 0);
-                Err(ClusterError::Storage(StorageError::UnknownBucket(bucket)))
-            }
-        }
+        Ok(unowned.map(|(partition, hash)| {
+            let bucket = BucketId::of_hash(hash, 0);
+            let unknown = ClusterError::Storage(StorageError::UnknownBucket(bucket));
+            self.store(partition, dataset).err().unwrap_or(unknown)
+        }))
     }
 
     /// Replicates writes to the pending copies of the buckets an in-flight
@@ -689,7 +677,7 @@ impl Cluster {
             };
             let bytes = write.key.len() + write.value.as_ref().map_or(0, |v| v.len());
             tally(dst, 1, Some(bytes as u64));
-            let ds = self.partition_mut(dst)?.dataset_mut(dataset)?;
+            let ds = self.store_mut(dst, dataset)?;
             // The bucket is in the active job's shipped set, so a missing
             // pending copy means a destination crash wiped the uncommitted
             // transfer: re-create it here so replication keeps flowing, and
@@ -743,21 +731,6 @@ impl Cluster {
             };
             *value = slab.split_to(value.len());
         }
-    }
-
-    /// One routed point write, backing [`crate::session::Session::put`]
-    /// (`Some(value)`) and [`crate::session::Session::delete`] (`None`): a
-    /// write group of one, routed as the session `claimed`, without the
-    /// batch path's cluster-wide metrics sweeps (a point write's cost report
-    /// is discarded anyway). Returns whether a delete found the key live.
-    pub(crate) fn write_routed(
-        &mut self,
-        dataset: DatasetId,
-        write: &mut Write,
-        claimed: &DatasetMeta,
-    ) -> Result<bool, ClusterError> {
-        let group = std::slice::from_mut(write);
-        Ok(self.write_group(dataset, group, Some(claimed), |_, _, _| {})? > 0)
     }
 
     /// Ingests a batch of records through a data feed: the batch is routed
@@ -879,7 +852,9 @@ impl Cluster {
                 let spec = &self.controller.dataset(dataset)?.spec;
                 partition.create_dataset(dataset, spec, vec![]);
             }
-            self.partitions.insert(p, partition);
+            let at = p.0 as usize;
+            (self.partitions).resize_with(self.partitions.len().max(at + 1), || None);
+            self.partitions[at] = Some(partition);
         }
         self.nodes.insert(new_node_id, NodeState::Alive);
         self.topology = new_topology;
@@ -891,14 +866,11 @@ impl Cluster {
     /// node still holds data.
     pub fn decommission_node(&mut self, node: NodeId) -> Result<(), ClusterError> {
         self.node_state(node)?;
-        let remaining: usize = (self.topology.partitions_of_node(node).iter())
-            .filter_map(|p| self.partitions.get(p))
-            .flat_map(|p| {
-                p.dataset_ids()
-                    .into_iter()
-                    .filter_map(|d| p.dataset(d).ok())
-            })
-            .map(|ds| ds.primary.live_len())
+        let (cluster, partitions) = (&*self, self.topology.partitions_of_node(node));
+        let remaining: usize = (self.controller.dataset_ids().into_iter())
+            .flat_map(|d| cluster.stores(d))
+            .filter(|(p, _)| partitions.contains(p))
+            .map(|(_, ds)| ds.primary.live_len())
             .sum();
         if remaining > 0 {
             return Err(ClusterError::NodeNotEmpty(node, remaining));
@@ -940,7 +912,10 @@ impl Cluster {
     fn retire_node(&mut self, node: NodeId) -> Result<(), ClusterError> {
         self.nodes.remove(&node);
         for p in self.topology.partitions_of_node(node) {
-            self.partitions.remove(&p);
+            self.partitions[p.0 as usize] = None;
+        }
+        while self.partitions.last().is_some_and(Option::is_none) {
+            self.partitions.pop();
         }
         self.topology = self.topology.without_node(node);
         for dataset in self.controller.dataset_ids() {
@@ -1224,7 +1199,7 @@ impl Admin<'_> {
         let ops = self.cluster.heat.ops_snapshot(dataset);
         let mut report = HeatReport::default();
         for (p, buckets) in self.cluster.local_directories(dataset)? {
-            let ds = self.cluster.partition(p)?.dataset(dataset)?;
+            let ds = self.cluster.store(p, dataset)?;
             let sizes: BTreeMap<BucketId, usize> = ds.primary.bucket_sizes().into_iter().collect();
             let mut agg = BucketHeat::default();
             for b in buckets {
@@ -1297,7 +1272,7 @@ mod tests {
                 .unwrap();
             let mut slabs: Vec<std::ops::Range<*const u8>> = Vec::new();
             for p in cluster.topology().partitions() {
-                let primary = &cluster.partition(p).unwrap().dataset(ds).unwrap().primary;
+                let primary = &cluster.store(p, ds).unwrap().primary;
                 for b in primary.bucket_ids() {
                     let buffered: Vec<&Value> = primary
                         .bucket_tree(&b)
@@ -1454,16 +1429,7 @@ mod tests {
         assert_eq!(cluster.topology().num_nodes(), 3);
         // the new node's partitions exist and are empty for the dataset
         for p in cluster.topology().partitions_of_node(new_node) {
-            assert_eq!(
-                cluster
-                    .partition(p)
-                    .unwrap()
-                    .dataset(ds)
-                    .unwrap()
-                    .primary
-                    .live_len(),
-                0
-            );
+            assert_eq!(cluster.store(p, ds).unwrap().primary.live_len(), 0);
         }
         // routing is unchanged until a rebalance updates the directory
         cluster.check_dataset_consistency(ds).unwrap();
@@ -1483,6 +1449,35 @@ mod tests {
         let fresh = cluster.add_node().unwrap();
         cluster.decommission_node(fresh).unwrap();
         assert_eq!(cluster.topology().num_nodes(), 2);
+    }
+
+    /// Retiring the last node shortens the partition table, and the next
+    /// `add_node` hands the same ids out again, with empty storage of every
+    /// dataset; `stores` walks the table in id order.
+    #[test]
+    fn a_retired_last_node_gives_its_partition_ids_back() {
+        let mut cluster = Cluster::new(2);
+        let schemes = [Scheme::static_hash_256(), Scheme::Hashing];
+        let datasets = schemes.map(|scheme| {
+            let ds = (cluster.create_dataset(DatasetSpec::new("orders", scheme))).unwrap();
+            cluster.ingest(ds, records(500)).unwrap();
+            ds
+        });
+        let first = cluster.add_node().unwrap();
+        let ids = cluster.topology().partitions_of_node(first);
+        cluster.decommission_node(first).unwrap();
+        assert_eq!(cluster.partitions.len(), 8);
+        assert!(ids.iter().all(|p| cluster.partition(*p).is_err()));
+        let again = cluster.add_node().unwrap();
+        assert_eq!(cluster.topology().partitions_of_node(again), ids);
+        for ds in datasets {
+            for p in &ids {
+                assert_eq!(cluster.store(*p, ds).unwrap().primary.live_len(), 0);
+            }
+            let order: Vec<PartitionId> = cluster.stores(ds).map(|(p, _)| p).collect();
+            assert_eq!(order, cluster.topology().partitions());
+            assert_eq!(cluster.dataset_len(ds).unwrap(), 500);
+        }
     }
 
     #[test]

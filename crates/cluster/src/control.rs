@@ -491,8 +491,7 @@ impl ControlPlane {
                 .map(|(p, _)| p);
             let Some(owner) = owner else { continue };
             let split = cluster
-                .partition_mut(owner)?
-                .dataset_mut(dataset)?
+                .store_mut(owner, dataset)?
                 .primary
                 .split_bucket(bucket);
             // A bucket at max depth (or with splits suspended) cannot spread
@@ -958,10 +957,8 @@ mod tests {
             ..ControlConfig::default()
         });
         let deferred = |cluster: &Cluster| {
-            (cluster.topology().partitions().into_iter()).any(|p| {
-                let part = cluster.partition(p).unwrap();
-                part.dataset(ds).unwrap().has_deferred_secondary()
-            })
+            (cluster.topology().partitions().into_iter())
+                .any(|p| cluster.store(p, ds).unwrap().has_deferred_secondary())
         };
         assert!(deferred(&cluster), "the deferred rebuild left stashes");
         let since = cluster.events(0).len();

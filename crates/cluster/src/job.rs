@@ -168,14 +168,6 @@ pub struct WaveReport {
     pub makespan: SimDuration,
 }
 
-/// What one bucket move transferred (internal accounting of
-/// [`RebalanceJob::ship_move`]).
-struct ShipStats {
-    bytes: u64,
-    entries: u64,
-    component_ids: Vec<u64>,
-}
-
 /// What [`RebalanceJob::replan_wave`] did to route a rebalance around one or
 /// more permanently lost nodes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -446,14 +438,12 @@ impl RebalanceJob {
                 continue; // no source copy to snapshot
             }
             let node = cluster.node_of_partition(m.from)?;
-            let source = cluster.partition_mut(m.from)?;
-            let before = source.metrics().snapshot();
-            source
-                .dataset_mut(self.dataset)?
-                .primary
+            let before = cluster.partition(m.from)?.metrics().snapshot();
+            (cluster.store_mut(m.from, self.dataset)?.primary)
                 .snapshot_bucket(m.bucket)
                 .map_err(ClusterError::Storage)?;
-            let delta = source.metrics().snapshot().delta_since(&before);
+            let after = cluster.partition(m.from)?.metrics().snapshot();
+            let delta = after.delta_since(&before);
             self.init_tl
                 .charge(node, cost.disk_write(delta.bytes_flushed));
         }
@@ -508,19 +498,11 @@ impl RebalanceJob {
         let mut shipped: Vec<ShippedMove> = Vec::with_capacity(wave.len());
         let mut wave_tl = NodeTimeline::new();
         for m in &wave {
-            let stats = self.ship_move(cluster, m, &mut wave_tl)?;
-            bytes += stats.bytes;
-            entries += stats.entries;
-            components += stats.component_ids.len();
-            shipped.push(ShippedMove {
-                bucket_bits: m.bucket.bits,
-                bucket_depth: m.bucket.depth,
-                from: m.from.0,
-                to: m.to.0,
-                component_ids: stats.component_ids,
-                bytes: stats.bytes,
-                entries: stats.entries,
-            });
+            let moved = self.ship_move(cluster, m, &mut wave_tl)?;
+            bytes += moved.bytes;
+            entries += moved.entries;
+            components += moved.component_ids.len();
+            shipped.push(moved);
         }
         // The CC forces the wave's ship record: if a destination later loses
         // its uncommitted pending state in a crash, recovery replays these
@@ -597,7 +579,8 @@ impl RebalanceJob {
     }
 
     /// Stages one bucket on its destination, charging the participating
-    /// nodes on `tl`. Empty buckets only need a directory update, which
+    /// nodes on `tl`, and returns the move's record for the wave's
+    /// metadata-log entry. Empty buckets only need a directory update, which
     /// travels with the commit message, so they incur no per-move transfer
     /// cost.
     ///
@@ -611,7 +594,7 @@ impl RebalanceJob {
         cluster: &mut Cluster,
         m: &BucketMove,
         tl: &mut NodeTimeline,
-    ) -> Result<ShipStats> {
+    ) -> Result<ShippedMove> {
         let cost = cluster.cost_model();
         let (src_node, dst_node) = self.endpoints(cluster, m)?;
         let mut attempt = 0u32;
@@ -640,12 +623,21 @@ impl RebalanceJob {
             tl.charge(dst_node, round_trip + wait);
             attempt += 1;
         }
+        let record = |bytes, entries, component_ids| ShippedMove {
+            bucket_bits: m.bucket.bits,
+            bucket_depth: m.bucket.depth,
+            from: m.from.0,
+            to: m.to.0,
+            component_ids,
+            bytes,
+            entries,
+        };
         if let Some(feed) = self.feed.get(&m.bucket) {
             // The feed's records for this bucket cross the network once and
             // are written on the new owner as one component, staged like a
             // shipped one; a later re-stage (after a crash wiped the pending
             // copy) stages the same component again.
-            let dst = cluster.partition_mut(m.to)?.dataset_mut(self.dataset)?;
+            let dst = cluster.store_mut(m.to, self.dataset)?;
             dst.ensure_pending_bucket(m.bucket)?;
             dst.primary.install_shipped(m.bucket, vec![feed.clone()])?;
             // The feed component holds one entry per key: its count is exact.
@@ -655,22 +647,17 @@ impl RebalanceJob {
                 dst_node,
                 cost.network(bytes) + cost.ingest_cpu(entries) + cost.disk_write(bytes),
             );
-            return Ok(ShipStats {
-                bytes,
-                entries,
-                component_ids: Vec::new(),
-            });
+            return Ok(record(bytes, entries, Vec::new()));
         }
         let comps = cluster
-            .partition_mut(m.from)?
-            .dataset_mut(self.dataset)?
+            .store_mut(m.from, self.dataset)?
             .primary
             .ship_bucket(m.bucket)?;
         let bytes: u64 = comps.iter().map(|c| c.visible_size_bytes() as u64).sum();
         // O(1) per handle: the byte sum above has built every filtered view.
         let entries: u64 = comps.iter().map(|c| c.visible_len() as u64).sum();
         let component_ids: Vec<u64> = comps.iter().map(|c| c.id()).collect();
-        let dst = cluster.partition_mut(m.to)?.dataset_mut(self.dataset)?;
+        let dst = cluster.store_mut(m.to, self.dataset)?;
         dst.ensure_pending_bucket(m.bucket)?;
         dst.primary.install_shipped(m.bucket, comps)?;
         // Sealed components travel as whole files: one sequential read, one
@@ -686,11 +673,7 @@ impl RebalanceJob {
                     + cost.disk_write(bytes),
             );
         }
-        Ok(ShipStats {
-            bytes,
-            entries,
-            component_ids,
-        })
+        Ok(record(bytes, entries, component_ids))
     }
 
     /// Re-plans the in-flight job around permanently lost participants
@@ -941,7 +924,7 @@ impl RebalanceJob {
                 .node_of(m.to)
                 .ok_or(ClusterError::UnknownPartition(m.to))?;
             if cluster.node_is_alive(dst_node) {
-                let dst = cluster.partition_mut(m.to)?.dataset_mut(self.dataset)?;
+                let dst = cluster.store_mut(m.to, self.dataset)?;
                 let pending_bytes = dst.primary.pending_storage_bytes() as u64;
                 dst.primary.flush_pending();
                 self.fin_tl
@@ -1285,8 +1268,7 @@ impl RebalanceJob {
         for to in destinations {
             if cluster.topology().node_of(to).is_some() {
                 cluster
-                    .partition_mut(to)?
-                    .dataset_mut(self.dataset)?
+                    .store_mut(to, self.dataset)?
                     .primary
                     .drop_all_pending();
             }
@@ -1325,7 +1307,7 @@ impl RebalanceJob {
             if !cluster.node_is_alive(dst_node) || !self.ensure_shipped(cluster, m)? {
                 continue;
             }
-            let ds = cluster.partition_mut(m.to)?.dataset_mut(self.dataset)?;
+            let ds = cluster.store_mut(m.to, self.dataset)?;
             if self.feed_staged(m) {
                 // The restored copy replaces the *empty* bucket an earlier
                 // re-plan installed on the survivor to keep the hash space
@@ -1349,11 +1331,8 @@ impl RebalanceJob {
             if self.feed_staged(m) {
                 continue; // nothing moved away: there is no source copy to drop
             }
-            let installed = cluster
-                .partition(m.to)
-                .ok()
-                .and_then(|p| p.dataset(self.dataset).ok())
-                .is_some_and(|ds| ds.primary.owns(&m.bucket));
+            let installed =
+                (cluster.store(m.to, self.dataset)).is_ok_and(|ds| ds.primary.owns(&m.bucket));
             if installed {
                 moved_away.entry(m.from).or_default().push(m.bucket);
             }
@@ -1366,8 +1345,7 @@ impl RebalanceJob {
                 continue;
             }
             let warmed = cluster
-                .partition_mut(from)?
-                .dataset_mut(self.dataset)?
+                .store_mut(from, self.dataset)?
                 .cleanup_moved_buckets(&buckets)?;
             // A stash partially covered by a moved bucket had to materialize
             // before the lazy-cleanup mark: that rebuild runs here, so it is
@@ -1396,7 +1374,7 @@ impl RebalanceJob {
     /// destination (possibly nothing) is installed as the degraded copy and
     /// the bucket is recorded as lost.
     fn ensure_shipped(&mut self, cluster: &mut Cluster, m: &BucketMove) -> Result<bool> {
-        let ds = cluster.partition(m.to)?.dataset(self.dataset)?;
+        let ds = cluster.store(m.to, self.dataset)?;
         let staged = ds.primary.pending_has_base_data(&m.bucket);
         if self.feed_staged(m) {
             // A restored bucket leaves the degraded set the moment it is
@@ -1423,8 +1401,7 @@ impl RebalanceJob {
             // directory keeps covering the hash space, and record the
             // bucket as degraded.
             cluster
-                .partition_mut(m.to)?
-                .dataset_mut(self.dataset)?
+                .store_mut(m.to, self.dataset)?
                 .ensure_pending_bucket(m.bucket)?;
             cluster.faults.mark_lost(self.dataset, m.bucket);
             return Ok(true);
@@ -1445,11 +1422,7 @@ impl RebalanceJob {
         if !was_shipped {
             return Ok(false);
         }
-        let src_owns = cluster
-            .partition(m.from)?
-            .dataset(self.dataset)?
-            .primary
-            .owns(&m.bucket);
+        let src_owns = cluster.store(m.from, self.dataset)?.primary.owns(&m.bucket);
         if !src_owns || !cluster.node_is_alive(src_node) {
             return Ok(false);
         }
@@ -1646,7 +1619,7 @@ mod tests {
         let report = job.finalize(&mut cluster).unwrap();
         assert_eq!(report.outcome, RebalanceOutcome::Aborted);
         for p in cluster.topology().partitions() {
-            let ds = cluster.partition(p).unwrap().dataset(ds).unwrap();
+            let ds = cluster.store(p, ds).unwrap();
             assert!(ds.primary.pending_bucket_ids().is_empty(), "{p:?}");
         }
         assert_eq!(cluster.dataset_len(ds).unwrap(), 500);
@@ -1734,7 +1707,7 @@ mod tests {
             let wave = job.waves()[job.completed_waves()].clone();
             let mut wave_visible = 0u64;
             for m in &wave {
-                let src = cluster.partition(m.from).unwrap().dataset(ds).unwrap();
+                let src = cluster.store(m.from, ds).unwrap();
                 let tree = src.primary.bucket_tree(&m.bucket).unwrap();
                 for c in tree.components() {
                     wave_visible += c.visible_len() as u64;
@@ -1833,7 +1806,7 @@ mod tests {
         assert!(job.drive(&mut cluster).is_err());
         assert_eq!(job.state(), JobState::Finalized(RebalanceOutcome::Aborted));
         for p in cluster.topology().partitions() {
-            let primary = &cluster.partition(p).unwrap().dataset(ds).unwrap().primary;
+            let primary = &cluster.store(p, ds).unwrap().primary;
             assert!(primary.pending_bucket_ids().is_empty(), "{p:?}");
             assert!(primary.splits_enabled(), "{p:?}");
         }

@@ -5,8 +5,8 @@
 //! consisting of one Cluster Controller and multiple Node Controllers, each
 //! hosting several storage partitions backed by the `dynahash-lsm` storage
 //! engine. Each piece of routing state lives once: the
-//! [`cluster::Cluster`] keeps every partition in one map (the topology says
-//! which node hosts it), a Node Controller is only its
+//! [`cluster::Cluster`] keeps every partition in one table indexed by
+//! partition id (the topology says which node hosts it), a Node Controller is only its
 //! [`fault::NodeState`], and a partition's local directory is its primary
 //! index's bucket map ([`dynahash_lsm::BucketedLsmTree`]).
 //!

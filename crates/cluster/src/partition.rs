@@ -349,7 +349,9 @@ impl PartitionDataset {
 pub struct Partition {
     /// The partition id.
     pub id: PartitionId,
-    datasets: BTreeMap<DatasetId, PartitionDataset>,
+    /// Each dataset's storage, indexed by dataset id (`None` where the
+    /// partition holds none of it).
+    datasets: Vec<Option<PartitionDataset>>,
     metrics: Arc<StorageMetrics>,
 }
 
@@ -357,7 +359,7 @@ impl std::fmt::Debug for Partition {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Partition")
             .field("id", &self.id)
-            .field("datasets", &self.datasets.len())
+            .field("datasets", &self.datasets.iter().flatten().count())
             .finish()
     }
 }
@@ -367,7 +369,7 @@ impl Partition {
     pub fn new(id: PartitionId) -> Self {
         Partition {
             id,
-            datasets: BTreeMap::new(),
+            datasets: Vec::new(),
             metrics: StorageMetrics::new_shared(),
         }
     }
@@ -384,40 +386,36 @@ impl Partition {
         spec: &DatasetSpec,
         initial_buckets: Vec<BucketId>,
     ) {
-        self.datasets.insert(
-            id,
-            PartitionDataset::new(spec, initial_buckets, Arc::clone(&self.metrics)),
-        );
+        let at = id as usize;
+        (self.datasets).resize_with(self.datasets.len().max(at + 1), || None);
+        let metrics = Arc::clone(&self.metrics);
+        self.datasets[at] = Some(PartitionDataset::new(spec, initial_buckets, metrics));
     }
 
     /// Drops a dataset's local storage.
     pub fn drop_dataset(&mut self, id: DatasetId) {
-        self.datasets.remove(&id);
+        if let Some(stored) = self.datasets.get_mut(id as usize) {
+            *stored = None;
+        }
     }
 
     /// Access a dataset's local storage.
     pub fn dataset(&self, id: DatasetId) -> Result<&PartitionDataset, ClusterError> {
-        self.datasets
-            .get(&id)
+        (self.datasets.get(id as usize))
+            .and_then(Option::as_ref)
             .ok_or(ClusterError::UnknownDataset(id))
     }
 
     /// Mutable access to a dataset's local storage.
     pub fn dataset_mut(&mut self, id: DatasetId) -> Result<&mut PartitionDataset, ClusterError> {
-        self.datasets
-            .get_mut(&id)
+        (self.datasets.get_mut(id as usize))
+            .and_then(Option::as_mut)
             .ok_or(ClusterError::UnknownDataset(id))
-    }
-
-    /// The datasets stored on this partition.
-    pub fn dataset_ids(&self) -> Vec<DatasetId> {
-        self.datasets.keys().copied().collect()
     }
 
     /// Total storage bytes across datasets.
     pub fn total_storage_bytes(&self) -> usize {
-        self.datasets
-            .values()
+        (self.datasets.iter().flatten())
             .map(|d| d.total_storage_bytes())
             .sum()
     }
@@ -427,7 +425,7 @@ impl Partition {
     /// orphan received components are dropped on restart and the rebalance
     /// recovery path re-ships them).
     pub fn drop_all_pending(&mut self) {
-        for ds in self.datasets.values_mut() {
+        for ds in self.datasets.iter_mut().flatten() {
             ds.primary.drop_all_pending();
         }
     }
@@ -489,7 +487,7 @@ mod tests {
             .search_range(Some(&Key::from_u64(3)), Some(&Key::from_u64(4)));
         assert_eq!(hits.len(), 30);
         assert!(ds.total_storage_bytes() > 0);
-        assert_eq!(p.dataset_ids(), vec![1]);
+        assert!(p.dataset(1).is_ok());
     }
 
     #[test]

@@ -34,7 +34,7 @@ use dynahash_lsm::{scramble, BucketedLsmTree, ScanOrder, SecondaryEntry};
 use crate::cluster::Cluster;
 use crate::dataset::{DatasetId, SecondaryIndexDef};
 use crate::sim::{NodeTimeline, SimDuration};
-use crate::Result;
+use crate::{ClusterError, Result};
 
 /// The cost summary of one query execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,8 +112,9 @@ pub(crate) fn scan_pass<A>(
 ) -> Result<Vec<(PartitionId, A, PassCounts)>> {
     let mut out = Vec::with_capacity(partitions.len());
     for &p in partitions {
-        let Ok(ds) = cluster.partition(p)?.dataset(dataset) else {
-            continue;
+        let ds = match cluster.store(p, dataset) {
+            Err(ClusterError::UnknownDataset(_)) => continue,
+            stored => stored?,
         };
         let primary = &ds.primary;
         let mut acc = init(primary.visible_len());
@@ -149,8 +150,9 @@ pub(crate) fn index_pass<A>(
 ) -> Result<Vec<(PartitionId, A, PassCounts)>> {
     let mut out = Vec::with_capacity(partitions.len());
     for &p in partitions {
-        let Ok(ds) = cluster.partition_mut(p)?.dataset_mut(dataset) else {
-            continue;
+        let ds = match cluster.store_mut(p, dataset) {
+            Err(ClusterError::UnknownDataset(_)) => continue,
+            stored => stored?,
         };
         let (warmed, at) = ds.open_index(index)?;
         let (primary, def, idx) = (&ds.primary, &ds.defs[at], &mut ds.secondaries[at]);
@@ -387,7 +389,7 @@ impl<'a> QueryExecutor<'a> {
         partition: PartitionId,
         keys: &[Key],
     ) -> Result<Vec<Entry>> {
-        let primary = &self.cluster.partition(partition)?.dataset(dataset)?.primary;
+        let primary = &self.cluster.store(partition, dataset)?.primary;
         let mut out = Vec::with_capacity(keys.len());
         let mut bytes = 0u64;
         for k in keys {

@@ -210,7 +210,10 @@ impl Cluster {
 
     /// Global rebalancing, all in one call: there is no step boundary for a
     /// scheduled fault to fire at, so the baseline ignores step faults
-    /// exactly as it ignores transient and slow-node ones.
+    /// exactly as it ignores transient and slow-node ones. Every node
+    /// holding the dataset and every node of the target must be up
+    /// ([`Cluster::require_up`]): the refusal comes before BEGIN is logged
+    /// and before any storage is dropped.
     fn rebalance_hashing(
         &mut self,
         dataset: DatasetId,
@@ -223,13 +226,19 @@ impl Cluster {
                     .to_string(),
             ));
         }
+        let old_partitions = self.controller.dataset(dataset)?.partitions.clone();
+        for p in &old_partitions {
+            self.require_up(self.node_of_partition(*p)?)?;
+        }
+        for node in target.nodes() {
+            self.require_up(node)?;
+        }
         let cost = self.cost_model();
         let rebalance_id = self.controller.log_begin(dataset);
         let mut tl = NodeTimeline::new();
         tl.charge_coordinator(SimDuration::from_nanos(cost.job_overhead_ns));
 
         let spec = self.controller.dataset(dataset)?.spec.clone();
-        let old_partitions = self.controller.dataset(dataset)?.partitions.clone();
         let new_partitions = target.partitions();
         let total_bytes = self.dataset_primary_bytes(dataset)?;
 
@@ -243,8 +252,9 @@ impl Cluster {
         let mut inbound_bytes: BTreeMap<NodeId, u64> = BTreeMap::new();
         for p in &old_partitions {
             let src_node = self.node_of_partition(*p)?;
-            let Ok(ds) = self.partition(*p)?.dataset(dataset) else {
-                continue;
+            let ds = match self.store(*p, dataset) {
+                Err(ClusterError::UnknownDataset(_)) => continue,
+                stored => stored?,
             };
             let entries = ds.primary.scan(dynahash_lsm::ScanOrder::Unordered);
             let scan_bytes: u64 = entries.iter().map(|e| e.size_bytes() as u64).sum();
@@ -298,7 +308,7 @@ impl Cluster {
                 dst_node,
                 cost.disk_write(load_bytes) + cost.ingest_cpu(n_records),
             );
-            let ds = self.partition_mut(p)?.dataset_mut(dataset)?;
+            let ds = self.store_mut(p, dataset)?;
             for (k, v) in records {
                 ds.ingest(k, v)?;
             }
@@ -342,6 +352,7 @@ mod tests {
     use super::*;
     use crate::dataset::{DatasetSpec, SecondaryIndexDef};
     use dynahash_core::Scheme;
+    use dynahash_lsm::wal::LogRecordBody;
     use dynahash_lsm::Bytes;
 
     fn payload(tag: u64) -> Bytes {
@@ -423,6 +434,36 @@ mod tests {
         cluster.check_dataset_consistency(ds).unwrap();
     }
 
+    /// The Hashing rebuild writes to every target node and reads every node
+    /// holding the dataset, so a crashed or lost one refuses it before BEGIN
+    /// is logged: nothing is dropped, rebuilt or re-routed.
+    #[test]
+    fn a_hashing_rebuild_refuses_a_node_that_is_not_up() {
+        for lost in [false, true] {
+            let (mut cluster, ds) = loaded_cluster(3, Scheme::Hashing, 2000);
+            let target = cluster.topology_without(NodeId(2));
+            match lost {
+                false => cluster.crash_node(NodeId(1)).unwrap(),
+                true => cluster.lose_node(NodeId(1)).unwrap(),
+            }
+            let version = cluster.controller.routing_version(ds).unwrap();
+            let logged = cluster.controller.metadata_log.records().len();
+            let err = cluster
+                .rebalance(ds, &target, RebalanceOptions::none())
+                .unwrap_err();
+            match lost {
+                false => assert!(matches!(err, ClusterError::NodeDown(NodeId(1))), "{err}"),
+                true => assert!(matches!(err, ClusterError::NodeLost(NodeId(1))), "{err}"),
+            }
+            assert_eq!(cluster.dataset_len(ds).unwrap(), 2000);
+            assert_eq!(cluster.controller.routing_version(ds).unwrap(), version);
+            let records = &cluster.controller.metadata_log.records()[logged..];
+            assert!(!records
+                .iter()
+                .any(|r| matches!(r.body, LogRecordBody::RebalanceBegin { .. })));
+        }
+    }
+
     #[test]
     fn bucketed_rebalance_is_cheaper_than_hashing() {
         let (mut c1, d1) = loaded_cluster(2, Scheme::StaticHash { num_buckets: 32 }, 2000);
@@ -462,13 +503,7 @@ mod tests {
         // every concurrent write is readable after the rebalance
         for (k, _) in &concurrent {
             let p = cluster.route_key(ds, k).unwrap();
-            assert!(cluster
-                .partition(p)
-                .unwrap()
-                .dataset(ds)
-                .unwrap()
-                .get(k)
-                .is_some());
+            assert!(cluster.store(p, ds).unwrap().get(k).is_some());
         }
     }
 

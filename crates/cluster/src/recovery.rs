@@ -260,7 +260,7 @@ mod tests {
         }
         let buffered: usize = (cluster.topology().partitions_of_node(NodeId(1)).iter())
             .map(|p| {
-                let primary = &cluster.partition(*p).unwrap().dataset(ds).unwrap().primary;
+                let primary = &cluster.store(*p, ds).unwrap().primary;
                 primary
                     .bucket_ids()
                     .iter()
@@ -346,11 +346,7 @@ mod tests {
     fn a_crash_drops_pending_buckets_and_recovery_restores_service() {
         let (mut cluster, ds) = loaded(2);
         let home = PartitionId(0);
-        let store = cluster
-            .partition_mut(home)
-            .unwrap()
-            .dataset_mut(ds)
-            .unwrap();
+        let store = cluster.store_mut(home, ds).unwrap();
         let own: Vec<Key> = (store.primary.scan(dynahash_lsm::ScanOrder::Unordered))
             .into_iter()
             .map(|e| e.key)
@@ -377,7 +373,7 @@ mod tests {
 
         cluster.crash_node(NodeId(0)).unwrap();
         assert!(!cluster.node_is_alive(NodeId(0)));
-        let store = cluster.partition(home).unwrap().dataset(ds).unwrap();
+        let store = cluster.store(home, ds).unwrap();
         assert!(
             !store.primary.has_pending_bucket(&received),
             "the uncommitted transfer is gone"
@@ -386,11 +382,7 @@ mod tests {
         assert!(own.iter().all(|k| store.get(k).is_some()));
         cluster.recover_node(NodeId(0)).unwrap();
         assert!(cluster.node_is_alive(NodeId(0)));
-        let store = cluster
-            .partition_mut(home)
-            .unwrap()
-            .dataset_mut(ds)
-            .unwrap();
+        let store = cluster.store_mut(home, ds).unwrap();
         store.ensure_pending_bucket(received).unwrap();
         assert!(store.primary.pending_bucket_ids() == [received]);
     }

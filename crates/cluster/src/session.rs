@@ -141,54 +141,39 @@ impl Cluster {
     }
 
     /// Validated point read in one partition pass: the hot path of
-    /// [`Session::get`]. `bucketed` comes from the session's cached spec (a
-    /// dataset never changes scheme) and `hash` is the session's one
-    /// `hash_key(key)`, so the success path touches only the partition — the
-    /// work a direct read does: one local directory probe, one tree read.
+    /// [`Session::get`]. `hash` is the session's one `hash_key(key)`, so
+    /// the success path does the work a direct read does: one local
+    /// directory probe, one tree read. The partition serves the read only
+    /// if it serves the key ([`Cluster::serving`]).
     pub(crate) fn validated_get(
         &self,
         dataset: DatasetId,
         key: &Key,
         hash: u64,
         partition: PartitionId,
-        bucketed: bool,
     ) -> Result<Option<Value>> {
-        if bucketed {
-            // A bucket whose only copy died with a lost node serves a typed
-            // degraded error, never silently-empty data (the replanned
-            // directory routes to a survivor's *empty* replacement bucket).
-            if let Some(bucket) = self.lost_bucket_of(dataset, key) {
-                return Err(ClusterError::BucketDegraded { dataset, bucket });
-            }
-            if let Ok(part) = self.partition(partition) {
-                if let Ok(ds) = part.dataset(dataset) {
-                    if let Some(bucket) = ds.primary.bucket_of_hash(hash) {
-                        // The local probe already named the bucket, so the
-                        // armed heat path costs nothing extra (and the
-                        // disarmed one a single flag check), and the read
-                        // goes to that bucket's tree without resolving it
-                        // again.
-                        self.heat.note_read(dataset, bucket);
-                        let tree = ds.primary.bucket_tree(&bucket);
-                        return Ok(tree.and_then(|t| t.get_ref_hashed(key, hash)).cloned());
-                    }
-                }
-            }
-            Err(ClusterError::Route(RouteError::StaleDirectory {
-                server_version: self.controller.routing_version(dataset)?,
-            }))
-        } else {
-            // The Hashing scheme serves a key where the authoritative
-            // modulo route sends it.
-            let meta = self.controller.dataset(dataset)?;
-            let ds = (self.partition(partition).ok()).and_then(|part| part.dataset(dataset).ok());
-            match ds.filter(|_| meta.route_hash(hash) == Some(partition)) {
-                Some(ds) => Ok(ds.get(key)),
-                None => Err(ClusterError::Route(RouteError::StaleDirectory {
-                    server_version: meta.routing_version(),
-                })),
-            }
+        let meta = self.controller.dataset(dataset)?;
+        // A bucket whose only copy died with a lost node serves a typed
+        // degraded error, never silently-empty data (the replanned
+        // directory routes to a survivor's *empty* replacement bucket).
+        if let Some(bucket) = self.lost_bucket_of(dataset, key) {
+            return Err(ClusterError::BucketDegraded { dataset, bucket });
         }
+        let Some((ds, bucket)) = self.serving(meta, partition, hash) else {
+            return Err(ClusterError::Route(RouteError::StaleDirectory {
+                server_version: meta.routing_version(),
+            }));
+        };
+        // The local probe already named the bucket, so the armed heat path
+        // costs nothing extra (and the disarmed one a single flag check),
+        // and the read goes to that bucket's tree without resolving it
+        // again. A Hashing dataset has no bucket the control plane could
+        // move, so only a bucketed dataset's reads are heat.
+        if meta.is_bucketed() {
+            self.heat.note_read(dataset, bucket);
+        }
+        let tree = ds.primary.bucket_tree(&bucket);
+        Ok(tree.and_then(|t| t.get_ref_hashed(key, hash)).cloned())
     }
 }
 
@@ -277,14 +262,13 @@ impl Session {
     /// route, and transparently refreshes and retries on a stale rejection.
     pub fn get(&mut self, cluster: &Cluster, key: &Key) -> Result<Option<Value>> {
         self.metrics.requests += 1;
-        let bucketed = self.cache.is_bucketed();
         let mut attempts = 0usize;
         // hashed once: for the cached directory, the partition's local
         // directory, and every filter of the bucket's tree
         let hash = hash_key(key);
         loop {
             let partition = self.route_hash(hash)?;
-            match cluster.validated_get(self.dataset, key, hash, partition, bucketed) {
+            match cluster.validated_get(self.dataset, key, hash, partition) {
                 Ok(v) => return Ok(v),
                 Err(e) => self.handle_rejection(cluster, e, &mut attempts)?,
             }
@@ -315,8 +299,9 @@ impl Session {
         let mut write = Write::new(key, value);
         let mut attempts = 0usize;
         loop {
-            match cluster.write_routed(self.dataset, &mut write, &self.cache) {
-                Ok(live) => return Ok(live),
+            let group = std::slice::from_mut(&mut write);
+            match cluster.write_group(self.dataset, group, Some(&self.cache), |_, _, _| {}) {
+                Ok(live) => return Ok(live > 0),
                 Err(e) => self.handle_rejection(cluster, e, &mut attempts)?,
             }
         }
@@ -436,7 +421,7 @@ mod tests {
     use super::*;
     use crate::dataset::DatasetSpec;
     use crate::rebalance::RebalanceOptions;
-    use dynahash_core::Scheme;
+    use dynahash_core::{NodeId, Scheme};
     use dynahash_lsm::Bytes;
 
     fn record(i: u64) -> (Key, Value) {
@@ -599,6 +584,47 @@ mod tests {
             assert_eq!(reader.get(&cluster, &k).unwrap(), Some(v), "key {i}");
         }
         cluster.check_dataset_consistency(ds).unwrap();
+    }
+
+    /// A session that cached routes to a node since scaled in and
+    /// decommissioned names partition ids past the end of the cluster's
+    /// partition table: its first get, and its first put, of such a key is
+    /// one stale redirect, and lands after one refresh.
+    #[test]
+    fn a_route_to_a_retired_partition_redirects_once() {
+        for scheme in [Scheme::StaticHash { num_buckets: 32 }, Scheme::Hashing] {
+            let (mut cluster, ds) = loaded(2, scheme, 0);
+            cluster.add_node().unwrap();
+            let wide = cluster.topology().clone();
+            cluster
+                .rebalance(ds, &wide, RebalanceOptions::none())
+                .unwrap();
+            let mut session = cluster.session(ds).unwrap();
+            session.ingest(&mut cluster, (0..600).map(record)).unwrap();
+            let (mut reads, mut writes) = (session.clone(), session);
+            let retired = cluster.topology().partitions_of_node(NodeId(2));
+            let narrow = cluster.topology_without(NodeId(2));
+            cluster
+                .rebalance(ds, &narrow, RebalanceOptions::none())
+                .unwrap();
+            cluster.decommission_node(NodeId(2)).unwrap();
+            assert!(retired.iter().all(|p| cluster.partition(*p).is_err()));
+            let on_retired = |session: &Session, i: u64| {
+                let route = session.route_hash(hash_key(&record(i).0)).unwrap();
+                retired.contains(&route)
+            };
+            let i = (0..600).find(|&i| on_retired(&reads, i)).unwrap();
+            let (k, v) = record(i);
+            assert_eq!(reads.get(&cluster, &k).unwrap(), Some(v), "{scheme:?}");
+            let j = (600..1200).find(|&j| on_retired(&writes, j)).unwrap();
+            let (k, v) = record(j);
+            writes.put(&mut cluster, k.clone(), v.clone()).unwrap();
+            assert_eq!(reads.get(&cluster, &k).unwrap(), Some(v), "{scheme:?}");
+            for session in [&reads, &writes] {
+                let m = session.metrics();
+                assert_eq!((m.redirects, m.refreshes(), m.retries), (1, 1, 1));
+            }
+        }
     }
 
     #[test]
