@@ -189,9 +189,10 @@ pub struct Cluster {
     /// one past the largest id long (ids are dense, and a new node's
     /// continue after the largest).
     partitions: Vec<Option<Partition>>,
-    /// Every Node Controller of the topology: a node is its liveness state
-    /// (see [`crate::recovery`] for the rules that change it).
-    pub(crate) nodes: BTreeMap<NodeId, NodeState>,
+    /// Every Node Controller of the topology, indexed by node id: a node is
+    /// its liveness state (see [`crate::recovery`] for the rules that change
+    /// it), `None` where a retired node was.
+    pub(crate) nodes: Vec<Option<NodeState>>,
     /// The Cluster Controller.
     pub controller: ClusterController,
     /// In-flight step-driven rebalances, by dataset (see [`ActiveRebalance`]).
@@ -210,7 +211,7 @@ pub struct Cluster {
 impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster")
-            .field("nodes", &self.nodes.len())
+            .field("nodes", &self.nodes.iter().flatten().count())
             .field("partitions", &self.topology.num_partitions())
             .finish()
     }
@@ -229,9 +230,8 @@ impl Cluster {
         let partitions = (topology.partitions().into_iter())
             .map(|p| Some(Partition::new(p)))
             .collect();
-        let nodes = (topology.nodes().into_iter())
-            .map(|n| (n, NodeState::Alive))
-            .collect();
+        // ... and its nodes 0, 1, 2, ...
+        let nodes = vec![Some(NodeState::Alive); topology.num_nodes()];
         Cluster {
             config,
             topology,
@@ -340,10 +340,7 @@ impl Cluster {
 
     /// A node's liveness state.
     pub(crate) fn node_state(&self, id: NodeId) -> Result<NodeState, ClusterError> {
-        self.nodes
-            .get(&id)
-            .copied()
-            .ok_or(ClusterError::UnknownNode(id))
+        (self.nodes.get(id.0 as usize).copied().flatten()).ok_or(ClusterError::UnknownNode(id))
     }
 
     /// Access a partition. Crate-internal: clients go through
@@ -535,7 +532,7 @@ impl Cluster {
         };
         let runs = || by_bucket.chunk_by(|a, b| a.0 >> bits == b.0 >> bits);
         for run in runs() {
-            self.require_up(self.node_of_partition(writes[run[0].1 as usize].partition)?)?;
+            self.require_up_at(writes[run[0].1 as usize].partition)?;
         }
         if let Some(bug) = routing_bug {
             return Err(bug);
@@ -627,8 +624,7 @@ impl Cluster {
             }
             write.replica = bucket.and_then(|b| Some((b, *shipped?.get(&b)?)));
             if let (None, Some((_, destination))) = (&refused, write.replica) {
-                let node = self.node_of_partition(destination);
-                refused = node.and_then(|node| self.require_up(node)).err();
+                refused = self.require_up_at(destination).err();
             }
             let Some(partition) = partition else {
                 unroutable = true;
@@ -856,7 +852,9 @@ impl Cluster {
             (self.partitions).resize_with(self.partitions.len().max(at + 1), || None);
             self.partitions[at] = Some(partition);
         }
-        self.nodes.insert(new_node_id, NodeState::Alive);
+        let at = new_node_id.0 as usize;
+        (self.nodes).resize(self.nodes.len().max(at + 1), None);
+        self.nodes[at] = Some(NodeState::Alive);
         self.topology = new_topology;
         Ok(new_node_id)
     }
@@ -910,7 +908,10 @@ impl Cluster {
     /// partition list, bumping the routing version so cached sessions stop
     /// dispatching scans to partitions that no longer exist.
     fn retire_node(&mut self, node: NodeId) -> Result<(), ClusterError> {
-        self.nodes.remove(&node);
+        self.nodes[node.0 as usize] = None;
+        while self.nodes.last().is_some_and(Option::is_none) {
+            self.nodes.pop();
+        }
         for p in self.topology.partitions_of_node(node) {
             self.partitions[p.0 as usize] = None;
         }
@@ -985,6 +986,24 @@ impl Cluster {
         Ok((self.stores(dataset))
             .map(|(p, ds)| (p, ds.primary.bucket_ids()))
             .collect())
+    }
+
+    /// Absorbs the partitions' local bucket splits into the CC's directory
+    /// of `dataset` and returns the refreshed directory. Clients see it: the
+    /// directory's version moves when anything changed, so cached sessions
+    /// pick the finer-grained routing up on their next refresh. Routing is
+    /// unaffected — a split bucket's children live on their parent's
+    /// partition.
+    pub(crate) fn absorb_local_splits(
+        &mut self,
+        dataset: DatasetId,
+    ) -> Result<GlobalDirectory, ClusterError> {
+        let refreshed = GlobalDirectory::refresh_from_locals(self.local_directories(dataset)?)
+            .map_err(ClusterError::Core)?;
+        if let Some(dir) = self.controller.dataset_mut(dataset)?.directory.as_mut() {
+            dir.install(&refreshed);
+        }
+        Ok(refreshed)
     }
 
     /// Convenience: the scheme of a dataset.
@@ -1080,16 +1099,6 @@ impl Cluster {
                 "rebalance {rebalance} has non-terminal log status {status:?}"
             ))),
         }
-    }
-}
-
-#[cfg(test)]
-impl Cluster {
-    /// Live records of `dataset` stored on `node`'s partitions.
-    pub(crate) fn live_on_node(&self, dataset: DatasetId, node: NodeId) -> usize {
-        let live = self.dataset_distribution(dataset).unwrap_or_default();
-        let partitions = self.topology.partitions_of_node(node);
-        partitions.iter().filter_map(|p| live.get(p)).sum()
     }
 }
 

@@ -48,8 +48,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use dynahash_core::{
-    max_deviation_imbalance, BucketHeat, BucketId, GlobalDirectory, MigrationBudget, PartitionId,
-    RebalanceOutcome,
+    max_deviation_imbalance, BucketHeat, BucketId, MigrationBudget, PartitionId, RebalanceOutcome,
 };
 use dynahash_lsm::entry::{Key, Value};
 
@@ -57,7 +56,7 @@ use crate::cluster::Cluster;
 use crate::dataset::DatasetId;
 use crate::job::RebalanceJob;
 use crate::obs::{ControlDecision, Event};
-use crate::{ClusterError, Result};
+use crate::Result;
 
 // ------------------------------------------------------------ heat tracking
 
@@ -507,12 +506,7 @@ impl ControlPlane {
             }));
         }
         if splits > 0 {
-            let locals = cluster.local_directories(dataset)?;
-            let refreshed =
-                GlobalDirectory::refresh_from_locals(locals).map_err(ClusterError::Core)?;
-            if let Some(dir) = cluster.controller.dataset_mut(dataset)?.directory.as_mut() {
-                dir.install(&refreshed);
-            }
+            cluster.absorb_local_splits(dataset)?;
         }
         Ok(())
     }

@@ -387,21 +387,6 @@ impl ClusterHealth {
     pub fn all_healthy(&self) -> bool {
         self.nodes.iter().all(|(_, s)| *s == NodeState::Alive) && self.stats.lost_buckets.is_empty()
     }
-
-    /// Datasets serving without some of their buckets.
-    pub fn degraded_datasets(&self) -> Vec<DatasetId> {
-        self.stats.degraded_datasets()
-    }
-
-    /// Per-dataset lost bucket ids, sorted, so operators can watch a repair
-    /// drain the list bucket by bucket.
-    pub fn degraded_buckets(&self) -> Vec<(DatasetId, Vec<BucketId>)> {
-        self.stats
-            .lost_buckets
-            .keys()
-            .map(|&ds| (ds, self.stats.degraded_buckets(ds)))
-            .collect()
-    }
 }
 
 #[cfg(test)]

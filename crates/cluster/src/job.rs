@@ -73,8 +73,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dynahash_core::{
-    BucketId, BucketMove, ClusterTopology, GlobalDirectory, NodeId, PartitionId, RebalanceOutcome,
-    RebalancePlan,
+    BucketId, BucketMove, ClusterTopology, NodeId, PartitionId, RebalanceOutcome, RebalancePlan,
 };
 use dynahash_lsm::entry::{Key, Value};
 use dynahash_lsm::wal::{LogRecordBody, RebalanceId, ShippedMove};
@@ -179,9 +178,6 @@ pub struct ReplanReport {
     /// Of the rerouted moves, those already shipped whose transfer will be
     /// repeated from the (still live) source.
     pub reshipped: u64,
-    /// Buckets whose only copy died with a lost node: the commit installs
-    /// them empty on a survivor and the dataset serves degraded.
-    pub lost_buckets: u64,
     /// Waves appended to carry the rerouted and re-shipped moves.
     pub waves_appended: usize,
 }
@@ -291,16 +287,7 @@ impl RebalanceJob {
         }
         let rebalance_id = Self::begin(cluster, dataset)?;
 
-        let locals = cluster.local_directories(dataset)?;
-        let routing = GlobalDirectory::refresh_from_locals(locals).map_err(ClusterError::Core)?;
-        // The initialization-phase refresh is visible to clients: absorbing
-        // local bucket splits into the CC's directory bumps its version (if
-        // anything changed), so cached sessions pick the finer-grained
-        // routing up on their next refresh. Routing is unaffected — a split
-        // bucket's children live on the same partition as their parent.
-        if let Some(dir) = cluster.controller.dataset_mut(dataset)?.directory.as_mut() {
-            dir.install(&routing);
-        }
+        let routing = cluster.absorb_local_splits(dataset)?;
         let sizes = cluster.dataset_bucket_sizes(dataset)?;
         let weights = match loads {
             Some(loads) => {
@@ -561,6 +548,13 @@ impl RebalanceJob {
         (self.plan.target.node_of(m.to)).is_some_and(|n| cluster.node_is_lost(n))
     }
 
+    /// True when `m` is shipped from a partition of a permanently lost node
+    /// (a feed-staged bucket's source is the job's feed, which no loss takes).
+    fn src_lost(&self, cluster: &Cluster, m: &BucketMove) -> bool {
+        !self.feed_staged(m)
+            && (cluster.topology().node_of(m.from)).is_some_and(|n| cluster.node_is_lost(n))
+    }
+
     /// The nodes staging `m` keeps busy: its source and destination — or the
     /// destination alone for a feed-staged bucket, whose previous owner
     /// `m.from` may be long dead.
@@ -679,28 +673,35 @@ impl RebalanceJob {
     /// Re-plans the in-flight job around permanently lost participants
     /// instead of aborting. Allowed whenever the job is in data movement
     /// (between any two waves, including before the first and after the
-    /// last). For each lost node the job:
+    /// last). The replan only re-routes: what shipped where is the job's
+    /// shipped map on the cluster (filled by [`RebalanceJob::run_wave`],
+    /// read by the write path), and which buckets a loss killed was booked
+    /// by [`Cluster::lose_node`] when the node was lost. For each lost node
+    /// the job:
     ///
-    /// * redirects every move *to* one of its partitions onto the surviving
-    ///   destination partition with the least planned inbound bytes (lowest
-    ///   partition id breaks ties), amending both the plan and the planned
-    ///   directory;
-    /// * schedules already-shipped redirected moves for a fresh transfer
-    ///   from their (still live) sources — the WAL's `ShippedMove` records
-    ///   and the sources' kept copies make this safe; a feed-staged bucket's
-    ///   source is the job's own feed, which no node loss can take — and
-    ///   unregisters their write replication to the dead destination;
-    /// * declares buckets whose *only* copy died with the node (an unshipped
-    ///   move's source, or a non-moving bucket resident on the node) lost:
-    ///   the commit installs them empty on a survivor so the directory keeps
-    ///   covering the hash space, and the dataset serves every other bucket
+    /// * redirects every move *to* one of its partitions: it cancels the
+    ///   move when the source lives on in the target, and otherwise sends it
+    ///   to the surviving destination partition with the least planned
+    ///   inbound bytes (lowest partition id breaks ties), amending both the
+    ///   plan and the planned directory. A redirected bucket leaves the
+    ///   shipped map, which stops its write replication to the dead
+    ///   destination; when it had shipped and its source lives, that counts
+    ///   as a re-ship (the WAL's `ShippedMove` records and the sources' kept
+    ///   copies make it safe; a feed-staged bucket's source is the job's own
+    ///   feed, which no node loss can take);
+    /// * reassigns the node's non-moving buckets to survivors as zero-byte
+    ///   moves, so the commit installs them empty and the directory keeps
+    ///   covering the hash space while the dataset serves every other bucket
     ///   (degraded mode, surfaced by [`Admin::health`]);
     /// * drops the node from the participant set (its vote and commit ack
-    ///   with it) and the target topology, then reschedules the
-    ///   still-pending moves into fresh waves.
+    ///   with it) and the target topology, then reschedules into fresh waves
+    ///   every move whose source lives and whose bucket the shipped map does
+    ///   not hold at its current destination — so a re-ship stays scheduled
+    ///   through any number of replans until its wave runs.
     ///
-    /// Sessions keep serving reads from still-live sources throughout: the
-    /// routing directory only changes at commit.
+    /// A second call with no new loss is a no-op. Sessions keep serving
+    /// reads from still-live sources throughout: the routing directory only
+    /// changes at commit.
     ///
     /// [`Admin::health`]: crate::cluster::Admin::health
     pub fn replan_wave(&mut self, cluster: &mut Cluster) -> Result<ReplanReport> {
@@ -729,11 +730,6 @@ impl RebalanceJob {
             ));
         }
 
-        let shipped_buckets: BTreeSet<BucketId> = self.waves[..completed]
-            .iter()
-            .flat_map(|w| w.iter().map(|m| m.bucket))
-            .collect();
-
         // Surviving destinations, ranked by planned inbound bytes so the
         // reroutes spread instead of piling onto one partition.
         let mut inbound: BTreeMap<PartitionId, u64> = new_target
@@ -751,59 +747,45 @@ impl RebalanceJob {
             lost_nodes: lost.clone(),
             ..ReplanReport::default()
         };
-        let mut lost_buckets: Vec<BucketId> = Vec::new();
-        // Buckets whose already-shipped transfer must repeat onto the new
-        // destination (their re-ship joins the rescheduled waves below).
-        let mut reship: BTreeSet<BucketId> = BTreeSet::new();
         // Moves canceled outright (the bucket stays on its live source).
         let mut canceled: Vec<usize> = Vec::new();
         for i in 0..self.plan.moves.len() {
             let m = self.plan.moves[i];
-            let already_shipped = shipped_buckets.contains(&m.bucket);
-            let dst_lost = self.dst_lost(cluster, &m);
-            let src_lost = !self.feed_staged(&m)
-                && (cluster.topology().node_of(m.from)).is_some_and(|n| cluster.node_is_lost(n));
-            if dst_lost {
-                // A dead destination orphans whatever was shipped to it; stop
-                // replicating writes there either way.
-                if already_shipped {
-                    if let Some(active) = cluster.active_rebalances.get_mut(&self.dataset) {
-                        active.shipped.remove(&m.bucket);
-                    }
-                }
-                let src_in_target = !src_lost && new_target.node_of(m.from).is_some();
-                if src_in_target {
-                    // The cheapest reroute: cancel the move and let the
-                    // bucket stay on its live source (which keeps its copy
-                    // until commit). Shipping a bucket back to itself would
-                    // confuse the commit-time install/cleanup passes.
-                    self.plan.new_directory.reassign(m.bucket, m.from);
-                    canceled.push(i);
-                } else {
-                    let new_to = pick_least_loaded(&mut inbound, m.bytes)?;
-                    self.plan.moves[i].to = new_to;
-                    self.plan.new_directory.reassign(m.bucket, new_to);
-                    if already_shipped && !src_lost {
-                        reship.insert(m.bucket);
-                        report.reshipped += 1;
-                    }
-                }
-                report.rerouted += 1;
+            if !self.dst_lost(cluster, &m) {
+                continue;
             }
-            // The data survives if the destination holds a shipped copy or
-            // the source still lives; otherwise the bucket is lost.
-            if src_lost && (dst_lost || !already_shipped) {
-                lost_buckets.push(m.bucket);
+            let src_lost = self.src_lost(cluster, &m);
+            // A dead destination orphans whatever was shipped to it: writes
+            // stop replicating there, and the rescheduling below ships the
+            // bucket again if its source lives.
+            let orphaned = (cluster.active_rebalances.get_mut(&self.dataset))
+                .and_then(|active| active.shipped.remove(&m.bucket))
+                .is_some();
+            if !src_lost && new_target.node_of(m.from).is_some() {
+                // The cheapest reroute: cancel the move and let the bucket
+                // stay on its live source (which keeps its copy until
+                // commit). Shipping a bucket back to itself would confuse
+                // the commit-time install/cleanup passes.
+                self.plan.new_directory.reassign(m.bucket, m.from);
+                canceled.push(i);
+            } else {
+                let new_to = pick_least_loaded(&mut inbound, m.bytes)?;
+                self.plan.moves[i].to = new_to;
+                self.plan.new_directory.reassign(m.bucket, new_to);
+                if orphaned && !src_lost {
+                    report.reshipped += 1;
+                }
             }
+            report.rerouted += 1;
         }
         for i in canceled.into_iter().rev() {
             self.plan.moves.remove(i);
         }
 
-        // Non-moving buckets resident on a lost node lose their only copy
-        // too: reassign each to a survivor as a synthetic zero-byte move, so
-        // the commit installs an empty bucket there and the directory keeps
-        // covering the full hash space.
+        // Non-moving buckets resident on a lost node lost their only copy
+        // (`lose_node` booked them): reassign each to a survivor as a
+        // synthetic zero-byte move, so the commit installs an empty bucket
+        // there and the directory keeps covering the full hash space.
         for n in &lost {
             for p in cluster.topology().partitions_of_node(*n) {
                 for bucket in self.plan.new_directory.buckets_of_partition(p) {
@@ -816,7 +798,6 @@ impl RebalanceJob {
                         bytes: 0,
                     });
                     report.rerouted += 1;
-                    lost_buckets.push(bucket);
                 }
             }
         }
@@ -829,26 +810,18 @@ impl RebalanceJob {
         self.participants.retain(|n| !lost.contains(n));
         self.plan.target = new_target;
 
-        // Reschedule what still has to move: unshipped moves with a live
-        // source, plus the re-ships. Lost buckets are deliberately absent —
+        // Reschedule every move with a live source that has not shipped to
+        // its current destination. Lost buckets are deliberately absent —
         // their empty install travels with the commit.
         let max_concurrent = self.waves.iter().map(Vec::len).max().unwrap_or(1);
         self.waves.truncate(completed);
-        let topology = cluster.topology().clone();
-        let pending: Vec<BucketMove> = self
-            .plan
-            .moves
-            .iter()
-            .copied()
+        let shipped = (cluster.active_rebalances.get(&self.dataset)).map(|active| &active.shipped);
+        let pending: Vec<BucketMove> = (self.plan.moves.iter().copied())
             .filter(|m| {
-                let src_live = self.feed_staged(m)
-                    || topology
-                        .node_of(m.from)
-                        .is_some_and(|n| !cluster.node_is_lost(n));
-                let needs_ship = !shipped_buckets.contains(&m.bucket) || reship.contains(&m.bucket);
-                src_live && needs_ship
+                !self.src_lost(cluster, m) && shipped.and_then(|s| s.get(&m.bucket)) != Some(&m.to)
             })
             .collect();
+        let topology = cluster.topology();
         let new_waves =
             RebalancePlan::schedule_moves(&pending, &self.plan.target, max_concurrent, |p| {
                 topology.node_of(p)
@@ -864,10 +837,6 @@ impl RebalanceJob {
         self.movement += tl.elapsed();
         self.move_tl.extend(&tl);
 
-        report.lost_buckets = lost_buckets.len() as u64;
-        for b in lost_buckets {
-            cluster.faults.mark_lost(self.dataset, b);
-        }
         cluster.record(Event::Replanned {
             rebalance: self.rebalance_id,
             rerouted: report.rerouted,
@@ -1882,8 +1851,8 @@ mod tests {
         let replan = job.replan_wave(&mut cluster).unwrap();
         assert_eq!(replan.lost_nodes, vec![new_node]);
         assert!(replan.rerouted > 0);
-        assert_eq!(
-            replan.lost_buckets, 0,
+        assert!(
+            cluster.fault_stats().degraded_buckets(ds).is_empty(),
             "a pure destination holds no sole copies"
         );
         // every source survives inside the target, so every move cancels:
@@ -1934,7 +1903,7 @@ mod tests {
             "shipped moves to the dead node must transfer again"
         );
         assert!(
-            replan.lost_buckets > 0,
+            !cluster.fault_stats().degraded_buckets(ds).is_empty(),
             "the victim's resident buckets die with it"
         );
         assert!(replan.waves_appended > 0);
@@ -1973,7 +1942,7 @@ mod tests {
         let replan = job.replan_wave(&mut cluster).unwrap();
         assert_eq!(replan.lost_nodes, vec![victim]);
         assert!(
-            replan.lost_buckets > 0,
+            !cluster.fault_stats().degraded_buckets(ds).is_empty(),
             "unshipped buckets die with their source"
         );
         let report = job.drive(&mut cluster).unwrap();
@@ -1987,7 +1956,7 @@ mod tests {
             .unwrap();
         let health = cluster.admin().health();
         assert!(!health.all_healthy());
-        assert_eq!(health.degraded_datasets(), vec![ds]);
+        assert_eq!(health.stats.degraded_datasets(), vec![ds]);
     }
 
     #[test]

@@ -101,7 +101,8 @@ pub(crate) struct PassCounts {
 /// One pass over `dataset`'s primary index on each of `partitions` that holds
 /// it: each record is touched once, by `visit`, and the same pass counts
 /// what the partition read. `init` is told how many entries the partition's
-/// scan looks at (an upper bound on what it visits).
+/// scan looks at (an upper bound on what it visits). A partition whose node
+/// is down refuses the pass ([`Cluster::require_up`]).
 pub(crate) fn scan_pass<A>(
     cluster: &Cluster,
     dataset: DatasetId,
@@ -112,6 +113,7 @@ pub(crate) fn scan_pass<A>(
 ) -> Result<Vec<(PartitionId, A, PassCounts)>> {
     let mut out = Vec::with_capacity(partitions.len());
     for &p in partitions {
+        cluster.require_up_at(p)?;
         let ds = match cluster.store(p, dataset) {
             Err(ClusterError::UnknownDataset(_)) => continue,
             stored => stored?,
@@ -139,7 +141,8 @@ pub(crate) fn scan_pass<A>(
 /// handed to `visit` as `(secondary, primary)` key bytes borrowed from the
 /// index, together with the partition's primary index and the index's
 /// definition. Obsolete entries of moved buckets are validated away but
-/// still counted as read, at 24 bytes an entry.
+/// still counted as read, at 24 bytes an entry. A partition whose node is
+/// down refuses the pass.
 pub(crate) fn index_pass<A>(
     cluster: &mut Cluster,
     dataset: DatasetId,
@@ -150,6 +153,7 @@ pub(crate) fn index_pass<A>(
 ) -> Result<Vec<(PartitionId, A, PassCounts)>> {
     let mut out = Vec::with_capacity(partitions.len());
     for &p in partitions {
+        cluster.require_up_at(p)?;
         let ds = match cluster.store_mut(p, dataset) {
             Err(ClusterError::UnknownDataset(_)) => continue,
             stored => stored?,
@@ -382,7 +386,8 @@ impl<'a> QueryExecutor<'a> {
 
     /// Fetches full records by primary key from a specific partition
     /// (the "fetch records from the bucketed primary index" half of an
-    /// index-then-fetch plan).
+    /// index-then-fetch plan). A partition whose node is down refuses with
+    /// [`ClusterError::NodeDown`] or [`ClusterError::NodeLost`].
     pub fn fetch(
         &mut self,
         dataset: DatasetId,
@@ -390,6 +395,7 @@ impl<'a> QueryExecutor<'a> {
         keys: &[Key],
     ) -> Result<Vec<Entry>> {
         let primary = &self.cluster.store(partition, dataset)?.primary;
+        self.cluster.require_up_at(partition)?;
         let mut out = Vec::with_capacity(keys.len());
         let mut bytes = 0u64;
         for k in keys {

@@ -228,7 +228,7 @@ impl Cluster {
         }
         let old_partitions = self.controller.dataset(dataset)?.partitions.clone();
         for p in &old_partitions {
-            self.require_up(self.node_of_partition(*p)?)?;
+            self.require_up_at(*p)?;
         }
         for node in target.nodes() {
             self.require_up(node)?;
@@ -355,6 +355,13 @@ mod tests {
     use dynahash_lsm::wal::LogRecordBody;
     use dynahash_lsm::Bytes;
 
+    /// Live records of `dataset` stored on `node`'s partitions.
+    fn live_on_node(cluster: &Cluster, dataset: DatasetId, node: NodeId) -> usize {
+        let live = cluster.dataset_distribution(dataset).unwrap_or_default();
+        let partitions = cluster.topology().partitions_of_node(node);
+        partitions.iter().filter_map(|p| live.get(p)).sum()
+    }
+
     fn payload(tag: u64) -> Bytes {
         let mut v = tag.to_be_bytes().to_vec();
         v.extend_from_slice(&[9u8; 56]);
@@ -414,7 +421,7 @@ mod tests {
         assert_eq!(cluster.dataset_len(ds).unwrap(), before);
         cluster.check_dataset_consistency(ds).unwrap();
         // the new node now holds data
-        assert!(cluster.live_on_node(ds, NodeId(2)) > 0);
+        assert!(live_on_node(&cluster, ds, NodeId(2)) > 0);
     }
 
     #[test]
@@ -596,7 +603,7 @@ mod tests {
         // pending state, terminal WAL status
         assert_eq!(cluster.dataset_len(ds).unwrap(), 1200);
         cluster.check_rebalance_integrity(ds, 1).unwrap();
-        let on_new = cluster.live_on_node(ds, NodeId(2));
+        let on_new = live_on_node(&cluster, ds, NodeId(2));
         assert!(on_new > 0, "the durable commit decision must be applied");
         // and the dataset remains fully rebalance-able
         let report = cluster

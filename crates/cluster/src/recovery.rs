@@ -15,7 +15,7 @@
 
 use std::collections::BTreeSet;
 
-use dynahash_core::NodeId;
+use dynahash_core::{NodeId, PartitionId};
 use dynahash_lsm::wal::{LogRecordBody, RebalanceId, RebalanceLogStatus};
 
 use crate::cluster::Cluster;
@@ -48,7 +48,7 @@ impl Cluster {
     }
 
     fn crash(&mut self, node: NodeId) -> Result<()> {
-        let state = (self.nodes.get_mut(&node)).ok_or(ClusterError::UnknownNode(node))?;
+        let state = self.node_state_mut(node)?;
         if *state == NodeState::Alive {
             *state = NodeState::Crashed;
         }
@@ -63,7 +63,7 @@ impl Cluster {
     /// described by failure Cases 1-5. A permanently lost node is not
     /// recoverable. Logged as an [`Event::NodeRecovered`].
     pub fn recover_node(&mut self, node: NodeId) -> Result<()> {
-        let state = (self.nodes.get_mut(&node)).ok_or(ClusterError::UnknownNode(node))?;
+        let state = self.node_state_mut(node)?;
         if *state == NodeState::Lost {
             return Err(ClusterError::NodeLost(node));
         }
@@ -72,25 +72,26 @@ impl Cluster {
         Ok(())
     }
 
-    /// Permanently loses a node: it crashes and never comes back. Its
-    /// durable data is gone with it — any bucket whose only copy lived here
-    /// must be rerouted (if already shipped elsewhere) or declared lost
-    /// (degraded mode). In-flight rebalance jobs must
+    /// Permanently loses a node: it crashes and never comes back, and its
+    /// durable data is gone with it. This is where a loss is booked: a loss
+    /// kills a bucket when it removes the bucket's last copy — the bucket
+    /// had a copy here (the CC routes it here, or an in-flight job shipped
+    /// it here), its owner's node is lost, and no shipped copy sits on a
+    /// node that is alive. Such a bucket serves degraded from this moment,
+    /// a source lost earlier whose shipped copy dies now included. In-flight
+    /// rebalance jobs must
     /// [`replan_wave`](crate::job::RebalanceJob::replan_wave) around it; once
     /// no dataset's directory references its partitions it can be removed
     /// with [`Cluster::remove_lost_node`].
     pub fn lose_node(&mut self, node: NodeId) -> Result<()> {
         self.crash(node)?;
-        self.nodes.insert(node, NodeState::Lost);
+        *self.node_state_mut(node)? = NodeState::Lost;
         self.record(Event::NodeLost { node });
-        // Buckets whose only copy lived on this node are degraded from this
-        // moment: every bucket the CC directory routes to its partitions,
-        // minus buckets whose shipped pending copy survives on an alive
-        // destination of an in-flight rebalance (the replan re-drives those
-        // to commit). A mid-job replan records the same set; the dedup push
-        // makes the double-record a no-op.
-        let partitions = self.topology().partitions_of_node(node);
-        let mut newly_lost: Vec<(crate::dataset::DatasetId, dynahash_core::BucketId)> = Vec::new();
+        let here = self.topology().partitions_of_node(node);
+        let host_is = |p: PartitionId, state: NodeState| {
+            (self.topology().node_of(p)).is_some_and(|n| self.node_state(n).ok() == Some(state))
+        };
+        let mut newly_lost = Vec::new();
         for dataset in self.controller.dataset_ids() {
             let Ok(meta) = self.controller.dataset(dataset) else {
                 continue;
@@ -98,17 +99,12 @@ impl Cluster {
             let Some(dir) = meta.directory.as_ref() else {
                 continue;
             };
-            for (bucket, partition) in dir.iter() {
-                if !partitions.contains(&partition) {
-                    continue;
-                }
-                let survives = self.active_rebalances.get(&dataset).is_some_and(|active| {
-                    active.shipped.get(&bucket).is_some_and(|dst| {
-                        (self.topology().node_of(*dst))
-                            .is_some_and(|n| n != node && self.node_is_alive(n))
-                    })
-                });
-                if !survives {
+            let shipped = self.active_rebalances.get(&dataset).map(|a| &a.shipped);
+            for (bucket, owner) in dir.iter() {
+                let copy = shipped.and_then(|s| s.get(&bucket)).copied();
+                let had_copy = here.contains(&owner) || copy.is_some_and(|p| here.contains(&p));
+                let survives = copy.is_some_and(|p| host_is(p, NodeState::Alive));
+                if had_copy && host_is(owner, NodeState::Lost) && !survives {
                     newly_lost.push((dataset, bucket));
                 }
             }
@@ -119,9 +115,16 @@ impl Cluster {
         Ok(())
     }
 
+    /// A node's liveness state, to change.
+    fn node_state_mut(&mut self, node: NodeId) -> Result<&mut NodeState> {
+        (self.nodes.get_mut(node.0 as usize))
+            .and_then(Option::as_mut)
+            .ok_or(ClusterError::UnknownNode(node))
+    }
+
     /// True if the node is currently up.
     pub fn node_is_alive(&self, node: NodeId) -> bool {
-        self.nodes.get(&node) == Some(&NodeState::Alive)
+        self.node_state(node).ok() == Some(NodeState::Alive)
     }
 
     /// Refuses work on `node` unless it is up: a crashed node with
@@ -135,9 +138,15 @@ impl Cluster {
         }
     }
 
+    /// Refuses work on `partition` unless its node is up
+    /// ([`Cluster::require_up`]).
+    pub(crate) fn require_up_at(&self, partition: PartitionId) -> Result<()> {
+        self.require_up(self.node_of_partition(partition)?)
+    }
+
     /// True if the node is permanently lost.
     pub fn node_is_lost(&self, node: NodeId) -> bool {
-        self.nodes.get(&node) == Some(&NodeState::Lost)
+        self.node_state(node).ok() == Some(NodeState::Lost)
     }
 
     /// Recovers every crashed node (permanently lost nodes stay down) and
@@ -147,10 +156,10 @@ impl Cluster {
     /// available to scenarios driving a job step-by-step.
     pub fn recover_all_nodes(&mut self) -> Vec<NodeId> {
         let mut recovered = Vec::new();
-        for (n, state) in self.nodes.iter_mut() {
-            if *state == NodeState::Crashed {
-                *state = NodeState::Alive;
-                recovered.push(*n);
+        for (n, state) in self.nodes.iter_mut().enumerate() {
+            if *state == Some(NodeState::Crashed) {
+                *state = Some(NodeState::Alive);
+                recovered.push(NodeId(n as u32));
             }
         }
         for &node in &recovered {
@@ -229,6 +238,36 @@ mod tests {
             .collect();
         cluster.ingest(ds, records).unwrap();
         (cluster, ds)
+    }
+
+    /// A loss books a bucket when it takes the bucket's last copy: losing a
+    /// moving bucket's source leaves its shipped copy serving, and losing
+    /// that copy's node next books the bucket at once, before any replan.
+    #[test]
+    fn losing_a_source_then_its_shipped_destination_books_the_bucket() {
+        let (mut cluster, ds) = loaded(3);
+        let source = NodeId(2);
+        let target = cluster.topology_without(source);
+        let mut job = crate::RebalanceJob::plan(&mut cluster, ds, &target, 1).unwrap();
+        job.init(&mut cluster).unwrap();
+        job.run_wave(&mut cluster).unwrap();
+        let m = job.waves()[0][0];
+        assert_eq!(cluster.topology().node_of(m.from), Some(source));
+        let degraded = |cluster: &Cluster| cluster.fault_stats().degraded_buckets(ds);
+
+        cluster.lose_node(source).unwrap();
+        let unshipped = degraded(&cluster);
+        assert!(
+            !unshipped.is_empty(),
+            "unshipped buckets die with the source"
+        );
+        assert!(!unshipped.contains(&m.bucket), "the shipped copy survives");
+        let destination = cluster.topology().node_of(m.to).unwrap();
+        cluster.lose_node(destination).unwrap();
+        assert!(
+            degraded(&cluster).contains(&m.bucket),
+            "the last copy died with the destination"
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! come up **empty**, and the dataset serves degraded: reads and writes
 //! touching a lost bucket get the typed [`ClusterError::BucketDegraded`]
 //! instead of silently-empty data, and
-//! [`crate::fault::ClusterHealth::degraded_datasets`] names the damage.
+//! [`crate::fault::FaultStats::degraded_datasets`] names the damage.
 //!
 //! A repair closes the loop, and it is not a second protocol: it is a
 //! [`RebalanceJob`] whose buckets are staged from an **operator-supplied

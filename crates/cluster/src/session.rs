@@ -144,7 +144,9 @@ impl Cluster {
     /// [`Session::get`]. `hash` is the session's one `hash_key(key)`, so
     /// the success path does the work a direct read does: one local
     /// directory probe, one tree read. The partition serves the read only
-    /// if it serves the key ([`Cluster::serving`]).
+    /// if it serves the key ([`Cluster::serving`]) and its node is up
+    /// ([`Cluster::require_up`]); a lost bucket refuses first, and a stale
+    /// route redirects before the node's state is read.
     pub(crate) fn validated_get(
         &self,
         dataset: DatasetId,
@@ -164,6 +166,7 @@ impl Cluster {
                 server_version: meta.routing_version(),
             }));
         };
+        self.require_up_at(partition)?;
         // The local probe already named the bucket, so the armed heat path
         // costs nothing extra (and the disarmed one a single flag check),
         // and the read goes to that bucket's tree without resolving it
@@ -511,6 +514,61 @@ mod tests {
         let hits = session.index_scan(&mut cluster, "idx", None, None).unwrap();
         let total: usize = hits.iter().map(|(_, v)| v.len()).sum();
         assert_eq!(total, 750, "deleted records must leave the index");
+    }
+
+    /// A node that is down serves no read. Under both schemes, with node 1
+    /// crashed or lost, a get routed to it, a scan, an index scan and a
+    /// fetch from its partition each refuse with the node's state (a lost
+    /// bucket refuses as degraded first), every other key reads back, and a
+    /// recovered node serves again.
+    #[test]
+    fn reads_refuse_a_node_that_is_down() {
+        let down = NodeId(1);
+        for scheme in [Scheme::StaticHash { num_buckets: 16 }, Scheme::Hashing] {
+            for lost in [false, true] {
+                let ctx = format!("{scheme:?}, lost {lost}");
+                let mut cluster = Cluster::new(3);
+                let spec = DatasetSpec::new("events", scheme).with_secondary_index(
+                    crate::dataset::SecondaryIndexDef::new("idx", |p: &[u8]| {
+                        p.first().map(|&b| Key::from_u64(b as u64))
+                    }),
+                );
+                let ds = cluster.create_dataset(spec).unwrap();
+                let mut session = cluster.session(ds).unwrap();
+                session.ingest(&mut cluster, (0..2000).map(record)).unwrap();
+                let hosted = cluster.topology().partitions_of_node(down);
+                match lost {
+                    false => cluster.crash_node(down).unwrap(),
+                    true => cluster.lose_node(down).unwrap(),
+                }
+                let refused = |e: &ClusterError| match e {
+                    ClusterError::NodeDown(n) => !lost && *n == down,
+                    ClusterError::NodeLost(n) => lost && *n == down,
+                    ClusterError::BucketDegraded { .. } => lost,
+                    _ => false,
+                };
+                let meta = cluster.controller.dataset(ds).unwrap().clone();
+                for (key, value) in (0..2000).map(record) {
+                    let got = session.get(&cluster, &key);
+                    if hosted.contains(&meta.route_key(&key).unwrap()) {
+                        assert!(got.as_ref().is_err_and(refused), "{ctx}: {got:?}");
+                    } else {
+                        assert_eq!(got.unwrap(), Some(value), "{ctx}");
+                    }
+                }
+                let scan = session.scan(&cluster, ScanOrder::Unordered);
+                assert!(scan.as_ref().is_err_and(refused), "{ctx}: scan");
+                let hits = session.index_scan(&mut cluster, "idx", None, None);
+                assert!(hits.as_ref().is_err_and(refused), "{ctx}: index scan");
+                let fetched = cluster.query().fetch(ds, hosted[0], &[record(7).0]);
+                assert!(fetched.as_ref().is_err_and(refused), "{ctx}: fetch");
+                if !lost {
+                    cluster.recover_node(down).unwrap();
+                    let (records, _) = session.collect_records(&cluster).unwrap();
+                    assert_eq!(records.len(), 2000, "{ctx}: recovered");
+                }
+            }
+        }
     }
 
     #[test]

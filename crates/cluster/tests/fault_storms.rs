@@ -225,6 +225,67 @@ fn replanning_twice_in_a_row_is_idempotent() {
         .unwrap();
 }
 
+/// Two losses before a re-ship wave runs. The first takes the destination
+/// of a bucket wave 0 shipped off the evacuee, and the replan reroutes the
+/// bucket to a survivor; the second takes another survivor before that
+/// re-ship wave runs. The second replan must keep the re-ship scheduled: a
+/// commit that routes the bucket to an owner that never received it leaves
+/// its records stranded on the evacuee and every read of it redirecting.
+#[test]
+fn a_second_loss_before_the_reship_wave_still_reships() {
+    let (mut cluster, ds) = loaded(5, 1500);
+    let evacuee = NodeId(4);
+    let target = cluster.topology_without(evacuee);
+    let topology = cluster.topology().clone();
+    let mut job = RebalanceJob::plan(&mut cluster, ds, &target, 2).unwrap();
+    job.init(&mut cluster).unwrap();
+    job.run_wave(&mut cluster).unwrap();
+    let shipped = (job.waves()[0].iter())
+        .find(|m| topology.node_of(m.from) == Some(evacuee))
+        .copied()
+        .expect("wave 0 ships a bucket off the evacuee");
+    let scheduled = |job: &RebalanceJob| {
+        (job.waves()[job.completed_waves()..].iter())
+            .flatten()
+            .find(|m| m.bucket == shipped.bucket)
+            .map(|m| m.to)
+    };
+
+    let first = topology.node_of(shipped.to).unwrap();
+    cluster.lose_node(first).unwrap();
+    let replan = job.replan_wave(&mut cluster).unwrap();
+    assert!(replan.reshipped > 0, "{replan:?}");
+    let rerouted = scheduled(&job).expect("the first replan schedules the re-ship");
+    let second = (target.nodes().into_iter())
+        .find(|n| *n != first && Some(*n) != topology.node_of(rerouted))
+        .unwrap();
+    cluster.lose_node(second).unwrap();
+    job.replan_wave(&mut cluster).unwrap();
+    assert_eq!(
+        scheduled(&job),
+        Some(rerouted),
+        "the second replan dropped the re-ship"
+    );
+
+    let report = job.drive(&mut cluster).unwrap();
+    assert_eq!(report.outcome, RebalanceOutcome::Committed);
+    cluster.decommission_node(evacuee).unwrap();
+    cluster.remove_lost_node(first).unwrap();
+    cluster.remove_lost_node(second).unwrap();
+    cluster
+        .check_rebalance_integrity(ds, report.rebalance_id)
+        .unwrap();
+    let mut session = cluster.session(ds).unwrap();
+    let records = (0..1500).map(record);
+    let moved: Vec<_> = records
+        .filter(|(key, _)| shipped.bucket.contains_key(key))
+        .collect();
+    assert!(!moved.is_empty());
+    for (key, expected) in moved {
+        assert_eq!(session.get(&cluster, &key).unwrap(), Some(expected));
+    }
+}
+
 #[test]
 fn double_loss_of_two_destinations_still_commits() {
     // Scale from 2 to 4 nodes, then lose *both* new nodes at different wave

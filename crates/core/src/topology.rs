@@ -6,7 +6,6 @@
 //! topology maps partitions to nodes so that the balancing algorithm can
 //! break ties by node load, as Algorithm 2 requires.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of a Node Controller.
@@ -41,7 +40,10 @@ impl fmt::Display for PartitionId {
 /// The set of nodes and partitions a dataset is (or will be) spread over.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ClusterTopology {
-    partition_to_node: BTreeMap<PartitionId, NodeId>,
+    /// The node hosting each partition, indexed by partition id: `None`
+    /// where no partition of that id is in the topology. The last slot is
+    /// never `None`, so equal topologies hold equal tables.
+    hosts: Vec<Option<NodeId>>,
 }
 
 impl ClusterTopology {
@@ -49,39 +51,37 @@ impl ClusterTopology {
     /// partitions each, numbered densely: node `i` hosts partitions
     /// `i*ppn .. (i+1)*ppn`.
     pub fn uniform(num_nodes: u32, partitions_per_node: u32) -> Self {
-        let mut map = BTreeMap::new();
-        for n in 0..num_nodes {
-            for p in 0..partitions_per_node {
-                map.insert(PartitionId(n * partitions_per_node + p), NodeId(n));
-            }
-        }
-        ClusterTopology {
-            partition_to_node: map,
-        }
+        let hosts = (0..num_nodes * partitions_per_node)
+            .map(|p| Some(NodeId(p / partitions_per_node)))
+            .collect();
+        ClusterTopology { hosts }
     }
 
     /// The node hosting a partition.
     pub fn node_of(&self, partition: PartitionId) -> Option<NodeId> {
-        self.partition_to_node.get(&partition).copied()
+        self.hosts.get(partition.0 as usize).copied().flatten()
+    }
+
+    /// Every (partition, node) pair in ascending partition id order.
+    fn iter(&self) -> impl Iterator<Item = (PartitionId, NodeId)> + '_ {
+        (self.hosts.iter().enumerate()).filter_map(|(p, n)| Some((PartitionId(p as u32), (*n)?)))
     }
 
     /// All partitions in ascending id order.
     pub fn partitions(&self) -> Vec<PartitionId> {
-        self.partition_to_node.keys().copied().collect()
+        self.iter().map(|(p, _)| p).collect()
     }
 
     /// All partitions hosted by a node.
     pub fn partitions_of_node(&self, node: NodeId) -> Vec<PartitionId> {
-        self.partition_to_node
-            .iter()
-            .filter(|(_, n)| **n == node)
-            .map(|(p, _)| *p)
+        (self.iter().filter(|(_, n)| *n == node))
+            .map(|(p, _)| p)
             .collect()
     }
 
     /// All distinct nodes in ascending id order.
     pub fn nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self.partition_to_node.values().copied().collect();
+        let mut nodes: Vec<NodeId> = self.hosts.iter().flatten().copied().collect();
         nodes.sort_unstable();
         nodes.dedup();
         nodes
@@ -89,7 +89,7 @@ impl ClusterTopology {
 
     /// Number of partitions.
     pub fn num_partitions(&self) -> usize {
-        self.partition_to_node.len()
+        self.hosts.iter().flatten().count()
     }
 
     /// Number of nodes.
@@ -99,33 +99,30 @@ impl ClusterTopology {
 
     /// True if the topology has no partitions.
     pub fn is_empty(&self) -> bool {
-        self.partition_to_node.is_empty()
+        self.hosts.is_empty()
     }
 
     /// Returns a new topology with the given node (and its partitions) removed.
     pub fn without_node(&self, node: NodeId) -> ClusterTopology {
-        ClusterTopology {
-            partition_to_node: self
-                .partition_to_node
-                .iter()
-                .filter(|(_, n)| **n != node)
-                .map(|(p, n)| (*p, *n))
-                .collect(),
+        let mut hosts: Vec<Option<NodeId>> = (self.hosts.iter())
+            .map(|n| n.filter(|n| *n != node))
+            .collect();
+        while hosts.last() == Some(&None) {
+            hosts.pop();
         }
+        ClusterTopology { hosts }
     }
 
     /// Returns a new topology with an extra node of `partitions_per_node`
     /// partitions appended (partition ids continue after the current maximum).
     pub fn with_added_node(&self, partitions_per_node: u32) -> ClusterTopology {
         let next_node = self.nodes().last().map(|n| n.0 + 1).unwrap_or(0);
-        let next_part = self.partitions().last().map(|p| p.0 + 1).unwrap_or(0);
-        let mut map = self.partition_to_node.clone();
-        for i in 0..partitions_per_node {
-            map.insert(PartitionId(next_part + i), NodeId(next_node));
-        }
-        ClusterTopology {
-            partition_to_node: map,
-        }
+        let mut hosts = self.hosts.clone();
+        hosts.resize(
+            hosts.len() + partitions_per_node as usize,
+            Some(NodeId(next_node)),
+        );
+        ClusterTopology { hosts }
     }
 }
 
