@@ -861,7 +861,7 @@ impl Cluster {
 
     /// Removes a node from the cluster. All datasets must have been
     /// rebalanced away from it first; the call fails if any partition on the
-    /// node still holds data.
+    /// node still holds data, or if any dataset still routes keys to one.
     pub fn decommission_node(&mut self, node: NodeId) -> Result<(), ClusterError> {
         self.node_state(node)?;
         let (cluster, partitions) = (&*self, self.topology.partitions_of_node(node));
@@ -878,41 +878,48 @@ impl Cluster {
 
     /// Removes a permanently lost node from the topology. Unlike
     /// [`Cluster::decommission_node`] this does not require the node to be
-    /// empty — its data is unreachable either way — but it does require
-    /// that no dataset's global directory still routes to its partitions
-    /// (i.e. every in-flight rebalance has re-planned around the loss and
-    /// committed).
+    /// empty — its data is unreachable either way — but, like it, it
+    /// requires that no dataset still routes keys to its partitions: every
+    /// in-flight rebalance has re-planned around the loss and committed.
+    /// The Hashing baseline has no degraded mode to re-plan: while a lost
+    /// node holds a Hashing dataset's share, the node stays in the topology,
+    /// reads of that share refuse with [`ClusterError::NodeLost`], and so
+    /// does the rebuild that would move the dataset off it.
     pub fn remove_lost_node(&mut self, node: NodeId) -> Result<(), ClusterError> {
         if self.node_state(node)? != NodeState::Lost {
             return Err(ClusterError::Inconsistent(format!(
                 "node {node} is not lost; use decommission_node"
             )));
         }
-        let partitions = self.topology.partitions_of_node(node);
-        for dataset in self.controller.dataset_ids() {
-            let meta = self.controller.dataset(dataset)?;
-            if let Some(dir) = &meta.directory {
-                for p in &partitions {
-                    if !dir.buckets_of_partition(*p).is_empty() {
-                        return Err(ClusterError::Inconsistent(format!(
-                            "dataset {dataset} still routes buckets to lost partition {p}"
-                        )));
-                    }
-                }
-            }
-        }
         self.retire_node(node)
     }
 
     /// Drops `node` from the cluster and its partitions from every dataset's
     /// partition list, bumping the routing version so cached sessions stop
-    /// dispatching scans to partitions that no longer exist.
+    /// dispatching scans to partitions that no longer exist. Refuses, and
+    /// changes nothing, while any dataset routes keys to a partition of the
+    /// node — a bucketed directory holds a bucket there, or a Hashing
+    /// partition list includes it: those keys would route nowhere, or (the
+    /// modulo taken over a shorter list) to partitions that do not hold them.
     fn retire_node(&mut self, node: NodeId) -> Result<(), ClusterError> {
+        let partitions = self.topology.partitions_of_node(node);
+        for dataset in self.controller.dataset_ids() {
+            let meta = self.controller.dataset(dataset)?;
+            let routed = partitions.iter().find(|p| match &meta.directory {
+                Some(dir) => !dir.buckets_of_partition(**p).is_empty(),
+                None => meta.partitions.contains(p),
+            });
+            if let Some(p) = routed {
+                return Err(ClusterError::Inconsistent(format!(
+                    "dataset {dataset} still routes keys to partition {p} of node {node}"
+                )));
+            }
+        }
         self.nodes[node.0 as usize] = None;
         while self.nodes.last().is_some_and(Option::is_none) {
             self.nodes.pop();
         }
-        for p in self.topology.partitions_of_node(node) {
+        for p in partitions {
             self.partitions[p.0 as usize] = None;
         }
         while self.partitions.last().is_some_and(Option::is_none) {
@@ -1236,6 +1243,7 @@ impl Admin<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rebalance::RebalanceOptions;
     use dynahash_lsm::{Bytes, SplitMix64};
     use std::collections::BTreeSet;
 
@@ -1444,20 +1452,102 @@ mod tests {
         cluster.check_dataset_consistency(ds).unwrap();
     }
 
+    /// A node leaves only when it holds no record and no dataset routes a
+    /// key to it, under every scheme: a node holding records is refused; so
+    /// is an empty node a dataset still routes to (a bucketed directory's
+    /// empty buckets, a Hashing partition list), and every record still
+    /// reads back; after a rebalance off the node it leaves, and so does a
+    /// node added and never routed to.
     #[test]
     fn decommission_requires_empty_node() {
-        let mut cluster = Cluster::new(2);
+        let schemes = [
+            Scheme::Hashing,
+            Scheme::StaticHash { num_buckets: 16 },
+            Scheme::dynahash(1 << 20, 12),
+        ];
+        for scheme in schemes {
+            let mut cluster = Cluster::new(3);
+            let ds = cluster
+                .create_dataset(DatasetSpec::new("orders", scheme))
+                .unwrap();
+            // 500 records, every one routed to node 0 or node 1
+            let empty = NodeId(2);
+            let held: Vec<(Key, Value)> = (records(5000).into_iter())
+                .filter(|(k, _)| {
+                    let p = cluster.route_key(ds, k).unwrap();
+                    cluster.node_of_partition(p).unwrap() != empty
+                })
+                .take(500)
+                .collect();
+            assert_eq!(held.len(), 500, "{scheme:?}");
+            cluster.ingest(ds, held.clone()).unwrap();
+            let reads_back = |cluster: &Cluster| {
+                let mut session = cluster.session(ds).unwrap();
+                for (key, value) in &held {
+                    let got = session.get(cluster, key);
+                    assert_eq!(got.unwrap().as_ref(), Some(value), "{scheme:?}, {key:?}");
+                }
+            };
+
+            let err = cluster.decommission_node(NodeId(1));
+            assert!(
+                matches!(err, Err(ClusterError::NodeNotEmpty(_, _))),
+                "{scheme:?}"
+            );
+            let err = cluster.decommission_node(empty);
+            assert!(
+                matches!(err, Err(ClusterError::Inconsistent(_))),
+                "{scheme:?}"
+            );
+            assert_eq!(cluster.topology().num_nodes(), 3, "{scheme:?}");
+            reads_back(&cluster);
+
+            let target = cluster.topology_without(empty);
+            (cluster.rebalance(ds, &target, RebalanceOptions::none())).unwrap();
+            cluster.decommission_node(empty).unwrap();
+            assert_eq!(cluster.topology().num_nodes(), 2, "{scheme:?}");
+            reads_back(&cluster);
+            cluster.check_dataset_consistency(ds).unwrap();
+
+            let fresh = cluster.add_node().unwrap();
+            cluster.decommission_node(fresh).unwrap();
+            assert_eq!(cluster.topology().num_nodes(), 2, "{scheme:?}");
+        }
+    }
+
+    /// The Hashing baseline has no degraded mode: a lost node that holds a
+    /// Hashing dataset's share stays in the topology, for retiring it would
+    /// take the modulo over fewer partitions and send most keys to
+    /// partitions that do not hold them. Every record on the live nodes
+    /// reads exactly; the lost share refuses.
+    #[test]
+    fn a_lost_node_holding_a_hashing_share_is_not_removed() {
+        let mut cluster = Cluster::new(3);
         let ds = cluster
-            .create_dataset(DatasetSpec::new("orders", Scheme::static_hash_256()))
+            .create_dataset(DatasetSpec::new("orders", Scheme::Hashing))
             .unwrap();
-        cluster.ingest(ds, records(500)).unwrap();
-        let victim = NodeId(1);
-        let err = cluster.decommission_node(victim);
-        assert!(matches!(err, Err(ClusterError::NodeNotEmpty(_, _))));
-        // an empty cluster node can be removed
-        let fresh = cluster.add_node().unwrap();
-        cluster.decommission_node(fresh).unwrap();
-        assert_eq!(cluster.topology().num_nodes(), 2);
+        cluster.ingest(ds, records(2000)).unwrap();
+        let lost = NodeId(2);
+        cluster.lose_node(lost).unwrap();
+        let err = cluster.remove_lost_node(lost);
+        assert!(matches!(err, Err(ClusterError::Inconsistent(_))), "{err:?}");
+        assert_eq!(cluster.topology().num_nodes(), 3);
+        let mut session = cluster.session(ds).unwrap();
+        let mut live = 0;
+        for (key, value) in records(2000) {
+            let partition = cluster.route_key(ds, &key).unwrap();
+            match cluster.node_of_partition(partition).unwrap() == lost {
+                true => assert!(
+                    matches!(session.get(&cluster, &key), Err(ClusterError::NodeLost(_))),
+                    "{key:?}"
+                ),
+                false => {
+                    assert_eq!(session.get(&cluster, &key).unwrap(), Some(value), "{key:?}");
+                    live += 1;
+                }
+            }
+        }
+        assert!(live > 1000, "{live} records on the live nodes");
     }
 
     /// Retiring the last node shortens the partition table, and the next

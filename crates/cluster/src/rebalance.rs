@@ -16,12 +16,11 @@
 
 use std::collections::BTreeMap;
 
-use dynahash_core::{ClusterTopology, NodeId, RebalanceOutcome};
-use dynahash_lsm::entry::{Key, Value};
-use dynahash_lsm::hash_key;
+use dynahash_core::{ClusterTopology, NodeId, PartitionId, RebalanceOutcome};
+use dynahash_lsm::entry::{Key, Op, Value};
 use dynahash_lsm::wal::RebalanceId;
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, Write};
 use crate::dataset::DatasetId;
 use crate::feed::split_into_batches;
 use crate::job::{RebalanceJob, StepPoint};
@@ -214,6 +213,12 @@ impl Cluster {
     /// holding the dataset and every node of the target must be up
     /// ([`Cluster::require_up`]): the refusal comes before BEGIN is logged
     /// and before any storage is dropped.
+    ///
+    /// The scan becomes one write group, each key hashed once. The old
+    /// storage is dropped, the new routing metadata swapped in, and the
+    /// group written through the one write door ([`Cluster::write_group`]),
+    /// which routes it by that metadata — so, when heat tracking is armed,
+    /// the rebuild's writes note heat as every Hashing write group does.
     fn rebalance_hashing(
         &mut self,
         dataset: DatasetId,
@@ -242,11 +247,12 @@ impl Cluster {
         let new_partitions = target.partitions();
         let total_bytes = self.dataset_primary_bytes(dataset)?;
 
-        // Scan every partition and route every record to its new partition.
-        let mut routed: BTreeMap<_, Vec<(Key, Value)>> =
-            new_partitions.iter().map(|p| (*p, Vec::new())).collect();
+        // Scan every partition into one write group, routing every record
+        // to its new partition to price what each one loads.
+        let mut writes = Vec::new();
+        let mut loads: BTreeMap<PartitionId, (u64, u64)> =
+            new_partitions.iter().map(|p| (*p, (0, 0))).collect();
         let mut bytes_moved = 0u64;
-        let mut entries_moved = 0u64;
         // Cross-node traffic is shipped in batches (Hyracks frames); charge
         // the network per (source partition, destination node) batch.
         let mut inbound_bytes: BTreeMap<NodeId, u64> = BTreeMap::new();
@@ -260,28 +266,46 @@ impl Cluster {
             let scan_bytes: u64 = entries.iter().map(|e| e.size_bytes() as u64).sum();
             tl.charge(src_node, cost.disk_read(scan_bytes));
             for e in entries {
-                let Some(value) = e.op.value().cloned() else {
+                let record_bytes = e.size_bytes() as u64;
+                let Op::Put(value) = e.op else {
                     continue;
                 };
-                let dst =
-                    dynahash_core::Scheme::modulo_partition(hash_key(&e.key), &new_partitions);
+                let load_bytes = (e.key.len() + value.len()) as u64;
+                let write = Write::new(e.key, Some(value));
+                let dst = dynahash_core::Scheme::modulo_partition(write.hash, &new_partitions);
                 let dst_node = target
                     .node_of(dst)
                     .ok_or(ClusterError::UnknownPartition(dst))?;
-                let record_bytes = e.size_bytes() as u64;
                 bytes_moved += record_bytes;
-                entries_moved += 1;
                 if dst_node != src_node {
                     *inbound_bytes.entry(dst_node).or_default() += record_bytes;
                 }
-                routed.entry(dst).or_default().push((e.key, value));
+                let load = loads.entry(dst).or_default();
+                load.0 += load_bytes;
+                load.1 += 1;
+                writes.push(write);
             }
         }
         for (node, bytes) in &inbound_bytes {
             tl.charge(*node, cost.network(*bytes));
         }
+        for (p, (load_bytes, n_records)) in loads {
+            let dst_node = target.node_of(p).ok_or(ClusterError::UnknownPartition(p))?;
+            // The Hashing baseline re-inserts every record through the full
+            // ingestion pipeline of the new dataset (parse, primary and
+            // secondary index maintenance), which is what makes global
+            // rebalancing so much more expensive than shipping sealed bucket
+            // components.
+            tl.charge(
+                dst_node,
+                cost.disk_write(load_bytes) + cost.ingest_cpu(n_records),
+            );
+        }
 
-        // Drop the old storage and build the new hash-partitioned dataset.
+        // Drop the old storage, create the new hash-partitioned dataset and
+        // swap the routing metadata: the version bump tells cached sessions
+        // their modulo routes are void, the dataset being rebuilt wholesale
+        // on the new partition list. Then write the group through it.
         for p in self.topology().partitions() {
             self.partition_mut(p)?.drop_dataset(dataset);
         }
@@ -292,37 +316,14 @@ impl Cluster {
                 vec![dynahash_lsm::BucketId::root()],
             );
         }
-        for (p, records) in routed {
-            let dst_node = target.node_of(p).ok_or(ClusterError::UnknownPartition(p))?;
-            let load_bytes: u64 = records
-                .iter()
-                .map(|(k, v)| (k.len() + v.len()) as u64)
-                .sum();
-            let n_records = records.len() as u64;
-            // The Hashing baseline re-inserts every record through the full
-            // ingestion pipeline of the new dataset (parse, primary and
-            // secondary index maintenance), which is what makes global
-            // rebalancing so much more expensive than shipping sealed bucket
-            // components.
-            tl.charge(
-                dst_node,
-                cost.disk_write(load_bytes) + cost.ingest_cpu(n_records),
-            );
-            let ds = self.store_mut(p, dataset)?;
-            for (k, v) in records {
-                ds.ingest(k, v)?;
-            }
-        }
-
-        // Swap the routing metadata and finish. The version bump tells
-        // cached sessions their modulo routes are void: the dataset was
-        // rebuilt wholesale on the new partition list.
         {
             let meta = self.controller.dataset_mut(dataset)?;
             meta.partitions = new_partitions;
             meta.directory = None;
             meta.bump_partitions_version();
         }
+        let entries_moved = writes.len() as u64;
+        self.write_group(dataset, &mut writes, None, |_, _, _| {})?;
         self.controller
             .log_outcome(rebalance_id, RebalanceOutcome::Committed);
         self.controller.log_done(rebalance_id);
@@ -439,6 +440,14 @@ mod tests {
         );
         assert_eq!(cluster.dataset_len(ds).unwrap(), 2000);
         cluster.check_dataset_consistency(ds).unwrap();
+        // the rebuilt index holds exactly one entry per record, its tag
+        let hits = (cluster.query().index_scan(ds, "idx_tag", None, None)).unwrap();
+        let mut entries: Vec<(u64, u64)> = (hits.into_iter().flat_map(|(_, hits)| hits))
+            .map(|e| (e.primary.as_u64(), e.secondary.as_u64()))
+            .collect();
+        entries.sort_unstable();
+        let expected: Vec<(u64, u64)> = (0..2000).map(|i| (i, i % 50)).collect();
+        assert_eq!(entries, expected);
     }
 
     /// The Hashing rebuild writes to every target node and reads every node

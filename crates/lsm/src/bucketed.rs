@@ -503,10 +503,10 @@ impl BucketedLsmTree {
     /// immutable, so moving a bucket is moving its component files). The
     /// bucket's memory component is flushed first, then every component is
     /// handed out as a cheap `Arc`-clone marked [`Component::is_shipped`] —
-    /// Bloom filters, sorted runs, and any bucket/lazy-cleanup filters travel
-    /// with the handle, and no `restrict_to_bucket` copy is made: every
-    /// component of a bucket's tree already exposes only that bucket's
-    /// entries. Components are returned newest first, the tree's own order.
+    /// Bloom filters, sorted runs, and the bucket filters splits left travel
+    /// with the handle, and no filtered copy is made: every component of a
+    /// bucket's tree already exposes only that bucket's entries. Components
+    /// are returned newest first, the tree's own order.
     pub fn ship_bucket(&mut self, bucket: BucketId) -> Result<Vec<Component>> {
         let tree = self
             .buckets
@@ -698,11 +698,14 @@ mod tests {
     }
 
     /// The size every write's split check reads is kept, not walked: while
-    /// writes flush, merge and split buckets, and after a mark of moved
-    /// buckets, every bucket tree's `logical_size_bytes` is the walk over
-    /// its components' visible bytes plus its memory component.
+    /// writes flush, merge and split buckets, every bucket tree's
+    /// `logical_size_bytes` is the walk over its components' visible bytes
+    /// plus its memory component — and so is a secondary index tree's after
+    /// a mark of moved buckets leaves its views unbuilt.
     #[test]
     fn the_kept_logical_size_is_the_walked_one() {
+        use crate::secondary::SecondaryIndex;
+
         let walked = |tree: &LsmTree| -> usize {
             let disk: usize = tree
                 .components()
@@ -723,13 +726,16 @@ mod tests {
             }
         }
         assert!(t.num_buckets() > 2, "the writes must split buckets");
-        let b = t.bucket_ids()[0];
-        let tree = t.buckets.get_mut(&b).unwrap();
-        let (lo, _) = b.split();
-        tree.mark_buckets_invalid(&[lo], crate::component::KeyLayout::PrimaryKey);
-        assert_eq!(tree.logical_size_bytes(), walked(tree));
-        tree.flush();
-        assert_eq!(tree.logical_size_bytes(), walked(tree));
+        let config = LsmConfig::with_memtable_budget(8 * 1024);
+        let mut idx = SecondaryIndex::new("idx", config, StorageMetrics::new_shared());
+        for i in 0..2000u64 {
+            idx.insert(Key::from_u64(i % 17), Key::from_u64(i * 7919 % 6000));
+        }
+        assert!(idx.components().len() > 1 && !idx.tree().memtable().is_empty());
+        idx.mark_buckets_moved(&[BucketId::new(0, 1)]);
+        assert_eq!(idx.tree().logical_size_bytes(), walked(idx.tree()));
+        idx.flush();
+        assert_eq!(idx.tree().logical_size_bytes(), walked(idx.tree()));
     }
 
     #[test]
@@ -813,13 +819,10 @@ mod tests {
     /// The ordered scan is one merge over every bucket's sources; it must
     /// return exactly the unordered scan, sorted, whatever the buckets hold:
     /// reference components left by splits, versions shadowed across runs
-    /// and the memory component, tombstones, and — from a lazy-cleanup mark
-    /// on part of one bucket — hidden entries both on disk and buffered.
-    /// Checked over the whole key space and over bounded ranges.
+    /// and the memory component, and tombstones. Checked over the whole key
+    /// space and over bounded ranges.
     #[test]
     fn the_ordered_scan_is_the_sorted_unordered_scan() {
-        use crate::component::KeyLayout;
-
         let mut t = tree_with_depth(1, None);
         for k in 0..900u64 {
             t.insert(k, val(8 + (k % 5) as usize)).unwrap();
@@ -837,11 +840,6 @@ mod tests {
         for k in (1..900u64).step_by(9) {
             t.insert(k, val(40)).unwrap();
         }
-        // half of bucket 1/1 moved away: hidden in its runs and its buffer
-        let moved = BucketId::new(1, 2);
-        let tree = t.buckets.get_mut(&BucketId::new(1, 1)).unwrap();
-        tree.mark_buckets_invalid(&[moved], KeyLayout::PrimaryKey);
-        assert!(tree.hidden_entries() > 0);
         assert!(t.buckets.values().any(|t| !t.memtable().is_empty()));
         assert!(t.num_buckets() == 4 && t.num_components() > 4);
 
@@ -866,10 +864,7 @@ mod tests {
                 assert_eq!(ordered, unordered, "{lo:?}..{hi:?}");
                 assert!(ordered.windows(2).all(|w| w[0].key < w[1].key));
                 if lo.is_none() && hi.is_none() {
-                    let expected = (0..900u64).filter(|k| k % 7 != 2 || k % 9 == 1);
-                    let live: Vec<u64> = expected
-                        .filter(|k| !moved.contains_key(&Key::from_u64(*k)))
-                        .collect();
+                    let live: Vec<u64> = (0..900u64).filter(|k| k % 7 != 2 || k % 9 == 1).collect();
                     let keys: Vec<u64> = ordered.iter().map(|e| e.key.as_u64()).collect();
                     assert_eq!(keys, live);
                 }

@@ -5,25 +5,30 @@
 //! reference counting the paper uses to let readers keep accessing a
 //! component even after it has been replaced or its bucket dropped.
 //!
-//! Two wrapper-level metadata features support DynaHash:
+//! Two wrapper-level metadata features support DynaHash, each serving one
+//! index:
 //!
-//! * **Reference components** (bucket splits, Algorithm 1): the wrapper holds
-//!   a `visible_bucket` filter; only entries whose hash falls into that bucket
-//!   are visible. The actual data rewrite is postponed to the next merge.
-//! * **Invalid buckets** (lazy secondary-index cleanup, Section V-C): the
-//!   wrapper records buckets that were moved away; entries belonging to them
-//!   are filtered out of reads and physically dropped at the next merge.
+//! * **Reference components** (bucket splits of the bucketed primary index,
+//!   Algorithm 1): the wrapper holds a `visible_bucket` filter; only entries
+//!   whose key hashes into that bucket are visible. The actual data rewrite
+//!   is postponed to the next merge.
+//! * **Invalid buckets** (lazy cleanup of secondary indexes, Section V-C):
+//!   the wrapper records buckets that were moved away; entries whose
+//!   *primary key* — the primary part of the `SecondaryEntry` composite —
+//!   belongs to one are filtered out of reads and physically dropped at the
+//!   next merge.
 //!
 //! A filter is applied once per handle, by one pass that sizes the filtered
 //! view and records which entries it shows (one bit per entry of the run);
 //! reads consult that — a scan of a reference component hashes nothing and
-//! costs what it returns, not what the shared run holds. A bucket split
-//! builds both children's views when it makes them, in one pass over the
-//! entries the parent shows, one hash each (`Component::split`). A
-//! lazy-cleanup mark records the moved buckets and reads nothing: its view
-//! is built when the handle (or a clone of it) is first read, so a handle
-//! nobody reads before it is replaced or dropped (a partition emptied by a
-//! scale-in) never pays the pass.
+//! costs what it returns, not what the shared run holds. A bucket split is
+//! the only maker of reference components: it builds both children's views
+//! when it makes them, in one pass over the entries the parent shows, one
+//! hash each (`Component::split`). A lazy-cleanup mark records the moved
+//! buckets and reads nothing: its view is the only one built lazily, when
+//! the handle (or a clone of it) is first read, so a handle nobody reads
+//! before it is replaced or dropped (a partition emptied by a scale-in)
+//! never pays the pass.
 //!
 //! Every run built from unordered entries — a flush that finds no key order
 //! kept, a repair feed, recovery's reshipped records, the deferred index
@@ -66,7 +71,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::bloom::BloomFilter;
-use crate::bucket::{hash_bytes, BucketId, BucketSet};
+use crate::bucket::{hash_key, BucketId, BucketSet};
 use crate::bytes::Bytes;
 use crate::entry::{key_order, permute, Entry, Key, Op};
 use crate::secondary::SecondaryEntry;
@@ -92,39 +97,6 @@ pub enum ComponentSource {
     /// rebalance (strictly older than any replicated write, which reaches
     /// the pending bucket's memory component and is flushed from there).
     Loaded,
-}
-
-/// How the keys of a component should be interpreted when checking bucket
-/// membership for lazy cleanup.
-///
-/// Primary-index components store the record's primary key directly;
-/// secondary-index components store a composite of the
-/// secondary key and the primary key, and the bucket of an entry is the
-/// bucket of the *primary* part (Section V-C: the validation check uses the
-/// primary key embedded in the index entry).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum KeyLayout {
-    /// The component key is the record's primary key.
-    #[default]
-    PrimaryKey,
-    /// The component key is a `SecondaryEntry` composite; decode it and hash
-    /// the primary part.
-    SecondaryComposite,
-}
-
-impl KeyLayout {
-    /// The hash that assigns `key`'s record to a bucket: the hash of the key
-    /// itself, or — for a composite — of its primary part, hashed in place
-    /// (a malformed composite hashes whole).
-    pub(crate) fn bucket_hash(&self, key: &Key) -> u64 {
-        let raw = key.as_slice();
-        match self {
-            KeyLayout::PrimaryKey => hash_bytes(raw),
-            KeyLayout::SecondaryComposite => {
-                hash_bytes(SecondaryEntry::split(raw).map_or(raw, |(_, primary)| primary))
-            }
-        }
-    }
 }
 
 /// The immutable payload of a disk component.
@@ -257,16 +229,15 @@ impl<'a> Iterator for RunCursor<'a> {
 pub struct Component {
     data: Arc<DiskComponentData>,
     /// If set, only entries whose key hashes into this bucket are visible
-    /// (reference component produced by a bucket split).
+    /// (reference component produced by a bucket split of a primary run).
     visible_bucket: Option<BucketId>,
-    /// Buckets whose entries have been moved away and must be ignored
-    /// (lazy cleanup). Applied on top of `visible_bucket`.
+    /// Buckets whose entries have been moved away and must be ignored (lazy
+    /// cleanup of a secondary-index run, whose keys are composites).
     invalid_buckets: Arc<BucketSet>,
-    /// How keys are interpreted when checking bucket membership.
-    layout: KeyLayout,
-    /// What the filters leave visible; `None` while no filter applies and
-    /// every entry is visible. Unbuilt when the handle is made, built by the
-    /// first read through it or through any clone of it.
+    /// What the filter leaves visible; `None` while no filter applies and
+    /// every entry is visible. Built by the split that makes a reference
+    /// component; unbuilt when a mark makes the handle, built by the first
+    /// read through it or through any clone of it.
     view: Option<Arc<OnceLock<View>>>,
     /// True if this handle was transferred whole from another partition by a
     /// component-shipping rebalance (provenance; the underlying data keeps
@@ -324,7 +295,6 @@ impl Component {
             data: Arc::new(DiskComponentData::from_sorted(entries, source)),
             visible_bucket: None,
             invalid_buckets: Arc::default(),
-            layout: KeyLayout::PrimaryKey,
             view: None,
             shipped: false,
         }
@@ -349,34 +319,17 @@ impl Component {
         Self::from_sorted(entries, source)
     }
 
-    /// Creates a *reference component* that exposes only the entries of
-    /// `bucket` from the same underlying data (Algorithm 1: bucket split).
-    /// Reads nothing: the first read through the new handle applies the
-    /// filter.
-    pub fn restrict_to_bucket(&self, bucket: BucketId) -> Component {
-        Component {
-            visible_bucket: Some(bucket),
-            view: Some(Arc::default()),
-            ..self.clone()
-        }
-    }
-
     /// The two children of a bucket split, `lo` and `hi` the two halves of
     /// the bucket this handle serves: reference components with their views
-    /// built (Algorithm 1). One pass over the entries this handle shows —
-    /// one hash each — fills both views, where two lazy builds would hash
-    /// the whole shared run once per child (and a split of a split would
-    /// hash it again per grandchild). The views are what the children would
-    /// build lazily, bit for bit.
+    /// built (Algorithm 1), the only way one is made. One pass over the
+    /// entries this handle shows — one hash each — fills both views, so a
+    /// split of a split walks only what its parent shows.
     pub(crate) fn split(&self, lo: BucketId, hi: BucketId) -> (Component, Component) {
         let entries = &self.data.entries;
         let mut views = [View::empty(entries.len()), View::empty(entries.len())];
         let mut place = |at: usize| {
             let e = &entries[at];
-            let hash = self.layout.bucket_hash(&e.key);
-            if self.invalid_buckets.contains_hash(hash) {
-                return;
-            }
+            let hash = hash_key(&e.key);
             let side = if lo.contains_hash(hash) {
                 0
             } else if hi.contains_hash(hash) {
@@ -386,18 +339,15 @@ impl Component {
             };
             views[side].show(at, e.size_bytes());
         };
-        // A child shows a subset of what this handle shows when this
-        // handle's bucket covers it (the children share its invalid
-        // buckets): walk this handle's built view then, every entry otherwise.
-        let narrows = (self.visible_bucket).is_none_or(|b| b.covers(&lo) && b.covers(&hi));
-        match self.view.as_ref().and_then(|v| v.get()).filter(|_| narrows) {
+        match self.view() {
             Some(view) => view.shown().for_each(&mut place),
             None => (0..entries.len()).for_each(&mut place),
         }
         let [lo_view, hi_view] = views;
         let child = |bucket, view| Component {
+            visible_bucket: Some(bucket),
             view: Some(Arc::new(OnceLock::from(view))),
-            ..self.restrict_to_bucket(bucket)
+            ..self.clone()
         };
         (child(lo, lo_view), child(hi, hi_view))
     }
@@ -417,8 +367,9 @@ impl Component {
         self.shipped
     }
 
-    /// The filtered view, built on first use by one pass over the whole run
-    /// applying the handle's filters; `None` when the handle has no filter.
+    /// The filtered view; `None` when the handle has no filter. A split
+    /// builds a reference component's; a marked handle's is built on first
+    /// use by one pass over the whole run checking the marks.
     fn view(&self) -> Option<&View> {
         let view = self.view.as_ref()?;
         Some(view.get_or_init(|| {
@@ -441,20 +392,19 @@ impl Component {
 
     /// Returns a handle to the same data with `buckets` added to the
     /// lazy-cleanup metadata: reads through it skip every entry whose record
-    /// belongs to a moved bucket. `layout` says how this component's keys map
-    /// to records (secondary-index components store composite keys and hash
-    /// the primary part). Reads nothing — the new handle carries the extended
-    /// bucket list and its first read applies all of it in one pass, however
-    /// many marks came before; marking buckets that are already recorded
-    /// changes nothing.
-    pub fn mark_buckets_invalid(&self, buckets: &[BucketId], layout: KeyLayout) -> Component {
+    /// belongs to a moved bucket, judged by the primary part of the entry's
+    /// `SecondaryEntry` composite. Reads nothing — the new handle carries the
+    /// extended bucket list and its first read applies all of it in one
+    /// pass, however many marks came before; marking buckets that are
+    /// already recorded changes nothing.
+    pub(crate) fn mark_buckets_invalid(&self, buckets: &[BucketId]) -> Component {
         let mut invalid = (*self.invalid_buckets).clone();
-        if !invalid.extend(buckets) && layout == self.layout {
+        if !invalid.extend(buckets) {
             return self.clone();
         }
+        debug_assert!(self.visible_bucket.is_none(), "a reference run is marked");
         Component {
             invalid_buckets: Arc::new(invalid),
-            layout,
             view: Some(Arc::default()),
             ..self.clone()
         }
@@ -475,11 +425,6 @@ impl Component {
         self.visible_bucket.is_some()
     }
 
-    /// The bucket filter of a reference component, if any.
-    pub fn visible_bucket(&self) -> Option<BucketId> {
-        self.visible_bucket
-    }
-
     /// True if the component carries lazy-cleanup metadata or a bucket
     /// filter, i.e. a merge would physically drop some entries.
     pub fn needs_compaction(&self) -> bool {
@@ -492,12 +437,10 @@ impl Component {
         Arc::strong_count(&self.data)
     }
 
-    /// Applies the handle's filters to one key (one hash): what
-    /// [`Component::view`] records per entry.
+    /// Checks one composite key against the marks (one hash): what a
+    /// marked handle's [`Component::view`] records per entry.
     fn entry_visible(&self, key: &Key) -> bool {
-        let hash = self.layout.bucket_hash(key);
-        self.visible_bucket.is_none_or(|b| b.contains_hash(hash))
-            && !self.invalid_buckets.contains_hash(hash)
+        !(self.invalid_buckets).contains_hash(SecondaryEntry::primary_hash(key))
     }
 
     /// Point lookup by a reader that has hashed its key already (the tree
@@ -634,10 +577,7 @@ mod tests {
     #[test]
     fn reference_component_filters_by_bucket() {
         let c = comp(&(0..100).collect::<Vec<_>>());
-        let b0 = BucketId::new(0, 1);
-        let b1 = BucketId::new(1, 1);
-        let r0 = c.restrict_to_bucket(b0);
-        let r1 = c.restrict_to_bucket(b1);
+        let (r0, r1) = c.split(BucketId::new(0, 1), BucketId::new(1, 1));
         assert!(r0.is_reference());
         assert_eq!(r0.storage_bytes(), 0);
         assert_eq!(r0.visible_len() + r1.visible_len(), c.raw_len());
@@ -666,9 +606,9 @@ mod tests {
     fn ref_count_tracks_sharing() {
         let c = comp(&[1]);
         assert_eq!(c.ref_count(), 1);
-        let r = c.restrict_to_bucket(BucketId::new(0, 1));
-        assert_eq!(c.ref_count(), 2);
-        drop(r);
+        let children = c.split(BucketId::new(0, 1), BucketId::new(1, 1));
+        assert_eq!(c.ref_count(), 3);
+        drop(children);
         assert_eq!(c.ref_count(), 1);
     }
 
@@ -680,54 +620,37 @@ mod tests {
     }
 
     /// A split builds both children's views in one pass over what the
-    /// parent shows, and each must be the view the child would build lazily
-    /// through `restrict_to_bucket` — the same bits, count and bytes — under
-    /// both key layouts: for a parent with no filter, for splits of splits
-    /// down four levels, for parents marked with moved buckets, and with the
-    /// parent's own view built first or not.
+    /// parent shows, and each must be the view a lazy build would record —
+    /// one pass over the whole shared run testing every key against the
+    /// child's bucket, kept here as the oracle — the same bits, count and
+    /// bytes: for a parent with no filter and for splits of splits down four
+    /// levels.
     #[test]
     fn one_pass_split_views_are_the_lazily_built_views() {
         use crate::rng::SplitMix64;
 
         for seed in 0..48u64 {
             let mut rng = SplitMix64::seed_from_u64(0x5b11_7000 + seed);
-            let layout = if seed % 2 == 0 {
-                KeyLayout::PrimaryKey
-            } else {
-                KeyLayout::SecondaryComposite
-            };
-            let key_of = |k: u64| match layout {
-                KeyLayout::PrimaryKey => Key::from_u64(k),
-                KeyLayout::SecondaryComposite => SecondaryEntry {
-                    secondary: Key::from_u64(k % 11),
-                    primary: Key::from_u64(k),
-                }
-                .encode(),
-            };
             let entries: Vec<Entry> = (0..rng.gen_range(1..700))
                 .map(|_| {
-                    let key = key_of(rng.gen_range(0..900));
+                    let key = Key::from_u64(rng.gen_range(0..900));
                     Entry::put(key, Bytes::from(vec![7u8; rng.gen_index(24)]))
                 })
                 .collect();
-            let mut parent = Component::from_unsorted(entries, ComponentSource::Merge)
-                .mark_buckets_invalid(&[], layout);
+            let mut parent = Component::from_unsorted(entries, ComponentSource::Merge);
             let mut bucket = BucketId::root();
             for level in 0..4 {
-                if rng.gen_ratio(1, 3) {
-                    let depth = rng.gen_range(1..7) as u8;
-                    let moved = [BucketId::new(rng.next_u64() as u32, depth)];
-                    parent = parent.mark_buckets_invalid(&moved, layout);
-                }
-                if rng.gen_ratio(1, 2) {
-                    parent.visible_len();
-                }
                 let (lo, hi) = bucket.split();
                 let (lo_child, hi_child) = parent.split(lo, hi);
                 for (child, half) in [(&lo_child, lo), (&hi_child, hi)] {
                     assert!(child.view_is_built(), "seed {seed}, level {level}");
-                    let lazy = parent.restrict_to_bucket(half);
-                    let (eager, lazy) = (child.view().unwrap(), lazy.view().unwrap());
+                    let mut lazy = View::empty(child.raw_len());
+                    for (at, e) in child.data.entries.iter().enumerate() {
+                        if half.contains_key(&e.key) {
+                            lazy.show(at, e.size_bytes());
+                        }
+                    }
+                    let eager = child.view().unwrap();
                     assert_eq!(
                         (&eager.bits, eager.count, eager.bytes),
                         (&lazy.bits, lazy.count, lazy.bytes),
@@ -743,37 +666,34 @@ mod tests {
         }
     }
 
-    /// Laziness changes nothing a reader can see. Random chains of
-    /// `restrict_to_bucket` / `mark_buckets_invalid` / `clone_shipped` /
-    /// `clone` over one run, under both key layouts — split → split → lazy
-    /// cleanup, handles marked twice before anyone reads them, clones taken
-    /// before and after a view is built — are read in random order, each
-    /// through a random accessor first, and `get`, bounded `range`s, `iter`,
-    /// `visible_len` and `visible_size_bytes` must all agree with the oracle
-    /// that decodes, hashes and filters every entry (the pre-bitmap
-    /// algorithm, kept here). No view is built before a read asks for it.
+    /// Laziness changes nothing a reader can see. Random chains over one
+    /// run, in the shapes runs reach — splits of a primary run (split →
+    /// split), marks of a secondary run of composite keys (handles marked
+    /// twice before anyone reads them), and `clone_shipped` / `clone` of
+    /// either, clones taken before and after a view is built — are read in
+    /// random order, each through a random accessor first, and `get`,
+    /// bounded `range`s, `iter`, `visible_len` and `visible_size_bytes` must
+    /// all agree with the oracle that decodes, hashes and filters every
+    /// entry (the pre-bitmap algorithm, kept here). A split builds its
+    /// children's views; no mark's view is built before a read asks for it.
     #[test]
     fn prop_lazy_views_match_the_filtering_oracle_in_any_read_order() {
         use crate::rng::SplitMix64;
 
         for seed in 0..64u64 {
             let mut rng = SplitMix64::seed_from_u64(0xb175_0000 + seed);
-            let layout = if seed % 2 == 0 {
-                KeyLayout::PrimaryKey
-            } else {
-                KeyLayout::SecondaryComposite
-            };
-            let key_of = |k: u64| match layout {
-                KeyLayout::PrimaryKey => Key::from_u64(k),
-                KeyLayout::SecondaryComposite => SecondaryEntry {
+            let composite = seed % 2 == 1;
+            let key_of = |k: u64| match composite {
+                false => Key::from_u64(k),
+                true => SecondaryEntry {
                     secondary: Key::from_u64(k % 11),
                     primary: Key::from_u64(k),
                 }
                 .encode(),
             };
-            let primary_of = |key: &Key| match layout {
-                KeyLayout::PrimaryKey => key.clone(),
-                KeyLayout::SecondaryComposite => SecondaryEntry::decode(key).unwrap().primary,
+            let primary_of = |key: &Key| match composite {
+                false => key.clone(),
+                true => SecondaryEntry::decode(key).unwrap().primary,
             };
             let entries: Vec<Entry> = (0..rng.gen_range(1..400))
                 .map(|_| {
@@ -785,19 +705,25 @@ mod tests {
                     }
                 })
                 .collect();
-            let whole = Component::from_unsorted(entries, ComponentSource::Merge)
-                .mark_buckets_invalid(&[], layout);
+            let whole = Component::from_unsorted(entries, ComponentSource::Merge);
             // Each handle with the filter it must apply: the bucket it is
             // restricted to and the buckets marked moved.
             let mut handles = vec![(whole, None::<BucketId>, Vec::<BucketId>::new())];
             for _ in 0..rng.gen_range(1..12) {
                 let (from, bucket, mut moved) = handles[rng.gen_index(handles.len())].clone();
-                let link = rng.gen_range(0..6);
+                // a primary run is split, a secondary run marked
+                let link = match composite {
+                    false => [0, 4, 5][rng.gen_index(3)],
+                    true => rng.gen_range(1..6),
+                };
                 let next = match link {
                     0 => {
                         let (lo, hi) = bucket.unwrap_or(BucketId::root()).split();
-                        let child = if rng.gen_ratio(1, 2) { lo } else { hi };
-                        (from.restrict_to_bucket(child), Some(child), moved)
+                        let (lo_child, hi_child) = from.split(lo, hi);
+                        match rng.gen_ratio(1, 2) {
+                            true => (lo_child, Some(lo), moved),
+                            false => (hi_child, Some(hi), moved),
+                        }
                     }
                     1..=3 => {
                         let mut marked = from.clone();
@@ -807,7 +733,7 @@ mod tests {
                             let more: Vec<BucketId> = (0..rng.gen_range(0..4))
                                 .map(|_| BucketId::new(rng.next_u64() as u32, depth))
                                 .collect();
-                            marked = marked.mark_buckets_invalid(&more, layout);
+                            marked = marked.mark_buckets_invalid(&more);
                             moved.extend(more);
                         }
                         (marked, bucket, moved)
@@ -815,10 +741,13 @@ mod tests {
                     4 => (from.clone_shipped(), bucket, moved),
                     _ => (from.clone(), bucket, moved),
                 };
-                assert!(
-                    !next.0.view_is_built() || from.view_is_built(),
-                    "seed {seed}"
-                );
+                match link {
+                    0 => assert!(next.0.view_is_built(), "seed {seed}: split unbuilt"),
+                    _ => assert!(
+                        !next.0.view_is_built() || from.view_is_built(),
+                        "seed {seed}"
+                    ),
+                }
                 if rng.gen_ratio(1, 3) {
                     next.0.visible_len(); // later links start from a built view
                 }
@@ -940,13 +869,13 @@ mod tests {
     #[test]
     fn clone_shipped_shares_data_and_keeps_filters() {
         let c = comp(&(0..40).collect::<Vec<_>>());
-        let restricted = c.restrict_to_bucket(BucketId::new(1, 1));
+        let restricted = c.split(BucketId::new(0, 1), BucketId::new(1, 1)).1;
         let shipped = restricted.clone_shipped();
         assert!(shipped.is_shipped());
         assert!(!restricted.is_shipped());
         assert_eq!(shipped.id(), c.id(), "shipping must not copy the data");
         assert_eq!(shipped.visible_len(), restricted.visible_len());
-        assert_eq!(shipped.visible_bucket(), restricted.visible_bucket());
+        assert_eq!(shipped.visible_bucket, restricted.visible_bucket);
         assert_eq!(c.ref_count(), 3, "shipped handle shares the Arc");
     }
 }

@@ -28,9 +28,10 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::bucket::BucketSet;
-use crate::component::{Component, KeyLayout, RunCursor};
+use crate::component::{Component, RunCursor};
 use crate::entry::{Entry, Key, Op};
 use crate::memtable;
+use crate::secondary::SecondaryEntry;
 
 /// Reconciles a point-lookup result across sources ordered newest first:
 /// the first source containing the key decides.
@@ -45,10 +46,10 @@ pub(crate) enum Cursor<'a> {
     Run(RunCursor<'a>),
     /// A memory component's entries within the range, less those of the
     /// buckets its tree marked moved since its last flush (`dead`, set only
-    /// while there are any).
+    /// while there are any; the keys are then secondary composites).
     Buffered {
         entries: memtable::Range<'a>,
-        dead: Option<(&'a BucketSet, KeyLayout)>,
+        dead: Option<&'a BucketSet>,
     },
 }
 
@@ -64,7 +65,7 @@ impl<'a> Cursor<'a> {
             Cursor::Buffered { entries, dead } => loop {
                 let (key, op) = entries.next()?;
                 let moved =
-                    dead.is_some_and(|(set, layout)| set.contains_hash(layout.bucket_hash(key)));
+                    dead.is_some_and(|set| set.contains_hash(SecondaryEntry::primary_hash(key)));
                 if !moved {
                     break (key.prefix(), key, op);
                 }
@@ -565,7 +566,7 @@ mod tests {
 
     /// The loser tree against the heap oracle over random sources: 0, 1 and
     /// 1–70 of them (mostly not a power of two), some empty, each a run, a
-    /// run seen through a bucket filter (its visibility bits) or a memory
+    /// split child of a run (its visibility bits) or a memory
     /// component; keys of one shape per seed — 8-byte integers, 16-byte
     /// pairs under few leading columns (prefix ties) or the keys of every
     /// shape, short and heap keys sharing prefixes; a quarter tombstones;
@@ -621,9 +622,14 @@ mod tests {
                         oracle_sources.push(entries);
                     }
                     1 => {
-                        let bucket = BucketId::new(rng.gen_range(0..2) as u32, 1);
+                        let (lo, hi) = BucketId::root().split();
                         let c = Component::from_sorted(entries.clone(), ComponentSource::Flush);
-                        runs.push((s, c.restrict_to_bucket(bucket)));
+                        let (lo_child, hi_child) = c.split(lo, hi);
+                        let (bucket, child) = match rng.gen_ratio(1, 2) {
+                            true => (lo, lo_child),
+                            false => (hi, hi_child),
+                        };
+                        runs.push((s, child));
                         let shown = entries.into_iter().filter(|e| bucket.contains_key(&e.key));
                         oracle_sources.push(shown.collect());
                     }

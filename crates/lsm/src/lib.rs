@@ -42,7 +42,7 @@ pub use crate::bytes::Bytes;
 pub use bloom::BloomFilter;
 pub use bucket::{hash_key, BucketId};
 pub use bucketed::{BucketedConfig, BucketedLsmTree, ScanOrder};
-pub use component::{Component, ComponentId, ComponentSource, KeyLayout};
+pub use component::{Component, ComponentId, ComponentSource};
 pub use entry::{Entry, Key, Op, Value, KEY_INLINE_CAP, OP_TAG_BYTES};
 pub use iterator::{kmerge_disjoint, MergeIter};
 pub use memtable::MemTable;

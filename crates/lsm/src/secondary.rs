@@ -16,12 +16,14 @@
 //! entry — queries validate results against this list (the first query to
 //! reach a component applies it there once, skipping entries whose *primary
 //! key* belongs to a moved bucket), and the physical cleanup happens at the
-//! next merge or flush.
+//! next merge or flush. [`SecondaryIndex::mark_buckets_moved`] is the only
+//! door to that metadata, so a mark always reads a composite key; the
+//! primary index's runs carry bucket filters of splits, never marks.
 
 use std::sync::Arc;
 
-use crate::bucket::BucketId;
-use crate::component::{Component, ComponentSource, KeyLayout};
+use crate::bucket::{hash_bytes, BucketId};
+use crate::component::{Component, ComponentSource};
 use crate::entry::{Entry, Key};
 use crate::metrics::StorageMetrics;
 use crate::tree::{LsmConfig, LsmTree};
@@ -54,6 +56,14 @@ impl SecondaryEntry {
         let plen = u16::from_be_bytes([raw[body], raw[body + 1]]) as usize;
         let split = body.checked_sub(plen)?;
         Some((&raw[..split], &raw[split..body]))
+    }
+
+    /// The hash that assigns a composite index key's record to a bucket: the
+    /// hash of its primary part, read in place (a malformed composite hashes
+    /// whole). What lazy cleanup checks moved buckets against.
+    pub(crate) fn primary_hash(key: &Key) -> u64 {
+        let raw = key.as_slice();
+        hash_bytes(Self::split(raw).map_or(raw, |(_, primary)| primary))
     }
 
     /// Decodes a composite index key produced by [`SecondaryEntry::encode`].
@@ -159,8 +169,7 @@ impl SecondaryIndex {
     /// and nothing is flushed; the first [`SecondaryIndex::search_range`]
     /// afterwards pays one pass per component it reaches.
     pub fn mark_buckets_moved(&mut self, buckets: &[BucketId]) {
-        self.tree
-            .mark_buckets_invalid(buckets, KeyLayout::SecondaryComposite);
+        self.tree.mark_buckets_invalid(buckets);
     }
 
     /// The obsolete entries still physically present — what the next query

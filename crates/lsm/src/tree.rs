@@ -5,17 +5,21 @@
 //! bucketed primary index and for secondary indexes. It follows the classic
 //! out-of-place design: writes go to the memory component, flushes create
 //! immutable disk components, and a merge policy periodically combines disk
-//! components.
+//! components. A bucket's tree receives reference components from a split;
+//! a secondary index's tree receives lazy-cleanup marks
+//! ([`crate::secondary::SecondaryIndex::mark_buckets_moved`]), which read
+//! its keys as `SecondaryEntry` composites.
 
 use std::sync::Arc;
 
 use crate::bucket::{hash_key, BucketId, BucketSet};
-use crate::component::{Component, ComponentSource, KeyLayout};
+use crate::component::{Component, ComponentSource};
 use crate::entry::{Entry, Key, Op, Value};
 use crate::iterator::{reconcile_point, Cursor, MergeIter};
 use crate::memtable::MemTable;
 use crate::merge_policy::SizeTieredPolicy;
 use crate::metrics::StorageMetrics;
+use crate::secondary::SecondaryEntry;
 
 /// Configuration of a single LSM-tree.
 #[derive(Clone, Debug)]
@@ -66,13 +70,11 @@ pub struct LsmTree {
     /// Lazy cleanup of the memory component: moved buckets whose buffered
     /// entries are dead — hidden from reads now, dropped by the next flush
     /// (or by the first write to one of the buckets, should it come back
-    /// sooner); until then they still count in the size accessors — how many
-    /// entries that is (`None` from a mark until [`LsmTree::hidden_entries`]
-    /// next counts them), and how the tree's keys map to records. Empty
-    /// almost always.
+    /// sooner); until then they still count in the size accessors — and how
+    /// many entries that is (`None` from a mark until
+    /// [`LsmTree::hidden_entries`] next counts them). Empty almost always.
     memtable_invalid: BucketSet,
     memtable_dead: Option<u64>,
-    layout: KeyLayout,
     /// The visible bytes of every disk component, counted whenever the list
     /// changes while each component's share is known without a read (`None`
     /// while a filtered view is still unbuilt): what makes
@@ -92,7 +94,6 @@ impl LsmTree {
             merges_paused: false,
             memtable_invalid: BucketSet::default(),
             memtable_dead: Some(0),
-            layout: KeyLayout::default(),
             disk_bytes: Some(0),
         }
     }
@@ -188,8 +189,7 @@ impl LsmTree {
         hi: Option<&Key>,
         cursors: &mut Vec<Cursor<'a>>,
     ) {
-        let dead =
-            (!self.memtable_invalid.is_empty()).then_some((&self.memtable_invalid, self.layout));
+        let dead = (!self.memtable_invalid.is_empty()).then_some(&self.memtable_invalid);
         cursors.push(Cursor::Buffered {
             entries: self.memtable.range(lo, hi),
             dead,
@@ -205,17 +205,14 @@ impl LsmTree {
     /// since the last flush.
     fn buffered_dead(&self, key: &Key) -> bool {
         !self.memtable_invalid.is_empty()
-            && self
-                .memtable_invalid
-                .contains_hash(self.layout.bucket_hash(key))
+            && (self.memtable_invalid).contains_hash(SecondaryEntry::primary_hash(key))
     }
 
     /// Drops the dead entries from the memory component.
     fn purge_memtable(&mut self) {
-        let (dead, layout) = (std::mem::take(&mut self.memtable_invalid), self.layout);
+        let dead = std::mem::take(&mut self.memtable_invalid);
         self.memtable_dead = Some(0);
-        self.memtable
-            .retain(|key| !dead.contains_hash(layout.bucket_hash(key)));
+        (self.memtable).retain(|key| !dead.contains_hash(SecondaryEntry::primary_hash(key)));
     }
 
     /// Range scan over `[lo, hi)` handing every live entry, in key order and
@@ -377,15 +374,15 @@ impl LsmTree {
     /// each component's first read afterwards applies the filter, in one
     /// pass. Data added later (e.g. a bucket received back by a future
     /// rebalance, installed as components) is not affected, exactly as the
-    /// paper's per-component metadata behaves. `layout` says how the tree's
-    /// keys map to records.
-    pub fn mark_buckets_invalid(&mut self, buckets: &[BucketId], layout: KeyLayout) {
-        self.layout = layout;
+    /// paper's per-component metadata behaves. The tree's keys are
+    /// `SecondaryEntry` composites: the one caller is
+    /// [`crate::secondary::SecondaryIndex::mark_buckets_moved`].
+    pub(crate) fn mark_buckets_invalid(&mut self, buckets: &[BucketId]) {
         if !self.memtable.is_empty() && self.memtable_invalid.extend(buckets) {
             self.memtable_dead = None;
         }
         for c in self.components.iter_mut() {
-            *c = c.mark_buckets_invalid(buckets, layout);
+            *c = c.mark_buckets_invalid(buckets);
         }
         self.recount();
     }
@@ -397,11 +394,11 @@ impl LsmTree {
     /// Merges and flushes drop hidden entries, so the number shrinks as the
     /// physical cleanup proceeds.
     pub fn hidden_entries(&mut self) -> u64 {
-        let (memtable, dead, layout) = (&self.memtable, &self.memtable_invalid, self.layout);
+        let (memtable, dead) = (&self.memtable, &self.memtable_invalid);
         // Counting needs no key order: the keys are walked as they arrived.
         let buffered = *self.memtable_dead.get_or_insert_with(|| {
             let keys = memtable.keys();
-            keys.filter(|key| dead.contains_hash(layout.bucket_hash(key)))
+            keys.filter(|key| dead.contains_hash(SecondaryEntry::primary_hash(key)))
                 .count() as u64
         });
         let on_disk = self
@@ -465,6 +462,15 @@ mod tests {
 
     fn val(tag: &str) -> Bytes {
         Bytes::from(tag.as_bytes().to_vec())
+    }
+
+    /// The secondary-index key of record `k`: what a lazy-cleanup mark reads.
+    fn composite(k: u64) -> Key {
+        SecondaryEntry {
+            secondary: Key::from_u64(k % 3),
+            primary: Key::from_u64(k),
+        }
+        .encode()
     }
 
     #[test]
@@ -814,7 +820,8 @@ mod tests {
     /// moved bucket — tombstones included — vanish from reads at once and
     /// never reach a disk component, so the bucket's data shows through
     /// when it is received back as the oldest components; a later write to
-    /// the returned bucket survives the purge of the dead ones.
+    /// the returned bucket survives the purge of the dead ones. The keys are
+    /// secondary-index composites, whose primary part names the bucket.
     #[test]
     fn marking_hides_buffered_entries_and_the_flush_drops_them() {
         let moved = BucketId::new(0, 1);
@@ -823,14 +830,14 @@ mod tests {
         let outside: Vec<u64> = (0..40).filter(|k| !in_moved(k)).collect();
         let mut t = small_tree(1 << 20);
         for &k in &outside {
-            t.put(k, val("stays"));
+            t.put(composite(k), val("stays"));
         }
         for &k in &inside[1..] {
-            t.put(k, val("old"));
+            t.put(composite(k), val("old"));
         }
-        t.delete(inside[0]);
-        t.mark_buckets_invalid(&[moved], KeyLayout::PrimaryKey);
-        assert!(inside.iter().all(|k| t.get(&Key::from_u64(*k)).is_none()));
+        t.delete(composite(inside[0]));
+        t.mark_buckets_invalid(&[moved]);
+        assert!(inside.iter().all(|k| t.get(&composite(*k)).is_none()));
         assert_eq!(t.live_len(), outside.len());
         assert_eq!(t.hidden_entries(), inside.len() as u64);
 
@@ -838,18 +845,18 @@ mod tests {
         // components, and the old tombstone must not shadow it
         let back: Vec<Entry> = inside
             .iter()
-            .map(|k| Entry::put(Key::from_u64(*k), val("back")))
+            .map(|k| Entry::put(composite(*k), val("back")))
             .collect();
         t.append_oldest_components(vec![Component::from_unsorted(
             back,
             ComponentSource::Loaded,
         )]);
         for k in &inside {
-            assert_eq!(t.get(&Key::from_u64(*k)).unwrap(), val("back"));
+            assert_eq!(t.get(&composite(*k)).unwrap(), val("back"));
         }
-        t.put(inside[1], val("new"));
-        assert_eq!(t.get(&Key::from_u64(inside[1])).unwrap(), val("new"));
-        assert_eq!(t.get(&Key::from_u64(inside[2])).unwrap(), val("back"));
+        t.put(composite(inside[1]), val("new"));
+        assert_eq!(t.get(&composite(inside[1])).unwrap(), val("new"));
+        assert_eq!(t.get(&composite(inside[2])).unwrap(), val("back"));
         assert_eq!(t.memtable().len(), outside.len() + 1, "dead entries purged");
         assert_eq!(t.hidden_entries(), 0);
 
@@ -862,11 +869,11 @@ mod tests {
     fn mark_bucket_invalid_hides_and_merge_removes() {
         let mut t = small_tree(1 << 20);
         for i in 0..64u64 {
-            t.put(i, val("x"));
+            t.put(composite(i), val("x"));
         }
         t.flush();
         let moved = BucketId::new(0, 1);
-        t.mark_buckets_invalid(&[moved], KeyLayout::PrimaryKey);
+        t.mark_buckets_invalid(&[moved]);
         let visible_before_merge = t.live_len();
         assert!(visible_before_merge < 64);
         t.force_merge_all();
