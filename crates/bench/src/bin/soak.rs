@@ -6,9 +6,9 @@
 //! Usage:
 //!
 //! ```text
-//! soak --quick                 # the CI profile: >= 1M records, 12 nodes,
-//!                              # Zipfian s = 1.1, >= 3 churn events
-//! soak --full                  # the nightly profile: 16 nodes, 4M records
+//! soak --quick                 # the one profile (also the default):
+//!                              # >= 1M records, 12 nodes, Zipfian
+//!                              # s = 1.1, >= 3 churn events
 //! soak --chaos                 # layer the seeded fault plane on top:
 //!                              # transient ship failures absorbed by retry,
 //!                              # plus a permanent node loss per grow
@@ -28,7 +28,7 @@
 
 use dynahash_bench::scenario::{run_soak, SoakConfig};
 
-const USAGE: &str = "usage: soak [--quick | --full] [--chaos] [--seed <u64>] [--json <path>]";
+const USAGE: &str = "usage: soak [--quick] [--chaos] [--seed <u64>] [--json <path>]";
 
 /// Reports a usage error and exits 2.
 fn usage_error(msg: &str) -> ! {
@@ -36,15 +36,14 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2)
 }
 
-/// The profile the flags select, and where the JSON report goes.
+/// The configuration the flags select, and where the JSON report goes.
 fn parse_args() -> (SoakConfig, Option<String>) {
-    let (mut quick, mut full, mut chaos) = (false, false, false);
+    let mut chaos = false;
     let (mut seed, mut json) = (0x50a6_2026, None);
     let mut iter = std::env::args().skip(1);
     while let Some(a) = iter.next() {
         match a.as_str() {
-            "--quick" => quick = true,
-            "--full" => full = true,
+            "--quick" => {}
             "--chaos" => chaos = true,
             "--seed" => {
                 let raw = iter.next().unwrap_or_default();
@@ -67,14 +66,10 @@ fn parse_args() -> (SoakConfig, Option<String>) {
             other => usage_error(&format!("unknown argument: {other}")),
         }
     }
-    if quick && full {
-        usage_error("--quick and --full are mutually exclusive");
-    }
-    let mut cfg = match full {
-        true => SoakConfig::full(seed),
-        false => SoakConfig::quick(seed), // --quick is also the default
+    let cfg = SoakConfig {
+        chaos,
+        ..SoakConfig::quick(seed)
     };
-    cfg.chaos = chaos;
     (cfg, json)
 }
 

@@ -152,6 +152,15 @@ pub enum ScenarioOp {
 
 // ------------------------------------------------------------------ config
 
+/// Storage partitions per node.
+const PARTITIONS_PER_NODE: u32 = 2;
+
+/// Datasets in a soak cluster (dataset 0 carries a secondary index).
+pub const SOAK_DATASETS: usize = 2;
+
+/// Zipfian exponent of the ingest workload.
+const ZIPF_S: f64 = 1.1;
+
 /// Knobs of a soak run. Everything — script generation and execution — is a
 /// pure function of this struct, so a failing run is replayed by rerunning
 /// with the same config.
@@ -164,23 +173,15 @@ pub struct SoakConfig {
     pub nodes: u32,
     /// Hard ceiling on nodes during churn storms.
     pub max_nodes: u32,
-    /// Storage partitions per node.
-    pub partitions_per_node: u32,
-    /// Number of datasets (dataset 0 carries a secondary index).
-    pub datasets: usize,
     /// Distinct keys in the generator's universe.
     pub key_universe: u64,
     /// Total records ingested across the run (spread over the ingest ops).
     pub target_ingest: u64,
-    /// Zipfian exponent of the ingest workload.
-    pub zipf_s: f64,
     /// Script length in ops.
     pub steps: usize,
     /// Churn events placed (evenly spaced) in the script. Churn never
     /// skips, so this is also a lower bound on events executed.
     pub churn_events: usize,
-    /// Value payload size in bytes (min 16: key + version header).
-    pub value_bytes: usize,
     /// Operations per [`ScenarioOp::Queries`] batch.
     pub queries_per_step: u64,
     /// Sampled model reads in each continuous check.
@@ -215,14 +216,10 @@ impl SoakConfig {
             seed,
             nodes: 12,
             max_nodes: 15,
-            partitions_per_node: 2,
-            datasets: 2,
             key_universe: 1 << 20,
             target_ingest: 1_050_000,
-            zipf_s: 1.1,
             steps: 36,
             churn_events: 4,
-            value_bytes: 16,
             queries_per_step: 300,
             sample_reads: 16,
             max_moves: 8,
@@ -248,32 +245,6 @@ impl SoakConfig {
             control: false,
             ..SoakConfig::quick(seed)
         }
-    }
-
-    /// The full nightly profile: a larger fleet and several million
-    /// records. Not wired into CI's required path — run manually via
-    /// `cargo run --release --bin soak -- --full`.
-    pub fn full(seed: u64) -> Self {
-        SoakConfig {
-            nodes: 16,
-            max_nodes: 20,
-            partitions_per_node: 4,
-            datasets: 3,
-            key_universe: 1 << 22,
-            target_ingest: 4_000_000,
-            steps: 80,
-            churn_events: 10,
-            value_bytes: 32,
-            queries_per_step: 1_000,
-            sample_reads: 32,
-            max_moves: 12,
-            max_bucket_bytes: 256 * 1024,
-            ..SoakConfig::quick(seed)
-        }
-    }
-
-    fn value_len(&self) -> usize {
-        self.value_bytes.max(16)
     }
 }
 
@@ -459,10 +430,10 @@ impl SoakReport {
         let config = Json::obj([
             ("seed", Json::str(format!("{:#x}", cfg.seed))),
             ("nodes", Json::Int(cfg.nodes as u64)),
-            ("datasets", Json::Int(cfg.datasets as u64)),
+            ("datasets", Json::Int(SOAK_DATASETS as u64)),
             ("key_universe", Json::Int(cfg.key_universe)),
             ("target_ingest", Json::Int(cfg.target_ingest)),
-            ("zipf_s", Json::Num(cfg.zipf_s)),
+            ("zipf_s", Json::Num(ZIPF_S)),
             ("steps", Json::Int(cfg.steps as u64)),
             ("churn_events", Json::Int(cfg.churn_events as u64)),
         ]);
@@ -504,18 +475,18 @@ impl SoakReport {
 pub fn generate_scenario(cfg: &SoakConfig) -> Vec<ScenarioOp> {
     let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0x5ce2_a210);
     let mut ops: Vec<ScenarioOp> = Vec::new();
-    let steps = cfg.steps.max(cfg.datasets + cfg.churn_events + 2);
+    let steps = cfg.steps.max(SOAK_DATASETS + cfg.churn_events + 2);
 
     // Churn positions: evenly spaced through the body of the script,
     // leaving room for the warm-up ingests in front.
-    let first = cfg.datasets + 1;
+    let first = SOAK_DATASETS + 1;
     let span = steps.saturating_sub(first).max(1);
     let mut churn_at: Vec<usize> = (0..cfg.churn_events)
         .map(|j| first + j * span / cfg.churn_events.max(1))
         .collect();
     churn_at.dedup();
 
-    for d in 0..cfg.datasets {
+    for d in 0..SOAK_DATASETS {
         ops.push(ScenarioOp::Ingest {
             dataset: d,
             records: 0, // sized below
@@ -537,7 +508,7 @@ pub fn generate_scenario(cfg: &SoakConfig) -> Vec<ScenarioOp> {
             });
             continue;
         }
-        let d = rng.gen_index(cfg.datasets);
+        let d = rng.gen_index(SOAK_DATASETS);
         match rng.gen_range(0..10) {
             0..=4 => ops.push(ScenarioOp::Ingest {
                 dataset: d,
@@ -593,7 +564,7 @@ pub fn generate_scenario(cfg: &SoakConfig) -> Vec<ScenarioOp> {
             rounds: 8,
         };
         for (i, frac) in [(1usize, 3usize), (2, 3)].iter().enumerate() {
-            let at = (ops.len() * frac.0 / frac.1).max(cfg.datasets + 1) + i;
+            let at = (ops.len() * frac.0 / frac.1).max(SOAK_DATASETS + 1) + i;
             ops.insert(at.min(ops.len()), hotspot.clone());
         }
     }
@@ -639,12 +610,9 @@ struct Runner<'a> {
 /// the value header.
 const VERSION_INDEX: &str = "by_version";
 
-fn value_for(key: u64, version: u64, len: usize) -> Bytes {
-    let mut v = Vec::with_capacity(len);
-    v.extend_from_slice(&key.to_be_bytes());
-    v.extend_from_slice(&version.to_be_bytes());
-    v.resize(len, (key % 251) as u8);
-    Bytes::from(v)
+/// A record's 16-byte value: its key and version, big-endian.
+fn value_for(key: u64, version: u64) -> Bytes {
+    Bytes::from([key.to_be_bytes(), version.to_be_bytes()].concat())
 }
 
 fn version_key(version: u64) -> Key {
@@ -658,14 +626,14 @@ impl<'a> Runner<'a> {
         let mut cluster = Cluster::with_config(
             cfg.nodes,
             ClusterConfig {
-                partitions_per_node: cfg.partitions_per_node,
+                partitions_per_node: PARTITIONS_PER_NODE,
                 cost_model: CostModel::default(),
             },
         );
-        let partitions = cfg.nodes * cfg.partitions_per_node;
+        let partitions = cfg.nodes * PARTITIONS_PER_NODE;
         let mut datasets = Vec::new();
         let mut sessions = Vec::new();
-        for d in 0..cfg.datasets {
+        for d in 0..SOAK_DATASETS {
             let mut spec = DatasetSpec::new(
                 format!("soak_{d}"),
                 Scheme::dynahash(cfg.max_bucket_bytes, partitions),
@@ -700,7 +668,7 @@ impl<'a> Runner<'a> {
             None
         };
         Ok(Runner {
-            keygen: KeyGen::new(cfg.key_universe, cfg.zipf_s),
+            keygen: KeyGen::new(cfg.key_universe, ZIPF_S),
             rng: SplitMix64::seed_from_u64(cfg.seed ^ 0x50a4_0001),
             cfg,
             cluster,
@@ -757,13 +725,12 @@ impl<'a> Runner<'a> {
     }
 
     fn op_ingest(&mut self, d: usize, n: u64) -> StepResult {
-        let len = self.cfg.value_len();
         let mut batch = Vec::with_capacity(n as usize);
         let mut staged = Vec::with_capacity(n as usize);
         for _ in 0..n {
             let key = self.keygen.draw(&mut self.rng);
             self.version += 1;
-            batch.push((Key::from_u64(key), value_for(key, self.version, len)));
+            batch.push((Key::from_u64(key), value_for(key, self.version)));
             staged.push((key, self.version));
         }
         match self.sessions[d].ingest(&mut self.cluster, batch) {
@@ -801,7 +768,7 @@ impl<'a> Runner<'a> {
     /// A refused record stays out of the model, and that exclusion is what
     /// keeps the model snapshot byte-exact as a repair feed.
     fn put(&mut self, d: usize, key: u64, version: u64) -> Result<bool, String> {
-        let value = value_for(key, version, self.cfg.value_len());
+        let value = value_for(key, version);
         match self.sessions[d].put(&mut self.cluster, Key::from_u64(key), value) {
             Ok(_) => {
                 self.landed(d, [(key, version)]);
@@ -857,7 +824,7 @@ impl<'a> Runner<'a> {
             Err(e) => return Err(format!("{when}: get {key} on dataset {d}: {e}")),
         };
         let model = self.datasets[d].model.get(&key);
-        let want = model.map(|v| value_for(key, *v, self.cfg.value_len()));
+        let want = model.map(|v| value_for(key, *v));
         if got != want {
             return Err(format!(
                 "{when}: dataset {d} key {key}: read {got:?}, model says {want:?}"
@@ -1061,7 +1028,6 @@ impl<'a> Runner<'a> {
         mut plane: Option<&mut ControlPlane>,
         when: &str,
     ) -> Result<u64, String> {
-        let len = self.cfg.value_len();
         let before = self.cluster.fault_stats().repaired_buckets;
         for i in 0..self.datasets.len() {
             let id = self.datasets[i].id;
@@ -1071,7 +1037,7 @@ impl<'a> Runner<'a> {
             let feed: Vec<(Key, Bytes)> = self.datasets[i]
                 .model
                 .iter()
-                .map(|(k, v)| (Key::from_u64(*k), value_for(*k, *v, len)))
+                .map(|(k, v)| (Key::from_u64(*k), value_for(*k, *v)))
                 .collect();
             match plane.as_deref_mut() {
                 Some(plane) => {
@@ -1364,7 +1330,6 @@ impl<'a> Runner<'a> {
 
     /// Byte-for-byte scan-vs-model comparison through each stale session.
     fn final_scan_check(&mut self) -> StepResult {
-        let len = self.cfg.value_len();
         for d in 0..self.datasets.len() {
             let (contents, raw) = self.sessions[d]
                 .collect_records(&self.cluster)
@@ -1385,7 +1350,7 @@ impl<'a> Runner<'a> {
                 ));
             }
             for (k, v) in model {
-                if contents.get(&Key::from_u64(*k)) != Some(&value_for(*k, *v, len)) {
+                if contents.get(&Key::from_u64(*k)) != Some(&value_for(*k, *v)) {
                     return Err(format!("final scan of dataset {d}: key {k} diverges"));
                 }
             }

@@ -17,7 +17,7 @@
 //!   (`resident_bytes + ops * op_weight_bytes`), splits buckets whose
 //!   decayed op count exceeds the hot-bucket budget, and plans a rebalance
 //!   when a dataset stays above the imbalance threshold for
-//!   `hysteresis_ticks` *consecutive* ticks — with a cooldown after every
+//!   [`HYSTERESIS_TICKS`] *consecutive* ticks — with a cooldown after every
 //!   committed job so back-to-back rebalances cannot thrash. Everything is
 //!   a pure function of the tick sequence and the workload: no wall clock,
 //!   no ambient randomness.
@@ -209,19 +209,26 @@ impl HeatReport {
 /// Hot-bucket splits performed per dataset per tick, at most.
 const MAX_HOT_SPLITS_PER_TICK: usize = 4;
 
+/// Consecutive imbalanced ticks required before a rebalance triggers.
+pub const HYSTERESIS_TICKS: u32 = 3;
+
+/// Ticks after a committed (or no-op) job during which new triggers for the
+/// dataset are suppressed.
+pub const COOLDOWN_TICKS: u64 = 8;
+
+/// Wave width of auto-planned jobs (clamped to the budget's per-window
+/// bucket cap so a single wave can always be admitted).
+const MAX_CONCURRENT_MOVES: usize = 4;
+
 /// Tuning knobs of the [`ControlPlane`]. The defaults follow the reference
 /// shard rebalancer (SNIPPETS.md Snippet 3): trigger at 15% max-deviation
-/// imbalance, sustained over `hysteresis_ticks` consecutive ticks, with a
-/// cooldown after every committed job and a migration budget per window.
+/// imbalance, sustained over [`HYSTERESIS_TICKS`] consecutive ticks, with a
+/// cooldown of [`COOLDOWN_TICKS`] after every committed job and a migration
+/// budget per window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlConfig {
     /// Max-deviation imbalance above which a dataset counts as imbalanced.
     pub imbalance_threshold: f64,
-    /// Consecutive imbalanced ticks required before a rebalance triggers.
-    pub hysteresis_ticks: u32,
-    /// Ticks after a committed (or no-op) job during which new triggers for
-    /// the dataset are suppressed.
-    pub cooldown_ticks: u64,
     /// The migration throttle (buckets/bytes per window of ticks).
     pub budget: MigrationBudget,
     /// Decayed op count above which a single bucket is split so its heat
@@ -230,21 +237,15 @@ pub struct ControlConfig {
     /// Load contributed by one decayed op, in byte units (how heavily query
     /// heat weighs against resident bytes).
     pub op_weight_bytes: u64,
-    /// Wave width of auto-planned jobs (clamped to the budget's per-window
-    /// bucket cap so a single wave can always be admitted).
-    pub max_concurrent_moves: usize,
 }
 
 impl Default for ControlConfig {
     fn default() -> Self {
         ControlConfig {
             imbalance_threshold: 0.15,
-            hysteresis_ticks: 3,
-            cooldown_ticks: 8,
             budget: MigrationBudget::default(),
             hot_bucket_ops: 512,
             op_weight_bytes: 1024,
-            max_concurrent_moves: 4,
         }
     }
 }
@@ -397,8 +398,7 @@ impl ControlPlane {
             }
         };
         if outcome.is_ok() {
-            self.cooldown_until
-                .insert(dataset, tick + self.config.cooldown_ticks);
+            self.cooldown_until.insert(dataset, tick + COOLDOWN_TICKS);
         }
         let decision = if matches!(outcome, Ok(RebalanceOutcome::Committed)) {
             self.streaks.insert(dataset, 0);
@@ -548,7 +548,7 @@ impl ControlPlane {
             let streak = self.streaks.entry(dataset).or_insert(0);
             *streak += 1;
             let streak = *streak;
-            if streak < self.config.hysteresis_ticks.max(1) {
+            if streak < HYSTERESIS_TICKS {
                 cluster.record(Event::Control(ControlDecision::SuppressedByHysteresis {
                     tick,
                     dataset,
@@ -564,17 +564,14 @@ impl ControlPlane {
             }
             let loads = heat.bucket_loads(self.config.op_weight_bytes);
             let target = cluster.topology().clone();
-            let cap = self
-                .config
-                .max_concurrent_moves
+            let cap = MAX_CONCURRENT_MOVES
                 .min(self.config.budget.max_buckets_per_window)
                 .max(1);
             let mut job = RebalanceJob::plan_with_loads(cluster, dataset, &target, cap, &loads)?;
             if job.plan_ref().is_noop() {
                 job.abort(cluster)?;
                 job.finalize(cluster)?;
-                self.cooldown_until
-                    .insert(dataset, tick + self.config.cooldown_ticks);
+                self.cooldown_until.insert(dataset, tick + COOLDOWN_TICKS);
                 self.streaks.insert(dataset, 0);
                 cluster.record(Event::Control(ControlDecision::NoImprovement {
                     tick,
@@ -737,8 +734,6 @@ mod tests {
         cluster.set_heat_tracking(true);
         let config = ControlConfig {
             imbalance_threshold: 0.2,
-            hysteresis_ticks: 2,
-            cooldown_ticks: 4,
             hot_bucket_ops: u64::MAX, // isolate the rebalance path
             ..ControlConfig::default()
         };
@@ -791,7 +786,7 @@ mod tests {
         for c in &committed {
             for t in &triggers {
                 assert!(
-                    *t <= *c || *t >= c + plane.config().cooldown_ticks,
+                    *t <= *c || *t >= c + COOLDOWN_TICKS,
                     "trigger at t{t} violates the cooldown after the commit at t{c}"
                 );
             }
@@ -816,11 +811,8 @@ mod tests {
         };
         let mut plane = ControlPlane::new(ControlConfig {
             imbalance_threshold: 0.2,
-            hysteresis_ticks: 1,
-            cooldown_ticks: 2,
             budget,
             hot_bucket_ops: u64::MAX,
-            max_concurrent_moves: 2,
             ..ControlConfig::default()
         });
         let mut session = cluster.session(ds).unwrap();

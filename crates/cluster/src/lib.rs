@@ -59,7 +59,7 @@ pub mod session;
 pub mod sim;
 
 pub use cluster::{Admin, Cluster, ClusterConfig};
-pub use control::{ControlConfig, ControlPlane, HeatReport};
+pub use control::{ControlConfig, ControlPlane, HeatReport, COOLDOWN_TICKS, HYSTERESIS_TICKS};
 pub use controller::ClusterController;
 pub use dataset::{DatasetId, DatasetMeta, DatasetSpec, SecondaryIndexDef};
 pub use fault::{ClusterHealth, Fault, FaultSchedule, FaultStats, NodeState};

@@ -144,7 +144,8 @@ pub enum ControlDecision {
         /// Bytes the plan intends to ship.
         bytes: u64,
     },
-    /// Imbalanced, but not yet for `hysteresis_ticks` consecutive ticks.
+    /// Imbalanced, but not yet for [`crate::control::HYSTERESIS_TICKS`]
+    /// consecutive ticks.
     SuppressedByHysteresis {
         /// Tick of the decision.
         tick: u64,

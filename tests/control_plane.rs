@@ -16,6 +16,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use common::{assert_committed_set, check_seeded_cases, record, test_cluster, CASES};
 use dynahash::cluster::{
     Cluster, ControlConfig, ControlDecision, ControlPlane, DatasetSpec, Event, FaultSchedule,
+    COOLDOWN_TICKS, HYSTERESIS_TICKS,
 };
 use dynahash::core::{MigrationBudget, NodeId, RebalanceOutcome, Scheme};
 use dynahash::lsm::entry::Key;
@@ -178,7 +179,7 @@ fn run_decision_loop(seed: u64, p: &LoopParams) {
         };
         for t in &trigger_ticks {
             assert!(
-                *t <= tc || *t > tc + config.cooldown_ticks,
+                *t <= tc || *t > tc + COOLDOWN_TICKS,
                 "trigger at tick {t} inside the cooldown after tick {tc}"
             );
         }
@@ -198,7 +199,7 @@ fn run_decision_loop(seed: u64, p: &LoopParams) {
                     })
                     .count() as u32;
                 assert!(
-                    streak >= config.hysteresis_ticks - 1,
+                    streak >= HYSTERESIS_TICKS - 1,
                     "trigger at tick {tick} with only {streak} hysteresis-suppressed \
                      ticks since tick {boundary}"
                 );

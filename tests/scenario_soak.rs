@@ -1,7 +1,6 @@
 //! Integration tests of the scenario fleet: hand-written declarative
-//! scripts and bounded seeded soak runs (the full million-key profile runs
-//! as `cargo run --release --bin soak -- --quick` in CI; `--full` is the
-//! manual/nightly profile).
+//! scripts and bounded seeded soak runs (the million-key profile runs as
+//! `cargo run --release --bin soak -- --quick` in CI).
 //!
 //! A failing soak prints its seed and the executed-op trace; replay it by
 //! rerunning `run_soak` with the same config (the script and every random
@@ -11,7 +10,7 @@ mod common;
 
 use common::{check_seeded_cases, CASES};
 use dynahash::bench::scenario::{
-    generate_scenario, run_scenario, run_soak, ScenarioOp, SoakConfig,
+    generate_scenario, run_scenario, run_soak, ScenarioOp, SoakConfig, SOAK_DATASETS,
 };
 
 /// The seeded property: bounded smoke-profile soaks across [`CASES`] seeds
@@ -29,7 +28,7 @@ fn prop_smoke_soaks_hold_every_invariant() {
             let counters = report.counters();
             assert!(counters.records_ingested >= cfg.target_ingest);
             assert!(counters.churn_events >= cfg.churn_events);
-            assert_eq!(counters.rebalances, counters.churn_events * cfg.datasets);
+            assert_eq!(counters.rebalances, counters.churn_events * SOAK_DATASETS);
         },
     );
 }
@@ -77,7 +76,7 @@ fn hand_written_scenario_script_runs_clean() {
     let counters = report.counters();
     // AddNode + 2 storm rounds + RemoveNode, each rebalancing every dataset
     assert_eq!(counters.churn_events, 4);
-    assert_eq!(counters.rebalances, 4 * cfg.datasets);
+    assert_eq!(counters.rebalances, 4 * SOAK_DATASETS);
     assert!(counters.crashes >= 1, "CrashRecover must crash a node");
     assert!(counters.records_ingested >= 7_000);
 }
