@@ -897,11 +897,16 @@ impl Cluster {
     /// Drops `node` from the cluster and its partitions from every dataset's
     /// partition list, bumping the routing version so cached sessions stop
     /// dispatching scans to partitions that no longer exist. Refuses, and
-    /// changes nothing, while any dataset routes keys to a partition of the
-    /// node — a bucketed directory holds a bucket there, or a Hashing
-    /// partition list includes it: those keys would route nowhere, or (the
-    /// modulo taken over a shorter list) to partitions that do not hold them.
+    /// changes nothing, while any rebalance job is in flight (its waves may
+    /// have staged data on the node that no record shows yet), or while any
+    /// dataset routes keys to a partition of the node — a bucketed
+    /// directory holds a bucket there, or a Hashing partition list includes
+    /// it: those keys would route nowhere, or (the modulo taken over a
+    /// shorter list) to partitions that do not hold them.
     fn retire_node(&mut self, node: NodeId) -> Result<(), ClusterError> {
+        if let Some(dataset) = self.active_rebalances.keys().next() {
+            return Err(ClusterError::RebalanceInFlight(*dataset));
+        }
         let partitions = self.topology.partitions_of_node(node);
         for dataset in self.controller.dataset_ids() {
             let meta = self.controller.dataset(dataset)?;
@@ -1577,6 +1582,40 @@ mod tests {
             assert_eq!(order, cluster.topology().partitions());
             assert_eq!(cluster.dataset_len(ds).unwrap(), 500);
         }
+    }
+
+    /// A wave stages buckets on the joining node before any record is
+    /// visible there, so an emptiness check alone would let it go and the
+    /// job would then fail on an unknown node. A node leaves only between
+    /// jobs: the refusal changes nothing, and the job still commits.
+    #[test]
+    fn a_node_is_not_retired_under_a_job_in_flight() {
+        let mut cluster = Cluster::new(2);
+        let ds = cluster
+            .create_dataset(DatasetSpec::new(
+                "orders",
+                Scheme::StaticHash { num_buckets: 32 },
+            ))
+            .unwrap();
+        cluster.ingest(ds, records(3000)).unwrap();
+        let joining = cluster.add_node().unwrap();
+        let target = cluster.topology().clone();
+        let mut job = RebalanceJob::plan(&mut cluster, ds, &target, 4).unwrap();
+        job.init(&mut cluster).unwrap();
+        job.run_wave(&mut cluster).unwrap();
+
+        let err = cluster.decommission_node(joining);
+        assert!(
+            matches!(err, Err(ClusterError::RebalanceInFlight(d)) if d == ds),
+            "{err:?}"
+        );
+        assert_eq!(cluster.topology(), &target, "the refusal changes nothing");
+        job.drive(&mut cluster).unwrap();
+        assert!(
+            cluster.dataset_distribution(ds).unwrap()[&target.partitions_of_node(joining)[0]] > 0
+        );
+        assert_eq!(cluster.dataset_len(ds).unwrap(), 3000);
+        cluster.check_dataset_consistency(ds).unwrap();
     }
 
     #[test]

@@ -196,10 +196,10 @@ pub struct RebalanceJob {
     plan: RebalancePlan,
     waves: Vec<Vec<BucketMove>>,
     participants: Vec<NodeId>,
-    /// Participants that voted "prepared" (a dead node casts no vote).
-    votes: BTreeSet<NodeId>,
-    /// Participants that ran their commit tasks.
-    commit_acks: BTreeSet<NodeId>,
+    /// Every participant voted "prepared" (a dead node casts no vote).
+    all_voted: bool,
+    /// Every participant ran its commit tasks.
+    all_acked: bool,
     /// Buckets staged from an operator feed instead of a live source
     /// partition, each with the one component built from its feed records
     /// (empty for a rebalance).
@@ -252,7 +252,8 @@ impl RebalanceJob {
         target: &ClusterTopology,
         max_concurrent_moves: usize,
     ) -> Result<Self> {
-        Self::plan_inner(cluster, dataset, target, max_concurrent_moves, None)
+        let no_loads = BTreeMap::new();
+        Self::plan_with_loads(cluster, dataset, target, max_concurrent_moves, &no_loads)
     }
 
     /// Plans a rebalance that balances *heat-weighted loads* instead of raw
@@ -264,23 +265,13 @@ impl RebalanceJob {
     /// re-costed with the buckets' true byte sizes afterwards, so wave
     /// scheduling, migration-budget accounting, and progress reporting stay
     /// in real bytes. This is the planning entry point of the control
-    /// plane's auto-triggered jobs.
+    /// plane's auto-triggered jobs; with no loads it is [`RebalanceJob::plan`].
     pub fn plan_with_loads(
         cluster: &mut Cluster,
         dataset: DatasetId,
         target: &ClusterTopology,
         max_concurrent_moves: usize,
         loads: &BTreeMap<BucketId, u64>,
-    ) -> Result<Self> {
-        Self::plan_inner(cluster, dataset, target, max_concurrent_moves, Some(loads))
-    }
-
-    fn plan_inner(
-        cluster: &mut Cluster,
-        dataset: DatasetId,
-        target: &ClusterTopology,
-        max_concurrent_moves: usize,
-        loads: Option<&BTreeMap<BucketId, u64>>,
     ) -> Result<Self> {
         if target.is_empty() {
             return Err(ClusterError::Core(dynahash_core::CoreError::EmptyTopology));
@@ -289,23 +280,13 @@ impl RebalanceJob {
 
         let routing = cluster.absorb_local_splits(dataset)?;
         let sizes = cluster.dataset_bucket_sizes(dataset)?;
-        let weights = match loads {
-            Some(loads) => {
-                let mut w = sizes.clone();
-                for (b, l) in loads {
-                    w.insert(*b, *l);
-                }
-                w
-            }
-            None => sizes.clone(),
-        };
+        let mut weights = sizes.clone();
+        weights.extend(loads);
         let mut plan = RebalancePlan::compute(rebalance_id, &routing, &weights, target)
             .map_err(ClusterError::Core)?;
-        if loads.is_some() {
-            // The balancer weighed heat; the movers ship bytes.
-            for m in &mut plan.moves {
-                m.bytes = sizes.get(&m.bucket).copied().unwrap_or(0);
-            }
+        // The balancer weighed heat; the movers ship bytes.
+        for m in &mut plan.moves {
+            m.bytes = sizes.get(&m.bucket).copied().unwrap_or(0);
         }
         let total_bytes = cluster.dataset_primary_bytes(dataset)?;
 
@@ -386,8 +367,8 @@ impl RebalanceJob {
             plan,
             waves,
             participants,
-            votes: BTreeSet::new(),
-            commit_acks: BTreeSet::new(),
+            all_voted: false,
+            all_acked: false,
             feed,
             state: JobState::Planned,
             init_tl: NodeTimeline::new(),
@@ -803,10 +784,6 @@ impl RebalanceJob {
         }
 
         // Shrink the 2PC to the survivors and adopt the amended target.
-        for n in &lost {
-            self.votes.remove(n);
-            self.commit_acks.remove(n);
-        }
         self.participants.retain(|n| !lost.contains(n));
         self.plan.target = new_target;
 
@@ -907,11 +884,7 @@ impl RebalanceJob {
             active.write_blocked = true;
         }
         // Alive participants vote yes; dead ones cannot vote.
-        for n in &self.participants {
-            if cluster.node_is_alive(*n) {
-                self.votes.insert(*n);
-            }
-        }
+        self.all_voted = self.all_participants_alive(cluster);
         self.fin_tl.charge_coordinator(SimDuration::from_nanos(
             cost.network_latency_ns * self.participants.len() as u64,
         ));
@@ -925,7 +898,7 @@ impl RebalanceJob {
     /// all pending buckets).
     pub fn decide(&mut self, cluster: &mut Cluster) -> Result<RebalanceOutcome> {
         self.require(matches!(self.state, JobState::Prepared), "decide")?;
-        let outcome = if self.every_participant_in(&self.votes) {
+        let outcome = if self.all_voted {
             // The outcome is determined by forcing the COMMIT record.
             cluster
                 .controller
@@ -939,9 +912,9 @@ impl RebalanceJob {
         Ok(outcome)
     }
 
-    /// True when `set` (the votes, or the commit acks) holds every participant.
-    fn every_participant_in(&self, set: &BTreeSet<NodeId>) -> bool {
-        self.participants.iter().all(|n| set.contains(n))
+    /// True when every participant is alive: each votes, or acks, then.
+    fn all_participants_alive(&self, cluster: &Cluster) -> bool {
+        self.participants.iter().all(|n| cluster.node_is_alive(*n))
     }
 
     /// Aborts the job from any step before the commit decision (operator
@@ -1009,9 +982,7 @@ impl RebalanceJob {
                 // With nobody brought back and every ack in, nothing is
                 // re-driven; the CC's message round is still charged, so
                 // simulated time does not depend on which branch ran.
-                if cluster.recover_all_nodes().is_empty()
-                    && self.every_participant_in(&self.commit_acks)
-                {
+                if cluster.recover_all_nodes().is_empty() && self.all_acked {
                     self.charge_commit_messages(cluster);
                 } else {
                     self.run_commit_tasks(cluster)?;
@@ -1325,11 +1296,7 @@ impl RebalanceJob {
         }
         // Every alive participant acks; a dead one acks when finalize
         // recovers it and runs these (idempotent) tasks again.
-        for n in &self.participants {
-            if cluster.node_is_alive(*n) {
-                self.commit_acks.insert(*n);
-            }
-        }
+        self.all_acked = self.all_participants_alive(cluster);
         Ok(())
     }
 
@@ -1571,7 +1538,9 @@ mod tests {
         }
         cluster.crash_node(NodeId(2)).unwrap();
         job.prepare(&mut cluster).unwrap();
-        assert_eq!(job.votes.len() + 1, job.participants.len());
+        let down = (job.participants.iter()).filter(|n| !cluster.node_is_alive(**n));
+        assert_eq!(down.count(), 1);
+        assert!(!job.all_voted);
         assert_eq!(job.decide(&mut cluster).unwrap(), RebalanceOutcome::Aborted);
         // once aborted, the commit tasks can no longer run
         assert!(matches!(

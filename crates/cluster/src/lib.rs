@@ -107,6 +107,9 @@ pub enum ClusterError {
     },
     /// The node still holds data and cannot be decommissioned.
     NodeNotEmpty(NodeId, usize),
+    /// A rebalance job of the dataset is in flight, and it may be moving
+    /// data onto the node: a node leaves the cluster only between jobs.
+    RebalanceInFlight(DsId),
     /// No partition could be determined for a key of this dataset.
     RoutingFailed(DsId),
     /// The requested secondary index does not exist.
@@ -150,6 +153,10 @@ impl std::fmt::Display for ClusterError {
             ClusterError::NodeNotEmpty(n, records) => {
                 write!(f, "node {n} still holds {records} records")
             }
+            ClusterError::RebalanceInFlight(d) => write!(
+                f,
+                "a rebalance of dataset {d} is in flight; a node leaves only between jobs"
+            ),
             ClusterError::RoutingFailed(d) => write!(f, "routing failed for dataset {d}"),
             ClusterError::UnknownIndex(name) => write!(f, "unknown secondary index {name}"),
             ClusterError::RebalanceAborted(msg) => write!(f, "rebalance aborted: {msg}"),
