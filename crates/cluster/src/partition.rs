@@ -288,8 +288,8 @@ impl PartitionDataset {
             .into_values()
             .collect();
         let warmed = self.materialize_deferred(stashes);
-        for s in self.secondaries.iter_mut() {
-            s.obsolete_entries();
+        for s in &self.secondaries {
+            s.build_views();
         }
         warmed
     }

@@ -38,7 +38,7 @@ use crate::tree::{LsmConfig, LsmTree};
 use crate::{Result, StorageError};
 
 /// Configuration of a bucketed LSM-tree.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BucketedConfig {
     /// Per-bucket LSM configuration.
     pub lsm: LsmConfig,
@@ -49,15 +49,6 @@ pub struct BucketedConfig {
 
 /// Hard cap on bucket depth: a bucket this deep never splits.
 pub const MAX_SPLIT_DEPTH: u8 = 20;
-
-impl Default for BucketedConfig {
-    fn default() -> Self {
-        BucketedConfig {
-            lsm: LsmConfig::default(),
-            max_bucket_size_bytes: None,
-        }
-    }
-}
 
 /// How a primary-key range scan over all buckets should be executed
 /// (Section IV, "Data Ingestion and Query Processing").

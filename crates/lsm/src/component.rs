@@ -275,6 +275,21 @@ impl View {
         self.bytes += bytes;
     }
 
+    /// How many of the entries at positions `[start, end)` the view shows:
+    /// the set bits of the words that cover the range, masked to it.
+    fn shown_between(&self, start: usize, end: usize) -> usize {
+        if start >= end {
+            return 0;
+        }
+        let in_word = |word: usize| {
+            let first = start.max(word * 64) - word * 64;
+            let past = end.min(word * 64 + 64) - word * 64;
+            let mask = (u64::MAX >> (64 - (past - first))) << first;
+            (self.bits[word] & mask).count_ones() as usize
+        };
+        (start / 64..=(end - 1) / 64).map(in_word).sum()
+    }
+
     /// The positions the view shows, in order.
     fn shown(&self) -> impl Iterator<Item = usize> + '_ {
         (self.bits.iter().enumerate()).flat_map(|(word, &bits)| {
@@ -471,6 +486,19 @@ impl Component {
             visible: self.view().map(|v| &*v.bits),
             at: lo.map_or(0, |key| data.first_at_or_after(key)),
         }
+    }
+
+    /// Entries within `[lo, hi)` that the handle's filter hides — the
+    /// positions [`Component::cursor`] covers, less those it shows: two
+    /// searches and a count of the view's bits between them.
+    pub(crate) fn hidden_in(&self, lo: Option<&Key>, hi: Option<&Key>) -> usize {
+        let Some(view) = self.view() else {
+            return 0;
+        };
+        let data = &*self.data;
+        let end = hi.map_or(data.entries.len(), |key| data.first_at_or_after(key));
+        let start = lo.map_or(0, |key| data.first_at_or_after(key)).min(end);
+        end - start - view.shown_between(start, end)
     }
 
     /// Iterates visible entries within `[lo, hi)` in key order.
@@ -672,8 +700,8 @@ mod tests {
     /// twice before anyone reads them), and `clone_shipped` / `clone` of
     /// either, clones taken before and after a view is built — are read in
     /// random order, each through a random accessor first, and `get`,
-    /// bounded `range`s, `iter`, `visible_len` and `visible_size_bytes` must
-    /// all agree with the oracle that decodes, hashes and filters every
+    /// bounded `range`s (and the entries `hidden_in` them), `iter`,
+    /// `visible_len` and `visible_size_bytes` must all agree with the oracle that decodes, hashes and filters every
     /// entry (the pre-bitmap algorithm, kept here). A split builds its
     /// children's views; no mark's view is built before a read asks for it.
     #[test]
@@ -797,6 +825,14 @@ mod tests {
                                 let hi = rng.gen_ratio(3, 4).then_some(&b);
                                 let got: Vec<_> = h.range(lo, hi).collect();
                                 assert_eq!(got, oracle(lo, hi), "{ctx}, range {lo:?}..{hi:?}");
+                                let raw = (h.data.entries.iter())
+                                    .filter(|e| {
+                                        lo.is_none_or(|lo| e.key >= *lo)
+                                            && hi.is_none_or(|hi| e.key < *hi)
+                                    })
+                                    .count();
+                                let hidden = h.hidden_in(lo, hi);
+                                assert_eq!(hidden, raw - got.len(), "{ctx}, hidden {lo:?}..{hi:?}");
                             }
                         }
                         _ => {

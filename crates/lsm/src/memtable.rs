@@ -200,11 +200,6 @@ impl MemTable {
         self.size_bytes
     }
 
-    /// The buffered keys in arrival order, for readers that need no order.
-    pub(crate) fn keys(&self) -> impl Iterator<Item = &Key> {
-        self.entries.iter().map(|e| &e.key)
-    }
-
     /// Iterates over all buffered entries in key order.
     pub fn iter(&self) -> Range<'_> {
         self.range(None, None)

@@ -151,10 +151,10 @@ impl SecondaryIndex {
                 visit(secondary, primary);
             }
         });
-        // Every query over an index with pending lazy cleanup has to validate
-        // (and discard) the obsolete entries still physically present; account
-        // that work.
-        self.obsolete_skipped += self.obsolete_entries();
+        // A query over an index with pending lazy cleanup has to validate
+        // (and discard) the obsolete entries still physically present in its
+        // range; account that work.
+        self.obsolete_skipped += self.tree.hidden_in(lo, hi);
     }
 
     // ------------------------------------------------------------ rebalancing
@@ -172,11 +172,10 @@ impl SecondaryIndex {
         self.tree.mark_buckets_invalid(buckets);
     }
 
-    /// The obsolete entries still physically present — what the next query
-    /// will have to validate and skip. Applies every mark still unapplied, so
-    /// calling it ahead of the first query pre-pays that query's passes.
-    pub fn obsolete_entries(&mut self) -> u64 {
-        self.tree.hidden_entries()
+    /// Applies every lazy-cleanup mark still unapplied, so the first query
+    /// afterwards finds each component's view built.
+    pub fn build_views(&self) {
+        self.tree.build_views();
     }
 
     /// The disk components, newest first.
@@ -398,6 +397,42 @@ mod tests {
                 assert_eq!(query(idx), (expected.clone(), on_disk), "{ctx}: flushed");
             }
         }
+    }
+
+    /// A range query validates only the obsolete entries inside its range:
+    /// each one-secondary-key range is charged the moved entries with that
+    /// key, on disk and buffered alike, and the ranges together are charged
+    /// what one scan of the whole index is.
+    #[test]
+    fn a_range_query_is_charged_the_obsolete_entries_of_its_range() {
+        let mut i = manual_idx("ranged");
+        let secondary_of = |pk: u64| pk % 16;
+        for run in 0..4u64 {
+            for pk in run * 160..(run + 1) * 160 {
+                i.insert(Key::from_u64(secondary_of(pk)), Key::from_u64(pk));
+            }
+            if run < 3 {
+                i.flush();
+            }
+        }
+        let moved = BucketId::new(1, 1);
+        i.mark_buckets_moved(&[moved]);
+        let mut charged = 0;
+        for s in 0..16u64 {
+            let (lo, hi) = (Key::from_u64(s), Key::from_u64(s + 1));
+            let before = i.obsolete_entries_skipped();
+            let hits = i.search_range(Some(&lo), Some(&hi));
+            let skipped = i.obsolete_entries_skipped() - before;
+            let obsolete = (0..640u64)
+                .filter(|pk| secondary_of(*pk) == s && moved.contains_key(&Key::from_u64(*pk)))
+                .count();
+            assert_eq!(skipped, obsolete as u64, "secondary key {s}");
+            assert_eq!(hits.len() + obsolete, 640 / 16, "secondary key {s}");
+            charged += skipped;
+        }
+        let (hits, whole) = query(&mut i);
+        assert_eq!(whole, charged);
+        assert_eq!(hits.len() as u64 + whole, 640);
     }
 
     /// The obsolete count is what is still physically there: once a merge has

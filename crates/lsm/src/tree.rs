@@ -67,11 +67,9 @@ pub struct LsmTree {
     /// Lazy cleanup of the memory component: moved buckets whose buffered
     /// entries are dead — hidden from reads now, dropped by the next flush
     /// (or by the first write to one of the buckets, should it come back
-    /// sooner); until then they still count in the size accessors — and how
-    /// many entries that is (`None` from a mark until
-    /// [`LsmTree::hidden_entries`] next counts them). Empty almost always.
+    /// sooner); until then they still count in the size accessors. Empty
+    /// almost always.
     memtable_invalid: BucketSet,
-    memtable_dead: Option<u64>,
     /// The visible bytes of every disk component, counted whenever the list
     /// changes while each component's share is known without a read (`None`
     /// while a filtered view is still unbuilt): what makes
@@ -90,7 +88,6 @@ impl LsmTree {
             metrics,
             merges_paused: false,
             memtable_invalid: BucketSet::default(),
-            memtable_dead: Some(0),
             disk_bytes: Some(0),
         }
     }
@@ -208,7 +205,6 @@ impl LsmTree {
     /// Drops the dead entries from the memory component.
     fn purge_memtable(&mut self) {
         let dead = std::mem::take(&mut self.memtable_invalid);
-        self.memtable_dead = Some(0);
         (self.memtable).retain(|key| !dead.contains_hash(SecondaryEntry::primary_hash(key)));
     }
 
@@ -375,8 +371,8 @@ impl LsmTree {
     /// `SecondaryEntry` composites: the one caller is
     /// [`crate::secondary::SecondaryIndex::mark_buckets_moved`].
     pub(crate) fn mark_buckets_invalid(&mut self, buckets: &[BucketId]) {
-        if !self.memtable.is_empty() && self.memtable_invalid.extend(buckets) {
-            self.memtable_dead = None;
+        if !self.memtable.is_empty() {
+            self.memtable_invalid.extend(buckets);
         }
         for c in self.components.iter_mut() {
             *c = c.mark_buckets_invalid(buckets);
@@ -384,25 +380,28 @@ impl LsmTree {
         self.recount();
     }
 
-    /// Entries still physically present that a filter hides from reads: what
-    /// every disk component holds beyond what it shows, plus the dead entries
-    /// of the memory component. Builds whatever view is still unbuilt and
-    /// counts the memory component once per mark; O(components) after that.
-    /// Merges and flushes drop hidden entries, so the number shrinks as the
-    /// physical cleanup proceeds.
-    pub fn hidden_entries(&mut self) -> u64 {
-        let (memtable, dead) = (&self.memtable, &self.memtable_invalid);
-        // Counting needs no key order: the keys are walked as they arrived.
-        let buffered = *self.memtable_dead.get_or_insert_with(|| {
-            let keys = memtable.keys();
-            keys.filter(|key| dead.contains_hash(SecondaryEntry::primary_hash(key)))
-                .count() as u64
-        });
-        let on_disk = self
-            .components
-            .iter()
-            .map(|c| c.raw_len() - c.visible_len());
-        buffered + on_disk.sum::<usize>() as u64
+    /// Entries in `[lo, hi)` still physically present that a filter hides
+    /// from reads: what each disk component holds there beyond what it
+    /// shows, plus the dead entries of the memory component there. Builds
+    /// whatever view is still unbuilt. Merges and flushes drop hidden
+    /// entries, so the number shrinks as the physical cleanup proceeds.
+    pub(crate) fn hidden_in(&self, lo: Option<&Key>, hi: Option<&Key>) -> u64 {
+        let buffered = match self.memtable_invalid.is_empty() {
+            true => 0,
+            false => (self.memtable.range(lo, hi))
+                .filter(|(key, _)| self.buffered_dead(key))
+                .count(),
+        };
+        let on_disk = self.components.iter().map(|c| c.hidden_in(lo, hi));
+        (buffered + on_disk.sum::<usize>()) as u64
+    }
+
+    /// Applies every lazy-cleanup mark still unapplied: builds the view of
+    /// each disk component that has none yet, so no later read pays for it.
+    pub(crate) fn build_views(&self) {
+        for c in &self.components {
+            c.visible_len();
+        }
     }
 
     /// Direct read access to the memory component.
@@ -769,7 +768,6 @@ mod tests {
                 memtable_budget_bytes: 1 << 20,
                 auto_flush: false,
                 auto_merge: false,
-                ..LsmConfig::default()
             },
             StorageMetrics::new_shared(),
         );
@@ -834,7 +832,7 @@ mod tests {
         t.mark_buckets_invalid(&[moved]);
         assert!(inside.iter().all(|k| t.get(&composite(*k)).is_none()));
         assert_eq!(t.live_len(), outside.len());
-        assert_eq!(t.hidden_entries(), inside.len() as u64);
+        assert_eq!(t.hidden_in(None, None), inside.len() as u64);
 
         // the bucket comes back: its data is installed as the oldest
         // components, and the old tombstone must not shadow it
@@ -853,7 +851,7 @@ mod tests {
         assert_eq!(t.get(&composite(inside[1])).unwrap(), val("new"));
         assert_eq!(t.get(&composite(inside[2])).unwrap(), val("back"));
         assert_eq!(t.memtable().len(), outside.len() + 1, "dead entries purged");
-        assert_eq!(t.hidden_entries(), 0);
+        assert_eq!(t.hidden_in(None, None), 0);
 
         let flushed = t.flush().unwrap();
         assert_eq!(flushed.raw_len(), outside.len() + 1);
