@@ -252,8 +252,13 @@ impl RebalanceJob {
         target: &ClusterTopology,
         max_concurrent_moves: usize,
     ) -> Result<Self> {
-        let no_loads = BTreeMap::new();
-        Self::plan_with_loads(cluster, dataset, target, max_concurrent_moves, &no_loads)
+        Self::plan_with_loads(
+            cluster,
+            dataset,
+            target,
+            max_concurrent_moves,
+            &BTreeMap::new(),
+        )
     }
 
     /// Plans a rebalance that balances *heat-weighted loads* instead of raw

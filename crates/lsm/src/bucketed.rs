@@ -48,7 +48,7 @@ pub struct BucketedConfig {
 }
 
 /// Hard cap on bucket depth: a bucket this deep never splits.
-pub const MAX_SPLIT_DEPTH: u8 = 20;
+const MAX_SPLIT_DEPTH: u8 = 20;
 
 /// How a primary-key range scan over all buckets should be executed
 /// (Section IV, "Data Ingestion and Query Processing").

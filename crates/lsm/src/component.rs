@@ -701,9 +701,10 @@ mod tests {
     /// either, clones taken before and after a view is built — are read in
     /// random order, each through a random accessor first, and `get`,
     /// bounded `range`s (and the entries `hidden_in` them), `iter`,
-    /// `visible_len` and `visible_size_bytes` must all agree with the oracle that decodes, hashes and filters every
-    /// entry (the pre-bitmap algorithm, kept here). A split builds its
-    /// children's views; no mark's view is built before a read asks for it.
+    /// `visible_len` and `visible_size_bytes` must all agree with the oracle
+    /// that decodes, hashes and filters every entry (the pre-bitmap
+    /// algorithm, kept here). A split builds its children's views; no mark's
+    /// view is built before a read asks for it.
     #[test]
     fn prop_lazy_views_match_the_filtering_oracle_in_any_read_order() {
         use crate::rng::SplitMix64;

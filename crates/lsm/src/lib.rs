@@ -30,7 +30,7 @@ pub mod component;
 pub mod entry;
 pub mod iterator;
 pub mod memtable;
-pub mod merge_policy;
+mod merge_policy;
 pub mod metrics;
 pub mod rng;
 pub mod secondary;

@@ -10,16 +10,16 @@
 use crate::component::Component;
 
 /// Merge is triggered when sum(younger) >= `SIZE_RATIO` * oldest-in-sequence.
-pub const SIZE_RATIO: f64 = 1.2;
+const SIZE_RATIO: f64 = 1.2;
 /// Never merge fewer than this many components at once.
-pub const MIN_MERGE_WIDTH: usize = 2;
+const MIN_MERGE_WIDTH: usize = 2;
 /// Cap on how many components are merged in a single operation.
-pub const MAX_MERGE_WIDTH: usize = 10;
+const MAX_MERGE_WIDTH: usize = 10;
 
 /// Given the component list ordered **newest first**, returns the index
 /// range `[start, end)` of components that should be merged together, or
 /// `None` if no merge is needed.
-pub fn select_merge(components: &[Component]) -> Option<(usize, usize)> {
+pub(crate) fn select_merge(components: &[Component]) -> Option<(usize, usize)> {
     let n = components.len();
     if n < MIN_MERGE_WIDTH {
         return None;
