@@ -500,6 +500,7 @@ pub fn ablation_storage_options(records: u64) -> Vec<StorageOptionRow> {
         BucketedConfig {
             lsm: budget,
             max_bucket_size_bytes: None,
+            max_depth: 8,
         },
         (0..4).map(|b| BucketId::new(b, 2)),
         StorageMetrics::new_shared(),

@@ -330,9 +330,7 @@ impl RebalanceJob {
             ));
         }
         if cluster.active_rebalances.contains_key(&dataset) {
-            return Err(ClusterError::RebalanceAborted(format!(
-                "dataset {dataset} already has a rebalance or repair in flight; finalize it first"
-            )));
+            return Err(ClusterError::RebalanceInFlight(dataset));
         }
         Ok(cluster.controller.log_begin(dataset))
     }

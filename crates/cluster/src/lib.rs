@@ -107,8 +107,9 @@ pub enum ClusterError {
     },
     /// The node still holds data and cannot be decommissioned.
     NodeNotEmpty(NodeId, usize),
-    /// A rebalance job of the dataset is in flight, and it may be moving
-    /// data onto the node: a node leaves the cluster only between jobs.
+    /// A rebalance or repair job of the dataset is in flight: the dataset
+    /// takes no second job, and no node leaves the cluster (the job may be
+    /// moving data onto it) until the job is finalized.
     RebalanceInFlight(DsId),
     /// No partition could be determined for a key of this dataset.
     RoutingFailed(DsId),
@@ -155,7 +156,7 @@ impl std::fmt::Display for ClusterError {
             }
             ClusterError::RebalanceInFlight(d) => write!(
                 f,
-                "a rebalance of dataset {d} is in flight; a node leaves only between jobs"
+                "dataset {d} has a rebalance or repair in flight; finalize it first"
             ),
             ClusterError::RoutingFailed(d) => write!(f, "routing failed for dataset {d}"),
             ClusterError::UnknownIndex(name) => write!(f, "unknown secondary index {name}"),

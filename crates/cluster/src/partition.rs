@@ -69,6 +69,7 @@ impl PartitionDataset {
         let bucketed_cfg = BucketedConfig {
             lsm,
             max_bucket_size_bytes: spec.scheme.max_bucket_size_bytes().map(|b| b as usize),
+            max_depth: 20,
         };
         PartitionDataset {
             primary: BucketedLsmTree::new(bucketed_cfg, initial_buckets, metrics),

@@ -497,8 +497,8 @@ fn an_aborted_repair_releases_the_dataset_at_once() {
 #[test]
 fn a_second_job_cannot_be_planned_over_an_in_flight_one() {
     let feed: Vec<(Key, Bytes)> = (0..1500).map(record).collect();
-    let refused = |attempt: Result<RebalanceJob, ClusterError>, what: &str| match attempt {
-        Err(ClusterError::RebalanceAborted(_)) => {}
+    let refused = |attempt: Result<RebalanceJob, ClusterError>, ds, what: &str| match attempt {
+        Err(ClusterError::RebalanceInFlight(d)) if d == ds => {}
         other => panic!("{what} must be refused typed, got {other:?}"),
     };
     for source in [Source::Live, Source::Feed] {
@@ -510,10 +510,12 @@ fn a_second_job_cannot_be_planned_over_an_in_flight_one() {
             let wal_len = cluster.controller.metadata_log.len();
             refused(
                 RebalanceJob::plan(&mut cluster, ds, &target, 2),
+                ds,
                 "a rebalance over an in-flight job",
             );
             refused(
                 RebalanceJob::plan_repair(&mut cluster, ds, &feed),
+                ds,
                 "a repair over an in-flight job",
             );
             assert!(cluster

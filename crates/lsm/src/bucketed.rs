@@ -38,17 +38,26 @@ use crate::tree::{LsmConfig, LsmTree};
 use crate::{Result, StorageError};
 
 /// Configuration of a bucketed LSM-tree.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct BucketedConfig {
     /// Per-bucket LSM configuration.
     pub lsm: LsmConfig,
     /// Maximum bucket size in bytes before the bucket is split (DynaHash).
     /// `None` disables dynamic splitting (StaticHash behaviour).
     pub max_bucket_size_bytes: Option<usize>,
+    /// Hard cap on bucket depth: a bucket this deep never splits.
+    pub max_depth: u8,
 }
 
-/// Hard cap on bucket depth: a bucket this deep never splits.
-const MAX_SPLIT_DEPTH: u8 = 20;
+impl Default for BucketedConfig {
+    fn default() -> Self {
+        BucketedConfig {
+            lsm: LsmConfig::default(),
+            max_bucket_size_bytes: None,
+            max_depth: 20,
+        }
+    }
+}
 
 /// How a primary-key range scan over all buckets should be executed
 /// (Section IV, "Data Ingestion and Query Processing").
@@ -383,10 +392,10 @@ impl BucketedLsmTree {
 
     /// The size past which `bucket` splits, while it may split: splits are
     /// enabled, the dataset splits dynamically, and the bucket is shallower
-    /// than [`MAX_SPLIT_DEPTH`].
+    /// than the depth cap.
     fn split_limit(&self, bucket: BucketId) -> Option<usize> {
         let max = self.config.max_bucket_size_bytes?;
-        (self.splits_enabled && bucket.depth < MAX_SPLIT_DEPTH).then_some(max)
+        (self.splits_enabled && bucket.depth < self.config.max_depth).then_some(max)
     }
 
     fn maybe_split(&mut self, bucket: BucketId) -> Result<()> {
@@ -435,7 +444,7 @@ impl BucketedLsmTree {
         if !self.splits_enabled {
             return Err(StorageError::SplitsDisabled);
         }
-        if bucket.depth >= MAX_SPLIT_DEPTH {
+        if bucket.depth >= self.config.max_depth {
             return Err(StorageError::MaxDepthReached(bucket));
         }
         let mut parent = self
@@ -659,6 +668,7 @@ mod tests {
         BucketedConfig {
             lsm: LsmConfig::with_memtable_budget(1 << 14),
             max_bucket_size_bytes: max_bucket,
+            max_depth: 16,
         }
     }
 
@@ -929,6 +939,7 @@ mod tests {
             BucketedConfig {
                 lsm: LsmConfig::with_memtable_budget(1 << 12),
                 max_bucket_size_bytes: Some(4 * 1024),
+                max_depth: 10,
             },
             [BucketId::root()],
             StorageMetrics::new_shared(),
@@ -942,7 +953,7 @@ mod tests {
         // every bucket respects the size bound reasonably (allow slack for
         // the memtable that has not flushed yet)
         for (b, _size) in t.bucket_sizes() {
-            assert!(b.depth <= MAX_SPLIT_DEPTH);
+            assert!(b.depth <= 10);
         }
     }
 
@@ -1146,7 +1157,11 @@ mod tests {
     // ------------------------------------------------ the bucket map's slots
 
     fn empty_tree() -> BucketedLsmTree {
-        BucketedLsmTree::new(cfg(None), [], StorageMetrics::new_shared())
+        let config = BucketedConfig {
+            max_depth: 20,
+            ..cfg(None)
+        };
+        BucketedLsmTree::new(config, [], StorageMetrics::new_shared())
     }
 
     /// Adds an empty bucket the way a partition receives one: staged pending,

@@ -30,7 +30,7 @@ pub mod component;
 pub mod entry;
 pub mod iterator;
 pub mod memtable;
-mod merge_policy;
+pub mod merge_policy;
 pub mod metrics;
 pub mod rng;
 pub mod secondary;
@@ -46,6 +46,7 @@ pub use component::{Component, ComponentId, ComponentSource};
 pub use entry::{Entry, Key, Op, Value, KEY_INLINE_CAP, OP_TAG_BYTES};
 pub use iterator::{kmerge_disjoint, MergeIter};
 pub use memtable::MemTable;
+pub use merge_policy::SizeTieredPolicy;
 pub use metrics::StorageMetrics;
 pub use rng::{scramble, SplitMix64, Zipfian};
 pub use secondary::{SecondaryEntry, SecondaryIndex};

@@ -17,7 +17,7 @@ use crate::component::{Component, ComponentSource};
 use crate::entry::{Entry, Key, Op, Value};
 use crate::iterator::{reconcile_point, Cursor, MergeIter};
 use crate::memtable::MemTable;
-use crate::merge_policy::select_merge;
+use crate::merge_policy::SizeTieredPolicy;
 use crate::metrics::StorageMetrics;
 use crate::secondary::SecondaryEntry;
 
@@ -27,6 +27,8 @@ pub struct LsmConfig {
     /// Memory-component budget in bytes; exceeding it triggers a flush when
     /// `auto_flush` is set.
     pub memtable_budget_bytes: usize,
+    /// The merge policy (AsterixDB default: size-tiered with ratio 1.2).
+    pub merge_policy: SizeTieredPolicy,
     /// Automatically flush when the memory component exceeds its budget.
     pub auto_flush: bool,
     /// Automatically run merges after each flush.
@@ -37,6 +39,7 @@ impl Default for LsmConfig {
     fn default() -> Self {
         LsmConfig {
             memtable_budget_bytes: 4 * 1024 * 1024,
+            merge_policy: SizeTieredPolicy::default(),
             auto_flush: true,
             auto_merge: true,
         }
@@ -292,7 +295,7 @@ impl LsmTree {
         if self.merges_paused {
             return false;
         }
-        let Some((start, end)) = select_merge(&self.components) else {
+        let Some((start, end)) = self.config.merge_policy.select_merge(&self.components) else {
             return false;
         };
         self.merge_range(start, end);
@@ -660,6 +663,7 @@ mod tests {
         let mut t = LsmTree::new(
             LsmConfig {
                 memtable_budget_bytes: 1 << 20,
+                merge_policy: SizeTieredPolicy::new(1.2),
                 auto_flush: false,
                 auto_merge: false,
             },
@@ -745,6 +749,7 @@ mod tests {
         let mut t = LsmTree::new(
             LsmConfig {
                 memtable_budget_bytes: 64,
+                merge_policy: SizeTieredPolicy::new(0.1),
                 auto_flush: true,
                 auto_merge: true,
             },
@@ -768,6 +773,7 @@ mod tests {
                 memtable_budget_bytes: 1 << 20,
                 auto_flush: false,
                 auto_merge: false,
+                ..LsmConfig::default()
             },
             StorageMetrics::new_shared(),
         );
