@@ -253,7 +253,7 @@ impl Default for ControlConfig {
 /// The decision loop. Like [`RebalanceJob`] and [`crate::session::Session`]
 /// it holds no borrow of the cluster: the driver calls
 /// [`ControlPlane::tick`] with the cluster whenever sim-time advances.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ControlPlane {
     config: ControlConfig,
     /// Consecutive imbalanced ticks per dataset.
@@ -284,8 +284,15 @@ impl ControlPlane {
     pub fn new(config: ControlConfig) -> Self {
         ControlPlane {
             config,
+            streaks: BTreeMap::new(),
+            cooldown_until: BTreeMap::new(),
+            job: None,
+            repair_feeds: BTreeMap::new(),
+            ticks: 0,
             window_start: 1,
-            ..ControlPlane::default()
+            window_buckets: 0,
+            window_bytes: 0,
+            peak_window: (0, 0),
         }
     }
 

@@ -6,10 +6,8 @@
 //! [`crate::session::Session::ingest`]: the session's cached directory is
 //! that copy, and the batch it validates is written through the CC's
 //! directory by the crate-private `Cluster::ingest`. This module adds the
-//! report type and
-//! the controlled-rate feed used by the concurrent-writes experiment
-//! (Figure 7c), where new records arrive at a fixed rate while a rebalance is
-//! running.
+//! report type and the splitter that spreads a job's concurrent writes over
+//! its waves.
 
 use dynahash_core::NodeId;
 
@@ -56,30 +54,6 @@ impl IngestReport {
     }
 }
 
-/// A controlled-rate data feed: emits records at a fixed rate (in records per
-/// simulated second), as used by the "Impact of Concurrent Writes"
-/// experiment. The write rate in the paper's Figure 7c is expressed in
-/// krecords/s.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ControlledRateFeed {
-    /// Ingestion rate in records per simulated second.
-    pub records_per_sec: f64,
-}
-
-impl ControlledRateFeed {
-    /// A feed emitting `krecords_per_sec` thousand records per second.
-    pub fn krecords_per_sec(k: f64) -> Self {
-        ControlledRateFeed {
-            records_per_sec: k * 1000.0,
-        }
-    }
-
-    /// How many records arrive during `elapsed`.
-    pub fn records_for(&self, elapsed: SimDuration) -> u64 {
-        (self.records_per_sec * elapsed.as_secs_f64()) as u64
-    }
-}
-
 /// Splits a batch of feed records into exactly `n` sub-batches of near-equal
 /// size, preserving arrival order. The one-shot rebalance driver uses this to
 /// spread a scenario's concurrent writes across the job's waves, so every
@@ -107,7 +81,7 @@ mod tests {
     fn throughput_is_records_over_elapsed() {
         let r = IngestReport {
             records: 10_000,
-            elapsed: SimDuration::from_secs(10),
+            elapsed: SimDuration(10_000_000_000),
             per_node: vec![],
         };
         assert!((r.records_per_sec() - 1000.0).abs() < 1e-9);
@@ -123,22 +97,19 @@ mod tests {
     fn merge_adds_records_and_per_node_times() {
         let a = IngestReport {
             records: 10,
-            elapsed: SimDuration::from_secs(1),
-            per_node: vec![(NodeId(0), SimDuration::from_secs(1))],
+            elapsed: SimDuration(1),
+            per_node: vec![(NodeId(0), SimDuration(1))],
         };
         let b = IngestReport {
             records: 20,
-            elapsed: SimDuration::from_secs(2),
-            per_node: vec![
-                (NodeId(0), SimDuration::from_secs(1)),
-                (NodeId(1), SimDuration::from_secs(2)),
-            ],
+            elapsed: SimDuration(2),
+            per_node: vec![(NodeId(0), SimDuration(1)), (NodeId(1), SimDuration(2))],
         };
         let m = a.merge(&b);
         assert_eq!(m.records, 30);
-        assert_eq!(m.elapsed, SimDuration::from_secs(3));
-        assert_eq!(m.per_node[0], (NodeId(0), SimDuration::from_secs(2)));
-        assert_eq!(m.per_node[1], (NodeId(1), SimDuration::from_secs(2)));
+        assert_eq!(m.elapsed, SimDuration(3));
+        assert_eq!(m.per_node[0], (NodeId(0), SimDuration(2)));
+        assert_eq!(m.per_node[1], (NodeId(1), SimDuration(2)));
     }
 
     #[test]
@@ -154,13 +125,5 @@ mod tests {
         assert_eq!(sparse.len(), 5);
         // zero batches is clamped to one
         assert_eq!(split_into_batches(vec![7], 0), vec![vec![7]]);
-    }
-
-    #[test]
-    fn controlled_rate_feed_scales_with_time() {
-        let feed = ControlledRateFeed::krecords_per_sec(10.0);
-        assert_eq!(feed.records_for(SimDuration::from_secs(2)), 20_000);
-        let idle = ControlledRateFeed::krecords_per_sec(0.0);
-        assert_eq!(idle.records_for(SimDuration::from_secs(2)), 0);
     }
 }

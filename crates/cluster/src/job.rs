@@ -281,7 +281,8 @@ impl RebalanceJob {
         if target.is_empty() {
             return Err(ClusterError::Core(dynahash_core::CoreError::EmptyTopology));
         }
-        let rebalance_id = Self::begin(cluster, dataset)?;
+        Self::admit(cluster, dataset)?;
+        let rebalance_id = cluster.controller.log_begin(dataset);
 
         let routing = cluster.absorb_local_splits(dataset)?;
         let sizes = cluster.dataset_bucket_sizes(dataset)?;
@@ -320,10 +321,11 @@ impl RebalanceJob {
         ))
     }
 
-    /// The admission check and BEGIN record shared by both planners: only a
-    /// bucketed dataset with no job in flight can start one, and a refused
-    /// plan leaves nothing in the metadata log.
-    pub(crate) fn begin(cluster: &mut Cluster, dataset: DatasetId) -> Result<RebalanceId> {
+    /// The admission check shared by both planners: only a bucketed dataset
+    /// with no job in flight can start one. A planner forces BEGIN only once
+    /// nothing can refuse its plan, so a refused plan leaves nothing in the
+    /// metadata log.
+    pub(crate) fn admit(cluster: &Cluster, dataset: DatasetId) -> Result<()> {
         if !cluster.scheme_of(dataset)?.is_bucketed() {
             return Err(ClusterError::RebalanceAborted(
                 "the step-driven RebalanceJob requires a bucketed scheme".to_string(),
@@ -332,7 +334,7 @@ impl RebalanceJob {
         if cluster.active_rebalances.contains_key(&dataset) {
             return Err(ClusterError::RebalanceInFlight(dataset));
         }
-        Ok(cluster.controller.log_begin(dataset))
+        Ok(())
     }
 
     /// Wraps a planner's output into a `Planned` job and registers the

@@ -63,7 +63,7 @@ pub use control::{ControlConfig, ControlPlane, HeatReport, COOLDOWN_TICKS, HYSTE
 pub use controller::ClusterController;
 pub use dataset::{DatasetId, DatasetMeta, DatasetSpec, SecondaryIndexDef};
 pub use fault::{ClusterHealth, Fault, FaultSchedule, FaultStats, NodeState};
-pub use feed::{split_into_batches, ControlledRateFeed, IngestReport};
+pub use feed::{split_into_batches, IngestReport};
 pub use job::{JobState, RebalanceJob, ReplanReport, StepPoint, WaveReport};
 pub use obs::{ControlDecision, Event, JobProgress};
 pub use partition::{Partition, PartitionDataset};

@@ -53,10 +53,11 @@ use crate::{ClusterError, Result};
 
 impl RebalanceJob {
     /// Plans a repair of the dataset's currently-degraded buckets from
-    /// `feed`: forces BEGIN, fixes the scope, reassigns buckets owned by dead
-    /// nodes to the least-loaded surviving partition, and builds one
-    /// component per in-scope bucket from the feed's records. All buckets
-    /// stage in one wave. The scope may be empty (the resulting job commits
+    /// `feed`: fixes the scope, reassigns buckets owned by dead nodes to the
+    /// least-loaded surviving partition, builds one component per in-scope
+    /// bucket from the feed's records, and only then forces BEGIN — a
+    /// refused repair leaves nothing in the metadata log. All buckets stage
+    /// in one wave. The scope may be empty (the resulting job commits
     /// trivially); callers that want
     /// a cheap no-op should check
     /// [`crate::fault::FaultStats::degraded_buckets`] first, as
@@ -66,7 +67,7 @@ impl RebalanceJob {
         dataset: DatasetId,
         feed: &[(Key, Value)],
     ) -> Result<Self> {
-        let rebalance_id = Self::begin(cluster, dataset)?;
+        Self::admit(cluster, dataset)?;
         let old_directory = cluster
             .controller
             .dataset(dataset)?
@@ -138,8 +139,9 @@ impl RebalanceJob {
             vec![moves.clone()]
         };
         let total_bytes = cluster.dataset_primary_bytes(dataset)?;
+        // Nothing below can refuse the repair: only now is BEGIN forced.
         let plan = RebalancePlan {
-            rebalance_id,
+            rebalance_id: cluster.controller.log_begin(dataset),
             old_directory,
             new_directory,
             moves,
@@ -292,6 +294,35 @@ mod tests {
         for (k, v) in &records {
             assert_eq!(session.get(&cluster, k).unwrap().as_ref(), Some(v));
         }
+    }
+
+    #[test]
+    fn a_refused_repair_leaves_no_begin_in_the_metadata_log() {
+        let mut cluster = Cluster::new(2);
+        let ds = cluster
+            .create_dataset(DatasetSpec::new(
+                "refused",
+                Scheme::StaticHash { num_buckets: 8 },
+            ))
+            .unwrap();
+        let records: Vec<(Key, Value)> = (0..200).map(|i| (key(i), value(i))).collect();
+        cluster.admin().ingest(ds, records.clone()).unwrap();
+        let nodes = cluster.topology().nodes();
+        cluster.lose_node(nodes[1]).unwrap();
+        cluster.crash_node(nodes[0]).unwrap();
+
+        // No node can take the lost buckets: the repair is refused ...
+        assert!(matches!(
+            cluster.admin().repair_dataset(ds, &records),
+            Err(ClusterError::RebalanceAborted(_))
+        ));
+        // ... before it began, so recovery finds no operation to abort.
+        assert!(cluster.restart_controller().aborted_rebalances.is_empty());
+
+        cluster.recover_all_nodes();
+        let report = cluster.admin().repair_dataset(ds, &records).unwrap();
+        assert_eq!(report.unwrap().outcome, RebalanceOutcome::Committed);
+        assert!(cluster.restart_controller().aborted_rebalances.is_empty());
     }
 
     #[test]

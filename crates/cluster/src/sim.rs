@@ -31,11 +31,6 @@ impl SimDuration {
         SimDuration(ns)
     }
 
-    /// From whole seconds.
-    pub fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000)
-    }
-
     /// As nanoseconds.
     pub fn as_nanos(&self) -> u64 {
         self.0
@@ -246,9 +241,13 @@ impl NodeTimeline {
 mod tests {
     use super::*;
 
+    fn secs(s: u64) -> SimDuration {
+        SimDuration(s * 1_000_000_000)
+    }
+
     #[test]
     fn duration_conversions() {
-        let d = SimDuration::from_secs(90);
+        let d = secs(90);
         assert_eq!(d.as_nanos(), 90_000_000_000);
         assert!((d.as_minutes_f64() - 1.5).abs() < 1e-9);
         assert_eq!(
@@ -279,26 +278,26 @@ mod tests {
     #[test]
     fn timeline_elapsed_is_slowest_node_plus_coordinator() {
         let mut t = NodeTimeline::new();
-        t.charge(NodeId(0), SimDuration::from_secs(10));
-        t.charge(NodeId(1), SimDuration::from_secs(30));
-        t.charge(NodeId(1), SimDuration::from_secs(5));
-        t.charge_coordinator(SimDuration::from_secs(1));
-        assert_eq!(t.per_node[&NodeId(1)], SimDuration::from_secs(35));
-        assert_eq!(t.max_node_time(), SimDuration::from_secs(35));
-        assert_eq!(t.elapsed(), SimDuration::from_secs(36));
+        t.charge(NodeId(0), secs(10));
+        t.charge(NodeId(1), secs(30));
+        t.charge(NodeId(1), secs(5));
+        t.charge_coordinator(secs(1));
+        assert_eq!(t.per_node[&NodeId(1)], secs(35));
+        assert_eq!(t.max_node_time(), secs(35));
+        assert_eq!(t.elapsed(), secs(36));
         assert_eq!(t.breakdown().len(), 2);
     }
 
     #[test]
     fn timelines_compose() {
         let mut a = NodeTimeline::new();
-        a.charge(NodeId(0), SimDuration::from_secs(10));
+        a.charge(NodeId(0), secs(10));
         let mut b = NodeTimeline::new();
-        b.charge(NodeId(0), SimDuration::from_secs(2));
-        b.charge(NodeId(1), SimDuration::from_secs(20));
-        b.charge_coordinator(SimDuration::from_secs(3));
+        b.charge(NodeId(0), secs(2));
+        b.charge(NodeId(1), secs(20));
+        b.charge_coordinator(secs(3));
         a.extend(&b);
-        assert_eq!(a.per_node[&NodeId(0)], SimDuration::from_secs(12));
-        assert_eq!(a.elapsed(), SimDuration::from_secs(23));
+        assert_eq!(a.per_node[&NodeId(0)], secs(12));
+        assert_eq!(a.elapsed(), secs(23));
     }
 }

@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use crate::lexer::LexedFile;
 use crate::manifest;
 use crate::report::{Finding, Report, Rule};
-use crate::rules::{self, FileScope, LockUse, PubItems};
+use crate::rules::{self, LockUse, PubItems};
 use crate::waivers::{self, Waiver};
 
 /// Directory names the walker never descends into. `fixtures` holds the
@@ -111,27 +111,22 @@ pub struct SourceCheck {
 /// here. Exposed so tests can drive single files without a filesystem tree.
 pub fn check_source(rel_path: &str, text: &str) -> SourceCheck {
     let lexed = LexedFile::lex(text);
-    let scope = FileScope::of(rel_path);
-
-    let mut findings = Vec::new();
-    findings.extend(rules::layering_use(rel_path, &scope, &lexed));
-    findings.extend(rules::session_discipline(rel_path, &scope, &lexed));
-    findings.extend(rules::panic_audit(rel_path, &scope, &lexed));
+    let mut findings = rules::panic_audit(rel_path, &lexed);
     findings.extend(rules::determinism(rel_path, &lexed));
 
-    let mut file_waivers = waivers::collect_waivers(rel_path, &lexed);
-    let mut dead_pub_waivers = file_waivers.waivers.clone();
-    dead_pub_waivers.retain(|w| w.rule == Rule::DeadPub);
-    file_waivers.waivers.retain(|w| w.rule != Rule::DeadPub);
-    let (unused, used_waivers) =
-        waivers::apply_waivers(rel_path, &file_waivers.waivers, &mut findings);
+    let file_waivers = waivers::collect_waivers(rel_path, &lexed);
+    let (dead_pub_waivers, per_file): (Vec<Waiver>, Vec<Waiver>) = file_waivers
+        .waivers
+        .into_iter()
+        .partition(|w| w.rule == Rule::DeadPub);
+    let (unused, used_waivers) = waivers::apply_waivers(rel_path, &per_file, &mut findings);
     findings.extend(unused);
     findings.extend(file_waivers.malformed);
     SourceCheck {
         findings,
         lock_uses: rules::collect_lock_uses(rel_path, &lexed),
         used_waivers,
-        pub_items: rules::collect_pub_items(rel_path, &scope, &lexed),
+        pub_items: rules::collect_pub_items(rel_path, &lexed),
         dead_pub_waivers,
     }
 }

@@ -1,16 +1,14 @@
 //! `dhlint` — in-tree static analysis for the DynaHash workspace.
 //!
 //! The repository's correctness story rests on invariants that, before this
-//! crate, were enforced only by convention. `dhlint` turns each one into a
-//! mechanical, CI-gated check:
+//! crate, were enforced only by convention. `dhlint` turns each one that
+//! `rustc` does not already check into a mechanical, CI-gated check:
 //!
-//! * **layering** — `lsm ← core ← cluster ← {tpch, bench}`, verified from
-//!   both `Cargo.toml` path dependencies and `dynahash_*` references in
-//!   source, plus a hard error on any registry dependency (the workspace is
+//! * **layering** — `lsm ← core ← cluster ← {tpch, bench}`, verified on the
+//!   `Cargo.toml` path dependencies (a crate cannot name a crate its
+//!   manifest does not declare, so the manifests fix the source too), plus
+//!   a hard error on any registry dependency (the workspace is
 //!   zero-dependency/offline by construction);
-//! * **session discipline** — outside `crates/cluster`, the demoted raw
-//!   accessors (`partition`, `partition_mut`, `route_key`, raw `ingest`)
-//!   must be reached through the `cluster.admin()` escape hatch;
 //! * **panic audit** — `unwrap()` / `expect()` / `panic!` / `unreachable!`
 //!   in the production crates (`core`, `cluster`, `lsm`) must carry a
 //!   waiver naming the invariant that makes the site unreachable;

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use crate::report::{Finding, Rule};
-use crate::rules::{allowed_deps, LockUse, WRITE_ONCE_CELLS};
+use crate::rules::{LockUse, WRITE_ONCE_CELLS};
 
 /// A parsed (enough) TOML document: section name → key → raw value.
 #[derive(Debug, Default)]
@@ -111,9 +111,10 @@ pub fn check_crate_manifest(rel_path: &str, text: &str) -> Vec<Finding> {
         "license.workspace",
     ] {
         if doc.get("package", key).map(str::trim) != Some("true") {
-            findings.push(Finding::file_level(
+            findings.push(Finding::new(
                 Rule::Metadata,
                 rel_path,
+                0,
                 format!("package must inherit `{key} = true` from the workspace"),
             ));
         }
@@ -124,21 +125,38 @@ pub fn check_crate_manifest(rel_path: &str, text: &str) -> Vec<Finding> {
         .unwrap_or("")
         .is_empty()
     {
-        findings.push(Finding::file_level(
+        findings.push(Finding::new(
             Rule::Metadata,
             rel_path,
+            0,
             "package needs a non-empty `description`".to_string(),
         ));
     }
     if doc.get("lints", "workspace").map(str::trim) != Some("true") {
-        findings.push(Finding::file_level(
+        findings.push(Finding::new(
             Rule::Metadata,
             rel_path,
+            0,
             "package must inherit the workspace lint table (`[lints] workspace = true`)"
                 .to_string(),
         ));
     }
     findings
+}
+
+/// The workspace layering: which workspace crates each crate may depend on.
+/// `None` means the crate directory is not part of the known layering (the
+/// rule stays silent rather than guessing).
+pub fn allowed_deps(crate_dir: &str) -> Option<&'static [&'static str]> {
+    match crate_dir {
+        "lsm" => Some(&[]),
+        "core" => Some(&["lsm"]),
+        "cluster" => Some(&["core", "lsm"]),
+        "tpch" => Some(&["core", "lsm", "cluster"]),
+        "bench" => Some(&["core", "lsm", "cluster", "tpch"]),
+        "lint" => Some(&[]),
+        _ => None,
+    }
 }
 
 /// Checks a single dependency entry against the layering and the
@@ -147,9 +165,10 @@ pub fn check_crate_manifest(rel_path: &str, text: &str) -> Vec<Finding> {
 fn check_dependency(rel_path: &str, crate_dir: &str, name: &str, value: &str) -> Vec<Finding> {
     let mut findings = Vec::new();
     let Some(dep_dir) = name.strip_prefix("dynahash-") else {
-        findings.push(Finding::file_level(
+        findings.push(Finding::new(
             Rule::Layering,
             rel_path,
+            0,
             format!(
                 "registry dependency `{name}` — the workspace is zero-dependency/offline \
                  by construction; vendor an in-tree equivalent instead"
@@ -158,18 +177,20 @@ fn check_dependency(rel_path: &str, crate_dir: &str, name: &str, value: &str) ->
         return findings;
     };
     if !value.contains("path") {
-        findings.push(Finding::file_level(
+        findings.push(Finding::new(
             Rule::Layering,
             rel_path,
+            0,
             format!("dependency `{name}` must be a path dependency, not a registry version"),
         ));
     }
     if !crate_dir.is_empty() {
         match allowed_deps(crate_dir) {
             Some(allowed) if !allowed.contains(&dep_dir) => {
-                findings.push(Finding::file_level(
+                findings.push(Finding::new(
                     Rule::Layering,
                     rel_path,
+                    0,
                     format!(
                         "crate `{crate_dir}` must not depend on `{name}` \
                          (layering is lsm ← core ← cluster ← {{tpch, bench}})"
@@ -191,24 +212,27 @@ pub fn check_workspace_manifest(text: &str) -> Vec<Finding> {
         return findings; // not a workspace root — nothing to verify here
     }
     match doc.get("workspace.package", "repository").map(unquote) {
-        None => findings.push(Finding::file_level(
+        None => findings.push(Finding::new(
             Rule::Metadata,
             "Cargo.toml",
+            0,
             "workspace.package needs a `repository` URL".to_string(),
         )),
         Some(url) if !url.starts_with("https://") || url.contains("example.invalid") => {
-            findings.push(Finding::file_level(
+            findings.push(Finding::new(
                 Rule::Metadata,
                 "Cargo.toml",
+                0,
                 format!("workspace.package repository `{url}` is a placeholder"),
             ));
         }
         Some(_) => {}
     }
     if doc.get("workspace.lints.rust", "unsafe_code").map(unquote) != Some("forbid") {
-        findings.push(Finding::file_level(
+        findings.push(Finding::new(
             Rule::Metadata,
             "Cargo.toml",
+            0,
             "workspace lint table must carry `unsafe_code = \"forbid\"`".to_string(),
         ));
     }
@@ -216,9 +240,10 @@ pub fn check_workspace_manifest(text: &str) -> Vec<Finding> {
         findings.extend(check_dependency("Cargo.toml", "", name, value));
     }
     if doc.has_section("package") && doc.get("lints", "workspace").map(str::trim) != Some("true") {
-        findings.push(Finding::file_level(
+        findings.push(Finding::new(
             Rule::Metadata,
             "Cargo.toml",
+            0,
             "the root package must inherit the workspace lint table".to_string(),
         ));
     }
@@ -262,13 +287,12 @@ pub fn parse_lock_order(text: &str) -> (Vec<LockEntry>, Vec<Finding>) {
             Ok(rank) => (Some(rank), cells[1], cells[2]),
             Err(_) if WRITE_ONCE_CELLS.contains(&cells[1]) => (None, cells[0], cells[1]),
             Err(_) => {
-                findings.push(Finding {
-                    rule: Rule::LockOrder,
-                    file: "LOCK_ORDER.md".to_string(),
-                    line: idx + 1,
-                    message: format!("rank `{}` is not an integer", cells[0]),
-                    waived: false,
-                });
+                findings.push(Finding::new(
+                    Rule::LockOrder,
+                    "LOCK_ORDER.md",
+                    idx + 1,
+                    format!("rank `{}` is not an integer", cells[0]),
+                ));
                 continue;
             }
         };
@@ -287,9 +311,10 @@ fn duplicate_rank_findings(entries: &[LockEntry]) -> Vec<Finding> {
     for (i, a) in entries.iter().enumerate() {
         let Some(rank) = a.rank else { continue };
         if entries[..i].iter().any(|b| b.rank == a.rank) {
-            findings.push(Finding::file_level(
+            findings.push(Finding::new(
                 Rule::LockOrder,
                 "LOCK_ORDER.md",
+                0,
                 format!("duplicate acquisition rank {rank} (`{}`)", a.file),
             ));
         }
@@ -307,16 +332,17 @@ pub fn check_lock_order(manifest: Option<&str>, uses: &[LockUse]) -> Vec<Finding
         None => {
             return uses
                 .iter()
-                .map(|u| Finding {
-                    rule: Rule::LockOrder,
-                    file: u.file.clone(),
-                    line: u.line,
-                    message: format!(
-                        "`{}` declared but the workspace has no LOCK_ORDER.md — create the \
-                         manifest and register an acquisition rank",
-                        u.primitive
-                    ),
-                    waived: false,
+                .map(|u| {
+                    Finding::new(
+                        Rule::LockOrder,
+                        &u.file,
+                        u.line,
+                        format!(
+                            "`{}` declared but the workspace has no LOCK_ORDER.md — create the \
+                             manifest and register an acquisition rank",
+                            u.primitive
+                        ),
+                    )
                 })
                 .collect();
         }
@@ -326,18 +352,17 @@ pub fn check_lock_order(manifest: Option<&str>, uses: &[LockUse]) -> Vec<Finding
             .iter()
             .any(|e| e.file == u.file && e.primitive == u.primitive);
         if !registered {
-            findings.push(Finding {
-                rule: Rule::LockOrder,
-                file: u.file.clone(),
-                line: u.line,
-                message: format!(
+            findings.push(Finding::new(
+                Rule::LockOrder,
+                &u.file,
+                u.line,
+                format!(
                     "`{}` is not registered in LOCK_ORDER.md — every lock/interior-mutability \
                      primitive needs an acquisition rank (a write-once cell: a row in the \
                      write-once table) before the threaded runtime lands",
                     u.primitive
                 ),
-                waived: false,
-            });
+            ));
         }
     }
     for e in &entries {
@@ -345,9 +370,10 @@ pub fn check_lock_order(manifest: Option<&str>, uses: &[LockUse]) -> Vec<Finding
             .iter()
             .any(|u| u.file == e.file && u.primitive == e.primitive);
         if !live {
-            findings.push(Finding::file_level(
+            findings.push(Finding::new(
                 Rule::LockOrder,
                 "LOCK_ORDER.md",
+                0,
                 format!(
                     "stale entry: `{}` in `{}` no longer appears in the code — remove the row",
                     e.primitive, e.file
@@ -376,9 +402,10 @@ pub fn check_budget(budget_text: Option<&str>, used: &[(Rule, usize)]) -> Vec<Fi
             if used.iter().all(|(_, n)| *n == 0) {
                 return findings;
             }
-            findings.push(Finding::file_level(
+            findings.push(Finding::new(
                 Rule::Waiver,
                 "LINT_BUDGET.toml",
+                0,
                 "waivers are in use but LINT_BUDGET.toml is missing — commit the budget"
                     .to_string(),
             ));
@@ -393,9 +420,10 @@ pub fn check_budget(budget_text: Option<&str>, used: &[(Rule, usize)]) -> Vec<Fi
             .unwrap_or(0);
         let budgeted = budget.get(rule.name()).copied().unwrap_or(0);
         if actual != budgeted {
-            findings.push(Finding::file_level(
+            findings.push(Finding::new(
                 Rule::Waiver,
                 "LINT_BUDGET.toml",
+                0,
                 format!(
                     "budget drift for `{rule}`: {actual} waiver(s) in use, budget says \
                      {budgeted} — the budget must track reality and may only ratchet down"
@@ -405,9 +433,10 @@ pub fn check_budget(budget_text: Option<&str>, used: &[(Rule, usize)]) -> Vec<Fi
     }
     for key in budget.keys() {
         if Rule::from_name(key).is_none() {
-            findings.push(Finding::file_level(
+            findings.push(Finding::new(
                 Rule::Waiver,
                 "LINT_BUDGET.toml",
+                0,
                 format!("unknown rule `{key}` in budget"),
             ));
         }

@@ -7,12 +7,8 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
     /// Crate layering (`lsm ← core ← cluster ← {tpch,bench}`) and the
-    /// zero-registry-dependency constraint, from both `Cargo.toml` and
-    /// `use dynahash_*` statements.
+    /// zero-registry-dependency constraint, checked on `Cargo.toml`.
     Layering,
-    /// Raw partition accessors outside `crates/cluster` must go through
-    /// `cluster.admin()`.
-    Session,
     /// `unwrap()` / `expect()` / `panic!` / `unreachable!` in production
     /// crates must carry a waiver naming the invariant.
     Panic,
@@ -37,7 +33,6 @@ impl Rule {
     pub fn name(self) -> &'static str {
         match self {
             Rule::Layering => "layering",
-            Rule::Session => "session",
             Rule::Panic => "panic",
             Rule::Determinism => "determinism",
             Rule::LockOrder => "lock-order",
@@ -49,24 +44,13 @@ impl Rule {
 
     /// Parses a rule name from a waiver comment or the budget file.
     pub fn from_name(name: &str) -> Option<Rule> {
-        Some(match name {
-            "layering" => Rule::Layering,
-            "session" => Rule::Session,
-            "panic" => Rule::Panic,
-            "determinism" => Rule::Determinism,
-            "lock-order" => Rule::LockOrder,
-            "dead-pub" => Rule::DeadPub,
-            "metadata" => Rule::Metadata,
-            "waiver" => Rule::Waiver,
-            _ => return None,
-        })
+        Rule::all().into_iter().find(|rule| rule.name() == name)
     }
 
     /// Every rule family, in reporting order.
-    pub fn all() -> [Rule; 8] {
+    pub fn all() -> [Rule; 7] {
         [
             Rule::Layering,
-            Rule::Session,
             Rule::Panic,
             Rule::Determinism,
             Rule::LockOrder,
@@ -80,7 +64,7 @@ impl Rule {
     /// finding of this family. Manifest-level families have no source line
     /// to hang a waiver on and must be fixed instead.
     pub fn waivable(self) -> bool {
-        !matches!(self, Rule::Metadata | Rule::Waiver)
+        !matches!(self, Rule::Layering | Rule::Metadata | Rule::Waiver)
     }
 }
 
@@ -107,12 +91,12 @@ pub struct Finding {
 }
 
 impl Finding {
-    /// A file-level finding (no meaningful line number).
-    pub fn file_level(rule: Rule, file: &str, message: String) -> Finding {
+    /// An unwaived finding; `line` is 0 for a file-level one.
+    pub fn new(rule: Rule, file: &str, line: usize, message: String) -> Finding {
         Finding {
             rule,
             file: file.to_string(),
-            line: 0,
+            line,
             message,
             waived: false,
         }
@@ -243,16 +227,14 @@ mod tests {
     fn waived_findings_keep_the_report_clean() {
         let mut report = Report::default();
         report.findings.push(Finding {
-            rule: Rule::Panic,
-            file: "a.rs".into(),
-            line: 3,
-            message: "x".into(),
             waived: true,
+            ..Finding::new(Rule::Panic, "a.rs", 3, "x".into())
         });
         assert!(report.is_clean());
-        report.findings.push(Finding::file_level(
+        report.findings.push(Finding::new(
             Rule::Metadata,
             "Cargo.toml",
+            0,
             "missing".into(),
         ));
         assert!(!report.is_clean());

@@ -10,51 +10,13 @@ use std::collections::BTreeSet;
 use crate::lexer::{find_from, LexedFile};
 use crate::report::{Finding, Rule};
 
-/// Where a file sits in the workspace, derived from its relative path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FileScope {
-    /// `crates/<name>/src/**`
-    CrateSrc(String),
-    /// `crates/<name>/**` outside `src` (benches, tests, bins).
-    CrateOther(String),
-    /// Root `src/`, `tests/`, or `examples/` — umbrella-level code.
-    Root,
-}
-
-impl FileScope {
-    /// Classifies a forward-slash relative path.
-    pub fn of(path: &str) -> FileScope {
-        let parts: Vec<&str> = path.split('/').collect();
-        if parts.len() >= 3 && parts[0] == "crates" {
-            let name = parts[1].to_string();
-            if parts[2] == "src" {
-                return FileScope::CrateSrc(name);
-            }
-            return FileScope::CrateOther(name);
-        }
-        FileScope::Root
-    }
-
-    /// The enclosing crate directory name, if any.
-    pub fn crate_name(&self) -> Option<&str> {
-        match self {
-            FileScope::CrateSrc(n) | FileScope::CrateOther(n) => Some(n),
-            FileScope::Root => None,
-        }
-    }
-}
-
-/// The workspace layering: which `dynahash_*` crates each crate may reach.
-/// `None` means the crate directory is not part of the known layering (the
-/// rule stays silent rather than guessing).
-pub fn allowed_deps(crate_dir: &str) -> Option<&'static [&'static str]> {
-    match crate_dir {
-        "lsm" => Some(&[]),
-        "core" => Some(&["lsm"]),
-        "cluster" => Some(&["core", "lsm"]),
-        "tpch" => Some(&["core", "lsm", "cluster"]),
-        "bench" => Some(&["core", "lsm", "cluster", "tpch"]),
-        "lint" => Some(&[]),
+/// The crate a `crates/<name>/src/**` path belongs to; `None` for every
+/// other file (benches, integration tests, root `src/`, `tests/`,
+/// `examples/`).
+pub fn crate_src(path: &str) -> Option<&str> {
+    let mut parts = path.split('/');
+    match (parts.next(), parts.next(), parts.next()) {
+        (Some("crates"), Some(name), Some("src")) => Some(name),
         _ => None,
     }
 }
@@ -82,146 +44,6 @@ fn word_occurrences(masked: &str, word: &str) -> Vec<usize> {
     out
 }
 
-/// Rule family 1 (source half): `use dynahash_*` / qualified `dynahash_*::`
-/// references must respect the layering. The manifest half lives in
-/// [`crate::manifest`].
-pub fn layering_use(path: &str, scope: &FileScope, lexed: &LexedFile) -> Vec<Finding> {
-    let Some(crate_dir) = scope.crate_name() else {
-        return Vec::new(); // umbrella code may use every crate
-    };
-    let Some(allowed) = allowed_deps(crate_dir) else {
-        return Vec::new();
-    };
-    let mut findings = Vec::new();
-    for pos in word_prefix_occurrences(&lexed.masked, "dynahash_") {
-        let bytes = lexed.masked.as_bytes();
-        let mut end = pos + "dynahash_".len();
-        while end < bytes.len() && is_ident(bytes[end]) {
-            end += 1;
-        }
-        let referenced = &lexed.masked[pos + "dynahash_".len()..end];
-        if allowed_deps(referenced).is_none() {
-            continue; // not a workspace crate — a local `dynahash_*` identifier
-        }
-        if referenced == crate_dir {
-            continue; // a crate may name itself (bins, benches, doc paths)
-        }
-        if !allowed.contains(&referenced) {
-            findings.push(Finding {
-                rule: Rule::Layering,
-                file: path.to_string(),
-                line: lexed.line_of(pos),
-                message: format!(
-                    "crate `{crate_dir}` must not reach `dynahash_{referenced}` \
-                     (layering is lsm ← core ← cluster ← {{tpch, bench}})"
-                ),
-                waived: false,
-            });
-        }
-    }
-    findings
-}
-
-/// Occurrences of identifiers *starting with* `prefix` (word boundary before
-/// the prefix only).
-fn word_prefix_occurrences(masked: &str, prefix: &str) -> Vec<usize> {
-    let bytes = masked.as_bytes();
-    let needle = prefix.as_bytes();
-    let mut out = Vec::new();
-    let mut from = 0usize;
-    while let Some(pos) = find_from(bytes, needle, from) {
-        from = pos + 1;
-        if pos == 0 || !is_ident(bytes[pos - 1]) {
-            out.push(pos);
-        }
-    }
-    out
-}
-
-/// The demoted raw accessors of rule family 2.
-const RAW_ACCESSORS: [&str; 3] = [".partition(", ".partition_mut(", ".route_key("];
-
-/// Rule family 2: outside `crates/cluster`, the raw partition accessors are
-/// reserved for the `cluster.admin()` escape hatch. A call passes when the
-/// enclosing statement mentions `admin` (either a chained `.admin()` call or
-/// a local binding produced by one); raw `cluster.ingest(…)` is flagged the
-/// same way, while session/loader `ingest` stays untouched.
-pub fn session_discipline(path: &str, scope: &FileScope, lexed: &LexedFile) -> Vec<Finding> {
-    if scope.crate_name() == Some("cluster") {
-        return Vec::new(); // the cluster crate implements the accessors
-    }
-    let mut findings = Vec::new();
-    let masked = &lexed.masked;
-    for accessor in RAW_ACCESSORS {
-        let mut from = 0usize;
-        while let Some(pos) = find_from(masked.as_bytes(), accessor.as_bytes(), from) {
-            from = pos + 1;
-            if !statement_prefix(masked, pos).contains("admin") {
-                findings.push(Finding {
-                    rule: Rule::Session,
-                    file: path.to_string(),
-                    line: lexed.line_of(pos),
-                    message: format!(
-                        "raw accessor `{}` outside crates/cluster must be reached \
-                         via `cluster.admin()` in the same statement",
-                        accessor.trim_start_matches('.').trim_end_matches('(')
-                    ),
-                    waived: false,
-                });
-            }
-        }
-    }
-    // Raw ingest: flag only `cluster.ingest(…)`-shaped receivers; sessions,
-    // loaders, and feeds own `ingest` legitimately.
-    let mut from = 0usize;
-    while let Some(pos) = find_from(masked.as_bytes(), b".ingest(", from) {
-        from = pos + 1;
-        let receiver = receiver_ident(masked, pos);
-        let raw_receiver = receiver == "cluster" || receiver.ends_with("_cluster");
-        if raw_receiver && !statement_prefix(masked, pos).contains("admin") {
-            findings.push(Finding {
-                rule: Rule::Session,
-                file: path.to_string(),
-                line: lexed.line_of(pos),
-                message: "raw `cluster.ingest(…)` outside crates/cluster — go through \
-                          `cluster.session(ds)` or `cluster.admin()`"
-                    .to_string(),
-                waived: false,
-            });
-        }
-    }
-    findings
-}
-
-/// The text of the statement enclosing `pos`, from the previous `;`, `{`,
-/// or `}` up to `pos`.
-fn statement_prefix(masked: &str, pos: usize) -> &str {
-    let bytes = masked.as_bytes();
-    let mut start = pos;
-    while start > 0 {
-        match bytes[start - 1] {
-            b';' | b'{' | b'}' => break,
-            _ => start -= 1,
-        }
-    }
-    &masked[start..pos]
-}
-
-/// The identifier immediately preceding the `.` of a method call at `pos`
-/// (empty when the receiver is a chained call or expression).
-fn receiver_ident(masked: &str, dot_pos: usize) -> &str {
-    let bytes = masked.as_bytes();
-    let mut end = dot_pos;
-    while end > 0 && bytes[end - 1].is_ascii_whitespace() {
-        end -= 1;
-    }
-    let mut start = end;
-    while start > 0 && is_ident(bytes[start - 1]) {
-        start -= 1;
-    }
-    &masked[start..end]
-}
-
 /// The production crates covered by the panic audit.
 pub const PANIC_AUDITED_CRATES: [&str; 3] = ["core", "cluster", "lsm"];
 
@@ -234,13 +56,11 @@ const PANIC_TOKENS: [&str; 6] = [
     "unimplemented!",
 ];
 
-/// Rule family 3: panics in the production crates must carry a waiver
+/// Rule family 2: panics in the production crates must carry a waiver
 /// naming the invariant that makes the site unreachable. `#[cfg(test)]`
 /// items are exempt.
-pub fn panic_audit(path: &str, scope: &FileScope, lexed: &LexedFile) -> Vec<Finding> {
-    let audited = matches!(scope, FileScope::CrateSrc(name)
-        if PANIC_AUDITED_CRATES.contains(&name.as_str()));
-    if !audited {
+pub fn panic_audit(path: &str, lexed: &LexedFile) -> Vec<Finding> {
+    if !crate_src(path).is_some_and(|name| PANIC_AUDITED_CRATES.contains(&name)) {
         return Vec::new();
     }
     let mut findings = Vec::new();
@@ -250,17 +70,16 @@ pub fn panic_audit(path: &str, scope: &FileScope, lexed: &LexedFile) -> Vec<Find
             if lexed.is_test_line(line) {
                 continue;
             }
-            findings.push(Finding {
-                rule: Rule::Panic,
-                file: path.to_string(),
+            findings.push(Finding::new(
+                Rule::Panic,
+                path,
                 line,
-                message: format!(
+                format!(
                     "`{}` in production code — propagate a Result or waive with the \
                      invariant that makes this unreachable",
                     token.trim_start_matches('.').trim_end_matches('(')
                 ),
-                waived: false,
-            });
+            ));
         }
     }
     findings
@@ -300,7 +119,7 @@ pub const ORDERING_SENSITIVE_FILES: [&str; 7] = [
     "crates/cluster/src/obs.rs",
 ];
 
-/// Rule family 4: sim-time determinism. `SystemTime`/`Instant` belong to
+/// Rule family 3: sim-time determinism. `SystemTime`/`Instant` belong to
 /// `dynahash_bench::timing` alone, and the scheduler-feeding files must use
 /// ordered collections.
 pub fn determinism(path: &str, lexed: &LexedFile) -> Vec<Finding> {
@@ -308,32 +127,30 @@ pub fn determinism(path: &str, lexed: &LexedFile) -> Vec<Finding> {
     if path != TIMING_MODULE {
         for word in ["SystemTime", "Instant"] {
             for pos in word_occurrences(&lexed.masked, word) {
-                findings.push(Finding {
-                    rule: Rule::Determinism,
-                    file: path.to_string(),
-                    line: lexed.line_of(pos),
-                    message: format!(
+                findings.push(Finding::new(
+                    Rule::Determinism,
+                    path,
+                    lexed.line_of(pos),
+                    format!(
                         "`{word}` outside {TIMING_MODULE} breaks sim-time determinism — \
                          use dynahash_bench::timing or the sim clock"
                     ),
-                    waived: false,
-                });
+                ));
             }
         }
     }
     if ORDERING_SENSITIVE_FILES.contains(&path) {
         for word in ["HashMap", "HashSet"] {
             for pos in word_occurrences(&lexed.masked, word) {
-                findings.push(Finding {
-                    rule: Rule::Determinism,
-                    file: path.to_string(),
-                    line: lexed.line_of(pos),
-                    message: format!(
+                findings.push(Finding::new(
+                    Rule::Determinism,
+                    path,
+                    lexed.line_of(pos),
+                    format!(
                         "`{word}` in ordering-sensitive scheduler code — iteration order \
                          feeds the deterministic wave schedule; use BTreeMap/BTreeSet"
                     ),
-                    waived: false,
-                });
+                ));
             }
         }
     }
@@ -359,7 +176,7 @@ pub struct LockUse {
     pub line: usize,
 }
 
-/// Rule family 5 (collection half): every lock primitive and write-once
+/// Rule family 4 (collection half): every lock primitive and write-once
 /// cell a file mentions. The engine cross-checks the collected set against
 /// `LOCK_ORDER.md`.
 pub fn collect_lock_uses(path: &str, lexed: &LexedFile) -> Vec<LockUse> {
@@ -406,16 +223,15 @@ pub struct PubItems {
 const ITEM_KEYWORDS: [&str; 6] = ["fn", "struct", "enum", "type", "const", "trait"];
 const FN_QUALIFIERS: [&str; 4] = ["const", "unsafe", "async", "extern"];
 
-/// Rule family 6 (collection half): the file's `pub` item definitions and
+/// Rule family 5 (collection half): the file's `pub` item definitions and
 /// the identifiers it uses. A use is any identifier in the masked view
 /// (comments and strings never count) that is not the name of a `fn` or of
 /// a `pub` item being defined, and — in a `crates/*/src` file — not inside
 /// a `#[cfg(test)]` item: an in-file unit test keeps nothing alive, while
 /// integration tests, examples and the benchmark do.
-pub fn collect_pub_items(path: &str, scope: &FileScope, lexed: &LexedFile) -> PubItems {
-    let defines = matches!(scope, FileScope::CrateSrc(name)
-        if DEAD_PUB_CRATES.contains(&name.as_str()));
-    let skip_tests = matches!(scope, FileScope::CrateSrc(_));
+pub fn collect_pub_items(path: &str, lexed: &LexedFile) -> PubItems {
+    let defines = crate_src(path).is_some_and(|name| DEAD_PUB_CRATES.contains(&name));
+    let skip_tests = crate_src(path).is_some();
     let masked = lexed.masked.as_str();
     let bytes = masked.as_bytes();
     let mut items = PubItems::default();
@@ -489,7 +305,7 @@ fn ends_in_ident(s: &str) -> bool {
     s.as_bytes().last().is_some_and(|b| is_ident(*b))
 }
 
-/// Rule family 6 (cross-check half): a collected `pub` item whose name no
+/// Rule family 5 (cross-check half): a collected `pub` item whose name no
 /// file uses is a finding.
 ///
 /// The rule is name-based, so it is conservative — it never flags an item
@@ -501,17 +317,18 @@ fn ends_in_ident(s: &str) -> bool {
 pub fn dead_pub(defs: &[PubDef], uses: &BTreeSet<String>) -> Vec<Finding> {
     defs.iter()
         .filter(|def| !uses.contains(&def.name))
-        .map(|def| Finding {
-            rule: Rule::DeadPub,
-            file: def.file.clone(),
-            line: def.line,
-            message: format!(
-                "`pub {} {}` is named by no code outside `#[cfg(test)]` items of \
-                 `crates/*/src` — nothing a figure, soak, benchmark, example or \
-                 integration test runs reaches it; delete it or make it private",
-                def.kind, def.name
-            ),
-            waived: false,
+        .map(|def| {
+            Finding::new(
+                Rule::DeadPub,
+                &def.file,
+                def.line,
+                format!(
+                    "`pub {} {}` is named by no code outside `#[cfg(test)]` items of \
+                     `crates/*/src` — nothing a figure, soak, benchmark, example or \
+                     integration test runs reaches it; delete it or make it private",
+                    def.kind, def.name
+                ),
+            )
         })
         .collect()
 }
@@ -525,81 +342,25 @@ mod tests {
     }
 
     #[test]
-    fn scope_classification() {
-        assert_eq!(
-            FileScope::of("crates/core/src/plan.rs"),
-            FileScope::CrateSrc("core".into())
-        );
-        assert_eq!(
-            FileScope::of("crates/bench/benches/rebalance.rs"),
-            FileScope::CrateOther("bench".into())
-        );
-        assert_eq!(FileScope::of("tests/end_to_end.rs"), FileScope::Root);
-    }
-
-    #[test]
-    fn layering_flags_upward_reach() {
-        let lexed = lex("use dynahash_cluster::Cluster;\n");
-        let scope = FileScope::CrateSrc("core".into());
-        let f = layering_use("crates/core/src/bad.rs", &scope, &lexed);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::Layering);
-    }
-
-    #[test]
-    fn layering_allows_downward_and_self() {
-        let lexed = lex("use dynahash_lsm::Bytes;\nuse dynahash_core::Scheme;\n");
-        let scope = FileScope::CrateSrc("cluster".into());
-        assert!(layering_use("crates/cluster/src/ok.rs", &scope, &lexed).is_empty());
-        let lexed = lex("use dynahash_bench::timing;\n");
-        let scope = FileScope::CrateOther("bench".into());
-        assert!(layering_use("crates/bench/benches/b.rs", &scope, &lexed).is_empty());
-    }
-
-    #[test]
-    fn session_rule_requires_admin_in_statement() {
-        let scope = FileScope::Root;
-        let bad = lex("let p = cluster.partition(id);\n");
-        assert_eq!(session_discipline("tests/t.rs", &scope, &bad).len(), 1);
-        let good = lex("let p = cluster.admin().partition(id);\n");
-        assert!(session_discipline("tests/t.rs", &scope, &good).is_empty());
-        let bound = lex("let admin = cluster.admin();\nlet p = admin.partition(id);\n");
-        assert!(session_discipline("tests/t.rs", &scope, &bound).is_empty());
-    }
-
-    #[test]
-    fn session_rule_spares_session_ingest_flags_cluster_ingest() {
-        let scope = FileScope::Root;
-        let ok = lex("session.ingest(&mut cluster, records)?;\n");
-        assert!(session_discipline("tests/t.rs", &scope, &ok).is_empty());
-        let bad = lex("cluster.ingest(ds, records)?;\n");
-        assert_eq!(session_discipline("tests/t.rs", &scope, &bad).len(), 1);
-        let admin_ok = lex("cluster.admin().ingest(ds, records)?;\n");
-        assert!(session_discipline("tests/t.rs", &scope, &admin_ok).is_empty());
-    }
-
-    #[test]
-    fn session_rule_exempts_cluster_crate() {
-        let scope = FileScope::CrateSrc("cluster".into());
-        let src = lex("let p = self.cluster.partition(id);\n");
-        assert!(session_discipline("crates/cluster/src/feed.rs", &scope, &src).is_empty());
+    fn crate_src_names_only_crate_source_files() {
+        assert_eq!(crate_src("crates/core/src/plan.rs"), Some("core"));
+        assert_eq!(crate_src("crates/bench/benches/rebalance.rs"), None);
+        assert_eq!(crate_src("tests/end_to_end.rs"), None);
     }
 
     #[test]
     fn panic_audit_fires_in_production_not_tests() {
-        let scope = FileScope::CrateSrc("core".into());
         let src =
             lex("fn f() { x.unwrap(); }\n#[cfg(test)]\nmod tests { fn t() { y.unwrap(); } }\n");
-        let f = panic_audit("crates/core/src/x.rs", &scope, &src);
+        let f = panic_audit("crates/core/src/x.rs", &src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].line, 1);
     }
 
     #[test]
     fn panic_audit_only_covers_production_crates() {
-        let scope = FileScope::CrateSrc("tpch".into());
         let src = lex("fn f() { x.unwrap(); }\n");
-        assert!(panic_audit("crates/tpch/src/x.rs", &scope, &src).is_empty());
+        assert!(panic_audit("crates/tpch/src/x.rs", &src).is_empty());
     }
 
     #[test]
@@ -624,8 +385,7 @@ mod tests {
             "pub use other::Thing;\n",
             "#[cfg(test)]\nmod tests { pub fn t() { a(); LIMIT; } }\n",
         ));
-        let scope = FileScope::CrateSrc("core".into());
-        let items = collect_pub_items("crates/core/src/x.rs", &scope, &src);
+        let items = collect_pub_items("crates/core/src/x.rs", &src);
         let defs: Vec<(&str, &str, usize)> = items
             .defs
             .iter()
@@ -653,7 +413,7 @@ mod tests {
         assert_eq!(lines, [1, 2, 3]);
 
         // outside the five crates nothing is defined, and test lines count
-        let root = collect_pub_items("tests/t.rs", &FileScope::Root, &src);
+        let root = collect_pub_items("tests/t.rs", &src);
         assert!(root.defs.is_empty());
         assert!(root.uses.contains("LIMIT"));
     }

@@ -60,78 +60,52 @@ pub fn collect_waivers(path: &str, lexed: &LexedFile) -> FileWaivers {
         let Some(rest) = text.strip_prefix(MARKER) else {
             continue;
         };
-        let rest = rest.trim();
-        let Some(args) = rest.strip_prefix("allow(") else {
-            out.malformed.push(Finding {
-                rule: Rule::Waiver,
-                file: path.to_string(),
-                line: comment.line,
-                message: format!("malformed dhlint comment (expected `dhlint: allow(<rule>) — <reason>`): `{text}`"),
-                waived: false,
-            });
-            continue;
-        };
-        let Some(close) = args.find(')') else {
-            out.malformed.push(Finding {
-                rule: Rule::Waiver,
-                file: path.to_string(),
-                line: comment.line,
-                message: "unclosed `allow(` in dhlint waiver".to_string(),
-                waived: false,
-            });
-            continue;
-        };
-        let rule_name = args[..close].trim();
-        let reason = args[close + 1..]
-            .trim()
-            .trim_start_matches(['—', '-', ':'])
-            .trim()
-            .to_string();
-        let Some(rule) = Rule::from_name(rule_name) else {
-            out.malformed.push(Finding {
-                rule: Rule::Waiver,
-                file: path.to_string(),
-                line: comment.line,
-                message: format!("unknown rule `{rule_name}` in dhlint waiver"),
-                waived: false,
-            });
-            continue;
-        };
-        if !rule.waivable() {
-            out.malformed.push(Finding {
-                rule: Rule::Waiver,
-                file: path.to_string(),
-                line: comment.line,
-                message: format!("rule `{rule_name}` cannot be waived inline — fix the finding"),
-                waived: false,
-            });
-            continue;
+        match parse_allow(rest.trim(), text) {
+            Ok((rule, reason)) => out.waivers.push(Waiver {
+                rule,
+                target_line: if comment.own_line {
+                    next_code_line(lexed, comment.line)
+                } else {
+                    comment.line
+                },
+                comment_line: comment.line,
+                reason,
+            }),
+            Err(message) => {
+                let finding = Finding::new(Rule::Waiver, path, comment.line, message);
+                out.malformed.push(finding);
+            }
         }
-        if reason.len() < 4 {
-            out.malformed.push(Finding {
-                rule: Rule::Waiver,
-                file: path.to_string(),
-                line: comment.line,
-                message: format!(
-                    "dhlint waiver for `{rule_name}` needs a reason naming the invariant"
-                ),
-                waived: false,
-            });
-            continue;
-        }
-        let target_line = if comment.own_line {
-            next_code_line(lexed, comment.line)
-        } else {
-            comment.line
-        };
-        out.waivers.push(Waiver {
-            rule,
-            target_line,
-            comment_line: comment.line,
-            reason,
-        });
     }
     out
+}
+
+/// Parses the `allow(<rule>) — <reason>` after the marker of the comment
+/// `text`: the rule and its reason, or why the waiver is malformed.
+fn parse_allow(args: &str, text: &str) -> Result<(Rule, String), String> {
+    let args = args.strip_prefix("allow(").ok_or_else(|| {
+        format!("malformed dhlint comment (expected `dhlint: allow(<rule>) — <reason>`): `{text}`")
+    })?;
+    let close = args.find(')').ok_or("unclosed `allow(` in dhlint waiver")?;
+    let rule_name = args[..close].trim();
+    let reason = args[close + 1..]
+        .trim()
+        .trim_start_matches(['—', '-', ':'])
+        .trim()
+        .to_string();
+    let rule = Rule::from_name(rule_name)
+        .ok_or_else(|| format!("unknown rule `{rule_name}` in dhlint waiver"))?;
+    if !rule.waivable() {
+        return Err(format!(
+            "rule `{rule_name}` cannot be waived inline — fix the finding"
+        ));
+    }
+    if reason.len() < 4 {
+        return Err(format!(
+            "dhlint waiver for `{rule_name}` needs a reason naming the invariant"
+        ));
+    }
+    Ok((rule, reason))
 }
 
 /// For an own-line waiver comment, the line it covers: the next line that
@@ -174,16 +148,15 @@ pub fn apply_waivers(
                 None => used_counts.push((waiver.rule, 1)),
             }
         } else {
-            unused.push(Finding {
-                rule: Rule::Waiver,
-                file: path.to_string(),
-                line: waiver.comment_line,
-                message: format!(
+            unused.push(Finding::new(
+                Rule::Waiver,
+                path,
+                waiver.comment_line,
+                format!(
                     "unused dhlint waiver for `{}` (no matching finding on line {})",
                     waiver.rule, waiver.target_line
                 ),
-                waived: false,
-            });
+            ));
         }
     }
     (unused, used_counts)
@@ -238,13 +211,7 @@ mod tests {
     fn matching_waiver_marks_finding() {
         let lexed = lex("x.unwrap(); // dhlint: allow(panic) — invariant documented\n");
         let w = collect_waivers("f.rs", &lexed);
-        let mut findings = vec![Finding {
-            rule: Rule::Panic,
-            file: "f.rs".into(),
-            line: 1,
-            message: "unwrap".into(),
-            waived: false,
-        }];
+        let mut findings = vec![Finding::new(Rule::Panic, "f.rs", 1, "unwrap".into())];
         let (unused, used) = apply_waivers("f.rs", &w.waivers, &mut findings);
         assert!(unused.is_empty());
         assert!(findings[0].waived);

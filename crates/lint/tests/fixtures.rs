@@ -43,22 +43,6 @@ fn registry_dependency_is_flagged() {
 }
 
 #[test]
-fn raw_partition_access_outside_cluster_is_flagged() {
-    let r = check("session_bad");
-    assert!(has_error(&r, Rule::Session), "{r:?}");
-}
-
-#[test]
-fn waived_session_access_passes_with_budget() {
-    let r = check("session_waived");
-    assert!(r.is_clean(), "{r:?}");
-    assert!(r
-        .findings
-        .iter()
-        .any(|f| f.waived && f.rule == Rule::Session));
-}
-
-#[test]
 fn production_unwrap_is_flagged() {
     let r = check("panic_bad");
     assert!(has_error(&r, Rule::Panic), "{r:?}");
@@ -171,7 +155,6 @@ fn malformed_waiver_is_flagged_not_honored() {
 fn binary_exits_nonzero_on_negative_fixtures() {
     for name in [
         "layering_bad",
-        "session_bad",
         "panic_bad",
         "determinism_bad",
         "lock_order_bad",

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --example ingestion_feed --release`.
 
-use dynahash::cluster::{Cluster, ControlledRateFeed, RebalanceOptions};
+use dynahash::cluster::{Cluster, RebalanceOptions};
 use dynahash::core::{NodeId, Scheme};
 use dynahash::tpch::generator::extra_lineitems;
 use dynahash::tpch::loader::lineitem_records;
@@ -42,8 +42,7 @@ fn run_with_rate(krecords_per_sec: f64) -> f64 {
 
     // Size the concurrent workload from the feed rate and an estimate of the
     // rebalance duration (we use 2 simulated seconds as the reference window).
-    let feed = ControlledRateFeed::krecords_per_sec(krecords_per_sec);
-    let concurrent = feed.records_for(dynahash::cluster::SimDuration::from_secs(2)) as usize;
+    let concurrent = (krecords_per_sec * 1000.0 * 2.0) as usize;
     let extra = extra_lineitems(data.orders.len() as u64 + 1, concurrent, 99);
     let writes = lineitem_records(&extra);
     let expected_new = writes.len();

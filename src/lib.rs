@@ -47,6 +47,26 @@
 //! assert!(session.get(&cluster, &Key::from_u64(123)).unwrap().is_some());
 //! cluster.check_dataset_consistency(ds).unwrap();
 //! ```
+//!
+//! ## Raw access
+//!
+//! Physical placement is reached only through the `cluster.admin()` escape
+//! hatch; the cluster's own raw accessors are crate-private, so the
+//! compiler, not a lint, keeps every other caller on a session:
+//!
+//! ```
+//! # use dynahash::cluster::Cluster;
+//! let mut cluster = Cluster::new(2);
+//! let p = cluster.topology().partitions()[0];
+//! assert!(cluster.admin().partition(p).is_ok());
+//! ```
+//!
+//! ```compile_fail
+//! # use dynahash::cluster::Cluster;
+//! let mut cluster = Cluster::new(2);
+//! let p = cluster.topology().partitions()[0];
+//! assert!(cluster.partition(p).is_ok());
+//! ```
 
 pub use dynahash_bench as bench;
 pub use dynahash_cluster as cluster;
