@@ -34,7 +34,7 @@ pub mod timing;
 use std::collections::BTreeMap;
 
 use dynahash_cluster::{
-    Cluster, ClusterConfig, CostModel, DatasetId, RebalanceJob, RebalanceOptions, SimDuration,
+    Cluster, ClusterConfig, DatasetId, RebalanceJob, RebalanceOptions, SimDuration,
 };
 use dynahash_core::balance::{balance_assignment, load_balance_factor, BalanceInput, BucketLoad};
 use dynahash_core::{BucketId, ClusterTopology, NodeId, PartitionId, Scheme};
@@ -88,7 +88,6 @@ impl ExperimentConfig {
             nodes,
             ClusterConfig {
                 partitions_per_node: self.partitions_per_node,
-                cost_model: CostModel::default(),
             },
         )
     }

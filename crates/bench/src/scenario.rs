@@ -35,8 +35,8 @@ use std::collections::BTreeMap;
 
 use dynahash_cluster::{
     Cluster, ClusterConfig, ClusterError, ClusterHealth, ControlConfig, ControlDecision,
-    ControlPlane, CostModel, DatasetSpec, Event, Fault, FaultSchedule, RebalanceJob,
-    SecondaryIndexDef, Session, StepPoint,
+    ControlPlane, DatasetSpec, Event, Fault, FaultSchedule, RebalanceJob, SecondaryIndexDef,
+    Session, StepPoint,
 };
 use dynahash_core::{NodeId, RebalanceOutcome, Scheme};
 use dynahash_lsm::entry::Key;
@@ -627,7 +627,6 @@ impl<'a> Runner<'a> {
             cfg.nodes,
             ClusterConfig {
                 partitions_per_node: PARTITIONS_PER_NODE,
-                cost_model: CostModel::default(),
             },
         );
         let partitions = cfg.nodes * PARTITIONS_PER_NODE;

@@ -51,7 +51,7 @@ use crate::obs::{jobs_in_flight, Event};
 use crate::partition::{Partition, PartitionDataset};
 use crate::rebalance::RebalanceReport;
 use crate::session::RouteError;
-use crate::sim::{CostModel, NodeTimeline, SimDuration};
+use crate::sim::{self, NodeTimeline};
 use crate::ClusterError;
 
 /// Cluster-wide configuration.
@@ -59,15 +59,12 @@ use crate::ClusterError;
 pub struct ClusterConfig {
     /// Number of storage partitions per node (the paper uses 4).
     pub partitions_per_node: u32,
-    /// The hardware cost model.
-    pub cost_model: CostModel,
 }
 
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             partitions_per_node: 4,
-            cost_model: CostModel::default(),
         }
     }
 }
@@ -319,11 +316,6 @@ impl Cluster {
     /// The cluster configuration.
     pub fn config(&self) -> &ClusterConfig {
         &self.config
-    }
-
-    /// The cost model.
-    pub fn cost_model(&self) -> CostModel {
-        self.config.cost_model
     }
 
     /// The current topology.
@@ -762,8 +754,6 @@ impl Cluster {
         writes: &mut [Write],
         claimed: Option<&DatasetMeta>,
     ) -> Result<IngestReport, ClusterError> {
-        let cost_model = self.config.cost_model;
-
         // Per-partition metric snapshots to charge IO costs ex post.
         let before: BTreeMap<PartitionId, MetricsSnapshot> = self
             .topology
@@ -802,22 +792,19 @@ impl Cluster {
         // Cost accounting: CPU for parsing/routing plus the IO the storage
         // engine performed (flushes and merges), per node.
         let mut timeline = NodeTimeline::new();
-        timeline.charge_coordinator(SimDuration::from_nanos(cost_model.job_overhead_ns));
+        timeline.charge_coordinator(sim::JOB_OVERHEAD);
         for (node_id, records) in &per_node {
-            timeline.charge(*node_id, cost_model.ingest_cpu(*records));
+            timeline.charge(*node_id, sim::ingest_cpu(*records));
         }
         for (node_id, (records, bytes)) in &replicated {
-            timeline.charge(
-                *node_id,
-                cost_model.network(*bytes) + cost_model.ingest_cpu(*records),
-            );
+            timeline.charge(*node_id, sim::network(*bytes) + sim::ingest_cpu(*records));
         }
         for p in self.topology.partitions() {
             let node_id = self.node_of_partition(p)?;
             let after = self.partition(p)?.metrics().snapshot();
             let delta = after.delta_since(before.get(&p).unwrap_or(&MetricsSnapshot::default()));
-            let io = cost_model.disk_write(delta.bytes_flushed)
-                + cost_model.merge_cost(delta.bytes_merge_read, delta.bytes_merged);
+            let io = sim::disk_write(delta.bytes_flushed)
+                + sim::merge_cost(delta.bytes_merge_read, delta.bytes_merged);
             timeline.charge(node_id, io);
         }
 
@@ -1249,6 +1236,7 @@ impl Admin<'_> {
 mod tests {
     use super::*;
     use crate::rebalance::RebalanceOptions;
+    use crate::sim::SimDuration;
     use dynahash_lsm::{Bytes, SplitMix64};
     use std::collections::BTreeSet;
 
@@ -1421,7 +1409,6 @@ mod tests {
             2,
             ClusterConfig {
                 partitions_per_node: 2,
-                cost_model: CostModel::default(),
             },
         );
         let ds = cluster

@@ -621,7 +621,6 @@ mod tests {
             nodes,
             crate::ClusterConfig {
                 partitions_per_node: 2,
-                cost_model: crate::CostModel::default(),
             },
         );
         let ds = cluster

@@ -418,11 +418,11 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_caps() {
-        assert_eq!(backoff(0), SimDuration::from_nanos(1_000_000));
-        assert_eq!(backoff(1), SimDuration::from_nanos(2_000_000));
-        assert_eq!(backoff(2), SimDuration::from_nanos(4_000_000));
-        assert_eq!(backoff(3), SimDuration::from_nanos(8_000_000));
-        assert_eq!(backoff(10).as_nanos(), MAX_BACKOFF_NS, "capped");
+        assert_eq!(backoff(0), SimDuration(1_000_000));
+        assert_eq!(backoff(1), SimDuration(2_000_000));
+        assert_eq!(backoff(2), SimDuration(4_000_000));
+        assert_eq!(backoff(3), SimDuration(8_000_000));
+        assert_eq!(backoff(10).0, MAX_BACKOFF_NS, "capped");
         assert_eq!(backoff(63), backoff(10), "no shift overflow");
     }
 

@@ -84,7 +84,7 @@ use crate::dataset::DatasetId;
 use crate::fault::{backoff, MAX_TRANSFER_RETRIES};
 use crate::obs::Event;
 use crate::rebalance::{PhaseTimes, RebalanceReport};
-use crate::sim::{NodeTimeline, SimDuration};
+use crate::sim::{self, NodeTimeline, SimDuration};
 use crate::{ClusterError, Result};
 
 /// A step boundary of [`RebalanceJob::drive`]: where a scheduled
@@ -395,16 +395,13 @@ impl RebalanceJob {
     /// job into the data-movement phase.
     pub fn init(&mut self, cluster: &mut Cluster) -> Result<()> {
         self.require(matches!(self.state, JobState::Planned), "init")?;
-        let cost = cluster.cost_model();
         cluster.set_splits_enabled(self.dataset, false)?;
 
         // CC contacts every participant to fetch directories / dispatch work.
         for n in &self.participants {
-            self.init_tl
-                .charge(*n, SimDuration::from_nanos(cost.network_latency_ns));
+            self.init_tl.charge(*n, sim::NETWORK_LATENCY);
         }
-        self.init_tl
-            .charge_coordinator(SimDuration::from_nanos(cost.job_overhead_ns));
+        self.init_tl.charge_coordinator(sim::JOB_OVERHEAD);
 
         for m in &self.plan.moves {
             if self.feed_staged(m) {
@@ -418,7 +415,7 @@ impl RebalanceJob {
             let after = cluster.partition(m.from)?.metrics().snapshot();
             let delta = after.delta_since(&before);
             self.init_tl
-                .charge(node, cost.disk_write(delta.bytes_flushed));
+                .charge(node, sim::disk_write(delta.bytes_flushed));
         }
 
         self.state = JobState::Moving { completed_waves: 0 };
@@ -575,7 +572,6 @@ impl RebalanceJob {
         m: &BucketMove,
         tl: &mut NodeTimeline,
     ) -> Result<ShippedMove> {
-        let cost = cluster.cost_model();
         let (src_node, dst_node) = self.endpoints(cluster, m)?;
         let mut attempt = 0u32;
         while cluster
@@ -598,9 +594,8 @@ impl RebalanceJob {
                     attempt + 1
                 )));
             };
-            let round_trip = SimDuration::from_nanos(cost.network_latency_ns);
-            tl.charge(src_node, round_trip + wait);
-            tl.charge(dst_node, round_trip + wait);
+            tl.charge(src_node, sim::NETWORK_LATENCY + wait);
+            tl.charge(dst_node, sim::NETWORK_LATENCY + wait);
             attempt += 1;
         }
         let record = |bytes, entries, component_ids| ShippedMove {
@@ -625,7 +620,7 @@ impl RebalanceJob {
             let bytes = m.bytes;
             tl.charge(
                 dst_node,
-                cost.network(bytes) + cost.ingest_cpu(entries) + cost.disk_write(bytes),
+                sim::network(bytes) + sim::ingest_cpu(entries) + sim::disk_write(bytes),
             );
             return Ok(record(bytes, entries, Vec::new()));
         }
@@ -645,12 +640,12 @@ impl RebalanceJob {
         // arrive ready to serve, and the secondary rebuild is charged by
         // whoever runs it later (the first index query, or a commit cleanup).
         if bytes > 0 {
-            tl.charge(src_node, cost.disk_read(bytes));
+            tl.charge(src_node, sim::disk_read(bytes));
             tl.charge(
                 dst_node,
-                cost.network(bytes)
-                    + cost.component_ship_overhead(component_ids.len() as u64)
-                    + cost.disk_write(bytes),
+                sim::network(bytes)
+                    + sim::component_ship_overhead(component_ids.len() as u64)
+                    + sim::disk_write(bytes),
             );
         }
         Ok(record(bytes, entries, component_ids))
@@ -704,7 +699,6 @@ impl RebalanceJob {
         if lost.is_empty() {
             return Ok(ReplanReport::default());
         }
-        let cost = cluster.cost_model();
 
         let mut new_target = self.plan.target.clone();
         for n in &lost {
@@ -813,9 +807,7 @@ impl RebalanceJob {
 
         // Re-planning is CC work and costs makespan like any wave.
         let mut tl = NodeTimeline::new();
-        tl.charge_coordinator(SimDuration::from_nanos(
-            cost.job_overhead_ns * lost.len() as u64,
-        ));
+        tl.charge_coordinator(SimDuration(sim::JOB_OVERHEAD.0 * lost.len() as u64));
         self.movement += tl.elapsed();
         self.move_tl.extend(&tl);
 
@@ -867,7 +859,6 @@ impl RebalanceJob {
             matches!(self.state, JobState::Moving { completed_waves } if completed_waves == self.waves.len()),
             "prepare",
         )?;
-        let cost = cluster.cost_model();
         for m in &self.plan.moves {
             let dst_node = self
                 .plan
@@ -879,7 +870,7 @@ impl RebalanceJob {
                 let pending_bytes = dst.primary.pending_storage_bytes() as u64;
                 dst.primary.flush_pending();
                 self.fin_tl
-                    .charge(dst_node, cost.disk_write(pending_bytes / 8));
+                    .charge(dst_node, sim::disk_write(pending_bytes / 8));
             }
         }
         // Reads still proceed, but writes are blocked from here until the
@@ -890,8 +881,8 @@ impl RebalanceJob {
         }
         // Alive participants vote yes; dead ones cannot vote.
         self.all_voted = self.all_participants_alive(cluster);
-        self.fin_tl.charge_coordinator(SimDuration::from_nanos(
-            cost.network_latency_ns * self.participants.len() as u64,
+        self.fin_tl.charge_coordinator(SimDuration(
+            sim::NETWORK_LATENCY.0 * self.participants.len() as u64,
         ));
         self.state = JobState::Prepared;
         Ok(())
@@ -1224,14 +1215,13 @@ impl RebalanceJob {
     /// One commit message per participating node covers all of its bucket
     /// installs and cleanups.
     fn charge_commit_messages(&mut self, cluster: &Cluster) {
-        let latency = SimDuration::from_nanos(cluster.cost_model().network_latency_ns);
         for n in self.plan.participating_partitions().iter().filter_map(|p| {
             self.plan
                 .target
                 .node_of(*p)
                 .or_else(|| cluster.topology().node_of(*p))
         }) {
-            self.fin_tl.charge(n, latency);
+            self.fin_tl.charge(n, sim::NETWORK_LATENCY);
         }
     }
 
@@ -1239,7 +1229,6 @@ impl RebalanceJob {
     /// depend on how many records moved or stayed: installs append component
     /// handles, a cleanup marks a source's index components and reads no entry.
     fn run_commit_tasks(&mut self, cluster: &mut Cluster) -> Result<()> {
-        let cost = cluster.cost_model();
         self.charge_commit_messages(cluster);
         // First pass: every alive destination installs its received buckets,
         // re-shipping transfers that a crash wiped (replayed from the ship
@@ -1296,7 +1285,7 @@ impl RebalanceJob {
             // before the lazy-cleanup mark: that rebuild runs here, so it is
             // charged here (finalization), not hidden.
             if warmed > 0 {
-                self.fin_tl.charge(src_node, cost.index_rebuild_cpu(warmed));
+                self.fin_tl.charge(src_node, sim::index_rebuild_cpu(warmed));
             }
         }
         // Every alive participant acks; a dead one acks when finalize
@@ -1448,7 +1437,6 @@ mod tests {
             nodes,
             crate::ClusterConfig {
                 partitions_per_node: 2,
-                cost_model: crate::CostModel::default(),
             },
         );
         let ds = cluster
@@ -1717,7 +1705,7 @@ mod tests {
         assert_eq!((free.retries, free.reroutes), (0, 0));
         assert!(report.retries > 0, "60 % per-mille must trip some retries");
         assert_eq!(stats.transient_faults, report.retries);
-        assert!(stats.backoff > SimDuration::from_nanos(0));
+        assert!(stats.backoff > SimDuration::ZERO);
         assert!(report.elapsed >= free.elapsed, "retries cost backoff");
         assert_eq!(empty_contents, free_contents);
         assert_eq!(contents, free_contents);

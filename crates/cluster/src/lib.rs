@@ -71,7 +71,7 @@ pub use query::{in_key_order, KeyTable, QueryExecutor, QueryReport};
 pub use rebalance::{PhaseTimes, RebalanceOptions, RebalanceReport};
 pub use recovery::RecoveryReport;
 pub use session::{RouteError, Session, SessionMetrics};
-pub use sim::{CostModel, NodeTimeline, SimDuration};
+pub use sim::{NodeTimeline, SimDuration};
 
 use dynahash_core::{BucketId, CoreError, NodeId, PartitionId};
 use dynahash_lsm::StorageError;

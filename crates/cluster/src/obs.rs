@@ -296,7 +296,7 @@ pub(crate) fn jobs_in_flight(events: &[Event]) -> Vec<JobProgress> {
                 if let Some((job, spent)) = jobs.get_mut(&rebalance) {
                     job.waves_done += 1;
                     job.bytes_shipped += bytes;
-                    *spent += makespan.as_nanos();
+                    *spent += makespan.0;
                 }
             }
             // A re-plan drops the waves not yet run and appends fresh ones.
@@ -319,7 +319,7 @@ pub(crate) fn jobs_in_flight(events: &[Event]) -> Vec<JobProgress> {
         .map(|(mut job, spent)| {
             if job.waves_done > 0 {
                 let left = job.waves_total.saturating_sub(job.waves_done) as u64;
-                job.eta = SimDuration::from_nanos(spent / job.waves_done as u64 * left);
+                job.eta = SimDuration(spent / job.waves_done as u64 * left);
             }
             job
         })

@@ -33,7 +33,7 @@ use dynahash_lsm::{scramble, BucketedLsmTree, ScanOrder, SecondaryEntry};
 
 use crate::cluster::Cluster;
 use crate::dataset::{DatasetId, SecondaryIndexDef};
-use crate::sim::{NodeTimeline, SimDuration};
+use crate::sim::{self, NodeTimeline, SimDuration};
 use crate::{ClusterError, Result};
 
 /// The cost summary of one query execution.
@@ -141,7 +141,7 @@ pub(crate) fn scan_pass<A>(
 /// handed to `visit` as `(secondary, primary)` key bytes borrowed from the
 /// index, together with the partition's primary index and the index's
 /// definition. Obsolete entries of moved buckets are validated away but
-/// still counted as read, at 24 bytes an entry. A partition whose node is
+/// still counted as read, at `sim::INDEX_ENTRY_BYTES` an entry. A partition whose node is
 /// down refuses the pass.
 pub(crate) fn index_pass<A>(
     cluster: &mut Cluster,
@@ -170,7 +170,7 @@ pub(crate) fn index_pass<A>(
         let records = hits + idx.obsolete_entries_skipped() - skipped_before;
         let counts = PassCounts {
             records,
-            bytes: records * 24,
+            bytes: records * sim::INDEX_ENTRY_BYTES,
             buckets: 0,
             warmed,
         };
@@ -199,9 +199,8 @@ impl<'a> QueryExecutor<'a> {
     /// the coordinator immediately. Equivalent to
     /// [`crate::cluster::Cluster::query`].
     pub fn new(cluster: &'a mut Cluster) -> Self {
-        let overhead = cluster.cost_model().job_overhead_ns;
         let mut timeline = NodeTimeline::new();
-        timeline.charge_coordinator(SimDuration::from_nanos(overhead));
+        timeline.charge_coordinator(sim::JOB_OVERHEAD);
         QueryExecutor { cluster, timeline }
     }
 
@@ -266,7 +265,6 @@ impl<'a> QueryExecutor<'a> {
         init: impl FnMut(usize) -> A,
         visit: impl FnMut(&mut A, &Key, &Op),
     ) -> Result<Vec<(PartitionId, A)>> {
-        let cost_model = self.cluster.cost_model();
         let order = if ordered {
             ScanOrder::Ordered
         } else {
@@ -277,12 +275,12 @@ impl<'a> QueryExecutor<'a> {
         let mut out = Vec::with_capacity(passes.len());
         for (p, acc, read) in passes {
             let mut cost =
-                cost_model.disk_read(read.bytes) + cost_model.query_cpu(read.records, 1.0);
+                sim::disk_read(read.bytes) + sim::query_cpu(read.records, sim::SCAN_WEIGHT);
             if ordered {
                 // Merge-sort across the partition's bucket scans: cost grows
                 // with the number of buckets that must be reconciled.
                 let ways = (read.buckets as f64).log2().ceil().max(1.0) as u64;
-                cost += cost_model.merge_sort_cpu(read.records * ways);
+                cost += sim::merge_sort_cpu(read.records * ways);
             }
             self.timeline
                 .charge(self.cluster.node_of_partition(p)?, cost);
@@ -367,7 +365,6 @@ impl<'a> QueryExecutor<'a> {
         init: impl FnMut() -> A,
         visit: impl FnMut(&mut A, &BucketedLsmTree, &SecondaryIndexDef, &[u8], &[u8]),
     ) -> Result<Vec<(PartitionId, A)>> {
-        let cost_model = self.cluster.cost_model();
         let partitions = self.cluster.controller.dataset(dataset)?.partitions.clone();
         let passes = index_pass(self.cluster, dataset, &partitions, range, init, visit)?;
         let mut out = Vec::with_capacity(passes.len());
@@ -375,9 +372,10 @@ impl<'a> QueryExecutor<'a> {
             let node = self.cluster.node_of_partition(p)?;
             if read.warmed > 0 {
                 self.timeline
-                    .charge(node, cost_model.index_rebuild_cpu(read.warmed));
+                    .charge(node, sim::index_rebuild_cpu(read.warmed));
             }
-            let cost = cost_model.disk_read(read.bytes) + cost_model.query_cpu(read.records, 0.5);
+            let cost =
+                sim::disk_read(read.bytes) + sim::query_cpu(read.records, sim::INDEX_PROBE_WEIGHT);
             self.timeline.charge(node, cost);
             out.push((p, acc));
         }
@@ -412,8 +410,7 @@ impl<'a> QueryExecutor<'a> {
     /// plan: a primary lookup per candidate key, and a read of the key and
     /// payload bytes of the records found.
     fn charge_fetch(&mut self, partition: PartitionId, candidates: u64, bytes: u64) -> Result<()> {
-        let cost_model = self.cluster.cost_model();
-        let cost = cost_model.disk_read(bytes) + cost_model.query_cpu(candidates, 0.3);
+        let cost = sim::disk_read(bytes) + sim::query_cpu(candidates, sim::FETCH_WEIGHT);
         self.timeline
             .charge(self.cluster.node_of_partition(partition)?, cost);
         Ok(())
@@ -427,7 +424,7 @@ impl<'a> QueryExecutor<'a> {
     pub fn charge_balanced(&mut self, records: u64, weight: f64) -> Result<()> {
         let partitions = self.cluster.topology().partitions();
         let per = records / partitions.len().max(1) as u64;
-        let cost = self.cluster.cost_model().query_cpu(per, weight);
+        let cost = sim::query_cpu(per, weight);
         for p in partitions {
             self.timeline
                 .charge(self.cluster.node_of_partition(p)?, cost);
@@ -437,7 +434,7 @@ impl<'a> QueryExecutor<'a> {
 
     /// Charges serial coordinator-side compute (final merges, top-k, output).
     pub fn charge_coordinator(&mut self, records: u64, weight: f64) {
-        let cost = self.cluster.cost_model().query_cpu(records, weight);
+        let cost = sim::query_cpu(records, weight);
         self.timeline.charge_coordinator(cost);
     }
 

@@ -24,7 +24,7 @@ use crate::cluster::{Cluster, Write};
 use crate::dataset::DatasetId;
 use crate::feed::split_into_batches;
 use crate::job::{RebalanceJob, StepPoint};
-use crate::sim::{NodeTimeline, SimDuration};
+use crate::sim::{self, NodeTimeline, SimDuration};
 use crate::{ClusterError, Result};
 
 /// Options controlling a rebalance operation, built fluently:
@@ -238,10 +238,9 @@ impl Cluster {
         for node in target.nodes() {
             self.require_up(node)?;
         }
-        let cost = self.cost_model();
         let rebalance_id = self.controller.log_begin(dataset);
         let mut tl = NodeTimeline::new();
-        tl.charge_coordinator(SimDuration::from_nanos(cost.job_overhead_ns));
+        tl.charge_coordinator(sim::JOB_OVERHEAD);
 
         let spec = self.controller.dataset(dataset)?.spec.clone();
         let new_partitions = target.partitions();
@@ -264,7 +263,7 @@ impl Cluster {
             };
             let entries = ds.primary.scan(dynahash_lsm::ScanOrder::Unordered);
             let scan_bytes: u64 = entries.iter().map(|e| e.size_bytes() as u64).sum();
-            tl.charge(src_node, cost.disk_read(scan_bytes));
+            tl.charge(src_node, sim::disk_read(scan_bytes));
             for e in entries {
                 let record_bytes = e.size_bytes() as u64;
                 let Op::Put(value) = e.op else {
@@ -287,7 +286,7 @@ impl Cluster {
             }
         }
         for (node, bytes) in &inbound_bytes {
-            tl.charge(*node, cost.network(*bytes));
+            tl.charge(*node, sim::network(*bytes));
         }
         for (p, (load_bytes, n_records)) in loads {
             let dst_node = target.node_of(p).ok_or(ClusterError::UnknownPartition(p))?;
@@ -298,7 +297,7 @@ impl Cluster {
             // components.
             tl.charge(
                 dst_node,
-                cost.disk_write(load_bytes) + cost.ingest_cpu(n_records),
+                sim::disk_write(load_bytes) + sim::ingest_cpu(n_records),
             );
         }
 
@@ -395,7 +394,6 @@ mod tests {
             nodes,
             crate::ClusterConfig {
                 partitions_per_node: 2,
-                cost_model: crate::CostModel::default(),
             },
         );
         let ds = cluster.create_dataset(spec(scheme)).unwrap();

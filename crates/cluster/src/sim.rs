@@ -8,33 +8,26 @@
 //! nodes — the "bottlenecked by the slowest node" behaviour that drives the
 //! paper's results — plus any coordinator-side serial work.
 //!
-//! Only *relative* comparisons are meaningful (who wins and by how much),
-//! not absolute values. The default constants are loosely calibrated to an
-//! SSD-era machine: ~2 GB/s sequential read, ~1 GB/s write, ~1 GB/s network,
-//! a few microseconds of CPU per record parsed.
+//! The prices are the constants of this module — one price list, no
+//! settable model — and the functions below (`disk_read`, `network`,
+//! `query_cpu`, …) are the only place they are multiplied out. Only
+//! *relative* comparisons are meaningful (who wins and by how much), not
+//! absolute values: reads cost half of writes, the network costs more than
+//! either, and parsing a record costs more than querying it.
 
 use std::collections::BTreeMap;
 use std::ops::{Add, AddAssign};
 
 use dynahash_core::NodeId;
 
-/// A simulated duration, stored in nanoseconds.
+/// A simulated duration in nanoseconds. The field is public so that prices
+/// can be `const`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct SimDuration(pub u64);
 
 impl SimDuration {
     /// Zero duration.
     pub const ZERO: SimDuration = SimDuration(0);
-
-    /// From nanoseconds.
-    pub fn from_nanos(ns: u64) -> Self {
-        SimDuration(ns)
-    }
-
-    /// As nanoseconds.
-    pub fn as_nanos(&self) -> u64 {
-        self.0
-    }
 
     /// As fractional seconds.
     pub fn as_secs_f64(&self) -> f64 {
@@ -76,112 +69,96 @@ impl std::iter::Sum for SimDuration {
     }
 }
 
-/// The hardware cost constants.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    /// CPU time to parse and route one ingested record (ns). Ingestion in
-    /// AsterixDB is CPU-heavy because of record parsing (Section VI-B).
-    pub cpu_ns_per_ingested_record: u64,
-    /// CPU time per record touched by query operators (filter/aggregate), ns.
-    pub cpu_ns_per_query_record: u64,
-    /// Extra CPU per record for merge-sorting bucketed scan results when
-    /// primary-key order is required (priority-queue overhead), ns.
-    pub cpu_ns_per_merge_sorted_record: u64,
-    /// CPU per record for building the secondary-index entries of a bucket
-    /// a rebalance moved, ns. Charged where the deferred rebuild runs: the
-    /// first index query after the move, or a commit whose cleanup must
-    /// materialize a stash.
-    pub cpu_ns_per_index_rebuild_record: u64,
-    /// Fixed per-component overhead of shipping a sealed component whole
-    /// (open/close, manifest update at the destination), ns. Sealed
-    /// components move as whole files (Section IV), so a shipped bucket pays
-    /// no per-record CPU.
-    pub component_ship_overhead_ns: u64,
-    /// Sequential disk read cost, ns per byte (~2 GB/s → 0.5 ns/byte).
-    pub disk_read_ns_per_byte: u64,
-    /// Sequential disk write cost, ns per byte (~1 GB/s → 1 ns/byte).
-    pub disk_write_ns_per_byte: u64,
-    /// Network transfer cost, ns per byte (~1 GB/s → 1 ns/byte).
-    pub network_ns_per_byte: u64,
-    /// Fixed per-message network latency, ns.
-    pub network_latency_ns: u64,
-    /// Fixed coordinator overhead per distributed job (compile + dispatch), ns.
-    pub job_overhead_ns: u64,
-    /// CPU cost per byte merged (LSM merges are CPU- and IO-bound), ns.
-    pub merge_cpu_ns_per_byte: u64,
+// The price list. Constants are scaled so that *byte-proportional* work
+// dominates fixed per-message overheads even at the reduced data sizes the
+// simulation runs at; this keeps the relative shapes of the paper's figures
+// intact (the paper's clusters store ~1000x more data, where per-bucket RPC
+// latencies are negligible).
+
+/// CPU time to parse and route one ingested record (ns). Ingestion in
+/// AsterixDB is CPU-heavy because of record parsing (Section VI-B).
+pub const CPU_NS_PER_INGESTED_RECORD: u64 = 20_000;
+/// CPU time per record touched by query operators (filter/aggregate), ns.
+pub const CPU_NS_PER_QUERY_RECORD: u64 = 1_000;
+/// Extra CPU per record for merge-sorting bucketed scan results when
+/// primary-key order is required (priority-queue overhead), ns.
+pub const CPU_NS_PER_MERGE_SORTED_RECORD: u64 = 400;
+/// CPU per record for building the secondary-index entries of a bucket a
+/// rebalance moved, ns. Charged where the deferred rebuild runs: the first
+/// index query after the move, or a commit whose cleanup must materialize a
+/// stash.
+pub const CPU_NS_PER_INDEX_REBUILD_RECORD: u64 = 4_000;
+/// Fixed per-component overhead of shipping a sealed component whole
+/// (open/close, manifest update at the destination). Sealed components move
+/// as whole files (Section IV), so a shipped bucket pays no per-record CPU.
+pub const COMPONENT_SHIP_OVERHEAD: SimDuration = SimDuration(2_000);
+/// Sequential disk read cost, ns per byte.
+pub const DISK_READ_NS_PER_BYTE: u64 = 10;
+/// Sequential disk write cost, ns per byte.
+pub const DISK_WRITE_NS_PER_BYTE: u64 = 20;
+/// Network transfer cost, ns per byte.
+pub const NETWORK_NS_PER_BYTE: u64 = 25;
+/// Fixed per-message network latency.
+pub const NETWORK_LATENCY: SimDuration = SimDuration(20_000);
+/// Fixed coordinator overhead per distributed job (compile + dispatch).
+pub const JOB_OVERHEAD: SimDuration = SimDuration(2_000_000);
+/// CPU cost per byte merged (LSM merges are CPU- and IO-bound), ns.
+pub const MERGE_CPU_NS_PER_BYTE: u64 = 5;
+/// Bytes an index scan counts as read per secondary-index entry it visits.
+pub const INDEX_ENTRY_BYTES: u64 = 24;
+/// [`query_cpu`] weight of a scan's filter/aggregate pass.
+pub const SCAN_WEIGHT: f64 = 1.0;
+/// [`query_cpu`] weight of an index scan, per entry visited.
+pub const INDEX_PROBE_WEIGHT: f64 = 0.5;
+/// [`query_cpu`] weight of a primary-key fetch, per candidate key.
+pub const FETCH_WEIGHT: f64 = 0.3;
+
+/// Cost of reading `bytes` sequentially from disk.
+pub fn disk_read(bytes: u64) -> SimDuration {
+    SimDuration(bytes * DISK_READ_NS_PER_BYTE)
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        // Constants are scaled so that *byte-proportional* work dominates
-        // fixed per-message overheads even at the reduced data sizes the
-        // simulation runs at; this keeps the relative shapes of the paper's
-        // figures intact (the paper's clusters store ~1000x more data, where
-        // per-bucket RPC latencies are negligible).
-        CostModel {
-            cpu_ns_per_ingested_record: 20_000,
-            cpu_ns_per_query_record: 1_000,
-            cpu_ns_per_merge_sorted_record: 400,
-            cpu_ns_per_index_rebuild_record: 4_000,
-            component_ship_overhead_ns: 2_000,
-            disk_read_ns_per_byte: 10,
-            disk_write_ns_per_byte: 20,
-            network_ns_per_byte: 25,
-            network_latency_ns: 20_000,
-            job_overhead_ns: 2_000_000,
-            merge_cpu_ns_per_byte: 5,
-        }
-    }
+/// Cost of writing `bytes` sequentially to disk.
+pub fn disk_write(bytes: u64) -> SimDuration {
+    SimDuration(bytes * DISK_WRITE_NS_PER_BYTE)
 }
 
-impl CostModel {
-    /// Cost of reading `bytes` sequentially from disk.
-    pub fn disk_read(&self, bytes: u64) -> SimDuration {
-        SimDuration(bytes * self.disk_read_ns_per_byte)
-    }
+/// Cost of shipping `bytes` over the network (one message).
+pub fn network(bytes: u64) -> SimDuration {
+    SimDuration(bytes * NETWORK_NS_PER_BYTE + NETWORK_LATENCY.0)
+}
 
-    /// Cost of writing `bytes` sequentially to disk.
-    pub fn disk_write(&self, bytes: u64) -> SimDuration {
-        SimDuration(bytes * self.disk_write_ns_per_byte)
-    }
+/// CPU cost of ingesting `records` records.
+pub fn ingest_cpu(records: u64) -> SimDuration {
+    SimDuration(records * CPU_NS_PER_INGESTED_RECORD)
+}
 
-    /// Cost of shipping `bytes` over the network (one message).
-    pub fn network(&self, bytes: u64) -> SimDuration {
-        SimDuration(bytes * self.network_ns_per_byte + self.network_latency_ns)
-    }
+/// CPU cost of query operators over `records` records with a relative
+/// `weight` (1.0 = a plain filter/aggregate pass).
+pub fn query_cpu(records: u64, weight: f64) -> SimDuration {
+    SimDuration((records as f64 * CPU_NS_PER_QUERY_RECORD as f64 * weight) as u64)
+}
 
-    /// CPU cost of ingesting `records` records.
-    pub fn ingest_cpu(&self, records: u64) -> SimDuration {
-        SimDuration(records * self.cpu_ns_per_ingested_record)
-    }
+/// CPU cost of merge-sorting `records` records from multiple bucket scans.
+pub fn merge_sort_cpu(records: u64) -> SimDuration {
+    SimDuration(records * CPU_NS_PER_MERGE_SORTED_RECORD)
+}
 
-    /// CPU cost of query operators over `records` records with a relative
-    /// `weight` (1.0 = a plain filter/aggregate pass).
-    pub fn query_cpu(&self, records: u64, weight: f64) -> SimDuration {
-        SimDuration((records as f64 * self.cpu_ns_per_query_record as f64 * weight) as u64)
-    }
+/// CPU cost of rebuilding secondary-index entries for `records` records.
+pub fn index_rebuild_cpu(records: u64) -> SimDuration {
+    SimDuration(records * CPU_NS_PER_INDEX_REBUILD_RECORD)
+}
 
-    /// CPU cost of merge-sorting `records` records from multiple bucket scans.
-    pub fn merge_sort_cpu(&self, records: u64) -> SimDuration {
-        SimDuration(records * self.cpu_ns_per_merge_sorted_record)
-    }
+/// Fixed cost of shipping `components` sealed components whole.
+pub fn component_ship_overhead(components: u64) -> SimDuration {
+    SimDuration(components * COMPONENT_SHIP_OVERHEAD.0)
+}
 
-    /// CPU cost of rebuilding secondary-index entries for `records` records.
-    pub fn index_rebuild_cpu(&self, records: u64) -> SimDuration {
-        SimDuration(records * self.cpu_ns_per_index_rebuild_record)
-    }
-
-    /// Fixed cost of shipping `components` sealed components whole.
-    pub fn component_ship_overhead(&self, components: u64) -> SimDuration {
-        SimDuration(components * self.component_ship_overhead_ns)
-    }
-
-    /// Cost of merge work that read and wrote the given byte counts.
-    pub fn merge_cost(&self, bytes_read: u64, bytes_written: u64) -> SimDuration {
-        self.disk_read(bytes_read)
-            + self.disk_write(bytes_written)
-            + SimDuration((bytes_read + bytes_written) * self.merge_cpu_ns_per_byte)
-    }
+/// Cost of merge work that read and wrote the given byte counts.
+pub fn merge_cost(bytes_read: u64, bytes_written: u64) -> SimDuration {
+    disk_read(bytes_read)
+        + disk_write(bytes_written)
+        + SimDuration((bytes_read + bytes_written) * MERGE_CPU_NS_PER_BYTE)
 }
 
 /// A per-node timeline: accumulates simulated work per node and reports the
@@ -248,12 +225,9 @@ mod tests {
     #[test]
     fn duration_conversions() {
         let d = secs(90);
-        assert_eq!(d.as_nanos(), 90_000_000_000);
+        assert_eq!(d.0, 90_000_000_000);
         assert!((d.as_minutes_f64() - 1.5).abs() < 1e-9);
-        assert_eq!(
-            SimDuration::from_nanos(5) + SimDuration::from_nanos(7),
-            SimDuration(12)
-        );
+        assert_eq!(SimDuration(5) + SimDuration(7), SimDuration(12));
         assert_eq!(SimDuration(10).max(SimDuration(3)), SimDuration(10));
         assert_eq!(
             SimDuration(3).saturating_sub(SimDuration(10)),
@@ -262,17 +236,13 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_scales_linearly() {
-        let m = CostModel::default();
-        assert_eq!(m.disk_read(1000).as_nanos(), 1000 * m.disk_read_ns_per_byte);
-        assert!(m.network(0).as_nanos() >= m.network_latency_ns);
-        assert_eq!(
-            m.ingest_cpu(10).as_nanos(),
-            10 * m.cpu_ns_per_ingested_record
-        );
-        let light = m.query_cpu(1000, 1.0);
-        let heavy = m.query_cpu(1000, 3.0);
-        assert_eq!(heavy.as_nanos(), 3 * light.as_nanos());
+    fn prices_scale_linearly() {
+        assert_eq!(disk_read(1000).0, 1000 * DISK_READ_NS_PER_BYTE);
+        assert!(network(0) >= NETWORK_LATENCY);
+        assert_eq!(ingest_cpu(10).0, 10 * CPU_NS_PER_INGESTED_RECORD);
+        let light = query_cpu(1000, 1.0);
+        let heavy = query_cpu(1000, 3.0);
+        assert_eq!(heavy.0, 3 * light.0);
     }
 
     #[test]

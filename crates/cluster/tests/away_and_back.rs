@@ -17,8 +17,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dynahash_cluster::{
-    Cluster, ClusterConfig, CostModel, DatasetId, DatasetSpec, Partition, RebalanceJob,
-    SecondaryIndexDef, Session,
+    Cluster, ClusterConfig, DatasetId, DatasetSpec, Partition, RebalanceJob, SecondaryIndexDef,
+    Session,
 };
 use dynahash_core::{NodeId, PartitionId, RebalanceOutcome, Scheme};
 use dynahash_lsm::bucket::hash_key;
@@ -71,7 +71,6 @@ impl World {
             nodes,
             ClusterConfig {
                 partitions_per_node: 2,
-                cost_model: CostModel::default(),
             },
         );
         let ds = cluster.create_dataset(spec).unwrap();

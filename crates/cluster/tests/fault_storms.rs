@@ -16,7 +16,7 @@
 //! Everything is seeded: a failure replays exactly from the printed seed.
 
 use dynahash_cluster::{
-    Cluster, ClusterConfig, ClusterError, CostModel, DatasetId, DatasetSpec, Fault, FaultSchedule,
+    Cluster, ClusterConfig, ClusterError, DatasetId, DatasetSpec, Fault, FaultSchedule,
     RebalanceJob, RebalanceOptions, StepPoint,
 };
 use dynahash_core::{NodeId, RebalanceOutcome, Scheme};
@@ -35,7 +35,6 @@ fn loaded(nodes: u32, n: u64) -> (Cluster, DatasetId) {
         nodes,
         ClusterConfig {
             partitions_per_node: 2,
-            cost_model: CostModel::default(),
         },
     );
     let ds = cluster

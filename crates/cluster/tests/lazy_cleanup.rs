@@ -7,7 +7,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dynahash_cluster::{
-    Cluster, ClusterConfig, CostModel, DatasetId, DatasetSpec, RebalanceJob, SecondaryIndexDef,
+    Cluster, ClusterConfig, DatasetId, DatasetSpec, RebalanceJob, SecondaryIndexDef,
 };
 use dynahash_core::{PartitionId, RebalanceOutcome, Scheme};
 use dynahash_lsm::entry::Key;
@@ -55,7 +55,6 @@ fn commit_applies_no_mark_and_the_first_index_scan_applies_them_all() {
         4,
         ClusterConfig {
             partitions_per_node: 2,
-            cost_model: CostModel::default(),
         },
     );
     let spec = DatasetSpec::new("events", Scheme::StaticHash { num_buckets: 128 })

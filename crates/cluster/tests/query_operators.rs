@@ -17,8 +17,8 @@
 use std::collections::BTreeMap;
 
 use dynahash_cluster::{
-    Cluster, ClusterConfig, CostModel, DatasetId, DatasetSpec, QueryReport, RebalanceJob,
-    SecondaryIndexDef, Session,
+    Cluster, ClusterConfig, DatasetId, DatasetSpec, QueryReport, RebalanceJob, SecondaryIndexDef,
+    Session,
 };
 use dynahash_core::{NodeId, PartitionId, RebalanceOutcome, Scheme};
 use dynahash_lsm::entry::Key;
@@ -60,7 +60,6 @@ impl World {
             4,
             ClusterConfig {
                 partitions_per_node: 2,
-                cost_model: CostModel::default(),
             },
         );
         // Buckets small enough to split under the load, a memory component

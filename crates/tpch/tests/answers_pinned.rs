@@ -39,13 +39,13 @@ fn run_suite(out: &mut String, scheme: &str, state: &str, cluster: &mut Cluster,
         let answer = run_query(n, &mut exec, t).unwrap();
         let report = exec.finish();
         let nodes: Vec<String> = (report.per_node.iter())
-            .map(|(node, busy)| format!("{}:{}", node.0, busy.as_nanos()))
+            .map(|(node, busy)| format!("{}:{}", node.0, busy.0))
             .collect();
         writeln!(
             out,
             "{scheme} {state} q{n:02} {answer:?} {} {} {}",
-            report.elapsed.as_nanos(),
-            report.coordinator.as_nanos(),
+            report.elapsed.0,
+            report.coordinator.0,
             nodes.join(",")
         )
         .unwrap();

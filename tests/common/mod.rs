@@ -25,8 +25,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dynahash::cluster::{
-    split_into_batches, Cluster, ClusterConfig, CostModel, DatasetSpec, RebalanceJob,
-    SecondaryIndexDef, StepPoint,
+    split_into_batches, Cluster, ClusterConfig, DatasetSpec, RebalanceJob, SecondaryIndexDef,
+    StepPoint,
 };
 use dynahash::core::{NodeId, PartitionId, RebalanceOutcome, Scheme};
 use dynahash::lsm::entry::{Key, Value};
@@ -49,7 +49,6 @@ pub fn test_cluster(nodes: u32) -> Cluster {
         nodes,
         ClusterConfig {
             partitions_per_node: 2,
-            cost_model: CostModel::default(),
         },
     )
 }

@@ -13,8 +13,8 @@
 //! ([`Cluster::check_rebalance_integrity`]).
 
 use dynahash::cluster::{
-    Cluster, ClusterConfig, CostModel, DatasetSpec, Fault, FaultSchedule, RebalanceJob,
-    RebalanceOptions, SecondaryIndexDef, StepPoint,
+    Cluster, ClusterConfig, DatasetSpec, Fault, FaultSchedule, RebalanceJob, RebalanceOptions,
+    SecondaryIndexDef, StepPoint,
 };
 use dynahash::core::{ClusterTopology, NodeId, RebalanceOutcome, Scheme};
 use dynahash::lsm::entry::Key;
@@ -67,7 +67,6 @@ fn loaded_cluster(nodes: u32, spec: DatasetSpec) -> (Cluster, u32) {
         nodes,
         ClusterConfig {
             partitions_per_node: 2,
-            cost_model: CostModel::default(),
         },
     );
     let ds = cluster.create_dataset(spec).unwrap();
