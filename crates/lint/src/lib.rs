@@ -29,10 +29,11 @@
 //!   cross-file like the lock-order check, so it never flags a used item;
 //!   its blind spots are listed on [`rules::dead_pub`].
 //!
-//! Findings are waived inline with
+//! Panic, determinism and dead-pub findings are waived inline with
 //! `// dhlint: allow(<rule>) — <reason>` and the number of used waivers per
 //! rule is pinned by the committed `LINT_BUDGET.toml`, which only ratchets
-//! down. Run it as:
+//! down. Layering, lock-order and manifest-metadata findings cannot be
+//! waived: the manifests and `LOCK_ORDER.md` are fixed instead. Run it as:
 //!
 //! ```text
 //! cargo run --release -p dynahash-lint -- --check .

@@ -62,9 +62,14 @@ impl Rule {
 
     /// True when an inline `// dhlint: allow(...)` comment may waive a
     /// finding of this family. Manifest-level families have no source line
-    /// to hang a waiver on and must be fixed instead.
+    /// to hang a waiver on, and lock-order findings are checked against
+    /// `LOCK_ORDER.md` after the per-file waivers are applied: all of them
+    /// must be fixed instead.
     pub fn waivable(self) -> bool {
-        !matches!(self, Rule::Layering | Rule::Metadata | Rule::Waiver)
+        !matches!(
+            self,
+            Rule::Layering | Rule::LockOrder | Rule::Metadata | Rule::Waiver
+        )
     }
 }
 

@@ -190,11 +190,14 @@ mod tests {
 
     #[test]
     fn unknown_rule_and_missing_reason_are_malformed() {
-        let lexed =
-            lex("// dhlint: allow(bogus) — reason here\nx();\n// dhlint: allow(panic)\ny();\n");
+        let lexed = lex(
+            "// dhlint: allow(bogus) — reason here\nx();\n// dhlint: allow(panic)\ny();\n\
+             // dhlint: allow(lock-order) — registered elsewhere\nz();\n",
+        );
         let w = collect_waivers("f.rs", &lexed);
         assert!(w.waivers.is_empty());
-        assert_eq!(w.malformed.len(), 2);
+        assert_eq!(w.malformed.len(), 3);
+        assert!(w.malformed[2].message.contains("cannot be waived inline"));
     }
 
     #[test]
