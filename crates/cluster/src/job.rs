@@ -859,18 +859,19 @@ impl RebalanceJob {
             matches!(self.state, JobState::Moving { completed_waves } if completed_waves == self.waves.len()),
             "prepare",
         )?;
-        for m in &self.plan.moves {
-            let dst_node = self
-                .plan
-                .target
-                .node_of(m.to)
-                .ok_or(ClusterError::UnknownPartition(m.to))?;
+        // One flush per live destination partition, priced by the bytes it
+        // wrote — the replicated writes only, since shipped components are
+        // sealed already.
+        let destinations: BTreeSet<PartitionId> = self.plan.moves.iter().map(|m| m.to).collect();
+        for to in destinations {
+            let dst_node =
+                (self.plan.target.node_of(to)).ok_or(ClusterError::UnknownPartition(to))?;
             if cluster.node_is_alive(dst_node) {
-                let dst = cluster.store_mut(m.to, self.dataset)?;
-                let pending_bytes = dst.primary.pending_storage_bytes() as u64;
-                dst.primary.flush_pending();
-                self.fin_tl
-                    .charge(dst_node, sim::disk_write(pending_bytes / 8));
+                let before = cluster.partition(to)?.metrics().snapshot();
+                cluster.store_mut(to, self.dataset)?.primary.flush_pending();
+                let after = cluster.partition(to)?.metrics().snapshot();
+                let flushed = after.delta_since(&before).bytes_flushed;
+                self.fin_tl.charge(dst_node, sim::disk_write(flushed));
             }
         }
         // Reads still proceed, but writes are blocked from here until the
@@ -1666,6 +1667,51 @@ mod tests {
         cluster
             .check_rebalance_integrity(ds, report.rebalance_id)
             .unwrap();
+    }
+
+    /// Prepare charges each live destination one flush of what it wrote:
+    /// nothing when no write arrived during movement (shipped components
+    /// are sealed already), and the flushed replicated writes once when a
+    /// feed batch hit a shipped bucket.
+    #[test]
+    fn prepare_charges_each_destination_the_bytes_it_flushed() {
+        let moving = |writes: bool| {
+            let (mut cluster, ds) = loaded(2, 2000);
+            cluster.add_node().unwrap();
+            let target = cluster.topology().clone();
+            let mut job = RebalanceJob::plan(&mut cluster, ds, &target, 2).unwrap();
+            job.init(&mut cluster).unwrap();
+            job.run_wave(&mut cluster).unwrap();
+            let m = job.waves()[0][0];
+            if writes {
+                let src = cluster.store(m.from, ds).unwrap();
+                let entries = src.primary.bucket_tree(&m.bucket).unwrap().scan_all();
+                let batch: Vec<(Key, Bytes)> = (entries.into_iter().take(20))
+                    .map(|e| (e.key, Bytes::from(vec![7u8; 48])))
+                    .collect();
+                job.apply_feed_batch(&mut cluster, batch).unwrap();
+            }
+            while job.has_remaining_waves() {
+                job.run_wave(&mut cluster).unwrap();
+            }
+            (cluster, job, m)
+        };
+
+        let (mut cluster, mut job, _) = moving(false);
+        job.prepare(&mut cluster).unwrap();
+        assert_eq!(job.fin_tl.max_node_time(), SimDuration::ZERO);
+
+        let (mut cluster, mut job, m) = moving(true);
+        let flushed = |cluster: &Cluster| cluster.partition(m.to).unwrap().metrics().snapshot();
+        let before = flushed(&cluster);
+        job.prepare(&mut cluster).unwrap();
+        let bytes = flushed(&cluster).delta_since(&before).bytes_flushed;
+        assert!(bytes > 0, "the replicated batch was not flushed");
+        let dst_node = cluster.topology().node_of(m.to).unwrap();
+        let charged: Vec<(NodeId, SimDuration)> = (job.fin_tl.breakdown().into_iter())
+            .filter(|(_, busy)| *busy > SimDuration::ZERO)
+            .collect();
+        assert_eq!(charged, vec![(dst_node, sim::disk_write(bytes))]);
     }
 
     #[test]
