@@ -1702,10 +1702,10 @@ mod tests {
         assert_eq!(job.fin_tl.max_node_time(), SimDuration::ZERO);
 
         let (mut cluster, mut job, m) = moving(true);
-        let flushed = |cluster: &Cluster| cluster.partition(m.to).unwrap().metrics().snapshot();
-        let before = flushed(&cluster);
+        let metrics = |cluster: &Cluster| cluster.partition(m.to).unwrap().metrics().snapshot();
+        let before = metrics(&cluster);
         job.prepare(&mut cluster).unwrap();
-        let bytes = flushed(&cluster).delta_since(&before).bytes_flushed;
+        let bytes = metrics(&cluster).delta_since(&before).bytes_flushed;
         assert!(bytes > 0, "the replicated batch was not flushed");
         let dst_node = cluster.topology().node_of(m.to).unwrap();
         let charged: Vec<(NodeId, SimDuration)> = (job.fin_tl.breakdown().into_iter())

@@ -77,85 +77,85 @@ impl std::iter::Sum for SimDuration {
 
 /// CPU time to parse and route one ingested record (ns). Ingestion in
 /// AsterixDB is CPU-heavy because of record parsing (Section VI-B).
-pub const CPU_NS_PER_INGESTED_RECORD: u64 = 20_000;
+pub(crate) const CPU_NS_PER_INGESTED_RECORD: u64 = 20_000;
 /// CPU time per record touched by query operators (filter/aggregate), ns.
-pub const CPU_NS_PER_QUERY_RECORD: u64 = 1_000;
+pub(crate) const CPU_NS_PER_QUERY_RECORD: u64 = 1_000;
 /// Extra CPU per record for merge-sorting bucketed scan results when
 /// primary-key order is required (priority-queue overhead), ns.
-pub const CPU_NS_PER_MERGE_SORTED_RECORD: u64 = 400;
+pub(crate) const CPU_NS_PER_MERGE_SORTED_RECORD: u64 = 400;
 /// CPU per record for building the secondary-index entries of a bucket a
 /// rebalance moved, ns. Charged where the deferred rebuild runs: the first
 /// index query after the move, or a commit whose cleanup must materialize a
 /// stash.
-pub const CPU_NS_PER_INDEX_REBUILD_RECORD: u64 = 4_000;
+pub(crate) const CPU_NS_PER_INDEX_REBUILD_RECORD: u64 = 4_000;
 /// Fixed per-component overhead of shipping a sealed component whole
 /// (open/close, manifest update at the destination). Sealed components move
 /// as whole files (Section IV), so a shipped bucket pays no per-record CPU.
-pub const COMPONENT_SHIP_OVERHEAD: SimDuration = SimDuration(2_000);
+pub(crate) const COMPONENT_SHIP_OVERHEAD: SimDuration = SimDuration(2_000);
 /// Sequential disk read cost, ns per byte.
-pub const DISK_READ_NS_PER_BYTE: u64 = 10;
+pub(crate) const DISK_READ_NS_PER_BYTE: u64 = 10;
 /// Sequential disk write cost, ns per byte.
-pub const DISK_WRITE_NS_PER_BYTE: u64 = 20;
+pub(crate) const DISK_WRITE_NS_PER_BYTE: u64 = 20;
 /// Network transfer cost, ns per byte.
-pub const NETWORK_NS_PER_BYTE: u64 = 25;
+pub(crate) const NETWORK_NS_PER_BYTE: u64 = 25;
 /// Fixed per-message network latency.
-pub const NETWORK_LATENCY: SimDuration = SimDuration(20_000);
+pub(crate) const NETWORK_LATENCY: SimDuration = SimDuration(20_000);
 /// Fixed coordinator overhead per distributed job (compile + dispatch).
-pub const JOB_OVERHEAD: SimDuration = SimDuration(2_000_000);
+pub(crate) const JOB_OVERHEAD: SimDuration = SimDuration(2_000_000);
 /// CPU cost per byte merged (LSM merges are CPU- and IO-bound), ns.
-pub const MERGE_CPU_NS_PER_BYTE: u64 = 5;
+pub(crate) const MERGE_CPU_NS_PER_BYTE: u64 = 5;
 /// Bytes an index scan counts as read per secondary-index entry it visits.
-pub const INDEX_ENTRY_BYTES: u64 = 24;
+pub(crate) const INDEX_ENTRY_BYTES: u64 = 24;
 /// [`query_cpu`] weight of a scan's filter/aggregate pass.
-pub const SCAN_WEIGHT: f64 = 1.0;
+pub(crate) const SCAN_WEIGHT: f64 = 1.0;
 /// [`query_cpu`] weight of an index scan, per entry visited.
-pub const INDEX_PROBE_WEIGHT: f64 = 0.5;
+pub(crate) const INDEX_PROBE_WEIGHT: f64 = 0.5;
 /// [`query_cpu`] weight of a primary-key fetch, per candidate key.
-pub const FETCH_WEIGHT: f64 = 0.3;
+pub(crate) const FETCH_WEIGHT: f64 = 0.3;
 
 /// Cost of reading `bytes` sequentially from disk.
-pub fn disk_read(bytes: u64) -> SimDuration {
+pub(crate) fn disk_read(bytes: u64) -> SimDuration {
     SimDuration(bytes * DISK_READ_NS_PER_BYTE)
 }
 
 /// Cost of writing `bytes` sequentially to disk.
-pub fn disk_write(bytes: u64) -> SimDuration {
+pub(crate) fn disk_write(bytes: u64) -> SimDuration {
     SimDuration(bytes * DISK_WRITE_NS_PER_BYTE)
 }
 
 /// Cost of shipping `bytes` over the network (one message).
-pub fn network(bytes: u64) -> SimDuration {
+pub(crate) fn network(bytes: u64) -> SimDuration {
     SimDuration(bytes * NETWORK_NS_PER_BYTE + NETWORK_LATENCY.0)
 }
 
 /// CPU cost of ingesting `records` records.
-pub fn ingest_cpu(records: u64) -> SimDuration {
+pub(crate) fn ingest_cpu(records: u64) -> SimDuration {
     SimDuration(records * CPU_NS_PER_INGESTED_RECORD)
 }
 
 /// CPU cost of query operators over `records` records with a relative
 /// `weight` (1.0 = a plain filter/aggregate pass).
-pub fn query_cpu(records: u64, weight: f64) -> SimDuration {
+pub(crate) fn query_cpu(records: u64, weight: f64) -> SimDuration {
     SimDuration((records as f64 * CPU_NS_PER_QUERY_RECORD as f64 * weight) as u64)
 }
 
 /// CPU cost of merge-sorting `records` records from multiple bucket scans.
-pub fn merge_sort_cpu(records: u64) -> SimDuration {
+pub(crate) fn merge_sort_cpu(records: u64) -> SimDuration {
     SimDuration(records * CPU_NS_PER_MERGE_SORTED_RECORD)
 }
 
 /// CPU cost of rebuilding secondary-index entries for `records` records.
-pub fn index_rebuild_cpu(records: u64) -> SimDuration {
+pub(crate) fn index_rebuild_cpu(records: u64) -> SimDuration {
     SimDuration(records * CPU_NS_PER_INDEX_REBUILD_RECORD)
 }
 
 /// Fixed cost of shipping `components` sealed components whole.
-pub fn component_ship_overhead(components: u64) -> SimDuration {
+pub(crate) fn component_ship_overhead(components: u64) -> SimDuration {
     SimDuration(components * COMPONENT_SHIP_OVERHEAD.0)
 }
 
 /// Cost of merge work that read and wrote the given byte counts.
-pub fn merge_cost(bytes_read: u64, bytes_written: u64) -> SimDuration {
+pub(crate) fn merge_cost(bytes_read: u64, bytes_written: u64) -> SimDuration {
     disk_read(bytes_read)
         + disk_write(bytes_written)
         + SimDuration((bytes_read + bytes_written) * MERGE_CPU_NS_PER_BYTE)
