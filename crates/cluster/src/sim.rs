@@ -77,33 +77,33 @@ impl std::iter::Sum for SimDuration {
 
 /// CPU time to parse and route one ingested record (ns). Ingestion in
 /// AsterixDB is CPU-heavy because of record parsing (Section VI-B).
-pub(crate) const CPU_NS_PER_INGESTED_RECORD: u64 = 20_000;
+const CPU_NS_PER_INGESTED_RECORD: u64 = 20_000;
 /// CPU time per record touched by query operators (filter/aggregate), ns.
-pub(crate) const CPU_NS_PER_QUERY_RECORD: u64 = 1_000;
+const CPU_NS_PER_QUERY_RECORD: u64 = 1_000;
 /// Extra CPU per record for merge-sorting bucketed scan results when
 /// primary-key order is required (priority-queue overhead), ns.
-pub(crate) const CPU_NS_PER_MERGE_SORTED_RECORD: u64 = 400;
+const CPU_NS_PER_MERGE_SORTED_RECORD: u64 = 400;
 /// CPU per record for building the secondary-index entries of a bucket a
 /// rebalance moved, ns. Charged where the deferred rebuild runs: the first
 /// index query after the move, or a commit whose cleanup must materialize a
 /// stash.
-pub(crate) const CPU_NS_PER_INDEX_REBUILD_RECORD: u64 = 4_000;
+const CPU_NS_PER_INDEX_REBUILD_RECORD: u64 = 4_000;
 /// Fixed per-component overhead of shipping a sealed component whole
 /// (open/close, manifest update at the destination). Sealed components move
 /// as whole files (Section IV), so a shipped bucket pays no per-record CPU.
-pub(crate) const COMPONENT_SHIP_OVERHEAD: SimDuration = SimDuration(2_000);
+const COMPONENT_SHIP_OVERHEAD: SimDuration = SimDuration(2_000);
 /// Sequential disk read cost, ns per byte.
-pub(crate) const DISK_READ_NS_PER_BYTE: u64 = 10;
+const DISK_READ_NS_PER_BYTE: u64 = 10;
 /// Sequential disk write cost, ns per byte.
-pub(crate) const DISK_WRITE_NS_PER_BYTE: u64 = 20;
+const DISK_WRITE_NS_PER_BYTE: u64 = 20;
 /// Network transfer cost, ns per byte.
-pub(crate) const NETWORK_NS_PER_BYTE: u64 = 25;
+const NETWORK_NS_PER_BYTE: u64 = 25;
 /// Fixed per-message network latency.
 pub(crate) const NETWORK_LATENCY: SimDuration = SimDuration(20_000);
 /// Fixed coordinator overhead per distributed job (compile + dispatch).
 pub(crate) const JOB_OVERHEAD: SimDuration = SimDuration(2_000_000);
 /// CPU cost per byte merged (LSM merges are CPU- and IO-bound), ns.
-pub(crate) const MERGE_CPU_NS_PER_BYTE: u64 = 5;
+const MERGE_CPU_NS_PER_BYTE: u64 = 5;
 /// Bytes an index scan counts as read per secondary-index entry it visits.
 pub(crate) const INDEX_ENTRY_BYTES: u64 = 24;
 /// [`query_cpu`] weight of a scan's filter/aggregate pass.
