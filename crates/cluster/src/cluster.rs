@@ -1294,8 +1294,8 @@ mod tests {
                     assert!(buffered.len() > 1, "4000 records over at most 256 buckets");
                     // One slab: the values lie back to back in memory. Nobody
                     // else's: no other bucket's run of values touches this one
-                    // (two allocations never abut — an `Arc<[u8]>` starts with
-                    // its counts).
+                    // (two heap blocks never abut — the allocator puts its own
+                    // header in front of each).
                     let mut spans: Vec<_> = buffered.iter().map(|v| v.as_ptr_range()).collect();
                     spans.sort_by_key(|s| s.start);
                     assert!(spans.windows(2).all(|w| w[0].end == w[1].start));

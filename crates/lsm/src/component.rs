@@ -46,10 +46,11 @@
 //! a caller that does should copy them ([`Bytes::to_vec`]).
 //!
 //! A run is **searched through a dense array of key prefixes**, not through
-//! its entries: beside the 56-byte entries (key, op tag, payload handle) the
-//! run keeps the first eight bytes of every key as one big-endian `u64`
-//! (shorter keys zero-padded), eight to a cache line. Prefix order is key
-//! order wherever two prefixes differ, so one routine —
+//! its entries: beside the 40-byte entries (the key, then the op and its
+//! payload handle in 16 bytes) the run keeps the first eight bytes of every
+//! key as one big-endian `u64` (shorter keys zero-padded), eight to a cache
+//! line. Prefix order is key order wherever two prefixes differ, so one
+//! routine —
 //! `DiskComponentData::first_at_or_after`, which serves point lookups and
 //! both bounds of a range — takes the partition point over the prefixes and
 //! compares whole keys only where a step lands on an entry that shares the

@@ -547,6 +547,13 @@ mod tests {
     }
 
     #[test]
+    fn an_op_is_a_handle_and_an_entry_40_bytes() {
+        // `Delete` takes the slab pointer's niche: no tag word
+        assert_eq!(std::mem::size_of::<Op>(), 16);
+        assert_eq!(std::mem::size_of::<Entry>(), 40);
+    }
+
+    #[test]
     fn inline_and_heap_keys_compare_hash_and_order_identically() {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};

@@ -276,6 +276,19 @@ mod tests {
         assert!(exact.iter().all(|se| se.primary.as_u64() / 10 == 7));
     }
 
+    #[test]
+    fn keys_only_entries_share_the_empty_slab() {
+        let mut i = idx();
+        i.insert(Key::from_u64(1), Key::from_u64(10));
+        let composite = SecondaryEntry {
+            secondary: Key::from_u64(1),
+            primary: Key::from_u64(10),
+        }
+        .encode();
+        let value = i.tree().get_ref(&composite).expect("the entry is buffered");
+        assert!(value.is_empty() && value.shares_allocation(&crate::Bytes::new()));
+    }
+
     fn manual_idx(name: &str) -> SecondaryIndex {
         let config = LsmConfig {
             auto_flush: false,

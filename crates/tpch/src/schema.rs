@@ -14,14 +14,6 @@ pub fn field_u64(payload: &[u8], idx: usize) -> Option<u64> {
     Some(u64::from_be_bytes(field.try_into().ok()?))
 }
 
-fn encode_fields(fields: &[u64]) -> Bytes {
-    let mut v = Vec::with_capacity(fields.len() * 8);
-    for f in fields {
-        v.extend_from_slice(&f.to_be_bytes());
-    }
-    Bytes::from(v)
-}
-
 /// Builds a secondary-index extractor that returns field `idx` as the key.
 pub fn field_extractor(idx: usize) -> impl Fn(&[u8]) -> Option<Key> + Send + Sync + 'static {
     move |payload: &[u8]| field_u64(payload, idx).map(Key::from_u64)
@@ -89,11 +81,12 @@ macro_rules! table_record {
         }
 
         impl $name {
-            /// Encodes the record into its fixed-layout binary payload.
+            /// Encodes the record into its fixed-layout binary payload: one
+            /// allocation, which the returned `Bytes` adopts as its slab.
             pub fn encode(&self) -> Bytes {
-                let mut fields = vec![0u64; Self::NUM_FIELDS];
-                $( fields[$fidx] = self.$field; )+
-                encode_fields(&fields)
+                let mut v = vec![0u8; Self::NUM_FIELDS * 8];
+                $( v[$fidx * 8..$fidx * 8 + 8].copy_from_slice(&self.$field.to_be_bytes()); )+
+                Bytes::from(v)
             }
 
             /// Decodes a payload produced by [`Self::encode`].
