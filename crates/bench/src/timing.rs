@@ -8,16 +8,18 @@
 //! Absolute numbers depend on the host; only relative comparisons are
 //! meaningful.
 
-use std::time::Instant;
-
 /// Times one execution of `f` and returns nanoseconds per operation,
 /// dividing the elapsed wall-clock time by `ops`.
 ///
-/// All wall-clock reads in the workspace are confined to this module so the
-/// determinism lint can scope its `Instant`/`SystemTime` ban; measurement
-/// loops elsewhere must call through here.
+/// This is the workspace's one wall-clock read: clippy.toml bans `Instant`
+/// and `SystemTime` everywhere, and the `#[expect]` below is the one waiver.
+/// Measurement loops elsewhere must call through here.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the benchmark measures wall-clock time by design"
+)]
 pub fn ns_per_op(ops: u64, f: &mut impl FnMut()) -> f64 {
-    let start = Instant::now();
+    let start = std::time::Instant::now();
     f();
     start.elapsed().as_nanos() as f64 / ops.max(1) as f64
 }

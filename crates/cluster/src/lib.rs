@@ -42,6 +42,18 @@
 //!   progress and fault statistics are folds over it ([`obs`]);
 //! * the hardware cost model and simulated-time accounting ([`sim`]).
 
+// The panic audit: production code propagates a typed error; a site that
+// cannot fail says why in an `#[expect(<lint>, reason = "…")]`, counted
+// against LINT_BUDGET.toml by dhlint.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod cluster;
 pub mod control;
 pub mod controller;

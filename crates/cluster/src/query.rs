@@ -24,7 +24,6 @@
 //! made it, and so the one holder of a routing copy — runs them over its
 //! cached list. Open an executor with [`crate::cluster::Cluster::query`].
 
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use dynahash_core::{NodeId, PartitionId};
@@ -53,7 +52,11 @@ pub struct QueryReport {
 /// from the datasets, never from outside the program. Iteration order is a
 /// function of the insertion history alone, so it repeats run to run — but it
 /// is not key order: sort before folding floats out of one.
-pub type KeyTable<V> = HashMap<u64, V, BuildHasherDefault<KeyMixer>>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "KeyMixer hashes deterministically, so iteration repeats run to run"
+)]
+pub type KeyTable<V> = std::collections::HashMap<u64, V, BuildHasherDefault<KeyMixer>>;
 
 /// A table's entries in key order: what a float reduction iterates, so that
 /// its result does not depend on where the rows were stored.

@@ -209,7 +209,7 @@ impl Cluster {
 
     /// Global rebalancing, all in one call: there is no step boundary for a
     /// scheduled fault to fire at, so the baseline ignores step faults
-    /// exactly as it ignores transient and slow-node ones. Every node
+    /// exactly as it ignores transient ones. Every node
     /// holding the dataset and every node of the target must be up
     /// ([`Cluster::require_up`]): the refusal comes before BEGIN is logged
     /// and before any storage is dropped.

@@ -20,6 +20,18 @@
 //! `dynahash-cluster`; everything here is deterministic, pure logic that can
 //! be unit- and property-tested in isolation.
 
+// The panic audit: production code propagates a typed error; a site that
+// cannot fail says why in an `#[expect(<lint>, reason = "…")]`, counted
+// against LINT_BUDGET.toml by dhlint.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod balance;
 pub mod directory;
 pub mod plan;

@@ -1,6 +1,7 @@
-//! The check driver: walks a root, runs every rule family, applies waivers,
-//! and enforces the lock-order manifest and the waiver budget.
+//! The check driver: walks a root, runs every rule family, and enforces the
+//! lock-order manifest and the waiver budget.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -8,7 +9,6 @@ use crate::lexer::LexedFile;
 use crate::manifest;
 use crate::report::{Finding, Report, Rule};
 use crate::rules::{self, LockUse, PubItems};
-use crate::waivers::{self, Waiver};
 
 /// Directory names the walker never descends into. `fixtures` holds the
 /// lint's own negative test inputs — intentionally dirty files that must
@@ -24,9 +24,7 @@ pub const LOCK_ORDER_FILE: &str = "LOCK_ORDER.md";
 pub fn check_root(root: &Path) -> std::io::Result<Report> {
     let mut report = Report::default();
     let mut lock_uses: Vec<LockUse> = Vec::new();
-    let mut used_waivers: Vec<(Rule, usize)> = Vec::new();
     let mut pub_items = PubItems::default();
-    let mut dead_pub_waivers: Vec<(String, Vec<Waiver>)> = Vec::new();
 
     let mut rs_files = Vec::new();
     let mut manifests = Vec::new();
@@ -40,13 +38,12 @@ pub fn check_root(root: &Path) -> std::io::Result<Report> {
         let mut file = check_source(&rel_str, &text);
         report.files_scanned += 1;
         lock_uses.extend(file.lock_uses);
-        merge_counts(&mut used_waivers, file.used_waivers);
+        for (rule, n) in file.waivers {
+            *report.waivers_used.entry(rule).or_insert(0) += n;
+        }
         report.findings.append(&mut file.findings);
         pub_items.defs.append(&mut file.pub_items.defs);
         pub_items.uses.append(&mut file.pub_items.uses);
-        if !file.dead_pub_waivers.is_empty() {
-            dead_pub_waivers.push((rel_str, file.dead_pub_waivers));
-        }
     }
 
     for rel in &manifests {
@@ -70,19 +67,15 @@ pub fn check_root(root: &Path) -> std::io::Result<Report> {
         &lock_uses,
     ));
 
-    let mut dead = rules::dead_pub(&pub_items.defs, &pub_items.uses);
-    for (file, file_waivers) in &dead_pub_waivers {
-        let (unused, used) = waivers::apply_waivers(file, file_waivers, &mut dead);
-        report.findings.extend(unused);
-        merge_counts(&mut used_waivers, used);
-    }
-    report.findings.append(&mut dead);
-
-    let budget = manifest::read_optional(&root.join(BUDGET_FILE));
     report
         .findings
-        .extend(manifest::check_budget(budget.as_deref(), &used_waivers));
-    report.waivers_used = used_waivers;
+        .extend(rules::dead_pub(&pub_items.defs, &pub_items.uses));
+
+    let budget = manifest::read_optional(&root.join(BUDGET_FILE));
+    report.findings.extend(manifest::check_budget(
+        budget.as_deref(),
+        &report.waivers_used,
+    ));
 
     report
         .findings
@@ -93,50 +86,29 @@ pub fn check_root(root: &Path) -> std::io::Result<Report> {
 /// What [`check_source`] found in one file.
 #[derive(Debug, Default)]
 pub struct SourceCheck {
-    /// The per-file findings, waivers applied.
+    /// The per-file findings.
     pub findings: Vec<Finding>,
     /// Lock primitives the file mentions, for the `LOCK_ORDER.md` cross-check.
     pub lock_uses: Vec<LockUse>,
-    /// Used-waiver counts of the per-file rules.
-    pub used_waivers: Vec<(Rule, usize)>,
+    /// The file's waivers of audited lints, counted per rule family.
+    pub waivers: BTreeMap<Rule, usize>,
     /// `pub` definitions and identifier uses, for the `dead-pub` cross-check.
     pub pub_items: PubItems,
-    /// The file's `dead-pub` waivers, applied by [`check_root`] once the
-    /// cross-check has decided which definitions are findings.
-    pub dead_pub_waivers: Vec<Waiver>,
 }
 
-/// Runs every source-level rule family on one file and applies its
-/// waivers; the two cross-file rules (lock order, `dead-pub`) only collect
-/// here. Exposed so tests can drive single files without a filesystem tree.
+/// Runs every source-level rule family on one file; the two cross-file
+/// rules (lock order, `dead-pub`) only collect here. Exposed so tests can
+/// drive single files without a filesystem tree.
 pub fn check_source(rel_path: &str, text: &str) -> SourceCheck {
     let lexed = LexedFile::lex(text);
-    let mut findings = rules::panic_audit(rel_path, &lexed);
-    findings.extend(rules::determinism(rel_path, &lexed));
-
-    let file_waivers = waivers::collect_waivers(rel_path, &lexed);
-    let (dead_pub_waivers, per_file): (Vec<Waiver>, Vec<Waiver>) = file_waivers
-        .waivers
-        .into_iter()
-        .partition(|w| w.rule == Rule::DeadPub);
-    let (unused, used_waivers) = waivers::apply_waivers(rel_path, &per_file, &mut findings);
-    findings.extend(unused);
-    findings.extend(file_waivers.malformed);
+    let attrs = rules::lint_attrs(&lexed);
+    let (mut findings, waivers) = rules::lint_waivers(rel_path, &attrs);
+    findings.extend(rules::panic_deny(rel_path, &attrs));
     SourceCheck {
         findings,
         lock_uses: rules::collect_lock_uses(rel_path, &lexed),
-        used_waivers,
+        waivers,
         pub_items: rules::collect_pub_items(rel_path, &lexed),
-        dead_pub_waivers,
-    }
-}
-
-fn merge_counts(into: &mut Vec<(Rule, usize)>, from: Vec<(Rule, usize)>) {
-    for (rule, n) in from {
-        match into.iter_mut().find(|(r, _)| *r == rule) {
-            Some((_, total)) => *total += n,
-            None => into.push((rule, n)),
-        }
     }
 }
 
@@ -176,21 +148,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn check_source_waives_and_counts() {
-        let src =
-            "fn f() {\n    x.unwrap() // dhlint: allow(panic) — key inserted two lines up\n}\n";
-        let file = check_source("crates/core/src/x.rs", src);
-        assert_eq!(file.findings.len(), 1);
-        assert!(file.findings[0].waived);
-        assert_eq!(file.used_waivers, vec![(Rule::Panic, 1)]);
+    fn an_expect_of_an_audited_lint_counts_against_its_family() {
+        let src = concat!(
+            "#[expect(clippy::expect_used, reason = \"the key was inserted above\")]\n",
+            "fn f() { x.expect(\"present\") }\n",
+            "#[expect(clippy::disallowed_types, reason = \"a fixed hasher\")]\n",
+            "type T = std::collections::HashMap<u8, u8, H>;\n",
+            "#[expect(clippy::too_many_arguments, reason = \"not audited\")]\n",
+            "fn g() {}\n",
+        );
+        let file = check_source("crates/lsm/src/x.rs", src);
+        assert!(file.findings.is_empty(), "{:?}", file.findings);
+        let counts = BTreeMap::from([(Rule::Panic, 1), (Rule::Determinism, 1)]);
+        assert_eq!(file.waivers, counts);
     }
 
     #[test]
-    fn check_source_reports_unwaived() {
-        let src = "fn f() { x.unwrap() }\n";
-        let file = check_source("crates/lsm/src/x.rs", src);
+    fn an_allow_of_an_audited_lint_is_a_waiver_finding() {
+        let src = concat!(
+            "#[allow(clippy::unwrap_used, reason = \"the key was inserted above\")]\n",
+            "fn f() { x.unwrap() }\n",
+        );
+        let file = check_source("crates/core/src/x.rs", src);
         assert_eq!(file.findings.len(), 1);
-        assert!(!file.findings[0].waived);
-        assert!(file.used_waivers.is_empty());
+        assert_eq!(
+            (file.findings[0].rule, file.findings[0].line),
+            (Rule::Waiver, 1)
+        );
+        assert_eq!(file.waivers, BTreeMap::from([(Rule::Panic, 1)]));
     }
 }

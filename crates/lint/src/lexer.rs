@@ -1,34 +1,20 @@
 //! A minimal comment- and string-aware Rust lexer.
 //!
-//! The rule engine does not need a real parse tree; it needs to answer three
+//! The rule engine does not need a real parse tree; it needs to answer two
 //! questions about a source file reliably:
 //!
 //! 1. *Is this byte code, or is it inside a comment / string literal?*
-//!    Rules must not fire on `".unwrap()"` appearing in a doc comment or a
-//!    string. [`LexedFile::masked`] is the file with every comment and
-//!    literal body replaced by spaces — same byte length, same line
-//!    structure, so byte offsets and line numbers carry over.
-//! 2. *What line comments does the file carry, and where?* Waivers
-//!    (`// dhlint: allow(rule) — reason`) live in line comments
-//!    ([`LexedFile::comments`]).
-//! 3. *Which lines belong to `#[cfg(test)]` items?* The panic-audit rule
-//!    only covers production code ([`LexedFile::is_test_line`]).
+//!    Rules must not fire on `"#[expect(clippy::panic)]"` appearing in a doc
+//!    comment or a string. [`LexedFile::masked`] is the file with every
+//!    comment and literal body replaced by spaces — same byte length, same
+//!    line structure, so byte offsets and line numbers carry over.
+//! 2. *Which lines belong to `#[cfg(test)]` items?* What only an in-file unit
+//!    test names keeps no `pub` item alive ([`LexedFile::is_test_line`]).
 //!
 //! The lexer understands line comments, nested block comments, string
 //! literals (including byte strings and raw strings with any number of `#`
 //! marks), char literals, and the char-vs-lifetime ambiguity (`'a'` versus
 //! `'a`). It deliberately does not tokenize beyond that.
-
-/// A line comment found in the source.
-#[derive(Debug, Clone)]
-pub struct Comment {
-    /// 1-based line the comment starts on.
-    pub line: usize,
-    /// Comment text including the leading `//`.
-    pub text: String,
-    /// True when the line holds nothing but the comment (no code before it).
-    pub own_line: bool,
-}
 
 /// The result of lexing one source file.
 #[derive(Debug)]
@@ -38,41 +24,26 @@ pub struct LexedFile {
     pub masked: String,
     /// Byte offset of the start of each line (index 0 = line 1).
     line_starts: Vec<usize>,
-    /// All line comments, in order.
-    pub comments: Vec<Comment>,
     /// `lines_test[i]` is true when 1-based line `i + 1` is inside a
     /// `#[cfg(test)]` item.
     lines_test: Vec<bool>,
 }
 
 impl LexedFile {
-    /// Lexes `source` into a masked view plus comment and test-region maps.
+    /// Lexes `source` into a masked view plus a test-region map.
     pub fn lex(source: &str) -> LexedFile {
         let bytes = source.as_bytes();
         let mut masked = source.as_bytes().to_vec();
-        let mut comments = Vec::new();
 
         let mut i = 0usize;
         while i < bytes.len() {
             let b = bytes[i];
             match b {
                 b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'/' => {
-                    let start = i;
                     while i < bytes.len() && bytes[i] != b'\n' {
                         masked[i] = b' ';
                         i += 1;
                     }
-                    let line = line_of_offset_raw(bytes, start);
-                    let own_line = bytes[..start]
-                        .iter()
-                        .rev()
-                        .take_while(|&&c| c != b'\n')
-                        .all(|&c| c == b' ' || c == b'\t');
-                    comments.push(Comment {
-                        line,
-                        text: source[start..i].to_string(),
-                        own_line,
-                    });
                 }
                 b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'*' => {
                     let mut depth = 1usize;
@@ -119,7 +90,6 @@ impl LexedFile {
         LexedFile {
             masked,
             line_starts,
-            comments,
             lines_test,
         }
     }
@@ -135,25 +105,6 @@ impl LexedFile {
     /// True when the given 1-based line lies inside a `#[cfg(test)]` item.
     pub fn is_test_line(&self, line: usize) -> bool {
         line >= 1 && self.lines_test.get(line - 1).copied().unwrap_or(false)
-    }
-
-    /// The masked text of the given 1-based line.
-    pub fn masked_line(&self, line: usize) -> &str {
-        if line == 0 || line > self.line_starts.len() {
-            return "";
-        }
-        let start = self.line_starts[line - 1];
-        let end = self
-            .line_starts
-            .get(line)
-            .copied()
-            .unwrap_or(self.masked.len());
-        self.masked[start..end].trim_end_matches('\n')
-    }
-
-    /// Number of lines in the file.
-    pub fn line_count(&self) -> usize {
-        self.line_starts.len()
     }
 }
 
@@ -315,10 +266,6 @@ fn compute_line_starts(s: &str) -> Vec<usize> {
     starts
 }
 
-fn line_of_offset_raw(bytes: &[u8], offset: usize) -> usize {
-    bytes[..offset].iter().filter(|&&b| b == b'\n').count() + 1
-}
-
 /// Marks every line belonging to a `#[cfg(test)]` item. The attribute is
 /// located in the masked text (so strings can't fake it); the item extent is
 /// the following brace-balanced block, or up to the terminating `;` for
@@ -412,9 +359,7 @@ mod tests {
         let lexed = LexedFile::lex(src);
         assert!(!lexed.masked.contains("unwrap"));
         assert!(!lexed.masked.contains("expect"));
-        assert_eq!(lexed.comments.len(), 1);
-        assert!(!lexed.comments[0].own_line);
-        assert!(lexed.comments[0].text.contains(".expect("));
+        assert!(lexed.masked.contains("let b = 1;"));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! dhlint --check <root> [--json <path>] [--quiet]
 //! ```
 //!
-//! Exits 0 when the tree is finding-free (waived findings are allowed as
-//! long as they match `LINT_BUDGET.toml`), 1 when any unwaived finding
-//! remains, and 2 on usage or I/O errors.
+//! Exits 0 when the tree is finding-free (its waivers match
+//! `LINT_BUDGET.toml`), 1 when any finding remains, and 2 on usage or I/O
+//! errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -228,13 +228,23 @@ pub fn check_workspace_manifest(text: &str) -> Vec<Finding> {
         }
         Some(_) => {}
     }
-    if doc.get("workspace.lints.rust", "unsafe_code").map(unquote) != Some("forbid") {
-        findings.push(Finding::new(
-            Rule::Metadata,
-            "Cargo.toml",
-            0,
-            "workspace lint table must carry `unsafe_code = \"forbid\"`".to_string(),
-        ));
+    // The clippy lint is what makes a waiver's `reason = "…"` mandatory.
+    for (section, key, level) in [
+        ("workspace.lints.rust", "unsafe_code", "forbid"),
+        (
+            "workspace.lints.clippy",
+            "allow_attributes_without_reason",
+            "deny",
+        ),
+    ] {
+        if doc.get(section, key).map(unquote) != Some(level) {
+            findings.push(Finding::new(
+                Rule::Metadata,
+                "Cargo.toml",
+                0,
+                format!("`[{section}]` must carry `{key} = \"{level}\"`"),
+            ));
+        }
     }
     for (name, value) in doc.entries("dependencies") {
         findings.extend(check_dependency("Cargo.toml", "", name, value));
@@ -385,10 +395,10 @@ pub fn check_lock_order(manifest: Option<&str>, uses: &[LockUse]) -> Vec<Finding
 }
 
 /// Enforces the waiver-budget ratchet: the committed `LINT_BUDGET.toml`
-/// must match the used-waiver counts exactly. Adding a waiver forces a
-/// visible budget bump in the diff; removing one forces the budget down, so
-/// drift in either direction fails the check.
-pub fn check_budget(budget_text: Option<&str>, used: &[(Rule, usize)]) -> Vec<Finding> {
+/// must match the waiver counts exactly. Adding a waiver forces a visible
+/// budget bump in the diff; removing one forces the budget down, so drift in
+/// either direction fails the check.
+pub fn check_budget(budget_text: Option<&str>, used: &BTreeMap<Rule, usize>) -> Vec<Finding> {
     let mut findings = Vec::new();
     let budget: BTreeMap<String, usize> = match budget_text {
         Some(text) => {
@@ -399,7 +409,7 @@ pub fn check_budget(budget_text: Option<&str>, used: &[(Rule, usize)]) -> Vec<Fi
                 .collect()
         }
         None => {
-            if used.iter().all(|(_, n)| *n == 0) {
+            if used.values().all(|n| *n == 0) {
                 return findings;
             }
             findings.push(Finding::new(
@@ -413,11 +423,7 @@ pub fn check_budget(budget_text: Option<&str>, used: &[(Rule, usize)]) -> Vec<Fi
         }
     };
     for rule in crate::report::Rule::all() {
-        let actual = used
-            .iter()
-            .find(|(r, _)| *r == rule)
-            .map(|(_, n)| *n)
-            .unwrap_or(0);
+        let actual = used.get(&rule).copied().unwrap_or(0);
         let budgeted = budget.get(rule.name()).copied().unwrap_or(0);
         if actual != budgeted {
             findings.push(Finding::new(
@@ -553,10 +559,11 @@ mod tests {
     #[test]
     fn budget_ratchet_flags_drift_both_ways() {
         let budget = "[waivers]\npanic = 2\n";
-        assert!(check_budget(Some(budget), &[(Rule::Panic, 2)]).is_empty());
-        assert!(!check_budget(Some(budget), &[(Rule::Panic, 3)]).is_empty());
-        assert!(!check_budget(Some(budget), &[(Rule::Panic, 1)]).is_empty());
-        assert!(!check_budget(None, &[(Rule::Panic, 1)]).is_empty());
-        assert!(check_budget(None, &[]).is_empty());
+        let used = |n| BTreeMap::from([(Rule::Panic, n)]);
+        assert!(check_budget(Some(budget), &used(2)).is_empty());
+        assert!(!check_budget(Some(budget), &used(3)).is_empty());
+        assert!(!check_budget(Some(budget), &used(1)).is_empty());
+        assert!(!check_budget(None, &used(1)).is_empty());
+        assert!(check_budget(None, &BTreeMap::new()).is_empty());
     }
 }

@@ -1,19 +1,22 @@
 //! Finding types, text rendering, and `--json` output.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
-/// The rule families dhlint enforces. Each maps to one name usable in a
-/// waiver comment and in the waiver budget file.
+/// The rule families dhlint enforces. Each maps to one name usable in the
+/// waiver budget file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
     /// Crate layering (`lsm ← core ← cluster ← {tpch,bench}`) and the
     /// zero-registry-dependency constraint, checked on `Cargo.toml`.
     Layering,
-    /// `unwrap()` / `expect()` / `panic!` / `unreachable!` in production
-    /// crates must carry a waiver naming the invariant.
+    /// The panic audit, which clippy enforces: dhlint counts the waivers of
+    /// its six lints (`clippy::unwrap_used`, `clippy::expect_used`, …)
+    /// against the budget.
     Panic,
-    /// Wall-clock reads outside `dynahash_bench::timing` and unordered
-    /// `HashMap`/`HashSet` in ordering-sensitive scheduler files.
+    /// The wall-clock and hash-order ban, which clippy enforces as
+    /// `clippy::disallowed_types`: dhlint counts its waivers against the
+    /// budget.
     Determinism,
     /// Every `Mutex`/`RwLock`/`RefCell` must be registered with an
     /// acquisition rank in `LOCK_ORDER.md`, every `OnceLock`/`OnceCell`
@@ -22,14 +25,15 @@ pub enum Rule {
     /// A `pub` item of a production crate that nothing outside its own
     /// file's `#[cfg(test)]` code names (cross-file, name-based).
     DeadPub,
-    /// Workspace-package metadata consistency across crate manifests.
+    /// Workspace-package metadata consistency across crate manifests, and
+    /// the lint settings that switch the clippy-side audits on.
     Metadata,
-    /// Waiver hygiene: unknown rules, unused waivers, budget drift.
+    /// Waiver hygiene: an `#[allow]` of an audited lint, budget drift.
     Waiver,
 }
 
 impl Rule {
-    /// The rule name as written in waiver comments and the budget file.
+    /// The rule name as written in reports and the budget file.
     pub fn name(self) -> &'static str {
         match self {
             Rule::Layering => "layering",
@@ -42,7 +46,7 @@ impl Rule {
         }
     }
 
-    /// Parses a rule name from a waiver comment or the budget file.
+    /// Parses a rule name from the budget file.
     pub fn from_name(name: &str) -> Option<Rule> {
         Rule::all().into_iter().find(|rule| rule.name() == name)
     }
@@ -58,18 +62,6 @@ impl Rule {
             Rule::Metadata,
             Rule::Waiver,
         ]
-    }
-
-    /// True when an inline `// dhlint: allow(...)` comment may waive a
-    /// finding of this family. Manifest-level families have no source line
-    /// to hang a waiver on, and lock-order findings are checked against
-    /// `LOCK_ORDER.md` after the per-file waivers are applied: all of them
-    /// must be fixed instead.
-    pub fn waivable(self) -> bool {
-        !matches!(
-            self,
-            Rule::Layering | Rule::LockOrder | Rule::Metadata | Rule::Waiver
-        )
     }
 }
 
@@ -90,38 +82,29 @@ pub struct Finding {
     pub line: usize,
     /// Human-readable description.
     pub message: String,
-    /// True when an inline waiver covers this finding. Waived findings are
-    /// reported but do not fail the check (the budget file bounds them).
-    pub waived: bool,
 }
 
 impl Finding {
-    /// An unwaived finding; `line` is 0 for a file-level one.
+    /// A finding; `line` is 0 for a file-level one.
     pub fn new(rule: Rule, file: &str, line: usize, message: String) -> Finding {
         Finding {
             rule,
             file: file.to_string(),
             line,
             message,
-            waived: false,
         }
     }
 }
 
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let status = if self.waived { "waived" } else { "error" };
         if self.line == 0 {
-            write!(
-                f,
-                "{}: [{}] {}: {}",
-                status, self.rule, self.file, self.message
-            )
+            write!(f, "error: [{}] {}: {}", self.rule, self.file, self.message)
         } else {
             write!(
                 f,
-                "{}: [{}] {}:{}: {}",
-                status, self.rule, self.file, self.line, self.message
+                "error: [{}] {}:{}: {}",
+                self.rule, self.file, self.line, self.message
             )
         }
     }
@@ -130,28 +113,18 @@ impl fmt::Display for Finding {
 /// The result of one full check run.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// All findings, waived and unwaived, in path/line order.
+    /// All findings, in path/line order; every one is an error.
     pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Used-waiver counts per rule family, as enforced against the budget.
-    pub waivers_used: Vec<(Rule, usize)>,
+    /// Waiver counts per rule family, as enforced against the budget.
+    pub waivers_used: BTreeMap<Rule, usize>,
 }
 
 impl Report {
-    /// True when the check passes: no unwaived findings.
+    /// True when the check passes: no findings.
     pub fn is_clean(&self) -> bool {
-        self.findings.iter().all(|f| f.waived)
-    }
-
-    /// The unwaived findings.
-    pub fn errors(&self) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(|f| !f.waived)
-    }
-
-    /// Unwaived finding count for one rule family.
-    pub fn error_count(&self, rule: Rule) -> usize {
-        self.errors().filter(|f| f.rule == rule).count()
+        self.findings.is_empty()
     }
 
     /// Renders the human-readable report.
@@ -161,11 +134,10 @@ impl Report {
             out.push_str(&f.to_string());
             out.push('\n');
         }
-        let errors = self.errors().count();
-        let waived = self.findings.len() - errors;
         out.push_str(&format!(
-            "dhlint: {} file(s) scanned, {} error(s), {} waived finding(s)\n",
-            self.files_scanned, errors, waived
+            "dhlint: {} file(s) scanned, {} error(s)\n",
+            self.files_scanned,
+            self.findings.len()
         ));
         out
     }
@@ -175,11 +147,10 @@ impl Report {
         let mut out = String::from("{\n  \"findings\": [\n");
         for (i, f) in self.findings.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"waived\": {}, \"message\": \"{}\"}}{}\n",
+                "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}{}\n",
                 f.rule,
                 escape_json(&f.file),
                 f.line,
-                f.waived,
                 escape_json(&f.message),
                 if i + 1 < self.findings.len() { "," } else { "" }
             ));
@@ -226,24 +197,6 @@ mod tests {
             assert_eq!(Rule::from_name(rule.name()), Some(rule));
         }
         assert_eq!(Rule::from_name("nope"), None);
-    }
-
-    #[test]
-    fn waived_findings_keep_the_report_clean() {
-        let mut report = Report::default();
-        report.findings.push(Finding {
-            waived: true,
-            ..Finding::new(Rule::Panic, "a.rs", 3, "x".into())
-        });
-        assert!(report.is_clean());
-        report.findings.push(Finding::new(
-            Rule::Metadata,
-            "Cargo.toml",
-            0,
-            "missing".into(),
-        ));
-        assert!(!report.is_clean());
-        assert_eq!(report.error_count(Rule::Metadata), 1);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! The per-file rule families.
 //!
 //! Every rule works on the masked view produced by [`crate::lexer`], so
-//! comments and string literals can never trigger a finding. Each function
-//! returns raw findings; the engine in [`crate::engine`] applies waivers and
-//! the budget afterwards.
+//! comments and string literals can never trigger a finding. The engine in
+//! [`crate::engine`] runs the cross-file checks and the budget afterwards.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{find_from, LexedFile};
 use crate::report::{Finding, Rule};
@@ -44,117 +43,155 @@ fn word_occurrences(masked: &str, word: &str) -> Vec<usize> {
     out
 }
 
-/// The production crates covered by the panic audit.
-pub const PANIC_AUDITED_CRATES: [&str; 3] = ["core", "cluster", "lsm"];
-
-const PANIC_TOKENS: [&str; 6] = [
-    ".unwrap()",
-    ".expect(",
-    "panic!",
-    "unreachable!",
-    "todo!",
-    "unimplemented!",
+/// The clippy lints whose waivers the budget counts, each with the family
+/// it counts under: the panic audit's six, which the [`PANIC_AUDITED_CRATES`]
+/// deny in their `lib.rs`, and the determinism ban, which `clippy.toml`
+/// sets for the whole workspace.
+pub const AUDITED_LINTS: [(&str, Rule); 7] = [
+    ("clippy::unwrap_used", Rule::Panic),
+    ("clippy::expect_used", Rule::Panic),
+    ("clippy::panic", Rule::Panic),
+    ("clippy::unreachable", Rule::Panic),
+    ("clippy::todo", Rule::Panic),
+    ("clippy::unimplemented", Rule::Panic),
+    ("clippy::disallowed_types", Rule::Determinism),
 ];
 
-/// Rule family 2: panics in the production crates must carry a waiver
-/// naming the invariant that makes the site unreachable. `#[cfg(test)]`
-/// items are exempt.
-pub fn panic_audit(path: &str, lexed: &LexedFile) -> Vec<Finding> {
-    if !crate_src(path).is_some_and(|name| PANIC_AUDITED_CRATES.contains(&name)) {
-        return Vec::new();
-    }
-    let mut findings = Vec::new();
-    for token in PANIC_TOKENS {
-        for pos in token_occurrences(&lexed.masked, token) {
-            let line = lexed.line_of(pos);
-            if lexed.is_test_line(line) {
-                continue;
-            }
-            findings.push(Finding::new(
-                Rule::Panic,
-                path,
-                line,
-                format!(
-                    "`{}` in production code — propagate a Result or waive with the \
-                     invariant that makes this unreachable",
-                    token.trim_start_matches('.').trim_end_matches('(')
-                ),
-            ));
-        }
-    }
-    findings
+/// The production crates whose `lib.rs` must deny the panic audit's lints.
+pub const PANIC_AUDITED_CRATES: [&str; 3] = ["core", "cluster", "lsm"];
+
+/// The lint levels the rules read: the two that waive and the one that
+/// switches the panic audit on.
+const LINT_LEVELS: [&str; 3] = ["allow", "expect", "deny"];
+
+/// One lint-level list of an attribute: the `allow(a, b, reason = "…")` of
+/// `#[allow(…)]`, `#![deny(…)]` or `#[cfg_attr(…, expect(…))]`.
+#[derive(Debug)]
+pub struct LintAttr {
+    /// `allow`, `expect` or `deny`.
+    pub level: &'static str,
+    /// True for an inner attribute (`#![…]`), which covers its whole module.
+    pub inner: bool,
+    /// The lint paths it names; a `reason = …` is not one.
+    pub lints: Vec<String>,
+    /// The line of the attribute's `#`.
+    pub line: usize,
 }
 
-/// Occurrences of a token whose leading character must sit on a word
-/// boundary when it is alphanumeric (so `panic!` does not match
-/// `should_panic!`-style longer identifiers).
-fn token_occurrences(masked: &str, token: &str) -> Vec<usize> {
-    let bytes = masked.as_bytes();
-    let needle = token.as_bytes();
+/// Every lint-level list in the file's attributes.
+pub fn lint_attrs(lexed: &LexedFile) -> Vec<LintAttr> {
+    let masked = lexed.masked.as_str();
     let mut out = Vec::new();
-    let mut from = 0usize;
-    while let Some(pos) = find_from(bytes, needle, from) {
-        from = pos + 1;
-        let boundary_needed = is_ident(needle[0]);
-        if !boundary_needed || pos == 0 || !is_ident(bytes[pos - 1]) {
-            out.push(pos);
+    for (pos, _) in masked.match_indices('#') {
+        let rest = masked[pos + 1..].trim_start();
+        let inner = rest.starts_with('!');
+        let Some(body) = rest.trim_start_matches('!').trim_start().strip_prefix('[') else {
+            continue;
+        };
+        let body = &body[..attr_end(body)];
+        for level in LINT_LEVELS {
+            for at in word_occurrences(body, level) {
+                let Some(args) = body[at + level.len()..].trim_start().strip_prefix('(') else {
+                    continue;
+                };
+                let args = &args[..args.find(')').unwrap_or(args.len())];
+                let lints = args
+                    .split(',')
+                    .map(|arg| arg.split_whitespace().collect::<String>())
+                    .filter(|arg| !arg.is_empty() && !arg.contains('='))
+                    .collect();
+                out.push(LintAttr {
+                    level,
+                    inner,
+                    lints,
+                    line: lexed.line_of(pos),
+                });
+            }
         }
     }
     out
 }
 
-/// The single module allowed to read the wall clock.
-pub const TIMING_MODULE: &str = "crates/bench/src/timing.rs";
+/// The length of an attribute body up to its closing `]`.
+fn attr_end(body: &str) -> usize {
+    let mut depth = 0usize;
+    for (i, b) in body.bytes().enumerate() {
+        match b {
+            b'[' => depth += 1,
+            b']' if depth == 0 => return i,
+            b']' => depth -= 1,
+            _ => {}
+        }
+    }
+    body.len()
+}
 
-/// Files where unordered iteration would feed the deterministic wave
-/// scheduler or the event log's golden trace; `HashMap`/`HashSet` are
-/// banned there outright.
-pub const ORDERING_SENSITIVE_FILES: [&str; 7] = [
-    "crates/core/src/plan.rs",
-    "crates/core/src/directory.rs",
-    "crates/cluster/src/job.rs",
-    "crates/cluster/src/fault.rs",
-    "crates/cluster/src/control.rs",
-    "crates/cluster/src/repair.rs",
-    "crates/cluster/src/obs.rs",
-];
-
-/// Rule family 3: sim-time determinism. `SystemTime`/`Instant` belong to
-/// `dynahash_bench::timing` alone, and the scheduler-feeding files must use
-/// ordered collections.
-pub fn determinism(path: &str, lexed: &LexedFile) -> Vec<Finding> {
+/// The waivers of the audited lints: each `#[expect]` or `#[allow]` that
+/// names one counts once against the budget of its family.
+/// Clippy fails an `#[expect]` that nothing triggers and one without a
+/// reason, but not an unused `#[allow]`, so an `#[allow]` is a `waiver`
+/// finding as well.
+pub fn lint_waivers(path: &str, attrs: &[LintAttr]) -> (Vec<Finding>, BTreeMap<Rule, usize>) {
     let mut findings = Vec::new();
-    if path != TIMING_MODULE {
-        for word in ["SystemTime", "Instant"] {
-            for pos in word_occurrences(&lexed.masked, word) {
+    let mut counts = BTreeMap::new();
+    for attr in attrs
+        .iter()
+        .filter(|a| matches!(a.level, "allow" | "expect"))
+    {
+        let rules: BTreeSet<Rule> = attr
+            .lints
+            .iter()
+            .filter_map(|lint| AUDITED_LINTS.iter().find(|(l, _)| l == lint))
+            .map(|(_, rule)| *rule)
+            .collect();
+        for rule in rules {
+            *counts.entry(rule).or_insert(0) += 1;
+            if attr.level == "allow" {
                 findings.push(Finding::new(
-                    Rule::Determinism,
+                    Rule::Waiver,
                     path,
-                    lexed.line_of(pos),
+                    attr.line,
                     format!(
-                        "`{word}` outside {TIMING_MODULE} breaks sim-time determinism — \
-                         use dynahash_bench::timing or the sim clock"
+                        "`#[allow]` of an audited `{rule}` lint — waive it with \
+                         `#[expect(<lint>, reason = \"…\")]`, which clippy fails when nothing \
+                         triggers it"
                     ),
                 ));
             }
         }
     }
-    if ORDERING_SENSITIVE_FILES.contains(&path) {
-        for word in ["HashMap", "HashSet"] {
-            for pos in word_occurrences(&lexed.masked, word) {
-                findings.push(Finding::new(
-                    Rule::Determinism,
-                    path,
-                    lexed.line_of(pos),
-                    format!(
-                        "`{word}` in ordering-sensitive scheduler code — iteration order \
-                         feeds the deterministic wave schedule; use BTreeMap/BTreeSet"
-                    ),
-                ));
-            }
-        }
+    (findings, counts)
+}
+
+/// The metadata rule's source half: an audited crate's `lib.rs` must deny the
+/// panic audit's six lints crate-wide, so switching the audit off fails the
+/// check.
+pub fn panic_deny(path: &str, attrs: &[LintAttr]) -> Option<Finding> {
+    let name = crate_src(path).filter(|name| PANIC_AUDITED_CRATES.contains(name))?;
+    if path != format!("crates/{name}/src/lib.rs") {
+        return None;
     }
-    findings
+    let denied = |lint: &str| {
+        attrs
+            .iter()
+            .any(|a| a.inner && a.level == "deny" && a.lints.iter().any(|l| l == lint))
+    };
+    let missing: Vec<&str> = AUDITED_LINTS
+        .iter()
+        .filter(|(lint, rule)| *rule == Rule::Panic && !denied(lint))
+        .map(|(lint, _)| *lint)
+        .collect();
+    (!missing.is_empty()).then(|| {
+        Finding::new(
+            Rule::Metadata,
+            path,
+            0,
+            format!(
+                "the panic audit is off: `#![deny(…)]` does not name {}",
+                missing.join(", ")
+            ),
+        )
+    })
 }
 
 /// The interior-mutability / lock primitives the lock-order manifest ranks.
@@ -349,28 +386,52 @@ mod tests {
     }
 
     #[test]
-    fn panic_audit_fires_in_production_not_tests() {
-        let src =
-            lex("fn f() { x.unwrap(); }\n#[cfg(test)]\nmod tests { fn t() { y.unwrap(); } }\n");
-        let f = panic_audit("crates/core/src/x.rs", &src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 1);
+    fn lint_attrs_read_outer_inner_and_cfg_attr_lists() {
+        let src = lex(concat!(
+            "#![deny(clippy::unwrap_used, clippy::panic)]\n",
+            "#[expect(\n    clippy::expect_used,\n    reason = \"why (it holds)\"\n)]\n",
+            "#[cfg_attr(test, allow(dead_code))]\n",
+            "#[derive(Debug)] // #[allow(clippy::todo)]\n",
+            "const S: &str = \"#[allow(clippy::todo)]\";\n",
+        ));
+        let attrs: Vec<(&str, bool, Vec<String>, usize)> = lint_attrs(&src)
+            .into_iter()
+            .map(|a| (a.level, a.inner, a.lints, a.line))
+            .collect();
+        let lints = |names: &[&str]| names.iter().map(|n| n.to_string()).collect();
+        assert_eq!(
+            attrs,
+            [
+                (
+                    "deny",
+                    true,
+                    lints(&["clippy::unwrap_used", "clippy::panic"]),
+                    1
+                ),
+                ("expect", false, lints(&["clippy::expect_used"]), 2),
+                ("allow", false, lints(&["dead_code"]), 6),
+            ]
+        );
     }
 
     #[test]
-    fn panic_audit_only_covers_production_crates() {
-        let src = lex("fn f() { x.unwrap(); }\n");
-        assert!(panic_audit("crates/tpch/src/x.rs", &src).is_empty());
-    }
-
-    #[test]
-    fn determinism_flags_instant_and_hashmap() {
-        let src = lex("let t = std::time::Instant::now();\n");
-        assert_eq!(determinism("crates/core/src/x.rs", &src).len(), 1);
-        assert!(determinism(TIMING_MODULE, &src).is_empty());
-        let src = lex("use std::collections::HashMap;\n");
-        assert_eq!(determinism("crates/core/src/plan.rs", &src).len(), 1);
-        assert!(determinism("crates/core/src/scheme.rs", &src).is_empty());
+    fn an_audited_lib_rs_without_the_deny_is_a_metadata_finding() {
+        let deny = "#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, \
+                    clippy::unreachable, clippy::todo, clippy::unimplemented)]\n";
+        let attrs = lint_attrs(&lex(deny));
+        assert!(panic_deny("crates/lsm/src/lib.rs", &attrs).is_none());
+        let partial = lint_attrs(&lex("#![deny(clippy::unwrap_used)]\n"));
+        let finding = panic_deny("crates/lsm/src/lib.rs", &partial).expect("a finding");
+        assert_eq!(finding.rule, Rule::Metadata);
+        assert!(
+            finding.message.contains("clippy::unimplemented"),
+            "{finding:?}"
+        );
+        // an outer `#[deny]` covers one item, not the crate
+        let outer = lint_attrs(&lex(&deny.replace("#!", "#")));
+        assert!(panic_deny("crates/core/src/lib.rs", &outer).is_some());
+        assert!(panic_deny("crates/core/src/plan.rs", &[]).is_none());
+        assert!(panic_deny("crates/tpch/src/lib.rs", &[]).is_none());
     }
 
     #[test]

@@ -107,7 +107,10 @@ impl BucketedLsmTree {
         };
         for b in initial_buckets {
             let added = tree.add_bucket(b, tree.new_tree());
-            // dhlint: allow(panic) — constructor contract: initial buckets are disjoint
+            #[expect(
+                clippy::expect_used,
+                reason = "constructor contract: initial buckets are disjoint"
+            )]
             added.expect("initial buckets must not overlap");
         }
         tree

@@ -22,6 +22,18 @@
 //! that the cost model of the `dynahash-cluster` crate can charge realistic
 //! I/O costs.
 
+// The panic audit: production code propagates a typed error; a site that
+// cannot fail says why in an `#[expect(<lint>, reason = "…")]`, counted
+// against LINT_BUDGET.toml by dhlint.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod bloom;
 pub mod bucket;
 pub mod bucketed;

@@ -73,7 +73,10 @@ impl SplitMix64 {
         };
         let hi_inclusive = match range.end_bound() {
             Bound::Included(&n) => n,
-            // dhlint: allow(panic) — documented API contract: gen_range panics on an empty range
+            #[expect(
+                clippy::expect_used,
+                reason = "documented API contract: gen_range panics on an empty range"
+            )]
             Bound::Excluded(&n) => n.checked_sub(1).expect("empty range"),
             Bound::Unbounded => u64::MAX,
         };

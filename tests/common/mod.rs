@@ -18,9 +18,10 @@
 //! a `BTreeMap` model of the contents, and [`index_from_primary`], the index
 //! built from scratch out of each partition's primary records.
 
-// Each integration-test binary compiles this module independently and uses
-// only a subset of it.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each integration-test binary compiles this module and uses a subset of it"
+)]
 
 use std::collections::{BTreeMap, BTreeSet};
 

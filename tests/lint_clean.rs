@@ -1,6 +1,8 @@
 //! The tree must pass its own static analysis: `dhlint --check .` at HEAD
-//! has zero unwaived findings, and every waiver is accounted for by the
-//! committed `LINT_BUDGET.toml`.
+//! has zero findings, and every `#[expect]` of an audited clippy lint is
+//! accounted for by the committed `LINT_BUDGET.toml`. The audits themselves
+//! (panics, wall-clock and hash-ordered types) are clippy's, in CI's clippy
+//! step.
 
 use std::path::Path;
 
@@ -10,7 +12,7 @@ fn workspace_passes_dhlint() {
     let report = dynahash_lint::check_root(root).expect("workspace readable");
     assert!(
         report.is_clean(),
-        "dhlint found unwaived findings:\n{}",
+        "dhlint found findings:\n{}",
         report.render_text()
     );
 }
