@@ -336,6 +336,14 @@ pub(crate) const NO_POSITION: u32 = u32::MAX;
 /// a stretch of tied [`Key::prefix`]es, so 8-byte keys are never compared
 /// as keys at all, and no entry moves until [`permute`] moves each once.
 pub(crate) fn key_order(entries: &[Entry], from: usize) -> Vec<u32> {
+    key_pairs(entries, from)
+        .into_iter()
+        .map(|(_, at)| at)
+        .collect()
+}
+
+/// [`key_order`] with each position beside its key's [`Key::prefix`].
+pub(crate) fn key_pairs(entries: &[Entry], from: usize) -> Vec<(u64, u32)> {
     let mut pairs: Vec<(u64, u32)> = (from..entries.len())
         .map(|at| (entries[at].key.prefix(), at as u32))
         .collect();
@@ -347,7 +355,7 @@ pub(crate) fn key_order(entries: &[Entry], from: usize) -> Vec<u32> {
             tied.sort_by(|a, b| key(a.1).cmp(key(b.1)));
         }
     }
-    pairs.into_iter().map(|(_, at)| at).collect()
+    pairs
 }
 
 /// Moves items into the order `order` gives — `order[at]` is the position

@@ -57,7 +57,7 @@ pub use bucketed::{BucketedConfig, BucketedLsmTree, ScanOrder};
 pub use component::{Component, ComponentId, ComponentSource};
 pub use entry::{Entry, Key, Op, Value, KEY_INLINE_CAP, OP_TAG_BYTES};
 pub use iterator::{kmerge_disjoint, MergeIter};
-pub use memtable::MemTable;
+pub use memtable::{MemTable, MemoryComponent};
 pub use merge_policy::SizeTieredPolicy;
 pub use metrics::StorageMetrics;
 pub use rng::{scramble, SplitMix64, Zipfian};

@@ -34,11 +34,26 @@
 //! the vector, trimmed to its length, becomes the new run. A reader that
 //! needs no order (the count of a tree's dead entries) walks the arrival
 //! order.
+//!
+//! **A tree that is only read in key order keeps a log instead.** A
+//! secondary index never answers a point read, so its tree's memory
+//! component ([`MemoryComponent`], chosen by the tree's constructor) is a
+//! range-only log: a write pushes its entry onto the arrival-order vector,
+//! with no table to probe or regrow. Its size — the sum of every pushed
+//! entry — is an upper bound on the exact size until that bound reaches
+//! the budget; only then is the unsettled tail sorted once (`entry::key_pairs`)
+//! and folded into the kept key order (newest wins: a rewrite's op moves
+//! into the entry already held), so the flush cuts at exactly the write
+//! where a hashed table's would. The kept order keeps each key's prefix
+//! beside its position: a settle searches by integers and reads an entry
+//! only on a tie, and costs what its tail costs. A `&self` read of an
+//! unsettled log builds the merged order once into a cell, and the next
+//! write adopts it. A point read walks the tail, then searches the order.
 
 use std::sync::OnceLock;
 
 use crate::bucket::hash_key;
-use crate::entry::{key_order, permute, Entry, Key, Op, Value, NO_POSITION};
+use crate::entry::{key_order, key_pairs, permute, Entry, Key, Op, Value, NO_POSITION};
 
 /// A slot of the position table that holds no entry (no position is
 /// `NO_POSITION`, so no occupied slot reads as this).
@@ -307,6 +322,420 @@ impl<'a> Iterator for Range<'a> {
     }
 }
 
+/// A tree's memory component, of the kind the tree's constructor chose: a
+/// [`MemTable`] for a tree that answers point reads (a bucket's), a
+/// range-only log for one that is only ever read in key order (a secondary
+/// index's). Both hand out the same ordered [`Range`].
+#[derive(Debug)]
+pub struct MemoryComponent(Kind);
+
+#[derive(Debug)]
+enum Kind {
+    Hashed(MemTable),
+    RangeOnly(RangeLog),
+}
+
+impl MemoryComponent {
+    /// An empty hashed table.
+    pub(crate) fn hashed() -> Self {
+        MemoryComponent(Kind::Hashed(MemTable::new()))
+    }
+
+    /// An empty range-only log.
+    pub(crate) fn range_only() -> Self {
+        MemoryComponent(Kind::RangeOnly(RangeLog::default()))
+    }
+
+    /// Applies `entry` and tells whether the component's exact size has
+    /// reached `flush_at` (never, when it is `None`). `hash`, when given,
+    /// must be `hash_key(&entry.key)`; only the hashed table reads it.
+    pub(crate) fn apply(
+        &mut self,
+        entry: Entry,
+        hash: Option<u64>,
+        flush_at: Option<usize>,
+    ) -> bool {
+        match &mut self.0 {
+            Kind::Hashed(table) => {
+                let hash = hash.unwrap_or_else(|| hash_key(&entry.key));
+                table.apply_hashed(entry, hash);
+                flush_at.is_some_and(|budget| table.size_bytes() >= budget)
+            }
+            Kind::RangeOnly(log) => {
+                log.push(entry);
+                flush_at.is_some_and(|budget| log.reaches(budget))
+            }
+        }
+    }
+
+    /// The latest operation buffered for `key`; `hash` must be
+    /// `hash_key(key)`. A log answers by a walk of its unsettled tail: correct,
+    /// not fast.
+    pub(crate) fn get_hashed(&self, key: &Key, hash: u64) -> Option<&Op> {
+        match &self.0 {
+            Kind::Hashed(table) => table.get_hashed(key, hash),
+            Kind::RangeOnly(log) => log.get(key),
+        }
+    }
+
+    /// Number of distinct keys buffered.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Kind::Hashed(table) => table.len(),
+            Kind::RangeOnly(log) => log.view().0.len(),
+        }
+    }
+
+    /// True if nothing is buffered.
+    pub fn is_empty(&self) -> bool {
+        match &self.0 {
+            Kind::Hashed(table) => table.is_empty(),
+            Kind::RangeOnly(log) => log.entries.is_empty(),
+        }
+    }
+
+    /// Approximate memory footprint in bytes: one entry per distinct key.
+    pub fn size_bytes(&self) -> usize {
+        match &self.0 {
+            Kind::Hashed(table) => table.size_bytes(),
+            Kind::RangeOnly(log) => log.view().1,
+        }
+    }
+
+    /// Iterates over all buffered entries in key order.
+    pub fn iter(&self) -> Range<'_> {
+        self.range(None, None)
+    }
+
+    /// Iterates over buffered entries within `[lo, hi)` in key order.
+    /// `None` bounds are unbounded; crossed bounds hold nothing.
+    pub fn range(&self, lo: Option<&Key>, hi: Option<&Key>) -> Range<'_> {
+        match &self.0 {
+            Kind::Hashed(table) => table.range(lo, hi),
+            Kind::RangeOnly(log) => log.range(lo, hi),
+        }
+    }
+
+    /// Drops every buffered entry whose key `keep` rejects.
+    pub(crate) fn retain(&mut self, keep: impl FnMut(&Key) -> bool) {
+        match &mut self.0 {
+            Kind::Hashed(table) => table.retain(keep),
+            Kind::RangeOnly(log) => log.retain(keep),
+        }
+    }
+
+    /// Drains the component into a sorted entry vector, leaving it empty and
+    /// of the same kind.
+    pub(crate) fn drain_sorted(&mut self) -> Vec<Entry> {
+        match &mut self.0 {
+            Kind::Hashed(table) => table.drain_sorted(),
+            Kind::RangeOnly(log) => log.drain_sorted(),
+        }
+    }
+}
+
+/// Positions of a log's entries in key order, each beside its key's
+/// [`Key::prefix`]: a search compares integers and reads a key only where
+/// the prefixes tie.
+#[derive(Clone, Debug, Default)]
+struct Order {
+    prefixes: Vec<u64>,
+    positions: Vec<u32>,
+}
+
+impl Order {
+    fn len(&self) -> usize {
+        self.positions.len()
+    }
+
+    fn push(&mut self, prefix: u64, at: u32) {
+        self.prefixes.push(prefix);
+        self.positions.push(at);
+    }
+
+    /// Where `key` sits among the first `end` pairs: `Ok` with its index if
+    /// it is there, else `Err` with the index it would take.
+    fn search(&self, entries: &[Entry], key: &Key, end: usize) -> Result<usize, usize> {
+        let prefix = key.prefix();
+        let (mut lo, mut hi) = (0, end);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let held = || entries[self.positions[mid] as usize].key.as_slice();
+            match (self.prefixes[mid].cmp(&prefix)).then_with(|| held().cmp(key.as_slice())) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Ok(mid),
+            }
+        }
+        Err(lo)
+    }
+
+    /// The index of the first key at or after `bound`.
+    fn first_at_or_after(&self, entries: &[Entry], bound: &Key) -> usize {
+        match self.search(entries, bound, self.len()) {
+            Ok(at) | Err(at) => at,
+        }
+    }
+
+    /// Inserts `added` — in key order, no key of it held already — from the
+    /// back: each stretch of held pairs moves once, by one copy.
+    fn insert(&mut self, entries: &[Entry], added: Order) {
+        if self.positions.is_empty() {
+            *self = added;
+            return;
+        }
+        let held = self.len();
+        self.prefixes.resize(held + added.len(), 0);
+        self.positions.resize(held + added.len(), 0);
+        // the pairs below `end` are the held ones not yet moved
+        let mut end = held;
+        for j in (0..added.len()).rev() {
+            let key = &entries[added.positions[j] as usize].key;
+            let at = match self.search(entries, key, end) {
+                Ok(at) | Err(at) => at,
+            };
+            self.prefixes.copy_within(at..end, at + j + 1);
+            self.positions.copy_within(at..end, at + j + 1);
+            self.prefixes[at + j] = added.prefixes[j];
+            self.positions[at + j] = added.positions[j];
+            end = at;
+        }
+    }
+
+    /// Folds the sorted pairs of a log's tail (`entry::key_pairs`) into this
+    /// order: the newest entry of each key (the last of its tied pairs)
+    /// either rewrites a key held here — `(index here, position)` in the
+    /// first list — or is new, in the second, in key order.
+    fn fold(&self, entries: &[Entry], tail: &[(u64, u32)]) -> (Vec<(usize, u32)>, Order) {
+        let key = |at: u32| &entries[at as usize].key;
+        let (mut rewrites, mut added) = (Vec::new(), Order::default());
+        for same in tail.chunk_by(|a, b| a.0 == b.0 && key(a.1) == key(b.1)) {
+            let Some(&(prefix, newest)) = same.last() else {
+                continue;
+            };
+            match self.search(entries, key(newest), self.len()) {
+                Ok(at) => rewrites.push((at, newest)),
+                Err(_) => added.push(prefix, newest),
+            }
+        }
+        (rewrites, added)
+    }
+}
+
+/// Drops every entry at or after `from` that `live` does not name, keeping
+/// the others in their order, and points `live` at where they moved.
+/// Positions in `live` below `from` neither move nor are read.
+fn compact(entries: &mut Vec<Entry>, from: usize, live: &mut [u32]) {
+    let named = live.iter().filter(|&&at| at as usize >= from).count();
+    if named == entries.len() - from {
+        return;
+    }
+    // Where each entry from `from` on moves to; `NO_POSITION` for a dropped one.
+    let mut to = vec![NO_POSITION; entries.len() - from];
+    for &at in live.iter() {
+        if let Some(slot) = (at as usize).checked_sub(from) {
+            to[slot] = 0;
+        }
+    }
+    let mut next = from;
+    for (slot, moved) in to.iter_mut().enumerate() {
+        if *moved != NO_POSITION {
+            entries.swap(next, from + slot);
+            *moved = next as u32;
+            next += 1;
+        }
+    }
+    entries.truncate(next);
+    for at in live.iter_mut() {
+        if let Some(slot) = (*at as usize).checked_sub(from) {
+            *at = to[slot];
+        }
+    }
+}
+
+/// A range-only memory component: a write is pushed, with no table to
+/// probe. See the module docs.
+#[derive(Debug, Default)]
+struct RangeLog {
+    /// Every write since the last flush that a settle has not dropped, in
+    /// arrival order: below `settled` one live entry per key (a read's view,
+    /// once adopted, may leave superseded ones among them), from `settled` on
+    /// the unsettled tail.
+    entries: Vec<Entry>,
+    /// The live entries below `settled`, in key order.
+    kept: Order,
+    /// How many entries `kept` accounts for, live or superseded.
+    settled: usize,
+    /// The exact size of the entries `kept` names.
+    kept_bytes: usize,
+    /// The size of every entry in `entries`: an upper bound on the exact
+    /// size, and the exact size once the log is settled.
+    bytes: usize,
+    /// The key order and exact size of the whole log, built by a `&self`
+    /// read of an unsettled one; the next `&mut self` call adopts it.
+    merged: OnceLock<(Order, usize)>,
+}
+
+impl RangeLog {
+    fn push(&mut self, entry: Entry) {
+        self.adopt();
+        self.bytes += entry.size_bytes();
+        self.entries.push(entry);
+    }
+
+    /// Whether the exact size has reached `budget`. The upper bound answers
+    /// while it is below; a bound at the budget settles the tail to tell.
+    fn reaches(&mut self, budget: usize) -> bool {
+        self.bytes >= budget && {
+            self.settle();
+            self.bytes >= budget
+        }
+    }
+
+    /// Takes over the order a read built, if any: every entry is then
+    /// accounted for, and the ones it superseded stay behind as holes until
+    /// the next settle.
+    fn adopt(&mut self) {
+        if let Some((order, bytes)) = self.merged.take() {
+            self.kept = order;
+            self.kept_bytes = bytes;
+            self.settled = self.entries.len();
+        }
+    }
+
+    /// Sorts the tail once, folds it into the kept order (newest wins: a
+    /// rewrite's op moves into the entry the order holds) and drops every
+    /// superseded entry. A settle with no holes below the tail costs what the
+    /// tail costs: a sort of its pairs, a search per distinct key, a move of
+    /// its entries and one copy per stretch of held pairs that a new key
+    /// lands in front of.
+    fn settle(&mut self) {
+        self.adopt();
+        let from = self.settled;
+        let holes = self.kept.len() < from;
+        if from == self.entries.len() && !holes {
+            return;
+        }
+        let (rewrites, mut added) = self
+            .kept
+            .fold(&self.entries, &key_pairs(&self.entries, from));
+        for (i, newest) in rewrites {
+            let op = std::mem::replace(&mut self.entries[newest as usize].op, Op::Delete);
+            let held = &mut self.entries[self.kept.positions[i] as usize];
+            self.kept_bytes = self.kept_bytes - Entry::size_of_parts(&held.key, &held.op)
+                + Entry::size_of_parts(&held.key, &op);
+            held.op = op;
+        }
+        self.kept_bytes += (added.positions.iter())
+            .map(|&at| self.entries[at as usize].size_bytes())
+            .sum::<usize>();
+        if holes {
+            self.kept.insert(&self.entries, added);
+            compact(&mut self.entries, 0, &mut self.kept.positions);
+        } else {
+            compact(&mut self.entries, from, &mut added.positions);
+            self.kept.insert(&self.entries, added);
+        }
+        self.settled = self.entries.len();
+        self.bytes = self.kept_bytes;
+    }
+
+    /// What [`RangeLog::settle`] would leave, built without moving an entry:
+    /// the kept order with the tail folded in (a rewrite points at the newest
+    /// entry) and the exact size.
+    fn merged_view(&self) -> (Order, usize) {
+        let (rewrites, added) = self
+            .kept
+            .fold(&self.entries, &key_pairs(&self.entries, self.settled));
+        let size = |at: u32| self.entries[at as usize].size_bytes();
+        let mut order = self.kept.clone();
+        let mut bytes = self.kept_bytes;
+        for (i, newest) in rewrites {
+            bytes = bytes - size(order.positions[i]) + size(newest);
+            order.positions[i] = newest;
+        }
+        bytes += added.positions.iter().map(|&at| size(at)).sum::<usize>();
+        order.insert(&self.entries, added);
+        (order, bytes)
+    }
+
+    /// The key order and exact size of the whole log: the kept ones when
+    /// nothing is unsettled, else the cell's, built by the first read.
+    fn view(&self) -> (&Order, usize) {
+        if self.settled == self.entries.len() {
+            return (&self.kept, self.kept_bytes);
+        }
+        let (order, bytes) = self.merged.get_or_init(|| self.merged_view());
+        (order, *bytes)
+    }
+
+    /// A point read, which no reader of a log issues on its hot path: kept
+    /// out of line, away from the table's probe.
+    #[cold]
+    #[inline(never)]
+    fn get(&self, key: &Key) -> Option<&Op> {
+        if let Some(newest) = self.entries[self.settled..]
+            .iter()
+            .rev()
+            .find(|e| e.key == *key)
+        {
+            return Some(&newest.op);
+        }
+        let at = self.kept.search(&self.entries, key, self.kept.len()).ok()?;
+        Some(&self.entries[self.kept.positions[at] as usize].op)
+    }
+
+    fn range(&self, lo: Option<&Key>, hi: Option<&Key>) -> Range<'_> {
+        let (order, _) = self.view();
+        let at = |bound: &Key| order.first_at_or_after(&self.entries, bound);
+        let start = lo.map_or(0, at);
+        let end = hi.map_or(order.len(), at).max(start);
+        Range {
+            entries: &self.entries,
+            order: order.positions[start..end].iter(),
+        }
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(&Key) -> bool) {
+        self.settle();
+        let RangeLog {
+            entries,
+            kept,
+            kept_bytes,
+            ..
+        } = self;
+        let mut held = 0;
+        for i in 0..kept.len() {
+            let entry = &entries[kept.positions[i] as usize];
+            if keep(&entry.key) {
+                kept.prefixes[held] = kept.prefixes[i];
+                kept.positions[held] = kept.positions[i];
+                held += 1;
+            } else {
+                *kept_bytes -= entry.size_bytes();
+            }
+        }
+        kept.prefixes.truncate(held);
+        kept.positions.truncate(held);
+        compact(entries, 0, &mut kept.positions);
+        self.settled = self.entries.len();
+        self.bytes = self.kept_bytes;
+    }
+
+    /// Settles, then moves the entries into the kept order along the
+    /// permutation's cycles, as [`MemTable::drain_sorted`] does.
+    fn drain_sorted(&mut self) -> Vec<Entry> {
+        self.settle();
+        let RangeLog {
+            mut entries, kept, ..
+        } = std::mem::take(self);
+        let mut order = kept.positions;
+        permute(&mut order, |at, from| entries.swap(at, from));
+        entries.shrink_to_fit();
+        entries
+    }
+}
+
 /// The sorted-map memory component the table above replaced, kept as the
 /// reference the tests compare it with (crossed bounds give an empty range).
 #[cfg(test)]
@@ -497,6 +926,55 @@ mod tests {
         assert!(longest < 8, "probe distances {distances:?}");
     }
 
+    impl MemoryComponent {
+        fn get(&self, key: &Key) -> Option<&Op> {
+            self.get_hashed(key, hash_key(key))
+        }
+
+        /// Applies `entry`; with `settle`, at a zero budget, which makes a
+        /// log settle its tail (nothing is flushed: the result is dropped).
+        fn write(&mut self, entry: Entry, settle: bool) {
+            self.apply(entry, None, settle.then_some(0));
+        }
+
+        /// Drains the component; a table's slots are checked first.
+        fn drain_checked(&mut self) -> Vec<Entry> {
+            match &mut self.0 {
+                Kind::Hashed(table) => table.drain_checked(),
+                Kind::RangeOnly(log) => log.drain_sorted(),
+            }
+        }
+
+        /// The path the component's next drain (a table) or the settle of a
+        /// write of `next` (a log) takes: for a table, whether it finds a
+        /// kept order; for a log, 0 if holes lie below its tail (a read's
+        /// adopted order superseded entries), else 2 if the tail rewrites a
+        /// held key, 1 if it adds keys only.
+        fn path(&self, next: &Entry) -> usize {
+            let log = match &self.0 {
+                Kind::Hashed(table) => return usize::from(table.sorted.get().is_some()),
+                Kind::RangeOnly(log) => log,
+            };
+            let (kept, tail) = match log.merged.get() {
+                Some((order, _)) => (order, &[][..]),
+                None => (&log.kept, &log.entries[log.settled..]),
+            };
+            let covered = if log.merged.get().is_some() {
+                log.entries.len()
+            } else {
+                log.settled
+            };
+            let held = |e: &Entry| kept.search(&log.entries, &e.key, kept.len()).is_ok();
+            if kept.len() < covered {
+                0
+            } else if tail.iter().chain([next]).any(held) {
+                2
+            } else {
+                1
+            }
+        }
+    }
+
     /// The table against the sorted map it replaced, over random sequences
     /// of puts, deletes, overwrites, purges and flushes; keys of one shape
     /// per seed — keys of one depth-20 bucket, composite secondary-index
@@ -515,8 +993,34 @@ mod tests {
     /// at least 50 times.
     #[test]
     fn prop_the_table_matches_the_sorted_map() {
-        // drains that sorted, and drains that found a kept order
-        let mut drains = [0usize; 2];
+        let [sorting, ordered, ..] = matches_the_sorted_map(MemoryComponent::hashed, false);
+        assert!(
+            sorting >= 50 && ordered >= 50,
+            "{sorting} drains sorted, {ordered} found a kept order"
+        );
+    }
+
+    /// The range-only log against the same sorted map, over the same
+    /// sequences, one write in eight applied at a zero budget, which settles
+    /// the tail there. The step's reads build the log's merged view, which
+    /// the next write adopts; a settle after that drops the holes the view
+    /// left below the tail, and a settle with none folds the tail alone —
+    /// with rewrites of held keys, or new keys only. Each of the three
+    /// settles runs at least 50 times.
+    #[test]
+    fn prop_the_log_matches_the_sorted_map() {
+        let [over_holes, new_keys, rewrites] =
+            matches_the_sorted_map(MemoryComponent::range_only, true);
+        assert!(
+            over_holes >= 50 && new_keys >= 50 && rewrites >= 50,
+            "settles: {over_holes} over holes, {new_keys} of new keys, {rewrites} with rewrites"
+        );
+    }
+
+    /// The model run both kinds go through: how often each `path` was taken,
+    /// at drains (`settles` unset) or at settling writes.
+    fn matches_the_sorted_map(fresh: fn() -> MemoryComponent, settles: bool) -> [usize; 3] {
+        let mut paths = [0usize; 3];
         for seed in 0..80u64 {
             let mut rng = SplitMix64::seed_from_u64(0x3e37_ab00 + seed);
             let universe: Vec<Key> = match seed % 4 {
@@ -556,7 +1060,7 @@ mod tests {
                     _ => Key::from_u64(rng.next_u64()),
                 }
             };
-            let (mut m, mut o) = (MemTable::new(), oracle::MemTable::default());
+            let (mut m, mut o) = (fresh(), oracle::MemTable::default());
             for step in 0..rng.gen_range(1..300) {
                 // a burst of writes between two ordered reads makes the next
                 // read merge several new keys into the kept order
@@ -566,14 +1070,21 @@ mod tests {
                 };
                 for _ in 0..burst {
                     let key = universe[rng.gen_index(universe.len())].clone();
+                    let settle = settles && rng.gen_ratio(1, 8);
+                    let mut write = |m: &mut MemoryComponent, e: Entry| {
+                        if settle {
+                            paths[m.path(&e)] += 1;
+                        }
+                        m.write(e, settle);
+                    };
                     match rng.gen_range(0..100) {
                         0..=54 => {
                             let e = Entry::put(key, val(rng.gen_index(40)));
-                            m.apply(e.clone());
+                            write(&mut m, e.clone());
                             o.apply(e);
                         }
                         55..=74 => {
-                            m.delete(key.clone());
+                            write(&mut m, Entry::delete(key.clone()));
                             o.apply(Entry::delete(key));
                         }
                         75..=92 if o.len() > 0 => {
@@ -584,7 +1095,7 @@ mod tests {
                                 0 => Entry::delete(held.clone()),
                                 _ => Entry::put(held.clone(), val(40 + rng.gen_index(40))),
                             };
-                            m.apply(e.clone());
+                            write(&mut m, e.clone());
                             o.apply(e);
                         }
                         93..=97 => {
@@ -594,7 +1105,9 @@ mod tests {
                             o.retain(keep);
                         }
                         _ => {
-                            drains[usize::from(m.sorted.get().is_some())] += 1;
+                            if !settles {
+                                paths[m.path(&Entry::delete(Key::default()))] += 1;
+                            }
                             assert_eq!(
                                 m.drain_checked(),
                                 o.drain_sorted(),
@@ -632,7 +1145,9 @@ mod tests {
                     );
                 }
             }
-            drains[usize::from(m.sorted.get().is_some())] += 1;
+            if !settles {
+                paths[m.path(&Entry::delete(Key::default()))] += 1;
+            }
             assert_eq!(
                 m.drain_checked(),
                 o.drain_sorted(),
@@ -640,10 +1155,6 @@ mod tests {
             );
             assert!(m.is_empty() && m.size_bytes() == 0, "seed {seed}");
         }
-        let [sorting, ordered] = drains;
-        assert!(
-            sorting >= 50 && ordered >= 50,
-            "{sorting} drains sorted, {ordered} found a kept order"
-        );
+        paths
     }
 }

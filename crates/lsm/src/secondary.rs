@@ -19,6 +19,13 @@
 //! next merge or flush. [`SecondaryIndex::mark_buckets_moved`] is the only
 //! door to that metadata, so a mark always reads a composite key; the
 //! primary index's runs carry bucket filters of splits, never marks.
+//!
+//! No secondary index issues a point read: its one reader is
+//! [`SecondaryIndex::visit_range`]. Its tree therefore buffers writes in a
+//! range-only memory component (`LsmTree::range_only`): a write is a push
+//! onto an arrival-order log, with no hash table to probe, and the log is
+//! sorted and deduplicated only when its upper-bound size reaches the
+//! budget, so each flush cuts where a hashed table's would.
 
 use std::sync::Arc;
 
@@ -98,7 +105,7 @@ impl SecondaryIndex {
     pub fn new(name: impl Into<String>, config: LsmConfig, metrics: Arc<StorageMetrics>) -> Self {
         SecondaryIndex {
             name: name.into(),
-            tree: LsmTree::new(config, metrics),
+            tree: LsmTree::range_only(config, metrics),
             obsolete_skipped: 0,
         }
     }
@@ -285,7 +292,9 @@ mod tests {
             primary: Key::from_u64(10),
         }
         .encode();
-        let value = i.tree().get_ref(&composite).expect("the entry is buffered");
+        let scanned = i.tree().scan(Some(&composite), None);
+        let value = scanned[0].op.value().expect("the entry is buffered");
+        assert_eq!(scanned[0].key, composite);
         assert!(value.is_empty() && value.shares_allocation(&crate::Bytes::new()));
     }
 

@@ -16,7 +16,7 @@ use crate::bucket::{hash_key, BucketId, BucketSet};
 use crate::component::{Component, ComponentSource};
 use crate::entry::{Entry, Key, Op, Value};
 use crate::iterator::{reconcile_point, Cursor, MergeIter};
-use crate::memtable::MemTable;
+use crate::memtable::MemoryComponent;
 use crate::merge_policy::SizeTieredPolicy;
 use crate::metrics::StorageMetrics;
 use crate::secondary::SecondaryEntry;
@@ -60,7 +60,7 @@ impl LsmConfig {
 #[derive(Debug)]
 pub struct LsmTree {
     config: LsmConfig,
-    memtable: MemTable,
+    memtable: MemoryComponent,
     /// Disk components ordered newest first.
     components: Vec<Component>,
     metrics: Arc<StorageMetrics>,
@@ -82,11 +82,28 @@ pub struct LsmTree {
 }
 
 impl LsmTree {
-    /// Creates an empty tree.
+    /// Creates an empty tree whose memory component is a hashed table: it
+    /// answers point reads.
     pub fn new(config: LsmConfig, metrics: Arc<StorageMetrics>) -> Self {
+        LsmTree::with_memory(config, metrics, MemoryComponent::hashed())
+    }
+
+    /// Creates an empty tree whose memory component is a range-only log: a
+    /// write is a push, ordered reads cost what a hashed table's do, and a
+    /// point read walks the unsettled writes. A secondary index's tree, which
+    /// is only ever read in key order.
+    pub(crate) fn range_only(config: LsmConfig, metrics: Arc<StorageMetrics>) -> Self {
+        LsmTree::with_memory(config, metrics, MemoryComponent::range_only())
+    }
+
+    fn with_memory(
+        config: LsmConfig,
+        metrics: Arc<StorageMetrics>,
+        memtable: MemoryComponent,
+    ) -> Self {
         LsmTree {
             config,
-            memtable: MemTable::new(),
+            memtable,
             components: Vec::new(),
             metrics,
             merges_paused: false,
@@ -112,25 +129,28 @@ impl LsmTree {
         self.apply(Entry::delete(key));
     }
 
-    /// Applies an entry (used by log replay and replication).
+    /// Applies an entry (used by log replay and replication). A hashed
+    /// memory component hashes its key; a range-only one does not.
     pub fn apply(&mut self, entry: Entry) {
-        let hash = hash_key(&entry.key);
-        self.apply_hashed(entry, hash);
+        self.write(entry, None);
     }
 
     /// [`LsmTree::apply`] by a writer that has hashed the key already (to
-    /// route it): `hash` must be `hash_key(&entry.key)`, and the memory
+    /// route it): `hash` must be `hash_key(&entry.key)`, and a hashed memory
     /// component keeps it.
     pub fn apply_hashed(&mut self, entry: Entry, hash: u64) {
+        self.write(entry, Some(hash));
+    }
+
+    fn write(&mut self, entry: Entry, hash: Option<u64>) {
         StorageMetrics::add(&self.metrics.records_written, 1);
         // A write to a bucket marked moved means the bucket is back: the dead
         // entries must go before a live one can sit among them.
         if self.buffered_dead(&entry.key) {
             self.purge_memtable();
         }
-        self.memtable.apply_hashed(entry, hash);
-        if self.config.auto_flush && self.memtable.size_bytes() >= self.config.memtable_budget_bytes
-        {
+        let flush_at = (self.config.auto_flush).then_some(self.config.memtable_budget_bytes);
+        if self.memtable.apply(entry, hash, flush_at) {
             self.flush();
             if self.config.auto_merge {
                 self.run_merges();
@@ -408,7 +428,7 @@ impl LsmTree {
     }
 
     /// Direct read access to the memory component.
-    pub fn memtable(&self) -> &MemTable {
+    pub fn memtable(&self) -> &MemoryComponent {
         &self.memtable
     }
 
@@ -572,6 +592,96 @@ mod tests {
             Some(val("overwritten"))
         );
         assert_eq!(scanned.get(&Key::from_u64(held[11])), None);
+    }
+
+    /// What a tree's components hold: each one's entries, raw length and
+    /// bytes, newest first.
+    fn runs(t: &LsmTree) -> Vec<(Vec<Entry>, usize, usize)> {
+        (t.components().iter())
+            .map(|c| (c.iter().cloned().collect(), c.raw_len(), c.size_bytes()))
+            .collect()
+    }
+
+    /// What a tree's memory component shows: its entries in key order and
+    /// its byte size.
+    fn buffered(t: &LsmTree) -> (Vec<Entry>, usize) {
+        let m = t.memtable();
+        let entries = m.iter().map(|(k, op)| Entry::from_parts(k, op)).collect();
+        (entries, m.size_bytes())
+    }
+
+    /// A range-only tree and a hashed one, at a budget of a few dozen
+    /// entries, fed one seeded stream: puts, deletes and rewrites of recent
+    /// keys, a lazy-cleanup mark halfway (later writes to the marked bucket
+    /// purge the buffer), then new keys until the next one would reach the
+    /// budget and 10 000 rewrites of one key there. After every write both
+    /// hold the same runs — so each flush cut at the same write — and once
+    /// every `read_every` writes their memory components show the same
+    /// entries and size (a read on every write makes the log build and adopt
+    /// a view each time; one in 61 lets its tail settle unread).
+    #[test]
+    fn a_range_only_tree_flushes_where_a_hashed_one_does() {
+        use crate::rng::SplitMix64;
+
+        const BUDGET: usize = 1024;
+        fn write(trees: &mut [LsmTree; 2], entry: Entry, read: bool, ctx: &str) {
+            trees[0].apply(entry.clone());
+            trees[1].apply(entry);
+            assert_eq!(runs(&trees[0]), runs(&trees[1]), "{ctx}");
+            if read {
+                assert_eq!(buffered(&trees[0]), buffered(&trees[1]), "{ctx}");
+            }
+        }
+        for read_every in [1, 61] {
+            let config = LsmConfig::with_memtable_budget(BUDGET);
+            let mut trees = [
+                LsmTree::range_only(config.clone(), StorageMetrics::new_shared()),
+                LsmTree::new(config, StorageMetrics::new_shared()),
+            ];
+            let flushes =
+                |trees: &[LsmTree; 2]| trees.each_ref().map(|t| t.metrics.snapshot().flush_count);
+            let mut rng = SplitMix64::seed_from_u64(0x5ec0_0001);
+            let mut recent = std::collections::VecDeque::from([0u64]);
+            for n in 0..3000usize {
+                let ctx = format!("read every {read_every}, write {n}");
+                if n == 1500 {
+                    trees
+                        .iter_mut()
+                        .for_each(|t| t.mark_buckets_invalid(&[BucketId::new(0, 1)]));
+                }
+                let k = match rng.gen_range(0..10) {
+                    0..=1 => recent[rng.gen_index(recent.len())],
+                    _ => rng.gen_range(0..400),
+                };
+                let entry = match rng.gen_range(0..5) {
+                    0 => Entry::delete(composite(k)),
+                    _ => Entry::put(composite(k), Bytes::from(vec![1; rng.gen_index(12)])),
+                };
+                write(&mut trees, entry, n % read_every == 0, &ctx);
+                recent.push_back(k);
+                if recent.len() > 20 {
+                    recent.pop_front();
+                }
+            }
+            let [flushed, _] = flushes(&trees);
+            assert!(flushed > 20, "the stream flushes: {flushed}");
+            // fill up to one entry below the budget, then rewrite one key there
+            let next = |k: u64| Entry::put(composite(k), Bytes::new());
+            let mut k = 10_000;
+            while trees[1].memtable().size_bytes() + next(k).size_bytes() < BUDGET {
+                write(&mut trees, next(k), true, "filling");
+                k += 1;
+            }
+            let [before, _] = flushes(&trees);
+            for n in 0..10_000usize {
+                let ctx = format!("read every {read_every}, rewrite {n}");
+                write(&mut trees, next(k - 1), n % read_every == 0, &ctx);
+            }
+            assert_eq!(flushes(&trees), [before; 2]);
+            write(&mut trees, next(k), true, "the next key flushes");
+            assert_eq!(flushes(&trees), [before + 1; 2]);
+            assert!(trees.iter().all(|t| t.memtable().is_empty()));
+        }
     }
 
     #[test]
